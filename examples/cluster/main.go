@@ -3,12 +3,13 @@
 // loopback HTTP listener, joined by a consistent-hash ring. It then shows
 // the cluster's three behaviors end to end:
 //
-//  1. Node A computes a batch — each detect/locate/compact stage executes
-//     on (and is memoized by) its owning shard, so the work spreads over
-//     the ring even for a single submission.
+//  1. Node A computes a batch — detect stages execute on (and are
+//     memoized by) their owning shards, locate/compact run on A where the
+//     library images are, and write-back replication pushes every result
+//     to the owners of its key.
 //  2. The same batch submitted to node B completes with zero local
-//     locate/compact: every stage reads through to its owner (peer.hits)
-//     and the fetched artifacts land in B's own castore.
+//     locate/compact: what B owns is already on its disk, the rest reads
+//     through to its owners (peer.hits) and lands in B's own castore.
 //  3. Node C is killed; a fresh batch still completes — the ring shrinks
 //     and C-owned stages fall back to local compute (peer.fallbacks).
 package main
@@ -155,19 +156,20 @@ func main() {
 		MaxSteps: 4,
 	}
 
-	// ---- 1. Cold batch on node A: stages execute on their owning shards.
+	// ---- 1. Cold batch on node A: detects execute on their owning shards,
+	// compacts run here and replicate to their owners in the background.
 	idA, wallA := runBatch(a, req)
+	a.svc.WaitReplication()
 	fmt.Printf("node a: cold batch %s in %v\n", idA, wallA.Round(time.Millisecond))
-	fmt.Printf("  remote stage executions issued by a: %d (local analysis: %d)\n",
-		a.svc.Counters.Get("peer.remote_execs"), a.svc.Counters.Get("analysis.computed"))
+	fmt.Printf("  remote detects issued by a: %d (local locate+compact: %d, objects written back: %d)\n",
+		a.svc.Counters.Get("peer.remote_execs"), a.svc.Counters.Get("analysis.computed"),
+		a.svc.Counters.Get("peer.replica_writes"))
 	for _, n := range []*node{b, c} {
-		fmt.Printf("  node %s served as owning shard: %d compacts, %d detects\n",
-			n.id, n.svc.Counters.Get("peer.served_compacts"), n.svc.Counters.Get("peer.served_detects"))
+		fmt.Printf("  node %s as owning shard: executed %d detects, received %d replicated objects\n",
+			n.id, n.svc.Counters.Get("peer.executed_detects"), n.svc.Counters.Get("peer.objects_received"))
 	}
 
-	// ---- 2. Same batch on node B: pure cluster reuse. analysisBefore
-	// excludes the compacts B already executed as owning shard during A's
-	// batch — the delta is what B's own submission cost locally.
+	// ---- 2. Same batch on node B: pure cluster reuse.
 	analysisBefore := b.svc.Counters.Get("analysis.computed")
 	idB, wallB := runBatch(b, req)
 	fmt.Printf("\nnode b: same batch %s in %v\n", idB, wallB.Round(time.Millisecond))

@@ -15,7 +15,6 @@ import (
 
 	"negativaml/internal/cluster"
 	"negativaml/internal/mlframework"
-	"negativaml/internal/negativa"
 )
 
 // docBlock is one annotated JSON example from docs/API.md.
@@ -250,6 +249,15 @@ func TestAPIDocExamples(t *testing.T) {
 	actual["peer-lookup request"] = lookupReq.json
 	actual["peer-lookup response"] = httpJSON(http.MethodPost, "/v1/peer/lookup", lookupReq.json, http.StatusOK)
 
+	// A found compact lookup needs a real key: the first library of the
+	// doc-example job, which node a computed and still caches.
+	foundReq, err := json.Marshal(peerLookupRequest{Stage: "compact", Hash: a.svc.Job(st.ID).Result.libKeys[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	actual["peer-lookup-found request"] = foundReq
+	actual["peer-lookup-found response"] = httpJSON(http.MethodPost, "/v1/peer/lookup", foundReq, http.StatusOK)
+
 	batchLookupReq, ok := blocks["peer-lookup-batch request"]
 	if !ok {
 		t.Fatal("docs/API.md lacks the peer-lookup-batch request example")
@@ -257,9 +265,9 @@ func TestAPIDocExamples(t *testing.T) {
 	actual["peer-lookup-batch request"] = batchLookupReq.json
 	actual["peer-lookup-batch response"] = httpJSON(http.MethodPost, "/v1/peer/lookup-batch", batchLookupReq.json, http.StatusOK)
 
-	// peer-detect and peer-compact need content-correct inputs (the server
-	// verifies fingerprints and stage keys), so the test builds the real
-	// request and the doc example is shape-checked against what was sent.
+	// peer-detect needs content-correct inputs (the server verifies the
+	// fingerprint and identity), so the test builds the real request and
+	// the doc example is shape-checked against what was sent.
 	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -279,28 +287,6 @@ func TestAPIDocExamples(t *testing.T) {
 	}
 	actual["peer-detect request"] = detReq
 	actual["peer-detect response"] = httpJSON(http.MethodPost, "/v1/peer/detect", detReq, http.StatusOK)
-
-	profile, err := negativa.DetectUsage(wl, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	libName := "libtorch_cuda.so"
-	lib := in.Library(libName)
-	archs := negativa.DeviceArchs(wl.Devices)
-	key := negativa.CompactKey(negativa.LocateKey(lib, profile.UsedFuncs[libName], profile.UsedKernels[libName], archs))
-	compactReq := peerCompactRequest{
-		Key: key.Hash, LibName: libName, LibDigest: digestHex(lib), Lib: lib.Data,
-		UsedFuncs: profile.UsedFuncs[libName], UsedKernels: profile.UsedKernels[libName],
-	}
-	for _, ar := range archs {
-		compactReq.Archs = append(compactReq.Archs, uint32(ar))
-	}
-	compactBody, err := json.Marshal(compactReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	actual["peer-compact request"] = compactBody
-	actual["peer-compact response"] = httpJSON(http.MethodPost, "/v1/peer/compact", compactBody, http.StatusOK)
 
 	// ---- membership plane ----
 	// The ping/join/leave requests are built live (real URLs) so the doc

@@ -1,14 +1,20 @@
 package dserve
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
+	"negativaml/internal/mlframework"
+	"negativaml/internal/mlruntime"
+	"negativaml/internal/negativa"
+	"negativaml/internal/plan"
 )
 
 // testNode is one in-process cluster member: a full service with its own
@@ -73,14 +79,123 @@ func fetchPeerJobLib(t *testing.T, srv *httptest.Server, jobID, name string) []b
 	return data
 }
 
+// coldThenWarm is the peer tier's contract for one request on a fresh
+// three-node ring, checked from outside the memo:
+//
+//  1. A cold batch on node a runs every locate+compact itself — the stage
+//     computes where the library image already is — and only detect stages
+//     execute remotely, each exactly once on its primary shard.
+//  2. Once write-back replication has drained, every live owner of every
+//     compact key holds the result, its range set, and the library image.
+//  3. The same request on b and then on c completes with no local analysis.
+//  4. Every library any of the three nodes streams is byte-identical to a
+//     standalone single-node DebloatBatch of the same install — the
+//     differential oracle.
+//
+// in is the install the request resolves to. It returns a's job ID.
+func coldThenWarm(t *testing.T, nodes map[string]*testNode, req JobRequest, in *mlframework.Install) string {
+	t.Helper()
+	a := nodes["a"]
+
+	oracle := NewService(Config{Workers: 4, MaxSteps: 2})
+	defer oracle.Close()
+	workloads := make([]mlruntime.Workload, len(req.Workloads))
+	for i, spec := range req.Workloads {
+		w, err := spec.Workload(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workloads[i] = w
+	}
+	ref, err := oracle.DebloatBatch(in, workloads, BatchOptions{MaxSteps: req.MaxSteps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.DebloatedLibs()
+
+	// (1) the cold batch.
+	stA := postJob(t, a.srv, req)
+	doneA := pollDone(t, a.srv, stA.ID)
+	if doneA.State != JobDone {
+		t.Fatalf("node a job failed: %s", doneA.Error)
+	}
+	if doneA.Verified == nil || !*doneA.Verified {
+		t.Fatal("node a batch must verify")
+	}
+	a.svc.WaitReplication()
+	a.svc.Cache.Flush()
+	res := a.svc.Job(stA.ID).Result
+	keys := map[string]bool{}
+	for _, k := range res.libKeys {
+		keys[k] = true
+	}
+	if got := a.svc.Counters.Get("analysis.computed"); got != int64(len(keys)) {
+		t.Fatalf("node a computed %d locate+compact stages for %d compact keys", got, len(keys))
+	}
+	var executed int64
+	for _, id := range []string{"b", "c"} {
+		executed += nodes[id].svc.Counters.Get("peer.executed_detects")
+	}
+	if got := a.svc.Counters.Get("peer.remote_execs"); got != executed || got > int64(len(req.Workloads)) {
+		t.Fatalf("peer.remote_execs=%d: want the %d detects b and c executed (of %d workloads)", got, executed, len(req.Workloads))
+	}
+	if errs := a.svc.Counters.Get("peer.replica_write_errors"); errs != 0 {
+		t.Fatalf("write-back reported %d errors on a healthy ring", errs)
+	}
+
+	// (2) every owner holds every compact key's objects.
+	for i, key := range res.libKeys {
+		name := res.Libs[i].Name
+		libKey := digestHex(in.Library(name))
+		for _, owner := range a.svc.Cluster().Owners(plan.Key{Stage: negativa.StageCompact, Hash: key}.String()) {
+			st := nodes[owner].store
+			if !st.Has(kindResult, key) || !st.Has(kindSparse, key) || !st.Has(kindLib, libKey) {
+				t.Fatalf("owner %s of %s's compact key lacks its result/sparse/lib objects after write-back", owner, name)
+			}
+		}
+	}
+
+	// (3) + (4) pure reuse everywhere, byte-identical to the oracle.
+	ids := map[string]string{"a": stA.ID}
+	for _, id := range []string{"b", "c"} {
+		n := nodes[id]
+		before := n.svc.Counters.Get("analysis.computed")
+		st := postJob(t, n.srv, req)
+		done := pollDone(t, n.srv, st.ID)
+		if done.State != JobDone {
+			t.Fatalf("node %s job failed: %s", id, done.Error)
+		}
+		if done.Verified == nil || !*done.Verified {
+			t.Fatalf("node %s batch must verify", id)
+		}
+		if delta := n.svc.Counters.Get("analysis.computed") - before; delta != 0 {
+			t.Fatalf("node %s ran locate/compact %d times locally; the ring should have absorbed all of it", id, delta)
+		}
+		ids[id] = st.ID
+	}
+	for id, jobID := range ids {
+		var rep jobReport
+		if code := getJSON(t, nodes[id].srv.URL+"/v1/jobs/"+jobID+"/report", &rep); code != http.StatusOK {
+			t.Fatalf("node %s report status %d", id, code)
+		}
+		if len(rep.Libs) != len(want) {
+			t.Fatalf("node %s reports %d libraries, the oracle %d", id, len(rep.Libs), len(want))
+		}
+		for _, lr := range rep.Libs {
+			if got := fetchPeerJobLib(t, nodes[id].srv, jobID, lr.Name); !bytes.Equal(got, want[lr.Name]) {
+				t.Fatalf("library %s streamed by node %s differs from the single-node pipeline's", lr.Name, id)
+			}
+		}
+	}
+	return stA.ID
+}
+
 // TestClusterThreeNodeE2E is the sharded serving plane's acceptance test:
 //
-//  1. Node A computes a batch — its stages execute on (and are memoized
-//     by) their owning shards across the ring.
-//  2. The same batch submitted to node B completes without any local
-//     locate/compact (analysis.computed delta 0): everything arrives
-//     through the peer tier or B's own shard-resident memo, and every
-//     fetched library is byte-identical to A's.
+//  1. A batch on a fresh ring meets the coldThenWarm contract: computed
+//     where it was submitted, replicated to its owners, reused everywhere,
+//     identical to the single-node pipeline.
+//  2. Reads through the peer tier replicate toward demand.
 //  3. Killing node C mid-run still completes batches: the ring shrinks
 //     and C-owned stages fall back (peer.fallbacks > 0).
 func TestClusterThreeNodeE2E(t *testing.T) {
@@ -102,68 +217,38 @@ func TestClusterThreeNodeE2E(t *testing.T) {
 		},
 		MaxSteps: 2,
 	}
-
-	// ---- Phase 1: node A computes the batch across the ring ----
-	stA := postJob(t, a.srv, req)
-	doneA := pollDone(t, a.srv, stA.ID)
-	if doneA.State != JobDone {
-		t.Fatalf("node A job failed: %s", doneA.Error)
-	}
-	if doneA.Verified == nil || !*doneA.Verified {
-		t.Fatal("node A batch must verify")
-	}
-	// With ~14 stage keys over 3 nodes, A almost surely routed some stages
-	// to B or C — meaning those shards executed and memoized them.
-	remoteExecs := a.svc.Counters.Get("peer.remote_execs")
-	served := b.svc.Counters.Get("peer.served_compacts") + c.svc.Counters.Get("peer.served_compacts") +
-		b.svc.Counters.Get("peer.served_detects") + c.svc.Counters.Get("peer.served_detects")
-	if remoteExecs == 0 || served == 0 {
-		t.Fatalf("node A should have executed stages on owning shards: remote_execs=%d served=%d", remoteExecs, served)
+	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: req.TailLibs})
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	var repA jobReport
-	if code := getJSON(t, a.srv.URL+"/v1/jobs/"+stA.ID+"/report", &repA); code != http.StatusOK {
-		t.Fatalf("node A report status %d", code)
-	}
-
-	// ---- Phase 2: the same batch on node B is pure reuse ----
-	analysisBefore := b.svc.Counters.Get("analysis.computed")
-	stB := postJob(t, b.srv, req)
-	doneB := pollDone(t, b.srv, stB.ID)
-	if doneB.State != JobDone {
-		t.Fatalf("node B job failed: %s", doneB.Error)
-	}
-	if doneB.Verified == nil || !*doneB.Verified {
-		t.Fatal("node B batch must verify")
-	}
-	if delta := b.svc.Counters.Get("analysis.computed") - analysisBefore; delta != 0 {
-		t.Fatalf("node B ran locate/compact %d times locally; the cluster should have absorbed all of it", delta)
+	// ---- Phases 1+2: cold on A, pure reuse on B and C ----
+	jobA := coldThenWarm(t, nodes, req, in)
+	// With 3 detect keys over 3 nodes, A routed some to B or C — meaning
+	// those shards executed and memoized them.
+	if a.svc.Counters.Get("peer.remote_execs") == 0 {
+		t.Fatal("node A should have executed detect stages on their owning shards")
 	}
 	if hits := b.svc.Counters.Get("peer.hits"); hits == 0 {
 		t.Fatal("node B should have read stages through their owning peers")
 	}
-	// Read-through replicates toward demand: peer-served compact results
-	// were spilled into B's own castore. The spill is write-behind, so
-	// drain it before looking at the store.
+	// Read-through replicates toward demand: compact results B does not
+	// own reached it only through peer lookups, and were spilled into its
+	// own castore. The spill is write-behind, so drain it before looking.
 	b.svc.Cache.Flush()
-	if b.store.Stats().Puts == 0 {
-		t.Fatal("peer-served results should have been written into node B's castore")
-	}
-
-	// Byte-identical libraries from both nodes' jobs.
-	var repB jobReport
-	if code := getJSON(t, b.srv.URL+"/v1/jobs/"+stB.ID+"/report", &repB); code != http.StatusOK {
-		t.Fatalf("node B report status %d", code)
-	}
-	if len(repB.Libs) != len(repA.Libs) {
-		t.Fatalf("lib count mismatch: A=%d B=%d", len(repA.Libs), len(repB.Libs))
-	}
-	for _, lr := range repA.Libs {
-		la := fetchPeerJobLib(t, a.srv, stA.ID, lr.Name)
-		lb := fetchPeerJobLib(t, b.srv, stB.ID, lr.Name)
-		if string(la) != string(lb) {
-			t.Fatalf("library %s differs between nodes A and B", lr.Name)
+	demand := 0
+	for _, key := range a.svc.Job(jobA).Result.libKeys {
+		owners := b.svc.Cluster().Owners(plan.Key{Stage: negativa.StageCompact, Hash: key}.String())
+		if slices.Contains(owners, "b") {
+			continue
 		}
+		demand++
+		if !b.store.Has(kindResult, key) {
+			t.Fatal("a peer-served result should have been written into node B's castore")
+		}
+	}
+	if demand == 0 {
+		t.Fatal("node B owns every compact key; the test exercises no demand replication")
 	}
 
 	// ---- Phase 3: kill node C; the ring degrades gracefully ----

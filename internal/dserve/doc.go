@@ -69,20 +69,23 @@
 // compact key an R-way replica set of owning nodes (default R=2), and the
 // stage memo gains a third tier. Any node accepts any batch; a stage
 // whose local tiers miss is read through its remote owners in measured-
-// latency order (POST /v1/peer/lookup) and, when every replica misses,
-// executed on the primary shard (POST /v1/peer/detect with the workload
-// spec, POST /v1/peer/compact with the library image inline), so the
-// owning shard memoizes what it executed and the whole cluster shares one
-// logical cache. Peer-served values are written into the local tiers —
-// memory, and the castore when attached — so hot artifacts replicate
-// toward demand; freshly computed values are additionally pushed back to
-// the other live owners of their key (write-back replication, repair.go),
-// and a periodic anti-entropy sweep (Config.RepairInterval / RepairNow)
-// stat-probes the remote owners of every locally held artifact and
-// streams what they are missing through the castore's checksummed frames
-// (GET/PUT /v1/peer/objects/{kind}/{key}, POST /v1/peer/stat). Locate
-// needs no peer tier: its memoized value is a lazy handle that only
-// resolves under a compact miss, and compact misses route to the owners.
+// latency order (POST /v1/peer/lookup, batched per replica set as
+// POST /v1/peer/lookup-batch). When every replica misses, a detect stage
+// that arrived with its workload spec executes on the primary shard
+// (POST /v1/peer/detect — the request is the small spec, and the owner
+// memoizes what it executed, so the whole cluster runs each detection
+// once); a compact stage computes on the requesting node, which already
+// holds the library image, and only its O(ranges) result travels.
+// Peer-served values are written into the local tiers — memory, and the
+// castore when attached — so hot artifacts replicate toward demand; every
+// locally computed value (compact result or detect profile) is pushed to
+// all live remote owners of its key in the background (write-back
+// replication, repair.go), and a periodic anti-entropy sweep
+// (Config.RepairInterval / RepairNow) stat-probes the remote owners of
+// every locally held artifact and streams what they are missing through
+// the castore's checksummed frames (GET/PUT /v1/peer/objects/{kind}/{key},
+// POST /v1/peer/stat). Locate needs no peer tier: its memoized value is a
+// lazy handle that only resolves under a compact miss.
 //
 // Every peer failure degrades gracefully — transport errors shrink the
 // ring around the dead node and the stage computes locally; correctness

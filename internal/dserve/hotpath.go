@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"negativaml/internal/cluster"
+	"negativaml/internal/elfx"
 	"negativaml/internal/negativa"
 	"negativaml/internal/plan"
 )
@@ -27,8 +28,8 @@ import (
 // result cache) before the stage nodes consult the memo, so the batch's
 // wall clock is bounded by the slowest single round trip, not the key
 // count. Keys every replica missed are marked, and the stage node skips
-// its own lookup probe — straight to remote execution or local compute —
-// so the cold path sheds its probe round trips too.
+// its own lookup probe — straight to remote execution (detect) or local
+// compute — so the cold path sheds its probe round trips too.
 //
 // A singleflight table spans the prefetch and on-demand paths: one stage
 // key never has two remote reads (or two local computes racing a
@@ -275,7 +276,7 @@ func (m *StageMemo) PrefetchLookups(items []prefetchItem) {
 			continue
 		}
 		owners := m.cluster.Owners(it.key.String())
-		remotes := remotesOf(owners, self)
+		remotes := without(owners, self)
 		if len(remotes) == 0 {
 			continue
 		}
@@ -449,7 +450,7 @@ func (m *StageMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 			m.markPrefetched(it.key)
 			m.count("peer.hits")
 		case negativa.StageCompact:
-			lib, _ := compactHintOf(it.hint)
+			lib, _ := it.hint.(*elfx.Library)
 			ld, decOK := decodePeerResult(lib, lr.Result, lr.Sparse)
 			if !decOK {
 				m.count("peer.fallbacks")

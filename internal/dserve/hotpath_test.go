@@ -257,12 +257,14 @@ func TestMixedVersionInterop(t *testing.T) {
 		MaxSteps: 2,
 	}
 
-	// Node A computes the batch across the ring (C's keys arrive through
-	// per-key routes; A learns C is batch-incapable from the first 404).
+	// Node A computes the batch and writes it back to the owners (C's keys
+	// are probed through per-key routes; A learns C is batch-incapable from
+	// the first 404).
 	stA := postJob(t, a.srv, req)
 	if doneA := pollDone(t, a.srv, stA.ID); doneA.State != JobDone {
 		t.Fatalf("node A job failed: %s", doneA.Error)
 	}
+	a.svc.WaitReplication()
 
 	// The same batch on node B is pure reuse, batch-prefetched from A and
 	// per-key from C.

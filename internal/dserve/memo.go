@@ -63,16 +63,16 @@ func (b *boundedMemo) getOK(key any, compute func() (any, bool)) any {
 //     workload spec).
 //   - compact → the ResultCache: byte-bounded memory, then the
 //     content-addressed store's disk tier (persisted range sets decoded
-//     against the node's live library hint), then the owning peer. A
-//     peer-served result is Put back into the local cache — which spills
-//     it into the local castore — so hot artifacts replicate toward the
-//     demand that reads them.
+//     against the node's live library hint), then the key's replica set,
+//     read-through only. A peer-served result is Put back into the local
+//     cache — which spills it into the local castore — so hot artifacts
+//     replicate toward the demand that reads them. A clean miss computes
+//     here, where the library image already is, and only the O(ranges)
+//     result travels: the write-back plane pushes it to every live owner.
 //   - every other stage (lib-index, locate, the capped reference run) →
 //     a bounded in-memory memo with singleflight compute dedup. Locate
 //     needs no peer tier of its own: its memoized value is a lazy handle
-//     that only resolves under a compact miss, and compact misses route
-//     to the owner — so location effectively executes on the owning shard
-//     too.
+//     that only resolves under a compact miss.
 //
 // Every peer-tier failure (transport error, downed owner, undecodable
 // payload) falls back to local compute: the cluster is an optimization
@@ -94,12 +94,13 @@ type StageMemo struct {
 	// postJSON) when the scheduler did not hand down the calling node's
 	// own slot (slotOf).
 	exec plan.Executor
-	// replicate, when non-nil, pushes a freshly produced compact result's
-	// objects to the named replica peers in the background (the service's
-	// replication plane). The memo calls it after a local compute or a
-	// remote execution, so every new artifact reaches all live owners of
-	// its key without waiting for the repair loop.
-	replicate func(hash string, ld *negativa.LibDebloat, peers []string)
+	// replicate and replicateProfile, when non-nil, push a freshly computed
+	// compact result's objects (or detect profile) to the named replica
+	// peers in the background (the service's replication plane). The memo
+	// calls them after every local compute, so each new artifact reaches
+	// all live owners of its key without waiting for the repair loop.
+	replicate        func(hash string, ld *negativa.LibDebloat, peers []string)
+	replicateProfile func(pk ProfileKey, p *negativa.Profile, peers []string)
 
 	// The batch-prefetch hot path (hotpath.go). flights is the singleflight
 	// table spanning prefetch and on-demand reads of one stage key;
@@ -133,10 +134,10 @@ func NewStageMemo(registry *Registry, cache *ResultCache, counters *metrics.Coun
 // never detaches a cluster.
 func (m *StageMemo) AttachCluster(c *cluster.Cluster) { m.cluster = c }
 
-// AttachReplicator installs the write-back hook that pushes new compact
-// results to their replica owners. Call before serving.
-func (m *StageMemo) AttachReplicator(fn func(hash string, ld *negativa.LibDebloat, peers []string)) {
-	m.replicate = fn
+// AttachReplicator installs the write-back hooks that push new compact
+// results and detect profiles to their replica owners. Call before serving.
+func (m *StageMemo) AttachReplicator(result func(hash string, ld *negativa.LibDebloat, peers []string), profile func(pk ProfileKey, p *negativa.Profile, peers []string)) {
+	m.replicate, m.replicateProfile = result, profile
 }
 
 // AttachExecutor hands the memo the executor its callers hold slots of.
@@ -187,18 +188,8 @@ func (m *StageMemo) replicaOwners(key plan.Key) (owners []string, self string) {
 	return m.cluster.Owners(key.String()), m.cluster.Self()
 }
 
-// remotesOf filters self out of a replica set.
-func remotesOf(owners []string, self string) []string {
-	out := make([]string, 0, len(owners))
-	for _, id := range owners {
-		if id != self {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// without filters one peer out of a slice.
+// without filters one node (self, or a replica already consulted) out of
+// a replica set.
 func without(peers []string, id string) []string {
 	out := make([]string, 0, len(peers))
 	for _, p := range peers {
@@ -207,15 +198,6 @@ func without(peers []string, id string) []string {
 		}
 	}
 	return out
-}
-
-// replicateTo hands a freshly produced compact result to the background
-// replication plane, when one is attached and the result is spillable.
-func (m *StageMemo) replicateTo(hash string, ld *negativa.LibDebloat, peers []string) {
-	if m.replicate == nil || len(peers) == 0 || ld == nil || ld.Report == nil || ld.Report.Sparse == nil {
-		return
-	}
-	m.replicate(hash, ld, peers)
 }
 
 // GetOrCompute implements plan.Memo.
@@ -259,7 +241,7 @@ func (m *StageMemo) GetOrComputeSourcedSlot(slot plan.Executor, key plan.Key, hi
 		defer m.endFlight(key)
 		return m.detectLeader(slot, key, pk, hint, compute)
 	case negativa.StageCompact:
-		lib, ch := compactHintOf(hint)
+		lib, _ := hint.(*elfx.Library)
 		for {
 			if ld, ok := m.cache.Get(key.Hash); ok {
 				return ld, m.consumeSource(key, plan.SourceMemory), nil
@@ -273,7 +255,7 @@ func (m *StageMemo) GetOrComputeSourcedSlot(slot plan.Executor, key plan.Key, hi
 			m.awaitFlight(slot, key)
 		}
 		defer m.endFlight(key)
-		return m.compactLeader(slot, key, lib, ch, compute)
+		return m.compactLeader(slot, key, lib, compute)
 	}
 	v, hit, err := m.mem.GetOrCompute(key, hint, compute)
 	src := plan.SourceComputed
@@ -286,11 +268,12 @@ func (m *StageMemo) GetOrComputeSourcedSlot(slot plan.Executor, key plan.Key, hi
 // detectLeader is the flight leader's read-through for one detect key:
 // hedged replica lookup (skipped when a batch lookup already saw the
 // replica set clean-miss), hinted remote execution on the primary shard,
-// then local compute.
+// then local compute with write-back to every live remote owner.
 func (m *StageMemo) detectLeader(slot plan.Executor, key plan.Key, pk ProfileKey, hint any, compute func() (any, error)) (any, plan.Source, error) {
-	if owners, self := m.replicaOwners(key); len(owners) > 0 {
+	owners, self := m.replicaOwners(key)
+	remotes := without(owners, self)
+	if len(owners) > 0 {
 		dh, _ := hint.(*detectHint)
-		remotes := remotesOf(owners, self)
 		primary := owners[0]
 		// Read through the remote replicas, hedged — even when this node
 		// is itself an owner whose local tiers missed (a fresh replacement
@@ -330,45 +313,39 @@ func (m *StageMemo) detectLeader(slot plan.Executor, key plan.Key, pk ProfileKey
 	if err != nil {
 		return nil, plan.SourceComputed, err
 	}
-	m.registry.Put(pk, v.(*negativa.Profile))
+	p := v.(*negativa.Profile)
+	m.registry.Put(pk, p)
 	m.count("registry.misses")
+	if m.replicateProfile != nil {
+		m.replicateProfile(pk, p, remotes)
+	}
 	return v, plan.SourceComputed, nil
 }
 
 // compactLeader is the flight leader's read-through for one compact key:
-// hedged replica lookup, remote execution on the primary shard, local
-// compute — each step writing back so the replica set converges.
-func (m *StageMemo) compactLeader(slot plan.Executor, key plan.Key, lib *elfx.Library, ch *compactHint, compute func() (any, error)) (any, plan.Source, error) {
+// hedged replica lookup (skipped when a batch lookup already saw the
+// replica set clean-miss), then local compute with write-back to every
+// live remote owner. The stage never executes remotely: its input is a
+// library image only this node is sure to hold, and shipping it costs far
+// more than compacting it here.
+func (m *StageMemo) compactLeader(slot plan.Executor, key plan.Key, lib *elfx.Library, compute func() (any, error)) (any, plan.Source, error) {
 	owners, self := m.replicaOwners(key)
-	remotes := remotesOf(owners, self)
-	if lib != nil && len(remotes) > 0 {
-		primary := owners[0]
-		if !m.consumeMiss(key) {
-			m.cluster.SortByLatency(remotes)
-			if lr, peer, ok := m.hedgedLookup(slot, remotes, peerLookupRequest{Stage: negativa.StageCompact, Hash: key.Hash}); ok {
-				if ld, decOK := decodePeerResult(lib, lr.Result, lr.Sparse); decOK {
-					// Replicate toward demand: the local Put spills the
-					// result into this node's castore, so the next miss
-					// here is a disk hit, not another network hop.
-					if peer != primary {
-						m.count("peer.replica_reads")
-					}
-					m.count("peer.hits")
-					m.cache.Put(key.Hash, ld)
-					return ld, plan.SourcePeer, nil
+	remotes := without(owners, self)
+	if lib != nil && len(remotes) > 0 && !m.consumeMiss(key) {
+		m.cluster.SortByLatency(remotes)
+		if lr, peer, ok := m.hedgedLookup(slot, remotes, peerLookupRequest{Stage: negativa.StageCompact, Hash: key.Hash}); ok {
+			if ld, decOK := decodePeerResult(lib, lr.Result, lr.Sparse); decOK {
+				// Replicate toward demand: the local Put spills the
+				// result into this node's castore, so the next miss
+				// here is a disk hit, not another network hop.
+				if peer != owners[0] {
+					m.count("peer.replica_reads")
 				}
-				m.count("peer.fallbacks")
-			}
-		}
-		// Every replica missed: execute on the primary shard (it owns
-		// the memoization), then write the result back to the other
-		// live owners so the whole replica set converges immediately.
-		if ch != nil && primary != self {
-			if ld, ok := m.peerCompactExec(slot, primary, key.Hash, lib, ch); ok {
+				m.count("peer.hits")
 				m.cache.Put(key.Hash, ld)
-				m.replicateTo(key.Hash, ld, without(remotes, primary))
 				return ld, plan.SourcePeer, nil
 			}
+			m.count("peer.fallbacks")
 		}
 	}
 	v, err := compute()
@@ -377,8 +354,9 @@ func (m *StageMemo) compactLeader(slot plan.Executor, key plan.Key, lib *elfx.Li
 	}
 	ld := v.(*negativa.LibDebloat)
 	m.cache.Put(key.Hash, ld)
-	// Local compute writes back to every live remote owner of the key.
-	m.replicateTo(key.Hash, ld, remotes)
+	if m.replicate != nil {
+		m.replicate(key.Hash, ld, remotes)
+	}
 	return v, plan.SourceComputed, nil
 }
 

@@ -2,7 +2,6 @@ package dserve
 
 import (
 	"crypto/subtle"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +13,6 @@ import (
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
 	"negativaml/internal/elfx"
-	"negativaml/internal/gpuarch"
 	"negativaml/internal/negativa"
 	"negativaml/internal/plan"
 )
@@ -26,8 +24,6 @@ import (
 //	                                     memoized stage value by content key
 //	POST /v1/peer/detect                 execute a detect stage on its
 //	                                     owning shard (registry-memoized)
-//	POST /v1/peer/compact                execute a locate+compact stage on
-//	                                     its owning shard (cache-memoized)
 //	GET  /v1/peer/objects/{kind}/{key}   stream one castore object in its
 //	                                     integrity-framed wire format
 //
@@ -35,15 +31,16 @@ import (
 // attached, and a cluster configured with a shared secret (see
 // cluster.Options.Secret) additionally requires it on every request.
 //
-// Compact lookups are cheap (no payloads shipped on a miss), so the
-// requester probes before escalating to remote execution, which carries
-// the library image inline; detect requests are small either way, so a
-// hinted requester goes straight to the execute route (which starts with
-// the owner's registry probe). Responses hand back the same durable forms the
-// castore disk tier uses (storedResult JSON + encoded sparse range set),
-// which the requester decodes against its own live library — the
-// digest-bound sparse codec makes a mismatched or corrupted payload a
-// decode error, never a wrong image.
+// Compact stages are read-through only: a miss ships no payload, and the
+// requester — which holds the library image — computes the stage itself and
+// writes the O(ranges) result back to the key's owners (repair.go). Detect
+// requests are a small workload spec, so a hinted requester goes straight
+// to the execute route (which starts with the owner's registry probe).
+// Lookup responses hand back the same durable forms the castore disk tier
+// uses (storedResult JSON + encoded sparse range set), which the requester
+// decodes against its own live library — the digest-bound sparse codec
+// makes a mismatched or corrupted payload a decode error, never a wrong
+// image.
 
 // peerLookupRequest asks a peer for a stage value it may have memoized.
 type peerLookupRequest struct {
@@ -80,6 +77,11 @@ type peerBatchLookupResponse struct {
 // repair plane).
 const maxBatchLookupKeys = 256
 
+// peerLookupBatchLimit bounds a lookup-batch request body: a full batch of
+// keys at a generous 1 KiB of JSON each (a compact key is ~100 bytes, a
+// detect key carries a workload identity of a few hundred).
+const peerLookupBatchLimit = maxBatchLookupKeys << 10
+
 // peerDetectRequest executes one detect stage on its owning shard. The
 // spec (plus framework and tail-libs) is everything the owner needs to
 // regenerate the install — installs are deterministic functions of their
@@ -100,30 +102,11 @@ type peerDetectResponse struct {
 	Hit bool `json:"hit"`
 }
 
-// peerCompactRequest executes one locate+compact stage on its owning
-// shard, shipping the library image inline (the owner may have never seen
-// it). The owner re-derives the stage key from the inputs and refuses a
-// mismatch, so a confused requester cannot poison the owner's memo.
-type peerCompactRequest struct {
-	Key         string   `json:"key"`
-	LibName     string   `json:"lib_name"`
-	LibDigest   string   `json:"lib_digest"`
-	Lib         []byte   `json:"lib"`
-	UsedFuncs   []string `json:"used_funcs"`
-	UsedKernels []string `json:"used_kernels"`
-	Archs       []uint32 `json:"archs"`
-}
-
-type peerCompactResponse struct {
-	Result *storedResult `json:"result"`
-	Sparse []byte        `json:"sparse"`
-	// Hit reports the result was already memoized on the owner.
-	Hit bool `json:"hit"`
-}
-
-// peerBodyLimit bounds peer request bodies. Compact execution ships a full
-// library image inline, so the bound is far above the client-facing
-// maxRequestBytes.
+// peerBodyLimit bounds one pushed or fetched object (PUT/GET
+// /v1/peer/objects/...): write-back and repair stream whole library images,
+// so the bound is far above the client-facing maxRequestBytes. The JSON
+// routes carry no payloads and decode under limits sized from their key
+// bounds (peerLookupBatchLimit, peerStatLimit).
 const peerBodyLimit = 256 << 20
 
 // Sparse wire-codec negotiation. A node that can decode the compact v2
@@ -182,7 +165,6 @@ func registerPeerRoutes(mux *http.ServeMux, s *Service) {
 	mux.HandleFunc("POST /v1/peer/lookup", s.peerAuth(s.handlePeerLookup))
 	mux.HandleFunc("POST /v1/peer/lookup-batch", s.peerAuth(s.handlePeerLookupBatch))
 	mux.HandleFunc("POST /v1/peer/detect", s.peerAuth(s.handlePeerDetect))
-	mux.HandleFunc("POST /v1/peer/compact", s.peerAuth(s.handlePeerCompact))
 	mux.HandleFunc("GET /v1/peer/objects/{kind}/{key}", s.peerAuth(s.handlePeerObject))
 	mux.HandleFunc("PUT /v1/peer/objects/{kind}/{key}", s.peerAuth(s.handlePeerObjectPut))
 	mux.HandleFunc("POST /v1/peer/stat", s.peerAuth(s.handlePeerStat))
@@ -272,8 +254,8 @@ func (s *Service) lookupStage(r *http.Request, key peerLookupRequest) (peerLooku
 
 // handlePeerLookup serves the read-through tier: a stage value this node
 // already holds in memory or in its castore, in durable wire form. A miss
-// is a found=false success, never an error — the requester decides whether
-// to escalate to remote execution.
+// is a found=false success, never an error — the requester decides what to
+// do about it (execute a detect on its owner, compute a compact itself).
 func (s *Service) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
 	var req peerLookupRequest
 	if !decodePeerBody(w, r, maxRequestBytes, &req) {
@@ -302,7 +284,7 @@ func (s *Service) handlePeerLookupBatch(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	var req peerBatchLookupRequest
-	if !decodePeerBody(w, r, peerBodyLimit, &req) {
+	if !decodePeerBody(w, r, peerLookupBatchLimit, &req) {
 		return
 	}
 	if len(req.Keys) > maxBatchLookupKeys {
@@ -383,62 +365,6 @@ func (s *Service) handlePeerDetect(w http.ResponseWriter, r *http.Request) {
 	s.Registry.Put(pk, p)
 	s.Counters.Add("peer.executed_detects", 1)
 	writeJSON(w, http.StatusOK, peerDetectResponse{Profile: p})
-}
-
-// handlePeerCompact executes a locate+compact stage as its owning shard.
-// The stage key is re-derived from the shipped inputs and must match the
-// requested one; the result lands in this node's cache (and castore, when
-// attached) before it is returned, so the shard owns the memoization.
-// The memory-tier fast path answers without touching the semaphore;
-// everything that parses or computes is bounded by it.
-func (s *Service) handlePeerCompact(w http.ResponseWriter, r *http.Request) {
-	var req peerCompactRequest
-	if !decodePeerBody(w, r, peerBodyLimit, &req) {
-		return
-	}
-	s.Counters.Add("peer.served_compacts", 1)
-	if ld, ok := s.Cache.Get(req.Key); ok && ld.Report != nil && ld.Report.Sparse != nil {
-		sr := storedResultOf(ld)
-		writeJSON(w, http.StatusOK, peerCompactResponse{Result: &sr, Sparse: s.encodeSparseFor(r, ld.Report.Sparse), Hit: true})
-		return
-	}
-	s.peerSem <- struct{}{}
-	defer func() { <-s.peerSem }()
-	lib, err := elfx.Parse(req.LibName, req.Lib)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("parse shipped library: %w", err))
-		return
-	}
-	if digestHex(lib) != req.LibDigest {
-		httpError(w, http.StatusBadRequest, errors.New("library digest mismatch"))
-		return
-	}
-	if ld, ok := s.Cache.LoadStored(req.Key, lib); ok && ld.Report != nil && ld.Report.Sparse != nil {
-		sr := storedResultOf(ld)
-		writeJSON(w, http.StatusOK, peerCompactResponse{Result: &sr, Sparse: s.encodeSparseFor(r, ld.Report.Sparse), Hit: true})
-		return
-	}
-	archs := make([]gpuarch.SM, len(req.Archs))
-	for i, a := range req.Archs {
-		archs[i] = gpuarch.SM(a)
-	}
-	lk := negativa.LocateKey(lib, req.UsedFuncs, req.UsedKernels, archs)
-	if negativa.CompactKey(lk).Hash != req.Key {
-		httpError(w, http.StatusBadRequest, errors.New("stage key does not match its inputs"))
-		return
-	}
-	ll, err := negativa.LocateLib(lib, req.UsedFuncs, req.UsedKernels, archs)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.Counters.Add("locate.resolved", 1)
-	ld := negativa.CompactLocated(lib, ll, req.UsedFuncs, req.UsedKernels)
-	s.Counters.Add("analysis.computed", 1)
-	s.Counters.Add("peer.executed_compacts", 1)
-	s.Cache.Put(req.Key, ld)
-	sr := storedResultOf(ld)
-	writeJSON(w, http.StatusOK, peerCompactResponse{Result: &sr, Sparse: s.encodeSparseFor(r, ld.Report.Sparse)})
 }
 
 // handlePeerObject streams one castore object in its integrity-framed wire
@@ -522,6 +448,10 @@ type peerStatResponse struct {
 // work in one call.
 const maxStatObjects = 4096
 
+// peerStatLimit bounds a stat request body: a full probe of object refs at
+// 128 bytes of JSON each (kind plus a hex digest key is ~90).
+const peerStatLimit = maxStatObjects << 7
+
 // handlePeerPing answers the heartbeat/probe route: membership gossip in
 // both directions, and the liveness signal that readmits this node on
 // peers that had marked it down.
@@ -583,7 +513,7 @@ func (s *Service) handlePeerStat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req peerStatRequest
-	if !decodePeerBody(w, r, peerBodyLimit, &req) {
+	if !decodePeerBody(w, r, peerStatLimit, &req) {
 		return
 	}
 	if len(req.Objects) > maxStatObjects {
@@ -653,29 +583,6 @@ type detectHint struct {
 	spec      WorkloadSpec
 }
 
-// compactHint carries the compact stage's live library and — filled in by
-// the node's key function, which runs before the memo is consulted — the
-// union-resolved inputs a peer needs to re-execute the stage remotely.
-type compactHint struct {
-	lib         *elfx.Library
-	usedFuncs   []string
-	usedKernels []string
-	archs       []gpuarch.SM
-}
-
-// compactHintOf accepts both hint shapes compact nodes use: the bare
-// library (the single-workload planner in internal/negativa) and the full
-// cluster hint (the batch service).
-func compactHintOf(hint any) (*elfx.Library, *compactHint) {
-	switch h := hint.(type) {
-	case *elfx.Library:
-		return h, nil
-	case *compactHint:
-		return h.lib, h
-	}
-	return nil, nil
-}
-
 // peerDetect resolves a detect stage through its owning peer. With a hint
 // (the workload spec) it goes straight to /v1/peer/detect in one round
 // trip — that route begins with the owner's own registry probe and the
@@ -718,38 +625,6 @@ func (m *StageMemo) peerDetect(slot plan.Executor, owner, hash string, hint *det
 	}
 	m.count("peer.hits")
 	return dr.Profile, true
-}
-
-// peerCompactExec executes a compact stage on its owning shard, shipping
-// the library image inline (the owner may have never seen it).
-func (m *StageMemo) peerCompactExec(slot plan.Executor, owner, hash string, lib *elfx.Library, hint *compactHint) (*negativa.LibDebloat, bool) {
-	if base64.StdEncoding.EncodedLen(len(lib.Data)) > peerBodyLimit-(64<<10) {
-		// The owner's body cap would bounce the request after we shipped
-		// the whole image; don't marshal it just to be rejected — compute
-		// locally (the margin covers the non-image request fields).
-		m.count("peer.fallbacks")
-		return nil, false
-	}
-	req := peerCompactRequest{
-		Key: hash, LibName: lib.Name, LibDigest: digestHex(lib), Lib: lib.Data,
-		UsedFuncs: hint.usedFuncs, UsedKernels: hint.usedKernels,
-	}
-	for _, a := range hint.archs {
-		req.Archs = append(req.Archs, uint32(a))
-	}
-	var cr peerCompactResponse
-	if err := m.postJSON(slot, owner, "/v1/peer/compact", req, &cr); err != nil {
-		m.count("peer.fallbacks")
-		return nil, false
-	}
-	ld, ok := decodePeerResult(lib, cr.Result, cr.Sparse)
-	if !ok {
-		m.count("peer.fallbacks")
-		return nil, false
-	}
-	m.count("peer.hits")
-	m.count("peer.remote_execs")
-	return ld, true
 }
 
 // decodePeerResult rebuilds a locate+compact result from its wire form

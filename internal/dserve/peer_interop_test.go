@@ -61,8 +61,8 @@ func TestPeerSparseCodecNegotiation(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
-	// A content-correct compact request, executed twice: first without the
-	// header (miss → execute → v1 response), then with it (hit → v2).
+	// A real compact result, planted in the live cache the way a local
+	// compute leaves it.
 	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -78,44 +78,19 @@ func TestPeerSparseCodecNegotiation(t *testing.T) {
 	}
 	libName := in.LibNames[0]
 	lib := in.Library(libName)
+	uf, uk := profile.UsedFuncs[libName], profile.UsedKernels[libName]
 	archs := negativa.DeviceArchs(wl.Devices)
-	key := negativa.CompactKey(negativa.LocateKey(lib, profile.UsedFuncs[libName], profile.UsedKernels[libName], archs))
-	req := peerCompactRequest{
-		Key: key.Hash, LibName: libName, LibDigest: digestHex(lib), Lib: lib.Data,
-		UsedFuncs: profile.UsedFuncs[libName], UsedKernels: profile.UsedKernels[libName],
+	key := negativa.CompactKey(negativa.LocateKey(lib, uf, uk, archs))
+	ll, err := negativa.LocateLib(lib, uf, uk, archs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, ar := range archs {
-		req.Archs = append(req.Archs, uint32(ar))
-	}
+	ld := negativa.CompactLocated(lib, ll, uf, uk)
+	svc.Cache.Put(key.Hash, ld)
 
-	var v1resp, v2resp peerCompactResponse
-	if code := postPeerHeader(t, srv, "/v1/peer/compact", req, &v1resp, false); code != http.StatusOK {
-		t.Fatalf("compact (no header) status %d", code)
-	}
-	if got := negativa.SparseWireVersion(v1resp.Sparse); got != 1 {
-		t.Fatalf("non-advertising requester got codec v%d, want v1", got)
-	}
-	if code := postPeerHeader(t, srv, "/v1/peer/compact", req, &v2resp, true); code != http.StatusOK {
-		t.Fatalf("compact (v2 header) status %d", code)
-	}
-	if !v2resp.Hit {
-		t.Fatal("second compact should hit the memo")
-	}
-	if got := negativa.SparseWireVersion(v2resp.Sparse); got != 2 {
-		t.Fatalf("advertising requester got codec v%d, want v2", got)
-	}
-	d1, ok1 := decodePeerResult(lib, v1resp.Result, v1resp.Sparse)
-	d2, ok2 := decodePeerResult(lib, v2resp.Result, v2resp.Sparse)
-	if !ok1 || !ok2 {
-		t.Fatal("peer results did not decode")
-	}
-	if !bytes.Equal(d1.Report.Sparse.Materialize(), d2.Report.Sparse.Materialize()) {
-		t.Fatal("v1 and v2 responses decode to different images")
-	}
-
-	// Lookup through both tiers. The live cache holds the executed result;
-	// crafted store entries under a fresh key exercise the disk-tier
-	// transcode path.
+	// Lookup through both tiers. The live cache holds the computed result
+	// (both codecs must decode to its image); crafted store entries under a
+	// fresh key exercise the disk-tier transcode path.
 	for _, v2 := range []bool{false, true} {
 		var lr peerLookupResponse
 		if code := postPeerHeader(t, srv, "/v1/peer/lookup", peerLookupRequest{Stage: negativa.StageCompact, Hash: key.Hash}, &lr, v2); code != http.StatusOK || !lr.Found {
@@ -127,6 +102,13 @@ func TestPeerSparseCodecNegotiation(t *testing.T) {
 		}
 		if got := negativa.SparseWireVersion(lr.Sparse); got != want {
 			t.Fatalf("live lookup (v2=%v) answered codec v%d, want v%d", v2, got, want)
+		}
+		dec, ok := decodePeerResult(lib, lr.Result, lr.Sparse)
+		if !ok {
+			t.Fatalf("live lookup (v2=%v) did not decode", v2)
+		}
+		if !bytes.Equal(dec.Report.Sparse.Materialize(), ld.Report.Sparse.Materialize()) {
+			t.Fatalf("live lookup (v2=%v) decodes to a different image", v2)
 		}
 	}
 	diskSparse := negativa.NewSparseImage(lib, []fatbin.Range{{Start: 64, End: 4096}}).Encode()
@@ -213,9 +195,10 @@ func TestPeerSparseCodecNegotiation(t *testing.T) {
 	soloCluster(oldSvc)
 	oldSrv := httptest.NewServer(NewHandler(oldSvc))
 	defer oldSrv.Close()
-	var or peerCompactResponse
-	if code := postPeerHeader(t, oldSrv, "/v1/peer/compact", req, &or, true); code != http.StatusOK {
-		t.Fatalf("disabled-node compact status %d", code)
+	oldSvc.Cache.Put(key.Hash, ld)
+	var or peerLookupResponse
+	if code := postPeerHeader(t, oldSrv, "/v1/peer/lookup", peerLookupRequest{Stage: negativa.StageCompact, Hash: key.Hash}, &or, true); code != http.StatusOK || !or.Found {
+		t.Fatalf("disabled-node lookup: status %d found %v", code, or.Found)
 	}
 	if got := negativa.SparseWireVersion(or.Sparse); got != 1 {
 		t.Fatalf("disabled node answered codec v%d, want v1", got)
@@ -274,40 +257,21 @@ func TestFetchPeerObjectSparseTranscode(t *testing.T) {
 }
 
 // TestClusterMixedCodecVersions is the cross-version interop test: a ring
-// of one v2-capable node and one pre-v2 stand-in (DisableSparseWireV2).
-// Batches submitted to either node complete, verify, and produce
-// byte-identical libraries — every mixed pairing degrades cleanly to v1.
+// of two v2-capable nodes and one pre-v2 stand-in (DisableSparseWireV2).
+// A batch computed on one new node is then served to the old node (v1-only
+// requests against v2-capable owners) and to the other new node (v2
+// advertisements answered in v1 by the old owner) with no local analysis
+// and byte-identical libraries — every mixed pairing degrades cleanly to v1.
 func TestClusterMixedCodecVersions(t *testing.T) {
-	cfgs := map[string]Config{
-		"new": {Workers: 4, MaxSteps: 2},
-		"old": {Workers: 4, MaxSteps: 2, DisableSparseWireV2: true},
-	}
-	nodes := map[string]*testNode{}
-	urls := map[string]string{}
-	for id, cfg := range cfgs {
-		st, err := castore.Open(t.TempDir(), castore.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Store = st
-		svc := NewService(cfg)
-		srv := httptest.NewServer(NewHandler(svc))
-		nodes[id] = &testNode{id: id, svc: svc, srv: srv, store: st}
-		urls[id] = srv.URL
-	}
+	nodes := startClusterCfg(t, func(id string, cfg *Config) {
+		cfg.DisableSparseWireV2 = id == "old"
+	}, "new", "new2", "old")
 	defer func() {
 		for _, n := range nodes {
 			n.close()
 		}
 	}()
-	for _, n := range nodes {
-		c := cluster.New(n.id, urls, cluster.Options{
-			Counters: n.svc.Counters, Timings: n.svc.Timings,
-			FailureThreshold: 1, Probation: time.Hour, Timeout: 30 * time.Second,
-		})
-		n.svc.AttachCluster(c)
-	}
-	nw, old := nodes["new"], nodes["old"]
+	nw := nodes["new"]
 
 	req := JobRequest{
 		Framework: "pytorch",
@@ -319,8 +283,8 @@ func TestClusterMixedCodecVersions(t *testing.T) {
 		MaxSteps: 2,
 	}
 
-	// New node computes: some stages execute on the old node, whose
-	// responses are v1 regardless of the advertisement.
+	// The first new node computes; detect stages owned elsewhere execute
+	// there, and every result is written back to its owners.
 	stNew := postJob(t, nw.srv, req)
 	doneNew := pollDone(t, nw.srv, stNew.ID)
 	if doneNew.State != JobDone {
@@ -329,34 +293,37 @@ func TestClusterMixedCodecVersions(t *testing.T) {
 	if doneNew.Verified == nil || !*doneNew.Verified {
 		t.Fatal("new-node batch must verify")
 	}
-
-	// Old node resubmits: pure reuse through v1-only requests against the
-	// v2-capable peer.
-	analysisBefore := old.svc.Counters.Get("analysis.computed")
-	stOld := postJob(t, old.srv, req)
-	doneOld := pollDone(t, old.srv, stOld.ID)
-	if doneOld.State != JobDone {
-		t.Fatalf("job on old node failed: %s", doneOld.Error)
-	}
-	if doneOld.Verified == nil || !*doneOld.Verified {
-		t.Fatal("old-node batch must verify")
-	}
-	if delta := old.svc.Counters.Get("analysis.computed") - analysisBefore; delta != 0 {
-		t.Fatalf("old node recomputed %d stages; the mixed ring should have served them", delta)
-	}
-
-	var repNew, repOld jobReport
+	nw.svc.WaitReplication()
+	var repNew jobReport
 	if code := getJSON(t, nw.srv.URL+"/v1/jobs/"+stNew.ID+"/report", &repNew); code != http.StatusOK {
 		t.Fatalf("new-node report status %d", code)
 	}
-	if code := getJSON(t, old.srv.URL+"/v1/jobs/"+stOld.ID+"/report", &repOld); code != http.StatusOK {
-		t.Fatalf("old-node report status %d", code)
-	}
-	for _, lr := range repNew.Libs {
-		ln := fetchPeerJobLib(t, nw.srv, stNew.ID, lr.Name)
-		lo := fetchPeerJobLib(t, old.srv, stOld.ID, lr.Name)
-		if !bytes.Equal(ln, lo) {
-			t.Fatalf("library %s differs across codec versions", lr.Name)
+
+	// The other two resubmit: pure reuse, through their own replicas of
+	// what they own and peer reads across the codec boundary for the rest.
+	for _, id := range []string{"old", "new2"} {
+		n := nodes[id]
+		analysisBefore := n.svc.Counters.Get("analysis.computed")
+		st := postJob(t, n.srv, req)
+		done := pollDone(t, n.srv, st.ID)
+		if done.State != JobDone {
+			t.Fatalf("job on %s node failed: %s", id, done.Error)
+		}
+		if done.Verified == nil || !*done.Verified {
+			t.Fatalf("%s-node batch must verify", id)
+		}
+		if delta := n.svc.Counters.Get("analysis.computed") - analysisBefore; delta != 0 {
+			t.Fatalf("%s node recomputed %d stages; the mixed ring should have served them", id, delta)
+		}
+		if n.svc.Counters.Get("peer.hits") == 0 {
+			t.Fatalf("%s node read nothing through its peers", id)
+		}
+		for _, lr := range repNew.Libs {
+			want := fetchPeerJobLib(t, nw.srv, stNew.ID, lr.Name)
+			got := fetchPeerJobLib(t, n.srv, st.ID, lr.Name)
+			if !bytes.Equal(want, got) {
+				t.Fatalf("library %s on %s differs across codec versions", lr.Name, id)
+			}
 		}
 	}
 }

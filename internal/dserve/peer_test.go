@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,35 +65,49 @@ func TestPeerLookupMissesAndRejections(t *testing.T) {
 	}
 }
 
-// TestPeerCompactRejectsMismatches: a shipped library whose digest or
-// derived stage key disagrees with the request must be refused — a
-// confused requester cannot poison the owning shard's memo.
-func TestPeerCompactRejectsMismatches(t *testing.T) {
-	svc := NewService(Config{Workers: 2, MaxSteps: 2})
+// TestPeerJSONBodyLimits: the payload-free JSON routes decode under limits
+// sized from their key bounds, not the object-transfer bound — an oversize
+// body is 413 before it is buffered, a full in-bound batch still answers.
+func TestPeerJSONBodyLimits(t *testing.T) {
+	st, err := castore.Open(t.TempDir(), castore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	svc := NewService(Config{Workers: 1, Store: st})
 	defer svc.Close()
 	soloCluster(svc)
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
-	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 2})
-	if err != nil {
-		t.Fatal(err)
+	hash := strings.Repeat("ab", 32)
+	lookupKeys := func(n int, hash string) peerBatchLookupRequest {
+		req := peerBatchLookupRequest{Keys: make([]peerLookupRequest, n)}
+		for i := range req.Keys {
+			req.Keys[i] = peerLookupRequest{Stage: negativa.StageCompact, Hash: hash}
+		}
+		return req
 	}
-	lib := in.Library(in.LibNames[0])
-
-	req := peerCompactRequest{
-		Key: "0000", LibName: lib.Name, LibDigest: "wrong-digest", Lib: lib.Data,
+	statRefs := func(n int, key string) peerStatRequest {
+		req := peerStatRequest{Objects: make([]peerObjectRef, n)}
+		for i := range req.Objects {
+			req.Objects[i] = peerObjectRef{Kind: kindResult, Key: key}
+		}
+		return req
 	}
-	if code := postPeer(t, srv, "/v1/peer/compact", req, nil); code != http.StatusBadRequest {
-		t.Fatalf("digest mismatch status %d", code)
-	}
-	req.LibDigest = digestHex(lib)
-	if code := postPeer(t, srv, "/v1/peer/compact", req, nil); code != http.StatusBadRequest {
-		t.Fatalf("key mismatch status %d", code)
-	}
-	req.Lib = []byte("not an elf")
-	if code := postPeer(t, srv, "/v1/peer/compact", req, nil); code != http.StatusBadRequest {
-		t.Fatalf("unparsable library status %d", code)
+	for _, tc := range []struct {
+		name, path string
+		body       any
+		want       int
+	}{
+		{"full lookup batch", "/v1/peer/lookup-batch", lookupKeys(maxBatchLookupKeys, hash), http.StatusOK},
+		{"oversize lookup batch", "/v1/peer/lookup-batch", lookupKeys(1, strings.Repeat("x", peerLookupBatchLimit)), http.StatusRequestEntityTooLarge},
+		{"full stat probe", "/v1/peer/stat", statRefs(maxStatObjects, hash), http.StatusOK},
+		{"oversize stat probe", "/v1/peer/stat", statRefs(1, strings.Repeat("x", peerStatLimit)), http.StatusRequestEntityTooLarge},
+	} {
+		if code := postPeer(t, srv, tc.path, tc.body, nil); code != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, code, tc.want)
+		}
 	}
 }
 

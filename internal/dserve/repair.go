@@ -3,10 +3,11 @@ package dserve
 // The replication plane: keeps every stage artifact present on all R
 // owners of its ring key. Two mechanisms cooperate:
 //
-//   - Write-back replication (replicateResult): the stage memo hands every
-//     freshly produced compact result here, and a background goroutine
-//     pushes its objects (library image, sparse range set, report) to the
-//     other live owners — new artifacts converge without waiting for a
+//   - Write-back replication (replicateResult, replicateProfile): the
+//     stage memo hands every locally computed compact result and detect
+//     profile here, and a background goroutine pushes its objects (library
+//     image, sparse range set, report; or the profile snapshot) to the
+//     live remote owners — new artifacts converge without waiting for a
 //     repair sweep.
 //   - Anti-entropy repair (RepairNow, driven by the RepairInterval loop):
 //     each sweep walks the locally held replicable objects, derives each
@@ -40,13 +41,17 @@ import (
 // still answer.
 const repairStatChunk = 256
 
-// replicateResult is the stage memo's write-back hook: push one freshly
-// produced compact result's objects to the named replica peers in the
-// background. Push order is image, range set, then report, so an
+// replObject is one object of a write-back push.
+type replObject struct {
+	kind, key string
+	payload   []byte
+}
+
+// replicateResult is the stage memo's write-back hook for compact stages:
+// push one freshly computed result's objects to the named replica peers in
+// the background. Push order is image, range set, then report, so an
 // interrupted push never leaves a report whose referenced objects are
-// absent. Every object is stat-probed first — the library image dominates
-// the payload and is shared across many keys, so it is usually already
-// there.
+// absent.
 func (s *Service) replicateResult(hash string, ld *negativa.LibDebloat, peers []string) {
 	if s.cluster == nil || len(peers) == 0 || ld == nil || ld.Report == nil || ld.Report.Sparse == nil {
 		return
@@ -57,14 +62,34 @@ func (s *Service) replicateResult(hash string, ld *negativa.LibDebloat, peers []
 		return
 	}
 	lib := ld.Report.Sparse.Lib()
-	objects := []struct {
-		kind, key string
-		payload   []byte
-	}{
+	s.pushObjects(peers, []replObject{
 		{kindLib, digestHex(lib), lib.Data},
 		{kindSparse, hash, ld.Report.Sparse.Encode()},
 		{kindResult, hash, meta},
+	})
+}
+
+// replicateProfile is the write-back hook for detect stages: push one
+// locally computed profile, in the snapshot form the registry persists, to
+// the named replica peers. The receiving route ingests it into the peer's
+// live registry.
+func (s *Service) replicateProfile(pk ProfileKey, p *negativa.Profile, peers []string) {
+	if s.cluster == nil || len(peers) == 0 || p == nil || p.RunResult == nil {
+		return
 	}
+	data, err := json.Marshal(storedProfile{Install: pk.Install, Workload: pk.Workload, Profile: p})
+	if err != nil {
+		s.Counters.Add("peer.replica_write_errors", 1)
+		return
+	}
+	s.pushObjects(peers, []replObject{{kindProfile, profileObjectKey(pk), data}})
+}
+
+// pushObjects streams the objects, in order, to each peer on a background
+// goroutine WaitReplication covers. Every object is stat-probed first — a
+// library image dominates a compact result's payload and is shared across
+// many keys, so it is usually already there.
+func (s *Service) pushObjects(peers []string, objects []replObject) {
 	s.replWG.Add(1)
 	go func() {
 		defer s.replWG.Done()

@@ -13,6 +13,9 @@ import (
 
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
+	"negativaml/internal/mlframework"
+	"negativaml/internal/mlruntime"
+	"negativaml/internal/negativa"
 )
 
 // bootNode starts one service+server with its own fresh store; the cluster
@@ -207,8 +210,8 @@ func TestReplicaReadSparseWireInterop(t *testing.T) {
 	a.svc.Cache.Flush()
 	b.svc.Cache.Flush()
 
-	// With R=2 over two nodes, both own every key: between remote
-	// execution and write-back replication, b now holds every artifact.
+	// With R=2 over two nodes, both own every key: after write-back
+	// replication b holds every artifact.
 	before := b.svc.Counters.Get("analysis.computed")
 	stB := postJob(t, b.srv, req)
 	if doneB := pollDone(t, b.srv, stB.ID); doneB.State != JobDone {
@@ -418,5 +421,77 @@ func TestClusterRollingRestartE2E(t *testing.T) {
 	// recomputation (libs × batches) would blow far past it.
 	if delta := computedTotal() - baseline; delta > 2*baseline+4 {
 		t.Fatalf("analysis.computed grew by %d during the rolling restart (baseline %d)", delta, baseline)
+	}
+}
+
+// TestLocalDetectWritesBackToOwners: a detect stage computed on the
+// requesting node — because the batch carried no workload specs, or because
+// this node is the key's primary — reaches every other live owner's registry
+// through write-back replication alone, with no repair sweep.
+func TestLocalDetectWritesBackToOwners(t *testing.T) {
+	nodes := startCluster(t, "a", "b", "c")
+	defer func() {
+		for _, n := range nodes {
+			n.close()
+		}
+	}()
+	a := nodes["a"]
+	specs := []WorkloadSpec{
+		{Model: "MobileNetV2", Batch: 1},
+		{Model: "MobileNetV2", Train: true, Batch: 16, Epochs: 1},
+		{Model: "Transformer", Batch: 32, Device: "A100"},
+		{Model: "Transformer", Train: true, Batch: 128, Epochs: 1},
+	}
+
+	// run debloats one install on node a and returns how many detect keys
+	// it checked: every key when the batch is spec-less, the ones a is
+	// primary for when it is hinted (the rest execute on their primary).
+	run := func(tail int, hinted bool) int {
+		in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: tail})
+		if err != nil {
+			t.Fatal(err)
+		}
+		workloads := make([]mlruntime.Workload, len(specs))
+		for i, spec := range specs {
+			if workloads[i], err = spec.Workload(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		opt := BatchOptions{SkipVerify: true}
+		if hinted {
+			opt.Specs = &BatchSpecs{Framework: "pytorch", TailLibs: tail, Workloads: specs}
+		}
+		res, err := a.svc.DebloatBatch(in, workloads, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.svc.WaitReplication()
+		checked := 0
+		for _, wo := range res.Workloads {
+			pk := ProfileKey{Install: res.InstallFP, Workload: wo.Identity}
+			owners := a.svc.Cluster().Owners(negativa.DetectKey(pk.Install, pk.Workload).String())
+			if hinted && owners[0] != "a" {
+				continue
+			}
+			checked++
+			for _, owner := range owners {
+				if !nodes[owner].svc.Registry.Has(pk) {
+					t.Fatalf("owner %s lacks the profile of %s after write-back (hinted=%v)", owner, wo.Name, hinted)
+				}
+			}
+		}
+		return checked
+	}
+	run(2, false)
+	if run(3, true) == 0 {
+		t.Fatal("node a is primary for no detect key; the hinted case checked nothing")
+	}
+	for id, n := range nodes {
+		if n.svc.Counters.Get("repair.rounds") != 0 {
+			t.Fatalf("node %s ran a repair sweep; the test must pass on write-back alone", id)
+		}
+	}
+	if errs := a.svc.Counters.Get("peer.replica_write_errors"); errs != 0 {
+		t.Fatalf("write-back reported %d errors on a healthy ring", errs)
 	}
 }

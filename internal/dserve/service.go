@@ -125,12 +125,11 @@ type Service struct {
 	store    *castore.Store
 	cluster  *cluster.Cluster
 	// peerSem bounds concurrently executing peer-route stage computations
-	// (remote detects/compacts this node serves as owning shard) to the
-	// same width as the worker pool. It is deliberately a separate
-	// semaphore, not the pool: peer handlers compute purely locally while
-	// holding a slot, so they can never participate in a cross-node wait
-	// cycle the way sharing the pool with network-blocked batch stages
-	// could.
+	// (remote detects this node serves as owning shard) to the same width
+	// as the worker pool. It is deliberately a separate semaphore, not the
+	// pool: peer handlers compute purely locally while holding a slot, so
+	// they can never participate in a cross-node wait cycle the way sharing
+	// the pool with network-blocked batch stages could.
 	peerSem chan struct{}
 	// stages routes every plan node's content key to its memo tier
 	// (registry, result cache, bounded memory); observer mirrors stage
@@ -233,7 +232,7 @@ func (s *Service) Store() *castore.Store { return s.store }
 func (s *Service) AttachCluster(c *cluster.Cluster) {
 	s.cluster = c
 	s.stages.AttachCluster(c)
-	s.stages.AttachReplicator(s.replicateResult)
+	s.stages.AttachReplicator(s.replicateResult, s.replicateProfile)
 	if s.cfg.DisablePeerBatch {
 		s.stages.DisableBatching()
 	}
@@ -682,14 +681,7 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 				return negativa.LocateLib(lib, uf, uk, archs)
 			}), nil
 		})
-		// The compact hint starts as just the live library; its key
-		// function — which runs after the union resolves, before the memo
-		// is consulted — fills in the union-derived inputs the cluster
-		// tier needs to re-execute the stage on its owning shard.
-		ch := &compactHint{lib: lib, archs: archs}
-		compacts[i] = g.Node(negativa.StageCompact, append([]*plan.Node{unionNode, locates[i]}, compactPrefetchDeps...), func(deps []any) (plan.Key, error) {
-			u := deps[0].(*negativa.Profile)
-			ch.usedFuncs, ch.usedKernels = u.UsedFuncs[name], u.UsedKernels[name]
+		compacts[i] = g.Node(negativa.StageCompact, append([]*plan.Node{unionNode, locates[i]}, compactPrefetchDeps...), func([]any) (plan.Key, error) {
 			return negativa.CompactKey(locates[i].ResolvedKey()), nil
 		}, func(deps []any) (any, error) {
 			u := deps[0].(*negativa.Profile)
@@ -702,7 +694,7 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 			// stays zero when every result comes from memory or disk.
 			s.Counters.Add("analysis.computed", 1)
 			return negativa.CompactLocated(lib, ll, u.UsedFuncs[name], u.UsedKernels[name]), nil
-		}).WithHint(ch)
+		}).WithHint(lib)
 	}
 
 	// Verification: the union-debloated install must reproduce every
