@@ -15,8 +15,8 @@
 // report, fetch-library) without re-running detection, location, or
 // compaction. -disk-mb bounds the store; least-recently-used objects not
 // referenced by a retained job are evicted beyond it. Store reads are
-// memory-mapped where the platform supports it; -mmap off falls back to
-// buffered reads (see docs/ARCHITECTURE.md, "The byte plane").
+// memory-mapped where the platform supports it and buffered elsewhere (see
+// docs/ARCHITECTURE.md, "The byte plane").
 //
 // With -peers and -node-id the node joins a sharded serving plane: a
 // consistent-hash ring over the peer set routes each detect/locate/compact
@@ -31,9 +31,9 @@
 // Peer failures shrink the ring and stages fall back to local compute; a
 // recovered peer is readmitted after a probation period. /v1/metrics gains
 // a "peer" section (hits/misses/fallbacks, per-peer health) and per-peer
-// latency timings. Peers negotiate a compact sparse wire codec per request;
-// -sparse-wire v1 pins this node to the fixed-width encoding in both
-// directions (the escape hatch for a misbehaving mixed-version ring).
+// latency timings. Every node of a ring runs the same peer protocol: a
+// peer that cannot answer it is a failed peer, and its stages compute
+// locally.
 //
 // The node-to-node /v1/peer/* routes answer 404 unless the node is
 // clustered, and -peer-secret (the same value on every node) makes each
@@ -68,12 +68,11 @@
 //
 // Endpoints:
 //
-//	POST /v1/jobs                   submit a batch job
-//	POST /v1/submit                 same, incremental-friendly: a "base"
-//	                                job ID makes the batch extend a prior
-//	                                one — zero detect runs, untouched
-//	                                libraries absorbed, only the
-//	                                union-delta locate/compact recomputed
+//	POST /v1/jobs                   submit a batch job; a "base" job ID
+//	                                makes the batch extend a prior one —
+//	                                zero detect runs, untouched libraries
+//	                                absorbed, only the union-delta
+//	                                locate/compact recomputed
 //	GET  /v1/jobs                   list jobs
 //	GET  /v1/jobs/{id}              job status
 //	GET  /v1/jobs/{id}/events       live progress stream (SSE or long-poll)
@@ -82,8 +81,10 @@
 //	GET  /v1/jobs/{id}/libs/{name}  download one debloated library
 //	GET  /v1/metrics                counters, cache stats, timings
 //	GET  /v1/store                  content-addressed store stats
-//	POST /v1/peer/{lookup,detect,compact}   node-to-node stage routing
-//	GET  /v1/peer/objects/{kind}/{key}      castore object transfer
+//	POST /v1/peer/{lookup-batch,detect}     node-to-node stage read-through
+//	                                        and remote detect
+//	GET|PUT /v1/peer/objects/{kind}/{key}   castore object transfer
+//	POST /v1/peer/stat                      object presence probe (repair)
 //
 // Example job body:
 //
@@ -135,8 +136,6 @@ func main() {
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown timeout")
 	dataDir := flag.String("data-dir", "", "persistent store directory; empty = in-memory only (no warm restart)")
 	diskMB := flag.Int64("disk-mb", 512, "persistent store byte budget in MiB (with -data-dir)")
-	mmap := flag.String("mmap", "on", "store read mapping: on = mmap object reads (with -data-dir), off = buffered reads")
-	sparseWire := flag.String("sparse-wire", "v2", "sparse codec on peer responses this node requests: v2 = compact delta/varint, v1 = fixed-width only (with -peers)")
 	nodeID := flag.String("node-id", "", "this node's name in the cluster (with -peers)")
 	peers := flag.String("peers", "", "cluster peers as id=base-url,... (the whole cluster's list; this node's own entry is ignored)")
 	peerSecret := flag.String("peer-secret", "", "shared cluster credential; peer requests carry and require it (with -peers)")
@@ -171,12 +170,6 @@ func main() {
 	})
 	if diskSet && *dataDir == "" {
 		log.Fatal("negativa-served: -disk-mb has no effect without -data-dir")
-	}
-	if *mmap != "on" && *mmap != "off" {
-		log.Fatalf("negativa-served: -mmap must be on or off (got %q)", *mmap)
-	}
-	if *sparseWire != "v1" && *sparseWire != "v2" {
-		log.Fatalf("negativa-served: -sparse-wire must be v1 or v2 (got %q)", *sparseWire)
 	}
 	if (*peers == "") != (*nodeID == "") {
 		log.Fatal("negativa-served: -peers and -node-id must be set together")
@@ -216,17 +209,16 @@ func main() {
 	}
 
 	cfg := dserve.Config{
-		Workers:             *workers,
-		CacheBytes:          *cacheMB << 20,
-		MaxSteps:            *steps,
-		IngestRoot:          *ingestRoot,
-		DisableSparseWireV2: *sparseWire == "v1",
+		Workers:    *workers,
+		CacheBytes: *cacheMB << 20,
+		MaxSteps:   *steps,
+		IngestRoot: *ingestRoot,
 	}
 	if peerMap != nil {
 		cfg.RepairInterval = *repairEvery
 	}
 	if *dataDir != "" {
-		store, err := castore.Open(*dataDir, castore.Options{MaxBytes: *diskMB << 20, DisableMmap: *mmap == "off"})
+		store, err := castore.Open(*dataDir, castore.Options{MaxBytes: *diskMB << 20})
 		if err != nil {
 			log.Fatalf("negativa-served: %v", err)
 		}

@@ -93,7 +93,7 @@ func main() {
 
 	// ---- Incremental re-submit: extend the first job's workload set. ----
 	// Register the added workload's profile with a solo job first, then
-	// POST /v1/submit with base=jobID: the superset batch performs zero
+	// POST /v1/jobs with base=jobID: the superset batch performs zero
 	// detection runs, absorbs untouched libraries through their unchanged
 	// stage keys, and carries the base members' verifications over.
 	extra := dserve.WorkloadSpec{Model: "Llama2", Name: "pytorch/extra/Llama2"}
@@ -104,7 +104,7 @@ func main() {
 	incReq := req
 	incReq.Workloads = append(append([]dserve.WorkloadSpec{}, req.Workloads...), extra)
 	incReq.Base = jobID
-	incID := submitTo(base, "/v1/submit", incReq)
+	incID := submit(base, incReq)
 	if st := poll(base, incID); st.State != "done" {
 		log.Fatalf("incremental job %s: %s (%s)", incID, st.State, st.Error)
 	}
@@ -170,15 +170,11 @@ func fetch(base, id, name string) []byte {
 }
 
 func submit(base string, req dserve.JobRequest) string {
-	return submitTo(base, "/v1/jobs", req)
-}
-
-func submitTo(base, path string, req dserve.JobRequest) string {
 	body, err := json.Marshal(req)
 	if err != nil {
 		log.Fatal(err)
 	}
-	resp, err := http.Post(base+path, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		log.Fatal(err)
 	}

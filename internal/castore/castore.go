@@ -42,10 +42,6 @@ type Options struct {
 	// never evicted, so the real floor is the retained working set (and a
 	// single over-budget object still stores successfully).
 	MaxBytes int64
-	// DisableMmap forces OpenMapped onto the portable os.ReadFile fallback
-	// even where mmap is available (the -mmap=off server flag). Builds
-	// tagged castore_nommap are always on the fallback regardless.
-	DisableMmap bool
 	// Counters, when non-nil, mirrors store.hits / store.misses /
 	// store.puts / store.evictions / store.corrupt and tracks store.bytes
 	// as a gauge.

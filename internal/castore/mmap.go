@@ -9,10 +9,10 @@ import (
 
 // Mapped is a read-only view of one stored object's payload, served from
 // the OS page cache via mmap where the platform supports it (with a heap
-// fallback otherwise — see mmap_fallback.go and Options.DisableMmap). The
-// object is pinned against eviction for the lifetime of the view: Close
-// drops the pin and unmaps. Data must not be accessed, retained, or
-// resliced after Close — the pages may be gone.
+// fallback otherwise — see mmap_fallback.go). The object is pinned against
+// eviction for the lifetime of the view: Close drops the pin and unmaps.
+// Data must not be accessed, retained, or resliced after Close — the pages
+// may be gone.
 type Mapped struct {
 	store     *Store
 	kind, key string
@@ -53,9 +53,8 @@ func (m *Mapped) Close() {
 // Callers must Close it (typically scoped to one response or one parsed
 // Library's lifetime).
 //
-// The heap fallback (non-unix builds, the castore_nommap build tag, or
-// Options.DisableMmap) keeps the identical contract with os.ReadFile
-// behind it.
+// The heap fallback (non-unix builds and the castore_nommap build tag)
+// keeps the identical contract with os.ReadFile behind it.
 func (s *Store) OpenMapped(kind, key string) (*Mapped, bool) {
 	id := objKey{kind, key}
 	s.mu.Lock()
@@ -103,7 +102,7 @@ func (s *Store) openMapping(kind, key string) (*Mapped, error) {
 	path := s.objectPath(kind, key)
 	var raw []byte
 	var heap bool
-	if mmapSupported && !s.opt.DisableMmap {
+	if mmapSupported {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, err

@@ -125,8 +125,12 @@ func TestOpenMappedCorruptObjectRemoved(t *testing.T) {
 	}
 }
 
-func TestOpenMappedDisableMmapFallback(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{DisableMmap: true})
+// TestOpenMappedBackingMatchesBuild pins which path a build serves views
+// from: page-cache mappings where mmapSupported, the heap fallback with the
+// identical contract otherwise (CI's castore_nommap step runs that side on
+// Linux).
+func TestOpenMappedBackingMatchesBuild(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +141,13 @@ func TestOpenMappedDisableMmapFallback(t *testing.T) {
 	}
 	m, ok := s.OpenMapped("k", "fb")
 	if !ok {
-		t.Fatal("fallback OpenMapped miss")
+		t.Fatal("OpenMapped miss")
 	}
-	if m.raw != nil {
-		t.Fatal("DisableMmap view still mmap-backed")
+	if mapped := m.raw != nil; mapped != mmapSupported {
+		t.Fatalf("view mmap-backed = %v on a build with mmapSupported = %v", mapped, mmapSupported)
 	}
 	if !bytes.Equal(m.Data(), payload) {
-		t.Fatal("fallback payload mismatch")
+		t.Fatal("payload mismatch")
 	}
 	m.Close()
 }

@@ -22,32 +22,13 @@ var ErrUnknownObject = errors.New("castore: unknown object")
 const maxImportBytes = 1 << 30
 
 // Frame wraps a payload in the store's integrity wire format — the same
-// 48-byte header + payload layout Export streams — for callers that ship
-// derived (transcoded) bytes over the object-transfer route rather than a
+// 48-byte header + payload layout Export streams — for callers that push
+// bytes they hold in memory over the object-transfer route rather than a
 // stored file.
 func Frame(payload []byte) []byte {
 	out := make([]byte, 0, headerSize+len(payload))
 	out = append(out, makeHeader(payload)...)
 	return append(out, payload...)
-}
-
-// Unframe verifies an integrity-framed object (header + payload, the
-// Export/Frame wire format) and returns its payload, aliasing data. It is
-// the in-memory counterpart of Import for callers that must transform the
-// payload before storing it.
-func Unframe(data []byte) ([]byte, error) {
-	hdr, err := parseHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	payload := data[headerSize:]
-	if int64(len(payload)) != hdr.length {
-		return nil, fmt.Errorf("castore: truncated object")
-	}
-	if sha256.Sum256(payload) != hdr.sum {
-		return nil, fmt.Errorf("castore: checksum mismatch")
-	}
-	return payload, nil
 }
 
 // Stat returns the payload size of a stored object without touching its

@@ -60,10 +60,6 @@ type Options struct {
 	// keeps only 2 idle connections per host, so bursts of peer lookups
 	// re-dial constantly).
 	Client *http.Client
-	// Headers are applied to every outgoing peer request — the capability
-	// advertisement channel (e.g. the sparse wire-codec version header).
-	// Static per node, so negotiation costs nothing per request.
-	Headers map[string]string
 	// Secret, when non-empty, is the cluster's shared peer credential:
 	// every outgoing peer request carries it in the PeerSecretHeader, and
 	// the receiving node's /v1/peer/* handlers refuse requests without it.
@@ -267,10 +263,6 @@ type Cluster struct {
 	// exRings caches rings with one node excluded (the post-leave
 	// ownership view handoff routes by); invalidated on every rebuild.
 	exRings map[string]*Ring
-	// headers are the static per-request headers (Options.Headers plus
-	// anything set later via SetHeader) — the capability advertisement
-	// channel.
-	headers map[string]string
 
 	// inflightReads / inflightHedges back the hedge budget: hedges are
 	// admitted only while they stay under HedgeMaxPct of in-flight hedged
@@ -325,10 +317,6 @@ func New(self string, peers map[string]string, opt Options) *Cluster {
 			},
 		}
 	}
-	c.headers = map[string]string{}
-	for k, v := range opt.Headers {
-		c.headers[k] = v
-	}
 	for id, url := range peers {
 		if id == "" {
 			continue
@@ -350,29 +338,6 @@ func New(self string, peers map[string]string, opt Options) *Cluster {
 // finish on their own.
 func (c *Cluster) Close() {
 	c.closeOnce.Do(func() { close(c.stop) })
-}
-
-// SetHeader adds (or, with an empty value, removes) a static header sent
-// on every outgoing peer request. The serving plane uses it to advertise
-// protocol capabilities — e.g. the sparse wire-codec version — when it
-// attaches to the cluster.
-func (c *Cluster) SetHeader(key, value string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if value == "" {
-		delete(c.headers, key)
-		return
-	}
-	c.headers[key] = value
-}
-
-// applyHeaders stamps the static per-request headers onto req.
-func (c *Cluster) applyHeaders(req *http.Request) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, v := range c.headers {
-		req.Header.Set(k, v)
-	}
 }
 
 // ParsePeers parses a "-peers" flag value: comma-separated id=base-url
@@ -893,7 +858,6 @@ func (c *Cluster) PostJSONCtx(ctx context.Context, peer, path string, in, out an
 	if c.opt.Secret != "" {
 		req.Header.Set(PeerSecretHeader, c.opt.Secret)
 	}
-	c.applyHeaders(req)
 	start := time.Now()
 	resp, err := c.client.Do(req)
 	if err != nil {
@@ -1092,7 +1056,6 @@ func (c *Cluster) PutStream(peer, path string, body io.Reader, length int64) err
 	if c.opt.Secret != "" {
 		req.Header.Set(PeerSecretHeader, c.opt.Secret)
 	}
-	c.applyHeaders(req)
 	start := time.Now()
 	resp, err := c.client.Do(req)
 	if err != nil {
@@ -1120,31 +1083,22 @@ func (c *Cluster) PutStream(peer, path string, body io.Reader, length int64) err
 // the caller to consume and close — the castore object-transfer path. A
 // non-2xx status is returned as *PeerError with the body drained.
 func (c *Cluster) GetStream(peer, path string) (io.ReadCloser, error) {
-	rc, _, err := c.GetStreamHeader(peer, path)
-	return rc, err
-}
-
-// GetStreamHeader is GetStream plus the response headers, for protocols
-// whose body encoding is negotiated per request (the sparse wire codec on
-// the object-transfer route).
-func (c *Cluster) GetStreamHeader(peer, path string) (io.ReadCloser, http.Header, error) {
 	url, err := c.peerURL(peer)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	req, err := http.NewRequest(http.MethodGet, url+path, nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: build %s request: %w", path, err)
+		return nil, fmt.Errorf("cluster: build %s request: %w", path, err)
 	}
 	if c.opt.Secret != "" {
 		req.Header.Set(PeerSecretHeader, c.opt.Secret)
 	}
-	c.applyHeaders(req)
 	start := time.Now()
 	resp, err := c.client.Do(req)
 	if err != nil {
 		c.observe(peer, time.Since(start), true)
-		return nil, nil, fmt.Errorf("cluster: peer %s: %w", peer, err)
+		return nil, fmt.Errorf("cluster: peer %s: %w", peer, err)
 	}
 	if resp.StatusCode/100 != 2 {
 		perr := &PeerError{Peer: peer, Status: resp.StatusCode}
@@ -1156,10 +1110,10 @@ func (c *Cluster) GetStreamHeader(peer, path string) (io.ReadCloser, http.Header
 		}
 		resp.Body.Close()
 		c.observe(peer, time.Since(start), false)
-		return nil, nil, perr
+		return nil, perr
 	}
 	// Latency is observed at header time; the stream itself is the
 	// caller's to pace.
 	c.observe(peer, time.Since(start), false)
-	return resp.Body, resp.Header, nil
+	return resp.Body, nil
 }

@@ -207,7 +207,7 @@ func TestAPIDocExamples(t *testing.T) {
 		t.Fatal("docs/API.md lacks the submit-incremental request example")
 	}
 	actual["submit-incremental request"] = incReq.json
-	incSub := httpJSON(http.MethodPost, "/v1/submit", incReq.json, http.StatusAccepted)
+	incSub := httpJSON(http.MethodPost, "/v1/jobs", incReq.json, http.StatusAccepted)
 	actual["submit-incremental response"] = incSub
 	var incSt jobStatus
 	if err := json.Unmarshal(incSub, &incSt); err != nil {
@@ -227,7 +227,7 @@ func TestAPIDocExamples(t *testing.T) {
 		t.Fatal("docs/API.md lacks the submit-ingest request example")
 	}
 	actual["submit-ingest request"] = ingReq.json
-	ingSub := httpJSON(http.MethodPost, "/v1/submit", ingReq.json, http.StatusAccepted)
+	ingSub := httpJSON(http.MethodPost, "/v1/jobs", ingReq.json, http.StatusAccepted)
 	actual["submit-ingest response"] = ingSub
 	var ingSt jobStatus
 	if err := json.Unmarshal(ingSub, &ingSt); err != nil {
@@ -242,28 +242,23 @@ func TestAPIDocExamples(t *testing.T) {
 	actual["store response"] = httpJSON(http.MethodGet, "/v1/store", nil, http.StatusOK)
 
 	// ---- peer routes ----
-	lookupReq, ok := blocks["peer-lookup request"]
-	if !ok {
-		t.Fatal("docs/API.md lacks the peer-lookup request example")
-	}
-	actual["peer-lookup request"] = lookupReq.json
-	actual["peer-lookup response"] = httpJSON(http.MethodPost, "/v1/peer/lookup", lookupReq.json, http.StatusOK)
-
-	// A found compact lookup needs a real key: the first library of the
-	// doc-example job, which node a computed and still caches.
-	foundReq, err := json.Marshal(peerLookupRequest{Stage: "compact", Hash: a.svc.Job(st.ID).Result.libKeys[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	actual["peer-lookup-found request"] = foundReq
-	actual["peer-lookup-found response"] = httpJSON(http.MethodPost, "/v1/peer/lookup", foundReq, http.StatusOK)
-
 	batchLookupReq, ok := blocks["peer-lookup-batch request"]
 	if !ok {
 		t.Fatal("docs/API.md lacks the peer-lookup-batch request example")
 	}
 	actual["peer-lookup-batch request"] = batchLookupReq.json
 	actual["peer-lookup-batch response"] = httpJSON(http.MethodPost, "/v1/peer/lookup-batch", batchLookupReq.json, http.StatusOK)
+
+	// A found compact lookup needs a real key: the first library of the
+	// doc-example job, which node a computed and still caches.
+	foundReq, err := json.Marshal(peerBatchLookupRequest{Keys: []peerLookupRequest{
+		{Stage: "compact", Hash: a.svc.Job(st.ID).Result.libKeys[0]},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	actual["peer-lookup-batch-found request"] = foundReq
+	actual["peer-lookup-batch-found response"] = httpJSON(http.MethodPost, "/v1/peer/lookup-batch", foundReq, http.StatusOK)
 
 	// peer-detect needs content-correct inputs (the server verifies the
 	// fingerprint and identity), so the test builds the real request and

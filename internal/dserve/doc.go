@@ -67,15 +67,17 @@
 // -peers/-node-id flags), the stage content keys double as the sharding
 // unit: a consistent-hash ring (internal/cluster) assigns each detect and
 // compact key an R-way replica set of owning nodes (default R=2), and the
-// stage memo gains a third tier. Any node accepts any batch; a stage
-// whose local tiers miss is read through its remote owners in measured-
-// latency order (POST /v1/peer/lookup, batched per replica set as
-// POST /v1/peer/lookup-batch). When every replica misses, a detect stage
-// that arrived with its workload spec executes on the primary shard
-// (POST /v1/peer/detect — the request is the small spec, and the owner
-// memoizes what it executed, so the whole cluster runs each detection
-// once); a compact stage computes on the requesting node, which already
-// holds the library image, and only its O(ranges) result travels.
+// stage memo gains a third tier. Any node accepts any batch; the stages
+// its local tiers miss are read through their remote owners in measured-
+// latency order, batched per replica set (POST /v1/peer/lookup-batch, the
+// only remote read, hedged). A ring runs one protocol: a replica set that
+// cannot answer the route is a failed peer tier, and its keys resolve as
+// misses. On a miss, a detect stage that arrived with its workload spec
+// executes on the primary shard (POST /v1/peer/detect — the request is the
+// small spec, and the owner memoizes what it executed, so the whole
+// cluster runs each detection once); a compact stage computes on the
+// requesting node, which already holds the library image, and only its
+// O(ranges) result travels.
 // Peer-served values are written into the local tiers — memory, and the
 // castore when attached — so hot artifacts replicate toward demand; every
 // locally computed value (compact result or detect profile) is pushed to
@@ -101,7 +103,7 @@
 //
 // # Incremental re-submit
 //
-// POST /v1/submit (or /v1/jobs) with "base": "<job-id>" extends a
+// POST /v1/jobs with "base": "<job-id>" extends a
 // completed job's workload set instead of re-paying every stage. The
 // request must be a superset of the base's members (identity-compared) on
 // the same install, step cap, and verification mode. Then:

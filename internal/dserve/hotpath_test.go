@@ -1,10 +1,14 @@
 package dserve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +18,7 @@ import (
 	"negativaml/internal/cluster"
 	"negativaml/internal/metrics"
 	"negativaml/internal/mlframework"
+	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
 )
 
@@ -36,14 +41,16 @@ func testDetectProfile(t *testing.T) *negativa.Profile {
 	return p
 }
 
-// lookupFixture serves the per-key and batch peer-lookup routes from one
-// canned profile, counting how many times each detect hash was answered
-// (across both routes) — the denominator of the singleflight assertions.
+// lookupFixture serves the batch peer-lookup route from one canned profile,
+// counting how many times each detect hash was answered — the denominator
+// of the singleflight assertions.
 type lookupFixture struct {
 	profile *negativa.Profile
 	mu      sync.Mutex
 	serves  map[string]int
-	delay   time.Duration
+	// gate, when non-nil, is sent on twice per request: once on arrival and
+	// once before answering, so a test can hold a read in flight.
+	gate chan struct{}
 }
 
 func (f *lookupFixture) serve(hash string) {
@@ -63,22 +70,13 @@ func (f *lookupFixture) count(hash string) int {
 
 func (f *lookupFixture) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/peer/lookup", func(w http.ResponseWriter, r *http.Request) {
-		var req peerLookupRequest
-		json.NewDecoder(r.Body).Decode(&req)
-		if f.delay > 0 {
-			select {
-			case <-time.After(f.delay):
-			case <-r.Context().Done():
-				return
-			}
-		}
-		f.serve(req.Hash)
-		json.NewEncoder(w).Encode(peerLookupResponse{Found: true, Profile: f.profile})
-	})
 	mux.HandleFunc("POST /v1/peer/lookup-batch", func(w http.ResponseWriter, r *http.Request) {
 		var req peerBatchLookupRequest
 		json.NewDecoder(r.Body).Decode(&req)
+		if f.gate != nil {
+			f.gate <- struct{}{}
+			f.gate <- struct{}{}
+		}
 		resp := peerBatchLookupResponse{Results: make([]peerLookupResponse, len(req.Keys))}
 		for i, k := range req.Keys {
 			f.serve(k.Hash)
@@ -90,59 +88,90 @@ func (f *lookupFixture) handler() http.Handler {
 }
 
 // TestHedgedLookupSlowReplica injects a ~100 ms transport delay into one
-// replica: the hedge fires after its 5 ms floor, the healthy replica
-// answers well under the injected delay, and the stalled request is
-// cancelled rather than awaited.
+// replica of a batch lookup: the hedge fires after its 5 ms floor, the
+// healthy replica answers well under the injected delay and its values are
+// planted, and the stalled request is cancelled rather than awaited. Three
+// of the four keys have the stalled node as primary, so the answering node
+// served them as a replica (peer.replica_reads); the fourth it owns first.
 func TestHedgedLookupSlowReplica(t *testing.T) {
 	profile := testDetectProfile(t)
 
+	// Both replicas hold every key; one answers ~100 ms late.
+	answer := (&lookupFixture{profile: profile}).handler()
 	var slowCancelled atomic.Bool
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Drain the body so the server watches the connection and r.Context()
 		// observes the requester cancelling the stalled read.
-		io.Copy(io.Discard, r.Body)
+		body, _ := io.ReadAll(r.Body)
 		select {
 		case <-time.After(100 * time.Millisecond):
-			json.NewEncoder(w).Encode(peerLookupResponse{Found: true, Profile: profile})
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			answer.ServeHTTP(w, r)
 		case <-r.Context().Done():
 			slowCancelled.Store(true)
 		}
 	}))
 	defer slow.Close()
-	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(peerLookupResponse{Found: true, Profile: profile})
-	}))
+	fast := httptest.NewServer(answer)
 	defer fast.Close()
 
 	counters := metrics.NewCounterSet()
-	m := NewStageMemo(NewRegistry(), NewResultCache(1<<20, nil), counters)
-	c := cluster.New("self", map[string]string{"slow": slow.URL, "fast": fast.URL}, cluster.Options{
+	registry := NewRegistry()
+	m := NewStageMemo(registry, NewResultCache(1<<20, nil), counters)
+	// "primary" sorts before "replica", so with no latency history yet the
+	// stalled node is the first read target of the group.
+	c := cluster.New("self", map[string]string{"primary": slow.URL, "replica": fast.URL}, cluster.Options{
 		ReplicaSets: 2, HedgeDelay: 5 * time.Millisecond,
 		Counters: counters, Timeout: 30 * time.Second,
 	})
 	defer c.Close()
 	m.AttachCluster(c)
 
-	start := time.Now()
-	lr, peer, ok := m.hedgedLookup(nil, []string{"slow", "fast"}, peerLookupRequest{Stage: negativa.StageDetect, Hash: "fp\x00w"})
-	wall := time.Since(start)
-	if !ok || peer != "fast" || lr == nil || lr.Profile == nil {
-		t.Fatalf("hedged lookup = %v from %q, ok=%v", lr, peer, ok)
+	// Pick keys by ring placement: three owned [primary, replica], one
+	// owned [replica, primary] — one replica set, so one batch.
+	var items []prefetchItem
+	stalledFirst, answeringFirst := 0, 0
+	for i := 0; stalledFirst < 3 || answeringFirst < 1; i++ {
+		if i == 10000 {
+			t.Fatal("no detect keys with the wanted ring placement")
+		}
+		key := negativa.DetectKey("fp", fmt.Sprintf("w%d", i))
+		switch owners := c.Owners(key.String()); {
+		case slices.Equal(owners, []string{"primary", "replica"}) && stalledFirst < 3:
+			stalledFirst++
+		case slices.Equal(owners, []string{"replica", "primary"}) && answeringFirst < 1:
+			answeringFirst++
+		default:
+			continue
+		}
+		items = append(items, prefetchItem{key: key})
 	}
+
+	start := time.Now()
+	m.PrefetchLookups(items)
+	wall := time.Since(start)
 	if wall > 80*time.Millisecond {
 		t.Fatalf("hedged read took %v; it should complete well under the 100ms injected delay", wall)
 	}
-	if got := counters.Get("peer.hedge_fired"); got != 1 {
-		t.Fatalf("hedge_fired = %d, want 1", got)
+	for _, it := range items {
+		fp, wid, _ := negativa.SplitDetectHash(it.key.Hash)
+		if !registry.Has(ProfileKey{Install: fp, Workload: wid}) {
+			t.Fatalf("key %q was not planted by the answering replica", it.key.Hash)
+		}
 	}
-	if got := counters.Get("peer.hedge_won"); got != 1 {
-		t.Fatalf("hedge_won = %d, want 1", got)
-	}
-	if got := counters.Get("peer.hedge_cancelled"); got != 1 {
-		t.Fatalf("hedge_cancelled = %d, want 1", got)
-	}
-	if got := counters.Get("peer.round_trips"); got != 2 {
-		t.Fatalf("round_trips = %d, want 2 (primary + hedge)", got)
+	for name, want := range map[string]int64{
+		"peer.hedge_fired":     1,
+		"peer.hedge_won":       1,
+		"peer.hedge_cancelled": 1,
+		"peer.round_trips":     2, // primary + hedge
+		"peer.hits":            4,
+		"peer.replica_reads":   3,
+		"peer.fallbacks":       0,
+		"peer.batch_failed":    0,
+	} {
+		if got := counters.Get(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for !slowCancelled.Load() {
@@ -153,52 +182,86 @@ func TestHedgedLookupSlowReplica(t *testing.T) {
 	}
 }
 
-// TestPrefetchSingleflightNoDuplicateRoundTrips races a batch prefetch
-// against concurrent on-demand reads of the same key (run under -race):
-// the flight table must collapse them to exactly one remote round trip
-// per key, whichever path gets there first.
+// TestPrefetchSingleflightNoDuplicateRoundTrips pins the flight table
+// spanning the batch prefetch and the stage nodes (run under -race): one key
+// never has a remote read and a local compute in flight at once, whichever
+// side asks first.
 func TestPrefetchSingleflightNoDuplicateRoundTrips(t *testing.T) {
-	fixture := &lookupFixture{profile: testDetectProfile(t)}
-	srv := httptest.NewServer(fixture.handler())
-	defer srv.Close()
+	profile := testDetectProfile(t)
+	boot := func(t *testing.T, fixture *lookupFixture) *StageMemo {
+		srv := httptest.NewServer(fixture.handler())
+		t.Cleanup(srv.Close)
+		counters := metrics.NewCounterSet()
+		m := NewStageMemo(NewRegistry(), NewResultCache(1<<20, nil), counters)
+		c := cluster.New("self", map[string]string{"peer": srv.URL}, cluster.Options{
+			ReplicaSets: 2, Counters: counters, Timeout: 30 * time.Second,
+		})
+		t.Cleanup(c.Close)
+		m.AttachCluster(c)
+		return m
+	}
+	key := negativa.DetectKey("fp", "w")
 
-	counters := metrics.NewCounterSet()
-	m := NewStageMemo(NewRegistry(), NewResultCache(1<<20, nil), counters)
-	c := cluster.New("self", map[string]string{"peer": srv.URL}, cluster.Options{
-		ReplicaSets: 2, Counters: counters, Timeout: 30 * time.Second,
-	})
-	defer c.Close()
-	m.AttachCluster(c)
-
-	for round := 0; round < 8; round++ {
-		key := negativa.DetectKey("fp", string(rune('a'+round)))
+	// Readers that arrive while the prefetch holds the flight wait for its
+	// plant: no compute, one peer read.
+	t.Run("prefetch first", func(t *testing.T) {
+		fixture := &lookupFixture{profile: profile, gate: make(chan struct{})}
+		m := boot(t, fixture)
 		var wg sync.WaitGroup
 		wg.Add(5)
 		go func() {
 			defer wg.Done()
 			m.PrefetchLookups([]prefetchItem{{key: key}})
 		}()
+		<-fixture.gate // the request is at the peer: the prefetch leads the flight
 		for g := 0; g < 4; g++ {
 			go func() {
 				defer wg.Done()
-				v, _, err := m.GetOrComputeSourced(key, nil, func() (any, error) {
-					t.Error("compute ran: the peer-served key should never compute locally")
-					return fixture.profile, nil
+				v, src, err := m.GetOrComputeSourced(key, nil, func() (any, error) {
+					t.Error("compute ran while the prefetch held the key's flight")
+					return profile, nil
 				})
-				if err != nil || v.(*negativa.Profile) == nil {
-					t.Errorf("read failed: %v", err)
+				if err != nil || v.(*negativa.Profile) == nil || !src.Hit() {
+					t.Errorf("read = %v from %v, err %v", v, src, err)
 				}
 			}()
 		}
+		<-fixture.gate // let the peer answer
 		wg.Wait()
 		if got := fixture.count(key.Hash); got != 1 {
-			t.Fatalf("key %q served %d times by the peer; singleflight should collapse to 1", key.Hash, got)
+			t.Fatalf("key served %d times by the peer, want 1", got)
 		}
-	}
+	})
+
+	// A prefetch that arrives while a stage node leads the flight skips the
+	// key: one compute, no peer read.
+	t.Run("stage node first", func(t *testing.T) {
+		fixture := &lookupFixture{profile: profile}
+		m := boot(t, fixture)
+		computing, finish, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			_, src, err := m.GetOrComputeSourced(key, nil, func() (any, error) {
+				close(computing)
+				<-finish
+				return profile, nil
+			})
+			if err != nil || src.Hit() {
+				t.Errorf("leader read from %v, err %v; want a local compute", src, err)
+			}
+		}()
+		<-computing
+		m.PrefetchLookups([]prefetchItem{{key: key}})
+		close(finish)
+		<-done
+		if got := fixture.count(key.Hash); got != 0 {
+			t.Fatalf("key served %d times by the peer while a stage node computed it", got)
+		}
+	})
 }
 
-// startClusterCfg is startCluster with a per-node service config hook —
-// the mixed-version tests dial individual nodes' capabilities down.
+// startClusterCfg is startCluster with a per-node service config hook (the
+// ingestion tests give every node an ingest root).
 func startClusterCfg(t *testing.T, tweak func(id string, cfg *Config), ids ...string) map[string]*testNode {
 	t.Helper()
 	nodes := map[string]*testNode{}
@@ -230,93 +293,123 @@ func startClusterCfg(t *testing.T, tweak func(id string, cfg *Config), ids ...st
 	return nodes
 }
 
-// TestMixedVersionInterop runs a ring where one node predates the
-// lookup-batch route (DisablePeerBatch stands in for the old binary):
-// requesters must degrade that node's keys to per-key lookups with zero
-// failed batches — a version skew is not an error — and the batch still
-// completes as pure reuse.
-func TestMixedVersionInterop(t *testing.T) {
-	nodes := startClusterCfg(t, func(id string, cfg *Config) {
-		if id == "c" {
-			cfg.DisablePeerBatch = true
-		}
-	}, "a", "b", "c")
-	a, b, c := nodes["a"], nodes["b"], nodes["c"]
-	defer a.close()
-	defer b.close()
-	defer c.close()
-
-	req := JobRequest{
-		Framework: "pytorch",
-		TailLibs:  12,
-		Workloads: []WorkloadSpec{
-			{Model: "Llama2", Batch: 8},
-			{Model: "MobileNetV2", Train: true, Batch: 16, Epochs: 1},
-			{Model: "Transformer", Batch: 32, Device: "A100"},
-		},
-		MaxSteps: 2,
+// TestBatchLookupFailureComputesLocally: a ring runs one protocol, so a
+// replica set that cannot answer lookup-batch — the route is absent, the
+// peer errors, or it answers a results array of the wrong length — is a
+// failed peer tier, and a failed peer tier means local compute. The batch
+// must complete byte-identical to a standalone DebloatBatch, and the
+// requester must not fall back to any other read route.
+func TestBatchLookupFailureComputesLocally(t *testing.T) {
+	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Node A computes the batch and writes it back to the owners (C's keys
-	// are probed through per-key routes; A learns C is batch-incapable from
-	// the first 404).
-	stA := postJob(t, a.srv, req)
-	if doneA := pollDone(t, a.srv, stA.ID); doneA.State != JobDone {
-		t.Fatalf("node A job failed: %s", doneA.Error)
-	}
-	a.svc.WaitReplication()
-
-	// The same batch on node B is pure reuse, batch-prefetched from A and
-	// per-key from C.
-	analysisBefore := b.svc.Counters.Get("analysis.computed")
-	stB := postJob(t, b.srv, req)
-	doneB := pollDone(t, b.srv, stB.ID)
-	if doneB.State != JobDone {
-		t.Fatalf("node B job failed: %s", doneB.Error)
-	}
-	if doneB.Verified == nil || !*doneB.Verified {
-		t.Fatal("node B batch must verify")
-	}
-	if delta := b.svc.Counters.Get("analysis.computed") - analysisBefore; delta != 0 {
-		t.Fatalf("node B ran locate/compact %d times locally despite warm peers", delta)
-	}
-
-	// Version skew must be degradation, not failure.
-	for _, n := range []*testNode{a, b} {
-		if got := n.svc.Counters.Get("peer.batch_failed"); got != 0 {
-			t.Fatalf("node %s counted %d failed batches; a 404 peer is not a failure", n.id, got)
+	specs := []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}, {Model: "Transformer", Batch: 32}}
+	workloads := make([]mlruntime.Workload, len(specs))
+	for i, spec := range specs {
+		if workloads[i], err = spec.Workload(in); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if got := a.svc.Counters.Get("peer.batch_unsupported") + b.svc.Counters.Get("peer.batch_unsupported"); got == 0 {
-		t.Fatal("no requester discovered the old node's missing batch route")
+	opt := BatchOptions{MaxSteps: 2, Specs: &BatchSpecs{Framework: "pytorch", TailLibs: 4, Workloads: specs}}
+	oracle := NewService(Config{Workers: 4, MaxSteps: 2})
+	defer oracle.Close()
+	ref, err := oracle.DebloatBatch(in, workloads, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := c.svc.Counters.Get("peer.served_batches"); got != 0 {
-		t.Fatalf("the old node served %d batches it does not support", got)
-	}
-	if got := c.svc.Counters.Get("peer.served_lookups"); got == 0 {
-		t.Fatal("the old node should still serve per-key lookups")
+	want := ref.DebloatedLibs()
+
+	for name, answer := range map[string]func(w http.ResponseWriter){
+		"404":           func(w http.ResponseWriter) { http.Error(w, "no such route", http.StatusNotFound) },
+		"500":           func(w http.ResponseWriter) { http.Error(w, "boom", http.StatusInternalServerError) },
+		"short results": func(w http.ResponseWriter) { json.NewEncoder(w).Encode(peerBatchLookupResponse{}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			// Both stub peers fail lookup-batch as configured and refuse
+			// everything else, recording which routes were asked.
+			var mu sync.Mutex
+			routes := map[string]int{}
+			stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body)
+				route, _, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/peer/"), "/")
+				mu.Lock()
+				routes[route]++
+				mu.Unlock()
+				if route == "lookup-batch" {
+					answer(w)
+					return
+				}
+				http.Error(w, "stub peer", http.StatusServiceUnavailable)
+			})
+			b, c := httptest.NewServer(stub), httptest.NewServer(stub)
+			defer b.Close()
+			defer c.Close()
+
+			svc := NewService(Config{Workers: 4, MaxSteps: 2})
+			defer svc.Close()
+			svc.AttachCluster(cluster.New("a", map[string]string{"b": b.URL, "c": c.URL}, cluster.Options{
+				ReplicaSets: 2, Counters: svc.Counters, Timeout: 30 * time.Second,
+			}))
+			res, err := svc.DebloatBatch(in, workloads, opt)
+			if err != nil {
+				t.Fatalf("batch failed on a ring whose peers cannot answer lookup-batch: %v", err)
+			}
+			svc.WaitReplication()
+			if !res.AllVerified() {
+				t.Fatal("locally computed batch must verify")
+			}
+			for lib, got := range res.DebloatedLibs() {
+				if !bytes.Equal(got, want[lib]) {
+					t.Fatalf("library %s differs from the standalone pipeline's", lib)
+				}
+			}
+			if got := svc.Counters.Get("peer.batch_failed"); got == 0 {
+				t.Fatal("peer.batch_failed = 0; the failed batches went uncounted")
+			}
+			if got, keys := svc.Counters.Get("analysis.computed"), int64(len(res.libKeys)); got == 0 || got > keys {
+				t.Fatalf("analysis.computed = %d for %d compact keys", got, keys)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if routes["lookup-batch"] == 0 {
+				t.Fatal("the stubs never saw a lookup-batch")
+			}
+			for route := range routes {
+				switch route {
+				case "lookup-batch", "detect", "objects", "stat":
+				default:
+					t.Errorf("requester fell back to /v1/peer/%s (%d requests)", route, routes[route])
+				}
+			}
+		})
 	}
 }
 
 // TestPeerLookupBatchRoute covers the serving side of the batch route:
-// index-aligned results, the key cap, and the DisablePeerBatch 404.
+// index-aligned results around misses and unparsable keys, and the key cap.
 func TestPeerLookupBatchRoute(t *testing.T) {
 	svc := NewService(Config{Workers: 2, MaxSteps: 2})
 	defer svc.Close()
 	soloCluster(svc)
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
+	svc.Registry.Put(ProfileKey{Install: "fp", Workload: "w"}, testDetectProfile(t))
 
 	req := peerBatchLookupRequest{Keys: []peerLookupRequest{
 		{Stage: negativa.StageCompact, Hash: "absent"},
+		{Stage: negativa.StageDetect, Hash: negativa.DetectKey("fp", "w").Hash},
 		{Stage: negativa.StageDetect, Hash: "malformed-no-separator"},
 	}}
 	var resp peerBatchLookupResponse
 	if code := postPeer(t, srv, "/v1/peer/lookup-batch", req, &resp); code != http.StatusOK {
 		t.Fatalf("batch lookup status %d", code)
 	}
-	if len(resp.Results) != 2 || resp.Results[0].Found || resp.Results[1].Found {
+	if len(resp.Results) != 3 || resp.Results[0].Found || resp.Results[2].Found {
 		t.Fatalf("batch results %+v; misses and bad keys must come back found=false in place", resp.Results)
+	}
+	if !resp.Results[1].Found || resp.Results[1].Profile == nil {
+		t.Fatalf("held key between two misses answered %+v; results must stay index-aligned", resp.Results[1])
 	}
 
 	over := peerBatchLookupRequest{Keys: make([]peerLookupRequest, maxBatchLookupKeys+1)}
@@ -325,14 +418,5 @@ func TestPeerLookupBatchRoute(t *testing.T) {
 	}
 	if code := postPeer(t, srv, "/v1/peer/lookup-batch", over, nil); code != http.StatusBadRequest {
 		t.Fatalf("oversized batch status %d, want 400", code)
-	}
-
-	old := NewService(Config{Workers: 2, MaxSteps: 2, DisablePeerBatch: true})
-	defer old.Close()
-	soloCluster(old)
-	oldSrv := httptest.NewServer(NewHandler(old))
-	defer oldSrv.Close()
-	if code := postPeer(t, oldSrv, "/v1/peer/lookup-batch", req, nil); code != http.StatusNotFound {
-		t.Fatalf("disabled batch route status %d, want 404", code)
 	}
 }

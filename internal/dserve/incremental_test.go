@@ -16,7 +16,7 @@ import (
 	"negativaml/internal/plan"
 )
 
-// postSubmit drives the incremental-friendly POST /v1/submit alias and
+// postSubmit posts a job body (with its "base", if any) to POST /v1/jobs and
 // returns the raw response for error-path assertions.
 func postSubmit(t *testing.T, ts *httptest.Server, req JobRequest) (*http.Response, []byte) {
 	t.Helper()
@@ -24,7 +24,7 @@ func postSubmit(t *testing.T, ts *httptest.Server, req JobRequest) (*http.Respon
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/submit", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func postSubmit(t *testing.T, ts *httptest.Server, req JobRequest) (*http.Respon
 }
 
 // TestIncrementalResubmitE2E is the acceptance-criteria test: extending a
-// prior batch's workload set through POST /v1/submit with a base job ID
+// prior batch's workload set through POST /v1/jobs with a base job ID
 // performs zero detection runs and recomputes only the union-delta
 // locate/compact stages, with untouched libraries fully absorbed.
 func TestIncrementalResubmitE2E(t *testing.T) {

@@ -58,17 +58,18 @@ func (b *boundedMemo) getOK(key any, compute func() (any, bool)) any {
 //   - detect → the profile Registry: memory entries keyed by (install
 //     fingerprint, workload identity) recovered from the composite stage
 //     hash, with on-disk profile snapshots replayed at boot. With a
-//     cluster attached, a registry miss consults the stage's owning peer
-//     (read-through, or remote execution when the batch carried its
-//     workload spec).
+//     cluster attached, the batch's prefetch reads the replica set
+//     through, and a registry miss left after it executes the stage on its
+//     owning peer when the batch carried its workload spec.
 //   - compact → the ResultCache: byte-bounded memory, then the
 //     content-addressed store's disk tier (persisted range sets decoded
 //     against the node's live library hint), then the key's replica set,
-//     read-through only. A peer-served result is Put back into the local
-//     cache — which spills it into the local castore — so hot artifacts
-//     replicate toward the demand that reads them. A clean miss computes
-//     here, where the library image already is, and only the O(ranges)
-//     result travels: the write-back plane pushes it to every live owner.
+//     read through by the batch's prefetch. A peer-served result is Put
+//     into the local cache — which spills it into the local castore — so
+//     hot artifacts replicate toward the demand that reads them. A miss
+//     computes here, where the library image already is, and only the
+//     O(ranges) result travels: the write-back plane pushes it to every
+//     live owner.
 //   - every other stage (lib-index, locate, the capped reference run) →
 //     a bounded in-memory memo with singleflight compute dedup. Locate
 //     needs no peer tier of its own: its memoized value is a lazy handle
@@ -103,19 +104,13 @@ type StageMemo struct {
 	replicateProfile func(pk ProfileKey, p *negativa.Profile, peers []string)
 
 	// The batch-prefetch hot path (hotpath.go). flights is the singleflight
-	// table spanning prefetch and on-demand reads of one stage key;
-	// prefetched marks keys whose local-tier value a batch lookup planted
-	// (read back as SourcePeer), missed marks keys a live replica answered
-	// found=false for (on-demand skips its own lookup round trip); noBatch
-	// remembers peers that 404 the lookup-batch route (old nodes), and
-	// disableBatch turns requester-side batching off entirely.
-	flightMu     sync.Mutex
-	flights      map[plan.Key]chan struct{}
-	hotMu        sync.Mutex
-	prefetched   map[plan.Key]bool
-	missed       map[plan.Key]bool
-	noBatch      map[string]bool
-	disableBatch bool
+	// table spanning the prefetch and the stage nodes' own resolution of one
+	// stage key; prefetched marks keys whose local-tier value a batch lookup
+	// planted (read back as SourcePeer).
+	flightMu   sync.Mutex
+	flights    map[plan.Key]chan struct{}
+	hotMu      sync.Mutex
+	prefetched map[plan.Key]bool
 }
 
 // NewStageMemo wires the service's reuse layers into one stage memo.
@@ -145,11 +140,6 @@ func (m *StageMemo) AttachReplicator(result func(hash string, ld *negativa.LibDe
 // the memo may temporarily Release that slot around pure I/O waits. Call
 // before serving, with the same executor passed to Graph.Execute.
 func (m *StageMemo) AttachExecutor(ex plan.Executor) { m.exec = ex }
-
-// DisableBatching turns the requester-side batch-prefetch path off —
-// the operator escape hatch mirroring Config.DisablePeerBatch on the
-// serving side. Call before serving.
-func (m *StageMemo) DisableBatching() { m.disableBatch = true }
 
 // slotOf picks the executor a network wait yields through: the calling
 // node's own slot when the scheduler handed one down (re-acquisition then
@@ -210,8 +200,8 @@ func (m *StageMemo) GetOrCompute(key plan.Key, hint any, compute func() (any, er
 // to the tier that produced it. Detect and compact keys run under the
 // hot path's singleflight table: local-tier probes loop until the caller
 // either hits (possibly on a value a concurrent prefetch or reader just
-// planted) or becomes the key's flight leader, so one key never has two
-// remote reads or two local computes in flight at once.
+// planted) or becomes the key's flight leader, so one key never has a
+// remote read and a local compute, or two local computes, in flight at once.
 func (m *StageMemo) GetOrComputeSourced(key plan.Key, hint any, compute func() (any, error)) (any, plan.Source, error) {
 	return m.GetOrComputeSourcedSlot(nil, key, hint, compute)
 }
@@ -255,7 +245,7 @@ func (m *StageMemo) GetOrComputeSourcedSlot(slot plan.Executor, key plan.Key, hi
 			m.awaitFlight(slot, key)
 		}
 		defer m.endFlight(key)
-		return m.compactLeader(slot, key, lib, compute)
+		return m.compactLeader(key, compute)
 	}
 	v, hit, err := m.mem.GetOrCompute(key, hint, compute)
 	src := plan.SourceComputed
@@ -265,48 +255,18 @@ func (m *StageMemo) GetOrComputeSourcedSlot(slot plan.Executor, key plan.Key, hi
 	return v, src, err
 }
 
-// detectLeader is the flight leader's read-through for one detect key:
-// hedged replica lookup (skipped when a batch lookup already saw the
-// replica set clean-miss), hinted remote execution on the primary shard,
-// then local compute with write-back to every live remote owner.
+// detectLeader resolves one detect key the batch prefetch did not plant:
+// the replica set was already asked (or could not be reached), so the
+// leader does not re-ask it — hinted remote execution on the primary shard,
+// else local compute with write-back to every live remote owner.
 func (m *StageMemo) detectLeader(slot plan.Executor, key plan.Key, pk ProfileKey, hint any, compute func() (any, error)) (any, plan.Source, error) {
 	owners, self := m.replicaOwners(key)
-	remotes := without(owners, self)
-	if len(owners) > 0 {
-		dh, _ := hint.(*detectHint)
-		primary := owners[0]
-		// Read through the remote replicas, hedged — even when this node
-		// is itself an owner whose local tiers missed (a fresh replacement
-		// node is primary for keys whose history lives only on the
-		// surviving replicas).
-		if len(remotes) > 0 && !m.consumeMiss(key) {
-			m.cluster.SortByLatency(remotes)
-			targets := remotes
-			if dh != nil {
-				// The hinted escalation below starts with the primary's own
-				// registry probe, so a separate primary lookup would only
-				// add a round trip.
-				targets = without(remotes, primary)
-			}
-			if lr, peer, ok := m.hedgedLookup(slot, targets, peerLookupRequest{Stage: negativa.StageDetect, Hash: key.Hash}); ok {
-				if lr.Profile != nil && lr.Profile.RunResult != nil {
-					if peer != primary {
-						m.count("peer.replica_reads")
-					}
-					m.count("peer.hits")
-					m.registry.Put(pk, lr.Profile)
-					return lr.Profile, plan.SourcePeer, nil
-				}
-				m.count("peer.fallbacks")
-			}
-		}
-		// One round trip: the execute route starts with the owner's
-		// registry probe, and the owner memoizes what it executes.
-		if dh != nil && primary != self {
-			if p, ok := m.peerDetect(slot, primary, key.Hash, dh); ok {
-				m.registry.Put(pk, p)
-				return p, plan.SourcePeer, nil
-			}
+	// One round trip: the execute route starts with the owner's registry
+	// probe, and the owner memoizes what it executes.
+	if dh, _ := hint.(*detectHint); dh != nil && len(owners) > 0 && owners[0] != self {
+		if p, ok := m.peerDetect(slot, owners[0], key.Hash, dh); ok {
+			m.registry.Put(pk, p)
+			return p, plan.SourcePeer, nil
 		}
 	}
 	v, err := compute()
@@ -317,37 +277,16 @@ func (m *StageMemo) detectLeader(slot plan.Executor, key plan.Key, pk ProfileKey
 	m.registry.Put(pk, p)
 	m.count("registry.misses")
 	if m.replicateProfile != nil {
-		m.replicateProfile(pk, p, remotes)
+		m.replicateProfile(pk, p, without(owners, self))
 	}
 	return v, plan.SourceComputed, nil
 }
 
-// compactLeader is the flight leader's read-through for one compact key:
-// hedged replica lookup (skipped when a batch lookup already saw the
-// replica set clean-miss), then local compute with write-back to every
-// live remote owner. The stage never executes remotely: its input is a
-// library image only this node is sure to hold, and shipping it costs far
-// more than compacting it here.
-func (m *StageMemo) compactLeader(slot plan.Executor, key plan.Key, lib *elfx.Library, compute func() (any, error)) (any, plan.Source, error) {
-	owners, self := m.replicaOwners(key)
-	remotes := without(owners, self)
-	if lib != nil && len(remotes) > 0 && !m.consumeMiss(key) {
-		m.cluster.SortByLatency(remotes)
-		if lr, peer, ok := m.hedgedLookup(slot, remotes, peerLookupRequest{Stage: negativa.StageCompact, Hash: key.Hash}); ok {
-			if ld, decOK := decodePeerResult(lib, lr.Result, lr.Sparse); decOK {
-				// Replicate toward demand: the local Put spills the
-				// result into this node's castore, so the next miss
-				// here is a disk hit, not another network hop.
-				if peer != owners[0] {
-					m.count("peer.replica_reads")
-				}
-				m.count("peer.hits")
-				m.cache.Put(key.Hash, ld)
-				return ld, plan.SourcePeer, nil
-			}
-			m.count("peer.fallbacks")
-		}
-	}
+// compactLeader resolves one compact key the batch prefetch did not plant:
+// local compute with write-back to every live remote owner. The stage never
+// executes remotely: its input is a library image only this node is sure to
+// hold, and shipping it costs far more than compacting it here.
+func (m *StageMemo) compactLeader(key plan.Key, compute func() (any, error)) (any, plan.Source, error) {
 	v, err := compute()
 	if err != nil {
 		return nil, plan.SourceComputed, err
@@ -355,7 +294,8 @@ func (m *StageMemo) compactLeader(slot plan.Executor, key plan.Key, lib *elfx.Li
 	ld := v.(*negativa.LibDebloat)
 	m.cache.Put(key.Hash, ld)
 	if m.replicate != nil {
-		m.replicate(key.Hash, ld, remotes)
+		owners, self := m.replicaOwners(key)
+		m.replicate(key.Hash, ld, without(owners, self))
 	}
 	return v, plan.SourceComputed, nil
 }

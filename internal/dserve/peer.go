@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -20,12 +19,14 @@ import (
 // The peer wire protocol. Every route lives under /v1/peer/ and is spoken
 // only between dserve nodes of one cluster:
 //
-//	POST /v1/peer/lookup                 read-through: return an already-
-//	                                     memoized stage value by content key
+//	POST /v1/peer/lookup-batch           read-through: return already-
+//	                                     memoized stage values by content key,
+//	                                     up to maxBatchLookupKeys per request
 //	POST /v1/peer/detect                 execute a detect stage on its
 //	                                     owning shard (registry-memoized)
 //	GET  /v1/peer/objects/{kind}/{key}   stream one castore object in its
-//	                                     integrity-framed wire format
+//	PUT  /v1/peer/objects/{kind}/{key}   integrity-framed wire format
+//	POST /v1/peer/stat                   which of these objects do you hold
 //
 // The surface is node-to-node only: routes answer 404 unless a cluster is
 // attached, and a cluster configured with a shared secret (see
@@ -37,12 +38,17 @@ import (
 // requests are a small workload spec, so a hinted requester goes straight
 // to the execute route (which starts with the owner's registry probe).
 // Lookup responses hand back the same durable forms the castore disk tier
-// uses (storedResult JSON + encoded sparse range set), which the requester
-// decodes against its own live library — the digest-bound sparse codec
-// makes a mismatched or corrupted payload a decode error, never a wrong
-// image.
+// uses (storedResult JSON + encoded sparse range set, the very bytes on
+// disk), which the requester decodes against its own live library — the
+// digest-bound sparse codec makes a mismatched or corrupted payload a decode
+// error, never a wrong image.
+//
+// A ring runs one protocol: a peer that answers any of these routes with a
+// non-2xx status is a failed peer for that call, and a failed peer means
+// local compute. Nothing is negotiated per request.
 
-// peerLookupRequest asks a peer for a stage value it may have memoized.
+// peerLookupRequest is one key of a batch lookup: a stage value the peer may
+// have memoized.
 type peerLookupRequest struct {
 	Stage string `json:"stage"`
 	Hash  string `json:"hash"`
@@ -109,60 +115,11 @@ type peerDetectResponse struct {
 // bounds (peerLookupBatchLimit, peerStatLimit).
 const peerBodyLimit = 256 << 20
 
-// Sparse wire-codec negotiation. A node that can decode the compact v2
-// codec advertises it on every outgoing peer request (the header is
-// installed on the cluster transport by AttachCluster); a responder emits
-// v2 only to a requester that advertised it, and v1 otherwise. Old nodes
-// neither send nor understand the header, so every mixed pairing degrades
-// to v1: old→new requests get v1 answers, new→old requests are answered by
-// a node that ignores the header and emits v1 — which the new node's
-// magic-sniffing decoder accepts. See negativa.TranscodeSparseWire for the
-// codec itself.
-const (
-	// SparseCodecHeader is the Accept-style capability header naming the
-	// highest sparse wire-codec version the requester decodes.
-	SparseCodecHeader = "X-Negativa-Sparse-Codec"
-	sparseCodecV2     = "2"
-)
-
-// wantsWireV2 reports whether this node answers the request in the compact
-// v2 sparse codec: the requester advertised it and this node's v2 support
-// is not switched off (Config.DisableSparseWireV2 silences both directions,
-// so the knob is a faithful pre-v2-node stand-in).
-func (s *Service) wantsWireV2(r *http.Request) bool {
-	return !s.cfg.DisableSparseWireV2 && r.Header.Get(SparseCodecHeader) == sparseCodecV2
-}
-
-// encodeSparseFor encodes a live sparse image for a peer response in the
-// newest codec the requester advertised.
-func (s *Service) encodeSparseFor(r *http.Request, sp *negativa.SparseImage) []byte {
-	if s.wantsWireV2(r) {
-		return sp.EncodeWire()
-	}
-	return sp.Encode()
-}
-
-// transcodeSparseFor re-encodes stored (canonical v1) sparse bytes for the
-// requester's advertised codec. Transcoding failure falls back to the
-// stored bytes — the requester's digest-bound decoder is the integrity
-// authority either way.
-func (s *Service) transcodeSparseFor(r *http.Request, enc []byte) []byte {
-	if !s.wantsWireV2(r) {
-		return enc
-	}
-	v2, err := negativa.TranscodeSparseWire(enc, 2)
-	if err != nil {
-		return enc
-	}
-	return v2
-}
-
 // registerPeerRoutes mounts the node-to-node API. Every route is guarded
 // by peerAuth: a node with no cluster attached refuses peer traffic
 // outright, and a cluster configured with a shared secret refuses
 // requests that do not present it.
 func registerPeerRoutes(mux *http.ServeMux, s *Service) {
-	mux.HandleFunc("POST /v1/peer/lookup", s.peerAuth(s.handlePeerLookup))
 	mux.HandleFunc("POST /v1/peer/lookup-batch", s.peerAuth(s.handlePeerLookupBatch))
 	mux.HandleFunc("POST /v1/peer/detect", s.peerAuth(s.handlePeerDetect))
 	mux.HandleFunc("GET /v1/peer/objects/{kind}/{key}", s.peerAuth(s.handlePeerObject))
@@ -218,7 +175,7 @@ func decodePeerBody(w http.ResponseWriter, r *http.Request, limit int64, into an
 // tiers (memory, then castore), answering in durable wire form. The error
 // names an unservable key (unknown stage, malformed hash); a clean miss is
 // found=false with no error.
-func (s *Service) lookupStage(r *http.Request, key peerLookupRequest) (peerLookupResponse, error) {
+func (s *Service) lookupStage(key peerLookupRequest) (peerLookupResponse, error) {
 	resp := peerLookupResponse{}
 	switch key.Stage {
 	case negativa.StageDetect:
@@ -232,14 +189,14 @@ func (s *Service) lookupStage(r *http.Request, key peerLookupRequest) (peerLooku
 	case negativa.StageCompact:
 		if ld, ok := s.Cache.Get(key.Hash); ok && ld.Report != nil && ld.Report.Sparse != nil {
 			sr := storedResultOf(ld)
-			resp.Found, resp.Result, resp.Sparse = true, &sr, s.encodeSparseFor(r, ld.Report.Sparse)
+			resp.Found, resp.Result, resp.Sparse = true, &sr, ld.Report.Sparse.EncodeWire()
 		} else if s.store != nil {
 			raw, ok1 := s.store.Get(kindResult, key.Hash)
 			enc, ok2 := s.store.Get(kindSparse, key.Hash)
 			if ok1 && ok2 {
 				var sr storedResult
 				if err := json.Unmarshal(raw, &sr); err == nil {
-					resp.Found, resp.Result, resp.Sparse = true, &sr, s.transcodeSparseFor(r, enc)
+					resp.Found, resp.Result, resp.Sparse = true, &sr, enc
 				}
 			}
 		}
@@ -252,37 +209,14 @@ func (s *Service) lookupStage(r *http.Request, key peerLookupRequest) (peerLooku
 	return resp, nil
 }
 
-// handlePeerLookup serves the read-through tier: a stage value this node
-// already holds in memory or in its castore, in durable wire form. A miss
-// is a found=false success, never an error — the requester decides what to
-// do about it (execute a detect on its owner, compute a compact itself).
-func (s *Service) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
-	var req peerLookupRequest
-	if !decodePeerBody(w, r, maxRequestBytes, &req) {
-		return
-	}
-	s.Counters.Add("peer.served_lookups", 1)
-	resp, err := s.lookupStage(r, req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // handlePeerLookupBatch is the scatter-gather read-through route: many
 // keys in, index-aligned answers out, one round trip — the batch-prefetch
-// path that collapses a peer-warm batch's per-stage lookups into one
-// request per replica group. An unservable key answers found=false in
-// place instead of failing its neighbors. Config.DisablePeerBatch makes
-// the route answer a plain 404, indistinguishable from a node predating
-// it — the mixed-version stand-in; requesters then degrade to per-key
-// lookups.
+// path that serves a peer-warm batch's stage values in one request per
+// replica group. A value this node already holds in memory or in its
+// castore answers in durable wire form; a miss or an unservable key answers
+// found=false in place, never an error — the requester decides what to do
+// about it (execute a detect on its owner, compute a compact itself).
 func (s *Service) handlePeerLookupBatch(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.DisablePeerBatch {
-		http.NotFound(w, r)
-		return
-	}
 	var req peerBatchLookupRequest
 	if !decodePeerBody(w, r, peerLookupBatchLimit, &req) {
 		return
@@ -295,7 +229,7 @@ func (s *Service) handlePeerLookupBatch(w http.ResponseWriter, r *http.Request) 
 	s.Counters.Add("peer.served_lookups", int64(len(req.Keys)))
 	resp := peerBatchLookupResponse{Results: make([]peerLookupResponse, len(req.Keys))}
 	for i, key := range req.Keys {
-		lr, err := s.lookupStage(r, key)
+		lr, err := s.lookupStage(key)
 		if err != nil {
 			continue // found=false in place
 		}
@@ -375,12 +309,6 @@ func (s *Service) handlePeerDetect(w http.ResponseWriter, r *http.Request) {
 // export failure cannot change the already-sent status; it is counted
 // (peer.object_export_errors) and the importer's checksum rejects the
 // truncated body.
-//
-// Sparse objects to a v2-advertising requester are transcoded to the
-// compact wire codec and re-framed in memory (they are O(ranges), so this
-// is cheap), with the response's codec header telling the requester to
-// transcode back before storing — disk stays canonical v1 on both ends.
-// Every other (kind, requester) pairing streams the stored bytes as-is.
 func (s *Service) handlePeerObject(w http.ResponseWriter, r *http.Request) {
 	st := s.Store()
 	if st == nil {
@@ -393,24 +321,6 @@ func (s *Service) handlePeerObject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer st.Release(kind, key)
-	if kind == kindSparse && s.wantsWireV2(r) {
-		if enc, ok := st.Get(kind, key); ok {
-			if v2, err := negativa.TranscodeSparseWire(enc, 2); err == nil {
-				framed := castore.Frame(v2)
-				s.Counters.Add("peer.served_objects", 1)
-				w.Header().Set("Content-Type", "application/octet-stream")
-				w.Header().Set("Content-Length", strconv.Itoa(len(framed)))
-				w.Header().Set(SparseCodecHeader, sparseCodecV2)
-				w.WriteHeader(http.StatusOK)
-				if _, err := w.Write(framed); err != nil {
-					s.Counters.Add("peer.object_export_errors", 1)
-				}
-				return
-			}
-		}
-		// Unreadable or untranscodable: fall through to the raw stream —
-		// the importer's checksum is the authority on whether it's usable.
-	}
 	size, ok := st.Stat(kind, key)
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no object %s/%s", kind, key))
@@ -583,27 +493,12 @@ type detectHint struct {
 	spec      WorkloadSpec
 }
 
-// peerDetect resolves a detect stage through its owning peer. With a hint
-// (the workload spec) it goes straight to /v1/peer/detect in one round
-// trip — that route begins with the owner's own registry probe and the
-// request is a small spec, so a preliminary lookup would only double the
-// latency. Without a hint there is nothing to execute remotely, so a
-// lookup probe is all that happens. ok=false means the caller should
-// compute locally; the failure has already been counted.
+// peerDetect resolves a detect stage through its owning peer: the hint (the
+// workload spec) goes straight to /v1/peer/detect in one round trip — that
+// route begins with the owner's own registry probe and the request is a
+// small spec. ok=false means the caller should compute locally; the failure
+// has already been counted.
 func (m *StageMemo) peerDetect(slot plan.Executor, owner, hash string, hint *detectHint) (*negativa.Profile, bool) {
-	if hint == nil {
-		var lr peerLookupResponse
-		if err := m.postJSON(slot, owner, "/v1/peer/lookup", peerLookupRequest{Stage: negativa.StageDetect, Hash: hash}, &lr); err != nil {
-			m.count("peer.fallbacks")
-			return nil, false
-		}
-		if lr.Found && lr.Profile != nil && lr.Profile.RunResult != nil {
-			m.count("peer.hits")
-			return lr.Profile, true
-		}
-		m.count("peer.misses")
-		return nil, false
-	}
 	fp, wid, ok := negativa.SplitDetectHash(hash)
 	if !ok {
 		return nil, false
@@ -645,38 +540,16 @@ func decodePeerResult(lib *elfx.Library, sr *storedResult, enc []byte) (*negativ
 
 // FetchPeerObject imports one castore object from a peer into the local
 // store (the generic replication path: restored-job materialization, warm
-// pre-seeding). A response the exporter marked with the v2 sparse codec
-// header is unframed, transcoded back to the canonical v1 encoding, and
-// stored via Put — the disk form never depends on which codec crossed the
-// wire. Returns the stored payload size.
+// pre-seeding). Returns the stored payload size.
 func (s *Service) FetchPeerObject(c *cluster.Cluster, peer, kind, key string) (int64, error) {
 	if s.store == nil {
 		return 0, errors.New("dserve: no store attached")
 	}
-	rc, hdr, err := c.GetStreamHeader(peer, "/v1/peer/objects/"+kind+"/"+key)
+	rc, err := c.GetStream(peer, "/v1/peer/objects/"+kind+"/"+key)
 	if err != nil {
 		return 0, err
 	}
 	defer rc.Close()
-	if kind == kindSparse && hdr.Get(SparseCodecHeader) == sparseCodecV2 {
-		framed, err := io.ReadAll(io.LimitReader(rc, peerBodyLimit))
-		if err != nil {
-			return 0, fmt.Errorf("dserve: fetch %s/%s: %w", kind, key, err)
-		}
-		payload, err := castore.Unframe(framed)
-		if err != nil {
-			return 0, fmt.Errorf("dserve: fetch %s/%s: %w", kind, key, err)
-		}
-		enc, err := negativa.TranscodeSparseWire(payload, 1)
-		if err != nil {
-			return 0, fmt.Errorf("dserve: fetch %s/%s: %w", kind, key, err)
-		}
-		if err := s.store.Put(kind, key, enc); err != nil {
-			return 0, err
-		}
-		s.Counters.Add("peer.objects_fetched", 1)
-		return int64(len(enc)), nil
-	}
 	n, err := s.store.Import(kind, key, rc)
 	if err != nil {
 		return 0, err

@@ -41,8 +41,9 @@ func postPeer(t *testing.T, srv *httptest.Server, path string, in, out any) int 
 	return resp.StatusCode
 }
 
-// TestPeerLookupMissesAndRejections: misses are found=false successes,
-// unroutable stages are 400s.
+// TestPeerLookupMissesAndRejections: a miss, a malformed detect hash, and
+// a stage with no peer tier each answer found=false in place — one bad key
+// never fails the batch it rode in.
 func TestPeerLookupMissesAndRejections(t *testing.T) {
 	svc := NewService(Config{Workers: 2, MaxSteps: 2})
 	defer svc.Close()
@@ -50,18 +51,25 @@ func TestPeerLookupMissesAndRejections(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
-	var lr peerLookupResponse
-	if code := postPeer(t, srv, "/v1/peer/lookup", peerLookupRequest{Stage: negativa.StageCompact, Hash: "nope"}, &lr); code != http.StatusOK {
-		t.Fatalf("lookup miss status %d", code)
+	req := peerBatchLookupRequest{Keys: []peerLookupRequest{
+		{Stage: negativa.StageCompact, Hash: "nope"},
+		{Stage: negativa.StageDetect, Hash: "no-separator"},
+		{Stage: "union", Hash: "x"},
+	}}
+	var resp peerBatchLookupResponse
+	if code := postPeer(t, srv, "/v1/peer/lookup-batch", req, &resp); code != http.StatusOK {
+		t.Fatalf("batch with unservable keys: status %d", code)
 	}
-	if lr.Found {
-		t.Fatal("lookup invented a result")
+	if len(resp.Results) != len(req.Keys) {
+		t.Fatalf("%d results for %d keys", len(resp.Results), len(req.Keys))
 	}
-	if code := postPeer(t, srv, "/v1/peer/lookup", peerLookupRequest{Stage: negativa.StageDetect, Hash: "no-separator"}, nil); code != http.StatusBadRequest {
-		t.Fatalf("malformed detect hash status %d", code)
+	for i, lr := range resp.Results {
+		if lr.Found || lr.Profile != nil || lr.Result != nil || lr.Sparse != nil {
+			t.Fatalf("key %+v: lookup invented a result: %+v", req.Keys[i], lr)
+		}
 	}
-	if code := postPeer(t, srv, "/v1/peer/lookup", peerLookupRequest{Stage: "union", Hash: "x"}, nil); code != http.StatusBadRequest {
-		t.Fatalf("unroutable stage status %d", code)
+	if got := svc.Counters.Get("peer.served_hits"); got != 0 {
+		t.Fatalf("peer.served_hits = %d after three unservable keys", got)
 	}
 }
 
@@ -236,8 +244,8 @@ func TestPeerRoutesRequireCluster(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
-	if code := postPeer(t, srv, "/v1/peer/lookup", peerLookupRequest{Stage: negativa.StageCompact, Hash: "x"}, nil); code != http.StatusNotFound {
-		t.Fatalf("lookup without a cluster: status %d, want 404", code)
+	if code := postPeer(t, srv, "/v1/peer/lookup-batch", peerBatchLookupRequest{}, nil); code != http.StatusNotFound {
+		t.Fatalf("lookup-batch without a cluster: status %d, want 404", code)
 	}
 	resp, err := http.Get(srv.URL + "/v1/peer/objects/lib/deadbeef")
 	if err != nil {
@@ -259,9 +267,10 @@ func TestPeerSecretEnforced(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
-	body, _ := json.Marshal(peerLookupRequest{Stage: negativa.StageCompact, Hash: "nope"})
+	probe := peerBatchLookupRequest{Keys: []peerLookupRequest{{Stage: negativa.StageCompact, Hash: "nope"}}}
+	body, _ := json.Marshal(probe)
 	do := func(secret string) int {
-		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/peer/lookup", bytes.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/peer/lookup-batch", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,13 +298,13 @@ func TestPeerSecretEnforced(t *testing.T) {
 	// The cluster client carries the secret on its own requests: a peer
 	// configured with the matching secret can call through PostJSON ...
 	peerOK := cluster.New("b", map[string]string{"a": srv.URL}, cluster.Options{Secret: "ring-credential"})
-	var lr peerLookupResponse
-	if err := peerOK.PostJSON("a", "/v1/peer/lookup", peerLookupRequest{Stage: negativa.StageCompact, Hash: "nope"}, &lr); err != nil {
+	var lr peerBatchLookupResponse
+	if err := peerOK.PostJSON("a", "/v1/peer/lookup-batch", probe, &lr); err != nil {
 		t.Fatalf("peer with matching secret: %v", err)
 	}
 	// ... and one with no (or the wrong) secret is refused.
 	peerBad := cluster.New("b", map[string]string{"a": srv.URL}, cluster.Options{})
-	if err := peerBad.PostJSON("a", "/v1/peer/lookup", peerLookupRequest{Stage: negativa.StageCompact, Hash: "nope"}, &lr); err == nil {
+	if err := peerBad.PostJSON("a", "/v1/peer/lookup-batch", probe, &lr); err == nil {
 		t.Fatal("peer without the secret was accepted")
 	}
 }

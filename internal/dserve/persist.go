@@ -86,7 +86,7 @@ func spillResult(st *castore.Store, key string, ld *negativa.LibDebloat) error {
 	if err := st.Put(kindLib, dhex, lib.Data); err != nil {
 		return err
 	}
-	if err := st.Put(kindSparse, key, lr.Sparse.Encode()); err != nil {
+	if err := st.Put(kindSparse, key, lr.Sparse.EncodeWire()); err != nil {
 		return err
 	}
 	data, err := json.Marshal(storedResultOf(ld))

@@ -36,9 +36,8 @@ import (
 	"negativaml/internal/plan"
 )
 
-// repairStatChunk bounds one stat probe's object list — well under the
-// handler's maxStatObjects so mixed-version peers with a smaller bound
-// still answer.
+// repairStatChunk bounds one stat probe's object list, well under the
+// handler's maxStatObjects.
 const repairStatChunk = 256
 
 // replObject is one object of a write-back push.
@@ -64,7 +63,7 @@ func (s *Service) replicateResult(hash string, ld *negativa.LibDebloat, peers []
 	lib := ld.Report.Sparse.Lib()
 	s.pushObjects(peers, []replObject{
 		{kindLib, digestHex(lib), lib.Data},
-		{kindSparse, hash, ld.Report.Sparse.Encode()},
+		{kindSparse, hash, ld.Report.Sparse.EncodeWire()},
 		{kindResult, hash, meta},
 	})
 }

@@ -20,17 +20,13 @@ import (
 
 // bootNode starts one service+server with its own fresh store; the cluster
 // is attached separately so membership can vary per test.
-func bootNode(t *testing.T, id string, mutate func(*Config)) *testNode {
+func bootNode(t *testing.T, id string) *testNode {
 	t.Helper()
 	st, err := castore.Open(t.TempDir(), castore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Workers: 4, MaxSteps: 2, Store: st}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	svc := NewService(cfg)
+	svc := NewService(Config{Workers: 4, MaxSteps: 2, Store: st})
 	srv := httptest.NewServer(NewHandler(svc))
 	return &testNode{id: id, svc: svc, srv: srv, store: st}
 }
@@ -123,8 +119,8 @@ func waitRingSize(t *testing.T, nodes []*testNode, want int) {
 // sweep must find nothing left to move, and the healed peer must then
 // serve the same batch without recomputing any analysis.
 func TestRepairSweepHealsEmptyReplica(t *testing.T) {
-	a := bootNode(t, "a", nil)
-	b := bootNode(t, "b", nil)
+	a := bootNode(t, "a")
+	b := bootNode(t, "b")
 	defer a.close()
 	defer b.close()
 
@@ -177,21 +173,14 @@ func TestRepairSweepHealsEmptyReplica(t *testing.T) {
 	}
 }
 
-// TestReplicaReadSparseWireInterop mixes wire generations in one replica
-// set: node b is pinned to the v1 sparse encoding (a pre-v2 node on the
-// wire), node a speaks v2. Replication pushes always carry the canonical
-// v1 object encoding, so the batch computed through a must be fully
-// reusable on b — and the served libraries byte-identical across both.
+// TestReplicaReadSparseWireInterop is the read-compat promise of the one
+// sparse encoding: node a's store was written by an earlier build (every
+// range set in the fixed-width v1 frame), node b is fresh. a must hand its
+// stored v1 bytes out untouched through lookup-batch, b must decode them
+// into byte-identical libraries without analysing anything, and a itself
+// must restore warm from the v1 objects — an old store costs a decode,
+// never a recompute and never a wrong image.
 func TestReplicaReadSparseWireInterop(t *testing.T) {
-	a := bootNode(t, "a", nil)
-	b := bootNode(t, "b", func(c *Config) { c.DisableSparseWireV2 = true })
-	defer a.close()
-	defer b.close()
-	urls := map[string]string{"a": a.srv.URL, "b": b.srv.URL}
-	opt := cluster.Options{ReplicaSets: 2, FailureThreshold: 1, Probation: time.Hour, Timeout: 30 * time.Second}
-	attachNode(a, urls, opt)
-	attachNode(b, urls, opt)
-
 	req := JobRequest{
 		Framework: "pytorch",
 		TailLibs:  8,
@@ -201,36 +190,88 @@ func TestReplicaReadSparseWireInterop(t *testing.T) {
 		},
 		MaxSteps: 2,
 	}
-	stA := postJob(t, a.srv, req)
-	if doneA := pollDone(t, a.srv, stA.ID); doneA.State != JobDone {
-		t.Fatalf("node A job failed: %s", doneA.Error)
-	}
-	a.svc.WaitReplication()
-	b.svc.WaitReplication()
-	a.svc.Cache.Flush()
-	b.svc.Cache.Flush()
 
-	// With R=2 over two nodes, both own every key: after write-back
-	// replication b holds every artifact.
-	before := b.svc.Counters.Get("analysis.computed")
-	stB := postJob(t, b.srv, req)
-	if doneB := pollDone(t, b.srv, stB.ID); doneB.State != JobDone {
-		t.Fatalf("node B job failed: %s", doneB.Error)
+	// An earlier run fills the store; this build persists the v2 frame.
+	dir := t.TempDir()
+	st, err := castore.Open(dir, castore.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if delta := b.svc.Counters.Get("analysis.computed") - before; delta != 0 {
-		t.Fatalf("v1 peer recomputed %d analysis stages; replication should have covered them", delta)
+	first := NewService(Config{Workers: 4, MaxSteps: 2, Store: st})
+	firstSrv := httptest.NewServer(NewHandler(first))
+	stFirst := postJob(t, firstSrv, req)
+	if done := pollDone(t, firstSrv, stFirst.ID); done.State != JobDone {
+		t.Fatalf("first run failed: %s", done.Error)
 	}
+	want := first.Job(stFirst.ID).Result.DebloatedLibs()
+	keys := first.Job(stFirst.ID).Result.libKeys
+	firstSrv.Close()
+	first.Close()
 
-	var repA jobReport
-	if code := getJSON(t, a.srv.URL+"/v1/jobs/"+stA.ID+"/report", &repA); code != http.StatusOK {
-		t.Fatalf("node A report status %d", code)
-	}
-	for _, lr := range repA.Libs {
-		la := fetchPeerJobLib(t, a.srv, stA.ID, lr.Name)
-		lb := fetchPeerJobLib(t, b.srv, stB.ID, lr.Name)
-		if !bytes.Equal(la, lb) {
-			t.Fatalf("library %s differs between the v2 and v1 nodes", lr.Name)
+	// Rewrite every range set the way the earlier build stored it.
+	v1 := map[string][]byte{}
+	st.Walk(kindSparse, func(key string, _ int64) error {
+		enc, _ := st.Get(kindSparse, key)
+		if got := negativa.SparseWireVersion(enc); got != 2 {
+			t.Fatalf("sparse object %s persisted in codec v%d, want the v2 frame", key, got)
 		}
+		if v1[key], err = negativa.TranscodeSparseWire(enc, 1); err != nil {
+			t.Fatal(err)
+		}
+		return nil
+	})
+	if len(v1) == 0 {
+		t.Fatal("the first run persisted no sparse objects")
+	}
+	st.Close()
+	if st, err = castore.Open(dir, castore.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for key, enc := range v1 {
+		st.Delete(kindSparse, key)
+		if err := st.Put(kindSparse, key, enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	svcA := NewService(Config{Workers: 4, MaxSteps: 2, Store: st})
+	a := &testNode{id: "a", svc: svcA, srv: httptest.NewServer(NewHandler(svcA)), store: st}
+	b := bootNode(t, "b")
+	defer a.close()
+	defer b.close()
+	urls := map[string]string{"a": a.srv.URL, "b": b.srv.URL}
+	opt := cluster.Options{ReplicaSets: 2, FailureThreshold: 1, Probation: time.Hour, Timeout: 30 * time.Second}
+	attachNode(a, urls, opt)
+	attachNode(b, urls, opt)
+
+	// The disk tier answers a peer with the stored bytes as they are.
+	var lr peerBatchLookupResponse
+	probe := peerBatchLookupRequest{Keys: []peerLookupRequest{{Stage: negativa.StageCompact, Hash: keys[0]}}}
+	if code := postPeer(t, a.srv, "/v1/peer/lookup-batch", probe, &lr); code != http.StatusOK || len(lr.Results) != 1 || !lr.Results[0].Found {
+		t.Fatalf("lookup-batch against the v1 store: status %d, results %+v", code, lr.Results)
+	}
+	if !bytes.Equal(lr.Results[0].Sparse, v1[keys[0]]) {
+		t.Fatal("lookup-batch re-encoded the stored range set instead of handing it out untouched")
+	}
+
+	// b first (a's memory tier is still cold, so every value b reads comes
+	// off a's v1 disk objects), then a itself from its own disk.
+	for _, n := range []*testNode{b, a} {
+		stN := postJob(t, n.srv, req)
+		if done := pollDone(t, n.srv, stN.ID); done.State != JobDone || done.Verified == nil || !*done.Verified {
+			t.Fatalf("node %s job: state %s verified %v: %s", n.id, done.State, done.Verified, done.Error)
+		}
+		if got := n.svc.Counters.Get("analysis.computed"); got != 0 {
+			t.Fatalf("node %s recomputed %d analysis stages over a v1 store", n.id, got)
+		}
+		for name, img := range want {
+			if got := fetchPeerJobLib(t, n.srv, stN.ID, name); !bytes.Equal(got, img) {
+				t.Fatalf("library %s served by node %s differs from the run that filled the store", name, n.id)
+			}
+		}
+	}
+	if b.svc.Counters.Get("peer.hits") == 0 {
+		t.Fatal("node b read nothing through node a")
 	}
 }
 
@@ -268,7 +309,7 @@ func TestClusterRollingRestartE2E(t *testing.T) {
 
 	urls := map[string]string{}
 	for _, id := range []string{"a", "b", "c"} {
-		n := bootNode(t, id, nil)
+		n := bootNode(t, id)
 		live = append(live, n)
 		urls[id] = n.srv.URL
 	}
@@ -366,7 +407,7 @@ func TestClusterRollingRestartE2E(t *testing.T) {
 		}
 		survivors := append([]*testNode{}, live...)
 		topo.RUnlock()
-		r := bootNode(t, v.id+"r", nil)
+		r := bootNode(t, v.id+"r")
 		peerURLs[r.id] = r.srv.URL
 		attachNode(r, peerURLs, opt)
 		if acked := r.svc.Cluster().Join(); acked == 0 {

@@ -68,7 +68,8 @@ func peerStats(s *Service) map[string]any {
 // NewHandler returns the service's HTTP/JSON API, served by
 // cmd/negativa-served:
 //
-//	POST /v1/jobs                   submit a batch job (JobRequest body)
+//	POST /v1/jobs                   submit a batch job (JobRequest body;
+//	                                "base" extends a completed job)
 //	GET  /v1/jobs                   list job statuses
 //	GET  /v1/jobs/{id}              one job's status
 //	GET  /v1/jobs/{id}/report       full report of a completed job
@@ -91,7 +92,7 @@ const maxRequestBytes = 1 << 20
 
 func newMux(s *Service) *http.ServeMux {
 	mux := http.NewServeMux()
-	submit := func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		// Cap the body before decoding: size limits in Validate cannot
 		// protect against a request that OOMs the decoder itself.
 		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
@@ -120,12 +121,7 @@ func newMux(s *Service) *http.ServeMux {
 			return
 		}
 		writeJSON(w, http.StatusAccepted, statusOf(job))
-	}
-	mux.HandleFunc("POST /v1/jobs", submit)
-	// /v1/submit is the incremental-friendly alias: the same body, with
-	// "base" naming a completed job whose workload set the submission
-	// extends.
-	mux.HandleFunc("POST /v1/submit", submit)
+	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		jobs := s.Jobs()
 		out := make([]jobStatus, len(jobs))

@@ -89,26 +89,11 @@ type Config struct {
 	// and streamed wherever absent. Zero disables the loop; RepairNow stays
 	// callable either way.
 	RepairInterval time.Duration
-	// DisableSparseWireV2 stops this node from advertising the compact v2
-	// sparse wire codec on outgoing peer requests, so every response it
-	// receives arrives in the v1 encoding. Responding in v2 is driven
-	// purely by the requester's header, so this knob makes the node behave
-	// exactly like a pre-v2 peer on the wire — the escape hatch (and the
-	// interop test's old-node stand-in) if a mixed-version cluster
-	// misbehaves.
-	DisableSparseWireV2 bool
 	// IngestRoot, when non-empty, enables ingestion-mode submissions
 	// (JobRequest.IngestDir): requested directories resolve relative to
 	// this root and are confined to it. Empty rejects ingestion requests —
 	// a node never reads arbitrary paths unless its operator opted in.
 	IngestRoot string
-	// DisablePeerBatch turns the batched peer-lookup path off on both
-	// sides of the wire: the node stops serving /v1/peer/lookup-batch
-	// (answering the plain 404 an old node would) and stops issuing batch
-	// prefetches of its own, degrading to per-key lookups. The escape
-	// hatch (and the interop test's old-node stand-in) if a mixed-version
-	// cluster misbehaves.
-	DisablePeerBatch bool
 }
 
 // Service is the batch-debloat service core: the profile registry, the
@@ -233,15 +218,6 @@ func (s *Service) AttachCluster(c *cluster.Cluster) {
 	s.cluster = c
 	s.stages.AttachCluster(c)
 	s.stages.AttachReplicator(s.replicateResult, s.replicateProfile)
-	if s.cfg.DisablePeerBatch {
-		s.stages.DisableBatching()
-	}
-	// Advertise the compact sparse wire codec on every outgoing peer
-	// request. Decoding is unconditional (DecodeSparseImage sniffs the
-	// magic), so the knob only controls what peers are invited to send.
-	if !s.cfg.DisableSparseWireV2 {
-		c.SetHeader(SparseCodecHeader, sparseCodecV2)
-	}
 	if s.store != nil && s.cfg.RepairInterval > 0 {
 		s.repairStop = make(chan struct{})
 		s.repairWG.Add(1)
@@ -550,15 +526,15 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	// batches every detect key the graph will need into grouped
 	// lookup-batch round trips (one per remote replica set) before the
 	// detect nodes consult the memo — collapsing the peer-warm batch's
-	// per-key lookups into a handful of scatter-gather calls. The node is
-	// glue, not a stage: found profiles land in the registry, clean misses
-	// are marked so detect nodes skip their own probe.
-	// markKeys scopes the prefetch outcome marks (prefetched / missed) to
-	// this batch: stage nodes consume their marks on the happy path, but a
-	// batch aborting between prefetch and consumption must not leave stale
-	// entries in the service-wide memo. The compact prefetch node appends
-	// its keys during execution; ExecuteWith waits for every node before
-	// returning, so the deferred clear observes the final slice.
+	// reads into a handful of scatter-gather calls. The node is glue, not a
+	// stage: found profiles land in the registry, and it is the only remote
+	// read the detect keys get.
+	// markKeys scopes the prefetch marks to this batch: stage nodes consume
+	// their marks on the happy path, but a batch aborting between prefetch
+	// and consumption must not leave stale entries in the service-wide
+	// memo. The compact prefetch node appends its keys during execution;
+	// ExecuteWith waits for every node before returning, so the deferred
+	// clear observes the final slice.
 	var markKeys []plan.Key
 	defer func() { s.stages.clearMarks(markKeys) }()
 

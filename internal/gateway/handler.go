@@ -57,7 +57,6 @@ func NewHandler(g *Gateway, inner http.Handler) http.Handler {
 	h := &handler{g: g, inner: inner}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", h.submit)
-	mux.HandleFunc("POST /v1/submit", h.submit)
 	mux.HandleFunc("GET /v1/jobs", h.list)
 	mux.HandleFunc("GET /v1/jobs/{id}", h.status)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", h.cancel)

@@ -174,7 +174,7 @@ func TestAuthRequired(t *testing.T) {
 	// non-clustered default) refuses them outright, even with a valid key —
 	// tenants must never reach the backend's peer surface.
 	for _, key := range []string{"", "key-acme"} {
-		req, _ := http.NewRequest("POST", ts.URL+"/v1/peer/lookup", strings.NewReader("{}"))
+		req, _ := http.NewRequest("POST", ts.URL+"/v1/peer/lookup-batch", strings.NewReader("{}"))
 		if key != "" {
 			req.Header.Set("Authorization", "Bearer "+key)
 		}
@@ -196,8 +196,8 @@ func TestPeerPassthrough(t *testing.T) {
 	ts, _, svc := newFrontDoor(t, Config{PeerPassthrough: true}, twoTenants())
 	svc.AttachCluster(cluster.New("solo", nil, cluster.Options{}))
 
-	presp, err := http.Post(ts.URL+"/v1/peer/lookup", "application/json",
-		strings.NewReader(`{"stage":"compact","hash":"nope"}`))
+	presp, err := http.Post(ts.URL+"/v1/peer/lookup-batch", "application/json",
+		strings.NewReader(`{"keys":[{"stage":"compact","hash":"nope"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,13 +206,15 @@ func TestPeerPassthrough(t *testing.T) {
 		t.Fatalf("forwarded peer lookup: status %d, want 200", presp.StatusCode)
 	}
 	var lr struct {
-		Found bool `json:"found"`
+		Results []struct {
+			Found bool `json:"found"`
+		} `json:"results"`
 	}
 	if err := json.NewDecoder(presp.Body).Decode(&lr); err != nil {
 		t.Fatal(err)
 	}
-	if lr.Found {
-		t.Fatal("lookup invented a result")
+	if len(lr.Results) != 1 || lr.Results[0].Found {
+		t.Fatalf("forwarded lookup answered %+v, want one found=false result", lr.Results)
 	}
 }
 
@@ -483,7 +485,7 @@ func TestBaseTranslation(t *testing.T) {
 	inc := LoadRequest(1, 8, 2)
 	inc.Base = base.ID
 	var incSt gwStatus
-	resp := doJSON(t, "POST", ts.URL+"/v1/submit", "key-acme", inc, &incSt)
+	resp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", inc, &incSt)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("incremental submit: status %d", resp.StatusCode)
 	}
@@ -497,7 +499,7 @@ func TestBaseTranslation(t *testing.T) {
 	// Another tenant cannot use acme's job as a base.
 	inc2 := LoadRequest(1, 8, 2)
 	inc2.Base = base.ID
-	bresp := doJSON(t, "POST", ts.URL+"/v1/submit", "key-beta", inc2, nil)
+	bresp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-beta", inc2, nil)
 	if bresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("cross-tenant base: status %d, want 404", bresp.StatusCode)
 	}

@@ -221,8 +221,10 @@ const (
 	sparseHeaderSize        = 52
 )
 
-// Encode serializes the sparse image's range set with a version header
-// binding it to the library's content digest.
+// Encode serializes the sparse image's range set in the fixed-width v1
+// frame, bound to the library's content digest. The serving plane writes
+// EncodeWire; this stays as the encoder of the v1 frames the read-compat
+// tests and the benchmark probes feed DecodeSparseImage.
 func (s *SparseImage) Encode() []byte {
 	le := binary.LittleEndian
 	buf := make([]byte, sparseHeaderSize+16*len(s.zeroed))
@@ -242,9 +244,9 @@ func (s *SparseImage) Encode() []byte {
 }
 
 // DecodeSparseImage reconstructs a sparse image over lib from an encoded
-// range set, accepting either codec version by magic: the fixed-width v1
-// encoding (persisted objects) or the compact delta/varint v2 wire codec
-// (negotiated peer responses). Corrupt input — bad magic or version, a
+// range set, accepting either codec version by magic: the compact
+// delta/varint v2 encoding (what is stored and sent) or the fixed-width v1
+// encoding (stores written by earlier builds). Corrupt input — bad magic or version, a
 // digest or size that does not match lib, truncation, or ranges that are
 // unsorted, overlapping, empty, or out of bounds — is rejected with an
 // error, never a panic: the decoder is a fuzz target and persisted bytes

@@ -9,9 +9,10 @@ import (
 	"negativaml/internal/fatbin"
 )
 
-// Compact sparse wire codec (version 2): the same digest-bound range set as
-// the v1 encoding, with the fixed 16-byte-per-range table replaced by
-// delta/varint coding. Zeroed ranges are sorted and disjoint, so each is
+// Compact sparse codec (version 2), the one encoding the serving plane
+// writes to disk and to the wire: the same digest-bound range set as the v1
+// encoding, with the fixed 16-byte-per-range table replaced by delta/varint
+// coding. Zeroed ranges are sorted and disjoint, so each is
 // fully determined by its gap from the previous range's end and its
 // length — two uvarints, typically 2–6 bytes against v1's fixed 16.
 //
@@ -25,11 +26,11 @@ import (
 //	               gap    = start − previous range's end (≥ 0)
 //	               length = end − start (≥ 1)
 //
-// v2 is a wire format: peers negotiate it per request (see the dserve peer
-// protocol) and DecodeSparseImage accepts either version by magic, so
-// mixed-version clusters interoperate — an old node simply never sees v2
-// bytes, and a new node decodes whatever arrives. Persisted objects stay
-// canonical v1.
+// DecodeSparseImage accepts either version by magic, so stores written
+// before v2 became the stored form still restore; nothing writes v1 any
+// more (SparseImage.Encode and TranscodeSparseWire remain as the v1
+// read-compat fixture the tests and the benchmark probes build frames
+// with).
 const (
 	sparseMagicV2   uint32 = 0x3250534e // "NSP2" little-endian
 	sparseVersionV2 uint16 = 2
@@ -38,7 +39,8 @@ const (
 	sparseWirePrefix = 48
 )
 
-// EncodeWire serializes the sparse image in the compact v2 wire codec.
+// EncodeWire serializes the sparse image in the compact v2 codec — the
+// bytes persisted, replicated and answered to peers alike.
 func (s *SparseImage) EncodeWire() []byte {
 	buf := make([]byte, sparseWirePrefix, sparseWirePrefix+binary.MaxVarintLen32+2*binary.MaxVarintLen64*len(s.zeroed))
 	le := binary.LittleEndian
