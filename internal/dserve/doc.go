@@ -18,6 +18,8 @@
 //	                         │           |                |
 //	                         └──── compact(lib1) … compact(libN)
 //	                                      \              /
+//	                                 [clone chunk] … [clone chunk]
+//	                                      \              /
 //	                                       [clone install]
 //	                                      /              \
 //	                            verifyrun(w1)  …  verifyrun(wM)

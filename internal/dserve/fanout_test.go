@@ -1,0 +1,196 @@
+package dserve
+
+import (
+	"bytes"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"negativaml/internal/bufpool"
+	"negativaml/internal/fatbin"
+	"negativaml/internal/mlframework"
+	"negativaml/internal/mlruntime"
+	"negativaml/internal/negativa"
+	"negativaml/internal/plan"
+)
+
+// ingestedBatch ingests the tree under root/rel on svc, runs one batch over
+// it and returns only whether the batch verified: neither the install nor the
+// result leaves this frame, so after it returns the service alone decides
+// whether the install stays reachable. The finalizer closes freed when the
+// install is collected.
+//
+//go:noinline
+func ingestedBatch(t *testing.T, svc *Service, rel string, freed chan struct{}) bool {
+	t.Helper()
+	in, err := svc.ingestInstall(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.SetFinalizer(in, func(*mlframework.Install) { close(freed) })
+	w, err := WorkloadSpec{Model: "MobileNetV2", Batch: 1}.Workload(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := svc.DebloatBatch(in, []mlruntime.Workload{w}, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.AllVerified()
+}
+
+// TestIngestedInstallIsNotPinnedByTheService: every ingest_dir submit builds a
+// fresh *mlframework.Install, so a per-pointer memo of anything about it can
+// never hit and only pins the install — with every library's bytes — after
+// its batch is gone. Once the batch's result is dropped (a job evicted), the
+// install must be collectable while the service lives on.
+func TestIngestedInstallIsNotPinnedByTheService(t *testing.T) {
+	root := t.TempDir()
+	if err := testInstall(t).WriteTo(filepath.Join(root, "tree")); err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(Config{Workers: 2, MaxSteps: 2, IngestRoot: root})
+	defer svc.Close()
+
+	freed := make(chan struct{})
+	if !ingestedBatch(t, svc, "tree", freed) {
+		t.Fatal("ingested batch did not verify")
+	}
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-deadline:
+			t.Fatal("the service still holds the ingested install after its batch is gone")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// TestDebloatBatchIsWidthIndependent: the pool width decides how many clone
+// chunks a batch has and how its nodes interleave, never what it produces —
+// with 1, 2 and 8 workers every library streams the same bytes and every
+// member verifies.
+func TestDebloatBatchIsWidthIndependent(t *testing.T) {
+	in := testInstall(t)
+	ws := testWorkloads(t, in)
+	var want map[string][]byte
+	for _, workers := range []int{1, 2, 8} {
+		svc := NewService(Config{Workers: workers, MaxSteps: 2})
+		res, err := svc.DebloatBatch(in, ws, BatchOptions{})
+		svc.Close()
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		for _, o := range res.Workloads {
+			if !o.Verified {
+				t.Errorf("workers %d: %s not verified", workers, o.Name)
+			}
+		}
+		got := make(map[string][]byte, len(res.Libs))
+		for _, lr := range res.Libs {
+			var buf bytes.Buffer
+			if _, err := lr.Sparse.WriteTo(&buf); err != nil {
+				t.Fatalf("workers %d: stream %s: %v", workers, lr.Name, err)
+			}
+			got[lr.Name] = buf.Bytes()
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers %d: %d libraries, want %d", workers, len(got), len(want))
+		}
+		for name, b := range want {
+			if !bytes.Equal(got[name], b) {
+				t.Errorf("workers %d: %s streams different bytes than with 1 worker", workers, name)
+			}
+		}
+	}
+}
+
+// cloneGraph builds the verify clone over already-finished compact results:
+// one trivial node per library standing in for its compact node.
+func cloneGraph(in *mlframework.Install, images []*negativa.SparseImage, chunks int, bufs [][]byte) (*plan.Graph, *plan.Node) {
+	g := plan.New()
+	compacts := make([]*plan.Node, len(images))
+	for i, sp := range images {
+		ld := &negativa.LibDebloat{Report: &negativa.LibraryReport{Name: in.LibNames[i], Sparse: sp}}
+		compacts[i] = g.Node(negativa.StageCompact, nil, nil, func([]any) (any, error) { return ld, nil })
+	}
+	return g, verifyClone(g, in, compacts, chunks, bufs)
+}
+
+// TestVerifyCloneFailureNamesTheLibrary: a debloated image that no longer
+// parses fails its chunk node, and through it the batch, with the library's
+// name — whichever chunk it fell into.
+func TestVerifyCloneFailureNamesTheLibrary(t *testing.T) {
+	in := testInstall(t)
+	for _, chunks := range []int{1, 3} {
+		victim := in.LibNames[len(in.LibNames)-2]
+		images := make([]*negativa.SparseImage, len(in.LibNames))
+		for i, name := range in.LibNames {
+			var zeroed []fatbin.Range
+			if name == victim {
+				zeroed = []fatbin.Range{{Start: 0, End: 64}} // the ELF header
+			}
+			images[i] = negativa.NewSparseImage(in.Library(name), zeroed)
+		}
+		bufs := make([][]byte, len(images))
+		g, _ := cloneGraph(in, images, chunks, bufs)
+		err := g.Execute(plan.NewPool(chunks), nil, nil)
+		for _, b := range bufs {
+			bufpool.Put(b)
+		}
+		if err == nil || !strings.Contains(err.Error(), victim) {
+			t.Errorf("%d chunks: error %v, want one naming %s", chunks, err, victim)
+		}
+	}
+}
+
+// BenchmarkVerifyClone is the microbenchmark of the verify clone: every
+// debloated library of a Table-1-shaped install (pytorch141) materialized
+// into pooled scratch and parsed, as a plan over GOMAXPROCS workers. Run with
+// -cpu 1,2: one worker is one chunk, the serial loop.
+func BenchmarkVerifyClone(b *testing.B) {
+	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 141})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := WorkloadSpec{Model: "MobileNetV2", Batch: 1}.Workload(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc := NewService(Config{MaxSteps: 2})
+	defer svc.Close()
+	res, err := svc.DebloatBatch(in, []mlruntime.Workload{w}, BatchOptions{SkipVerify: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	images := make([]*negativa.SparseImage, len(res.Libs))
+	for i, lr := range res.Libs {
+		images[i] = lr.Sparse
+	}
+	workers := runtime.GOMAXPROCS(0)
+	pool := plan.NewPool(workers)
+	bufs := make([][]byte, len(images))
+	b.SetBytes(in.TotalFileSize())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, clone := cloneGraph(in, images, workers, bufs)
+		if err := g.Execute(pool, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		if len(clone.Value().(*mlframework.Install).Libs) != len(in.Libs) {
+			b.Fatal("clone lost libraries")
+		}
+		for _, buf := range bufs {
+			bufpool.Put(buf)
+		}
+	}
+}

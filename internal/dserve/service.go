@@ -12,6 +12,7 @@ import (
 	"negativaml/internal/bufpool"
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
+	"negativaml/internal/elfx"
 	"negativaml/internal/gpuarch"
 	"negativaml/internal/ingest"
 	"negativaml/internal/metrics"
@@ -140,8 +141,6 @@ type Service struct {
 	repairStop chan struct{}
 	repairWG   sync.WaitGroup
 
-	// fingerprints memoizes InstallFingerprint per immutable *Install.
-	fingerprints *boundedMemo
 	// restoredLibs memoizes store-image parses per content digest, so
 	// restored jobs sharing libraries (the dependency tail) parse each
 	// image once.
@@ -185,7 +184,6 @@ func NewService(cfg Config) *Service {
 		jobs:         map[string]*Job{},
 		installs:     map[string]*installSlot{},
 		costs:        map[string]stageCostEntry{},
-		fingerprints: newBoundedMemo(64),
 		restoredLibs: newBoundedMemo(64),
 		peerSem:      make(chan struct{}, cfg.Workers),
 	}
@@ -467,7 +465,7 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 		}
 	}
 	maxSteps := s.effectiveSteps(opt.MaxSteps)
-	fp := s.fingerprint(in)
+	fp := InstallFingerprint(in)
 
 	ids := make([]string, len(workloads))
 	for i := range workloads {
@@ -678,11 +676,13 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	// a resubmitted batch re-validates what the service hands out; only an
 	// explicit incremental base carries outcomes over.
 	verifies := make([]*plan.Node, len(workloads))
-	// Pooled scratch backing the verify clone's materialized libraries. The
-	// clone node (single, unmemoized) fills it; nothing aliases the buffers
-	// once Execute returns — verify values are scalar Results — so they are
-	// recycled on every exit path.
-	var cloneBufs [][]byte
+	// Pooled scratch backing the verify clone's materialized libraries, one
+	// slot per library so the clone nodes fill it without sharing. The clone
+	// only lives until the verify nodes finish and nothing aliases the
+	// buffers once Execute returns — verify values are scalar Results — so
+	// they go back to the pool on every exit path instead of becoming
+	// per-batch garbage.
+	cloneBufs := make([][]byte, len(names))
 	defer func() {
 		for _, b := range cloneBufs {
 			bufpool.Put(b)
@@ -696,24 +696,7 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 			}
 		}
 		if fresh > 0 {
-			cloneNode := g.Node("clone", compacts, nil, func(deps []any) (any, error) {
-				debloated := make(map[string][]byte, len(deps))
-				for i, d := range deps {
-					// Materialize the verify clone's library images into
-					// pooled scratch: the clone only lives until the verify
-					// nodes finish, so the buffers go back to the pool at the
-					// end of this batch instead of becoming per-batch garbage.
-					sp := d.(*negativa.LibDebloat).Report.Sparse
-					buf := bufpool.Get(int(sp.Len()))
-					cloneBufs = append(cloneBufs, buf)
-					debloated[names[i]] = sp.MaterializeInto(buf)
-				}
-				clone, err := in.CloneWithLibs(debloated)
-				if err != nil {
-					return nil, fmt.Errorf("dserve: clone install: %w", err)
-				}
-				return clone, nil
-			})
+			cloneNode := verifyClone(g, in, compacts, s.pool.Workers(), cloneBufs)
 			for i := range workloads {
 				if carried[i] {
 					continue
@@ -820,6 +803,60 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	return res, nil
 }
 
+// verifyClone adds the verify clone to g: the install with every library
+// replaced by its debloated image, which is the one value every verify run
+// waits on. compacts are the compact nodes in in.LibNames order. The work is
+// per library — materialize the sparse image into pooled scratch (kept in
+// bufs[i] for the caller to recycle once the graph has run), then parse it —
+// so it is split into about chunks "clone" nodes over contiguous runs of
+// libraries, each ready as soon as its own compacts are, joined by one more
+// "clone" node whose value is the *mlframework.Install. The runs hold about
+// equal bytes, not equal counts: load order puts an install's few large
+// framework libraries first and its many small dependencies last. All of the
+// nodes are unmemoized glue inside g, scheduled and bounded like any other.
+func verifyClone(g *plan.Graph, in *mlframework.Install, compacts []*plan.Node, chunks int, bufs [][]byte) *plan.Node {
+	names := in.LibNames
+	libs := make([]*elfx.Library, len(names))
+	var total int64
+	for _, name := range names {
+		total += in.Library(name).FileSize()
+	}
+	var parts []*plan.Node
+	next, sum := 0, int64(0)
+	for i, name := range names {
+		sum += in.Library(name).FileSize()
+		if i+1 < len(names) && sum*int64(chunks) < int64(len(parts)+1)*total {
+			continue
+		}
+		lo, hi := next, i+1
+		next = hi
+		parts = append(parts, g.Node("clone", compacts[lo:hi], nil, func(deps []any) (any, error) {
+			for j, d := range deps {
+				i := lo + j
+				sp := d.(*negativa.LibDebloat).Report.Sparse
+				bufs[i] = bufpool.Get(int(sp.Len()))
+				lib, err := elfx.Parse(names[i], sp.MaterializeInto(bufs[i]))
+				if err != nil {
+					return nil, fmt.Errorf("dserve: clone install: replace %s: %w", names[i], err)
+				}
+				libs[i] = lib
+			}
+			return nil, nil
+		}))
+	}
+	return g.Node("clone", parts, nil, func([]any) (any, error) {
+		clone := *in
+		clone.Libs = make(map[string]*elfx.Library, len(in.Libs))
+		for name, lib := range in.Libs {
+			clone.Libs[name] = lib
+		}
+		for i, name := range names {
+			clone.Libs[name] = libs[i]
+		}
+		return &clone, nil
+	})
+}
+
 // StageCost implements plan.CostModel from the service's measured
 // stage-timing history: a stage's expected cost is the median of its
 // recent wall times, so critical-path dispatch weights nodes by what this
@@ -917,11 +954,4 @@ func (s *Service) ingestInstall(rel string) (*mlframework.Install, error) {
 	s.Counters.Add("ingests.trees", 1)
 	s.Counters.Add("ingests.libraries", int64(len(in.LibNames)))
 	return in, nil
-}
-
-// fingerprint memoizes InstallFingerprint per install pointer — installs
-// are immutable (the package's concurrency contract), so hashing the
-// library bytes once per install is enough; warm batches skip the rehash.
-func (s *Service) fingerprint(in *mlframework.Install) string {
-	return s.fingerprints.get(in, func() any { return InstallFingerprint(in) }).(string)
 }

@@ -131,6 +131,11 @@ func (l *Library) Index() *LibIndex {
 	return x
 }
 
+// Indexed reports whether Index has already run on this library, that is
+// whether Index and ContentDigest are now lookups rather than a hash and a
+// walk of the whole image.
+func (l *Library) Indexed() bool { return l.idx.Load() != nil }
+
 // ContentDigest returns the SHA-256 of the library image, memoized with the
 // index — callers content-addressing locate/compact results (the batch
 // service) share the hash work with the locators.

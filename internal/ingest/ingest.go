@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"negativaml/internal/elfx"
 	"negativaml/internal/mlframework"
+	"negativaml/internal/plan"
 )
 
 // Class is the classification assigned to every walked file.
@@ -96,14 +98,69 @@ type Result struct {
 	Manifest *mlframework.Manifest
 }
 
-// readFile is swapped by tests to inject read failures: the suite runs as
-// root, where permission bits cannot produce them.
-var readFile = os.ReadFile
+// readFile returns as much of a file as classification needs: all of it
+// when it starts with the ELF magic, its first four bytes (fewer for a
+// shorter file) otherwise. Tests swap it to inject read failures: the suite
+// runs as root, where permission bits cannot produce them. Classification
+// calls it from several goroutines at once, so a replacement must be safe for
+// concurrent use, and must be swapped only while no Tree call is running.
+var readFile = readMagicOrELF
+
+var elfMagic = []byte{0x7f, 'E', 'L', 'F'}
+
+// readMagicOrELF opens the file once: a tree's weights, datasets and scripts
+// are classified from their magic without being read, and a shared object is
+// read through the handle its magic was read from.
+func readMagicOrELF(name string) ([]byte, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	magic := make([]byte, len(elfMagic))
+	n, err := io.ReadFull(f, magic)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return magic[:n], nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(magic, elfMagic) {
+		return magic, nil
+	}
+	// The rest, as os.ReadFile reads it: the stat'ed size plus one byte, so
+	// that the read which finds EOF needs no regrowth, and grown to whatever
+	// the file turns out to hold if the size was wrong.
+	size := len(magic)
+	if fi, err := f.Stat(); err == nil && int64(int(fi.Size())) == fi.Size() && int(fi.Size()) > size {
+		size = int(fi.Size())
+	}
+	data := append(make([]byte, 0, size+1), magic...)
+	for {
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+		n, err := f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
 
 // Tree walks dir, classifies every file, and resolves the DT_NEEDED
 // dependency closure. It returns an error only for defects of the tree as a
 // whole (unreadable root, bound overflow, ambiguous sonames, unknown
 // explicit entries); per-file anomalies are classified in Result.Files.
+//
+// The walk only lists: it reads directory entries, so MaxFiles and MaxDepth
+// reject an oversized tree before a byte of file content is read. The listed
+// files are then classified — sniffed, read and parsed — across CPUs while
+// install.json decodes beside them, and registered in walk order, so the
+// result and every error are those of a one-file-at-a-time walk.
 func Tree(dir string, opt Options) (*Result, error) {
 	if opt.MaxFiles <= 0 {
 		opt.MaxFiles = DefaultMaxFiles
@@ -120,23 +177,58 @@ func Tree(dir string, opt Options) (*Result, error) {
 	if err := w.dir(dir, "", 0); err != nil {
 		return nil, err
 	}
+
+	// Task 0 is the manifest decode — the longest single task, so it starts
+	// first; task i+1 classifies w.pending[i].
+	var manifestErr error
+	libs := make([]*elfx.Library, len(w.pending))
+	plan.Each(1+len(w.pending), func(i int) {
+		if i == 0 {
+			if w.manifest {
+				res.Manifest, manifestErr = mlframework.ReadManifest(dir)
+			}
+			return
+		}
+		p := w.pending[i-1]
+		libs[i-1] = classify(p.abs, &res.Files[p.report])
+	})
+
+	for i, lib := range libs {
+		if lib == nil {
+			continue
+		}
+		if err := w.register(lib, res.Files[w.pending[i].report].Path); err != nil {
+			return nil, err
+		}
+	}
 	if err := resolve(res, opt.Entries); err != nil {
 		return nil, err
 	}
-	if m, err := loadManifest(dir, res); err != nil {
-		return nil, err
-	} else {
-		res.Manifest = m
+	if manifestErr != nil {
+		return nil, fmt.Errorf("ingest: %w", manifestErr)
 	}
 	return res, nil
 }
 
+// walker lists a tree. Entries the listing alone classifies (symlinked
+// directories, dangling links, unreadable directories, the manifest) get
+// their final report; every other file gets a report holding its path and
+// size and a pending entry for classify to complete.
 type walker struct {
 	opt Options
 	res *Result
+	// pending are the files whose class depends on their content.
+	pending []pendingFile
+	// manifest records that the root holds an install.json.
+	manifest bool
 	// aliases maps every name a library answers to — file name and
 	// DT_SONAME — to its canonical (file) name, for closure resolution.
 	aliases map[string]string
+}
+
+type pendingFile struct {
+	abs    string
+	report int // index into Result.Files
 }
 
 func (w *walker) dir(abs, rel string, depth int) error {
@@ -169,9 +261,7 @@ func (w *walker) dir(abs, rel string, depth int) error {
 			case fi.IsDir():
 				w.record(FileReport{Path: childRel, Class: ClassSymlinkDir})
 			default:
-				if err := w.file(childAbs, childRel, fi.Size(), depth == 0); err != nil {
-					return err
-				}
+				w.file(childAbs, childRel, fi.Size(), depth == 0)
 			}
 		case e.IsDir():
 			if err := w.dir(childAbs, childRel, depth+1); err != nil {
@@ -182,9 +272,7 @@ func (w *walker) dir(abs, rel string, depth int) error {
 			if fi, err := e.Info(); err == nil {
 				size = fi.Size()
 			}
-			if err := w.file(childAbs, childRel, size, depth == 0); err != nil {
-				return err
-			}
+			w.file(childAbs, childRel, size, depth == 0)
 		}
 		if len(w.res.Files) > w.opt.MaxFiles {
 			return fmt.Errorf("ingest: tree exceeds %d files", w.opt.MaxFiles)
@@ -193,42 +281,43 @@ func (w *walker) dir(abs, rel string, depth int) error {
 	return nil
 }
 
-// file classifies one regular file (possibly behind a symlink).
-func (w *walker) file(abs, rel string, size int64, atRoot bool) error {
-	rep := FileReport{Path: rel, Size: size}
+// file lists one regular file (possibly behind a symlink).
+func (w *walker) file(abs, rel string, size int64, atRoot bool) {
 	if atRoot && filepath.Base(rel) == mlframework.ManifestName {
-		rep.Class = ClassManifest
-		w.record(rep)
-		return nil
+		w.manifest = true
+		w.record(FileReport{Path: rel, Size: size, Class: ClassManifest})
+		return
 	}
+	w.pending = append(w.pending, pendingFile{abs: abs, report: len(w.res.Files)})
+	w.record(FileReport{Path: rel, Size: size})
+}
+
+func (w *walker) record(rep FileReport) { w.res.Files = append(w.res.Files, rep) }
+
+// classify completes the report of one listed file from its content and
+// returns the parsed library when it is a shared object. It touches nothing
+// but *rep, so calls on different files run concurrently.
+func classify(abs string, rep *FileReport) *elfx.Library {
 	data, err := readFile(abs)
-	if err != nil {
-		rep.Class, rep.Err = ClassUnreadable, err.Error()
-		w.record(rep)
-		return nil
-	}
 	switch {
-	case bytes.HasPrefix(data, []byte{0x7f, 'E', 'L', 'F'}):
-		lib, err := elfx.Parse(filepath.Base(rel), data)
+	case err != nil:
+		rep.Class, rep.Err = ClassUnreadable, err.Error()
+	case bytes.HasPrefix(data, elfMagic):
+		lib, err := elfx.Parse(filepath.Base(rep.Path), data)
 		if err != nil {
 			rep.Class, rep.Err = ClassCorruptELF, err.Error()
 			break
 		}
 		rep.Class = ClassSharedObject
 		rep.Soname, rep.Needed, rep.Machine = lib.Soname, lib.Needed, lib.Machine
-		if err := w.register(lib, rel); err != nil {
-			return err
-		}
+		return lib
 	case bytes.HasPrefix(data, []byte("#!")):
 		rep.Class = ClassScript
 	default:
 		rep.Class = ClassData
 	}
-	w.record(rep)
 	return nil
 }
-
-func (w *walker) record(rep FileReport) { w.res.Files = append(w.res.Files, rep) }
 
 // register indexes a parsed shared object under its file name and soname.
 // Two files answering to the same name make every DT_NEEDED edge to that
@@ -328,20 +417,6 @@ func resolve(res *Result, entries []string) error {
 		}
 	}
 	return nil
-}
-
-// loadManifest parses the root install.json when the walk classified one.
-func loadManifest(dir string, res *Result) (*mlframework.Manifest, error) {
-	for _, f := range res.Files {
-		if f.Class == ClassManifest {
-			m, err := mlframework.ReadManifest(dir)
-			if err != nil {
-				return nil, fmt.Errorf("ingest: %w", err)
-			}
-			return m, nil
-		}
-	}
-	return nil, nil
 }
 
 // Install materializes the ingested tree as a debloatable install. The tree

@@ -82,21 +82,22 @@ func report(t *testing.T, res *Result, path string) *FileReport {
 	return nil
 }
 
-// TestHostileLayouts is the walker's hostile-layout corpus: every way a tree
-// we didn't author can be broken, with the exact classification or rejection
-// pinned. No case may panic, and no case may be silently skipped — each
-// either appears in Result.Files with the expected class or rejects the
-// whole tree with an error naming the defect.
-func TestHostileLayouts(t *testing.T) {
-	cases := []struct {
-		name  string
-		build func(t *testing.T, dir string) // materialize the layout
-		opt   Options
-		// wantErr, when non-empty, pins a whole-tree rejection.
-		wantErr string
-		// check inspects the successful Result.
-		check func(t *testing.T, res *Result)
-	}{
+// hostileCase is one layout of the hostile corpus.
+type hostileCase struct {
+	name  string
+	build func(t *testing.T, dir string) // materialize the layout
+	opt   Options
+	// wantErr, when non-empty, pins a whole-tree rejection.
+	wantErr string
+	// check inspects the successful Result.
+	check func(t *testing.T, res *Result)
+}
+
+// hostileCorpus is the walker's hostile-layout corpus: every way a tree we
+// didn't author can be broken, with the exact classification or rejection
+// pinned.
+func hostileCorpus() []hostileCase {
+	return []hostileCase{
 		{
 			name: "symlink loop back to an ancestor terminates",
 			build: func(t *testing.T, dir string) {
@@ -386,8 +387,13 @@ func TestHostileLayouts(t *testing.T) {
 			wantErr: "no such file",
 		},
 	}
+}
 
-	for _, tc := range cases {
+// TestHostileLayouts runs the corpus. No case may panic, and no case may be
+// silently skipped — each either appears in Result.Files with the expected
+// class or rejects the whole tree with an error naming the defect.
+func TestHostileLayouts(t *testing.T) {
+	for _, tc := range hostileCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			tc.build(t, dir)

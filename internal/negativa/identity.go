@@ -7,8 +7,10 @@ import (
 	"io"
 	"strings"
 
+	"negativaml/internal/elfx"
 	"negativaml/internal/mlframework"
 	"negativaml/internal/mlruntime"
+	"negativaml/internal/plan"
 )
 
 // InstallFingerprint hashes an install's identity: framework, library names
@@ -20,10 +22,21 @@ import (
 //
 // Hashing each library's memoized ContentDigest instead of its raw bytes
 // makes the fingerprint share hash work with the locate/compact stage keys
-// and the analysis-index memo: an install ingested from disk fingerprints
-// in O(names) once its libraries are indexed, instead of re-reading
-// gigabytes of library bytes on every submit.
+// and the analysis-index memo. The fingerprint is the first thing every
+// pipeline entry point asks of an install, so this is where a cold
+// install's indexes get built: the libraries that have none are indexed
+// across CPUs first, and the digests are then hashed in name order. An
+// install whose libraries are indexed fingerprints in O(names) on the
+// caller's goroutine, so callers need no memo of their own.
 func InstallFingerprint(in *mlframework.Install) string {
+	var cold []*elfx.Library
+	for _, name := range in.LibNames {
+		if lib := in.Library(name); lib != nil && !lib.Indexed() {
+			cold = append(cold, lib)
+		}
+	}
+	plan.Each(len(cold), func(i int) { cold[i].Index() })
+
 	h := sha256.New()
 	sep := []byte{0}
 	io.WriteString(h, in.Framework)

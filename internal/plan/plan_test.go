@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -218,5 +219,35 @@ func TestPoolAcquireReleaseBounds(t *testing.T) {
 	wg.Wait()
 	if peak.Load() > 2 {
 		t.Fatalf("peak concurrency %d exceeds pool width", peak.Load())
+	}
+}
+
+// TestEachRunsEveryIndexOnce: whatever the worker count — the plain loop at
+// one, a worker group above — every index runs exactly once and Each returns
+// only after all have; with one worker the order is ascending.
+func TestEachRunsEveryIndexOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 3, 1000} {
+			ran := make([]atomic.Int32, n)
+			var order []int
+			Each(n, func(i int) {
+				ran[i].Add(1)
+				if procs == 1 {
+					order = append(order, i)
+				}
+			})
+			for i := range ran {
+				if got := ran[i].Load(); got != 1 {
+					t.Fatalf("GOMAXPROCS %d, n %d: index %d ran %d times", procs, n, i, got)
+				}
+			}
+			for i, got := range order {
+				if got != i {
+					t.Fatalf("one worker ran index %d at position %d", got, i)
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package plan
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // Pool is the bounded worker executor shared by the stage-graph scheduler
 // and the batch service: a counting semaphore capping how many tasks —
@@ -58,4 +62,36 @@ func (p *Pool) Map(n int, fn func(int) error) error {
 		}
 	}
 	return nil
+}
+
+// Each runs fn(i) for every i in [0, n) on min(GOMAXPROCS, n) goroutines
+// and returns once all calls have: the fan-out for per-file and per-library
+// work that runs before a stage graph exists to carry it (classifying a
+// tree's files, indexing an install's libraries). The workers pull indexes
+// from one counter in ascending order, so the goroutine count follows the
+// CPUs, not n; with one worker fn runs as a plain loop on the caller's
+// goroutine.
+func Each(n int, fn func(int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	if workers < 2 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for ; workers > 0; workers-- {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
