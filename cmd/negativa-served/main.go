@@ -19,11 +19,14 @@
 // docs/ARCHITECTURE.md, "The byte plane").
 //
 // With -peers and -node-id the node joins a sharded serving plane: a
-// consistent-hash ring over the peer set routes each detect/locate/compact
-// stage to one owning node, where it is executed and memoized; other nodes
-// read it through (and keep a local copy), so the cluster shares one
-// logical cache. Every node of a symmetric deployment can pass the same
-// -peers list — a node's own entry is ignored:
+// consistent-hash ring over the peer set gives each detect and compact
+// stage key a small set of owning nodes whose memos hold its value. A
+// detect miss executes on its primary owner; locate+compact misses run on
+// the node that took the batch (it holds the library image) and are
+// written back to every owner; other nodes read owners through (and keep a
+// local copy), so the cluster shares one logical cache. Every node of a
+// symmetric deployment can pass the same -peers list — a node's own entry
+// is ignored:
 //
 //	negativa-served -addr :8080 -node-id a \
 //	    -peers a=http://h1:8080,b=http://h2:8080,c=http://h3:8080

@@ -23,9 +23,10 @@ type Options struct {
 	// DefaultReplicas).
 	Replicas int
 	// ReplicaSets is R, the number of distinct ring successors that own
-	// each key (default 2). The first owner is the primary — the shard that
-	// executes misses — and the rest are replicas the primary's artifacts
-	// are copied to, so one node's death loses no cached work.
+	// each key (default 2). The first owner is the primary — the shard a
+	// detect miss executes on — and every owner holds a copy of the key's
+	// artifacts (write-back from whichever node computed them), so one
+	// node's death loses no cached work.
 	ReplicaSets int
 	// FailureThreshold is the number of consecutive transport failures
 	// after which a peer is marked down and removed from the ring
@@ -228,14 +229,15 @@ func (p *peerState) latencyP95() time.Duration {
 // ring over the live nodes (self included), per-peer health, and the HTTP
 // transport the serving plane's peer tier rides on.
 //
-// Each key has ReplicaSets owners — the primary executes misses, the rest
-// replicate its artifacts. Health runs in three states: a peer inside a
-// failure run shorter than FailureThreshold is suspect (on the ring,
-// probed preferentially by the heartbeat plane); at the threshold it is
-// down and the ring shrinks around it (its keys redistribute to the
-// survivors). A downed peer is readmitted only after a background probe of
-// PingPath succeeds — never synchronously at a lookup — so a dead peer
-// cannot thrash the ring by being optimistically retried on every key.
+// Each key has ReplicaSets owners — the primary executes detect misses,
+// and all of them hold the key's artifacts. Health runs in three states:
+// a peer inside a failure run shorter than FailureThreshold is suspect (on
+// the ring, probed preferentially by the heartbeat plane); at the
+// threshold it is down and the ring shrinks around it (its keys
+// redistribute to the survivors). A downed peer is readmitted only after a
+// background probe of PingPath succeeds — never synchronously at a lookup —
+// so a dead peer cannot thrash the ring by being optimistically retried on
+// every key.
 // Membership is dynamic: Join/Leave announce explicit transitions, and
 // heartbeats piggyback each side's live-member view so additions gossip
 // through the cluster; an ID retired via Leave is tombstoned and gossip

@@ -8,12 +8,14 @@
 // and every stage value is immutable once computed. Hashing those keys
 // onto a ring gives each stage a small, deterministic owner set, which
 // makes the owners' memos the cluster-wide points of reuse: any node may
-// accept a batch, but a stage is executed — and memoized — on its owning
-// shard, so N nodes share one logical cache without coordination,
-// invalidation, or consensus. Replication happens by demand and by
-// write-back: a node that reads a stage value through an owner keeps a
-// local copy (memory + castore), and a freshly computed value is pushed to
-// the other owners of its key (internal/dserve's replication plane).
+// accept a batch, and a stage value is memoized on its owning shards
+// (detect misses also execute there; locate and compact run on the node
+// that holds the library image), so N nodes share one logical cache
+// without coordination, invalidation, or consensus. Replication happens
+// by demand and by write-back: a node that reads a stage value through an
+// owner keeps a local copy (memory + castore), and a freshly computed
+// value is pushed to the other owners of its key (internal/dserve's
+// replication plane).
 //
 // # What this package provides
 //

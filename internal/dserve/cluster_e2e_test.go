@@ -87,7 +87,8 @@ func fetchPeerJobLib(t *testing.T, srv *httptest.Server, jobID, name string) []b
 //     execute remotely, each exactly once on its primary shard.
 //  2. Once write-back replication has drained, every live owner of every
 //     compact key holds the result, its range set, and the library image.
-//  3. The same request on b and then on c completes with no local analysis.
+//  3. The same request on b and then on c completes with no local analysis,
+//     served by peers in at most 8 round trips.
 //  4. Every library any of the three nodes streams is byte-identical to a
 //     standalone single-node DebloatBatch of the same install — the
 //     differential oracle.
@@ -160,6 +161,7 @@ func coldThenWarm(t *testing.T, nodes map[string]*testNode, req JobRequest, in *
 	for _, id := range []string{"b", "c"} {
 		n := nodes[id]
 		before := n.svc.Counters.Get("analysis.computed")
+		hits0, trips0 := n.svc.Counters.Get("peer.hits"), n.svc.Counters.Get("peer.round_trips")
 		st := postJob(t, n.srv, req)
 		done := pollDone(t, n.srv, st.ID)
 		if done.State != JobDone {
@@ -170,6 +172,18 @@ func coldThenWarm(t *testing.T, nodes map[string]*testNode, req JobRequest, in *
 		}
 		if delta := n.svc.Counters.Get("analysis.computed") - before; delta != 0 {
 			t.Fatalf("node %s ran locate/compact %d times locally; the ring should have absorbed all of it", id, delta)
+		}
+		// The scatter-gather bound. This is the only batch the node has
+		// run, so the counter deltas are the batch's own: two prefetch
+		// phases (detect keys, then compact keys once the union fixes
+		// them), each at most one lookup-batch per distinct replica-set
+		// group — with 3 nodes and R=2 a requester sees at most 3 remote
+		// groups — plus a hedge or two.
+		if hits := n.svc.Counters.Get("peer.hits") - hits0; hits == 0 {
+			t.Fatalf("node %s's warm batch hit no peers", id)
+		}
+		if trips := n.svc.Counters.Get("peer.round_trips") - trips0; trips > 8 {
+			t.Fatalf("node %s's warm batch took %d peer round trips; batching should need at most 8", id, trips)
 		}
 		ids[id] = st.ID
 	}

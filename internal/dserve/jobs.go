@@ -230,11 +230,18 @@ func (s *Service) run(job *Job) {
 	s.pruneJobsLocked()
 	s.mu.Unlock()
 
+	if err != nil {
+		s.Counters.Add("jobs.failed", 1)
+	} else {
+		s.Counters.Add("jobs.completed", 1)
+	}
+	s.Timings.Observe("job.wall", wall)
+
 	// Terminal event last: subscribers that see it know the stream is
-	// complete and every stage event precedes it. A done job's event also
-	// carries its retained result bytes, so consumers (the gateway's
-	// result-byte accounting) need no post-terminal job lookup that could
-	// race MaxJobs pruning.
+	// complete, every stage event precedes it and the job is counted. A
+	// done job's event also carries its retained result bytes, so
+	// consumers (the gateway's result-byte accounting) need no
+	// post-terminal job lookup that could race MaxJobs pruning.
 	term := JobEvent{
 		Type: EventState, State: snap.State, Error: snap.Err, Terminal: true,
 		StagesDone: snap.StagesDone, StagesTotal: snap.StagesTotal,
@@ -244,12 +251,6 @@ func (s *Service) run(job *Job) {
 	}
 	job.events.Append(term)
 
-	if err != nil {
-		s.Counters.Add("jobs.failed", 1)
-	} else {
-		s.Counters.Add("jobs.completed", 1)
-	}
-	s.Timings.Observe("job.wall", wall)
 	if job.opts.OnDone != nil {
 		job.opts.OnDone(&snap)
 	}
@@ -838,21 +839,34 @@ func (s *Service) JobEvents(id string, after int) ([]JobEvent, bool, <-chan stru
 }
 
 // WaitJob blocks until the job reaches a terminal state or the timeout
-// elapses, returning the final snapshot. Used by tests and the example
-// client; HTTP clients poll instead.
+// elapses, returning the final snapshot. For in-process callers; HTTP
+// clients poll the status or long-poll the event stream instead.
 func (s *Service) WaitJob(id string, timeout time.Duration) (*Job, error) {
-	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	after, expired := -1, false
 	for {
-		job := s.Job(id)
-		if job == nil {
+		evs, done, wake, err := s.JobEvents(id, after)
+		if err != nil {
 			return nil, fmt.Errorf("dserve: unknown job %q", id)
 		}
-		if job.State == JobDone || job.State == JobFailed {
+		if done || expired {
+			// The terminal event follows the terminal state, so the
+			// snapshot of a done stream reads done or failed.
+			job := s.Job(id)
+			if job == nil {
+				return nil, fmt.Errorf("dserve: unknown job %q", id)
+			}
+			if !done {
+				return job, fmt.Errorf("dserve: job %s still %s after %v", id, job.State, timeout)
+			}
 			return job, nil
 		}
-		if time.Now().After(deadline) {
-			return job, fmt.Errorf("dserve: job %s still %s after %v", id, job.State, timeout)
+		after += len(evs)
+		select {
+		case <-wake:
+		case <-timer.C:
+			expired = true
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }

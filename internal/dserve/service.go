@@ -375,11 +375,6 @@ type BatchResult struct {
 	VerifySkipped bool
 	// WallTime is the real elapsed time of the batch.
 	WallTime time.Duration
-	// PeerRoundTrips counts the peer read-path round trips this batch's
-	// execution window observed (taken from the peer.round_trips counter
-	// delta, so concurrent batches on one node see each other's trips).
-	// Zero for standalone nodes and fully local batches.
-	PeerRoundTrips int64
 }
 
 // EndToEnd is the batch's virtual debloating time (the paper's Table 8
@@ -718,7 +713,6 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	if opt.OnPlanned != nil {
 		opt.OnPlanned(g.Len())
 	}
-	rt0 := s.Counters.Get("peer.round_trips")
 	if err := g.ExecuteWith(s.pool, s.stages, plan.MultiObserver(s.observer, opt.Observer), plan.ExecOptions{Costs: s}); err != nil {
 		return nil, err
 	}
@@ -797,7 +791,6 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	}
 
 	res.WallTime = time.Since(start)
-	res.PeerRoundTrips = s.Counters.Get("peer.round_trips") - rt0
 	s.Counters.Add("batches.completed", 1)
 	s.Timings.Observe("batch.wall", res.WallTime)
 	return res, nil

@@ -2,6 +2,7 @@ package dserve
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -214,5 +215,53 @@ func TestSubmitJobLifecycle(t *testing.T) {
 	svc.Close()
 	if _, err := svc.Submit(req); err == nil || !strings.Contains(err.Error(), "shut down") {
 		t.Errorf("submit after close: %v", err)
+	}
+}
+
+// gateObserver holds a job at its first finished stage until release closes.
+type gateObserver struct{ release <-chan struct{} }
+
+func (g gateObserver) StageDone(string, bool, time.Duration) { <-g.release }
+
+func TestWaitJob(t *testing.T) {
+	svc := NewService(Config{Workers: 4, MaxSteps: 2})
+	defer svc.Close()
+
+	if _, err := svc.WaitJob("job-9999", time.Minute); err == nil || !strings.Contains(err.Error(), "unknown job") {
+		t.Errorf("unknown ID: %v", err)
+	}
+
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	job, err := svc.SubmitWith(JobRequest{
+		Framework: "pytorch", TailLibs: 4, MaxSteps: 2,
+		Workloads: []WorkloadSpec{{Model: "MobileNetV2"}},
+	}, SubmitOptions{Observer: gateObserver{gate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	held, err := svc.WaitJob(job.ID, 10*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "after 10ms") {
+		t.Fatalf("expired deadline on a held job: %v", err)
+	}
+	if held == nil || held.State == JobDone || held.State == JobFailed {
+		t.Fatalf("expired deadline must return the live snapshot, got %+v", held)
+	}
+
+	// The job finishes while the call is blocked: it returns on the
+	// terminal event, long before the deadline.
+	time.AfterFunc(20*time.Millisecond, release)
+	start := time.Now()
+	done, err := svc.WaitJob(job.ID, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != JobDone {
+		t.Fatalf("released job is %s (%s)", done.State, done.Err)
+	}
+	if waited := time.Since(start); waited >= time.Minute {
+		t.Errorf("WaitJob returned after %v: it sat out the deadline", waited)
 	}
 }

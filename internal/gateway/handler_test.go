@@ -147,7 +147,7 @@ func TestAuthRequired(t *testing.T) {
 
 	for _, key := range []string{"", "wrong-key"} {
 		var st gwStatus
-		req := LoadRequest(0, 6, 2)
+		req := loadRequest(0, 6)
 		resp := doJSON(t, "POST", ts.URL+"/v1/jobs", key, req, &st)
 		if resp.StatusCode != http.StatusUnauthorized {
 			t.Fatalf("key %q: status %d, want 401", key, resp.StatusCode)
@@ -158,7 +158,7 @@ func TestAuthRequired(t *testing.T) {
 	}
 
 	// X-API-Key is accepted as an alternative to the Bearer header.
-	body, _ := json.Marshal(LoadRequest(0, 6, 2))
+	body, _ := json.Marshal(loadRequest(0, 6))
 	req, _ := http.NewRequest("POST", ts.URL+"/v1/jobs", bytes.NewReader(body))
 	req.Header.Set("X-API-Key", "key-acme")
 	resp, err := http.DefaultClient.Do(req)
@@ -226,7 +226,7 @@ func TestSubmitStreamReport(t *testing.T) {
 	ts, _, _ := newFrontDoor(t, Config{}, twoTenants())
 
 	var st gwStatus
-	resp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", LoadRequest(1, 8, 2), &st)
+	resp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(1, 8), &st)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
@@ -316,8 +316,8 @@ func TestCoalescingAcrossTenants(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", heavyReq(), &blocker)
 
 	var a, b gwStatus
-	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", LoadRequest(0, 6, 2), &a)
-	resp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-beta", LoadRequest(0, 6, 2), &b)
+	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(0, 6), &a)
+	resp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-beta", loadRequest(0, 6), &b)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("follower submit: %d", resp.StatusCode)
 	}
@@ -392,7 +392,7 @@ func TestShedOverQuota(t *testing.T) {
 		Reason     string `json:"reason"`
 		RetryAfter int    `json:"retry_after"`
 	}
-	resp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", LoadRequest(1, 6, 2), &shed)
+	resp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(1, 6), &shed)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-quota submit: status %d, want 429", resp.StatusCode)
 	}
@@ -401,14 +401,14 @@ func TestShedOverQuota(t *testing.T) {
 	}
 
 	// The other tenant is unaffected.
-	oresp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-beta", LoadRequest(1, 6, 2), nil)
+	oresp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-beta", loadRequest(1, 6), nil)
 	if oresp.StatusCode != http.StatusAccepted {
 		t.Fatalf("other tenant: status %d", oresp.StatusCode)
 	}
 
 	release()
 	pollGwDone(t, ts.URL, "key-acme", first.ID)
-	rresp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", LoadRequest(2, 6, 2), nil)
+	rresp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(2, 6), nil)
 	if rresp.StatusCode != http.StatusAccepted {
 		t.Fatalf("post-completion submit: status %d, want 202", rresp.StatusCode)
 	}
@@ -422,7 +422,7 @@ func TestResultBytesQuota(t *testing.T) {
 	ts, _, _ := newFrontDoor(t, Config{}, tenants)
 
 	var first gwStatus
-	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", LoadRequest(0, 6, 2), &first)
+	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(0, 6), &first)
 	if st := pollGwDone(t, ts.URL, "key-acme", first.ID); st.State != JobDone {
 		t.Fatalf("first job: %s (%s)", st.State, st.Error)
 	}
@@ -430,7 +430,7 @@ func TestResultBytesQuota(t *testing.T) {
 	var shed struct {
 		Reason string `json:"reason"`
 	}
-	resp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", LoadRequest(1, 6, 2), &shed)
+	resp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(1, 6), &shed)
 	if resp.StatusCode != http.StatusTooManyRequests || shed.Reason != ShedResultBytes {
 		t.Fatalf("want result_bytes shed, got %d %+v", resp.StatusCode, shed)
 	}
@@ -451,11 +451,11 @@ func TestDelegatedFetchAfterBackendEviction(t *testing.T) {
 	defer func() { ts.Close(); g.Close(); svc.Close() }()
 
 	var a, b gwStatus
-	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", LoadRequest(0, 6, 2), &a)
+	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(0, 6), &a)
 	if st := pollGwDone(t, ts.URL, "key-acme", a.ID); st.State != JobDone {
 		t.Fatalf("first job: %s (%s)", st.State, st.Error)
 	}
-	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", LoadRequest(1, 6, 2), &b)
+	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(1, 6), &b)
 	if st := pollGwDone(t, ts.URL, "key-acme", b.ID); st.State != JobDone {
 		t.Fatalf("second job: %s (%s)", st.State, st.Error)
 	}
@@ -477,12 +477,12 @@ func TestBaseTranslation(t *testing.T) {
 	ts, _, _ := newFrontDoor(t, Config{}, twoTenants())
 
 	var base gwStatus
-	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", LoadRequest(0, 8, 2), &base)
+	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(0, 8), &base)
 	if st := pollGwDone(t, ts.URL, "key-acme", base.ID); st.State != JobDone {
 		t.Fatalf("base: %s (%s)", st.State, st.Error)
 	}
 
-	inc := LoadRequest(1, 8, 2)
+	inc := loadRequest(1, 8)
 	inc.Base = base.ID
 	var incSt gwStatus
 	resp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", inc, &incSt)
@@ -497,7 +497,7 @@ func TestBaseTranslation(t *testing.T) {
 	}
 
 	// Another tenant cannot use acme's job as a base.
-	inc2 := LoadRequest(1, 8, 2)
+	inc2 := loadRequest(1, 8)
 	inc2.Base = base.ID
 	bresp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-beta", inc2, nil)
 	if bresp.StatusCode != http.StatusNotFound {
@@ -510,7 +510,7 @@ func TestBaseTranslation(t *testing.T) {
 func TestLaneAndCancelSemantics(t *testing.T) {
 	ts, _, _ := newFrontDoor(t, Config{}, twoTenants())
 
-	body, _ := json.Marshal(LoadRequest(0, 6, 2))
+	body, _ := json.Marshal(loadRequest(0, 6))
 	req, _ := http.NewRequest("POST", ts.URL+"/v1/jobs", bytes.NewReader(body))
 	req.Header.Set("Authorization", "Bearer key-beta") // default lane: bulk
 	req.Header.Set("X-Lane", LaneInteractive)
@@ -546,7 +546,7 @@ func TestLongPollEvents(t *testing.T) {
 	ts, _, _ := newFrontDoor(t, Config{}, twoTenants())
 
 	var st gwStatus
-	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", LoadRequest(2, 6, 2), &st)
+	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(2, 6), &st)
 
 	after, seen := -1, 0
 	deadline := time.Now().Add(2 * time.Minute)
