@@ -158,7 +158,7 @@ func main() {
 	// Per-stage memoization outcomes of the analysis plan: a repeat run
 	// against a warm -data-dir shows every stage absorbed (all hits).
 	fmt.Printf("stages:")
-	for _, st := range []string{negativa.StageDetect, negativa.StageLibIndex, negativa.StageLocate, negativa.StageCompact, negativa.StageVerifyRun} {
+	for _, st := range []string{negativa.StageDetect, negativa.StageCompact, negativa.StageVerifyRun} {
 		fmt.Printf("  %s %d/%d", st,
 			svc.Counters.Get("stage."+st+".hits"),
 			svc.Counters.Get("stage."+st+".hits")+svc.Counters.Get("stage."+st+".misses"))

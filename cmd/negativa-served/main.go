@@ -86,7 +86,7 @@
 //	GET  /v1/store                  content-addressed store stats
 //	POST /v1/peer/{lookup-batch,detect}     node-to-node stage read-through
 //	                                        and remote detect
-//	GET|PUT /v1/peer/objects/{kind}/{key}   castore object transfer
+//	PUT  /v1/peer/objects/{kind}/{key}      castore object push
 //	POST /v1/peer/stat                      object presence probe (repair)
 //
 // Example job body:

@@ -375,9 +375,6 @@ func (c *Cluster) Self() string { return c.self }
 // to verify incoming node-to-node requests.
 func (c *Cluster) Secret() string { return c.opt.Secret }
 
-// ReplicaSets returns R, the per-key owner count.
-func (c *Cluster) ReplicaSets() int { return c.opt.ReplicaSets }
-
 // rebuildRingLocked recomputes the ring from self plus every live peer.
 // Callers hold c.mu.
 func (c *Cluster) rebuildRingLocked() {
@@ -1039,7 +1036,7 @@ func (c *Cluster) HedgedCall(peers []string, attempt func(ctx context.Context, p
 }
 
 // PutStream PUTs a raw octet stream to a peer path — the replication and
-// repair push path (the wire mirror of GetStream). length sets
+// repair push path. length sets
 // Content-Length when known (>= 0); -1 streams chunked. A non-2xx status
 // is returned as *PeerError.
 func (c *Cluster) PutStream(peer, path string, body io.Reader, length int64) error {
@@ -1079,43 +1076,4 @@ func (c *Cluster) PutStream(peer, path string, body io.Reader, length int64) err
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 	c.observe(peer, time.Since(start), false)
 	return nil
-}
-
-// GetStream GETs a peer path and returns the raw response body stream for
-// the caller to consume and close — the castore object-transfer path. A
-// non-2xx status is returned as *PeerError with the body drained.
-func (c *Cluster) GetStream(peer, path string) (io.ReadCloser, error) {
-	url, err := c.peerURL(peer)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequest(http.MethodGet, url+path, nil)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: build %s request: %w", path, err)
-	}
-	if c.opt.Secret != "" {
-		req.Header.Set(PeerSecretHeader, c.opt.Secret)
-	}
-	start := time.Now()
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.observe(peer, time.Since(start), true)
-		return nil, fmt.Errorf("cluster: peer %s: %w", peer, err)
-	}
-	if resp.StatusCode/100 != 2 {
-		perr := &PeerError{Peer: peer, Status: resp.StatusCode}
-		var eb struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb) == nil {
-			perr.Msg = eb.Error
-		}
-		resp.Body.Close()
-		c.observe(peer, time.Since(start), false)
-		return nil, perr
-	}
-	// Latency is observed at header time; the stream itself is the
-	// caller's to pace.
-	c.observe(peer, time.Since(start), false)
-	return resp.Body, nil
 }

@@ -390,34 +390,6 @@ func TestPutStream(t *testing.T) {
 	}
 }
 
-func TestGetStream(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/missing" {
-			w.WriteHeader(http.StatusNotFound)
-			json.NewEncoder(w).Encode(map[string]string{"error": "no such object"})
-			return
-		}
-		w.Write([]byte("payload-bytes"))
-	}))
-	defer srv.Close()
-	c := New("a", map[string]string{"b": srv.URL}, Options{})
-	rc, err := c.GetStream("b", "/obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	n, _ := rc.Read(buf)
-	rc.Close()
-	if string(buf[:n]) != "payload-bytes" {
-		t.Fatalf("stream read %q", buf[:n])
-	}
-	if _, err := c.GetStream("b", "/missing"); err == nil {
-		t.Fatal("missing object must error")
-	} else if perr, ok := err.(*PeerError); !ok || perr.Status != 404 {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 // TestSortByLatencyHealthOutranksSpeed is the suspect-ordering regression
 // test: a suspect peer (mid failure run, not yet down), however fast its
 // history, must never sort ahead of a healthy replica — and an unmeasured

@@ -3,14 +3,14 @@
 //
 // # Why content keys shard well
 //
-// Every expensive stage of the analysis pipeline (detect, locate, compact)
+// Every memoized stage of the analysis pipeline (detect, compact)
 // already has a content-derived cache key (internal/negativa stage keys),
 // and every stage value is immutable once computed. Hashing those keys
 // onto a ring gives each stage a small, deterministic owner set, which
 // makes the owners' memos the cluster-wide points of reuse: any node may
 // accept a batch, and a stage value is memoized on its owning shards
-// (detect misses also execute there; locate and compact run on the node
-// that holds the library image), so N nodes share one logical cache
+// (detect misses also execute there; compact — location included — runs
+// on the node that holds the library image), so N nodes share one logical cache
 // without coordination, invalidation, or consensus. Replication happens
 // by demand and by write-back: a node that reads a stage value through an
 // owner keeps a local copy (memory + castore), and a freshly computed
@@ -27,7 +27,7 @@
 //     grow (join, gossip) and shrink (leave, failure) at runtime — with
 //     per-peer health tracking and the HTTP transport the serving plane's
 //     peer tier uses (PostJSON for stage lookups and remote execution,
-//     GetStream/PutStream for castore object transfer).
+//     PutStream for castore object pushes).
 //
 // # Failure model
 //

@@ -7,21 +7,9 @@ import (
 
 	"negativaml/internal/castore"
 	"negativaml/internal/elfx"
-	"negativaml/internal/gpuarch"
 	"negativaml/internal/metrics"
 	"negativaml/internal/negativa"
 )
-
-// CacheKey derives the content address of one locate+compact computation —
-// the shared hash of the locate and compact stage keys
-// (negativa.LocateKey / negativa.CompactKey). The library name is
-// deliberately excluded: identical libraries shared across installs (the
-// dependency tail) hit the cache no matter which install or job they
-// arrive through; hits re-label the report with the requesting library's
-// name.
-func CacheKey(lib *elfx.Library, usedFuncs, usedKernels []string, archs []gpuarch.SM) string {
-	return negativa.LocateKey(lib, usedFuncs, usedKernels, archs).Hash
-}
 
 // CacheStats is a point-in-time view of cache effectiveness.
 type CacheStats struct {
@@ -58,7 +46,7 @@ type ResultCache struct {
 	counters *metrics.CounterSet
 
 	// store, when attached, is the disk-backed second tier: Put spills
-	// results to it and GetOrLoad falls back to it on memory misses, so a
+	// results to it and LoadStored falls back to it on memory misses, so a
 	// restarted service (or one whose memory tier evicted an entry) serves
 	// warm without re-running locate/compact.
 	store *castore.Store
@@ -269,22 +257,11 @@ func (c *ResultCache) HasStored(key string) bool {
 	return st.Has(kindResult, key) && st.Has(kindSparse, key)
 }
 
-// GetOrLoad is the two-tier lookup: memory first, then the attached store
-// (decoding the persisted range set against the caller's live library),
-// then a miss. Disk hits are promoted into the memory tier. lib anchors the
-// reconstruction; a stored result whose digest does not match it is ignored.
-func (c *ResultCache) GetOrLoad(key string, lib *elfx.Library) (*negativa.LibDebloat, bool) {
-	if ld, ok := c.Get(key); ok {
-		return ld, true
-	}
-	return c.LoadStored(key, lib)
-}
-
 // LoadStored is the disk tier alone: the attached store's persisted range
 // set is decoded against the caller's live library and promoted into the
-// memory tier. Callers that need to distinguish memory hits from disk
-// restores (the stage memo's source attribution) call Get then LoadStored;
-// everyone else uses GetOrLoad.
+// memory tier. lib anchors the reconstruction; a stored result whose
+// digest does not match it is ignored. The stage memo calls Get, then
+// LoadStored on a miss, so it can tell a memory hit from a disk restore.
 func (c *ResultCache) LoadStored(key string, lib *elfx.Library) (*negativa.LibDebloat, bool) {
 	c.mu.Lock()
 	st := c.store

@@ -72,41 +72,41 @@ func TestCacheKeyContentAddressing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	k1 := CacheKey(libA, []string{"f1"}, nil, []gpuarch.SM{gpuarch.SM75})
-	if k2 := CacheKey(sameBytes, []string{"f1"}, nil, []gpuarch.SM{gpuarch.SM75}); k2 != k1 {
+	k1 := negativa.LocateKey(libA, []string{"f1"}, nil, []gpuarch.SM{gpuarch.SM75}).Hash
+	if k2 := negativa.LocateKey(sameBytes, []string{"f1"}, nil, []gpuarch.SM{gpuarch.SM75}).Hash; k2 != k1 {
 		t.Error("identical bytes + symbols must produce identical keys")
 	}
 	// The key addresses content, not the library name — tail libraries
 	// shared across installs hit regardless of which install asks.
-	if k3 := CacheKey(renamed, []string{"f1"}, nil, []gpuarch.SM{gpuarch.SM75}); k3 != k1 {
+	if k3 := negativa.LocateKey(renamed, []string{"f1"}, nil, []gpuarch.SM{gpuarch.SM75}).Hash; k3 != k1 {
 		t.Error("library name must not affect the key")
 	}
-	if k4 := CacheKey(libA, []string{"f2"}, nil, []gpuarch.SM{gpuarch.SM75}); k4 == k1 {
+	if k4 := negativa.LocateKey(libA, []string{"f2"}, nil, []gpuarch.SM{gpuarch.SM75}).Hash; k4 == k1 {
 		t.Error("different used-function sets must produce different keys")
 	}
-	if k5 := CacheKey(libA, []string{"f1"}, []string{"k"}, []gpuarch.SM{gpuarch.SM75}); k5 == k1 {
+	if k5 := negativa.LocateKey(libA, []string{"f1"}, []string{"k"}, []gpuarch.SM{gpuarch.SM75}).Hash; k5 == k1 {
 		t.Error("used kernels must be part of the key")
 	}
 	// CPU-only libraries are arch-independent: heterogeneous-device batches
 	// share their cache entries.
-	if k6 := CacheKey(libA, []string{"f1"}, nil, []gpuarch.SM{gpuarch.SM80}); k6 != k1 {
+	if k6 := negativa.LocateKey(libA, []string{"f1"}, nil, []gpuarch.SM{gpuarch.SM80}).Hash; k6 != k1 {
 		t.Error("architectures must not affect CPU-only library keys")
 	}
 
 	// GPU-carrying libraries are arch-sensitive, with canonicalized order.
 	g := gpuLib(t, "libgpu.so")
-	g1 := CacheKey(g, nil, []string{"k"}, []gpuarch.SM{gpuarch.SM75})
-	if g2 := CacheKey(g, nil, []string{"k"}, []gpuarch.SM{gpuarch.SM80}); g2 == g1 {
+	g1 := negativa.LocateKey(g, nil, []string{"k"}, []gpuarch.SM{gpuarch.SM75}).Hash
+	if g2 := negativa.LocateKey(g, nil, []string{"k"}, []gpuarch.SM{gpuarch.SM80}).Hash; g2 == g1 {
 		t.Error("architectures must be part of GPU-library keys")
 	}
-	g3 := CacheKey(g, nil, []string{"k"}, []gpuarch.SM{gpuarch.SM80, gpuarch.SM75})
-	g4 := CacheKey(g, nil, []string{"k"}, []gpuarch.SM{gpuarch.SM75, gpuarch.SM80})
+	g3 := negativa.LocateKey(g, nil, []string{"k"}, []gpuarch.SM{gpuarch.SM80, gpuarch.SM75}).Hash
+	g4 := negativa.LocateKey(g, nil, []string{"k"}, []gpuarch.SM{gpuarch.SM75, gpuarch.SM80}).Hash
 	if g3 != g4 {
 		t.Error("architecture order must not affect the key")
 	}
 	// Symbols must not smear across list boundaries.
-	k9 := CacheKey(libA, []string{"f1", "f2"}, nil, nil)
-	k10 := CacheKey(libA, []string{"f1"}, []string{"f2"}, nil)
+	k9 := negativa.LocateKey(libA, []string{"f1", "f2"}, nil, nil).Hash
+	k10 := negativa.LocateKey(libA, []string{"f1"}, []string{"f2"}, nil).Hash
 	if k9 == k10 {
 		t.Error("function and kernel lists must be domain-separated")
 	}
@@ -284,7 +284,7 @@ func TestCacheFlushWaitsForInlineSpill(t *testing.T) {
 	c.CloseSpill() // stop the worker: every later Put spills inline
 
 	ld := spillableResult(t, "libinline.so")
-	key := CacheKey(ld.Report.Sparse.Lib(), []string{"f1"}, nil, nil)
+	key := negativa.LocateKey(ld.Report.Sparse.Lib(), []string{"f1"}, nil, nil).Hash
 	putDone := make(chan struct{})
 	go func() {
 		c.Put(key, ld)
@@ -338,7 +338,7 @@ func TestCacheCloseSpillDrainsQueueAndInline(t *testing.T) {
 	keys := make([]string, total)
 	var puts sync.WaitGroup
 	for i := 0; i < total; i++ {
-		keys[i] = fmt.Sprintf("%s-%03d", CacheKey(ld.Report.Sparse.Lib(), []string{"f1"}, nil, nil)[:16], i)
+		keys[i] = fmt.Sprintf("%s-%03d", negativa.LocateKey(ld.Report.Sparse.Lib(), []string{"f1"}, nil, nil).Hash[:16], i)
 		puts.Add(1)
 		go func(k string) {
 			defer puts.Done()

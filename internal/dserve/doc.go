@@ -12,11 +12,9 @@
 // per stage. For a batch of M workloads over an install of N libraries the
 // node DAG is
 //
-//	detect(w1) … detect(wM)        libindex(lib1) … libindex(libN)
-//	      \   |   /                      |                |
-//	       [union]───────────┬──── locate(lib1) …  locate(libN)
-//	                         │           |                |
-//	                         └──── compact(lib1) … compact(libN)
+//	detect(w1) … detect(wM)
+//	      \   |   /
+//	       [union]──────────────── compact(lib1) … compact(libN)
 //	                                      \              /
 //	                                 [clone chunk] … [clone chunk]
 //	                                      \              /
@@ -27,19 +25,22 @@
 // with keys
 //
 //	detect    (install fingerprint, workload identity)   identity embeds the step cap
-//	libindex  library content digest
-//	locate    (library digest, union used-symbol sets, target archs)
-//	compact   its locate key                             pure function of the location
+//	compact   library digest + union used-symbol sets + target archs;
+//	          location is computed inside it on a miss, never on a hit
 //	verifyref (install fingerprint, identity at the verification step cap)
 //	verifyrun unmemoized by design — see below
 //
-// Locate keys resolve late, after the union node has produced the merged
-// used-symbol sets; the scheduler then consults the stage memo before
-// running the node, so a key already computed by any prior batch — or any
-// prior boot — absorbs the work.
+// A library contributes exactly one node (negativa.CompactNode, which the
+// single-workload planner schedules too): its index was built by
+// InstallFingerprint before the graph existed, and symbol-to-range
+// location is the first half of the node's work function, so no node is
+// scheduled that cannot miss. Compact keys resolve late, after the union
+// node has produced the merged used-symbol sets; the scheduler then
+// consults the stage memo before running the node, so a key already
+// computed by any prior batch — or any prior boot — absorbs the work.
 //
-// The stage memo (StageMemo) tiers memory → disk → owning cluster peer
-// per stage:
+// The stage memo (StageMemo) routes the two memoized stages to their
+// stores, each tiered memory → disk → owning cluster peer:
 //
 //   - detect → the profile Registry: (install fingerprint, workload
 //     identity) entries in memory, snapshotted to the content-addressed
@@ -51,9 +52,10 @@
 //     libraries shared across installs — the dependency tail, which
 //     dominates library counts — are analyzed once no matter how many
 //     installs or jobs reference them.
-//   - everything else (libindex, locate, the capped reference run) → a
-//     bounded in-memory memo with singleflight dedup: concurrent batches
-//     computing the same stage key run it once and share the value.
+//
+// One flight table spans both: concurrent batches computing the same stage
+// key run it once and share the value. A key of any other stage is not
+// memoized.
 //
 // Verification nodes are deliberately unmemoized: a resubmitted batch
 // re-validates what the service hands out. Only an explicit incremental
@@ -87,9 +89,8 @@
 // replication, repair.go), and a periodic anti-entropy sweep
 // (Config.RepairInterval / RepairNow) stat-probes the remote owners of
 // every locally held artifact and streams what they are missing through
-// the castore's checksummed frames (GET/PUT /v1/peer/objects/{kind}/{key},
-// POST /v1/peer/stat). Locate needs no peer tier: its memoized value is a
-// lazy handle that only resolves under a compact miss.
+// the castore's checksummed frames (PUT /v1/peer/objects/{kind}/{key},
+// POST /v1/peer/stat).
 //
 // Every peer failure degrades gracefully — transport errors shrink the
 // ring around the dead node and the stage computes locally; correctness
@@ -128,9 +129,15 @@
 // Concurrency contract: *elfx.Library and *mlframework.Install values are
 // immutable after parsing/generation and shared read-only across
 // goroutines; each workload run constructs its own cudasim.Driver. Memoized
-// stage values (profiles, locations, compacted results and their images)
-// are immutable once stored and handed out shared — callers must not
-// mutate them.
+// stage values (profiles, compacted results and their images) are
+// immutable once stored and handed out shared — callers must not mutate
+// them. Lifetime: nothing but the byte-accounted ResultCache and retained
+// jobs may keep a library image reachable after its batch returns — no
+// memo entry, closure or per-pointer table (installs the service generated
+// itself stay in its MaxInstalls-bounded install cache) — so what a batch
+// leaves pinned is what CacheBytes and MaxJobs bound
+// (TestWarmDiskBatchDoesNotPinLibraries,
+// TestIngestedInstallIsNotPinnedByTheService).
 //
 // # Durability
 //

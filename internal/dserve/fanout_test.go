@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"negativaml/internal/bufpool"
+	"negativaml/internal/castore"
+	"negativaml/internal/elfx"
 	"negativaml/internal/fatbin"
 	"negativaml/internal/mlframework"
 	"negativaml/internal/mlruntime"
@@ -19,17 +21,17 @@ import (
 // ingestedBatch ingests the tree under root/rel on svc, runs one batch over
 // it and returns only whether the batch verified: neither the install nor the
 // result leaves this frame, so after it returns the service alone decides
-// whether the install stays reachable. The finalizer closes freed when the
-// install is collected.
+// whether the install stays reachable. watch sees the install first, to set a
+// finalizer on whatever part of it the caller wants to see collected.
 //
 //go:noinline
-func ingestedBatch(t *testing.T, svc *Service, rel string, freed chan struct{}) bool {
+func ingestedBatch(t *testing.T, svc *Service, rel string, watch func(*mlframework.Install)) bool {
 	t.Helper()
 	in, err := svc.ingestInstall(rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtime.SetFinalizer(in, func(*mlframework.Install) { close(freed) })
+	watch(in)
 	w, err := WorkloadSpec{Model: "MobileNetV2", Batch: 1}.Workload(in)
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +41,22 @@ func ingestedBatch(t *testing.T, svc *Service, rel string, freed chan struct{}) 
 		t.Fatal(err)
 	}
 	return res.AllVerified()
+}
+
+// collected runs the garbage collector until freed closes or the timeout
+// passes, and reports which.
+func collected(freed <-chan struct{}, timeout time.Duration) bool {
+	deadline := time.After(timeout)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			return true
+		case <-deadline:
+			return false
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
 }
 
 // TestIngestedInstallIsNotPinnedByTheService: every ingest_dir submit builds a
@@ -55,18 +73,83 @@ func TestIngestedInstallIsNotPinnedByTheService(t *testing.T) {
 	defer svc.Close()
 
 	freed := make(chan struct{})
-	if !ingestedBatch(t, svc, "tree", freed) {
+	verified := ingestedBatch(t, svc, "tree", func(in *mlframework.Install) {
+		runtime.SetFinalizer(in, func(*mlframework.Install) { close(freed) })
+	})
+	if !verified {
 		t.Fatal("ingested batch did not verify")
 	}
-	deadline := time.After(10 * time.Second)
-	for {
-		runtime.GC()
-		select {
-		case <-freed:
-			return
-		case <-deadline:
-			t.Fatal("the service still holds the ingested install after its batch is gone")
-		case <-time.After(10 * time.Millisecond):
+	if !collected(freed, 10*time.Second) {
+		t.Fatal("the service still holds the ingested install after its batch is gone")
+	}
+}
+
+// TestWarmDiskBatchDoesNotPinLibraries: a batch served entirely from the
+// store computes nothing, so nothing it schedules may keep the freshly parsed
+// libraries it was handed — with a result cache too small to hold an entry,
+// the first library must be collectable once the batch has returned, while
+// the service lives on.
+func TestWarmDiskBatchDoesNotPinLibraries(t *testing.T) {
+	root, dir := t.TempDir(), t.TempDir()
+	if err := testInstall(t).WriteTo(filepath.Join(root, "tree")); err != nil {
+		t.Fatal(err)
+	}
+	boot := func() (*Service, func()) {
+		st, err := castore.Open(dir, castore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := NewService(Config{Workers: 2, MaxSteps: 2, CacheBytes: 1, Store: st, IngestRoot: root})
+		return svc, func() { svc.Close(); st.Close() }
+	}
+
+	svc1, close1 := boot()
+	if !ingestedBatch(t, svc1, "tree", func(*mlframework.Install) {}) {
+		t.Fatal("cold batch did not verify")
+	}
+	close1()
+
+	svc2, close2 := boot()
+	defer close2()
+	freed := make(chan struct{})
+	verified := ingestedBatch(t, svc2, "tree", func(in *mlframework.Install) {
+		runtime.SetFinalizer(in.Library(in.LibNames[0]), func(*elfx.Library) { close(freed) })
+	})
+	if !verified {
+		t.Fatal("warm-disk batch did not verify")
+	}
+	if n := svc2.Counters.Get("analysis.computed"); n != 0 {
+		t.Fatalf("warm-disk batch located and compacted %d libraries, want 0", n)
+	}
+	if !collected(freed, 5*time.Second) {
+		t.Fatal("the service still holds a library image after its warm-disk batch returned")
+	}
+}
+
+// TestBatchGraphHasOneNodePerLibrary pins the batch DAG's size, so a node
+// that cannot miss cannot creep back: members + union + libraries + clone
+// parts + clone join + fresh verifies, plus the two prefetch nodes when
+// clustered. One worker makes the verify clone one part.
+func TestBatchGraphHasOneNodePerLibrary(t *testing.T) {
+	in := testInstall(t)
+	ws := testWorkloads(t, in)
+	for _, clustered := range []bool{false, true} {
+		svc := NewService(Config{Workers: 1, MaxSteps: 2})
+		if clustered {
+			soloCluster(svc)
+		}
+		var planned int
+		_, err := svc.DebloatBatch(in, ws, BatchOptions{OnPlanned: func(n int) { planned = n }})
+		svc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := len(ws) + 1 + len(in.LibNames) + 1 + 1 + len(ws)
+		if clustered {
+			want += 2
+		}
+		if planned != want {
+			t.Errorf("clustered=%v: batch planned %d nodes, want %d for %d members and %d libraries", clustered, planned, want, len(ws), len(in.LibNames))
 		}
 	}
 }

@@ -77,8 +77,8 @@ func (m *StageMemo) endFlight(k plan.Key) {
 // awaitFlight blocks until the key's current flight (if any) ends,
 // yielding the caller's executor slot for the duration — a waiter is pure
 // wait, and holding a worker slot across it could deadlock a Workers=1
-// pool against the leader re-acquiring its own slot. slot, when non-nil,
-// is the calling node's own executor (see slotOf).
+// pool against the leader re-acquiring its own slot. slot is the calling
+// node's own executor slot; nil means the caller holds none.
 func (m *StageMemo) awaitFlight(slot plan.Executor, k plan.Key) {
 	m.flightMu.Lock()
 	ch := m.flights[k]
@@ -86,9 +86,9 @@ func (m *StageMemo) awaitFlight(slot plan.Executor, k plan.Key) {
 	if ch == nil {
 		return
 	}
-	if ex := m.slotOf(slot); ex != nil {
-		ex.Release()
-		defer ex.Acquire()
+	if slot != nil {
+		slot.Release()
+		defer slot.Acquire()
 	}
 	<-ch
 }

@@ -217,7 +217,7 @@ func TestPrefetchSingleflightNoDuplicateRoundTrips(t *testing.T) {
 		for g := 0; g < 4; g++ {
 			go func() {
 				defer wg.Done()
-				v, src, err := m.GetOrComputeSourced(key, nil, func() (any, error) {
+				v, src, err := m.GetOrCompute(nil, key, nil, func() (any, error) {
 					t.Error("compute ran while the prefetch held the key's flight")
 					return profile, nil
 				})
@@ -241,7 +241,7 @@ func TestPrefetchSingleflightNoDuplicateRoundTrips(t *testing.T) {
 		computing, finish, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(done)
-			_, src, err := m.GetOrComputeSourced(key, nil, func() (any, error) {
+			_, src, err := m.GetOrCompute(nil, key, nil, func() (any, error) {
 				close(computing)
 				<-finish
 				return profile, nil

@@ -265,7 +265,7 @@ func TestIncrementalBatchDirect(t *testing.T) {
 
 // TestStageMemoConcurrentComputes is the stage-memo race test: concurrent
 // batches hammer the same stage keys through the shared StageMemo; the
-// memory tier must collapse duplicate computes and every caller must see
+// flight table must collapse duplicate computes and every caller must see
 // a consistent value. Run with -race in CI.
 func TestStageMemoConcurrentComputes(t *testing.T) {
 	svc := NewService(Config{Workers: 8, MaxSteps: 2})
@@ -314,22 +314,22 @@ func TestStageMemoConcurrentComputes(t *testing.T) {
 		}
 	}
 
-	// The memory tier collapsed concurrent same-key computes: the locate
-	// stage (singleflight MemMemo) must have computed each key at most
-	// once — misses cannot exceed distinct keys.
+	// The compact flight table collapsed concurrent same-key computes:
+	// each key computed at most once — computes cannot exceed distinct
+	// keys.
 	distinct := map[string]bool{}
 	for _, k := range results[0].libKeys {
 		distinct[k] = true
 	}
-	if misses := svc.Counters.Get("stage.locate.misses"); misses > int64(len(distinct)) {
-		t.Fatalf("locate computed %d times for %d distinct keys — singleflight failed", misses, len(distinct))
+	if computed := svc.Counters.Get("analysis.computed"); computed > int64(len(distinct)) {
+		t.Fatalf("compact computed %d times for %d distinct keys — singleflight failed", computed, len(distinct))
 	}
 }
 
-// TestWarmDiskSkipsLocation pins the lazy-location contract: a batch whose
-// compact results all come from the content-addressed store (fresh
+// TestWarmDiskSkipsLocation pins the location-on-miss contract: a batch
+// whose compact results all come from the content-addressed store (fresh
 // process, warm data dir) must not pay for symbol-to-range resolution —
-// locate handles are created but never forced.
+// location runs inside a compact node, and none of them computes.
 func TestWarmDiskSkipsLocation(t *testing.T) {
 	dir := t.TempDir()
 	sp := WorkloadSpec{Model: "MobileNetV2", Batch: 1}
@@ -358,8 +358,8 @@ func TestWarmDiskSkipsLocation(t *testing.T) {
 
 	svc1, close1 := boot()
 	runBatch(svc1)
-	if n := svc1.Counters.Get("locate.resolved"); n == 0 {
-		t.Fatal("cold batch must resolve locations")
+	if n := svc1.Counters.Get("analysis.computed"); n == 0 {
+		t.Fatal("cold batch must locate and compact")
 	}
 	close1()
 
@@ -367,18 +367,15 @@ func TestWarmDiskSkipsLocation(t *testing.T) {
 	defer close2()
 	runBatch(svc2)
 	if n := svc2.Counters.Get("analysis.computed"); n != 0 {
-		t.Fatalf("warm-disk batch recomputed %d compactions", n)
-	}
-	if n := svc2.Counters.Get("locate.resolved"); n != 0 {
-		t.Fatalf("warm-disk batch resolved %d locations, want 0 (handles must stay unforced)", n)
+		t.Fatalf("warm-disk batch located and compacted %d libraries, want 0", n)
 	}
 }
 
 // TestSharedMemoAcrossPlanners pins the canonical stage-value contract:
 // the single-workload planner (negativa.Debloat) can run over the batch
 // service's StageMemo and absorb its stages — identical keys must carry
-// identical value types (detect profiles, location handles, compact
-// results) in both directions.
+// identical value types (detect profiles, compact results) in both
+// directions.
 func TestSharedMemoAcrossPlanners(t *testing.T) {
 	svc := NewService(Config{Workers: 2, MaxSteps: 2})
 	defer svc.Close()
@@ -411,8 +408,8 @@ func TestSharedMemoAcrossPlanners(t *testing.T) {
 }
 
 // TestStageMemoRoutesTiers pins the memo's stage routing: detect keys land
-// in the registry, compact keys in the result cache, and other stages in
-// the bounded memory tier.
+// in the registry, compact keys in the result cache, and a key of any other
+// stage is not memoized at all.
 func TestStageMemoRoutesTiers(t *testing.T) {
 	svc := NewService(Config{Workers: 2, MaxSteps: 2})
 	defer svc.Close()
@@ -420,23 +417,23 @@ func TestStageMemoRoutesTiers(t *testing.T) {
 	// Detect: a computed profile must be visible through the registry.
 	key := negativa.DetectKey("fp-1", "wid-1")
 	p := &negativa.Profile{Workload: "w"}
-	v, hit, err := svc.stages.GetOrCompute(key, nil, func() (any, error) { return p, nil })
-	if err != nil || hit || v.(*negativa.Profile) != p {
-		t.Fatalf("detect compute: v=%v hit=%v err=%v", v, hit, err)
+	v, src, err := svc.stages.GetOrCompute(nil, key, nil, func() (any, error) { return p, nil })
+	if err != nil || src.Hit() || v.(*negativa.Profile) != p {
+		t.Fatalf("detect compute: v=%v src=%v err=%v", v, src, err)
 	}
 	if got, ok := svc.Registry.Get(ProfileKey{Install: "fp-1", Workload: "wid-1"}); !ok || got != p {
 		t.Fatal("detect result must land in the registry")
 	}
-	if _, hit, _ = svc.stages.GetOrCompute(key, nil, func() (any, error) { t.Fatal("must hit"); return nil, nil }); !hit {
+	if _, src, _ = svc.stages.GetOrCompute(nil, key, nil, func() (any, error) { t.Fatal("must hit"); return nil, nil }); !src.Hit() {
 		t.Fatal("detect re-lookup must hit")
 	}
 
-	// Other stages land in the memory tier.
-	lk := plan.Key{Stage: negativa.StageLocate, Hash: "abc"}
-	if _, hit, _ := svc.stages.GetOrCompute(lk, nil, func() (any, error) { return 1, nil }); hit {
-		t.Fatal("first locate lookup cannot hit")
-	}
-	if _, hit, _ := svc.stages.GetOrCompute(lk, nil, func() (any, error) { return 2, nil }); !hit {
-		t.Fatal("second locate lookup must hit")
+	// An unrouted key computes every time and reports SourceComputed.
+	uk := plan.Key{Stage: negativa.StageVerifyRef, Hash: "abc"}
+	for want := 1; want <= 2; want++ {
+		v, src, err := svc.stages.GetOrCompute(nil, uk, nil, func() (any, error) { return want, nil })
+		if err != nil || src != plan.SourceComputed || v.(int) != want {
+			t.Fatalf("unrouted lookup %d: v=%v src=%v err=%v", want, v, src, err)
+		}
 	}
 }

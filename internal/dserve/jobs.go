@@ -837,36 +837,3 @@ func (s *Service) JobEvents(id string, after int) ([]JobEvent, bool, <-chan stru
 	evs, done, ch := job.events.After(after)
 	return evs, done, ch, nil
 }
-
-// WaitJob blocks until the job reaches a terminal state or the timeout
-// elapses, returning the final snapshot. For in-process callers; HTTP
-// clients poll the status or long-poll the event stream instead.
-func (s *Service) WaitJob(id string, timeout time.Duration) (*Job, error) {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	after, expired := -1, false
-	for {
-		evs, done, wake, err := s.JobEvents(id, after)
-		if err != nil {
-			return nil, fmt.Errorf("dserve: unknown job %q", id)
-		}
-		if done || expired {
-			// The terminal event follows the terminal state, so the
-			// snapshot of a done stream reads done or failed.
-			job := s.Job(id)
-			if job == nil {
-				return nil, fmt.Errorf("dserve: unknown job %q", id)
-			}
-			if !done {
-				return job, fmt.Errorf("dserve: job %s still %s after %v", id, job.State, timeout)
-			}
-			return job, nil
-		}
-		after += len(evs)
-		select {
-		case <-wake:
-		case <-timer.C:
-			expired = true
-		}
-	}
-}

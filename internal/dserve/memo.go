@@ -25,16 +25,10 @@ type boundedMemo struct {
 
 func newBoundedMemo(max int64) *boundedMemo { return &boundedMemo{max: max} }
 
-// get returns the memoized value for key, computing and storing it on
-// first sight.
-func (b *boundedMemo) get(key any, compute func() any) any {
-	return b.getOK(key, func() (any, bool) { return compute(), true })
-}
-
-// getOK is get for fallible computes: a compute returning ok=false hands
-// its value through without memoizing it, so transient failures (a store
-// object momentarily absent) are retried on the next call instead of
-// being cached forever.
+// getOK returns the memoized value for key, computing and storing it on
+// first sight. A compute returning ok=false hands its value through
+// without memoizing it, so transient failures (a store object momentarily
+// absent) are retried on the next call instead of being cached forever.
 func (b *boundedMemo) getOK(key any, compute func() (any, bool)) any {
 	if v, ok := b.m.Load(key); ok {
 		return v
@@ -52,8 +46,9 @@ func (b *boundedMemo) getOK(key any, compute func() (any, bool)) any {
 }
 
 // StageMemo is the serving plane's per-stage memoization behind the plan
-// scheduler: one plan.Memo that routes each stage's content key through up
-// to three tiers — local memory, local disk, owning cluster peer.
+// scheduler: one plan.Memo that routes each memoized stage's content key
+// to its store, each with up to three tiers — local memory, local disk,
+// owning cluster peer.
 //
 //   - detect → the profile Registry: memory entries keyed by (install
 //     fingerprint, workload identity) recovered from the composite stage
@@ -70,30 +65,27 @@ func (b *boundedMemo) getOK(key any, compute func() (any, bool)) any {
 //     computes here, where the library image already is, and only the
 //     O(ranges) result travels: the write-back plane pushes it to every
 //     live owner.
-//   - every other stage (lib-index, locate, the capped reference run) →
-//     a bounded in-memory memo with singleflight compute dedup. Locate
-//     needs no peer tier of its own: its memoized value is a lazy handle
-//     that only resolves under a compact miss.
+//
+// A key of any other stage is not memoized: it computes every time. The
+// batch service schedules no such keyed node; the single-workload
+// planner's verify stages, run over this memo, re-run as the batch
+// service's own do.
 //
 // Every peer-tier failure (transport error, downed owner, undecodable
 // payload) falls back to local compute: the cluster is an optimization
 // over a node that is fully capable alone, and correctness never depends
-// on a peer. The registry and cache tiers tolerate concurrent duplicate
-// computes of one key (both writers store identical content — the same
-// benign race the pre-stage-graph service had); the memory tier collapses
-// them outright.
+// on a peer. One flight table spans both routed stages and the batch
+// prefetch, so one key never has two computes in flight at once.
 type StageMemo struct {
 	registry *Registry
 	cache    *ResultCache
-	mem      *plan.MemMemo
 	counters *metrics.CounterSet
 	// cluster, when non-nil, adds the owning-peer tier to detect and
 	// compact lookups.
 	cluster *cluster.Cluster
 	// exec, when non-nil, is the same executor the plan scheduler runs
-	// stages under; peer round trips yield their slot through it (see
-	// postJSON) when the scheduler did not hand down the calling node's
-	// own slot (slotOf).
+	// stages under; the batch prefetch, a glue node with no slot of its
+	// own handed down, yields through it around its round trips.
 	exec plan.Executor
 	// replicate and replicateProfile, when non-nil, push a freshly computed
 	// compact result's objects (or detect profile) to the named replica
@@ -120,7 +112,6 @@ func NewStageMemo(registry *Registry, cache *ResultCache, counters *metrics.Coun
 	return &StageMemo{
 		registry: registry,
 		cache:    cache,
-		mem:      plan.NewMemMemo(0),
 		counters: counters,
 	}
 }
@@ -136,21 +127,10 @@ func (m *StageMemo) AttachReplicator(result func(hash string, ld *negativa.LibDe
 }
 
 // AttachExecutor hands the memo the executor its callers hold slots of.
-// Every GetOrCompute happens inside a plan node that has Acquired ex, so
-// the memo may temporarily Release that slot around pure I/O waits. Call
-// before serving, with the same executor passed to Graph.Execute.
+// PrefetchLookups runs inside a plan node that has Acquired ex, so it may
+// temporarily Release that slot around pure I/O waits. Call before
+// serving, with the same executor passed to Graph.Execute.
 func (m *StageMemo) AttachExecutor(ex plan.Executor) { m.exec = ex }
-
-// slotOf picks the executor a network wait yields through: the calling
-// node's own slot when the scheduler handed one down (re-acquisition then
-// re-joins priority admission at the node's critical-path weight), else
-// the service-wide attached executor.
-func (m *StageMemo) slotOf(slot plan.Executor) plan.Executor {
-	if slot != nil {
-		return slot
-	}
-	return m.exec
-}
 
 // postJSON runs one peer round trip with the caller's executor slot
 // yielded. Plan nodes hold a worker slot while resolving their memo, but
@@ -159,12 +139,14 @@ func (m *StageMemo) slotOf(slot plan.Executor) plan.Executor {
 // (on a small Workers bound, every peer-warm batch degenerates to one
 // round trip at a time). The slot is re-Acquired before returning, so
 // compute after the wire — decode, verify, local compute on fallback —
-// still runs under the pool's bound.
+// still runs under the pool's bound. slot is the calling node's own, so
+// re-acquisition re-joins priority admission at the node's critical-path
+// weight; nil means the caller holds none.
 func (m *StageMemo) postJSON(slot plan.Executor, owner, path string, req, resp any) error {
 	m.countRoundTrip()
-	if ex := m.slotOf(slot); ex != nil {
-		ex.Release()
-		defer ex.Acquire()
+	if slot != nil {
+		slot.Release()
+		defer slot.Acquire()
 	}
 	return m.cluster.PostJSON(owner, path, req, resp)
 }
@@ -190,27 +172,15 @@ func without(peers []string, id string) []string {
 	return out
 }
 
-// GetOrCompute implements plan.Memo.
-func (m *StageMemo) GetOrCompute(key plan.Key, hint any, compute func() (any, error)) (any, bool, error) {
-	v, src, err := m.GetOrComputeSourced(key, hint, compute)
-	return v, src.Hit(), err
-}
-
-// GetOrComputeSourced implements plan.SourcedMemo, attributing each value
-// to the tier that produced it. Detect and compact keys run under the
-// hot path's singleflight table: local-tier probes loop until the caller
-// either hits (possibly on a value a concurrent prefetch or reader just
-// planted) or becomes the key's flight leader, so one key never has a
-// remote read and a local compute, or two local computes, in flight at once.
-func (m *StageMemo) GetOrComputeSourced(key plan.Key, hint any, compute func() (any, error)) (any, plan.Source, error) {
-	return m.GetOrComputeSourcedSlot(nil, key, hint, compute)
-}
-
-// GetOrComputeSourcedSlot implements plan.SlotSourcedMemo: the scheduler
-// hands down the calling node's executor slot, so every network wait on
-// this consultation yields and re-acquires through the node's own
-// priority admission rather than the raw pool.
-func (m *StageMemo) GetOrComputeSourcedSlot(slot plan.Executor, key plan.Key, hint any, compute func() (any, error)) (any, plan.Source, error) {
+// GetOrCompute implements plan.Memo, attributing each value to the tier
+// that produced it. Detect and compact keys run under the hot path's
+// singleflight table: local-tier probes loop until the caller either hits
+// (possibly on a value a concurrent prefetch or reader just planted) or
+// becomes the key's flight leader, so one key never has a remote read and
+// a local compute, or two local computes, in flight at once. slot is the
+// calling node's executor slot: every wait on this consultation yields
+// and re-acquires through it.
+func (m *StageMemo) GetOrCompute(slot plan.Executor, key plan.Key, hint any, compute func() (any, error)) (any, plan.Source, error) {
 	switch key.Stage {
 	case negativa.StageDetect:
 		fp, wid, ok := negativa.SplitDetectHash(key.Hash)
@@ -247,12 +217,8 @@ func (m *StageMemo) GetOrComputeSourcedSlot(slot plan.Executor, key plan.Key, hi
 		defer m.endFlight(key)
 		return m.compactLeader(key, compute)
 	}
-	v, hit, err := m.mem.GetOrCompute(key, hint, compute)
-	src := plan.SourceComputed
-	if hit {
-		src = plan.SourceMemory
-	}
-	return v, src, err
+	v, err := compute()
+	return v, plan.SourceComputed, err
 }
 
 // detectLeader resolves one detect key the batch prefetch did not plant:

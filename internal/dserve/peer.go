@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"negativaml/internal/castore"
@@ -24,8 +23,8 @@ import (
 //	                                     up to maxBatchLookupKeys per request
 //	POST /v1/peer/detect                 execute a detect stage on its
 //	                                     owning shard (registry-memoized)
-//	GET  /v1/peer/objects/{kind}/{key}   stream one castore object in its
-//	PUT  /v1/peer/objects/{kind}/{key}   integrity-framed wire format
+//	PUT  /v1/peer/objects/{kind}/{key}   push one castore object in its
+//	                                     integrity-framed wire format
 //	POST /v1/peer/stat                   which of these objects do you hold
 //
 // The surface is node-to-node only: routes answer 404 unless a cluster is
@@ -108,9 +107,9 @@ type peerDetectResponse struct {
 	Hit bool `json:"hit"`
 }
 
-// peerBodyLimit bounds one pushed or fetched object (PUT/GET
-// /v1/peer/objects/...): write-back and repair stream whole library images,
-// so the bound is far above the client-facing maxRequestBytes. The JSON
+// peerBodyLimit bounds one pushed object (PUT /v1/peer/objects/...):
+// write-back and repair stream whole library images, so the bound is far
+// above the client-facing maxRequestBytes. The JSON
 // routes carry no payloads and decode under limits sized from their key
 // bounds (peerLookupBatchLimit, peerStatLimit).
 const peerBodyLimit = 256 << 20
@@ -122,7 +121,6 @@ const peerBodyLimit = 256 << 20
 func registerPeerRoutes(mux *http.ServeMux, s *Service) {
 	mux.HandleFunc("POST /v1/peer/lookup-batch", s.peerAuth(s.handlePeerLookupBatch))
 	mux.HandleFunc("POST /v1/peer/detect", s.peerAuth(s.handlePeerDetect))
-	mux.HandleFunc("GET /v1/peer/objects/{kind}/{key}", s.peerAuth(s.handlePeerObject))
 	mux.HandleFunc("PUT /v1/peer/objects/{kind}/{key}", s.peerAuth(s.handlePeerObjectPut))
 	mux.HandleFunc("POST /v1/peer/stat", s.peerAuth(s.handlePeerStat))
 	mux.HandleFunc("POST "+cluster.PingPath, s.peerAuth(s.handlePeerPing))
@@ -301,40 +299,6 @@ func (s *Service) handlePeerDetect(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, peerDetectResponse{Profile: p})
 }
 
-// handlePeerObject streams one castore object in its integrity-framed wire
-// format (castore.Export); the receiving peer verifies the checksum on
-// import. The object is pinned for the duration of the response so LRU
-// eviction cannot delete it between the Content-Length header and the
-// body. 404s: no store attached, or the object is absent. A mid-stream
-// export failure cannot change the already-sent status; it is counted
-// (peer.object_export_errors) and the importer's checksum rejects the
-// truncated body.
-func (s *Service) handlePeerObject(w http.ResponseWriter, r *http.Request) {
-	st := s.Store()
-	if st == nil {
-		httpError(w, http.StatusNotFound, errors.New("no data dir configured"))
-		return
-	}
-	kind, key := r.PathValue("kind"), r.PathValue("key")
-	if !st.Retain(kind, key) {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no object %s/%s", kind, key))
-		return
-	}
-	defer st.Release(kind, key)
-	size, ok := st.Stat(kind, key)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no object %s/%s", kind, key))
-		return
-	}
-	s.Counters.Add("peer.served_objects", 1)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(size+castore.HeaderSize, 10))
-	w.WriteHeader(http.StatusOK)
-	if _, err := st.Export(kind, key, w); err != nil {
-		s.Counters.Add("peer.object_export_errors", 1)
-	}
-}
-
 // peerObjectRef names one castore object on the stat wire.
 type peerObjectRef struct {
 	Kind string `json:"kind"`
@@ -439,8 +403,8 @@ func (s *Service) handlePeerStat(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePeerObjectPut receives one pushed object in its integrity-framed
-// wire format — the replication / repair / handoff ingest path, the wire
-// mirror of handlePeerObject. Import verifies the end-to-end checksum and
+// wire format (castore.Export on the pushing side) — the replication /
+// repair / handoff ingest path. Import verifies the end-to-end checksum and
 // cleans up after truncated or corrupt streams, so a dying pusher leaves
 // no partial state here. Pushed kinds are restricted to the replication
 // set. A pushed profile snapshot is additionally ingested into the live
@@ -536,24 +500,4 @@ func decodePeerResult(lib *elfx.Library, sr *storedResult, enc []byte) (*negativ
 		return nil, false
 	}
 	return &negativa.LibDebloat{Report: sr.report(sparse), Analysis: time.Duration(sr.AnalysisNS)}, true
-}
-
-// FetchPeerObject imports one castore object from a peer into the local
-// store (the generic replication path: restored-job materialization, warm
-// pre-seeding). Returns the stored payload size.
-func (s *Service) FetchPeerObject(c *cluster.Cluster, peer, kind, key string) (int64, error) {
-	if s.store == nil {
-		return 0, errors.New("dserve: no store attached")
-	}
-	rc, err := c.GetStream(peer, "/v1/peer/objects/"+kind+"/"+key)
-	if err != nil {
-		return 0, err
-	}
-	defer rc.Close()
-	n, err := s.store.Import(kind, key, rc)
-	if err != nil {
-		return 0, err
-	}
-	s.Counters.Add("peer.objects_fetched", 1)
-	return n, nil
 }

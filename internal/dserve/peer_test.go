@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
@@ -191,50 +190,6 @@ func TestPeerDetectExecutesAndRegisters(t *testing.T) {
 	}
 }
 
-// TestFetchPeerObject moves a castore object between two nodes through the
-// streaming route, end-to-end integrity-checked.
-func TestFetchPeerObject(t *testing.T) {
-	stA, err := castore.Open(t.TempDir(), castore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stA.Close()
-	svcA := NewService(Config{Workers: 1, Store: stA})
-	defer svcA.Close()
-	soloCluster(svcA)
-	srvA := httptest.NewServer(NewHandler(svcA))
-	defer srvA.Close()
-
-	stB, err := castore.Open(t.TempDir(), castore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stB.Close()
-	svcB := NewService(Config{Workers: 1, Store: stB})
-	defer svcB.Close()
-
-	payload := bytes.Repeat([]byte("obj"), 4096)
-	if err := stA.Put("lib", "deadbeef", payload); err != nil {
-		t.Fatal(err)
-	}
-
-	c := cluster.New("b", map[string]string{"a": srvA.URL}, cluster.Options{Timeout: 10 * time.Second})
-	n, err := svcB.FetchPeerObject(c, "a", "lib", "deadbeef")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(payload)) {
-		t.Fatalf("fetched %d bytes, want %d", n, len(payload))
-	}
-	got, ok := stB.Get("lib", "deadbeef")
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatal("fetched object does not round-trip")
-	}
-	if _, err := svcB.FetchPeerObject(c, "a", "lib", "missing"); err == nil {
-		t.Fatal("fetching an absent object must fail")
-	}
-}
-
 // TestPeerRoutesRequireCluster: the peer surface is node-to-node only —
 // on a non-clustered node every peer route answers 404 so a standalone
 // deployment exposes no analysis-compute or object-transfer endpoints.
@@ -247,13 +202,17 @@ func TestPeerRoutesRequireCluster(t *testing.T) {
 	if code := postPeer(t, srv, "/v1/peer/lookup-batch", peerBatchLookupRequest{}, nil); code != http.StatusNotFound {
 		t.Fatalf("lookup-batch without a cluster: status %d, want 404", code)
 	}
-	resp, err := http.Get(srv.URL + "/v1/peer/objects/lib/deadbeef")
+	req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/peer/objects/lib/deadbeef", strings.NewReader("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("object fetch without a cluster: status %d, want 404", resp.StatusCode)
+		t.Fatalf("object push without a cluster: status %d, want 404", resp.StatusCode)
 	}
 }
 

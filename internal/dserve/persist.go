@@ -21,7 +21,7 @@ const (
 	// content digest (elfx.Library.ContentDigest).
 	kindLib = "lib"
 	// kindSparse holds encoded SparseImage range sets, keyed by the
-	// locate+compact cache key (CacheKey).
+	// compact-stage hash (negativa.CompactKey).
 	kindSparse = "sparse"
 	// kindResult holds LibraryReport metadata (JSON), keyed like kindSparse.
 	kindResult = "result"

@@ -254,7 +254,7 @@ func TestFetchLibraryPinnedAgainstEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j, _ := svc1.WaitJob(job1.ID, waitTimeout); j.State != JobDone {
+	if j, _ := waitJob(svc1, job1.ID, waitTimeout); j.State != JobDone {
 		t.Fatalf("job1: %s", j.Err)
 	}
 	want := fetchDirect(t, svc1, job1.ID, "libtorch_cuda.so")
@@ -278,7 +278,7 @@ func TestFetchLibraryPinnedAgainstEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j, _ := svc2.WaitJob(job2.ID, waitTimeout); j.State != JobDone {
+	if j, _ := waitJob(svc2, job2.ID, waitTimeout); j.State != JobDone {
 		t.Fatalf("job2: %s", j.Err)
 	}
 	if svc2.Job(job1.ID) == nil {
@@ -326,7 +326,7 @@ func TestFailedJobSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, _ := svc.WaitJob(bad.ID, waitTimeout)
+	j, _ := waitJob(svc, bad.ID, waitTimeout)
 	if j.State != JobFailed {
 		t.Fatalf("job state %s, want failed", j.State)
 	}
@@ -353,7 +353,7 @@ func TestFailedJobSurvivesRestart(t *testing.T) {
 	if good.ID == bad.ID {
 		t.Fatalf("failed job's ID %s was reissued", bad.ID)
 	}
-	if j, _ := svc2.WaitJob(good.ID, waitTimeout); j.State != JobDone {
+	if j, _ := waitJob(svc2, good.ID, waitTimeout); j.State != JobDone {
 		t.Fatalf("new job: %s", j.Err)
 	}
 }
@@ -388,7 +388,7 @@ func TestJobEvictionReleasesStoreRefs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j, _ := svc.WaitJob(job1.ID, waitTimeout); j.State != JobDone {
+	if j, _ := waitJob(svc, job1.ID, waitTimeout); j.State != JobDone {
 		t.Fatalf("job1: %s", j.Err)
 	}
 	// A different workload so job2 is a distinct terminal job.
@@ -398,7 +398,7 @@ func TestJobEvictionReleasesStoreRefs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j, _ := svc.WaitJob(job2.ID, waitTimeout); j.State != JobDone {
+	if j, _ := waitJob(svc, job2.ID, waitTimeout); j.State != JobDone {
 		t.Fatalf("job2: %s", j.Err)
 	}
 	if svc.Job(job1.ID) != nil {

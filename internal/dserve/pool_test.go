@@ -1,7 +1,7 @@
 package dserve
 
 import (
-	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -12,55 +12,39 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		t.Fatalf("workers = %d, want 3", p.Workers())
 	}
 	var cur, peak atomic.Int64
-	err := p.Map(24, func(i int) error {
-		n := cur.Add(1)
-		for {
-			old := peak.Load()
-			if n <= old || peak.CompareAndSwap(old, n) {
-				break
+	var wg sync.WaitGroup
+	for i := 0; i < 24; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.Acquire()
+			defer p.Release()
+			n := cur.Add(1)
+			for {
+				old := peak.Load()
+				if n <= old || peak.CompareAndSwap(old, n) {
+					break
+				}
 			}
-		}
-		for j := 0; j < 1000; j++ { // widen the overlap window
-			_ = j
-		}
-		cur.Add(-1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+			for j := 0; j < 1000; j++ { // widen the overlap window
+				_ = j
+			}
+			cur.Add(-1)
+		}()
 	}
+	wg.Wait()
 	if got := peak.Load(); got > 3 {
 		t.Errorf("peak concurrency = %d, want <= 3", got)
 	}
 }
 
-func TestPoolMapReturnsLowestIndexError(t *testing.T) {
-	p := NewPool(4)
-	errA := errors.New("a")
-	errB := errors.New("b")
-	err := p.Map(10, func(i int) error {
-		switch i {
-		case 3:
-			return errA
-		case 7:
-			return errB
-		}
-		return nil
-	})
-	if err != errA {
-		t.Errorf("err = %v, want the lowest-index error %v", err, errA)
-	}
-}
-
 func TestPoolEdgeCases(t *testing.T) {
-	if err := NewPool(0).Map(0, nil); err != nil {
-		t.Errorf("empty map: %v", err)
-	}
-	var ran atomic.Int64
-	if err := NewPool(-5).Map(4, func(int) error { ran.Add(1); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 4 {
-		t.Errorf("ran = %d, want 4", ran.Load())
+	for _, workers := range []int{0, -5} {
+		p := NewPool(workers)
+		if p.Workers() != 1 {
+			t.Errorf("NewPool(%d) has %d workers, want 1", workers, p.Workers())
+		}
+		p.Acquire() // a one-slot pool still admits a task
+		p.Release()
 	}
 }

@@ -44,13 +44,20 @@ func (o stageObserver) StageDone(stage string, hit bool, wall time.Duration) {
 // attributed to the tier that served them (stage.<name>.disk_hits for
 // castore restores, stage.<name>.peer_hits for values a cluster peer
 // served or executed) so /v1/metrics can show where reuse actually comes
-// from.
+// from. A computed compact stage counts as analysis.computed — the ground
+// truth for "did this service ever re-run locate/compact": the
+// warm-restart tests assert it stays zero when every result comes from
+// memory, disk or a peer.
 func (o stageObserver) StageSource(stage string, src plan.Source, _ time.Duration) {
 	switch src {
 	case plan.SourceDisk:
 		o.c.Add("stage."+stage+".disk_hits", 1)
 	case plan.SourcePeer:
 		o.c.Add("stage."+stage+".peer_hits", 1)
+	case plan.SourceComputed:
+		if stage == negativa.StageCompact {
+			o.c.Add("analysis.computed", 1)
+		}
 	}
 }
 
@@ -118,8 +125,8 @@ type Service struct {
 	// the pool with network-blocked batch stages could.
 	peerSem chan struct{}
 	// stages routes every plan node's content key to its memo tier
-	// (registry, result cache, bounded memory); observer mirrors stage
-	// outcomes into the counter and timing sets.
+	// (registry, result cache); observer mirrors stage outcomes into the
+	// counter and timing sets.
 	stages   *StageMemo
 	observer plan.Observer
 
@@ -314,8 +321,8 @@ type IncrementalStats struct {
 	BaseID string `json:"base_id"`
 	// AbsorbedLibs counts libraries whose compact-stage key matches a base
 	// library's — the union delta left them untouched. DeltaLibs counts the
-	// rest (their locate/compact stages were re-resolved, hitting the memo
-	// only if some other batch already computed them).
+	// rest (their compact stages were re-resolved, hitting the memo only if
+	// some other batch already computed them).
 	AbsorbedLibs int `json:"absorbed_libs"`
 	DeltaLibs    int `json:"delta_libs"`
 	// CarriedVerifications counts base members whose verification outcome
@@ -364,7 +371,7 @@ type BatchResult struct {
 	CacheHits     int
 	CacheMisses   int
 	ProfileReuses int
-	// libKeys holds the content-address (CacheKey) of each entry of Libs,
+	// libKeys holds the compact-stage hash of each entry of Libs,
 	// parallel to it — the references a persisted job manifest records.
 	// Empty for hand-built results, which then cannot be persisted.
 	libKeys []string
@@ -439,8 +446,8 @@ func (r *BatchResult) AllVerified() bool {
 
 // DebloatBatch union-debloats one install against a workload set by
 // executing the analysis stage graph: per-member detect nodes feed a union
-// node, the union feeds per-library locate and compact nodes, and the
-// compacted set feeds per-member verification nodes — every stage
+// node, the union feeds one compact node per library, and the compacted
+// set feeds per-member verification nodes — every stage
 // content-keyed and memoized through the service's tiers (registry,
 // byte-bounded cache, content-addressed store). With opt.Base set the
 // batch is incremental: base members' verifications carry over and only
@@ -594,10 +601,9 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	})
 
 	// Compact-key prefetch: compact keys are derivable from the union
-	// alone (CompactKey is its locate key's image), so as soon as the
-	// union resolves one glue node batches every compact key into grouped
-	// lookup-batch round trips — overlapping the network reads with the
-	// local lib-index/locate work the compact nodes also wait on.
+	// alone, so as soon as the union resolves one glue node batches every
+	// compact key into grouped lookup-batch round trips before the compact
+	// nodes consult the memo.
 	compactPrefetchDeps := []*plan.Node(nil)
 	if s.cluster != nil {
 		pfc := g.Node("prefetch", []*plan.Node{unionNode}, nil, func(deps []any) (any, error) {
@@ -617,53 +623,13 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 		compactPrefetchDeps = []*plan.Node{pfc}
 	}
 
-	// Location + compaction: per-library node pairs. Locate keys resolve
-	// late from the union's used-symbol sets; compact keys derive from
-	// their locate key, landing in the two-tier result cache (memory, then
-	// the content-addressed store, decoded against the live library hint).
-	locates := make([]*plan.Node, len(names))
+	// Compaction: one node per library, keyed late from the union's
+	// used-symbol sets and landing in the two-tier result cache (memory,
+	// then the content-addressed store, decoded against the live library
+	// hint). Location runs inside the node, so only a miss pays for it.
 	compacts := make([]*plan.Node, len(names))
 	for i, name := range names {
-		i, name := i, name
-		lib := in.Library(name)
-		idxNode := g.Node(negativa.StageLibIndex, nil, plan.StaticKey(negativa.LibIndexKey(lib)), func([]any) (any, error) {
-			return lib.Index(), nil
-		})
-		locates[i] = g.Node(negativa.StageLocate, []*plan.Node{unionNode, idxNode}, func(deps []any) (plan.Key, error) {
-			u := deps[0].(*negativa.Profile)
-			return negativa.LocateKey(lib, u.UsedFuncs[name], u.UsedKernels[name], archs), nil
-		}, func(deps []any) (any, error) {
-			// The memoized value is a lazy handle (the canonical locate-
-			// stage value type): symbol-to-range resolution runs only when
-			// a compact miss forces it, so compact results served from
-			// memory or disk skip location entirely. Capture just the
-			// used-symbol slices — the handle outlives this batch in the
-			// service-wide memo, and closing over the union profile would
-			// pin it there.
-			u := deps[0].(*negativa.Profile)
-			uf, uk := u.UsedFuncs[name], u.UsedKernels[name]
-			return negativa.NewLocationHandle(func() (*negativa.LibLocation, error) {
-				// locate.resolved counts real symbol-to-range resolutions
-				// (forced handles), as opposed to stage.locate.misses,
-				// which counts handle creations.
-				s.Counters.Add("locate.resolved", 1)
-				return negativa.LocateLib(lib, uf, uk, archs)
-			}), nil
-		})
-		compacts[i] = g.Node(negativa.StageCompact, append([]*plan.Node{unionNode, locates[i]}, compactPrefetchDeps...), func([]any) (plan.Key, error) {
-			return negativa.CompactKey(locates[i].ResolvedKey()), nil
-		}, func(deps []any) (any, error) {
-			u := deps[0].(*negativa.Profile)
-			ll, err := deps[1].(*negativa.LocationHandle).Force()
-			if err != nil {
-				return nil, fmt.Errorf("dserve: locate %s: %w", name, err)
-			}
-			// analysis.computed is the ground truth for "did this service
-			// ever re-run locate/compact": the warm-restart tests assert it
-			// stays zero when every result comes from memory or disk.
-			s.Counters.Add("analysis.computed", 1)
-			return negativa.CompactLocated(lib, ll, u.UsedFuncs[name], u.UsedKernels[name]), nil
-		}).WithHint(lib)
+		compacts[i] = negativa.CompactNode(g, unionNode, name, in.Library(name), archs, compactPrefetchDeps...)
 	}
 
 	// Verification: the union-debloated install must reproduce every

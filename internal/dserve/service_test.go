@@ -1,6 +1,7 @@
 package dserve
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -117,7 +118,7 @@ func TestJobRetentionBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := svc.WaitJob(job.ID, 60*time.Second); err != nil {
+		if _, err := waitJob(svc, job.ID, 60*time.Second); err != nil {
 			t.Fatal(err)
 		}
 		last = job.ID
@@ -180,7 +181,7 @@ func TestSubmitJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, err := svc.WaitJob(job.ID, 60*time.Second)
+	done, err := waitJob(svc, job.ID, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +224,44 @@ type gateObserver struct{ release <-chan struct{} }
 
 func (g gateObserver) StageDone(string, bool, time.Duration) { <-g.release }
 
+// waitJob blocks until the job reaches a terminal state or the timeout
+// elapses, returning the final snapshot — what an in-process caller does
+// with JobEvents where an HTTP client long-polls the event stream.
+func waitJob(s *Service, id string, timeout time.Duration) (*Job, error) {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	after, expired := -1, false
+	for {
+		evs, done, wake, err := s.JobEvents(id, after)
+		if err != nil {
+			return nil, fmt.Errorf("dserve: unknown job %q", id)
+		}
+		if done || expired {
+			// The terminal event follows the terminal state, so the
+			// snapshot of a done stream reads done or failed.
+			job := s.Job(id)
+			if job == nil {
+				return nil, fmt.Errorf("dserve: unknown job %q", id)
+			}
+			if !done {
+				return job, fmt.Errorf("dserve: job %s still %s after %v", id, job.State, timeout)
+			}
+			return job, nil
+		}
+		after += len(evs)
+		select {
+		case <-wake:
+		case <-timer.C:
+			expired = true
+		}
+	}
+}
+
 func TestWaitJob(t *testing.T) {
 	svc := NewService(Config{Workers: 4, MaxSteps: 2})
 	defer svc.Close()
 
-	if _, err := svc.WaitJob("job-9999", time.Minute); err == nil || !strings.Contains(err.Error(), "unknown job") {
+	if _, err := waitJob(svc, "job-9999", time.Minute); err == nil || !strings.Contains(err.Error(), "unknown job") {
 		t.Errorf("unknown ID: %v", err)
 	}
 
@@ -242,7 +276,7 @@ func TestWaitJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	held, err := svc.WaitJob(job.ID, 10*time.Millisecond)
+	held, err := waitJob(svc, job.ID, 10*time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "after 10ms") {
 		t.Fatalf("expired deadline on a held job: %v", err)
 	}
@@ -254,7 +288,7 @@ func TestWaitJob(t *testing.T) {
 	// terminal event, long before the deadline.
 	time.AfterFunc(20*time.Millisecond, release)
 	start := time.Now()
-	done, err := svc.WaitJob(job.ID, time.Minute)
+	done, err := waitJob(svc, job.ID, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,6 +296,6 @@ func TestWaitJob(t *testing.T) {
 		t.Fatalf("released job is %s (%s)", done.State, done.Err)
 	}
 	if waited := time.Since(start); waited >= time.Minute {
-		t.Errorf("WaitJob returned after %v: it sat out the deadline", waited)
+		t.Errorf("waitJob returned after %v: it sat out the deadline", waited)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
 )
 
 // ELF constants (subset needed for ET_DYN x86-64 libraries).
@@ -321,9 +320,4 @@ func (b *Builder) Build() ([]byte, error) {
 		le.PutUint64(hdr[56:], uint64(s.entsize))
 	}
 	return buf, nil
-}
-
-// SortFuncSpecs orders specs by name; generators use it for determinism.
-func SortFuncSpecs(specs []FuncSpec) {
-	sort.Slice(specs, func(i, j int) bool { return specs[i].Name < specs[j].Name })
 }

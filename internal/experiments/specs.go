@@ -151,17 +151,6 @@ func H100Specs(mode cudasim.LoadMode) []Spec {
 	}
 }
 
-// Workload materializes the spec against a generated install. Installs are
-// cached per (framework, tail) by the suite; this low-level variant
-// generates fresh.
-func (s Spec) Workload() (mlruntime.Workload, error) {
-	in, err := mlframework.Generate(mlframework.Config{Framework: s.Framework, TailLibs: s.TailLibs})
-	if err != nil {
-		return mlruntime.Workload{}, err
-	}
-	return s.workloadWith(in), nil
-}
-
 func (s Spec) workloadWith(in *mlframework.Install) mlruntime.Workload {
 	return mlruntime.Workload{
 		Name:           s.Name(),

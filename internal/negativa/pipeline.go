@@ -35,7 +35,7 @@ type Options struct {
 	SkipVerify bool
 	// Workers bounds the stage plan's concurrently executing nodes
 	// (default runtime.NumCPU()). Independent stages — per-library
-	// locate/compact, the capped reference run, the verification re-run —
+	// compaction, the capped reference run, the verification re-run —
 	// overlap up to this width.
 	Workers int
 	// Memo, when non-nil, memoizes stage results across Debloat calls by
@@ -129,11 +129,10 @@ type LibDebloat struct {
 	Analysis time.Duration
 }
 
-// LocateAndCompactLib runs the location and compaction stages on one
-// library in sequence — the composition of the LocateLib and
-// CompactLocated stage functions the planner schedules separately. The
-// function only reads the library, so concurrent calls on a shared
-// *elfx.Library are safe.
+// LocateAndCompactLib runs location and compaction on one library in
+// sequence — the work function of a plan's compact node. The function only
+// reads the library, so concurrent calls on a shared *elfx.Library are
+// safe.
 func LocateAndCompactLib(lib *elfx.Library, usedFuncs, usedKernels []string, archs []gpuarch.SM) (*LibDebloat, error) {
 	loc, err := LocateLib(lib, usedFuncs, usedKernels, archs)
 	if err != nil {
@@ -143,7 +142,7 @@ func LocateAndCompactLib(lib *elfx.Library, usedFuncs, usedKernels []string, arc
 }
 
 // Debloat runs the full Negativa-ML pipeline on a workload as a stage
-// plan: a detect node feeds per-library locate and compact nodes, and a
+// plan: a detect node feeds one compact node per library, and a
 // verification node (plus, when VerifySteps differs from MaxSteps, a
 // capped reference-run node that overlaps with it) closes the graph. Every
 // node carries a content-derived key; with a shared Options.Memo, repeat
@@ -176,37 +175,7 @@ func Debloat(w mlruntime.Workload, opt Options) (*Result, error) {
 
 	compacts := make([]*plan.Node, len(names))
 	for i, name := range names {
-		name := name
-		lib := w.Install.Library(name)
-		idx := g.Node(StageLibIndex, nil, plan.StaticKey(LibIndexKey(lib)), func([]any) (any, error) {
-			return lib.Index(), nil
-		})
-		loc := g.Node(StageLocate, []*plan.Node{detect, idx}, func(deps []any) (plan.Key, error) {
-			p := deps[0].(*Profile)
-			return LocateKey(lib, p.UsedFuncs[name], p.UsedKernels[name], archs), nil
-		}, func(deps []any) (any, error) {
-			// The memoized value is a lazy handle (the canonical locate-
-			// stage value type): resolution runs only when a compact miss
-			// forces it. Capture just the inputs — the handle may outlive
-			// this call in a shared memo.
-			p := deps[0].(*Profile)
-			uf, uk := p.UsedFuncs[name], p.UsedKernels[name]
-			return NewLocationHandle(func() (*LibLocation, error) {
-				return LocateLib(lib, uf, uk, archs)
-			}), nil
-		})
-		compacts[i] = g.Node(StageCompact, []*plan.Node{detect, loc}, func([]any) (plan.Key, error) {
-			// Compaction is keyed by its locate stage's key, resolved by the
-			// time this dependent's key function runs.
-			return CompactKey(loc.ResolvedKey()), nil
-		}, func(deps []any) (any, error) {
-			p := deps[0].(*Profile)
-			ll, err := deps[1].(*LocationHandle).Force()
-			if err != nil {
-				return nil, fmt.Errorf("negativa: locate %s: %w", name, err)
-			}
-			return CompactLocated(lib, ll, p.UsedFuncs[name], p.UsedKernels[name]), nil
-		}).WithHint(lib)
+		compacts[i] = CompactNode(g, detect, name, w.Install.Library(name), archs)
 	}
 
 	var refNode, verifyNode *plan.Node

@@ -4,9 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"negativaml/internal/elfx"
@@ -14,22 +14,24 @@ import (
 	"negativaml/internal/plan"
 )
 
-// Stage names of the analysis plan. Every pipeline phase is a stage-graph
+// Stage names of the analysis plan. Every scheduled stage is a stage-graph
 // node with an explicit content-derived key; internal/plan schedules them
-// and internal/dserve memoizes them memory→disk.
+// and internal/dserve memoizes detect in its profile registry and compact
+// in its result cache (memory → disk → replica peers).
 const (
 	// StageDetect runs a workload once with the detectors attached. Keyed
 	// by (install fingerprint, workload identity) — the identity embeds the
 	// step cap.
 	StageDetect = "detect"
-	// StageLibIndex builds a library's parse-once analysis index. Keyed by
-	// the library content digest.
+	// StageLibIndex and StageLocate name no node: a library's index is built
+	// by InstallFingerprint before a plan exists, and location runs inside
+	// the compact stage. The constants stay because bench/ compiles against
+	// them; StageLocate also labels LocateKey's result.
 	StageLibIndex = "libindex"
-	// StageLocate maps used symbols to file ranges. Keyed by (library
+	StageLocate   = "locate"
+	// StageCompact maps used symbols to file ranges, zeroes the unretained
+	// ranges into a sparse image and builds the report. Keyed by (library
 	// digest, used-symbol sets, target architectures).
-	StageLocate = "locate"
-	// StageCompact zeroes unretained ranges into a sparse image and builds
-	// the report. Keyed by its locate stage's key.
 	StageCompact = "compact"
 	// StageVerifyRef runs the original install capped to obtain a
 	// comparable reference digest. Keyed by (install fingerprint, workload
@@ -56,12 +58,6 @@ func DetectKey(installFP, workloadID string) plan.Key {
 // detect-stage hash.
 func SplitDetectHash(hash string) (installFP, workloadID string, ok bool) {
 	return strings.Cut(hash, detectHashSep)
-}
-
-// LibIndexKey is the lib-index stage's content key: the library digest.
-func LibIndexKey(lib *elfx.Library) plan.Key {
-	d := lib.ContentDigest()
-	return plan.Key{Stage: StageLibIndex, Hash: hex.EncodeToString(d[:])}
 }
 
 // LocateKey derives the content address of one locate computation (and,
@@ -105,11 +101,37 @@ func LocateKey(lib *elfx.Library, usedFuncs, usedKernels []string, archs []gpuar
 	return plan.Key{Stage: StageLocate, Hash: hex.EncodeToString(h.Sum(nil))}
 }
 
-// CompactKey derives the compact stage's key from its locate stage's key:
+// CompactKey derives the compact stage's key from its location's key:
 // compaction is a pure function of the location, so the same hash
-// addresses both stages.
+// addresses both.
 func CompactKey(locate plan.Key) plan.Key {
 	return plan.Key{Stage: StageCompact, Hash: locate.Hash}
+}
+
+// CompactNode adds a library's one node to an analysis plan — the node
+// both planners (Debloat and the batch service) schedule per library.
+// profile is the node whose value is the *Profile the library is debloated
+// against (the detection, or a batch's union); name is the library's name
+// in that profile; after lists nodes that must merely finish first. The
+// key resolves late from the profile's used-symbol sets; location is
+// computed inside the node on a memo miss and never on a hit; the hint is
+// the library, which memo tiers decode a persisted range set against.
+func CompactNode(g *plan.Graph, profile *plan.Node, name string, lib *elfx.Library, archs []gpuarch.SM, after ...*plan.Node) *plan.Node {
+	used := func(deps []any) (funcs, kernels []string) {
+		p := deps[0].(*Profile)
+		return p.UsedFuncs[name], p.UsedKernels[name]
+	}
+	return g.Node(StageCompact, append([]*plan.Node{profile}, after...), func(deps []any) (plan.Key, error) {
+		uf, uk := used(deps)
+		return CompactKey(LocateKey(lib, uf, uk, archs)), nil
+	}, func(deps []any) (any, error) {
+		uf, uk := used(deps)
+		ld, err := LocateAndCompactLib(lib, uf, uk, archs)
+		if err != nil {
+			return nil, fmt.Errorf("negativa: locate %s: %w", name, err)
+		}
+		return ld, nil
+	}).WithHint(lib)
 }
 
 // VerifyRefKey is the capped reference run's content key. workloadID must
@@ -140,8 +162,8 @@ func VerifyRunKey(installFP, workloadID string, steps int, compactHashes []strin
 	return plan.Key{Stage: StageVerifyRun, Hash: hex.EncodeToString(h.Sum(nil))}
 }
 
-// LibLocation is the locate stage's output for one library: the CPU and
-// GPU locations plus the stage's virtual analysis time. It is immutable
+// LibLocation is the location of one library's used code: the CPU and
+// GPU locations plus the phase's virtual analysis time. It is immutable
 // once built and safe to share.
 type LibLocation struct {
 	CPU *CPULocation
@@ -150,38 +172,7 @@ type LibLocation struct {
 	Locate time.Duration
 }
 
-// LocationHandle is the canonical memoized value of the locate stage: a
-// deferred location that computes on first Force. Deferral lets a compact
-// stage served from a memo tier skip symbol-to-range resolution entirely;
-// a canonical type lets every planner (the single-workload pipeline and
-// the batch service) share one stage memo without value-type clashes.
-// Forcing is once-only and safe for concurrent use.
-type LocationHandle struct {
-	once sync.Once
-	fn   func() (*LibLocation, error)
-	loc  *LibLocation
-	err  error
-}
-
-// NewLocationHandle wraps a locate computation. fn should capture only
-// what the computation needs (the library, its used-symbol slices, the
-// architectures) — the handle may outlive the batch that created it in a
-// shared memo.
-func NewLocationHandle(fn func() (*LibLocation, error)) *LocationHandle {
-	return &LocationHandle{fn: fn}
-}
-
-// Force computes the location on first call and returns the shared result
-// thereafter.
-func (h *LocationHandle) Force() (*LibLocation, error) {
-	h.once.Do(func() {
-		h.loc, h.err = h.fn()
-		h.fn = nil
-	})
-	return h.loc, h.err
-}
-
-// LocateLib runs the location stage on one library: used CPU functions map
+// LocateLib runs the location phase on one library: used CPU functions map
 // to .text file ranges through the symbol table, used kernels decide
 // fatbin element retention for the given architectures. The function only
 // reads the library, so concurrent calls on a shared *elfx.Library are
@@ -200,7 +191,7 @@ func LocateLib(lib *elfx.Library, usedFuncs, usedKernels []string, archs []gpuar
 	}, nil
 }
 
-// CompactLocated runs the compaction stage on a located library: every
+// CompactLocated runs the compaction phase on a located library: every
 // unretained range joins the sparse image's zeroed set, and every report
 // size is computed analytically from the range set and the library's
 // zero-byte prefix sum — no post-compaction buffer is allocated or

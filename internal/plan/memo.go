@@ -6,14 +6,19 @@ import "sync"
 // each node's resolved content key. hint is the node's reconstruction hint
 // (Node.WithHint) — tiered implementations use it to rebuild a value from
 // a persisted form (e.g. decoding a stored range set against the live
-// library); plain memory memos ignore it.
+// library). slot is the calling node's own executor slot: a tier that
+// waits on the network releases it for the wait and re-acquires through
+// it, so under priority admission (ExecuteWith) the node re-joins the
+// queue at its critical-path weight instead of racing the raw pool ahead
+// of heavier waiters. slot is only valid for the duration of the call;
+// plain memory memos ignore both.
 //
-// GetOrCompute returns the memoized value with hit=true, or computes,
-// stores, and returns it with hit=false. Implementations must be safe for
-// concurrent use and should collapse concurrent computes of the same key
-// into one (the contract MemMemo provides).
+// GetOrCompute returns the memoized value and the tier that served it, or
+// computes, stores, and returns it with SourceComputed. Implementations
+// must be safe for concurrent use and should collapse concurrent computes
+// of the same key into one (the contract MemMemo provides).
 type Memo interface {
-	GetOrCompute(key Key, hint any, compute func() (any, error)) (v any, hit bool, err error)
+	GetOrCompute(slot Executor, key Key, hint any, compute func() (any, error)) (v any, src Source, err error)
 }
 
 // memoEntry is one MemMemo slot: the inflight channel gates concurrent
@@ -50,13 +55,13 @@ func NewMemMemo(max int) *MemMemo {
 }
 
 // GetOrCompute implements Memo.
-func (m *MemMemo) GetOrCompute(key Key, _ any, compute func() (any, error)) (any, bool, error) {
+func (m *MemMemo) GetOrCompute(_ Executor, key Key, _ any, compute func() (any, error)) (any, Source, error) {
 	m.mu.Lock()
 	if e, ok := m.entries[key]; ok {
 		m.mu.Unlock()
 		<-e.ready
 		if e.err == nil {
-			return e.val, true, nil
+			return e.val, SourceMemory, nil
 		}
 		// The flight we joined failed; fall through to our own attempt.
 		return m.retry(key, compute)
@@ -80,7 +85,7 @@ func (m *MemMemo) claim(key Key) *memoEntry {
 
 // fill runs the compute for the claimed entry, publishes the result, and
 // drops failed entries so later calls retry.
-func (m *MemMemo) fill(key Key, e *memoEntry, compute func() (any, error)) (any, bool, error) {
+func (m *MemMemo) fill(key Key, e *memoEntry, compute func() (any, error)) (any, Source, error) {
 	e.val, e.err = compute()
 	close(e.ready)
 	if e.err != nil {
@@ -91,25 +96,25 @@ func (m *MemMemo) fill(key Key, e *memoEntry, compute func() (any, error)) (any,
 			delete(m.entries, key)
 		}
 		m.mu.Unlock()
-		return nil, false, e.err
+		return nil, SourceComputed, e.err
 	}
-	return e.val, false, nil
+	return e.val, SourceComputed, nil
 }
 
 // retry re-enters the memo after joining a failed flight: by the time we
 // get here the failed entry has been dropped, so this either joins a newer
 // healthy flight or claims its own.
-func (m *MemMemo) retry(key Key, compute func() (any, error)) (any, bool, error) {
+func (m *MemMemo) retry(key Key, compute func() (any, error)) (any, Source, error) {
 	m.mu.Lock()
 	if e, ok := m.entries[key]; ok {
 		m.mu.Unlock()
 		<-e.ready
 		if e.err == nil {
-			return e.val, true, nil
+			return e.val, SourceMemory, nil
 		}
 		// Two consecutive failures: report without further retries —
 		// deterministic computes will keep failing.
-		return nil, false, e.err
+		return nil, SourceComputed, e.err
 	}
 	e := m.claim(key)
 	m.mu.Unlock()

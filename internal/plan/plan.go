@@ -38,15 +38,10 @@ type Node struct {
 	err  error
 	key  Key
 	hit  bool
-	src  Source
 }
 
 // Value returns the node's output after Execute.
 func (n *Node) Value() any { return n.out }
-
-// Err returns the node's error after Execute (a dependency's error
-// propagates unwrapped, so the root cause is reported once).
-func (n *Node) Err() error { return n.err }
 
 // ResolvedKey returns the content key the node resolved during Execute
 // (zero for unmemoized glue nodes or nodes that never ran).
@@ -54,11 +49,6 @@ func (n *Node) ResolvedKey() Key { return n.key }
 
 // Hit reports whether the node's value came from the memo.
 func (n *Node) Hit() bool { return n.hit }
-
-// ValueSource returns which tier produced the node's value after Execute:
-// SourceComputed unless the memo implements SourcedMemo and served the
-// value from one of its tiers.
-func (n *Node) ValueSource() Source { return n.src }
 
 // Graph is a stage DAG under construction. Build it single-goroutine, then
 // Execute it; a Graph is single-use.
@@ -79,8 +69,8 @@ func (g *Graph) Len() int { return len(g.nodes) }
 // keyFn (or a zero resolved key) marks the node unmemoized. runFn computes
 // the value on a memo miss. Either function may also read a captured
 // dependency *Node's ResolvedKey — dependency keys are resolved before
-// dependents run, which is how a compact stage keys itself by its locate
-// stage's key.
+// dependents run, which is how a verify-run stage keys itself by its
+// compact stages' keys.
 func (g *Graph) Node(stage string, deps []*Node, keyFn func(deps []any) (Key, error), runFn func(deps []any) (any, error)) *Node {
 	n := &Node{stage: stage, deps: deps, keyFn: keyFn, runFn: runFn, done: make(chan struct{})}
 	g.nodes = append(g.nodes, n)
@@ -186,25 +176,12 @@ func (n *Node) exec(ex Executor, memo Memo, obs Observer) {
 		}
 		return
 	}
-	var v any
-	var err error
-	src := SourceComputed
-	if sm, ok := memo.(SlotSourcedMemo); ok {
-		v, src, err = sm.GetOrComputeSourcedSlot(ex, n.key, n.hint, func() (any, error) { return n.runFn(vals) })
-	} else if sm, ok := memo.(SourcedMemo); ok {
-		v, src, err = sm.GetOrComputeSourced(n.key, n.hint, func() (any, error) { return n.runFn(vals) })
-	} else {
-		var hit bool
-		v, hit, err = memo.GetOrCompute(n.key, n.hint, func() (any, error) { return n.runFn(vals) })
-		if hit {
-			src = SourceMemory
-		}
-	}
+	v, src, err := memo.GetOrCompute(ex, n.key, n.hint, func() (any, error) { return n.runFn(vals) })
 	if err != nil {
 		n.err = err
 		return
 	}
-	n.out, n.hit, n.src = v, src.Hit(), src
+	n.out, n.hit = v, src.Hit()
 	if obs != nil {
 		notify(obs, n.stage, src, time.Since(start))
 	}

@@ -141,7 +141,7 @@ func TestMemMemoSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := memo.GetOrCompute(Key{"s", "k"}, nil, func() (any, error) {
+			v, _, err := memo.GetOrCompute(nil, Key{"s", "k"}, nil, func() (any, error) {
 				computes.Add(1)
 				time.Sleep(time.Millisecond)
 				return 42, nil
@@ -166,19 +166,19 @@ func TestMemMemoSingleflight(t *testing.T) {
 func TestMemMemoFailedComputeRetries(t *testing.T) {
 	memo := NewMemMemo(0)
 	calls := 0
-	_, _, err := memo.GetOrCompute(Key{"s", "k"}, nil, func() (any, error) {
+	_, _, err := memo.GetOrCompute(nil, Key{"s", "k"}, nil, func() (any, error) {
 		calls++
 		return nil, errors.New("transient")
 	})
 	if err == nil {
 		t.Fatal("want error")
 	}
-	v, hit, err := memo.GetOrCompute(Key{"s", "k"}, nil, func() (any, error) {
+	v, src, err := memo.GetOrCompute(nil, Key{"s", "k"}, nil, func() (any, error) {
 		calls++
 		return 7, nil
 	})
-	if err != nil || hit || v.(int) != 7 || calls != 2 {
-		t.Fatalf("retry after failure: v=%v hit=%v err=%v calls=%d", v, hit, err, calls)
+	if err != nil || src.Hit() || v.(int) != 7 || calls != 2 {
+		t.Fatalf("retry after failure: v=%v src=%v err=%v calls=%d", v, src, err, calls)
 	}
 	if memo.Len() != 1 {
 		t.Fatalf("len = %d", memo.Len())
@@ -188,7 +188,7 @@ func TestMemMemoFailedComputeRetries(t *testing.T) {
 func TestMemMemoBoundWipes(t *testing.T) {
 	memo := NewMemMemo(4)
 	for i := 0; i < 9; i++ {
-		memo.GetOrCompute(Key{"s", fmt.Sprint(i)}, nil, func() (any, error) { return i, nil })
+		memo.GetOrCompute(nil, Key{"s", fmt.Sprint(i)}, nil, func() (any, error) { return i, nil })
 	}
 	if n := memo.Len(); n > 4 {
 		t.Fatalf("memo exceeded bound: %d", n)

@@ -8,8 +8,8 @@ import (
 
 // Pool is the bounded worker executor shared by the stage-graph scheduler
 // and the batch service: a counting semaphore capping how many tasks —
-// graph nodes, per-library locate/compact calls, per-workload detection
-// and verification runs — execute concurrently across all jobs.
+// graph nodes, per-library compactions, per-workload detection and
+// verification runs — execute concurrently across all jobs.
 type Pool struct {
 	sem chan struct{}
 }
@@ -34,35 +34,6 @@ func (p *Pool) Acquire() { p.sem <- struct{}{} }
 
 // Release returns a worker slot.
 func (p *Pool) Release() { <-p.sem }
-
-// Map is the pool's convenience fan-out for flat task lists outside a
-// stage graph (the scheduler itself uses Acquire/Release): it runs fn(i)
-// for every i in [0, n), waits for all of them, and returns the
-// lowest-index error. Map must not be called from inside a Map task: a
-// task that blocks on a slot while holding one can deadlock the
-// semaphore.
-func (p *Pool) Map(n int, fn func(int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		p.Acquire()
-		wg.Add(1)
-		go func(i int) {
-			defer func() { p.Release(); wg.Done() }()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Each runs fn(i) for every i in [0, n) on min(GOMAXPROCS, n) goroutines
 // and returns once all calls have: the fan-out for per-file and per-library

@@ -4,8 +4,8 @@ import "time"
 
 // Source identifies which memo tier produced a stage value. Tiered memos
 // (the serving plane's memory → castore → owning-peer lookup) report it
-// through the optional SourcedMemo interface so observers can tell a local
-// recompute from a disk restore from a cross-node read-through.
+// from Memo.GetOrCompute so observers can tell a local recompute from a
+// disk restore from a cross-node read-through.
 type Source int
 
 const (
@@ -37,29 +37,6 @@ func (s Source) String() string {
 	default:
 		return "computed"
 	}
-}
-
-// SourcedMemo is an optional Memo extension for tiered implementations
-// that can say where a value came from. When the memo handed to Execute
-// implements it, the scheduler calls GetOrComputeSourced instead of
-// GetOrCompute and exposes the source via Node.ValueSource and the
-// SourceObserver callback.
-type SourcedMemo interface {
-	Memo
-	GetOrComputeSourced(key Key, hint any, compute func() (any, error)) (v any, src Source, err error)
-}
-
-// SlotSourcedMemo is an optional SourcedMemo refinement: the scheduler
-// additionally hands each consultation the calling node's own executor
-// slot. Memo tiers that yield the slot around network waits re-acquire
-// through it, so under priority admission (ExecuteWith) a node returning
-// from a peer round trip re-joins the queue at its critical-path weight
-// instead of racing the raw pool ahead of heavier waiters. slot is only
-// valid for the duration of the call; implementations fall back to their
-// attached executor when it is nil.
-type SlotSourcedMemo interface {
-	SourcedMemo
-	GetOrComputeSourcedSlot(slot Executor, key Key, hint any, compute func() (any, error)) (v any, src Source, err error)
 }
 
 // SourceObserver is an optional Observer extension: implementations also
