@@ -16,6 +16,8 @@
 //	      \   |   /
 //	       [union]──────────────── compact(lib1) … compact(libN)
 //	                                      \              /
+//	                                       [verifyprobe]
+//	                                      /              \
 //	                                 [clone chunk] … [clone chunk]
 //	                                      \              /
 //	                                       [clone install]
@@ -28,7 +30,8 @@
 //	compact   library digest + union used-symbol sets + target archs;
 //	          location is computed inside it on a miss, never on a hit
 //	verifyref (install fingerprint, identity at the verification step cap)
-//	verifyrun unmemoized by design — see below
+//	verifyrun (install fingerprint, workload identity, step cap, digest of
+//	          the debloated set as handed out) — see Verification below
 //
 // A library contributes exactly one node (negativa.CompactNode, which the
 // single-workload planner schedules too): its index was built by
@@ -39,7 +42,7 @@
 // consults the stage memo before running the node, so a key already
 // computed by any prior batch — or any prior boot — absorbs the work.
 //
-// The stage memo (StageMemo) routes the two memoized stages to their
+// The stage memo (StageMemo) routes the three memoized stages to their
 // stores, each tiered memory → disk → owning cluster peer:
 //
 //   - detect → the profile Registry: (install fingerprint, workload
@@ -52,14 +55,64 @@
 //     libraries shared across installs — the dependency tail, which
 //     dominates library counts — are analyzed once no matter how many
 //     installs or jobs reference them.
+//   - verifyrun → the verify records: a count-bounded memory map of run
+//     results (same cap and oldest-first rule as the registry), castore
+//     objects of kind "verify" written behind the batch, and the key's
+//     replica owners.
 //
-// One flight table spans both: concurrent batches computing the same stage
-// key run it once and share the value. A key of any other stage is not
-// memoized.
+// One flight table spans all three (StageMemo.resolve): concurrent batches
+// computing the same stage key run it once and share the value. A key of
+// any other stage is not memoized.
 //
-// Verification nodes are deliberately unmemoized: a resubmitted batch
-// re-validates what the service hands out. Only an explicit incremental
-// re-submit carries verification outcomes over (next section).
+// # Verification
+//
+// A verify run is a pure function of (install, workload identity at the
+// step cap, the debloated bytes), so it is memoized like any other stage —
+// keyed by what the batch hands out, not by what it asked for. After the
+// compact nodes, the verifyprobe glue node digests, per library in load
+// order, (name, content digest, the exact zeroed ranges of the sparse
+// image in the compact node's value) — negativa.DebloatedSetDigest, the
+// derivation the single-workload planner uses too — derives each fresh
+// member's negativa.VerifyRunKey, reads the replica set through when
+// clustered (only if every compact was itself a hit: a batch that computed
+// part of the set is the first to hold it, so no replica has a record and
+// the round trip is not made), and asks the memo once. Only byte-identical output can hit: a
+// different union, one flipped range, or a wrong-but-well-formed range set
+// restored from disk or served by a peer changes the digest, and the
+// members run again on the bytes as they are
+// (TestVerifyMemoReRunsOnDifferentBytes). The graph is static, so its node
+// count is exact before it runs: the clone chunk nodes and the join are
+// always scheduled, inside the pool, and do nothing — no pooled scratch, no
+// materialize, no parse — when every fresh member is already answered; a
+// batch with any miss builds exactly one clone. A record the probe found
+// is carried to its member's node, so an eviction between probe and lookup
+// returns that record rather than needing a clone that was never built.
+//
+// The memoized value is the run's *mlruntime.Result. Verified is still
+// computed at assembly, by comparing its digest with the profile's
+// reference digest: a deterministic mismatch memoizes as a mismatch, and a
+// run that errors memoizes nothing. New records go to the local store and
+// to the key's replica owners on a background goroutine — never inside the
+// verify node — and are ordered against nothing: a lost record costs a
+// re-run.
+//
+// What this gives up against re-running every time, precisely. Bytes
+// enter a node's memory only through checked boundaries — ingest and
+// install hashing (the fingerprint and every library's content digest),
+// castore frame checksums, and the sparse decoder, which binds a range set
+// to its library's digest — and the key is computed from the in-memory
+// objects the result then streams from. So the one fault an unconditional
+// re-run could still catch and the key cannot is mutation of an immutable
+// object (a library image, a sparse image's ranges) after its digest was
+// taken — which the concurrency contract below already excludes. The peer
+// tier trusts a replica's verify record exactly as it already trusts a
+// replica's profile: under the content key it was asked for.
+//
+// Incremental re-submit's carried outcomes (below) stay a separate path:
+// they answer for a *different* debloated set — the superset
+// union's — by a monotonicity argument (the superset keeps every byte the
+// base kept), which no content address can express. Fresh members of an
+// incremental batch go through the memo like any others.
 //
 // Per-stage hit/miss counters (stage.<name>.hits / .misses, with
 // .disk_hits / .peer_hits tier attribution) and timings feed /v1/metrics'
@@ -69,9 +122,9 @@
 //
 // With a cluster attached (AttachCluster, fed by negativa-served's
 // -peers/-node-id flags), the stage content keys double as the sharding
-// unit: a consistent-hash ring (internal/cluster) assigns each detect and
-// compact key an R-way replica set of owning nodes (default R=2), and the
-// stage memo gains a third tier. Any node accepts any batch; the stages
+// unit: a consistent-hash ring (internal/cluster) assigns each detect,
+// compact and verifyrun key an R-way replica set of owning nodes (default
+// R=2), and the stage memo gains a third tier. Any node accepts any batch; the stages
 // its local tiers miss are read through their remote owners in measured-
 // latency order, batched per replica set (POST /v1/peer/lookup-batch, the
 // only remote read, hedged). A ring runs one protocol: a replica set that
@@ -81,12 +134,13 @@
 // small spec, and the owner memoizes what it executed, so the whole
 // cluster runs each detection once); a compact stage computes on the
 // requesting node, which already holds the library image, and only its
-// O(ranges) result travels.
+// O(ranges) result travels; a verifyrun stage runs on the requesting node,
+// on the clone it built, and only the record travels.
 // Peer-served values are written into the local tiers — memory, and the
 // castore when attached — so hot artifacts replicate toward demand; every
-// locally computed value (compact result or detect profile) is pushed to
-// all live remote owners of its key in the background (write-back
-// replication, repair.go), and a periodic anti-entropy sweep
+// locally computed value (compact result, detect profile or verify record)
+// is pushed to all live remote owners of its key in the background
+// (write-back replication, repair.go), and a periodic anti-entropy sweep
 // (Config.RepairInterval / RepairNow) stat-probes the remote owners of
 // every locally held artifact and streams what they are missing through
 // the castore's checksummed frames (PUT /v1/peer/objects/{kind}/{key},
@@ -117,9 +171,10 @@
 //   - Location/compaction: libraries whose union used-symbol sets are
 //     unchanged by the added members resolve to their base stage keys and
 //     absorb through the memo; only the union-delta recomputes.
-//   - Verification: base members' outcomes carry over without a re-run —
-//     the superset union retains everything the base union did, so base
-//     members stay verified by construction; only fresh members re-run.
+//   - Verification: base members' outcomes carry over without a re-run or
+//     a key — the superset union retains everything the base union did, so
+//     base members stay verified by construction; only fresh members
+//     resolve a verifyrun key, and run when no record answers it.
 //
 // The base job is pinned for the duration of the batch, so eviction
 // cannot release the store objects its stage keys absorb through. The
@@ -142,9 +197,9 @@
 // # Durability
 //
 // With a castore.Store attached (Config.Store), the service is durable:
-// the compact-stage memo gains its disk tier (memory miss → disk hit →
-// recompute), every detection profile snapshots on Put and replays on
-// boot, and each completed job spills a manifest referencing its library
+// the compact-stage and verifyrun memos gain their disk tier (memory miss →
+// disk hit → recompute), every detection profile snapshots on Put and
+// replays on boot, and each completed job spills a manifest referencing its library
 // images, sparse range sets, and reports — all content-addressed. A
 // restarted service restores its jobs lazily: status reads the manifest,
 // and the first report or fetch-library request materializes the result

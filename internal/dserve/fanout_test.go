@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -86,9 +87,10 @@ func TestIngestedInstallIsNotPinnedByTheService(t *testing.T) {
 
 // TestWarmDiskBatchDoesNotPinLibraries: a batch served entirely from the
 // store computes nothing, so nothing it schedules may keep the freshly parsed
-// libraries it was handed — with a result cache too small to hold an entry,
-// the first library must be collectable once the batch has returned, while
-// the service lives on.
+// libraries it was handed. The result cache is sized to keep exactly one
+// entry — its most recent, whichever compact node finished last — so all
+// libraries but that one must be collectable once the batch has returned,
+// while the service lives on.
 func TestWarmDiskBatchDoesNotPinLibraries(t *testing.T) {
 	root, dir := t.TempDir(), t.TempDir()
 	if err := testInstall(t).WriteTo(filepath.Join(root, "tree")); err != nil {
@@ -113,7 +115,15 @@ func TestWarmDiskBatchDoesNotPinLibraries(t *testing.T) {
 	defer close2()
 	freed := make(chan struct{})
 	verified := ingestedBatch(t, svc2, "tree", func(in *mlframework.Install) {
-		runtime.SetFinalizer(in.Library(in.LibNames[0]), func(*elfx.Library) { close(freed) })
+		var left atomic.Int64
+		left.Store(int64(len(in.LibNames)) - 1)
+		for _, name := range in.LibNames {
+			runtime.SetFinalizer(in.Library(name), func(*elfx.Library) {
+				if left.Add(-1) == 0 {
+					close(freed)
+				}
+			})
+		}
 	})
 	if !verified {
 		t.Fatal("warm-disk batch did not verify")
@@ -122,14 +132,16 @@ func TestWarmDiskBatchDoesNotPinLibraries(t *testing.T) {
 		t.Fatalf("warm-disk batch located and compacted %d libraries, want 0", n)
 	}
 	if !collected(freed, 5*time.Second) {
-		t.Fatal("the service still holds a library image after its warm-disk batch returned")
+		t.Fatal("the service still holds more than its one cached library image after its warm-disk batch returned")
 	}
 }
 
 // TestBatchGraphHasOneNodePerLibrary pins the batch DAG's size, so a node
-// that cannot miss cannot creep back: members + union + libraries + clone
-// parts + clone join + fresh verifies, plus the two prefetch nodes when
-// clustered. One worker makes the verify clone one part.
+// that cannot miss cannot creep back: members + union + libraries + verify
+// probe + clone parts + clone join + fresh verifies, plus the two prefetch
+// nodes when clustered. One worker makes the verify clone one part. The
+// graph is static: a warm resubmit, which builds no clone, plans the same
+// count.
 func TestBatchGraphHasOneNodePerLibrary(t *testing.T) {
 	in := testInstall(t)
 	ws := testWorkloads(t, in)
@@ -138,19 +150,21 @@ func TestBatchGraphHasOneNodePerLibrary(t *testing.T) {
 		if clustered {
 			soloCluster(svc)
 		}
-		var planned int
-		_, err := svc.DebloatBatch(in, ws, BatchOptions{OnPlanned: func(n int) { planned = n }})
-		svc.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := len(ws) + 1 + len(in.LibNames) + 1 + 1 + len(ws)
+		want := len(ws) + 1 + len(in.LibNames) + 1 + 1 + 1 + len(ws)
 		if clustered {
 			want += 2
 		}
-		if planned != want {
-			t.Errorf("clustered=%v: batch planned %d nodes, want %d for %d members and %d libraries", clustered, planned, want, len(ws), len(in.LibNames))
+		for _, pass := range []string{"cold", "warm"} {
+			var planned int
+			_, err := svc.DebloatBatch(in, ws, BatchOptions{OnPlanned: func(n int) { planned = n }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if planned != want {
+				t.Errorf("clustered=%v %s: batch planned %d nodes, want %d for %d members and %d libraries", clustered, pass, planned, want, len(ws), len(in.LibNames))
+			}
 		}
+		svc.Close()
 	}
 }
 
@@ -206,7 +220,8 @@ func cloneGraph(in *mlframework.Install, images []*negativa.SparseImage, chunks 
 		ld := &negativa.LibDebloat{Report: &negativa.LibraryReport{Name: in.LibNames[i], Sparse: sp}}
 		compacts[i] = g.Node(negativa.StageCompact, nil, nil, func([]any) (any, error) { return ld, nil })
 	}
-	return g, verifyClone(g, in, compacts, chunks, bufs)
+	probe := g.Node("verifyprobe", compacts, nil, func([]any) (any, error) { return &verifyProbe{needClone: true}, nil })
+	return g, verifyClone(g, in, probe, compacts, chunks, bufs)
 }
 
 // TestVerifyCloneFailureNamesTheLibrary: a debloated image that no longer

@@ -15,23 +15,25 @@ import (
 // replica reads.
 //
 // One HTTP round trip per stage key would make a peer-warm batch's wall
-// time scale with its artifact count, so DebloatBatch front-loads two
-// prefetch nodes (one for detect keys, one for compact keys derived from
-// the union): each collects the batch's ready keys, groups them by replica
-// set, and issues one
+// time scale with its artifact count, so DebloatBatch batches its remote
+// reads at three points — a prefetch node for the detect keys, one for the
+// compact keys derived from the union, and the verify-probe node for the
+// verifyrun keys derived from the compacted set: each collects the batch's
+// ready keys, groups them by replica set, and issues one
 // POST /v1/peer/lookup-batch per group, hedged through
 // cluster.HedgedCall so a stalled replica costs its p95 latency, not the
 // transport timeout. Found values land in the local tiers (registry /
-// result cache) before the stage nodes consult the memo, so the batch's
-// wall clock is bounded by the slowest single round trip, not the key
-// count. The prefetch is the only remote read: a stage node whose key it
-// did not plant — a clean miss, or a replica set that could not answer —
-// goes straight to remote execution (detect) or local compute, never back
-// to the replicas the prefetch just asked.
+// result cache / verify records) before the stage nodes consult the memo,
+// so the batch's wall clock is bounded by the slowest single round trip,
+// not the key count. The prefetch is the only remote read: a stage node
+// whose key it did not plant — a clean miss, or a replica set that could
+// not answer — goes straight to remote execution (detect) or local compute,
+// never back to the replicas the prefetch just asked.
 //
-// A singleflight table spans the prefetch and the stage nodes: one stage
-// key never has a remote read and a local compute (or two local computes)
-// in flight at once, whichever side asks first.
+// A singleflight table spans the prefetch and the stage nodes
+// (StageMemo.resolve): a key whose value stays in its memory tier never has
+// a remote read and a local compute, or two local computes, run for it,
+// whichever side asks first.
 
 // prefetchItem is one stage key the batch will need, with the memo hint
 // its value must be decoded against (the compact stage's live library).
@@ -93,42 +95,43 @@ func (m *StageMemo) awaitFlight(slot plan.Executor, k plan.Key) {
 	<-ch
 }
 
-// ---- Prefetch marks ----
+// ---- Planted-value marks ----
 
-// markPrefetched records that the key's value was planted into the local
-// tiers by a batch lookup; the next local-tier hit reads back as
-// SourcePeer (consumeSource), so tier attribution names the peer tier.
-func (m *StageMemo) markPrefetched(k plan.Key) {
+// markPlanted records that the key's memory-tier value was put there from
+// another tier — src — by a batch lookup (SourcePeer) or a verify probe
+// (SourceDisk); the next local-tier hit reads back as src (consumeSource),
+// so tier attribution names the tier that actually served the batch.
+func (m *StageMemo) markPlanted(k plan.Key, src plan.Source) {
 	m.hotMu.Lock()
-	if m.prefetched == nil {
-		m.prefetched = map[plan.Key]bool{}
+	if m.planted == nil {
+		m.planted = map[plan.Key]plan.Source{}
 	}
-	m.prefetched[k] = true
+	m.planted[k] = src
 	m.hotMu.Unlock()
 }
 
-// consumeSource resolves a local-tier hit's attribution: a key the
-// prefetch planted reads as SourcePeer exactly once, everything else keeps
-// the tier's own source.
+// consumeSource resolves a local-tier hit's attribution: a marked key reads
+// as the tier that planted it exactly once, everything else keeps the
+// tier's own source.
 func (m *StageMemo) consumeSource(k plan.Key, def plan.Source) plan.Source {
 	m.hotMu.Lock()
 	defer m.hotMu.Unlock()
-	if m.prefetched[k] {
-		delete(m.prefetched, k)
-		return plan.SourcePeer
+	if src, ok := m.planted[k]; ok {
+		delete(m.planted, k)
+		return src
 	}
 	return def
 }
 
-// clearMarks drops whatever prefetch marks remain for the given keys. Stage
-// nodes consume their marks on the normal path, but a batch that aborts
-// between prefetch and consumption (a key-fn or upstream node error) would
-// otherwise leave entries behind forever. DebloatBatch calls it on every
-// exit, scoping the marks to the batch that planted them.
+// clearMarks drops whatever marks remain for the given keys. Stage nodes
+// consume their marks on the normal path, but a batch that aborts between
+// plant and consumption (a key-fn or upstream node error) would otherwise
+// leave entries behind forever. DebloatBatch calls it on every exit,
+// scoping the marks to the batch that planted them.
 func (m *StageMemo) clearMarks(keys []plan.Key) {
 	m.hotMu.Lock()
 	for _, k := range keys {
-		delete(m.prefetched, k)
+		delete(m.planted, k)
 	}
 	m.hotMu.Unlock()
 }
@@ -150,11 +153,11 @@ type lookupGroup struct {
 // few round trips as the ring has replica groups: keys are grouped by
 // remote replica set, each group goes out as one (hedged)
 // POST /v1/peer/lookup-batch, and found values are planted into the
-// registry / result cache under the singleflight table before the stage
-// nodes consult the memo. Keys already held locally (memory, or the
-// castore for compacts) are skipped — the prefetch never re-fetches what
-// a disk probe will serve faster. Safe to call concurrently with stage
-// nodes resolving the same keys.
+// local tiers under the singleflight table before the stage nodes consult
+// the memo. Keys already held locally (memory, or the castore for compacts
+// and verify records) are skipped — the prefetch never re-fetches what a
+// disk probe will serve faster. Safe to call concurrently with stage nodes
+// resolving the same keys.
 func (m *StageMemo) PrefetchLookups(items []prefetchItem) {
 	if m.cluster == nil || len(items) == 0 {
 		return
@@ -209,10 +212,9 @@ func (m *StageMemo) PrefetchLookups(items []prefetchItem) {
 }
 
 // localProbe reports whether the key's value is already reachable without
-// the network: registry memory for detect keys; cache memory or the
-// castore disk tier for compact keys (replication pushed this node its
-// co-owned artifacts, and the stage node's LoadStored serves them without
-// a round trip).
+// the network: registry memory for detect keys; memory or the castore disk
+// tier for compact and verifyrun keys (replication pushed this node its
+// co-owned artifacts, and the disk tier serves them without a round trip).
 func (m *StageMemo) localProbe(k plan.Key) bool {
 	switch k.Stage {
 	case negativa.StageDetect:
@@ -223,6 +225,11 @@ func (m *StageMemo) localProbe(k plan.Key) bool {
 		return m.registry.Has(ProfileKey{Install: fp, Workload: wid})
 	case negativa.StageCompact:
 		return m.cache.Contains(k.Hash) || m.cache.HasStored(k.Hash)
+	case negativa.StageVerifyRun:
+		if _, ok := m.verify.get(k.Hash); ok {
+			return true
+		}
+		return m.store != nil && m.store.Has(kindVerify, k.Hash)
 	}
 	return true
 }
@@ -323,10 +330,21 @@ func (m *StageMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 			// into this node's castore, so the next miss here is a disk
 			// hit, not another network hop.
 			m.cache.Put(it.key.Hash, ld)
+		case negativa.StageVerifyRun:
+			if lr.Verify == nil {
+				m.count("peer.fallbacks")
+				continue
+			}
+			// Memory, and behind the batch this node's own store — the same
+			// replicate-toward-demand rule; no peers, they already hold it.
+			m.verify.put(it.key.Hash, lr.Verify)
+			if m.recordVerify != nil {
+				m.recordVerify(it.key.Hash, lr.Verify, nil)
+			}
 		default:
 			continue
 		}
-		m.markPrefetched(it.key)
+		m.markPlanted(it.key, plan.SourcePeer)
 		m.count("peer.hits")
 		if from != it.primary {
 			m.count("peer.replica_reads")

@@ -11,6 +11,7 @@ import (
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
 	"negativaml/internal/elfx"
+	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
 	"negativaml/internal/plan"
 )
@@ -31,9 +32,12 @@ import (
 // attached, and a cluster configured with a shared secret (see
 // cluster.Options.Secret) additionally requires it on every request.
 //
-// Compact stages are read-through only: a miss ships no payload, and the
-// requester — which holds the library image — computes the stage itself and
-// writes the O(ranges) result back to the key's owners (repair.go). Detect
+// Compact and verifyrun stages are read-through only: a miss ships no
+// payload, and the requester — which holds the library images — computes
+// the stage itself and writes the O(ranges) result, or the verify record,
+// back to the key's owners (repair.go). A replica's verify record is
+// trusted exactly as a replica's profile is: under the key it was asked
+// for. Detect
 // requests are a small workload spec, so a hinted requester goes straight
 // to the execute route (which starts with the owner's registry probe).
 // Lookup responses hand back the same durable forms the castore disk tier
@@ -55,12 +59,13 @@ type peerLookupRequest struct {
 
 // peerLookupResponse carries the stage value when found: a detection
 // profile for detect stages, a stored result + encoded sparse range set
-// for compact stages.
+// for compact stages, the run's result for verifyrun stages.
 type peerLookupResponse struct {
 	Found   bool              `json:"found"`
 	Profile *negativa.Profile `json:"profile,omitempty"`
 	Result  *storedResult     `json:"result,omitempty"`
 	Sparse  []byte            `json:"sparse,omitempty"`
+	Verify  *mlruntime.Result `json:"verify,omitempty"`
 }
 
 // peerBatchLookupRequest asks a peer for many stage values in one round
@@ -198,6 +203,9 @@ func (s *Service) lookupStage(key peerLookupRequest) (peerLookupResponse, error)
 				}
 			}
 		}
+	case negativa.StageVerifyRun:
+		r, _, ok := s.stages.localVerify(key.Hash)
+		resp.Found, resp.Verify = ok, r
 	default:
 		return resp, fmt.Errorf("stage %q has no peer lookup", key.Stage)
 	}
@@ -419,7 +427,7 @@ func (s *Service) handlePeerObjectPut(w http.ResponseWriter, r *http.Request) {
 	}
 	kind, key := r.PathValue("kind"), r.PathValue("key")
 	switch kind {
-	case kindLib, kindSparse, kindResult, kindProfile:
+	case kindLib, kindSparse, kindResult, kindProfile, kindVerify:
 	default:
 		httpError(w, http.StatusBadRequest, fmt.Errorf("kind %q is not replicated", kind))
 		return

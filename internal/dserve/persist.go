@@ -9,6 +9,7 @@ import (
 
 	"negativaml/internal/castore"
 	"negativaml/internal/elfx"
+	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
 )
 
@@ -28,6 +29,9 @@ const (
 	// kindProfile holds verified detection profiles (JSON), keyed by the
 	// profile-key digest (profileObjectKey).
 	kindProfile = "profile"
+	// kindVerify holds verification-run records (JSON), keyed by the
+	// verifyrun-stage hash (negativa.VerifyRunKey).
+	kindVerify = "verify"
 	// kindJob holds job manifests (JSON), keyed by job ID.
 	kindJob = "job"
 )
@@ -203,6 +207,31 @@ func profileObjectKey(key ProfileKey) string {
 	h.Write([]byte{0})
 	h.Write([]byte(key.Workload))
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// storedVerify is the on-disk and pushed form of one verify record: the
+// run's result beside the stage hash it answers, so an object filed under
+// the wrong key reads as corruption rather than as someone else's outcome.
+type storedVerify struct {
+	Key    string            `json:"key"`
+	Result *mlruntime.Result `json:"result"`
+}
+
+// loadVerifyRecord reads one verify record from the store. A frame that
+// fails its checksum is dropped by the store itself; a well-framed object
+// that does not parse as this key's record is deleted here, so the re-run
+// it forces can write the record again.
+func loadVerifyRecord(st *castore.Store, hash string) (*mlruntime.Result, bool) {
+	raw, ok := st.Get(kindVerify, hash)
+	if !ok {
+		return nil, false
+	}
+	var sv storedVerify
+	if json.Unmarshal(raw, &sv) != nil || sv.Key != hash || sv.Result == nil {
+		st.Delete(kindVerify, hash)
+		return nil, false
+	}
+	return sv.Result, true
 }
 
 // jobManifest is the durable root of one completed job: request, outcome

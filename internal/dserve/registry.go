@@ -3,7 +3,7 @@ package dserve
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"negativaml/internal/castore"
 	"negativaml/internal/mlframework"
@@ -36,31 +36,25 @@ type ProfileKey struct {
 // client-controlled, so unbounded growth would let a sweeping client OOM a
 // long-running service).
 type Registry struct {
-	mu       sync.RWMutex
-	max      int
-	profiles map[ProfileKey]*negativa.Profile
-	order    []ProfileKey
+	profiles *fifoMap[ProfileKey, *negativa.Profile]
 
 	// store, when attached, snapshots every Put so a rebooted service
 	// replays its profiles instead of re-detecting them.
-	store *castore.Store
+	store atomic.Pointer[castore.Store]
 }
 
-// DefaultRegistryEntries bounds NewRegistry's profile retention.
+// DefaultRegistryEntries bounds NewRegistry's profile retention (and the
+// stage memo's verify-record retention, which follows the same rule).
 const DefaultRegistryEntries = 1024
 
 // NewRegistry returns an empty profile registry bounded to
 // DefaultRegistryEntries profiles.
 func NewRegistry() *Registry {
-	return &Registry{max: DefaultRegistryEntries, profiles: map[ProfileKey]*negativa.Profile{}}
+	return &Registry{profiles: newFifoMap[ProfileKey, *negativa.Profile](DefaultRegistryEntries)}
 }
 
 // AttachStore wires profile snapshotting in. Call before serving.
-func (r *Registry) AttachStore(st *castore.Store) {
-	r.mu.Lock()
-	r.store = st
-	r.mu.Unlock()
-}
+func (r *Registry) AttachStore(st *castore.Store) { r.store.Store(st) }
 
 // Put stores a profile under the key, evicting the oldest entries beyond
 // the bound, and — with a store attached — snapshots it to disk so the next
@@ -69,15 +63,12 @@ func (r *Registry) AttachStore(st *castore.Store) {
 // on-disk profile set must stay bounded by the same sweep-resistance cap as
 // the in-memory registry.
 func (r *Registry) Put(key ProfileKey, p *negativa.Profile) {
-	evicted := r.putMem(key, p)
-	r.mu.RLock()
-	st := r.store
-	r.mu.RUnlock()
+	evicted := r.profiles.put(key, p)
+	st := r.store.Load()
 	if st == nil {
 		return
 	}
-	// Snapshot outside the registry lock; a failed snapshot only costs the
-	// next boot a re-detection.
+	// A failed snapshot only costs the next boot a re-detection.
 	if data, err := json.Marshal(storedProfile{Install: key.Install, Workload: key.Workload, Profile: p}); err == nil {
 		st.Put(kindProfile, profileObjectKey(key), data)
 	}
@@ -86,36 +77,18 @@ func (r *Registry) Put(key ProfileKey, p *negativa.Profile) {
 	}
 }
 
-func (r *Registry) putMem(key ProfileKey, p *negativa.Profile) (evicted []ProfileKey) {
-	r.mu.Lock()
-	if _, exists := r.profiles[key]; !exists {
-		r.order = append(r.order, key)
-	}
-	r.profiles[key] = p
-	for len(r.profiles) > r.max {
-		oldest := r.order[0]
-		r.order = r.order[1:]
-		delete(r.profiles, oldest)
-		evicted = append(evicted, oldest)
-	}
-	r.mu.Unlock()
-	return evicted
-}
-
 // Replay loads every snapshotted profile from the attached store into
 // memory (up to the registry bound) and returns how many it restored.
 // Corrupt or unreadable snapshots are skipped: the worst case is a
 // re-detection, never a wrong profile.
 func (r *Registry) Replay() int {
-	r.mu.RLock()
-	st := r.store
-	r.mu.RUnlock()
+	st := r.store.Load()
 	if st == nil {
 		return 0
 	}
 	n := 0
 	st.Walk(kindProfile, func(key string, _ int64) error {
-		if n >= r.max {
+		if n >= r.profiles.max {
 			return nil
 		}
 		raw, ok := st.Get(kindProfile, key)
@@ -129,7 +102,7 @@ func (r *Registry) Replay() int {
 		if err := json.Unmarshal(raw, &sp); err != nil || sp.Profile == nil || sp.Profile.RunResult == nil {
 			return nil
 		}
-		r.putMem(ProfileKey{Install: sp.Install, Workload: sp.Workload}, sp.Profile)
+		r.profiles.put(ProfileKey{Install: sp.Install, Workload: sp.Workload}, sp.Profile)
 		n++
 		return nil
 	})
@@ -137,28 +110,17 @@ func (r *Registry) Replay() int {
 }
 
 // Get returns the stored profile for the key.
-func (r *Registry) Get(key ProfileKey) (*negativa.Profile, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	p, ok := r.profiles[key]
-	return p, ok
-}
+func (r *Registry) Get(key ProfileKey) (*negativa.Profile, bool) { return r.profiles.get(key) }
 
 // Has reports whether a profile for the key is resident, without
 // returning it — the batch prefetch's local-presence probe.
 func (r *Registry) Has(key ProfileKey) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.profiles[key]
+	_, ok := r.profiles.get(key)
 	return ok
 }
 
 // Len returns the number of stored profiles.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.profiles)
-}
+func (r *Registry) Len() int { return r.profiles.size() }
 
 // Union merges the stored profiles of the given workload identities on one
 // install into a union profile. Every member must have been detected first;

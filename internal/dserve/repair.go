@@ -3,12 +3,12 @@ package dserve
 // The replication plane: keeps every stage artifact present on all R
 // owners of its ring key. Two mechanisms cooperate:
 //
-//   - Write-back replication (replicateResult, replicateProfile): the
-//     stage memo hands every locally computed compact result and detect
-//     profile here, and a background goroutine pushes its objects (library
-//     image, sparse range set, report; or the profile snapshot) to the
-//     live remote owners — new artifacts converge without waiting for a
-//     repair sweep.
+//   - Write-back replication (replicateResult, replicateProfile,
+//     recordVerify): the stage memo hands every locally computed compact
+//     result, detect profile and verify record here, and a background
+//     goroutine pushes its objects (library image, sparse range set,
+//     report; the profile snapshot; the verify record) to the live remote
+//     owners — new artifacts converge without waiting for a repair sweep.
 //   - Anti-entropy repair (RepairNow, driven by the RepairInterval loop):
 //     each sweep walks the locally held replicable objects, derives each
 //     group's ring key, stat-probes the remote owners in chunks, and
@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"negativaml/internal/castore"
+	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
 	"negativaml/internal/plan"
 )
@@ -84,39 +85,77 @@ func (s *Service) replicateProfile(pk ProfileKey, p *negativa.Profile, peers []s
 	s.pushObjects(peers, []replObject{{kindProfile, profileObjectKey(pk), data}})
 }
 
+// recordVerify is the stage memo's write-behind hook for verifyrun stages:
+// one record goes into the local store, when there is one, and to the named
+// replica peers, all on a background goroutine — never inside the verify
+// node, so a batch does not wait on its own bookkeeping. A lost record costs
+// the next batch a re-run and is ordered against nothing (no manifest names
+// it), so it needs no SyncDirs of its own; Close and WaitReplication cover
+// the goroutine. A record is smaller than the stat probe that would ask
+// about it, so peers are sent it unprobed.
+func (s *Service) recordVerify(hash string, r *mlruntime.Result, peers []string) {
+	if s.store == nil && len(peers) == 0 {
+		return
+	}
+	data, err := json.Marshal(storedVerify{Key: hash, Result: r})
+	if err != nil {
+		s.Counters.Add("verify.record_errors", 1)
+		return
+	}
+	s.replWG.Add(1)
+	go func() {
+		defer s.replWG.Done()
+		if s.store != nil {
+			if err := s.store.Put(kindVerify, hash, data); err != nil {
+				s.Counters.Add("verify.record_errors", 1)
+			}
+		}
+		s.sendObjects(peers, []replObject{{kindVerify, hash, data}}, false)
+	}()
+}
+
 // pushObjects streams the objects, in order, to each peer on a background
-// goroutine WaitReplication covers. Every object is stat-probed first — a
-// library image dominates a compact result's payload and is shared across
-// many keys, so it is usually already there.
+// goroutine WaitReplication covers, stat-probing each first — a library
+// image dominates a compact result's payload and is shared across many
+// keys, so it is usually already there.
 func (s *Service) pushObjects(peers []string, objects []replObject) {
 	s.replWG.Add(1)
 	go func() {
 		defer s.replWG.Done()
-		framed := make([][]byte, len(objects))
-		refs := make([]peerObjectRef, len(objects))
-		for i, o := range objects {
-			framed[i] = castore.Frame(o.payload)
-			refs[i] = peerObjectRef{Kind: o.kind, Key: o.key}
-		}
-		for _, peer := range peers {
-			skip := make([]bool, len(objects))
-			var resp peerStatResponse
-			if err := s.cluster.PostJSON(peer, "/v1/peer/stat", peerStatRequest{Objects: refs}, &resp); err == nil && len(resp.Present) == len(objects) {
-				copy(skip, resp.Present)
-			}
-			for i, o := range objects {
-				if skip[i] {
-					continue
-				}
-				err := s.cluster.PutStream(peer, "/v1/peer/objects/"+o.kind+"/"+o.key, bytes.NewReader(framed[i]), int64(len(framed[i])))
-				if err != nil {
-					s.Counters.Add("peer.replica_write_errors", 1)
-					break // the peer is struggling; repair will retry later
-				}
-				s.Counters.Add("peer.replica_writes", 1)
-			}
-		}
+		s.sendObjects(peers, objects, true)
 	}()
+}
+
+// sendObjects streams the objects, in order, to each peer; with probe set
+// it first asks the peer which it already holds and skips those.
+func (s *Service) sendObjects(peers []string, objects []replObject, probe bool) {
+	if len(peers) == 0 {
+		return
+	}
+	framed := make([][]byte, len(objects))
+	refs := make([]peerObjectRef, len(objects))
+	for i, o := range objects {
+		framed[i] = castore.Frame(o.payload)
+		refs[i] = peerObjectRef{Kind: o.kind, Key: o.key}
+	}
+	for _, peer := range peers {
+		skip := make([]bool, len(objects))
+		var resp peerStatResponse
+		if probe && s.cluster.PostJSON(peer, "/v1/peer/stat", peerStatRequest{Objects: refs}, &resp) == nil && len(resp.Present) == len(objects) {
+			copy(skip, resp.Present)
+		}
+		for i, o := range objects {
+			if skip[i] {
+				continue
+			}
+			err := s.cluster.PutStream(peer, "/v1/peer/objects/"+o.kind+"/"+o.key, bytes.NewReader(framed[i]), int64(len(framed[i])))
+			if err != nil {
+				s.Counters.Add("peer.replica_write_errors", 1)
+				break // the peer is struggling; repair will retry later
+			}
+			s.Counters.Add("peer.replica_writes", 1)
+		}
+	}
 }
 
 // WaitReplication blocks until every write-back replication enqueued so
@@ -129,7 +168,8 @@ func (s *Service) WaitReplication() { s.replWG.Wait() }
 // that must live wherever that key's owners are — to fn. Compact results
 // group their report, range set, and shared library image under the
 // compact stage key; profile snapshots ride the detect stage key recovered
-// from their own identity fields.
+// from their own identity fields; a verify record's object key is its
+// verifyrun stage hash, so its ring key needs no payload read.
 func (s *Service) forEachOwnedGroup(fn func(ringKey string, refs []peerObjectRef)) {
 	st := s.store
 	st.Walk(kindResult, func(key string, _ int64) error {
@@ -156,6 +196,10 @@ func (s *Service) forEachOwnedGroup(fn func(ringKey string, refs []peerObjectRef
 			return nil
 		}
 		fn(negativa.DetectKey(sp.Install, sp.Workload).String(), []peerObjectRef{{Kind: kindProfile, Key: key}})
+		return nil
+	})
+	st.Walk(kindVerify, func(key string, _ int64) error {
+		fn(plan.Key{Stage: negativa.StageVerifyRun, Hash: key}.String(), []peerObjectRef{{Kind: kindVerify, Key: key}})
 		return nil
 	})
 }

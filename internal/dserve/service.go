@@ -125,8 +125,8 @@ type Service struct {
 	// the pool with network-blocked batch stages could.
 	peerSem chan struct{}
 	// stages routes every plan node's content key to its memo tier
-	// (registry, result cache); observer mirrors stage outcomes into the
-	// counter and timing sets.
+	// (registry, result cache, verify records); observer mirrors stage
+	// outcomes into the counter and timing sets.
 	stages   *StageMemo
 	observer plan.Observer
 
@@ -142,8 +142,9 @@ type Service struct {
 	installOrder []string
 	closed       bool
 	wg           sync.WaitGroup
-	// replWG tracks in-flight write-back replication pushes (repair.go);
-	// repairStop/repairWG manage the periodic anti-entropy loop.
+	// replWG tracks in-flight write-back replication pushes and
+	// verify-record writes (repair.go); repairStop/repairWG manage the
+	// periodic anti-entropy loop.
 	replWG     sync.WaitGroup
 	repairStop chan struct{}
 	repairWG   sync.WaitGroup
@@ -196,12 +197,14 @@ func NewService(cfg Config) *Service {
 	}
 	s.stages = NewStageMemo(s.Registry, s.Cache, counters)
 	s.stages.AttachExecutor(s.pool)
+	s.stages.recordVerify = s.recordVerify
 	s.observer = stageObserver{c: counters, t: s.Timings}
 	if cfg.Store != nil {
-		// Warm-restart wiring: the cache gains its disk tier, the registry
-		// replays its snapshotted profiles, and persisted job manifests
-		// come back as lazily-materialized done jobs.
+		// Warm-restart wiring: the cache and the verify records gain their
+		// disk tier, the registry replays its snapshotted profiles, and
+		// persisted job manifests come back as lazily-materialized done jobs.
 		s.store = cfg.Store
+		s.stages.store = cfg.Store
 		s.Cache.AttachStore(cfg.Store)
 		s.Registry.AttachStore(cfg.Store)
 		if n := s.Registry.Replay(); n > 0 {
@@ -215,8 +218,8 @@ func NewService(cfg Config) *Service {
 // Store returns the attached content-addressed store, or nil.
 func (s *Service) Store() *castore.Store { return s.store }
 
-// AttachCluster joins the service to a dserve peer group: detect and
-// compact stages gain the owning-peer memo tier, the /v1/peer/* routes
+// AttachCluster joins the service to a dserve peer group: detect, compact
+// and verifyrun stages gain the owning-peer memo tier, the /v1/peer/* routes
 // start answering with this node's tiers, and /v1/metrics grows the peer
 // section. Call before serving; the service never detaches a cluster.
 func (s *Service) AttachCluster(c *cluster.Cluster) {
@@ -238,8 +241,8 @@ func (s *Service) Workers() int { return s.pool.Workers() }
 
 // Close drains the service: no new submissions are accepted and Close
 // returns once every running job has finished, every write-back
-// replication push has settled, and every write-behind cache spill has
-// reached the store — so a store closed after Close holds everything the
+// replication push and verify-record write has settled, and every
+// write-behind cache spill has reached the store — so a store closed after Close holds everything the
 // memory tier ever took. An attached cluster's membership plane stops too
 // (without announcing a leave; use LeaveCluster first for graceful
 // departure).
@@ -447,9 +450,10 @@ func (r *BatchResult) AllVerified() bool {
 // DebloatBatch union-debloats one install against a workload set by
 // executing the analysis stage graph: per-member detect nodes feed a union
 // node, the union feeds one compact node per library, and the compacted
-// set feeds per-member verification nodes — every stage
-// content-keyed and memoized through the service's tiers (registry,
-// byte-bounded cache, content-addressed store). With opt.Base set the
+// set feeds a verify probe, the clone it may ask for, and per-member
+// verification nodes — every stage content-keyed and memoized through the
+// service's tiers (registry, byte-bounded cache, verify records,
+// content-addressed store). With opt.Base set the
 // batch is incremental: base members' verifications carry over and only
 // the union delta recomputes. Every workload must reference in as its
 // install.
@@ -633,10 +637,19 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	}
 
 	// Verification: the union-debloated install must reproduce every
-	// member's reference digest. Verify nodes are deliberately unmemoized —
-	// a resubmitted batch re-validates what the service hands out; only an
-	// explicit incremental base carries outcomes over.
+	// member's reference digest. A verify run is a pure function of (install,
+	// workload identity at the step cap, the debloated bytes), so it is a
+	// memoized stage keyed by what the batch hands out: the probe node
+	// digests the range sets in the compact values themselves, derives each
+	// fresh member's key, reads the replica set through when clustered and
+	// asks the memo once; the clone is built — in chunk nodes inside the
+	// pool — only if some member went unanswered. The graph is the same
+	// either way, so its node count is known before it runs. An explicit
+	// incremental base still carries outcomes over without a key: it answers
+	// for a different debloated set, by monotonicity, which no content
+	// address can express.
 	verifies := make([]*plan.Node, len(workloads))
+	var probeNode *plan.Node
 	// Pooled scratch backing the verify clone's materialized libraries, one
 	// slot per library so the clone nodes fill it without sharing. The clone
 	// only lives until the verify nodes finish and nothing aliases the
@@ -649,30 +662,68 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 			bufpool.Put(b)
 		}
 	}()
+	var fresh []int
 	if !opt.SkipVerify {
-		fresh := 0
 		for i := range workloads {
 			if !carried[i] {
-				fresh++
+				fresh = append(fresh, i)
 			}
 		}
-		if fresh > 0 {
-			cloneNode := verifyClone(g, in, compacts, s.pool.Workers(), cloneBufs)
-			for i := range workloads {
-				if carried[i] {
-					continue
-				}
-				i := i
-				verifies[i] = g.Node(negativa.StageVerifyRun, []*plan.Node{cloneNode}, nil, func(deps []any) (any, error) {
-					vw := workloads[i]
-					vw.Install = deps[0].(*mlframework.Install)
-					vr, err := mlruntime.Run(vw, mlruntime.Options{MaxSteps: maxSteps})
-					if err != nil {
-						return nil, fmt.Errorf("dserve: verify %s: %w", vw.Name, err)
-					}
-					return vr, nil
-				})
+	}
+	if len(fresh) > 0 {
+		probeNode = g.Node("verifyprobe", compacts, nil, func(deps []any) (any, error) {
+			images := make([]*negativa.SparseImage, len(deps))
+			for i, d := range deps {
+				images[i] = d.(*negativa.LibDebloat).Report.Sparse
 			}
+			set := negativa.DebloatedSetDigest(names, images)
+			vp := &verifyProbe{keys: make([]plan.Key, len(workloads)), found: make([]*mlruntime.Result, len(workloads))}
+			items := make([]prefetchItem, len(fresh))
+			for j, i := range fresh {
+				vp.keys[i] = negativa.VerifyRunKey(fp, ids[i], maxSteps, set)
+				items[j] = prefetchItem{key: vp.keys[i]}
+				markKeys = append(markKeys, vp.keys[i])
+			}
+			// A record can exist only where the whole debloated set did. A
+			// batch that had to compute part of the set itself is, short of
+			// an eviction on every owner, the first to hold it: no replica
+			// has a record to serve, so the round trip — which would sit on
+			// the critical path just as this node's write-back of those
+			// computed parts saturates the peers — is not made. Guessing
+			// wrong costs the local run every batch used to pay.
+			allHit := true
+			for _, c := range compacts {
+				allHit = allHit && c.Hit()
+			}
+			if allHit {
+				s.stages.PrefetchLookups(items)
+			}
+			for _, i := range fresh {
+				r, ok := s.stages.probeVerify(vp.keys[i])
+				vp.found[i] = r
+				vp.needClone = vp.needClone || !ok
+			}
+			return vp, nil
+		})
+		cloneNode := verifyClone(g, in, probeNode, compacts, s.pool.Workers(), cloneBufs)
+		for _, i := range fresh {
+			i := i
+			verifies[i] = g.Node(negativa.StageVerifyRun, []*plan.Node{probeNode, cloneNode}, func(deps []any) (plan.Key, error) {
+				return deps[0].(*verifyProbe).keys[i], nil
+			}, func(deps []any) (any, error) {
+				if r := deps[0].(*verifyProbe).found[i]; r != nil {
+					// The probe found this record and skipped the clone on
+					// its strength; the memory tier evicted it since.
+					return r, nil
+				}
+				vw := workloads[i]
+				vw.Install = deps[1].(*mlframework.Install)
+				vr, err := mlruntime.Run(vw, mlruntime.Options{MaxSteps: maxSteps})
+				if err != nil {
+					return nil, fmt.Errorf("dserve: verify %s: %w", vw.Name, err)
+				}
+				return vr, nil
+			})
 		}
 	}
 
@@ -681,6 +732,9 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	}
 	if err := g.ExecuteWith(s.pool, s.stages, plan.MultiObserver(s.observer, opt.Observer), plan.ExecOptions{Costs: s}); err != nil {
 		return nil, err
+	}
+	if probeNode != nil && probeNode.Value().(*verifyProbe).needClone {
+		s.Counters.Add("verify.clones", 1)
 	}
 
 	// ---- Assembly ----
@@ -762,18 +816,33 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	return res, nil
 }
 
+// verifyProbe is the verify-probe node's value: what the memo already
+// answers for this batch's fresh members, and therefore whether a clone is
+// needed at all. keys and found are indexed like the batch's workloads
+// (zero and nil for carried members); found[i] is carried to member i's
+// verifyrun node so an eviction between probe and lookup returns the record
+// instead of needing a clone that was never built.
+type verifyProbe struct {
+	keys      []plan.Key
+	found     []*mlruntime.Result
+	needClone bool
+}
+
 // verifyClone adds the verify clone to g: the install with every library
 // replaced by its debloated image, which is the one value every verify run
-// waits on. compacts are the compact nodes in in.LibNames order. The work is
-// per library — materialize the sparse image into pooled scratch (kept in
+// that misses waits on. probe is the verify-probe node; when it reports that
+// every fresh member is already answered the nodes below do nothing — no
+// scratch, no materialize, no parse — and the join has no value.
+// compacts are the compact nodes in in.LibNames order. The work is per
+// library — materialize the sparse image into pooled scratch (kept in
 // bufs[i] for the caller to recycle once the graph has run), then parse it —
 // so it is split into about chunks "clone" nodes over contiguous runs of
-// libraries, each ready as soon as its own compacts are, joined by one more
-// "clone" node whose value is the *mlframework.Install. The runs hold about
-// equal bytes, not equal counts: load order puts an install's few large
-// framework libraries first and its many small dependencies last. All of the
-// nodes are unmemoized glue inside g, scheduled and bounded like any other.
-func verifyClone(g *plan.Graph, in *mlframework.Install, compacts []*plan.Node, chunks int, bufs [][]byte) *plan.Node {
+// libraries, joined by one more "clone" node whose value is the
+// *mlframework.Install. The runs hold about equal bytes, not equal counts:
+// load order puts an install's few large framework libraries first and its
+// many small dependencies last. All of the nodes are unmemoized glue inside
+// g, scheduled and bounded like any other.
+func verifyClone(g *plan.Graph, in *mlframework.Install, probe *plan.Node, compacts []*plan.Node, chunks int, bufs [][]byte) *plan.Node {
 	names := in.LibNames
 	libs := make([]*elfx.Library, len(names))
 	var total int64
@@ -789,8 +858,12 @@ func verifyClone(g *plan.Graph, in *mlframework.Install, compacts []*plan.Node, 
 		}
 		lo, hi := next, i+1
 		next = hi
-		parts = append(parts, g.Node("clone", compacts[lo:hi], nil, func(deps []any) (any, error) {
-			for j, d := range deps {
+		deps := append([]*plan.Node{probe}, compacts[lo:hi]...)
+		parts = append(parts, g.Node("clone", deps, nil, func(deps []any) (any, error) {
+			if !deps[0].(*verifyProbe).needClone {
+				return nil, nil
+			}
+			for j, d := range deps[1:] {
 				i := lo + j
 				sp := d.(*negativa.LibDebloat).Report.Sparse
 				bufs[i] = bufpool.Get(int(sp.Len()))
@@ -803,7 +876,10 @@ func verifyClone(g *plan.Graph, in *mlframework.Install, compacts []*plan.Node, 
 			return nil, nil
 		}))
 	}
-	return g.Node("clone", parts, nil, func([]any) (any, error) {
+	return g.Node("clone", append([]*plan.Node{probe}, parts...), nil, func(deps []any) (any, error) {
+		if !deps[0].(*verifyProbe).needClone {
+			return nil, nil
+		}
 		clone := *in
 		clone.Libs = make(map[string]*elfx.Library, len(in.Libs))
 		for name, lib := range in.Libs {

@@ -196,12 +196,12 @@ func Debloat(w mlruntime.Workload, opt Options) (*Result, error) {
 				return ref, nil
 			})
 		}
-		verifyNode = g.Node(StageVerifyRun, compacts, func([]any) (plan.Key, error) {
-			hashes := make([]string, len(compacts))
-			for i, c := range compacts {
-				hashes[i] = c.ResolvedKey().Hash
+		verifyNode = g.Node(StageVerifyRun, compacts, func(deps []any) (plan.Key, error) {
+			images := make([]*SparseImage, len(deps))
+			for i, d := range deps {
+				images[i] = d.(*LibDebloat).Report.Sparse
 			}
-			return VerifyRunKey(fp, wid, steps, hashes), nil
+			return VerifyRunKey(fp, wid, steps, DebloatedSetDigest(names, images)), nil
 		}, func(deps []any) (any, error) {
 			debloated := make(map[string][]byte, len(deps))
 			for i, d := range deps {

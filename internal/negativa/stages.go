@@ -16,8 +16,9 @@ import (
 
 // Stage names of the analysis plan. Every scheduled stage is a stage-graph
 // node with an explicit content-derived key; internal/plan schedules them
-// and internal/dserve memoizes detect in its profile registry and compact
-// in its result cache (memory → disk → replica peers).
+// and internal/dserve memoizes detect in its profile registry, compact in
+// its result cache and verifyrun in its verify-record memo (each memory →
+// disk → replica peers).
 const (
 	// StageDetect runs a workload once with the detectors attached. Keyed
 	// by (install fingerprint, workload identity) — the identity embeds the
@@ -39,7 +40,9 @@ const (
 	StageVerifyRef = "verifyref"
 	// StageVerifyRun re-runs a workload on the debloated install. Keyed by
 	// (install fingerprint, workload identity, verification step cap, the
-	// compact keys of every debloated library).
+	// digest of the debloated set as handed out — DebloatedSetDigest); its
+	// value is the run's *mlruntime.Result, memoized by internal/dserve like
+	// detect and compact.
 	StageVerifyRun = "verifyrun"
 )
 
@@ -144,10 +147,46 @@ func VerifyRefKey(installFP, workloadID string) plan.Key {
 	return plan.Key{Stage: StageVerifyRef, Hash: hex.EncodeToString(h.Sum(nil))}
 }
 
-// VerifyRunKey is the verification re-run's content key: the workload (on
-// its original install) plus the debloated library set it runs against,
-// identified by the compact-stage hashes in install load order.
-func VerifyRunKey(installFP, workloadID string, steps int, compactHashes []string) plan.Key {
+// DebloatedSetDigest is the content address of a debloated library set as it
+// is handed out: one SHA-256 over, per library in load order, its name, the
+// content digest of the image it compacts and the exact zeroed ranges of its
+// sparse image. It is derived from the in-memory objects a result streams
+// from, not from the keys that were asked for, so a different union, one
+// flipped range, or a wrong-but-well-formed range set restored from disk or
+// served by a peer all change it. names and images are parallel.
+func DebloatedSetDigest(names []string, images []*SparseImage) string {
+	h := sha256.New()
+	le := binary.LittleEndian
+	// Fixed scratch, flushed into the hash when full: a library's range set
+	// runs to thousands of entries, and this runs on every warm batch.
+	var scratch [4096]byte
+	buf := scratch[:0]
+	for i, sp := range images {
+		d := sp.Lib().ContentDigest()
+		h.Write(buf)
+		h.Write([]byte(names[i]))
+		buf = append(scratch[:0], 0)
+		buf = append(buf, d[:]...)
+		buf = le.AppendUint64(buf, uint64(len(sp.zeroed)))
+		for _, r := range sp.zeroed {
+			if len(buf)+16 > len(scratch) {
+				h.Write(buf)
+				buf = scratch[:0]
+			}
+			buf = le.AppendUint64(buf, uint64(r.Start))
+			buf = le.AppendUint64(buf, uint64(r.End))
+		}
+	}
+	h.Write(buf)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// VerifyRunKey is the verification re-run's content key — the one
+// derivation both planners call: the workload (on its original install) at
+// the verification step cap, plus the debloated library set it runs against,
+// identified by DebloatedSetDigest. A verify run is a pure function of
+// exactly these, so only a byte-identical debloated set can hit.
+func VerifyRunKey(installFP, workloadID string, steps int, setDigest string) plan.Key {
 	h := sha256.New()
 	h.Write([]byte(installFP))
 	h.Write([]byte{0})
@@ -155,10 +194,7 @@ func VerifyRunKey(installFP, workloadID string, steps int, compactHashes []strin
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(int64(steps)))
 	h.Write(b[:])
-	for _, ch := range compactHashes {
-		h.Write([]byte(ch))
-		h.Write([]byte{0})
-	}
+	h.Write([]byte(setDigest))
 	return plan.Key{Stage: StageVerifyRun, Hash: hex.EncodeToString(h.Sum(nil))}
 }
 

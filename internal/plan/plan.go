@@ -69,8 +69,7 @@ func (g *Graph) Len() int { return len(g.nodes) }
 // keyFn (or a zero resolved key) marks the node unmemoized. runFn computes
 // the value on a memo miss. Either function may also read a captured
 // dependency *Node's ResolvedKey — dependency keys are resolved before
-// dependents run, which is how a verify-run stage keys itself by its
-// compact stages' keys.
+// dependents run.
 func (g *Graph) Node(stage string, deps []*Node, keyFn func(deps []any) (Key, error), runFn func(deps []any) (any, error)) *Node {
 	n := &Node{stage: stage, deps: deps, keyFn: keyFn, runFn: runFn, done: make(chan struct{})}
 	g.nodes = append(g.nodes, n)
