@@ -15,6 +15,7 @@ import (
 
 	"negativaml/internal/cluster"
 	"negativaml/internal/mlframework"
+	"negativaml/internal/negativa"
 )
 
 // docBlock is one annotated JSON example from docs/API.md.
@@ -273,8 +274,8 @@ func TestAPIDocExamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	detReq, err := json.Marshal(peerDetectRequest{
-		InstallFP: InstallFingerprint(in),
-		Identity:  WorkloadIdentity(wl, 2),
+		InstallFP: negativa.InstallFingerprint(in),
+		Identity:  negativa.WorkloadIdentity(wl, 2),
 		Framework: "pytorch", TailLibs: 6, MaxSteps: 2, Spec: spec,
 	})
 	if err != nil {

@@ -38,7 +38,7 @@
 // InstallFingerprint before the graph existed, and symbol-to-range
 // location is the first half of the node's work function, so no node is
 // scheduled that cannot miss. Compact keys resolve late, after the union
-// node has produced the merged used-symbol sets; the scheduler then
+// node has produced the merged used-symbol sets; the plan then
 // consults the stage memo before running the node, so a key already
 // computed by any prior batch — or any prior boot — absorbs the work.
 //

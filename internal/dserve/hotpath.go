@@ -79,8 +79,8 @@ func (m *StageMemo) endFlight(k plan.Key) {
 // awaitFlight blocks until the key's current flight (if any) ends,
 // yielding the caller's executor slot for the duration — a waiter is pure
 // wait, and holding a worker slot across it could deadlock a Workers=1
-// pool against the leader re-acquiring its own slot. slot is the calling
-// node's own executor slot; nil means the caller holds none.
+// pool against the leader re-acquiring its own slot. slot is the executor
+// the calling node's graph runs under; nil means the caller holds none.
 func (m *StageMemo) awaitFlight(slot plan.Executor, k plan.Key) {
 	m.flightMu.Lock()
 	ch := m.flights[k]
@@ -191,11 +191,9 @@ func (m *StageMemo) PrefetchLookups(items []prefetchItem) {
 	}
 	// Fan the groups out concurrently with the caller's worker slot
 	// yielded: this is network wait, and the stage nodes whose keys are
-	// not in any group should run meanwhile. The prefetch glue node's
-	// runFn has no per-node slot to hand down, so this yield goes through
-	// the attached executor; the node roots the whole batch's dependent
-	// chain, so its re-acquisition is never the low-priority queue-jump
-	// the slot threading elsewhere prevents.
+	// not in any group should run meanwhile. A glue node's runFn is not
+	// handed its graph's executor, so this yield goes through the attached
+	// one — the same pool.
 	if m.exec != nil {
 		m.exec.Release()
 		defer m.exec.Acquire()

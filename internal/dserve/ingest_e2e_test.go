@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"negativaml/internal/mlframework"
+	"negativaml/internal/negativa"
 )
 
 // TestIngestClusterE2E is ingestion's serving-plane acceptance test: an
@@ -70,8 +71,8 @@ func TestIngestClusterE2E(t *testing.T) {
 	// Stage-key stability across the ingestion boundary: the tree's install
 	// fingerprints identically to the in-memory install it was written from,
 	// so profiles and memos from generated-install jobs carry over verbatim.
-	if repA.InstallFP != InstallFingerprint(in) {
-		t.Fatalf("ingested fingerprint %s differs from the source install's %s", repA.InstallFP, InstallFingerprint(in))
+	if repA.InstallFP != negativa.InstallFingerprint(in) {
+		t.Fatalf("ingested fingerprint %s differs from the source install's %s", repA.InstallFP, negativa.InstallFingerprint(in))
 	}
 	if hits := b.svc.Counters.Get("peer.hits"); hits == 0 {
 		t.Fatal("node B should have read stages through their owning peers")

@@ -207,9 +207,8 @@ func (m *StageMemo) AttachExecutor(ex plan.Executor) { m.exec = ex }
 // (on a small Workers bound, every peer-warm batch degenerates to one
 // round trip at a time). The slot is re-Acquired before returning, so
 // compute after the wire — decode, verify, local compute on fallback —
-// still runs under the pool's bound. slot is the calling node's own, so
-// re-acquisition re-joins priority admission at the node's critical-path
-// weight; nil means the caller holds none.
+// still runs under the pool's bound. slot is the executor the calling
+// node's graph runs under; nil means the caller holds none.
 func (m *StageMemo) postJSON(slot plan.Executor, owner, path string, req, resp any) error {
 	m.countRoundTrip()
 	if slot != nil {

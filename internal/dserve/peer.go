@@ -261,8 +261,6 @@ func (s *Service) handlePeerDetect(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, peerDetectResponse{Profile: p, Hit: true})
 		return
 	}
-	s.peerSem <- struct{}{}
-	defer func() { <-s.peerSem }()
 	fw, err := ResolveFramework(req.Framework)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -276,12 +274,16 @@ func (s *Service) handlePeerDetect(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("max_steps %d out of range", req.MaxSteps))
 		return
 	}
+	// Only a request that will generate and profile an install waits for,
+	// and holds, an execution slot; a malformed one was answered above.
+	s.peerSem <- struct{}{}
+	defer func() { <-s.peerSem }()
 	in, err := s.install(fw, req.TailLibs)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if got := InstallFingerprint(in); got != req.InstallFP {
+	if got := negativa.InstallFingerprint(in); got != req.InstallFP {
 		// The requester's install bytes differ from what this node
 		// generates for the same config — a version skew a profile must
 		// never paper over.
@@ -293,7 +295,7 @@ func (s *Service) handlePeerDetect(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if id := WorkloadIdentity(wl, req.MaxSteps); id != req.Identity {
+	if id := negativa.WorkloadIdentity(wl, req.MaxSteps); id != req.Identity {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("workload identity mismatch: spec resolves to %q", id))
 		return
 	}

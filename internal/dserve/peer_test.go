@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
@@ -145,9 +146,30 @@ func TestPeerDetectMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.InstallFP = InstallFingerprint(in)
+	req.InstallFP = negativa.InstallFingerprint(in)
 	if code := postPeer(t, srv, "/v1/peer/detect", req, nil); code != http.StatusBadRequest {
 		t.Fatalf("identity mismatch status %d", code)
+	}
+}
+
+// wellFormedDetect is a detect request the owner will accept and execute:
+// fingerprint and identity computed from the install and workload the
+// request's own config resolves to.
+func wellFormedDetect(t *testing.T) peerDetectRequest {
+	t.Helper()
+	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := WorkloadSpec{Model: "MobileNetV2", Batch: 1}
+	wl, err := spec.Workload(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return peerDetectRequest{
+		InstallFP: negativa.InstallFingerprint(in),
+		Identity:  negativa.WorkloadIdentity(wl, 2),
+		Framework: "pytorch", TailLibs: 2, MaxSteps: 2, Spec: spec,
 	}
 }
 
@@ -160,20 +182,7 @@ func TestPeerDetectExecutesAndRegisters(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
-	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := WorkloadSpec{Model: "MobileNetV2", Batch: 1}
-	wl, err := spec.Workload(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := peerDetectRequest{
-		InstallFP: InstallFingerprint(in),
-		Identity:  WorkloadIdentity(wl, 2),
-		Framework: "pytorch", TailLibs: 2, MaxSteps: 2, Spec: spec,
-	}
+	req := wellFormedDetect(t)
 	var dr peerDetectResponse
 	if code := postPeer(t, srv, "/v1/peer/detect", req, &dr); code != http.StatusOK {
 		t.Fatalf("detect status %d", code)
@@ -187,6 +196,72 @@ func TestPeerDetectExecutesAndRegisters(t *testing.T) {
 	}
 	if !dr2.Hit {
 		t.Fatal("owner did not memoize the executed detect stage")
+	}
+}
+
+// TestPeerDetectValidatesBeforeTakingASlot: with every peer-execution slot
+// held, a malformed detect request is still refused at once — it never
+// queues for, or holds, a slot meant for executing detects — while a
+// well-formed one waits for a slot and then runs.
+func TestPeerDetectValidatesBeforeTakingASlot(t *testing.T) {
+	svc := NewService(Config{Workers: 2, MaxSteps: 2})
+	defer svc.Close()
+	soloCluster(svc)
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	held := cap(svc.peerSem)
+	for i := 0; i < held; i++ {
+		svc.peerSem <- struct{}{}
+	}
+	// Runs before srv.Close, which waits for handlers still parked on a slot.
+	defer func() {
+		for ; held > 0; held-- {
+			<-svc.peerSem
+		}
+	}()
+
+	body, err := json.Marshal(peerDetectRequest{Framework: "no-such", Spec: WorkloadSpec{Model: "MobileNetV2", Batch: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quick := http.Client{Timeout: time.Second}
+	resp, err := quick.Post(srv.URL+"/v1/peer/detect", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("malformed request waited for an execution slot: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad framework status %d", resp.StatusCode)
+	}
+
+	body, err = json.Marshal(wellFormedDetect(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/v1/peer/detect", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	select {
+	case code := <-status:
+		t.Fatalf("well-formed detect finished (status %d) with no execution slot free", code)
+	case <-time.After(100 * time.Millisecond):
+	}
+	<-svc.peerSem
+	held--
+	if code := <-status; code != http.StatusOK {
+		t.Fatalf("detect status %d once a slot was free", code)
+	}
+	if got := svc.Counters.Get("peer.executed_detects"); got != 1 {
+		t.Fatalf("peer.executed_detects = %d, want 1", got)
 	}
 }
 

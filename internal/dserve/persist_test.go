@@ -103,7 +103,7 @@ func TestRegistryReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := ProfileKey{Install: InstallFingerprint(in), Workload: WorkloadIdentity(ws[0], 2)}
+	key := ProfileKey{Install: negativa.InstallFingerprint(in), Workload: negativa.WorkloadIdentity(ws[0], 2)}
 
 	st1 := openStore(t, dir)
 	r1 := NewRegistry()

@@ -4,10 +4,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"negativaml/internal/plan"
 )
 
 func TestPoolBoundsConcurrency(t *testing.T) {
-	p := NewPool(3)
+	p := plan.NewPool(3)
 	if p.Workers() != 3 {
 		t.Fatalf("workers = %d, want 3", p.Workers())
 	}
@@ -40,9 +42,9 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 
 func TestPoolEdgeCases(t *testing.T) {
 	for _, workers := range []int{0, -5} {
-		p := NewPool(workers)
+		p := plan.NewPool(workers)
 		if p.Workers() != 1 {
-			t.Errorf("NewPool(%d) has %d workers, want 1", workers, p.Workers())
+			t.Errorf("plan.NewPool(%d) has %d workers, want 1", workers, p.Workers())
 		}
 		p.Acquire() // a one-slot pool still admits a task
 		p.Release()

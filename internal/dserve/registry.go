@@ -2,39 +2,27 @@ package dserve
 
 import (
 	"encoding/json"
-	"fmt"
 	"sync/atomic"
 
 	"negativaml/internal/castore"
-	"negativaml/internal/mlframework"
 	"negativaml/internal/negativa"
 )
-
-// InstallFingerprint hashes an install's identity: framework, library names
-// in load order, and every library's bytes. Two installs with identical
-// content fingerprint identically, so profiles detected on one serve the
-// other. The implementation lives with the stage-key derivations in
-// internal/negativa; this re-export keeps the serving plane's public API.
-func InstallFingerprint(in *mlframework.Install) string {
-	return negativa.InstallFingerprint(in)
-}
 
 // ProfileKey identifies a stored detection profile: the install it was
 // detected on and the workload configuration that produced it.
 type ProfileKey struct {
-	// Install is the install fingerprint (InstallFingerprint).
+	// Install is the install fingerprint (negativa.InstallFingerprint).
 	Install string
-	// Workload is the workload identity (WorkloadIdentity) — everything
-	// that shapes what detection observes.
+	// Workload is the workload identity (negativa.WorkloadIdentity) —
+	// everything that shapes what detection observes.
 	Workload string
 }
 
-// Registry stores detection profiles for reuse across jobs and computes
-// union profiles over workload sets. Stored profiles are immutable and
-// shared; callers must not mutate them. The registry is bounded: beyond
-// max entries the oldest profiles are evicted (workload identities are
-// client-controlled, so unbounded growth would let a sweeping client OOM a
-// long-running service).
+// Registry stores detection profiles for reuse across jobs. Stored
+// profiles are immutable and shared; callers must not mutate them. The
+// registry is bounded: beyond max entries the oldest profiles are evicted
+// (workload identities are client-controlled, so unbounded growth would
+// let a sweeping client OOM a long-running service).
 type Registry struct {
 	profiles *fifoMap[ProfileKey, *negativa.Profile]
 
@@ -121,19 +109,3 @@ func (r *Registry) Has(key ProfileKey) bool {
 
 // Len returns the number of stored profiles.
 func (r *Registry) Len() int { return r.profiles.size() }
-
-// Union merges the stored profiles of the given workload identities on one
-// install into a union profile. Every member must have been detected first;
-// a missing member is an error, never silently dropped — dropping one would
-// under-retain and break that workload on the debloated install.
-func (r *Registry) Union(install string, workloads []string) (*negativa.Profile, error) {
-	ps := make([]*negativa.Profile, 0, len(workloads))
-	for _, wid := range workloads {
-		p, ok := r.Get(ProfileKey{Install: install, Workload: wid})
-		if !ok {
-			return nil, fmt.Errorf("dserve: no profile for workload %q on install %.12s…", wid, install)
-		}
-		ps = append(ps, p)
-	}
-	return negativa.MergeProfiles(ps...), nil
-}

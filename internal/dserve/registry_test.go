@@ -1,7 +1,6 @@
 package dserve
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -55,8 +54,8 @@ func testWorkloads(t *testing.T, in *mlframework.Install) []mlruntime.Workload {
 
 func TestInstallFingerprint(t *testing.T) {
 	in := testInstall(t)
-	fp1 := InstallFingerprint(in)
-	fp2 := InstallFingerprint(in)
+	fp1 := negativa.InstallFingerprint(in)
+	fp2 := negativa.InstallFingerprint(in)
 	if fp1 != fp2 || len(fp1) != 64 {
 		t.Fatalf("fingerprint unstable or malformed: %q vs %q", fp1, fp2)
 	}
@@ -64,7 +63,7 @@ func TestInstallFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if InstallFingerprint(other) == fp1 {
+	if negativa.InstallFingerprint(other) == fp1 {
 		t.Error("different installs must fingerprint differently")
 	}
 }
@@ -78,26 +77,17 @@ func TestRegistryPutGetUnion(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("len = %d, want 2", r.Len())
 	}
-	if got, ok := r.Get(ProfileKey{"fp", "a"}); !ok || got != a {
+	ga, ok := r.Get(ProfileKey{"fp", "a"})
+	if !ok || ga != a {
 		t.Fatal("Get must return the stored profile")
 	}
 	if _, ok := r.Get(ProfileKey{"other", "a"}); ok {
 		t.Fatal("profiles are scoped to their install fingerprint")
 	}
 
-	u, err := r.Union("fp", []string{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !u.Covers(a) || !u.Covers(b) {
+	gb, _ := r.Get(ProfileKey{"fp", "b"})
+	if u := negativa.MergeProfiles(ga, gb); !u.Covers(a) || !u.Covers(b) {
 		t.Error("union must cover every member")
-	}
-
-	// A missing member is an error, never silently dropped.
-	if _, err := r.Union("fp", []string{"a", "missing"}); err == nil {
-		t.Error("union with an undetected member must fail")
-	} else if !strings.Contains(err.Error(), "missing") {
-		t.Errorf("error should name the missing member: %v", err)
 	}
 }
 
@@ -110,7 +100,7 @@ func TestUnionDebloatServesEveryMember(t *testing.T) {
 	const steps = 2
 
 	reg := NewRegistry()
-	fp := InstallFingerprint(in)
+	fp := negativa.InstallFingerprint(in)
 	ids := make([]string, len(ws))
 	digests := make([]uint64, len(ws))
 	for i, w := range ws {
@@ -118,17 +108,21 @@ func TestUnionDebloatServesEveryMember(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids[i] = WorkloadIdentity(w, steps)
+		ids[i] = negativa.WorkloadIdentity(w, steps)
 		digests[i] = p.RunResult.Digest
 		reg.Put(ProfileKey{Install: fp, Workload: ids[i]}, p)
 	}
 
-	union, err := reg.Union(fp, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stored := make([]*negativa.Profile, len(ws))
 	for i := range ws {
-		p, _ := reg.Get(ProfileKey{Install: fp, Workload: ids[i]})
+		p, ok := reg.Get(ProfileKey{Install: fp, Workload: ids[i]})
+		if !ok {
+			t.Fatalf("no stored profile for member %s", ws[i].Name)
+		}
+		stored[i] = p
+	}
+	union := negativa.MergeProfiles(stored...)
+	for i, p := range stored {
 		if !union.Covers(p) {
 			t.Fatalf("union does not cover member %s", ws[i].Name)
 		}

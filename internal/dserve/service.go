@@ -114,9 +114,12 @@ type Service struct {
 	Cache    *ResultCache
 	Counters *metrics.CounterSet
 	Timings  *metrics.TimingSet
-	pool     *Pool
-	store    *castore.Store
-	cluster  *cluster.Cluster
+	// pool is the one counting semaphore every batch's plan nodes run
+	// under, and the executor the stage memo yields around its waits:
+	// concurrent jobs contend for the same Workers slots, in arrival order.
+	pool    *plan.Pool
+	store   *castore.Store
+	cluster *cluster.Cluster
 	// peerSem bounds concurrently executing peer-route stage computations
 	// (remote detects this node serves as owning shard) to the same width
 	// as the worker pool. It is deliberately a separate semaphore, not the
@@ -129,10 +132,6 @@ type Service struct {
 	// outcomes into the counter and timing sets.
 	stages   *StageMemo
 	observer plan.Observer
-
-	// costMu/costs cache StageCost's per-stage medians (see StageCost).
-	costMu sync.Mutex
-	costs  map[string]stageCostEntry
 
 	mu           sync.Mutex
 	jobs         map[string]*Job
@@ -188,10 +187,9 @@ func NewService(cfg Config) *Service {
 		Cache:        NewResultCache(cfg.CacheBytes, counters),
 		Counters:     counters,
 		Timings:      metrics.NewTimingSet(),
-		pool:         NewPool(cfg.Workers),
+		pool:         plan.NewPool(cfg.Workers),
 		jobs:         map[string]*Job{},
 		installs:     map[string]*installSlot{},
-		costs:        map[string]stageCostEntry{},
 		restoredLibs: newBoundedMemo(64),
 		peerSem:      make(chan struct{}, cfg.Workers),
 	}
@@ -262,14 +260,6 @@ func (s *Service) Close() {
 	if s.cluster != nil {
 		s.cluster.Close()
 	}
-}
-
-// WorkloadIdentity canonically identifies a workload configuration for
-// profile reuse — everything that shapes what detection observes. The
-// implementation lives with the stage-key derivations in
-// internal/negativa; this re-export keeps the serving plane's public API.
-func WorkloadIdentity(w mlruntime.Workload, maxSteps int) string {
-	return negativa.WorkloadIdentity(w, maxSteps)
 }
 
 // BatchOptions configure one multi-workload debloat batch.
@@ -471,11 +461,11 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 		}
 	}
 	maxSteps := s.effectiveSteps(opt.MaxSteps)
-	fp := InstallFingerprint(in)
+	fp := negativa.InstallFingerprint(in)
 
 	ids := make([]string, len(workloads))
 	for i := range workloads {
-		ids[i] = WorkloadIdentity(workloads[i], maxSteps)
+		ids[i] = negativa.WorkloadIdentity(workloads[i], maxSteps)
 	}
 
 	// Incremental pre-flight: the base must cover this batch's install and
@@ -537,7 +527,7 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	// their marks on the happy path, but a batch aborting between prefetch
 	// and consumption must not leave stale entries in the service-wide
 	// memo. The compact prefetch node appends its keys during execution;
-	// ExecuteWith waits for every node before returning, so the deferred
+	// Execute waits for every node before returning, so the deferred
 	// clear observes the final slice.
 	var markKeys []plan.Key
 	defer func() { s.stages.clearMarks(markKeys) }()
@@ -581,19 +571,13 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	}
 
 	// Union: unkeyed glue — merging sorted symbol lists is far cheaper
-	// than addressing the result. Preference goes to the registry's union
-	// (the normal path); under extreme registry churn a member just stored
-	// could already be evicted, in which case the profiles held by this
-	// batch merge directly.
+	// than addressing the result.
 	unionNode := g.Node("union", detects, nil, func(deps []any) (any, error) {
 		ps := make([]*negativa.Profile, len(deps))
 		for i := range deps {
 			ps[i] = deps[i].(*negativa.Profile)
 		}
-		union, err := s.Registry.Union(fp, ids)
-		if err != nil {
-			union = negativa.MergeProfiles(ps...)
-		}
+		union := negativa.MergeProfiles(ps...)
 		// Safety invariant of union debloating: the union must cover every
 		// member, or the compacted install would break that member.
 		for i, p := range ps {
@@ -730,7 +714,7 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	if opt.OnPlanned != nil {
 		opt.OnPlanned(g.Len())
 	}
-	if err := g.ExecuteWith(s.pool, s.stages, plan.MultiObserver(s.observer, opt.Observer), plan.ExecOptions{Costs: s}); err != nil {
+	if err := g.Execute(s.pool, s.stages, plan.MultiObserver(s.observer, opt.Observer)); err != nil {
 		return nil, err
 	}
 	if probeNode != nil && probeNode.Value().(*verifyProbe).needClone {
@@ -890,41 +874,6 @@ func verifyClone(g *plan.Graph, in *mlframework.Install, probe *plan.Node, compa
 		}
 		return &clone, nil
 	})
-}
-
-// StageCost implements plan.CostModel from the service's measured
-// stage-timing history: a stage's expected cost is the median of its
-// recent wall times, so critical-path dispatch weights nodes by what this
-// node actually observed, not a static guess. Unmeasured stages return
-// zero (unit weight — chain depth still orders them).
-//
-// Summary sorts the series' whole sample window, and the DAG scheduler
-// asks per node per batch, so the median is cached and recomputed only
-// after the series has grown by stageCostRefresh observations — dispatch
-// priorities need the right order of magnitude, not the latest sample.
-func (s *Service) StageCost(stage string) time.Duration {
-	name := "stage." + stage
-	n := s.Timings.Total(name)
-	s.costMu.Lock()
-	e, ok := s.costs[name]
-	s.costMu.Unlock()
-	if ok && n-e.at < stageCostRefresh {
-		return e.cost
-	}
-	cost := time.Duration(s.Timings.Summary(name).P50 * float64(time.Millisecond))
-	s.costMu.Lock()
-	s.costs[name] = stageCostEntry{at: n, cost: cost}
-	s.costMu.Unlock()
-	return cost
-}
-
-// stageCostRefresh is how many new observations a stage-timing series
-// accumulates before StageCost re-derives its cached median.
-const stageCostRefresh = 64
-
-type stageCostEntry struct {
-	at   int64
-	cost time.Duration
 }
 
 // install returns the generated install for (framework, tailLibs),

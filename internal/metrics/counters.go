@@ -73,12 +73,10 @@ const maxTimingSamples = 1024
 
 type timingRing struct {
 	samples []float64
-	next    int   // overwrite position once the ring is full
-	total   int64 // observations ever, beyond the ring window
+	next    int // overwrite position once the ring is full
 }
 
 func (r *timingRing) add(v float64) {
-	r.total++
 	if len(r.samples) < maxTimingSamples {
 		r.samples = append(r.samples, v)
 		return
@@ -100,18 +98,6 @@ func (t *TimingSet) Observe(name string, d time.Duration) {
 	}
 	r.add(float64(d) / float64(time.Millisecond))
 	t.mu.Unlock()
-}
-
-// Total returns how many samples the named series has ever observed
-// (0 for an unknown series) — unlike Summary it is O(1), so callers that
-// derive values from Summary can use it to notice staleness cheaply.
-func (t *TimingSet) Total(name string) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r := t.v[name]; r != nil {
-		return r.total
-	}
-	return 0
 }
 
 // Summary summarizes the named series in milliseconds (zero Distribution

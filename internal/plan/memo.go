@@ -6,12 +6,12 @@ import "sync"
 // each node's resolved content key. hint is the node's reconstruction hint
 // (Node.WithHint) — tiered implementations use it to rebuild a value from
 // a persisted form (e.g. decoding a stored range set against the live
-// library). slot is the calling node's own executor slot: a tier that
-// waits on the network releases it for the wait and re-acquires through
-// it, so under priority admission (ExecuteWith) the node re-joins the
-// queue at its critical-path weight instead of racing the raw pool ahead
-// of heavier waiters. slot is only valid for the duration of the call;
-// plain memory memos ignore both.
+// library). slot is the Executor the calling graph runs under, of which
+// the calling node holds one slot: a tier that waits on the network or on
+// another node's flight releases it for the wait and re-acquires it
+// before returning. It is a parameter, not memo state, because one memo
+// may be consulted from graphs running on different pools. Plain memory
+// memos ignore both.
 //
 // GetOrCompute returns the memoized value and the tier that served it, or
 // computes, stores, and returns it with SourceComputed. Implementations

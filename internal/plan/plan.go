@@ -107,38 +107,34 @@ type Observer interface {
 	StageDone(stage string, hit bool, wall time.Duration)
 }
 
-// Execute runs the graph: every node starts once its dependencies are
-// done, bounded by ex. memo, when non-nil, is consulted with each node's
-// resolved key; obs, when non-nil, observes every finished node's outcome.
-// Execute blocks until every reachable node has finished and returns the
-// first error in node insertion order (nodes downstream of a failed node
-// do not run; they inherit the failure).
+// Execute runs the graph: one goroutine per node, each starting once its
+// dependencies are done and holding a slot of ex while it resolves its key
+// and runs. Ready nodes take slots in the order ex grants them (arrival
+// order for *Pool). memo, when non-nil, is consulted with each node's
+// resolved key and handed ex itself as the node's slot; obs, when non-nil,
+// observes every finished node's outcome. Execute blocks until every node
+// has finished and returns the first error in node insertion order (nodes
+// downstream of a failed node do not run; they inherit the failure).
 func (g *Graph) Execute(ex Executor, memo Memo, obs Observer) error {
-	return g.ExecuteWith(ex, memo, obs, ExecOptions{})
-}
-
-// ExecuteWith is Execute with scheduling options. Ready nodes are
-// dispatched in descending critical-path length — each node weighted by
-// opt.Costs (unit weight without it) plus its heaviest dependent chain —
-// so when more nodes are ready than the executor has slots, the slots go
-// to the work the batch's wall clock is actually waiting on, not to
-// whatever happened to become ready first.
-func (g *Graph) ExecuteWith(ex Executor, memo Memo, obs Observer, opt ExecOptions) error {
-	prio := g.criticalPaths(opt.Costs)
-	pe := newPrioExecutor(ex)
-	for i, n := range g.nodes {
-		go n.exec(prioSlot{p: pe, priority: prio[i]}, memo, obs)
+	for _, n := range g.nodes {
+		go n.exec(ex, memo, obs)
 	}
 	for _, n := range g.nodes {
 		<-n.done
 	}
-	pe.stop()
 	for _, n := range g.nodes {
 		if n.err != nil {
 			return n.err
 		}
 	}
 	return nil
+}
+
+// ExecuteWith is Execute; it and the empty ExecOptions stay only because bench/probes.go compiles against them.
+type ExecOptions struct{}
+
+func (g *Graph) ExecuteWith(ex Executor, memo Memo, obs Observer, _ ExecOptions) error {
+	return g.Execute(ex, memo, obs)
 }
 
 func (n *Node) exec(ex Executor, memo Memo, obs Observer) {

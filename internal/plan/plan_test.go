@@ -251,3 +251,198 @@ func TestEachRunsEveryIndexOnce(t *testing.T) {
 		}
 	}
 }
+
+// yieldingMemo records the slot each consultation is handed and, like a
+// tier waiting on the network or on another node's flight, gives that slot
+// up around a wait: the "waiter" key announces itself and waits for the
+// "opener" key's compute, the opener waits for the announcement first — so
+// on a one-slot pool each can only proceed while the other has yielded.
+type yieldingMemo struct {
+	mu      sync.Mutex
+	slots   []Executor
+	entered chan struct{}
+	opened  chan struct{}
+	holders width // consultations currently holding a slot
+}
+
+// width counts how many goroutines are inside a section at once and
+// remembers the most it saw.
+type width struct{ cur, peak atomic.Int64 }
+
+func (w *width) enter() {
+	n := w.cur.Add(1)
+	for {
+		old := w.peak.Load()
+		if n <= old || w.peak.CompareAndSwap(old, n) {
+			return
+		}
+	}
+}
+
+func (w *width) leave() { w.cur.Add(-1) }
+
+func (m *yieldingMemo) GetOrCompute(slot Executor, key Key, _ any, compute func() (any, error)) (any, Source, error) {
+	m.holders.enter()
+	defer m.holders.leave()
+	m.mu.Lock()
+	m.slots = append(m.slots, slot)
+	m.mu.Unlock()
+
+	wait := m.entered
+	if key.Hash == "waiter" {
+		close(m.entered)
+		wait = m.opened
+	}
+	m.holders.leave()
+	slot.Release()
+	<-wait
+	slot.Acquire()
+	m.holders.enter()
+
+	v, err := compute()
+	return v, SourceComputed, err
+}
+
+// TestMemoSlotIsTheExecutor: the slot a memo is handed is the Executor the
+// graph runs under — not a per-node stand-in — so yielding it around a wait
+// frees a real slot of that executor: the two nodes below finish on a
+// one-slot pool, and never hold a slot together.
+func TestMemoSlotIsTheExecutor(t *testing.T) {
+	pool := NewPool(1)
+	memo := &yieldingMemo{entered: make(chan struct{}), opened: make(chan struct{})}
+	g := New()
+	g.Node("s", nil, StaticKey(Key{"s", "waiter"}), func([]any) (any, error) { return nil, nil })
+	g.Node("s", nil, StaticKey(Key{"s", "opener"}), func([]any) (any, error) {
+		close(memo.opened)
+		return nil, nil
+	})
+	done := make(chan error, 1)
+	go func() { done <- g.Execute(pool, memo, nil) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("graph deadlocked on a one-slot pool although its memo yields the slot around every wait")
+	}
+	if len(memo.slots) != 2 {
+		t.Fatalf("memo consulted %d times, want 2", len(memo.slots))
+	}
+	for i, slot := range memo.slots {
+		if slot != Executor(pool) {
+			t.Errorf("consultation %d was handed a %T, want the *Pool passed to Execute", i, slot)
+		}
+	}
+	if p := memo.holders.peak.Load(); p > int64(pool.Workers()) {
+		t.Errorf("%d nodes held a slot at once on a %d-slot pool", p, pool.Workers())
+	}
+}
+
+// levelled builds a graph of levels×perLevel nodes running fn, in which
+// every node depends on the whole level before it — the shape of every
+// graph the repository builds.
+func levelled(levels, perLevel int, fn func([]any) (any, error)) *Graph {
+	g := New()
+	var prev []*Node
+	for l := 0; l < levels; l++ {
+		cur := make([]*Node, perLevel)
+		for i := range cur {
+			cur[i] = g.Node(fmt.Sprint("level", l), prev, nil, fn)
+		}
+		prev = cur
+	}
+	return g
+}
+
+// TestConcurrentGraphsShareOnePool: two graphs executed at once on one pool
+// both finish, together never run more nodes than the pool is wide, and an
+// execution leaves no goroutine behind.
+func TestConcurrentGraphsShareOnePool(t *testing.T) {
+	before := runtime.NumGoroutine()
+	pool := NewPool(2)
+	var running width
+	var ran atomic.Int64
+	node := func([]any) (any, error) {
+		running.enter()
+		runtime.Gosched() // widen the overlap window
+		ran.Add(1)
+		running.leave()
+		return nil, nil
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		g := levelled(5, 10, node)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := g.Execute(pool, nil, nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if ran.Load() != 100 {
+		t.Fatalf("%d nodes ran, want 100", ran.Load())
+	}
+	if p := running.peak.Load(); p > 2 {
+		t.Fatalf("%d nodes ran at once on a 2-slot pool", p)
+	}
+	// Node goroutines signal done before they return; give the last ones a
+	// moment to exit.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before, %d after both executions returned", before, after)
+	}
+}
+
+// BenchmarkNoopDAG is the plan layer's own microbenchmark: the graph
+// DebloatBatch builds for a four-member batch on the two largest paper rows
+// (4 detects → union → one compact per library → verifyprobe → 2 clone
+// chunks → join → 4 verifies), every node a no-op and no memo, so what is
+// timed is node dispatch alone. Graph construction is outside the timer.
+func BenchmarkNoopDAG(b *testing.B) {
+	noop := func([]any) (any, error) { return nil, nil }
+	fan := func(g *Graph, stage string, n int, deps []*Node) []*Node {
+		out := make([]*Node, n)
+		for i := range out {
+			out[i] = g.Node(stage, deps, nil, noop)
+		}
+		return out
+	}
+	for _, row := range []struct {
+		name string
+		libs int
+	}{{"pytorch141", 154}, {"tensorflow388", 398}} {
+		b.Run(row.name, func(b *testing.B) {
+			pool := NewPool(runtime.GOMAXPROCS(0))
+			nodes := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g := New()
+				detects := fan(g, "detect", 4, nil)
+				union := fan(g, "union", 1, detects)
+				compacts := fan(g, "compact", row.libs, union)
+				probe := fan(g, "verifyprobe", 1, compacts)[0]
+				afterProbe := func(deps ...*Node) []*Node { return append([]*Node{probe}, deps...) }
+				half := len(compacts) / 2
+				chunks := []*Node{
+					g.Node("clone", afterProbe(compacts[:half]...), nil, noop),
+					g.Node("clone", afterProbe(compacts[half:]...), nil, noop),
+				}
+				join := g.Node("clone", afterProbe(chunks...), nil, noop)
+				fan(g, "verifyrun", 4, afterProbe(join))
+				nodes = g.Len()
+				b.StartTimer()
+				if err := g.Execute(pool, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")
+		})
+	}
+}
