@@ -6,41 +6,26 @@
 //
 // # Architecture
 //
-// Every batch executes as a stage graph (internal/plan): each pipeline
-// phase is a node with an explicit content-derived cache key, scheduled in
-// dependency order over one service-wide bounded worker pool and memoized
-// per stage. For a batch of M workloads over an install of N libraries the
-// node DAG is
-//
-//	detect(w1) … detect(wM)
-//	      \   |   /
-//	       [union]──────────────── compact(lib1) … compact(libN)
-//	                                      \              /
-//	                                       [verifyprobe]
-//	                                      /              \
-//	                                 [clone chunk] … [clone chunk]
-//	                                      \              /
-//	                                       [clone install]
-//	                                      /              \
-//	                            verifyrun(w1)  …  verifyrun(wM)
-//
-// with keys
+// Every batch executes as a negativa.Batch — the repository's one stage
+// graph (detect per member → union → compact per library → verify probe →
+// clone → verifyrun per member; docs/ARCHITECTURE.md draws it), the same
+// graph negativa.Debloat runs for one member. Each node carries an explicit
+// content-derived key, runs in dependency order over one service-wide
+// bounded worker pool and is memoized per stage. The service builds no
+// graph of its own: it passes its tiers in — the stage memo, its verify
+// probe, and when clustered the batch prefetch and the detect hints —
+// and assembles the BatchResult from the run. Keys:
 //
 //	detect    (install fingerprint, workload identity)   identity embeds the step cap
 //	compact   library digest + union used-symbol sets + target archs;
 //	          location is computed inside it on a miss, never on a hit
-//	verifyref (install fingerprint, identity at the verification step cap)
 //	verifyrun (install fingerprint, workload identity, step cap, digest of
 //	          the debloated set as handed out) — see Verification below
 //
-// A library contributes exactly one node (negativa.CompactNode, which the
-// single-workload planner schedules too): its index was built by
-// InstallFingerprint before the graph existed, and symbol-to-range
-// location is the first half of the node's work function, so no node is
-// scheduled that cannot miss. Compact keys resolve late, after the union
-// node has produced the merged used-symbol sets; the plan then
-// consults the stage memo before running the node, so a key already
-// computed by any prior batch — or any prior boot — absorbs the work.
+// Compact keys resolve late, after the union node has produced the merged
+// used-symbol sets; the plan then consults the stage memo before running
+// the node, so a key already computed by any prior batch — or any prior
+// boot — absorbs the work.
 //
 // The stage memo (StageMemo) routes the three memoized stages to their
 // stores, each tiered memory → disk → owning cluster peer:
@@ -71,9 +56,9 @@
 // keyed by what the batch hands out, not by what it asked for. After the
 // compact nodes, the verifyprobe glue node digests, per library in load
 // order, (name, content digest, the exact zeroed ranges of the sparse
-// image in the compact node's value) — negativa.DebloatedSetDigest, the
-// derivation the single-workload planner uses too — derives each fresh
-// member's negativa.VerifyRunKey, reads the replica set through when
+// image in the compact node's value) — negativa.DebloatedSetDigest —
+// derives each fresh member's negativa.VerifyRunKey, reads the replica set
+// through when
 // clustered (only if every compact was itself a hit: a batch that computed
 // part of the set is the first to hold it, so no replica has a record and
 // the round trip is not made), and asks the memo once. Only byte-identical output can hit: a

@@ -4,19 +4,14 @@ import (
 	"bytes"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"negativaml/internal/bufpool"
 	"negativaml/internal/castore"
 	"negativaml/internal/elfx"
-	"negativaml/internal/fatbin"
 	"negativaml/internal/mlframework"
 	"negativaml/internal/mlruntime"
-	"negativaml/internal/negativa"
-	"negativaml/internal/plan"
 )
 
 // ingestedBatch ingests the tree under root/rel on svc, runs one batch over
@@ -207,88 +202,6 @@ func TestDebloatBatchIsWidthIndependent(t *testing.T) {
 			if !bytes.Equal(got[name], b) {
 				t.Errorf("workers %d: %s streams different bytes than with 1 worker", workers, name)
 			}
-		}
-	}
-}
-
-// cloneGraph builds the verify clone over already-finished compact results:
-// one trivial node per library standing in for its compact node.
-func cloneGraph(in *mlframework.Install, images []*negativa.SparseImage, chunks int, bufs [][]byte) (*plan.Graph, *plan.Node) {
-	g := plan.New()
-	compacts := make([]*plan.Node, len(images))
-	for i, sp := range images {
-		ld := &negativa.LibDebloat{Report: &negativa.LibraryReport{Name: in.LibNames[i], Sparse: sp}}
-		compacts[i] = g.Node(negativa.StageCompact, nil, nil, func([]any) (any, error) { return ld, nil })
-	}
-	probe := g.Node("verifyprobe", compacts, nil, func([]any) (any, error) { return &verifyProbe{needClone: true}, nil })
-	return g, verifyClone(g, in, probe, compacts, chunks, bufs)
-}
-
-// TestVerifyCloneFailureNamesTheLibrary: a debloated image that no longer
-// parses fails its chunk node, and through it the batch, with the library's
-// name — whichever chunk it fell into.
-func TestVerifyCloneFailureNamesTheLibrary(t *testing.T) {
-	in := testInstall(t)
-	for _, chunks := range []int{1, 3} {
-		victim := in.LibNames[len(in.LibNames)-2]
-		images := make([]*negativa.SparseImage, len(in.LibNames))
-		for i, name := range in.LibNames {
-			var zeroed []fatbin.Range
-			if name == victim {
-				zeroed = []fatbin.Range{{Start: 0, End: 64}} // the ELF header
-			}
-			images[i] = negativa.NewSparseImage(in.Library(name), zeroed)
-		}
-		bufs := make([][]byte, len(images))
-		g, _ := cloneGraph(in, images, chunks, bufs)
-		err := g.Execute(plan.NewPool(chunks), nil, nil)
-		for _, b := range bufs {
-			bufpool.Put(b)
-		}
-		if err == nil || !strings.Contains(err.Error(), victim) {
-			t.Errorf("%d chunks: error %v, want one naming %s", chunks, err, victim)
-		}
-	}
-}
-
-// BenchmarkVerifyClone is the microbenchmark of the verify clone: every
-// debloated library of a Table-1-shaped install (pytorch141) materialized
-// into pooled scratch and parsed, as a plan over GOMAXPROCS workers. Run with
-// -cpu 1,2: one worker is one chunk, the serial loop.
-func BenchmarkVerifyClone(b *testing.B) {
-	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 141})
-	if err != nil {
-		b.Fatal(err)
-	}
-	w, err := WorkloadSpec{Model: "MobileNetV2", Batch: 1}.Workload(in)
-	if err != nil {
-		b.Fatal(err)
-	}
-	svc := NewService(Config{MaxSteps: 2})
-	defer svc.Close()
-	res, err := svc.DebloatBatch(in, []mlruntime.Workload{w}, BatchOptions{SkipVerify: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	images := make([]*negativa.SparseImage, len(res.Libs))
-	for i, lr := range res.Libs {
-		images[i] = lr.Sparse
-	}
-	workers := runtime.GOMAXPROCS(0)
-	pool := plan.NewPool(workers)
-	bufs := make([][]byte, len(images))
-	b.SetBytes(in.TotalFileSize())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, clone := cloneGraph(in, images, workers, bufs)
-		if err := g.Execute(pool, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-		if len(clone.Value().(*mlframework.Install).Libs) != len(in.Libs) {
-			b.Fatal("clone lost libraries")
-		}
-		for _, buf := range bufs {
-			bufpool.Put(buf)
 		}
 	}
 }

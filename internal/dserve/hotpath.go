@@ -16,10 +16,10 @@ import (
 //
 // One HTTP round trip per stage key would make a peer-warm batch's wall
 // time scale with its artifact count, so DebloatBatch batches its remote
-// reads at three points — a prefetch node for the detect keys, one for the
-// compact keys derived from the union, and the verify-probe node for the
-// verifyrun keys derived from the compacted set: each collects the batch's
-// ready keys, groups them by replica set, and issues one
+// reads at three points — negativa.Batch hands its Prefetch hook the detect
+// keys, the compact keys derived from the union, and, from the verify-probe
+// node, the verifyrun keys derived from the compacted set: each call takes
+// the batch's ready keys, groups them by replica set, and issues one
 // POST /v1/peer/lookup-batch per group, hedged through
 // cluster.HedgedCall so a stalled replica costs its p95 latency, not the
 // transport timeout. Found values land in the local tiers (registry /
@@ -157,8 +157,9 @@ type lookupGroup struct {
 // the memo. Keys already held locally (memory, or the castore for compacts
 // and verify records) are skipped — the prefetch never re-fetches what a
 // disk probe will serve faster. Safe to call concurrently with stage nodes
-// resolving the same keys.
-func (m *StageMemo) PrefetchLookups(items []prefetchItem) {
+// resolving the same keys. slot is the executor the calling node holds a
+// slot of, yielded for the round trips; nil means the caller holds none.
+func (m *StageMemo) PrefetchLookups(slot plan.Executor, items []prefetchItem) {
 	if m.cluster == nil || len(items) == 0 {
 		return
 	}
@@ -191,12 +192,10 @@ func (m *StageMemo) PrefetchLookups(items []prefetchItem) {
 	}
 	// Fan the groups out concurrently with the caller's worker slot
 	// yielded: this is network wait, and the stage nodes whose keys are
-	// not in any group should run meanwhile. A glue node's runFn is not
-	// handed its graph's executor, so this yield goes through the attached
-	// one — the same pool.
-	if m.exec != nil {
-		m.exec.Release()
-		defer m.exec.Acquire()
+	// not in any group should run meanwhile.
+	if slot != nil {
+		slot.Release()
+		defer slot.Acquire()
 	}
 	var wg sync.WaitGroup
 	for _, g := range groups {

@@ -148,7 +148,7 @@ func TestHedgedLookupSlowReplica(t *testing.T) {
 	}
 
 	start := time.Now()
-	m.PrefetchLookups(items)
+	m.PrefetchLookups(nil, items)
 	wall := time.Since(start)
 	if wall > 80*time.Millisecond {
 		t.Fatalf("hedged read took %v; it should complete well under the 100ms injected delay", wall)
@@ -211,7 +211,7 @@ func TestPrefetchSingleflightNoDuplicateRoundTrips(t *testing.T) {
 		wg.Add(5)
 		go func() {
 			defer wg.Done()
-			m.PrefetchLookups([]prefetchItem{{key: key}})
+			m.PrefetchLookups(nil, []prefetchItem{{key: key}})
 		}()
 		<-fixture.gate // the request is at the peer: the prefetch leads the flight
 		for g := 0; g < 4; g++ {
@@ -251,13 +251,42 @@ func TestPrefetchSingleflightNoDuplicateRoundTrips(t *testing.T) {
 			}
 		}()
 		<-computing
-		m.PrefetchLookups([]prefetchItem{{key: key}})
+		m.PrefetchLookups(nil, []prefetchItem{{key: key}})
 		close(finish)
 		<-done
 		if got := fixture.count(key.Hash); got != 0 {
 			t.Fatalf("key served %d times by the peer while a stage node computed it", got)
 		}
 	})
+}
+
+// recordingExecutor records its Acquire and Release calls in order.
+type recordingExecutor struct{ calls []string }
+
+func (e *recordingExecutor) Acquire() { e.calls = append(e.calls, "acquire") }
+func (e *recordingExecutor) Release() { e.calls = append(e.calls, "release") }
+
+// TestPrefetchYieldsTheCallersSlot: the batch prefetch yields the executor
+// its caller hands it — the one the calling node holds a slot of — around
+// its round trips, and takes the slot back before returning.
+func TestPrefetchYieldsTheCallersSlot(t *testing.T) {
+	fixture := &lookupFixture{profile: testDetectProfile(t)}
+	srv := httptest.NewServer(fixture.handler())
+	defer srv.Close()
+	m := NewStageMemo(NewRegistry(), NewResultCache(1<<20, nil), metrics.NewCounterSet())
+	c := cluster.New("self", map[string]string{"peer": srv.URL}, cluster.Options{ReplicaSets: 2, Timeout: 30 * time.Second})
+	defer c.Close()
+	m.AttachCluster(c)
+
+	key := negativa.DetectKey("fp", "w")
+	var slot recordingExecutor
+	m.PrefetchLookups(&slot, []prefetchItem{{key: key}})
+	if got := strings.Join(slot.calls, ","); got != "release,acquire" {
+		t.Fatalf("the caller's executor saw %q, want release,acquire", got)
+	}
+	if got := fixture.count(key.Hash); got != 1 {
+		t.Fatalf("key served %d times by the peer, want 1", got)
+	}
 }
 
 // startClusterCfg is startCluster with a per-node service config hook (the

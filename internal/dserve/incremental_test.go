@@ -372,9 +372,9 @@ func TestWarmDiskSkipsLocation(t *testing.T) {
 }
 
 // TestSharedMemoAcrossPlanners pins the canonical stage-value contract:
-// the single-workload planner (negativa.Debloat) can run over the batch
-// service's StageMemo and absorb its stages — identical keys must carry
-// identical value types (detect profiles, compact results) in both
+// negativa.Debloat, a one-member batch with no tier hooks, can run over the
+// batch service's StageMemo and absorb its stages — identical keys must
+// carry identical value types (detect profiles, compact results) in both
 // directions.
 func TestSharedMemoAcrossPlanners(t *testing.T) {
 	svc := NewService(Config{Workers: 2, MaxSteps: 2})
@@ -400,7 +400,7 @@ func TestSharedMemoAcrossPlanners(t *testing.T) {
 		t.Fatal("shared-memo debloat must verify")
 	}
 	if svc.Counters.Get("registry.hits") == hitsBefore {
-		t.Fatal("single-workload planner must absorb the service's detect stage")
+		t.Fatal("negativa.Debloat must absorb the service's detect stage")
 	}
 	if res.AnalysisTime == 0 {
 		t.Fatal("Debloat charges virtual analysis time regardless of memo hits")

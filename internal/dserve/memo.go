@@ -123,8 +123,9 @@ func (f *fifoMap[K, V]) size() int {
 //     key's owners behind the batch. A run that errors memoizes nothing; a
 //     run that completes with a different digest memoizes as that digest.
 //
-// A key of any other stage is not memoized: it computes every time (the
-// single-workload planner's capped reference run, when run over this memo).
+// A key of any other stage is not memoized: it computes every time (a
+// batch's capped reference runs — negativa.Debloat's VerifySteps — when run
+// over this memo).
 //
 // Every peer-tier failure (transport error, downed owner, undecodable
 // payload) falls back to local compute: the cluster is an optimization
@@ -145,10 +146,6 @@ type StageMemo struct {
 	// cluster, when non-nil, adds the owning-peer tier to every routed
 	// stage's lookups.
 	cluster *cluster.Cluster
-	// exec, when non-nil, is the same executor the plan scheduler runs
-	// stages under; the batch prefetch, a glue node with no slot of its
-	// own handed down, yields through it around its round trips.
-	exec plan.Executor
 	// replicate and replicateProfile, when non-nil, push a freshly computed
 	// compact result's objects (or detect profile) to the named replica
 	// peers in the background (the service's replication plane). The memo
@@ -193,12 +190,6 @@ func (m *StageMemo) AttachCluster(c *cluster.Cluster) { m.cluster = c }
 func (m *StageMemo) AttachReplicator(result func(hash string, ld *negativa.LibDebloat, peers []string), profile func(pk ProfileKey, p *negativa.Profile, peers []string)) {
 	m.replicate, m.replicateProfile = result, profile
 }
-
-// AttachExecutor hands the memo the executor its callers hold slots of.
-// PrefetchLookups runs inside a plan node that has Acquired ex, so it may
-// temporarily Release that slot around pure I/O waits. Call before
-// serving, with the same executor passed to Graph.Execute.
-func (m *StageMemo) AttachExecutor(ex plan.Executor) { m.exec = ex }
 
 // postJSON runs one peer round trip with the caller's executor slot
 // yielded. Plan nodes hold a worker slot while resolving their memo, but

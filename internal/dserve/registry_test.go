@@ -1,6 +1,7 @@
 package dserve
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -31,7 +32,7 @@ func testInstall(t *testing.T) *mlframework.Install {
 
 // testWorkloads builds the canonical 4-member batch over one install: CV
 // and NLP models, training and inference, T4 and A100 devices.
-func testWorkloads(t *testing.T, in *mlframework.Install) []mlruntime.Workload {
+func testWorkloads(t testing.TB, in *mlframework.Install) []mlruntime.Workload {
 	t.Helper()
 	// Batch sizes match the kernel universe the synthetic installs ship
 	// (the Table 1 configurations).
@@ -86,9 +87,58 @@ func TestRegistryPutGetUnion(t *testing.T) {
 	}
 
 	gb, _ := r.Get(ProfileKey{"fp", "b"})
-	if u := negativa.MergeProfiles(ga, gb); !u.Covers(a) || !u.Covers(b) {
+	if u := negativa.MergeProfiles(ga, gb); !covers(u, a) || !covers(u, b) {
 		t.Error("union must cover every member")
 	}
+}
+
+// BenchmarkUnion is the microbenchmark of a warm batch's union node: the
+// merge of the four CV/NLP members' profiles at 4 steps, for the two
+// Table-1 shapes with the most libraries.
+func BenchmarkUnion(b *testing.B) {
+	for _, shape := range []struct {
+		name      string
+		framework string
+		tail      int
+	}{
+		{"pytorch141", mlframework.PyTorch, 141},
+		{"tensorflow388", mlframework.TensorFlow, 388},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			in, err := mlframework.Generate(mlframework.Config{Framework: shape.framework, TailLibs: shape.tail})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ws := testWorkloads(b, in)
+			ps := make([]*negativa.Profile, len(ws))
+			for i, w := range ws {
+				if ps[i], err = negativa.DetectUsage(w, 4); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if negativa.MergeProfiles(ps...) == nil {
+					b.Fatal("no union")
+				}
+			}
+		})
+	}
+}
+
+// covers reports whether union u keeps every symbol profile p uses.
+func covers(u, p *negativa.Profile) bool {
+	for _, pair := range [][2]map[string][]string{{u.UsedKernels, p.UsedKernels}, {u.UsedFuncs, p.UsedFuncs}} {
+		for lib, syms := range pair[1] {
+			for _, s := range syms {
+				if !slices.Contains(pair[0][lib], s) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // TestUnionDebloatServesEveryMember is the union-semantics core: an install
@@ -123,7 +173,7 @@ func TestUnionDebloatServesEveryMember(t *testing.T) {
 	}
 	union := negativa.MergeProfiles(stored...)
 	for i, p := range stored {
-		if !union.Covers(p) {
+		if !covers(union, p) {
 			t.Fatalf("union does not cover member %s", ws[i].Name)
 		}
 	}

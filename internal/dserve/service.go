@@ -9,11 +9,8 @@ import (
 	"sync"
 	"time"
 
-	"negativaml/internal/bufpool"
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
-	"negativaml/internal/elfx"
-	"negativaml/internal/gpuarch"
 	"negativaml/internal/ingest"
 	"negativaml/internal/metrics"
 	"negativaml/internal/mlframework"
@@ -194,7 +191,6 @@ func NewService(cfg Config) *Service {
 		peerSem:      make(chan struct{}, cfg.Workers),
 	}
 	s.stages = NewStageMemo(s.Registry, s.Cache, counters)
-	s.stages.AttachExecutor(s.pool)
 	s.stages.recordVerify = s.recordVerify
 	s.observer = stageObserver{c: counters, t: s.Timings}
 	if cfg.Store != nil {
@@ -437,16 +433,16 @@ func (r *BatchResult) AllVerified() bool {
 	return true
 }
 
-// DebloatBatch union-debloats one install against a workload set by
-// executing the analysis stage graph: per-member detect nodes feed a union
-// node, the union feeds one compact node per library, and the compacted
-// set feeds a verify probe, the clone it may ask for, and per-member
-// verification nodes — every stage content-keyed and memoized through the
-// service's tiers (registry, byte-bounded cache, verify records,
-// content-addressed store). With opt.Base set the
-// batch is incremental: base members' verifications carry over and only
-// the union delta recomputes. Every workload must reference in as its
-// install.
+// DebloatBatch union-debloats one install against a workload set by running
+// it as a negativa.Batch — per-member detect nodes feed a union node, the
+// union feeds one compact node per library, and the compacted set feeds a
+// verify probe, the clone it may ask for, and per-member verification nodes
+// — with the service's tiers passed in: the stage memo (registry,
+// byte-bounded cache, verify records, content-addressed store), its verify
+// probe, and, when clustered, the batch prefetch and the detect hints the
+// peer tier executes remotely with. With opt.Base set the batch is
+// incremental: base members' verifications carry over and only the union
+// delta recomputes. Every workload must reference in as its install.
 func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Workload, opt BatchOptions) (*BatchResult, error) {
 	start := time.Now()
 	if in == nil {
@@ -461,12 +457,8 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 		}
 	}
 	maxSteps := s.effectiveSteps(opt.MaxSteps)
-	fp := negativa.InstallFingerprint(in)
-
-	ids := make([]string, len(workloads))
-	for i := range workloads {
-		ids[i] = negativa.WorkloadIdentity(workloads[i], maxSteps)
-	}
+	b := negativa.NewBatch(in, workloads, maxSteps)
+	fp, ids := b.Fingerprint, b.IDs
 
 	// Incremental pre-flight: the base must cover this batch's install and
 	// verification mode, and every base member must reappear (identity-
@@ -504,269 +496,93 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 		}
 	}
 
-	// Architectures: the union of every member's device set, so elements
-	// needed by any member survive Reason-I removal.
-	var devs []gpuarch.Device
-	for i := range workloads {
-		devs = append(devs, workloads[i].Devices...)
-	}
-	archs := negativa.DeviceArchs(devs)
-	names := in.LibNames
-
-	// ---- Stage graph ----
-	g := plan.New()
-
-	// Hot-path prefetch: with a cluster attached, a single unkeyed node
-	// batches every detect key the graph will need into grouped
-	// lookup-batch round trips (one per remote replica set) before the
-	// detect nodes consult the memo — collapsing the peer-warm batch's
-	// reads into a handful of scatter-gather calls. The node is glue, not a
-	// stage: found profiles land in the registry, and it is the only remote
-	// read the detect keys get.
-	// markKeys scopes the prefetch marks to this batch: stage nodes consume
-	// their marks on the happy path, but a batch aborting between prefetch
-	// and consumption must not leave stale entries in the service-wide
-	// memo. The compact prefetch node appends its keys during execution;
-	// Execute waits for every node before returning, so the deferred
-	// clear observes the final slice.
+	// The tiers, passed in as hooks. markKeys scopes the marks the batch
+	// prefetch and the verify probe plant to this batch: stage nodes consume
+	// their marks on the happy path, but a batch aborting between plant and
+	// consumption must not leave stale entries in the service-wide memo. The
+	// hooks run inside nodes that depend on each other in turn, and Run waits
+	// for every node before returning, so the deferred clear observes the
+	// final slice.
 	var markKeys []plan.Key
 	defer func() { s.stages.clearMarks(markKeys) }()
-
-	var detectDeps []*plan.Node
-	if s.cluster != nil {
-		items := make([]prefetchItem, len(workloads))
-		for i := range workloads {
-			items[i] = prefetchItem{key: negativa.DetectKey(fp, ids[i])}
-			markKeys = append(markKeys, items[i].key)
-		}
-		pf := g.Node("prefetch", nil, nil, func([]any) (any, error) {
-			s.stages.PrefetchLookups(items)
-			return nil, nil
-		})
-		detectDeps = []*plan.Node{pf}
+	b.Verify = make([]bool, len(workloads))
+	for i := range b.Verify {
+		b.Verify[i] = !opt.SkipVerify && !carried[i]
 	}
-
-	// Detection: one node per member, memoized in the profile registry.
-	// With specs attached, each node also carries the hint the cluster
-	// tier needs to execute the stage on its owning shard.
-	detects := make([]*plan.Node, len(workloads))
-	for i := range workloads {
-		i := i
-		w := workloads[i]
-		detects[i] = g.Node(negativa.StageDetect, detectDeps, plan.StaticKey(negativa.DetectKey(fp, ids[i])), func([]any) (any, error) {
-			p, err := negativa.DetectUsage(w, maxSteps)
-			if err != nil {
-				return nil, fmt.Errorf("dserve: detect %s: %w", w.Name, err)
+	b.ProbeVerify = func(k plan.Key) (*mlruntime.Result, bool) {
+		markKeys = append(markKeys, k)
+		return s.stages.probeVerify(k)
+	}
+	if s.cluster != nil {
+		b.Prefetch = func(slot plan.Executor, keys []plan.Key, hints []any) {
+			items := make([]prefetchItem, len(keys))
+			for i, k := range keys {
+				items[i].key = k
+				if hints != nil {
+					items[i].hint = hints[i]
+				}
 			}
-			return p, nil
-		})
-		if opt.Specs != nil && i < len(opt.Specs.Workloads) {
-			detects[i].WithHint(&detectHint{
+			markKeys = append(markKeys, keys...)
+			s.stages.PrefetchLookups(slot, items)
+		}
+	}
+	// With specs attached, each detect node carries the hint the cluster
+	// tier needs to execute the stage on its owning shard.
+	if opt.Specs != nil {
+		b.DetectHints = make([]any, min(len(workloads), len(opt.Specs.Workloads)))
+		for i := range b.DetectHints {
+			b.DetectHints[i] = &detectHint{
 				framework: opt.Specs.Framework,
 				tailLibs:  opt.Specs.TailLibs,
 				maxSteps:  maxSteps,
 				spec:      opt.Specs.Workloads[i],
-			})
+			}
 		}
 	}
 
-	// Union: unkeyed glue — merging sorted symbol lists is far cheaper
-	// than addressing the result.
-	unionNode := g.Node("union", detects, nil, func(deps []any) (any, error) {
-		ps := make([]*negativa.Profile, len(deps))
-		for i := range deps {
-			ps[i] = deps[i].(*negativa.Profile)
-		}
-		union := negativa.MergeProfiles(ps...)
-		// Safety invariant of union debloating: the union must cover every
-		// member, or the compacted install would break that member.
-		for i, p := range ps {
-			if !union.Covers(p) {
-				return nil, fmt.Errorf("dserve: union profile does not cover %s", workloads[i].Name)
-			}
-		}
-		return union, nil
-	})
-
-	// Compact-key prefetch: compact keys are derivable from the union
-	// alone, so as soon as the union resolves one glue node batches every
-	// compact key into grouped lookup-batch round trips before the compact
-	// nodes consult the memo.
-	compactPrefetchDeps := []*plan.Node(nil)
-	if s.cluster != nil {
-		pfc := g.Node("prefetch", []*plan.Node{unionNode}, nil, func(deps []any) (any, error) {
-			u := deps[0].(*negativa.Profile)
-			items := make([]prefetchItem, 0, len(names))
-			for _, name := range names {
-				lib := in.Library(name)
-				items = append(items, prefetchItem{
-					key:  negativa.CompactKey(negativa.LocateKey(lib, u.UsedFuncs[name], u.UsedKernels[name], archs)),
-					hint: lib,
-				})
-				markKeys = append(markKeys, items[len(items)-1].key)
-			}
-			s.stages.PrefetchLookups(items)
-			return nil, nil
-		})
-		compactPrefetchDeps = []*plan.Node{pfc}
-	}
-
-	// Compaction: one node per library, keyed late from the union's
-	// used-symbol sets and landing in the two-tier result cache (memory,
-	// then the content-addressed store, decoded against the live library
-	// hint). Location runs inside the node, so only a miss pays for it.
-	compacts := make([]*plan.Node, len(names))
-	for i, name := range names {
-		compacts[i] = negativa.CompactNode(g, unionNode, name, in.Library(name), archs, compactPrefetchDeps...)
-	}
-
-	// Verification: the union-debloated install must reproduce every
-	// member's reference digest. A verify run is a pure function of (install,
-	// workload identity at the step cap, the debloated bytes), so it is a
-	// memoized stage keyed by what the batch hands out: the probe node
-	// digests the range sets in the compact values themselves, derives each
-	// fresh member's key, reads the replica set through when clustered and
-	// asks the memo once; the clone is built — in chunk nodes inside the
-	// pool — only if some member went unanswered. The graph is the same
-	// either way, so its node count is known before it runs. An explicit
-	// incremental base still carries outcomes over without a key: it answers
-	// for a different debloated set, by monotonicity, which no content
-	// address can express.
-	verifies := make([]*plan.Node, len(workloads))
-	var probeNode *plan.Node
-	// Pooled scratch backing the verify clone's materialized libraries, one
-	// slot per library so the clone nodes fill it without sharing. The clone
-	// only lives until the verify nodes finish and nothing aliases the
-	// buffers once Execute returns — verify values are scalar Results — so
-	// they go back to the pool on every exit path instead of becoming
-	// per-batch garbage.
-	cloneBufs := make([][]byte, len(names))
-	defer func() {
-		for _, b := range cloneBufs {
-			bufpool.Put(b)
-		}
-	}()
-	var fresh []int
-	if !opt.SkipVerify {
-		for i := range workloads {
-			if !carried[i] {
-				fresh = append(fresh, i)
-			}
-		}
-	}
-	if len(fresh) > 0 {
-		probeNode = g.Node("verifyprobe", compacts, nil, func(deps []any) (any, error) {
-			images := make([]*negativa.SparseImage, len(deps))
-			for i, d := range deps {
-				images[i] = d.(*negativa.LibDebloat).Report.Sparse
-			}
-			set := negativa.DebloatedSetDigest(names, images)
-			vp := &verifyProbe{keys: make([]plan.Key, len(workloads)), found: make([]*mlruntime.Result, len(workloads))}
-			items := make([]prefetchItem, len(fresh))
-			for j, i := range fresh {
-				vp.keys[i] = negativa.VerifyRunKey(fp, ids[i], maxSteps, set)
-				items[j] = prefetchItem{key: vp.keys[i]}
-				markKeys = append(markKeys, vp.keys[i])
-			}
-			// A record can exist only where the whole debloated set did. A
-			// batch that had to compute part of the set itself is, short of
-			// an eviction on every owner, the first to hold it: no replica
-			// has a record to serve, so the round trip — which would sit on
-			// the critical path just as this node's write-back of those
-			// computed parts saturates the peers — is not made. Guessing
-			// wrong costs the local run every batch used to pay.
-			allHit := true
-			for _, c := range compacts {
-				allHit = allHit && c.Hit()
-			}
-			if allHit {
-				s.stages.PrefetchLookups(items)
-			}
-			for _, i := range fresh {
-				r, ok := s.stages.probeVerify(vp.keys[i])
-				vp.found[i] = r
-				vp.needClone = vp.needClone || !ok
-			}
-			return vp, nil
-		})
-		cloneNode := verifyClone(g, in, probeNode, compacts, s.pool.Workers(), cloneBufs)
-		for _, i := range fresh {
-			i := i
-			verifies[i] = g.Node(negativa.StageVerifyRun, []*plan.Node{probeNode, cloneNode}, func(deps []any) (plan.Key, error) {
-				return deps[0].(*verifyProbe).keys[i], nil
-			}, func(deps []any) (any, error) {
-				if r := deps[0].(*verifyProbe).found[i]; r != nil {
-					// The probe found this record and skipped the clone on
-					// its strength; the memory tier evicted it since.
-					return r, nil
-				}
-				vw := workloads[i]
-				vw.Install = deps[1].(*mlframework.Install)
-				vr, err := mlruntime.Run(vw, mlruntime.Options{MaxSteps: maxSteps})
-				if err != nil {
-					return nil, fmt.Errorf("dserve: verify %s: %w", vw.Name, err)
-				}
-				return vr, nil
-			})
-		}
-	}
-
-	if opt.OnPlanned != nil {
-		opt.OnPlanned(g.Len())
-	}
-	if err := g.Execute(s.pool, s.stages, plan.MultiObserver(s.observer, opt.Observer)); err != nil {
+	run, err := b.Run(s.pool, s.stages, plan.MultiObserver(s.observer, opt.Observer), opt.OnPlanned)
+	if err != nil {
 		return nil, err
 	}
-	if probeNode != nil && probeNode.Value().(*verifyProbe).needClone {
+	if run.Cloned() {
 		s.Counters.Add("verify.clones", 1)
 	}
 
 	// ---- Assembly ----
-	outcomes := make([]WorkloadOutcome, len(workloads))
-	for i := range workloads {
-		p := detects[i].Value().(*negativa.Profile)
-		outcomes[i] = WorkloadOutcome{
+	n := len(in.LibNames)
+	res := &BatchResult{
+		InstallFP: fp, Union: run.Union(), VerifySkipped: opt.SkipVerify,
+		Workloads: make([]WorkloadOutcome, len(workloads)),
+		Libs:      make([]*negativa.LibraryReport, n), libKeys: make([]string, n),
+		byName: make(map[string]*negativa.LibraryReport, n),
+	}
+	for i := range res.Workloads {
+		p, reused := run.Profile(i)
+		o := &res.Workloads[i]
+		*o = WorkloadOutcome{
 			Name: workloads[i].Name, Identity: ids[i],
 			RefDigest: p.RunResult.Digest, DetectTime: p.RunResult.ExecTime,
-			ProfileReused: detects[i].Hit(),
+			ProfileReused: reused,
 		}
-		switch {
-		case carried[i]:
-			outcomes[i].Verified = baseVerified[ids[i]]
-		case verifies[i] != nil:
-			outcomes[i].Verified = verifies[i].Value().(*mlruntime.Result).Digest == p.RunResult.Digest
+		if carried[i] {
+			o.Verified = baseVerified[ids[i]]
+		} else {
+			_, o.Verified = run.Verify(i)
+		}
+		if reused {
+			res.ProfileReuses++
+		} else {
+			res.DetectTime += o.DetectTime
 		}
 	}
-
-	union := unionNode.Value().(*negativa.Profile)
-	res := &BatchResult{InstallFP: fp, Union: union, Workloads: outcomes, VerifySkipped: opt.SkipVerify}
-	res.byName = make(map[string]*negativa.LibraryReport, len(names))
-	for i, name := range names {
-		ld := compacts[i].Value().(*negativa.LibDebloat)
-		rep := ld.Report
-		if rep.Name != name {
-			// The memoized report may have been computed under a different
-			// library name (identical bytes elsewhere); re-label a shallow
-			// copy, sharing the immutable compacted image.
-			relabeled := *rep
-			relabeled.Name = name
-			rep = &relabeled
-		}
-		res.Libs = append(res.Libs, rep)
-		res.libKeys = append(res.libKeys, compacts[i].ResolvedKey().Hash)
-		res.byName[rep.Name] = rep
-		if compacts[i].Hit() {
+	for i := range res.Libs {
+		rep, analysis, key, hit := run.Lib(i)
+		res.Libs[i], res.libKeys[i], res.byName[rep.Name] = rep, key, rep
+		if hit {
 			res.CacheHits++
 		} else {
 			res.CacheMisses++
-			res.AnalysisTime += ld.Analysis
-		}
-	}
-	for i := range outcomes {
-		if outcomes[i].ProfileReused {
-			res.ProfileReuses++
-		} else {
-			res.DetectTime += outcomes[i].DetectTime
+			res.AnalysisTime += analysis
 		}
 	}
 	if opt.Base != nil {
@@ -798,82 +614,6 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	s.Counters.Add("batches.completed", 1)
 	s.Timings.Observe("batch.wall", res.WallTime)
 	return res, nil
-}
-
-// verifyProbe is the verify-probe node's value: what the memo already
-// answers for this batch's fresh members, and therefore whether a clone is
-// needed at all. keys and found are indexed like the batch's workloads
-// (zero and nil for carried members); found[i] is carried to member i's
-// verifyrun node so an eviction between probe and lookup returns the record
-// instead of needing a clone that was never built.
-type verifyProbe struct {
-	keys      []plan.Key
-	found     []*mlruntime.Result
-	needClone bool
-}
-
-// verifyClone adds the verify clone to g: the install with every library
-// replaced by its debloated image, which is the one value every verify run
-// that misses waits on. probe is the verify-probe node; when it reports that
-// every fresh member is already answered the nodes below do nothing — no
-// scratch, no materialize, no parse — and the join has no value.
-// compacts are the compact nodes in in.LibNames order. The work is per
-// library — materialize the sparse image into pooled scratch (kept in
-// bufs[i] for the caller to recycle once the graph has run), then parse it —
-// so it is split into about chunks "clone" nodes over contiguous runs of
-// libraries, joined by one more "clone" node whose value is the
-// *mlframework.Install. The runs hold about equal bytes, not equal counts:
-// load order puts an install's few large framework libraries first and its
-// many small dependencies last. All of the nodes are unmemoized glue inside
-// g, scheduled and bounded like any other.
-func verifyClone(g *plan.Graph, in *mlframework.Install, probe *plan.Node, compacts []*plan.Node, chunks int, bufs [][]byte) *plan.Node {
-	names := in.LibNames
-	libs := make([]*elfx.Library, len(names))
-	var total int64
-	for _, name := range names {
-		total += in.Library(name).FileSize()
-	}
-	var parts []*plan.Node
-	next, sum := 0, int64(0)
-	for i, name := range names {
-		sum += in.Library(name).FileSize()
-		if i+1 < len(names) && sum*int64(chunks) < int64(len(parts)+1)*total {
-			continue
-		}
-		lo, hi := next, i+1
-		next = hi
-		deps := append([]*plan.Node{probe}, compacts[lo:hi]...)
-		parts = append(parts, g.Node("clone", deps, nil, func(deps []any) (any, error) {
-			if !deps[0].(*verifyProbe).needClone {
-				return nil, nil
-			}
-			for j, d := range deps[1:] {
-				i := lo + j
-				sp := d.(*negativa.LibDebloat).Report.Sparse
-				bufs[i] = bufpool.Get(int(sp.Len()))
-				lib, err := elfx.Parse(names[i], sp.MaterializeInto(bufs[i]))
-				if err != nil {
-					return nil, fmt.Errorf("dserve: clone install: replace %s: %w", names[i], err)
-				}
-				libs[i] = lib
-			}
-			return nil, nil
-		}))
-	}
-	return g.Node("clone", append([]*plan.Node{probe}, parts...), nil, func(deps []any) (any, error) {
-		if !deps[0].(*verifyProbe).needClone {
-			return nil, nil
-		}
-		clone := *in
-		clone.Libs = make(map[string]*elfx.Library, len(in.Libs))
-		for name, lib := range in.Libs {
-			clone.Libs[name] = lib
-		}
-		for i, name := range names {
-			clone.Libs[name] = libs[i]
-		}
-		return &clone, nil
-	})
 }
 
 // install returns the generated install for (framework, tailLibs),

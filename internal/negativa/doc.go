@@ -14,4 +14,10 @@
 //     fatbin structure so addresses stay valid.
 //   - Verification: re-run the workload on the debloated libraries and
 //     compare output digests.
+//
+// Batch (batch.go) runs the phases as the repository's one stage graph, for
+// a workload set debloated against the union of its profiles: Debloat is a
+// batch of one member, and internal/dserve runs many, passing its memo
+// tiers in as Batch's hooks. debloatMonolith is the serial reference the
+// golden tests hold the graph to.
 package negativa

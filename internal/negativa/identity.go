@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"strings"
 
 	"negativaml/internal/elfx"
@@ -37,19 +36,24 @@ func InstallFingerprint(in *mlframework.Install) string {
 	}
 	plan.Each(len(cold), func(i int) { cold[i].Index() })
 
+	// Staged through a fixed scratch, flushed into the hash when full, as in
+	// LocateKey: io.WriteString of each name allocates once per name.
 	h := sha256.New()
-	sep := []byte{0}
-	io.WriteString(h, in.Framework)
-	h.Write(sep)
+	var scratch [1024]byte
+	buf := append(append(scratch[:0], in.Framework...), 0)
 	for _, name := range in.LibNames {
-		io.WriteString(h, name)
-		h.Write(sep)
+		if len(buf)+len(name)+2+sha256.Size > len(scratch) {
+			h.Write(buf)
+			buf = scratch[:0]
+		}
+		buf = append(append(buf, name...), 0)
 		if lib := in.Library(name); lib != nil {
 			d := lib.ContentDigest()
-			h.Write(d[:])
+			buf = append(buf, d[:]...)
 		}
-		h.Write(sep)
+		buf = append(buf, 0)
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -4,10 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
+	"negativaml/internal/elfx"
 	"negativaml/internal/mlframework"
 )
 
@@ -82,6 +85,45 @@ func TestInstallFingerprintMatchesSerialReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// pinnedInstall is n names over the two pinned libraries, one name longer
+// than the fingerprint's scratch and one with no library behind it.
+func pinnedInstall(t *testing.T, n int) *mlframework.Install {
+	cpu, gpu := pinnedLib(t, false), pinnedLib(t, true)
+	in := &mlframework.Install{Framework: "pinned", Libs: map[string]*elfx.Library{}}
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("libpinned_%03d.so", i)
+		if i == 100 {
+			name = strings.Repeat("n", 3000)
+		}
+		in.LibNames = append(in.LibNames, name)
+		switch {
+		case i == 7:
+		case i%2 == 0:
+			in.Libs[name] = cpu
+		default:
+			in.Libs[name] = gpu
+		}
+	}
+	return in
+}
+
+// TestInstallFingerprintIsPinned holds the fingerprint to the value hashing
+// each name on its own produced — it addresses every stored profile — and
+// pins the allocations of an indexed install: they do not grow with its
+// library count.
+func TestInstallFingerprintIsPinned(t *testing.T) {
+	const want = "d182314d116d3e3f9b769d0244eb3022cf433b42cee18ea27a45d5093775a874"
+	if got := InstallFingerprint(pinnedInstall(t, 200)); got != want {
+		t.Fatalf("fingerprint %s, want %s", got, want)
+	}
+	small, large := pinnedInstall(t, 5), pinnedInstall(t, 90)
+	few := testing.AllocsPerRun(20, func() { InstallFingerprint(small) })
+	many := testing.AllocsPerRun(20, func() { InstallFingerprint(large) })
+	if many > few {
+		t.Errorf("InstallFingerprint allocates %v times for 90 libraries, %v for 5", many, few)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"negativaml/internal/elfx"
 	"negativaml/internal/gpuarch"
 	"negativaml/internal/mlruntime"
 	"negativaml/internal/plan"
@@ -129,26 +128,12 @@ type LibDebloat struct {
 	Analysis time.Duration
 }
 
-// LocateAndCompactLib runs location and compaction on one library in
-// sequence — the work function of a plan's compact node. The function only
-// reads the library, so concurrent calls on a shared *elfx.Library are
-// safe.
-func LocateAndCompactLib(lib *elfx.Library, usedFuncs, usedKernels []string, archs []gpuarch.SM) (*LibDebloat, error) {
-	loc, err := LocateLib(lib, usedFuncs, usedKernels, archs)
-	if err != nil {
-		return nil, err
-	}
-	return CompactLocated(lib, loc, usedFuncs, usedKernels), nil
-}
-
-// Debloat runs the full Negativa-ML pipeline on a workload as a stage
-// plan: a detect node feeds one compact node per library, and a
-// verification node (plus, when VerifySteps differs from MaxSteps, a
-// capped reference-run node that overlaps with it) closes the graph. Every
-// node carries a content-derived key; with a shared Options.Memo, repeat
-// runs absorb unchanged stages. The result is byte-identical to the
-// pre-planner monolithic pipeline — the golden equivalence suite holds the
-// two implementations together.
+// Debloat runs the full Negativa-ML pipeline on a workload: a Batch of one
+// member, whose union is the member's own profile. Every node carries a
+// content-derived key; with a shared Options.Memo, repeat runs absorb
+// unchanged stages. The result is byte-identical to the pre-planner
+// monolithic pipeline — the golden equivalence suite holds the two
+// implementations together.
 func Debloat(w mlruntime.Workload, opt Options) (*Result, error) {
 	workers := opt.Workers
 	if workers < 1 {
@@ -158,111 +143,33 @@ func Debloat(w mlruntime.Workload, opt Options) (*Result, error) {
 	if memo == nil {
 		memo = plan.NewMemMemo(0)
 	}
-
-	fp := InstallFingerprint(w.Install)
-	wid := WorkloadIdentity(w, opt.MaxSteps)
-	archs := DeviceArchs(w.Devices)
-	names := w.Install.LibNames
-
-	g := plan.New()
-	detect := g.Node(StageDetect, nil, plan.StaticKey(DetectKey(fp, wid)), func([]any) (any, error) {
-		p, err := DetectUsage(w, opt.MaxSteps)
-		if err != nil {
-			return nil, fmt.Errorf("negativa: detection: %w", err)
-		}
-		return p, nil
-	})
-
-	compacts := make([]*plan.Node, len(names))
-	for i, name := range names {
-		compacts[i] = CompactNode(g, detect, name, w.Install.Library(name), archs)
-	}
-
-	var refNode, verifyNode *plan.Node
-	steps := opt.VerifySteps
-	if steps == 0 {
-		steps = opt.MaxSteps
-	}
-	if !opt.SkipVerify {
-		if steps != opt.MaxSteps {
-			// The capped reference run has no dependencies: it enters the
-			// pool immediately and overlaps detection and the verification
-			// fan-out instead of running inline between them.
-			refNode = g.Node(StageVerifyRef, nil, plan.StaticKey(VerifyRefKey(fp, WorkloadIdentity(w, steps))), func([]any) (any, error) {
-				ref, err := mlruntime.Run(w, mlruntime.Options{MaxSteps: steps})
-				if err != nil {
-					return nil, fmt.Errorf("negativa: reference run failed: %w", err)
-				}
-				return ref, nil
-			})
-		}
-		verifyNode = g.Node(StageVerifyRun, compacts, func(deps []any) (plan.Key, error) {
-			images := make([]*SparseImage, len(deps))
-			for i, d := range deps {
-				images[i] = d.(*LibDebloat).Report.Sparse
-			}
-			return VerifyRunKey(fp, wid, steps, DebloatedSetDigest(names, images)), nil
-		}, func(deps []any) (any, error) {
-			debloated := make(map[string][]byte, len(deps))
-			for i, d := range deps {
-				debloated[names[i]] = d.(*LibDebloat).Report.Debloated()
-			}
-			clone, err := w.Install.CloneWithLibs(debloated)
-			if err != nil {
-				return nil, fmt.Errorf("negativa: verify: %w", err)
-			}
-			vw := w
-			vw.Install = clone
-			vr, err := mlruntime.Run(vw, mlruntime.Options{MaxSteps: steps})
-			if err != nil {
-				return nil, fmt.Errorf("negativa: verification run failed: %w", err)
-			}
-			return vr, nil
-		})
-	}
-
-	if err := g.Execute(plan.NewPool(workers), memo, nil); err != nil {
+	b := NewBatch(w.Install, []mlruntime.Workload{w}, opt.MaxSteps)
+	b.VerifySteps = opt.VerifySteps
+	b.Verify = []bool{!opt.SkipVerify}
+	run, err := b.Run(plan.NewPool(workers), memo, nil, nil)
+	if err != nil {
 		return nil, err
 	}
 
 	// ---- Assembly: fold node values into the monolith's exact Result. ----
-	profile := detect.Value().(*Profile)
+	profile, _ := run.Profile(0)
 	res := &Result{
 		Workload:   w.Name,
 		Profile:    profile,
 		DetectTime: profile.RunResult.ExecTime,
+		Libs:       make([]*LibraryReport, len(w.Install.LibNames)),
 	}
-	var analysis time.Duration
-	for i, name := range names {
-		ld := compacts[i].Value().(*LibDebloat)
-		rep := ld.Report
-		if rep.Name != name {
-			// Memo hit computed under a different library name (identical
-			// bytes elsewhere); re-label a shallow copy sharing the
-			// immutable sparse image.
-			relabeled := *rep
-			relabeled.Name = name
-			rep = &relabeled
-		}
-		res.Libs = append(res.Libs, rep)
+	for i := range res.Libs {
 		// Virtual analysis time is charged per library whether or not the
 		// stage memo absorbed the work — Debloat models the paper's
 		// single-tool cost; hit accounting is the batch service's concern.
-		analysis += ld.Analysis
+		var analysis time.Duration
+		res.Libs[i], analysis, _, _ = run.Lib(i)
+		res.AnalysisTime += analysis
 	}
 	res.IndexLibs()
-	res.AnalysisTime = analysis
 	res.EndToEnd = res.DetectTime + res.AnalysisTime
-
-	if verifyNode != nil {
-		refDigest := profile.RunResult.Digest
-		if refNode != nil {
-			refDigest = refNode.Value().(*mlruntime.Result).Digest
-		}
-		vr := verifyNode.Value().(*mlruntime.Result)
-		res.VerifyResult = vr
-		res.Verified = vr.Digest == refDigest
-	}
+	res.VerifyResult, res.Verified = run.Verify(0)
 	return res, nil
 }
 

@@ -75,13 +75,23 @@ func SplitDetectHash(hash string) (installFP, workloadID string, ok bool) {
 func LocateKey(lib *elfx.Library, usedFuncs, usedKernels []string, archs []gpuarch.SM) plan.Key {
 	h := sha256.New()
 	d := lib.ContentDigest()
-	h.Write(d[:])
-	sep := []byte{0}
+	// Fixed scratch, flushed into the hash when full: writing each name and
+	// separator on its own is two calls into the hash per name, and a warm
+	// batch derives hundreds of these keys. The bytes hashed are the same.
+	var scratch [1024]byte
+	buf := append(scratch[:0], d[:]...)
+	room := func(n int) {
+		if len(buf)+n > len(scratch) {
+			h.Write(buf)
+			buf = scratch[:0]
+		}
+	}
 	writeList := func(tag byte, items []string) {
-		h.Write([]byte{0xff, tag})
+		room(2)
+		buf = append(buf, 0xff, tag)
 		for _, s := range items {
-			h.Write([]byte(s))
-			h.Write(sep)
+			room(len(s) + 1)
+			buf = append(append(buf, s...), 0)
 		}
 	}
 	// Used-symbol sets arrive sorted from DetectUsage/MergeProfiles; sorting
@@ -94,13 +104,14 @@ func LocateKey(lib *elfx.Library, usedFuncs, usedKernels []string, archs []gpuar
 	if _, hasFB := lib.FatbinRange(); hasFB {
 		sorted := append([]gpuarch.SM(nil), archs...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		h.Write([]byte{0xff, 3})
-		var b [4]byte
+		room(2)
+		buf = append(buf, 0xff, 3)
 		for _, a := range sorted {
-			binary.LittleEndian.PutUint32(b[:], uint32(a))
-			h.Write(b[:])
+			room(4)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(a))
 		}
 	}
+	h.Write(buf)
 	return plan.Key{Stage: StageLocate, Hash: hex.EncodeToString(h.Sum(nil))}
 }
 
@@ -111,14 +122,13 @@ func CompactKey(locate plan.Key) plan.Key {
 	return plan.Key{Stage: StageCompact, Hash: locate.Hash}
 }
 
-// CompactNode adds a library's one node to an analysis plan — the node
-// both planners (Debloat and the batch service) schedule per library.
-// profile is the node whose value is the *Profile the library is debloated
-// against (the detection, or a batch's union); name is the library's name
-// in that profile; after lists nodes that must merely finish first. The
-// key resolves late from the profile's used-symbol sets; location is
-// computed inside the node on a memo miss and never on a hit; the hint is
-// the library, which memo tiers decode a persisted range set against.
+// CompactNode adds a library's one node to a Batch's graph. profile is the
+// node whose value is the *Profile the library is debloated against (the
+// batch's union); name is the library's name in that profile; after lists
+// nodes that must merely finish first. The key resolves late from the
+// profile's used-symbol sets; location is computed inside the node on a
+// memo miss and never on a hit; the hint is the library, which memo tiers
+// decode a persisted range set against.
 func CompactNode(g *plan.Graph, profile *plan.Node, name string, lib *elfx.Library, archs []gpuarch.SM, after ...*plan.Node) *plan.Node {
 	used := func(deps []any) (funcs, kernels []string) {
 		p := deps[0].(*Profile)
@@ -181,11 +191,11 @@ func DebloatedSetDigest(names []string, images []*SparseImage) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// VerifyRunKey is the verification re-run's content key — the one
-// derivation both planners call: the workload (on its original install) at
-// the verification step cap, plus the debloated library set it runs against,
-// identified by DebloatedSetDigest. A verify run is a pure function of
-// exactly these, so only a byte-identical debloated set can hit.
+// VerifyRunKey is the verification re-run's content key: the workload (on
+// its original install) at the verification step cap, plus the debloated
+// library set it runs against, identified by DebloatedSetDigest. A verify
+// run is a pure function of exactly these, so only a byte-identical
+// debloated set can hit.
 func VerifyRunKey(installFP, workloadID string, steps int, setDigest string) plan.Key {
 	h := sha256.New()
 	h.Write([]byte(installFP))
@@ -198,43 +208,21 @@ func VerifyRunKey(installFP, workloadID string, steps int, setDigest string) pla
 	return plan.Key{Stage: StageVerifyRun, Hash: hex.EncodeToString(h.Sum(nil))}
 }
 
-// LibLocation is the location of one library's used code: the CPU and
-// GPU locations plus the phase's virtual analysis time. It is immutable
-// once built and safe to share.
-type LibLocation struct {
-	CPU *CPULocation
-	GPU *GPULocation
-	// Locate is the location phase's virtual time for this library.
-	Locate time.Duration
-}
-
-// LocateLib runs the location phase on one library: used CPU functions map
-// to .text file ranges through the symbol table, used kernels decide
-// fatbin element retention for the given architectures. The function only
-// reads the library, so concurrent calls on a shared *elfx.Library are
-// safe.
-func LocateLib(lib *elfx.Library, usedFuncs, usedKernels []string, archs []gpuarch.SM) (*LibLocation, error) {
+// LocateAndCompactLib is a compact node's work: location, then compaction,
+// on one library. Used CPU functions map to .text file ranges through the
+// symbol table and used kernels decide fatbin element retention for the
+// given architectures; every unretained range then joins the sparse image's
+// zeroed set, and every report size is computed analytically from the range
+// set and the library's zero-byte prefix sum — no post-compaction buffer is
+// allocated or rescanned. The returned Analysis is the locate+compact
+// virtual time. The function only reads the library, so concurrent calls on
+// a shared *elfx.Library are safe.
+func LocateAndCompactLib(lib *elfx.Library, usedFuncs, usedKernels []string, archs []gpuarch.SM) (*LibDebloat, error) {
 	cpuLoc := LocateCPU(lib, usedFuncs)
 	gpuLoc, err := LocateGPU(lib, usedKernels, archs)
 	if err != nil {
 		return nil, err
 	}
-	return &LibLocation{
-		CPU: cpuLoc,
-		GPU: gpuLoc,
-		Locate: time.Duration(cpuLoc.TotalFuncs)*locatePerFunc +
-			time.Duration(len(gpuLoc.Decisions))*locatePerElement,
-	}, nil
-}
-
-// CompactLocated runs the compaction phase on a located library: every
-// unretained range joins the sparse image's zeroed set, and every report
-// size is computed analytically from the range set and the library's
-// zero-byte prefix sum — no post-compaction buffer is allocated or
-// rescanned. The returned LibDebloat's Analysis is the locate+compact
-// virtual time.
-func CompactLocated(lib *elfx.Library, loc *LibLocation, usedFuncs, usedKernels []string) *LibDebloat {
-	cpuLoc, gpuLoc := loc.CPU, loc.GPU
 	sparse := Compact(lib, cpuLoc, gpuLoc)
 
 	idx := lib.Index()
@@ -265,6 +253,7 @@ func CompactLocated(lib *elfx.Library, loc *LibLocation, usedFuncs, usedKernels 
 		lr.GPUSizeAfter = sparse.NonZeroBytesIn(fbRange)
 	}
 
+	locate := time.Duration(cpuLoc.TotalFuncs)*locatePerFunc + time.Duration(len(gpuLoc.Decisions))*locatePerElement
 	compact := time.Duration(lib.FileSize()/1024) * compactPerKB
-	return &LibDebloat{Report: lr, Analysis: loc.Locate + compact}
+	return &LibDebloat{Report: lr, Analysis: locate + compact}, nil
 }

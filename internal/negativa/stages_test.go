@@ -3,6 +3,8 @@ package negativa
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
+	"strings"
 	"testing"
 
 	"negativaml/internal/cubin"
@@ -80,5 +82,35 @@ func TestCompactKeyHashIsPinned(t *testing.T) {
 		if key.Stage != StageCompact || key.Hash != tc.hash {
 			t.Errorf("%s: compact key %s/%s, want %s/%s", tc.name, key.Stage, key.Hash, StageCompact, tc.hash)
 		}
+	}
+}
+
+// symbolNames returns n distinct names, one of them longer than any scratch
+// a hash stages its input through.
+func symbolNames(prefix string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("%s_%04d", prefix, i)
+	}
+	out[n/2] = strings.Repeat("x", 3000)
+	return out
+}
+
+// TestLocateKeyLongListsArePinned holds the key of lists long enough to
+// cross every flush of the staged hash to the value hashing each name on its
+// own produced, and pins the allocations: they do not grow with the number
+// of names.
+func TestLocateKeyLongListsArePinned(t *testing.T) {
+	lib := pinnedLib(t, true)
+	archs := []gpuarch.SM{gpuarch.SM80, gpuarch.SM75}
+	funcs, kerns := symbolNames("func", 300), symbolNames("kern", 80)
+	const want = "53f642700f9aae70b14c21a56c5d217686fd8b52b18d2efa38c26b7596edd82e"
+	if got := LocateKey(lib, funcs, kerns, archs).Hash; got != want {
+		t.Fatalf("locate key %s, want %s", got, want)
+	}
+	few := testing.AllocsPerRun(20, func() { LocateKey(lib, funcs[:3], kerns[:2], archs) })
+	many := testing.AllocsPerRun(20, func() { LocateKey(lib, funcs[:150], kerns[:40], archs) })
+	if many > few {
+		t.Errorf("LocateKey allocates %v times for 190 names, %v for 5", many, few)
 	}
 }

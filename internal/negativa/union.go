@@ -9,8 +9,10 @@ import (
 // profiles over the same install: per library, the union of used kernels
 // and used CPU functions. Debloating against the union keeps every symbol
 // any member workload needs, so one compacted install safely serves the
-// whole workload set — the batch service's multi-workload mode. Nil
-// profiles are skipped.
+// whole workload set — the batch service's multi-workload mode. The union
+// covers every member by construction (union_test.go checks it), and the
+// union of one profile is that profile's lists, which is what lets Debloat
+// run as a one-member batch. Nil profiles are skipped.
 //
 // The union's RunResult is nil: it aggregates several runs and has no
 // single output digest, so callers verify the union-debloated install
@@ -32,28 +34,6 @@ func MergeProfiles(profiles ...*Profile) *Profile {
 		UsedKernels: flatten(kernels),
 		UsedFuncs:   flatten(funcs),
 	}
-}
-
-// Covers reports whether profile u retains at least everything profile p
-// uses — the safety condition for serving p from an install debloated
-// against u.
-func (u *Profile) Covers(p *Profile) bool {
-	return covers(u.UsedKernels, p.UsedKernels) && covers(u.UsedFuncs, p.UsedFuncs)
-}
-
-func covers(super, sub map[string][]string) bool {
-	for lib, syms := range sub {
-		have := map[string]bool{}
-		for _, s := range super[lib] {
-			have[s] = true
-		}
-		for _, s := range syms {
-			if !have[s] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func accumulate(dst map[string]map[string]bool, src map[string][]string) {

@@ -1,12 +1,94 @@
 package negativa
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
 func profileOf(name string, kernels, funcs map[string][]string) *Profile {
 	return &Profile{Workload: name, UsedKernels: kernels, UsedFuncs: funcs}
+}
+
+// Covers reports whether profile u retains at least everything profile p
+// uses — the safety condition for serving p from an install debloated
+// against u. MergeProfiles meets it by construction, so it is checked here
+// rather than on every batch.
+func (u *Profile) Covers(p *Profile) bool {
+	return covers(u.UsedKernels, p.UsedKernels) && covers(u.UsedFuncs, p.UsedFuncs)
+}
+
+func covers(super, sub map[string][]string) bool {
+	for lib, syms := range sub {
+		have := map[string]bool{}
+		for _, s := range super[lib] {
+			have[s] = true
+		}
+		for _, s := range syms {
+			if !have[s] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// randomUsage draws a used-symbol map in DetectUsage's canonical form: a
+// random subset of libs, each with a sorted, duplicate-free, non-empty list
+// drawn from a small universe so that members overlap.
+func randomUsage(rng *rand.Rand, libs []string, prefix string) map[string][]string {
+	out := map[string][]string{}
+	for _, lib := range libs {
+		if rng.Intn(3) == 0 {
+			continue
+		}
+		set := map[string]bool{}
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			set[fmt.Sprintf("%s%02d", prefix, rng.Intn(24))] = true
+		}
+		syms := make([]string, 0, len(set))
+		for s := range set {
+			syms = append(syms, s)
+		}
+		slices.Sort(syms)
+		out[lib] = syms
+	}
+	return out
+}
+
+// TestMergeProfilesProperties: over random profiles of random libraries, the
+// union covers every member, does not depend on the members' order, and the
+// union of one profile is that profile's own lists — which is what lets
+// Debloat run as a one-member batch and still match the monolith.
+func TestMergeProfilesProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 200; trial++ {
+		libs := make([]string, 1+rng.Intn(6))
+		for i := range libs {
+			libs[i] = fmt.Sprintf("lib%d.so", rng.Intn(8))
+		}
+		members := make([]*Profile, 1+rng.Intn(5))
+		for i := range members {
+			members[i] = profileOf(fmt.Sprintf("w%d", i), randomUsage(rng, libs, "k"), randomUsage(rng, libs, "f"))
+		}
+		u := MergeProfiles(members...)
+		for _, p := range members {
+			if !u.Covers(p) {
+				t.Fatalf("trial %d: the union does not cover %s", trial, p.Workload)
+			}
+		}
+		shuffled := slices.Clone(members)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if v := MergeProfiles(shuffled...); !reflect.DeepEqual(u.UsedKernels, v.UsedKernels) || !reflect.DeepEqual(u.UsedFuncs, v.UsedFuncs) {
+			t.Fatalf("trial %d: the union depends on the members' order", trial)
+		}
+		one := members[0]
+		if v := MergeProfiles(one); !reflect.DeepEqual(v.UsedKernels, one.UsedKernels) || !reflect.DeepEqual(v.UsedFuncs, one.UsedFuncs) {
+			t.Fatalf("trial %d: the union of one profile differs from its lists", trial)
+		}
+	}
 }
 
 func TestMergeProfilesDisjoint(t *testing.T) {
