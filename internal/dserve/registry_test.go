@@ -127,6 +127,33 @@ func BenchmarkUnion(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmBatch is a warm batch end to end on this layer: the four
+// CV/NLP members of pytorch141 at 4 steps, resubmitted to an in-memory
+// service that has served them once, so every detect, compact and verifyrun
+// node is a memory hit and what is timed is dispatch, memo probes, the
+// union and assembly. plan's BenchmarkNoopDAG cannot stand in for it: a
+// no-op node never grows its goroutine's stack, and a compact node's key
+// path (LocateKey → ContentDigest → SHA-256) does, once per goroutine.
+func BenchmarkWarmBatch(b *testing.B) {
+	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 141})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws := testWorkloads(b, in)
+	svc := NewService(Config{MaxSteps: 4})
+	defer svc.Close()
+	if _, err := svc.DebloatBatch(in, ws, BatchOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := svc.DebloatBatch(in, ws, BatchOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // covers reports whether union u keeps every symbol profile p uses.
 func covers(u, p *negativa.Profile) bool {
 	for _, pair := range [][2]map[string][]string{{u.UsedKernels, p.UsedKernels}, {u.UsedFuncs, p.UsedFuncs}} {

@@ -50,8 +50,15 @@ type Batch struct {
 	// Prefetch is handed each level's keys before the level's nodes consult
 	// the memo: the detect keys; the compact keys, with each library's
 	// *elfx.Library as its hint; and, only when every compact hit, the
-	// verifyrun keys. slot is the executor the calling node holds a slot
-	// of. hints is nil where a level has none.
+	// verifyrun keys. slot is the pool itself, of which the calling node
+	// holds a slot, not the runner's slot a memo is handed: yielding it frees
+	// the slot but hands off no runner, and needs none, because each of the
+	// three calls runs in a node that is the only ready node of its graph
+	// (the first prefetch before the detects, the second before the
+	// compacts, the third inside the verify probe; verifyref nodes, ready
+	// from the start, exist only when VerifySteps is set, and Debloat, the
+	// one caller that sets it, sets no hooks). hints is nil where a level has
+	// none.
 	Prefetch func(slot plan.Executor, keys []plan.Key, hints []any)
 	// ProbeVerify answers a verifyrun key from the local tiers before the
 	// batch decides whether to build the verify clone. Nil builds the clone

@@ -1,7 +1,7 @@
 package negativa
 
 import (
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -19,45 +19,94 @@ import (
 // against each member workload's own profiled digest instead.
 func MergeProfiles(profiles ...*Profile) *Profile {
 	var names []string
-	kernels := map[string]map[string]bool{}
-	funcs := map[string]map[string]bool{}
+	var kernels, funcs []map[string][]string
 	for _, p := range profiles {
 		if p == nil {
 			continue
 		}
 		names = append(names, p.Workload)
-		accumulate(kernels, p.UsedKernels)
-		accumulate(funcs, p.UsedFuncs)
+		kernels = append(kernels, p.UsedKernels)
+		funcs = append(funcs, p.UsedFuncs)
 	}
 	return &Profile{
 		Workload:    strings.Join(names, "+"),
-		UsedKernels: flatten(kernels),
-		UsedFuncs:   flatten(funcs),
+		UsedKernels: mergeUsage(kernels),
+		UsedFuncs:   mergeUsage(funcs),
 	}
 }
 
-func accumulate(dst map[string]map[string]bool, src map[string][]string) {
-	for lib, syms := range src {
-		set := dst[lib]
-		if set == nil {
-			set = map[string]bool{}
-			dst[lib] = set
-		}
-		for _, s := range syms {
-			set[s] = true
-		}
+// mergeUsage is the per-library union of several used-symbol maps. A
+// member's lists arrive sorted (DetectUsage and KernelDetector.AllUsed sort
+// them, and sorted is their canonical form), so each library's union is one
+// k-way merge that drops duplicates as it goes. A list that is not strictly
+// ascending — a profile from a peer or a replay that broke the form — is
+// sorted on a copy first. A library only one member uses keeps that
+// member's slice: profiles are immutable once built.
+func mergeUsage(members []map[string][]string) map[string][]string {
+	size := 0
+	for _, m := range members {
+		size = max(size, len(m))
 	}
-}
-
-func flatten(src map[string]map[string]bool) map[string][]string {
-	out := make(map[string][]string, len(src))
-	for lib, set := range src {
-		names := make([]string, 0, len(set))
-		for s := range set {
-			names = append(names, s)
+	out := make(map[string][]string, size)
+	var lists [][]string
+	for i, m := range members {
+		for lib, syms := range m {
+			if _, done := out[lib]; done {
+				continue
+			}
+			// No member before i uses lib, or it would be merged already.
+			lists = append(lists[:0], canonical(syms))
+			for _, later := range members[i+1:] {
+				if s, ok := later[lib]; ok {
+					lists = append(lists, canonical(s))
+				}
+			}
+			if len(lists) == 1 {
+				out[lib] = lists[0]
+			} else {
+				out[lib] = mergeSorted(lists)
+			}
 		}
-		sort.Strings(names)
-		out[lib] = names
 	}
 	return out
+}
+
+// canonical returns syms when it is strictly ascending, else a sorted,
+// duplicate-free copy.
+func canonical(syms []string) []string {
+	for i := 1; i < len(syms); i++ {
+		if syms[i-1] >= syms[i] {
+			c := slices.Clone(syms)
+			slices.Sort(c)
+			return slices.Compact(c)
+		}
+	}
+	return syms
+}
+
+// mergeSorted merges ascending lists into one strictly ascending list. The
+// lists are few (one per member), so each step scans their heads for the
+// least instead of keeping a heap. It consumes lists.
+func mergeSorted(lists [][]string) []string {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	out := make([]string, 0, n)
+	for {
+		least := -1
+		for j, l := range lists {
+			if len(l) > 0 && (least < 0 || l[0] < lists[least][0]) {
+				least = j
+			}
+		}
+		if least < 0 {
+			return out
+		}
+		s := lists[least][0]
+		if len(out) == 0 || out[len(out)-1] != s {
+			out = append(out, s)
+		}
+		lists[least] = lists[least][1:]
+	}
 }

@@ -6,6 +6,10 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"negativaml/internal/gpuarch"
+	"negativaml/internal/mlframework"
+	"negativaml/internal/plan"
 )
 
 func profileOf(name string, kernels, funcs map[string][]string) *Profile {
@@ -58,22 +62,82 @@ func randomUsage(rng *rand.Rand, libs []string, prefix string) map[string][]stri
 	return out
 }
 
+// mangled returns p with every list shuffled and some of its symbols
+// repeated: the same sets, no longer in canonical form.
+func mangled(rng *rand.Rand, p *Profile) *Profile {
+	mangle := func(usage map[string][]string) map[string][]string {
+		out := map[string][]string{}
+		for lib, syms := range usage {
+			l := slices.Clone(syms)
+			for n := rng.Intn(3); n > 0; n-- {
+				l = append(l, syms[rng.Intn(len(syms))])
+			}
+			rng.Shuffle(len(l), func(i, j int) { l[i], l[j] = l[j], l[i] })
+			out[lib] = l
+		}
+		return out
+	}
+	return profileOf(p.Workload, mangle(p.UsedKernels), mangle(p.UsedFuncs))
+}
+
+// setUnion is the union the merge must produce, computed the slow way: a
+// set per library, flattened and sorted.
+func setUnion(members []*Profile, usage func(*Profile) map[string][]string) map[string][]string {
+	sets := map[string]map[string]bool{}
+	for _, p := range members {
+		for lib, syms := range usage(p) {
+			if sets[lib] == nil {
+				sets[lib] = map[string]bool{}
+			}
+			for _, s := range syms {
+				sets[lib][s] = true
+			}
+		}
+	}
+	out := map[string][]string{}
+	for lib, set := range sets {
+		for s := range set {
+			out[lib] = append(out[lib], s)
+		}
+		slices.Sort(out[lib])
+	}
+	return out
+}
+
 // TestMergeProfilesProperties: over random profiles of random libraries, the
-// union covers every member, does not depend on the members' order, and the
-// union of one profile is that profile's own lists — which is what lets
-// Debloat run as a one-member batch and still match the monolith.
+// union is the per-library set union, covers every member, does not depend
+// on the members' order, and the union of one profile is that profile's own
+// lists — which is what lets Debloat run as a one-member batch and still
+// match the monolith. Shuffling a member's lists or repeating symbols in
+// them changes neither the union nor the compact keys derived from it.
 func TestMergeProfilesProperties(t *testing.T) {
+	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	archs := DeviceArchs([]gpuarch.Device{gpuarch.T4, gpuarch.A100})
+	compactKeys := func(u *Profile) []plan.Key {
+		var keys []plan.Key
+		for _, name := range in.LibNames {
+			keys = append(keys, CompactKey(LocateKey(in.Library(name), u.UsedFuncs[name], u.UsedKernels[name], archs)))
+		}
+		return keys
+	}
 	rng := rand.New(rand.NewSource(26))
 	for trial := 0; trial < 200; trial++ {
 		libs := make([]string, 1+rng.Intn(6))
 		for i := range libs {
-			libs[i] = fmt.Sprintf("lib%d.so", rng.Intn(8))
+			libs[i] = in.LibNames[rng.Intn(8)]
 		}
 		members := make([]*Profile, 1+rng.Intn(5))
 		for i := range members {
 			members[i] = profileOf(fmt.Sprintf("w%d", i), randomUsage(rng, libs, "k"), randomUsage(rng, libs, "f"))
 		}
 		u := MergeProfiles(members...)
+		if !reflect.DeepEqual(u.UsedKernels, setUnion(members, func(p *Profile) map[string][]string { return p.UsedKernels })) ||
+			!reflect.DeepEqual(u.UsedFuncs, setUnion(members, func(p *Profile) map[string][]string { return p.UsedFuncs })) {
+			t.Fatalf("trial %d: the union is not the per-library set union", trial)
+		}
 		for _, p := range members {
 			if !u.Covers(p) {
 				t.Fatalf("trial %d: the union does not cover %s", trial, p.Workload)
@@ -87,6 +151,16 @@ func TestMergeProfilesProperties(t *testing.T) {
 		one := members[0]
 		if v := MergeProfiles(one); !reflect.DeepEqual(v.UsedKernels, one.UsedKernels) || !reflect.DeepEqual(v.UsedFuncs, one.UsedFuncs) {
 			t.Fatalf("trial %d: the union of one profile differs from its lists", trial)
+		}
+		noisy := slices.Clone(members)
+		j := rng.Intn(len(noisy))
+		noisy[j] = mangled(rng, noisy[j])
+		v := MergeProfiles(noisy...)
+		if !reflect.DeepEqual(u.UsedKernels, v.UsedKernels) || !reflect.DeepEqual(u.UsedFuncs, v.UsedFuncs) {
+			t.Fatalf("trial %d: shuffling or repeating member %d's symbols changed the union", trial, j)
+		}
+		if !slices.Equal(compactKeys(u), compactKeys(v)) {
+			t.Fatalf("trial %d: shuffling or repeating member %d's symbols changed a compact key", trial, j)
 		}
 	}
 }

@@ -6,12 +6,13 @@ import "sync"
 // each node's resolved content key. hint is the node's reconstruction hint
 // (Node.WithHint) — tiered implementations use it to rebuild a value from
 // a persisted form (e.g. decoding a stored range set against the live
-// library). slot is the Executor the calling graph runs under, of which
-// the calling node holds one slot: a tier that waits on the network or on
-// another node's flight releases it for the wait and re-acquires it
-// before returning. It is a parameter, not memo state, because one memo
-// may be consulted from graphs running on different pools. Plain memory
-// memos ignore both.
+// library). slot is the calling node's slot: a tier that waits on the
+// network or on another node's flight releases it for the wait and
+// re-acquires it before returning. Both calls reach the Executor the
+// graph runs under, and while the slot is released another runner takes
+// the graph's ready nodes. It is a parameter, not memo state, because one
+// memo may be consulted from graphs running on different pools. Plain
+// memory memos ignore both.
 //
 // GetOrCompute returns the memoized value and the tier that served it, or
 // computes, stores, and returns it with SourceComputed. Implementations

@@ -1,9 +1,6 @@
 package plan
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Key is the content address of one stage computation: the stage name plus
 // a canonical content-derived string (typically a hex digest, but any
@@ -28,16 +25,16 @@ func (k Key) String() string { return k.Stage + "/" + k.Hash }
 // valid once Execute has returned.
 type Node struct {
 	stage string
+	id    int32 // position in the graph's insertion order
 	deps  []*Node
 	keyFn func(deps []any) (Key, error)
 	runFn func(deps []any) (any, error)
 	hint  any
 
-	done chan struct{}
-	out  any
-	err  error
-	key  Key
-	hit  bool
+	out any
+	err error
+	key Key
+	hit bool
 }
 
 // Value returns the node's output after Execute.
@@ -63,15 +60,15 @@ func New() *Graph { return &Graph{} }
 // progress observer divides completed-stage counts by.
 func (g *Graph) Len() int { return len(g.nodes) }
 
-// Node adds a stage node. deps are the nodes whose values feed this one
-// (their outputs arrive in order as the deps slice of both functions).
+// Node adds a stage node. deps are nodes of this graph whose values feed
+// this one (their outputs arrive in order as the deps slice of both functions).
 // keyFn resolves the node's content key once dependencies are done; a nil
 // keyFn (or a zero resolved key) marks the node unmemoized. runFn computes
 // the value on a memo miss. Either function may also read a captured
 // dependency *Node's ResolvedKey — dependency keys are resolved before
 // dependents run.
 func (g *Graph) Node(stage string, deps []*Node, keyFn func(deps []any) (Key, error), runFn func(deps []any) (any, error)) *Node {
-	n := &Node{stage: stage, deps: deps, keyFn: keyFn, runFn: runFn, done: make(chan struct{})}
+	n := &Node{stage: stage, id: int32(len(g.nodes)), deps: deps, keyFn: keyFn, runFn: runFn}
 	g.nodes = append(g.nodes, n)
 	return n
 }
@@ -105,81 +102,6 @@ type Executor interface {
 // safe for concurrent use.
 type Observer interface {
 	StageDone(stage string, hit bool, wall time.Duration)
-}
-
-// Execute runs the graph: one goroutine per node, each starting once its
-// dependencies are done and holding a slot of ex while it resolves its key
-// and runs. Ready nodes take slots in the order ex grants them (arrival
-// order for *Pool). memo, when non-nil, is consulted with each node's
-// resolved key and handed ex itself as the node's slot; obs, when non-nil,
-// observes every finished node's outcome. Execute blocks until every node
-// has finished and returns the first error in node insertion order (nodes
-// downstream of a failed node do not run; they inherit the failure).
-func (g *Graph) Execute(ex Executor, memo Memo, obs Observer) error {
-	for _, n := range g.nodes {
-		go n.exec(ex, memo, obs)
-	}
-	for _, n := range g.nodes {
-		<-n.done
-	}
-	for _, n := range g.nodes {
-		if n.err != nil {
-			return n.err
-		}
-	}
-	return nil
-}
-
-// ExecuteWith is Execute; it and the empty ExecOptions stay only because bench/probes.go compiles against them.
-type ExecOptions struct{}
-
-func (g *Graph) ExecuteWith(ex Executor, memo Memo, obs Observer, _ ExecOptions) error {
-	return g.Execute(ex, memo, obs)
-}
-
-func (n *Node) exec(ex Executor, memo Memo, obs Observer) {
-	defer close(n.done)
-
-	vals := make([]any, len(n.deps))
-	for i, d := range n.deps {
-		<-d.done
-		if d.err != nil {
-			// Propagate the root cause unwrapped: Execute reports it once,
-			// in insertion order, rather than once per dependent.
-			n.err = d.err
-			return
-		}
-		vals[i] = d.out
-	}
-
-	ex.Acquire()
-	defer ex.Release()
-	start := time.Now()
-
-	if n.keyFn != nil {
-		key, err := n.keyFn(vals)
-		if err != nil {
-			n.err = fmt.Errorf("plan: %s key: %w", n.stage, err)
-			return
-		}
-		n.key = key
-	}
-	if memo == nil || n.key.Zero() {
-		n.out, n.err = n.runFn(vals)
-		if n.err == nil && obs != nil {
-			notify(obs, n.stage, SourceComputed, time.Since(start))
-		}
-		return
-	}
-	v, src, err := memo.GetOrCompute(ex, n.key, n.hint, func() (any, error) { return n.runFn(vals) })
-	if err != nil {
-		n.err = err
-		return
-	}
-	n.out, n.hit = v, src.Hit()
-	if obs != nil {
-		notify(obs, n.stage, src, time.Since(start))
-	}
 }
 
 // notify delivers a finished node's outcome: StageDone always, StageSource

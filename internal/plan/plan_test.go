@@ -252,14 +252,36 @@ func TestEachRunsEveryIndexOnce(t *testing.T) {
 	}
 }
 
-// yieldingMemo records the slot each consultation is handed and, like a
-// tier waiting on the network or on another node's flight, gives that slot
-// up around a wait: the "waiter" key announces itself and waits for the
-// "opener" key's compute, the opener waits for the announcement first — so
-// on a one-slot pool each can only proceed while the other has yielded.
+// eventLog is one sequence of events from several goroutines.
+type eventLog struct {
+	mu     sync.Mutex
+	events []string
+}
+
+func (l *eventLog) add(ev string) {
+	l.mu.Lock()
+	l.events = append(l.events, ev)
+	l.mu.Unlock()
+}
+
+// recordingPool is a *Pool that logs each slot it grants, once granted, and
+// each it takes back, before it is back.
+type recordingPool struct {
+	*Pool
+	log *eventLog
+}
+
+func (p recordingPool) Acquire() { p.Pool.Acquire(); p.log.add("acquire") }
+func (p recordingPool) Release() { p.log.add("release"); p.Pool.Release() }
+
+// yieldingMemo, like a tier waiting on the network or on another node's
+// flight, gives the slot it is handed up around a wait, and logs "yield"
+// before giving it up and "resume" once it has it back: the "waiter" key
+// announces itself and waits for the "opener" key's compute, the opener
+// waits for the announcement first — so on a one-slot pool each can only
+// proceed while the other has yielded.
 type yieldingMemo struct {
-	mu      sync.Mutex
-	slots   []Executor
+	log     *eventLog
 	entered chan struct{}
 	opened  chan struct{}
 	holders width // consultations currently holding a slot
@@ -269,11 +291,13 @@ type yieldingMemo struct {
 // remembers the most it saw.
 type width struct{ cur, peak atomic.Int64 }
 
-func (w *width) enter() {
-	n := w.cur.Add(1)
+func (w *width) enter() { raise(&w.peak, w.cur.Add(1)) }
+
+// raise lifts peak to n when n is higher.
+func raise(peak *atomic.Int64, n int64) {
 	for {
-		old := w.peak.Load()
-		if n <= old || w.peak.CompareAndSwap(old, n) {
+		old := peak.Load()
+		if n <= old || peak.CompareAndSwap(old, n) {
 			return
 		}
 	}
@@ -284,9 +308,6 @@ func (w *width) leave() { w.cur.Add(-1) }
 func (m *yieldingMemo) GetOrCompute(slot Executor, key Key, _ any, compute func() (any, error)) (any, Source, error) {
 	m.holders.enter()
 	defer m.holders.leave()
-	m.mu.Lock()
-	m.slots = append(m.slots, slot)
-	m.mu.Unlock()
 
 	wait := m.entered
 	if key.Hash == "waiter" {
@@ -294,22 +315,28 @@ func (m *yieldingMemo) GetOrCompute(slot Executor, key Key, _ any, compute func(
 		wait = m.opened
 	}
 	m.holders.leave()
+	m.log.add("yield")
 	slot.Release()
 	<-wait
 	slot.Acquire()
+	m.log.add("resume")
 	m.holders.enter()
 
 	v, err := compute()
 	return v, SourceComputed, err
 }
 
-// TestMemoSlotIsTheExecutor: the slot a memo is handed is the Executor the
-// graph runs under — not a per-node stand-in — so yielding it around a wait
-// frees a real slot of that executor: the two nodes below finish on a
-// one-slot pool, and never hold a slot together.
+// TestMemoSlotIsTheExecutor: the slot a memo is handed reaches the Executor
+// the graph runs under — yielding it around a wait frees a real slot of that
+// executor: the two nodes below finish on a one-slot pool, and never hold a
+// slot together. On one slot the log is exact: every yield is immediately
+// followed by the pool taking the slot back, and every resume immediately
+// preceded by the pool granting it, since nothing else can touch the pool
+// or the memo while the yielding node holds the only slot.
 func TestMemoSlotIsTheExecutor(t *testing.T) {
-	pool := NewPool(1)
-	memo := &yieldingMemo{entered: make(chan struct{}), opened: make(chan struct{})}
+	log := &eventLog{}
+	pool := recordingPool{Pool: NewPool(1), log: log}
+	memo := &yieldingMemo{log: log, entered: make(chan struct{}), opened: make(chan struct{})}
 	g := New()
 	g.Node("s", nil, StaticKey(Key{"s", "waiter"}), func([]any) (any, error) { return nil, nil })
 	g.Node("s", nil, StaticKey(Key{"s", "opener"}), func([]any) (any, error) {
@@ -326,16 +353,97 @@ func TestMemoSlotIsTheExecutor(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("graph deadlocked on a one-slot pool although its memo yields the slot around every wait")
 	}
-	if len(memo.slots) != 2 {
-		t.Fatalf("memo consulted %d times, want 2", len(memo.slots))
-	}
-	for i, slot := range memo.slots {
-		if slot != Executor(pool) {
-			t.Errorf("consultation %d was handed a %T, want the *Pool passed to Execute", i, slot)
+	events := log.events
+	yields := 0
+	for i, ev := range events {
+		switch ev {
+		case "yield":
+			yields++
+			if i+1 == len(events) || events[i+1] != "release" {
+				t.Errorf("yield at %d did not reach the pool as a release: %v", i, events)
+			}
+		case "resume":
+			if i == 0 || events[i-1] != "acquire" {
+				t.Errorf("resume at %d did not come from the pool's grant: %v", i, events)
+			}
 		}
+	}
+	if yields != 2 {
+		t.Fatalf("memo yielded %d times, want 2: %v", yields, events)
 	}
 	if p := memo.holders.peak.Load(); p > int64(pool.Workers()) {
 		t.Errorf("%d nodes held a slot at once on a %d-slot pool", p, pool.Workers())
+	}
+}
+
+// blockingMemo yields the slot of the node keyed "block" until release is
+// closed (or a timeout passes); every other key computes in place.
+type blockingMemo struct{ release chan struct{} }
+
+func (m blockingMemo) GetOrCompute(slot Executor, key Key, _ any, compute func() (any, error)) (any, Source, error) {
+	if key.Hash == "block" {
+		slot.Release()
+		select {
+		case <-m.release:
+		case <-time.After(3 * time.Second):
+		}
+		slot.Acquire()
+	}
+	v, err := compute()
+	return v, SourceComputed, err
+}
+
+// TestYieldHandsOffTheRunner: a node that yields its slot inside the memo
+// hands off its runner too. On a 2-slot pool, while the first node waits,
+// the graph's other ready nodes must still run two at a time — each waits
+// for a partner — rather than one by one on the only runner left; the
+// waiting node is released once two of them overlap.
+func TestYieldHandsOffTheRunner(t *testing.T) {
+	pool := NewPool(2)
+	paired := make(chan struct{})
+	var once sync.Once
+	var running width
+	g := New()
+	g.Node("s", nil, StaticKey(Key{"s", "block"}), func([]any) (any, error) { return nil, nil })
+	for i := 0; i < 6; i++ {
+		g.Node("s", nil, StaticKey(Key{"s", fmt.Sprint(i)}), func([]any) (any, error) {
+			running.enter()
+			defer running.leave()
+			if running.cur.Load() >= 2 {
+				once.Do(func() { close(paired) })
+			}
+			select {
+			case <-paired:
+			case <-time.After(500 * time.Millisecond):
+			}
+			return nil, nil
+		})
+	}
+	if err := g.Execute(pool, blockingMemo{release: paired}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if p := running.peak.Load(); p != 2 {
+		t.Fatalf("peak concurrency %d while a node had yielded its slot on a 2-slot pool, want 2", p)
+	}
+}
+
+// TestExecuteBoundsGoroutines: a graph runs on at most Workers runners, the
+// caller among them, however many nodes it has — goroutines sampled inside
+// node work stay within the baseline plus the pool's width plus one.
+func TestExecuteBoundsGoroutines(t *testing.T) {
+	pool := NewPool(2)
+	before := runtime.NumGoroutine()
+	var peak atomic.Int64
+	g := levelled(4, 100, func([]any) (any, error) {
+		raise(&peak, int64(runtime.NumGoroutine()))
+		runtime.Gosched()
+		return nil, nil
+	})
+	if err := g.Execute(pool, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if limit := int64(before + pool.Workers() + 1); peak.Load() > limit {
+		t.Fatalf("%d goroutines inside a 400-node graph on a %d-slot pool, want at most %d", peak.Load(), pool.Workers(), limit)
 	}
 }
 
@@ -388,7 +496,7 @@ func TestConcurrentGraphsShareOnePool(t *testing.T) {
 	if p := running.peak.Load(); p > 2 {
 		t.Fatalf("%d nodes ran at once on a 2-slot pool", p)
 	}
-	// Node goroutines signal done before they return; give the last ones a
+	// Runners finish the last node before they return; give the last ones a
 	// moment to exit.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

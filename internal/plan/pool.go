@@ -23,7 +23,8 @@ func NewPool(workers int) *Pool {
 	return &Pool{sem: make(chan struct{}, workers)}
 }
 
-// Workers returns the concurrency bound.
+// Workers returns the concurrency bound, which is also how many runner
+// goroutines Graph.Execute gives each graph it runs on the pool.
 func (p *Pool) Workers() int { return cap(p.sem) }
 
 // Acquire takes a worker slot, blocking until one is free. Holders must
