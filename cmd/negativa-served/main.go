@@ -220,6 +220,18 @@ func main() {
 	if peerMap != nil {
 		cfg.RepairInterval = *repairEvery
 	}
+	gwCfg := gateway.Config{
+		DispatchSlots:     *gwDispatch,
+		QueueDepth:        *gwQueue,
+		InteractiveWeight: *gwIWeight,
+		BulkWeight:        *gwBWeight,
+		PeerPassthrough:   peerMap != nil,
+	}
+	if *tenantsPath != "" {
+		// Held gateway jobs count toward the backend's in-flight bound; size
+		// it so that each lane's -gw-queue is the limit that binds.
+		cfg.MaxInFlight = gwCfg.BackendMaxInFlight()
+	}
 	if *dataDir != "" {
 		store, err := castore.Open(*dataDir, castore.Options{MaxBytes: *diskMB << 20})
 		if err != nil {
@@ -262,13 +274,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("negativa-served: %v", err)
 		}
-		gw, err = gateway.New(svc, gateway.Config{
-			DispatchSlots:     *gwDispatch,
-			QueueDepth:        *gwQueue,
-			InteractiveWeight: *gwIWeight,
-			BulkWeight:        *gwBWeight,
-			PeerPassthrough:   peerMap != nil,
-		}, tenants)
+		gw, err = gateway.New(svc, gwCfg, tenants)
 		if err != nil {
 			log.Fatalf("negativa-served: %v", err)
 		}
@@ -321,7 +327,7 @@ func main() {
 		log.Printf("negativa-served: shutdown: %v", err)
 	}
 	if gw != nil {
-		gw.Close() // shed queued units, stop event pumps
+		gw.Close() // stop admission and dispatch; svc.Close fails held jobs
 	}
 	if peerMap != nil {
 		// Graceful departure: hand primary-owned objects to the ring's next

@@ -32,9 +32,10 @@ func main() {
 	// Boot the service with the gateway in front, as negativa-served
 	// -tenants does: acme is an interactive tenant on a small
 	// stage-seconds budget; batch-org rides the bulk lane uncapped.
-	svc := dserve.NewService(dserve.Config{Workers: 8, MaxSteps: 2})
+	gwCfg := gateway.Config{}
+	svc := dserve.NewService(dserve.Config{Workers: 8, MaxSteps: 2, MaxInFlight: gwCfg.BackendMaxInFlight()})
 	defer svc.Close()
-	gw, err := gateway.New(svc, gateway.Config{}, []gateway.TenantConfig{
+	gw, err := gateway.New(svc, gwCfg, []gateway.TenantConfig{
 		{Name: "acme", Keys: []string{acmeKey}, Lane: gateway.LaneInteractive,
 			// 10ms of analysis wall time per 2-second window: the first
 			// batch exhausts it, so the follow-up submission is shed.
@@ -74,12 +75,13 @@ func main() {
 	resp.Body.Close()
 
 	// 2. Both tenants submit the identical batch back-to-back: the second
-	// submission coalesces onto the first's in-flight execution — one
-	// backend batch feeds both riders.
+	// submission coalesces onto the first's in-flight job — both riders get
+	// the same job ID, and one backend batch feeds both.
 	acmeJob := submit(base, acmeKey, req)
 	batchJob := submit(base, batchKey, req)
 	fmt.Printf("acme submits          → %s (lane %s)\n", acmeJob.ID, acmeJob.Lane)
-	fmt.Printf("batch-org submits     → %s (lane %s, coalesced=%v)\n", batchJob.ID, batchJob.Lane, batchJob.Coalesced)
+	fmt.Printf("batch-org submits     → %s (lane %s, coalesced=%v, same job: %v)\n",
+		batchJob.ID, batchJob.Lane, batchJob.Coalesced, batchJob.ID == acmeJob.ID)
 
 	// 3. Live progress: long-poll acme's event stream to the terminal event.
 	fmt.Printf("\nstreaming %s:\n", acmeJob.ID)
@@ -102,13 +104,16 @@ func main() {
 		done = ev.Done
 	}
 
-	// Both riders finished off the one shared execution.
+	// Both riders finished off the one shared job, each seeing it under
+	// its own tenancy (lane, coalesced flag).
 	var acmeFinal, batchFinal gwView
 	getJSON(base+"/v1/jobs/"+acmeJob.ID, acmeKey, &acmeFinal)
 	getJSON(base+"/v1/jobs/"+batchJob.ID, batchKey, &batchFinal)
-	fmt.Printf("\nacme job %s: %s (progress %.0f%%)\n", acmeFinal.ID, acmeFinal.State, 100*acmeFinal.Progress)
-	fmt.Printf("batch-org job %s: %s — same backend execution: %v\n",
-		batchFinal.ID, batchFinal.State, acmeFinal.Upstream == batchFinal.Upstream)
+	fmt.Printf("\nacme job %s: %s (progress %.0f%%, lane %s)\n", acmeFinal.ID, acmeFinal.State, 100*acmeFinal.Progress, acmeFinal.Lane)
+	fmt.Printf("batch-org job %s: %s (lane %s, coalesced=%v)\n", batchFinal.ID, batchFinal.State, batchFinal.Lane, batchFinal.Coalesced)
+	if !batchJob.Coalesced || batchJob.ID != acmeJob.ID {
+		log.Fatalf("identical in-flight batches must share one job: %s vs %s", acmeJob.ID, batchJob.ID)
+	}
 
 	// 4. That batch spent far more than acme's 10ms stage budget, so
 	// acme's next submission inside the window is shed with 429 +
@@ -169,7 +174,6 @@ type gwView struct {
 	State     string  `json:"state"`
 	Coalesced bool    `json:"coalesced"`
 	Progress  float64 `json:"progress"`
-	Upstream  string  `json:"upstream"`
 }
 
 func post(url, key string, body any) *http.Response {

@@ -5,8 +5,8 @@ import "sync"
 // Event types and the terminal states they carry. A job's event stream is
 // an append-only log: state transitions (queued → running → done|failed)
 // interleaved with one event per completed analysis stage, each carrying
-// the monotone stages_done/stages_total progress pair. The gateway mirrors
-// these logs verbatim (re-sequenced) into its own per-job streams.
+// the monotone stages_done/stages_total progress pair. A gateway job is a
+// dserve job, so every rider of it reads this one log.
 const (
 	// EventState marks a job state transition; State holds the new state
 	// and Terminal marks the log complete.
@@ -36,12 +36,6 @@ type JobEvent struct {
 	StagesTotal int    `json:"stages_total,omitempty"`
 	// Terminal marks the stream's final event; no events follow it.
 	Terminal bool `json:"terminal,omitempty"`
-	// ResultBytes, set on a done job's terminal event, is the total
-	// debloated-image bytes the job retains — the amount a front-door
-	// result quota charges. Carrying it on the event (rather than having
-	// consumers re-fetch the job) closes the race against MaxJobs pruning
-	// evicting the job between its terminal event and the lookup.
-	ResultBytes int64 `json:"result_bytes,omitempty"`
 }
 
 // EventLog is an append-only, terminally-closed event sequence with

@@ -16,12 +16,13 @@ import (
 	"negativaml/internal/plan"
 )
 
-// Job states.
+// Job states; only a held job (SubmitOptions.Hold) can end cancelled.
 const (
-	JobQueued  = "queued"
-	JobRunning = "running"
-	JobDone    = "done"
-	JobFailed  = "failed"
+	JobQueued    = "queued"
+	JobRunning   = "running"
+	JobDone      = "done"
+	JobFailed    = "failed"
+	JobCancelled = "cancelled"
 )
 
 // Job tracks one submitted batch through the service. Accessors return
@@ -47,8 +48,8 @@ type Job struct {
 	// events is the job's live progress stream (state transitions plus one
 	// event per completed stage); subscribers attach via Service.JobEvents.
 	events *EventLog
-	// opts carries the submitter's hooks (extra stage observer, completion
-	// callback) into the async run.
+	// opts carries the submitter's hooks into the async run; opts.Hold
+	// stays set while the job waits for Release.
 	opts SubmitOptions
 
 	// manifest is the durable form of a persisted job; for a job restored
@@ -69,6 +70,9 @@ type Job struct {
 // 503 so clients back off instead of growing the job table unboundedly.
 var ErrBusy = errors.New("dserve: too many in-flight jobs, retry later")
 
+// ErrClosed is returned by Submit once Close has begun.
+var ErrClosed = errors.New("dserve: service is shut down")
+
 // Incremental-submit errors; the HTTP layer maps ErrUnknownBase to 404 and
 // ErrBaseNotReady to 409.
 var (
@@ -77,17 +81,22 @@ var (
 )
 
 // SubmitOptions carry a submitter's hooks into a job's async run. The
-// gateway uses them to charge per-tenant stage-seconds (Observer) and to
-// learn about completion without polling (OnDone).
+// gateway admits into held jobs (Hold), charges per-tenant stage-seconds
+// (Observer), and settles its accounting on OnDone and OnEvict.
 type SubmitOptions struct {
 	// Observer, when non-nil, additionally receives the batch's per-stage
 	// outcomes (the service's metrics observer and the job's progress
 	// tracking always run). Must be safe for concurrent use.
 	Observer plan.Observer
 	// OnDone, when non-nil, is called once with a terminal-state snapshot
-	// of the job after it finishes (done or failed), from the job's own
-	// goroutine with no service locks held.
-	OnDone func(*Job)
+	// of the job after it finishes (done or failed), with no service locks
+	// held; the job is not evicted before it returns. OnEvict likewise
+	// gets the job's ID once MaxJobs pruning has dropped the job.
+	OnDone  func(*Job)
+	OnEvict func(id string)
+	// Hold queues the job unstarted until Release; Withdraw ends it
+	// cancelled (without OnDone) and Close fails it.
+	Hold bool
 }
 
 // Submit validates the request, queues a job, and runs it asynchronously on
@@ -107,7 +116,7 @@ func (s *Service) SubmitWith(req JobRequest, opts SubmitOptions) (*Job, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, errors.New("dserve: service is shut down")
+		return nil, ErrClosed
 	}
 	if req.Base != "" {
 		if err := s.checkBaseLocked(req); err != nil {
@@ -146,13 +155,58 @@ func (s *Service) SubmitWith(req JobRequest, opts SubmitOptions) (*Job, error) {
 	}
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
-	s.wg.Add(1)
+	if !opts.Hold {
+		s.wg.Add(1)
+		go s.run(job)
+	}
 	snap := *job
 	s.mu.Unlock()
 
 	s.Counters.Add("jobs.submitted", 1)
-	go s.run(job)
 	return &snap, nil
+}
+
+// Release starts a held job and reports whether it was held.
+func (s *Service) Release(id string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	job := s.jobs[id]
+	if job == nil || !job.opts.Hold {
+		return false
+	}
+	job.opts.Hold = false
+	s.wg.Add(1)
+	go s.run(job)
+	return true
+}
+
+// Withdraw ends a held job unrun, its stream [queued, cancelled], and
+// reports whether it was held; it is pruned like any terminal job.
+func (s *Service) Withdraw(id string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	job := s.jobs[id]
+	if job == nil || !job.opts.Hold {
+		return false
+	}
+	s.endHeldLocked(job, JobCancelled, "")
+	s.Counters.Add("jobs.cancelled", 1)
+	return true
+}
+
+// endHeldLocked makes a held job terminal without running it.
+func (s *Service) endHeldLocked(job *Job, state, msg string) {
+	job.opts.Hold = false
+	job.State, job.Err, job.Finished = state, msg, time.Now()
+	s.unpinBaseLocked(job)
+	job.events.Append(JobEvent{Type: EventState, State: state, Error: msg, Terminal: true})
+}
+
+// unpinBaseLocked releases the base pin SubmitWith took.
+func (s *Service) unpinBaseLocked(job *Job) {
+	if bj := s.jobs[job.Req.Base]; job.Req.Base != "" && bj != nil {
+		bj.pins--
+	}
 }
 
 // progressObserver mirrors one job's completed plan nodes into its stage
@@ -217,18 +271,15 @@ func (s *Service) run(job *Job) {
 		job.State = JobDone
 		job.Result = res
 	}
-	if job.Req.Base != "" {
-		// Release the base pin Submit took; the base cannot have been
-		// evicted while pinned, but a restart-restored table makes the
-		// nil check cheap insurance.
-		if bj := s.jobs[job.Req.Base]; bj != nil {
-			bj.pins--
-		}
-	}
+	s.unpinBaseLocked(job)
 	wall := job.Finished.Sub(job.Started)
 	snap := *job
-	s.pruneJobsLocked()
+	// Older jobs are pruned with the terminal state, so whoever sees it
+	// sees the table bounded; this one is pinned until OnDone returns.
+	job.pins++
+	evicted := s.pruneJobsLocked()
 	s.mu.Unlock()
+	notifyEvicted(evicted)
 
 	if err != nil {
 		s.Counters.Add("jobs.failed", 1)
@@ -238,21 +289,32 @@ func (s *Service) run(job *Job) {
 	s.Timings.Observe("job.wall", wall)
 
 	// Terminal event last: subscribers that see it know the stream is
-	// complete, every stage event precedes it and the job is counted. A
-	// done job's event also carries its retained result bytes, so
-	// consumers (the gateway's result-byte accounting) need no
-	// post-terminal job lookup that could race MaxJobs pruning.
-	term := JobEvent{
+	// complete, every stage event precedes it and the job is counted.
+	job.events.Append(JobEvent{
 		Type: EventState, State: snap.State, Error: snap.Err, Terminal: true,
 		StagesDone: snap.StagesDone, StagesTotal: snap.StagesTotal,
-	}
-	if snap.State == JobDone {
-		term.ResultBytes = res.RetainedBytes()
-	}
-	job.events.Append(term)
+	})
+	s.done(job, &snap)
+}
 
+// done calls OnDone, then lifts the pin that kept the job from eviction.
+func (s *Service) done(job *Job, snap *Job) {
 	if job.opts.OnDone != nil {
-		job.opts.OnDone(&snap)
+		job.opts.OnDone(snap)
+	}
+	s.mu.Lock()
+	job.pins--
+	evicted := s.pruneJobsLocked()
+	s.mu.Unlock()
+	notifyEvicted(evicted)
+}
+
+// notifyEvicted runs OnEvict for jobs pruned while s.mu was held.
+func notifyEvicted(jobs []*Job) {
+	for _, j := range jobs {
+		if j.opts.OnEvict != nil {
+			j.opts.OnEvict(j.ID)
+		}
 	}
 }
 
@@ -262,42 +324,38 @@ func (s *Service) run(job *Job) {
 // an in-flight reader (an open fetch-library stream), and evicting under it
 // would release the store objects the response is still being served from.
 // Evicting a persisted job releases its store references and deletes its
-// manifest, so a future boot does not resurrect it. Callers hold s.mu.
-func (s *Service) pruneJobsLocked() {
-	var terminal []string
+// manifest, so a future boot does not resurrect it. Callers hold s.mu, and
+// pass the result to notifyEvicted once they have released it.
+func (s *Service) pruneJobsLocked() []*Job {
+	excess := -s.cfg.MaxJobs
 	for _, id := range s.order {
-		st := s.jobs[id].State
-		if st == JobDone || st == JobFailed {
-			terminal = append(terminal, id)
+		if st := s.jobs[id].State; st != JobQueued && st != JobRunning {
+			excess++
 		}
 	}
-	excess := len(terminal) - s.cfg.MaxJobs
 	if excess <= 0 {
-		return
+		return nil
 	}
-	// The newest MaxJobs terminal jobs always stay; of the older ones,
-	// pinned jobs are over-retained until their streams close (the release
-	// re-runs this prune).
-	evict := map[string]bool{}
-	for _, id := range terminal[:excess] {
-		if s.jobs[id].pins == 0 {
-			evict[id] = true
-		}
-	}
-	if len(evict) == 0 {
-		return
-	}
+	// The newest MaxJobs terminal jobs always stay; of the `excess` older
+	// ones, pinned jobs are over-retained until their streams close (the
+	// release re-runs this prune).
+	var evicted []*Job
 	kept := s.order[:0]
 	for _, id := range s.order {
-		if evict[id] {
-			s.releaseJobLocked(s.jobs[id])
-			delete(s.jobs, id)
-			s.Counters.Add("jobs.evicted", 1)
-			continue
+		if j := s.jobs[id]; excess > 0 && j.State != JobQueued && j.State != JobRunning {
+			excess--
+			if j.pins == 0 {
+				evicted = append(evicted, j)
+				s.releaseJobLocked(j)
+				delete(s.jobs, id)
+				s.Counters.Add("jobs.evicted", 1)
+				continue
+			}
 		}
 		kept = append(kept, id)
 	}
 	s.order = kept
+	return evicted
 }
 
 // releaseJobLocked drops the job's store references and deletes its
@@ -673,8 +731,9 @@ func (s *Service) ResultOf(id string) (*BatchResult, error) {
 			res = job.Result // another materialization won the race
 		}
 	}
-	s.pruneJobsLocked()
+	evicted := s.pruneJobsLocked()
 	s.mu.Unlock()
+	notifyEvicted(evicted)
 	if err != nil {
 		s.Counters.Add("jobs.restore_failed", 1)
 		return nil, err
@@ -807,8 +866,9 @@ func (s *Service) OpenLibStream(id, name string) (*LibStream, error) {
 		s.mu.Lock()
 		job.pins--
 		// Evictions this pin deferred proceed now.
-		s.pruneJobsLocked()
+		evicted := s.pruneJobsLocked()
 		s.mu.Unlock()
+		notifyEvicted(evicted)
 	}
 	res, err := s.ResultOf(id)
 	if err != nil {

@@ -111,6 +111,7 @@ func newMux(s *Service) *http.ServeMux {
 			switch {
 			case errors.Is(err, ErrBusy):
 				code = http.StatusServiceUnavailable
+				w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterHint(&Job{})))
 			case errors.Is(err, ErrUnknownBase):
 				code = http.StatusNotFound
 			case errors.Is(err, ErrBaseNotReady):
@@ -263,7 +264,7 @@ func statusOf(j *Job) jobStatus {
 		Framework:   j.Req.Framework,
 		IngestDir:   j.Req.IngestDir,
 		Workloads:   len(j.Req.Workloads),
-		Progress:    progressOf(j),
+		Progress:    j.Progress(),
 		StagesDone:  j.StagesDone,
 		StagesTotal: j.StagesTotal,
 		Base:        j.Req.Base,
@@ -409,10 +410,10 @@ func totalsOf(t negativa.Totals) totalsReport {
 	}
 }
 
-// progressOf derives the monotone progress fraction: completed stages over
+// Progress derives the monotone progress fraction: completed stages over
 // planned stages, pinned to 1 for done jobs (including restored ones whose
 // stage counts did not survive the restart).
-func progressOf(j *Job) float64 {
+func (j *Job) Progress() float64 {
 	if j.State == JobDone {
 		return 1
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -175,7 +176,7 @@ func TestServerBatchOfFourWorkloads(t *testing.T) {
 
 // TestServerBackpressure exercises the in-flight cap: with MaxInFlight=1,
 // a second submission while the first job is still generating its install
-// must be rejected with 503.
+// must be rejected with 503 and a Retry-After polling hint.
 func TestServerBackpressure(t *testing.T) {
 	svc := NewService(Config{Workers: 1, MaxSteps: 2, MaxInFlight: 1})
 	defer svc.Close()
@@ -199,6 +200,9 @@ func TestServerBackpressure(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("second submit while busy: status %d, want 503", resp.StatusCode)
+	}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 || secs > 30 {
+		t.Fatalf("503 Retry-After = %q, want whole seconds in [1, 30]", resp.Header.Get("Retry-After"))
 	}
 	if svc.Counters.Get("jobs.rejected_busy") != 1 {
 		t.Errorf("jobs.rejected_busy = %d, want 1", svc.Counters.Get("jobs.rejected_busy"))

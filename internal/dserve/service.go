@@ -255,8 +255,8 @@ func (s *Service) Cluster() *cluster.Cluster { return s.cluster }
 // Workers returns the pool's concurrency bound.
 func (s *Service) Workers() int { return s.pool.Workers() }
 
-// Close drains the service: no new submissions are accepted and Close
-// returns once every running job has finished, every write-back
+// Close drains the service: no new submissions are accepted, held jobs
+// fail, and Close returns once every running job has finished, every write-back
 // replication push and verify-record write has settled, and every
 // write-behind cache spill has reached the store — so a store closed after Close holds everything the
 // memory tier ever took. An attached cluster's membership plane stops too
@@ -267,7 +267,18 @@ func (s *Service) Close() {
 	s.closed = true
 	stop := s.repairStop
 	s.repairStop = nil
+	var held []*Job
+	for _, id := range s.order {
+		if j := s.jobs[id]; j.opts.Hold {
+			s.endHeldLocked(j, JobFailed, ErrClosed.Error())
+			j.pins++ // released by done
+			held = append(held, j)
+		}
+	}
 	s.mu.Unlock()
+	for _, j := range held {
+		s.done(j, s.Job(j.ID))
+	}
 	if stop != nil {
 		close(stop)
 	}

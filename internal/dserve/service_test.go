@@ -1,6 +1,7 @@
 package dserve
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -297,5 +298,82 @@ func TestWaitJob(t *testing.T) {
 	}
 	if waited := time.Since(start); waited >= time.Minute {
 		t.Errorf("waitJob returned after %v: it sat out the deadline", waited)
+	}
+}
+
+// TestHeldJobLifecycle: a held job counts toward MaxInFlight and does not
+// run until Release; Withdraw ends one cancelled with the stream [queued,
+// cancelled]; Close fails a still-held job and calls its OnDone; and a
+// job's OnEvict never precedes its OnDone.
+func TestHeldJobLifecycle(t *testing.T) {
+	svc := NewService(Config{Workers: 2, MaxSteps: 2, MaxInFlight: 2, MaxJobs: 1})
+	var mu sync.Mutex
+	var calls []string
+	record := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls = append(calls, fmt.Sprintf(format, args...))
+	}
+	submit := func(tail int) (*Job, error) {
+		return svc.SubmitWith(JobRequest{
+			Framework: "pytorch", TailLibs: tail, MaxSteps: 2,
+			Workloads: []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}},
+		}, SubmitOptions{
+			Hold:    true,
+			OnDone:  func(j *Job) { record("done %s %s", j.ID, j.State) },
+			OnEvict: func(id string) { record("evict %s", id) },
+		})
+	}
+	a, err := submit(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := submit(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := submit(4); !errors.Is(err, ErrBusy) {
+		t.Fatalf("third held job: %v, want ErrBusy (held jobs count toward MaxInFlight)", err)
+	}
+	if !svc.Withdraw(b.ID) || svc.Withdraw(b.ID) || svc.Release(b.ID) {
+		t.Fatal("a held job withdraws exactly once and is then not held")
+	}
+	evs, done, _, _ := svc.JobEvents(b.ID, -1)
+	if !done || len(evs) != 2 || evs[0].State != JobQueued || evs[1].State != JobCancelled || !evs[1].Terminal {
+		t.Fatalf("withdrawn job's stream = %+v", evs)
+	}
+	if st := svc.Job(a.ID).State; st != JobQueued {
+		t.Fatalf("held job is %s before Release", st)
+	}
+	if !svc.Release(a.ID) || svc.Release(a.ID) {
+		t.Fatal("a held job releases exactly once")
+	}
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		n := len(calls)
+		mu.Unlock()
+		if n == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("released job never finished")
+		}
+	}
+	c, err := submit(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	if j := svc.Job(c.ID); j.State != JobFailed || j.Err != ErrClosed.Error() {
+		t.Fatalf("held job after Close: %s %q", j.State, j.Err)
+	}
+	// MaxJobs=1 keeps the newest submission among terminal jobs: a's own
+	// completion evicts a (b is newer), after a's OnDone.
+	want := []string{
+		"done " + a.ID + " done", "evict " + a.ID,
+		"done " + c.ID + " failed", "evict " + b.ID,
+	}
+	if strings.Join(calls, "; ") != strings.Join(want, "; ") {
+		t.Fatalf("callbacks = %q, want %q", calls, want)
 	}
 }

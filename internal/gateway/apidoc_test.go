@@ -163,7 +163,7 @@ func TestGatewayAPIDocExamples(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("blocker submit: status %d: %s", resp.StatusCode, body)
 	}
-	var blockerSt gwStatus
+	var blockerSt JobView
 	if err := json.Unmarshal(body, &blockerSt); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestGatewayAPIDocExamples(t *testing.T) {
 		t.Fatalf("doc-example submit: status %d: %s", resp.StatusCode, body)
 	}
 	actual["gw-submit response"] = body
-	var st gwStatus
+	var st JobView
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestGatewayAPIDocExamples(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("duplicate submit: status %d: %s", resp.StatusCode, body)
 	}
-	var dup gwStatus
+	var dup JobView
 	if err := json.Unmarshal(body, &dup); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestGatewayAPIDocExamples(t *testing.T) {
 	release()
 
 	// ---- gw-job-status: the documented job, completed ----
-	if done := pollGwDone(t, ts.URL, "key-acme", st.ID); done.State != JobDone {
+	if done := pollGwDone(t, ts.URL, "key-acme", st.ID); done.State != dserve.JobDone {
 		t.Fatalf("doc-example job failed: %s", done.Error)
 	}
 	_, actual["gw-job-status response"] = raw(t, "GET", "/v1/jobs/"+st.ID, "key-acme", nil)

@@ -1,11 +1,13 @@
 package gateway
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -20,16 +22,6 @@ const (
 	LaneBulk        = "bulk"
 )
 
-// Gateway job states. Queued/running/done/failed mirror the backend's;
-// cancelled is gateway-only (the backend never starts cancelled work).
-const (
-	JobQueued    = dserve.JobQueued
-	JobRunning   = dserve.JobRunning
-	JobDone      = dserve.JobDone
-	JobFailed    = dserve.JobFailed
-	JobCancelled = "cancelled"
-)
-
 // Shed reasons, reported in 429 bodies and counted under
 // gateway.shed.<reason>.
 const (
@@ -39,10 +31,15 @@ const (
 	ShedStageSeconds = "stage_seconds"
 )
 
-// Backend is the slice of the serving plane the gateway drives.
-// *dserve.Service satisfies it; tests substitute fakes.
+// Backend is the slice of the serving plane the gateway drives: it admits
+// into held backend jobs and releases them as its lanes dispatch.
+// *dserve.Service satisfies it; tests substitute fakes. Lock order is
+// gateway → backend: the backend calls back (OnDone, OnEvict, Observer)
+// with none of its locks held.
 type Backend interface {
 	SubmitWith(req dserve.JobRequest, opts dserve.SubmitOptions) (*dserve.Job, error)
+	Release(id string) bool
+	Withdraw(id string) bool
 	Job(id string) *dserve.Job
 	JobEvents(id string, after int) ([]dserve.JobEvent, bool, <-chan struct{}, error)
 	MetricsPayload() map[string]any
@@ -50,21 +47,18 @@ type Backend interface {
 
 // Config tunes the gateway. Zero values take the documented defaults.
 type Config struct {
-	// DispatchSlots caps concurrent backend submissions (default 4). Keep
-	// it at or below the backend's MaxInFlight so dispatch rarely meets
-	// ErrBusy; when it does, the dispatcher holds the slot and retries —
-	// admitted work never fails for backend backpressure.
+	// DispatchSlots caps the held backend jobs released to run at once
+	// (default 4).
 	DispatchSlots int
 	// QueueDepth caps each lane's queued units (default 64); admissions
-	// beyond it shed with 429 queue_full.
+	// beyond it shed with 429 queue_full. So do admissions beyond the
+	// backend's MaxInFlight, which counts held jobs: a backend sized by
+	// BackendMaxInFlight never binds first.
 	QueueDepth int
 	// InteractiveWeight and BulkWeight set the contested drain ratio
 	// (defaults 3 and 1).
 	InteractiveWeight int
 	BulkWeight        int
-	// MaxJobs bounds retained terminal gateway jobs (default 512);
-	// eviction releases the jobs' result-byte charges.
-	MaxJobs int
 	// DefaultQuota fills zero fields of every tenant's quota.
 	DefaultQuota QuotaConfig
 	// PeerPassthrough forwards /v1/peer/* requests to the backend without
@@ -89,21 +83,23 @@ func (c Config) withDefaults() Config {
 	if c.BulkWeight <= 0 {
 		c.BulkWeight = 1
 	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 512
-	}
 	return c
 }
 
-// Typed errors the HTTP layer maps to status codes.
+// BackendMaxInFlight is the backend MaxInFlight that holds both lanes full
+// and every dispatch slot running (a job leaves the backend's count before
+// its slot frees), so each lane's QueueDepth binds before the backend.
+func (c Config) BackendMaxInFlight() int {
+	c = c.withDefaults()
+	return 2*c.QueueDepth + c.DispatchSlots
+}
+
+// Typed errors the HTTP layer maps to status codes, beside dserve's
+// ErrUnknownBase, ErrBaseNotReady and ErrClosed, which Submit returns too.
 var (
 	ErrUnknownJob     = errors.New("gateway: unknown job")
-	ErrJobNotReady    = errors.New("gateway: job has no result yet")
 	ErrNotCancellable = errors.New("gateway: job is past cancellation")
-	ErrUnknownBase    = errors.New("gateway: unknown base job")
-	ErrBaseNotReady   = errors.New("gateway: base job has not completed")
 	ErrUnknownTenant  = errors.New("gateway: unknown tenant")
-	ErrClosed         = errors.New("gateway: shut down")
 )
 
 // ShedError is a load-shedding verdict: the request was refused to protect
@@ -123,50 +119,54 @@ type tenantState struct {
 	cfg   TenantConfig
 	quota QuotaConfig // cfg.Quota merged with gateway defaults
 
-	inflight    int   // non-terminal gateway jobs, followers included
-	resultBytes int64 // retained result bytes across terminal jobs
+	inflight    int   // live riders of unfinished jobs, followers included
+	resultBytes int64 // retained result bytes across finished jobs
 
 	windowStart time.Time // stage-seconds fixed window
 	windowUsed  float64
 }
 
-// gwJob is one tenant-visible admission. Several jobs may ride one
-// workUnit (coalescing); each keeps its own event log and accounting.
-type gwJob struct {
-	id        string
+// rider is one admission riding a backend job. Identical in-flight
+// requests share the job (coalescing), across tenants; each rider pays its
+// own quotas.
+type rider struct {
 	tenant    string
 	lane      string
 	coalesced bool
-	submitted time.Time
-	req       dserve.JobRequest
-
-	state       string
-	err         string
-	stagesDone  int
-	stagesTotal int
-	resultBytes int64
-
-	events *dserve.EventLog
-	unit   *workUnit
+	cancelled bool // withdrawn while the job was held
 }
 
-// workUnit is one batch of backend work: the deduplicated form of every
-// identical request in flight. jobs[0] is the current leader, whose tenant
-// is charged the unit's stage-seconds.
-type workUnit struct {
-	digest string
-	req    dserve.JobRequest
-	lane   string
-	tenant string
+// unit is one backend job as the gateway sees it, with the bytes each live
+// rider was charged. It is unsettled while g.units maps its digest to it;
+// finish settles it and closes settled.
+type unit struct {
+	g                *Gateway
+	id, digest, lane string
+	riders           []*rider
+	dispatched       time.Time // zero while held
+	settled          chan struct{}
+	bytes            int64
+}
 
-	jobs     []*gwJob
-	mirrored []dserve.JobEvent // upstream events, replayed to late attachers
+// leader is the first live rider, charged the job's stage-seconds.
+func (u *unit) leader() *rider {
+	for _, r := range u.riders {
+		if !r.cancelled {
+			return r
+		}
+	}
+	return nil
+}
 
-	dispatched  bool
-	dsID        string
-	state       string
-	stagesDone  int
-	stagesTotal int
+// riderOf returns the tenant's rider of the job, a live one first, or nil.
+func (u *unit) riderOf(tenant string) *rider {
+	var found *rider
+	for _, r := range u.riders {
+		if r.tenant == tenant && (found == nil || found.cancelled) {
+			found = r
+		}
+	}
+	return found
 }
 
 // Gateway is the multi-tenant front door. See the package documentation
@@ -185,19 +185,11 @@ type Gateway struct {
 	tenants map[string]*tenantState
 	keys    map[string]string // API key -> tenant name
 
-	jobs  map[string]*gwJob
-	order []string
-	seq   int
-
-	lanes            map[string][]*workUnit
+	jobs             map[string]*unit // the rider index, by job ID, until eviction
+	lanes            map[string][]*unit
 	servedI, servedB int64
-	units            map[string]*workUnit // in-flight only, by request digest
+	units            map[string]*unit // unfinished, by request digest
 	inflightUnits    int
-
-	// stop is closed by Close so dispatched units' pump goroutines and
-	// busy-retry loops unblock instead of waiting on the backend forever.
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
 // New builds a gateway over the backend with the given tenant set.
@@ -209,10 +201,9 @@ func New(backend Backend, cfg Config, tenants []TenantConfig) (*Gateway, error) 
 		Timings:  metrics.NewTimingSet(),
 		tenants:  map[string]*tenantState{},
 		keys:     map[string]string{},
-		jobs:     map[string]*gwJob{},
-		lanes:    map[string][]*workUnit{LaneInteractive: nil, LaneBulk: nil},
-		units:    map[string]*workUnit{},
-		stop:     make(chan struct{}),
+		jobs:     map[string]*unit{},
+		lanes:    map[string][]*unit{LaneInteractive: nil, LaneBulk: nil},
+		units:    map[string]*unit{},
 	}
 	if err := g.SetTenants(tenants); err != nil {
 		return nil, err
@@ -253,7 +244,7 @@ func (g *Gateway) SetTenants(cfgs []TenantConfig) error {
 		}
 		if ts.inflight > 0 || ts.resultBytes > 0 {
 			// Removed mid-flight: no key reaches this tenant anymore, but
-			// dropping the state would make finishUnit/Cancel decrement a
+			// dropping the state would make finish/Cancel decrement a
 			// fresh zero (driving inflight negative and over-admitting on a
 			// later re-add). Keep it until its charges drain; a future
 			// reload re-evaluates.
@@ -279,10 +270,10 @@ func (g *Gateway) Authenticate(key string) (string, bool) {
 }
 
 // requestDigest is the coalescing key: SHA-256 over the canonical JSON of
-// the validated request (framework resolved, base already translated to a
-// backend job ID). Install generation is deterministic from the request
-// fields, so equal digests mean byte-identical batches; the key is
-// conservative — only logically identical requests coalesce.
+// the validated request (framework resolved; a base is a job ID). Install
+// generation is deterministic from the request fields, so equal digests
+// mean byte-identical batches; the key is conservative — only logically
+// identical requests coalesce.
 func requestDigest(req dserve.JobRequest) string {
 	if fw, err := dserve.ResolveFramework(req.Framework); err == nil {
 		req.Framework = fw
@@ -292,10 +283,11 @@ func requestDigest(req dserve.JobRequest) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Submit admits one request for the tenant: validate, translate the base,
-// enforce quotas, coalesce onto an in-flight identical unit or enqueue a
-// new one, and return the queued job's snapshot. Shed verdicts come back
-// as *ShedError.
+// Submit admits one request for the tenant: validate, check that a base is
+// one of the tenant's jobs, enforce quotas, then coalesce onto an
+// unfinished identical job or create the backend job held in a lane, and
+// return the job's snapshot. Shed verdicts — a full backend included —
+// come back as *ShedError.
 func (g *Gateway) Submit(tenantName string, req dserve.JobRequest, laneOverride string) (*JobView, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -303,101 +295,80 @@ func (g *Gateway) Submit(tenantName string, req dserve.JobRequest, laneOverride 
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
-		return nil, ErrClosed
+		return nil, dserve.ErrClosed
 	}
 	ts := g.tenants[tenantName]
 	if ts == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenantName)
 	}
-	lane := laneOverride
-	if lane == "" {
-		lane = ts.cfg.Lane
-	}
-	if lane == "" {
-		lane = LaneInteractive
-	}
+	lane := cmp.Or(laneOverride, ts.cfg.Lane, LaneInteractive)
 	if lane != LaneInteractive && lane != LaneBulk {
 		return nil, fmt.Errorf("gateway: unknown lane %q (want %s or %s)", lane, LaneInteractive, LaneBulk)
 	}
-
 	if req.Base != "" {
-		// Clients name gateway jobs; the backend knows only its own IDs.
-		// Translate (own-tenant, completed) or refuse.
-		bj := g.jobs[req.Base]
-		if bj == nil || bj.tenant != tenantName {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownBase, req.Base)
+		switch r := g.riderLocked(tenantName, req.Base); {
+		case r == nil:
+			return nil, fmt.Errorf("%w: %q", dserve.ErrUnknownBase, req.Base)
+		case r.cancelled:
+			return nil, fmt.Errorf("%w: %s is cancelled", dserve.ErrBaseNotReady, req.Base)
 		}
-		if bj.state != JobDone || bj.unit == nil || bj.unit.dsID == "" {
-			return nil, fmt.Errorf("%w: %s is %s", ErrBaseNotReady, req.Base, bj.state)
-		}
-		req.Base = bj.unit.dsID
 	}
-
 	if shed := g.quotaShedLocked(ts); shed != nil {
 		g.shedLocked(tenantName, lane, shed)
 		return nil, shed
 	}
 
 	digest := requestDigest(req)
-	if u := g.units[digest]; u != nil {
-		// Identical work already in flight: attach as a follower. The one
-		// backend batch feeds every rider; this tenant still pays its own
-		// concurrency slot and result-byte charge.
-		job := g.newJobLocked(tenantName, lane, req, u, true)
-		job.state = u.state
-		job.stagesDone, job.stagesTotal = u.stagesDone, u.stagesTotal
-		for _, ev := range u.mirrored {
-			job.events.Append(ev)
+	u := g.units[digest]
+	coalesced := u != nil
+	if !coalesced {
+		u = &unit{g: g, digest: digest, lane: lane, settled: make(chan struct{})}
+		var ds *dserve.Job
+		err := dserve.ErrBusy // a full lane sheds like a full backend
+		if len(g.lanes[lane]) < g.cfg.QueueDepth {
+			ds, err = g.backend.SubmitWith(req, dserve.SubmitOptions{
+				Hold:     true,
+				Observer: u,
+				OnDone:   func(j *dserve.Job) { g.finish(u, j) },
+				OnEvict:  func(string) { g.evict(u) },
+			})
 		}
-		u.jobs = append(u.jobs, job)
-		ts.inflight++
-		g.admitCountersLocked(tenantName, lane)
+		if errors.Is(err, dserve.ErrBusy) {
+			shed := &ShedError{Reason: ShedQueueFull, RetryAfter: g.wallHintLocked()}
+			g.shedLocked(tenantName, lane, shed)
+			return nil, shed
+		}
+		if err != nil {
+			return nil, err
+		}
+		u.id = ds.ID
+		g.jobs[u.id] = u
+		g.units[digest] = u
+		g.lanes[lane] = append(g.lanes[lane], u)
+	}
+	r := &rider{tenant: tenantName, lane: lane, coalesced: coalesced}
+	u.riders = append(u.riders, r)
+	ts.inflight++
+	g.Counters.Add("gateway.admitted", 1)
+	g.Counters.Add("tenant."+tenantName+".admitted", 1)
+	g.Counters.Add("lane."+lane+".admitted", 1)
+	if coalesced {
 		g.Counters.Add("gateway.coalesced", 1)
 		g.Counters.Add("tenant."+tenantName+".coalesced", 1)
 		g.Counters.Add("lane."+lane+".coalesced", 1)
-		return g.viewLocked(job), nil
 	}
-
-	if len(g.lanes[lane]) >= g.cfg.QueueDepth {
-		shed := &ShedError{Reason: ShedQueueFull, RetryAfter: g.wallHintLocked()}
-		g.shedLocked(tenantName, lane, shed)
-		return nil, shed
-	}
-
-	u := &workUnit{digest: digest, req: req, lane: lane, tenant: tenantName, state: JobQueued}
-	job := g.newJobLocked(tenantName, lane, req, u, false)
-	u.jobs = []*gwJob{job}
-	g.units[digest] = u
-	g.lanes[lane] = append(g.lanes[lane], u)
-	ts.inflight++
-	g.admitCountersLocked(tenantName, lane)
+	view := g.viewLocked(u, r)
 	g.dispatchLocked()
-	return g.viewLocked(job), nil
+	return view, nil
 }
 
-func (g *Gateway) newJobLocked(tenant, lane string, req dserve.JobRequest, u *workUnit, coalesced bool) *gwJob {
-	g.seq++
-	job := &gwJob{
-		id:        fmt.Sprintf("gw-%04d", g.seq),
-		tenant:    tenant,
-		lane:      lane,
-		coalesced: coalesced,
-		submitted: time.Now(),
-		req:       req,
-		state:     JobQueued,
-		events:    dserve.NewEventLog(),
-		unit:      u,
+// riderLocked returns the tenant's rider of job id, or nil when the job is
+// unknown, evicted, or only another tenant's.
+func (g *Gateway) riderLocked(tenant, id string) *rider {
+	if u := g.jobs[id]; u != nil {
+		return u.riderOf(tenant)
 	}
-	job.events.Append(dserve.JobEvent{Type: dserve.EventState, State: JobQueued})
-	g.jobs[job.id] = job
-	g.order = append(g.order, job.id)
-	return job
-}
-
-func (g *Gateway) admitCountersLocked(tenant, lane string) {
-	g.Counters.Add("gateway.admitted", 1)
-	g.Counters.Add("tenant."+tenant+".admitted", 1)
-	g.Counters.Add("lane."+lane+".admitted", 1)
+	return nil
 }
 
 func (g *Gateway) shedLocked(tenant, lane string, shed *ShedError) {
@@ -457,43 +428,39 @@ func clampSeconds(s int) int {
 	return s
 }
 
-// stageCharge bills a dispatched unit's per-stage wall time to its
-// tenant's stage-seconds window. Called from backend execution goroutines.
-type stageCharge struct {
-	g      *Gateway
-	tenant string
-}
-
-func (o stageCharge) StageDone(_ string, _ bool, wall time.Duration) {
-	o.g.mu.Lock()
-	defer o.g.mu.Unlock()
-	ts := o.g.tenants[o.tenant]
+// StageDone (the unit is its job's Observer) bills each stage's wall time
+// to the leader's stage-seconds window, from backend goroutines.
+func (u *unit) StageDone(_ string, _ bool, wall time.Duration) {
+	u.g.mu.Lock()
+	defer u.g.mu.Unlock()
+	ts := u.g.tenants[u.leader().tenant] // a released job keeps its riders
 	if ts == nil || ts.quota.StageSeconds <= 0 {
 		return
 	}
-	o.g.rollWindowLocked(ts)
+	u.g.rollWindowLocked(ts)
 	ts.windowUsed += wall.Seconds()
 }
 
-// dispatchLocked fills free submission slots from the lane queues.
+// dispatchLocked releases held jobs into free dispatch slots.
 func (g *Gateway) dispatchLocked() {
 	for !g.closed && g.inflightUnits < g.cfg.DispatchSlots {
 		u := g.pickLocked()
 		if u == nil {
 			return
 		}
-		u.dispatched = true
+		if !g.backend.Release(u.id) {
+			continue // the backend is closing; it fails the job itself
+		}
+		u.dispatched = time.Now()
 		g.inflightUnits++
 		g.Counters.Add("lane."+u.lane+".dispatched", 1)
-		g.wg.Add(1)
-		go g.runUnit(u)
 	}
 }
 
 // pickLocked pops the next unit under weighted round-robin. Served counts
 // advance only on contested picks, so a lane idle while the other drains
 // does not bank credit for a starvation-sized burst later.
-func (g *Gateway) pickLocked() *workUnit {
+func (g *Gateway) pickLocked() *unit {
 	qi, qb := g.lanes[LaneInteractive], g.lanes[LaneBulk]
 	var lane string
 	switch {
@@ -514,340 +481,196 @@ func (g *Gateway) pickLocked() *workUnit {
 	return u
 }
 
-// runUnit submits the unit to the backend (holding its slot through
-// transient ErrBusy backpressure) and pumps the upstream event log into
-// every attached job until the terminal event.
-func (g *Gateway) runUnit(u *workUnit) {
-	defer g.wg.Done()
-	start := time.Now()
-	obs := stageCharge{g: g, tenant: u.tenant}
-	var ds *dserve.Job
-	var err error
-	for backoff := time.Millisecond; ; {
-		ds, err = g.backend.SubmitWith(u.req, dserve.SubmitOptions{Observer: obs})
-		if !errors.Is(err, dserve.ErrBusy) {
-			break
-		}
-		// The backend's in-flight cap is backpressure, not a verdict:
-		// admitted work must not fail for it. Hold the slot and retry.
-		g.Counters.Add("gateway.backend_busy_retries", 1)
-		select {
-		case <-g.stop:
-			g.finishUnit(u, dserve.JobEvent{
-				Type: dserve.EventState, State: JobFailed, Terminal: true,
-				Error: ErrClosed.Error(),
-			}, 0, start)
-			return
-		case <-time.After(backoff):
-		}
-		if backoff < 100*time.Millisecond {
-			backoff *= 2
-		}
-	}
-	if err != nil {
-		g.finishUnit(u, dserve.JobEvent{
-			Type: dserve.EventState, State: JobFailed, Terminal: true,
-			Error: fmt.Sprintf("gateway: dispatch: %v", err),
-		}, 0, start)
-		return
-	}
+// finish settles a finished backend job (its OnDone): each live rider's
+// in-flight slot frees and its tenant is charged the job's retained
+// result bytes, the dispatch slot frees, and the next job is released.
+func (g *Gateway) finish(u *unit, j *dserve.Job) {
 	g.mu.Lock()
-	u.dsID = ds.ID
-	g.mu.Unlock()
-	g.pumpUnit(u, ds.ID, start)
-}
-
-// pumpUnit mirrors the backend job's event stream into the unit (and every
-// attached gateway job) until its terminal event.
-func (g *Gateway) pumpUnit(u *workUnit, dsID string, start time.Time) {
-	last := -1
-	for {
-		evs, done, ch, err := g.backend.JobEvents(dsID, last)
-		if err != nil {
-			// Evicted mid-flight — cannot happen to a running backend job,
-			// but a fake or future backend might: fail the riders rather
-			// than hang them.
-			g.finishUnit(u, dserve.JobEvent{
-				Type: dserve.EventState, State: JobFailed, Terminal: true,
-				Error: "gateway: backend job " + dsID + " disappeared mid-flight",
-			}, 0, start)
-			return
-		}
-		var term *dserve.JobEvent
-		g.mu.Lock()
-		for i := range evs {
-			ev := evs[i]
-			last = ev.Seq
-			if ev.Terminal {
-				term = &evs[i]
-				break
-			}
-			if ev.Type == dserve.EventState && ev.State == dserve.JobQueued {
-				continue // the gateway issued its own queued event at admission
-			}
-			g.mirrorLocked(u, ev)
-		}
-		g.mu.Unlock()
-		if term != nil {
-			// The terminal event carries the job's retained result bytes
-			// (JobEvent.ResultBytes); re-fetching the job here would race
-			// MaxJobs pruning, which can evict it between its terminal event
-			// and the lookup and silently zero the tenant's charge.
-			g.finishUnit(u, *term, term.ResultBytes, start)
-			return
-		}
-		if done {
-			// Terminally closed with no terminal event — defensive.
-			g.finishUnit(u, dserve.JobEvent{
-				Type: dserve.EventState, State: JobFailed, Terminal: true,
-				Error: "gateway: backend stream for " + dsID + " ended without a terminal event",
-			}, 0, start)
-			return
-		}
-		select {
-		case <-ch:
-		case <-g.stop:
-			// Shutdown with the backend job still running: the gateway
-			// stops tracking it; riders see a terminal failure.
-			g.finishUnit(u, dserve.JobEvent{
-				Type: dserve.EventState, State: JobFailed, Terminal: true,
-				Error: ErrClosed.Error(),
-			}, 0, start)
-			return
-		}
-	}
-}
-
-// mirrorLocked records one upstream event on the unit and fans it out to
-// every attached job's log (Append re-stamps Seq per log).
-func (g *Gateway) mirrorLocked(u *workUnit, ev dserve.JobEvent) {
-	switch ev.Type {
-	case dserve.EventState:
-		u.state = ev.State
-	case dserve.EventStage:
-		u.stagesDone, u.stagesTotal = ev.StagesDone, ev.StagesTotal
-	}
-	u.mirrored = append(u.mirrored, ev)
-	for _, j := range u.jobs {
-		switch ev.Type {
-		case dserve.EventState:
-			j.state = ev.State
-		case dserve.EventStage:
-			j.stagesDone, j.stagesTotal = ev.StagesDone, ev.StagesTotal
-		}
-		j.events.Append(ev)
-	}
-}
-
-// finishUnit publishes the unit's terminal event to every rider, settles
-// accounting (result bytes charged per attached tenant, in-flight slots
-// released), frees the dispatch slot, and pulls the next unit.
-func (g *Gateway) finishUnit(u *workUnit, term dserve.JobEvent, bytes int64, start time.Time) {
-	g.Timings.Observe("gateway.unit_wall", time.Since(start))
-	if term.StagesTotal == 0 {
-		term.StagesDone, term.StagesTotal = u.stagesDone, u.stagesTotal
-	}
-	g.mu.Lock()
+	defer g.mu.Unlock()
 	delete(g.units, u.digest)
-	u.state = term.State
-	u.stagesDone, u.stagesTotal = term.StagesDone, term.StagesTotal
-	for _, j := range u.jobs {
-		j.state = term.State
-		j.err = term.Error
-		j.stagesDone, j.stagesTotal = term.StagesDone, term.StagesTotal
-		j.resultBytes = bytes
-		j.events.Append(term)
-		if ts := g.tenants[j.tenant]; ts != nil {
+	close(u.settled)
+	if j.Result != nil {
+		u.bytes = j.Result.RetainedBytes()
+	}
+	outcome := "gateway.failed"
+	if j.State == dserve.JobDone {
+		outcome = "gateway.completed"
+	}
+	for _, r := range u.riders {
+		if r.cancelled {
+			continue
+		}
+		g.Counters.Add(outcome, 1)
+		if ts := g.tenants[r.tenant]; ts != nil {
 			if ts.inflight > 0 { // clamp: a tenant reload may have reset state
 				ts.inflight--
 			}
-			ts.resultBytes += bytes
+			ts.resultBytes += u.bytes
 		}
 	}
-	if term.State == JobDone {
-		g.Counters.Add("gateway.completed", int64(len(u.jobs)))
-	} else {
-		g.Counters.Add("gateway.failed", int64(len(u.jobs)))
-	}
-	u.jobs = nil
-	if u.dispatched {
+	if !u.dispatched.IsZero() {
+		g.Timings.Observe("gateway.unit_wall", time.Since(u.dispatched))
 		g.inflightUnits--
 	}
-	g.pruneLocked()
 	g.dispatchLocked()
-	g.mu.Unlock()
 }
 
-// Cancel withdraws a still-queued job. A follower (or a leader with
-// followers) detaches without disturbing the unit — the charging tenant is
-// promoted to the next rider when the leader leaves — and the unit itself
-// is dropped from its lane only when the last rider cancels. Dispatched
-// units are past cancellation (the backend owns them): ErrNotCancellable.
-func (g *Gateway) Cancel(tenantName, id string) (*JobView, error) {
+// evict forgets a job the backend evicted (its OnEvict, which the backend
+// runs only after OnDone): the live riders' result-byte charges are
+// released and the ID answers 404 from now on.
+func (g *Gateway) evict(u *unit) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	j := g.jobs[id]
-	if j == nil || j.tenant != tenantName {
-		return nil, ErrUnknownJob
-	}
-	u := j.unit
-	if j.state != JobQueued || u == nil || u.dispatched {
-		return nil, ErrNotCancellable
-	}
-	riders := u.jobs[:0]
-	for _, r := range u.jobs {
-		if r != j {
-			riders = append(riders, r)
-		}
-	}
-	u.jobs = riders
-	if len(u.jobs) == 0 {
-		delete(g.units, u.digest)
-		q := g.lanes[u.lane]
-		kept := q[:0]
-		for _, qu := range q {
-			if qu != u {
-				kept = append(kept, qu)
-			}
-		}
-		g.lanes[u.lane] = kept
-	} else if u.tenant == tenantName {
-		u.tenant = u.jobs[0].tenant
-	}
-	j.state = JobCancelled
-	j.events.Append(dserve.JobEvent{
-		Type: dserve.EventState, State: JobCancelled, Terminal: true,
-		StagesDone: j.stagesDone, StagesTotal: j.stagesTotal,
-	})
-	if ts := g.tenants[tenantName]; ts != nil && ts.inflight > 0 {
-		ts.inflight--
-	}
-	g.Counters.Add("gateway.cancelled", 1)
-	g.pruneLocked()
-	return g.viewLocked(j), nil
-}
-
-// pruneLocked evicts the oldest terminal jobs beyond MaxJobs, releasing
-// their tenants' result-byte charges.
-func (g *Gateway) pruneLocked() {
-	var terminal []string
-	for _, id := range g.order {
-		switch g.jobs[id].state {
-		case JobDone, JobFailed, JobCancelled:
-			terminal = append(terminal, id)
-		}
-	}
-	excess := len(terminal) - g.cfg.MaxJobs
-	if excess <= 0 {
-		return
-	}
-	evict := make(map[string]bool, excess)
-	for _, id := range terminal[:excess] {
-		evict[id] = true
-	}
-	kept := g.order[:0]
-	for _, id := range g.order {
-		if !evict[id] {
-			kept = append(kept, id)
-			continue
-		}
-		j := g.jobs[id]
-		if ts := g.tenants[j.tenant]; ts != nil {
-			if ts.resultBytes -= j.resultBytes; ts.resultBytes < 0 {
+	for _, r := range u.riders {
+		if ts := g.tenants[r.tenant]; ts != nil && !r.cancelled {
+			if ts.resultBytes -= u.bytes; ts.resultBytes < 0 {
 				ts.resultBytes = 0 // clamp: a tenant reload may have reset state
 			}
 		}
-		delete(g.jobs, id)
-		g.Counters.Add("gateway.evicted", 1)
 	}
-	g.order = kept
+	delete(g.jobs, u.id)
+	g.Counters.Add("gateway.evicted", 1)
 }
 
-// JobView is a tenant-facing job snapshot.
+// Cancel withdraws the tenant's riders from a job still held in its lane.
+// The job stays queued for its other riders — the stage-seconds charge
+// passes to the next rider when the leader leaves — and is withdrawn from
+// the backend (terminal cancelled, never run) when its last rider leaves.
+// Released jobs are past cancellation: ErrNotCancellable.
+func (g *Gateway) Cancel(tenantName, id string) (*JobView, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	u, r := g.jobs[id], g.riderLocked(tenantName, id)
+	if r == nil {
+		return nil, ErrUnknownJob
+	}
+	if r.cancelled || !u.dispatched.IsZero() || g.units[u.digest] != u {
+		return nil, ErrNotCancellable
+	}
+	for _, o := range u.riders {
+		if o.tenant == tenantName && !o.cancelled {
+			o.cancelled = true
+			if ts := g.tenants[tenantName]; ts != nil && ts.inflight > 0 {
+				ts.inflight--
+			}
+			g.Counters.Add("gateway.cancelled", 1)
+		}
+	}
+	if u.leader() == nil {
+		g.backend.Withdraw(id)
+		delete(g.units, u.digest)
+		g.lanes[u.lane] = slices.DeleteFunc(g.lanes[u.lane], func(q *unit) bool { return q == u })
+	}
+	return g.viewLocked(u, r), nil
+}
+
+// JobView is the tenant-facing job status: the backend job's, as the
+// tenant's rider sees it, plus the rider's tenancy fields.
 type JobView struct {
-	ID          string
-	Tenant      string
-	Lane        string
-	State       string
-	Err         string
-	Coalesced   bool
-	Submitted   time.Time
-	Framework   string
-	Workloads   int
-	Base        string
-	StagesDone  int
-	StagesTotal int
-	// Upstream is the backend job ID once the unit dispatched.
-	Upstream string
+	ID          string    `json:"id"`
+	Tenant      string    `json:"tenant"`
+	Lane        string    `json:"lane"`
+	State       string    `json:"state"`
+	Error       string    `json:"error,omitempty"`
+	Coalesced   bool      `json:"coalesced,omitempty"`
+	Submitted   time.Time `json:"submitted"`
+	Framework   string    `json:"framework"`
+	Workloads   int       `json:"workloads"`
+	Base        string    `json:"base,omitempty"`
+	Progress    float64   `json:"progress"`
+	StagesDone  int       `json:"stages_done"`
+	StagesTotal int       `json:"stages_total"`
 }
 
-func (g *Gateway) viewLocked(j *gwJob) *JobView {
-	v := &JobView{
-		ID: j.id, Tenant: j.tenant, Lane: j.lane, State: j.state, Err: j.err,
-		Coalesced: j.coalesced, Submitted: j.submitted,
-		Framework: j.req.Framework, Workloads: len(j.req.Workloads), Base: j.req.Base,
-		StagesDone: j.stagesDone, StagesTotal: j.stagesTotal,
+// viewLocked snapshots the backend job for rider r; nil once the backend
+// no longer holds it. A cancelled rider reads cancelled, at no progress,
+// whatever the job does for its other riders. A finished job reads running
+// until finish has settled its riders' charges, so a client that sees it
+// end is admitted against settled quotas.
+func (g *Gateway) viewLocked(u *unit, r *rider) *JobView {
+	j := g.backend.Job(u.id)
+	if j == nil {
+		return nil
 	}
-	if j.unit != nil {
-		v.Upstream = j.unit.dsID
+	v := &JobView{
+		ID: u.id, Tenant: r.tenant, Lane: r.lane, State: j.State, Error: j.Err,
+		Coalesced: r.coalesced, Submitted: j.Submitted,
+		Framework: j.Req.Framework, Workloads: len(j.Req.Workloads), Base: j.Req.Base,
+		Progress: j.Progress(), StagesDone: j.StagesDone, StagesTotal: j.StagesTotal,
+	}
+	switch {
+	case r.cancelled:
+		v.State, v.Error, v.Progress, v.StagesDone, v.StagesTotal = dserve.JobCancelled, "", 0, 0, 0
+	case g.units[u.digest] == u && j.State != dserve.JobQueued:
+		v.State, v.Error = dserve.JobRunning, ""
 	}
 	return v
 }
 
-// Job returns the tenant's job snapshot, or nil when the ID is unknown or
-// owned by another tenant (indistinguishable by design).
+// Job returns the tenant's job snapshot, or nil when the ID is unknown,
+// evicted, or owned by another tenant (indistinguishable by design).
 func (g *Gateway) Job(tenant, id string) *JobView {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	j := g.jobs[id]
-	if j == nil || j.tenant != tenant {
-		return nil
+	if r := g.riderLocked(tenant, id); r != nil {
+		return g.viewLocked(g.jobs[id], r)
 	}
-	return g.viewLocked(j)
+	return nil
 }
 
-// Jobs returns the tenant's jobs in admission order.
+// Jobs returns the tenant's jobs in job ID order, which is the backend's
+// admission order.
 func (g *Gateway) Jobs(tenant string) []*JobView {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var out []*JobView
-	for _, id := range g.order {
-		if j := g.jobs[id]; j.tenant == tenant {
-			out = append(out, g.viewLocked(j))
+	out := []*JobView{}
+	for _, u := range g.jobs {
+		if r := u.riderOf(tenant); r != nil {
+			if v := g.viewLocked(u, r); v != nil {
+				out = append(out, v)
+			}
 		}
 	}
+	// job-NNNN: a longer ID is a later one, equal lengths compare as text.
+	slices.SortFunc(out, func(a, b *JobView) int { return cmp.Or(cmp.Compare(len(a.ID), len(b.ID)), strings.Compare(a.ID, b.ID)) })
 	return out
 }
 
 // JobEvents is the tenant-scoped event-stream accessor, shaped for
-// dserve.ServeEvents.
+// dserve.ServeEvents: every live rider reads the backend job's one log. A
+// rider cancelled while the job was held reads [queued, cancelled]. Like
+// the status, the terminal event waits until finish has settled the job.
 func (g *Gateway) JobEvents(tenant, id string, after int) ([]dserve.JobEvent, bool, <-chan struct{}, error) {
 	g.mu.Lock()
-	j := g.jobs[id]
-	if j == nil || j.tenant != tenant {
-		g.mu.Unlock()
+	defer g.mu.Unlock()
+	r := g.riderLocked(tenant, id)
+	if r == nil {
 		return nil, false, nil, ErrUnknownJob
 	}
-	log := j.events
-	g.mu.Unlock()
-	evs, done, ch := log.After(after)
+	if r.cancelled {
+		evs := []dserve.JobEvent{
+			{Seq: 0, Type: dserve.EventState, State: dserve.JobQueued},
+			{Seq: 1, Type: dserve.EventState, State: dserve.JobCancelled, Terminal: true},
+		}
+		return evs[min(max(after+1, 0), len(evs)):], true, nil, nil
+	}
+	evs, done, ch, err := g.backend.JobEvents(id, after)
+	if err != nil {
+		return nil, false, nil, ErrUnknownJob
+	}
+	if u, n := g.jobs[id], len(evs); done && n > 0 && evs[n-1].Terminal && g.units[u.digest] == u {
+		return evs[:n-1], false, u.settled, nil
+	}
 	return evs, done, ch, nil
 }
 
-// Upstream translates a completed gateway job to its backend job ID, for
-// delegated report and library fetches. ErrUnknownJob for missing/foreign
-// IDs, ErrJobNotReady before dispatch or after cancellation.
+// Upstream returns the backend job a tenant's job runs as — the same ID,
+// once it is checked to be the tenant's.
 func (g *Gateway) Upstream(tenant, id string) (string, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	j := g.jobs[id]
-	if j == nil || j.tenant != tenant {
+	if g.Job(tenant, id) == nil {
 		return "", ErrUnknownJob
 	}
-	if j.state == JobCancelled || j.unit == nil || j.unit.dsID == "" {
-		return "", fmt.Errorf("%w: %s is %s", ErrJobNotReady, id, j.state)
-	}
-	return j.unit.dsID, nil
+	return id, nil
 }
 
 // RetryAfterHint estimates seconds before a queued/running job's next
@@ -900,29 +723,10 @@ func (g *Gateway) MetricsPayload(tenant string) map[string]any {
 	return out
 }
 
-// Close stops admission, fails every still-queued unit (riders receive a
-// terminal failed event rather than hanging), and waits for dispatched
-// units to finish pumping.
+// Close stops admission and dispatch. Jobs still held stay held until the
+// backend's Close fails them.
 func (g *Gateway) Close() {
 	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		g.wg.Wait()
-		return
-	}
 	g.closed = true
-	close(g.stop)
-	var queued []*workUnit
-	for _, lane := range []string{LaneInteractive, LaneBulk} {
-		queued = append(queued, g.lanes[lane]...)
-		g.lanes[lane] = nil
-	}
 	g.mu.Unlock()
-	for _, u := range queued {
-		g.finishUnit(u, dserve.JobEvent{
-			Type: dserve.EventState, State: JobFailed, Terminal: true,
-			Error: ErrClosed.Error(),
-		}, 0, time.Now())
-	}
-	g.wg.Wait()
 }

@@ -3,6 +3,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -10,17 +11,18 @@ import (
 	"negativaml/internal/dserve"
 )
 
-// fakeBackend is a hand-cranked Backend: submissions queue instantly and
-// complete only when the test says so, which makes admission, coalescing,
-// cancellation, and accounting orderings deterministic.
+// fakeBackend is a hand-cranked Backend: submissions are held instantly,
+// released jobs complete only when the test says so, which makes
+// admission, coalescing, cancellation, and accounting orderings
+// deterministic.
 type fakeBackend struct {
-	mu   sync.Mutex
-	seq  int
-	busy int // ErrBusy verdicts to hand out before accepting
-	jobs map[string]*dserve.Job
-	logs map[string]*dserve.EventLog
-	opts map[string]dserve.SubmitOptions
-	ids  []string // submission order
+	mu    sync.Mutex
+	seq   int
+	limit int // when positive, ErrBusy at this many queued or running jobs
+	jobs  map[string]*dserve.Job
+	logs  map[string]*dserve.EventLog
+	opts  map[string]dserve.SubmitOptions
+	ids   []string // release (dispatch) order
 }
 
 func newFake() *fakeBackend {
@@ -34,8 +36,13 @@ func newFake() *fakeBackend {
 func (f *fakeBackend) SubmitWith(req dserve.JobRequest, opts dserve.SubmitOptions) (*dserve.Job, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.busy > 0 {
-		f.busy--
+	inflight := 0
+	for _, j := range f.jobs {
+		if j.State == dserve.JobQueued || j.State == dserve.JobRunning {
+			inflight++
+		}
+	}
+	if f.limit > 0 && inflight >= f.limit {
 		return nil, dserve.ErrBusy
 	}
 	f.seq++
@@ -44,8 +51,23 @@ func (f *fakeBackend) SubmitWith(req dserve.JobRequest, opts dserve.SubmitOption
 	log := dserve.NewEventLog()
 	log.Append(dserve.JobEvent{Type: dserve.EventState, State: dserve.JobQueued})
 	f.jobs[id], f.logs[id], f.opts[id] = j, log, opts
-	f.ids = append(f.ids, id)
 	return &dserve.Job{ID: id, Req: req, State: dserve.JobQueued}, nil
+}
+
+func (f *fakeBackend) Release(id string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.ids = append(f.ids, id)
+	return true
+}
+
+func (f *fakeBackend) Withdraw(id string) bool {
+	f.mu.Lock()
+	f.jobs[id].State = dserve.JobCancelled
+	log := f.logs[id]
+	f.mu.Unlock()
+	log.Append(dserve.JobEvent{Type: dserve.EventState, State: dserve.JobCancelled, Terminal: true})
+	return true
 }
 
 func (f *fakeBackend) Job(id string) *dserve.Job {
@@ -74,14 +96,14 @@ func (f *fakeBackend) MetricsPayload() map[string]any {
 	return map[string]any{"counters": map[string]int64{}}
 }
 
-// count returns how many submissions the backend has accepted.
+// count returns how many held jobs the gateway has released.
 func (f *fakeBackend) count() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.ids)
 }
 
-// last returns the most recently accepted backend job ID.
+// last returns the most recently released backend job ID.
 func (f *fakeBackend) last() string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -101,8 +123,15 @@ func (f *fakeBackend) stage(id, name string, done, total int, wall time.Duration
 	}
 }
 
-// finish drives the backend job terminal.
+// finish drives the backend job terminal and then settles it.
 func (f *fakeBackend) finish(id string, fail bool, msg string) {
+	f.publish(id, fail, msg)
+	f.settle(id)
+}
+
+// publish makes the job terminal, state and event, as the backend does
+// before it calls OnDone.
+func (f *fakeBackend) publish(id string, fail bool, msg string) {
 	f.mu.Lock()
 	j, log := f.jobs[id], f.logs[id]
 	if fail {
@@ -110,9 +139,16 @@ func (f *fakeBackend) finish(id string, fail bool, msg string) {
 	} else {
 		j.State = dserve.JobDone
 	}
-	state, opts := j.State, f.opts[id]
+	state := j.State
 	f.mu.Unlock()
 	log.Append(dserve.JobEvent{Type: dserve.EventState, State: state, Error: msg, Terminal: true})
+}
+
+// settle calls the published job's OnDone.
+func (f *fakeBackend) settle(id string) {
+	f.mu.Lock()
+	opts := f.opts[id]
+	f.mu.Unlock()
 	if opts.OnDone != nil {
 		opts.OnDone(f.Job(id))
 	}
@@ -186,7 +222,7 @@ func TestQuotaExactlyExhausted(t *testing.T) {
 
 	waitFor(t, "dispatch", func() bool { return fb.count() == 1 })
 	fb.finish(fb.last(), false, "")
-	waitFor(t, "completion", func() bool { return g.Job("t", v1.ID).State == JobDone })
+	waitFor(t, "completion", func() bool { return g.Job("t", v1.ID).State == dserve.JobDone })
 
 	if _, err := g.Submit("t", testReq(2), ""); err != nil {
 		t.Fatalf("slot freed by completion must admit: %v", err)
@@ -229,7 +265,7 @@ func TestKeyRotationMidJob(t *testing.T) {
 	}
 
 	fb.finish(fb.last(), false, "")
-	waitFor(t, "completion", func() bool { return g.Job("t", v.ID).State == JobDone })
+	waitFor(t, "completion", func() bool { return g.Job("t", v.ID).State == dserve.JobDone })
 	if _, err := g.Submit("t", testReq(2), ""); err != nil {
 		t.Fatalf("post-rotation admission: %v", err)
 	}
@@ -270,9 +306,9 @@ func TestCoalescedFollowersSeeLeaderFailure(t *testing.T) {
 
 	fb.finish(fb.last(), true, "boom")
 	waitFor(t, "both terminal", func() bool {
-		return g.Job("a", va.ID).State == JobFailed && g.Job("b", vb.ID).State == JobFailed
+		return g.Job("a", va.ID).State == dserve.JobFailed && g.Job("b", vb.ID).State == dserve.JobFailed
 	})
-	if got := g.Job("b", vb.ID).Err; got != "boom" {
+	if got := g.Job("b", vb.ID).Error; got != "boom" {
 		t.Fatalf("follower error = %q, want leader's", got)
 	}
 	evs, done, _, err := g.JobEvents("b", vb.ID, -1)
@@ -280,7 +316,7 @@ func TestCoalescedFollowersSeeLeaderFailure(t *testing.T) {
 		t.Fatalf("follower stream must be terminally closed: done=%v err=%v", done, err)
 	}
 	last := evs[len(evs)-1]
-	if !last.Terminal || last.State != JobFailed {
+	if !last.Terminal || last.State != dserve.JobFailed {
 		t.Fatalf("follower terminal event = %+v", last)
 	}
 }
@@ -319,24 +355,44 @@ func TestCancelQueuedLeaderPromotesFollower(t *testing.T) {
 	if !vb.Coalesced {
 		t.Fatal("second rider must coalesce")
 	}
+	// The leader's tenant submitting the same request again rides the same
+	// job as a second rider of its own.
+	va2, err := g.Submit("a", testReq(0), "")
+	if err != nil || !va2.Coalesced || va2.ID != va.ID {
+		t.Fatalf("same-tenant duplicate = %+v, %v; want a coalesced rider of %s", va2, err, va.ID)
+	}
+	if jobs := g.Jobs("a"); len(jobs) != 2 || jobs[0].ID != blocker.ID || jobs[1].ID != va.ID {
+		t.Fatalf("tenant a lists %+v, want %s then %s", jobs, blocker.ID, va.ID)
+	}
 
+	// One DELETE cancels all of the tenant's riders on the job; a second
+	// finds nothing left to cancel.
 	cv, err := g.Cancel("a", va.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cv.State != JobCancelled {
+	if cv.State != dserve.JobCancelled {
 		t.Fatalf("cancelled leader state = %s", cv.State)
 	}
+	g.mu.Lock()
+	inflight := g.tenants["a"].inflight
+	g.mu.Unlock()
+	if inflight != 1 {
+		t.Fatalf("tenant a inflight after cancel = %d, want 1 (the blocker)", inflight)
+	}
+	if _, err := g.Cancel("a", va.ID); !errors.Is(err, ErrNotCancellable) {
+		t.Fatalf("second cancel: want ErrNotCancellable, got %v", err)
+	}
 	evs, done, _, _ := g.JobEvents("a", va.ID, -1)
-	if !done || !evs[len(evs)-1].Terminal || evs[len(evs)-1].State != JobCancelled {
+	if !done || !evs[len(evs)-1].Terminal || evs[len(evs)-1].State != dserve.JobCancelled {
 		t.Fatalf("cancelled leader must get a terminal cancelled event: %+v", evs)
 	}
 
 	fb.finish(blockerID, false, "")
 	waitFor(t, "promoted unit dispatch", func() bool { return fb.count() == 2 })
 	fb.finish(fb.last(), false, "")
-	waitFor(t, "follower completion", func() bool { return g.Job("b", vb.ID).State == JobDone })
-	if got := g.Job("a", va.ID).State; got != JobCancelled {
+	waitFor(t, "follower completion", func() bool { return g.Job("b", vb.ID).State == dserve.JobDone })
+	if got := g.Job("a", va.ID).State; got != dserve.JobCancelled {
 		t.Fatalf("cancelled leader must stay cancelled, got %s", got)
 	}
 	if got := g.Job("b", blocker.ID); got != nil {
@@ -399,7 +455,7 @@ func TestCancelPastDispatch(t *testing.T) {
 		t.Fatalf("want ErrNotCancellable, got %v", err)
 	}
 	fb.finish(fb.last(), false, "")
-	waitFor(t, "completion", func() bool { return g.Job("t", v.ID).State == JobDone })
+	waitFor(t, "completion", func() bool { return g.Job("t", v.ID).State == dserve.JobDone })
 	if _, err := g.Cancel("t", v.ID); !errors.Is(err, ErrNotCancellable) {
 		t.Fatalf("terminal job cancel: want ErrNotCancellable, got %v", err)
 	}
@@ -494,6 +550,83 @@ func TestQueueFullShed(t *testing.T) {
 	fb.finish(fb.last(), false, "")
 }
 
+// TestFullBulkLaneDoesNotShedInteractive: held jobs count toward the
+// backend's MaxInFlight, and a backend sized by BackendMaxInFlight leaves
+// each lane's depth as the limit that binds: a bulk lane at its depth
+// sheds bulk admissions, never interactive ones.
+func TestFullBulkLaneDoesNotShedInteractive(t *testing.T) {
+	fb := newFake()
+	cfg := Config{DispatchSlots: 1, QueueDepth: 2}
+	fb.limit = cfg.BackendMaxInFlight()
+	g, err := New(fb, cfg, oneTenant("t", "k", QuotaConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for i := 0; i < 3; i++ { // one dispatched, two queued
+		if _, err := g.Submit("t", testReq(i), LaneBulk); err != nil {
+			t.Fatalf("bulk submit %d: %v", i, err)
+		}
+	}
+	var shed *ShedError
+	if _, err := g.Submit("t", testReq(3), LaneBulk); !errors.As(err, &shed) || shed.Reason != ShedQueueFull {
+		t.Fatalf("bulk past its depth: want queue_full, got %v", err)
+	}
+	for i := 4; i < 6; i++ {
+		if _, err := g.Submit("t", testReq(i), LaneInteractive); err != nil {
+			t.Fatalf("interactive submit %d beside a full bulk lane: %v", i, err)
+		}
+	}
+	if _, err := g.Submit("t", testReq(6), LaneInteractive); !errors.As(err, &shed) || shed.Reason != ShedQueueFull {
+		t.Fatalf("interactive past its depth: want queue_full, got %v", err)
+	}
+}
+
+// TestTerminalWaitsForSettlement: between the backend publishing a job
+// terminal and its OnDone settling the riders' charges, the gateway still
+// reports the job running and holds back its terminal event, so a client
+// that sees the job end is admitted against settled quotas.
+func TestTerminalWaitsForSettlement(t *testing.T) {
+	fb := newFake()
+	g, err := New(fb, Config{}, oneTenant("t", "k", QuotaConfig{MaxConcurrent: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	v, err := g.Submit("t", testReq(0), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "dispatch", func() bool { return fb.count() == 1 })
+	id := fb.last()
+
+	fb.publish(id, false, "")
+	if st := g.Job("t", v.ID).State; st != dserve.JobRunning {
+		t.Fatalf("published but unsettled job reads %s, want running", st)
+	}
+	evs, done, ch, err := g.JobEvents("t", v.ID, -1)
+	if err != nil || done || len(evs) != 1 || evs[0].Terminal {
+		t.Fatalf("unsettled stream = %+v done=%v err=%v; want [queued], not done", evs, done, err)
+	}
+
+	fb.settle(id)
+	select {
+	case <-ch:
+	default:
+		t.Fatal("settling must wake a stream waiting for the terminal event")
+	}
+	if st := g.Job("t", v.ID).State; st != dserve.JobDone {
+		t.Fatalf("settled job reads %s, want done", st)
+	}
+	rest, done, _, _ := g.JobEvents("t", v.ID, evs[0].Seq)
+	if !done || len(rest) != 1 || !rest[0].Terminal || rest[0].State != dserve.JobDone {
+		t.Fatalf("settled stream = %+v done=%v", rest, done)
+	}
+	if _, err := g.Submit("t", testReq(1), ""); err != nil {
+		t.Fatalf("a job seen done must have freed its concurrency slot: %v", err)
+	}
+}
+
 // TestStageSecondsWindow: stage wall time charges the dispatching tenant's
 // window; an exhausted window sheds until it rolls over.
 func TestStageSecondsWindow(t *testing.T) {
@@ -512,7 +645,7 @@ func TestStageSecondsWindow(t *testing.T) {
 	id := fb.last()
 	fb.stage(id, "locate", 1, 2, 10*time.Second) // blows the 5s budget
 	fb.finish(id, false, "")
-	waitFor(t, "completion", func() bool { return g.Job("t", v.ID).State == JobDone })
+	waitFor(t, "completion", func() bool { return g.Job("t", v.ID).State == dserve.JobDone })
 
 	_, err = g.Submit("t", testReq(1), "")
 	var shed *ShedError
@@ -529,30 +662,97 @@ func TestStageSecondsWindow(t *testing.T) {
 	}
 }
 
-// TestBackendBusyRetry: ErrBusy from the backend is retried, never
-// surfaced as a failure of admitted work.
-func TestBackendBusyRetry(t *testing.T) {
+// TestCancelledFollowerStream: a follower cancelled while its job is held
+// reads exactly [queued, cancelled (terminal)], and its status stays
+// cancelled while the shared job runs to done for the other rider.
+func TestCancelledFollowerStream(t *testing.T) {
 	fb := newFake()
-	fb.busy = 3
-	g, err := New(fb, Config{}, oneTenant("t", "k", QuotaConfig{}))
+	tenants := []TenantConfig{
+		{Name: "a", Keys: []string{"ka"}},
+		{Name: "b", Keys: []string{"kb"}},
+	}
+	g, err := New(fb, Config{DispatchSlots: 1}, tenants)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	v, err := g.Submit("t", testReq(0), "")
+	if _, err := g.Submit("a", testReq(9), ""); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "blocker dispatch", func() bool { return fb.count() == 1 })
+	blockerID := fb.last()
+	va, err := g.Submit("a", testReq(0), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "dispatch after retries", func() bool { return fb.count() == 1 })
-	fb.finish(fb.last(), false, "")
-	waitFor(t, "completion", func() bool { return g.Job("t", v.ID).State == JobDone })
-	if got := g.Counters.Get("gateway.backend_busy_retries"); got != 3 {
-		t.Fatalf("busy retries = %d, want 3", got)
+	vb, err := g.Submit("b", testReq(0), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vb.Coalesced || vb.ID != va.ID {
+		t.Fatalf("follower %+v must share leader %s's job", vb, va.ID)
+	}
+	if _, err := g.Cancel("b", vb.ID); err != nil {
+		t.Fatal(err)
+	}
+	wantCancelled := func() {
+		t.Helper()
+		evs, done, _, err := g.JobEvents("b", vb.ID, -1)
+		if err != nil || !done || len(evs) != 2 ||
+			evs[0].Seq != 0 || evs[0].State != dserve.JobQueued || evs[0].Terminal ||
+			evs[1].Seq != 1 || evs[1].State != dserve.JobCancelled || !evs[1].Terminal {
+			t.Fatalf("cancelled follower stream = %+v done=%v err=%v", evs, done, err)
+		}
+		if rest, _, _, _ := g.JobEvents("b", vb.ID, 0); len(rest) != 1 || rest[0].Seq != 1 {
+			t.Fatalf("resumed cancelled stream = %+v", rest)
+		}
+		if v := g.Job("b", vb.ID); v == nil || v.State != dserve.JobCancelled || v.StagesDone != 0 {
+			t.Fatalf("cancelled follower status = %+v", v)
+		}
+	}
+	wantCancelled()
+
+	fb.finish(blockerID, false, "")
+	waitFor(t, "shared job dispatch", func() bool { return fb.count() == 2 })
+	id := fb.last()
+	fb.stage(id, "detect", 1, 2, time.Millisecond)
+	wantCancelled()
+	fb.finish(id, false, "")
+	waitFor(t, "leader completion", func() bool { return g.Job("a", va.ID).State == dserve.JobDone })
+	wantCancelled()
+	evs, done, _, _ := g.JobEvents("a", va.ID, -1)
+	if !done || evs[len(evs)-1].State != dserve.JobDone {
+		t.Fatalf("leader stream = %+v", evs)
+	}
+}
+
+// TestGatewayStartsNoGoroutinePerUnit: dispatch releases held backend jobs
+// and completion arrives by callback, so 50 dispatched units cost the
+// gateway no goroutines.
+func TestGatewayStartsNoGoroutinePerUnit(t *testing.T) {
+	fb := newFake()
+	g, err := New(fb, Config{DispatchSlots: 64}, oneTenant("t", "k", QuotaConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		if _, err := g.Submit("t", testReq(i), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "dispatch", func() bool { return fb.count() == 50 })
+	if n := runtime.NumGoroutine(); n > base+5 {
+		t.Fatalf("%d goroutines with 50 units dispatched, baseline %d", n, base)
+	}
+	for _, id := range fb.ids {
+		fb.finish(id, false, "")
 	}
 }
 
 // TestLateFollowerReplay: a follower that attaches after stages completed
-// receives the full mirrored history, not just the suffix.
+// receives the job's full history, not just the suffix.
 func TestLateFollowerReplay(t *testing.T) {
 	fb := newFake()
 	tenants := []TenantConfig{
@@ -572,8 +772,8 @@ func TestLateFollowerReplay(t *testing.T) {
 	id := fb.last()
 	fb.stage(id, "detect", 1, 3, time.Millisecond)
 	fb.stage(id, "locate", 2, 3, time.Millisecond)
-	// Wait until the pump mirrored both stages before attaching.
-	waitFor(t, "mirror", func() bool {
+	// Wait until both stages show in the status before attaching.
+	waitFor(t, "stages", func() bool {
 		vs := g.Jobs("a")
 		return vs[0].StagesDone == 2
 	})
@@ -596,35 +796,133 @@ func TestLateFollowerReplay(t *testing.T) {
 		t.Fatalf("late follower replayed %d stage events, want 2", stages)
 	}
 	fb.finish(id, false, "")
-	waitFor(t, "completion", func() bool { return g.Job("b", vb.ID).State == JobDone })
+	waitFor(t, "completion", func() bool { return g.Job("b", vb.ID).State == dserve.JobDone })
 }
 
-// TestEvictionReleasesResultBytes: pruned terminal jobs release their
-// tenants' retained-byte charges.
+// TestEvictionReleasesResultBytes: jobs the backend's MaxJobs pruning
+// evicts release their tenants' retained-byte charges.
 func TestEvictionReleasesResultBytes(t *testing.T) {
-	fb := newFake()
-	g, err := New(fb, Config{MaxJobs: 1}, oneTenant("t", "k", QuotaConfig{}))
+	svc := dserve.NewService(dserve.Config{Workers: 2, MaxSteps: 2, MaxJobs: 1})
+	defer svc.Close()
+	g, err := New(svc, Config{}, oneTenant("t", "k", QuotaConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
+	var last string
 	for i := 0; i < 3; i++ {
-		v, err := g.Submit("t", testReq(i), "")
+		v, err := g.Submit("t", loadRequest(i, 6), "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "dispatch", func() bool { return fb.count() == i+1 })
-		fb.finish(fb.last(), false, "")
+		last = v.ID
 		waitFor(t, "completion", func() bool {
-			j := g.Job("t", v.ID)
-			return j != nil && j.State == JobDone
+			g.mu.Lock()
+			defer g.mu.Unlock()
+			return len(g.units) == 0
 		})
 	}
+	waitFor(t, "evictions", func() bool { return g.Counters.Get("gateway.evicted") == 2 })
 	if got := g.Counters.Get("gateway.evicted"); got != 2 {
 		t.Fatalf("evicted = %d, want 2", got)
 	}
 	if got := len(g.Jobs("t")); got != 1 {
 		t.Fatalf("retained jobs = %d, want 1", got)
+	}
+	g.mu.Lock()
+	charged, kept := g.tenants["t"].resultBytes, g.jobs[last].bytes
+	g.mu.Unlock()
+	if kept == 0 || charged != kept {
+		t.Fatalf("charged %d result bytes, want the retained job's %d", charged, kept)
+	}
+}
+
+// TestEvictionUnderConcurrentAdmission: with a two-job backend table, 200
+// submissions from 8 goroutines across two tenants race eviction against
+// admission and completion. Nothing deadlocks, every unit settles, and
+// the tenants stay charged exactly for the riders of retained jobs.
+func TestEvictionUnderConcurrentAdmission(t *testing.T) {
+	svc := dserve.NewService(dserve.Config{Workers: 2, MaxSteps: 2, MaxJobs: 2})
+	defer svc.Close()
+	g, err := New(svc, Config{}, []TenantConfig{
+		{Name: "a", Keys: []string{"ka"}},
+		{Name: "b", Keys: []string{"kb"}, Lane: LaneBulk},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		var wg sync.WaitGroup
+		next := make(chan int)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range next {
+					tenant := []string{"a", "b"}[i%2]
+					v, err := g.Submit(tenant, loadRequest(i%3, 4), "")
+					if err != nil {
+						t.Errorf("submit %d: %v", i, err)
+						continue
+					}
+					// Follow the job to its terminal event, or to its eviction.
+					for after := -1; ; {
+						evs, done, ch, err := g.JobEvents(tenant, v.ID, after)
+						if err != nil || done {
+							break
+						}
+						if len(evs) > 0 {
+							after = evs[len(evs)-1].Seq
+							continue
+						}
+						<-ch
+					}
+				}
+			}()
+		}
+		for i := 0; i < 200; i++ {
+			next <- i
+		}
+		close(next)
+		wg.Wait()
+		for {
+			g.mu.Lock()
+			settled := len(g.units) == 0 && g.inflightUnits == 0
+			g.mu.Unlock()
+			if settled {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("admission, completion and eviction did not settle in 10s")
+	}
+
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if n := len(g.jobs); n > 2 {
+		t.Fatalf("gateway indexes %d jobs over a two-job backend", n)
+	}
+	want := map[string]int64{}
+	for _, u := range g.jobs {
+		for _, r := range u.riders {
+			want[r.tenant] += u.bytes
+		}
+	}
+	for name, ts := range g.tenants {
+		if ts.inflight != 0 || ts.resultBytes != want[name] {
+			t.Errorf("tenant %s: inflight %d, result bytes %d, want 0 and %d", name, ts.inflight, ts.resultBytes, want[name])
+		}
+	}
+	if ev, bev := g.Counters.Get("gateway.evicted"), svc.Counters.Get("jobs.evicted"); ev != bev || ev == 0 {
+		t.Errorf("gateway saw %d evictions, backend made %d", ev, bev)
 	}
 }
 
@@ -672,7 +970,7 @@ func TestTenantRemoveMidFlight(t *testing.T) {
 	fb.finish(fb.last(), false, "")
 	waitFor(t, "completion", func() bool {
 		j := g.Job("t", v.ID)
-		return j != nil && j.State == JobDone
+		return j != nil && j.State == dserve.JobDone
 	})
 	g.mu.Lock()
 	inflight := g.tenants["t"].inflight

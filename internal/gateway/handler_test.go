@@ -24,19 +24,24 @@ func newFrontDoor(t *testing.T, cfg Config, tenants []TenantConfig) (*httptest.S
 	return ts, g, svc
 }
 
-// gatedBackend parks the blocker submission (recognised by heavyReq's tail
-// width) until released, so tests that pin the only dispatch slot with a
-// blocker hold it deterministically instead of racing the backend's speed.
+// gatedBackend keeps the blocker (recognised by heavyReq's tail width)
+// held in the backend until released, while the gateway counts it
+// dispatched, so tests that pin the only dispatch slot with a blocker hold
+// it deterministically instead of racing the backend's speed.
 type gatedBackend struct {
 	*dserve.Service
 	release chan struct{}
 }
 
-func (b *gatedBackend) SubmitWith(req dserve.JobRequest, opts dserve.SubmitOptions) (*dserve.Job, error) {
-	if req.TailLibs == heavyTailLibs {
-		<-b.release
+func (b *gatedBackend) Release(id string) bool {
+	if j := b.Service.Job(id); j != nil && j.Req.TailLibs == heavyTailLibs {
+		go func() {
+			<-b.release
+			b.Service.Release(id)
+		}()
+		return true
 	}
-	return b.Service.SubmitWith(req, opts)
+	return b.Service.Release(id)
 }
 
 // newGatedFrontDoor is newFrontDoor plus a release func that lets a gated
@@ -120,17 +125,17 @@ func doJSON(t *testing.T, method, url, key string, body any, out any) *http.Resp
 	return resp
 }
 
-func pollGwDone(t *testing.T, base, key, id string) gwStatus {
+func pollGwDone(t *testing.T, base, key, id string) JobView {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
-		var st gwStatus
+		var st JobView
 		resp := doJSON(t, "GET", base+"/v1/jobs/"+id, key, nil, &st)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %s: %d", id, resp.StatusCode)
 		}
 		switch st.State {
-		case JobDone, JobFailed, JobCancelled:
+		case dserve.JobDone, dserve.JobFailed, dserve.JobCancelled:
 			return st
 		}
 		if resp.Header.Get("Retry-After") == "" {
@@ -139,14 +144,14 @@ func pollGwDone(t *testing.T, base, key, id string) gwStatus {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("job %s never finished", id)
-	return gwStatus{}
+	return JobView{}
 }
 
 func TestAuthRequired(t *testing.T) {
 	ts, _, _ := newFrontDoor(t, Config{}, twoTenants())
 
 	for _, key := range []string{"", "wrong-key"} {
-		var st gwStatus
+		var st JobView
 		req := loadRequest(0, 6)
 		resp := doJSON(t, "POST", ts.URL+"/v1/jobs", key, req, &st)
 		if resp.StatusCode != http.StatusUnauthorized {
@@ -220,17 +225,17 @@ func TestPeerPassthrough(t *testing.T) {
 
 // TestSubmitStreamReport is the happy-path e2e: submit, watch per-stage
 // progress over SSE through the terminal event, then fetch the report via
-// the delegated route — all under one tenant key, with backend job IDs
-// never leaking into the client's view of URLs.
+// the passed-through route — all under one tenant key; the job ID is the
+// backend's.
 func TestSubmitStreamReport(t *testing.T) {
 	ts, _, _ := newFrontDoor(t, Config{}, twoTenants())
 
-	var st gwStatus
+	var st JobView
 	resp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(1, 8), &st)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
-	if !strings.HasPrefix(st.ID, "gw-") || st.Tenant != "acme" || st.Lane != LaneInteractive {
+	if !strings.HasPrefix(st.ID, "job-") || st.Tenant != "acme" || st.Lane != LaneInteractive {
 		t.Fatalf("submit view = %+v", st)
 	}
 
@@ -268,7 +273,7 @@ func TestSubmitStreamReport(t *testing.T) {
 		}
 		if ev.Terminal {
 			terminal = true
-			if ev.State != JobDone {
+			if ev.State != dserve.JobDone {
 				t.Fatalf("terminal state %s: %s", ev.State, ev.Error)
 			}
 			break
@@ -284,9 +289,6 @@ func TestSubmitStreamReport(t *testing.T) {
 	final := pollGwDone(t, ts.URL, "key-acme", st.ID)
 	if final.Progress != 1 || final.StagesDone != final.StagesTotal || final.StagesTotal == 0 {
 		t.Fatalf("final status = %+v", final)
-	}
-	if final.Upstream == "" {
-		t.Fatal("done job must expose its upstream backend ID")
 	}
 
 	var report map[string]any
@@ -312,10 +314,10 @@ func TestCoalescingAcrossTenants(t *testing.T) {
 
 	// A gated blocker pins the dispatch slot so the two identical requests
 	// demonstrably coalesce while queued.
-	var blocker gwStatus
+	var blocker JobView
 	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", heavyReq(), &blocker)
 
-	var a, b gwStatus
+	var a, b JobView
 	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(0, 6), &a)
 	resp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-beta", loadRequest(0, 6), &b)
 	if resp.StatusCode != http.StatusAccepted {
@@ -328,11 +330,11 @@ func TestCoalescingAcrossTenants(t *testing.T) {
 
 	fa := pollGwDone(t, ts.URL, "key-acme", a.ID)
 	fb := pollGwDone(t, ts.URL, "key-beta", b.ID)
-	if fa.State != JobDone || fb.State != JobDone {
+	if fa.State != dserve.JobDone || fb.State != dserve.JobDone {
 		t.Fatalf("rider states: %s / %s", fa.State, fb.State)
 	}
-	if fa.Upstream != fb.Upstream {
-		t.Fatalf("riders ran different backend jobs: %s vs %s", fa.Upstream, fb.Upstream)
+	if fa.ID != fb.ID {
+		t.Fatalf("riders ran different backend jobs: %s vs %s", fa.ID, fb.ID)
 	}
 	if got := g.Counters.Get("gateway.coalesced"); got != 1 {
 		t.Fatalf("gateway.coalesced = %d, want 1", got)
@@ -384,7 +386,7 @@ func TestShedOverQuota(t *testing.T) {
 
 	// The gated blocker stays in flight until released, so the over-quota
 	// submission below is guaranteed to land while the tenant is at cap.
-	var first gwStatus
+	var first JobView
 	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", heavyReq(), &first)
 
 	var shed struct {
@@ -421,9 +423,9 @@ func TestResultBytesQuota(t *testing.T) {
 	tenants[0].Quota = QuotaConfig{MaxResultBytes: 1}
 	ts, _, _ := newFrontDoor(t, Config{}, tenants)
 
-	var first gwStatus
+	var first JobView
 	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(0, 6), &first)
-	if st := pollGwDone(t, ts.URL, "key-acme", first.ID); st.State != JobDone {
+	if st := pollGwDone(t, ts.URL, "key-acme", first.ID); st.State != dserve.JobDone {
 		t.Fatalf("first job: %s (%s)", st.State, st.Error)
 	}
 
@@ -436,11 +438,47 @@ func TestResultBytesQuota(t *testing.T) {
 	}
 }
 
-// TestDelegatedFetchAfterBackendEviction: when the backend's own MaxJobs
-// pruning evicts a result the gateway still lists as done, delegated
-// report/library fetches answer 410 Gone — the result existed and is
-// permanently gone (resubmit recomputes) — not a confusable 404.
-func TestDelegatedFetchAfterBackendEviction(t *testing.T) {
+// TestBackendFullShedsAtAdmission: held jobs count toward the backend's
+// MaxInFlight, so a full backend sheds 429 queue_full with Retry-After at
+// admission — never after a 202.
+func TestBackendFullShedsAtAdmission(t *testing.T) {
+	svc := dserve.NewService(dserve.Config{Workers: 2, MaxSteps: 2, MaxInFlight: 1})
+	gb := &gatedBackend{Service: svc, release: make(chan struct{})}
+	g, err := New(gb, Config{}, twoTenants())
+	if err != nil {
+		svc.Close()
+		t.Fatal(err)
+	}
+	release := sync.OnceFunc(func() { close(gb.release) })
+	ts := httptest.NewServer(NewHandler(g, dserve.NewHandler(svc)))
+	defer func() { release(); ts.Close(); g.Close(); svc.Close() }()
+
+	var first JobView
+	if resp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", heavyReq(), &first); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first submit: status %d", resp.StatusCode)
+	}
+	var shed struct {
+		Reason     string `json:"reason"`
+		RetryAfter int    `json:"retry_after"`
+	}
+	resp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-beta", loadRequest(0, 6), &shed)
+	if resp.StatusCode != http.StatusTooManyRequests || shed.Reason != ShedQueueFull || shed.RetryAfter < 1 {
+		t.Fatalf("submit to a full backend: status %d, body %+v; want 429 queue_full", resp.StatusCode, shed)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("429 must carry Retry-After")
+	}
+	release()
+	pollGwDone(t, ts.URL, "key-acme", first.ID)
+	if resp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-beta", loadRequest(0, 6), nil); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after the backend drained: status %d, want 202", resp.StatusCode)
+	}
+}
+
+// TestEvictedJobIs404: once the backend's MaxJobs pruning evicts a job,
+// status, events, report and library fetches all answer 404, and the
+// tenant's result-byte charge for it is released.
+func TestEvictedJobIs404(t *testing.T) {
 	svc := dserve.NewService(dserve.Config{Workers: 4, MaxSteps: 2, MaxJobs: 1})
 	g, err := New(svc, Config{}, twoTenants())
 	if err != nil {
@@ -450,41 +488,52 @@ func TestDelegatedFetchAfterBackendEviction(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(g, dserve.NewHandler(svc)))
 	defer func() { ts.Close(); g.Close(); svc.Close() }()
 
-	var a, b gwStatus
+	var a, b JobView
 	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(0, 6), &a)
-	if st := pollGwDone(t, ts.URL, "key-acme", a.ID); st.State != JobDone {
+	if st := pollGwDone(t, ts.URL, "key-acme", a.ID); st.State != dserve.JobDone {
 		t.Fatalf("first job: %s (%s)", st.State, st.Error)
 	}
 	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(1, 6), &b)
-	if st := pollGwDone(t, ts.URL, "key-acme", b.ID); st.State != JobDone {
+	if st := pollGwDone(t, ts.URL, "key-acme", b.ID); st.State != dserve.JobDone {
 		t.Fatalf("second job: %s (%s)", st.State, st.Error)
 	}
-
 	// The second completion pushed the first out of the backend (MaxJobs=1).
-	resp := doJSON(t, "GET", ts.URL+"/v1/jobs/"+a.ID+"/report", "key-acme", nil, nil)
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("evicted result's report: status %d, want 410", resp.StatusCode)
+	waitFor(t, "eviction", func() bool { return g.Counters.Get("gateway.evicted") == 1 })
+	var report struct {
+		Libs []struct {
+			Name string `json:"name"`
+		} `json:"libs"`
 	}
-	resp = doJSON(t, "GET", ts.URL+"/v1/jobs/"+b.ID+"/report", "key-acme", nil, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("retained result's report: status %d, want 200", resp.StatusCode)
+	if resp := doJSON(t, "GET", ts.URL+"/v1/jobs/"+b.ID+"/report", "key-acme", nil, &report); resp.StatusCode != http.StatusOK || len(report.Libs) == 0 {
+		t.Fatalf("retained job's report: status %d, %d libs", resp.StatusCode, len(report.Libs))
+	}
+	for _, path := range []string{"", "/events", "/report", "/libs/" + report.Libs[0].Name} {
+		if resp := doJSON(t, "GET", ts.URL+"/v1/jobs/"+a.ID+path, "key-acme", nil, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("evicted job GET %s: status %d, want 404", path, resp.StatusCode)
+		}
+	}
+	g.mu.Lock()
+	charged, kept := g.tenants["acme"].resultBytes, g.jobs[b.ID].bytes
+	g.mu.Unlock()
+	if kept == 0 || charged != kept {
+		t.Fatalf("acme charged %d result bytes, want the retained job's %d", charged, kept)
 	}
 }
 
-// TestBaseTranslation: incremental re-submits name the base by its gateway
-// ID; cross-tenant bases are invisible.
+// TestBaseTranslation: incremental re-submits name the base by its job ID,
+// which the tenant must be able to see; cross-tenant bases are invisible.
 func TestBaseTranslation(t *testing.T) {
 	ts, _, _ := newFrontDoor(t, Config{}, twoTenants())
 
-	var base gwStatus
+	var base JobView
 	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(0, 8), &base)
-	if st := pollGwDone(t, ts.URL, "key-acme", base.ID); st.State != JobDone {
+	if st := pollGwDone(t, ts.URL, "key-acme", base.ID); st.State != dserve.JobDone {
 		t.Fatalf("base: %s (%s)", st.State, st.Error)
 	}
 
 	inc := loadRequest(1, 8)
 	inc.Base = base.ID
-	var incSt gwStatus
+	var incSt JobView
 	resp := doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", inc, &incSt)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("incremental submit: status %d", resp.StatusCode)
@@ -492,7 +541,7 @@ func TestBaseTranslation(t *testing.T) {
 	if incSt.Base == "" || strings.HasPrefix(incSt.Base, "gw-") {
 		t.Fatalf("echoed base must be the resolved backend ID, got %q", incSt.Base)
 	}
-	if st := pollGwDone(t, ts.URL, "key-acme", incSt.ID); st.State != JobDone {
+	if st := pollGwDone(t, ts.URL, "key-acme", incSt.ID); st.State != dserve.JobDone {
 		t.Fatalf("incremental: %s (%s)", st.State, st.Error)
 	}
 
@@ -518,7 +567,7 @@ func TestLaneAndCancelSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st gwStatus
+	var st JobView
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +576,7 @@ func TestLaneAndCancelSemantics(t *testing.T) {
 		t.Fatalf("X-Lane override ignored: lane %q", st.Lane)
 	}
 
-	if fin := pollGwDone(t, ts.URL, "key-beta", st.ID); fin.State != JobDone {
+	if fin := pollGwDone(t, ts.URL, "key-beta", st.ID); fin.State != dserve.JobDone {
 		t.Fatalf("job: %s (%s)", fin.State, fin.Error)
 	}
 	dresp := doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+st.ID, "key-beta", nil, nil)
@@ -545,7 +594,7 @@ func TestLaneAndCancelSemantics(t *testing.T) {
 func TestLongPollEvents(t *testing.T) {
 	ts, _, _ := newFrontDoor(t, Config{}, twoTenants())
 
-	var st gwStatus
+	var st JobView
 	doJSON(t, "POST", ts.URL+"/v1/jobs", "key-acme", loadRequest(2, 6), &st)
 
 	after, seen := -1, 0
