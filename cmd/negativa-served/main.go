@@ -86,6 +86,8 @@
 //	GET  /v1/store                  content-addressed store stats
 //	POST /v1/peer/{lookup-batch,detect}     node-to-node stage read-through
 //	                                        and remote detect
+//	GET  /v1/peer/install/{fingerprint}     a resident install, pulled by a
+//	                                        detect owner that lacks it
 //	PUT  /v1/peer/objects/{kind}/{key}      castore object push
 //	POST /v1/peer/stat                      object presence probe (repair)
 //

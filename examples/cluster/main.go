@@ -4,9 +4,10 @@
 // the cluster's three behaviors end to end:
 //
 //  1. Node A computes a batch — detect stages execute on (and are
-//     memoized by) their owning shards, locate/compact run on A where the
-//     library images are, and write-back replication pushes every result
-//     to the owners of its key.
+//     memoized by) their owning shards, which pull A's install instead of
+//     generating their own, locate/compact run on A where the library
+//     images are, and write-back replication pushes every result to the
+//     owners of its key.
 //  2. The same batch submitted to node B completes with zero local
 //     locate/compact: what B owns is already on its disk, the rest reads
 //     through to its owners (peer.hits) and lands in B's own castore.
@@ -121,6 +122,18 @@ func runBatch(n *node, req dserve.JobRequest) (id string, wall time.Duration) {
 	return st.ID, time.Since(start)
 }
 
+// printInstalls shows how each node came by its installs: the node a
+// client submitted a spec to generates it; an owner that executed a detect
+// for it fetched the requester's copy (one library per object), and its
+// own batch of the same spec then finds it resident.
+func printInstalls(nodes []*node) {
+	for _, n := range nodes {
+		fmt.Printf("  node %s installs: generated %d, fetched %d (%d libraries), served to peers %d\n",
+			n.id, n.svc.Counters.Get("installs.generated"), n.svc.Counters.Get("installs.fetched"),
+			n.svc.Counters.Get("peer.objects_fetched"), n.svc.Counters.Get("peer.served_installs"))
+	}
+}
+
 func main() {
 	// Boot three nodes, then join them into one ring. Every node gets the
 	// same peer list; its own entry is ignored — exactly how a symmetric
@@ -178,6 +191,7 @@ func main() {
 		b.svc.Counters.Get("analysis.computed")-analysisBefore)
 	fmt.Printf("  b's castore now holds %d objects (read-through replicates toward demand)\n",
 		b.svc.Store().Stats().Objects)
+	printInstalls(nodes)
 
 	// ---- 3. Kill node C: the ring degrades, batches keep completing.
 	c.stop()

@@ -868,15 +868,8 @@ func (c *Cluster) PostJSONCtx(ctx context.Context, peer, path string, in, out an
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		perr := &PeerError{Peer: peer, Status: resp.StatusCode}
-		var eb struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb) == nil {
-			perr.Msg = eb.Error
-		}
 		c.observe(peer, time.Since(start), false)
-		return perr
+		return peerError(peer, resp)
 	}
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
@@ -892,6 +885,19 @@ func (c *Cluster) PostJSONCtx(ctx context.Context, peer, path string, in, out an
 	}
 	c.observe(peer, time.Since(start), false)
 	return nil
+}
+
+// peerError reads a non-2xx answer's {"error": ...} body into a
+// *PeerError.
+func peerError(peer string, resp *http.Response) *PeerError {
+	perr := &PeerError{Peer: peer, Status: resp.StatusCode}
+	var eb struct {
+		Error string `json:"error"`
+	}
+	if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb) == nil {
+		perr.Msg = eb.Error
+	}
+	return perr
 }
 
 // ---- Hedged replica reads ----
@@ -1063,17 +1069,42 @@ func (c *Cluster) PutStream(peer, path string, body io.Reader, length int64) err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		perr := &PeerError{Peer: peer, Status: resp.StatusCode}
-		var eb struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb) == nil {
-			perr.Msg = eb.Error
-		}
 		c.observe(peer, time.Since(start), false)
-		return perr
+		return peerError(peer, resp)
 	}
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 	c.observe(peer, time.Since(start), false)
 	return nil
+}
+
+// Get GETs a peer path and hands a 2xx response body to read — the pull
+// path for payloads too large for a JSON envelope. A non-2xx status is
+// returned as *PeerError and read is not called; an error from read is
+// returned as is. Transport failures count against the peer's health.
+func (c *Cluster) Get(peer, path string, read func(io.Reader) error) error {
+	url, err := c.peerURL(peer)
+	if err != nil {
+		return err
+	}
+	req, err := http.NewRequest(http.MethodGet, url+path, nil)
+	if err != nil {
+		return fmt.Errorf("cluster: build %s request: %w", path, err)
+	}
+	if c.opt.Secret != "" {
+		req.Header.Set(PeerSecretHeader, c.opt.Secret)
+	}
+	start := time.Now()
+	resp, err := c.client.Do(req)
+	if err != nil {
+		c.observe(peer, time.Since(start), true)
+		return fmt.Errorf("cluster: peer %s: %w", peer, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		c.observe(peer, time.Since(start), false)
+		return peerError(peer, resp)
+	}
+	err = read(resp.Body)
+	c.observe(peer, time.Since(start), false)
+	return err
 }

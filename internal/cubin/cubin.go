@@ -180,36 +180,19 @@ func (c *Cubin) Marshal() ([]byte, error) {
 	}
 	le := binary.LittleEndian
 
-	var strTab []byte
-	var code []byte
-	var callTab []uint32
-
-	type rawEntry struct {
-		nameOff, nameLen, codeOff, codeSize, flags, callOff, callCount uint32
+	// Size every table first, then write each kernel straight into its
+	// place: code is most of a cubin, and staging it costs a second copy.
+	var strSize, codeSize, callCount int
+	for _, k := range c.Kernels {
+		strSize += len(k.Name)
+		codeSize += len(k.Code)
+		callCount += len(k.Launches)
 	}
-	entries := make([]rawEntry, len(c.Kernels))
-	for i, k := range c.Kernels {
-		entries[i] = rawEntry{
-			nameOff:   uint32(len(strTab)),
-			nameLen:   uint32(len(k.Name)),
-			codeOff:   uint32(len(code)),
-			codeSize:  uint32(len(k.Code)),
-			flags:     k.Flags,
-			callOff:   uint32(len(callTab)),
-			callCount: uint32(len(k.Launches)),
-		}
-		strTab = append(strTab, k.Name...)
-		code = append(code, k.Code...)
-		for _, tgt := range k.Launches {
-			callTab = append(callTab, uint32(tgt))
-		}
-	}
-
 	ktSize := len(c.Kernels) * kernelEntrySize
 	callOff := headerSize + ktSize
-	strOff := callOff + 4*len(callTab)
-	codeOff := strOff + len(strTab)
-	total := codeOff + len(code)
+	strOff := callOff + 4*callCount
+	codeOff := strOff + strSize
+	total := codeOff + codeSize
 
 	buf := make([]byte, total)
 	le.PutUint32(buf[0:], Magic)
@@ -217,28 +200,30 @@ func (c *Cubin) Marshal() ([]byte, error) {
 	le.PutUint16(buf[6:], uint16(c.Arch))
 	le.PutUint32(buf[8:], uint32(len(c.Kernels)))
 	le.PutUint32(buf[12:], uint32(strOff))
-	le.PutUint32(buf[16:], uint32(len(strTab)))
+	le.PutUint32(buf[16:], uint32(strSize))
 	le.PutUint32(buf[20:], uint32(codeOff))
-	le.PutUint32(buf[24:], uint32(len(code)))
+	le.PutUint32(buf[24:], uint32(codeSize))
 	le.PutUint32(buf[28:], uint32(callOff))
-	le.PutUint32(buf[32:], uint32(len(callTab)))
+	le.PutUint32(buf[32:], uint32(callCount))
 	// buf[36:40] reserved, zero.
 
-	for i, e := range entries {
+	var str, code, call int
+	for i, k := range c.Kernels {
 		off := headerSize + i*kernelEntrySize
-		le.PutUint32(buf[off+0:], e.nameOff)
-		le.PutUint32(buf[off+4:], e.nameLen)
-		le.PutUint32(buf[off+8:], e.codeOff)
-		le.PutUint32(buf[off+12:], e.codeSize)
-		le.PutUint32(buf[off+16:], e.flags)
-		le.PutUint32(buf[off+20:], e.callOff)
-		le.PutUint32(buf[off+24:], e.callCount)
+		le.PutUint32(buf[off+0:], uint32(str))
+		le.PutUint32(buf[off+4:], uint32(len(k.Name)))
+		le.PutUint32(buf[off+8:], uint32(code))
+		le.PutUint32(buf[off+12:], uint32(len(k.Code)))
+		le.PutUint32(buf[off+16:], k.Flags)
+		le.PutUint32(buf[off+20:], uint32(call))
+		le.PutUint32(buf[off+24:], uint32(len(k.Launches)))
+		str += copy(buf[strOff+str:], k.Name)
+		code += copy(buf[codeOff+code:], k.Code)
+		for _, tgt := range k.Launches {
+			le.PutUint32(buf[callOff+4*call:], uint32(tgt))
+			call++
+		}
 	}
-	for i, v := range callTab {
-		le.PutUint32(buf[callOff+4*i:], v)
-	}
-	copy(buf[strOff:], strTab)
-	copy(buf[codeOff:], code)
 	return buf, nil
 }
 

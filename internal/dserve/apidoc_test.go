@@ -263,8 +263,10 @@ func TestAPIDocExamples(t *testing.T) {
 
 	// peer-detect needs content-correct inputs (the server verifies the
 	// fingerprint and identity), so the test builds the real request and
-	// the doc example is shape-checked against what was sent.
-	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 6})
+	// the doc example is shape-checked against what was sent. It comes
+	// from b, which holds the install as a requester would (a holds it too,
+	// from the submit example, so nothing is fetched).
+	in, err := nodes["b"].svc.install(mlframework.PyTorch, 6, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,6 +278,7 @@ func TestAPIDocExamples(t *testing.T) {
 	detReq, err := json.Marshal(peerDetectRequest{
 		InstallFP: negativa.InstallFingerprint(in),
 		Identity:  negativa.WorkloadIdentity(wl, 2),
+		From:      "b",
 		Framework: "pytorch", TailLibs: 6, MaxSteps: 2, Spec: spec,
 	})
 	if err != nil {

@@ -84,7 +84,9 @@ func fetchPeerJobLib(t *testing.T, srv *httptest.Server, jobID, name string) []b
 //
 //  1. A cold batch on node a runs every locate+compact itself — the stage
 //     computes where the library image already is — and only detect stages
-//     execute remotely, each exactly once on its primary shard.
+//     execute remotely, each exactly once on its primary shard. The ring
+//     builds one install: a generates it (a spec request) or ingests it,
+//     and every owner that executed a detect fetched a's copy.
 //  2. Once write-back replication has drained, every live owner of every
 //     compact key holds the result, its range set, and the library image.
 //  3. The same request on b and then on c completes with no local analysis,
@@ -140,6 +142,21 @@ func coldThenWarm(t *testing.T, nodes map[string]*testNode, req JobRequest, in *
 	if got := a.svc.Counters.Get("peer.remote_execs"); got != executed || got > int64(len(req.Workloads)) {
 		t.Fatalf("peer.remote_execs=%d: want the %d detects b and c executed (of %d workloads)", got, executed, len(req.Workloads))
 	}
+	var generated, fetched, owners int64
+	for _, n := range nodes {
+		generated += n.svc.Counters.Get("installs.generated")
+		fetched += n.svc.Counters.Get("installs.fetched")
+		if n != a && n.svc.Counters.Get("peer.executed_detects") > 0 {
+			owners++
+		}
+	}
+	wantGenerated := int64(1)
+	if req.IngestDir != "" {
+		wantGenerated = 0
+	}
+	if generated != wantGenerated || fetched != owners {
+		t.Fatalf("the ring generated %d installs and fetched %d: want %d generated and one fetch per detect owner (%d)", generated, fetched, wantGenerated, owners)
+	}
 	if errs := a.svc.Counters.Get("peer.replica_write_errors"); errs != 0 {
 		t.Fatalf("write-back reported %d errors on a healthy ring", errs)
 	}
@@ -162,6 +179,7 @@ func coldThenWarm(t *testing.T, nodes map[string]*testNode, req JobRequest, in *
 		n := nodes[id]
 		before := n.svc.Counters.Get("analysis.computed")
 		hits0, trips0 := n.svc.Counters.Get("peer.hits"), n.svc.Counters.Get("peer.round_trips")
+		gen0, fetched0 := n.svc.Counters.Get("installs.generated"), n.svc.Counters.Get("installs.fetched")
 		st := postJob(t, n.srv, req)
 		done := pollDone(t, n.srv, st.ID)
 		if done.State != JobDone {
@@ -169,6 +187,11 @@ func coldThenWarm(t *testing.T, nodes map[string]*testNode, req JobRequest, in *
 		}
 		if done.Verified == nil || !*done.Verified {
 			t.Fatalf("node %s batch must verify", id)
+		}
+		// An owner's detect left the install resident under its spec key,
+		// so the node's own batch neither generates nor fetches it.
+		if g, f := n.svc.Counters.Get("installs.generated")-gen0, n.svc.Counters.Get("installs.fetched")-fetched0; g != 0 || f != 0 {
+			t.Fatalf("node %s's own batch generated %d installs and fetched %d; the install should be resident", id, g, f)
 		}
 		if delta := n.svc.Counters.Get("analysis.computed") - before; delta != 0 {
 			t.Fatalf("node %s ran locate/compact %d times locally; the ring should have absorbed all of it", id, delta)

@@ -117,7 +117,9 @@
 // misses. On a miss, a detect stage that arrived with its workload spec
 // executes on the primary shard (POST /v1/peer/detect — the request is the
 // small spec, and the owner memoizes what it executed, so the whole
-// cluster runs each detection once); a compact stage computes on the
+// cluster runs each detection once; an owner without the install pulls
+// the requester's copy, GET /v1/peer/install/{fingerprint}, rather than
+// regenerating it); a compact stage computes on the
 // requesting node, which already holds the library image, and only its
 // O(ranges) result travels; a verifyrun stage runs on the requesting node,
 // on the clone it built, and only the record travels.

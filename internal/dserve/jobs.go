@@ -431,7 +431,7 @@ func (s *Service) runBatch(req JobRequest, obs plan.Observer, onPlanned func(int
 		if fw, err = ResolveFramework(req.Framework); err != nil {
 			return nil, err
 		}
-		in, err = s.install(fw, req.TailLibs)
+		in, err = s.install(fw, req.TailLibs, "", "")
 	}
 	if err != nil {
 		return nil, err
@@ -450,9 +450,12 @@ func (s *Service) runBatch(req JobRequest, obs plan.Observer, onPlanned func(int
 	}
 	if req.IngestDir == "" {
 		// The request's specs ride along so the cluster tier can execute
-		// detect stages on their owning shard (the shard regenerates the
-		// install from framework/tail_libs). Ingested installs stay
-		// spec-less: a peer cannot re-read a tree it does not have, so
+		// detect stages on their owning shard: the shard pulls this node's
+		// resident install by fingerprint (or regenerates it from
+		// framework/tail_libs) and keeps it under the same spec key, so
+		// its own batch of this request finds it resident. Ingested
+		// installs stay spec-less: they are not resident under a spec key
+		// here and a peer cannot re-read a tree it does not have, so
 		// detect stages compute locally on a cluster read-through miss
 		// while locate/compact/verify artifacts still flow through the
 		// ring by content key.

@@ -24,6 +24,9 @@ import (
 //	                                     up to maxBatchLookupKeys per request
 //	POST /v1/peer/detect                 execute a detect stage on its
 //	                                     owning shard (registry-memoized)
+//	GET  /v1/peer/install/{fingerprint}  a resident install in transfer
+//	                                     form, for an owner about to
+//	                                     execute a detect against it
 //	PUT  /v1/peer/objects/{kind}/{key}   push one castore object in its
 //	                                     integrity-framed wire format
 //	POST /v1/peer/stat                   which of these objects do you hold
@@ -93,13 +96,16 @@ const maxBatchLookupKeys = 256
 const peerLookupBatchLimit = maxBatchLookupKeys << 10
 
 // peerDetectRequest executes one detect stage on its owning shard. The
-// spec (plus framework and tail-libs) is everything the owner needs to
-// regenerate the install — installs are deterministic functions of their
-// config — and the fingerprint pins the request to the bytes the requester
-// actually holds.
+// fingerprint pins the request to the bytes the requester holds; From
+// names the requester, which has that install resident and serves it on
+// GET /v1/peer/install/{fingerprint}. Framework and tail-libs are the
+// install's spec key: the owner registers the fetched install under it,
+// and regenerates from it when the fetch fails (installs are
+// deterministic functions of their config).
 type peerDetectRequest struct {
 	InstallFP string       `json:"install_fp"`
 	Identity  string       `json:"identity"`
+	From      string       `json:"from,omitempty"`
 	Framework string       `json:"framework"`
 	TailLibs  int          `json:"tail_libs"`
 	MaxSteps  int          `json:"max_steps"`
@@ -126,6 +132,7 @@ const peerBodyLimit = 256 << 20
 func registerPeerRoutes(mux *http.ServeMux, s *Service) {
 	mux.HandleFunc("POST /v1/peer/lookup-batch", s.peerAuth(s.handlePeerLookupBatch))
 	mux.HandleFunc("POST /v1/peer/detect", s.peerAuth(s.handlePeerDetect))
+	mux.HandleFunc("GET /v1/peer/install/{fingerprint}", s.peerAuth(s.handlePeerInstall))
 	mux.HandleFunc("PUT /v1/peer/objects/{kind}/{key}", s.peerAuth(s.handlePeerObjectPut))
 	mux.HandleFunc("POST /v1/peer/stat", s.peerAuth(s.handlePeerStat))
 	mux.HandleFunc("POST "+cluster.PingPath, s.peerAuth(s.handlePeerPing))
@@ -245,11 +252,13 @@ func (s *Service) handlePeerLookupBatch(w http.ResponseWriter, r *http.Request) 
 }
 
 // handlePeerDetect executes a detect stage as its owning shard: the
-// install is regenerated from the request config (deterministic), pinned
-// to the requester's fingerprint, profiled, and registered — so the owner
-// memoizes what it executed and every later lookup for this key hits.
-// Execution (not the registry fast path) is bounded by the peer-execution
-// semaphore so a busy shard cannot be driven past its worker width.
+// install is resolved down Service.install's ladder — resident here, else
+// fetched from the requester, else regenerated from the request config —
+// pinned to the requester's fingerprint, profiled, and registered, so the
+// owner memoizes what it executed and every later lookup for this key
+// hits. Execution (not the registry fast path, nor a request that fails
+// validation) is bounded by the peer-execution semaphore so a busy shard
+// cannot be driven past its worker width.
 func (s *Service) handlePeerDetect(w http.ResponseWriter, r *http.Request) {
 	var req peerDetectRequest
 	if !decodePeerBody(w, r, maxRequestBytes, &req) {
@@ -274,18 +283,23 @@ func (s *Service) handlePeerDetect(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("max_steps %d out of range", req.MaxSteps))
 		return
 	}
-	// Only a request that will generate and profile an install waits for,
+	if err := req.Spec.validate(); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	// Only a request that will resolve an install and profile it waits for,
 	// and holds, an execution slot; a malformed one was answered above.
 	s.peerSem <- struct{}{}
 	defer func() { <-s.peerSem }()
-	in, err := s.install(fw, req.TailLibs)
+	in, err := s.install(fw, req.TailLibs, req.From, req.InstallFP)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if got := negativa.InstallFingerprint(in); got != req.InstallFP {
-		// The requester's install bytes differ from what this node
-		// generates for the same config — a version skew a profile must
+		// The install this node holds or generated for the same config is
+		// not the requester's (a copy fetched from the requester fails
+		// this check before it is kept) — a version skew a profile must
 		// never paper over.
 		httpError(w, http.StatusConflict, fmt.Errorf("install fingerprint mismatch: have %.12s…, requested %.12s…", got, req.InstallFP))
 		return
@@ -307,6 +321,26 @@ func (s *Service) handlePeerDetect(w http.ResponseWriter, r *http.Request) {
 	s.Registry.Put(pk, p)
 	s.Counters.Add("peer.executed_detects", 1)
 	writeJSON(w, http.StatusOK, peerDetectResponse{Profile: p})
+}
+
+// handlePeerInstall serves a resident install in its transfer form
+// (mlframework.ReadWire) to an owner about to execute a detect stage
+// against it. It takes no slot — neither the pool's nor peerSem — so a
+// requester whose every slot is held, its batch waiting on that very
+// owner's detect, still answers: no cross-node wait cycle can form. An
+// install not resident here (never resolved, or evicted) is 404, and the
+// owner generates it instead.
+func (s *Service) handlePeerInstall(w http.ResponseWriter, r *http.Request) {
+	in := s.residentInstall(r.PathValue("fingerprint"))
+	if in == nil {
+		httpError(w, http.StatusNotFound, errors.New("install not resident"))
+		return
+	}
+	s.Counters.Add("peer.served_installs", 1)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	// A write that fails mid-stream leaves the owner a truncated install,
+	// which ReadWire refuses; the owner then generates it.
+	_ = in.WriteWire(w)
 }
 
 // peerObjectRef names one castore object on the stat wire.
@@ -478,7 +512,7 @@ func (m *StageMemo) peerDetect(slot plan.Executor, owner, hash string, hint *det
 		return nil, false
 	}
 	req := peerDetectRequest{
-		InstallFP: fp, Identity: wid,
+		InstallFP: fp, Identity: wid, From: m.cluster.Self(),
 		Framework: hint.framework, TailLibs: hint.tailLibs,
 		MaxSteps: hint.maxSteps, Spec: hint.spec,
 	}

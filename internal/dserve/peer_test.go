@@ -221,21 +221,40 @@ func TestPeerDetectValidatesBeforeTakingASlot(t *testing.T) {
 		}
 	}()
 
-	body, err := json.Marshal(peerDetectRequest{Framework: "no-such", Spec: WorkloadSpec{Model: "MobileNetV2", Batch: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	quick := http.Client{Timeout: time.Second}
-	resp, err := quick.Post(srv.URL+"/v1/peer/detect", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("malformed request waited for an execution slot: %v", err)
+	spec := func(m func(*WorkloadSpec)) WorkloadSpec {
+		sp := WorkloadSpec{Model: "MobileNetV2", Batch: 1}
+		m(&sp)
+		return sp
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad framework status %d", resp.StatusCode)
+	for name, req := range map[string]peerDetectRequest{
+		"bad framework":  {Framework: "no-such", Spec: spec(func(*WorkloadSpec) {})},
+		"unknown model":  {Framework: "pytorch", Spec: spec(func(sp *WorkloadSpec) { sp.Model = "ResNet" })},
+		"negative batch": {Framework: "pytorch", Spec: spec(func(sp *WorkloadSpec) { sp.Batch = -1 })},
+		"negative epochs": {Framework: "pytorch", Spec: spec(func(sp *WorkloadSpec) {
+			sp.Train, sp.Epochs = true, -2
+		})},
+		"negative gpus":  {Framework: "pytorch", Spec: spec(func(sp *WorkloadSpec) { sp.GPUs = -1 })},
+		"unknown device": {Framework: "pytorch", Spec: spec(func(sp *WorkloadSpec) { sp.Device = "V100" })},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := quick.Post(srv.URL+"/v1/peer/detect", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: malformed request waited for an execution slot: %v", name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if got := svc.Counters.Get("installs.generated") + svc.Counters.Get("installs.fetched"); got != 0 {
+		t.Fatalf("malformed requests resolved %d installs", got)
 	}
 
-	body, err = json.Marshal(wellFormedDetect(t))
+	body, err := json.Marshal(wellFormedDetect(t))
 	if err != nil {
 		t.Fatal(err)
 	}

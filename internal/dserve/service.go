@@ -3,8 +3,10 @@ package dserve
 import (
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -142,9 +144,12 @@ type Service struct {
 	// peerSem bounds concurrently executing peer-route stage computations
 	// (remote detects this node serves as owning shard) to the same width
 	// as the worker pool. It is deliberately a separate semaphore, not the
-	// pool: peer handlers compute purely locally while holding a slot, so
-	// they can never participate in a cross-node wait cycle the way sharing
-	// the pool with network-blocked batch stages could.
+	// pool, so a detect handler never waits on this node's batch stages,
+	// some of which block on the network. While holding a slot a handler
+	// makes at most one outgoing call: the install pull from the requester
+	// (GET /v1/peer/install/...). That route takes no slot of either kind
+	// on the node serving it, so the call cannot close a cross-node wait
+	// cycle — a requester whose every slot is held still answers it.
 	peerSem chan struct{}
 	// stages routes every plan node's content key to its memo tier
 	// (registry, result cache, verify records); observer mirrors stage
@@ -177,6 +182,9 @@ type installSlot struct {
 	once sync.Once
 	in   *mlframework.Install
 	err  error
+	// fp is the install's fingerprint, set under Service.mu once the slot
+	// resolved — what the install route serves it by.
+	fp string
 }
 
 // NewService builds a service from the config, applying defaults.
@@ -310,9 +318,10 @@ type BatchOptions struct {
 	BaseID string
 	// Specs, when non-nil and parallel to the workload slice, carries the
 	// batch's workload specs plus the install config — everything an
-	// owning peer needs to re-execute a detect stage remotely (peers
-	// regenerate the install from Framework/TailLibs, which is
-	// deterministic, and pin it by fingerprint). The HTTP layer fills it
+	// owning peer needs to execute a detect stage remotely: the owner
+	// pulls the install from this node (or regenerates it from
+	// Framework/TailLibs, which is deterministic), pins it by fingerprint,
+	// and keeps it resident under that spec key. The HTTP layer fills it
 	// from the job request; library callers may leave it nil, in which
 	// case detect stages compute locally on a cluster read-through miss.
 	Specs *BatchSpecs
@@ -328,7 +337,9 @@ type BatchOptions struct {
 }
 
 // BatchSpecs is the serializable description of a batch, used by the
-// cluster peer tier to re-execute detect stages on their owning shard.
+// cluster peer tier to execute detect stages on their owning shard. Only a
+// batch whose install this node resolved by spec (Service.install) carries
+// one: that is the install an owner can pull from here by fingerprint.
 type BatchSpecs struct {
 	Framework string
 	TailLibs  int
@@ -649,13 +660,18 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	return res, nil
 }
 
-// install returns the generated install for (framework, tailLibs),
-// generating it at most once and sharing it across jobs — the fleet setting
-// where many workloads target one shared install. The cache is bounded to
-// MaxInstalls entries, evicted oldest-first; a job holding an evicted
-// install keeps using it (installs are immutable), only the cache entry
-// goes.
-func (s *Service) install(framework string, tailLibs int) (*mlframework.Install, error) {
+// install resolves the install for (framework, tailLibs) down one ladder:
+// the copy already resident under that spec key; else, when a peer asked
+// for it (from names the requesting node, fp the fingerprint it asked
+// about), that peer's resident copy; else mlframework.Generate. A step
+// that fails falls through to the next. Resolution runs at most once per
+// spec key, so concurrent callers share one fetch or one generation, and
+// the result stays resident for every later job and peer request — the
+// fleet setting where many workloads target one shared install. The cache
+// holds MaxInstalls entries, fetched and generated alike, evicted
+// oldest-first; a job holding an evicted install keeps using it (installs
+// are immutable), only the cache entry goes.
+func (s *Service) install(framework string, tailLibs int, from, fp string) (*mlframework.Install, error) {
 	key := fmt.Sprintf("%s/%d", framework, tailLibs)
 	s.mu.Lock()
 	slot := s.installs[key]
@@ -672,12 +688,61 @@ func (s *Service) install(framework string, tailLibs int) (*mlframework.Install,
 	}
 	s.mu.Unlock()
 	slot.once.Do(func() {
-		slot.in, slot.err = mlframework.Generate(mlframework.Config{Framework: framework, TailLibs: tailLibs})
-		if slot.err == nil {
+		if from != "" {
+			slot.in = s.fetchInstall(framework, from, fp)
+		}
+		if slot.in == nil {
+			slot.in, slot.err = mlframework.Generate(mlframework.Config{Framework: framework, TailLibs: tailLibs})
+			if slot.err != nil {
+				return
+			}
 			s.Counters.Add("installs.generated", 1)
 		}
+		got := negativa.InstallFingerprint(slot.in)
+		s.mu.Lock()
+		slot.fp = got
+		s.mu.Unlock()
 	})
 	return slot.in, slot.err
+}
+
+// fetchInstall pulls the install with fingerprint fp from peer from
+// (GET /v1/peer/install/{fp}) and accepts it only when it is what was
+// asked for: a parsed install of the framework whose fingerprint is fp.
+// Anything else — a peer not on the ring, an unreachable one, a 404, a
+// stream that does not parse, bytes that fingerprint differently — is nil,
+// and the caller generates instead.
+func (s *Service) fetchInstall(framework, from, fp string) *mlframework.Install {
+	c := s.Cluster()
+	if c == nil || from == c.Self() || !slices.Contains(c.Nodes(), from) {
+		return nil
+	}
+	s.Counters.Add("peer.round_trips", 1)
+	var in *mlframework.Install
+	err := c.Get(from, "/v1/peer/install/"+fp, func(r io.Reader) error {
+		var err error
+		in, err = mlframework.ReadWire(r, peerBodyLimit)
+		return err
+	})
+	if err != nil || in.Framework != framework || negativa.InstallFingerprint(in) != fp {
+		return nil
+	}
+	s.Counters.Add("installs.fetched", 1)
+	s.Counters.Add("peer.objects_fetched", int64(len(in.LibNames)))
+	return in
+}
+
+// residentInstall returns the resident install whose fingerprint is fp,
+// or nil.
+func (s *Service) residentInstall(fp string) *mlframework.Install {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, slot := range s.installs {
+		if slot.fp == fp {
+			return slot.in
+		}
+	}
+	return nil
 }
 
 // ingestInstall resolves an ingestion-mode request directory against the

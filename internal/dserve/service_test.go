@@ -154,7 +154,7 @@ func TestDebloatBatchValidation(t *testing.T) {
 
 	// A workload referencing a different install must be rejected — mixing
 	// installs in one batch would debloat against the wrong bytes.
-	foreign, err := svc.install("PyTorch", 3)
+	foreign, err := svc.install("PyTorch", 3, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

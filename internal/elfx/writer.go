@@ -194,10 +194,6 @@ func (b *Builder) Build() ([]byte, error) {
 		funcOff[i] = textSize
 		textSize += align(int64(f.Size), 16)
 	}
-	text := make([]byte, textSize)
-	for i, f := range b.funcs {
-		fillCode(text[funcOff[i]:funcOff[i]+int64(f.Size)], f.Name)
-	}
 
 	// ---- Symbol tables ----
 	// .symtab holds every function (entry 0 is the mandatory null symbol).
@@ -258,7 +254,10 @@ func (b *Builder) Build() ([]byte, error) {
 	le.PutUint64(ph[48:], 0x1000)        // p_align
 
 	// ---- Section contents ----
-	copy(buf[textOff:], text)
+	text := buf[textOff : textOff+textSize]
+	for i, f := range b.funcs {
+		fillCode(text[funcOff[i]:funcOff[i]+int64(f.Size)], f.Name)
+	}
 	copy(buf[rodataOff:], b.rodata)
 	copy(buf[dataOff:], b.data)
 	copy(buf[fatbinOff:], b.fatbin)

@@ -16,8 +16,13 @@
 // whatever the worker count.
 // Result.Install materializes the closure as an mlframework.Install whose
 // fingerprint derives from the real file bytes, so ingested trees ride the
-// detect → locate → compact → verify stage DAG, the memo tiers, and the
-// cluster ring exactly like generated installs.
+// detect → locate → compact → verify stage DAG and the memo tiers exactly
+// like generated installs. On a cluster ring their stage values are read
+// from and written back to the owning peers by content key like any
+// other, but their batches are spec-less: an owning peer is never asked to
+// execute one of their detect stages (it has no spec to resolve the
+// install by, and the requester serves only installs it resolved by spec),
+// so a detect miss computes on the node that ingested the tree.
 //
 // Ingestion is the first code path fed by files this process did not author:
 // every anomaly — symlink loops, truncated ELF headers, unreadable files,

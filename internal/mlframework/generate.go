@@ -1,6 +1,7 @@
 package mlframework
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"negativaml/internal/fatbin"
 	"negativaml/internal/gpuarch"
 	"negativaml/internal/models"
+	"negativaml/internal/plan"
 )
 
 // Install is a generated framework installation: its shared libraries plus
@@ -138,18 +140,37 @@ func generate(framework, version string, bps []Blueprint, universeGraphs []*mode
 		return needed
 	}
 
-	for i := range bps {
-		bp := &bps[i]
-		lib, initFuncs, famFuncs, err := buildLibrary(framework, bp, universe, allFamilies, mainNeeded(bp.Name))
-		if err != nil {
-			return nil, err
+	// Each library is a function of its own blueprint, so they build on
+	// plan.Each workers. Assembly then walks them in load order — the
+	// blueprints, then the long tail of CPU-only dependency libraries — so
+	// the install is byte- and metadata-identical to a serial loop's.
+	all := make([]Blueprint, len(bps), len(bps)+tailLibs)
+	copy(all, bps)
+	for i := 0; i < tailLibs; i++ {
+		all = append(all, tailBlueprint(framework, i))
+	}
+	type built struct {
+		lib       *elfx.Library
+		initFuncs []string
+		famFuncs  map[string][]string
+		err       error
+	}
+	libs := make([]built, len(all))
+	plan.Each(len(all), func(i int) {
+		b := &libs[i]
+		b.lib, b.initFuncs, b.famFuncs, b.err = buildLibrary(framework, &all[i], universe, allFamilies, mainNeeded(all[i].Name))
+	})
+	for i := range all {
+		bp, b := &all[i], &libs[i]
+		if b.err != nil {
+			return nil, b.err
 		}
-		in.Libs[bp.Name] = lib
+		in.Libs[bp.Name] = b.lib
 		in.LibNames = append(in.LibNames, bp.Name)
-		for _, f := range initFuncs {
+		for _, f := range b.initFuncs {
 			in.InitCalls = append(in.InitCalls, LibFunc{Lib: bp.Name, Func: f})
 		}
-		for fam, funcs := range famFuncs {
+		for fam, funcs := range b.famFuncs {
 			for _, f := range funcs {
 				in.FamilyCalls[fam] = append(in.FamilyCalls[fam], LibFunc{Lib: bp.Name, Func: f})
 			}
@@ -159,21 +180,6 @@ func generate(framework, version string, bps []Blueprint, universeGraphs []*mode
 				return nil, fmt.Errorf("mlframework: family %q hosted by both %s and %s", fam, prev, bp.Name)
 			}
 			in.FamilyLib[fam] = bp.Name
-		}
-	}
-	_ = mainLib
-
-	// Long tail of dependency libraries (CPU only).
-	for i := 0; i < tailLibs; i++ {
-		bp := tailBlueprint(framework, i)
-		lib, initFuncs, _, err := buildLibrary(framework, &bp, universe, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		in.Libs[bp.Name] = lib
-		in.LibNames = append(in.LibNames, bp.Name)
-		for _, f := range initFuncs {
-			in.InitCalls = append(in.InitCalls, LibFunc{Lib: bp.Name, Func: f})
 		}
 	}
 	return in, nil
@@ -436,22 +442,31 @@ func addFamilyCubins(reg *fatbin.Region, bp *Blueprint, arch gpuarch.SM, fam str
 	return emit(c)
 }
 
-// codeFill produces deterministic non-zero bytes.
+// codeFill produces deterministic non-zero bytes: each 8-byte word is the
+// little-endian encoding of one LCG state, zero bytes replaced by 0x5A.
 func codeFill(seed string, size int) []byte {
 	if size < 8 {
 		size = 8
 	}
 	out := make([]byte, size)
 	h := det("code", seed)
-	for i := range out {
-		v := byte(h >> (uint(i%8) * 8))
-		if v == 0 {
-			v = 0x5A
+	var w [8]byte
+	for i := 0; i < size; i += 8 {
+		v := h
+		if (v-0x0101010101010101)&^v&0x8080808080808080 != 0 { // a zero byte
+			for k := 0; k < 64; k += 8 {
+				if byte(v>>k) == 0 {
+					v |= 0x5A << k
+				}
+			}
 		}
-		out[i] = v
-		if i%8 == 7 {
-			h = h*6364136223846793005 + 1442695040888963407
+		if i+8 <= size {
+			binary.LittleEndian.PutUint64(out[i:], v)
+		} else {
+			binary.LittleEndian.PutUint64(w[:], v)
+			copy(out[i:], w[:])
 		}
+		h = h*6364136223846793005 + 1442695040888963407
 	}
 	return out
 }

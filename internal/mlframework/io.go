@@ -1,8 +1,11 @@
 package mlframework
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -52,6 +55,20 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
+// Manifest returns the install's runtime metadata in serializable form.
+func (in *Install) Manifest() Manifest {
+	return Manifest{
+		Framework:       in.Framework,
+		Version:         in.Version,
+		LibNames:        in.LibNames,
+		InitCalls:       in.InitCalls,
+		FamilyCalls:     in.FamilyCalls,
+		FamilyLib:       in.FamilyLib,
+		BaseHeapCPU:     in.BaseHeapCPU,
+		GPUPoolFraction: in.GPUPoolFraction,
+	}
+}
+
 // WriteTo materializes the install on disk: one file per shared library
 // plus install.json with the runtime metadata. The directory is created if
 // needed.
@@ -65,17 +82,7 @@ func (in *Install) WriteTo(dir string) error {
 			return fmt.Errorf("mlframework: write %s: %w", name, err)
 		}
 	}
-	m := Manifest{
-		Framework:       in.Framework,
-		Version:         in.Version,
-		LibNames:        in.LibNames,
-		InitCalls:       in.InitCalls,
-		FamilyCalls:     in.FamilyCalls,
-		FamilyLib:       in.FamilyLib,
-		BaseHeapCPU:     in.BaseHeapCPU,
-		GPUPoolFraction: in.GPUPoolFraction,
-	}
-	blob, err := json.MarshalIndent(m, "", "  ")
+	blob, err := json.MarshalIndent(in.Manifest(), "", "  ")
 	if err != nil {
 		return fmt.Errorf("mlframework: marshal manifest: %w", err)
 	}
@@ -145,6 +152,89 @@ func ReadFrom(dir string) (*Install, error) {
 			return nil, fmt.Errorf("mlframework: %s: %w", name, err)
 		}
 		libs[name] = lib
+	}
+	return m.Install(libs)
+}
+
+// The transfer form of an install is one byte stream: the manifest's JSON,
+// then each library's raw bytes in load order, every part prefixed by its
+// length as 8 big-endian bytes. Library bytes travel as they are — no
+// base64, no JSON escaping — so writing is a copy and reading is one
+// allocation and one parse per library.
+
+// WriteWire writes the install's transfer form to w.
+func (in *Install) WriteWire(w io.Writer) error {
+	meta, err := json.Marshal(in.Manifest())
+	if err != nil {
+		return fmt.Errorf("mlframework: marshal manifest: %w", err)
+	}
+	var n [8]byte
+	part := func(b []byte) error {
+		binary.BigEndian.PutUint64(n[:], uint64(len(b)))
+		if _, err := w.Write(n[:]); err != nil {
+			return err
+		}
+		_, err := w.Write(b)
+		return err
+	}
+	if err := part(meta); err != nil {
+		return err
+	}
+	for _, name := range in.LibNames {
+		if err := part(in.Libs[name].Data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadWire reads an install in transfer form, parsing every library. The
+// stream is untrusted: no part may claim more than what is left of limit
+// bytes, the manifest must validate, every library must parse and carry
+// its manifest name, and nothing may follow the last library. It proves
+// nothing about where the bytes came from — a caller that expects a
+// particular install compares fingerprints.
+func ReadWire(r io.Reader, limit int64) (*Install, error) {
+	left := limit
+	var n [8]byte
+	part := func(what string) ([]byte, error) {
+		if _, err := io.ReadFull(r, n[:]); err != nil {
+			return nil, fmt.Errorf("mlframework: read %s length: %w", what, err)
+		}
+		size := binary.BigEndian.Uint64(n[:])
+		if left -= 8; left < 0 || size > uint64(left) {
+			return nil, fmt.Errorf("mlframework: %s of %d bytes exceeds the %d-byte install bound", what, size, limit)
+		}
+		left -= int64(size)
+		b := make([]byte, size)
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, fmt.Errorf("mlframework: read %s: %w", what, err)
+		}
+		return b, nil
+	}
+	meta, err := part("manifest")
+	if err != nil {
+		return nil, err
+	}
+	var m Manifest
+	if err := json.Unmarshal(meta, &m); err != nil {
+		return nil, fmt.Errorf("mlframework: parse manifest: %w", err)
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	libs := make(map[string]*elfx.Library, len(m.LibNames))
+	for _, name := range m.LibNames {
+		data, err := part(name)
+		if err != nil {
+			return nil, err
+		}
+		if libs[name], err = elfx.Parse(name, data); err != nil {
+			return nil, fmt.Errorf("mlframework: %s: %w", name, err)
+		}
+	}
+	if _, err := io.ReadFull(r, n[:1]); !errors.Is(err, io.EOF) {
+		return nil, errors.New("mlframework: trailing bytes after the last library")
 	}
 	return m.Install(libs)
 }

@@ -2,6 +2,7 @@ package mlframework
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -142,5 +143,54 @@ func TestReadFromErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.errHint)
 			}
 		})
+	}
+}
+
+// TestWireRoundTrip: the transfer form carries everything the install is —
+// the digest covers bytes, load order and metadata.
+func TestWireRoundTrip(t *testing.T) {
+	in := gen(t, PyTorch, 3)
+	var buf bytes.Buffer
+	if err := in.WriteWire(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadWire(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if installDigest(t, got) != installDigest(t, in) {
+		t.Fatal("install differs after a wire round trip")
+	}
+}
+
+// TestReadWireRejects: a stream that is cut short, runs on past its last
+// library, claims more than the bound, or carries a library that does not
+// parse is an error, never a partial install.
+func TestReadWireRejects(t *testing.T) {
+	in := gen(t, PyTorch, 1)
+	var buf bytes.Buffer
+	if err := in.WriteWire(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	metaLen := 8 + int(binary.BigEndian.Uint64(good))
+	garbled := bytes.Clone(good)
+	garbled[metaLen+8] ^= 0xff // the first library's ELF magic
+	for _, tc := range []struct {
+		name  string
+		body  []byte
+		limit int64
+		want  string
+	}{
+		{"truncated", good[:len(good)-1], int64(len(good)), "read"},
+		{"trailing", append(bytes.Clone(good), 0), int64(len(good)) + 1, "trailing"},
+		{"over the bound", good, int64(len(good)) - 1, "bound"},
+		{"unparsable library", garbled, int64(len(good)), in.LibNames[0]},
+		{"empty", nil, 1 << 20, "manifest"},
+	} {
+		_, err := ReadWire(bytes.NewReader(tc.body), tc.limit)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }

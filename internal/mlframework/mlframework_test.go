@@ -2,6 +2,10 @@ package mlframework
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -143,6 +147,51 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// installDigest hashes everything an install is: each library's name and
+// bytes in load order, then the manifest metadata (JSON, so map keys are
+// sorted). A generator that reorders libraries, init calls or dispatch
+// functions changes it even when every library is byte-identical.
+func installDigest(t *testing.T, in *Install) string {
+	t.Helper()
+	h := sha256.New()
+	var n [8]byte
+	for _, name := range in.LibNames {
+		data := in.Libs[name].Data
+		h.Write([]byte(name))
+		binary.BigEndian.PutUint64(n[:], uint64(len(data)))
+		h.Write(n[:])
+		h.Write(data)
+	}
+	meta, err := json.Marshal(in.Manifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Write(meta)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGeneratedBytesPinned holds the generator to the bytes and metadata it
+// produced when each library was still built in a serial loop: a fan-out
+// that reorders anything, or a change to what a blueprint builds, fails
+// here. TestDeterminism alone cannot see either — it compares the
+// generator with itself.
+func TestGeneratedBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		fw   string
+		tail int
+		want string
+	}{
+		{PyTorch, 20, "78d946730820bbee4dd7f0c521fe61647fdb86521d02673918badcec5e80b41a"},
+		{TensorFlow, 0, "5b77fb7a298447471980f7529ec510b7896a8bcf710991dc38ca35c7080e8b64"},
+		{VLLM, 0, "c5eabd271150c2d7fb5bb47a1e5b5a5555b33ac807d28c8dacdc077f1b4e3995"},
+		{HFTransformers, 8, "88bcba88ee33cc28e1727d90cbe9a5c78f5c7f8c37cdf10f0218b6ed4e7a9f0f"},
+	} {
+		if got := installDigest(t, gen(t, tc.fw, tc.tail)); got != tc.want {
+			t.Errorf("%s/%d: install digest %s, pinned %s", tc.fw, tc.tail, got, tc.want)
+		}
+	}
+}
+
 // libtorch_cuda.so must be byte-identical between the PyTorch and
 // Transformers installs (same wheel), but differ under vLLM (different
 // bundled torch build — the paper excludes vLLM from Table 4 for this).
@@ -280,4 +329,17 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// BenchmarkGenerate builds the pytorch20 install (13 blueprints plus a
+// 20-library tail) from scratch: what a ring pays, once, for a spec no node
+// holds. -cpu 1 is the serial loop; above it the libraries build on
+// plan.Each workers.
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(Config{Framework: PyTorch, TailLibs: 20}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
