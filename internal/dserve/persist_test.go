@@ -419,3 +419,44 @@ func TestJobEvictionReleasesStoreRefs(t *testing.T) {
 		t.Fatal("retained job not restored on reboot")
 	}
 }
+
+// BenchmarkDiskHit is the disk tier's cost per hit: the compact results of
+// a persisted pytorch141 batch (the four CV/NLP members at 4 steps), read
+// back through ResultCache.LoadStored from a reopened store against the
+// live libraries, one result per op. ns/op, B/op and allocs/op are per
+// hit; us/hit restates ns/op in the unit the disk_restore budget uses.
+func BenchmarkDiskHit(b *testing.B) {
+	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 141})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	st, err := castore.Open(dir, castore.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc := NewService(Config{MaxSteps: 4, Store: st})
+	res, err := svc.DebloatBatch(in, testWorkloads(b, in), BatchOptions{})
+	svc.Close()
+	st.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if st, err = castore.Open(dir, castore.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	cache := NewResultCache(1<<40, nil)
+	cache.AttachStore(st)
+	defer cache.CloseSpill()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(res.Libs)
+		if _, ok := cache.LoadStored(res.libKeys[j], res.Libs[j].Sparse.Lib()); !ok {
+			b.Fatalf("%s: no disk hit", res.Libs[j].Name)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/hit")
+}
