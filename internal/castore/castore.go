@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -607,7 +608,7 @@ func (s *Store) Get(kind, key string) ([]byte, bool) {
 	}
 	s.mu.Unlock()
 
-	payload, err := readObject(s.objectPath(kind, key))
+	payload, err := readObject(s.objectPath(kind, key), o.size)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -668,12 +669,23 @@ func verifyObject(path string) error {
 	return nil
 }
 
-// readObject reads and integrity-checks one object file.
-func readObject(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
+// readObject reads and integrity-checks one object file whose payload the
+// index holds as size bytes. The buffer is sized from the index, one byte
+// over, so a whole object arrives in one read with no stat and no second
+// read to find the end; a file longer than indexed fills the spare byte
+// and is corrupt like a short one.
+func readObject(path string, size int64) ([]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	data := make([]byte, headerSize+size+1)
+	n, err := io.ReadAtLeast(f, data, headerSize+int(size))
+	f.Close()
+	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil, err
+	}
+	data = data[:n]
 	hdr, err := parseHeader(data)
 	if err != nil {
 		return nil, err

@@ -282,6 +282,45 @@ func TestCorruptObjectDetected(t *testing.T) {
 	}
 }
 
+// TestGetRejectsResizedObject: Get reads an object with a buffer sized from
+// the index, so a file that shrank or grew on disk after it was indexed —
+// whatever its bytes — is corrupt: a miss, removed, never served.
+func TestGetRejectsResizedObject(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, tc := range []struct {
+		name   string
+		resize func(raw []byte) []byte
+	}{
+		{"shrunk", func(raw []byte) []byte { return raw[:len(raw)-1] }},
+		{"grown", func(raw []byte) []byte { return append(raw, 0) }},
+		{"header only", func(raw []byte) []byte { return raw[:headerSize] }},
+	} {
+		key := mustPut(t, s, "lib", []byte("resized on disk: "+tc.name))
+		path := filepath.Join(dir, "lib", key[:2], key)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, tc.resize(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Get("lib", key); ok {
+			t.Errorf("%s: a resized object was served", tc.name)
+		}
+		if s.Has("lib", key) {
+			t.Errorf("%s: a resized object stayed indexed", tc.name)
+		}
+	}
+	if st := s.Stats(); st.Corrupt != 3 {
+		t.Fatalf("stats = %+v, want 3 corrupt", st)
+	}
+}
+
 // TestOversizedObjectSurvivesItsOwnPut: a payload larger than the whole
 // budget must still store successfully (the budget overshoots by one
 // object) rather than being evicted by its own Put.

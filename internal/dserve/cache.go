@@ -243,8 +243,7 @@ func (c *ResultCache) Contains(key string) bool {
 }
 
 // HasStored reports whether the attached store holds the key's persisted
-// result (metadata plus the encoded sparse range set), without decoding
-// anything. Keys replication pushed to this node probe true, so the batch
+// record, without reading it. Keys replication pushed to this node probe true, so the batch
 // prefetch skips re-fetching what LoadStored will serve without a round
 // trip.
 func (c *ResultCache) HasStored(key string) bool {
@@ -254,13 +253,13 @@ func (c *ResultCache) HasStored(key string) bool {
 	if st == nil {
 		return false
 	}
-	return st.Has(kindResult, key) && st.Has(kindSparse, key)
+	return st.Has(kindRecord, key)
 }
 
-// LoadStored is the disk tier alone: the attached store's persisted range
-// set is decoded against the caller's live library and promoted into the
-// memory tier. lib anchors the reconstruction; a stored result whose
-// digest does not match it is ignored. The stage memo calls Get, then
+// LoadStored is the disk tier alone: the attached store's record is
+// decoded against the caller's live library and promoted into the memory
+// tier. lib anchors the reconstruction; a record that does not decode
+// against it is a miss. The stage memo calls Get, then
 // LoadStored on a miss, so it can tell a memory hit from a disk restore.
 func (c *ResultCache) LoadStored(key string, lib *elfx.Library) (*negativa.LibDebloat, bool) {
 	c.mu.Lock()

@@ -306,7 +306,7 @@ func TestCacheFlushWaitsForInlineSpill(t *testing.T) {
 	close(gate)
 	<-putDone
 	<-flushDone
-	if !st.Has(kindResult, key) {
+	if !st.Has(kindRecord, key) {
 		t.Fatal("Flush returned but the spilled result is not in the store")
 	}
 }
@@ -354,7 +354,7 @@ func TestCacheCloseSpillDrainsQueueAndInline(t *testing.T) {
 	c.CloseSpill()
 
 	for _, k := range keys {
-		if !st.Has(kindResult, k) {
+		if !st.Has(kindRecord, k) {
 			t.Fatalf("key %s was dropped by CloseSpill", k)
 		}
 	}

@@ -167,8 +167,8 @@ func coldThenWarm(t *testing.T, nodes map[string]*testNode, req JobRequest, in *
 		libKey := digestHex(in.Library(name))
 		for _, owner := range a.svc.Cluster().Owners(plan.Key{Stage: negativa.StageCompact, Hash: key}.String()) {
 			st := nodes[owner].store
-			if !st.Has(kindResult, key) || !st.Has(kindSparse, key) || !st.Has(kindLib, libKey) {
-				t.Fatalf("owner %s of %s's compact key lacks its result/sparse/lib objects after write-back", owner, name)
+			if !st.Has(kindRecord, key) || !st.Has(kindLib, libKey) {
+				t.Fatalf("owner %s of %s's compact key lacks its record/lib objects after write-back", owner, name)
 			}
 		}
 	}
@@ -280,7 +280,7 @@ func TestClusterThreeNodeE2E(t *testing.T) {
 			continue
 		}
 		demand++
-		if !b.store.Has(kindResult, key) {
+		if !b.store.Has(kindRecord, key) {
 			t.Fatal("a peer-served result should have been written into node B's castore")
 		}
 	}

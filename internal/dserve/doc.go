@@ -36,7 +36,9 @@
 //     profiled again on the same install, across jobs and restarts.
 //   - compact → the ResultCache: byte-bounded LRU memory over sparse
 //     locate+compact results, spilling to and reloading from the
-//     castore disk tier (decoded against the live library). Identical
+//     castore disk tier — one "record" object per result (report,
+//     symbol lists and range set; negativa.EncodeRecord), read with one
+//     checksummed Get and decoded against the live library. Identical
 //     libraries shared across installs — the dependency tail, which
 //     dominates library counts — are analyzed once no matter how many
 //     installs or jobs reference them.
@@ -84,8 +86,8 @@
 // What this gives up against re-running every time, precisely. Bytes
 // enter a node's memory only through checked boundaries — ingest and
 // install hashing (the fingerprint and every library's content digest),
-// castore frame checksums, and the sparse decoder, which binds a range set
-// to its library's digest — and the key is computed from the in-memory
+// castore frame checksums, and the record and sparse decoders, which bind
+// a result and its range set to its library's digest — and the key is computed from the in-memory
 // objects the result then streams from. So the one fault an unconditional
 // re-run could still catch and the key cannot is mutation of an immutable
 // object (a library image, a sparse image's ranges) after its digest was
@@ -187,13 +189,17 @@
 // the compact-stage and verifyrun memos gain their disk tier (memory miss →
 // disk hit → recompute), every detection profile snapshots on Put and
 // replays on boot, and each completed job spills a manifest referencing its library
-// images, sparse range sets, and reports — all content-addressed. A
+// images and result records — all content-addressed. A
 // restarted service restores its jobs lazily: status reads the manifest,
 // and the first report or fetch-library request materializes the result
 // from the store without re-running detection, location, or compaction.
 // Jobs retain (refcount) their store objects until evicted from the
 // bounded job table; an open fetch-library stream pins its job so eviction
-// never releases images under an in-flight response.
+// never releases images under an in-flight response. A store written
+// before the record (a "result" and a "sparse" object per result) is
+// read as holding no results: its batches recompute, and its manifests,
+// whose records do not exist, are dropped at boot with their IDs still
+// reserved.
 //
 // The HTTP front end (NewHandler, served by cmd/negativa-served) exposes
 // job submission (incremental included), status, full reports,

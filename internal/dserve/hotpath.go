@@ -318,8 +318,8 @@ func (m *StageMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 			m.registry.Put(ProfileKey{Install: fp, Workload: wid}, lr.Profile)
 		case negativa.StageCompact:
 			lib, _ := it.hint.(*elfx.Library)
-			ld, decOK := decodePeerResult(lib, lr.Result, lr.Sparse)
-			if !decOK {
+			ld, err := negativa.DecodeRecord(lib, lr.Record)
+			if err != nil {
 				m.count("peer.fallbacks")
 				continue
 			}

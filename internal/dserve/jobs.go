@@ -535,7 +535,7 @@ func (s *Service) persistJob(job *Job, res *BatchResult, finished time.Time) (*j
 	// the window in which an unpinned object can vanish to the few
 	// instructions between the spill and the retry.
 	for i, ml := range m.Libs {
-		for _, ref := range []storeRef{{kindResult, ml.Key}, {kindSparse, ml.Key}, {kindLib, ml.LibDigest}} {
+		for _, ref := range ml.refs() {
 			if s.store.Retain(ref.Kind, ref.Key) {
 				held = append(held, ref)
 				continue
@@ -640,9 +640,10 @@ func (s *Service) restoreJobs() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, m := range manifests {
-		held := make([]storeRef, 0, 1+3*len(m.Libs))
+		refs := m.refs()
+		held := make([]storeRef, 0, len(refs))
 		ok := true
-		for _, ref := range m.refs() {
+		for _, ref := range refs {
 			if !s.store.Retain(ref.Kind, ref.Key) {
 				ok = false
 				break
@@ -745,9 +746,9 @@ func (s *Service) ResultOf(id string) (*BatchResult, error) {
 	return res, nil
 }
 
-// materialize rebuilds a BatchResult from a job manifest: reports come from
-// kindResult objects, images from kindLib (parsed once per digest), range
-// sets from kindSparse decoded against the parsed image. No locate/compact
+// materialize rebuilds a BatchResult from a job manifest: images come from
+// kindLib (parsed once per digest), each library's report and range set
+// from its kindRecord decoded against the parsed image. No locate/compact
 // runs — restored libraries are byte-identical reconstructions.
 func (s *Service) materialize(m *jobManifest) (*BatchResult, error) {
 	res := &BatchResult{
@@ -765,27 +766,19 @@ func (s *Service) materialize(m *jobManifest) (*BatchResult, error) {
 	}
 	res.byName = make(map[string]*negativa.LibraryReport, len(m.Libs))
 	for _, ml := range m.Libs {
-		raw, ok := s.store.Get(kindResult, ml.Key)
-		if !ok {
-			return nil, fmt.Errorf("dserve: restore %s: result %.12s… missing from store", m.ID, ml.Key)
-		}
-		var sr storedResult
-		if err := json.Unmarshal(raw, &sr); err != nil {
-			return nil, fmt.Errorf("dserve: restore %s: result %.12s…: %w", m.ID, ml.Key, err)
-		}
 		lib, err := s.restoredLib(ml.LibDigest, ml.Name)
 		if err != nil {
 			return nil, fmt.Errorf("dserve: restore %s: %w", m.ID, err)
 		}
-		enc, ok := s.store.Get(kindSparse, ml.Key)
+		raw, ok := s.store.Get(kindRecord, ml.Key)
 		if !ok {
-			return nil, fmt.Errorf("dserve: restore %s: sparse %.12s… missing from store", m.ID, ml.Key)
+			return nil, fmt.Errorf("dserve: restore %s: record %.12s… missing from store", m.ID, ml.Key)
 		}
-		sparse, err := negativa.DecodeSparseImage(lib, enc)
+		ld, err := negativa.DecodeRecord(lib, raw)
 		if err != nil {
-			return nil, fmt.Errorf("dserve: restore %s: %w", m.ID, err)
+			return nil, fmt.Errorf("dserve: restore %s: record %.12s…: %w", m.ID, ml.Key, err)
 		}
-		lr := sr.report(sparse)
+		lr := ld.Report
 		lr.Name = ml.Name
 		res.Libs = append(res.Libs, lr)
 		res.libKeys = append(res.libKeys, ml.Key)

@@ -6,11 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
-	"negativaml/internal/elfx"
 	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
 	"negativaml/internal/plan"
@@ -43,11 +41,10 @@ import (
 // for. Detect
 // requests are a small workload spec, so a hinted requester goes straight
 // to the execute route (which starts with the owner's registry probe).
-// Lookup responses hand back the same durable forms the castore disk tier
-// uses (storedResult JSON + encoded sparse range set, the very bytes on
-// disk), which the requester decodes against its own live library — the
-// digest-bound sparse codec makes a mismatched or corrupted payload a decode
-// error, never a wrong image.
+// A compact lookup answers with the result's record, the very bytes the
+// castore disk tier holds (negativa.EncodeRecord), which the requester
+// decodes against its own live library — the digest-bound record makes a
+// mismatched or corrupted payload a decode error, never a wrong image.
 //
 // A ring runs one protocol: a peer that answers any of these routes with a
 // non-2xx status is a failed peer for that call, and a failed peer means
@@ -61,13 +58,12 @@ type peerLookupRequest struct {
 }
 
 // peerLookupResponse carries the stage value when found: a detection
-// profile for detect stages, a stored result + encoded sparse range set
-// for compact stages, the run's result for verifyrun stages.
+// profile for detect stages, the result's record for compact stages, the
+// run's result for verifyrun stages.
 type peerLookupResponse struct {
 	Found   bool              `json:"found"`
 	Profile *negativa.Profile `json:"profile,omitempty"`
-	Result  *storedResult     `json:"result,omitempty"`
-	Sparse  []byte            `json:"sparse,omitempty"`
+	Record  []byte            `json:"record,omitempty"`
 	Verify  *mlruntime.Result `json:"verify,omitempty"`
 }
 
@@ -197,19 +193,14 @@ func (s *Service) lookupStage(key peerLookupRequest) (peerLookupResponse, error)
 			resp.Found, resp.Profile = true, p
 		}
 	case negativa.StageCompact:
-		if ld, ok := s.Cache.Get(key.Hash); ok && ld.Report != nil && ld.Report.Sparse != nil {
-			sr := storedResultOf(ld)
-			resp.Found, resp.Result, resp.Sparse = true, &sr, ld.Report.Sparse.EncodeWire()
+		// The disk tier answers with the stored bytes as they are: the
+		// requester's decode is the check.
+		if ld, ok := s.Cache.Get(key.Hash); ok {
+			resp.Record, _ = negativa.EncodeRecord(ld)
 		} else if s.store != nil {
-			raw, ok1 := s.store.Get(kindResult, key.Hash)
-			enc, ok2 := s.store.Get(kindSparse, key.Hash)
-			if ok1 && ok2 {
-				var sr storedResult
-				if err := json.Unmarshal(raw, &sr); err == nil {
-					resp.Found, resp.Result, resp.Sparse = true, &sr, enc
-				}
-			}
+			resp.Record, _ = s.store.Get(kindRecord, key.Hash)
 		}
+		resp.Found = resp.Record != nil
 	case negativa.StageVerifyRun:
 		r, _, ok := s.stages.localVerify(key.Hash)
 		resp.Found, resp.Verify = ok, r
@@ -463,7 +454,7 @@ func (s *Service) handlePeerObjectPut(w http.ResponseWriter, r *http.Request) {
 	}
 	kind, key := r.PathValue("kind"), r.PathValue("key")
 	switch kind {
-	case kindLib, kindSparse, kindResult, kindProfile, kindVerify:
+	case kindLib, kindRecord, kindProfile, kindVerify:
 	default:
 		httpError(w, http.StatusBadRequest, fmt.Errorf("kind %q is not replicated", kind))
 		return
@@ -528,20 +519,4 @@ func (m *StageMemo) peerDetect(slot plan.Executor, owner, hash string, hint *det
 	}
 	m.count("peer.hits")
 	return dr.Profile, true
-}
-
-// decodePeerResult rebuilds a locate+compact result from its wire form
-// against the requester's live library.
-func decodePeerResult(lib *elfx.Library, sr *storedResult, enc []byte) (*negativa.LibDebloat, bool) {
-	if sr == nil || len(enc) == 0 || lib == nil {
-		return nil, false
-	}
-	if sr.LibDigest != digestHex(lib) {
-		return nil, false
-	}
-	sparse, err := negativa.DecodeSparseImage(lib, enc)
-	if err != nil {
-		return nil, false
-	}
-	return &negativa.LibDebloat{Report: sr.report(sparse), Analysis: time.Duration(sr.AnalysisNS)}, true
 }

@@ -64,7 +64,7 @@ func TestPeerLookupMissesAndRejections(t *testing.T) {
 		t.Fatalf("%d results for %d keys", len(resp.Results), len(req.Keys))
 	}
 	for i, lr := range resp.Results {
-		if lr.Found || lr.Profile != nil || lr.Result != nil || lr.Sparse != nil {
+		if lr.Found || lr.Profile != nil || lr.Record != nil {
 			t.Fatalf("key %+v: lookup invented a result: %+v", req.Keys[i], lr)
 		}
 	}
@@ -99,7 +99,7 @@ func TestPeerJSONBodyLimits(t *testing.T) {
 	statRefs := func(n int, key string) peerStatRequest {
 		req := peerStatRequest{Objects: make([]peerObjectRef, n)}
 		for i := range req.Objects {
-			req.Objects[i] = peerObjectRef{Kind: kindResult, Key: key}
+			req.Objects[i] = peerObjectRef{Kind: kindRecord, Key: key}
 		}
 		return req
 	}
@@ -307,6 +307,54 @@ func TestPeerRoutesRequireCluster(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("object push without a cluster: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestPeerObjectPutKinds: the object route takes the replicated kinds —
+// lib, record, profile, verify — and nothing else: a push of the two
+// objects a compact result was stored as before the record ("result" and
+// "sparse") answers 400 and lands nothing.
+func TestPeerObjectPutKinds(t *testing.T) {
+	st, err := castore.Open(t.TempDir(), castore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	svc := NewService(Config{Workers: 1, Store: st})
+	defer svc.Close()
+	soloCluster(svc)
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	key := strings.Repeat("ab", 32)
+	put := func(kind string) int {
+		body := castore.Frame([]byte("payload"))
+		req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/peer/objects/"+kind+"/"+key, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, kind := range []string{"result", "sparse", kindJob} {
+		if code := put(kind); code != http.StatusBadRequest {
+			t.Errorf("PUT of a %q object: status %d, want 400", kind, code)
+		}
+		if st.Has(kind, key) {
+			t.Errorf("a refused %q push landed in the store", kind)
+		}
+	}
+	for _, kind := range []string{kindLib, kindRecord} {
+		if code := put(kind); code != http.StatusOK {
+			t.Errorf("PUT of a %q object: status %d, want 200", kind, code)
+		}
+		if !st.Has(kind, key) {
+			t.Errorf("an accepted %q push is not in the store", kind)
+		}
 	}
 }
 

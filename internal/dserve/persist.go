@@ -21,11 +21,13 @@ const (
 	// kindLib holds original library images, keyed by the hex library
 	// content digest (elfx.Library.ContentDigest).
 	kindLib = "lib"
-	// kindSparse holds encoded SparseImage range sets, keyed by the
-	// compact-stage hash (negativa.CompactKey).
-	kindSparse = "sparse"
-	// kindResult holds LibraryReport metadata (JSON), keyed like kindSparse.
-	kindResult = "result"
+	// kindRecord holds one locate+compact result per object in the binary
+	// record format (negativa.EncodeRecord: report, symbol lists and the v2
+	// range set, bound to the library digest), keyed by the compact-stage
+	// hash (negativa.CompactKey). Stores written before the record hold a
+	// "result" (JSON) and a "sparse" object per result instead; nothing
+	// reads those kinds, so such a store recomputes its compact stages.
+	kindRecord = "record"
 	// kindProfile holds verified detection profiles (JSON), keyed by the
 	// profile-key digest (profileObjectKey).
 	kindProfile = "profile"
@@ -42,153 +44,47 @@ type storeRef struct {
 	Key  string `json:"key"`
 }
 
-// storedResult is the on-disk form of one locate+compact result: every
-// analytic report field plus the digest of the library image the sparse
-// range set applies to. The range set itself is a sibling kindSparse
-// object; the image a kindLib object.
-type storedResult struct {
-	Name      string `json:"name"`
-	LibDigest string `json:"lib_digest"`
-
-	FileSize            int64    `json:"file_size"`
-	FileEffective       int64    `json:"file_effective"`
-	FileEffectiveAfter  int64    `json:"file_effective_after"`
-	CPUSize             int64    `json:"cpu_size"`
-	CPUSizeAfter        int64    `json:"cpu_size_after"`
-	FuncCount           int      `json:"func_count"`
-	FuncKept            int      `json:"func_kept"`
-	GPUSize             int64    `json:"gpu_size"`
-	GPUSizeAfter        int64    `json:"gpu_size_after"`
-	ElemCount           int      `json:"elem_count"`
-	ElemKept            int      `json:"elem_kept"`
-	RemovedArchMismatch int      `json:"removed_arch_mismatch"`
-	RemovedNoUsedKernel int      `json:"removed_no_used_kernel"`
-	ResidentBytes       int64    `json:"resident_bytes"`
-	ResidentBytesAfter  int64    `json:"resident_bytes_after"`
-	UsedFuncs           []string `json:"used_funcs,omitempty"`
-	UsedKernels         []string `json:"used_kernels,omitempty"`
-
-	AnalysisNS int64 `json:"analysis_ns"`
-}
-
 func digestHex(lib *elfx.Library) string {
 	d := lib.ContentDigest()
 	return hex.EncodeToString(d[:])
 }
 
-// spillResult persists one locate+compact result as its three objects:
-// the original library image (shared across results by digest), the sparse
-// range set, and the report metadata. Re-spilling an already-present key is
+// spillResult persists one locate+compact result as its two objects: the
+// original library image (shared across results by digest), then the
+// result's record — image before record, so a record never lands without
+// the image it decodes against. Re-spilling an already-present key is
 // cheap (castore Puts of existing objects are no-ops).
 func spillResult(st *castore.Store, key string, ld *negativa.LibDebloat) error {
-	lr := ld.Report
-	if lr == nil || lr.Sparse == nil {
-		return fmt.Errorf("dserve: result %s has no sparse image to persist", key)
-	}
-	lib := lr.Sparse.Lib()
-	dhex := digestHex(lib)
-	if err := st.Put(kindLib, dhex, lib.Data); err != nil {
-		return err
-	}
-	if err := st.Put(kindSparse, key, lr.Sparse.EncodeWire()); err != nil {
-		return err
-	}
-	data, err := json.Marshal(storedResultOf(ld))
+	rec, err := negativa.EncodeRecord(ld)
 	if err != nil {
+		return fmt.Errorf("dserve: result %s: %w", key, err)
+	}
+	lib := ld.Report.Sparse.Lib()
+	if err := st.Put(kindLib, digestHex(lib), lib.Data); err != nil {
 		return err
 	}
-	return st.Put(kindResult, key, data)
+	return st.Put(kindRecord, key, rec)
 }
 
-// storedResultOf flattens one locate+compact result into its durable /
-// wire form. The caller guarantees ld.Report and its Sparse image are
-// non-nil.
-func storedResultOf(ld *negativa.LibDebloat) storedResult {
-	lr := ld.Report
-	return storedResult{
-		Name:      lr.Name,
-		LibDigest: digestHex(lr.Sparse.Lib()),
-
-		FileSize:            lr.FileSize,
-		FileEffective:       lr.FileEffective,
-		FileEffectiveAfter:  lr.FileEffectiveAfter,
-		CPUSize:             lr.CPUSize,
-		CPUSizeAfter:        lr.CPUSizeAfter,
-		FuncCount:           lr.FuncCount,
-		FuncKept:            lr.FuncKept,
-		GPUSize:             lr.GPUSize,
-		GPUSizeAfter:        lr.GPUSizeAfter,
-		ElemCount:           lr.ElemCount,
-		ElemKept:            lr.ElemKept,
-		RemovedArchMismatch: lr.RemovedArchMismatch,
-		RemovedNoUsedKernel: lr.RemovedNoUsedKernel,
-		ResidentBytes:       lr.ResidentBytes,
-		ResidentBytesAfter:  lr.ResidentBytesAfter,
-		UsedFuncs:           lr.UsedFuncs,
-		UsedKernels:         lr.UsedKernels,
-
-		AnalysisNS: int64(ld.Analysis),
-	}
-}
-
-// reportFrom rebuilds a LibraryReport from its stored metadata and a
-// decoded sparse image.
-func (sr *storedResult) report(sparse *negativa.SparseImage) *negativa.LibraryReport {
-	return &negativa.LibraryReport{
-		Name:                sr.Name,
-		FileSize:            sr.FileSize,
-		FileEffective:       sr.FileEffective,
-		FileEffectiveAfter:  sr.FileEffectiveAfter,
-		CPUSize:             sr.CPUSize,
-		CPUSizeAfter:        sr.CPUSizeAfter,
-		FuncCount:           sr.FuncCount,
-		FuncKept:            sr.FuncKept,
-		GPUSize:             sr.GPUSize,
-		GPUSizeAfter:        sr.GPUSizeAfter,
-		ElemCount:           sr.ElemCount,
-		ElemKept:            sr.ElemKept,
-		RemovedArchMismatch: sr.RemovedArchMismatch,
-		RemovedNoUsedKernel: sr.RemovedNoUsedKernel,
-		ResidentBytes:       sr.ResidentBytes,
-		ResidentBytesAfter:  sr.ResidentBytesAfter,
-		UsedFuncs:           sr.UsedFuncs,
-		UsedKernels:         sr.UsedKernels,
-		Sparse:              sparse,
-	}
-}
-
-// loadResult reconstructs a locate+compact result from the store against a
-// live library (the warm-disk path inside a running batch: the install is
-// already in memory, only the derived artifacts come from disk). Returns
-// false on any absence or corruption — the caller recomputes.
+// loadResult reads a locate+compact result from the store against a live
+// library (the warm-disk path inside a running batch: the install is
+// already in memory, only the result comes from disk). The record is a
+// few hundred bytes, so one checksummed Get reads it; a mapping costs more
+// than the bytes. Returns false on any absence or corruption — the caller
+// recomputes. A well-framed record that does not decode against lib is
+// deleted here (unless a job pins it), so the recompute it forces can
+// write the record again.
 func loadResult(st *castore.Store, key string, lib *elfx.Library) (*negativa.LibDebloat, bool) {
-	// Both reads go through OpenMapped: the decoded forms (storedResult,
-	// the range set) copy what they keep, so the raw object bytes are
-	// page-cache views scoped to this call — the warm-disk tier allocates
-	// no payload copies.
-	mr, ok := st.OpenMapped(kindResult, key)
+	raw, ok := st.Get(kindRecord, key)
 	if !ok {
 		return nil, false
 	}
-	var sr storedResult
-	err := json.Unmarshal(mr.Data(), &sr)
-	mr.Close()
+	ld, err := negativa.DecodeRecord(lib, raw)
 	if err != nil {
+		st.Delete(kindRecord, key)
 		return nil, false
 	}
-	if sr.LibDigest != digestHex(lib) {
-		return nil, false // stored for different library bytes
-	}
-	ms, ok := st.OpenMapped(kindSparse, key)
-	if !ok {
-		return nil, false
-	}
-	sparse, err := negativa.DecodeSparseImage(lib, ms.Data())
-	ms.Close()
-	if err != nil {
-		return nil, false
-	}
-	return &negativa.LibDebloat{Report: sr.report(sparse), Analysis: time.Duration(sr.AnalysisNS)}, true
+	return ld, true
 }
 
 // storedProfile is the on-disk form of one registry entry.
@@ -270,7 +166,7 @@ type jobManifest struct {
 
 type manifestLib struct {
 	Name string `json:"name"`
-	// Key addresses the kindResult / kindSparse pair.
+	// Key addresses the kindRecord object.
 	Key string `json:"key"`
 	// LibDigest addresses the kindLib image.
 	LibDigest string `json:"lib_digest"`
@@ -299,18 +195,19 @@ func (m *jobManifest) allVerified() bool {
 }
 
 // refs lists every object the manifest's job must pin: the manifest itself
-// plus, per library, the result, range set, and image objects.
+// plus each library's record and image.
 func (m *jobManifest) refs() []storeRef {
-	out := make([]storeRef, 0, 1+3*len(m.Libs))
+	out := make([]storeRef, 0, 1+2*len(m.Libs))
 	out = append(out, storeRef{kindJob, m.ID})
 	for _, l := range m.Libs {
-		out = append(out,
-			storeRef{kindResult, l.Key},
-			storeRef{kindSparse, l.Key},
-			storeRef{kindLib, l.LibDigest},
-		)
+		out = append(out, l.refs()...)
 	}
 	return out
+}
+
+// refs lists the library's two objects: its record, then its image.
+func (l manifestLib) refs() []storeRef {
+	return []storeRef{{kindRecord, l.Key}, {kindLib, l.LibDigest}}
 }
 
 func manifestOf(job *Job, res *BatchResult) (*jobManifest, error) {

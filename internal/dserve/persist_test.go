@@ -2,6 +2,7 @@ package dserve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -355,6 +356,104 @@ func TestFailedJobSurvivesRestart(t *testing.T) {
 	}
 	if j, _ := waitJob(svc2, good.ID, waitTimeout); j.State != JobDone {
 		t.Fatalf("new job: %s", j.Err)
+	}
+}
+
+// TestParentFormatStoreRecomputes is ARCHITECTURE.md's promise across the
+// change of on-disk format: a store written before the record existed holds
+// each compact result as a "result" JSON document plus a "sparse" range
+// set, and a job manifest that references that pair. Reopened by this
+// build, nothing reads the old pair — the batch recomputes (counted) and
+// serves byte-identical images; the old manifest, whose references no
+// longer resolve, is dropped and counted; and its ID stays reserved.
+func TestParentFormatStoreRecomputes(t *testing.T) {
+	req := JobRequest{
+		Framework: "pytorch", TailLibs: 4, MaxSteps: 2,
+		Workloads: []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}, {Model: "Transformer", Batch: 8}},
+	}
+	ref := NewService(Config{Workers: 2, MaxSteps: 2})
+	job, err := ref.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, _ := waitJob(ref, job.ID, waitTimeout); j.State != JobDone {
+		t.Fatalf("reference job: %s", j.Err)
+	}
+	res := ref.Job(job.ID).Result
+	want := res.DebloatedLibs()
+	ref.Close()
+
+	// The parent's store, written by hand: per result an image, a v2 range
+	// set and the report as JSON, then a done manifest naming the pair.
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	const oldID = "job-0007"
+	m := &jobManifest{ID: oldID, State: JobDone, Req: req, InstallFP: res.InstallFP}
+	for i, lr := range res.Libs {
+		key, lib := res.libKeys[i], lr.Sparse.Lib()
+		meta, err := json.Marshal(map[string]any{
+			"name": lr.Name, "lib_digest": digestHex(lib),
+			"file_size": lr.FileSize, "file_effective": lr.FileEffective, "file_effective_after": lr.FileEffectiveAfter,
+			"cpu_size": lr.CPUSize, "cpu_size_after": lr.CPUSizeAfter, "func_count": lr.FuncCount, "func_kept": lr.FuncKept,
+			"gpu_size": lr.GPUSize, "gpu_size_after": lr.GPUSizeAfter, "elem_count": lr.ElemCount, "elem_kept": lr.ElemKept,
+			"removed_arch_mismatch": lr.RemovedArchMismatch, "removed_no_used_kernel": lr.RemovedNoUsedKernel,
+			"resident_bytes": lr.ResidentBytes, "resident_bytes_after": lr.ResidentBytesAfter,
+			"used_funcs": lr.UsedFuncs, "used_kernels": lr.UsedKernels, "analysis_ns": 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range []struct {
+			kind, key string
+			payload   []byte
+		}{{kindLib, digestHex(lib), lib.Data}, {"sparse", key, lr.Sparse.EncodeWire()}, {"result", key, meta}} {
+			if err := st.Put(o.kind, o.key, o.payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Libs = append(m.Libs, manifestLib{Name: lr.Name, Key: key, LibDigest: digestHex(lib)})
+	}
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(kindJob, oldID, raw); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	svc := NewService(Config{Workers: 2, MaxSteps: 2, Store: openStore(t, dir)})
+	defer svc.Close()
+	if n := svc.Counters.Get("jobs.restore_failed"); n != 1 {
+		t.Fatalf("jobs.restore_failed = %d, want 1: the parent-format manifest must be dropped", n)
+	}
+	if svc.Job(oldID) != nil || svc.Store().Has(kindJob, oldID) {
+		t.Fatal("the parent-format manifest was restored")
+	}
+	job, err = svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobSeq(job.ID) <= jobSeq(oldID) {
+		t.Fatalf("new job %s reissues an ID at or below the dropped %s", job.ID, oldID)
+	}
+	j, _ := waitJob(svc, job.ID, waitTimeout)
+	if j.State != JobDone {
+		t.Fatalf("job over a parent-format store: %s", j.Err)
+	}
+	if n := svc.Counters.Get("analysis.computed"); n != int64(len(want)) {
+		t.Fatalf("analysis.computed = %d, want %d: every compact stage recomputes", n, len(want))
+	}
+	if n := svc.Counters.Get("stage.compact.disk_hits"); n != 0 {
+		t.Fatalf("stage.compact.disk_hits = %d over a store holding no record", n)
+	}
+	if j.Result.CacheMisses == 0 {
+		t.Fatal("the recompute counted no cache misses")
+	}
+	for name, img := range want {
+		if got := fetchDirect(t, svc, job.ID, name); !bytes.Equal(got, img) {
+			t.Fatalf("library %s differs from the reference run", name)
+		}
 	}
 }
 

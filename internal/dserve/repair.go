@@ -6,8 +6,8 @@ package dserve
 //   - Write-back replication (replicateResult, replicateProfile,
 //     recordVerify): the stage memo hands every locally computed compact
 //     result, detect profile and verify record here, and a background
-//     goroutine pushes its objects (library image, sparse range set,
-//     report; the profile snapshot; the verify record) to the live remote
+//     goroutine pushes its objects (library image, then the result's
+//     record; the profile snapshot; the verify record) to the live remote
 //     owners — new artifacts converge without waiting for a repair sweep.
 //   - Anti-entropy repair (RepairNow, driven by the RepairInterval loop):
 //     each sweep walks the locally held replicable objects, derives each
@@ -26,6 +26,7 @@ package dserve
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -49,23 +50,20 @@ type replObject struct {
 
 // replicateResult is the stage memo's write-back hook for compact stages:
 // push one freshly computed result's objects to the named replica peers in
-// the background. Push order is image, range set, then report, so an
-// interrupted push never leaves a report whose referenced objects are
-// absent.
+// the background — the library image, then the record, so an interrupted
+// push never leaves a record without the image it decodes against.
 func (s *Service) replicateResult(hash string, ld *negativa.LibDebloat, peers []string) {
-	if s.cluster == nil || len(peers) == 0 || ld == nil || ld.Report == nil || ld.Report.Sparse == nil {
+	if s.cluster == nil || len(peers) == 0 {
 		return
 	}
-	meta, err := json.Marshal(storedResultOf(ld))
+	rec, err := negativa.EncodeRecord(ld)
 	if err != nil {
-		s.Counters.Add("peer.replica_write_errors", 1)
 		return
 	}
 	lib := ld.Report.Sparse.Lib()
 	s.pushObjects(peers, []replObject{
 		{kindLib, digestHex(lib), lib.Data},
-		{kindSparse, hash, ld.Report.Sparse.EncodeWire()},
-		{kindResult, hash, meta},
+		{kindRecord, hash, rec},
 	})
 }
 
@@ -165,25 +163,24 @@ func (s *Service) WaitReplication() { s.replWG.Wait() }
 
 // forEachOwnedGroup walks the store's replicable object kinds and hands
 // each replication group — a ring key plus the locally present objects
-// that must live wherever that key's owners are — to fn. Compact results
-// group their report, range set, and shared library image under the
-// compact stage key; profile snapshots ride the detect stage key recovered
-// from their own identity fields; a verify record's object key is its
-// verifyrun stage hash, so its ring key needs no payload read.
+// that must live wherever that key's owners are — to fn. A compact result
+// groups its shared library image (named by the digest at the record's
+// fixed offset) and its record under the compact stage key, image first;
+// profile snapshots ride the detect stage key recovered from their own
+// identity fields; a verify record's object key is its verifyrun stage
+// hash, so its ring key needs no payload read.
 func (s *Service) forEachOwnedGroup(fn func(ringKey string, refs []peerObjectRef)) {
 	st := s.store
-	st.Walk(kindResult, func(key string, _ int64) error {
-		refs := []peerObjectRef{{Kind: kindResult, Key: key}}
-		if st.Has(kindSparse, key) {
-			refs = append(refs, peerObjectRef{Kind: kindSparse, Key: key})
-		}
-		if raw, ok := st.Get(kindResult, key); ok {
-			var sr storedResult
-			if json.Unmarshal(raw, &sr) == nil && sr.LibDigest != "" && st.Has(kindLib, sr.LibDigest) {
-				refs = append(refs, peerObjectRef{Kind: kindLib, Key: sr.LibDigest})
+	st.Walk(kindRecord, func(key string, _ int64) error {
+		var refs []peerObjectRef
+		if raw, ok := st.Get(kindRecord, key); ok {
+			if d, ok := negativa.RecordLibDigest(raw); ok {
+				if lk := hex.EncodeToString(d[:]); st.Has(kindLib, lk) {
+					refs = append(refs, peerObjectRef{Kind: kindLib, Key: lk})
+				}
 			}
 		}
-		fn(plan.Key{Stage: negativa.StageCompact, Hash: key}.String(), refs)
+		fn(plan.Key{Stage: negativa.StageCompact, Hash: key}.String(), append(refs, peerObjectRef{Kind: kindRecord, Key: key}))
 		return nil
 	})
 	st.Walk(kindProfile, func(key string, _ int64) error {

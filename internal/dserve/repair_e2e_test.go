@@ -173,13 +173,14 @@ func TestRepairSweepHealsEmptyReplica(t *testing.T) {
 	}
 }
 
-// TestReplicaReadSparseWireInterop is the read-compat promise of the one
-// sparse encoding: node a's store was written by an earlier build (every
-// range set in the fixed-width v1 frame), node b is fresh. a must hand its
-// stored v1 bytes out untouched through lookup-batch, b must decode them
-// into byte-identical libraries without analysing anything, and a itself
-// must restore warm from the v1 objects — an old store costs a decode,
-// never a recompute and never a wrong image.
+// TestReplicaReadSparseWireInterop is the read side of the one encoding a
+// compact result has, on disk and on the wire: node a reopens a store an
+// earlier run filled, node b is fresh. Every result is one record whose
+// range set is the v2 frame; a must hand its stored records out untouched
+// through lookup-batch, b must decode them into byte-identical libraries
+// without analysing anything, and a itself must restore warm from the same
+// objects — a stored result costs a decode, never a recompute and never a
+// wrong image.
 func TestReplicaReadSparseWireInterop(t *testing.T) {
 	req := JobRequest{
 		Framework: "pytorch",
@@ -191,7 +192,7 @@ func TestReplicaReadSparseWireInterop(t *testing.T) {
 		MaxSteps: 2,
 	}
 
-	// An earlier run fills the store; this build persists the v2 frame.
+	// An earlier run fills the store.
 	dir := t.TempDir()
 	st, err := castore.Open(dir, castore.Options{})
 	if err != nil {
@@ -205,33 +206,25 @@ func TestReplicaReadSparseWireInterop(t *testing.T) {
 	}
 	want := first.Job(stFirst.ID).Result.DebloatedLibs()
 	keys := first.Job(stFirst.ID).Result.libKeys
+	libs := first.Job(stFirst.ID).Result.Libs
 	firstSrv.Close()
 	first.Close()
 
-	// Rewrite every range set the way the earlier build stored it.
-	v1 := map[string][]byte{}
-	st.Walk(kindSparse, func(key string, _ int64) error {
-		enc, _ := st.Get(kindSparse, key)
-		if got := negativa.SparseWireVersion(enc); got != 2 {
-			t.Fatalf("sparse object %s persisted in codec v%d, want the v2 frame", key, got)
+	// Every compact result is one record; DecodeRecord takes no range set
+	// but the v2 frame.
+	for i, key := range keys {
+		raw, ok := st.Get(kindRecord, key)
+		if !ok {
+			t.Fatalf("the first run persisted no record for %s", libs[i].Name)
 		}
-		if v1[key], err = negativa.TranscodeSparseWire(enc, 1); err != nil {
-			t.Fatal(err)
+		if _, err := negativa.DecodeRecord(libs[i].Sparse.Lib(), raw); err != nil {
+			t.Fatalf("record of %s: %v", libs[i].Name, err)
 		}
-		return nil
-	})
-	if len(v1) == 0 {
-		t.Fatal("the first run persisted no sparse objects")
 	}
+	stored, _ := st.Get(kindRecord, keys[0])
 	st.Close()
 	if st, err = castore.Open(dir, castore.Options{}); err != nil {
 		t.Fatal(err)
-	}
-	for key, enc := range v1 {
-		st.Delete(kindSparse, key)
-		if err := st.Put(kindSparse, key, enc); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	svcA := NewService(Config{Workers: 4, MaxSteps: 2, Store: st})
@@ -248,21 +241,21 @@ func TestReplicaReadSparseWireInterop(t *testing.T) {
 	var lr peerBatchLookupResponse
 	probe := peerBatchLookupRequest{Keys: []peerLookupRequest{{Stage: negativa.StageCompact, Hash: keys[0]}}}
 	if code := postPeer(t, a.srv, "/v1/peer/lookup-batch", probe, &lr); code != http.StatusOK || len(lr.Results) != 1 || !lr.Results[0].Found {
-		t.Fatalf("lookup-batch against the v1 store: status %d, results %+v", code, lr.Results)
+		t.Fatalf("lookup-batch against the reopened store: status %d, results %+v", code, lr.Results)
 	}
-	if !bytes.Equal(lr.Results[0].Sparse, v1[keys[0]]) {
-		t.Fatal("lookup-batch re-encoded the stored range set instead of handing it out untouched")
+	if !bytes.Equal(lr.Results[0].Record, stored) {
+		t.Fatal("lookup-batch re-encoded the stored record instead of handing it out untouched")
 	}
 
 	// b first (a's memory tier is still cold, so every value b reads comes
-	// off a's v1 disk objects), then a itself from its own disk.
+	// off a's disk objects), then a itself from its own disk.
 	for _, n := range []*testNode{b, a} {
 		stN := postJob(t, n.srv, req)
 		if done := pollDone(t, n.srv, stN.ID); done.State != JobDone || done.Verified == nil || !*done.Verified {
 			t.Fatalf("node %s job: state %s verified %v: %s", n.id, done.State, done.Verified, done.Error)
 		}
 		if got := n.svc.Counters.Get("analysis.computed"); got != 0 {
-			t.Fatalf("node %s recomputed %d analysis stages over a v1 store", n.id, got)
+			t.Fatalf("node %s recomputed %d analysis stages over a reopened store", n.id, got)
 		}
 		for name, img := range want {
 			if got := fetchPeerJobLib(t, n.srv, stN.ID, name); !bytes.Equal(got, img) {

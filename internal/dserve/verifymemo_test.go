@@ -215,9 +215,10 @@ func TestRestartedServiceVerifiesFromDisk(t *testing.T) {
 
 // TestVerifyMemoReRunsOnDifferentBytes is the promise the verifyrun key
 // keeps: it addresses the bytes handed out, not the keys asked for. One
-// library's persisted range set is replaced, through the store, by a
-// well-formed one — valid frame, valid NSP2, bound to the right library —
-// that also zeroes the code of a kernel the members use. The
+// library's persisted record is replaced, through the store, by a
+// well-formed one — valid frame, valid NRC1 with an NSP2 range set, bound
+// to the right library — whose range set also zeroes the code of a kernel
+// the members use. The
 // restarted service restores that compact from disk under its unchanged
 // compact key; the set digest, and so every verifyrun key, is different; no
 // record answers, the members run on the bytes as they now are, and the
@@ -257,21 +258,26 @@ func TestVerifyMemoReRunsOnDifferentBytes(t *testing.T) {
 	key := cold.libKeys[victim]
 
 	st := openStore(t, dir)
-	raw, ok := st.Get(kindSparse, key)
+	raw, ok := st.Get(kindRecord, key)
 	if !ok {
-		t.Fatalf("no sparse object for %s", lib.Name)
+		t.Fatalf("no record for %s", lib.Name)
 	}
-	stored, err := negativa.DecodeSparseImage(lib, raw)
+	rec, err := negativa.DecodeRecord(lib, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stored := rec.Report.Sparse
 	ranges := append(extra, stored.ZeroedRanges()...)
 	tampered := negativa.NewSparseImage(lib, ranges)
 	if tampered.NonZeroBytes() == stored.NonZeroBytes() {
 		t.Fatal("the extra range changed nothing")
 	}
-	st.Delete(kindSparse, key)
-	if err := st.Put(kindSparse, key, tampered.EncodeWire()); err != nil {
+	rec.Report.Sparse = tampered
+	if raw, err = negativa.EncodeRecord(rec); err != nil {
+		t.Fatal(err)
+	}
+	st.Delete(kindRecord, key)
+	if err := st.Put(kindRecord, key, raw); err != nil {
 		t.Fatal(err)
 	}
 

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"negativaml/internal/elfx"
 )
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -193,4 +195,55 @@ func TestReadWireRejects(t *testing.T) {
 			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// FuzzReadWire feeds mutated install streams to ReadWire, the decoder of
+// what a peer sends an owner about to run a detect: it must never panic,
+// never read past its bound, and an install it accepts must come back out
+// of WriteWire as a stream it accepts again and writes identically.
+func FuzzReadWire(f *testing.F) {
+	b := elfx.NewBuilder("libfuzz.so")
+	b.AddFunction("alpha", 64)
+	data, err := b.Build()
+	if err != nil {
+		f.Fatal(err)
+	}
+	lib, err := elfx.Parse("libfuzz.so", data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	m := Manifest{Framework: PyTorch, LibNames: []string{"libfuzz.so"}, InitCalls: []LibFunc{{Lib: "libfuzz.so", Func: "alpha"}}}
+	in, err := m.Install(map[string]*elfx.Library{"libfuzz.so": lib})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := in.WriteWire(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	f.Add([]byte{})
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x02{}"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ReadWire(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := got.WriteWire(&once); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadWire(bytes.NewReader(once.Bytes()), int64(once.Len()))
+		if err != nil {
+			t.Fatalf("an accepted install does not read back: %v", err)
+		}
+		if err := again.WriteWire(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatal("an accepted install does not write back identically")
+		}
+	})
 }
