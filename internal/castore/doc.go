@@ -1,6 +1,6 @@
 // Package castore is a crash-safe, disk-backed content-addressed store for
-// the debloating pipeline's derived artifacts: library images, sparse-image
-// range sets, verified usage profiles, library reports, and job manifests.
+// the debloating pipeline's derived artifacts: library images, compact-result
+// records, verified usage profiles, verification records, and job manifests.
 //
 // Objects are addressed by (kind, key) where kind namespaces the artifact
 // type and key is a content digest (or a stable identifier for manifests).

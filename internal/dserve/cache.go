@@ -243,9 +243,9 @@ func (c *ResultCache) Contains(key string) bool {
 }
 
 // HasStored reports whether the attached store holds the key's persisted
-// record, without reading it. Keys replication pushed to this node probe true, so the batch
-// prefetch skips re-fetching what LoadStored will serve without a round
-// trip.
+// record, without reading it. Keys replication pushed to this node probe
+// true, so the batch prefetch skips re-fetching what LoadStored will serve
+// without a round trip.
 func (c *ResultCache) HasStored(key string) bool {
 	c.mu.Lock()
 	st := c.store
@@ -259,8 +259,8 @@ func (c *ResultCache) HasStored(key string) bool {
 // LoadStored is the disk tier alone: the attached store's record is
 // decoded against the caller's live library and promoted into the memory
 // tier. lib anchors the reconstruction; a record that does not decode
-// against it is a miss. The stage memo calls Get, then
-// LoadStored on a miss, so it can tell a memory hit from a disk restore.
+// against it is a miss. The stage memo calls Get, then LoadStored on a
+// miss, so it can tell a memory hit from a disk restore.
 func (c *ResultCache) LoadStored(key string, lib *elfx.Library) (*negativa.LibDebloat, bool) {
 	c.mu.Lock()
 	st := c.store

@@ -86,9 +86,9 @@
 // What this gives up against re-running every time, precisely. Bytes
 // enter a node's memory only through checked boundaries — ingest and
 // install hashing (the fingerprint and every library's content digest),
-// castore frame checksums, and the record and sparse decoders, which bind
-// a result and its range set to its library's digest — and the key is computed from the in-memory
-// objects the result then streams from. So the one fault an unconditional
+// castore frame checksums, and the record decoder, which binds a result
+// and its range set to its library's digest — and the key is computed from
+// the in-memory objects the result then streams from. So the one fault an unconditional
 // re-run could still catch and the key cannot is mutation of an immutable
 // object (a library image, a sparse image's ranges) after its digest was
 // taken — which the concurrency contract below already excludes. The peer

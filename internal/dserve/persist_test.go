@@ -359,6 +359,59 @@ func TestFailedJobSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestMismatchedRecordIsRecomputedAndRewritten: a record that passes the
+// store's checksum but does not decode against the live library — here
+// another library's record filed under this key — is a miss. The batch
+// recomputes that one result and serves the right bytes, and the bad
+// record is gone, so the write-behind spill can replace it and the next
+// boot hits.
+func TestMismatchedRecordIsRecomputedAndRewritten(t *testing.T) {
+	dir := t.TempDir()
+	in, ws := persistTestInstall(t)
+	st := openStore(t, dir)
+	svc := NewService(Config{Workers: 2, MaxSteps: 2, Store: st})
+	res, err := svc.DebloatBatch(in, ws, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.DebloatedLibs()
+	svc.Close()
+	st.Close()
+
+	st = openStore(t, dir)
+	victim := res.libKeys[0]
+	other, ok := st.Get(kindRecord, res.libKeys[1])
+	if !ok {
+		t.Fatal("no record persisted")
+	}
+	st.Delete(kindRecord, victim)
+	if err := st.Put(kindRecord, victim, other); err != nil {
+		t.Fatal(err)
+	}
+	svc = NewService(Config{Workers: 2, MaxSteps: 2, Store: st})
+	defer svc.Close()
+	got, err := svc.DebloatBatch(in, ws, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := svc.Counters.Get("analysis.computed"); n != 1 {
+		t.Fatalf("analysis.computed = %d, want 1: only the mismatched record recomputes", n)
+	}
+	for name, img := range got.DebloatedLibs() {
+		if !bytes.Equal(img, want[name]) {
+			t.Fatalf("library %s differs from the run that filled the store", name)
+		}
+	}
+	svc.Cache.Flush()
+	raw, ok := st.Get(kindRecord, victim)
+	if !ok {
+		t.Fatal("the recomputed result was not spilled back")
+	}
+	if _, err := negativa.DecodeRecord(res.Libs[0].Sparse.Lib(), raw); err != nil {
+		t.Fatalf("the store still holds the mismatched record: %v", err)
+	}
+}
+
 // TestParentFormatStoreRecomputes is ARCHITECTURE.md's promise across the
 // change of on-disk format: a store written before the record existed holds
 // each compact result as a "result" JSON document plus a "sparse" range
