@@ -194,7 +194,8 @@ func (s *Service) lookupStage(key peerLookupRequest) (peerLookupResponse, error)
 		}
 	case negativa.StageCompact:
 		// The disk tier answers with the stored bytes as they are: the
-		// requester's decode is the check.
+		// requester's decode is the check. A result with nothing to
+		// encode, or a store miss, leaves Record nil: found=false.
 		if ld, ok := s.Cache.Get(key.Hash); ok {
 			resp.Record, _ = negativa.EncodeRecord(ld)
 		} else if s.store != nil {
