@@ -528,3 +528,44 @@ func TestSyncDirsSnapshotsUnderSweepLock(t *testing.T) {
 		t.Fatalf("dirty entries left after SyncDirs: %d", left)
 	}
 }
+
+// BenchmarkStoreOpen reopens a store holding what one persisted pytorch141
+// batch leaves behind: an image and a record per library, the four
+// workloads' profiles and one verification record, each under a SHA-256
+// hex key. Open's cost is per object and per directory, not per byte, so
+// the payloads are small.
+func BenchmarkStoreOpen(b *testing.B) {
+	dir := b.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	objects := 0
+	for _, k := range []struct {
+		kind string
+		n    int
+	}{{"lib", 162}, {"record", 162}, {"profile", 4}, {"verify", 1}} {
+		for i := 0; i < k.n; i++ {
+			payload := []byte(fmt.Sprintf("%s payload %d", k.kind, i))
+			if err := s.Put(k.kind, keyOf(payload), payload); err != nil {
+				b.Fatal(err)
+			}
+			objects++
+		}
+	}
+	s.Close()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		re, err := Open(dir, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := re.Stats().Objects; n != objects {
+			b.Fatalf("reopened store indexes %d objects, want %d", n, objects)
+		}
+		re.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N)/float64(objects), "us/object")
+}
