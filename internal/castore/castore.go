@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -97,9 +96,9 @@ type Store struct {
 	objects map[objKey]*object
 	lru     list.List // front = most recently used
 	bytes   int64
-	// madeDirs remembers kind/shard directories already created, so the
-	// Put hot path skips MkdirAll's per-component mkdir syscalls after the
-	// first object lands in a shard. Guarded by mu.
+	// madeDirs remembers the kind directories already created, one entry
+	// per kind, so the Put hot path skips MkdirAll's per-component mkdir
+	// syscalls after a kind's first object. Guarded by mu.
 	madeDirs map[string]struct{}
 	// dirtyFiles and dirtyDirs collect the object files and directories
 	// whose durability fsyncs Put deferred — files for their data, dirs
@@ -129,9 +128,12 @@ type Store struct {
 
 // Open opens (creating if needed) a store rooted at dir. Leftover temp
 // files from interrupted writes are removed, and the object index is
-// rebuilt from disk with recency seeded from file modification times.
-// Structurally invalid files (bad magic, truncated header, size mismatch)
-// are deleted; checksum validation is deferred to Get and Verify.
+// rebuilt by listing each kind directory once and opening each object
+// once, with recency seeded from file modification times. Structurally
+// invalid files (not a regular file, bad magic or version, truncated
+// header, size mismatch) are deleted; checksum validation is deferred to
+// Get and Verify. Objects of the older kind/xx/key layout are moved to
+// kind/key on the way.
 func Open(dir string, opt Options) (*Store, error) {
 	s := &Store{dir: dir, opt: opt, objects: map[objKey]*object{}, orphanRefs: map[objKey]int{}, madeDirs: map[string]struct{}{}, dirtyFiles: map[string]struct{}{}, dirtyDirs: map[string]struct{}{}}
 	if err := os.MkdirAll(s.tmpDir(), 0o755); err != nil {
@@ -170,9 +172,9 @@ func Open(dir string, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// Close releases the data-dir lock so another store may open the
-// directory. It does not flush anything — every Put is already durable.
-// Idempotent; the store must not be used after Close.
+// Close flushes every fsync Put deferred (SyncDirs), then releases the
+// data-dir lock so another store may open the directory. Idempotent; the
+// store must not be used after Close.
 func (s *Store) Close() {
 	s.SyncDirs()
 	s.mu.Lock()
@@ -184,8 +186,10 @@ func (s *Store) Close() {
 	}
 }
 
-// index walks the object tree and rebuilds the in-memory index ordered by
-// modification time (oldest = least recently used).
+// index lists each kind directory once and rebuilds the in-memory index
+// ordered by modification time (oldest = least recently used). Each object
+// is opened once: its size and mtime come from that descriptor, and so
+// does its header.
 func (s *Store) index() error {
 	type found struct {
 		id    objKey
@@ -193,40 +197,73 @@ func (s *Store) index() error {
 		mtime int64
 	}
 	var all []found
-	root := s.dir
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		rel, rerr := filepath.Rel(root, path)
-		if rerr != nil {
-			return rerr
-		}
-		kind, key, ok := splitObjectPath(rel)
-		if !ok {
-			return nil // tmp files and strays are not objects
-		}
-		info, ierr := d.Info()
-		if ierr != nil {
-			return nil
-		}
-		hdr, herr := readHeaderFile(path)
-		if herr != nil || hdr.length != info.Size()-headerSize {
-			// Structurally broken: remove now so the index never lies
-			// about what a Get can serve.
-			os.Remove(path)
-			s.corrupt++
-			s.count("store.corrupt", 1)
-			return nil
-		}
-		all = append(all, found{id: objKey{kind, key}, size: hdr.length, mtime: info.ModTime().UnixNano()})
-		return nil
-	})
+	kinds, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("castore: index: %w", err)
 	}
+	hdrBuf := make([]byte, headerSize)
+	for _, k := range kinds {
+		kind := k.Name()
+		if !k.IsDir() || kind == "tmp" || !validName(kind) {
+			continue // the lock file and strays are not kinds
+		}
+		kdir := filepath.Join(s.dir, kind)
+		d, err := os.Open(kdir)
+		if err != nil {
+			return fmt.Errorf("castore: index: %w", err)
+		}
+		keys, err := d.Readdirnames(-1)
+		d.Close()
+		if err != nil {
+			return fmt.Errorf("castore: index: %w", err)
+		}
+		for i := 0; i < len(keys); i++ {
+			key := keys[i]
+			if !validName(key) {
+				continue // strays are not objects
+			}
+			path := filepath.Join(kdir, key)
+			f, err := os.Open(path)
+			var info os.FileInfo
+			var hdr header
+			if err == nil {
+				if info, err = f.Stat(); err == nil && info.Mode().IsRegular() {
+					if _, err = io.ReadFull(f, hdrBuf); err == nil {
+						hdr, err = parseHeader(hdrBuf)
+					}
+				}
+				f.Close()
+			}
+			if err == nil && info.IsDir() {
+				// A shard of the older kind/xx/key layout: move its
+				// objects up to kind/key, where this loop checks them
+				// like any other. A rename is atomic, so a move cut
+				// short finishes at the next Open.
+				old, _ := os.ReadDir(path)
+				for _, e := range old {
+					if validName(e.Name()) && os.Rename(filepath.Join(path, e.Name()), filepath.Join(kdir, e.Name())) == nil {
+						keys = append(keys, e.Name())
+					}
+				}
+				os.Remove(path)
+				continue
+			}
+			if err != nil || !info.Mode().IsRegular() || hdr.length != info.Size()-headerSize {
+				// Structurally broken: remove now so the index never lies
+				// about what a Get can serve.
+				os.Remove(path)
+				s.corrupt++
+				s.count("store.corrupt", 1)
+				continue
+			}
+			all = append(all, found{id: objKey{kind, key}, size: hdr.length, mtime: info.ModTime().UnixNano()})
+		}
+	}
 	sort.Slice(all, func(i, j int) bool { return all[i].mtime < all[j].mtime })
 	for _, f := range all {
+		if _, dup := s.objects[f.id]; dup {
+			continue // a shard's copy moved over an object listed before it
+		}
 		o := &object{id: f.id, size: f.size}
 		o.el = s.lru.PushFront(o)
 		s.objects[f.id] = o
@@ -238,19 +275,6 @@ func (s *Store) index() error {
 type header struct {
 	length int64
 	sum    [sha256.Size]byte
-}
-
-func readHeaderFile(path string) (header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return header{}, err
-	}
-	defer f.Close()
-	var buf [headerSize]byte
-	if _, err := io.ReadFull(f, buf[:]); err != nil {
-		return header{}, err
-	}
-	return parseHeader(buf[:])
 }
 
 func parseHeader(buf []byte) (header, error) {
@@ -303,34 +327,11 @@ func validName(n string) bool {
 	return true
 }
 
-// objectPath fans keys out over a 256-way prefix directory so no directory
-// grows unboundedly.
+// objectPath is where (kind, key) lives: one flat directory per kind, so
+// Open lists a handful of directories however many objects the store
+// holds (doc.go has the measurements).
 func (s *Store) objectPath(kind, key string) string {
-	shard := "xx"
-	if len(key) >= 2 {
-		shard = key[:2]
-	}
-	return filepath.Join(s.dir, kind, shard, key)
-}
-
-// splitObjectPath inverts objectPath for a path relative to the root.
-func splitObjectPath(rel string) (kind, key string, ok bool) {
-	parts := []string{}
-	for dir := rel; dir != "."; {
-		d, f := filepath.Split(dir)
-		parts = append([]string{f}, parts...)
-		dir = filepath.Clean(d)
-		if d == "" {
-			break
-		}
-	}
-	if len(parts) != 3 || parts[0] == "tmp" {
-		return "", "", false
-	}
-	if !validName(parts[0]) || !validName(parts[2]) {
-		return "", "", false
-	}
-	return parts[0], parts[2], true
+	return filepath.Join(s.dir, kind, key)
 }
 
 func (s *Store) count(name string, delta int64) {
@@ -533,7 +534,7 @@ func (s *Store) SyncDirs() {
 // one whole-system sync over per-path fsyncs.
 const bulkSyncThreshold = 16
 
-// ensureDir creates a kind/shard directory once per store lifetime. An
+// ensureDir creates a kind directory once per store lifetime. An
 // externally deleted directory surfaces as the subsequent rename's error,
 // the same failure mode MkdirAll-per-Put had for a deletion racing the
 // rename itself.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -234,7 +235,7 @@ func TestCorruptObjectDetected(t *testing.T) {
 	}
 	payload := []byte("soon to be flipped")
 	key := mustPut(t, s, "lib", payload)
-	path := filepath.Join(dir, "lib", key[:2], key)
+	path := s.objectPath("lib", key)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +257,7 @@ func TestCorruptObjectDetected(t *testing.T) {
 
 	// Same flip, detected by Verify instead of Get.
 	key2 := mustPut(t, s, "lib", []byte("second victim"))
-	path2 := filepath.Join(dir, "lib", key2[:2], key2)
+	path2 := s.objectPath("lib", key2)
 	raw2, _ := os.ReadFile(path2)
 	raw2[headerSize] ^= 0x01
 	os.WriteFile(path2, raw2, 0o644)
@@ -269,7 +270,7 @@ func TestCorruptObjectDetected(t *testing.T) {
 
 	// A truncated object is dropped at Open time (structural check).
 	key3 := mustPut(t, s, "lib", []byte("third victim, truncated"))
-	path3 := filepath.Join(dir, "lib", key3[:2], key3)
+	path3 := s.objectPath("lib", key3)
 	os.Truncate(path3, headerSize+4)
 	s.Close()
 	re, err := Open(dir, Options{})
@@ -280,6 +281,112 @@ func TestCorruptObjectDetected(t *testing.T) {
 	if re.Has("lib", key3) {
 		t.Fatal("truncated object survived reopen")
 	}
+}
+
+// TestOpenMovesShardedObjects: a store written in the older kind/xx/key
+// layout is still indexed. Open moves each object up to kind/key, where it
+// passes the same checks as any other: valid ones serve byte-identical
+// payloads, broken ones are removed and counted, and no shard directory is
+// left for a second Open to move.
+func TestOpenMovesShardedObjects(t *testing.T) {
+	dir := t.TempDir()
+	write := func(path string, payload []byte, mangle func([]byte) []byte) {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, mangle(append(makeHeader(payload), payload...)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeSharded := func(kind string, payload []byte, mangle func([]byte) []byte) objKey {
+		key := keyOf(payload)
+		write(filepath.Join(dir, kind, key[:2], key), payload, mangle)
+		return objKey{kind, key}
+	}
+	keep := func(raw []byte) []byte { return raw }
+	good := map[objKey][]byte{}
+	var goodBytes int64
+	for _, o := range []struct{ kind, payload string }{
+		{"lib", "an image"}, {"lib", "another image"}, {"record", "a record"}, {"profile", "a profile"},
+	} {
+		good[writeSharded(o.kind, []byte(o.payload), keep)] = []byte(o.payload)
+		goodBytes += int64(len(o.payload))
+	}
+	// One object sits in both layouts, as after a downgrade wrote its
+	// shard copy: it is indexed, and its bytes counted, once.
+	twice := []byte("a record")
+	write(filepath.Join(dir, "record", keyOf(twice)), twice, keep)
+	badMagic := writeSharded("lib", []byte("bad magic"), func(raw []byte) []byte { raw[0] ^= 0xff; return raw })
+	truncated := writeSharded("record", []byte("cut short by a crash"), func(raw []byte) []byte { return raw[:headerSize+4] })
+
+	counters := metrics.NewCounterSet()
+	s, err := Open(dir, Options{Counters: counters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, payload := range good {
+		if !fileExists(s.objectPath(id.kind, id.key)) {
+			t.Errorf("%s/%s was not moved to kind/key", id.kind, id.key)
+		}
+		if got, ok := s.Get(id.kind, id.key); !ok || !bytes.Equal(got, payload) {
+			t.Errorf("moved %s/%s: get = %q, %v", id.kind, id.key, got, ok)
+		}
+	}
+	for _, id := range []objKey{badMagic, truncated} {
+		if s.Has(id.kind, id.key) || fileExists(s.objectPath(id.kind, id.key)) || fileExists(filepath.Join(dir, id.kind, id.key[:2], id.key)) {
+			t.Errorf("broken %s/%s survived the move", id.kind, id.key)
+		}
+	}
+	if st := s.Stats(); st.Objects != len(good) || st.Bytes != goodBytes || st.Corrupt != 2 || counters.Get("store.corrupt") != 2 {
+		t.Fatalf("stats = %+v, store.corrupt = %d; want %d objects, %d bytes, 2 corrupt", st, counters.Get("store.corrupt"), len(good), goodBytes)
+	}
+	s.Close()
+	before := storeTree(t, dir)
+	for _, p := range before {
+		if name := strings.TrimSuffix(p, "/"); strings.Count(name, "/") > 1 || name != p && strings.Contains(name, "/") {
+			t.Fatalf("%s is nested inside a kind directory", p)
+		}
+	}
+
+	re, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.Objects != len(good) || st.Bytes != goodBytes || st.Corrupt != 0 {
+		t.Fatalf("second open: stats = %+v, want %d objects, %d bytes, 0 corrupt", st, len(good), goodBytes)
+	}
+	if after := storeTree(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("second open moved objects:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// storeTree lists every entry under dir outside tmp, relative to it, with
+// a trailing slash on directories.
+func storeTree(t *testing.T, dir string) []string {
+	t.Helper()
+	var entries []string
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		if rel == "tmp" {
+			return filepath.SkipDir
+		}
+		if rel = filepath.ToSlash(rel); d.IsDir() {
+			rel += "/"
+		}
+		entries = append(entries, rel)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entries
 }
 
 // TestGetRejectsResizedObject: Get reads an object with a buffer sized from
@@ -301,7 +408,7 @@ func TestGetRejectsResizedObject(t *testing.T) {
 		{"header only", func(raw []byte) []byte { return raw[:headerSize] }},
 	} {
 		key := mustPut(t, s, "lib", []byte("resized on disk: "+tc.name))
-		path := filepath.Join(dir, "lib", key[:2], key)
+		path := s.objectPath("lib", key)
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -385,7 +492,7 @@ func TestStaleReleaseAfterCorruptRemoval(t *testing.T) {
 	}
 	// Corrupt the object on disk: the next Get force-removes it despite
 	// the pin, orphaning A's reference.
-	path := filepath.Join(dir, "lib", key[:2], key)
+	path := s.objectPath("lib", key)
 	raw, _ := os.ReadFile(path)
 	raw[len(raw)-1] ^= 0xff
 	os.WriteFile(path, raw, 0o644)

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -95,6 +98,97 @@ func TestCacheDiskTier(t *testing.T) {
 	if svc2.Store().Stats().Hits == 0 {
 		t.Fatal("store recorded no hits on the warm path")
 	}
+}
+
+// TestShardedStoreRestoresWarm: a store written in the older
+// kind/<key[:2]>/key layout restores warm. The batch's store root holds
+// only kind directories of plain files, the temp directory and the lock;
+// sharding it by hand and reopening must serve the same images with no
+// miss and no analysis, and leave the root flat again.
+func TestShardedStoreRestoresWarm(t *testing.T) {
+	dir := t.TempDir()
+	in, ws := persistTestInstall(t)
+	st1 := openStore(t, dir)
+	svc1 := NewService(Config{Workers: 2, MaxSteps: 2, Store: st1})
+	cold, err := svc1.DebloatBatch(in, ws, BatchOptions{MaxSteps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc1.Close()
+	st1.Close()
+	kinds := flatStoreKinds(t, dir)
+	if len(kinds) == 0 {
+		t.Fatal("the batch stored nothing")
+	}
+
+	for _, kind := range kinds {
+		keys, err := os.ReadDir(filepath.Join(dir, kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range keys {
+			key := e.Name()
+			shard := filepath.Join(dir, kind, key[:2])
+			if err := os.MkdirAll(shard, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(filepath.Join(dir, kind, key), filepath.Join(shard, key)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	svc2 := NewService(Config{Workers: 2, MaxSteps: 2, Store: openStore(t, dir)})
+	defer svc2.Close()
+	warm, err := svc2.DebloatBatch(in, ws, BatchOptions{MaxSteps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.CacheMisses != 0 {
+		t.Fatalf("batch over a sharded store: %d cache misses, want 0", warm.CacheMisses)
+	}
+	if n := svc2.Counters.Get("analysis.computed"); n != 0 {
+		t.Fatalf("batch over a sharded store: analysis.computed = %d, want 0", n)
+	}
+	for i, lr := range warm.Libs {
+		if !bytes.Equal(lr.Debloated(), cold.Libs[i].Debloated()) {
+			t.Fatalf("library %s differs after the move", lr.Name)
+		}
+	}
+	if got := flatStoreKinds(t, dir); fmt.Sprint(got) != fmt.Sprint(kinds) {
+		t.Fatalf("kinds after the move = %v, want %v", got, kinds)
+	}
+}
+
+// flatStoreKinds checks the store layout under dir and returns its kinds:
+// the root holds the lock file, the temp directory and one directory per
+// kind, and a kind directory holds only plain object files.
+func flatStoreKinds(t *testing.T, dir string) []string {
+	t.Helper()
+	root, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, e := range root {
+		switch {
+		case e.Name() == ".lock" && e.Type().IsRegular(), e.Name() == "tmp" && e.IsDir():
+		case e.IsDir():
+			objs, err := os.ReadDir(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range objs {
+				if !o.Type().IsRegular() {
+					t.Fatalf("%s/%s is not a plain object file", e.Name(), o.Name())
+				}
+			}
+			kinds = append(kinds, e.Name())
+		default:
+			t.Fatalf("unexpected %s at the store root", e.Name())
+		}
+	}
+	return kinds
 }
 
 func TestRegistryReplay(t *testing.T) {
