@@ -343,6 +343,8 @@ func TestOpenMovesShardedObjects(t *testing.T) {
 	s.Close()
 	before := storeTree(t, dir)
 	for _, p := range before {
+		// Only kind/key files and root entries: nothing two levels down,
+		// and no directory inside a kind directory.
 		if name := strings.TrimSuffix(p, "/"); strings.Count(name, "/") > 1 || name != p && strings.Contains(name, "/") {
 			t.Fatalf("%s is nested inside a kind directory", p)
 		}

@@ -14,9 +14,9 @@
 // the kind directories, tmp/ and the .lock file. The layout is flat because
 // Open lists every directory to rebuild the index. A reopened pytorch141
 // batch store sharded over up to 256 kind/xx/ directories per kind was
-// 234 directories, and Open cost 19–22 µs and 23 allocations per object
+// 234 directories, and Open cost 19–23 µs and 23 allocations per object
 // (BenchmarkStoreOpen, 2 vCPUs); listing one directory per kind, it costs
-// 10–11 µs and 8 allocations: one open, fstat and header read per object.
+// 9–11 µs and 8 allocations: one open, fstat and header read per object.
 // A kind directory of a few hundred entries leaves Get's cost unchanged
 // (BenchmarkDiskHit). Open moves the objects of a sharded store up to
 // kind/key, so an older store is indexed, not lost.
