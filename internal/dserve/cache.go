@@ -27,10 +27,12 @@ type CacheStats struct {
 // its original library image alive, so the cache also charges each
 // distinct referenced image once (refcounted across entries) — the bound
 // covers everything the cache alone can pin after the owning install is
-// evicted. Stored values are immutable: hits hand out the shared report
-// and sparse image, which callers must treat as read-only. Concurrent
-// misses on the same key may compute the result twice; both Puts store
-// identical content, so the race is benign.
+// evicted. Below memory sits a read-only disk tier: the cache never writes
+// the store, a new result reaches it through the service's write-behind
+// (Service.storeResult). Stored values are immutable: hits hand out the
+// shared report and sparse image, which callers must treat as read-only.
+// Concurrent misses on the same key may compute the result twice; both
+// Puts store identical content, so the race is benign.
 type ResultCache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -45,32 +47,12 @@ type ResultCache struct {
 	evicted  int64
 	counters *metrics.CounterSet
 
-	// store, when attached, is the disk-backed second tier: Put spills
-	// results to it and LoadStored falls back to it on memory misses, so a
-	// restarted service (or one whose memory tier evicted an entry) serves
-	// warm without re-running locate/compact.
+	// store, when attached, is the read-only disk tier: LoadStored falls
+	// back to it on memory misses, so a restarted service (or one whose
+	// memory tier evicted an entry) serves warm without re-running
+	// locate/compact. Set before serving and never changed, so it needs no
+	// lock.
 	store *castore.Store
-	// spillCh feeds the write-behind worker: Put hands the disk spill to
-	// it instead of fsyncing on the serve path. A full queue falls back to
-	// an inline spill (backpressure), so disk writes never outrun the
-	// worker unboundedly. Guarded by mu; nil once CloseSpill has run.
-	spillCh chan spillJob
-	spillWG sync.WaitGroup
-	// inlineSpills counts backpressure spills currently running outside
-	// the worker (queue full, or worker stopped). They are invisible to
-	// the channel's barrier ordering, so Flush and CloseSpill wait on this
-	// count — via inlineDone, signalled at zero — in addition to the
-	// worker's ack. Guarded by mu.
-	inlineSpills int
-	inlineDone   *sync.Cond
-}
-
-// spillJob is one queued write-behind spill; a job with ack set is a
-// Flush barrier — the worker closes ack instead of writing.
-type spillJob struct {
-	key string
-	ld  *negativa.LibDebloat
-	ack chan struct{}
 }
 
 type cacheEntry struct {
@@ -100,14 +82,12 @@ func NewResultCache(maxBytes int64, counters *metrics.CounterSet) *ResultCache {
 	if maxBytes < 1 {
 		maxBytes = 1
 	}
-	c := &ResultCache{
+	return &ResultCache{
 		maxBytes: maxBytes,
 		entries:  map[string]*list.Element{},
 		libRefs:  map[[sha256.Size]byte]int{},
 		counters: counters,
 	}
-	c.inlineDone = sync.NewCond(&c.mu)
-	return c
 }
 
 func (c *ResultCache) count(name string, p *int64) {
@@ -125,97 +105,9 @@ func (c *ResultCache) addBytes(delta int64) {
 	}
 }
 
-// AttachStore wires the disk-backed second tier in and starts the
-// write-behind spill worker. Call before serving; the cache never
-// detaches a store.
-func (c *ResultCache) AttachStore(st *castore.Store) {
-	c.mu.Lock()
-	c.store = st
-	if c.spillCh == nil {
-		c.spillCh = make(chan spillJob, 64)
-		c.spillWG.Add(1)
-		go c.spillLoop(st, c.spillCh)
-	}
-	c.mu.Unlock()
-}
-
-// spillConcurrency bounds in-flight write-behind spills. Each spill is a
-// handful of fsyncs; issuing a few concurrently lets the device coalesce
-// flushes instead of paying every sync's full latency serially.
-const spillConcurrency = 4
-
-// spillLoop is the write-behind dispatcher: it drains queued spills into
-// the store, off the serve path, running up to spillConcurrency at once.
-// A Flush barrier waits for everything dispatched before it — the
-// dispatcher reads nothing further until the ack is released, so barrier
-// ordering holds. A failed spill only costs durability — the memory tier
-// already took the entry — so it is counted, not fatal.
-func (c *ResultCache) spillLoop(st *castore.Store, ch chan spillJob) {
-	defer c.spillWG.Done()
-	sem := make(chan struct{}, spillConcurrency)
-	var inflight sync.WaitGroup
-	for j := range ch {
-		if j.ack != nil {
-			inflight.Wait()
-			close(j.ack)
-			continue
-		}
-		inflight.Add(1)
-		sem <- struct{}{}
-		go func(j spillJob) {
-			defer func() { <-sem; inflight.Done() }()
-			if err := spillResult(st, j.key, j.ld); err != nil && c.counters != nil {
-				c.counters.Add("cache.spill_errors", 1)
-			}
-		}(j)
-	}
-	inflight.Wait()
-}
-
-// Flush blocks until every spill queued before the call has reached the
-// store — including inline backpressure spills that bypassed the worker
-// queue, which the channel barrier alone cannot see. Shutdown and tests
-// use it; the serving path never waits on disk. Must not race CloseSpill.
-func (c *ResultCache) Flush() {
-	c.mu.Lock()
-	if c.spillCh != nil {
-		// The barrier send happens under mu so CloseSpill cannot close the
-		// channel out from under it; the worker never takes mu, so the
-		// send always drains even when the queue is momentarily full.
-		ack := make(chan struct{})
-		c.spillCh <- spillJob{ack: ack}
-		c.mu.Unlock()
-		<-ack
-		c.mu.Lock()
-	}
-	// Inline spills started before this call hold the count; waiting for
-	// zero closes the barrier's blind spot. Inline spills that start
-	// after Flush was called may also be waited on — stricter than
-	// required, and harmless.
-	for c.inlineSpills > 0 {
-		c.inlineDone.Wait()
-	}
-	c.mu.Unlock()
-}
-
-// CloseSpill drains the spill queue — and any inline backpressure spills
-// in flight — then stops the worker. The cache remains usable afterwards:
-// later Puts spill inline, as they do when the queue is full.
-func (c *ResultCache) CloseSpill() {
-	c.mu.Lock()
-	ch := c.spillCh
-	c.spillCh = nil
-	c.mu.Unlock()
-	if ch != nil {
-		close(ch)
-		c.spillWG.Wait()
-	}
-	c.mu.Lock()
-	for c.inlineSpills > 0 {
-		c.inlineDone.Wait()
-	}
-	c.mu.Unlock()
-}
+// AttachStore wires the disk-backed second tier in. Call before serving;
+// the cache never detaches a store.
+func (c *ResultCache) AttachStore(st *castore.Store) { c.store = st }
 
 // Get returns the cached result for the key, refreshing its recency.
 func (c *ResultCache) Get(key string) (*negativa.LibDebloat, bool) {
@@ -247,13 +139,7 @@ func (c *ResultCache) Contains(key string) bool {
 // true, so the batch prefetch skips re-fetching what LoadStored will serve
 // without a round trip.
 func (c *ResultCache) HasStored(key string) bool {
-	c.mu.Lock()
-	st := c.store
-	c.mu.Unlock()
-	if st == nil {
-		return false
-	}
-	return st.Has(kindRecord, key)
+	return c.store != nil && c.store.Has(kindRecord, key)
 }
 
 // LoadStored is the disk tier alone: the attached store's record is
@@ -262,17 +148,14 @@ func (c *ResultCache) HasStored(key string) bool {
 // against it is a miss. The stage memo calls Get, then LoadStored on a
 // miss, so it can tell a memory hit from a disk restore.
 func (c *ResultCache) LoadStored(key string, lib *elfx.Library) (*negativa.LibDebloat, bool) {
-	c.mu.Lock()
-	st := c.store
-	c.mu.Unlock()
-	if st == nil || lib == nil {
+	if c.store == nil || lib == nil {
 		return nil, false
 	}
-	ld, ok := loadResult(st, key, lib)
+	ld, ok := loadResult(c.store, key, lib)
 	if !ok {
 		return nil, false
 	}
-	c.put(key, ld, false) // promote without re-spilling what we just read
+	c.Put(key, ld)
 	return ld, true
 }
 
@@ -314,53 +197,10 @@ func (c *ResultCache) evictOver() {
 	}
 }
 
-// Put stores a result, evicting least-recently-used entries until the
-// retained bytes fit the bound, and spills it to the attached store so the
-// result survives both memory eviction and restarts. Re-putting an existing
-// key refreshes its recency (and re-checks the bound if the size changed).
+// Put stores a result in memory, evicting least-recently-used entries
+// until the retained bytes fit the bound. Re-putting an existing key
+// refreshes its recency (and re-checks the bound if the size changed).
 func (c *ResultCache) Put(key string, ld *negativa.LibDebloat) {
-	c.put(key, ld, true)
-}
-
-// enqueueSpill hands the entry to the write-behind worker. The send
-// happens under mu (non-blocking) so it cannot race CloseSpill closing
-// the channel; a full queue or a stopped worker falls back to an inline
-// spill outside the lock — castore does its own locking and file I/O.
-// The inline path registers itself in inlineSpills before dropping mu, so
-// a Flush or CloseSpill barrier taken at any point after the fallback
-// decision cannot ack until this spill has landed.
-func (c *ResultCache) enqueueSpill(key string, ld *negativa.LibDebloat) {
-	c.mu.Lock()
-	st := c.store
-	enqueued := false
-	if st != nil && c.spillCh != nil {
-		select {
-		case c.spillCh <- spillJob{key: key, ld: ld}:
-			enqueued = true
-		default:
-		}
-	}
-	if st == nil || enqueued {
-		c.mu.Unlock()
-		return
-	}
-	c.inlineSpills++
-	c.mu.Unlock()
-	if err := spillResult(st, key, ld); err != nil && c.counters != nil {
-		c.counters.Add("cache.spill_errors", 1)
-	}
-	c.mu.Lock()
-	c.inlineSpills--
-	if c.inlineSpills == 0 {
-		c.inlineDone.Broadcast()
-	}
-	c.mu.Unlock()
-}
-
-func (c *ResultCache) put(key string, ld *negativa.LibDebloat, spill bool) {
-	if spill && ld.Report != nil && ld.Report.Sparse != nil {
-		c.enqueueSpill(key, ld)
-	}
 	ent := &cacheEntry{key: key, ld: ld, size: entrySize(key, ld)}
 	if sp := ld.Report.Sparse; sp != nil {
 		lib := sp.Lib()

@@ -2,12 +2,8 @@ package dserve
 
 import (
 	"bytes"
-	"fmt"
-	"sync"
 	"testing"
-	"time"
 
-	"negativaml/internal/castore"
 	"negativaml/internal/cubin"
 	"negativaml/internal/elfx"
 	"negativaml/internal/fatbin"
@@ -246,116 +242,5 @@ func TestCacheOversizedEntryStillCaches(t *testing.T) {
 	}
 	if _, ok := c.Get("k2"); !ok {
 		t.Fatal("k2 must be present")
-	}
-}
-
-// spillableResult builds a LibDebloat carrying a sparse image, so Put
-// takes the disk-spill path.
-func spillableResult(t *testing.T, name string) *negativa.LibDebloat {
-	t.Helper()
-	lib := smallLib(t, name, "f1", "f2")
-	return &negativa.LibDebloat{Report: &negativa.LibraryReport{
-		Name:   name,
-		Sparse: negativa.NewSparseImage(lib, nil),
-	}}
-}
-
-// TestCacheFlushWaitsForInlineSpill is the barrier-blind-spot regression:
-// once CloseSpill has stopped the worker, Puts spill inline, and a Flush
-// issued while such a spill is mid-write must not ack until it lands.
-func TestCacheFlushWaitsForInlineSpill(t *testing.T) {
-	gate := make(chan struct{})
-	var entered sync.Once
-	enteredCh := make(chan struct{})
-	st, err := castore.Open(t.TempDir(), castore.Options{
-		BeforeRename: func(kind, key string) error {
-			entered.Do(func() { close(enteredCh) })
-			<-gate
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	c := NewResultCache(1<<20, nil)
-	c.AttachStore(st)
-	c.CloseSpill() // stop the worker: every later Put spills inline
-
-	ld := spillableResult(t, "libinline.so")
-	key := negativa.LocateKey(ld.Report.Sparse.Lib(), []string{"f1"}, nil, nil).Hash
-	putDone := make(chan struct{})
-	go func() {
-		c.Put(key, ld)
-		close(putDone)
-	}()
-	<-enteredCh // the inline spill is now mid-write, blocked in castore
-
-	flushDone := make(chan struct{})
-	go func() {
-		c.Flush()
-		close(flushDone)
-	}()
-	select {
-	case <-flushDone:
-		t.Fatal("Flush acked while an inline spill was still in flight")
-	case <-time.After(100 * time.Millisecond):
-	}
-
-	close(gate)
-	<-putDone
-	<-flushDone
-	if !st.Has(kindRecord, key) {
-		t.Fatal("Flush returned but the spilled result is not in the store")
-	}
-}
-
-// TestCacheCloseSpillDrainsQueueAndInline floods the write-behind queue
-// until Puts fall back to inline spills, then closes the spill plane:
-// CloseSpill must drain every queued job and wait out every inline spill —
-// nothing enqueued before the close may be dropped. Run under -race (the
-// CI race gate covers this package).
-func TestCacheCloseSpillDrainsQueueAndInline(t *testing.T) {
-	gate := make(chan struct{})
-	st, err := castore.Open(t.TempDir(), castore.Options{
-		BeforeRename: func(kind, key string) error {
-			<-gate
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	c := NewResultCache(1<<22, nil)
-	c.AttachStore(st)
-
-	// 4 spills wedge the workers, 64 fill the queue, the rest go inline.
-	const total = 76
-	ld := spillableResult(t, "libflood.so")
-	keys := make([]string, total)
-	var puts sync.WaitGroup
-	for i := 0; i < total; i++ {
-		keys[i] = fmt.Sprintf("%s-%03d", negativa.LocateKey(ld.Report.Sparse.Lib(), []string{"f1"}, nil, nil).Hash[:16], i)
-		puts.Add(1)
-		go func(k string) {
-			defer puts.Done()
-			c.Put(k, ld)
-		}(keys[i])
-	}
-
-	// Give the flood a moment to wedge, then release the store and close
-	// the spill plane concurrently with the still-running Puts.
-	time.Sleep(50 * time.Millisecond)
-	close(gate)
-	puts.Wait()
-	c.CloseSpill()
-
-	for _, k := range keys {
-		if !st.Has(kindRecord, k) {
-			t.Fatalf("key %s was dropped by CloseSpill", k)
-		}
 	}
 }

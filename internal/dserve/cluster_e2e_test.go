@@ -126,7 +126,6 @@ func coldThenWarm(t *testing.T, nodes map[string]*testNode, req JobRequest, in *
 		t.Fatal("node a batch must verify")
 	}
 	a.svc.WaitReplication()
-	a.svc.Cache.Flush()
 	res := a.svc.Job(stA.ID).Result
 	keys := map[string]bool{}
 	for _, k := range res.libKeys {
@@ -270,9 +269,9 @@ func TestClusterThreeNodeE2E(t *testing.T) {
 		t.Fatal("node B should have read stages through their owning peers")
 	}
 	// Read-through replicates toward demand: compact results B does not
-	// own reached it only through peer lookups, and were spilled into its
-	// own castore. The spill is write-behind, so drain it before looking.
-	b.svc.Cache.Flush()
+	// own reached it only through peer lookups, and were written into its
+	// own castore. The write is behind the batch, so drain it before looking.
+	b.svc.WaitReplication()
 	demand := 0
 	for _, key := range a.svc.Job(jobA).Result.libKeys {
 		owners := b.svc.Cluster().Owners(plan.Key{Stage: negativa.StageCompact, Hash: key}.String())

@@ -35,13 +35,13 @@
 //     store and replayed at boot. A workload profiled once is never
 //     profiled again on the same install, across jobs and restarts.
 //   - compact → the ResultCache: byte-bounded LRU memory over sparse
-//     locate+compact results, spilling to and reloading from the
-//     castore disk tier — one "record" object per result (report,
-//     symbol lists and range set; negativa.EncodeRecord), read with one
-//     checksummed Get and decoded against the live library. Identical
-//     libraries shared across installs — the dependency tail, which
-//     dominates library counts — are analyzed once no matter how many
-//     installs or jobs reference them.
+//     locate+compact results, reloading from the castore disk tier
+//     (written by the service's write-behind, not by the cache) — one
+//     "record" object per result (report, symbol lists and range set;
+//     negativa.EncodeRecord), read with one checksummed Get and decoded
+//     against the live library. Identical libraries shared across
+//     installs — the dependency tail, which dominates library counts — are
+//     analyzed once no matter how many installs or jobs reference them.
 //   - verifyrun → the verify records: a count-bounded memory map of run
 //     results (same cap and oldest-first rule as the registry), castore
 //     objects of kind "verify" written behind the batch, and the key's
@@ -129,7 +129,7 @@
 // castore when attached — so hot artifacts replicate toward demand; every
 // locally computed value (compact result, detect profile or verify record)
 // is pushed to all live remote owners of its key in the background
-// (write-back replication, repair.go), and a periodic anti-entropy sweep
+// (the write-behind, repair.go), and a periodic anti-entropy sweep
 // (Config.RepairInterval / RepairNow) stat-probes the remote owners of
 // every locally held artifact and streams what they are missing through
 // the castore's checksummed frames (PUT /v1/peer/objects/{kind}/{key},
@@ -189,7 +189,12 @@
 // the compact-stage and verifyrun memos gain their disk tier (memory miss →
 // disk hit → recompute), every detection profile snapshots on Put and
 // replays on boot, and each completed job spills a manifest referencing its library
-// images and result records — all content-addressed. A
+// images and result records — all content-addressed. New results and
+// verify records reach the store through one write-behind
+// (Service.writeBehind): in order, library image before record, at most
+// spillConcurrency writers at a time, beside the peer pushes. A completing
+// job waits only for the write-behind of the records its manifest
+// references, then pins them and publishes the manifest after SyncDirs. A
 // restarted service restores its jobs lazily: status reads the manifest,
 // and the first report or fetch-library request materializes the result
 // from the store without re-running detection, location, or compaction.

@@ -323,17 +323,21 @@ func (m *StageMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 				m.count("peer.fallbacks")
 				continue
 			}
-			// Replicate toward demand: the local Put spills the result
-			// into this node's castore, so the next miss here is a disk
-			// hit, not another network hop.
+			// Replicate toward demand: the record goes, as received, into
+			// this node's castore behind the batch, so the next miss here
+			// is a disk hit, not another network hop. No peers: they
+			// already hold it.
 			m.cache.Put(it.key.Hash, ld)
+			if m.storeResult != nil {
+				m.storeResult(it.key.Hash, ld, lr.Record, nil)
+			}
 		case negativa.StageVerifyRun:
 			if lr.Verify == nil {
 				m.count("peer.fallbacks")
 				continue
 			}
 			// Memory, and behind the batch this node's own store — the same
-			// replicate-toward-demand rule; no peers, they already hold it.
+			// replicate-toward-demand rule.
 			m.verify.put(it.key.Hash, lr.Verify)
 			if m.recordVerify != nil {
 				m.recordVerify(it.key.Hash, lr.Verify, nil)

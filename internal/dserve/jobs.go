@@ -516,22 +516,23 @@ func (s *Service) persistJob(job *Job, res *BatchResult, finished time.Time) (*j
 	}
 	m.Finished = finished
 
-	// Drain the cache's write-behind spills first: the worker has been
-	// overlapping its disk waits with the batch's compute, so by now most
-	// referenced objects are already durable and Retain succeeds without
-	// the synchronous re-spill below.
+	// Wait for the write-behind of the records this manifest references:
+	// it has been overlapping its disk writes with the batch's compute, so
+	// by now most are already in the store and Retain succeeds without the
+	// synchronous re-spill below. Verify records and profile snapshots are
+	// not waited on; no manifest names them.
 	// The persist.* timings split the durability tail the same way the
-	// stage.* timings split the batch: flush (write-behind drain), retain
+	// stage.* timings split the batch: flush (write-behind wait), retain
 	// (pin sweep plus any re-spill), sync (object commit sweep), manifest
 	// (manifest publish and its flush).
 	t0 := time.Now()
-	s.Cache.Flush()
+	s.awaitRecords(m.Libs)
 	s.Timings.Observe("persist.flush", time.Since(t0))
 	t0 = time.Now()
 
 	var held []storeRef
-	// Pin each referenced object, re-spilling any the cache layer never
-	// wrote or the byte budget already evicted. Retain-then-spill keeps
+	// Pin each referenced object, re-spilling any the write-behind never
+	// wrote or the store already evicted. Retain-then-spill keeps
 	// the window in which an unpinned object can vanish to the few
 	// instructions between the spill and the retry.
 	for i, ml := range m.Libs {

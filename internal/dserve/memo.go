@@ -109,11 +109,11 @@ func (f *fifoMap[K, V]) size() int {
 //     content-addressed store's disk tier (persisted range sets decoded
 //     against the node's live library hint), then the key's replica set,
 //     read through by the batch's prefetch. A peer-served result is Put
-//     into the local cache — which spills it into the local castore — so
-//     hot artifacts replicate toward the demand that reads them. A miss
-//     computes here, where the library image already is, and only the
-//     O(ranges) result travels: the write-back plane pushes it to every
-//     live owner.
+//     into the local cache and its record, as received, written behind the
+//     batch into the local castore — so hot artifacts replicate toward the
+//     demand that reads them. A miss computes here, where the library image
+//     already is, and only the O(ranges) result travels: the write-behind
+//     stores it locally and pushes it to every live owner.
 //   - verifyrun → the verify-record memo: a count-bounded memory map of
 //     *mlruntime.Result keyed by the stage hash (negativa.VerifyRunKey,
 //     which addresses the debloated bytes actually handed out), then the
@@ -146,18 +146,16 @@ type StageMemo struct {
 	// cluster, when non-nil, adds the owning-peer tier to every routed
 	// stage's lookups.
 	cluster *cluster.Cluster
-	// replicate and replicateProfile, when non-nil, push a freshly computed
-	// compact result's objects (or detect profile) to the named replica
-	// peers in the background (the service's replication plane). The memo
-	// calls them after every local compute, so each new artifact reaches
-	// all live owners of its key without waiting for the repair loop.
-	replicate        func(hash string, ld *negativa.LibDebloat, peers []string)
+	// storeResult, replicateProfile and recordVerify, when non-nil, take a
+	// new artifact behind the batch: into the local store when there is one
+	// (a profile's snapshot is the registry's own), and to the named replica
+	// peers. The memo calls them after every local compute, so each new
+	// artifact reaches its disk tier and all live owners of its key without
+	// waiting for the repair loop. storeResult's rec, when non-nil, is the
+	// record a prefetched result was decoded from.
+	storeResult      func(hash string, ld *negativa.LibDebloat, rec []byte, peers []string)
 	replicateProfile func(pk ProfileKey, p *negativa.Profile, peers []string)
-	// recordVerify, when non-nil, takes a new verify record behind the
-	// batch: into the local store when there is one, and to the named
-	// replica peers. Unlike the two hooks above it is wired on standalone
-	// nodes too — the disk tier is written through it.
-	recordVerify func(hash string, r *mlruntime.Result, peers []string)
+	recordVerify     func(hash string, r *mlruntime.Result, peers []string)
 
 	// The batch-prefetch hot path (hotpath.go). flights is the singleflight
 	// table spanning the prefetch and the stage nodes' own resolution of one
@@ -184,12 +182,6 @@ func NewStageMemo(registry *Registry, cache *ResultCache, counters *metrics.Coun
 // AttachCluster adds the owning-peer tier. Call before serving; the memo
 // never detaches a cluster.
 func (m *StageMemo) AttachCluster(c *cluster.Cluster) { m.cluster = c }
-
-// AttachReplicator installs the write-back hooks that push new compact
-// results and detect profiles to their replica owners. Call before serving.
-func (m *StageMemo) AttachReplicator(result func(hash string, ld *negativa.LibDebloat, peers []string), profile func(pk ProfileKey, p *negativa.Profile, peers []string)) {
-	m.replicate, m.replicateProfile = result, profile
-}
 
 // postJSON runs one peer round trip with the caller's executor slot
 // yielded. Plan nodes hold a worker slot while resolving their memo, but
@@ -348,9 +340,9 @@ func (m *StageMemo) compactLeader(key plan.Key, compute func() (any, error)) (an
 	}
 	ld := v.(*negativa.LibDebloat)
 	m.cache.Put(key.Hash, ld)
-	if m.replicate != nil {
+	if m.storeResult != nil {
 		owners, self := m.replicaOwners(key)
-		m.replicate(key.Hash, ld, without(owners, self))
+		m.storeResult(key.Hash, ld, nil, without(owners, self))
 	}
 	return v, plan.SourceComputed, nil
 }

@@ -49,21 +49,22 @@ func digestHex(lib *elfx.Library) string {
 	return hex.EncodeToString(d[:])
 }
 
-// spillResult persists one locate+compact result as its two objects: the
-// original library image (shared across results by digest), then the
-// result's record — image before record, so a record never lands without
-// the image it decodes against. Re-spilling an already-present key is
-// cheap (castore Puts of existing objects are no-ops).
+// spillResult persists one locate+compact result synchronously, as its
+// two objects in resultObjects' order — persistJob's backstop for a
+// referenced result the write-behind never wrote. Re-spilling an
+// already-present key is cheap (castore Puts of existing objects are
+// no-ops).
 func spillResult(st *castore.Store, key string, ld *negativa.LibDebloat) error {
 	rec, err := negativa.EncodeRecord(ld)
 	if err != nil {
 		return fmt.Errorf("dserve: result %s: %w", key, err)
 	}
-	lib := ld.Report.Sparse.Lib()
-	if err := st.Put(kindLib, digestHex(lib), lib.Data); err != nil {
-		return err
+	for _, o := range resultObjects(key, ld.Report.Sparse.Lib(), rec) {
+		if err := st.Put(o.kind, o.key, o.payload); err != nil {
+			return err
+		}
 	}
-	return st.Put(kindRecord, key, rec)
+	return nil
 }
 
 // loadResult reads a locate+compact result from the store against a live

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -98,6 +99,117 @@ func TestCacheDiskTier(t *testing.T) {
 	if svc2.Store().Stats().Hits == 0 {
 		t.Fatal("store recorded no hits on the warm path")
 	}
+}
+
+// TestPersistWaitsForResultWritesOnly: a job's compact results reach the
+// store on the write-behind, and persistJob waits for exactly the writes
+// its manifest references. While record renames are held the job cannot
+// read done; while only verify-record renames are held it completes, with
+// every referenced object in the store, each record written once and after
+// its library image; and Close returns only after the held writes have
+// landed.
+func TestPersistWaitsForResultWritesOnly(t *testing.T) {
+	recordGate, verifyGate := make(chan struct{}), make(chan struct{})
+	recordHeld, verifyHeld := make(chan struct{}), make(chan struct{})
+	var recordOnce, verifyOnce sync.Once
+	var mu sync.Mutex
+	var renames []storeRef // in the order their Puts reached the rename
+	st, err := castore.Open(t.TempDir(), castore.Options{
+		BeforeRename: func(kind, key string) error {
+			mu.Lock()
+			renames = append(renames, storeRef{kind, key})
+			mu.Unlock()
+			switch kind {
+			case kindRecord:
+				recordOnce.Do(func() { close(recordHeld) })
+				<-recordGate
+			case kindVerify:
+				verifyOnce.Do(func() { close(verifyHeld) })
+				<-verifyGate
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	svc := NewService(Config{Workers: 2, MaxSteps: 2, Store: st})
+	job, err := svc.Submit(JobRequest{
+		Framework: "pytorch", TailLibs: 4, MaxSteps: 2,
+		Workloads: []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}, {Model: "Transformer", Batch: 8}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	<-recordHeld
+	time.Sleep(100 * time.Millisecond)
+	if j := svc.Job(job.ID); j.State == JobDone || j.State == JobFailed {
+		t.Fatalf("job read %s while its record writes were held", j.State)
+	}
+
+	close(recordGate)
+	<-verifyHeld
+	j, err := waitJob(svc, job.ID, waitTimeout)
+	if err != nil || j.State != JobDone {
+		t.Fatalf("job did not complete while only verify records were held: %v %+v", err, j)
+	}
+	if n := svc.Counters.Get("jobs.persisted"); n != 1 {
+		t.Fatalf("jobs.persisted = %d, want 1", n)
+	}
+	if len(j.refs) == 0 {
+		t.Fatal("the done job holds no store references")
+	}
+	for _, ref := range j.refs {
+		if !st.Has(ref.Kind, ref.Key) {
+			t.Fatalf("done job's manifest references %s/%s, which is not in the store", ref.Kind, ref.Key)
+		}
+	}
+	if n := countKind(st, kindVerify); n != 0 {
+		t.Fatalf("%d verify records landed while their renames were held", n)
+	}
+	mu.Lock()
+	first, writes := map[storeRef]int{}, map[storeRef]int{}
+	for i, ref := range renames {
+		if _, seen := first[ref]; !seen {
+			first[ref] = i
+		}
+		writes[ref]++
+	}
+	mu.Unlock()
+	for _, ml := range j.manifest.Libs {
+		rec, lib := storeRef{kindRecord, ml.Key}, storeRef{kindLib, ml.LibDigest}
+		if writes[rec] != 1 {
+			t.Fatalf("record of %s was written %d times, want once", ml.Name, writes[rec])
+		}
+		if li, ok := first[lib]; !ok || li > first[rec] {
+			t.Fatalf("record of %s was written before its library image", ml.Name)
+		}
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		svc.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while verify-record writes were still held")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(verifyGate)
+	<-closed
+	if n := countKind(st, kindVerify); n != len(j.Result.Workloads) {
+		t.Fatalf("the store holds %d verify records after Close, want %d", n, len(j.Result.Workloads))
+	}
+}
+
+// countKind counts the store's objects of one kind.
+func countKind(st *castore.Store, kind string) int {
+	n := 0
+	st.Walk(kind, func(string, int64) error { n++; return nil })
+	return n
 }
 
 // TestShardedStoreRestoresWarm: a store written in the older
@@ -496,7 +608,7 @@ func TestMismatchedRecordIsRecomputedAndRewritten(t *testing.T) {
 			t.Fatalf("library %s differs from the run that filled the store", name)
 		}
 	}
-	svc.Cache.Flush()
+	svc.WaitReplication()
 	raw, ok := st.Get(kindRecord, victim)
 	if !ok {
 		t.Fatal("the recomputed result was not spilled back")
@@ -694,7 +806,6 @@ func BenchmarkDiskHit(b *testing.B) {
 	defer st.Close()
 	cache := NewResultCache(1<<40, nil)
 	cache.AttachStore(st)
-	defer cache.CloseSpill()
 
 	b.ReportAllocs()
 	b.ResetTimer()

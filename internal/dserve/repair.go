@@ -3,12 +3,13 @@ package dserve
 // The replication plane: keeps every stage artifact present on all R
 // owners of its ring key. Two mechanisms cooperate:
 //
-//   - Write-back replication (replicateResult, replicateProfile,
-//     recordVerify): the stage memo hands every locally computed compact
-//     result, detect profile and verify record here, and a background
-//     goroutine pushes its objects (library image, then the result's
-//     record; the profile snapshot; the verify record) to the live remote
-//     owners — new artifacts converge without waiting for a repair sweep.
+//   - The write-behind (writeBehind, fed by storeResult, replicateProfile
+//     and recordVerify): the stage memo hands every new compact result,
+//     detect profile and verify record here. Its objects go to the local
+//     store, when there is one, and to the live remote owners (library
+//     image, then the result's record; the profile snapshot; the verify
+//     record), behind the batch — new artifacts converge without waiting
+//     for a repair sweep.
 //   - Anti-entropy repair (RepairNow, driven by the RepairInterval loop):
 //     each sweep walks the locally held replicable objects, derives each
 //     group's ring key, stat-probes the remote owners in chunks, and
@@ -33,6 +34,7 @@ import (
 	"time"
 
 	"negativaml/internal/castore"
+	"negativaml/internal/elfx"
 	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
 	"negativaml/internal/plan"
@@ -42,37 +44,43 @@ import (
 // handler's maxStatObjects.
 const repairStatChunk = 256
 
-// replObject is one object of a write-back push.
+// replObject is one object of a write-behind.
 type replObject struct {
 	kind, key string
 	payload   []byte
 }
 
-// replicateResult is the stage memo's write-back hook for compact stages:
-// push one freshly computed result's objects to the named replica peers in
-// the background — the library image, then the record, so an interrupted
-// push never leaves a record without the image it decodes against.
-func (s *Service) replicateResult(hash string, ld *negativa.LibDebloat, peers []string) {
-	if s.cluster == nil || len(peers) == 0 {
-		return
-	}
-	rec, err := negativa.EncodeRecord(ld)
-	if err != nil {
-		return
-	}
-	lib := ld.Report.Sparse.Lib()
-	s.pushObjects(peers, []replObject{
-		{kindLib, digestHex(lib), lib.Data},
-		{kindRecord, hash, rec},
-	})
+// resultObjects lists a compact result's two objects in write order: the
+// library image (shared across results by digest), then the record, so a
+// record never lands without the image it decodes against.
+func resultObjects(hash string, lib *elfx.Library, rec []byte) []replObject {
+	return []replObject{{kindLib, digestHex(lib), lib.Data}, {kindRecord, hash, rec}}
 }
 
-// replicateProfile is the write-back hook for detect stages: push one
-// locally computed profile, in the snapshot form the registry persists, to
-// the named replica peers. The receiving route ingests it into the peer's
-// live registry.
+// storeResult is the stage memo's write-behind hook for compact stages:
+// one result, encoded once, into the local store and to the named replica
+// peers. rec, when non-nil, is the record the result was decoded from (a
+// prefetched result is stored as received); otherwise it is encoded here.
+func (s *Service) storeResult(hash string, ld *negativa.LibDebloat, rec []byte, peers []string) {
+	if s.store == nil && len(peers) == 0 {
+		return
+	}
+	if rec == nil {
+		var err error
+		if rec, err = negativa.EncodeRecord(ld); err != nil {
+			return
+		}
+	}
+	s.writeBehind(resultObjects(hash, ld.Report.Sparse.Lib(), rec), peers, true)
+}
+
+// replicateProfile is the write-behind hook for detect stages: one locally
+// computed profile, in the snapshot form the registry persists, to the
+// named replica peers. The receiving route ingests it into the peer's live
+// registry. The local snapshot is Registry.Put's, so the local write finds
+// it present.
 func (s *Service) replicateProfile(pk ProfileKey, p *negativa.Profile, peers []string) {
-	if s.cluster == nil || len(peers) == 0 || p == nil || p.RunResult == nil {
+	if len(peers) == 0 || p == nil || p.RunResult == nil {
 		return
 	}
 	data, err := json.Marshal(storedProfile{Install: pk.Install, Workload: pk.Workload, Profile: p})
@@ -80,17 +88,14 @@ func (s *Service) replicateProfile(pk ProfileKey, p *negativa.Profile, peers []s
 		s.Counters.Add("peer.replica_write_errors", 1)
 		return
 	}
-	s.pushObjects(peers, []replObject{{kindProfile, profileObjectKey(pk), data}})
+	s.writeBehind([]replObject{{kindProfile, profileObjectKey(pk), data}}, peers, true)
 }
 
-// recordVerify is the stage memo's write-behind hook for verifyrun stages:
-// one record goes into the local store, when there is one, and to the named
-// replica peers, all on a background goroutine — never inside the verify
-// node, so a batch does not wait on its own bookkeeping. A lost record costs
-// the next batch a re-run and is ordered against nothing (no manifest names
-// it), so it needs no SyncDirs of its own; Close and WaitReplication cover
-// the goroutine. A record is smaller than the stat probe that would ask
-// about it, so peers are sent it unprobed.
+// recordVerify is the write-behind hook for verifyrun stages. A lost
+// record costs the next batch a re-run and is ordered against nothing (no
+// manifest names it), so it needs no SyncDirs of its own. A record is
+// smaller than the stat probe that would ask about it, so peers are sent it
+// unprobed.
 func (s *Service) recordVerify(hash string, r *mlruntime.Result, peers []string) {
 	if s.store == nil && len(peers) == 0 {
 		return
@@ -100,28 +105,76 @@ func (s *Service) recordVerify(hash string, r *mlruntime.Result, peers []string)
 		s.Counters.Add("verify.record_errors", 1)
 		return
 	}
+	s.writeBehind([]replObject{{kindVerify, hash, data}}, peers, false)
+}
+
+// spillConcurrency bounds the write-behind's concurrent local writers. A
+// Put is a temp write and a rename (its fsyncs wait for SyncDirs); a few at
+// once overlap their file-system latency.
+const spillConcurrency = 4
+
+// writeBehind is the one way a stage artifact leaves memory: never inside
+// the stage node, so a batch does not wait on its own bookkeeping. The
+// peer pushes start at once (sendObjects, probing first when probe is set);
+// beside them, the objects are Put to the local store in order, at most
+// spillConcurrency writers at a time. A compact result's record is counted
+// in pendingRecords until its writer finishes, so persistJob waits for it
+// instead of writing it a second time; nothing else is waited on, since no
+// manifest names it. A failed local Put only costs durability — the memory tier holds the
+// value — so it is counted, not fatal. Close and WaitReplication cover
+// every goroutine started here.
+func (s *Service) writeBehind(objects []replObject, peers []string, probe bool) {
+	if len(peers) > 0 {
+		s.replWG.Add(1)
+		go func() {
+			defer s.replWG.Done()
+			s.sendObjects(peers, objects, probe)
+		}()
+	}
+	if s.store == nil {
+		return
+	}
+	record := ""
+	if last := objects[len(objects)-1]; last.kind == kindRecord {
+		record = last.key
+		s.writeMu.Lock()
+		s.pendingRecords[record]++
+		s.writeMu.Unlock()
+	}
 	s.replWG.Add(1)
 	go func() {
 		defer s.replWG.Done()
-		if s.store != nil {
-			if err := s.store.Put(kindVerify, hash, data); err != nil {
-				s.Counters.Add("verify.record_errors", 1)
+		s.writeSem <- struct{}{}
+		for _, o := range objects {
+			if err := s.store.Put(o.kind, o.key, o.payload); err != nil {
+				s.Counters.Add("writebehind.errors", 1)
+				break // never a record without its image
 			}
 		}
-		s.sendObjects(peers, []replObject{{kindVerify, hash, data}}, false)
+		<-s.writeSem
+		if record != "" {
+			s.writeMu.Lock()
+			s.pendingRecords[record]--
+			if s.pendingRecords[record] == 0 {
+				delete(s.pendingRecords, record)
+			}
+			s.writesDone.Broadcast()
+			s.writeMu.Unlock()
+		}
 	}()
 }
 
-// pushObjects streams the objects, in order, to each peer on a background
-// goroutine WaitReplication covers, stat-probing each first — a library
-// image dominates a compact result's payload and is shared across many
-// keys, so it is usually already there.
-func (s *Service) pushObjects(peers []string, objects []replObject) {
-	s.replWG.Add(1)
-	go func() {
-		defer s.replWG.Done()
-		s.sendObjects(peers, objects, true)
-	}()
+// awaitRecords blocks until no write-behind of the libraries' records is in
+// flight. A count per key, not a WaitGroup: concurrent jobs add writes
+// while another job waits.
+func (s *Service) awaitRecords(libs []manifestLib) {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	for _, l := range libs {
+		for s.pendingRecords[l.Key] > 0 {
+			s.writesDone.Wait()
+		}
+	}
 }
 
 // sendObjects streams the objects, in order, to each peer; with probe set
@@ -156,9 +209,9 @@ func (s *Service) sendObjects(peers []string, objects []replObject, probe bool) 
 	}
 }
 
-// WaitReplication blocks until every write-back replication enqueued so
-// far has finished (succeeded or given up). Tests use it to make the
-// asynchronous push plane deterministic.
+// WaitReplication blocks until every write-behind started so far has
+// finished (succeeded or given up), locally and on every peer. Tests use it
+// to make the asynchronous write plane deterministic.
 func (s *Service) WaitReplication() { s.replWG.Wait() }
 
 // forEachOwnedGroup walks the store's replicable object kinds and hands

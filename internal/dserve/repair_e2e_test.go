@@ -137,7 +137,7 @@ func TestRepairSweepHealsEmptyReplica(t *testing.T) {
 	if err := submitBatch(a.srv, req); err != nil {
 		t.Fatal(err)
 	}
-	a.svc.Cache.Flush()
+	a.svc.WaitReplication()
 
 	urls := map[string]string{"a": a.srv.URL, "b": b.srv.URL}
 	opt := cluster.Options{ReplicaSets: 2, FailureThreshold: 1, Probation: time.Hour, Timeout: 30 * time.Second}
@@ -323,7 +323,6 @@ func TestClusterRollingRestartE2E(t *testing.T) {
 	}
 	for _, n := range live {
 		n.svc.WaitReplication()
-		n.svc.Cache.Flush()
 	}
 	allNodes := func() []*testNode {
 		topo.RLock()

@@ -165,12 +165,17 @@ type Service struct {
 	installOrder []string
 	closed       bool
 	wg           sync.WaitGroup
-	// replWG tracks in-flight write-back replication pushes and
-	// verify-record writes (repair.go); repairStop/repairWG manage the
-	// periodic anti-entropy loop.
-	replWG     sync.WaitGroup
-	repairStop chan struct{}
-	repairWG   sync.WaitGroup
+	// replWG tracks the write-behind's goroutines (repair.go): writeSem
+	// bounds its local writers, and pendingRecords (under writeMu, signalled
+	// by writesDone) counts each record's in-flight local writes for
+	// persistJob. repairStop/repairWG manage the anti-entropy loop.
+	replWG         sync.WaitGroup
+	writeSem       chan struct{}
+	writeMu        sync.Mutex
+	writesDone     *sync.Cond
+	pendingRecords map[string]int
+	repairStop     chan struct{}
+	repairWG       sync.WaitGroup
 
 	// restoredLibs memoizes store-image parses per content digest, so
 	// restored jobs sharing libraries (the dependency tail) parse each
@@ -219,8 +224,16 @@ func NewService(cfg Config) *Service {
 		installs:     map[string]*installSlot{},
 		restoredLibs: newBoundedMemo(64),
 		peerSem:      make(chan struct{}, cfg.Workers),
+
+		writeSem:       make(chan struct{}, spillConcurrency),
+		pendingRecords: map[string]int{},
 	}
+	s.writesDone = sync.NewCond(&s.writeMu)
+	// Every node writes behind through these hooks: its disk tier and, on a
+	// ring, its replica owners.
 	s.stages = NewStageMemo(s.Registry, s.Cache, counters)
+	s.stages.storeResult = s.storeResult
+	s.stages.replicateProfile = s.replicateProfile
 	s.stages.recordVerify = s.recordVerify
 	s.observer = stageObserver{c: counters, t: s.Timings, names: &sync.Map{}}
 	if cfg.Store != nil {
@@ -249,7 +262,6 @@ func (s *Service) Store() *castore.Store { return s.store }
 func (s *Service) AttachCluster(c *cluster.Cluster) {
 	s.cluster = c
 	s.stages.AttachCluster(c)
-	s.stages.AttachReplicator(s.replicateResult, s.replicateProfile)
 	if s.store != nil && s.cfg.RepairInterval > 0 {
 		s.repairStop = make(chan struct{})
 		s.repairWG.Add(1)
@@ -264,10 +276,9 @@ func (s *Service) Cluster() *cluster.Cluster { return s.cluster }
 func (s *Service) Workers() int { return s.pool.Workers() }
 
 // Close drains the service: no new submissions are accepted, held jobs
-// fail, and Close returns once every running job has finished, every write-back
-// replication push and verify-record write has settled, and every
-// write-behind cache spill has reached the store — so a store closed after Close holds everything the
-// memory tier ever took. An attached cluster's membership plane stops too
+// fail, and Close returns once every running job has finished and every
+// write-behind has settled, locally and on its peers — so a store closed
+// after Close holds every result the memory tier ever took. An attached cluster's membership plane stops too
 // (without announcing a leave; use LeaveCluster first for graceful
 // departure).
 func (s *Service) Close() {
@@ -293,7 +304,6 @@ func (s *Service) Close() {
 	s.repairWG.Wait()
 	s.wg.Wait()
 	s.replWG.Wait()
-	s.Cache.CloseSpill()
 	if s.cluster != nil {
 		s.cluster.Close()
 	}
