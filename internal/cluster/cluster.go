@@ -74,13 +74,13 @@ type Options struct {
 	// (and is the whole delay for peers with no latency history yet).
 	// Negative disables hedging entirely.
 	HedgeDelay time.Duration
-	// HedgeMaxPct caps hedges at this percentage of in-flight hedged reads
-	// (default 25): under fan-out, at most one read in four may carry a
-	// second outstanding request, so hedging cannot double cluster load
-	// exactly when the cluster is busiest. At least one hedge is always
-	// allowed.
-	HedgeMaxPct int
 }
+
+// hedgeMaxPct caps hedges at this percentage of in-flight hedged reads:
+// under fan-out, at most one read in four may carry a second outstanding
+// request, so hedging cannot double cluster load exactly when the cluster
+// is busiest. At least one hedge is always allowed.
+const hedgeMaxPct = 25
 
 // DefaultHedgeFloor is the minimum hedge delay when Options.HedgeDelay is
 // zero: short enough to rescue a stalled read, long enough that a healthy
@@ -267,7 +267,7 @@ type Cluster struct {
 	exRings map[string]*Ring
 
 	// inflightReads / inflightHedges back the hedge budget: hedges are
-	// admitted only while they stay under HedgeMaxPct of in-flight hedged
+	// admitted only while they stay under hedgeMaxPct of in-flight hedged
 	// reads, so tail-chasing cannot double cluster load under fan-out.
 	inflightReads  atomic.Int64
 	inflightHedges atomic.Int64
@@ -292,9 +292,6 @@ func New(self string, peers map[string]string, opt Options) *Cluster {
 	}
 	if opt.Timeout <= 0 {
 		opt.Timeout = 10 * time.Second
-	}
-	if opt.HedgeMaxPct <= 0 {
-		opt.HedgeMaxPct = 25
 	}
 	c := &Cluster{
 		self:       self,
@@ -926,11 +923,11 @@ func (c *Cluster) hedgeDelayFor(peer string) time.Duration {
 }
 
 // hedgeAdmit reports whether a new hedge fits the budget: hedges may not
-// exceed HedgeMaxPct of in-flight hedged reads (always admitting at least
+// exceed hedgeMaxPct of in-flight hedged reads (always admitting at least
 // one). The caller must release the slot via inflightHedges.Add(-1) when
 // the hedge completes.
 func (c *Cluster) hedgeAdmit() bool {
-	limit := c.inflightReads.Load() * int64(c.opt.HedgeMaxPct) / 100
+	limit := c.inflightReads.Load() * hedgeMaxPct / 100
 	if limit < 1 {
 		limit = 1
 	}

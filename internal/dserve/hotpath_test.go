@@ -182,6 +182,105 @@ func TestHedgedLookupSlowReplica(t *testing.T) {
 	}
 }
 
+// TestHedgingRescuesStalledOwner is the ring-level guard that keeps hedged
+// reads. On a 3-node ring (R=2) whose node a ran the batch cold, node b
+// runs it warm: everything b does not own itself it reads from a and c
+// through lookup-batch. The first lookup-batch to reach either of them
+// stalls for 300 ms. With default hedging the batch must still finish in
+// under 150 ms; with hedging off it waits the stall out. Either way it is
+// served without analysis and byte-identical to the cold run.
+func TestHedgingRescuesStalledOwner(t *testing.T) {
+	const stall = 300 * time.Millisecond
+	in, ws := persistTestInstall(t)
+	hedged := stalledWarmBatch(t, in, ws, 0, stall)
+	unhedged := stalledWarmBatch(t, in, ws, -1, stall)
+	t.Logf("warm batch under a %v stall: hedged %v, unhedged %v", stall, hedged, unhedged)
+	if hedged >= 150*time.Millisecond {
+		t.Errorf("hedged warm batch took %v, want < 150ms", hedged)
+	}
+	if unhedged < stall {
+		t.Errorf("unhedged warm batch took %v, want >= %v: the stall never reached it", unhedged, stall)
+	}
+}
+
+// stalledWarmBatch builds a fresh ring with the given HedgeDelay, fills it
+// from node a, then times node b's warm batch while the ring's first
+// lookup-batch on a or c stalls.
+func stalledWarmBatch(t *testing.T, in *mlframework.Install, ws []mlruntime.Workload, hedgeDelay, stall time.Duration) time.Duration {
+	t.Helper()
+	var armed, stalled atomic.Bool
+	stallFirstLookup := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if armed.Load() && strings.HasSuffix(r.URL.Path, "/lookup-batch") && stalled.CompareAndSwap(false, true) {
+				// Drain the body so the server sees a hedge cancel the read.
+				body, _ := io.ReadAll(r.Body)
+				select {
+				case <-time.After(stall):
+				case <-r.Context().Done():
+					return
+				}
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	nodes := map[string]*testNode{}
+	urls := map[string]string{}
+	for _, id := range []string{"a", "b", "c"} {
+		st, err := castore.Open(t.TempDir(), castore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := NewService(Config{Workers: 4, MaxSteps: 2, Store: st})
+		h := NewHandler(svc)
+		if id != "b" {
+			h = stallFirstLookup(h)
+		}
+		n := &testNode{id: id, svc: svc, srv: httptest.NewServer(h), store: st}
+		defer n.close()
+		nodes[id] = n
+		urls[id] = n.srv.URL
+	}
+	for _, n := range nodes {
+		attachNode(n, urls, cluster.Options{
+			ReplicaSets: 2, HedgeDelay: hedgeDelay,
+			FailureThreshold: 1, Probation: time.Hour, Timeout: 30 * time.Second,
+		})
+	}
+
+	cold, err := nodes["a"].svc.DebloatBatch(in, ws, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		n.svc.WaitReplication()
+	}
+	b := nodes["b"]
+	armed.Store(true)
+	start := time.Now()
+	warm, err := b.svc.DebloatBatch(in, ws, BatchOptions{})
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stalled.Load() {
+		t.Fatal("node b's warm batch sent no lookup-batch to a or c")
+	}
+	if n := b.svc.Counters.Get("analysis.computed"); n != 0 {
+		t.Fatalf("HedgeDelay %v: node b computed %d compact stages, want 0", hedgeDelay, n)
+	}
+	want := cold.DebloatedLibs()
+	for name, img := range warm.DebloatedLibs() {
+		if !bytes.Equal(img, want[name]) {
+			t.Fatalf("HedgeDelay %v: library %s differs from the cold run", hedgeDelay, name)
+		}
+	}
+	if len(warm.Libs) != len(want) {
+		t.Fatalf("HedgeDelay %v: warm batch has %d libraries, cold %d", hedgeDelay, len(warm.Libs), len(want))
+	}
+	return wall
+}
+
 // TestPrefetchSingleflightNoDuplicateRoundTrips pins the flight table
 // spanning the batch prefetch and the stage nodes (run under -race): one key
 // never has a remote read and a local compute in flight at once, whichever
