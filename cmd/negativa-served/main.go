@@ -20,10 +20,9 @@
 //
 // With -peers and -node-id the node joins a sharded serving plane: a
 // consistent-hash ring over the peer set gives each detect and compact
-// stage key a small set of owning nodes whose memos hold its value. A
-// detect miss executes on its primary owner; locate+compact misses run on
-// the node that took the batch (it holds the library image) and are
-// written back to every owner; other nodes read owners through (and keep a
+// stage key a small set of owning nodes whose memos hold its value. Every
+// miss computes on the node that took the batch (it holds the install and
+// the library images) and is written back to every owner; other nodes read owners through (and keep a
 // local copy), so the cluster shares one logical cache. Every node of a
 // symmetric deployment can pass the same -peers list — a node's own entry
 // is ignored:
@@ -84,10 +83,11 @@
 //	GET  /v1/jobs/{id}/libs/{name}  download one debloated library
 //	GET  /v1/metrics                counters, cache stats, timings
 //	GET  /v1/store                  content-addressed store stats
-//	POST /v1/peer/{lookup-batch,detect}     node-to-node stage read-through
-//	                                        and remote detect
-//	GET  /v1/peer/install/{fingerprint}     a resident install, pulled by a
-//	                                        detect owner that lacks it
+//	POST /v1/peer/lookup-batch              node-to-node stage read-through
+//	POST /v1/peer/install-offer             a peer's generated install, for
+//	                                        an owner of its detect keys to pull
+//	GET  /v1/peer/install/{fingerprint}     a resident install, pulled by an
+//	                                        offered owner
 //	PUT  /v1/peer/objects/{kind}/{key}      castore object push
 //	POST /v1/peer/stat                      object presence probe (repair)
 //

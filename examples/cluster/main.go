@@ -3,11 +3,10 @@
 // loopback HTTP listener, joined by a consistent-hash ring. It then shows
 // the cluster's three behaviors end to end:
 //
-//  1. Node A computes a batch — detect stages execute on (and are
-//     memoized by) their owning shards, which pull A's install instead of
-//     generating their own, locate/compact run on A where the library
-//     images are, and write-back replication pushes every result to the
-//     owners of its key.
+//  1. Node A computes a batch — every stage runs on A, where the install
+//     and the library images are, write-back replication pushes every
+//     result to the owners of its key, and the owners of the detect keys,
+//     offered A's install, pull it instead of generating their own.
 //  2. The same batch submitted to node B completes with zero local
 //     locate/compact: what B owns is already on its disk, the rest reads
 //     through to its owners (peer.hits) and lands in B's own castore.
@@ -169,17 +168,18 @@ func main() {
 		MaxSteps: 4,
 	}
 
-	// ---- 1. Cold batch on node A: detects execute on their owning shards,
-	// compacts run here and replicate to their owners in the background.
+	// ---- 1. Cold batch on node A: every stage computes here and replicates
+	// to its owners in the background; the owners of the detect keys are
+	// offered the install and pull it.
 	idA, wallA := runBatch(a, req)
 	a.svc.WaitReplication()
 	fmt.Printf("node a: cold batch %s in %v\n", idA, wallA.Round(time.Millisecond))
-	fmt.Printf("  remote detects issued by a: %d (local locate+compact: %d, objects written back: %d)\n",
-		a.svc.Counters.Get("peer.remote_execs"), a.svc.Counters.Get("analysis.computed"),
-		a.svc.Counters.Get("peer.replica_writes"))
+	fmt.Printf("  local detects: %d, local locate+compact: %d, objects written back: %d, install offers: %d\n",
+		a.svc.Counters.Get("registry.misses"), a.svc.Counters.Get("analysis.computed"),
+		a.svc.Counters.Get("peer.replica_writes"), a.svc.Counters.Get("peer.offers"))
 	for _, n := range []*node{b, c} {
-		fmt.Printf("  node %s as owning shard: executed %d detects, received %d replicated objects\n",
-			n.id, n.svc.Counters.Get("peer.executed_detects"), n.svc.Counters.Get("peer.objects_received"))
+		fmt.Printf("  node %s as owner: received %d replicated objects and %d install offers\n",
+			n.id, n.svc.Counters.Get("peer.objects_received"), n.svc.Counters.Get("peer.served_offers"))
 	}
 
 	// ---- 2. Same batch on node B: pure cluster reuse.

@@ -23,9 +23,8 @@ type Options struct {
 	// DefaultReplicas).
 	Replicas int
 	// ReplicaSets is R, the number of distinct ring successors that own
-	// each key (default 2). The first owner is the primary — the shard a
-	// detect miss executes on — and every owner holds a copy of the key's
-	// artifacts (write-back from whichever node computed them), so one
+	// each key (default 2). The first owner is the primary — the replica
+	// read first — and every owner holds a copy of the key's artifacts (write-back from whichever node computed them), so one
 	// node's death loses no cached work.
 	ReplicaSets int
 	// FailureThreshold is the number of consecutive transport failures
@@ -229,8 +228,8 @@ func (p *peerState) latencyP95() time.Duration {
 // ring over the live nodes (self included), per-peer health, and the HTTP
 // transport the serving plane's peer tier rides on.
 //
-// Each key has ReplicaSets owners — the primary executes detect misses,
-// and all of them hold the key's artifacts. Health runs in three states:
+// Each key has ReplicaSets owners, all of which hold the key's artifacts
+// (the primary is the first one read). Health runs in three states:
 // a peer inside a failure run shorter than FailureThreshold is suspect (on
 // the ring, probed preferentially by the heartbeat plane); at the
 // threshold it is down and the ring shrinks around it (its keys

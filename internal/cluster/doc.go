@@ -9,8 +9,8 @@
 // onto a ring gives each stage a small, deterministic owner set, which
 // makes the owners' memos the cluster-wide points of reuse: any node may
 // accept a batch, and a stage value is memoized on its owning shards
-// (detect misses also execute there; compact — location included — runs
-// on the node that holds the library image), so N nodes share one logical cache
+// (every miss computes on the node that took the batch, which holds its
+// inputs, and is written to the owners), so N nodes share one logical cache
 // without coordination, invalidation, or consensus. Replication happens
 // by demand and by write-back: a node that reads a stage value through an
 // owner keeps a local copy (memory + castore), and a freshly computed
@@ -26,8 +26,8 @@
 //   - Cluster: live membership over a Ring — self plus a peer set that can
 //     grow (join, gossip) and shrink (leave, failure) at runtime — with
 //     per-peer health tracking and the HTTP transport the serving plane's
-//     peer tier uses (PostJSON for stage lookups and remote execution,
-//     PutStream for castore object pushes).
+//     peer tier uses (PostJSON for stage lookups and install offers, Get
+//     for install pulls, PutStream for castore object pushes).
 //
 // # Failure model
 //

@@ -261,31 +261,21 @@ func TestAPIDocExamples(t *testing.T) {
 	actual["peer-lookup-batch-found request"] = foundReq
 	actual["peer-lookup-batch-found response"] = httpJSON(http.MethodPost, "/v1/peer/lookup-batch", foundReq, http.StatusOK)
 
-	// peer-detect needs content-correct inputs (the server verifies the
-	// fingerprint and identity), so the test builds the real request and
-	// the doc example is shape-checked against what was sent. It comes
-	// from b, which holds the install as a requester would (a holds it too,
-	// from the submit example, so nothing is fetched).
+	// An install offer needs a real fingerprint (the owner checks the
+	// install it resolves against it): b's offer of the install the
+	// submit example resolved on a, which a therefore finds resident.
 	in, err := nodes["b"].svc.install(mlframework.PyTorch, 6, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := WorkloadSpec{Model: "MobileNetV2", Batch: 1}
-	wl, err := spec.Workload(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	detReq, err := json.Marshal(peerDetectRequest{
-		InstallFP: negativa.InstallFingerprint(in),
-		Identity:  negativa.WorkloadIdentity(wl, 2),
-		From:      "b",
-		Framework: "pytorch", TailLibs: 6, MaxSteps: 2, Spec: spec,
+	offerReq, err := json.Marshal(peerInstallOffer{
+		InstallFP: negativa.InstallFingerprint(in), From: "b", Framework: "pytorch", TailLibs: 6,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	actual["peer-detect request"] = detReq
-	actual["peer-detect response"] = httpJSON(http.MethodPost, "/v1/peer/detect", detReq, http.StatusOK)
+	actual["peer-install-offer request"] = offerReq
+	actual["peer-install-offer response"] = httpJSON(http.MethodPost, "/v1/peer/install-offer", offerReq, http.StatusOK)
 
 	// ---- membership plane ----
 	// The ping/join/leave requests are built live (real URLs) so the doc

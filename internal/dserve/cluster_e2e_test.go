@@ -82,15 +82,18 @@ func fetchPeerJobLib(t *testing.T, srv *httptest.Server, jobID, name string) []b
 // coldThenWarm is the peer tier's contract for one request on a fresh
 // three-node ring, checked from outside the memo:
 //
-//  1. A cold batch on node a runs every locate+compact itself — the stage
-//     computes where the library image already is — and only detect stages
-//     execute remotely, each exactly once on its primary shard. The ring
-//     builds one install: a generates it (a spec request) or ingests it,
-//     and every owner that executed a detect fetched a's copy.
+//  1. A cold batch on node a runs every stage itself — each computes where
+//     its input already is: every detect against a's install, every
+//     locate+compact against a's library image. The ring builds one
+//     install: a generates it (a spec request) or ingests it. A generated
+//     install is offered to the remote owners of the batch's detect keys,
+//     and each of them fetches a's copy; an ingested one is offered to
+//     nobody.
 //  2. Once write-back replication has drained, every live owner of every
 //     compact key holds the result, its range set, and the library image.
-//  3. The same request on b and then on c completes with no local analysis,
-//     served by peers in at most 8 round trips.
+//  3. The same request on b and then on c completes with no local analysis
+//     and neither generates nor fetches an install, served by peers in at
+//     most 8 round trips.
 //  4. Every library any of the three nodes streams is byte-identical to a
 //     standalone single-node DebloatBatch of the same install — the
 //     differential oracle.
@@ -134,27 +137,36 @@ func coldThenWarm(t *testing.T, nodes map[string]*testNode, req JobRequest, in *
 	if got := a.svc.Counters.Get("analysis.computed"); got != int64(len(keys)) {
 		t.Fatalf("node a computed %d locate+compact stages for %d compact keys", got, len(keys))
 	}
-	var executed int64
-	for _, id := range []string{"b", "c"} {
-		executed += nodes[id].svc.Counters.Get("peer.executed_detects")
+	for id, n := range nodes {
+		want := int64(0)
+		if n == a {
+			want = int64(len(req.Workloads))
+		}
+		if got := n.svc.Counters.Get("registry.misses"); got != want {
+			t.Fatalf("node %s computed %d detects, want %d: a computes all of them", id, got, want)
+		}
 	}
-	if got := a.svc.Counters.Get("peer.remote_execs"); got != executed || got > int64(len(req.Workloads)) {
-		t.Fatalf("peer.remote_execs=%d: want the %d detects b and c executed (of %d workloads)", got, executed, len(req.Workloads))
+	owners := map[string]bool{}
+	if req.IngestDir == "" {
+		for _, wo := range res.Workloads {
+			for _, id := range a.svc.Cluster().Owners(negativa.DetectKey(res.InstallFP, wo.Identity).String()) {
+				if id != "a" {
+					owners[id] = true
+				}
+			}
+		}
 	}
-	var generated, fetched, owners int64
+	var generated, fetched int64
 	for _, n := range nodes {
 		generated += n.svc.Counters.Get("installs.generated")
 		fetched += n.svc.Counters.Get("installs.fetched")
-		if n != a && n.svc.Counters.Get("peer.executed_detects") > 0 {
-			owners++
-		}
 	}
 	wantGenerated := int64(1)
 	if req.IngestDir != "" {
 		wantGenerated = 0
 	}
-	if generated != wantGenerated || fetched != owners {
-		t.Fatalf("the ring generated %d installs and fetched %d: want %d generated and one fetch per detect owner (%d)", generated, fetched, wantGenerated, owners)
+	if generated != wantGenerated || fetched != int64(len(owners)) {
+		t.Fatalf("the ring generated %d installs and fetched %d: want %d generated and one fetch per remote detect owner (%d)", generated, fetched, wantGenerated, len(owners))
 	}
 	if errs := a.svc.Counters.Get("peer.replica_write_errors"); errs != 0 {
 		t.Fatalf("write-back reported %d errors on a healthy ring", errs)
@@ -187,13 +199,17 @@ func coldThenWarm(t *testing.T, nodes map[string]*testNode, req JobRequest, in *
 		if done.Verified == nil || !*done.Verified {
 			t.Fatalf("node %s batch must verify", id)
 		}
-		// An owner's detect left the install resident under its spec key,
-		// so the node's own batch neither generates nor fetches it.
+		// An offer left the install resident under its spec key on every
+		// detect owner (an ingested tree is ingested again), so the node's
+		// own batch neither generates nor fetches it.
 		if g, f := n.svc.Counters.Get("installs.generated")-gen0, n.svc.Counters.Get("installs.fetched")-fetched0; g != 0 || f != 0 {
 			t.Fatalf("node %s's own batch generated %d installs and fetched %d; the install should be resident", id, g, f)
 		}
 		if delta := n.svc.Counters.Get("analysis.computed") - before; delta != 0 {
 			t.Fatalf("node %s ran locate/compact %d times locally; the ring should have absorbed all of it", id, delta)
+		}
+		if got := n.svc.Counters.Get("registry.misses"); got != 0 {
+			t.Fatalf("node %s ran %d detects locally; the ring should have absorbed all of them", id, got)
 		}
 		// The scatter-gather bound. This is the only batch the node has
 		// run, so the counter deltas are the batch's own: two prefetch
@@ -260,10 +276,9 @@ func TestClusterThreeNodeE2E(t *testing.T) {
 
 	// ---- Phases 1+2: cold on A, pure reuse on B and C ----
 	jobA := coldThenWarm(t, nodes, req, in)
-	// With 3 detect keys over 3 nodes, A routed some to B or C — meaning
-	// those shards executed and memoized them.
-	if a.svc.Counters.Get("peer.remote_execs") == 0 {
-		t.Fatal("node A should have executed detect stages on their owning shards")
+	// A generated the install, so it offered it to the detect keys' owners.
+	if a.svc.Counters.Get("peer.offers") == 0 {
+		t.Fatal("node A should have offered its install to the detect keys' owners")
 	}
 	if hits := b.svc.Counters.Get("peer.hits"); hits == 0 {
 		t.Fatal("node B should have read stages through their owning peers")
@@ -326,5 +341,72 @@ func TestClusterThreeNodeE2E(t *testing.T) {
 	}
 	if got := a.svc.Counters.Get("peer.transport_errors"); got != transportErrs {
 		t.Fatalf("shrunken ring still routed %d requests to the dead node", got-transportErrs)
+	}
+}
+
+// TestConcurrentSpecBatchesOnTwoNodes: no peer runs a detection for
+// another, so a detection no longer runs once across the ring. Nodes a and
+// b of a fresh ring submit the same spec batch at once: both verify, with
+// images byte-identical to the single-node oracle, and each detection runs
+// at most once per requester. The duplicate costs time only: a profile is
+// deterministic per (install, workload identity).
+func TestConcurrentSpecBatchesOnTwoNodes(t *testing.T) {
+	nodes := startCluster(t, "a", "b", "c")
+	defer func() {
+		for _, n := range nodes {
+			n.close()
+		}
+	}()
+	req := JobRequest{
+		Framework: "pytorch",
+		TailLibs:  6,
+		Workloads: []WorkloadSpec{
+			{Model: "MobileNetV2", Batch: 1},
+			{Model: "MobileNetV2", Train: true, Batch: 16, Epochs: 1},
+			{Model: "Transformer", Batch: 32, Device: "A100"},
+		},
+		MaxSteps: 2,
+	}
+	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: req.TailLibs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workloads := make([]mlruntime.Workload, len(req.Workloads))
+	for i, spec := range req.Workloads {
+		if workloads[i], err = spec.Workload(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oracle := NewService(Config{Workers: 4, MaxSteps: 2})
+	defer oracle.Close()
+	ref, err := oracle.DebloatBatch(in, workloads, BatchOptions{MaxSteps: req.MaxSteps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.DebloatedLibs()
+
+	ids := map[string]string{}
+	for _, id := range []string{"a", "b"} {
+		ids[id] = postJob(t, nodes[id].srv, req).ID
+	}
+	for id, jobID := range ids {
+		done := pollDone(t, nodes[id].srv, jobID)
+		if done.State != JobDone || done.Verified == nil || !*done.Verified {
+			t.Fatalf("node %s: state %s, error %q; the batch must verify", id, done.State, done.Error)
+		}
+		for name, lib := range want {
+			if got := fetchPeerJobLib(t, nodes[id].srv, jobID, name); !bytes.Equal(got, lib) {
+				t.Fatalf("library %s streamed by node %s differs from the single-node pipeline's", name, id)
+			}
+		}
+	}
+	var detects int64
+	for _, n := range nodes {
+		detects += n.svc.Counters.Get("registry.misses")
+	}
+	w := int64(len(req.Workloads))
+	t.Logf("%d workloads submitted on two nodes at once: %d detections ran across the ring (bound %d)", w, detects, 2*w)
+	if detects < w || detects > 2*w {
+		t.Fatalf("%d detections ran for %d workloads on two requesters, want %d to %d", detects, w, w, 2*w)
 	}
 }

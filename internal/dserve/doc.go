@@ -116,15 +116,15 @@
 // latency order, batched per replica set (POST /v1/peer/lookup-batch, the
 // only remote read, hedged). A ring runs one protocol: a replica set that
 // cannot answer the route is a failed peer tier, and its keys resolve as
-// misses. On a miss, a detect stage that arrived with its workload spec
-// executes on the primary shard (POST /v1/peer/detect — the request is the
-// small spec, and the owner memoizes what it executed, so the whole
-// cluster runs each detection once; an owner without the install pulls
-// the requester's copy, GET /v1/peer/install/{fingerprint}, rather than
-// regenerating it); a compact stage computes on the
-// requesting node, which already holds the library image, and only its
-// O(ranges) result travels; a verifyrun stage runs on the requesting node,
-// on the clone it built, and only the record travels.
+// misses. No stage executes remotely: every miss computes on the
+// requesting node, where its inputs already are — a detect stage against
+// the install, a compact stage against the library image (only its
+// O(ranges) result travels), a verifyrun stage on the clone it built (only
+// the record travels). A node that generated a spec install offers it,
+// behind the batch, to the remote owners of the batch's detect keys (POST
+// /v1/peer/install-offer); each pulls the copy (GET
+// /v1/peer/install/{fingerprint}) rather than regenerating it, so the same
+// request on an owner finds its install resident.
 // Peer-served values are written into the local tiers — memory, and the
 // castore when attached — so hot artifacts replicate toward demand; every
 // locally computed value (compact result, detect profile or verify record)
@@ -142,7 +142,7 @@
 // join/leave (POST /v1/peer/join|leave) makes planned changes immediate,
 // and LeaveCluster hands a departing node's primary-owned objects to the
 // ring's next owners first. /v1/metrics gains a peer section
-// (hits/misses/fallbacks/remote_execs/replica_reads plus per-peer health)
+// (hits/misses/fallbacks/replica_reads plus per-peer health)
 // and per-peer latency timings, and the counters map carries the
 // replication plane's peer.replica_* / repair.* series.
 // docs/ARCHITECTURE.md draws the full picture.

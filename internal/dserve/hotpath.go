@@ -27,8 +27,8 @@ import (
 // so the batch's wall clock is bounded by the slowest single round trip,
 // not the key count. The prefetch is the only remote read: a stage node
 // whose key it did not plant — a clean miss, or a replica set that could
-// not answer — goes straight to remote execution (detect) or local compute,
-// never back to the replicas the prefetch just asked.
+// not answer — goes straight to local compute, never back to the replicas
+// the prefetch just asked.
 //
 // A singleflight table spans the prefetch and the stage nodes
 // (StageMemo.resolve): a key whose value stays in its memory tier never has

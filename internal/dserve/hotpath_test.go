@@ -439,7 +439,7 @@ func TestBatchLookupFailureComputesLocally(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opt := BatchOptions{MaxSteps: 2, Specs: &BatchSpecs{Framework: "pytorch", TailLibs: 4, Workloads: specs}}
+	opt := BatchOptions{MaxSteps: 2}
 	oracle := NewService(Config{Workers: 4, MaxSteps: 2})
 	defer oracle.Close()
 	ref, err := oracle.DebloatBatch(in, workloads, opt)
@@ -505,7 +505,7 @@ func TestBatchLookupFailureComputesLocally(t *testing.T) {
 			}
 			for route := range routes {
 				switch route {
-				case "lookup-batch", "detect", "objects", "stat":
+				case "lookup-batch", "objects", "stat":
 				default:
 					t.Errorf("requester fell back to /v1/peer/%s (%d requests)", route, routes[route])
 				}

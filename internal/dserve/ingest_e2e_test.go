@@ -44,9 +44,10 @@ func TestIngestClusterE2E(t *testing.T) {
 	}
 
 	// ---- Cold on A, pure reuse on B and C, all identical to a standalone
-	// DebloatBatch of the ingested install. The batch is spec-less (a peer
-	// cannot regenerate an ingested tree), so every stage computes on A and
-	// reaches its owners by write-back alone. ----
+	// DebloatBatch of the ingested install. Every stage computes on A and
+	// reaches its owners by write-back; the install itself is offered to
+	// nobody (a peer cannot pull or regenerate an ingested tree, and ingests
+	// it itself). ----
 	standalone := NewService(Config{Workers: 1, IngestRoot: root})
 	defer standalone.Close()
 	ingested, err := standalone.ingestInstall("pytorch-tree")
@@ -54,8 +55,10 @@ func TestIngestClusterE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobA := coldThenWarm(t, nodes, req, ingested)
-	if got := a.svc.Counters.Get("peer.remote_execs"); got != 0 {
-		t.Fatalf("an ingested batch executed %d stages remotely", got)
+	for id, n := range nodes {
+		if got := n.svc.Counters.Get("peer.offers") + n.svc.Counters.Get("peer.offer_errors") + n.svc.Counters.Get("peer.served_offers"); got != 0 {
+			t.Fatalf("node %s sent or served %d install offers for an ingested install", id, got)
+		}
 	}
 	var stA jobStatus
 	if code := getJSON(t, a.srv.URL+"/v1/jobs/"+jobA, &stA); code != http.StatusOK {

@@ -423,11 +423,11 @@ func (s *Service) effectiveSteps(v int) int {
 // job's progress hooks into the batch options.
 func (s *Service) runBatch(req JobRequest, obs plan.Observer, onPlanned func(int)) (*BatchResult, error) {
 	var in *mlframework.Install
+	var fw string
 	var err error
 	if req.IngestDir != "" {
 		in, err = s.ingestInstall(req.IngestDir)
 	} else {
-		var fw string
 		if fw, err = ResolveFramework(req.Framework); err != nil {
 			return nil, err
 		}
@@ -448,19 +448,6 @@ func (s *Service) runBatch(req JobRequest, obs plan.Observer, onPlanned func(int
 		Observer:   obs,
 		OnPlanned:  onPlanned,
 	}
-	if req.IngestDir == "" {
-		// The request's specs ride along so the cluster tier can execute
-		// detect stages on their owning shard: the shard pulls this node's
-		// resident install by fingerprint (or regenerates it from
-		// framework/tail_libs) and keeps it under the same spec key, so
-		// its own batch of this request finds it resident. Ingested
-		// installs stay spec-less: they are not resident under a spec key
-		// here and a peer cannot re-read a tree it does not have, so
-		// detect stages compute locally on a cluster read-through miss
-		// while locate/compact/verify artifacts still flow through the
-		// ring by content key.
-		opt.Specs = &BatchSpecs{Framework: req.Framework, TailLibs: req.TailLibs, Workloads: req.Workloads}
-	}
 	if req.Base != "" {
 		// The base has been pinned since Submit accepted the request, so
 		// eviction cannot have released it or the store objects its stage
@@ -471,7 +458,15 @@ func (s *Service) runBatch(req JobRequest, obs plan.Observer, onPlanned func(int
 		}
 		opt.Base, opt.BaseID = baseRes, req.Base
 	}
-	return s.DebloatBatch(in, ws, opt)
+	res, err := s.DebloatBatch(in, ws, opt)
+	if err == nil && req.IngestDir == "" {
+		// The owners its profiles went to pull the install behind the
+		// batch. An ingested install is not resident under a spec key, and
+		// a peer cannot re-read a tree it does not have: each node ingests
+		// it itself.
+		s.offerInstall(fw, req.TailLibs, res)
+	}
+	return res, err
 }
 
 // Job returns a snapshot of the job, or nil when unknown.

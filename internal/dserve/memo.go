@@ -103,8 +103,9 @@ func (f *fifoMap[K, V]) size() int {
 //     fingerprint, workload identity) recovered from the composite stage
 //     hash, with on-disk profile snapshots replayed at boot. With a
 //     cluster attached, the batch's prefetch reads the replica set
-//     through, and a registry miss left after it executes the stage on its
-//     owning peer when the batch carried its workload spec.
+//     through. A miss left after it computes here, where the install
+//     already is, and the write-behind pushes the profile to every live
+//     owner.
 //   - compact → the ResultCache: byte-bounded memory, then the
 //     content-addressed store's disk tier (persisted range sets decoded
 //     against the node's live library hint), then the key's replica set,
@@ -183,24 +184,6 @@ func NewStageMemo(registry *Registry, cache *ResultCache, counters *metrics.Coun
 // never detaches a cluster.
 func (m *StageMemo) AttachCluster(c *cluster.Cluster) { m.cluster = c }
 
-// postJSON runs one peer round trip with the caller's executor slot
-// yielded. Plan nodes hold a worker slot while resolving their memo, but
-// a peer lookup is pure network wait — holding a CPU-sized slot across it
-// would serialize the whole read-through tier behind the compute budget
-// (on a small Workers bound, every peer-warm batch degenerates to one
-// round trip at a time). The slot is re-Acquired before returning, so
-// compute after the wire — decode, verify, local compute on fallback —
-// still runs under the pool's bound. slot is the executor the calling
-// node's graph runs under; nil means the caller holds none.
-func (m *StageMemo) postJSON(slot plan.Executor, owner, path string, req, resp any) error {
-	m.countRoundTrip()
-	if slot != nil {
-		slot.Release()
-		defer slot.Acquire()
-	}
-	return m.cluster.PostJSON(owner, path, req, resp)
-}
-
 // replicaOwners returns the stage key's replica set (ring order, primary
 // first) and this node's ID, when a cluster is attached.
 func (m *StageMemo) replicaOwners(key plan.Key) (owners []string, self string) {
@@ -241,7 +224,7 @@ func (m *StageMemo) GetOrCompute(slot plan.Executor, key plan.Key, hint any, com
 			}
 			return p, plan.SourceMemory, ok
 		}, func() (any, plan.Source, error) {
-			return m.detectLeader(slot, key, pk, hint, compute)
+			return m.detectLeader(key, pk, compute)
 		})
 	case negativa.StageCompact:
 		lib, _ := hint.(*elfx.Library)
@@ -304,18 +287,9 @@ func (m *StageMemo) resolve(slot plan.Executor, key plan.Key, probe func(again b
 
 // detectLeader resolves one detect key the batch prefetch did not plant:
 // the replica set was already asked (or could not be reached), so the
-// leader does not re-ask it — hinted remote execution on the primary shard,
-// else local compute with write-back to every live remote owner.
-func (m *StageMemo) detectLeader(slot plan.Executor, key plan.Key, pk ProfileKey, hint any, compute func() (any, error)) (any, plan.Source, error) {
-	owners, self := m.replicaOwners(key)
-	// One round trip: the execute route starts with the owner's registry
-	// probe, and the owner memoizes what it executes.
-	if dh, _ := hint.(*detectHint); dh != nil && len(owners) > 0 && owners[0] != self {
-		if p, ok := m.peerDetect(slot, owners[0], key.Hash, dh); ok {
-			m.registry.Put(pk, p)
-			return p, plan.SourcePeer, nil
-		}
-	}
+// leader does not re-ask it — local compute with write-back to every live
+// remote owner, the rule compact and verify follow too.
+func (m *StageMemo) detectLeader(key plan.Key, pk ProfileKey, compute func() (any, error)) (any, plan.Source, error) {
 	v, err := compute()
 	if err != nil {
 		return nil, plan.SourceComputed, err
@@ -324,15 +298,16 @@ func (m *StageMemo) detectLeader(slot plan.Executor, key plan.Key, pk ProfileKey
 	m.registry.Put(pk, p)
 	m.count("registry.misses")
 	if m.replicateProfile != nil {
+		owners, self := m.replicaOwners(key)
 		m.replicateProfile(pk, p, without(owners, self))
 	}
 	return v, plan.SourceComputed, nil
 }
 
 // compactLeader resolves one compact key the batch prefetch did not plant:
-// local compute with write-back to every live remote owner. The stage never
-// executes remotely: its input is a library image only this node is sure to
-// hold, and shipping it costs far more than compacting it here.
+// local compute with write-back to every live remote owner. Its input is a
+// library image only this node is sure to hold, and shipping it costs far
+// more than compacting it here.
 func (m *StageMemo) compactLeader(key plan.Key, compute func() (any, error)) (any, plan.Source, error) {
 	v, err := compute()
 	if err != nil {

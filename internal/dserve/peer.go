@@ -6,12 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
 	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
-	"negativaml/internal/plan"
 )
 
 // The peer wire protocol. Every route lives under /v1/peer/ and is spoken
@@ -20,11 +20,11 @@ import (
 //	POST /v1/peer/lookup-batch           read-through: return already-
 //	                                     memoized stage values by content key,
 //	                                     up to maxBatchLookupKeys per request
-//	POST /v1/peer/detect                 execute a detect stage on its
-//	                                     owning shard (registry-memoized)
+//	POST /v1/peer/install-offer          a peer generated an install whose
+//	                                     detect keys this node co-owns:
+//	                                     pull it, keep it resident
 //	GET  /v1/peer/install/{fingerprint}  a resident install in transfer
-//	                                     form, for an owner about to
-//	                                     execute a detect against it
+//	                                     form, pulled by an offered owner
 //	PUT  /v1/peer/objects/{kind}/{key}   push one castore object in its
 //	                                     integrity-framed wire format
 //	POST /v1/peer/stat                   which of these objects do you hold
@@ -33,14 +33,14 @@ import (
 // attached, and a cluster configured with a shared secret (see
 // cluster.Options.Secret) additionally requires it on every request.
 //
-// Compact and verifyrun stages are read-through only: a miss ships no
-// payload, and the requester — which holds the library images — computes
-// the stage itself and writes the O(ranges) result, or the verify record,
-// back to the key's owners (repair.go). A replica's verify record is
-// trusted exactly as a replica's profile is: under the key it was asked
-// for. Detect
-// requests are a small workload spec, so a hinted requester goes straight
-// to the execute route (which starts with the owner's registry probe).
+// No route runs analysis. Every stage is read-through only: a miss ships
+// no payload, and the requester — which holds the install and the library
+// images — computes the stage itself and writes the profile, the
+// O(ranges) result, or the verify record back to the key's owners
+// (repair.go). A replica's verify record is trusted exactly as a replica's
+// profile is: under the key it was asked for. The install itself follows
+// its profiles: a node that generated it offers it to the owners the
+// profiles were written to, which pull it behind the batch.
 // A compact lookup answers with the result's record, the very bytes the
 // castore disk tier holds (negativa.EncodeRecord), which the requester
 // decodes against its own live library — the digest-bound record makes a
@@ -91,27 +91,16 @@ const maxBatchLookupKeys = 256
 // detect key carries a workload identity of a few hundred).
 const peerLookupBatchLimit = maxBatchLookupKeys << 10
 
-// peerDetectRequest executes one detect stage on its owning shard. The
-// fingerprint pins the request to the bytes the requester holds; From
-// names the requester, which has that install resident and serves it on
-// GET /v1/peer/install/{fingerprint}. Framework and tail-libs are the
-// install's spec key: the owner registers the fetched install under it,
-// and regenerates from it when the fetch fails (installs are
-// deterministic functions of their config).
-type peerDetectRequest struct {
-	InstallFP string       `json:"install_fp"`
-	Identity  string       `json:"identity"`
-	From      string       `json:"from,omitempty"`
-	Framework string       `json:"framework"`
-	TailLibs  int          `json:"tail_libs"`
-	MaxSteps  int          `json:"max_steps"`
-	Spec      WorkloadSpec `json:"spec"`
-}
-
-type peerDetectResponse struct {
-	Profile *negativa.Profile `json:"profile"`
-	// Hit reports the profile was already registered on the owner.
-	Hit bool `json:"hit"`
+// peerInstallOffer tells a co-owner of a batch's detect keys that From
+// generated the install with fingerprint InstallFP and holds it resident.
+// Framework and tail-libs are the install's spec key: the owner registers
+// the pulled install under it, and regenerates from it when the pull fails
+// (installs are deterministic functions of their config).
+type peerInstallOffer struct {
+	InstallFP string `json:"install_fp"`
+	From      string `json:"from"`
+	Framework string `json:"framework"`
+	TailLibs  int    `json:"tail_libs"`
 }
 
 // peerBodyLimit bounds one pushed object (PUT /v1/peer/objects/...):
@@ -127,7 +116,7 @@ const peerBodyLimit = 256 << 20
 // requests that do not present it.
 func registerPeerRoutes(mux *http.ServeMux, s *Service) {
 	mux.HandleFunc("POST /v1/peer/lookup-batch", s.peerAuth(s.handlePeerLookupBatch))
-	mux.HandleFunc("POST /v1/peer/detect", s.peerAuth(s.handlePeerDetect))
+	mux.HandleFunc("POST /v1/peer/install-offer", s.peerAuth(s.handlePeerInstallOffer))
 	mux.HandleFunc("GET /v1/peer/install/{fingerprint}", s.peerAuth(s.handlePeerInstall))
 	mux.HandleFunc("PUT /v1/peer/objects/{kind}/{key}", s.peerAuth(s.handlePeerObjectPut))
 	mux.HandleFunc("POST /v1/peer/stat", s.peerAuth(s.handlePeerStat))
@@ -139,7 +128,7 @@ func registerPeerRoutes(mux *http.ServeMux, s *Service) {
 // peerAuth guards one node-to-node route. The peer surface exists only on
 // clustered nodes — anywhere else it is 404, indistinguishable from an
 // unmounted route, so a standalone (or gateway-fronted) deployment exposes
-// no analysis-compute or object-transfer endpoints to strangers. When the
+// no install-transfer or object-transfer endpoints to strangers. When the
 // attached cluster carries a shared secret, every request must present it
 // in cluster.PeerSecretHeader; the comparison is constant-time. A cluster
 // without a secret still answers any request that reaches it — that mode
@@ -220,7 +209,7 @@ func (s *Service) lookupStage(key peerLookupRequest) (peerLookupResponse, error)
 // replica group. A value this node already holds in memory or in its
 // castore answers in durable wire form; a miss or an unservable key answers
 // found=false in place, never an error — the requester decides what to do
-// about it (execute a detect on its owner, compute a compact itself).
+// about it (compute the stage itself).
 func (s *Service) handlePeerLookupBatch(w http.ResponseWriter, r *http.Request) {
 	var req peerBatchLookupRequest
 	if !decodePeerBody(w, r, peerLookupBatchLimit, &req) {
@@ -243,23 +232,17 @@ func (s *Service) handlePeerLookupBatch(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handlePeerDetect executes a detect stage as its owning shard: the
-// install is resolved down Service.install's ladder — resident here, else
-// fetched from the requester, else regenerated from the request config —
-// pinned to the requester's fingerprint, profiled, and registered, so the
-// owner memoizes what it executed and every later lookup for this key
-// hits. Execution (not the registry fast path, nor a request that fails
-// validation) is bounded by the peer-execution semaphore so a busy shard
-// cannot be driven past its worker width.
-func (s *Service) handlePeerDetect(w http.ResponseWriter, r *http.Request) {
-	var req peerDetectRequest
+// handlePeerInstallOffer takes an offered install: resolved down
+// Service.install's ladder — resident here, else pulled from the offering
+// node, else regenerated from the spec key — and kept resident under that
+// key, so this node's own batch of the same spec neither generates nor
+// pulls it. A pulled copy is kept only when it fingerprints to install_fp
+// (fetchInstall); an install resolved any other way that does not is
+// version skew, answered 409. The handler takes no pool slot: its one
+// outgoing call is the pull, which takes none on the node serving it.
+func (s *Service) handlePeerInstallOffer(w http.ResponseWriter, r *http.Request) {
+	var req peerInstallOffer
 	if !decodePeerBody(w, r, maxRequestBytes, &req) {
-		return
-	}
-	s.Counters.Add("peer.served_detects", 1)
-	pk := ProfileKey{Install: req.InstallFP, Workload: req.Identity}
-	if p, ok := s.Registry.Get(pk); ok {
-		writeJSON(w, http.StatusOK, peerDetectResponse{Profile: p, Hit: true})
 		return
 	}
 	fw, err := ResolveFramework(req.Framework)
@@ -271,57 +254,24 @@ func (s *Service) handlePeerDetect(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("tail_libs %d out of range", req.TailLibs))
 		return
 	}
-	if req.MaxSteps < 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("max_steps %d out of range", req.MaxSteps))
-		return
-	}
-	if err := req.Spec.validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Only a request that will resolve an install and profile it waits for,
-	// and holds, an execution slot; a malformed one was answered above.
-	s.peerSem <- struct{}{}
-	defer func() { <-s.peerSem }()
+	s.Counters.Add("peer.served_offers", 1)
 	in, err := s.install(fw, req.TailLibs, req.From, req.InstallFP)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if got := negativa.InstallFingerprint(in); got != req.InstallFP {
-		// The install this node holds or generated for the same config is
-		// not the requester's (a copy fetched from the requester fails
-		// this check before it is kept) — a version skew a profile must
-		// never paper over.
-		httpError(w, http.StatusConflict, fmt.Errorf("install fingerprint mismatch: have %.12s…, requested %.12s…", got, req.InstallFP))
+		httpError(w, http.StatusConflict, fmt.Errorf("install fingerprint mismatch: have %.12s…, offered %.12s…", got, req.InstallFP))
 		return
 	}
-	wl, err := req.Spec.Workload(in)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if id := negativa.WorkloadIdentity(wl, req.MaxSteps); id != req.Identity {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("workload identity mismatch: spec resolves to %q", id))
-		return
-	}
-	p, err := negativa.DetectUsage(wl, req.MaxSteps)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.Registry.Put(pk, p)
-	s.Counters.Add("peer.executed_detects", 1)
-	writeJSON(w, http.StatusOK, peerDetectResponse{Profile: p})
+	writeJSON(w, http.StatusOK, map[string]bool{"resident": true})
 }
 
 // handlePeerInstall serves a resident install in its transfer form
-// (mlframework.ReadWire) to an owner about to execute a detect stage
-// against it. It takes no slot — neither the pool's nor peerSem — so a
-// requester whose every slot is held, its batch waiting on that very
-// owner's detect, still answers: no cross-node wait cycle can form. An
-// install not resident here (never resolved, or evicted) is 404, and the
-// owner generates it instead.
+// (mlframework.ReadWire) to an owner pulling an offered install. It takes
+// no slot, so a node whose every slot is held still answers. An install
+// not resident here (never resolved, or evicted) is 404, and the owner
+// generates it instead.
 func (s *Service) handlePeerInstall(w http.ResponseWriter, r *http.Request) {
 	in := s.residentInstall(r.PathValue("fingerprint"))
 	if in == nil {
@@ -480,44 +430,49 @@ func (s *Service) handlePeerObjectPut(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]int64{"bytes": n})
 }
 
-// ---- Requester side: the stage memo's peer tier ----
+// ---- Requester side: the install offer ----
 
-// detectHint carries what the peer tier needs to execute a detect stage on
-// its owning shard. Attached to detect nodes by DebloatBatch when the
-// batch arrived with its workload specs (the HTTP path); library callers
-// without specs simply detect locally on a registry miss.
-type detectHint struct {
-	framework string
-	tailLibs  int
-	maxSteps  int
-	spec      WorkloadSpec
-}
-
-// peerDetect resolves a detect stage through its owning peer: the hint (the
-// workload spec) goes straight to /v1/peer/detect in one round trip — that
-// route begins with the owner's own registry probe and the request is a
-// small spec. ok=false means the caller should compute locally; the failure
-// has already been counted.
-func (m *StageMemo) peerDetect(slot plan.Executor, owner, hash string, hint *detectHint) (*negativa.Profile, bool) {
-	fp, wid, ok := negativa.SplitDetectHash(hash)
-	if !ok {
-		return nil, false
+// offerInstall offers the install a spec batch ran against to the remote
+// owners of the batch's detect keys — the nodes its profiles were written
+// back to — so they hold it resident when the same request reaches them.
+// Only a node that generated the install offers it, and each owner once
+// per resident install. The offers go out behind the batch on a replWG
+// goroutine (WaitReplication and Close cover them); a refused or failed
+// offer is counted, and costs the owner a generation later, never the
+// batch.
+func (s *Service) offerInstall(framework string, tailLibs int, res *BatchResult) {
+	c := s.cluster
+	if c == nil {
+		return
 	}
-	req := peerDetectRequest{
-		InstallFP: fp, Identity: wid, From: m.cluster.Self(),
-		Framework: hint.framework, TailLibs: hint.tailLibs,
-		MaxSteps: hint.maxSteps, Spec: hint.spec,
+	self := c.Self()
+	var to []string
+	s.mu.Lock()
+	if slot := s.installs[specKey(framework, tailLibs)]; slot != nil && slot.generated && slot.fp == res.InstallFP {
+		for _, o := range res.Workloads {
+			for _, id := range c.Owners(negativa.DetectKey(res.InstallFP, o.Identity).String()) {
+				if id != self && !slices.Contains(slot.offered, id) {
+					slot.offered = append(slot.offered, id)
+					to = append(to, id)
+				}
+			}
+		}
 	}
-	var dr peerDetectResponse
-	if err := m.postJSON(slot, owner, "/v1/peer/detect", req, &dr); err != nil || dr.Profile == nil || dr.Profile.RunResult == nil {
-		m.count("peer.fallbacks")
-		return nil, false
+	s.mu.Unlock()
+	if len(to) == 0 {
+		return
 	}
-	if !dr.Hit {
-		// The owner had nothing memoized and executed the stage for us.
-		m.count("peer.misses")
-		m.count("peer.remote_execs")
-	}
-	m.count("peer.hits")
-	return dr.Profile, true
+	offer := peerInstallOffer{InstallFP: res.InstallFP, From: self, Framework: framework, TailLibs: tailLibs}
+	s.replWG.Add(1)
+	go func() {
+		defer s.replWG.Done()
+		for _, id := range to {
+			var resp struct{}
+			if err := c.PostJSON(id, "/v1/peer/install-offer", offer, &resp); err != nil {
+				s.Counters.Add("peer.offer_errors", 1)
+				continue
+			}
+			s.Counters.Add("peer.offers", 1)
+		}
+	}()
 }

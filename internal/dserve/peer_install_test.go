@@ -17,8 +17,7 @@ import (
 )
 
 // installOwner is node "own" of a ring whose other members are peers (id →
-// base URL): the node that receives detect requests and resolves their
-// install.
+// base URL): the node that receives install offers and resolves them.
 func installOwner(t *testing.T, cfg Config, peers map[string]string) (*Service, *httptest.Server) {
 	t.Helper()
 	svc := NewService(cfg)
@@ -58,44 +57,9 @@ func installRequester(t *testing.T, wrap func(http.Handler) http.Handler) (*Serv
 	return svc, srv, in
 }
 
-// detectFor is a detect request for spec against the pytorch/2 install in,
-// sent on behalf of node from.
-func detectFor(t *testing.T, in *mlframework.Install, spec WorkloadSpec, from string) peerDetectRequest {
-	t.Helper()
-	wl, err := spec.Workload(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return peerDetectRequest{
-		InstallFP: negativa.InstallFingerprint(in),
-		Identity:  negativa.WorkloadIdentity(wl, 2),
-		From:      from,
-		Framework: "pytorch", TailLibs: 2, MaxSteps: 2, Spec: spec,
-	}
-}
-
-// localProfileJSON is the profile a standalone run of the request's
-// workload detects, in wire form.
-func localProfileJSON(t *testing.T, in *mlframework.Install, spec WorkloadSpec) string {
-	t.Helper()
-	wl, err := spec.Workload(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := negativa.DetectUsage(wl, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return profileJSON(t, p)
-}
-
-func profileJSON(t *testing.T, p *negativa.Profile) string {
-	t.Helper()
-	b, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
+// offerOf is node from's offer of the pytorch/2 install in.
+func offerOf(in *mlframework.Install, from string) peerInstallOffer {
+	return peerInstallOffer{InstallFP: negativa.InstallFingerprint(in), From: from, Framework: "pytorch", TailLibs: 2}
 }
 
 // installCounts reads a node's install ladder counters.
@@ -103,21 +67,16 @@ func installCounts(svc *Service) (generated, fetched int64) {
 	return svc.Counters.Get("installs.generated"), svc.Counters.Get("installs.fetched")
 }
 
-var mobilenet = WorkloadSpec{Model: "MobileNetV2", Batch: 1}
-
-// TestPeerDetectFetchesTheRequestersInstall: an owner that lacks the
-// install pulls the requester's copy instead of generating it, counts the
-// pull, and keeps it resident under the spec key for its own batches.
+// TestPeerDetectFetchesTheRequestersInstall: an owner of a peer's detect
+// keys that lacks the install pulls the offering peer's copy instead of
+// generating it, counts the pull, and keeps it resident under the spec key
+// for its own batches.
 func TestPeerDetectFetchesTheRequestersInstall(t *testing.T) {
 	reqSvc, reqSrv, in := installRequester(t, nil)
 	own, ownSrv := installOwner(t, Config{Workers: 2, MaxSteps: 2}, map[string]string{"req": reqSrv.URL})
 
-	var dr peerDetectResponse
-	if code := postPeer(t, ownSrv, "/v1/peer/detect", detectFor(t, in, mobilenet, "req"), &dr); code != http.StatusOK {
-		t.Fatalf("detect status %d", code)
-	}
-	if got, want := profileJSON(t, dr.Profile), localProfileJSON(t, in, mobilenet); got != want {
-		t.Fatal("the profile detected on a fetched install differs from a local run's")
+	if code := postPeer(t, ownSrv, "/v1/peer/install-offer", offerOf(in, "req"), nil); code != http.StatusOK {
+		t.Fatalf("offer status %d", code)
 	}
 	if g, f := installCounts(own); g != 0 || f != 1 {
 		t.Fatalf("owner generated %d installs and fetched %d, want 0 and 1", g, f)
@@ -147,12 +106,18 @@ func TestPeerDetectFetchesTheRequestersInstall(t *testing.T) {
 			t.Fatalf("resident %s differs from the requester's", name)
 		}
 	}
+	// A second offer of a resident install pulls nothing.
+	if code := postPeer(t, ownSrv, "/v1/peer/install-offer", offerOf(in, "req"), nil); code != http.StatusOK {
+		t.Fatalf("repeated offer status %d", code)
+	}
+	if g, f := installCounts(own); g != 0 || f != 1 {
+		t.Fatalf("a repeated offer generated %d installs and fetched %d", g, f)
+	}
 }
 
-// TestPeerDetectRejectsATamperedInstall: a requester that serves a copy
-// with one library byte flipped fails the fingerprint check. The owner
-// keeps nothing of that copy, generates the install itself, and returns
-// the profile a local run gives.
+// TestPeerDetectRejectsATamperedInstall: an offering peer that serves a
+// copy with one library byte flipped fails the fingerprint check. The
+// owner keeps nothing of that copy and generates the install itself.
 func TestPeerDetectRejectsATamperedInstall(t *testing.T) {
 	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 2})
 	if err != nil {
@@ -177,12 +142,8 @@ func TestPeerDetectRejectsATamperedInstall(t *testing.T) {
 	defer liar.Close()
 	own, ownSrv := installOwner(t, Config{Workers: 2, MaxSteps: 2}, map[string]string{"req": liar.URL})
 
-	var dr peerDetectResponse
-	if code := postPeer(t, ownSrv, "/v1/peer/detect", detectFor(t, in, mobilenet, "req"), &dr); code != http.StatusOK {
-		t.Fatalf("detect status %d", code)
-	}
-	if got, want := profileJSON(t, dr.Profile), localProfileJSON(t, in, mobilenet); got != want {
-		t.Fatal("the profile differs from a local run's")
+	if code := postPeer(t, ownSrv, "/v1/peer/install-offer", offerOf(in, "req"), nil); code != http.StatusOK {
+		t.Fatalf("offer status %d", code)
 	}
 	if g, f := installCounts(own); g != 1 || f != 0 {
 		t.Fatalf("owner generated %d installs and fetched %d, want 1 and 0", g, f)
@@ -198,9 +159,9 @@ func TestPeerDetectRejectsATamperedInstall(t *testing.T) {
 	}
 }
 
-// TestPeerDetectFetchFallsBackToGenerate: a requester the owner cannot
-// fetch from — not on the ring, not reachable, or no longer holding the
-// install (404) — costs the owner a generation, never the request.
+// TestPeerDetectFetchFallsBackToGenerate: an offering peer the owner
+// cannot fetch from — not on the ring, not reachable, or no longer holding
+// the install (404) — costs the owner a generation, never the offer.
 func TestPeerDetectFetchFallsBackToGenerate(t *testing.T) {
 	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 2})
 	if err != nil {
@@ -224,12 +185,11 @@ func TestPeerDetectFetchFallsBackToGenerate(t *testing.T) {
 		{"evicted (404)", "req", map[string]string{"req": emptySrv.URL}, 1},
 	} {
 		own, ownSrv := installOwner(t, Config{Workers: 2, MaxSteps: 2}, tc.peers)
-		var dr peerDetectResponse
-		if code := postPeer(t, ownSrv, "/v1/peer/detect", detectFor(t, in, mobilenet, tc.from), &dr); code != http.StatusOK {
-			t.Fatalf("%s: detect status %d", tc.name, code)
+		if code := postPeer(t, ownSrv, "/v1/peer/install-offer", offerOf(in, tc.from), nil); code != http.StatusOK {
+			t.Fatalf("%s: offer status %d", tc.name, code)
 		}
-		if dr.Profile == nil || dr.Profile.RunResult == nil {
-			t.Fatalf("%s: no profile", tc.name)
+		if own.residentInstall(negativa.InstallFingerprint(in)) == nil {
+			t.Fatalf("%s: the generated install is not resident", tc.name)
 		}
 		if g, f := installCounts(own); g != 1 || f != 0 {
 			t.Fatalf("%s: owner generated %d installs and fetched %d, want 1 and 0", tc.name, g, f)
@@ -243,11 +203,11 @@ func TestPeerDetectFetchFallsBackToGenerate(t *testing.T) {
 	}
 }
 
-// TestPeerDetectFetchesOnce: concurrent detects against one install on one
+// TestInstallOfferFetchesOnce: concurrent offers of one install to one
 // owner share a single pull. The requester holds its answer until both
-// detects have reached the owner, so the second finds the first's fetch
-// in flight rather than finished.
-func TestPeerDetectFetchesOnce(t *testing.T) {
+// offers have reached the owner, so the second finds the first's fetch in
+// flight rather than finished.
+func TestInstallOfferFetchesOnce(t *testing.T) {
 	release := make(chan struct{})
 	reqSvc, reqSrv, in := installRequester(t, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -259,18 +219,18 @@ func TestPeerDetectFetchesOnce(t *testing.T) {
 	})
 	own, ownSrv := installOwner(t, Config{Workers: 2, MaxSteps: 2}, map[string]string{"req": reqSrv.URL})
 
-	specs := []WorkloadSpec{mobilenet, {Model: "Transformer", Batch: 32, Device: "A100"}}
+	body, err := json.Marshal(offerOf(in, "req"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const offers = 2
 	var wg sync.WaitGroup
-	codes := make([]int, len(specs))
-	for i, spec := range specs {
-		body, err := json.Marshal(detectFor(t, in, spec, "req"))
-		if err != nil {
-			t.Fatal(err)
-		}
+	codes := make([]int, offers)
+	for i := range codes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(ownSrv.URL+"/v1/peer/detect", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(ownSrv.URL+"/v1/peer/install-offer", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Error(err)
 				return
@@ -280,7 +240,7 @@ func TestPeerDetectFetchesOnce(t *testing.T) {
 		}()
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for own.Counters.Get("peer.served_detects") < int64(len(specs)) && time.Now().Before(deadline) {
+	for own.Counters.Get("peer.served_offers") < offers && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	// Both handlers are in; give the second a moment to reach the install
@@ -291,7 +251,7 @@ func TestPeerDetectFetchesOnce(t *testing.T) {
 	wg.Wait()
 	for i, code := range codes {
 		if code != http.StatusOK {
-			t.Fatalf("detect %d status %d", i, code)
+			t.Fatalf("offer %d status %d", i, code)
 		}
 	}
 	if g, f := installCounts(own); g != 0 || f != 1 {
@@ -300,24 +260,67 @@ func TestPeerDetectFetchesOnce(t *testing.T) {
 	if got := reqSvc.Counters.Get("peer.served_installs"); got != 1 {
 		t.Fatalf("requester served the install %d times, want 1", got)
 	}
-	if got := own.Counters.Get("peer.executed_detects"); got != int64(len(specs)) {
-		t.Fatalf("owner executed %d detects, want %d", got, len(specs))
+}
+
+// TestInstallOfferNeverFailsTheBatch: a spec batch whose detect keys are
+// co-owned by a down node and by a store-less one still completes and
+// verifies. The offer to the down owner is counted as an error; the
+// store-less owner takes its offer, since an install lives in memory.
+func TestInstallOfferNeverFailsTheBatch(t *testing.T) {
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	bare := NewService(Config{Workers: 1})
+	bareSrv := httptest.NewServer(NewHandler(bare))
+	svc := NewService(Config{Workers: 2, MaxSteps: 2})
+	srv := httptest.NewServer(NewHandler(svc))
+	defer func() {
+		srv.Close()
+		bareSrv.Close()
+		svc.Close()
+		bare.Close()
+	}()
+	bare.AttachCluster(cluster.New("bare", map[string]string{"req": srv.URL}, cluster.Options{Counters: bare.Counters}))
+	// A high failure threshold keeps the down node on the ring, so it stays
+	// an owner the batch offers to.
+	svc.AttachCluster(cluster.New("req", map[string]string{"down": gone.URL, "bare": bareSrv.URL}, cluster.Options{
+		Counters: svc.Counters, FailureThreshold: 100, Probation: time.Hour, Timeout: 5 * time.Second,
+	}))
+
+	st := postJob(t, srv, JobRequest{Framework: "pytorch", TailLibs: 2, MaxSteps: 2, Workloads: []WorkloadSpec{
+		{Model: "MobileNetV2", Batch: 1},
+		{Model: "Transformer", Batch: 32, Device: "A100"},
+		{Model: "MobileNetV2", Train: true, Batch: 16, Epochs: 1},
+	}})
+	if done := pollDone(t, srv, st.ID); done.State != JobDone || done.Verified == nil || !*done.Verified {
+		t.Fatalf("batch with a down and a store-less owner: state %s, error %q", done.State, done.Error)
+	}
+	svc.WaitReplication()
+	res := svc.Job(st.ID).Result
+	owners := map[string]bool{}
+	for _, wo := range res.Workloads {
+		for _, id := range svc.Cluster().Owners(negativa.DetectKey(res.InstallFP, wo.Identity).String()) {
+			owners[id] = true
+		}
+	}
+	if !owners["down"] || !owners["bare"] {
+		t.Fatalf("detect owners %v: the test needs both the down and the store-less node among them", owners)
+	}
+	if sent, failed := svc.Counters.Get("peer.offers"), svc.Counters.Get("peer.offer_errors"); sent != 1 || failed != 1 {
+		t.Fatalf("offers: %d taken and %d failed, want 1 and 1", sent, failed)
+	}
+	if g, f := installCounts(bare); g != 0 || f != 1 {
+		t.Fatalf("the store-less owner generated %d installs and fetched %d, want 0 and 1", g, f)
 	}
 }
 
-// TestInstallRouteTakesNoSlot: a requester whose every pool slot and every
-// peer-execution slot is held — its batch waiting on an owner's detect,
-// its own detect handlers busy — still serves its install, so the owner's
-// pull cannot close a cross-node wait cycle.
+// TestInstallRouteTakesNoSlot: a node whose every pool slot is held still
+// serves its install, so an owner's pull never waits on the batches
+// running there.
 func TestInstallRouteTakesNoSlot(t *testing.T) {
 	reqSvc, reqSrv, in := installRequester(t, nil)
 	for i := 0; i < reqSvc.Workers(); i++ {
 		reqSvc.pool.Acquire()
 		defer reqSvc.pool.Release()
-	}
-	for i := 0; i < cap(reqSvc.peerSem); i++ {
-		reqSvc.peerSem <- struct{}{}
-		defer func() { <-reqSvc.peerSem }()
 	}
 	quick := http.Client{Timeout: 2 * time.Second}
 	resp, err := quick.Get(reqSrv.URL + "/v1/peer/install/" + negativa.InstallFingerprint(in))
@@ -343,8 +346,8 @@ func TestInstallRouteTakesNoSlot(t *testing.T) {
 func TestFetchedInstallsCountTowardMaxInstalls(t *testing.T) {
 	_, reqSrv, in := installRequester(t, nil)
 	own, ownSrv := installOwner(t, Config{Workers: 2, MaxSteps: 2, MaxInstalls: 1}, map[string]string{"req": reqSrv.URL})
-	if code := postPeer(t, ownSrv, "/v1/peer/detect", detectFor(t, in, mobilenet, "req"), nil); code != http.StatusOK {
-		t.Fatalf("detect status %d", code)
+	if code := postPeer(t, ownSrv, "/v1/peer/install-offer", offerOf(in, "req"), nil); code != http.StatusOK {
+		t.Fatalf("offer status %d", code)
 	}
 	fp := negativa.InstallFingerprint(in)
 	if _, f := installCounts(own); f != 1 || own.residentInstall(fp) == nil {
@@ -369,7 +372,7 @@ func TestFetchedInstallsCountTowardMaxInstalls(t *testing.T) {
 	}
 }
 
-// BenchmarkReceiveInstall is what a detect owner pays for an install it
+// BenchmarkReceiveInstall is what an offered owner pays for an install it
 // does not hold, in place of mlframework.Generate: decode the served
 // pytorch20 transfer form, parse its 33 libraries and fingerprint them
 // (which builds their analysis indexes, across CPUs above -cpu 1).

@@ -7,11 +7,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
-	"negativaml/internal/mlframework"
 	"negativaml/internal/negativa"
 )
 
@@ -119,174 +117,46 @@ func TestPeerJSONBodyLimits(t *testing.T) {
 	}
 }
 
-// TestPeerDetectMismatches: a fingerprint the owner cannot reproduce (or
-// an identity the spec does not resolve to) must be refused, not papered
-// over with a wrong profile.
-func TestPeerDetectMismatches(t *testing.T) {
+// TestInstallOfferRefusals: an offer whose spec key does not validate is
+// 400 before any install is resolved, and an install the owner resolves
+// for a valid spec key that does not fingerprint to the offer — here the
+// offering node is not on the ring, so the owner generates — is 409, not
+// papered over.
+func TestInstallOfferRefusals(t *testing.T) {
 	svc := NewService(Config{Workers: 2, MaxSteps: 2})
 	defer svc.Close()
 	soloCluster(svc)
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
-	req := peerDetectRequest{
-		InstallFP: "not-a-real-fingerprint", Identity: "whatever",
-		Framework: "pytorch", TailLibs: 2, MaxSteps: 2,
-		Spec: WorkloadSpec{Model: "MobileNetV2", Batch: 1},
-	}
-	if code := postPeer(t, srv, "/v1/peer/detect", req, nil); code != http.StatusConflict {
-		t.Fatalf("fingerprint mismatch status %d", code)
-	}
-	if code := postPeer(t, srv, "/v1/peer/detect", peerDetectRequest{Framework: "no-such", Spec: req.Spec}, nil); code != http.StatusBadRequest {
-		t.Fatalf("bad framework status %d", code)
-	}
-
-	// A correct fingerprint with a wrong identity is still refused.
-	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.InstallFP = negativa.InstallFingerprint(in)
-	if code := postPeer(t, srv, "/v1/peer/detect", req, nil); code != http.StatusBadRequest {
-		t.Fatalf("identity mismatch status %d", code)
-	}
-}
-
-// wellFormedDetect is a detect request the owner will accept and execute:
-// fingerprint and identity computed from the install and workload the
-// request's own config resolves to.
-func wellFormedDetect(t *testing.T) peerDetectRequest {
-	t.Helper()
-	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := WorkloadSpec{Model: "MobileNetV2", Batch: 1}
-	wl, err := spec.Workload(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return peerDetectRequest{
-		InstallFP: negativa.InstallFingerprint(in),
-		Identity:  negativa.WorkloadIdentity(wl, 2),
-		Framework: "pytorch", TailLibs: 2, MaxSteps: 2, Spec: spec,
-	}
-}
-
-// TestPeerDetectExecutesAndRegisters: a well-formed remote detect runs on
-// the owner and lands in its registry, so the next call is a hit.
-func TestPeerDetectExecutesAndRegisters(t *testing.T) {
-	svc := NewService(Config{Workers: 2, MaxSteps: 2})
-	defer svc.Close()
-	soloCluster(svc)
-	srv := httptest.NewServer(NewHandler(svc))
-	defer srv.Close()
-
-	req := wellFormedDetect(t)
-	var dr peerDetectResponse
-	if code := postPeer(t, srv, "/v1/peer/detect", req, &dr); code != http.StatusOK {
-		t.Fatalf("detect status %d", code)
-	}
-	if dr.Hit || dr.Profile == nil || dr.Profile.RunResult == nil {
-		t.Fatalf("first detect should execute: %+v", dr)
-	}
-	var dr2 peerDetectResponse
-	if code := postPeer(t, srv, "/v1/peer/detect", req, &dr2); code != http.StatusOK {
-		t.Fatalf("second detect status %d", code)
-	}
-	if !dr2.Hit {
-		t.Fatal("owner did not memoize the executed detect stage")
-	}
-}
-
-// TestPeerDetectValidatesBeforeTakingASlot: with every peer-execution slot
-// held, a malformed detect request is still refused at once — it never
-// queues for, or holds, a slot meant for executing detects — while a
-// well-formed one waits for a slot and then runs.
-func TestPeerDetectValidatesBeforeTakingASlot(t *testing.T) {
-	svc := NewService(Config{Workers: 2, MaxSteps: 2})
-	defer svc.Close()
-	soloCluster(svc)
-	srv := httptest.NewServer(NewHandler(svc))
-	defer srv.Close()
-
-	held := cap(svc.peerSem)
-	for i := 0; i < held; i++ {
-		svc.peerSem <- struct{}{}
-	}
-	// Runs before srv.Close, which waits for handlers still parked on a slot.
-	defer func() {
-		for ; held > 0; held-- {
-			<-svc.peerSem
-		}
-	}()
-
-	quick := http.Client{Timeout: time.Second}
-	spec := func(m func(*WorkloadSpec)) WorkloadSpec {
-		sp := WorkloadSpec{Model: "MobileNetV2", Batch: 1}
-		m(&sp)
-		return sp
-	}
-	for name, req := range map[string]peerDetectRequest{
-		"bad framework":  {Framework: "no-such", Spec: spec(func(*WorkloadSpec) {})},
-		"unknown model":  {Framework: "pytorch", Spec: spec(func(sp *WorkloadSpec) { sp.Model = "ResNet" })},
-		"negative batch": {Framework: "pytorch", Spec: spec(func(sp *WorkloadSpec) { sp.Batch = -1 })},
-		"negative epochs": {Framework: "pytorch", Spec: spec(func(sp *WorkloadSpec) {
-			sp.Train, sp.Epochs = true, -2
-		})},
-		"negative gpus":  {Framework: "pytorch", Spec: spec(func(sp *WorkloadSpec) { sp.GPUs = -1 })},
-		"unknown device": {Framework: "pytorch", Spec: spec(func(sp *WorkloadSpec) { sp.Device = "V100" })},
+	for name, offer := range map[string]peerInstallOffer{
+		"unknown framework": {Framework: "no-such", TailLibs: 2},
+		"negative tail":     {Framework: "pytorch", TailLibs: -1},
+		"tail over bound":   {Framework: "pytorch", TailLibs: MaxTailLibs + 1},
 	} {
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := quick.Post(srv.URL+"/v1/peer/detect", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("%s: malformed request waited for an execution slot: %v", name, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
+		if code := postPeer(t, srv, "/v1/peer/install-offer", offer, nil); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, code)
 		}
 	}
-	if got := svc.Counters.Get("installs.generated") + svc.Counters.Get("installs.fetched"); got != 0 {
-		t.Fatalf("malformed requests resolved %d installs", got)
+	if g, f := installCounts(svc); g != 0 || f != 0 {
+		t.Fatalf("malformed offers generated %d installs and fetched %d", g, f)
 	}
 
-	body, err := json.Marshal(wellFormedDetect(t))
-	if err != nil {
-		t.Fatal(err)
+	offer := peerInstallOffer{InstallFP: "not-a-real-fingerprint", From: "nobody", Framework: "pytorch", TailLibs: 2}
+	if code := postPeer(t, srv, "/v1/peer/install-offer", offer, nil); code != http.StatusConflict {
+		t.Fatalf("fingerprint mismatch: status %d, want 409", code)
 	}
-	status := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(srv.URL+"/v1/peer/detect", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Error(err)
-			status <- 0
-			return
-		}
-		resp.Body.Close()
-		status <- resp.StatusCode
-	}()
-	select {
-	case code := <-status:
-		t.Fatalf("well-formed detect finished (status %d) with no execution slot free", code)
-	case <-time.After(100 * time.Millisecond):
+	if g, f := installCounts(svc); g != 1 || f != 0 {
+		t.Fatalf("an offer from off the ring generated %d installs and fetched %d, want 1 and 0", g, f)
 	}
-	<-svc.peerSem
-	held--
-	if code := <-status; code != http.StatusOK {
-		t.Fatalf("detect status %d once a slot was free", code)
-	}
-	if got := svc.Counters.Get("peer.executed_detects"); got != 1 {
-		t.Fatalf("peer.executed_detects = %d, want 1", got)
+	if got := svc.Counters.Get("peer.round_trips"); got != 0 {
+		t.Fatalf("the owner made %d peer round trips to a node not on the ring", got)
 	}
 }
 
 // TestPeerRoutesRequireCluster: the peer surface is node-to-node only —
 // on a non-clustered node every peer route answers 404 so a standalone
-// deployment exposes no analysis-compute or object-transfer endpoints.
+// deployment exposes no install-transfer or object-transfer endpoints.
 func TestPeerRoutesRequireCluster(t *testing.T) {
 	svc := NewService(Config{Workers: 1})
 	defer svc.Close()
@@ -295,6 +165,12 @@ func TestPeerRoutesRequireCluster(t *testing.T) {
 
 	if code := postPeer(t, srv, "/v1/peer/lookup-batch", peerBatchLookupRequest{}, nil); code != http.StatusNotFound {
 		t.Fatalf("lookup-batch without a cluster: status %d, want 404", code)
+	}
+	if code := postPeer(t, srv, "/v1/peer/install-offer", peerInstallOffer{Framework: "pytorch", TailLibs: 2}, nil); code != http.StatusNotFound {
+		t.Fatalf("install offer without a cluster: status %d, want 404", code)
+	}
+	if g, f := installCounts(svc); g != 0 || f != 0 {
+		t.Fatalf("a refused offer generated %d installs and fetched %d", g, f)
 	}
 	req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/peer/objects/lib/deadbeef", strings.NewReader("x"))
 	if err != nil {
@@ -370,8 +246,9 @@ func TestPeerSecretEnforced(t *testing.T) {
 
 	probe := peerBatchLookupRequest{Keys: []peerLookupRequest{{Stage: negativa.StageCompact, Hash: "nope"}}}
 	body, _ := json.Marshal(probe)
-	do := func(secret string) int {
-		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/peer/lookup-batch", bytes.NewReader(body))
+	offer, _ := json.Marshal(peerInstallOffer{Framework: "no-such"})
+	do := func(path string, body []byte, secret string) int {
+		req, err := http.NewRequest(http.MethodPost, srv.URL+path, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,14 +263,22 @@ func TestPeerSecretEnforced(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if code := do(""); code != http.StatusUnauthorized {
+	if code := do("/v1/peer/lookup-batch", body, ""); code != http.StatusUnauthorized {
 		t.Fatalf("no secret: status %d, want 401", code)
 	}
-	if code := do("wrong"); code != http.StatusUnauthorized {
+	if code := do("/v1/peer/lookup-batch", body, "wrong"); code != http.StatusUnauthorized {
 		t.Fatalf("wrong secret: status %d, want 401", code)
 	}
-	if code := do("ring-credential"); code != http.StatusOK {
+	if code := do("/v1/peer/lookup-batch", body, "ring-credential"); code != http.StatusOK {
 		t.Fatalf("correct secret: status %d, want 200", code)
+	}
+	// An offer without the secret is refused before it is read; with it,
+	// this one reaches validation (its framework is unknown).
+	if code := do("/v1/peer/install-offer", offer, ""); code != http.StatusUnauthorized {
+		t.Fatalf("offer without a secret: status %d, want 401", code)
+	}
+	if code := do("/v1/peer/install-offer", offer, "ring-credential"); code != http.StatusBadRequest {
+		t.Fatalf("offer with the secret: status %d, want 400", code)
 	}
 
 	// The cluster client carries the secret on its own requests: a peer

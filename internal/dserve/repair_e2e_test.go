@@ -457,10 +457,9 @@ func TestClusterRollingRestartE2E(t *testing.T) {
 	}
 }
 
-// TestLocalDetectWritesBackToOwners: a detect stage computed on the
-// requesting node — because the batch carried no workload specs, or because
-// this node is the key's primary — reaches every other live owner's registry
-// through write-back replication alone, with no repair sweep.
+// TestLocalDetectWritesBackToOwners: every detect stage computes on the
+// requesting node and reaches every other live owner's registry through
+// write-back replication alone, with no repair sweep.
 func TestLocalDetectWritesBackToOwners(t *testing.T) {
 	nodes := startCluster(t, "a", "b", "c")
 	defer func() {
@@ -476,48 +475,28 @@ func TestLocalDetectWritesBackToOwners(t *testing.T) {
 		{Model: "Transformer", Train: true, Batch: 128, Epochs: 1},
 	}
 
-	// run debloats one install on node a and returns how many detect keys
-	// it checked: every key when the batch is spec-less, the ones a is
-	// primary for when it is hinted (the rest execute on their primary).
-	run := func(tail int, hinted bool) int {
-		in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: tail})
-		if err != nil {
-			t.Fatal(err)
-		}
-		workloads := make([]mlruntime.Workload, len(specs))
-		for i, spec := range specs {
-			if workloads[i], err = spec.Workload(in); err != nil {
-				t.Fatal(err)
-			}
-		}
-		opt := BatchOptions{SkipVerify: true}
-		if hinted {
-			opt.Specs = &BatchSpecs{Framework: "pytorch", TailLibs: tail, Workloads: specs}
-		}
-		res, err := a.svc.DebloatBatch(in, workloads, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.svc.WaitReplication()
-		checked := 0
-		for _, wo := range res.Workloads {
-			pk := ProfileKey{Install: res.InstallFP, Workload: wo.Identity}
-			owners := a.svc.Cluster().Owners(negativa.DetectKey(pk.Install, pk.Workload).String())
-			if hinted && owners[0] != "a" {
-				continue
-			}
-			checked++
-			for _, owner := range owners {
-				if !nodes[owner].svc.Registry.Has(pk) {
-					t.Fatalf("owner %s lacks the profile of %s after write-back (hinted=%v)", owner, wo.Name, hinted)
-				}
-			}
-		}
-		return checked
+	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	run(2, false)
-	if run(3, true) == 0 {
-		t.Fatal("node a is primary for no detect key; the hinted case checked nothing")
+	workloads := make([]mlruntime.Workload, len(specs))
+	for i, spec := range specs {
+		if workloads[i], err = spec.Workload(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := a.svc.DebloatBatch(in, workloads, BatchOptions{SkipVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.svc.WaitReplication()
+	for _, wo := range res.Workloads {
+		pk := ProfileKey{Install: res.InstallFP, Workload: wo.Identity}
+		for _, owner := range a.svc.Cluster().Owners(negativa.DetectKey(pk.Install, pk.Workload).String()) {
+			if !nodes[owner].svc.Registry.Has(pk) {
+				t.Fatalf("owner %s lacks the profile of %s after write-back", owner, wo.Name)
+			}
+		}
 	}
 	for id, n := range nodes {
 		if n.svc.Counters.Get("repair.rounds") != 0 {

@@ -54,7 +54,6 @@ func peerStats(s *Service) map[string]any {
 		"hits":            s.Counters.Get("peer.hits"),
 		"misses":          s.Counters.Get("peer.misses"),
 		"fallbacks":       s.Counters.Get("peer.fallbacks"),
-		"remote_execs":    s.Counters.Get("peer.remote_execs"),
 		"replica_reads":   s.Counters.Get("peer.replica_reads"),
 		"round_trips":     s.Counters.Get("peer.round_trips"),
 		"hedge_fired":     s.Counters.Get("peer.hedge_fired"),
@@ -78,7 +77,7 @@ func peerStats(s *Service) map[string]any {
 //	                                the service runs without a data dir)
 //
 // plus the node-to-node /v1/peer/* routes (see peer.go) that cluster
-// peers use for stage read-through, remote stage execution, and castore
+// peers use for stage read-through, install offers and pulls, and castore
 // object transfer. docs/API.md documents every route with examples kept
 // honest by TestAPIDocExamples.
 func NewHandler(s *Service) http.Handler {

@@ -141,16 +141,6 @@ type Service struct {
 	pool    *plan.Pool
 	store   *castore.Store
 	cluster *cluster.Cluster
-	// peerSem bounds concurrently executing peer-route stage computations
-	// (remote detects this node serves as owning shard) to the same width
-	// as the worker pool. It is deliberately a separate semaphore, not the
-	// pool, so a detect handler never waits on this node's batch stages,
-	// some of which block on the network. While holding a slot a handler
-	// makes at most one outgoing call: the install pull from the requester
-	// (GET /v1/peer/install/...). That route takes no slot of either kind
-	// on the node serving it, so the call cannot close a cross-node wait
-	// cycle — a requester whose every slot is held still answers it.
-	peerSem chan struct{}
 	// stages routes every plan node's content key to its memo tier
 	// (registry, result cache, verify records); observer mirrors stage
 	// outcomes into the counter and timing sets.
@@ -187,9 +177,13 @@ type installSlot struct {
 	once sync.Once
 	in   *mlframework.Install
 	err  error
-	// fp is the install's fingerprint, set under Service.mu once the slot
-	// resolved — what the install route serves it by.
-	fp string
+	// fp is the install's fingerprint and generated whether this node built
+	// it (rather than pulling it), both set under Service.mu once the slot
+	// resolved: the install route serves it by fp, and only a generated
+	// install is offered. offered lists the owners it was offered to.
+	fp        string
+	generated bool
+	offered   []string
 }
 
 // NewService builds a service from the config, applying defaults.
@@ -223,7 +217,6 @@ func NewService(cfg Config) *Service {
 		jobs:         map[string]*Job{},
 		installs:     map[string]*installSlot{},
 		restoredLibs: newBoundedMemo(64),
-		peerSem:      make(chan struct{}, cfg.Workers),
 
 		writeSem:       make(chan struct{}, spillConcurrency),
 		pendingRecords: map[string]int{},
@@ -326,15 +319,6 @@ type BatchOptions struct {
 	Base *BatchResult
 	// BaseID labels the base batch (the base job's ID) for reporting.
 	BaseID string
-	// Specs, when non-nil and parallel to the workload slice, carries the
-	// batch's workload specs plus the install config — everything an
-	// owning peer needs to execute a detect stage remotely: the owner
-	// pulls the install from this node (or regenerates it from
-	// Framework/TailLibs, which is deterministic), pins it by fingerprint,
-	// and keeps it resident under that spec key. The HTTP layer fills it
-	// from the job request; library callers may leave it nil, in which
-	// case detect stages compute locally on a cluster read-through miss.
-	Specs *BatchSpecs
 	// Observer, when non-nil, additionally receives this batch's per-stage
 	// outcomes (alongside the service's global metrics observer) — the hook
 	// job progress streams and the gateway's stage-seconds accounting hang
@@ -344,17 +328,6 @@ type BatchOptions struct {
 	// count after the graph is built and before any stage executes — the
 	// denominator for progress reporting.
 	OnPlanned func(totalStages int)
-}
-
-// BatchSpecs is the serializable description of a batch, used by the
-// cluster peer tier to execute detect stages on their owning shard. Only a
-// batch whose install this node resolved by spec (Service.install) carries
-// one: that is the install an owner can pull from here by fingerprint.
-type BatchSpecs struct {
-	Framework string
-	TailLibs  int
-	// Workloads is parallel to the batch's workload slice.
-	Workloads []WorkloadSpec
 }
 
 // IncrementalStats summarizes what an incremental batch absorbed from its
@@ -493,8 +466,7 @@ func (r *BatchResult) AllVerified() bool {
 // verify probe, the clone it may ask for, and per-member verification nodes
 // — with the service's tiers passed in: the stage memo (registry,
 // byte-bounded cache, verify records, content-addressed store), its verify
-// probe, and, when clustered, the batch prefetch and the detect hints the
-// peer tier executes remotely with. With opt.Base set the batch is
+// probe, and, when clustered, the batch prefetch. With opt.Base set the batch is
 // incremental: base members' verifications carry over and only the union
 // delta recomputes. Every workload must reference in as its install.
 func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Workload, opt BatchOptions) (*BatchResult, error) {
@@ -580,20 +552,6 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 			s.stages.PrefetchLookups(slot, items)
 		}
 	}
-	// With specs attached, each detect node carries the hint the cluster
-	// tier needs to execute the stage on its owning shard.
-	if opt.Specs != nil {
-		b.DetectHints = make([]any, min(len(workloads), len(opt.Specs.Workloads)))
-		for i := range b.DetectHints {
-			b.DetectHints[i] = &detectHint{
-				framework: opt.Specs.Framework,
-				tailLibs:  opt.Specs.TailLibs,
-				maxSteps:  maxSteps,
-				spec:      opt.Specs.Workloads[i],
-			}
-		}
-	}
-
 	run, err := b.Run(s.pool, s.stages, plan.MultiObserver(s.observer, opt.Observer), opt.OnPlanned)
 	if err != nil {
 		return nil, err
@@ -671,18 +629,17 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 }
 
 // install resolves the install for (framework, tailLibs) down one ladder:
-// the copy already resident under that spec key; else, when a peer asked
-// for it (from names the requesting node, fp the fingerprint it asked
-// about), that peer's resident copy; else mlframework.Generate. A step
-// that fails falls through to the next. Resolution runs at most once per
-// spec key, so concurrent callers share one fetch or one generation, and
-// the result stays resident for every later job and peer request — the
-// fleet setting where many workloads target one shared install. The cache
+// the copy already resident under that spec key; else, when a peer offered
+// it (from names the offering node, fp the fingerprint it offered), that
+// peer's resident copy; else mlframework.Generate. A step that fails falls
+// through to the next. Resolution runs at most once per spec key, so
+// concurrent callers share one fetch or one generation, and the result
+// stays resident for every later job and offer — the fleet setting where many workloads target one shared install. The cache
 // holds MaxInstalls entries, fetched and generated alike, evicted
 // oldest-first; a job holding an evicted install keeps using it (installs
 // are immutable), only the cache entry goes.
 func (s *Service) install(framework string, tailLibs int, from, fp string) (*mlframework.Install, error) {
-	key := fmt.Sprintf("%s/%d", framework, tailLibs)
+	key := specKey(framework, tailLibs)
 	s.mu.Lock()
 	slot := s.installs[key]
 	if slot == nil {
@@ -701,7 +658,8 @@ func (s *Service) install(framework string, tailLibs int, from, fp string) (*mlf
 		if from != "" {
 			slot.in = s.fetchInstall(framework, from, fp)
 		}
-		if slot.in == nil {
+		generated := slot.in == nil
+		if generated {
 			slot.in, slot.err = mlframework.Generate(mlframework.Config{Framework: framework, TailLibs: tailLibs})
 			if slot.err != nil {
 				return
@@ -710,7 +668,7 @@ func (s *Service) install(framework string, tailLibs int, from, fp string) (*mlf
 		}
 		got := negativa.InstallFingerprint(slot.in)
 		s.mu.Lock()
-		slot.fp = got
+		slot.fp, slot.generated = got, generated
 		s.mu.Unlock()
 	})
 	return slot.in, slot.err
@@ -741,6 +699,9 @@ func (s *Service) fetchInstall(framework, from, fp string) *mlframework.Install 
 	s.Counters.Add("peer.objects_fetched", int64(len(in.LibNames)))
 	return in
 }
+
+// specKey names the install slot of a spec: framework and tail count.
+func specKey(framework string, tailLibs int) string { return fmt.Sprintf("%s/%d", framework, tailLibs) }
 
 // residentInstall returns the resident install whose fingerprint is fp,
 // or nil.

@@ -44,9 +44,6 @@ type Batch struct {
 	// verifies.
 	Verify []bool
 
-	// DetectHints, parallel to the workloads when non-nil, are the detect
-	// nodes' memo hints.
-	DetectHints []any
 	// Prefetch is handed each level's keys before the level's nodes consult
 	// the memo: the detect keys; the compact keys, with each library's
 	// *elfx.Library as its hint; and, only when every compact hit, the
@@ -135,9 +132,6 @@ func (b *Batch) Run(pool *plan.Pool, memo plan.Memo, obs plan.Observer, onPlanne
 			}
 			return p, nil
 		})
-		if i < len(b.DetectHints) {
-			r.detects[i].WithHint(b.DetectHints[i])
-		}
 	}
 
 	// Union: unkeyed glue — merging sorted symbol lists is far cheaper than

@@ -161,8 +161,8 @@ type prefetchCall struct {
 // TestBatchHooks: the hooks see each level's keys in order — the detect keys,
 // then every compact key with its library as the hint, then the verifyrun
 // keys, the last only when every compact hit — the verify probe asks once
-// per verified member, the detect hints reach the memo, and a hooked batch
-// produces exactly what an unhooked one does.
+// per verified member, each compact node reaches the memo with its library
+// as the hint, and a hooked batch produces exactly what an unhooked one does.
 func TestBatchHooks(t *testing.T) {
 	ws := goldenMembers(t, mlframework.PyTorch)[:3]
 	in := ws[0].Install
@@ -180,7 +180,6 @@ func TestBatchHooks(t *testing.T) {
 		probed := 0
 		b := NewBatch(in, ws, 2)
 		b.Verify = verify
-		b.DetectHints = []any{"hint-0", "hint-1", "hint-2"}
 		b.Prefetch = func(slot plan.Executor, keys []plan.Key, hints []any) {
 			if slot == nil {
 				t.Errorf("%s: prefetch handed no executor", pass)
@@ -207,9 +206,6 @@ func TestBatchHooks(t *testing.T) {
 			if k := DetectKey(b.Fingerprint, b.IDs[i]); calls[0].keys[i] != k || calls[0].hints != nil {
 				t.Fatalf("%s: first prefetch %+v, want the detect keys", pass, calls[0])
 			}
-			if got := memo.hint(DetectKey(b.Fingerprint, b.IDs[i])); got != b.DetectHints[i] {
-				t.Errorf("%s: detect %d reached the memo with hint %v", pass, i, got)
-			}
 		}
 		for i, name := range in.LibNames {
 			_, _, hash, _ := run.Lib(i)
@@ -218,6 +214,9 @@ func TestBatchHooks(t *testing.T) {
 			}
 			if lib, _ := calls[1].hints[i].(*elfx.Library); lib != in.Library(name) {
 				t.Fatalf("%s: compact prefetch hint %d is not %s's library", pass, i, name)
+			}
+			if lib, _ := memo.hint(calls[1].keys[i]).(*elfx.Library); lib != in.Library(name) {
+				t.Errorf("%s: compact %d reached the memo without %s's library", pass, i, name)
 			}
 		}
 		if pass == "warm" {

@@ -15,13 +15,13 @@ const (
 	SourceMemory
 	// SourceDisk means the value was restored from a local persistent tier.
 	SourceDisk
-	// SourcePeer means the value was fetched from (or executed on) the
-	// stage's owning cluster peer.
+	// SourcePeer means the value was fetched from the stage's owning
+	// cluster peer.
 	SourcePeer
 )
 
 // Hit reports whether the value was served without running the node's work
-// function. Remote execution on an owning peer counts as a hit from this
+// function. A value read from an owning peer counts as a hit from this
 // node's perspective: no local compute happened.
 func (s Source) Hit() bool { return s != SourceComputed }
 
