@@ -122,9 +122,9 @@ func runBatch(n *node, req dserve.JobRequest) (id string, wall time.Duration) {
 }
 
 // printInstalls shows how each node came by its installs: the node a
-// client submitted a spec to generates it; an owner that executed a detect
-// for it fetched the requester's copy (one library per object), and its
-// own batch of the same spec then finds it resident.
+// client submitted a spec to generates it; an owner of the batch's detect
+// keys, offered the install, fetched the requester's copy (one library per
+// object), and its own batch of the same spec then finds it resident.
 func printInstalls(nodes []*node) {
 	for _, n := range nodes {
 		fmt.Printf("  node %s installs: generated %d, fetched %d (%d libraries), served to peers %d\n",

@@ -345,7 +345,7 @@ func TestClusterThreeNodeE2E(t *testing.T) {
 }
 
 // TestConcurrentSpecBatchesOnTwoNodes: no peer runs a detection for
-// another, so a detection no longer runs once across the ring. Nodes a and
+// another, so nothing makes a detection run once across the ring. Nodes a and
 // b of a fresh ring submit the same spec batch at once: both verify, with
 // images byte-identical to the single-node oracle, and each detection runs
 // at most once per requester. The duplicate costs time only: a profile is
