@@ -246,8 +246,7 @@ func main() {
 	}
 	svc := dserve.NewService(cfg)
 	if *dataDir != "" {
-		log.Printf("negativa-served: restored %d jobs, replayed %d profiles",
-			svc.Counters.Get("jobs.restored"), svc.Counters.Get("registry.replayed"))
+		log.Printf("negativa-served: restored %d jobs", svc.Counters.Get("jobs.restored"))
 	}
 	if peerMap != nil {
 		c := cluster.New(*nodeID, peerMap, cluster.Options{

@@ -134,8 +134,7 @@ func main() {
 	var m map[string]any
 	getJSON(base2+"/v1/metrics", &m)
 	counters := m["counters"].(map[string]any)
-	fmt.Printf("second boot: restored %v jobs, replayed %v profiles\n",
-		counters["jobs.restored"], counters["registry.replayed"])
+	fmt.Printf("second boot: restored %v jobs\n", counters["jobs.restored"])
 
 	// The first boot's job serves warm: no detection, no locate/compact —
 	// status, report, and libraries all come from the store.

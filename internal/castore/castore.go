@@ -122,18 +122,23 @@ type Store struct {
 	// later re-Put object under the same key — a stale release must never
 	// strip another owner's pin.
 	orphanRefs map[objKey]int
+	// indexFresh reports that the index file on disk describes the
+	// current object set (index.go). Guarded by mu.
+	indexFresh bool
 
 	hits, misses, puts, evictions, corrupt int64
 }
 
 // Open opens (creating if needed) a store rooted at dir. Leftover temp
-// files from interrupted writes are removed, and the object index is
-// rebuilt by listing each kind directory once and opening each object
-// once, with recency seeded from file modification times. Structurally
+// files from interrupted writes are removed, and the in-memory index is
+// rebuilt. When the index file Close wrote names exactly the objects the
+// kind directories list, sizes and recency come from it and no object is
+// opened (index.go). Otherwise Open scans: it opens each object once, with
+// recency seeded from file modification times, deletes structurally
 // invalid files (not a regular file, bad magic or version, truncated
-// header, size mismatch) are deleted; checksum validation is deferred to
-// Get and Verify. Objects of the older kind/xx/key layout are moved to
-// kind/key on the way.
+// header, size mismatch) and moves objects of the older kind/xx/key layout
+// to kind/key. Either way checksum validation is deferred to Get and
+// Verify.
 func Open(dir string, opt Options) (*Store, error) {
 	s := &Store{dir: dir, opt: opt, objects: map[objKey]*object{}, orphanRefs: map[objKey]int{}, madeDirs: map[string]struct{}{}, dirtyFiles: map[string]struct{}{}, dirtyDirs: map[string]struct{}{}}
 	if err := os.MkdirAll(s.tmpDir(), 0o755); err != nil {
@@ -156,15 +161,21 @@ func Open(dir string, opt Options) (*Store, error) {
 	// name, so it is by definition incomplete.
 	tmps, err := os.ReadDir(s.tmpDir())
 	if err != nil {
-		s.Close()
+		s.unlock()
 		return nil, fmt.Errorf("castore: %w", err)
 	}
 	for _, e := range tmps {
 		os.Remove(filepath.Join(s.tmpDir(), e.Name()))
 	}
-	if err := s.index(); err != nil {
-		s.Close()
-		return nil, err
+	if s.loadIndex() {
+		s.indexFresh = true
+	} else {
+		s.objects, s.lru, s.bytes = map[objKey]*object{}, list.List{}, 0
+		os.Remove(s.indexPath())
+		if err := s.scan(); err != nil {
+			s.unlock()
+			return nil, err
+		}
 	}
 	if s.opt.Counters != nil {
 		s.opt.Counters.Add("store.bytes", s.bytes)
@@ -172,11 +183,22 @@ func Open(dir string, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// Close flushes every fsync Put deferred (SyncDirs), then releases the
+// Close flushes every fsync Put deferred (SyncDirs), writes the index file
+// when the object set changed since Open loaded it, then releases the
 // data-dir lock so another store may open the directory. Idempotent; the
 // store must not be used after Close.
 func (s *Store) Close() {
 	s.SyncDirs()
+	s.mu.Lock()
+	if s.lockf != nil && !s.indexFresh {
+		s.writeIndexLocked()
+	}
+	s.mu.Unlock()
+	s.unlock()
+}
+
+// unlock releases the data-dir lock.
+func (s *Store) unlock() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.lockf != nil {
@@ -186,11 +208,11 @@ func (s *Store) Close() {
 	}
 }
 
-// index lists each kind directory once and rebuilds the in-memory index
+// scan lists each kind directory once and rebuilds the in-memory index
 // ordered by modification time (oldest = least recently used). Each object
 // is opened once: its size and mtime come from that descriptor, and so
 // does its header.
-func (s *Store) index() error {
+func (s *Store) scan() error {
 	type found struct {
 		id    objKey
 		size  int64
@@ -447,6 +469,7 @@ func (s *Store) publishTemp(kind, key, tmpName string, size int64) error {
 	o.el = s.lru.PushFront(o)
 	s.objects[id] = o
 	s.addBytes(o.size)
+	s.changedLocked()
 	s.puts++
 	s.count("store.puts", 1)
 	// Neither fsync orders against anything a reader sees, so both are
@@ -674,7 +697,8 @@ func verifyObject(path string) error {
 // index holds as size bytes. The buffer is sized from the index, one byte
 // over, so a whole object arrives in one read with no stat and no second
 // read to find the end; a file longer than indexed fills the spare byte
-// and is corrupt like a short one.
+// and is corrupt like a short one, and so is a header that disagrees with
+// the indexed size.
 func readObject(path string, size int64) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -692,7 +716,7 @@ func readObject(path string, size int64) ([]byte, error) {
 		return nil, err
 	}
 	payload := data[headerSize:]
-	if int64(len(payload)) != hdr.length {
+	if int64(len(payload)) != hdr.length || hdr.length != size {
 		return nil, fmt.Errorf("castore: truncated object")
 	}
 	if sha256.Sum256(payload) != hdr.sum {
@@ -753,6 +777,7 @@ func (s *Store) removeLocked(o *object) {
 	s.lru.Remove(o.el)
 	delete(s.objects, o.id)
 	s.addBytes(-o.size)
+	s.changedLocked()
 	if o.refs > 0 {
 		s.orphanRefs[o.id] += o.refs
 	}

@@ -268,18 +268,232 @@ func TestCorruptObjectDetected(t *testing.T) {
 		t.Fatal("verify left the corrupt object indexed")
 	}
 
-	// A truncated object is dropped at Open time (structural check).
+	// A truncated object is dropped at Open time (structural check) when
+	// Open scans: here the index is corrupt.
 	key3 := mustPut(t, s, "lib", []byte("third victim, truncated"))
 	path3 := s.objectPath("lib", key3)
 	os.Truncate(path3, headerSize+4)
 	s.Close()
+	flipIndexByte(t, dir)
+	re, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Has("lib", key3) {
+		t.Fatal("truncated object survived reopen")
+	}
+
+	// Under a valid index Open opens no object, so the truncation is found
+	// by the first Get: a miss, counted corrupt, and the object is gone.
+	key4 := mustPut(t, re, "lib", []byte("fourth victim, truncated under an index"))
+	re.Close()
+	os.Truncate(re.objectPath("lib", key4), headerSize+4)
+	counters := metrics.NewCounterSet()
+	re2, err := Open(dir, Options{Counters: counters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re2.Close()
+	if !re2.indexFresh {
+		t.Fatal("reopen did not trust a valid index")
+	}
+	if _, ok := re2.Get("lib", key4); ok {
+		t.Fatal("truncated object served under the index")
+	}
+	if n := counters.Get("store.corrupt"); n != 1 {
+		t.Fatalf("store.corrupt = %d, want 1", n)
+	}
+	if re2.Has("lib", key4) {
+		t.Fatal("truncated object still indexed after its Get")
+	}
+}
+
+// flipIndexByte corrupts one byte in the middle of dir's index file.
+func flipIndexByte(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, indexName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIndexFallsBackWhenStale: Open trusts the index only when the kind
+// directories list exactly the indexed objects. A bit-flipped index, an
+// extra object, a missing object and a leftover shard directory each send
+// it back to the scan, whose view matches what is on disk.
+func TestIndexFallsBackWhenStale(t *testing.T) {
+	payloads := map[string][]byte{}
+	for _, p := range []string{"alpha", "beta", "gamma"} {
+		payloads[keyOf([]byte(p))] = []byte(p)
+	}
+	for _, tc := range []struct {
+		name   string
+		tamper func(t *testing.T, dir string, want map[string][]byte)
+	}{
+		{"bit-flipped", func(t *testing.T, dir string, _ map[string][]byte) { flipIndexByte(t, dir) }},
+		{"truncated", func(t *testing.T, dir string, _ map[string][]byte) {
+			os.Truncate(filepath.Join(dir, indexName), 20)
+		}},
+		{"extra object", func(t *testing.T, dir string, want map[string][]byte) {
+			extra := []byte("written behind the index's back")
+			if err := os.WriteFile(filepath.Join(dir, "lib", keyOf(extra)), append(makeHeader(extra), extra...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want[keyOf(extra)] = extra
+		}},
+		{"missing object", func(t *testing.T, dir string, want map[string][]byte) {
+			key := keyOf([]byte("beta"))
+			if err := os.Remove(filepath.Join(dir, "lib", key)); err != nil {
+				t.Fatal(err)
+			}
+			delete(want, key)
+		}},
+		{"shard directory", func(t *testing.T, dir string, want map[string][]byte) {
+			moved := []byte("an object of the older layout")
+			key := keyOf(moved)
+			if err := os.MkdirAll(filepath.Join(dir, "lib", key[:2]), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "lib", key[:2], key), append(makeHeader(moved), moved...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want[key] = moved
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string][]byte{}
+			for key, p := range payloads {
+				mustPut(t, s, "lib", p)
+				want[key] = p
+			}
+			s.Close()
+			tc.tamper(t, dir, want)
+			re, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.indexFresh {
+				t.Fatal("a stale index was trusted")
+			}
+			var bytesWant int64
+			for key, p := range want {
+				bytesWant += int64(len(p))
+				if got, ok := re.Get("lib", key); !ok || !bytes.Equal(got, p) {
+					t.Errorf("get %s = %q, %v; want %q", key, got, ok, p)
+				}
+			}
+			if st := re.Stats(); st.Objects != len(want) || st.Bytes != bytesWant {
+				t.Fatalf("stats = %+v, want %d objects, %d bytes", st, len(want), bytesWant)
+			}
+		})
+	}
+}
+
+// TestIndexLies: an index that passes the listing check but lies about an
+// object — a wrong size, or an object whose bytes changed under a valid
+// index — costs a miss, never wrong bytes.
+func TestIndexLies(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resized := mustPut(t, s, "lib", []byte("indexed at the wrong size"))
+	flipped := mustPut(t, s, "lib", []byte("flipped under a valid index"))
+	kept := mustPut(t, s, "lib", []byte("untouched"))
+	s.mu.Lock()
+	s.objects[objKey{"lib", resized}].size += 3
+	s.indexFresh = false
+	s.mu.Unlock()
+	s.Close()
+	path := s.objectPath("lib", flipped)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	re, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Has("lib", key3) {
-		t.Fatal("truncated object survived reopen")
+	if !re.indexFresh {
+		t.Fatal("an index whose names match the listing was not trusted")
+	}
+	for _, key := range []string{resized, flipped} {
+		if got, ok := re.Get("lib", key); ok {
+			t.Errorf("%s served %q", key, got)
+		}
+		if re.Has("lib", key) {
+			t.Errorf("%s stayed indexed", key)
+		}
+	}
+	if got, ok := re.Get("lib", kept); !ok || string(got) != "untouched" {
+		t.Fatalf("untouched object: %q, %v", got, ok)
+	}
+	if st := re.Stats(); st.Corrupt != 2 || st.Objects != 1 || st.Bytes != int64(len("untouched")) {
+		t.Fatalf("stats = %+v, want 2 corrupt, 1 object of %d bytes", st, len("untouched"))
+	}
+}
+
+// TestIndexWrittenOnlyWhenChanged: Close leaves the index of an unchanged
+// store alone, and the first change after Open removes it, so a store that
+// dies before Close reopens by scanning.
+func TestIndexWrittenOnlyWhenChanged(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, "lib", []byte("first"))
+	s.Close()
+	path := filepath.Join(dir, indexName)
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatalf("Close wrote no index: %v", err)
+	}
+
+	re, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	re.Get("lib", keyOf([]byte("first")))
+	re.Close()
+	if after, err := os.Stat(path); err != nil || !os.SameFile(before, after) {
+		t.Fatalf("Close rewrote the index of an unchanged store (%v)", err)
+	}
+
+	crashed, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := mustPut(t, crashed, "lib", []byte("second"))
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("the index outlived a change to the store: %v", err)
+	}
+	crashed.unlock() // dies without Close
+	re, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.indexFresh || !re.Has("lib", second) {
+		t.Fatalf("reopen after a crash: trusted %v, has the new object %v", re.indexFresh, re.Has("lib", second))
 	}
 }
 
@@ -642,7 +856,9 @@ func TestSyncDirsSnapshotsUnderSweepLock(t *testing.T) {
 // batch leaves behind: an image and a record per library, the four
 // workloads' profiles and one verification record, each under a SHA-256
 // hex key. Open's cost is per object and per directory, not per byte, so
-// the payloads are small.
+// the payloads are small. index reopens under the index Close wrote; scan
+// removes it first, so Open opens every object (the fallback). Only Open
+// is timed.
 func BenchmarkStoreOpen(b *testing.B) {
 	dir := b.TempDir()
 	s, err := Open(dir, Options{})
@@ -664,17 +880,32 @@ func BenchmarkStoreOpen(b *testing.B) {
 	}
 	s.Close()
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		re, err := Open(dir, Options{})
-		if err != nil {
-			b.Fatal(err)
+	for _, scan := range []bool{false, true} {
+		name := "index"
+		if scan {
+			name = "scan"
 		}
-		if n := re.Stats().Objects; n != objects {
-			b.Fatalf("reopened store indexes %d objects, want %d", n, objects)
-		}
-		re.Close()
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if scan {
+					b.StopTimer()
+					os.Remove(filepath.Join(dir, indexName))
+					b.StartTimer()
+				}
+				re, err := Open(dir, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if n := re.Stats().Objects; n != objects || re.indexFresh == scan {
+					b.Fatalf("reopened store indexes %d objects (want %d), index trusted %v", n, objects, re.indexFresh)
+				}
+				re.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N)/float64(objects), "us/object")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N)/float64(objects), "us/object")
 }

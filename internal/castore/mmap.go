@@ -71,7 +71,7 @@ func (s *Store) OpenMapped(kind, key string) (*Mapped, bool) {
 	s.lru.MoveToFront(o.el)
 	s.mu.Unlock()
 
-	m, err := s.openMapping(kind, key)
+	m, err := s.openMapping(kind, key, o.size)
 
 	s.mu.Lock()
 	if err != nil {
@@ -97,8 +97,11 @@ func (s *Store) OpenMapped(kind, key string) (*Mapped, bool) {
 }
 
 // openMapping maps (or, on the fallback path, reads) the object file and
-// verifies its integrity header and checksum. The caller holds a pin.
-func (s *Store) openMapping(kind, key string) (*Mapped, error) {
+// verifies its integrity header and checksum against the indexed size, as
+// Get does: a header and payload that agree with each other but not with
+// the index would skew byte accounting and eviction. The caller holds a
+// pin.
+func (s *Store) openMapping(kind, key string, size int64) (*Mapped, error) {
 	path := s.objectPath(kind, key)
 	var raw []byte
 	var heap bool
@@ -140,7 +143,7 @@ func (s *Store) openMapping(kind, key string) (*Mapped, error) {
 		return fail(err)
 	}
 	payload := raw[headerSize:]
-	if int64(len(payload)) != hdr.length {
+	if int64(len(payload)) != hdr.length || hdr.length != size {
 		return fail(fmt.Errorf("castore: truncated object"))
 	}
 	if sha256.Sum256(payload) != hdr.sum {

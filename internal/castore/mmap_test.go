@@ -125,6 +125,41 @@ func TestOpenMappedCorruptObjectRemoved(t *testing.T) {
 	}
 }
 
+// TestOpenMappedRejectsWrongIndexedSize: a header and payload that agree
+// with each other but not with the size the index holds (an index that
+// lied) are corrupt on the mapped path too, as they are for Get.
+func TestOpenMappedRejectsWrongIndexedSize(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("k", "sized", []byte("self-consistent, wrongly indexed")); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.objects[objKey{"k", "sized"}].size--
+	s.indexFresh = false
+	s.mu.Unlock()
+	s.Close()
+
+	re, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if !re.indexFresh {
+		t.Fatal("the index was not trusted")
+	}
+	if m, ok := re.OpenMapped("k", "sized"); ok {
+		m.Close()
+		t.Fatal("OpenMapped served an object whose size the index got wrong")
+	}
+	if st := re.Stats(); re.Has("k", "sized") || st.Corrupt != 1 || st.Bytes != 0 {
+		t.Fatalf("after the rejected open: has %v, stats %+v; want gone, 1 corrupt, 0 bytes", re.Has("k", "sized"), st)
+	}
+}
+
 // TestOpenMappedBackingMatchesBuild pins which path a build serves views
 // from: page-cache mappings where mmapSupported, the heap fallback with the
 // identical contract otherwise (CI's castore_nommap step runs that side on

@@ -31,9 +31,10 @@
 // stores, each tiered memory → disk → owning cluster peer:
 //
 //   - detect → the profile Registry: (install fingerprint, workload
-//     identity) entries in memory, snapshotted to the content-addressed
-//     store and replayed at boot. A workload profiled once is never
-//     profiled again on the same install, across jobs and restarts.
+//     identity) entries in memory over binary profile records
+//     (negativa.EncodeProfile) in the content-addressed store, read
+//     through on a miss. A workload profiled once is never profiled again
+//     on the same install, across jobs and restarts.
 //   - compact → the ResultCache: byte-bounded LRU memory over sparse
 //     locate+compact results, reloading from the castore disk tier
 //     (written by the service's write-behind, not by the cache) — one
@@ -186,10 +187,10 @@
 // # Durability
 //
 // With a castore.Store attached (Config.Store), the service is durable:
-// the compact-stage and verifyrun memos gain their disk tier (memory miss →
-// disk hit → recompute), every detection profile snapshots on Put and
-// replays on boot, and each completed job spills a manifest referencing its library
-// images and result records — all content-addressed. New results and
+// the detect, compact and verifyrun memos gain their disk tier (memory
+// miss → disk hit → recompute; a boot reads no profile or result), and
+// each completed job spills a manifest referencing its library images and
+// result records — all content-addressed. New profiles, results and
 // verify records reach the store through one write-behind
 // (Service.writeBehind): in order, library image before record, at most
 // spillConcurrency writers at a time, beside the peer pushes. A completing

@@ -209,9 +209,9 @@ func (m *StageMemo) PrefetchLookups(slot plan.Executor, items []prefetchItem) {
 }
 
 // localProbe reports whether the key's value is already reachable without
-// the network: registry memory for detect keys; memory or the castore disk
-// tier for compact and verifyrun keys (replication pushed this node its
-// co-owned artifacts, and the disk tier serves them without a round trip).
+// the network: memory or the castore disk tier (replication pushed this
+// node its co-owned artifacts, and the disk tier serves them without a
+// round trip).
 func (m *StageMemo) localProbe(k plan.Key) bool {
 	switch k.Stage {
 	case negativa.StageDetect:
@@ -310,12 +310,17 @@ func (m *StageMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 		}
 		switch it.key.Stage {
 		case negativa.StageDetect:
-			fp, wid, okh := negativa.SplitDetectHash(it.key.Hash)
-			if !okh || lr.Profile == nil || lr.Profile.RunResult == nil {
+			fp, wid, _ := negativa.SplitDetectHash(it.key.Hash)
+			p, err := negativa.DecodeProfile(lr.Profile, fp, wid)
+			if err != nil {
 				m.count("peer.fallbacks")
 				continue
 			}
-			m.registry.Put(ProfileKey{Install: fp, Workload: wid}, lr.Profile)
+			pk := ProfileKey{Install: fp, Workload: wid}
+			m.registry.Put(pk, p)
+			if m.replicateProfile != nil {
+				m.replicateProfile(pk, p, lr.Profile, nil)
+			}
 		case negativa.StageCompact:
 			lib, _ := it.hint.(*elfx.Library)
 			ld, err := negativa.DecodeRecord(lib, lr.Record)

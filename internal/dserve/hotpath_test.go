@@ -80,7 +80,9 @@ func (f *lookupFixture) handler() http.Handler {
 		resp := peerBatchLookupResponse{Results: make([]peerLookupResponse, len(req.Keys))}
 		for i, k := range req.Keys {
 			f.serve(k.Hash)
-			resp.Results[i] = peerLookupResponse{Found: true, Profile: f.profile}
+			fp, wid, _ := negativa.SplitDetectHash(k.Hash)
+			rec, _ := negativa.EncodeProfile(fp, wid, f.profile)
+			resp.Results[i] = peerLookupResponse{Found: true, Profile: rec}
 		}
 		json.NewEncoder(w).Encode(resp)
 	})

@@ -514,7 +514,7 @@ func (s *Service) persistJob(job *Job, res *BatchResult, finished time.Time) (*j
 	// Wait for the write-behind of the records this manifest references:
 	// it has been overlapping its disk writes with the batch's compute, so
 	// by now most are already in the store and Retain succeeds without the
-	// synchronous re-spill below. Verify records and profile snapshots are
+	// synchronous re-spill below. Verify records and profile records are
 	// not waited on; no manifest names them.
 	// The persist.* timings split the durability tail the same way the
 	// stage.* timings split the batch: flush (write-behind wait), retain

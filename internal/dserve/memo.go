@@ -101,11 +101,11 @@ func (f *fifoMap[K, V]) size() int {
 //
 //   - detect → the profile Registry: memory entries keyed by (install
 //     fingerprint, workload identity) recovered from the composite stage
-//     hash, with on-disk profile snapshots replayed at boot. With a
-//     cluster attached, the batch's prefetch reads the replica set
-//     through. A miss left after it computes here, where the install
-//     already is, and the write-behind pushes the profile to every live
-//     owner.
+//     hash, then the castore's profile record, which the flight's leader
+//     reads once. With a cluster attached, the batch's prefetch reads the
+//     replica set through. A miss left after it computes here, where the
+//     install already is, and the write-behind pushes the profile to every
+//     live owner.
 //   - compact → the ResultCache: byte-bounded memory, then the
 //     content-addressed store's disk tier (persisted range sets decoded
 //     against the node's live library hint), then the key's replica set,
@@ -147,15 +147,13 @@ type StageMemo struct {
 	// cluster, when non-nil, adds the owning-peer tier to every routed
 	// stage's lookups.
 	cluster *cluster.Cluster
-	// storeResult, replicateProfile and recordVerify, when non-nil, take a
-	// new artifact behind the batch: into the local store when there is one
-	// (a profile's snapshot is the registry's own), and to the named replica
-	// peers. The memo calls them after every local compute, so each new
-	// artifact reaches its disk tier and all live owners of its key without
-	// waiting for the repair loop. storeResult's rec, when non-nil, is the
-	// record a prefetched result was decoded from.
+	// storeResult, replicateProfile and recordVerify, when non-nil, write a
+	// new artifact behind the batch — into the local store, when there is
+	// one, and to the named replica peers — so it reaches its disk tier and
+	// every live owner of its key without waiting for the repair loop. rec,
+	// when non-nil, is the record a prefetched value arrived as.
 	storeResult      func(hash string, ld *negativa.LibDebloat, rec []byte, peers []string)
-	replicateProfile func(pk ProfileKey, p *negativa.Profile, peers []string)
+	replicateProfile func(pk ProfileKey, p *negativa.Profile, rec []byte, peers []string)
 	recordVerify     func(hash string, r *mlruntime.Result, peers []string)
 
 	// The batch-prefetch hot path (hotpath.go). flights is the singleflight
@@ -224,6 +222,10 @@ func (m *StageMemo) GetOrCompute(slot plan.Executor, key plan.Key, hint any, com
 			}
 			return p, plan.SourceMemory, ok
 		}, func() (any, plan.Source, error) {
+			if p, ok := m.registry.Load(pk); ok {
+				m.count("registry.hits")
+				return p, plan.SourceDisk, nil
+			}
 			return m.detectLeader(key, pk, compute)
 		})
 	case negativa.StageCompact:
@@ -299,7 +301,7 @@ func (m *StageMemo) detectLeader(key plan.Key, pk ProfileKey, compute func() (an
 	m.count("registry.misses")
 	if m.replicateProfile != nil {
 		owners, self := m.replicaOwners(key)
-		m.replicateProfile(pk, p, without(owners, self))
+		m.replicateProfile(pk, p, nil, without(owners, self))
 	}
 	return v, plan.SourceComputed, nil
 }

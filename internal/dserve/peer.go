@@ -57,12 +57,12 @@ type peerLookupRequest struct {
 	Hash  string `json:"hash"`
 }
 
-// peerLookupResponse carries the stage value when found: a detection
-// profile for detect stages, the result's record for compact stages, the
+// peerLookupResponse carries the stage value when found: the profile's
+// record for detect stages, the result's record for compact stages, the
 // run's result for verifyrun stages.
 type peerLookupResponse struct {
 	Found   bool              `json:"found"`
-	Profile *negativa.Profile `json:"profile,omitempty"`
+	Profile []byte            `json:"profile,omitempty"`
 	Record  []byte            `json:"record,omitempty"`
 	Verify  *mlruntime.Result `json:"verify,omitempty"`
 }
@@ -178,9 +178,7 @@ func (s *Service) lookupStage(key peerLookupRequest) (peerLookupResponse, error)
 		if !ok {
 			return resp, errors.New("malformed detect hash")
 		}
-		if p, ok := s.Registry.Get(ProfileKey{Install: fp, Workload: wid}); ok {
-			resp.Found, resp.Profile = true, p
-		}
+		resp.Profile, resp.Found = s.Registry.record(ProfileKey{Install: fp, Workload: wid})
 	case negativa.StageCompact:
 		// The disk tier answers with the stored bytes as they are: the
 		// requester's decode is the check. A result with nothing to
@@ -393,10 +391,8 @@ func (s *Service) handlePeerStat(w http.ResponseWriter, r *http.Request) {
 // repair / handoff ingest path. Import verifies the end-to-end checksum and
 // cleans up after truncated or corrupt streams, so a dying pusher leaves
 // no partial state here. Pushed kinds are restricted to the replication
-// set. A pushed profile snapshot is additionally ingested into the live
-// registry (imports land in the store, but detect lookups are served from
-// memory); a snapshot that does not parse as a usable profile is removed
-// again and refused.
+// set. A pushed profile is an object like any other: the registry reads it
+// through when a batch needs it, and counts it against its on-disk bound.
 func (s *Service) handlePeerObjectPut(w http.ResponseWriter, r *http.Request) {
 	st := s.Store()
 	if st == nil {
@@ -417,14 +413,7 @@ func (s *Service) handlePeerObjectPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if kind == kindProfile {
-		raw, ok := st.Get(kind, key)
-		var sp storedProfile
-		if !ok || json.Unmarshal(raw, &sp) != nil || sp.Profile == nil || sp.Profile.RunResult == nil {
-			st.Delete(kind, key)
-			httpError(w, http.StatusBadRequest, errors.New("pushed profile snapshot is not usable"))
-			return
-		}
-		s.Registry.Put(ProfileKey{Install: sp.Install, Workload: sp.Workload}, sp.Profile)
+		s.Registry.noteStored(key)
 	}
 	s.Counters.Add("peer.objects_received", 1)
 	writeJSON(w, http.StatusOK, map[string]int64{"bytes": n})

@@ -28,8 +28,9 @@ const (
 	// "result" (JSON) and a "sparse" object per result instead; nothing
 	// reads those kinds, so such a store recomputes its compact stages.
 	kindRecord = "record"
-	// kindProfile holds verified detection profiles (JSON), keyed by the
-	// profile-key digest (profileObjectKey).
+	// kindProfile holds detection profiles as binary records
+	// (negativa.EncodeProfile), keyed by profileObjectKey. An older store's
+	// JSON profiles fail to decode, are deleted when read, and recompute.
 	kindProfile = "profile"
 	// kindVerify holds verification-run records (JSON), keyed by the
 	// verifyrun-stage hash (negativa.VerifyRunKey).
@@ -86,13 +87,6 @@ func loadResult(st *castore.Store, key string, lib *elfx.Library) (*negativa.Lib
 		return nil, false
 	}
 	return ld, true
-}
-
-// storedProfile is the on-disk form of one registry entry.
-type storedProfile struct {
-	Install  string            `json:"install"`
-	Workload string            `json:"workload"`
-	Profile  *negativa.Profile `json:"profile"`
 }
 
 // profileObjectKey derives the castore key of a profile entry. Profile keys

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"negativaml/internal/mlframework"
 	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
+	"negativaml/internal/plan"
 )
 
 const waitTimeout = 60 * time.Second
@@ -214,7 +216,8 @@ func countKind(st *castore.Store, kind string) int {
 
 // TestShardedStoreRestoresWarm: a store written in the older
 // kind/<key[:2]>/key layout restores warm. The batch's store root holds
-// only kind directories of plain files, the temp directory and the lock;
+// only kind directories of plain files, the temp directory, the lock and
+// the index;
 // sharding it by hand and reopening must serve the same images with no
 // miss and no analysis, and leave the root flat again.
 func TestShardedStoreRestoresWarm(t *testing.T) {
@@ -272,9 +275,86 @@ func TestShardedStoreRestoresWarm(t *testing.T) {
 	}
 }
 
+// TestTamperedStoreRestoresSameImages: whatever happened to a closed
+// store — its index or one of its objects damaged, a profile left in the
+// older JSON form, an object the index does not know — a restart serves
+// images byte-identical to the untampered run's, recomputing what it could
+// not trust.
+func TestTamperedStoreRestoresSameImages(t *testing.T) {
+	in, ws := persistTestInstall(t)
+	flipLast := func(t *testing.T, path string) {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)-1] ^= 0xff
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := func(t *testing.T, dir, kind string) string {
+		keys, err := os.ReadDir(filepath.Join(dir, kind))
+		if err != nil || len(keys) == 0 {
+			t.Fatalf("no %s object to tamper with (%v)", kind, err)
+		}
+		return filepath.Join(dir, kind, keys[0].Name())
+	}
+	// detects is how many members the restart must profile again.
+	for _, tc := range []struct {
+		name    string
+		detects int64
+		tamper  func(t *testing.T, dir string)
+	}{
+		{"index bit-flipped", 0, func(t *testing.T, dir string) { flipLast(t, filepath.Join(dir, ".index")) }},
+		{"record bit-flipped", 0, func(t *testing.T, dir string) { flipLast(t, first(t, dir, kindRecord)) }},
+		{"profile bit-flipped", 1, func(t *testing.T, dir string) { flipLast(t, first(t, dir, kindProfile)) }},
+		{"profile in JSON", 1, func(t *testing.T, dir string) {
+			path := first(t, dir, kindProfile)
+			payload := []byte(`{"install":"x","workload":"y","profile":{}}`)
+			if err := os.WriteFile(path, castore.Frame(payload), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"stray object", 0, func(t *testing.T, dir string) {
+			if err := os.WriteFile(filepath.Join(dir, kindRecord, "stray"), castore.Frame([]byte("not a record")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st1 := openStore(t, dir)
+			svc1 := NewService(Config{Workers: 2, MaxSteps: 2, Store: st1})
+			cold, err := svc1.DebloatBatch(in, ws, BatchOptions{MaxSteps: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc1.Close()
+			st1.Close()
+			tc.tamper(t, dir)
+
+			svc2 := NewService(Config{Workers: 2, MaxSteps: 2, Store: openStore(t, dir)})
+			defer svc2.Close()
+			warm, err := svc2.DebloatBatch(in, ws, BatchOptions{MaxSteps: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, lr := range warm.Libs {
+				if !bytes.Equal(lr.Debloated(), cold.Libs[i].Debloated()) {
+					t.Fatalf("library %s differs from the untampered run", lr.Name)
+				}
+			}
+			if n := svc2.Counters.Get("registry.misses"); n != tc.detects {
+				t.Fatalf("the restart profiled %d members, want %d", n, tc.detects)
+			}
+		})
+	}
+}
+
 // flatStoreKinds checks the store layout under dir and returns its kinds:
-// the root holds the lock file, the temp directory and one directory per
-// kind, and a kind directory holds only plain object files.
+// the root holds the lock file, the index file, the temp directory and
+// one directory per kind, and a kind directory holds only plain object
+// files.
 func flatStoreKinds(t *testing.T, dir string) []string {
 	t.Helper()
 	root, err := os.ReadDir(dir)
@@ -284,7 +364,7 @@ func flatStoreKinds(t *testing.T, dir string) []string {
 	var kinds []string
 	for _, e := range root {
 		switch {
-		case e.Name() == ".lock" && e.Type().IsRegular(), e.Name() == "tmp" && e.IsDir():
+		case (e.Name() == ".lock" || e.Name() == ".index") && e.Type().IsRegular(), e.Name() == "tmp" && e.IsDir():
 		case e.IsDir():
 			objs, err := os.ReadDir(filepath.Join(dir, e.Name()))
 			if err != nil {
@@ -303,6 +383,10 @@ func flatStoreKinds(t *testing.T, dir string) []string {
 	return kinds
 }
 
+// TestRegistryReplay: a profile stored before Close is served after the
+// reopen by reading it through once — concurrent detect lookups decode its
+// record from disk one time, the rest hit memory — and nothing is read at
+// boot.
 func TestRegistryReplay(t *testing.T) {
 	dir := t.TempDir()
 	in, ws := persistTestInstall(t)
@@ -313,25 +397,45 @@ func TestRegistryReplay(t *testing.T) {
 	key := ProfileKey{Install: negativa.InstallFingerprint(in), Workload: negativa.WorkloadIdentity(ws[0], 2)}
 
 	st1 := openStore(t, dir)
-	r1 := NewRegistry()
-	r1.AttachStore(st1)
-	r1.Put(key, p)
+	svc1 := NewService(Config{Store: st1})
+	svc1.Registry.Put(key, p)
+	svc1.replicateProfile(key, p, nil, nil)
+	svc1.Close()
 	st1.Close()
 
-	r2 := NewRegistry()
-	r2.AttachStore(openStore(t, dir))
-	if n := r2.Replay(); n != 1 {
-		t.Fatalf("replayed %d profiles, want 1", n)
+	st2 := openStore(t, dir)
+	svc2 := NewService(Config{Store: st2})
+	defer svc2.Close()
+	if st := st2.Stats(); st.Hits != 0 || svc2.Registry.Len() != 0 {
+		t.Fatalf("boot read profiles: %d store hits, %d resident", st.Hits, svc2.Registry.Len())
 	}
-	got, ok := r2.Get(key)
-	if !ok {
-		t.Fatal("replayed profile not found under its key")
+	// Eight lookups at once: the flight's leader reads the record, the
+	// others wait and hit memory.
+	recompute := func() (any, error) { return nil, errors.New("a stored profile was recomputed") }
+	var wg sync.WaitGroup
+	sources := make([]plan.Source, 8)
+	for i := range sources {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got, src, err := svc2.stages.GetOrCompute(nil, negativa.DetectKey(key.Install, key.Workload), nil, recompute)
+			if err != nil || !reflect.DeepEqual(got, p) {
+				t.Errorf("lookup %d: %v, or the profile read through does not match the original", i, err)
+			}
+			sources[i] = src
+		}(i)
 	}
-	if got.RunResult.Digest != p.RunResult.Digest || got.Workload != p.Workload {
-		t.Fatal("replayed profile does not match the original")
+	wg.Wait()
+	disk := 0
+	for _, src := range sources {
+		if src == plan.SourceDisk {
+			disk++
+		} else if src != plan.SourceMemory {
+			t.Fatalf("a lookup was served from %v", src)
+		}
 	}
-	if len(got.UsedKernels) != len(p.UsedKernels) || len(got.UsedFuncs) != len(p.UsedFuncs) {
-		t.Fatal("replayed profile lost used-symbol maps")
+	if hits := st2.Stats().Hits; disk != 1 || hits != 1 {
+		t.Fatalf("%d lookups served from disk and %d store reads for one profile, want 1 and 1", disk, hits)
 	}
 }
 

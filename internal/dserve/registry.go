@@ -1,7 +1,6 @@
 package dserve
 
 import (
-	"encoding/json"
 	"sync/atomic"
 
 	"negativaml/internal/castore"
@@ -18,16 +17,19 @@ type ProfileKey struct {
 	Workload string
 }
 
-// Registry stores detection profiles for reuse across jobs. Stored
-// profiles are immutable and shared; callers must not mutate them. The
-// registry is bounded: beyond max entries the oldest profiles are evicted
-// (workload identities are client-controlled, so unbounded growth would
-// let a sweeping client OOM a long-running service).
+// Registry stores detection profiles for reuse across jobs: a memory tier
+// over the attached store's profile records (negativa.EncodeProfile), read
+// through on a memory miss. Stored profiles are immutable and shared;
+// callers must not mutate them. Both tiers are bounded to
+// DefaultRegistryEntries, oldest first (workload identities are
+// client-controlled, so unbounded growth would let a sweeping client
+// exhaust a long-running service's memory or disk).
 type Registry struct {
 	profiles *fifoMap[ProfileKey, *negativa.Profile]
+	// stored names the store's profile objects, oldest first: the on-disk
+	// bound, whose evictions alone delete objects.
+	stored *fifoMap[string, struct{}]
 
-	// store, when attached, snapshots every Put so a rebooted service
-	// replays its profiles instead of re-detecting them.
 	store atomic.Pointer[castore.Store]
 }
 
@@ -38,74 +40,87 @@ const DefaultRegistryEntries = 1024
 // NewRegistry returns an empty profile registry bounded to
 // DefaultRegistryEntries profiles.
 func NewRegistry() *Registry {
-	return &Registry{profiles: newFifoMap[ProfileKey, *negativa.Profile](DefaultRegistryEntries)}
+	return &Registry{profiles: newFifoMap[ProfileKey, *negativa.Profile](DefaultRegistryEntries), stored: newFifoMap[string, struct{}](DefaultRegistryEntries)}
 }
 
-// AttachStore wires profile snapshotting in. Call before serving.
-func (r *Registry) AttachStore(st *castore.Store) { r.store.Store(st) }
-
-// Put stores a profile under the key, evicting the oldest entries beyond
-// the bound, and — with a store attached — snapshots it to disk so the next
-// boot replays it instead of re-running detection. Snapshots of evicted
-// entries are deleted: workload identities are client-controlled, so the
-// on-disk profile set must stay bounded by the same sweep-resistance cap as
-// the in-memory registry.
-func (r *Registry) Put(key ProfileKey, p *negativa.Profile) {
-	evicted := r.profiles.put(key, p)
-	st := r.store.Load()
-	if st == nil {
-		return
-	}
-	// A failed snapshot only costs the next boot a re-detection.
-	if data, err := json.Marshal(storedProfile{Install: key.Install, Workload: key.Workload, Profile: p}); err == nil {
-		st.Put(kindProfile, profileObjectKey(key), data)
-	}
-	for _, ev := range evicted {
-		st.Delete(kindProfile, profileObjectKey(ev))
-	}
-}
-
-// Replay loads every snapshotted profile from the attached store into
-// memory (up to the registry bound) and returns how many it restored.
-// Corrupt or unreadable snapshots are skipped: the worst case is a
-// re-detection, never a wrong profile.
-func (r *Registry) Replay() int {
-	st := r.store.Load()
-	if st == nil {
-		return 0
-	}
-	n := 0
+// AttachStore gives the registry its disk tier; call before serving. The
+// profiles already stored count against the on-disk bound unread.
+func (r *Registry) AttachStore(st *castore.Store) {
+	r.store.Store(st)
 	st.Walk(kindProfile, func(key string, _ int64) error {
-		if n >= r.profiles.max {
-			return nil
-		}
-		raw, ok := st.Get(kindProfile, key)
-		if !ok {
-			return nil
-		}
-		var sp storedProfile
-		// Persisted bytes are untrusted: a profile without a run result
-		// would nil-panic the reuse path (p.RunResult.Digest), so it is
-		// skipped like any other corrupt snapshot.
-		if err := json.Unmarshal(raw, &sp); err != nil || sp.Profile == nil || sp.Profile.RunResult == nil {
-			return nil
-		}
-		r.profiles.put(ProfileKey{Install: sp.Install, Workload: sp.Workload}, sp.Profile)
-		n++
+		r.noteStored(key)
 		return nil
 	})
-	return n
 }
 
-// Get returns the stored profile for the key.
+// Put plants a profile computed here or received from a peer in memory.
+// With a store attached, the caller writes its record behind
+// (Service.replicateProfile), and Put counts that object against the
+// on-disk bound.
+func (r *Registry) Put(key ProfileKey, p *negativa.Profile) {
+	r.profiles.put(key, p)
+	if r.store.Load() != nil {
+		r.noteStored(profileObjectKey(key))
+	}
+}
+
+// noteStored counts one profile object against the on-disk bound,
+// deleting the objects of the oldest profiles beyond it.
+func (r *Registry) noteStored(objectKey string) {
+	st := r.store.Load()
+	for _, ev := range r.stored.put(objectKey, struct{}{}) {
+		st.Delete(kindProfile, ev)
+	}
+}
+
+// Get returns the key's profile from the memory tier.
 func (r *Registry) Get(key ProfileKey) (*negativa.Profile, bool) { return r.profiles.get(key) }
 
-// Has reports whether a profile for the key is resident, without
-// returning it — the batch prefetch's local-presence probe.
-func (r *Registry) Has(key ProfileKey) bool {
-	_, ok := r.profiles.get(key)
-	return ok
+// Load reads the key's profile from the disk tier and plants it in
+// memory. A record that does not decode as this key's profile — corrupt,
+// filed under another key, or written in an older format — is deleted, so
+// the recompute it forces can store it again. A plant adds no object, so
+// it deletes none.
+func (r *Registry) Load(key ProfileKey) (*negativa.Profile, bool) {
+	st := r.store.Load()
+	if st == nil {
+		return nil, false
+	}
+	okey := profileObjectKey(key)
+	if !st.Has(kindProfile, okey) {
+		return nil, false
+	}
+	raw, ok := st.Get(kindProfile, okey)
+	p, err := negativa.DecodeProfile(raw, key.Install, key.Workload)
+	if !ok || err != nil {
+		st.Delete(kindProfile, okey)
+		return nil, false
+	}
+	r.profiles.put(key, p)
+	return p, true
 }
 
-// Len returns the number of stored profiles.
+// record returns the key's profile record, the lookup-batch answer: the
+// memory tier's profile re-encoded, else the stored bytes as they are.
+func (r *Registry) record(key ProfileKey) ([]byte, bool) {
+	if p, ok := r.profiles.get(key); ok {
+		rec, err := negativa.EncodeProfile(key.Install, key.Workload, p)
+		return rec, err == nil
+	}
+	if !r.Has(key) {
+		return nil, false
+	}
+	return r.store.Load().Get(kindProfile, profileObjectKey(key))
+}
+
+// Has reports whether the key's profile is in memory or on disk, without
+// reading it — the batch prefetch's local-presence probe. Probing before a
+// read keeps a key the store lacks from counting as a store miss.
+func (r *Registry) Has(key ProfileKey) bool {
+	_, ok := r.profiles.get(key)
+	st := r.store.Load()
+	return ok || st != nil && st.Has(kindProfile, profileObjectKey(key))
+}
+
+// Len returns the number of profiles in the memory tier.
 func (r *Registry) Len() int { return r.profiles.size() }

@@ -7,7 +7,7 @@ package dserve
 //     and recordVerify): the stage memo hands every new compact result,
 //     detect profile and verify record here. Its objects go to the local
 //     store, when there is one, and to the live remote owners (library
-//     image, then the result's record; the profile snapshot; the verify
+//     image, then the result's record; the profile's record; the verify
 //     record), behind the batch — new artifacts converge without waiting
 //     for a repair sweep.
 //   - Anti-entropy repair (RepairNow, driven by the RepairInterval loop):
@@ -74,21 +74,22 @@ func (s *Service) storeResult(hash string, ld *negativa.LibDebloat, rec []byte, 
 	s.writeBehind(resultObjects(hash, ld.Report.Sparse.Lib(), rec), peers, true)
 }
 
-// replicateProfile is the write-behind hook for detect stages: one locally
-// computed profile, in the snapshot form the registry persists, to the
-// named replica peers. The receiving route ingests it into the peer's live
-// registry. The local snapshot is Registry.Put's, so the local write finds
-// it present.
-func (s *Service) replicateProfile(pk ProfileKey, p *negativa.Profile, peers []string) {
-	if len(peers) == 0 || p == nil || p.RunResult == nil {
+// replicateProfile is the write-behind hook for detect stages: one
+// profile's record into the local store and to the named replica peers,
+// where it is an object like any other. rec, when non-nil, is the record
+// a prefetched profile was decoded from (stored as received); otherwise
+// it is encoded here.
+func (s *Service) replicateProfile(pk ProfileKey, p *negativa.Profile, rec []byte, peers []string) {
+	if s.store == nil && len(peers) == 0 {
 		return
 	}
-	data, err := json.Marshal(storedProfile{Install: pk.Install, Workload: pk.Workload, Profile: p})
-	if err != nil {
-		s.Counters.Add("peer.replica_write_errors", 1)
-		return
+	if rec == nil {
+		var err error
+		if rec, err = negativa.EncodeProfile(pk.Install, pk.Workload, p); err != nil {
+			return
+		}
 	}
-	s.writeBehind([]replObject{{kindProfile, profileObjectKey(pk), data}}, peers, true)
+	s.writeBehind([]replObject{{kindProfile, profileObjectKey(pk), rec}}, peers, true)
 }
 
 // recordVerify is the write-behind hook for verifyrun stages. A lost
@@ -219,9 +220,9 @@ func (s *Service) WaitReplication() { s.replWG.Wait() }
 // that must live wherever that key's owners are — to fn. A compact result
 // groups its shared library image (named by the digest at the record's
 // fixed offset) and its record under the compact stage key, image first;
-// profile snapshots ride the detect stage key recovered from their own
-// identity fields; a verify record's object key is its verifyrun stage
-// hash, so its ring key needs no payload read.
+// profile records ride the detect stage key read from their own head; a
+// verify record's object key is its verifyrun stage hash, so its ring key
+// needs no payload read.
 func (s *Service) forEachOwnedGroup(fn func(ringKey string, refs []peerObjectRef)) {
 	st := s.store
 	st.Walk(kindRecord, func(key string, _ int64) error {
@@ -237,15 +238,10 @@ func (s *Service) forEachOwnedGroup(fn func(ringKey string, refs []peerObjectRef
 		return nil
 	})
 	st.Walk(kindProfile, func(key string, _ int64) error {
-		raw, ok := st.Get(kindProfile, key)
-		if !ok {
-			return nil
+		raw, _ := st.Get(kindProfile, key)
+		if fp, wid, ok := negativa.ProfileRecordKey(raw); ok {
+			fn(negativa.DetectKey(fp, wid).String(), []peerObjectRef{{Kind: kindProfile, Key: key}})
 		}
-		var sp storedProfile
-		if json.Unmarshal(raw, &sp) != nil || sp.Install == "" {
-			return nil
-		}
-		fn(negativa.DetectKey(sp.Install, sp.Workload).String(), []peerObjectRef{{Kind: kindProfile, Key: key}})
 		return nil
 	})
 	st.Walk(kindVerify, func(key string, _ int64) error {

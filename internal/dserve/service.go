@@ -108,9 +108,9 @@ type Config struct {
 	// beyond it (default 64).
 	MaxInFlight int
 	// Store, when non-nil, is the disk-backed content-addressed store the
-	// service persists through: the result cache gains a second tier,
-	// detection profiles snapshot on Put and replay on boot, and completed
-	// jobs spill their manifests and images so a restart serves them warm.
+	// service persists through: the profile registry and the result cache
+	// gain a disk tier, read through on a memory miss, and completed jobs
+	// spill their manifests and images so a restart serves them warm.
 	Store *castore.Store
 	// RepairInterval, when positive on a store-backed clustered node, runs
 	// a background anti-entropy sweep (RepairNow) at that period: locally
@@ -230,16 +230,13 @@ func NewService(cfg Config) *Service {
 	s.stages.recordVerify = s.recordVerify
 	s.observer = stageObserver{c: counters, t: s.Timings, names: &sync.Map{}}
 	if cfg.Store != nil {
-		// Warm-restart wiring: the cache and the verify records gain their
-		// disk tier, the registry replays its snapshotted profiles, and
-		// persisted job manifests come back as lazily-materialized done jobs.
+		// Warm-restart wiring: the registry, the cache and the verify
+		// records gain their disk tier, and persisted job manifests come
+		// back as lazily-materialized done jobs.
 		s.store = cfg.Store
 		s.stages.store = cfg.Store
 		s.Cache.AttachStore(cfg.Store)
 		s.Registry.AttachStore(cfg.Store)
-		if n := s.Registry.Replay(); n > 0 {
-			counters.Add("registry.replayed", int64(n))
-		}
 		s.restoreJobs()
 	}
 	return s

@@ -181,27 +181,60 @@ func (r *recordReader) uvarint(what string) uint64 {
 	if r.err != nil {
 		return 0
 	}
+	if r.off < len(r.b) && r.b[r.off] < 0x80 {
+		r.off++ // the common one-byte form
+		return uint64(r.b[r.off-1])
+	}
 	v, w := uvarint(r.b[r.off:])
 	if w <= 0 {
-		r.err = fmt.Errorf("negativa: record: malformed %s", what)
+		r.fail(what)
 		return 0
 	}
 	r.off += w
 	return v
 }
 
-func (r *recordReader) str() string {
+// bytes reads one length-prefixed string as a slice of b, without the
+// copy str slices from.
+func (r *recordReader) bytes() []byte {
 	n := r.uvarint("string length")
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(r.b)-r.off) {
 		r.err = fmt.Errorf("negativa: record: %d-byte string past the end", n)
+		return nil
+	}
+	r.off += int(n)
+	return r.b[r.off-int(n) : r.off]
+}
+
+func (r *recordReader) str() string {
+	b := r.bytes()
+	if r.err != nil {
 		return ""
 	}
-	s := r.s[r.off : r.off+int(n)]
-	r.off += int(n)
-	return s
+	return r.s[r.off-len(b) : r.off]
+}
+
+// fail records a malformed field unless an earlier error stands.
+func (r *recordReader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("negativa: record: malformed %s", what)
+	}
+}
+
+// u64 reads one fixed-width little-endian integer.
+func (r *recordReader) u64() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.b)-r.off < 8 {
+		r.err = errors.New("negativa: record: truncated integer")
+		return 0
+	}
+	r.off += 8
+	return binary.LittleEndian.Uint64(r.b[r.off-8:])
 }
 
 func (r *recordReader) strs() []string {
