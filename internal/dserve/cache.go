@@ -5,8 +5,6 @@ import (
 	"crypto/sha256"
 	"sync"
 
-	"negativaml/internal/castore"
-	"negativaml/internal/elfx"
 	"negativaml/internal/metrics"
 	"negativaml/internal/negativa"
 )
@@ -27,9 +25,10 @@ type CacheStats struct {
 // its original library image alive, so the cache also charges each
 // distinct referenced image once (refcounted across entries) — the bound
 // covers everything the cache alone can pin after the owning install is
-// evicted. Below memory sits a read-only disk tier: the cache never writes
-// the store, a new result reaches it through the service's write-behind
-// (Service.storeResult). Stored values are immutable: hits hand out the
+// evicted. It is the compact stage's memory tier: the stage memo's disk
+// loader plants results read from the store here, and a new result reaches
+// the store through the service's write-behind (Service.writeStage), never
+// through the cache. Stored values are immutable: hits hand out the
 // shared report and sparse image, which callers must treat as read-only.
 // Concurrent misses on the same key may compute the result twice; both
 // Puts store identical content, so the race is benign.
@@ -46,13 +45,6 @@ type ResultCache struct {
 	misses   int64
 	evicted  int64
 	counters *metrics.CounterSet
-
-	// store, when attached, is the read-only disk tier: LoadStored falls
-	// back to it on memory misses, so a restarted service (or one whose
-	// memory tier evicted an entry) serves warm without re-running
-	// locate/compact. Set before serving and never changed, so it needs no
-	// lock.
-	store *castore.Store
 }
 
 type cacheEntry struct {
@@ -105,10 +97,6 @@ func (c *ResultCache) addBytes(delta int64) {
 	}
 }
 
-// AttachStore wires the disk-backed second tier in. Call before serving;
-// the cache never detaches a store.
-func (c *ResultCache) AttachStore(st *castore.Store) { c.store = st }
-
 // Get returns the cached result for the key, refreshing its recency.
 func (c *ResultCache) Get(key string) (*negativa.LibDebloat, bool) {
 	c.mu.Lock()
@@ -132,31 +120,6 @@ func (c *ResultCache) Contains(key string) bool {
 	defer c.mu.Unlock()
 	_, ok := c.entries[key]
 	return ok
-}
-
-// HasStored reports whether the attached store holds the key's persisted
-// record, without reading it. Keys replication pushed to this node probe
-// true, so the batch prefetch skips re-fetching what LoadStored will serve
-// without a round trip.
-func (c *ResultCache) HasStored(key string) bool {
-	return c.store != nil && c.store.Has(kindRecord, key)
-}
-
-// LoadStored is the disk tier alone: the attached store's record is
-// decoded against the caller's live library and promoted into the memory
-// tier. lib anchors the reconstruction; a record that does not decode
-// against it is a miss. The stage memo calls Get, then LoadStored on a
-// miss, so it can tell a memory hit from a disk restore.
-func (c *ResultCache) LoadStored(key string, lib *elfx.Library) (*negativa.LibDebloat, bool) {
-	if c.store == nil || lib == nil {
-		return nil, false
-	}
-	ld, ok := loadResult(c.store, key, lib)
-	if !ok {
-		return nil, false
-	}
-	c.Put(key, ld)
-	return ld, true
 }
 
 // retainLib charges the entry's referenced library image on its first

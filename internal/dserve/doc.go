@@ -27,26 +27,23 @@
 // the node, so a key already computed by any prior batch — or any prior
 // boot — absorbs the work.
 //
-// The stage memo (StageMemo) routes the three memoized stages to their
-// stores, each tiered memory → disk → owning cluster peer:
+// The stage memo (StageMemo) resolves the three memoized stages through
+// up to three tiers — memory → disk → owning cluster peer — by the rules
+// of one table (memoStages):
 //
-//   - detect → the profile Registry: (install fingerprint, workload
-//     identity) entries in memory over binary profile records
-//     (negativa.EncodeProfile) in the content-addressed store, read
-//     through on a miss. A workload profiled once is never profiled again
-//     on the same install, across jobs and restarts.
-//   - compact → the ResultCache: byte-bounded LRU memory over sparse
-//     locate+compact results, reloading from the castore disk tier
-//     (written by the service's write-behind, not by the cache) — one
-//     "record" object per result (report, symbol lists and range set;
-//     negativa.EncodeRecord), read with one checksummed Get and decoded
-//     against the live library. Identical libraries shared across
-//     installs — the dependency tail, which dominates library counts — are
-//     analyzed once no matter how many installs or jobs reference them.
-//   - verifyrun → the verify records: a count-bounded memory map of run
-//     results (same cap and oldest-first rule as the registry), castore
-//     objects of kind "verify" written behind the batch, and the key's
-//     replica owners.
+//	stage      castore kind  object key                   memory tier                     write-behind
+//	detect     profile       sha256(fp ‖ NUL ‖ identity)  Registry (count-bounded)        probes
+//	compact    record        the stage hash               ResultCache (byte-bounded LRU)  probes; image first
+//	verifyrun  verify        the stage hash               fifoMap of run results          unprobed
+//
+// Each entry also holds its record codec (negativa.EncodeProfile,
+// negativa.EncodeRecord, the storedVerify JSON): the record is what the
+// disk tier keeps and the one form the value crosses the wire in. One disk
+// loader reads every stage (Has before Get, decode under the key, delete on
+// mismatch, plant in memory); a workload profiled once is never profiled
+// again on the same install, and identical libraries shared across
+// installs — the dependency tail, which dominates library counts — are
+// analyzed once, across jobs and restarts. A boot reads no record.
 //
 // One flight table spans all three (StageMemo.resolve): concurrent batches
 // computing the same stage key run it once and share the value. A key of

@@ -2,12 +2,11 @@ package dserve
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
 
-	"negativaml/internal/elfx"
-	"negativaml/internal/negativa"
 	"negativaml/internal/plan"
 )
 
@@ -49,7 +48,8 @@ type prefetchItem struct {
 
 // beginFlight claims the key's flight slot. True means the caller is the
 // leader and must endFlight when its local tiers hold the outcome (or the
-// attempt failed); false means another reader owns the key right now.
+// attempt failed); false means another reader owns the key right now. The
+// slot's channel is made by the first waiter: most flights have none.
 func (m *StageMemo) beginFlight(k plan.Key) bool {
 	m.flightMu.Lock()
 	defer m.flightMu.Unlock()
@@ -59,7 +59,7 @@ func (m *StageMemo) beginFlight(k plan.Key) bool {
 	if _, inFlight := m.flights[k]; inFlight {
 		return false
 	}
-	m.flights[k] = make(chan struct{})
+	m.flights[k] = nil
 	return true
 }
 
@@ -83,9 +83,13 @@ func (m *StageMemo) endFlight(k plan.Key) {
 // the calling node's graph runs under; nil means the caller holds none.
 func (m *StageMemo) awaitFlight(slot plan.Executor, k plan.Key) {
 	m.flightMu.Lock()
-	ch := m.flights[k]
+	ch, inFlight := m.flights[k]
+	if inFlight && ch == nil {
+		ch = make(chan struct{})
+		m.flights[k] = ch
+	}
 	m.flightMu.Unlock()
-	if ch == nil {
+	if !inFlight {
 		return
 	}
 	if slot != nil {
@@ -211,24 +215,14 @@ func (m *StageMemo) PrefetchLookups(slot plan.Executor, items []prefetchItem) {
 // localProbe reports whether the key's value is already reachable without
 // the network: memory or the castore disk tier (replication pushed this
 // node its co-owned artifacts, and the disk tier serves them without a
-// round trip).
+// round trip). A key that is not memoized has nothing to prefetch.
 func (m *StageMemo) localProbe(k plan.Key) bool {
-	switch k.Stage {
-	case negativa.StageDetect:
-		fp, wid, ok := negativa.SplitDetectHash(k.Hash)
-		if !ok {
-			return true // malformed; nothing to prefetch
-		}
-		return m.registry.Has(ProfileKey{Install: fp, Workload: wid})
-	case negativa.StageCompact:
-		return m.cache.Contains(k.Hash) || m.cache.HasStored(k.Hash)
-	case negativa.StageVerifyRun:
-		if _, ok := m.verify.get(k.Hash); ok {
-			return true
-		}
-		return m.store != nil && m.store.Has(kindVerify, k.Hash)
+	st := memoStageOf(k.Stage)
+	if st == nil || st.held(m, k.Hash) {
+		return true
 	}
-	return true
+	_, ok := m.storedKey(st, k.Hash)
+	return ok
 }
 
 // prefetchGroup runs one group's batch lookup: hedged across the group's
@@ -262,12 +256,15 @@ func (m *StageMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 		m.countRoundTrip()
 		var resp peerBatchLookupResponse
 		err := m.cluster.PostJSONCtx(ctx, peer, "/v1/peer/lookup-batch", req, &resp)
+		if err == nil && len(resp.Results) != len(items) {
+			err = fmt.Errorf("dserve: lookup-batch answered %d results for %d keys", len(resp.Results), len(items))
+		}
 		if err != nil {
 			if ctx.Err() == nil {
-				// Any non-2xx answer or transport error is a peer-tier
-				// failure, counted as a fallback like every other failed
-				// peer read (the health plane already observed the
-				// transport fault itself).
+				// Any non-2xx answer, transport error or misaligned answer
+				// is a peer-tier failure, counted as a fallback like every
+				// other failed peer read (the health plane already observed
+				// a transport fault itself).
 				m.count("peer.fallbacks")
 				mu.Lock()
 				failed[peer] = true
@@ -297,58 +294,25 @@ func (m *StageMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 		m.count("peer.batch_failed")
 		return
 	}
-	resp := v.(*peerBatchLookupResponse)
-	if len(resp.Results) != len(items) {
-		m.count("peer.batch_failed")
-		return
-	}
-	for i, lr := range resp.Results {
+	for i, lr := range v.(*peerBatchLookupResponse).Results {
 		it := items[i]
 		if !lr.Found {
 			m.count("peer.misses")
 			continue
 		}
-		switch it.key.Stage {
-		case negativa.StageDetect:
-			fp, wid, _ := negativa.SplitDetectHash(it.key.Hash)
-			p, err := negativa.DecodeProfile(lr.Profile, fp, wid)
-			if err != nil {
-				m.count("peer.fallbacks")
-				continue
-			}
-			pk := ProfileKey{Install: fp, Workload: wid}
-			m.registry.Put(pk, p)
-			if m.replicateProfile != nil {
-				m.replicateProfile(pk, p, lr.Profile, nil)
-			}
-		case negativa.StageCompact:
-			lib, _ := it.hint.(*elfx.Library)
-			ld, err := negativa.DecodeRecord(lib, lr.Record)
-			if err != nil {
-				m.count("peer.fallbacks")
-				continue
-			}
-			// Replicate toward demand: the record goes, as received, into
-			// this node's castore behind the batch, so the next miss here
-			// is a disk hit, not another network hop. No peers: they
-			// already hold it.
-			m.cache.Put(it.key.Hash, ld)
-			if m.storeResult != nil {
-				m.storeResult(it.key.Hash, ld, lr.Record, nil)
-			}
-		case negativa.StageVerifyRun:
-			if lr.Verify == nil {
-				m.count("peer.fallbacks")
-				continue
-			}
-			// Memory, and behind the batch this node's own store — the same
-			// replicate-toward-demand rule.
-			m.verify.put(it.key.Hash, lr.Verify)
-			if m.recordVerify != nil {
-				m.recordVerify(it.key.Hash, lr.Verify, nil)
-			}
-		default:
+		// Every answered key is a memoized stage's: only those were asked.
+		st := memoStageOf(it.key.Stage)
+		val, err := st.decode(it.key.Hash, it.hint, lr.Record)
+		if err != nil {
+			m.count("peer.fallbacks")
 			continue
+		}
+		// Replicate toward demand: memory, and behind the batch the record,
+		// as received, into this node's castore, so the next miss here is a
+		// disk hit, not another network hop. No peers: they already hold it.
+		st.put(m, it.key.Hash, val)
+		if m.writeStage != nil {
+			m.writeStage(st, it.key.Hash, val, lr.Record, nil)
 		}
 		m.markPlanted(it.key, plan.SourcePeer)
 		m.count("peer.hits")

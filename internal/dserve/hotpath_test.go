@@ -82,7 +82,7 @@ func (f *lookupFixture) handler() http.Handler {
 			f.serve(k.Hash)
 			fp, wid, _ := negativa.SplitDetectHash(k.Hash)
 			rec, _ := negativa.EncodeProfile(fp, wid, f.profile)
-			resp.Results[i] = peerLookupResponse{Found: true, Profile: rec}
+			resp.Results[i] = peerLookupResponse{Found: true, Record: rec}
 		}
 		json.NewEncoder(w).Encode(resp)
 	})
@@ -157,7 +157,7 @@ func TestHedgedLookupSlowReplica(t *testing.T) {
 	}
 	for _, it := range items {
 		fp, wid, _ := negativa.SplitDetectHash(it.key.Hash)
-		if !registry.Has(ProfileKey{Install: fp, Workload: wid}) {
+		if _, ok := registry.Get(ProfileKey{Install: fp, Workload: wid}); !ok {
 			t.Fatalf("key %q was not planted by the answering replica", it.key.Hash)
 		}
 	}
@@ -538,7 +538,7 @@ func TestPeerLookupBatchRoute(t *testing.T) {
 	if len(resp.Results) != 3 || resp.Results[0].Found || resp.Results[2].Found {
 		t.Fatalf("batch results %+v; misses and bad keys must come back found=false in place", resp.Results)
 	}
-	if !resp.Results[1].Found || resp.Results[1].Profile == nil {
+	if !resp.Results[1].Found || resp.Results[1].Record == nil {
 		t.Fatalf("held key between two misses answered %+v; results must stay index-aligned", resp.Results[1])
 	}
 
@@ -548,5 +548,58 @@ func TestPeerLookupBatchRoute(t *testing.T) {
 	}
 	if code := postPeer(t, srv, "/v1/peer/lookup-batch", over, nil); code != http.StatusBadRequest {
 		t.Fatalf("oversized batch status %d, want 400", code)
+	}
+}
+
+// TestShortLookupAnswerTriesNextReplica: a lookup-batch answer with the
+// wrong number of results is a failed attempt like a transport error, not
+// an answer that wins the race: the requester counts a fallback and tries
+// the set's next replica, whose answer plants every key.
+func TestShortLookupAnswerTriesNextReplica(t *testing.T) {
+	answer := (&lookupFixture{profile: testDetectProfile(t)}).handler()
+	var answeredShort atomic.Bool
+	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if answeredShort.CompareAndSwap(false, true) {
+			io.Copy(io.Discard, r.Body)
+			json.NewEncoder(w).Encode(peerBatchLookupResponse{})
+			return
+		}
+		answer.ServeHTTP(w, r)
+	})
+	a, b := httptest.NewServer(stub), httptest.NewServer(stub)
+	defer a.Close()
+	defer b.Close()
+
+	counters := metrics.NewCounterSet()
+	registry := NewRegistry()
+	m := NewStageMemo(registry, NewResultCache(1<<20, nil), counters)
+	// Every key is owned by all three nodes, so both stubs are its remote
+	// replicas; no hedge, so whichever is asked first answers short.
+	c := cluster.New("self", map[string]string{"a": a.URL, "b": b.URL}, cluster.Options{
+		ReplicaSets: 3, HedgeDelay: -1, Counters: counters, Timeout: 30 * time.Second,
+	})
+	defer c.Close()
+	m.AttachCluster(c)
+
+	var items []prefetchItem
+	for i := 0; i < 4; i++ {
+		items = append(items, prefetchItem{key: negativa.DetectKey("fp", fmt.Sprintf("w%d", i))})
+	}
+	m.PrefetchLookups(nil, items)
+	for _, it := range items {
+		fp, wid, _ := negativa.SplitDetectHash(it.key.Hash)
+		if _, ok := registry.Get(ProfileKey{Install: fp, Workload: wid}); !ok {
+			t.Fatalf("key %q was not planted from the second replica", it.key.Hash)
+		}
+	}
+	for name, want := range map[string]int64{
+		"peer.round_trips":  2,
+		"peer.fallbacks":    1,
+		"peer.hits":         4,
+		"peer.batch_failed": 0,
+	} {
+		if got := counters.Get(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }

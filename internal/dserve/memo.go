@@ -1,6 +1,9 @@
 package dserve
 
 import (
+	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -94,67 +97,181 @@ func (f *fifoMap[K, V]) size() int {
 	return len(f.m)
 }
 
+// memoStage is one memoized stage's storage rules. Every path that holds,
+// stores or moves a stage value — the resolve loop and its leader, the disk
+// loader, the batch prefetch's probe and plant, the write-behind, the peer
+// lookup and the repair walk — reads its entry in memoStages instead of
+// switching on the stage.
+type memoStage struct {
+	stage string
+	// kind is the castore kind of the disk tier; objectKey derives the
+	// object's key from the stage hash.
+	kind      string
+	objectKey func(hash string) string
+	// encode turns a value into the record the disk tier keeps, the one
+	// form it also crosses the wire in; decode reads a record back under
+	// the hash it was asked for, against hint (the compact stage's live
+	// library).
+	encode func(hash string, v any) ([]byte, error)
+	decode func(hash string, hint any, rec []byte) (any, error)
+	// held, get and put are the memory tier: a quiet presence check, the
+	// read (the result cache counts its own hits and misses), the plant.
+	held func(m *StageMemo, hash string) bool
+	get  func(m *StageMemo, hash string) (any, bool)
+	put  func(m *StageMemo, hash string, v any)
+	// hits and misses, when set, name the counters of the stage's local-tier
+	// hits and of its computes.
+	hits, misses string
+	// probe makes the write-behind stat-probe a peer before pushing; a
+	// verify record is smaller than the probe that would ask about it.
+	probe bool
+	// image, when set, is the library image a value's record decodes
+	// against, written ahead of the record.
+	image func(v any) *elfx.Library
+	// stored, when set, reads a stored record's stage hash and its library
+	// image's key ("" for none) for the repair walk; nil means the object
+	// key is the stage hash.
+	stored func(okey string, rec []byte) (hash, image string, ok bool)
+}
+
+// memoStages is the table, in the order the repair walk visits the kinds.
+var memoStages = [...]memoStage{{
+	stage: negativa.StageDetect, kind: kindProfile,
+	objectKey: profileObjectKey,
+	encode: func(hash string, v any) ([]byte, error) {
+		fp, wid, _ := negativa.SplitDetectHash(hash)
+		return negativa.EncodeProfile(fp, wid, v.(*negativa.Profile))
+	},
+	decode: func(hash string, _ any, rec []byte) (any, error) {
+		fp, wid, _ := negativa.SplitDetectHash(hash)
+		return negativa.DecodeProfile(rec, fp, wid)
+	},
+	held: func(m *StageMemo, hash string) bool { _, ok := m.getProfile(hash); return ok },
+	get:  func(m *StageMemo, hash string) (any, bool) { return m.getProfile(hash) },
+	put: func(m *StageMemo, hash string, v any) {
+		fp, wid, _ := negativa.SplitDetectHash(hash)
+		m.registry.Put(ProfileKey{Install: fp, Workload: wid}, v.(*negativa.Profile))
+	},
+	hits: "registry.hits", misses: "registry.misses",
+	probe: true,
+	stored: func(_ string, rec []byte) (string, string, bool) {
+		fp, wid, ok := negativa.ProfileRecordKey(rec)
+		return negativa.DetectKey(fp, wid).Hash, "", ok
+	},
+}, {
+	stage: negativa.StageCompact, kind: kindRecord,
+	objectKey: hashObjectKey,
+	encode: func(_ string, v any) ([]byte, error) {
+		return negativa.EncodeRecord(v.(*negativa.LibDebloat))
+	},
+	decode: func(_ string, hint any, rec []byte) (any, error) {
+		lib, _ := hint.(*elfx.Library)
+		return negativa.DecodeRecord(lib, rec)
+	},
+	held:  func(m *StageMemo, hash string) bool { return m.cache.Contains(hash) },
+	get:   func(m *StageMemo, hash string) (any, bool) { return m.cache.Get(hash) },
+	put:   func(m *StageMemo, hash string, v any) { m.cache.Put(hash, v.(*negativa.LibDebloat)) },
+	probe: true,
+	image: func(v any) *elfx.Library { return v.(*negativa.LibDebloat).Report.Sparse.Lib() },
+	stored: func(okey string, rec []byte) (string, string, bool) {
+		d, ok := negativa.RecordLibDigest(rec)
+		if !ok {
+			return okey, "", true
+		}
+		return okey, hex.EncodeToString(d[:]), true
+	},
+}, {
+	stage: negativa.StageVerifyRun, kind: kindVerify,
+	objectKey: hashObjectKey,
+	encode: func(hash string, v any) ([]byte, error) {
+		return json.Marshal(storedVerify{Key: hash, Result: v.(*mlruntime.Result)})
+	},
+	decode: func(hash string, _ any, rec []byte) (any, error) {
+		var sv storedVerify
+		if err := json.Unmarshal(rec, &sv); err != nil {
+			return nil, err
+		}
+		if sv.Key != hash || sv.Result == nil {
+			return nil, errors.New("dserve: verify record filed under another key")
+		}
+		return sv.Result, nil
+	},
+	held: func(m *StageMemo, hash string) bool { _, ok := m.verify.get(hash); return ok },
+	get:  func(m *StageMemo, hash string) (any, bool) { return m.verify.get(hash) },
+	put:  func(m *StageMemo, hash string, v any) { m.verify.put(hash, v.(*mlruntime.Result)) },
+}}
+
+// hashObjectKey stores a record under its stage hash, already a hex digest.
+func hashObjectKey(hash string) string { return hash }
+
+// memoStageOf returns the stage's table entry, nil for a stage that is not
+// memoized.
+func memoStageOf(stage string) *memoStage {
+	for i := range memoStages {
+		if memoStages[i].stage == stage {
+			return &memoStages[i]
+		}
+	}
+	return nil
+}
+
+// getProfile reads the detect memory tier, keyed by the (install
+// fingerprint, workload identity) pair the stage hash joins.
+func (m *StageMemo) getProfile(hash string) (any, bool) {
+	fp, wid, _ := negativa.SplitDetectHash(hash)
+	p, ok := m.registry.Get(ProfileKey{Install: fp, Workload: wid})
+	return p, ok
+}
+
 // StageMemo is the serving plane's per-stage memoization behind the plan
-// scheduler: one plan.Memo that routes each memoized stage's content key
-// to its store, each with up to three tiers — local memory, local disk,
-// owning cluster peer.
+// scheduler: one plan.Memo that resolves each memoized stage's content key
+// through up to three tiers — local memory, local disk, the key's replica
+// set — by the rules of its memoStages entry:
 //
-//   - detect → the profile Registry: memory entries keyed by (install
-//     fingerprint, workload identity) recovered from the composite stage
-//     hash, then the castore's profile record, which the flight's leader
-//     reads once. With a cluster attached, the batch's prefetch reads the
-//     replica set through. A miss left after it computes here, where the
-//     install already is, and the write-behind pushes the profile to every
-//     live owner.
-//   - compact → the ResultCache: byte-bounded memory, then the
-//     content-addressed store's disk tier (persisted range sets decoded
-//     against the node's live library hint), then the key's replica set,
-//     read through by the batch's prefetch. A peer-served result is Put
-//     into the local cache and its record, as received, written behind the
-//     batch into the local castore — so hot artifacts replicate toward the
-//     demand that reads them. A miss computes here, where the library image
-//     already is, and only the O(ranges) result travels: the write-behind
-//     stores it locally and pushes it to every live owner.
-//   - verifyrun → the verify-record memo: a count-bounded memory map of
-//     *mlruntime.Result keyed by the stage hash (negativa.VerifyRunKey,
-//     which addresses the debloated bytes actually handed out), then the
-//     castore's verify objects, then the key's replica set, read through by
-//     the verify-probe node's prefetch. A miss runs here, on this batch's
-//     clone; the record is written to the local store and pushed to the
-//     key's owners behind the batch. A run that errors memoizes nothing; a
-//     run that completes with a different digest memoizes as that digest.
+//	stage      castore kind  object key                   memory tier                     write-behind
+//	detect     profile       sha256(fp ‖ NUL ‖ identity)  Registry (count-bounded)        probes
+//	compact    record        the stage hash               ResultCache (byte-bounded LRU)  probes; image first
+//	verifyrun  verify        the stage hash               fifoMap of run results          unprobed
+//
+// A stage node's key resolves under one flight table (resolve): memory, then
+// — by the flight's leader only — the disk loader, then local compute. The
+// replica set is read once per batch, ahead of the stage nodes, by the batch
+// prefetch (hotpath.go), which plants what the owners hold into memory; a
+// key it did not plant computes here, where its inputs already are. A
+// computed value is planted in memory and handed to the write-behind, which
+// stores its record locally and pushes it to every live remote owner; a
+// prefetched one is stored locally as received. A compute that errors
+// memoizes nothing; a verify run that completes with a different digest
+// memoizes as that digest.
 //
 // A key of any other stage is not memoized: it computes every time (a
 // batch's capped reference runs — negativa.Debloat's VerifySteps — when run
 // over this memo).
 //
 // Every peer-tier failure (transport error, downed owner, undecodable
-// payload) falls back to local compute: the cluster is an optimization
-// over a node that is fully capable alone, and correctness never depends
-// on a peer. One flight table spans the routed stages and the batch
-// prefetch (resolve): while a key's value stays resident in its memory
-// tier, the key computes once however many callers ask at once. A value
-// evicted between a leader's plant and a waiter's re-probe computes again —
-// the bound the tiers keep, not a second flight.
+// record) falls back to local compute: the cluster is an optimization over
+// a node that is fully capable alone, and correctness never depends on a
+// peer. While a key's value stays resident in its memory tier, the key
+// computes once however many callers ask at once. A value evicted between a
+// leader's plant and a waiter's re-probe computes again — the bound the
+// tiers keep, not a second flight.
 type StageMemo struct {
 	registry *Registry
 	cache    *ResultCache
-	// verify is verifyrun's memory tier; store, when non-nil, its disk tier
-	// (the registry and the cache hold their own handle on the same store).
+	// verify is verifyrun's memory tier; store, when non-nil, the disk tier
+	// of all three stages.
 	verify   *fifoMap[string, *mlruntime.Result]
 	store    *castore.Store
 	counters *metrics.CounterSet
 	// cluster, when non-nil, adds the owning-peer tier to every routed
 	// stage's lookups.
 	cluster *cluster.Cluster
-	// storeResult, replicateProfile and recordVerify, when non-nil, write a
-	// new artifact behind the batch — into the local store, when there is
-	// one, and to the named replica peers — so it reaches its disk tier and
-	// every live owner of its key without waiting for the repair loop. rec,
-	// when non-nil, is the record a prefetched value arrived as.
-	storeResult      func(hash string, ld *negativa.LibDebloat, rec []byte, peers []string)
-	replicateProfile func(pk ProfileKey, p *negativa.Profile, rec []byte, peers []string)
-	recordVerify     func(hash string, r *mlruntime.Result, peers []string)
+	// writeStage, when non-nil, writes a new value behind the batch — into
+	// the local store, when there is one, and to the named replica peers —
+	// so it reaches its disk tier and every live owner of its key without
+	// waiting for the repair loop. rec, when non-nil, is the record a
+	// prefetched value arrived as.
+	writeStage func(st *memoStage, hash string, v any, rec []byte, peers []string)
 
 	// The batch-prefetch hot path (hotpath.go). flights is the singleflight
 	// table spanning the prefetch and the stage nodes' own resolution of one
@@ -182,15 +299,6 @@ func NewStageMemo(registry *Registry, cache *ResultCache, counters *metrics.Coun
 // never detaches a cluster.
 func (m *StageMemo) AttachCluster(c *cluster.Cluster) { m.cluster = c }
 
-// replicaOwners returns the stage key's replica set (ring order, primary
-// first) and this node's ID, when a cluster is attached.
-func (m *StageMemo) replicaOwners(key plan.Key) (owners []string, self string) {
-	if m.cluster == nil {
-		return nil, ""
-	}
-	return m.cluster.Owners(key.String()), m.cluster.Self()
-}
-
 // without filters one node (self, or a replica already consulted) out of
 // a replica set.
 func without(peers []string, id string) []string {
@@ -204,71 +312,37 @@ func without(peers []string, id string) []string {
 }
 
 // GetOrCompute implements plan.Memo, attributing each value to the tier
-// that produced it. Detect, compact and verifyrun keys resolve under the hot
-// path's singleflight table (resolve). slot is the calling node's executor
-// slot: every wait on this consultation yields and re-acquires through it.
+// that produced it. A memoized stage's key resolves under the hot path's
+// singleflight table (resolve). slot is the calling node's executor slot:
+// every wait on this consultation yields and re-acquires through it.
 func (m *StageMemo) GetOrCompute(slot plan.Executor, key plan.Key, hint any, compute func() (any, error)) (any, plan.Source, error) {
-	switch key.Stage {
-	case negativa.StageDetect:
-		fp, wid, ok := negativa.SplitDetectHash(key.Hash)
-		if !ok {
-			break
-		}
-		pk := ProfileKey{Install: fp, Workload: wid}
-		return m.resolve(slot, key, func(bool) (any, plan.Source, bool) {
-			p, ok := m.registry.Get(pk)
-			if ok {
-				m.count("registry.hits")
-			}
-			return p, plan.SourceMemory, ok
-		}, func() (any, plan.Source, error) {
-			if p, ok := m.registry.Load(pk); ok {
-				m.count("registry.hits")
-				return p, plan.SourceDisk, nil
-			}
-			return m.detectLeader(key, pk, compute)
-		})
-	case negativa.StageCompact:
-		lib, _ := hint.(*elfx.Library)
-		return m.resolve(slot, key, func(again bool) (any, plan.Source, bool) {
-			if again && !m.cache.Contains(key.Hash) {
-				return nil, 0, false // quiet: the first probe counted the miss
-			}
-			if ld, ok := m.cache.Get(key.Hash); ok {
-				return ld, plan.SourceMemory, true
-			}
-			if again {
-				return nil, 0, false
-			}
-			ld, ok := m.cache.LoadStored(key.Hash, lib)
-			return ld, plan.SourceDisk, ok
-		}, func() (any, plan.Source, error) {
-			return m.compactLeader(key, compute)
-		})
-	case negativa.StageVerifyRun:
-		return m.resolve(slot, key, func(again bool) (any, plan.Source, bool) {
-			if again {
-				r, ok := m.verify.get(key.Hash)
-				return r, plan.SourceMemory, ok
-			}
-			return m.localVerify(key.Hash)
-		}, func() (any, plan.Source, error) {
-			return m.verifyLeader(key, compute)
-		})
+	st := memoStageOf(key.Stage)
+	if st == nil {
+		v, err := compute()
+		return v, plan.SourceComputed, err
 	}
-	v, err := compute()
-	return v, plan.SourceComputed, err
+	return m.resolve(slot, key, func(again bool) (any, plan.Source, bool) {
+		if again && !st.held(m, key.Hash) {
+			return nil, 0, false // quiet: the first probe counted the miss
+		}
+		v, ok := st.get(m, key.Hash)
+		if ok {
+			m.count(st.hits)
+		}
+		return v, plan.SourceMemory, ok
+	}, func() (any, plan.Source, error) {
+		return m.lead(st, key, hint, compute)
+	})
 }
 
-// resolve is the one loop every routed stage runs: probe the local tiers,
+// resolve is the one loop every routed stage runs: probe the memory tier,
 // and on a miss either wait out the key's current flight and probe again,
 // or win the flight, probe the memory tier once more, and lead. The second
 // probe is what makes the table a singleflight rather than check-then-act:
 // between this caller's miss and its winning the flight, an earlier leader
 // may have planted the value and ended its own flight, and without the
-// re-probe the key would compute twice. probe(again) reports a local-tier
-// value and its tier; again=true asks for the memory tier only (a leader
-// plants there before it ends its flight). A hit reads as the tier that
+// re-probe the key would compute twice. probe(again) reports a memory-tier
+// value; again=true asks quietly first. A hit reads as the tier that
 // planted it when a prefetch or probe marked the key (consumeSource).
 func (m *StageMemo) resolve(slot plan.Executor, key plan.Key, probe func(again bool) (any, plan.Source, bool), lead func() (any, plan.Source, error)) (any, plan.Source, error) {
 	for {
@@ -287,92 +361,102 @@ func (m *StageMemo) resolve(slot plan.Executor, key plan.Key, probe func(again b
 	return lead()
 }
 
-// detectLeader resolves one detect key the batch prefetch did not plant:
-// the replica set was already asked (or could not be reached), so the
-// leader does not re-ask it — local compute with write-back to every live
-// remote owner, the rule compact and verify follow too.
-func (m *StageMemo) detectLeader(key plan.Key, pk ProfileKey, compute func() (any, error)) (any, plan.Source, error) {
+// lead resolves a key whose flight it won and whose memory tier misses: the
+// disk loader, read once per flight, then local compute. It never asks the
+// replica set — the batch prefetch already did, or could not reach it — so a
+// miss computes here, where the install, the library image or the clone
+// already is, and only the value's record travels: planted in memory, then
+// written behind to the local store and every live remote owner. An errored
+// compute leaves nothing, so the next batch computes again.
+func (m *StageMemo) lead(st *memoStage, key plan.Key, hint any, compute func() (any, error)) (any, plan.Source, error) {
+	if v, ok := m.loadStored(st, key.Hash, hint); ok {
+		m.count(st.hits)
+		return v, plan.SourceDisk, nil
+	}
 	v, err := compute()
 	if err != nil {
 		return nil, plan.SourceComputed, err
 	}
-	p := v.(*negativa.Profile)
-	m.registry.Put(pk, p)
-	m.count("registry.misses")
-	if m.replicateProfile != nil {
-		owners, self := m.replicaOwners(key)
-		m.replicateProfile(pk, p, nil, without(owners, self))
+	st.put(m, key.Hash, v)
+	m.count(st.misses)
+	if m.writeStage != nil {
+		var owners []string
+		if m.cluster != nil {
+			owners = without(m.cluster.Owners(key.String()), m.cluster.Self())
+		}
+		m.writeStage(st, key.Hash, v, nil, owners)
 	}
 	return v, plan.SourceComputed, nil
 }
 
-// compactLeader resolves one compact key the batch prefetch did not plant:
-// local compute with write-back to every live remote owner. Its input is a
-// library image only this node is sure to hold, and shipping it costs far
-// more than compacting it here.
-func (m *StageMemo) compactLeader(key plan.Key, compute func() (any, error)) (any, plan.Source, error) {
-	v, err := compute()
+// loadStored is the one disk loader. Has comes before Get (storedKey), so
+// a key the store lacks costs no store miss. The record decodes under the
+// hash asked for; one that does not — corrupt, filed under another key,
+// written in an older format, or bound to another library — is deleted
+// (unless a job pins it), so the recompute it forces can store it again. A
+// hit is planted in the memory tier.
+func (m *StageMemo) loadStored(st *memoStage, hash string, hint any) (any, bool) {
+	okey, ok := m.storedKey(st, hash)
+	if !ok {
+		return nil, false
+	}
+	raw, ok := m.store.Get(st.kind, okey)
+	if !ok {
+		return nil, false
+	}
+	v, err := st.decode(hash, hint, raw)
 	if err != nil {
-		return nil, plan.SourceComputed, err
+		m.store.Delete(st.kind, okey)
+		return nil, false
 	}
-	ld := v.(*negativa.LibDebloat)
-	m.cache.Put(key.Hash, ld)
-	if m.storeResult != nil {
-		owners, self := m.replicaOwners(key)
-		m.storeResult(key.Hash, ld, nil, without(owners, self))
-	}
-	return v, plan.SourceComputed, nil
+	st.put(m, hash, v)
+	return v, true
 }
 
-// verifyLeader resolves one verifyrun key no tier holds: run here, on the
-// batch's clone, then plant the record in memory and hand it to the
-// write-behind hook (local store, replica owners). An errored run leaves no
-// record, so the next batch runs again.
-func (m *StageMemo) verifyLeader(key plan.Key, compute func() (any, error)) (any, plan.Source, error) {
-	v, err := compute()
-	if err != nil {
-		return nil, plan.SourceComputed, err
+// record is a lookup-batch answer: the record the disk tier keeps for the
+// key — a memory-tier value encoded to the same bytes, else the stored
+// bytes as they are (the requester's decode is the check).
+func (m *StageMemo) record(st *memoStage, hash string) ([]byte, bool) {
+	if v, ok := st.get(m, hash); ok {
+		rec, err := st.encode(hash, v)
+		return rec, err == nil
 	}
-	r := v.(*mlruntime.Result)
-	m.verify.put(key.Hash, r)
-	if m.recordVerify != nil {
-		owners, self := m.replicaOwners(key)
-		m.recordVerify(key.Hash, r, without(owners, self))
+	okey, ok := m.storedKey(st, hash)
+	if !ok {
+		return nil, false
 	}
-	return v, plan.SourceComputed, nil
+	return m.store.Get(st.kind, okey)
 }
 
-// localVerify reads a verifyrun key from this node's own tiers: memory, then
-// the stored record, promoted into memory. Any absence or corruption is a
-// miss — the caller re-runs.
-func (m *StageMemo) localVerify(hash string) (*mlruntime.Result, plan.Source, bool) {
-	if r, ok := m.verify.get(hash); ok {
-		return r, plan.SourceMemory, true
-	}
+// storedKey returns the key's castore object key when the store holds it —
+// the presence probe every disk read asks first, so a key the store lacks
+// costs no store miss.
+func (m *StageMemo) storedKey(st *memoStage, hash string) (string, bool) {
 	if m.store == nil {
-		return nil, 0, false
+		return "", false
 	}
-	r, ok := loadVerifyRecord(m.store, hash)
-	if ok {
-		m.verify.put(hash, r)
-	}
-	return r, plan.SourceDisk, ok
+	okey := st.objectKey(hash)
+	return okey, m.store.Has(st.kind, okey)
 }
 
 // probeVerify is the verify-probe node's one look at a verifyrun key before
-// the batch decides whether to build a clone. A record found on disk is
-// marked, so the member's own node reads it from memory and still reports
-// SourceDisk.
+// the batch decides whether to build a clone: memory, then the disk loader.
+// A record found on disk is marked, so the member's own node reads it from
+// memory and still reports SourceDisk.
 func (m *StageMemo) probeVerify(key plan.Key) (*mlruntime.Result, bool) {
-	r, src, ok := m.localVerify(key.Hash)
-	if ok && src == plan.SourceDisk {
-		m.markPlanted(key, src)
+	st := memoStageOf(key.Stage)
+	v, ok := st.get(m, key.Hash)
+	if !ok {
+		if v, ok = m.loadStored(st, key.Hash, nil); ok {
+			m.markPlanted(key, plan.SourceDisk)
+		}
 	}
+	r, _ := v.(*mlruntime.Result)
 	return r, ok
 }
 
 func (m *StageMemo) count(name string) {
-	if m.counters != nil {
+	if m.counters != nil && name != "" {
 		m.counters.Add(name, 1)
 	}
 }

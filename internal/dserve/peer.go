@@ -10,7 +10,6 @@ import (
 
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
-	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
 )
 
@@ -35,16 +34,27 @@ import (
 //
 // No route runs analysis. Every stage is read-through only: a miss ships
 // no payload, and the requester — which holds the install and the library
-// images — computes the stage itself and writes the profile, the
-// O(ranges) result, or the verify record back to the key's owners
-// (repair.go). A replica's verify record is trusted exactly as a replica's
-// profile is: under the key it was asked for. The install itself follows
-// its profiles: a node that generated it offers it to the owners the
-// profiles were written to, which pull it behind the batch.
-// A compact lookup answers with the result's record, the very bytes the
-// castore disk tier holds (negativa.EncodeRecord), which the requester
-// decodes against its own live library — the digest-bound record makes a
-// mismatched or corrupted payload a decode error, never a wrong image.
+// images — computes the stage itself and writes the value's record back to
+// the key's owners (repair.go). The install itself follows its profiles: a
+// node that generated it offers it to the owners the profiles were written
+// to, which pull it behind the batch.
+//
+// lookup-batch moves one form per stage: a found key answers `record`, the
+// bytes the node's disk tier keeps for it (a value held only in memory
+// encodes to the same bytes). The requester decodes it with the disk tier's
+// own decode, under the key it asked for, and writes the received bytes
+// behind verbatim. The memoStages table holds the rules:
+//
+//	stage      kind     object key                   memory tier   write-behind
+//	detect     profile  sha256(fp ‖ NUL ‖ identity)  Registry      probes
+//	compact    record   the stage hash               ResultCache   probes, image first
+//	verifyrun  verify   the stage hash               fifoMap       unprobed
+//
+// A profile record names the (fingerprint, identity) it belongs to, a
+// compact record is bound to its library's digest, a verify record carries
+// its stage hash: a record that does not decode under the key asked for —
+// corrupt, or filed under another key — is a fallback to local compute,
+// never someone else's value.
 //
 // A ring runs one protocol: a peer that answers any of these routes with a
 // non-2xx status is a failed peer for that call, and a failed peer means
@@ -57,14 +67,11 @@ type peerLookupRequest struct {
 	Hash  string `json:"hash"`
 }
 
-// peerLookupResponse carries the stage value when found: the profile's
-// record for detect stages, the result's record for compact stages, the
-// run's result for verifyrun stages.
+// peerLookupResponse carries the stage value when found: the record its
+// disk tier keeps (see memoStages).
 type peerLookupResponse struct {
-	Found   bool              `json:"found"`
-	Profile []byte            `json:"profile,omitempty"`
-	Record  []byte            `json:"record,omitempty"`
-	Verify  *mlruntime.Result `json:"verify,omitempty"`
+	Found  bool   `json:"found"`
+	Record []byte `json:"record,omitempty"`
 }
 
 // peerBatchLookupRequest asks a peer for many stage values in one round
@@ -167,38 +174,20 @@ func decodePeerBody(w http.ResponseWriter, r *http.Request, limit int64, into an
 }
 
 // lookupStage resolves one read-through key against this node's local
-// tiers (memory, then castore), answering in durable wire form. The error
-// names an unservable key (unknown stage, malformed hash); a clean miss is
-// found=false with no error.
-func (s *Service) lookupStage(key peerLookupRequest) (peerLookupResponse, error) {
-	resp := peerLookupResponse{}
-	switch key.Stage {
-	case negativa.StageDetect:
-		fp, wid, ok := negativa.SplitDetectHash(key.Hash)
-		if !ok {
-			return resp, errors.New("malformed detect hash")
-		}
-		resp.Profile, resp.Found = s.Registry.record(ProfileKey{Install: fp, Workload: wid})
-	case negativa.StageCompact:
-		// The disk tier answers with the stored bytes as they are: the
-		// requester's decode is the check. A result with nothing to
-		// encode, or a store miss, leaves Record nil: found=false.
-		if ld, ok := s.Cache.Get(key.Hash); ok {
-			resp.Record, _ = negativa.EncodeRecord(ld)
-		} else if s.store != nil {
-			resp.Record, _ = s.store.Get(kindRecord, key.Hash)
-		}
-		resp.Found = resp.Record != nil
-	case negativa.StageVerifyRun:
-		r, _, ok := s.stages.localVerify(key.Hash)
-		resp.Found, resp.Verify = ok, r
-	default:
-		return resp, fmt.Errorf("stage %q has no peer lookup", key.Stage)
+// tiers (memory, then castore), answering the record its disk tier keeps. A
+// clean miss, an unknown stage or a malformed hash (held under no key) is
+// found=false.
+func (s *Service) lookupStage(key peerLookupRequest) peerLookupResponse {
+	st := memoStageOf(key.Stage)
+	if st == nil {
+		return peerLookupResponse{}
 	}
-	if resp.Found {
-		s.Counters.Add("peer.served_hits", 1)
+	rec, found := s.stages.record(st, key.Hash)
+	if !found {
+		return peerLookupResponse{}
 	}
-	return resp, nil
+	s.Counters.Add("peer.served_hits", 1)
+	return peerLookupResponse{Found: true, Record: rec}
 }
 
 // handlePeerLookupBatch is the scatter-gather read-through route: many
@@ -221,11 +210,7 @@ func (s *Service) handlePeerLookupBatch(w http.ResponseWriter, r *http.Request) 
 	s.Counters.Add("peer.served_lookups", int64(len(req.Keys)))
 	resp := peerBatchLookupResponse{Results: make([]peerLookupResponse, len(req.Keys))}
 	for i, key := range req.Keys {
-		lr, err := s.lookupStage(key)
-		if err != nil {
-			continue // found=false in place
-		}
-		resp.Results[i] = lr
+		resp.Results[i] = s.lookupStage(key)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

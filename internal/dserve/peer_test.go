@@ -62,7 +62,7 @@ func TestPeerLookupMissesAndRejections(t *testing.T) {
 		t.Fatalf("%d results for %d keys", len(resp.Results), len(req.Keys))
 	}
 	for i, lr := range resp.Results {
-		if lr.Found || lr.Profile != nil || lr.Record != nil {
+		if lr.Found || lr.Record != nil {
 			t.Fatalf("key %+v: lookup invented a result: %+v", req.Keys[i], lr)
 		}
 	}

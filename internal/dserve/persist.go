@@ -3,7 +3,6 @@ package dserve
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -29,11 +28,12 @@ const (
 	// reads those kinds, so such a store recomputes its compact stages.
 	kindRecord = "record"
 	// kindProfile holds detection profiles as binary records
-	// (negativa.EncodeProfile), keyed by profileObjectKey. An older store's
-	// JSON profiles fail to decode, are deleted when read, and recompute.
+	// (negativa.EncodeProfile), keyed by profileObjectKey of the detect
+	// hash. An older store's JSON profiles fail to decode, are deleted when
+	// read, and recompute.
 	kindProfile = "profile"
-	// kindVerify holds verification-run records (JSON), keyed by the
-	// verifyrun-stage hash (negativa.VerifyRunKey).
+	// kindVerify holds verification-run records (storedVerify JSON),
+	// keyed by the verifyrun-stage hash (negativa.VerifyRunKey).
 	kindVerify = "verify"
 	// kindJob holds job manifests (JSON), keyed by job ID.
 	kindJob = "job"
@@ -68,61 +68,22 @@ func spillResult(st *castore.Store, key string, ld *negativa.LibDebloat) error {
 	return nil
 }
 
-// loadResult reads a locate+compact result from the store against a live
-// library (the warm-disk path inside a running batch: the install is
-// already in memory, only the result comes from disk). The record is a
-// few hundred bytes, so one checksummed Get reads it; a mapping costs more
-// than the bytes. Returns false on any absence or corruption — the caller
-// recomputes. A well-framed record that does not decode against lib is
-// deleted here (unless a job pins it), so the recompute it forces can
-// write the record again.
-func loadResult(st *castore.Store, key string, lib *elfx.Library) (*negativa.LibDebloat, bool) {
-	raw, ok := st.Get(kindRecord, key)
-	if !ok {
-		return nil, false
-	}
-	ld, err := negativa.DecodeRecord(lib, raw)
-	if err != nil {
-		st.Delete(kindRecord, key)
-		return nil, false
-	}
-	return ld, true
-}
-
-// profileObjectKey derives the castore key of a profile entry. Profile keys
+// profileObjectKey derives the castore key of a profile record from its
+// detect stage hash (install fingerprint ‖ NUL ‖ workload identity). Both
 // are free-form strings (workload identities embed model names and device
-// lists), so they are digested into the path-safe content-address space.
-func profileObjectKey(key ProfileKey) string {
-	h := sha256.New()
-	h.Write([]byte(key.Install))
-	h.Write([]byte{0})
-	h.Write([]byte(key.Workload))
-	return hex.EncodeToString(h.Sum(nil))
+// lists), so the hash is digested into the path-safe content-address space.
+func profileObjectKey(hash string) string {
+	sum := sha256.Sum256([]byte(hash))
+	return hex.EncodeToString(sum[:])
 }
 
-// storedVerify is the on-disk and pushed form of one verify record: the
-// run's result beside the stage hash it answers, so an object filed under
-// the wrong key reads as corruption rather than as someone else's outcome.
+// storedVerify is the one form of a verify record, on disk and on the wire:
+// the run's result beside the stage hash it answers, so an object filed or
+// served under the wrong key reads as corruption rather than as someone
+// else's outcome.
 type storedVerify struct {
 	Key    string            `json:"key"`
 	Result *mlruntime.Result `json:"result"`
-}
-
-// loadVerifyRecord reads one verify record from the store. A frame that
-// fails its checksum is dropped by the store itself; a well-framed object
-// that does not parse as this key's record is deleted here, so the re-run
-// it forces can write the record again.
-func loadVerifyRecord(st *castore.Store, hash string) (*mlruntime.Result, bool) {
-	raw, ok := st.Get(kindVerify, hash)
-	if !ok {
-		return nil, false
-	}
-	var sv storedVerify
-	if json.Unmarshal(raw, &sv) != nil || sv.Key != hash || sv.Result == nil {
-		st.Delete(kindVerify, hash)
-		return nil, false
-	}
-	return sv.Result, true
 }
 
 // jobManifest is the durable root of one completed job: request, outcome

@@ -399,7 +399,9 @@ func TestRegistryReplay(t *testing.T) {
 	st1 := openStore(t, dir)
 	svc1 := NewService(Config{Store: st1})
 	svc1.Registry.Put(key, p)
-	svc1.replicateProfile(key, p, nil, nil)
+	dk := negativa.DetectKey(key.Install, key.Workload)
+	ms := memoStageOf(dk.Stage)
+	svc1.writeStage(ms, dk.Hash, p, nil, nil)
 	svc1.Close()
 	st1.Close()
 
@@ -884,8 +886,8 @@ func TestJobEvictionReleasesStoreRefs(t *testing.T) {
 
 // BenchmarkDiskHit is the disk tier's cost per hit: the compact results of
 // a persisted pytorch141 batch (the four CV/NLP members at 4 steps), read
-// back through ResultCache.LoadStored from a reopened store against the
-// live libraries, one result per op. ns/op, B/op and allocs/op are per
+// back through the stage memo's disk loader from a reopened store against
+// the live libraries and planted in the result cache, one result per op. ns/op, B/op and allocs/op are per
 // hit; us/hit restates ns/op in the unit the disk_restore budget uses.
 func BenchmarkDiskHit(b *testing.B) {
 	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 141})
@@ -908,16 +910,40 @@ func BenchmarkDiskHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	cache := NewResultCache(1<<40, nil)
-	cache.AttachStore(st)
+	m := NewStageMemo(NewRegistry(), NewResultCache(1<<40, nil), nil)
+	m.store = st
+	ms := memoStageOf(negativa.StageCompact)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(res.Libs)
-		if _, ok := cache.LoadStored(res.libKeys[j], res.Libs[j].Sparse.Lib()); !ok {
+		if _, ok := m.loadStored(ms, res.libKeys[j], res.Libs[j].Sparse.Lib()); !ok {
 			b.Fatalf("%s: no disk hit", res.Libs[j].Name)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/hit")
+}
+
+// TestColdBatchCountsNoStoreMisses pins the one disk-probe rule: every
+// memoized stage asks the store whether it holds a key before reading it,
+// so a cold batch over an empty store — every detect, compact and verifyrun
+// key absent — costs no store miss.
+func TestColdBatchCountsNoStoreMisses(t *testing.T) {
+	in, ws := persistTestInstall(t)
+	st := openStore(t, t.TempDir())
+	svc := NewService(Config{Workers: 2, MaxSteps: 2, Store: st})
+	defer svc.Close()
+	before := st.Stats().Misses
+	res, err := svc.DebloatBatch(in, ws, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.WaitReplication()
+	if res.CacheMisses != len(in.LibNames) || !res.AllVerified() {
+		t.Fatalf("%d of %d compacts computed, verified %v; want a cold, verified batch", res.CacheMisses, len(in.LibNames), res.AllVerified())
+	}
+	if got := st.Stats().Misses - before; got != 0 {
+		t.Fatalf("a cold batch counted %d store misses, want 0", got)
+	}
 }

@@ -17,8 +17,9 @@ type ProfileKey struct {
 	Workload string
 }
 
-// Registry stores detection profiles for reuse across jobs: a memory tier
-// over the attached store's profile records (negativa.EncodeProfile), read
+// Registry stores detection profiles for reuse across jobs: the detect
+// stage's memory tier, over the attached store's profile records
+// (negativa.EncodeProfile), which the stage memo's disk loader reads
 // through on a memory miss. Stored profiles are immutable and shared;
 // callers must not mutate them. Both tiers are bounded to
 // DefaultRegistryEntries, oldest first (workload identities are
@@ -43,8 +44,9 @@ func NewRegistry() *Registry {
 	return &Registry{profiles: newFifoMap[ProfileKey, *negativa.Profile](DefaultRegistryEntries), stored: newFifoMap[string, struct{}](DefaultRegistryEntries)}
 }
 
-// AttachStore gives the registry its disk tier; call before serving. The
-// profiles already stored count against the on-disk bound unread.
+// AttachStore gives the registry the store its on-disk bound deletes from;
+// call before serving. The profiles already stored count against the bound
+// unread.
 func (r *Registry) AttachStore(st *castore.Store) {
 	r.store.Store(st)
 	st.Walk(kindProfile, func(key string, _ int64) error {
@@ -53,14 +55,14 @@ func (r *Registry) AttachStore(st *castore.Store) {
 	})
 }
 
-// Put plants a profile computed here or received from a peer in memory.
-// With a store attached, the caller writes its record behind
-// (Service.replicateProfile), and Put counts that object against the
-// on-disk bound.
+// Put plants a profile in memory. With a store attached, Put counts its
+// record against the on-disk bound: a profile computed here or received
+// from a peer is written behind (Service.writeStage), and one read from
+// disk is already there.
 func (r *Registry) Put(key ProfileKey, p *negativa.Profile) {
 	r.profiles.put(key, p)
 	if r.store.Load() != nil {
-		r.noteStored(profileObjectKey(key))
+		r.noteStored(profileObjectKey(negativa.DetectKey(key.Install, key.Workload).Hash))
 	}
 }
 
@@ -75,52 +77,6 @@ func (r *Registry) noteStored(objectKey string) {
 
 // Get returns the key's profile from the memory tier.
 func (r *Registry) Get(key ProfileKey) (*negativa.Profile, bool) { return r.profiles.get(key) }
-
-// Load reads the key's profile from the disk tier and plants it in
-// memory. A record that does not decode as this key's profile — corrupt,
-// filed under another key, or written in an older format — is deleted, so
-// the recompute it forces can store it again. A plant adds no object, so
-// it deletes none.
-func (r *Registry) Load(key ProfileKey) (*negativa.Profile, bool) {
-	st := r.store.Load()
-	if st == nil {
-		return nil, false
-	}
-	okey := profileObjectKey(key)
-	if !st.Has(kindProfile, okey) {
-		return nil, false
-	}
-	raw, ok := st.Get(kindProfile, okey)
-	p, err := negativa.DecodeProfile(raw, key.Install, key.Workload)
-	if !ok || err != nil {
-		st.Delete(kindProfile, okey)
-		return nil, false
-	}
-	r.profiles.put(key, p)
-	return p, true
-}
-
-// record returns the key's profile record, the lookup-batch answer: the
-// memory tier's profile re-encoded, else the stored bytes as they are.
-func (r *Registry) record(key ProfileKey) ([]byte, bool) {
-	if p, ok := r.profiles.get(key); ok {
-		rec, err := negativa.EncodeProfile(key.Install, key.Workload, p)
-		return rec, err == nil
-	}
-	if !r.Has(key) {
-		return nil, false
-	}
-	return r.store.Load().Get(kindProfile, profileObjectKey(key))
-}
-
-// Has reports whether the key's profile is in memory or on disk, without
-// reading it — the batch prefetch's local-presence probe. Probing before a
-// read keeps a key the store lacks from counting as a store miss.
-func (r *Registry) Has(key ProfileKey) bool {
-	_, ok := r.profiles.get(key)
-	st := r.store.Load()
-	return ok || st != nil && st.Has(kindProfile, profileObjectKey(key))
-}
 
 // Len returns the number of profiles in the memory tier.
 func (r *Registry) Len() int { return r.profiles.size() }

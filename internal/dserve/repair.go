@@ -3,13 +3,12 @@ package dserve
 // The replication plane: keeps every stage artifact present on all R
 // owners of its ring key. Two mechanisms cooperate:
 //
-//   - The write-behind (writeBehind, fed by storeResult, replicateProfile
-//     and recordVerify): the stage memo hands every new compact result,
-//     detect profile and verify record here. Its objects go to the local
-//     store, when there is one, and to the live remote owners (library
-//     image, then the result's record; the profile's record; the verify
-//     record), behind the batch — new artifacts converge without waiting
-//     for a repair sweep.
+//   - The write-behind (writeBehind, fed by writeStage): the stage memo
+//     hands every new value of a memoized stage here, as the record its
+//     disk tier keeps (memoStages). The record — a compact result's library
+//     image first — goes to the local store, when there is one, and to the
+//     live remote owners, behind the batch: new artifacts converge without
+//     waiting for a repair sweep.
 //   - Anti-entropy repair (RepairNow, driven by the RepairInterval loop):
 //     each sweep walks the locally held replicable objects, derives each
 //     group's ring key, stat-probes the remote owners in chunks, and
@@ -27,16 +26,12 @@ package dserve
 
 import (
 	"bytes"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
 
 	"negativaml/internal/castore"
 	"negativaml/internal/elfx"
-	"negativaml/internal/mlruntime"
-	"negativaml/internal/negativa"
 	"negativaml/internal/plan"
 )
 
@@ -57,56 +52,31 @@ func resultObjects(hash string, lib *elfx.Library, rec []byte) []replObject {
 	return []replObject{{kindLib, digestHex(lib), lib.Data}, {kindRecord, hash, rec}}
 }
 
-// storeResult is the stage memo's write-behind hook for compact stages:
-// one result, encoded once, into the local store and to the named replica
-// peers. rec, when non-nil, is the record the result was decoded from (a
-// prefetched result is stored as received); otherwise it is encoded here.
-func (s *Service) storeResult(hash string, ld *negativa.LibDebloat, rec []byte, peers []string) {
-	if s.store == nil && len(peers) == 0 {
-		return
-	}
-	if rec == nil {
-		var err error
-		if rec, err = negativa.EncodeRecord(ld); err != nil {
-			return
-		}
-	}
-	s.writeBehind(resultObjects(hash, ld.Report.Sparse.Lib(), rec), peers, true)
-}
-
-// replicateProfile is the write-behind hook for detect stages: one
-// profile's record into the local store and to the named replica peers,
-// where it is an object like any other. rec, when non-nil, is the record
-// a prefetched profile was decoded from (stored as received); otherwise
-// it is encoded here.
-func (s *Service) replicateProfile(pk ProfileKey, p *negativa.Profile, rec []byte, peers []string) {
-	if s.store == nil && len(peers) == 0 {
-		return
-	}
-	if rec == nil {
-		var err error
-		if rec, err = negativa.EncodeProfile(pk.Install, pk.Workload, p); err != nil {
-			return
-		}
-	}
-	s.writeBehind([]replObject{{kindProfile, profileObjectKey(pk), rec}}, peers, true)
-}
-
-// recordVerify is the write-behind hook for verifyrun stages. A lost
-// record costs the next batch a re-run and is ordered against nothing (no
-// manifest names it), so it needs no SyncDirs of its own. A record is
+// writeStage is the stage memo's one write-behind hook: a memoized stage's
+// value, as the record its disk tier keeps, into the local store and to the
+// named replica peers. rec, when non-nil, is the record the value arrived
+// as (a prefetched value is stored as received); otherwise it is encoded
+// here. A compact result's library image goes first, so a record never
+// lands without what it decodes against. A verify record is ordered against
+// nothing (no manifest names it, and a lost one costs a re-run), and is
 // smaller than the stat probe that would ask about it, so peers are sent it
 // unprobed.
-func (s *Service) recordVerify(hash string, r *mlruntime.Result, peers []string) {
+func (s *Service) writeStage(st *memoStage, hash string, v any, rec []byte, peers []string) {
 	if s.store == nil && len(peers) == 0 {
 		return
 	}
-	data, err := json.Marshal(storedVerify{Key: hash, Result: r})
-	if err != nil {
-		s.Counters.Add("verify.record_errors", 1)
-		return
+	if rec == nil {
+		var err error
+		if rec, err = st.encode(hash, v); err != nil {
+			return
+		}
 	}
-	s.writeBehind([]replObject{{kindVerify, hash, data}}, peers, false)
+	okey := st.objectKey(hash)
+	objects := []replObject{{st.kind, okey, rec}}
+	if st.image != nil {
+		objects = resultObjects(okey, st.image(v), rec)
+	}
+	s.writeBehind(objects, peers, st.probe)
 }
 
 // spillConcurrency bounds the write-behind's concurrent local writers. A
@@ -215,39 +185,33 @@ func (s *Service) sendObjects(peers []string, objects []replObject, probe bool) 
 // to make the asynchronous write plane deterministic.
 func (s *Service) WaitReplication() { s.replWG.Wait() }
 
-// forEachOwnedGroup walks the store's replicable object kinds and hands
-// each replication group — a ring key plus the locally present objects
-// that must live wherever that key's owners are — to fn. A compact result
-// groups its shared library image (named by the digest at the record's
-// fixed offset) and its record under the compact stage key, image first;
-// profile records ride the detect stage key read from their own head; a
-// verify record's object key is its verifyrun stage hash, so its ring key
-// needs no payload read.
+// forEachOwnedGroup walks the store's memoized-stage kinds (memoStages)
+// and hands each replication group — a ring key plus the locally present
+// objects that must live wherever that key's owners are — to fn: a record
+// under its stage key, behind the library image it decodes against when
+// the store holds one. A stage whose object key is not its hash reads the
+// hash from the record's head.
 func (s *Service) forEachOwnedGroup(fn func(ringKey string, refs []peerObjectRef)) {
 	st := s.store
-	st.Walk(kindRecord, func(key string, _ int64) error {
-		var refs []peerObjectRef
-		if raw, ok := st.Get(kindRecord, key); ok {
-			if d, ok := negativa.RecordLibDigest(raw); ok {
-				if lk := hex.EncodeToString(d[:]); st.Has(kindLib, lk) {
-					refs = append(refs, peerObjectRef{Kind: kindLib, Key: lk})
-				}
+	for i := range memoStages {
+		ms := &memoStages[i]
+		st.Walk(ms.kind, func(okey string, _ int64) error {
+			hash, image, ok := okey, "", true
+			if ms.stored != nil {
+				raw, _ := st.Get(ms.kind, okey)
+				hash, image, ok = ms.stored(okey, raw)
 			}
-		}
-		fn(plan.Key{Stage: negativa.StageCompact, Hash: key}.String(), append(refs, peerObjectRef{Kind: kindRecord, Key: key}))
-		return nil
-	})
-	st.Walk(kindProfile, func(key string, _ int64) error {
-		raw, _ := st.Get(kindProfile, key)
-		if fp, wid, ok := negativa.ProfileRecordKey(raw); ok {
-			fn(negativa.DetectKey(fp, wid).String(), []peerObjectRef{{Kind: kindProfile, Key: key}})
-		}
-		return nil
-	})
-	st.Walk(kindVerify, func(key string, _ int64) error {
-		fn(plan.Key{Stage: negativa.StageVerifyRun, Hash: key}.String(), []peerObjectRef{{Kind: kindVerify, Key: key}})
-		return nil
-	})
+			if !ok {
+				return nil
+			}
+			var refs []peerObjectRef
+			if image != "" && st.Has(kindLib, image) {
+				refs = append(refs, peerObjectRef{Kind: kindLib, Key: image})
+			}
+			fn(plan.Key{Stage: ms.stage, Hash: hash}.String(), append(refs, peerObjectRef{Kind: ms.kind, Key: okey}))
+			return nil
+		})
+	}
 }
 
 // repairPlan accumulates the per-peer deduplicated object sets one sweep

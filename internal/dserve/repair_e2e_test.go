@@ -491,9 +491,9 @@ func TestLocalDetectWritesBackToOwners(t *testing.T) {
 	}
 	a.svc.WaitReplication()
 	for _, wo := range res.Workloads {
-		pk := ProfileKey{Install: res.InstallFP, Workload: wo.Identity}
-		for _, owner := range a.svc.Cluster().Owners(negativa.DetectKey(pk.Install, pk.Workload).String()) {
-			if !nodes[owner].svc.Registry.Has(pk) {
+		key := negativa.DetectKey(res.InstallFP, wo.Identity)
+		for _, owner := range a.svc.Cluster().Owners(key.String()) {
+			if !nodes[owner].svc.stages.localProbe(key) {
 				t.Fatalf("owner %s lacks the profile of %s after write-back", owner, wo.Name)
 			}
 		}

@@ -222,20 +222,17 @@ func NewService(cfg Config) *Service {
 		pendingRecords: map[string]int{},
 	}
 	s.writesDone = sync.NewCond(&s.writeMu)
-	// Every node writes behind through these hooks: its disk tier and, on a
+	// Every node writes behind through this hook: its disk tier and, on a
 	// ring, its replica owners.
 	s.stages = NewStageMemo(s.Registry, s.Cache, counters)
-	s.stages.storeResult = s.storeResult
-	s.stages.replicateProfile = s.replicateProfile
-	s.stages.recordVerify = s.recordVerify
+	s.stages.writeStage = s.writeStage
 	s.observer = stageObserver{c: counters, t: s.Timings, names: &sync.Map{}}
 	if cfg.Store != nil {
-		// Warm-restart wiring: the registry, the cache and the verify
-		// records gain their disk tier, and persisted job manifests come
-		// back as lazily-materialized done jobs.
+		// Warm-restart wiring: the three memoized stages gain their disk
+		// tier, and persisted job manifests come back as lazily-materialized
+		// done jobs.
 		s.store = cfg.Store
 		s.stages.store = cfg.Store
-		s.Cache.AttachStore(cfg.Store)
 		s.Registry.AttachStore(cfg.Store)
 		s.restoreJobs()
 	}

@@ -1,13 +1,18 @@
 package dserve
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"negativaml/internal/cluster"
 	"negativaml/internal/fatbin"
+	"negativaml/internal/metrics"
 	"negativaml/internal/mlframework"
 	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
@@ -368,7 +373,7 @@ func TestVerifyRecordCorruptionDegradesToRerun(t *testing.T) {
 				t.Fatal("the re-run must verify")
 			}
 			svc.WaitReplication()
-			if r, ok := loadVerifyRecord(st, keys[1].Hash); !ok || r.Digest != res.Workloads[1].RefDigest {
+			if r, ok := svc.stages.loadStored(memoStageOf(keys[1].Stage), keys[1].Hash, nil); !ok || r.(*mlruntime.Result).Digest != res.Workloads[1].RefDigest {
 				t.Fatalf("record not rewritten: ok=%v r=%+v", ok, r)
 			}
 		})
@@ -532,6 +537,68 @@ func BenchmarkDebloatedSetDigest(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(ranges), "ranges")
+		})
+	}
+}
+
+// TestPeerVerifyRecordDecodedUnderItsKey: a verify record a peer answers is
+// decoded under the key that was asked for. A record filed under another
+// hash counts as a fallback: nothing is planted, and the run happens here.
+func TestPeerVerifyRecordDecodedUnderItsKey(t *testing.T) {
+	key := plan.Key{Stage: negativa.StageVerifyRun, Hash: "asked"}
+	for _, tc := range []struct {
+		name, filed string
+		fromPeer    bool
+	}{
+		{"under the key asked for", "asked", true},
+		{"under another key", "someone-else", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec, err := json.Marshal(storedVerify{Key: tc.filed, Result: &mlruntime.Result{Digest: 7}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				var req peerBatchLookupRequest
+				json.NewDecoder(r.Body).Decode(&req)
+				resp := peerBatchLookupResponse{Results: make([]peerLookupResponse, len(req.Keys))}
+				for i := range resp.Results {
+					resp.Results[i] = peerLookupResponse{Found: true, Record: rec}
+				}
+				json.NewEncoder(w).Encode(resp)
+			}))
+			defer peer.Close()
+			counters := metrics.NewCounterSet()
+			m := NewStageMemo(NewRegistry(), NewResultCache(1<<20, nil), counters)
+			c := cluster.New("self", map[string]string{"peer": peer.URL}, cluster.Options{
+				ReplicaSets: 2, Counters: counters, Timeout: 30 * time.Second,
+			})
+			defer c.Close()
+			m.AttachCluster(c)
+
+			m.PrefetchLookups(nil, []prefetchItem{{key: key}})
+			ran := false
+			v, src, err := m.GetOrCompute(nil, key, nil, func() (any, error) {
+				ran = true
+				return &mlruntime.Result{Digest: 9}, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := v.(*mlruntime.Result).Digest
+			if tc.fromPeer && (ran || src != plan.SourcePeer || got != 7) {
+				t.Fatalf("ran=%v src=%v digest=%d; want the peer's record", ran, src, got)
+			}
+			if !tc.fromPeer && (!ran || src != plan.SourceComputed || got != 9) {
+				t.Fatalf("ran=%v src=%v digest=%d; want a local run", ran, src, got)
+			}
+			wantHits, wantFallbacks := int64(1), int64(0)
+			if !tc.fromPeer {
+				wantHits, wantFallbacks = 0, 1
+			}
+			if h, f := counters.Get("peer.hits"), counters.Get("peer.fallbacks"); h != wantHits || f != wantFallbacks {
+				t.Fatalf("peer.hits = %d, peer.fallbacks = %d; want %d and %d", h, f, wantHits, wantFallbacks)
+			}
 		})
 	}
 }
