@@ -2,7 +2,7 @@
 // API: it starts negativa-served's handler on a loopback listener with a
 // persistent data dir, submits a four-workload batch over one PyTorch
 // install, polls to completion, prints the union-debloat report, resubmits
-// the same job to show the profile registry and content-addressed cache
+// the same job to show the profile tier and content-addressed cache
 // absorbing all the work — then shuts the service down, boots a second one
 // on the same data dir, and fetches the first boot's job warm from disk:
 // byte-identical library, zero locate/compact runs.

@@ -19,9 +19,6 @@ import (
 
 // Options configure a Cluster.
 type Options struct {
-	// Replicas is the number of virtual ring points per node (default
-	// DefaultReplicas).
-	Replicas int
 	// ReplicaSets is R, the number of distinct ring successors that own
 	// each key (default 2). The first owner is the primary — the replica
 	// read first — and every owner holds a copy of the key's artifacts (write-back from whichever node computed them), so one
@@ -53,13 +50,6 @@ type Options struct {
 	// Timings, when non-nil, records per-peer request latency under
 	// peer.<node-id>.
 	Timings *metrics.TimingSet
-	// Client overrides the HTTP client (tests); Timeout is applied to the
-	// default client only. The default client rides a dedicated
-	// http.Transport tuned for the peer plane: keep-alive connection
-	// pooling sized for concurrent stage fan-out (the stock transport
-	// keeps only 2 idle connections per host, so bursts of peer lookups
-	// re-dial constantly).
-	Client *http.Client
 	// Secret, when non-empty, is the cluster's shared peer credential:
 	// every outgoing peer request carries it in the PeerSecretHeader, and
 	// the receiving node's /v1/peer/* handlers refuse requests without it.
@@ -300,20 +290,17 @@ func New(self string, peers map[string]string, opt Options) *Cluster {
 		tombstones: map[string]struct{}{},
 		stop:       make(chan struct{}),
 	}
-	c.client = opt.Client
-	if c.client == nil {
-		// Dedicated transport: the peer tier fans a batch's stages out
-		// concurrently, and net/http's default 2 idle connections per host
-		// would close and re-dial most of them between waves. Generous
-		// idle pools turn the steady state into pure keep-alive reuse.
-		c.client = &http.Client{
-			Timeout: opt.Timeout,
-			Transport: &http.Transport{
-				MaxIdleConns:        256,
-				MaxIdleConnsPerHost: 64,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		}
+	// Dedicated transport: the peer tier fans a batch's stages out
+	// concurrently, and net/http's default 2 idle connections per host
+	// would close and re-dial most of them between waves. Generous idle
+	// pools turn the steady state into pure keep-alive reuse.
+	c.client = &http.Client{
+		Timeout: opt.Timeout,
+		Transport: &http.Transport{
+			MaxIdleConns:        256,
+			MaxIdleConnsPerHost: 64,
+			IdleConnTimeout:     90 * time.Second,
+		},
 	}
 	for id, url := range peers {
 		if id == "" {
@@ -380,7 +367,7 @@ func (c *Cluster) rebuildRingLocked() {
 			nodes = append(nodes, id)
 		}
 	}
-	c.ring = NewRing(nodes, c.opt.Replicas)
+	c.ring = NewRing(nodes, DefaultReplicas)
 	c.exRings = nil
 }
 
@@ -422,7 +409,7 @@ func (c *Cluster) OwnersExcluding(id, key string) []string {
 				nodes = append(nodes, n)
 			}
 		}
-		ring = NewRing(nodes, c.opt.Replicas)
+		ring = NewRing(nodes, DefaultReplicas)
 		if c.exRings == nil {
 			c.exRings = map[string]*Ring{}
 		}

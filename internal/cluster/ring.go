@@ -8,10 +8,10 @@ import (
 )
 
 // DefaultReplicas is the number of virtual points each node contributes to
-// a Ring when the caller does not choose one. More replicas smooth the key
-// distribution (and the re-distribution when a node leaves) at the cost of
-// a larger sorted point slice; 64 keeps per-node load within a few percent
-// of uniform for small clusters.
+// a Cluster's ring, and to a Ring when the caller does not choose one. More
+// replicas smooth the key distribution (and the re-distribution when a node
+// leaves) at the cost of a larger sorted point slice; 64 keeps per-node load
+// within a few percent of uniform for small clusters.
 const DefaultReplicas = 64
 
 // ringPoint is one virtual node position on the hash circle.

@@ -31,10 +31,13 @@
 // up to three tiers — memory → disk → owning cluster peer — by the rules
 // of one table (memoStages):
 //
-//	stage      castore kind  object key                   memory tier                     write-behind
-//	detect     profile       sha256(fp ‖ NUL ‖ identity)  Registry (count-bounded)        probes
-//	compact    record        the stage hash               ResultCache (byte-bounded LRU)  probes; image first
-//	verifyrun  verify        the stage hash               fifoMap of run results          unprobed
+//	stage      castore kind  object key                   memory tier                                  write-behind
+//	detect     profile       sha256(fp ‖ NUL ‖ identity)  fifoMap of profiles, 1024, oldest first      probes
+//	compact    record        the stage hash               ResultCache, byte-bounded LRU                probes; image first
+//	verifyrun  verify        the stage hash               fifoMap of run results, 1024, oldest first   unprobed
+//
+// castore's byte budget (castore.Options.MaxBytes, least recently used
+// first) is the one disk bound, the same for every kind.
 //
 // Each entry also holds its record codec (negativa.EncodeProfile,
 // negativa.EncodeRecord, the storedVerify JSON): the record is what the

@@ -9,8 +9,8 @@ import (
 )
 
 // Example shows the in-process batch API: one install union-debloated
-// against two workloads, then a warm repeat served from the registry and
-// cache.
+// against two workloads, then a warm repeat served from the stage memo's
+// memory tiers.
 func Example() {
 	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 4})
 	if err != nil {

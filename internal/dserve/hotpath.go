@@ -21,7 +21,7 @@ import (
 // the batch's ready keys, groups them by replica set, and issues one
 // POST /v1/peer/lookup-batch per group, hedged through
 // cluster.HedgedCall so a stalled replica costs its p95 latency, not the
-// transport timeout. Found values land in the local tiers (registry /
+// transport timeout. Found values land in the memory tiers (profiles /
 // result cache / verify records) before the stage nodes consult the memo,
 // so the batch's wall clock is bounded by the slowest single round trip,
 // not the key count. The prefetch is the only remote read: a stage node

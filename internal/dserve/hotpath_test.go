@@ -118,8 +118,7 @@ func TestHedgedLookupSlowReplica(t *testing.T) {
 	defer fast.Close()
 
 	counters := metrics.NewCounterSet()
-	registry := NewRegistry()
-	m := NewStageMemo(registry, NewResultCache(1<<20, nil), counters)
+	m := NewStageMemo(NewResultCache(1<<20, nil), counters)
 	// "primary" sorts before "replica", so with no latency history yet the
 	// stalled node is the first read target of the group.
 	c := cluster.New("self", map[string]string{"primary": slow.URL, "replica": fast.URL}, cluster.Options{
@@ -156,8 +155,7 @@ func TestHedgedLookupSlowReplica(t *testing.T) {
 		t.Fatalf("hedged read took %v; it should complete well under the 100ms injected delay", wall)
 	}
 	for _, it := range items {
-		fp, wid, _ := negativa.SplitDetectHash(it.key.Hash)
-		if _, ok := registry.Get(ProfileKey{Install: fp, Workload: wid}); !ok {
+		if _, ok := m.profiles.get(it.key.Hash); !ok {
 			t.Fatalf("key %q was not planted by the answering replica", it.key.Hash)
 		}
 	}
@@ -293,7 +291,7 @@ func TestPrefetchSingleflightNoDuplicateRoundTrips(t *testing.T) {
 		srv := httptest.NewServer(fixture.handler())
 		t.Cleanup(srv.Close)
 		counters := metrics.NewCounterSet()
-		m := NewStageMemo(NewRegistry(), NewResultCache(1<<20, nil), counters)
+		m := NewStageMemo(NewResultCache(1<<20, nil), counters)
 		c := cluster.New("self", map[string]string{"peer": srv.URL}, cluster.Options{
 			ReplicaSets: 2, Counters: counters, Timeout: 30 * time.Second,
 		})
@@ -374,7 +372,7 @@ func TestPrefetchYieldsTheCallersSlot(t *testing.T) {
 	fixture := &lookupFixture{profile: testDetectProfile(t)}
 	srv := httptest.NewServer(fixture.handler())
 	defer srv.Close()
-	m := NewStageMemo(NewRegistry(), NewResultCache(1<<20, nil), metrics.NewCounterSet())
+	m := NewStageMemo(NewResultCache(1<<20, nil), metrics.NewCounterSet())
 	c := cluster.New("self", map[string]string{"peer": srv.URL}, cluster.Options{ReplicaSets: 2, Timeout: 30 * time.Second})
 	defer c.Close()
 	m.AttachCluster(c)
@@ -524,7 +522,7 @@ func TestPeerLookupBatchRoute(t *testing.T) {
 	soloCluster(svc)
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
-	svc.Registry.Put(ProfileKey{Install: "fp", Workload: "w"}, testDetectProfile(t))
+	svc.stages.profiles.put(negativa.DetectKey("fp", "w").Hash, testDetectProfile(t))
 
 	req := peerBatchLookupRequest{Keys: []peerLookupRequest{
 		{Stage: negativa.StageCompact, Hash: "absent"},
@@ -571,8 +569,7 @@ func TestShortLookupAnswerTriesNextReplica(t *testing.T) {
 	defer b.Close()
 
 	counters := metrics.NewCounterSet()
-	registry := NewRegistry()
-	m := NewStageMemo(registry, NewResultCache(1<<20, nil), counters)
+	m := NewStageMemo(NewResultCache(1<<20, nil), counters)
 	// Every key is owned by all three nodes, so both stubs are its remote
 	// replicas; no hedge, so whichever is asked first answers short.
 	c := cluster.New("self", map[string]string{"a": a.URL, "b": b.URL}, cluster.Options{
@@ -587,8 +584,7 @@ func TestShortLookupAnswerTriesNextReplica(t *testing.T) {
 	}
 	m.PrefetchLookups(nil, items)
 	for _, it := range items {
-		fp, wid, _ := negativa.SplitDetectHash(it.key.Hash)
-		if _, ok := registry.Get(ProfileKey{Install: fp, Workload: wid}); !ok {
+		if _, ok := m.profiles.get(it.key.Hash); !ok {
 			t.Fatalf("key %q was not planted from the second replica", it.key.Hash)
 		}
 	}

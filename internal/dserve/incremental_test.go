@@ -408,21 +408,21 @@ func TestSharedMemoAcrossPlanners(t *testing.T) {
 }
 
 // TestStageMemoRoutesTiers pins the memo's stage routing: detect keys land
-// in the registry, compact keys in the result cache, and a key of any other
+// in the detect tier, compact keys in the result cache, and a key of any other
 // stage is not memoized at all.
 func TestStageMemoRoutesTiers(t *testing.T) {
 	svc := NewService(Config{Workers: 2, MaxSteps: 2})
 	defer svc.Close()
 
-	// Detect: a computed profile must be visible through the registry.
+	// Detect: a computed profile must be visible in the detect tier.
 	key := negativa.DetectKey("fp-1", "wid-1")
 	p := &negativa.Profile{Workload: "w"}
 	v, src, err := svc.stages.GetOrCompute(nil, key, nil, func() (any, error) { return p, nil })
 	if err != nil || src.Hit() || v.(*negativa.Profile) != p {
 		t.Fatalf("detect compute: v=%v src=%v err=%v", v, src, err)
 	}
-	if got, ok := svc.Registry.Get(ProfileKey{Install: "fp-1", Workload: "wid-1"}); !ok || got != p {
-		t.Fatal("detect result must land in the registry")
+	if got, ok := svc.stages.profiles.get(key.Hash); !ok || got != p {
+		t.Fatal("detect result must land in the detect tier")
 	}
 	if _, src, _ = svc.stages.GetOrCompute(nil, key, nil, func() (any, error) { t.Fatal("must hit"); return nil, nil }); !src.Hit() {
 		t.Fatal("detect re-lookup must hit")

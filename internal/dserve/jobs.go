@@ -784,10 +784,10 @@ func (s *Service) materialize(m *jobManifest) (*BatchResult, error) {
 }
 
 // restoredLib loads and parses a library image from the store, memoized by
-// content digest so restored jobs sharing libraries parse each image once.
-// Failures are returned but never memoized: a missing object may reappear
-// (recomputed and re-spilled by a later batch), and the next call must see
-// it.
+// content digest (the newest 64 images, oldest evicted first) so restored
+// jobs sharing libraries parse each image once. Failures are returned but
+// never memoized: a missing object may reappear (recomputed and re-spilled
+// by a later batch), and the next call must see it.
 //
 // The image is opened via castore.OpenMapped, so a restored library's bytes
 // are a pinned page-cache view, not a heap copy. The mapping's lifetime is
@@ -796,24 +796,21 @@ func (s *Service) materialize(m *jobManifest) (*BatchResult, error) {
 // OpenLibStream response over it — becomes unreachable. Eviction can
 // therefore never yank pages out from under a live response.
 func (s *Service) restoredLib(digest, name string) (*elfx.Library, error) {
-	type parsed struct {
-		lib *elfx.Library
-		err error
+	if lib, ok := s.restoredLibs.get(digest); ok {
+		return lib, nil
 	}
-	v := s.restoredLibs.getOK(digest, func() (any, bool) {
-		m, ok := s.store.OpenMapped(kindLib, digest)
-		if !ok {
-			return parsed{err: fmt.Errorf("library image %.12s… missing from store", digest)}, false
-		}
-		lib, err := elfx.Parse(name, m.Data())
-		if err != nil {
-			m.Close()
-			return parsed{err: err}, false
-		}
-		runtime.SetFinalizer(lib, func(*elfx.Library) { m.Close() })
-		return parsed{lib: lib}, true
-	}).(parsed)
-	return v.lib, v.err
+	m, ok := s.store.OpenMapped(kindLib, digest)
+	if !ok {
+		return nil, fmt.Errorf("library image %.12s… missing from store", digest)
+	}
+	lib, err := elfx.Parse(name, m.Data())
+	if err != nil {
+		m.Close()
+		return nil, err
+	}
+	runtime.SetFinalizer(lib, func(*elfx.Library) { m.Close() })
+	s.restoredLibs.put(digest, lib)
+	return lib, nil
 }
 
 // LibStream is an open handle on one debloated library of a completed job.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"sync"
-	"sync/atomic"
 
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
@@ -16,45 +15,12 @@ import (
 	"negativaml/internal/plan"
 )
 
-// boundedMemo is a pointer-keyed memo for values derived from immutable
-// inputs (install fingerprints, library content digests). It is wiped once
-// it holds max entries: the keys pin their objects against garbage
-// collection, so the memo must not grow unbounded. Concurrent computes for
-// the same key may run twice; both store the same value, so the race is
-// benign.
-type boundedMemo struct {
-	m   sync.Map
-	n   atomic.Int64
-	max int64
-}
-
-func newBoundedMemo(max int64) *boundedMemo { return &boundedMemo{max: max} }
-
-// getOK returns the memoized value for key, computing and storing it on
-// first sight. A compute returning ok=false hands its value through
-// without memoizing it, so transient failures (a store object momentarily
-// absent) are retried on the next call instead of being cached forever.
-func (b *boundedMemo) getOK(key any, compute func() (any, bool)) any {
-	if v, ok := b.m.Load(key); ok {
-		return v
-	}
-	v, ok := compute()
-	if !ok {
-		return v
-	}
-	if b.n.Add(1) > b.max {
-		b.m.Range(func(k, _ any) bool { b.m.Delete(k); return true })
-		b.n.Store(0)
-	}
-	b.m.Store(key, v)
-	return v
-}
-
-// fifoMap is a map bounded by entry count that evicts oldest-inserted
-// first — the memory tier of the profile registry and of the verify-record
-// memo. Both are keyed by client-controlled identities, so the bound is what
-// keeps a sweeping client from growing a long-running service without limit.
-// Stored values are immutable and shared.
+// fifoMap is dserve's one count-bounded map: it evicts oldest-inserted
+// first. It is the memory tier of the detect and verifyrun stages, keyed by
+// client-controlled identities, so the bound is what keeps a sweeping client
+// from growing a long-running service without limit; and the restored-image
+// memo, whose values pin mapped store objects. Stored values are immutable
+// and shared.
 type fifoMap[K comparable, V any] struct {
 	mu    sync.RWMutex
 	max   int
@@ -66,9 +32,9 @@ func newFifoMap[K comparable, V any](max int) *fifoMap[K, V] {
 	return &fifoMap[K, V]{max: max, m: map[K]V{}}
 }
 
-// put stores v under k (re-putting a key keeps its age) and returns the keys
-// evicted to stay within the bound.
-func (f *fifoMap[K, V]) put(k K, v V) (evicted []K) {
+// put stores v under k (re-putting a key keeps its age), evicting the oldest
+// keys beyond the bound.
+func (f *fifoMap[K, V]) put(k K, v V) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, exists := f.m[k]; !exists {
@@ -76,12 +42,9 @@ func (f *fifoMap[K, V]) put(k K, v V) (evicted []K) {
 	}
 	f.m[k] = v
 	for len(f.m) > f.max {
-		oldest := f.order[0]
+		delete(f.m, f.order[0])
 		f.order = f.order[1:]
-		delete(f.m, oldest)
-		evicted = append(evicted, oldest)
 	}
-	return evicted
 }
 
 func (f *fifoMap[K, V]) get(k K) (V, bool) {
@@ -96,6 +59,9 @@ func (f *fifoMap[K, V]) size() int {
 	defer f.mu.RUnlock()
 	return len(f.m)
 }
+
+// tierEntries bounds the detect and verifyrun memory tiers.
+const tierEntries = 1024
 
 // memoStage is one memoized stage's storage rules. Every path that holds,
 // stores or moves a stage value — the resolve loop and its leader, the disk
@@ -146,12 +112,9 @@ var memoStages = [...]memoStage{{
 		fp, wid, _ := negativa.SplitDetectHash(hash)
 		return negativa.DecodeProfile(rec, fp, wid)
 	},
-	held: func(m *StageMemo, hash string) bool { _, ok := m.getProfile(hash); return ok },
-	get:  func(m *StageMemo, hash string) (any, bool) { return m.getProfile(hash) },
-	put: func(m *StageMemo, hash string, v any) {
-		fp, wid, _ := negativa.SplitDetectHash(hash)
-		m.registry.Put(ProfileKey{Install: fp, Workload: wid}, v.(*negativa.Profile))
-	},
+	held: func(m *StageMemo, hash string) bool { _, ok := m.profiles.get(hash); return ok },
+	get:  func(m *StageMemo, hash string) (any, bool) { return m.profiles.get(hash) },
+	put:  func(m *StageMemo, hash string, v any) { m.profiles.put(hash, v.(*negativa.Profile)) },
 	hits: "registry.hits", misses: "registry.misses",
 	probe: true,
 	stored: func(_ string, rec []byte) (string, string, bool) {
@@ -215,23 +178,18 @@ func memoStageOf(stage string) *memoStage {
 	return nil
 }
 
-// getProfile reads the detect memory tier, keyed by the (install
-// fingerprint, workload identity) pair the stage hash joins.
-func (m *StageMemo) getProfile(hash string) (any, bool) {
-	fp, wid, _ := negativa.SplitDetectHash(hash)
-	p, ok := m.registry.Get(ProfileKey{Install: fp, Workload: wid})
-	return p, ok
-}
-
 // StageMemo is the serving plane's per-stage memoization behind the plan
 // scheduler: one plan.Memo that resolves each memoized stage's content key
 // through up to three tiers — local memory, local disk, the key's replica
 // set — by the rules of its memoStages entry:
 //
-//	stage      castore kind  object key                   memory tier                     write-behind
-//	detect     profile       sha256(fp ‖ NUL ‖ identity)  Registry (count-bounded)        probes
-//	compact    record        the stage hash               ResultCache (byte-bounded LRU)  probes; image first
-//	verifyrun  verify        the stage hash               fifoMap of run results          unprobed
+//	stage      castore kind  object key                   memory tier                                  write-behind
+//	detect     profile       sha256(fp ‖ NUL ‖ identity)  fifoMap of profiles, 1024, oldest first      probes
+//	compact    record        the stage hash               ResultCache, byte-bounded LRU                probes; image first
+//	verifyrun  verify        the stage hash               fifoMap of run results, 1024, oldest first   unprobed
+//
+// castore's byte budget (castore.Options.MaxBytes, least recently used
+// first) is the one disk bound, the same for every kind.
 //
 // A stage node's key resolves under one flight table (resolve): memory, then
 // — by the flight's leader only — the disk loader, then local compute. The
@@ -256,10 +214,11 @@ func (m *StageMemo) getProfile(hash string) (any, bool) {
 // leader's plant and a waiter's re-probe computes again — the bound the
 // tiers keep, not a second flight.
 type StageMemo struct {
-	registry *Registry
+	// profiles, cache and verify are the memory tiers of detect, compact and
+	// verifyrun, keyed by stage hash; store, when non-nil, the disk tier of
+	// all three.
+	profiles *fifoMap[string, *negativa.Profile]
 	cache    *ResultCache
-	// verify is verifyrun's memory tier; store, when non-nil, the disk tier
-	// of all three stages.
 	verify   *fifoMap[string, *mlruntime.Result]
 	store    *castore.Store
 	counters *metrics.CounterSet
@@ -286,11 +245,11 @@ type StageMemo struct {
 // NewStageMemo wires the service's reuse layers into one stage memo.
 // counters, when non-nil, keeps the pre-stage-graph registry.hits /
 // registry.misses series alive alongside the scheduler's per-stage ones.
-func NewStageMemo(registry *Registry, cache *ResultCache, counters *metrics.CounterSet) *StageMemo {
+func NewStageMemo(cache *ResultCache, counters *metrics.CounterSet) *StageMemo {
 	return &StageMemo{
-		registry: registry,
+		profiles: newFifoMap[string, *negativa.Profile](tierEntries),
 		cache:    cache,
-		verify:   newFifoMap[string, *mlruntime.Result](DefaultRegistryEntries),
+		verify:   newFifoMap[string, *mlruntime.Result](tierEntries),
 		counters: counters,
 	}
 }

@@ -45,10 +45,13 @@ import (
 // own decode, under the key it asked for, and writes the received bytes
 // behind verbatim. The memoStages table holds the rules:
 //
-//	stage      kind     object key                   memory tier   write-behind
-//	detect     profile  sha256(fp ‖ NUL ‖ identity)  Registry      probes
-//	compact    record   the stage hash               ResultCache   probes, image first
-//	verifyrun  verify   the stage hash               fifoMap       unprobed
+//	stage      castore kind  object key                   memory tier                                  write-behind
+//	detect     profile       sha256(fp ‖ NUL ‖ identity)  fifoMap of profiles, 1024, oldest first      probes
+//	compact    record        the stage hash               ResultCache, byte-bounded LRU                probes; image first
+//	verifyrun  verify        the stage hash               fifoMap of run results, 1024, oldest first   unprobed
+//
+// castore's byte budget (castore.Options.MaxBytes, least recently used
+// first) is the one disk bound, the same for every kind.
 //
 // A profile record names the (fingerprint, identity) it belongs to, a
 // compact record is bound to its library's digest, a verify record carries
@@ -376,8 +379,8 @@ func (s *Service) handlePeerStat(w http.ResponseWriter, r *http.Request) {
 // repair / handoff ingest path. Import verifies the end-to-end checksum and
 // cleans up after truncated or corrupt streams, so a dying pusher leaves
 // no partial state here. Pushed kinds are restricted to the replication
-// set. A pushed profile is an object like any other: the registry reads it
-// through when a batch needs it, and counts it against its on-disk bound.
+// set. A pushed profile is an object like any other: the detect stage's disk
+// loader reads it through when a batch needs it.
 func (s *Service) handlePeerObjectPut(w http.ResponseWriter, r *http.Request) {
 	st := s.Store()
 	if st == nil {
@@ -396,9 +399,6 @@ func (s *Service) handlePeerObjectPut(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("import %s/%s: %w", kind, key, err))
 		return
-	}
-	if kind == kindProfile {
-		s.Registry.noteStored(key)
 	}
 	s.Counters.Add("peer.objects_received", 1)
 	writeJSON(w, http.StatusOK, map[string]int64{"bytes": n})

@@ -394,13 +394,12 @@ func TestRegistryReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := ProfileKey{Install: negativa.InstallFingerprint(in), Workload: negativa.WorkloadIdentity(ws[0], 2)}
+	dk := negativa.DetectKey(negativa.InstallFingerprint(in), negativa.WorkloadIdentity(ws[0], 2))
 
 	st1 := openStore(t, dir)
 	svc1 := NewService(Config{Store: st1})
-	svc1.Registry.Put(key, p)
-	dk := negativa.DetectKey(key.Install, key.Workload)
 	ms := memoStageOf(dk.Stage)
+	ms.put(svc1.stages, dk.Hash, p)
 	svc1.writeStage(ms, dk.Hash, p, nil, nil)
 	svc1.Close()
 	st1.Close()
@@ -408,8 +407,8 @@ func TestRegistryReplay(t *testing.T) {
 	st2 := openStore(t, dir)
 	svc2 := NewService(Config{Store: st2})
 	defer svc2.Close()
-	if st := st2.Stats(); st.Hits != 0 || svc2.Registry.Len() != 0 {
-		t.Fatalf("boot read profiles: %d store hits, %d resident", st.Hits, svc2.Registry.Len())
+	if st := st2.Stats(); st.Hits != 0 || svc2.stages.profiles.size() != 0 {
+		t.Fatalf("boot read profiles: %d store hits, %d resident", st.Hits, svc2.stages.profiles.size())
 	}
 	// Eight lookups at once: the flight's leader reads the record, the
 	// others wait and hit memory.
@@ -420,7 +419,7 @@ func TestRegistryReplay(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got, src, err := svc2.stages.GetOrCompute(nil, negativa.DetectKey(key.Install, key.Workload), nil, recompute)
+			got, src, err := svc2.stages.GetOrCompute(nil, dk, nil, recompute)
 			if err != nil || !reflect.DeepEqual(got, p) {
 				t.Errorf("lookup %d: %v, or the profile read through does not match the original", i, err)
 			}
@@ -438,6 +437,92 @@ func TestRegistryReplay(t *testing.T) {
 	}
 	if hits := st2.Stats().Hits; disk != 1 || hits != 1 {
 		t.Fatalf("%d lookups served from disk and %d store reads for one profile, want 1 and 1", disk, hits)
+	}
+}
+
+// TestStoreBudgetEvictsProfiles: castore's byte budget is the one disk bound
+// for every kind. Batches over new installs on a store sized just above one
+// batch evict the first batch's profile objects least recently used first,
+// like its compact records; resubmitting that batch after a restart profiles
+// its members again and hands out the same images.
+func TestStoreBudgetEvictsProfiles(t *testing.T) {
+	install := func(framework string) (*mlframework.Install, []mlruntime.Workload) {
+		in, err := mlframework.Generate(mlframework.Config{Framework: framework, TailLibs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in, testWorkloads(t, in)[:2]
+	}
+	in, ws := install(mlframework.PyTorch)
+	opt := BatchOptions{MaxSteps: 2}
+
+	// Size the budget from one batch on an unbounded store.
+	probe := openStore(t, t.TempDir())
+	psvc := NewService(Config{Workers: 2, MaxSteps: 2, Store: probe})
+	if _, err := psvc.DebloatBatch(in, ws, opt); err != nil {
+		t.Fatal(err)
+	}
+	psvc.Close()
+	budget := probe.Stats().Bytes * 101 / 100
+
+	st, err := castore.Open(t.TempDir(), castore.Options{MaxBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	svc := NewService(Config{Workers: 2, MaxSteps: 2, Store: st})
+	first, err := svc.DebloatBatch(in, ws, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := func(kind string, keys []string) (n int) {
+		for _, k := range keys {
+			if st.Has(kind, k) {
+				n++
+			}
+		}
+		return n
+	}
+	var profiles []string
+	for _, w := range first.Workloads {
+		profiles = append(profiles, profileObjectKey(negativa.DetectKey(first.InstallFP, w.Identity).Hash))
+	}
+	svc.WaitReplication()
+	if held(kindProfile, profiles) != len(profiles) || held(kindRecord, first.libKeys) != len(first.libKeys) {
+		t.Fatal("the first batch does not fit the budget it was sized by")
+	}
+	// Batches on other frameworks' installs write new objects past the
+	// budget, so nothing the first batch wrote survives them.
+	for _, fw := range []string{mlframework.TensorFlow, mlframework.HFTransformers, mlframework.VLLM} {
+		in2, ws2 := install(fw)
+		if _, err := svc.DebloatBatch(in2, ws2, opt); err != nil {
+			t.Fatal(err)
+		}
+		svc.WaitReplication()
+	}
+	svc.Close()
+	if p, r := held(kindProfile, profiles), held(kindRecord, first.libKeys); p != 0 || r != 0 {
+		t.Fatalf("%d of the first batch's profile objects and %d of its records outlived batches larger than the budget", p, r)
+	}
+
+	svc2 := NewService(Config{Workers: 2, MaxSteps: 2, Store: st})
+	defer svc2.Close()
+	again, err := svc2.DebloatBatch(in, ws, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := svc2.Counters.Get("registry.misses"); n != int64(len(ws)) {
+		t.Fatalf("the resubmit profiled %d members, want %d: their profile objects are gone", n, len(ws))
+	}
+	for _, w := range again.Workloads {
+		if !w.Verified {
+			t.Fatalf("member %s failed verification on the resubmit", w.Name)
+		}
+	}
+	for i, lr := range again.Libs {
+		if !bytes.Equal(lr.Debloated(), first.Libs[i].Debloated()) {
+			t.Fatalf("library %s differs from the first run", lr.Name)
+		}
 	}
 }
 
@@ -910,7 +995,7 @@ func BenchmarkDiskHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	m := NewStageMemo(NewRegistry(), NewResultCache(1<<40, nil), nil)
+	m := NewStageMemo(NewResultCache(1<<40, nil), nil)
 	m.store = st
 	ms := memoStageOf(negativa.StageCompact)
 

@@ -162,8 +162,8 @@ func TestRepairSweepHealsEmptyReplica(t *testing.T) {
 	}
 
 	// The healed replica serves the batch with zero local analysis: results
-	// come off its own disk, profiles were ingested into its registry by
-	// the push handler.
+	// and profiles come off its own disk, where the push handler stored
+	// them.
 	before := b.svc.Counters.Get("analysis.computed")
 	if err := submitBatch(b.srv, req); err != nil {
 		t.Fatal(err)
@@ -458,7 +458,7 @@ func TestClusterRollingRestartE2E(t *testing.T) {
 }
 
 // TestLocalDetectWritesBackToOwners: every detect stage computes on the
-// requesting node and reaches every other live owner's registry through
+// requesting node and reaches every other live owner's store through
 // write-back replication alone, with no repair sweep.
 func TestLocalDetectWritesBackToOwners(t *testing.T) {
 	nodes := startCluster(t, "a", "b", "c")

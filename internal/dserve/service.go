@@ -13,6 +13,7 @@ import (
 
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
+	"negativaml/internal/elfx"
 	"negativaml/internal/ingest"
 	"negativaml/internal/metrics"
 	"negativaml/internal/mlframework"
@@ -108,9 +109,9 @@ type Config struct {
 	// beyond it (default 64).
 	MaxInFlight int
 	// Store, when non-nil, is the disk-backed content-addressed store the
-	// service persists through: the profile registry and the result cache
-	// gain a disk tier, read through on a memory miss, and completed jobs
-	// spill their manifests and images so a restart serves them warm.
+	// service persists through: the three memoized stages gain a disk
+	// tier, read through on a memory miss, and completed jobs spill their
+	// manifests and images so a restart serves them warm.
 	Store *castore.Store
 	// RepairInterval, when positive on a store-backed clustered node, runs
 	// a background anti-entropy sweep (RepairNow) at that period: locally
@@ -125,13 +126,11 @@ type Config struct {
 	IngestRoot string
 }
 
-// Service is the batch-debloat service core: the profile registry, the
-// content-addressed result cache, the bounded worker pool, and the job
-// table behind the HTTP front end.
+// Service is the batch-debloat service core: the stage memo's tiers, the
+// bounded worker pool, and the job table behind the HTTP front end.
 type Service struct {
 	cfg Config
 
-	Registry *Registry
 	Cache    *ResultCache
 	Counters *metrics.CounterSet
 	Timings  *metrics.TimingSet
@@ -142,7 +141,7 @@ type Service struct {
 	store   *castore.Store
 	cluster *cluster.Cluster
 	// stages routes every plan node's content key to its memo tier
-	// (registry, result cache, verify records); observer mirrors stage
+	// (profiles, result cache, verify records); observer mirrors stage
 	// outcomes into the counter and timing sets.
 	stages   *StageMemo
 	observer plan.Observer
@@ -170,7 +169,7 @@ type Service struct {
 	// restoredLibs memoizes store-image parses per content digest, so
 	// restored jobs sharing libraries (the dependency tail) parse each
 	// image once.
-	restoredLibs *boundedMemo
+	restoredLibs *fifoMap[string, *elfx.Library]
 }
 
 type installSlot struct {
@@ -209,14 +208,13 @@ func NewService(cfg Config) *Service {
 	counters := metrics.NewCounterSet()
 	s := &Service{
 		cfg:          cfg,
-		Registry:     NewRegistry(),
 		Cache:        NewResultCache(cfg.CacheBytes, counters),
 		Counters:     counters,
 		Timings:      metrics.NewTimingSet(),
 		pool:         plan.NewPool(cfg.Workers),
 		jobs:         map[string]*Job{},
 		installs:     map[string]*installSlot{},
-		restoredLibs: newBoundedMemo(64),
+		restoredLibs: newFifoMap[string, *elfx.Library](64),
 
 		writeSem:       make(chan struct{}, spillConcurrency),
 		pendingRecords: map[string]int{},
@@ -224,7 +222,7 @@ func NewService(cfg Config) *Service {
 	s.writesDone = sync.NewCond(&s.writeMu)
 	// Every node writes behind through this hook: its disk tier and, on a
 	// ring, its replica owners.
-	s.stages = NewStageMemo(s.Registry, s.Cache, counters)
+	s.stages = NewStageMemo(s.Cache, counters)
 	s.stages.writeStage = s.writeStage
 	s.observer = stageObserver{c: counters, t: s.Timings, names: &sync.Map{}}
 	if cfg.Store != nil {
@@ -233,7 +231,6 @@ func NewService(cfg Config) *Service {
 		// done jobs.
 		s.store = cfg.Store
 		s.stages.store = cfg.Store
-		s.Registry.AttachStore(cfg.Store)
 		s.restoreJobs()
 	}
 	return s
@@ -350,7 +347,7 @@ type WorkloadOutcome struct {
 	RefDigest uint64
 	Verified  bool
 	// DetectTime is the profiled run's virtual time. ProfileReused marks
-	// profiles served from the registry (no run executed in this batch).
+	// profiles served from the detect tiers (no run executed in this batch).
 	DetectTime    time.Duration
 	ProfileReused bool
 }
@@ -371,13 +368,13 @@ type BatchResult struct {
 	byName map[string]*negativa.LibraryReport
 
 	// DetectTime sums the virtual profiled-run times of freshly detected
-	// members (registry hits cost nothing); AnalysisTime sums virtual
+	// members (detect hits cost nothing); AnalysisTime sums virtual
 	// locate+compact time of cache misses (hits cost nothing). Their sum is
 	// the batch's virtual end-to-end debloating cost.
 	DetectTime   time.Duration
 	AnalysisTime time.Duration
 	// CacheHits / CacheMisses count this batch's per-library cache
-	// outcomes; ProfileReuses counts members served from the registry.
+	// outcomes; ProfileReuses counts members whose detect hit.
 	CacheHits     int
 	CacheMisses   int
 	ProfileReuses int
@@ -458,7 +455,7 @@ func (r *BatchResult) AllVerified() bool {
 // it as a negativa.Batch — per-member detect nodes feed a union node, the
 // union feeds one compact node per library, and the compacted set feeds a
 // verify probe, the clone it may ask for, and per-member verification nodes
-// — with the service's tiers passed in: the stage memo (registry,
+// — with the service's tiers passed in: the stage memo (profiles,
 // byte-bounded cache, verify records, content-addressed store), its verify
 // probe, and, when clustered, the batch prefetch. With opt.Base set the batch is
 // incremental: base members' verifications carry over and only the union

@@ -569,7 +569,7 @@ func TestPeerVerifyRecordDecodedUnderItsKey(t *testing.T) {
 			}))
 			defer peer.Close()
 			counters := metrics.NewCounterSet()
-			m := NewStageMemo(NewRegistry(), NewResultCache(1<<20, nil), counters)
+			m := NewStageMemo(NewResultCache(1<<20, nil), counters)
 			c := cluster.New("self", map[string]string{"peer": peer.URL}, cluster.Options{
 				ReplicaSets: 2, Counters: counters, Timeout: 30 * time.Second,
 			})

@@ -107,8 +107,8 @@ func (l *Library) Index() *LibIndex {
 		return x
 	}
 	x := buildIndex(l, d)
-	// Bounded like dserve's boundedMemo: wipe everything at the cap (the
-	// next warm pass rebuilds what it touches). Insert and counter move
+	// Bounded by bytes: wipe everything at the cap (the next warm pass
+	// rebuilds what it touches). Insert and counter move
 	// together under the lock, so the cap cannot be overshot by racing
 	// first touches.
 	cost := int64(len(l.Data)) + 8*int64(len(x.zeroPrefix))

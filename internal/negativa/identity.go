@@ -16,8 +16,8 @@ import (
 // in load order, and every library's content digest. Two installs with
 // identical content fingerprint identically, so profiles detected on one
 // serve the other. It anchors the detect stage's content key (detection
-// depends on what code the workload can touch) and the serving plane's
-// profile registry.
+// depends on what code the workload can touch) and with it the serving
+// plane's stored profiles.
 //
 // Hashing each library's memoized ContentDigest instead of its raw bytes
 // makes the fingerprint share hash work with the locate/compact stage keys
