@@ -84,10 +84,9 @@
 //	GET  /v1/metrics                counters, cache stats, timings
 //	GET  /v1/store                  content-addressed store stats
 //	POST /v1/peer/lookup-batch              node-to-node stage read-through
-//	POST /v1/peer/install-offer             a peer's generated install, for
-//	                                        an owner of its detect keys to pull
-//	GET  /v1/peer/install/{fingerprint}     a resident install, pulled by an
-//	                                        offered owner
+//	PUT  /v1/peer/install/{fingerprint}     a peer's generated install, for
+//	                                        an owner of its detect keys; asks
+//	                                        first, so a holder reads none of it
 //	PUT  /v1/peer/objects/{kind}/{key}      castore object push
 //	POST /v1/peer/stat                      object presence probe (repair)
 //

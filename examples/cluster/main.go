@@ -122,14 +122,15 @@ func runBatch(n *node, req dserve.JobRequest) (id string, wall time.Duration) {
 }
 
 // printInstalls shows how each node came by its installs: the node a
-// client submitted a spec to generates it; an owner of the batch's detect
-// keys, offered the install, fetched the requester's copy (one library per
-// object), and its own batch of the same spec then finds it resident.
+// client submitted a spec to generates it and pushes it to the owners of
+// the batch's detect keys; each owner received the requester's copy (one
+// library per object), and its own batch of the same spec then finds it
+// resident.
 func printInstalls(nodes []*node) {
 	for _, n := range nodes {
-		fmt.Printf("  node %s installs: generated %d, fetched %d (%d libraries), served to peers %d\n",
+		fmt.Printf("  node %s installs: generated %d, received %d (%d libraries), pushed to peers %d\n",
 			n.id, n.svc.Counters.Get("installs.generated"), n.svc.Counters.Get("installs.fetched"),
-			n.svc.Counters.Get("peer.objects_fetched"), n.svc.Counters.Get("peer.served_installs"))
+			n.svc.Counters.Get("peer.objects_fetched"), n.svc.Counters.Get("peer.offers"))
 	}
 }
 

@@ -2,6 +2,7 @@ package castore
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -29,6 +30,18 @@ func Frame(payload []byte) []byte {
 	out := make([]byte, 0, headerSize+len(payload))
 	out = append(out, makeHeader(payload)...)
 	return append(out, payload...)
+}
+
+// FrameSum returns the checksum a frame's header declares for its payload
+// (hex SHA-256; Import holds the payload to it), or "" when hdr does not
+// start with a valid header. A receiver of a content-addressed object, whose
+// key is that checksum, compares the two before it imports anything.
+func FrameSum(hdr []byte) string {
+	h, err := parseHeader(hdr)
+	if err != nil {
+		return ""
+	}
+	return hex.EncodeToString(h.sum[:])
 }
 
 // Stat returns the payload size of a stored object without touching its

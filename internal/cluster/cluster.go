@@ -76,6 +76,10 @@ const hedgeMaxPct = 25
 // same-rack round trip wins first and the hedge never fires.
 const DefaultHedgeFloor = 2 * time.Millisecond
 
+// expectContinueTimeout bounds a push that asks first (PutStream with
+// length -1): past it the body goes out without the peer's 100 Continue.
+const expectContinueTimeout = 5 * time.Second
+
 // PeerSecretHeader carries the cluster's shared secret on node-to-node
 // requests (see Options.Secret).
 const PeerSecretHeader = "X-Peer-Secret"
@@ -300,6 +304,10 @@ func New(self string, peers map[string]string, opt Options) *Cluster {
 			MaxIdleConns:        256,
 			MaxIdleConnsPerHost: 64,
 			IdleConnTimeout:     90 * time.Second,
+			// A dserve peer answers a push that asks first at once, with
+			// 100 Continue or a final status; the bound only matters for a
+			// peer that never answers the question.
+			ExpectContinueTimeout: expectContinueTimeout,
 		},
 	}
 	for id, url := range peers {
@@ -1024,10 +1032,12 @@ func (c *Cluster) HedgedCall(peers []string, attempt func(ctx context.Context, p
 	}
 }
 
-// PutStream PUTs a raw octet stream to a peer path — the replication and
-// repair push path. length sets
-// Content-Length when known (>= 0); -1 streams chunked. A non-2xx status
-// is returned as *PeerError.
+// PutStream PUTs a raw octet stream to a peer path — the replication,
+// repair and install push path. length sets Content-Length when known
+// (>= 0). A body of unknown size (-1) streams chunked and asks first
+// (Expect: 100-continue): the peer may answer before reading any of it,
+// and then none of it is sent. A non-2xx status is returned as
+// *PeerError.
 func (c *Cluster) PutStream(peer, path string, body io.Reader, length int64) error {
 	url, err := c.peerURL(peer)
 	if err != nil {
@@ -1039,6 +1049,8 @@ func (c *Cluster) PutStream(peer, path string, body io.Reader, length int64) err
 	}
 	if length >= 0 {
 		req.ContentLength = length
+	} else {
+		req.Header.Set("Expect", "100-continue")
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	if c.opt.Secret != "" {
@@ -1058,36 +1070,4 @@ func (c *Cluster) PutStream(peer, path string, body io.Reader, length int64) err
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 	c.observe(peer, time.Since(start), false)
 	return nil
-}
-
-// Get GETs a peer path and hands a 2xx response body to read — the pull
-// path for payloads too large for a JSON envelope. A non-2xx status is
-// returned as *PeerError and read is not called; an error from read is
-// returned as is. Transport failures count against the peer's health.
-func (c *Cluster) Get(peer, path string, read func(io.Reader) error) error {
-	url, err := c.peerURL(peer)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodGet, url+path, nil)
-	if err != nil {
-		return fmt.Errorf("cluster: build %s request: %w", path, err)
-	}
-	if c.opt.Secret != "" {
-		req.Header.Set(PeerSecretHeader, c.opt.Secret)
-	}
-	start := time.Now()
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.observe(peer, time.Since(start), true)
-		return fmt.Errorf("cluster: peer %s: %w", peer, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		c.observe(peer, time.Since(start), false)
-		return peerError(peer, resp)
-	}
-	err = read(resp.Body)
-	c.observe(peer, time.Since(start), false)
-	return err
 }

@@ -26,8 +26,8 @@
 //   - Cluster: live membership over a Ring — self plus a peer set that can
 //     grow (join, gossip) and shrink (leave, failure) at runtime — with
 //     per-peer health tracking and the HTTP transport the serving plane's
-//     peer tier uses (PostJSON for stage lookups and install offers, Get
-//     for install pulls, PutStream for castore object pushes).
+//     peer tier uses (PostJSON for stage lookups, PutStream for castore
+//     object and install pushes).
 //
 // # Failure model
 //

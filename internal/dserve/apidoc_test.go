@@ -261,21 +261,18 @@ func TestAPIDocExamples(t *testing.T) {
 	actual["peer-lookup-batch-found request"] = foundReq
 	actual["peer-lookup-batch-found response"] = httpJSON(http.MethodPost, "/v1/peer/lookup-batch", foundReq, http.StatusOK)
 
-	// An install offer needs a real fingerprint (the owner checks the
-	// install it resolves against it): b's offer of the install the
-	// submit example resolved on a, which a therefore finds resident.
-	in, err := nodes["b"].svc.install(mlframework.PyTorch, 6, "", "")
+	// An install push needs a real fingerprint (the owner checks the
+	// install it resolves against it): b's push of the install the submit
+	// example resolved on a, which a therefore answers without reading it.
+	in, err := nodes["b"].svc.install(mlframework.PyTorch, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	offerReq, err := json.Marshal(peerInstallOffer{
-		InstallFP: negativa.InstallFingerprint(in), From: "b", Framework: "pytorch", TailLibs: 6,
-	})
-	if err != nil {
+	var wire bytes.Buffer
+	if err := in.WriteWire(&wire); err != nil {
 		t.Fatal(err)
 	}
-	actual["peer-install-offer request"] = offerReq
-	actual["peer-install-offer response"] = httpJSON(http.MethodPost, "/v1/peer/install-offer", offerReq, http.StatusOK)
+	actual["peer-install response"] = httpJSON(http.MethodPut, installPath(negativa.InstallFingerprint(in), "b", "pytorch", 6), wire.Bytes(), http.StatusOK)
 
 	// ---- membership plane ----
 	// The ping/join/leave requests are built live (real URLs) so the doc

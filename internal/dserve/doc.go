@@ -121,11 +121,12 @@
 // requesting node, where its inputs already are — a detect stage against
 // the install, a compact stage against the library image (only its
 // O(ranges) result travels), a verifyrun stage on the clone it built (only
-// the record travels). A node that generated a spec install offers it,
-// behind the batch, to the remote owners of the batch's detect keys (POST
-// /v1/peer/install-offer); each pulls the copy (GET
-// /v1/peer/install/{fingerprint}) rather than regenerating it, so the same
-// request on an owner finds its install resident.
+// the record travels). A node that generated a spec install pushes it,
+// behind the batch, to the remote owners of the batch's detect keys (PUT
+// /v1/peer/install/{fingerprint}); each keeps the copy rather than
+// regenerating it, so the same request on an owner finds its install
+// resident. The push asks first (Expect: 100-continue), so an owner that
+// already holds the install, or is resolving it, reads none of it.
 // Peer-served values are written into the local tiers — memory, and the
 // castore when attached — so hot artifacts replicate toward demand; every
 // locally computed value (compact result, detect profile or verify record)
@@ -179,7 +180,7 @@
 // them. Lifetime: nothing but the byte-accounted ResultCache and retained
 // jobs may keep a library image reachable after its batch returns — no
 // memo entry, closure or per-pointer table (installs the service generated
-// itself stay in its MaxInstalls-bounded install cache) — so what a batch
+// itself stay in its install cache, bounded at maxInstalls) — so what a batch
 // leaves pinned is what CacheBytes and MaxJobs bound
 // (TestWarmDiskBatchDoesNotPinLibraries,
 // TestIngestedInstallIsNotPinnedByTheService).

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"negativaml/internal/castore"
 	"negativaml/internal/mlframework"
@@ -372,10 +373,10 @@ func TestWarmDiskSkipsLocation(t *testing.T) {
 }
 
 // TestSharedMemoAcrossPlanners pins the canonical stage-value contract:
-// negativa.Debloat, a one-member batch with no tier hooks, can run over the
-// batch service's StageMemo and absorb its stages — identical keys must
-// carry identical value types (detect profiles, compact results) in both
-// directions.
+// A one-member negativa.Batch with no tier hooks — the planner
+// negativa.Debloat runs — can run over the batch service's StageMemo and
+// absorb its stages: identical keys must carry identical value types
+// (detect profiles, compact results) in both directions.
 func TestSharedMemoAcrossPlanners(t *testing.T) {
 	svc := NewService(Config{Workers: 2, MaxSteps: 2})
 	defer svc.Close()
@@ -392,18 +393,28 @@ func TestSharedMemoAcrossPlanners(t *testing.T) {
 	}
 
 	hitsBefore := svc.Counters.Get("registry.hits")
-	res, err := negativa.Debloat(w, negativa.Options{MaxSteps: 2, Memo: svc.stages})
+	b := negativa.NewBatch(in, []mlruntime.Workload{w}, 2)
+	b.Verify = []bool{true}
+	run, err := b.Run(plan.NewPool(2), svc.stages, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Verified {
+	if _, ok := run.Verify(0); !ok {
 		t.Fatal("shared-memo debloat must verify")
 	}
 	if svc.Counters.Get("registry.hits") == hitsBefore {
-		t.Fatal("negativa.Debloat must absorb the service's detect stage")
+		t.Fatal("the batch must absorb the service's detect stage")
 	}
-	if res.AnalysisTime == 0 {
-		t.Fatal("Debloat charges virtual analysis time regardless of memo hits")
+	var analysis time.Duration
+	for i := range in.LibNames {
+		_, a, _, hit := run.Lib(i)
+		if !hit {
+			t.Fatalf("library %d: compact stage not absorbed", i)
+		}
+		analysis += a
+	}
+	if analysis == 0 {
+		t.Fatal("a hit must carry the stage's virtual analysis time, which Debloat charges")
 	}
 }
 

@@ -431,7 +431,7 @@ func (s *Service) runBatch(req JobRequest, obs plan.Observer, onPlanned func(int
 		if fw, err = ResolveFramework(req.Framework); err != nil {
 			return nil, err
 		}
-		in, err = s.install(fw, req.TailLibs, "", "")
+		in, err = s.install(fw, req.TailLibs, nil)
 	}
 	if err != nil {
 		return nil, err
@@ -460,8 +460,8 @@ func (s *Service) runBatch(req JobRequest, obs plan.Observer, onPlanned func(int
 	}
 	res, err := s.DebloatBatch(in, ws, opt)
 	if err == nil && req.IngestDir == "" {
-		// The owners its profiles went to pull the install behind the
-		// batch. An ingested install is not resident under a spec key, and
+		// The install goes, behind the batch, to the owners its profiles
+		// went to. An ingested install is not resident under a spec key, and
 		// a peer cannot re-read a tree it does not have: each node ingests
 		// it itself.
 		s.offerInstall(fw, req.TailLibs, res)

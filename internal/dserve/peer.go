@@ -1,15 +1,20 @@
 package dserve
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"slices"
+	"strconv"
 
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
+	"negativaml/internal/mlframework"
 	"negativaml/internal/negativa"
 )
 
@@ -19,11 +24,10 @@ import (
 //	POST /v1/peer/lookup-batch           read-through: return already-
 //	                                     memoized stage values by content key,
 //	                                     up to maxBatchLookupKeys per request
-//	POST /v1/peer/install-offer          a peer generated an install whose
+//	PUT  /v1/peer/install/{fingerprint}  a peer generated an install whose
 //	                                     detect keys this node co-owns:
-//	                                     pull it, keep it resident
-//	GET  /v1/peer/install/{fingerprint}  a resident install in transfer
-//	                                     form, pulled by an offered owner
+//	                                     keep it resident; asks first, so
+//	                                     a holder reads none of it
 //	PUT  /v1/peer/objects/{kind}/{key}   push one castore object in its
 //	                                     integrity-framed wire format
 //	POST /v1/peer/stat                   which of these objects do you hold
@@ -36,8 +40,9 @@ import (
 // no payload, and the requester — which holds the install and the library
 // images — computes the stage itself and writes the value's record back to
 // the key's owners (repair.go). The install itself follows its profiles: a
-// node that generated it offers it to the owners the profiles were written
-// to, which pull it behind the batch.
+// node that generated it pushes it, behind the batch, to the owners the
+// profiles were written to. Every artifact crosses the same way: pushed by
+// the node that holds it, never pulled.
 //
 // lookup-batch moves one form per stage: a found key answers `record`, the
 // bytes the node's disk tier keeps for it (a value held only in memory
@@ -101,20 +106,21 @@ const maxBatchLookupKeys = 256
 // detect key carries a workload identity of a few hundred).
 const peerLookupBatchLimit = maxBatchLookupKeys << 10
 
-// peerInstallOffer tells a co-owner of a batch's detect keys that From
-// generated the install with fingerprint InstallFP and holds it resident.
-// Framework and tail-libs are the install's spec key: the owner registers
-// the pulled install under it, and regenerates from it when the pull fails
-// (installs are deterministic functions of their config).
-type peerInstallOffer struct {
-	InstallFP string `json:"install_fp"`
-	From      string `json:"from"`
-	Framework string `json:"framework"`
-	TailLibs  int    `json:"tail_libs"`
+// installPath is node from's push route of the install with fingerprint
+// fp. framework and tail_libs are the install's spec key: the owner keeps
+// the pushed install under it, and regenerates from it when the push does
+// not check out (installs are deterministic functions of their config).
+func installPath(fp, from, framework string, tailLibs int) string {
+	return "/v1/peer/install/" + fp + "?" + url.Values{
+		"from":      {from},
+		"framework": {framework},
+		"tail_libs": {strconv.Itoa(tailLibs)},
+	}.Encode()
 }
 
-// peerBodyLimit bounds one pushed object (PUT /v1/peer/objects/...):
-// write-back and repair stream whole library images, so the bound is far
+// peerBodyLimit bounds one pushed object or install (PUT
+// /v1/peer/objects/..., /v1/peer/install/...): write-back, repair and
+// installs stream whole library images, so the bound is far
 // above the client-facing maxRequestBytes. The JSON
 // routes carry no payloads and decode under limits sized from their key
 // bounds (peerLookupBatchLimit, peerStatLimit).
@@ -126,8 +132,7 @@ const peerBodyLimit = 256 << 20
 // requests that do not present it.
 func registerPeerRoutes(mux *http.ServeMux, s *Service) {
 	mux.HandleFunc("POST /v1/peer/lookup-batch", s.peerAuth(s.handlePeerLookupBatch))
-	mux.HandleFunc("POST /v1/peer/install-offer", s.peerAuth(s.handlePeerInstallOffer))
-	mux.HandleFunc("GET /v1/peer/install/{fingerprint}", s.peerAuth(s.handlePeerInstall))
+	mux.HandleFunc("PUT /v1/peer/install/{fingerprint}", s.peerAuth(s.handlePeerInstallPush))
 	mux.HandleFunc("PUT /v1/peer/objects/{kind}/{key}", s.peerAuth(s.handlePeerObjectPut))
 	mux.HandleFunc("POST /v1/peer/stat", s.peerAuth(s.handlePeerStat))
 	mux.HandleFunc("POST "+cluster.PingPath, s.peerAuth(s.handlePeerPing))
@@ -218,57 +223,64 @@ func (s *Service) handlePeerLookupBatch(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handlePeerInstallOffer takes an offered install: resolved down
-// Service.install's ladder — resident here, else pulled from the offering
-// node, else regenerated from the spec key — and kept resident under that
+// handlePeerInstallPush takes an install a peer generated and pushes to the
+// owners of its batch's detect keys, and keeps it resident under its spec
 // key, so this node's own batch of the same spec neither generates nor
-// pulls it. A pulled copy is kept only when it fingerprints to install_fp
-// (fetchInstall); an install resolved any other way that does not is
-// version skew, answered 409. The handler takes no pool slot: its one
-// outgoing call is the pull, which takes none on the node serving it.
-func (s *Service) handlePeerInstallOffer(w http.ResponseWriter, r *http.Request) {
-	var req peerInstallOffer
-	if !decodePeerBody(w, r, maxRequestBytes, &req) {
-		return
-	}
-	fw, err := ResolveFramework(req.Framework)
+// receives it. The spec key is validated first. When this node's slot for
+// it is already resolved or resolving, the handler answers without reading
+// any of the body: the pusher asked first (Expect: 100-continue), so none
+// of it crosses. Otherwise the body resolves the slot (Service.install),
+// and it is kept only when it parses, is of the framework and
+// fingerprints to {fingerprint}; anything else falls back to generation.
+// An install resolved any way that does not fingerprint to {fingerprint}
+// is version skew, answered 409. The handler takes no pool slot.
+func (s *Service) handlePeerInstallPush(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	fw, err := ResolveFramework(q.Get("framework"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.TailLibs < 0 || req.TailLibs > MaxTailLibs {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("tail_libs %d out of range", req.TailLibs))
+	tailLibs, err := strconv.Atoi(q.Get("tail_libs"))
+	if err != nil || tailLibs < 0 || tailLibs > MaxTailLibs {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("tail_libs %q out of range", q.Get("tail_libs")))
 		return
 	}
+	fp := r.PathValue("fingerprint")
 	s.Counters.Add("peer.served_offers", 1)
-	in, err := s.install(fw, req.TailLibs, req.From, req.InstallFP)
+	in, err := s.install(fw, tailLibs, func() *mlframework.Install {
+		in, err := mlframework.ReadWire(r.Body, peerBodyLimit)
+		if err != nil || in.Framework != fw || negativa.InstallFingerprint(in) != fp {
+			return nil
+		}
+		s.Counters.Add("installs.fetched", 1)
+		s.Counters.Add("peer.objects_fetched", int64(len(in.LibNames)))
+		return in
+	})
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if got := negativa.InstallFingerprint(in); got != req.InstallFP {
-		httpError(w, http.StatusConflict, fmt.Errorf("install fingerprint mismatch: have %.12s…, offered %.12s…", got, req.InstallFP))
+	if got := negativa.InstallFingerprint(in); got != fp {
+		httpError(w, http.StatusConflict, fmt.Errorf("install fingerprint mismatch: have %.12s…, pushed %.12s…", got, fp))
 		return
 	}
+	s.heartbeat(q.Get("from"))
 	writeJSON(w, http.StatusOK, map[string]bool{"resident": true})
 }
 
-// handlePeerInstall serves a resident install in its transfer form
-// (mlframework.ReadWire) to an owner pulling an offered install. It takes
-// no slot, so a node whose every slot is held still answers. An install
-// not resident here (never resolved, or evicted) is 404, and the owner
-// generates it instead.
-func (s *Service) handlePeerInstall(w http.ResponseWriter, r *http.Request) {
-	in := s.residentInstall(r.PathValue("fingerprint"))
-	if in == nil {
-		httpError(w, http.StatusNotFound, errors.New("install not resident"))
+// heartbeat sends peer id the exchange the ring's heartbeat plane runs
+// anyway. An owner that took a pushed install may next serve the same
+// request, which reads through the pusher's tiers: this leaves it a
+// connection to the pusher, so a ring whose heartbeat has not run yet does
+// not dial inside that request. A failure is health accounting only.
+func (s *Service) heartbeat(id string) {
+	c := s.Cluster()
+	if id == c.Self() || !slices.Contains(c.Nodes(), id) {
 		return
 	}
-	s.Counters.Add("peer.served_installs", 1)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	// A write that fails mid-stream leaves the owner a truncated install,
-	// which ReadWire refuses; the owner then generates it.
-	_ = in.WriteWire(w)
+	var resp cluster.HeartbeatResponse
+	_ = c.PostJSON(id, cluster.PingPath, cluster.HeartbeatRequest{From: c.Self(), Nodes: c.Membership()}, &resp)
 }
 
 // peerObjectRef names one castore object on the stat wire.
@@ -379,8 +391,11 @@ func (s *Service) handlePeerStat(w http.ResponseWriter, r *http.Request) {
 // repair / handoff ingest path. Import verifies the end-to-end checksum and
 // cleans up after truncated or corrupt streams, so a dying pusher leaves
 // no partial state here. Pushed kinds are restricted to the replication
-// set. A pushed profile is an object like any other: the detect stage's disk
-// loader reads it through when a batch needs it.
+// set. A lib object is content-addressed, so its frame's checksum must be
+// its key: an image filed under another image's digest is refused before
+// anything is written, instead of shadowing the real image until
+// eviction. A pushed profile is an object like any other: the detect
+// stage's disk loader reads it through when a batch needs it.
 func (s *Service) handlePeerObjectPut(w http.ResponseWriter, r *http.Request) {
 	st := s.Store()
 	if st == nil {
@@ -395,7 +410,16 @@ func (s *Service) handlePeerObjectPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, peerBodyLimit+castore.HeaderSize)
-	n, err := st.Import(kind, key, r.Body)
+	body := io.Reader(r.Body)
+	if kind == kindLib {
+		var hdr [castore.HeaderSize]byte
+		if _, err := io.ReadFull(r.Body, hdr[:]); err != nil || castore.FrameSum(hdr[:]) != key {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("lib/%s: frame checksum is not the key", key))
+			return
+		}
+		body = io.MultiReader(bytes.NewReader(hdr[:]), r.Body)
+	}
+	n, err := st.Import(kind, key, body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("import %s/%s: %w", kind, key, err))
 		return
@@ -404,15 +428,15 @@ func (s *Service) handlePeerObjectPut(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]int64{"bytes": n})
 }
 
-// ---- Requester side: the install offer ----
+// ---- Requester side: the install push ----
 
-// offerInstall offers the install a spec batch ran against to the remote
+// offerInstall pushes the install a spec batch ran against to the remote
 // owners of the batch's detect keys — the nodes its profiles were written
 // back to — so they hold it resident when the same request reaches them.
-// Only a node that generated the install offers it, and each owner once
-// per resident install. The offers go out behind the batch on a replWG
+// Only a node that generated the install pushes it, and to each owner once
+// per resident install. The pushes go out behind the batch on a replWG
 // goroutine (WaitReplication and Close cover them); a refused or failed
-// offer is counted, and costs the owner a generation later, never the
+// push is counted, and costs the owner a generation later, never the
 // batch.
 func (s *Service) offerInstall(framework string, tailLibs int, res *BatchResult) {
 	c := s.cluster
@@ -420,9 +444,11 @@ func (s *Service) offerInstall(framework string, tailLibs int, res *BatchResult)
 		return
 	}
 	self := c.Self()
+	var in *mlframework.Install
 	var to []string
 	s.mu.Lock()
 	if slot := s.installs[specKey(framework, tailLibs)]; slot != nil && slot.generated && slot.fp == res.InstallFP {
+		in = slot.in
 		for _, o := range res.Workloads {
 			for _, id := range c.Owners(negativa.DetectKey(res.InstallFP, o.Identity).String()) {
 				if id != self && !slices.Contains(slot.offered, id) {
@@ -436,17 +462,27 @@ func (s *Service) offerInstall(framework string, tailLibs int, res *BatchResult)
 	if len(to) == 0 {
 		return
 	}
-	offer := peerInstallOffer{InstallFP: res.InstallFP, From: self, Framework: framework, TailLibs: tailLibs}
+	path := installPath(res.InstallFP, self, framework, tailLibs)
 	s.replWG.Add(1)
 	go func() {
 		defer s.replWG.Done()
 		for _, id := range to {
-			var resp struct{}
-			if err := c.PostJSON(id, "/v1/peer/install-offer", offer, &resp); err != nil {
+			if err := s.pushInstall(id, path, in); err != nil {
 				s.Counters.Add("peer.offer_errors", 1)
 				continue
 			}
 			s.Counters.Add("peer.offers", 1)
 		}
 	}()
+}
+
+// pushInstall streams in's transfer form (Install.WriteWire) to peer at
+// path. The push is of unknown length, so it asks first: an owner that
+// already holds the install answers before any of it crosses.
+func (s *Service) pushInstall(peer, path string, in *mlframework.Install) error {
+	pr, pw := io.Pipe()
+	go func() { pw.CloseWithError(in.WriteWire(pw)) }()
+	err := s.cluster.PutStream(peer, path, pr, -1)
+	pr.CloseWithError(err)
+	return err
 }

@@ -3,11 +3,13 @@ package dserve
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,50 +18,60 @@ import (
 	"negativaml/internal/negativa"
 )
 
-// installOwner is node "own" of a ring whose other members are peers (id →
-// base URL): the node that receives install offers and resolves them.
-func installOwner(t *testing.T, cfg Config, peers map[string]string) (*Service, *httptest.Server) {
+// installOwner is node "own" of a ring: the node that receives install
+// pushes and resolves them. Its listener counts the bytes it receives.
+func installOwner(t *testing.T, cfg Config) (*Service, *httptest.Server, *countingListener) {
 	t.Helper()
 	svc := NewService(cfg)
-	srv := httptest.NewServer(NewHandler(svc))
-	urls := map[string]string{"own": srv.URL}
-	for id, u := range peers {
-		urls[id] = u
-	}
-	svc.AttachCluster(cluster.New("own", urls, cluster.Options{Counters: svc.Counters, Timeout: 5 * time.Second}))
+	srv := httptest.NewUnstartedServer(NewHandler(svc))
+	ln := &countingListener{Listener: srv.Listener}
+	srv.Listener = ln
+	srv.Start()
+	svc.AttachCluster(cluster.New("own", map[string]string{"own": srv.URL}, cluster.Options{Counters: svc.Counters, Timeout: 5 * time.Second}))
 	t.Cleanup(func() {
 		srv.Close()
 		svc.Close()
 	})
-	return svc, srv
+	return svc, srv, ln
 }
 
-// installRequester is node "req" with the pytorch/2 install resident, as
-// it is once a client batch on it resolved its install. wrap, when
-// non-nil, wraps its handler.
-func installRequester(t *testing.T, wrap func(http.Handler) http.Handler) (*Service, *httptest.Server, *mlframework.Install) {
+// installPusher is node "req", whose ring reaches the owner at ownURL, with
+// the pytorch/2 install resident, as it is once a client batch on it
+// generated its install.
+func installPusher(t *testing.T, ownURL string) (*Service, *mlframework.Install) {
 	t.Helper()
 	svc := NewService(Config{Workers: 2, MaxSteps: 2})
-	var h http.Handler = NewHandler(svc)
-	if wrap != nil {
-		h = wrap(h)
-	}
-	srv := httptest.NewServer(h)
-	svc.AttachCluster(cluster.New("req", nil, cluster.Options{}))
-	t.Cleanup(func() {
-		srv.Close()
-		svc.Close()
-	})
-	in, err := svc.install(mlframework.PyTorch, 2, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return svc, srv, in
+	svc.AttachCluster(cluster.New("req", map[string]string{"own": ownURL}, cluster.Options{Counters: svc.Counters}))
+	t.Cleanup(svc.Close)
+	return svc, generate(t, svc)
 }
 
-// offerOf is node from's offer of the pytorch/2 install in.
-func offerOf(in *mlframework.Install, from string) peerInstallOffer {
-	return peerInstallOffer{InstallFP: negativa.InstallFingerprint(in), From: from, Framework: "pytorch", TailLibs: 2}
+// pushWire pushes body to the owner at ownURL as the pytorch/2 install with
+// fingerprint fp, over the transport a generating node pushes with (a PUT
+// of unknown length, which asks first), and returns the status.
+func pushWire(t *testing.T, ownURL, fp string, body io.Reader) int {
+	t.Helper()
+	c := cluster.New("req", map[string]string{"own": ownURL}, cluster.Options{Timeout: 5 * time.Second})
+	err := c.PutStream("own", installPath(fp, "req", "pytorch", 2), body, -1)
+	var perr *cluster.PeerError
+	switch {
+	case err == nil:
+		return http.StatusOK
+	case errors.As(err, &perr):
+		return perr.Status
+	}
+	t.Fatal(err)
+	return 0
+}
+
+// wireOf is in's transfer form.
+func wireOf(t *testing.T, in *mlframework.Install) []byte {
+	t.Helper()
+	var wire bytes.Buffer
+	if err := in.WriteWire(&wire); err != nil {
+		t.Fatal(err)
+	}
+	return wire.Bytes()
 }
 
 // installCounts reads a node's install ladder counters.
@@ -67,67 +79,118 @@ func installCounts(svc *Service) (generated, fetched int64) {
 	return svc.Counters.Get("installs.generated"), svc.Counters.Get("installs.fetched")
 }
 
-// TestPeerDetectFetchesTheRequestersInstall: an owner of a peer's detect
-// keys that lacks the install pulls the offering peer's copy instead of
-// generating it, counts the pull, and keeps it resident under the spec key
-// for its own batches.
-func TestPeerDetectFetchesTheRequestersInstall(t *testing.T) {
-	reqSvc, reqSrv, in := installRequester(t, nil)
-	own, ownSrv := installOwner(t, Config{Workers: 2, MaxSteps: 2}, map[string]string{"req": reqSrv.URL})
+// resident is the install svc holds for pytorch/2; the test fails if
+// resolving it generates.
+func resident(t *testing.T, svc *Service) *mlframework.Install {
+	t.Helper()
+	g, _ := installCounts(svc)
+	in, err := svc.install(mlframework.PyTorch, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, _ := installCounts(svc); now != g {
+		t.Fatal("pytorch/2 was not resident")
+	}
+	return in
+}
 
-	if code := postPeer(t, ownSrv, "/v1/peer/install-offer", offerOf(in, "req"), nil); code != http.StatusOK {
-		t.Fatalf("offer status %d", code)
+// sameImages fails the test unless got carries want's library bytes.
+func sameImages(t *testing.T, got, want *mlframework.Install) {
+	t.Helper()
+	for _, name := range want.LibNames {
+		if !bytes.Equal(got.Library(name).Data, want.Library(name).Data) {
+			t.Fatalf("resident %s differs from the generated one", name)
+		}
+	}
+}
+
+// countingConn counts the bytes a server reads off one connection.
+type countingConn struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// countingListener counts the bytes its server reads, per connection.
+type countingListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []*atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	n := new(atomic.Int64)
+	l.mu.Lock()
+	l.conns = append(l.conns, n)
+	l.mu.Unlock()
+	return countingConn{Conn: c, n: n}, nil
+}
+
+// received returns the bytes read off each connection so far, in accept
+// order, and their sum.
+func (l *countingListener) received() (perConn []int64, total int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, n := range l.conns {
+		perConn = append(perConn, n.Load())
+		total += n.Load()
+	}
+	return perConn, total
+}
+
+// TestPeerDetectFetchesTheRequestersInstall: an owner of a peer's detect
+// keys that lacks the install keeps the pushed copy instead of generating
+// it, counts it, and keeps it resident under the spec key for its own
+// batches. The owner makes no peer request for it.
+func TestPeerDetectFetchesTheRequestersInstall(t *testing.T) {
+	own, ownSrv, _ := installOwner(t, Config{Workers: 2, MaxSteps: 2})
+	req, in := installPusher(t, ownSrv.URL)
+	path := installPath(negativa.InstallFingerprint(in), "req", "pytorch", 2)
+
+	if err := req.pushInstall("own", path, in); err != nil {
+		t.Fatal(err)
 	}
 	if g, f := installCounts(own); g != 0 || f != 1 {
-		t.Fatalf("owner generated %d installs and fetched %d, want 0 and 1", g, f)
+		t.Fatalf("owner generated %d installs and received %d, want 0 and 1", g, f)
 	}
 	for name, want := range map[string]int64{
 		"peer.objects_fetched": int64(len(in.LibNames)),
-		"peer.round_trips":     1,
+		"peer.round_trips":     0,
 	} {
 		if got := own.Counters.Get(name); got != want {
 			t.Errorf("owner %s = %d, want %d", name, got, want)
 		}
 	}
-	if got := reqSvc.Counters.Get("peer.served_installs"); got != 1 {
-		t.Errorf("requester peer.served_installs = %d, want 1", got)
-	}
 
-	// The owner's own batch of the same spec finds the fetched copy.
-	again, err := own.install(mlframework.PyTorch, 2, "", "")
-	if err != nil {
-		t.Fatal(err)
+	// The owner's own batch of the same spec finds the pushed copy.
+	sameImages(t, resident(t, own), in)
+	// A second push of a resident install is answered without its body.
+	if err := req.pushInstall("own", path, in); err != nil {
+		t.Fatalf("repeated push: %v", err)
 	}
 	if g, f := installCounts(own); g != 0 || f != 1 {
-		t.Fatalf("owner's own resolution generated %d installs and fetched %d more", g, f-1)
-	}
-	for _, name := range in.LibNames {
-		if !bytes.Equal(again.Library(name).Data, in.Library(name).Data) {
-			t.Fatalf("resident %s differs from the requester's", name)
-		}
-	}
-	// A second offer of a resident install pulls nothing.
-	if code := postPeer(t, ownSrv, "/v1/peer/install-offer", offerOf(in, "req"), nil); code != http.StatusOK {
-		t.Fatalf("repeated offer status %d", code)
-	}
-	if g, f := installCounts(own); g != 0 || f != 1 {
-		t.Fatalf("a repeated offer generated %d installs and fetched %d", g, f)
+		t.Fatalf("a repeated push generated %d installs and received %d", g, f)
 	}
 }
 
-// TestPeerDetectRejectsATamperedInstall: an offering peer that serves a
-// copy with one library byte flipped fails the fingerprint check. The
-// owner keeps nothing of that copy and generates the install itself.
+// TestPeerDetectRejectsATamperedInstall: a pushed copy with one library
+// byte flipped fails the fingerprint check. The owner keeps nothing of
+// that copy and generates the install itself.
 func TestPeerDetectRejectsATamperedInstall(t *testing.T) {
 	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wire bytes.Buffer
-	if err := in.WriteWire(&wire); err != nil {
-		t.Fatal(err)
-	}
-	tampered := wire.Bytes()
+	tampered := wireOf(t, in)
 	first := 8 + int(binary.BigEndian.Uint64(tampered)) + 8 // the first library's bytes
 	tampered[first+len(in.Library(in.LibNames[0]).Data)/2] ^= 0x01
 	// The copy still parses: what rejects it is the fingerprint.
@@ -136,129 +199,176 @@ func TestPeerDetectRejectsATamperedInstall(t *testing.T) {
 	} else if negativa.InstallFingerprint(bad) == negativa.InstallFingerprint(in) {
 		t.Fatal("flipped byte left the fingerprint unchanged")
 	}
-	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write(tampered)
-	}))
-	defer liar.Close()
-	own, ownSrv := installOwner(t, Config{Workers: 2, MaxSteps: 2}, map[string]string{"req": liar.URL})
+	own, ownSrv, _ := installOwner(t, Config{Workers: 2, MaxSteps: 2})
 
-	if code := postPeer(t, ownSrv, "/v1/peer/install-offer", offerOf(in, "req"), nil); code != http.StatusOK {
-		t.Fatalf("offer status %d", code)
+	if code := pushWire(t, ownSrv.URL, negativa.InstallFingerprint(in), bytes.NewReader(tampered)); code != http.StatusOK {
+		t.Fatalf("push status %d", code)
 	}
 	if g, f := installCounts(own); g != 1 || f != 0 {
-		t.Fatalf("owner generated %d installs and fetched %d, want 1 and 0", g, f)
+		t.Fatalf("owner generated %d installs and received %d, want 1 and 0", g, f)
 	}
-	resident := own.residentInstall(negativa.InstallFingerprint(in))
-	if resident == nil {
-		t.Fatal("the generated install is not resident")
-	}
-	for _, name := range in.LibNames {
-		if !bytes.Equal(resident.Library(name).Data, in.Library(name).Data) {
-			t.Fatalf("resident %s carries the tampered bytes", name)
-		}
-	}
+	sameImages(t, resident(t, own), in)
 }
 
-// TestPeerDetectFetchFallsBackToGenerate: an offering peer the owner
-// cannot fetch from — not on the ring, not reachable, or no longer holding
-// the install (404) — costs the owner a generation, never the offer.
+// TestPeerDetectFetchFallsBackToGenerate: a push the owner cannot use — cut
+// short, not an install at all, or empty — costs the owner a generation,
+// never the push.
 func TestPeerDetectFetchFallsBackToGenerate(t *testing.T) {
 	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gone := httptest.NewServer(http.NotFoundHandler())
-	gone.Close()
-	empty := NewService(Config{Workers: 1})
-	defer empty.Close()
-	empty.AttachCluster(cluster.New("req", nil, cluster.Options{}))
-	emptySrv := httptest.NewServer(NewHandler(empty))
-	defer emptySrv.Close()
-
+	wire := wireOf(t, in)
 	for _, tc := range []struct {
-		name, from string
-		peers      map[string]string
-		trips      int64
+		name string
+		body []byte
 	}{
-		{"unknown from", "nobody", nil, 0},
-		{"unreachable", "req", map[string]string{"req": gone.URL}, 1},
-		{"evicted (404)", "req", map[string]string{"req": emptySrv.URL}, 1},
+		{"truncated", wire[:len(wire)/2]},
+		{"not an install", bytes.Repeat([]byte{0xff}, 4096)},
+		{"empty", nil},
 	} {
-		own, ownSrv := installOwner(t, Config{Workers: 2, MaxSteps: 2}, tc.peers)
-		if code := postPeer(t, ownSrv, "/v1/peer/install-offer", offerOf(in, tc.from), nil); code != http.StatusOK {
-			t.Fatalf("%s: offer status %d", tc.name, code)
-		}
-		if own.residentInstall(negativa.InstallFingerprint(in)) == nil {
-			t.Fatalf("%s: the generated install is not resident", tc.name)
+		own, ownSrv, _ := installOwner(t, Config{Workers: 2, MaxSteps: 2})
+		if code := pushWire(t, ownSrv.URL, negativa.InstallFingerprint(in), bytes.NewReader(tc.body)); code != http.StatusOK {
+			t.Fatalf("%s: push status %d", tc.name, code)
 		}
 		if g, f := installCounts(own); g != 1 || f != 0 {
-			t.Fatalf("%s: owner generated %d installs and fetched %d, want 1 and 0", tc.name, g, f)
+			t.Fatalf("%s: owner generated %d installs and received %d, want 1 and 0", tc.name, g, f)
 		}
-		if got := own.Counters.Get("peer.round_trips"); got != tc.trips {
-			t.Fatalf("%s: peer.round_trips = %d, want %d", tc.name, got, tc.trips)
-		}
-	}
-	if got := empty.Counters.Get("peer.served_installs"); got != 0 {
-		t.Fatalf("a node without the install served it %d times", got)
+		sameImages(t, resident(t, own), in)
 	}
 }
 
-// TestInstallOfferFetchesOnce: concurrent offers of one install to one
-// owner share a single pull. The requester holds its answer until both
-// offers have reached the owner, so the second finds the first's fetch in
-// flight rather than finished.
-func TestInstallOfferFetchesOnce(t *testing.T) {
-	release := make(chan struct{})
-	reqSvc, reqSrv, in := installRequester(t, func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasPrefix(r.URL.Path, "/v1/peer/install/") {
-				<-release
-			}
-			h.ServeHTTP(w, r)
-		})
+// TestInstallPushAsksFirst: a push asks before it sends. An owner whose
+// spec slot already holds the install answers 200 having received its
+// request's headers only, not the install. An owner that does read a push
+// keeps none of a body that fingerprints to another install — here a whole
+// other, valid install under pytorch/2's fingerprint — and generates.
+func TestInstallPushAsksFirst(t *testing.T) {
+	t.Run("holder reads headers only", func(t *testing.T) {
+		own, ownSrv, ln := installOwner(t, Config{Workers: 2, MaxSteps: 2})
+		held := generate(t, own)
+		req, in := installPusher(t, ownSrv.URL)
+		_, before := ln.received()
+		if err := req.pushInstall("own", installPath(negativa.InstallFingerprint(in), "req", "pytorch", 2), in); err != nil {
+			t.Fatalf("push to a holder: %v", err)
+		}
+		if _, after := ln.received(); after-before >= 4<<10 {
+			t.Fatalf("the holder's listener received %d bytes for the push, want headers only (< 4 KiB)", after-before)
+		}
+		if g, f := installCounts(own); g != 1 || f != 0 {
+			t.Fatalf("holder generated %d installs and received %d, want 1 and 0", g, f)
+		}
+		if resident(t, own) != held {
+			t.Fatal("the push replaced the held install")
+		}
 	})
-	own, ownSrv := installOwner(t, Config{Workers: 2, MaxSteps: 2}, map[string]string{"req": reqSrv.URL})
+	t.Run("another install under the fingerprint", func(t *testing.T) {
+		in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, ownSrv, _ := installOwner(t, Config{Workers: 2, MaxSteps: 2})
+		if code := pushWire(t, ownSrv.URL, negativa.InstallFingerprint(in), bytes.NewReader(wireOf(t, other))); code != http.StatusOK {
+			t.Fatalf("push status %d", code)
+		}
+		if g, f := installCounts(own); g != 1 || f != 0 {
+			t.Fatalf("owner generated %d installs and received %d, want 1 and 0", g, f)
+		}
+		got := resident(t, own)
+		if len(got.LibNames) != len(in.LibNames) {
+			t.Fatalf("resident install has %d libraries, want pytorch/2's %d", len(got.LibNames), len(in.LibNames))
+		}
+		sameImages(t, got, in)
+	})
+}
 
-	body, err := json.Marshal(offerOf(in, "req"))
+// generate resolves svc's pytorch/2 install, generating it, and returns it.
+func generate(t *testing.T, svc *Service) *mlframework.Install {
+	t.Helper()
+	in, err := svc.install(mlframework.PyTorch, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const offers = 2
+	return in
+}
+
+// gatedBody serves head, then blocks until release closes, then serves
+// tail.
+type gatedBody struct {
+	head, tail []byte
+	release    chan struct{}
+}
+
+func (b *gatedBody) Read(p []byte) (int, error) {
+	if len(b.head) > 0 {
+		n := copy(p, b.head)
+		b.head = b.head[n:]
+		return n, nil
+	}
+	<-b.release
+	if len(b.tail) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, b.tail)
+	b.tail = b.tail[n:]
+	return n, nil
+}
+
+// TestInstallOfferFetchesOnce: concurrent pushes of one install to one
+// owner resolve it once, and the owner never reads the second push's body.
+// Each push holds back all but its first bytes until both have reached
+// the owner, so the second finds the first's resolution in flight rather
+// than finished.
+func TestInstallOfferFetchesOnce(t *testing.T) {
+	const pushes = 2
+	own, ownSrv, ln := installOwner(t, Config{Workers: 2, MaxSteps: 2})
+	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, fp := wireOf(t, in), negativa.InstallFingerprint(in)
+	release := make(chan struct{})
 	var wg sync.WaitGroup
-	codes := make([]int, offers)
+	codes := make([]int, pushes)
 	for i := range codes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(ownSrv.URL+"/v1/peer/install-offer", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			resp.Body.Close()
-			codes[i] = resp.StatusCode
+			codes[i] = pushWire(t, ownSrv.URL, fp, &gatedBody{head: wire[:64], tail: wire[64:], release: release})
 		}()
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for own.Counters.Get("peer.served_offers") < offers && time.Now().Before(deadline) {
+	for own.Counters.Get("peer.served_offers") < pushes && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	// Both handlers are in; give the second a moment to reach the install
-	// while the first one's pull is still held. The counts below hold for a
+	// while the first one's body is still held. The counts below hold for a
 	// correct owner however the two interleave.
 	time.Sleep(5 * time.Millisecond)
 	close(release)
 	wg.Wait()
 	for i, code := range codes {
 		if code != http.StatusOK {
-			t.Fatalf("offer %d status %d", i, code)
+			t.Fatalf("push %d status %d", i, code)
 		}
 	}
 	if g, f := installCounts(own); g != 0 || f != 1 {
-		t.Fatalf("owner generated %d installs and fetched %d, want 0 and 1", g, f)
+		t.Fatalf("owner generated %d installs and received %d, want 0 and 1", g, f)
 	}
-	if got := reqSvc.Counters.Get("peer.served_installs"); got != 1 {
-		t.Fatalf("requester served the install %d times, want 1", got)
+	// Each push came on its own connection; one of them carried an install.
+	perConn, _ := ln.received()
+	bodies := 0
+	for _, n := range perConn {
+		if n >= 4<<10 {
+			bodies++
+		}
+	}
+	if len(perConn) != pushes || bodies != 1 {
+		t.Fatalf("the owner received %v bytes on its connections, want one install and one request's headers", perConn)
 	}
 }
 
@@ -311,69 +421,77 @@ func TestInstallOfferNeverFailsTheBatch(t *testing.T) {
 	if g, f := installCounts(bare); g != 0 || f != 1 {
 		t.Fatalf("the store-less owner generated %d installs and fetched %d, want 0 and 1", g, f)
 	}
+	if got := svc.Counters.Get("peer.served_pings"); got != 1 {
+		t.Fatalf("the pusher served %d heartbeats, want the one its owner sends on taking a push", got)
+	}
 }
 
 // TestInstallRouteTakesNoSlot: a node whose every pool slot is held still
-// serves its install, so an owner's pull never waits on the batches
-// running there.
+// takes a pushed install, so a push never waits on the batches running
+// there.
 func TestInstallRouteTakesNoSlot(t *testing.T) {
-	reqSvc, reqSrv, in := installRequester(t, nil)
-	for i := 0; i < reqSvc.Workers(); i++ {
-		reqSvc.pool.Acquire()
-		defer reqSvc.pool.Release()
+	own, ownSrv, _ := installOwner(t, Config{Workers: 2, MaxSteps: 2})
+	for i := 0; i < own.Workers(); i++ {
+		own.pool.Acquire()
+		defer own.pool.Release()
 	}
-	quick := http.Client{Timeout: 2 * time.Second}
-	resp, err := quick.Get(reqSrv.URL + "/v1/peer/install/" + negativa.InstallFingerprint(in))
-	if err != nil {
-		t.Fatalf("install route waited for a slot: %v", err)
+	req, in := installPusher(t, ownSrv.URL)
+	done := make(chan error, 1)
+	go func() {
+		done <- req.pushInstall("own", installPath(negativa.InstallFingerprint(in), "req", "pytorch", 2), in)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("install route waited for a slot")
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("install route status %d", resp.StatusCode)
-	}
-	got, err := mlframework.ReadWire(resp.Body, peerBodyLimit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if negativa.InstallFingerprint(got) != negativa.InstallFingerprint(in) {
-		t.Fatal("served install fingerprints differently")
+	if _, f := installCounts(own); f != 1 {
+		t.Fatalf("owner received %d installs, want 1", f)
 	}
 }
 
-// TestFetchedInstallsCountTowardMaxInstalls: a fetched install takes a
+// TestFetchedInstallsCountTowardMaxInstalls: a received install takes a
 // slot of the bounded install cache like a generated one, and leaves it
-// (and the install route) the same way.
+// the same way: once evicted, the next push of it is read again.
 func TestFetchedInstallsCountTowardMaxInstalls(t *testing.T) {
-	_, reqSrv, in := installRequester(t, nil)
-	own, ownSrv := installOwner(t, Config{Workers: 2, MaxSteps: 2, MaxInstalls: 1}, map[string]string{"req": reqSrv.URL})
-	if code := postPeer(t, ownSrv, "/v1/peer/install-offer", offerOf(in, "req"), nil); code != http.StatusOK {
-		t.Fatalf("offer status %d", code)
-	}
-	fp := negativa.InstallFingerprint(in)
-	if _, f := installCounts(own); f != 1 || own.residentInstall(fp) == nil {
-		t.Fatalf("fetched %d installs; resident: %v", f, own.residentInstall(fp) != nil)
-	}
-	if _, err := own.install(mlframework.PyTorch, 3, "", ""); err != nil {
+	own, ownSrv, _ := installOwner(t, Config{Workers: 2, MaxSteps: 2})
+	req, in := installPusher(t, ownSrv.URL)
+	path := installPath(negativa.InstallFingerprint(in), "req", "pytorch", 2)
+	if err := req.pushInstall("own", path, in); err != nil {
 		t.Fatal(err)
+	}
+	if _, f := installCounts(own); f != 1 {
+		t.Fatalf("received %d installs, want 1", f)
+	}
+	// maxInstalls other specs, small ones first, push the received one out.
+	added := 0
+	for tail := 0; added < maxInstalls; tail++ {
+		for _, fw := range []string{mlframework.PyTorch, mlframework.TensorFlow, mlframework.VLLM, mlframework.HFTransformers} {
+			if added == maxInstalls || (fw == mlframework.PyTorch && tail == 2) {
+				continue
+			}
+			if _, err := own.install(fw, tail, nil); err != nil {
+				t.Fatal(err)
+			}
+			added++
+		}
 	}
 	if got := own.Counters.Get("installs.evicted"); got != 1 {
 		t.Fatalf("installs.evicted = %d, want 1", got)
 	}
-	if own.residentInstall(fp) != nil {
-		t.Fatal("the fetched install outlived its eviction")
-	}
-	resp, err := http.Get(ownSrv.URL + "/v1/peer/install/" + fp)
-	if err != nil {
+	if err := req.pushInstall("own", path, in); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("evicted install route status %d, want 404", resp.StatusCode)
+	if g, f := installCounts(own); f != 2 || g != maxInstalls {
+		t.Fatalf("after eviction: received %d installs and generated %d, want 2 and %d", f, g, maxInstalls)
 	}
 }
 
-// BenchmarkReceiveInstall is what an offered owner pays for an install it
-// does not hold, in place of mlframework.Generate: decode the served
+// BenchmarkReceiveInstall is what an owner pays to receive a pushed install
+// it does not hold, in place of mlframework.Generate: decode the pushed
 // pytorch20 transfer form, parse its 33 libraries and fingerprint them
 // (which builds their analysis indexes, across CPUs above -cpu 1).
 func BenchmarkReceiveInstall(b *testing.B) {

@@ -2,7 +2,10 @@ package dserve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +13,7 @@ import (
 
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
+	"negativaml/internal/mlframework"
 	"negativaml/internal/negativa"
 )
 
@@ -117,11 +121,11 @@ func TestPeerJSONBodyLimits(t *testing.T) {
 	}
 }
 
-// TestInstallOfferRefusals: an offer whose spec key does not validate is
+// TestInstallOfferRefusals: a push whose spec key does not validate is
 // 400 before any install is resolved, and an install the owner resolves
-// for a valid spec key that does not fingerprint to the offer — here the
-// offering node is not on the ring, so the owner generates — is 409, not
-// papered over.
+// for a valid spec key that does not fingerprint to the push's path — here
+// the body carries the pytorch/2 install under another fingerprint, so
+// the owner generates — is 409, not papered over.
 func TestInstallOfferRefusals(t *testing.T) {
 	svc := NewService(Config{Workers: 2, MaxSteps: 2})
 	defer svc.Close()
@@ -129,29 +133,48 @@ func TestInstallOfferRefusals(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
-	for name, offer := range map[string]peerInstallOffer{
-		"unknown framework": {Framework: "no-such", TailLibs: 2},
-		"negative tail":     {Framework: "pytorch", TailLibs: -1},
-		"tail over bound":   {Framework: "pytorch", TailLibs: MaxTailLibs + 1},
+	for name, query := range map[string]string{
+		"unknown framework": "framework=no-such&tail_libs=2",
+		"negative tail":     "framework=pytorch&tail_libs=-1",
+		"tail over bound":   fmt.Sprintf("framework=pytorch&tail_libs=%d", MaxTailLibs+1),
+		"no tail":           "framework=pytorch",
 	} {
-		if code := postPeer(t, srv, "/v1/peer/install-offer", offer, nil); code != http.StatusBadRequest {
+		if code := putPeer(t, srv, "/v1/peer/install/x?"+query, nil); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, code)
 		}
 	}
 	if g, f := installCounts(svc); g != 0 || f != 0 {
-		t.Fatalf("malformed offers generated %d installs and fetched %d", g, f)
+		t.Fatalf("malformed pushes generated %d installs and received %d", g, f)
 	}
 
-	offer := peerInstallOffer{InstallFP: "not-a-real-fingerprint", From: "nobody", Framework: "pytorch", TailLibs: 2}
-	if code := postPeer(t, srv, "/v1/peer/install-offer", offer, nil); code != http.StatusConflict {
+	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := pushWire(t, srv.URL, "not-a-real-fingerprint", bytes.NewReader(wireOf(t, in))); code != http.StatusConflict {
 		t.Fatalf("fingerprint mismatch: status %d, want 409", code)
 	}
 	if g, f := installCounts(svc); g != 1 || f != 0 {
-		t.Fatalf("an offer from off the ring generated %d installs and fetched %d, want 1 and 0", g, f)
+		t.Fatalf("a push under another fingerprint generated %d installs and received %d, want 1 and 0", g, f)
 	}
 	if got := svc.Counters.Get("peer.round_trips"); got != 0 {
-		t.Fatalf("the owner made %d peer round trips to a node not on the ring", got)
+		t.Fatalf("the owner made %d peer round trips", got)
 	}
+}
+
+// putPeer PUTs body to a peer route and returns the status.
+func putPeer(t *testing.T, srv *httptest.Server, path string, body []byte) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPut, srv.URL+path, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 // TestPeerRoutesRequireCluster: the peer surface is node-to-node only —
@@ -166,11 +189,11 @@ func TestPeerRoutesRequireCluster(t *testing.T) {
 	if code := postPeer(t, srv, "/v1/peer/lookup-batch", peerBatchLookupRequest{}, nil); code != http.StatusNotFound {
 		t.Fatalf("lookup-batch without a cluster: status %d, want 404", code)
 	}
-	if code := postPeer(t, srv, "/v1/peer/install-offer", peerInstallOffer{Framework: "pytorch", TailLibs: 2}, nil); code != http.StatusNotFound {
-		t.Fatalf("install offer without a cluster: status %d, want 404", code)
+	if code := putPeer(t, srv, installPath("x", "req", "pytorch", 2), nil); code != http.StatusNotFound {
+		t.Fatalf("install push without a cluster: status %d, want 404", code)
 	}
 	if g, f := installCounts(svc); g != 0 || f != 0 {
-		t.Fatalf("a refused offer generated %d installs and fetched %d", g, f)
+		t.Fatalf("a refused push generated %d installs and received %d", g, f)
 	}
 	req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/peer/objects/lib/deadbeef", strings.NewReader("x"))
 	if err != nil {
@@ -202,19 +225,11 @@ func TestPeerObjectPutKinds(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
-	key := strings.Repeat("ab", 32)
+	// The key is the payload's digest, so a lib push is content-addressed.
+	sum := sha256.Sum256([]byte("payload"))
+	key := hex.EncodeToString(sum[:])
 	put := func(kind string) int {
-		body := castore.Frame([]byte("payload"))
-		req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/peer/objects/"+kind+"/"+key, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
+		return putPeer(t, srv, "/v1/peer/objects/"+kind+"/"+key, castore.Frame([]byte("payload")))
 	}
 	for _, kind := range []string{"result", "sparse", kindJob} {
 		if code := put(kind); code != http.StatusBadRequest {
@@ -234,6 +249,48 @@ func TestPeerObjectPutKinds(t *testing.T) {
 	}
 }
 
+// TestPeerObjectPutRefusesMisaddressedLib: a lib object is addressed by the
+// digest of its bytes, so a pushed frame whose bytes hash to another key —
+// image Y filed under X's digest, in a frame whose own checksum is sound —
+// is 400 and lands nothing. The node's own later write of X under that key
+// then stores X, and a read of the key returns X.
+func TestPeerObjectPutRefusesMisaddressedLib(t *testing.T) {
+	st, err := castore.Open(t.TempDir(), castore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	svc := NewService(Config{Workers: 1, Store: st})
+	defer svc.Close()
+	soloCluster(svc)
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	x, y := []byte("the real image"), []byte("another image")
+	sum := sha256.Sum256(x)
+	key := hex.EncodeToString(sum[:])
+	for name, body := range map[string][]byte{
+		"another image":  castore.Frame(y),
+		"a short header": castore.Frame(x)[:castore.HeaderSize-1],
+	} {
+		if code := putPeer(t, srv, "/v1/peer/objects/lib/"+key, body); code != http.StatusBadRequest {
+			t.Errorf("%s under the key: status %d, want 400", name, code)
+		}
+	}
+	if st.Has(kindLib, key) {
+		t.Fatal("a refused lib push landed in the store")
+	}
+	if err := st.Put(kindLib, key, x); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := st.Get(kindLib, key); !ok || !bytes.Equal(got, x) {
+		t.Fatalf("the key reads %q, want %q", got, x)
+	}
+	if code := putPeer(t, srv, "/v1/peer/objects/lib/"+key, castore.Frame(x)); code != http.StatusOK {
+		t.Fatalf("the image under its own digest: status %d, want 200", code)
+	}
+}
+
 // TestPeerSecretEnforced: a cluster configured with a shared secret
 // refuses peer requests without it (constant-time compare, 401), accepts
 // them with it, and the cluster transport attaches it automatically.
@@ -246,9 +303,8 @@ func TestPeerSecretEnforced(t *testing.T) {
 
 	probe := peerBatchLookupRequest{Keys: []peerLookupRequest{{Stage: negativa.StageCompact, Hash: "nope"}}}
 	body, _ := json.Marshal(probe)
-	offer, _ := json.Marshal(peerInstallOffer{Framework: "no-such"})
-	do := func(path string, body []byte, secret string) int {
-		req, err := http.NewRequest(http.MethodPost, srv.URL+path, bytes.NewReader(body))
+	do := func(method, path string, body []byte, secret string) int {
+		req, err := http.NewRequest(method, srv.URL+path, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,22 +319,23 @@ func TestPeerSecretEnforced(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if code := do("/v1/peer/lookup-batch", body, ""); code != http.StatusUnauthorized {
+	if code := do(http.MethodPost, "/v1/peer/lookup-batch", body, ""); code != http.StatusUnauthorized {
 		t.Fatalf("no secret: status %d, want 401", code)
 	}
-	if code := do("/v1/peer/lookup-batch", body, "wrong"); code != http.StatusUnauthorized {
+	if code := do(http.MethodPost, "/v1/peer/lookup-batch", body, "wrong"); code != http.StatusUnauthorized {
 		t.Fatalf("wrong secret: status %d, want 401", code)
 	}
-	if code := do("/v1/peer/lookup-batch", body, "ring-credential"); code != http.StatusOK {
+	if code := do(http.MethodPost, "/v1/peer/lookup-batch", body, "ring-credential"); code != http.StatusOK {
 		t.Fatalf("correct secret: status %d, want 200", code)
 	}
-	// An offer without the secret is refused before it is read; with it,
-	// this one reaches validation (its framework is unknown).
-	if code := do("/v1/peer/install-offer", offer, ""); code != http.StatusUnauthorized {
-		t.Fatalf("offer without a secret: status %d, want 401", code)
+	// An install push without the secret is refused before it is read;
+	// with it, this one reaches validation (its framework is unknown).
+	push := installPath("x", "req", "no-such", 2)
+	if code := do(http.MethodPut, push, nil, ""); code != http.StatusUnauthorized {
+		t.Fatalf("push without a secret: status %d, want 401", code)
 	}
-	if code := do("/v1/peer/install-offer", offer, "ring-credential"); code != http.StatusBadRequest {
-		t.Fatalf("offer with the secret: status %d, want 400", code)
+	if code := do(http.MethodPut, push, nil, "ring-credential"); code != http.StatusBadRequest {
+		t.Fatalf("push with the secret: status %d, want 400", code)
 	}
 
 	// The cluster client carries the secret on its own requests: a peer

@@ -77,8 +77,8 @@ func peerStats(s *Service) map[string]any {
 //	                                the service runs without a data dir)
 //
 // plus the node-to-node /v1/peer/* routes (see peer.go) that cluster
-// peers use for stage read-through, install offers and pulls, and castore
-// object transfer. docs/API.md documents every route with examples kept
+// peers use for stage read-through, install pushes, and castore object
+// transfer. docs/API.md documents every route with examples kept
 // honest by TestAPIDocExamples.
 func NewHandler(s *Service) http.Handler {
 	return newMux(s)

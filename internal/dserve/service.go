@@ -3,10 +3,8 @@ package dserve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -102,9 +100,6 @@ type Config struct {
 	// job holds its compacted library images (default 256). Running and
 	// queued jobs are never evicted.
 	MaxJobs int
-	// MaxInstalls bounds the server-side generated-install cache
-	// (default 16).
-	MaxInstalls int
 	// MaxInFlight bounds queued+running jobs; Submit returns ErrBusy
 	// beyond it (default 64).
 	MaxInFlight int
@@ -177,9 +172,9 @@ type installSlot struct {
 	in   *mlframework.Install
 	err  error
 	// fp is the install's fingerprint and generated whether this node built
-	// it (rather than pulling it), both set under Service.mu once the slot
-	// resolved: the install route serves it by fp, and only a generated
-	// install is offered. offered lists the owners it was offered to.
+	// it (rather than receiving it), both set under Service.mu once the
+	// slot resolved: only a generated install is pushed on, and only when
+	// fp is the batch's. offered lists the owners it was pushed to.
 	fp        string
 	generated bool
 	offered   []string
@@ -198,9 +193,6 @@ func NewService(cfg Config) *Service {
 	}
 	if cfg.MaxJobs < 1 {
 		cfg.MaxJobs = 256
-	}
-	if cfg.MaxInstalls < 1 {
-		cfg.MaxInstalls = 16
 	}
 	if cfg.MaxInFlight < 1 {
 		cfg.MaxInFlight = 64
@@ -619,17 +611,21 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	return res, nil
 }
 
+// maxInstalls bounds the resident installs, received and generated alike.
+const maxInstalls = 16
+
 // install resolves the install for (framework, tailLibs) down one ladder:
-// the copy already resident under that spec key; else, when a peer offered
-// it (from names the offering node, fp the fingerprint it offered), that
-// peer's resident copy; else mlframework.Generate. A step that fails falls
-// through to the next. Resolution runs at most once per spec key, so
-// concurrent callers share one fetch or one generation, and the result
-// stays resident for every later job and offer — the fleet setting where many workloads target one shared install. The cache
-// holds MaxInstalls entries, fetched and generated alike, evicted
-// oldest-first; a job holding an evicted install keeps using it (installs
-// are immutable), only the cache entry goes.
-func (s *Service) install(framework string, tailLibs int, from, fp string) (*mlframework.Install, error) {
+// the copy already resident under that spec key; else, when a peer pushed
+// it, receive's copy (nil when the push does not check out); else
+// mlframework.Generate. Resolution runs at most once per spec key, so
+// concurrent callers share one receive or one generation, and a caller
+// whose spec key is already resolved or resolving never calls receive.
+// The result stays resident for every later job and push — the fleet
+// setting where many workloads target one shared install. The cache holds
+// maxInstalls entries, evicted oldest-first; a job holding an evicted
+// install keeps using it (installs are immutable), only the cache entry
+// goes.
+func (s *Service) install(framework string, tailLibs int, receive func() *mlframework.Install) (*mlframework.Install, error) {
 	key := specKey(framework, tailLibs)
 	s.mu.Lock()
 	slot := s.installs[key]
@@ -637,7 +633,7 @@ func (s *Service) install(framework string, tailLibs int, from, fp string) (*mlf
 		slot = &installSlot{}
 		s.installs[key] = slot
 		s.installOrder = append(s.installOrder, key)
-		for len(s.installOrder) > s.cfg.MaxInstalls {
+		for len(s.installOrder) > maxInstalls {
 			oldest := s.installOrder[0]
 			s.installOrder = s.installOrder[1:]
 			delete(s.installs, oldest)
@@ -646,8 +642,8 @@ func (s *Service) install(framework string, tailLibs int, from, fp string) (*mlf
 	}
 	s.mu.Unlock()
 	slot.once.Do(func() {
-		if from != "" {
-			slot.in = s.fetchInstall(framework, from, fp)
+		if receive != nil {
+			slot.in = receive()
 		}
 		generated := slot.in == nil
 		if generated {
@@ -665,47 +661,8 @@ func (s *Service) install(framework string, tailLibs int, from, fp string) (*mlf
 	return slot.in, slot.err
 }
 
-// fetchInstall pulls the install with fingerprint fp from peer from
-// (GET /v1/peer/install/{fp}) and accepts it only when it is what was
-// asked for: a parsed install of the framework whose fingerprint is fp.
-// Anything else — a peer not on the ring, an unreachable one, a 404, a
-// stream that does not parse, bytes that fingerprint differently — is nil,
-// and the caller generates instead.
-func (s *Service) fetchInstall(framework, from, fp string) *mlframework.Install {
-	c := s.Cluster()
-	if c == nil || from == c.Self() || !slices.Contains(c.Nodes(), from) {
-		return nil
-	}
-	s.Counters.Add("peer.round_trips", 1)
-	var in *mlframework.Install
-	err := c.Get(from, "/v1/peer/install/"+fp, func(r io.Reader) error {
-		var err error
-		in, err = mlframework.ReadWire(r, peerBodyLimit)
-		return err
-	})
-	if err != nil || in.Framework != framework || negativa.InstallFingerprint(in) != fp {
-		return nil
-	}
-	s.Counters.Add("installs.fetched", 1)
-	s.Counters.Add("peer.objects_fetched", int64(len(in.LibNames)))
-	return in
-}
-
 // specKey names the install slot of a spec: framework and tail count.
 func specKey(framework string, tailLibs int) string { return fmt.Sprintf("%s/%d", framework, tailLibs) }
-
-// residentInstall returns the resident install whose fingerprint is fp,
-// or nil.
-func (s *Service) residentInstall(fp string) *mlframework.Install {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, slot := range s.installs {
-		if slot.fp == fp {
-			return slot.in
-		}
-	}
-	return nil
-}
 
 // ingestInstall resolves an ingestion-mode request directory against the
 // configured IngestRoot and materializes the tree as an install. Paths are

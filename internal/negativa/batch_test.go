@@ -142,7 +142,7 @@ func TestGoldenBatchMatchesMonolith(t *testing.T) {
 				label := fmt.Sprintf("%s/%d members/%d workers/verify %v", fw, len(ws), workers, verify)
 				b := NewBatch(ws[0].Install, ws, maxSteps)
 				b.Verify = verify
-				run, err := b.Run(plan.NewPool(workers), plan.NewMemMemo(0), nil, nil)
+				run, err := b.Run(plan.NewPool(workers), newMapMemo(), nil, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -169,12 +169,12 @@ func TestBatchHooks(t *testing.T) {
 	verify := []bool{true, false, true}
 	plain := NewBatch(in, ws, 2)
 	plain.Verify = verify
-	want, err := plain.Run(plan.NewPool(2), plan.NewMemMemo(0), nil, nil)
+	want, err := plain.Run(plan.NewPool(2), newMapMemo(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	memo := &hintMemo{Memo: plan.NewMemMemo(0), hints: map[plan.Key]any{}}
+	memo := &hintMemo{Memo: newMapMemo(), hints: map[plan.Key]any{}}
 	for _, pass := range []string{"cold", "warm"} {
 		var calls []prefetchCall
 		probed := 0
@@ -272,7 +272,7 @@ func TestBatchVerifiesProbedRecords(t *testing.T) {
 		next++
 		return records[next-1], true
 	}
-	run, err := b.Run(plan.NewPool(2), plan.NewMemMemo(0), nil, nil)
+	run, err := b.Run(plan.NewPool(2), newMapMemo(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

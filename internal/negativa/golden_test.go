@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -126,19 +127,21 @@ func TestGoldenPlannerMatchesMonolith(t *testing.T) {
 func TestGoldenPlannerSharedMemo(t *testing.T) {
 	w := goldenWorkload(t, mlframework.PyTorch)
 	opt := Options{MaxSteps: 4, VerifySteps: 2}
-	memo := plan.NewMemMemo(0)
-	opt.Memo = memo
+	memo := newMapMemo()
 
-	cold, err := Debloat(w, opt)
+	cold, err := debloat(w, opt, memo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if memo.Len() == 0 {
+	if len(memo.vals) == 0 {
 		t.Fatal("shared memo must retain stage results")
 	}
-	warm, err := Debloat(w, opt)
+	warm, err := debloat(w, opt, memo)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if memo.hits == 0 {
+		t.Fatal("the warm run absorbed no stage")
 	}
 	equalResults(t, "warm-vs-cold", cold, warm)
 
@@ -147,6 +150,36 @@ func TestGoldenPlannerSharedMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	equalResults(t, "warm-vs-monolith", mono, warm)
+}
+
+// mapMemo is a plan.Memo over a plain map, counting its hits: enough for
+// tests that need one run's stage values to serve the next.
+type mapMemo struct {
+	mu   sync.Mutex
+	vals map[plan.Key]any
+	hits int
+}
+
+func newMapMemo() *mapMemo { return &mapMemo{vals: map[plan.Key]any{}} }
+
+func (m *mapMemo) GetOrCompute(_ plan.Executor, key plan.Key, _ any, compute func() (any, error)) (any, plan.Source, error) {
+	m.mu.Lock()
+	v, ok := m.vals[key]
+	if ok {
+		m.hits++
+	}
+	m.mu.Unlock()
+	if ok {
+		return v, plan.SourceMemory, nil
+	}
+	v, err := compute()
+	if err != nil {
+		return nil, plan.SourceComputed, err
+	}
+	m.mu.Lock()
+	m.vals[key] = v
+	m.mu.Unlock()
+	return v, plan.SourceComputed, nil
 }
 
 // TestGoldenPlannerSerialWidth pins determinism across pool widths: a

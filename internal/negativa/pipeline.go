@@ -37,11 +37,6 @@ type Options struct {
 	// compaction, the capped reference run, the verification re-run —
 	// overlap up to this width.
 	Workers int
-	// Memo, when non-nil, memoizes stage results across Debloat calls by
-	// content key (repeat runs against the same install absorb detection
-	// and analysis). Nil uses a fresh per-call memo, which still
-	// deduplicates identical stages within the run.
-	Memo plan.Memo
 }
 
 // Result is the full pipeline output for one workload.
@@ -129,19 +124,20 @@ type LibDebloat struct {
 }
 
 // Debloat runs the full Negativa-ML pipeline on a workload: a Batch of one
-// member, whose union is the member's own profile. Every node carries a
-// content-derived key; with a shared Options.Memo, repeat runs absorb
-// unchanged stages. The result is byte-identical to the pre-planner
-// monolithic pipeline — the golden equivalence suite holds the two
-// implementations together.
+// member, whose union is the member's own profile. The result is
+// byte-identical to the pre-planner monolithic pipeline — the golden
+// equivalence suite holds the two implementations together.
 func Debloat(w mlruntime.Workload, opt Options) (*Result, error) {
+	return debloat(w, opt, nil)
+}
+
+// debloat is Debloat over a stage memo: every node carries a
+// content-derived key, so repeat runs over one memo absorb unchanged
+// stages. A nil memo computes every node.
+func debloat(w mlruntime.Workload, opt Options, memo plan.Memo) (*Result, error) {
 	workers := opt.Workers
 	if workers < 1 {
 		workers = runtime.NumCPU()
-	}
-	memo := opt.Memo
-	if memo == nil {
-		memo = plan.NewMemMemo(0)
 	}
 	b := NewBatch(w.Install, []mlruntime.Workload{w}, opt.MaxSteps)
 	b.VerifySteps = opt.VerifySteps

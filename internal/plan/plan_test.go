@@ -17,6 +17,32 @@ type obs struct {
 	misses map[string]int
 }
 
+// mapMemo is a Memo over a plain map: enough for tests that only need a
+// value memoized by one execution to serve the next.
+type mapMemo struct {
+	mu   sync.Mutex
+	vals map[Key]any
+}
+
+func newMapMemo() *mapMemo { return &mapMemo{vals: map[Key]any{}} }
+
+func (m *mapMemo) GetOrCompute(_ Executor, key Key, _ any, compute func() (any, error)) (any, Source, error) {
+	m.mu.Lock()
+	v, ok := m.vals[key]
+	m.mu.Unlock()
+	if ok {
+		return v, SourceMemory, nil
+	}
+	v, err := compute()
+	if err != nil {
+		return nil, SourceComputed, err
+	}
+	m.mu.Lock()
+	m.vals[key] = v
+	m.mu.Unlock()
+	return v, SourceComputed, nil
+}
+
 func newObs() *obs { return &obs{hits: map[string]int{}, misses: map[string]int{}} }
 
 func (o *obs) StageDone(stage string, hit bool, _ time.Duration) {
@@ -43,7 +69,7 @@ func TestGraphExecutesInDependencyOrder(t *testing.T) {
 		return deps[0].(int) * deps[0].(int), nil
 	})
 
-	memo := NewMemMemo(0)
+	memo := newMapMemo()
 	o := newObs()
 	if err := g.Execute(NewPool(2), memo, o); err != nil {
 		t.Fatal(err)
@@ -108,7 +134,7 @@ func TestGraphKeyErrorFails(t *testing.T) {
 	g := New()
 	g.Node("k", nil, func([]any) (Key, error) { return Key{}, errors.New("no key") },
 		func([]any) (any, error) { return 1, nil })
-	if err := g.Execute(NewPool(1), NewMemMemo(0), nil); err == nil {
+	if err := g.Execute(NewPool(1), newMapMemo(), nil); err == nil {
 		t.Fatal("want key resolution error")
 	}
 }
@@ -128,70 +154,6 @@ func TestGraphNodesOverlapWithinPool(t *testing.T) {
 	}
 	if wall := time.Since(start); wall > 2*d-d/4 {
 		t.Fatalf("independent nodes did not overlap: %v", wall)
-	}
-}
-
-func TestMemMemoSingleflight(t *testing.T) {
-	memo := NewMemMemo(0)
-	var computes atomic.Int64
-	const goroutines = 64
-	var wg sync.WaitGroup
-	vals := make([]any, goroutines)
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, _, err := memo.GetOrCompute(nil, Key{"s", "k"}, nil, func() (any, error) {
-				computes.Add(1)
-				time.Sleep(time.Millisecond)
-				return 42, nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			vals[i] = v
-		}(i)
-	}
-	wg.Wait()
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("concurrent computes for one key: %d, want 1", n)
-	}
-	for i, v := range vals {
-		if v.(int) != 42 {
-			t.Fatalf("vals[%d] = %v", i, v)
-		}
-	}
-}
-
-func TestMemMemoFailedComputeRetries(t *testing.T) {
-	memo := NewMemMemo(0)
-	calls := 0
-	_, _, err := memo.GetOrCompute(nil, Key{"s", "k"}, nil, func() (any, error) {
-		calls++
-		return nil, errors.New("transient")
-	})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	v, src, err := memo.GetOrCompute(nil, Key{"s", "k"}, nil, func() (any, error) {
-		calls++
-		return 7, nil
-	})
-	if err != nil || src.Hit() || v.(int) != 7 || calls != 2 {
-		t.Fatalf("retry after failure: v=%v src=%v err=%v calls=%d", v, src, err, calls)
-	}
-	if memo.Len() != 1 {
-		t.Fatalf("len = %d", memo.Len())
-	}
-}
-
-func TestMemMemoBoundWipes(t *testing.T) {
-	memo := NewMemMemo(4)
-	for i := 0; i < 9; i++ {
-		memo.GetOrCompute(nil, Key{"s", fmt.Sprint(i)}, nil, func() (any, error) { return i, nil })
-	}
-	if n := memo.Len(); n > 4 {
-		t.Fatalf("memo exceeded bound: %d", n)
 	}
 }
 
