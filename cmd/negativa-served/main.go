@@ -32,10 +32,10 @@
 //
 // Peer failures shrink the ring and stages fall back to local compute; a
 // recovered peer is readmitted after a probation period. /v1/metrics gains
-// a "peer" section (hits/misses/fallbacks, per-peer health) and per-peer
-// latency timings. Every node of a ring runs the same peer protocol: a
-// peer that cannot answer it is a failed peer, and its stages compute
-// locally.
+// a "peer" section (hits/misses/fallbacks, per-peer health); per-peer
+// request latency is in the "timings" section as peer.<node-id>. Every
+// node of a ring runs the same peer protocol: a peer that cannot answer it
+// is a failed peer, and its stages compute locally.
 //
 // The node-to-node /v1/peer/* routes answer 404 unless the node is
 // clustered, and -peer-secret (the same value on every node) makes each
@@ -145,7 +145,6 @@ func main() {
 	peerSecret := flag.String("peer-secret", "", "shared cluster credential; peer requests carry and require it (with -peers)")
 	replicas := flag.Int("replicas", 2, "replica owners per stage key, R (with -peers)")
 	repairEvery := flag.Duration("repair-interval", time.Minute, "anti-entropy repair sweep period; 0 disables (with -peers and -data-dir)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "hedged replica reads: 0 = adaptive (p95 of the target peer's latency, 2ms floor), >0 raises the floor, negative disables hedging (with -peers)")
 	ingestRoot := flag.String("ingest-root", "", "enable ingestion-mode jobs (\"ingest_dir\" in the submit body): requested trees resolve under and are confined to this directory")
 	tenantsPath := flag.String("tenants", "", "tenant config JSON; enables the multi-tenant gateway (API keys, quotas, lanes)")
 	gwDispatch := flag.Int("gw-dispatch", 4, "gateway concurrent dispatch slots (with -tenants)")
@@ -188,7 +187,7 @@ func main() {
 		log.Fatalf("negativa-served: -repair-interval must not be negative (got %v)", *repairEvery)
 	}
 	flag.Visit(func(f *flag.Flag) {
-		if *peers == "" && (f.Name == "replicas" || f.Name == "repair-interval" || f.Name == "hedge-delay") {
+		if *peers == "" && (f.Name == "replicas" || f.Name == "repair-interval") {
 			log.Fatalf("negativa-served: -%s has no effect without -peers", f.Name)
 		}
 	})
@@ -251,7 +250,6 @@ func main() {
 		c := cluster.New(*nodeID, peerMap, cluster.Options{
 			ReplicaSets:       *replicas,
 			HeartbeatInterval: 2 * time.Second,
-			HedgeDelay:        *hedgeDelay,
 			Counters:          svc.Counters,
 			Timings:           svc.Timings,
 			Secret:            *peerSecret,

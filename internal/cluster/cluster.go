@@ -57,12 +57,6 @@ type Options struct {
 	// secret the peer surface is unauthenticated and must be network-
 	// isolated from client traffic.
 	Secret string
-	// HedgeDelay tunes hedged replica reads (HedgedCall). Zero means
-	// adaptive with the DefaultHedgeFloor floor: the hedge fires after the
-	// primary replica's observed p95 latency. Positive raises that floor
-	// (and is the whole delay for peers with no latency history yet).
-	// Negative disables hedging entirely.
-	HedgeDelay time.Duration
 }
 
 // hedgeMaxPct caps hedges at this percentage of in-flight hedged reads:
@@ -71,10 +65,11 @@ type Options struct {
 // is busiest. At least one hedge is always allowed.
 const hedgeMaxPct = 25
 
-// DefaultHedgeFloor is the minimum hedge delay when Options.HedgeDelay is
-// zero: short enough to rescue a stalled read, long enough that a healthy
-// same-rack round trip wins first and the hedge never fires.
-const DefaultHedgeFloor = 2 * time.Millisecond
+// hedgeDelay is the head start a hedged read gives its first replica
+// before racing the next: short enough to rescue a stalled read, long
+// enough that a healthy same-rack round trip wins first and the hedge
+// never fires.
+const hedgeDelay = 2 * time.Millisecond
 
 // expectContinueTimeout bounds a push that asks first (PutStream with
 // length -1): past it the body goes out without the peer's 100 Continue.
@@ -158,8 +153,6 @@ type PeerStatus struct {
 	ConsecutiveFailures int   `json:"consecutive_failures"`
 	Requests            int64 `json:"requests"`
 	TransportErrors     int64 `json:"transport_errors"`
-	// MeanLatencyMS is the mean wall time of this peer's requests.
-	MeanLatencyMS float64 `json:"mean_latency_ms"`
 }
 
 // Stats is a point-in-time view of cluster membership and peer health.
@@ -172,12 +165,6 @@ type Stats struct {
 	Peers     []PeerStatus `json:"peers"`
 }
 
-// latWindow is how many recent successful-request latencies each peer
-// retains for quantile estimation (the hedge-delay source). Small on
-// purpose: the hedge should track the peer's current behavior, not its
-// lifetime average.
-const latWindow = 64
-
 type peerState struct {
 	id, url   string
 	fails     int
@@ -185,37 +172,6 @@ type peerState struct {
 	downUntil time.Time
 
 	requests, transportErrs int64
-	totalLatency            time.Duration
-	// latSamples is a ring of the last latWindow successful-request
-	// latencies; latN counts how many slots are filled (saturating at
-	// latWindow), latIdx is the next write position.
-	latSamples [latWindow]time.Duration
-	latN       int
-	latIdx     int
-}
-
-// recordLatency appends one successful-request latency to the ring.
-func (p *peerState) recordLatency(d time.Duration) {
-	p.latSamples[p.latIdx] = d
-	p.latIdx = (p.latIdx + 1) % latWindow
-	if p.latN < latWindow {
-		p.latN++
-	}
-}
-
-// latencyP95 estimates the 95th percentile of the ring (0 when empty).
-func (p *peerState) latencyP95() time.Duration {
-	if p.latN == 0 {
-		return 0
-	}
-	samples := make([]time.Duration, p.latN)
-	copy(samples, p.latSamples[:p.latN])
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	idx := (p.latN*95 + 99) / 100 // ceil(n * 0.95)
-	if idx > 0 {
-		idx--
-	}
-	return samples[idx]
 }
 
 // Cluster tracks the membership of a dserve peer group: a consistent-hash
@@ -428,49 +384,24 @@ func (c *Cluster) OwnersExcluding(id, key string) []string {
 	return ring.Owners(key, r)
 }
 
-// SortByLatency orders peer IDs in place into the replica read-through
-// order: healthy peers with latency history first (by mean, ascending),
-// then healthy-but-unmeasured peers, then suspects (mid failure run), then
-// downed peers. Health outranks speed — a suspect replica, however fast it
-// used to be, must never be the first read target while a healthy one
-// exists, or a single stalled peer charges every read its full timeout
-// before the fallback. IDs not in the peer table (self) sort as healthy
-// and instant.
-func (c *Cluster) SortByLatency(ids []string) {
-	type rank struct {
-		class int // 0 healthy-measured (or self), 1 healthy-unmeasured, 2 suspect, 3 down
-		mean  time.Duration
-	}
+// SortByHealth orders peer IDs in place into the replica read-through
+// order: healthy peers first, then suspects (mid failure run), then downed
+// peers; within a class the caller's order stands. A suspect replica must
+// never be the first read target while a healthy one exists, or a single
+// stalled peer charges every read its full timeout before the fallback.
+// IDs not in the peer table (self) sort as healthy.
+func (c *Cluster) SortByHealth(ids []string) {
 	c.mu.Lock()
-	ranks := make(map[string]rank, len(ids))
+	class := make(map[string]int, len(ids)) // 0 healthy (or self), 1 suspect, 2 down
 	for _, id := range ids {
-		p, ok := c.peers[id]
-		if !ok {
-			ranks[id] = rank{class: 0}
-			continue
+		if p, ok := c.peers[id]; ok && p.down {
+			class[id] = 2
+		} else if ok && p.fails > 0 {
+			class[id] = 1
 		}
-		r := rank{}
-		switch {
-		case p.down:
-			r.class = 3
-		case p.fails > 0:
-			r.class = 2
-		case p.requests > 0:
-			r.class = 0
-			r.mean = p.totalLatency / time.Duration(p.requests)
-		default:
-			r.class = 1
-		}
-		ranks[id] = r
 	}
 	c.mu.Unlock()
-	sort.SliceStable(ids, func(i, j int) bool {
-		a, b := ranks[ids[i]], ranks[ids[j]]
-		if a.class != b.class {
-			return a.class < b.class
-		}
-		return a.mean < b.mean
-	})
+	sort.SliceStable(ids, func(i, j int) bool { return class[ids[i]] < class[ids[j]] })
 }
 
 // Nodes returns the ring's current members (self plus live peers).
@@ -741,17 +672,13 @@ func (c *Cluster) Stats() Stats {
 	sort.Strings(ids)
 	for _, id := range ids {
 		p := c.peers[id]
-		ps := PeerStatus{
+		st.Peers = append(st.Peers, PeerStatus{
 			ID: p.id, URL: p.url, Down: p.down,
 			Suspect:             !p.down && p.fails > 0,
 			ConsecutiveFailures: p.fails,
 			Requests:            p.requests,
 			TransportErrors:     p.transportErrs,
-		}
-		if p.requests > 0 {
-			ps.MeanLatencyMS = float64(p.totalLatency) / float64(p.requests) / float64(time.Millisecond)
-		}
-		st.Peers = append(st.Peers, ps)
+		})
 	}
 	return st
 }
@@ -773,8 +700,8 @@ func (c *Cluster) peerURL(id string) (string, error) {
 	return p.url, nil
 }
 
-// observe records one request's outcome against the peer's health and the
-// latency series. A transport failure (err != nil) counts toward the
+// observe records one request's outcome against the peer's health (and its
+// wall time in Options.Timings). A transport failure counts toward the
 // consecutive-failure run; at the threshold the peer is marked down and
 // the ring rebuilt without it.
 func (c *Cluster) observe(id string, dur time.Duration, transportErr bool) {
@@ -789,10 +716,8 @@ func (c *Cluster) observe(id string, dur time.Duration, transportErr bool) {
 		return
 	}
 	p.requests++
-	p.totalLatency += dur
 	if !transportErr {
 		p.fails = 0
-		p.recordLatency(dur)
 		return
 	}
 	p.transportErrs++
@@ -812,19 +737,19 @@ func (c *Cluster) observe(id string, dur time.Duration, transportErr bool) {
 // against the peer's health, application errors do not.
 //
 // The request body is encoded once into a pooled buffer: Content-Length is
-// set from it (so the peer can preallocate), GetBody replays the same
-// bytes on any transport-level retry instead of re-marshalling, and the
-// buffer returns to the pool when the exchange finishes — steady-state
-// peer traffic produces no per-call encoding garbage.
+// set from it (so the peer can preallocate), a transport-level retry
+// replays the same bytes instead of re-marshalling, and the buffer returns
+// to the pool when the exchange finishes — steady-state peer traffic
+// produces no per-call encoding garbage.
 func (c *Cluster) PostJSON(peer, path string, in, out any) error {
 	return c.PostJSONCtx(context.Background(), peer, path, in, out)
 }
 
 // PostJSONCtx is PostJSON under a caller context — the hedged-read path's
 // cancellation channel. A request whose context was cancelled does not
-// touch the peer's health or latency accounting: losing a hedge race says
-// nothing about the peer, and charging it a transport failure would let
-// hedging itself mark healthy peers down.
+// touch the peer's health: losing a hedge race says nothing about the
+// peer, and charging it a transport failure would let hedging itself mark
+// healthy peers down.
 func (c *Cluster) PostJSONCtx(ctx context.Context, peer, path string, in, out any) error {
 	buf := bufpool.GetBuffer()
 	defer bufpool.PutBuffer(buf)
@@ -832,49 +757,72 @@ func (c *Cluster) PostJSONCtx(ctx context.Context, peer, path string, in, out an
 		return fmt.Errorf("cluster: encode %s request: %w", path, err)
 	}
 	body := buf.Bytes()
+	return c.send(ctx, peer, http.MethodPost, path, "application/json", bytes.NewReader(body), int64(len(body)), out)
+}
+
+// PutStream PUTs a raw octet stream to a peer path — the replication,
+// repair and install push path. length sets Content-Length when known
+// (>= 0). A body of unknown size (-1) streams chunked and asks first
+// (Expect: 100-continue): the peer may answer before reading any of it,
+// and then none of it is sent. A non-2xx status is returned as
+// *PeerError.
+func (c *Cluster) PutStream(peer, path string, body io.Reader, length int64) error {
+	return c.send(context.Background(), peer, http.MethodPut, path, "application/octet-stream", body, length, nil)
+}
+
+// send is the one peer exchange under PostJSONCtx and PutStream: it sends
+// the request with the cluster's secret, decodes a 2xx answer into out
+// (or drains it when out is nil), and settles the peer's health once. A
+// transport failure or an unparsable 2xx body counts against the peer,
+// unless ctx was cancelled; a non-2xx answer is a *PeerError and does
+// not. A length of -1 asks first (Expect: 100-continue).
+func (c *Cluster) send(ctx context.Context, peer, method, path, contentType string, body io.Reader, length int64, out any) error {
 	url, err := c.peerURL(peer)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, method, url+path, body)
 	if err != nil {
 		return fmt.Errorf("cluster: build %s request: %w", path, err)
 	}
-	req.ContentLength = int64(len(body))
-	req.GetBody = func() (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(body)), nil
+	if length >= 0 {
+		req.ContentLength = length
+	} else {
+		req.Header.Set("Expect", "100-continue")
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	if c.opt.Secret != "" {
 		req.Header.Set(PeerSecretHeader, c.opt.Secret)
 	}
 	start := time.Now()
 	resp, err := c.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return fmt.Errorf("cluster: peer %s: %w", peer, ctx.Err())
+	var perr *PeerError
+	if err == nil {
+		switch {
+		case resp.StatusCode/100 != 2:
+			perr = peerError(peer, resp)
+		case out != nil:
+			// An unparsable success body means the peer is misbehaving at
+			// the protocol level; it counts like a transport failure so a
+			// wedged peer eventually leaves the ring.
+			if derr := json.NewDecoder(resp.Body).Decode(out); derr != nil {
+				err = fmt.Errorf("decode %s response: %w", path, derr)
+			}
+		default:
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		}
-		c.observe(peer, time.Since(start), true)
+		resp.Body.Close()
+	}
+	if err != nil && ctx.Err() != nil {
+		return fmt.Errorf("cluster: peer %s: %w", peer, ctx.Err())
+	}
+	c.observe(peer, time.Since(start), err != nil)
+	if perr != nil {
+		return perr
+	}
+	if err != nil {
 		return fmt.Errorf("cluster: peer %s: %w", peer, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		c.observe(peer, time.Since(start), false)
-		return peerError(peer, resp)
-	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			if ctx.Err() != nil {
-				return fmt.Errorf("cluster: peer %s: %w", peer, ctx.Err())
-			}
-			// An unparsable success body means the peer is misbehaving at
-			// the protocol level; treat it like a transport failure so a
-			// wedged peer eventually leaves the ring.
-			c.observe(peer, time.Since(start), true)
-			return fmt.Errorf("cluster: peer %s: decode %s response: %w", peer, path, err)
-		}
-	}
-	c.observe(peer, time.Since(start), false)
 	return nil
 }
 
@@ -892,29 +840,6 @@ func peerError(peer string, resp *http.Response) *PeerError {
 }
 
 // ---- Hedged replica reads ----
-
-// hedgeDelayFor derives the delay before a read against the peer grows a
-// hedge: the peer's observed p95 latency (a request slower than 19 of 20
-// recent ones is likely stalled), floored by Options.HedgeDelay or
-// DefaultHedgeFloor so a sub-millisecond-fast ring doesn't hedge every
-// read on scheduling jitter.
-func (c *Cluster) hedgeDelayFor(peer string) time.Duration {
-	floor := c.opt.HedgeDelay
-	if floor == 0 {
-		floor = DefaultHedgeFloor
-	}
-	c.mu.Lock()
-	p, ok := c.peers[peer]
-	var p95 time.Duration
-	if ok {
-		p95 = p.latencyP95()
-	}
-	c.mu.Unlock()
-	if p95 < floor {
-		return floor
-	}
-	return p95
-}
 
 // hedgeAdmit reports whether a new hedge fits the budget: hedges may not
 // exceed hedgeMaxPct of in-flight hedged reads (always admitting at least
@@ -946,9 +871,9 @@ type hedgeResult struct {
 }
 
 // HedgedCall runs attempt against peers[0] and, if no answer lands within
-// a latency-derived hedge delay (hedgeDelayFor), races a second attempt
-// against peers[1] — the tail-at-scale defense: a stalled primary costs
-// the hedge delay plus the replica's round trip, not the full timeout.
+// hedgeDelay, races a second attempt against peers[1] — the tail-at-scale
+// defense: a stalled primary costs the hedge delay plus the replica's
+// round trip, not the full timeout.
 // The first attempt to return ok wins and the loser's context is
 // cancelled. attempt must honor ctx (route reads through PostJSONCtx) and
 // report ok=false for an application-level miss; a miss or error returns
@@ -988,11 +913,9 @@ func (c *Cluster) HedgedCall(peers []string, attempt func(ctx context.Context, p
 	}()
 	launch(peers[0], false)
 
-	canHedge := c.opt.HedgeDelay >= 0 && len(peers) > 1
-	var timer *time.Timer
 	var fire <-chan time.Time
-	if canHedge {
-		timer = time.NewTimer(c.hedgeDelayFor(peers[0]))
+	if len(peers) > 1 {
+		timer := time.NewTimer(hedgeDelay)
 		defer timer.Stop()
 		fire = timer.C
 	}
@@ -1030,44 +953,4 @@ func (c *Cluster) HedgedCall(peers []string, attempt func(ctx context.Context, p
 			}
 		}
 	}
-}
-
-// PutStream PUTs a raw octet stream to a peer path — the replication,
-// repair and install push path. length sets Content-Length when known
-// (>= 0). A body of unknown size (-1) streams chunked and asks first
-// (Expect: 100-continue): the peer may answer before reading any of it,
-// and then none of it is sent. A non-2xx status is returned as
-// *PeerError.
-func (c *Cluster) PutStream(peer, path string, body io.Reader, length int64) error {
-	url, err := c.peerURL(peer)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPut, url+path, body)
-	if err != nil {
-		return fmt.Errorf("cluster: build %s request: %w", path, err)
-	}
-	if length >= 0 {
-		req.ContentLength = length
-	} else {
-		req.Header.Set("Expect", "100-continue")
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if c.opt.Secret != "" {
-		req.Header.Set(PeerSecretHeader, c.opt.Secret)
-	}
-	start := time.Now()
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.observe(peer, time.Since(start), true)
-		return fmt.Errorf("cluster: peer %s: %w", peer, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		c.observe(peer, time.Since(start), false)
-		return peerError(peer, resp)
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	c.observe(peer, time.Since(start), false)
-	return nil
 }

@@ -218,7 +218,7 @@ func TestPostJSONRoundTripAndLatency(t *testing.T) {
 	if timings.Summary("peer.b").N != 1 {
 		t.Fatal("per-peer latency not observed")
 	}
-	if st := c.Stats(); st.Peers[0].Requests != 1 || st.Peers[0].MeanLatencyMS <= 0 {
+	if st := c.Stats(); st.Peers[0].Requests != 1 {
 		t.Fatalf("peer stats %+v", st.Peers[0])
 	}
 	if err := c.PostJSON("ghost", "/x", nil, nil); err == nil {
@@ -259,21 +259,23 @@ func TestRingOwners(t *testing.T) {
 	}
 }
 
-func TestSortByLatency(t *testing.T) {
-	c := New("a", map[string]string{"b": "http://h2", "c": "http://h3"}, Options{})
+// TestSortByHealth: among healthy peers the caller's order stands, however
+// slow a peer's requests were; a peer not in the table (self) sorts as
+// healthy; a suspect moves behind every healthy peer.
+func TestSortByHealth(t *testing.T) {
+	c := New("a", map[string]string{"b": "http://h2", "c": "http://h3"}, Options{FailureThreshold: 3})
 	defer c.Close()
 	c.observe("b", 10*time.Millisecond, false)
 	c.observe("c", 1*time.Millisecond, false)
-	ids := []string{"b", "c"}
-	c.SortByLatency(ids)
-	if ids[0] != "c" || ids[1] != "b" {
-		t.Fatalf("latency order %v", ids)
+	ids := []string{"b", "d", "c"}
+	c.SortByHealth(ids)
+	if want := []string{"b", "d", "c"}; !slices.Equal(ids, want) {
+		t.Fatalf("healthy order %v, want the caller's %v", ids, want)
 	}
-	// A peer with no history sorts first (optimistic).
-	ids = []string{"b", "d", "c"}
-	c.SortByLatency(ids)
-	if ids[0] != "d" {
-		t.Fatalf("unknown peer should sort first: %v", ids)
+	c.observe("b", time.Millisecond, true)
+	c.SortByHealth(ids)
+	if want := []string{"d", "c", "b"}; !slices.Equal(ids, want) {
+		t.Fatalf("order %v, want %v", ids, want)
 	}
 }
 
@@ -390,12 +392,12 @@ func TestPutStream(t *testing.T) {
 	}
 }
 
-// TestSortByLatencyHealthOutranksSpeed is the suspect-ordering regression
-// test: a suspect peer (mid failure run, not yet down), however fast its
-// history, must never sort ahead of a healthy replica — and an unmeasured
-// healthy peer still outranks it too, because "no history" beats "currently
-// failing". Downed peers sort last of all.
-func TestSortByLatencyHealthOutranksSpeed(t *testing.T) {
+// TestSortByHealthSuspectLast is the suspect-ordering regression test: a
+// suspect peer (mid failure run, not yet down), however fast its requests
+// were, must never sort ahead of a healthy replica — and a healthy peer
+// that was never asked outranks it too, because "no history" beats
+// "currently failing". Downed peers sort last of all.
+func TestSortByHealthSuspectLast(t *testing.T) {
 	c := New("self", map[string]string{
 		"slowhealthy": "http://h1", "fastsuspect": "http://h2",
 		"unmeasured": "http://h3", "dead": "http://h4",
@@ -411,7 +413,7 @@ func TestSortByLatencyHealthOutranksSpeed(t *testing.T) {
 	}
 
 	ids := []string{"dead", "fastsuspect", "slowhealthy", "unmeasured"}
-	c.SortByLatency(ids)
+	c.SortByHealth(ids)
 	want := []string{"slowhealthy", "unmeasured", "fastsuspect", "dead"}
 	if !slices.Equal(ids, want) {
 		t.Fatalf("order %v, want %v", ids, want)
@@ -428,7 +430,7 @@ func TestSortByLatencyHealthOutranksSpeed(t *testing.T) {
 func TestHedgedCallRescuesStalledPrimary(t *testing.T) {
 	counters := metrics.NewCounterSet()
 	c := New("self", map[string]string{"slow": "http://h1", "fast": "http://h2"},
-		Options{HedgeDelay: 5 * time.Millisecond, Counters: counters})
+		Options{Counters: counters})
 	defer c.Close()
 
 	primaryCancelled := make(chan bool, 1)
@@ -478,7 +480,7 @@ func TestHedgedCallRescuesStalledPrimary(t *testing.T) {
 func TestHedgedCallPrimaryMissReturnsWithoutHedging(t *testing.T) {
 	counters := metrics.NewCounterSet()
 	c := New("self", map[string]string{"a": "http://h1", "b": "http://h2"},
-		Options{HedgeDelay: 50 * time.Millisecond, Counters: counters})
+		Options{Counters: counters})
 	defer c.Close()
 
 	var calls atomic.Int64
@@ -497,22 +499,40 @@ func TestHedgedCallPrimaryMissReturnsWithoutHedging(t *testing.T) {
 	}
 }
 
-// TestHedgedCallDisabled: a negative HedgeDelay turns hedging off — the
-// slow primary is simply awaited.
-func TestHedgedCallDisabled(t *testing.T) {
+// TestHedgeIgnoresPushLatency: how long a peer took to take a pushed
+// object says nothing about how fast it answers a read. A 150 ms push to
+// the primary must not stretch the next read's hedge delay: when that read
+// stalls for 100 ms, the hedge still fires and the other replica wins.
+func TestHedgeIgnoresPushLatency(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		time.Sleep(150 * time.Millisecond)
+	}))
+	defer srv.Close()
 	counters := metrics.NewCounterSet()
-	c := New("self", map[string]string{"a": "http://h1", "b": "http://h2"},
-		Options{HedgeDelay: -1, Counters: counters})
+	c := New("self", map[string]string{"slow": srv.URL, "fast": "http://h2"},
+		Options{Counters: counters})
 	defer c.Close()
-
-	v, peer, ok := c.HedgedCall([]string{"a", "b"}, func(ctx context.Context, peer string) (any, bool, error) {
-		time.Sleep(20 * time.Millisecond)
-		return "v", true, nil
-	})
-	if !ok || peer != "a" || v != "v" {
-		t.Fatalf("HedgedCall = %v, %q, %v", v, peer, ok)
+	payload := strings.Repeat("x", 1<<20)
+	if err := c.PutStream("slow", "/obj", strings.NewReader(payload), int64(len(payload))); err != nil {
+		t.Fatal(err)
 	}
-	if got := counters.Get("peer.hedge_fired"); got != 0 {
-		t.Fatalf("hedging disabled but hedge_fired = %d", got)
+
+	v, peer, ok := c.HedgedCall([]string{"slow", "fast"}, func(ctx context.Context, peer string) (any, bool, error) {
+		if peer == "fast" {
+			return "fast-value", true, nil
+		}
+		select {
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		case <-time.After(100 * time.Millisecond):
+			return "slow-value", true, nil
+		}
+	})
+	if !ok || peer != "fast" || v != "fast-value" {
+		t.Fatalf("HedgedCall = %v, %q, %v; the push's latency delayed the hedge past the stall", v, peer, ok)
+	}
+	if got := counters.Get("peer.hedge_won"); got != 1 {
+		t.Fatalf("hedge_won = %d, want 1", got)
 	}
 }

@@ -113,9 +113,10 @@
 // unit: a consistent-hash ring (internal/cluster) assigns each detect,
 // compact and verifyrun key an R-way replica set of owning nodes (default
 // R=2), and the stage memo gains a third tier. Any node accepts any batch; the stages
-// its local tiers miss are read through their remote owners in measured-
-// latency order, batched per replica set (POST /v1/peer/lookup-batch, the
-// only remote read, hedged). A ring runs one protocol: a replica set that
+// its local tiers miss are read through their remote owners in health
+// order (healthy, suspect, down; by ID within a class), batched per
+// replica set (POST /v1/peer/lookup-batch, the only remote read, hedged
+// after a fixed 2 ms). A ring runs one protocol: a replica set that
 // cannot answer the route is a failed peer tier, and its keys resolve as
 // misses. No stage executes remotely: every miss computes on the
 // requesting node, where its inputs already are — a detect stage against

@@ -20,8 +20,8 @@ import (
 // node, the verifyrun keys derived from the compacted set: each call takes
 // the batch's ready keys, groups them by replica set, and issues one
 // POST /v1/peer/lookup-batch per group, hedged through
-// cluster.HedgedCall so a stalled replica costs its p95 latency, not the
-// transport timeout. Found values land in the memory tiers (profiles /
+// cluster.HedgedCall so a stalled replica costs a fixed 2 ms hedge delay,
+// not the transport timeout. Found values land in the memory tiers (profiles /
 // result cache / verify records) before the stage nodes consult the memo,
 // so the batch's wall clock is bounded by the slowest single round trip,
 // not the key count. The prefetch is the only remote read: a stage node
@@ -226,16 +226,17 @@ func (m *StageMemo) localProbe(k plan.Key) bool {
 }
 
 // prefetchGroup runs one group's batch lookup: hedged across the group's
-// two fastest members, falling back through the rest, then plants every
-// found value. Flights end only after the plant, so a waiter that raced us
-// re-probes into a hit.
+// first two members in health order (by ID within a health class),
+// falling back through the rest, then plants every found value. Flights
+// end only after the plant, so a waiter that raced us re-probes into a
+// hit.
 func (m *StageMemo) prefetchGroup(g *lookupGroup) {
 	defer func() {
 		for _, it := range g.items {
 			m.endFlight(it.key)
 		}
 	}()
-	m.cluster.SortByLatency(g.remotes)
+	m.cluster.SortByHealth(g.remotes)
 	for off := 0; off < len(g.items); off += maxBatchLookupKeys {
 		end := off + maxBatchLookupKeys
 		if end > len(g.items) {

@@ -90,7 +90,7 @@ func (f *lookupFixture) handler() http.Handler {
 }
 
 // TestHedgedLookupSlowReplica injects a ~100 ms transport delay into one
-// replica of a batch lookup: the hedge fires after its 5 ms floor, the
+// replica of a batch lookup: the hedge fires after its fixed 2 ms, the
 // healthy replica answers well under the injected delay and its values are
 // planted, and the stalled request is cancelled rather than awaited. Three
 // of the four keys have the stalled node as primary, so the answering node
@@ -119,11 +119,10 @@ func TestHedgedLookupSlowReplica(t *testing.T) {
 
 	counters := metrics.NewCounterSet()
 	m := NewStageMemo(NewResultCache(1<<20, nil), counters)
-	// "primary" sorts before "replica", so with no latency history yet the
-	// stalled node is the first read target of the group.
+	// "primary" sorts before "replica" and both are healthy, so the stalled
+	// node is the first read target of the group.
 	c := cluster.New("self", map[string]string{"primary": slow.URL, "replica": fast.URL}, cluster.Options{
-		ReplicaSets: 2, HedgeDelay: 5 * time.Millisecond,
-		Counters: counters, Timeout: 30 * time.Second,
+		ReplicaSets: 2, Counters: counters, Timeout: 30 * time.Second,
 	})
 	defer c.Close()
 	m.AttachCluster(c)
@@ -186,28 +185,12 @@ func TestHedgedLookupSlowReplica(t *testing.T) {
 // reads. On a 3-node ring (R=2) whose node a ran the batch cold, node b
 // runs it warm: everything b does not own itself it reads from a and c
 // through lookup-batch. The first lookup-batch to reach either of them
-// stalls for 300 ms. With default hedging the batch must still finish in
-// under 150 ms; with hedging off it waits the stall out. Either way it is
-// served without analysis and byte-identical to the cold run.
+// stalls for 300 ms. The stall must reach the batch and a hedge must win
+// it: the batch finishes in under 150 ms, served without analysis and
+// byte-identical to the cold run.
 func TestHedgingRescuesStalledOwner(t *testing.T) {
 	const stall = 300 * time.Millisecond
 	in, ws := persistTestInstall(t)
-	hedged := stalledWarmBatch(t, in, ws, 0, stall)
-	unhedged := stalledWarmBatch(t, in, ws, -1, stall)
-	t.Logf("warm batch under a %v stall: hedged %v, unhedged %v", stall, hedged, unhedged)
-	if hedged >= 150*time.Millisecond {
-		t.Errorf("hedged warm batch took %v, want < 150ms", hedged)
-	}
-	if unhedged < stall {
-		t.Errorf("unhedged warm batch took %v, want >= %v: the stall never reached it", unhedged, stall)
-	}
-}
-
-// stalledWarmBatch builds a fresh ring with the given HedgeDelay, fills it
-// from node a, then times node b's warm batch while the ring's first
-// lookup-batch on a or c stalls.
-func stalledWarmBatch(t *testing.T, in *mlframework.Install, ws []mlruntime.Workload, hedgeDelay, stall time.Duration) time.Duration {
-	t.Helper()
 	var armed, stalled atomic.Bool
 	stallFirstLookup := func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -243,8 +226,7 @@ func stalledWarmBatch(t *testing.T, in *mlframework.Install, ws []mlruntime.Work
 	}
 	for _, n := range nodes {
 		attachNode(n, urls, cluster.Options{
-			ReplicaSets: 2, HedgeDelay: hedgeDelay,
-			FailureThreshold: 1, Probation: time.Hour, Timeout: 30 * time.Second,
+			ReplicaSets: 2, FailureThreshold: 1, Probation: time.Hour, Timeout: 30 * time.Second,
 		})
 	}
 
@@ -263,22 +245,28 @@ func stalledWarmBatch(t *testing.T, in *mlframework.Install, ws []mlruntime.Work
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("warm batch under a %v stall: %v", stall, wall)
 	if !stalled.Load() {
 		t.Fatal("node b's warm batch sent no lookup-batch to a or c")
 	}
+	if n := b.svc.Counters.Get("peer.hedge_won"); n < 1 {
+		t.Errorf("node b's peer.hedge_won = %d, want >= 1: no hedge rescued the stalled read", n)
+	}
+	if wall >= 150*time.Millisecond {
+		t.Errorf("hedged warm batch took %v, want < 150ms", wall)
+	}
 	if n := b.svc.Counters.Get("analysis.computed"); n != 0 {
-		t.Fatalf("HedgeDelay %v: node b computed %d compact stages, want 0", hedgeDelay, n)
+		t.Fatalf("node b computed %d compact stages, want 0", n)
 	}
 	want := cold.DebloatedLibs()
 	for name, img := range warm.DebloatedLibs() {
 		if !bytes.Equal(img, want[name]) {
-			t.Fatalf("HedgeDelay %v: library %s differs from the cold run", hedgeDelay, name)
+			t.Fatalf("library %s differs from the cold run", name)
 		}
 	}
 	if len(warm.Libs) != len(want) {
-		t.Fatalf("HedgeDelay %v: warm batch has %d libraries, cold %d", hedgeDelay, len(warm.Libs), len(want))
+		t.Fatalf("warm batch has %d libraries, cold %d", len(warm.Libs), len(want))
 	}
-	return wall
 }
 
 // TestPrefetchSingleflightNoDuplicateRoundTrips pins the flight table
@@ -571,9 +559,11 @@ func TestShortLookupAnswerTriesNextReplica(t *testing.T) {
 	counters := metrics.NewCounterSet()
 	m := NewStageMemo(NewResultCache(1<<20, nil), counters)
 	// Every key is owned by all three nodes, so both stubs are its remote
-	// replicas; no hedge, so whichever is asked first answers short.
+	// replicas, and whichever is asked first answers short. The counts are
+	// the same whether or not a hedge fires: two round trips, one of them
+	// short.
 	c := cluster.New("self", map[string]string{"a": a.URL, "b": b.URL}, cluster.Options{
-		ReplicaSets: 3, HedgeDelay: -1, Counters: counters, Timeout: 30 * time.Second,
+		ReplicaSets: 3, Counters: counters, Timeout: 30 * time.Second,
 	})
 	defer c.Close()
 	m.AttachCluster(c)
@@ -583,6 +573,7 @@ func TestShortLookupAnswerTriesNextReplica(t *testing.T) {
 		items = append(items, prefetchItem{key: negativa.DetectKey("fp", fmt.Sprintf("w%d", i))})
 	}
 	m.PrefetchLookups(nil, items)
+	t.Logf("hedges fired: %d", counters.Get("peer.hedge_fired"))
 	for _, it := range items {
 		if _, ok := m.profiles.get(it.key.Hash); !ok {
 			t.Fatalf("key %q was not planted from the second replica", it.key.Hash)
