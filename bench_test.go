@@ -7,7 +7,7 @@ package negativaml
 //	go test -bench=. -benchmem
 //
 // reproduces the full evaluation. The rendered rows are printed by
-// cmd/experiments; EXPERIMENTS.md records paper-vs-measured per cell.
+// cmd/experiments.
 
 import (
 	"sync"
@@ -224,7 +224,7 @@ func BenchmarkTable10(b *testing.B) {
 }
 
 // BenchmarkAblation regenerates the retention-granularity ablation
-// (DESIGN.md): whole-cubin retention keeps more bytes but preserves
+// (internal/negativa/ablation.go): whole-cubin retention keeps more bytes but preserves
 // GPU-launching kernels; exact-kernel removal breaks the workload.
 func BenchmarkAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {

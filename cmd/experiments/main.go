@@ -4,8 +4,7 @@
 //
 //	experiments [-run all|fig1|table2|fig5|fig6|table3|table4|table9|fig7|table5|table6|table7|table8|overhead|table10]
 //
-// Each experiment prints the same rows/series the paper reports; see
-// EXPERIMENTS.md for paper-vs-measured commentary.
+// Each experiment prints the same rows/series the paper reports.
 package main
 
 import (

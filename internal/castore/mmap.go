@@ -2,6 +2,7 @@ package castore
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"sync"
@@ -18,12 +19,18 @@ type Mapped struct {
 	kind, key string
 	raw       []byte // full mapping (header + payload); nil when heap-backed
 	data      []byte // payload view into raw (or the heap copy)
+	sum       [sha256.Size]byte
 	once      sync.Once
 }
 
 // Data returns the payload view. Treat it as immutable: the bytes alias a
 // shared file mapping.
 func (m *Mapped) Data() []byte { return m.data }
+
+// Sum returns the checksum the object's header declares, hex SHA-256. The
+// open checked the payload against it, so it costs no hash; a caller whose
+// key is a content digest compares the two (Store.Discard).
+func (m *Mapped) Sum() string { return hex.EncodeToString(m.sum[:]) }
 
 // Size returns the payload length in bytes.
 func (m *Mapped) Size() int64 { return int64(len(m.data)) }
@@ -80,9 +87,7 @@ func (s *Store) OpenMapped(kind, key string) (*Mapped, bool) {
 		// removeLocked parks our pin in orphanRefs; the Release below
 		// drains it.
 		if cur, present := s.objects[id]; present && cur == o {
-			s.removeLocked(cur)
-			s.corrupt++
-			s.count("store.corrupt", 1)
+			s.corruptLocked(cur)
 		}
 		s.misses++
 		s.count("store.misses", 1)
@@ -149,7 +154,7 @@ func (s *Store) openMapping(kind, key string, size int64) (*Mapped, error) {
 	if sha256.Sum256(payload) != hdr.sum {
 		return fail(fmt.Errorf("castore: checksum mismatch"))
 	}
-	m := &Mapped{store: s, kind: kind, key: key, data: payload}
+	m := &Mapped{store: s, kind: kind, key: key, data: payload, sum: hdr.sum}
 	if !heap {
 		m.raw = raw
 	}

@@ -25,10 +25,16 @@ const maxImportBytes = 1 << 30
 // Frame wraps a payload in the store's integrity wire format — the same
 // 48-byte header + payload layout Export streams — for callers that push
 // bytes they hold in memory over the object-transfer route rather than a
-// stored file.
-func Frame(payload []byte) []byte {
+// stored file. It hashes the payload for the header.
+func Frame(payload []byte) []byte { return FrameContent(sha256.Sum256(payload), payload) }
+
+// FrameContent is Frame for a content-addressed payload whose SHA-256 the
+// caller already holds as digest (PutContent's contract): the header
+// carries digest without hashing the payload again, and the receiver's
+// Import still checks the payload against it.
+func FrameContent(digest [sha256.Size]byte, payload []byte) []byte {
 	out := make([]byte, 0, headerSize+len(payload))
-	out = append(out, makeHeader(payload)...)
+	out = append(out, makeHeader(digest, len(payload))...)
 	return append(out, payload...)
 }
 

@@ -92,7 +92,7 @@ func TestImportRejectsCorruption(t *testing.T) {
 	}
 
 	// Oversized header length.
-	hdr := makeHeader([]byte("x"))
+	hdr := Frame([]byte("x"))[:headerSize]
 	hdr[8] = 0xff
 	hdr[9] = 0xff
 	hdr[10] = 0xff

@@ -44,8 +44,8 @@ func (m *MemTracker) Free(n int64) {
 }
 
 // CostModel holds the virtual-time cost constants. The defaults are
-// calibrated (DESIGN.md §4) so baseline workloads land near the paper's
-// reported wall-clock numbers; EXPERIMENTS.md records the outcome.
+// calibrated so baseline workloads land near the paper's reported
+// wall-clock numbers; cmd/experiments prints the outcome.
 type CostModel struct {
 	// CPULoadPerByte is charged per resident byte when a shared library is
 	// mapped and paged in (zero pages are free — that is what compaction

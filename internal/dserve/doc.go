@@ -191,16 +191,20 @@
 // With a castore.Store attached (Config.Store), the service is durable:
 // the detect, compact and verifyrun memos gain their disk tier (memory
 // miss → disk hit → recompute; a boot reads no profile or result), and
-// each completed job spills a manifest referencing its library images and
-// result records — all content-addressed. New profiles, results and
-// verify records reach the store through one write-behind
-// (Service.writeBehind): in order, library image before record, at most
-// spillConcurrency writers at a time, beside the peer pushes. A completing
-// job waits only for the write-behind of the records its manifest
-// references, then pins them and publishes the manifest after SyncDirs. A
-// restarted service restores its jobs lazily: status reads the manifest,
-// and the first report or fetch-library request materializes the result
-// from the store without re-running detection, location, or compaction.
+// each completed job spills a manifest referencing its library images
+// (keyed by their digests) and result records (keyed by stage hash). New
+// profiles, results and verify records reach the store through one
+// write-behind (Service.writeBehind): in order, library image before
+// record, at most spillConcurrency writers at a time, beside the peer
+// pushes. A library image is stored and framed under the digest the node
+// already holds (castore.PutContent, castore.FrameContent), not hashed
+// again; a restore that finds another image's intact bytes under a digest
+// discards them as corrupt (restoredLib). A completing job waits only for
+// the write-behind of the records its manifest references, then pins them
+// and publishes the manifest after SyncDirs. A restarted service restores
+// its jobs lazily: status reads the manifest, and the first report or
+// fetch-library request materializes the result from the store without
+// re-running detection, location, or compaction.
 // Jobs retain (refcount) their store objects until evicted from the
 // bounded job table; an open fetch-library stream pins its job so eviction
 // never releases images under an in-flight response. A store written

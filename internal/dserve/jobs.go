@@ -787,7 +787,10 @@ func (s *Service) materialize(m *jobManifest) (*BatchResult, error) {
 // content digest (the newest 64 images, oldest evicted first) so restored
 // jobs sharing libraries parse each image once. Failures are returned but
 // never memoized: a missing object may reappear (recomputed and re-spilled
-// by a later batch), and the next call must see it.
+// by a later batch), and the next call must see it. An object whose header
+// checksum is not digest is misfiled — its bytes are intact but another
+// image's — and is removed and counted store.corrupt: a miss, never a
+// memoized wrong image.
 //
 // The image is opened via castore.OpenMapped, so a restored library's bytes
 // are a pinned page-cache view, not a heap copy. The mapping's lifetime is
@@ -800,6 +803,13 @@ func (s *Service) restoredLib(digest, name string) (*elfx.Library, error) {
 		return lib, nil
 	}
 	m, ok := s.store.OpenMapped(kindLib, digest)
+	if ok && m.Sum() != digest {
+		// Intact bytes of another image, filed under this digest: drop
+		// them, so a batch that computes the library stores it again.
+		s.store.Discard(kindLib, digest)
+		m.Close()
+		ok = false
+	}
 	if !ok {
 		return nil, fmt.Errorf("library image %.12s… missing from store", digest)
 	}

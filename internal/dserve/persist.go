@@ -61,7 +61,7 @@ func spillResult(st *castore.Store, key string, ld *negativa.LibDebloat) error {
 		return fmt.Errorf("dserve: result %s: %w", key, err)
 	}
 	for _, o := range resultObjects(key, ld.Report.Sparse.Lib(), rec) {
-		if err := st.Put(o.kind, o.key, o.payload); err != nil {
+		if err := o.put(st); err != nil {
 			return err
 		}
 	}

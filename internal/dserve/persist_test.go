@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -806,6 +807,75 @@ func TestMismatchedRecordIsRecomputedAndRewritten(t *testing.T) {
 	}
 	if _, err := negativa.DecodeRecord(res.Libs[0].Sparse.Lib(), raw); err != nil {
 		t.Fatalf("the store still holds the mismatched record: %v", err)
+	}
+}
+
+// TestMisfiledLibIsAMiss: a lib object is keyed by its image's digest, so
+// a self-consistent frame of another image under that key passes the
+// store's checksum and only its key gives it away. Restoring a job that
+// names it is a miss: the object is removed and counted corrupt, and no
+// parse of the wrong bytes is memoized. The next job that uses the library
+// stores the right image again, and the first job then restores
+// byte-identical images.
+func TestMisfiledLibIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	req := JobRequest{
+		Framework: "pytorch", TailLibs: 4, MaxSteps: 2,
+		Workloads: []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}},
+	}
+	st := openStore(t, dir)
+	svc := NewService(Config{Workers: 2, MaxSteps: 2, Store: st})
+	job, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, _ := waitJob(svc, job.ID, waitTimeout); j.State != JobDone {
+		t.Fatalf("job: %s", j.Err)
+	}
+	res, err := svc.ResultOf(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.DebloatedLibs()
+	victim, other := digestHex(res.Libs[0].Sparse.Lib()), res.Libs[1].Sparse.Lib().Data
+	svc.Close()
+	st.Close()
+
+	st = openStore(t, dir)
+	st.Delete(kindLib, victim)
+	if err := st.Put(kindLib, victim, other); err != nil {
+		t.Fatal(err)
+	}
+	svc = NewService(Config{Workers: 2, MaxSteps: 2, Store: st})
+	defer svc.Close()
+	if _, err := svc.ResultOf(job.ID); err == nil || !strings.Contains(err.Error(), "missing from store") {
+		t.Fatalf("restore over a misfiled image = %v, want a miss", err)
+	}
+	if st.Has(kindLib, victim) {
+		t.Fatal("the misfiled image is still stored")
+	}
+	if n := st.Stats().Corrupt; n != 1 {
+		t.Fatalf("store corrupt = %d, want 1", n)
+	}
+	if _, ok := svc.restoredLibs.get(victim); ok {
+		t.Fatal("the wrong image's parse was memoized")
+	}
+
+	again, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, _ := waitJob(svc, again.ID, waitTimeout); j.State != JobDone {
+		t.Fatalf("second job: %s", j.Err)
+	}
+	got, err := svc.ResultOf(job.ID)
+	if err != nil {
+		t.Fatalf("restore after the image was stored again: %v", err)
+	}
+	for name, img := range got.DebloatedLibs() {
+		if !bytes.Equal(img, want[name]) {
+			t.Fatalf("library %s differs from the run that filled the store", name)
+		}
 	}
 }
 

@@ -26,6 +26,8 @@ package dserve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"time"
@@ -43,13 +45,38 @@ const repairStatChunk = 256
 type replObject struct {
 	kind, key string
 	payload   []byte
+	// digest, set on a library image, is its content digest (key is its
+	// hex): castore writes it into the header instead of hashing the
+	// image a second time.
+	digest *[sha256.Size]byte
+}
+
+// put stores o in st, the image under its digest.
+func (o replObject) put(st *castore.Store) error {
+	if o.digest != nil {
+		return st.PutContent(o.kind, *o.digest, o.payload)
+	}
+	return st.Put(o.kind, o.key, o.payload)
+}
+
+// frame is o in castore's wire form, the image's header carrying its
+// digest.
+func (o replObject) frame() []byte {
+	if o.digest != nil {
+		return castore.FrameContent(*o.digest, o.payload)
+	}
+	return castore.Frame(o.payload)
 }
 
 // resultObjects lists a compact result's two objects in write order: the
 // library image (shared across results by digest), then the record, so a
 // record never lands without the image it decodes against.
 func resultObjects(hash string, lib *elfx.Library, rec []byte) []replObject {
-	return []replObject{{kindLib, digestHex(lib), lib.Data}, {kindRecord, hash, rec}}
+	d := lib.ContentDigest()
+	return []replObject{
+		{kind: kindLib, key: hex.EncodeToString(d[:]), payload: lib.Data, digest: &d},
+		{kind: kindRecord, key: hash, payload: rec},
+	}
 }
 
 // writeStage is the stage memo's one write-behind hook: a memoized stage's
@@ -72,7 +99,7 @@ func (s *Service) writeStage(st *memoStage, hash string, v any, rec []byte, peer
 		}
 	}
 	okey := st.objectKey(hash)
-	objects := []replObject{{st.kind, okey, rec}}
+	objects := []replObject{{kind: st.kind, key: okey, payload: rec}}
 	if st.image != nil {
 		objects = resultObjects(okey, st.image(v), rec)
 	}
@@ -117,7 +144,7 @@ func (s *Service) writeBehind(objects []replObject, peers []string, probe bool) 
 		defer s.replWG.Done()
 		s.writeSem <- struct{}{}
 		for _, o := range objects {
-			if err := s.store.Put(o.kind, o.key, o.payload); err != nil {
+			if err := o.put(s.store); err != nil {
 				s.Counters.Add("writebehind.errors", 1)
 				break // never a record without its image
 			}
@@ -157,7 +184,7 @@ func (s *Service) sendObjects(peers []string, objects []replObject, probe bool) 
 	framed := make([][]byte, len(objects))
 	refs := make([]peerObjectRef, len(objects))
 	for i, o := range objects {
-		framed[i] = castore.Frame(o.payload)
+		framed[i] = o.frame()
 		refs[i] = peerObjectRef{Kind: o.kind, Key: o.key}
 	}
 	for _, peer := range peers {

@@ -1,6 +1,5 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§4). Each experiment has a runner returning structured data
-// and a renderer that prints the same rows the paper reports. The
-// per-experiment index lives in DESIGN.md §3; paper-vs-measured numbers are
-// recorded in EXPERIMENTS.md.
+// and a renderer that prints the same rows the paper reports;
+// cmd/experiments runs them by name.
 package experiments

@@ -13,7 +13,7 @@ import (
 )
 
 // Spec is one evaluated workload — a row of Table 1 plus the device setup
-// and the calibrated per-item compute cost (DESIGN.md §4).
+// and the calibrated per-item compute cost.
 type Spec struct {
 	Framework string
 	Model     string
@@ -26,7 +26,8 @@ type Spec struct {
 	TailLibs int
 	Devices  []gpuarch.Device
 	Mode     cudasim.LoadMode
-	// PerItemCompute calibrates virtual compute time; see EXPERIMENTS.md.
+	// PerItemCompute calibrates virtual compute time; cmd/experiments
+	// prints what it yields.
 	PerItemCompute time.Duration
 	// InferSteps caps inference runs ("only one batch from test set is
 	// used" for the CV/NLP inference rows of Table 1); 0 = full split.

@@ -38,7 +38,7 @@ func (s SM) Valid() bool {
 
 // Device describes a GPU model: its architecture and memory capacity.
 // Capacities are expressed in the repository's scaled units (1 paper-MB =
-// 1 simulated KB; see DESIGN.md §4).
+// 1 simulated KB; see internal/mlframework).
 type Device struct {
 	Name     string
 	Arch     SM

@@ -19,6 +19,6 @@
 //   - Filler .rodata, standing in for the non-code content of real
 //     libraries.
 //
-// Sizes follow DESIGN.md §4: 1 paper-MB = 1 simulated-KB, function counts
+// Sizes are scaled: 1 paper-MB = 1 simulated-KB, function counts
 // scaled by 1/100, element counts by roughly 1/10.
 package mlframework

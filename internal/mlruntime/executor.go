@@ -28,7 +28,7 @@ type Workload struct {
 	Data   dataset.Dataset
 	Epochs int
 	// PerItemCompute is the calibrated virtual compute time per batch item
-	// per unit of op weight (DESIGN.md §4).
+	// per unit of op weight (set per workload in internal/experiments).
 	PerItemCompute time.Duration
 }
 

@@ -9,11 +9,11 @@ import (
 	"negativaml/internal/gpuarch"
 )
 
-// This file implements the ablation DESIGN.md calls out for the locator's
-// central design choice (§3.2): retaining *whole cubins* rather than exact
-// kernels. The paper keeps the cubin because a kernel launched from device
-// code (a GPU-launching kernel) never passes through cuModuleGetFunction,
-// so a locator that kept only detected kernels would strip the children and
+// This file implements an ablation of the locator's central design
+// choice: retaining *whole cubins* rather than exact kernels. The paper
+// keeps the cubin because a kernel launched from device code (a
+// GPU-launching kernel) never passes through cuModuleGetFunction, so a
+// locator that kept only detected kernels would strip the children and
 // break the workload. LocateGPUExact implements that naive strategy so the
 // ablation experiment (and tests) can demonstrate the failure.
 

@@ -12,7 +12,8 @@ import (
 
 // Analysis cost constants (virtual time). Function and element counts are
 // generated at 1/100 and ~1/10 of the paper's, so per-item costs are scaled
-// up to land end-to-end times near Table 8 (DESIGN.md §4).
+// up to land end-to-end times near Table 8 (the scale is
+// internal/mlframework's).
 const (
 	locatePerFunc    = 48 * time.Millisecond
 	locatePerElement = 18 * time.Millisecond

@@ -2,8 +2,8 @@ package negativa
 
 // LibraryReport captures the before/after state of one shared library.
 // "Effective" sizes count non-zero bytes — the storage a zero-compacted
-// file actually occupies (DESIGN.md: the compactor zeroes ranges in place
-// to preserve addresses; sparse storage reclaims the zeroed blocks).
+// file actually occupies (the compactor zeroes ranges in place to preserve
+// addresses; sparse storage reclaims the zeroed blocks).
 type LibraryReport struct {
 	Name string
 

@@ -21,7 +21,7 @@
 //     compare output digests.
 //
 // The hardware and proprietary-binary substrate the paper measured against
-// is simulated (see DESIGN.md §1): generated ELF libraries with planted
+// is simulated (docs/ARCHITECTURE.md, Layers): generated ELF libraries with planted
 // fatbins, a CUDA driver simulator with eager/lazy loading and a virtual
 // clock, synthetic PyTorch/TensorFlow/vLLM/Transformers installs, and
 // op-graph workloads for MobileNetV2, a Transformer, Llama2, and the Open
