@@ -9,14 +9,14 @@
 //	                -data-dir /var/lib/negativa -disk-mb 512
 //
 // With -data-dir the service is durable: detection profiles, locate/compact
-// results, library images, and completed-job manifests persist to a
-// crash-safe content-addressed store, and a restart against the same
-// directory resumes warm — previously submitted jobs are served (status,
-// report, fetch-library) without re-running detection, location, or
-// compaction. -disk-mb bounds the store; least-recently-used objects not
-// referenced by a retained job are evicted beyond it. Store reads are
-// memory-mapped where the platform supports it and buffered elsewhere (see
-// docs/ARCHITECTURE.md, "The byte plane").
+// records, verification records and completed-job manifests persist to a
+// crash-safe store, and a restart against the same directory resumes warm —
+// previously submitted jobs are served (status, report, fetch-library) by
+// rerunning their requests over the stored records, without re-running
+// detection, location, or compaction. A restored ingest job needs its
+// ingest directory. -disk-mb bounds the store; least-recently-used objects
+// not referenced by a retained job are evicted beyond it (see
+// docs/ARCHITECTURE.md, "Durability").
 //
 // With -peers and -node-id the node joins a sharded serving plane: a
 // consistent-hash ring over the peer set gives each detect and compact

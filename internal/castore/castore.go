@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -316,14 +315,13 @@ func parseHeader(buf []byte) (header, error) {
 	return h, nil
 }
 
-// makeHeader is the header of an n-byte payload whose SHA-256 is sum. The
-// caller vouches for sum; every read checks the payload against it.
-func makeHeader(sum [sha256.Size]byte, n int) []byte {
+func makeHeader(payload []byte) []byte {
 	le := binary.LittleEndian
 	buf := make([]byte, headerSize)
 	le.PutUint32(buf[0:], objectMagic)
 	le.PutUint16(buf[4:], objectVersion)
-	le.PutUint64(buf[8:], uint64(n))
+	le.PutUint64(buf[8:], uint64(len(payload)))
+	sum := sha256.Sum256(payload)
 	copy(buf[16:48], sum[:])
 	return buf
 }
@@ -379,10 +377,9 @@ func (s *Store) Has(kind, key string) bool {
 }
 
 // Put stores an object via temp write + atomic rename, its header
-// carrying the payload's SHA-256, which Put computes. Re-putting an
-// existing (kind, key) is a no-op: a key names one payload, whether it is
-// that payload's digest (PutContent) or a name the caller derives from
-// what produced it (a stage hash, a job ID). The expensive part (staging the
+// carrying the payload's SHA-256. Re-putting an existing (kind, key) is a
+// no-op: a key names one payload, a name the caller derives from what
+// produced it (a stage hash, a job ID). The expensive part (staging the
 // temp file) runs outside the store lock, so concurrent Puts and Gets
 // proceed in parallel; only the publishing rename and the index update are
 // serialized. Both fsyncs that harden the object against power loss — the
@@ -396,23 +393,6 @@ func (s *Store) Has(kind, key string) bool {
 // A process crash (as opposed to power loss) tears nothing — the rename
 // is atomic and the page cache survives the process.
 func (s *Store) Put(kind, key string, payload []byte) error {
-	return s.put(kind, key, payload, nil)
-}
-
-// PutContent stores a content-addressed object: its key is the hex of
-// digest, the payload's SHA-256, which the caller already holds. The
-// header carries digest as the payload's checksum, so the payload is not
-// hashed again, and key and header cannot disagree. The caller vouches for
-// digest, and every read still checks the payload against it: an object
-// stored under a wrong digest is corrupt to Get, OpenMapped, Verify and a
-// peer's Import, and reads as a miss, never as a wrong payload.
-func (s *Store) PutContent(kind string, digest [sha256.Size]byte, payload []byte) error {
-	return s.put(kind, hex.EncodeToString(digest[:]), payload, &digest)
-}
-
-// put is Put and PutContent: sum is the payload's checksum, nil when the
-// payload must be hashed (only once the key is known to be new).
-func (s *Store) put(kind, key string, payload []byte, sum *[sha256.Size]byte) error {
 	if !validName(kind) || !validName(key) {
 		return fmt.Errorf("castore: invalid object name %s/%s", kind, key)
 	}
@@ -424,10 +404,6 @@ func (s *Store) put(kind, key string, payload []byte, sum *[sha256.Size]byte) er
 		return nil
 	}
 	s.mu.Unlock()
-	if sum == nil {
-		h := sha256.Sum256(payload)
-		sum = &h
-	}
 
 	final := s.objectPath(kind, key)
 	if err := s.ensureDir(filepath.Dir(final)); err != nil {
@@ -442,7 +418,7 @@ func (s *Store) put(kind, key string, payload []byte, sum *[sha256.Size]byte) er
 	// SyncDirs commit point, where it overlaps with every other deferred
 	// flush instead of stalling each Put individually.
 	werr := func() error {
-		if _, err := tmp.Write(makeHeader(*sum, len(payload))); err != nil {
+		if _, err := tmp.Write(makeHeader(payload)); err != nil {
 			return err
 		}
 		_, err := tmp.Write(payload)
@@ -643,7 +619,7 @@ func syncAll(paths []string) {
 // Get returns the object's payload, verifying its checksum and refreshing
 // its recency. A corrupt object is deleted and reported as a miss — the
 // caller recomputes, exactly as for an absent object. The read and the
-// checksum run outside the store lock so concurrent Gets of large images
+// checksum run outside the store lock so concurrent Gets of large objects
 // do not serialize.
 func (s *Store) Get(kind, key string) ([]byte, bool) {
 	id := objKey{kind, key}
@@ -790,19 +766,6 @@ func (s *Store) Delete(kind, key string) {
 	defer s.mu.Unlock()
 	if o, ok := s.objects[objKey{kind, key}]; ok && o.refs == 0 {
 		s.removeLocked(o)
-	}
-}
-
-// Discard removes an object its reader found is not what its key names,
-// retained or not, and counts it corrupt. A content-addressed object whose
-// payload matches its header but not its key passes every read's check;
-// only a caller that knows the key is a digest can tell (Mapped.Sum).
-// Later reads miss, and the caller recomputes, as for any corrupt object.
-func (s *Store) Discard(kind, key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if o, ok := s.objects[objKey{kind, key}]; ok {
-		s.corruptLocked(o)
 	}
 }
 

@@ -308,54 +308,6 @@ func TestCorruptObjectDetected(t *testing.T) {
 	}
 }
 
-// TestWrongDigestIsCorrupt: PutContent and FrameContent write the digest
-// the caller vouches for without hashing the payload, so a wrong one must
-// still be caught by every read. Get and OpenMapped miss and count the
-// object corrupt; Import refuses the frame and stores nothing.
-func TestWrongDigestIsCorrupt(t *testing.T) {
-	counters := metrics.NewCounterSet()
-	s, err := Open(t.TempDir(), Options{Counters: counters})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	payload := []byte("the image the caller holds")
-	wrong := sha256.Sum256([]byte("some other image"))
-	key := hex.EncodeToString(wrong[:])
-	for i, read := range []struct {
-		name string
-		miss func() bool
-	}{
-		{"Get", func() bool { _, ok := s.Get("lib", key); return !ok }},
-		{"OpenMapped", func() bool {
-			m, ok := s.OpenMapped("lib", key)
-			if ok {
-				m.Close()
-			}
-			return !ok
-		}},
-	} {
-		if err := s.PutContent("lib", wrong, payload); err != nil {
-			t.Fatal(err)
-		}
-		if !read.miss() {
-			t.Fatalf("%s served a payload whose digest is not its header's", read.name)
-		}
-		if s.Has("lib", key) {
-			t.Fatalf("%s left the object stored", read.name)
-		}
-		if n := counters.Get("store.corrupt"); n != int64(i+1) {
-			t.Fatalf("after %s store.corrupt = %d, want %d", read.name, n, i+1)
-		}
-	}
-	if _, err := s.Import("lib", key, bytes.NewReader(FrameContent(wrong, payload))); err == nil {
-		t.Fatal("Import accepted a frame whose digest is not its payload's")
-	}
-	if s.Has("lib", key) {
-		t.Fatal("a refused import was stored")
-	}
-}
-
 // flipIndexByte corrupts one byte in the middle of dir's index file.
 func flipIndexByte(t *testing.T, dir string) {
 	t.Helper()
@@ -958,10 +910,10 @@ func BenchmarkStoreOpen(b *testing.B) {
 	}
 }
 
-// BenchmarkStorePut puts a 1 MiB object to a new key: /content is a
-// library image under the digest its caller holds (PutContent), /named a
-// name-addressed object that Put hashes for its header. Each op's key is
-// deleted again outside the timer, so every Put stages and publishes.
+// BenchmarkStorePut puts a 1 MiB object to a new key, which Put hashes
+// for its header: /named is a name-addressed object, the only kind a
+// batch stores. Each op's key is deleted again outside the timer, so every
+// Put stages and publishes.
 func BenchmarkStorePut(b *testing.B) {
 	s, err := Open(b.TempDir(), Options{})
 	if err != nil {
@@ -969,27 +921,17 @@ func BenchmarkStorePut(b *testing.B) {
 	}
 	defer s.Close()
 	payload := bytes.Repeat([]byte("0123456789abcdef"), 1<<16)
-	digest := sha256.Sum256(payload)
-	key := hex.EncodeToString(digest[:])
-	for _, c := range []struct {
-		name string
-		put  func() error
-	}{
-		{"content", func() error { return s.PutContent("lib", digest, payload) }},
-		{"named", func() error { return s.Put("record", key, payload) }},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(int64(len(payload)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := c.put(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				s.Delete("lib", key)
-				s.Delete("record", key)
-				b.StartTimer()
+	key := keyOf(payload)
+	b.Run("named", func(b *testing.B) {
+		b.SetBytes(int64(len(payload)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := s.Put("record", key, payload); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			b.StopTimer()
+			s.Delete("record", key)
+			b.StartTimer()
+		}
+	})
 }

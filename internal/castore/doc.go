@@ -1,27 +1,19 @@
 // Package castore is a crash-safe, disk-backed content-addressed store for
-// the debloating pipeline's derived artifacts: library images, compact-result
-// records, verified usage profiles, verification records, and job manifests.
+// the debloating pipeline's derived artifacts: compact-result records,
+// verified usage profiles, verification records, and job manifests.
 //
 // Objects are addressed by (kind, key) where kind namespaces the artifact
-// type and key is either the payload's own digest (library images) or a
-// name the caller derives from what produced the object (a stage hash, a
-// job ID). Every object is written crash-safely — payload plus an
-// integrity header go to a temp file, which is atomically renamed into
-// place and fsynced at the next SyncDirs — so after a crash the store holds
-// either the complete object or nothing; Verify scans the whole store and
-// removes anything that fails its checksum.
+// type and key is a name the caller derives from what produced the object
+// (a stage hash, a job ID), so one key names one payload. Every object is
+// written crash-safely — payload plus an integrity header go to a temp
+// file, which is atomically renamed into place and fsynced at the next
+// SyncDirs — so after a crash the store holds either the complete object
+// or nothing; Verify scans the whole store and removes anything that fails
+// its checksum.
 //
-// Every object's header carries the SHA-256 of its payload, and every read
-// checks the payload against it: Get, OpenMapped, Verify and Import. Put
-// and Frame hash the payload for the header. PutContent and FrameContent
-// take the sum from the caller, for an object keyed by its own digest that
-// the caller already holds, so a library image is hashed once per node
-// rather than once more per write. The caller vouches for that digest; a
-// wrong one stores an object every read rejects as corrupt, a miss, never
-// a wrong payload. What no read can see is an intact payload filed under
-// another payload's digest: the caller that knows its key is a digest
-// compares it to Mapped.Sum, the header's checksum, and Discards the
-// object.
+// Every object's header carries the SHA-256 of its payload, which Put and
+// Frame compute, and every read checks the payload against it: Get,
+// OpenMapped, Verify and Import.
 //
 // On disk an object is one file, <dir>/<kind>/<key>; the root holds only
 // the kind directories, tmp/, the .lock file and the .index file. The

@@ -2,7 +2,6 @@ package castore
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"sync"
@@ -12,31 +11,22 @@ import (
 // the OS page cache via mmap where the platform supports it (with a heap
 // fallback otherwise — see mmap_fallback.go). The object is pinned against
 // eviction for the lifetime of the view: Close drops the pin and unmaps.
-// Data must not be accessed, retained, or resliced after Close — the pages
-// may be gone.
+// The payload view must not be accessed, retained, or resliced after Close
+// — the pages may be gone. No program path reads a view; bench's store
+// probe times OpenMapped and Close.
 type Mapped struct {
 	store     *Store
 	kind, key string
 	raw       []byte // full mapping (header + payload); nil when heap-backed
 	data      []byte // payload view into raw (or the heap copy)
-	sum       [sha256.Size]byte
 	once      sync.Once
 }
-
-// Data returns the payload view. Treat it as immutable: the bytes alias a
-// shared file mapping.
-func (m *Mapped) Data() []byte { return m.data }
-
-// Sum returns the checksum the object's header declares, hex SHA-256. The
-// open checked the payload against it, so it costs no hash; a caller whose
-// key is a content digest compares the two (Store.Discard).
-func (m *Mapped) Sum() string { return hex.EncodeToString(m.sum[:]) }
 
 // Size returns the payload length in bytes.
 func (m *Mapped) Size() int64 { return int64(len(m.data)) }
 
 // Close unmaps the view and releases the eviction pin. Idempotent and safe
-// for concurrent use; Data is invalid afterwards.
+// for concurrent use; the payload view is invalid afterwards.
 func (m *Mapped) Close() {
 	m.once.Do(func() {
 		if m.raw != nil {
@@ -51,14 +41,13 @@ func (m *Mapped) Close() {
 // OpenMapped returns a pinned, integrity-checked view of the object's
 // payload without materializing it on the heap: on platforms with mmap
 // support the bytes are served straight from the page cache, so repeated
-// opens of hot objects (sparse lib images, reports) cost no allocation and
-// no copy. The checksum is verified on every open — same contract as Get —
-// and a corrupt object is removed and reported as a miss.
+// opens of hot objects cost no allocation and no copy. The checksum is
+// verified on every open — same contract as Get — and a corrupt object is
+// removed and reported as a miss.
 //
 // The returned view pins the object: eviction and Delete skip pinned
 // objects, so the mapping can never be unlinked-and-reused mid-response.
-// Callers must Close it (typically scoped to one response or one parsed
-// Library's lifetime).
+// Callers must Close it (typically scoped to one response).
 //
 // The heap fallback (non-unix builds and the castore_nommap build tag)
 // keeps the identical contract with os.ReadFile behind it.
@@ -154,7 +143,7 @@ func (s *Store) openMapping(kind, key string, size int64) (*Mapped, error) {
 	if sha256.Sum256(payload) != hdr.sum {
 		return fail(fmt.Errorf("castore: checksum mismatch"))
 	}
-	m := &Mapped{store: s, kind: kind, key: key, data: payload, sum: hdr.sum}
+	m := &Mapped{store: s, kind: kind, key: key, data: payload}
 	if !heap {
 		m.raw = raw
 	}

@@ -22,7 +22,7 @@ func TestOpenMappedRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("OpenMapped miss for stored object")
 	}
-	if !bytes.Equal(m.Data(), payload) {
+	if !bytes.Equal(m.data, payload) {
 		t.Fatal("mapped payload differs from stored payload")
 	}
 	if m.Size() != int64(len(payload)) {
@@ -72,7 +72,7 @@ func TestOpenMappedPinsAgainstEviction(t *testing.T) {
 	if !s.Has("k", "pinned") {
 		t.Fatal("mapped object was evicted while pinned")
 	}
-	if !bytes.Equal(m.Data(), []byte("0123456789abcdef")) {
+	if !bytes.Equal(m.data, []byte("0123456789abcdef")) {
 		t.Fatal("mapped view corrupted across eviction pressure")
 	}
 	m.Close()
@@ -181,7 +181,7 @@ func TestOpenMappedBackingMatchesBuild(t *testing.T) {
 	if mapped := m.raw != nil; mapped != mmapSupported {
 		t.Fatalf("view mmap-backed = %v on a build with mmapSupported = %v", mapped, mmapSupported)
 	}
-	if !bytes.Equal(m.Data(), payload) {
+	if !bytes.Equal(m.data, payload) {
 		t.Fatal("payload mismatch")
 	}
 	m.Close()
@@ -214,7 +214,7 @@ func TestOpenMappedConcurrent(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if !bytes.Equal(m.Data(), payloads[k]) {
+				if !bytes.Equal(m.data, payloads[k]) {
 					t.Errorf("goroutine %d: mapped payload mismatch for obj%d", g, k)
 					m.Close()
 					return

@@ -2,7 +2,6 @@ package castore
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -25,29 +24,11 @@ const maxImportBytes = 1 << 30
 // Frame wraps a payload in the store's integrity wire format — the same
 // 48-byte header + payload layout Export streams — for callers that push
 // bytes they hold in memory over the object-transfer route rather than a
-// stored file. It hashes the payload for the header.
-func Frame(payload []byte) []byte { return FrameContent(sha256.Sum256(payload), payload) }
-
-// FrameContent is Frame for a content-addressed payload whose SHA-256 the
-// caller already holds as digest (PutContent's contract): the header
-// carries digest without hashing the payload again, and the receiver's
-// Import still checks the payload against it.
-func FrameContent(digest [sha256.Size]byte, payload []byte) []byte {
+// stored file.
+func Frame(payload []byte) []byte {
 	out := make([]byte, 0, headerSize+len(payload))
-	out = append(out, makeHeader(digest, len(payload))...)
+	out = append(out, makeHeader(payload)...)
 	return append(out, payload...)
-}
-
-// FrameSum returns the checksum a frame's header declares for its payload
-// (hex SHA-256; Import holds the payload to it), or "" when hdr does not
-// start with a valid header. A receiver of a content-addressed object, whose
-// key is that checksum, compares the two before it imports anything.
-func FrameSum(hdr []byte) string {
-	h, err := parseHeader(hdr)
-	if err != nil {
-		return ""
-	}
-	return hex.EncodeToString(h.sum[:])
 }
 
 // Stat returns the payload size of a stored object without touching its

@@ -33,7 +33,7 @@
 //
 //	stage      castore kind  object key                   memory tier                                  write-behind
 //	detect     profile       sha256(fp ‖ NUL ‖ identity)  fifoMap of profiles, 1024, oldest first      probes
-//	compact    record        the stage hash               ResultCache, byte-bounded LRU                probes; image first
+//	compact    record        the stage hash               ResultCache, byte-bounded LRU                probes
 //	verifyrun  verify        the stage hash               fifoMap of run results, 1024, oldest first   unprobed
 //
 // castore's byte budget (castore.Options.MaxBytes, least recently used
@@ -176,8 +176,8 @@
 // Concurrency contract: *elfx.Library and *mlframework.Install values are
 // immutable after parsing/generation and shared read-only across
 // goroutines; each workload run constructs its own cudasim.Driver. Memoized
-// stage values (profiles, compacted results and their images) are
-// immutable once stored and handed out shared — callers must not mutate
+// stage values (profiles, compacted results and the libraries they
+// reference) are immutable once stored and handed out shared — callers must not mutate
 // them. Lifetime: nothing but the byte-accounted ResultCache and retained
 // jobs may keep a library image reachable after its batch returns — no
 // memo entry, closure or per-pointer table (installs the service generated
@@ -190,28 +190,36 @@
 //
 // With a castore.Store attached (Config.Store), the service is durable:
 // the detect, compact and verifyrun memos gain their disk tier (memory
-// miss → disk hit → recompute; a boot reads no profile or result), and
-// each completed job spills a manifest referencing its library images
-// (keyed by their digests) and result records (keyed by stage hash). New
+// miss → disk hit → recompute; a boot reads no profile or result). New
 // profiles, results and verify records reach the store through one
-// write-behind (Service.writeBehind): in order, library image before
-// record, at most spillConcurrency writers at a time, beside the peer
-// pushes. A library image is stored and framed under the digest the node
-// already holds (castore.PutContent, castore.FrameContent), not hashed
-// again; a restore that finds another image's intact bytes under a digest
-// discards them as corrupt (restoredLib). A completing job waits only for
-// the write-behind of the records its manifest references, then pins them
-// and publishes the manifest after SyncDirs. A restarted service restores
-// its jobs lazily: status reads the manifest, and the first report or
-// fetch-library request materializes the result from the store without
-// re-running detection, location, or compaction.
+// write-behind (Service.writeBehind), one record each, at most
+// spillConcurrency writers at a time, beside the peer pushes. No library
+// image is stored: a record decodes against the live library its batch
+// resolved. A completing job waits only for the write-behind of the
+// records its manifest references, then pins them and publishes the
+// manifest (request, outcome summary, each library's name and record key)
+// after SyncDirs.
+//
+// A done job's durable form is that manifest and its pinned records. A
+// restarted service restores its jobs lazily: status reads the manifest,
+// and the first report or fetch-library request reruns the job's request
+// (Service.restore) without its base and without verification. The rerun
+// resolves the install as any batch does — a spec install resident or
+// generated, an ingest tree re-read from its ingest_dir — and reads the
+// records through the compact stage's disk loader, recomputing any that
+// is lost or corrupt. It is accepted only when its install fingerprint and
+// every library's name and record key are the manifest's; otherwise the
+// call fails (jobs.restore_failed) and serves nothing. The manifest's
+// outcome fields stay the job's report.
 // Jobs retain (refcount) their store objects until evicted from the
 // bounded job table; an open fetch-library stream pins its job so eviction
-// never releases images under an in-flight response. A store written
-// before the record (a "result" and a "sparse" object per result) is
-// read as holding no results: its batches recompute, and its manifests,
-// whose records do not exist, are dropped at boot with their IDs still
-// reserved.
+// never releases records under an in-flight response. A store written
+// before the record (a "result" and a "sparse" object per result) is read
+// as holding no results: its batches recompute, and its manifests, whose
+// records do not exist, are dropped at boot with their IDs still reserved.
+// A store written while library images were kept holds a "lib" object per
+// library, which nothing reads, pins or pushes; its manifests restore from
+// their records, and the images are left to castore's byte budget.
 //
 // The HTTP front end (NewHandler, served by cmd/negativa-served) exposes
 // job submission (incremental included), status, full reports,

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"time"
 
-	"negativaml/internal/elfx"
 	"negativaml/internal/mlframework"
 	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
@@ -53,14 +51,14 @@ type Job struct {
 	opts SubmitOptions
 
 	// manifest is the durable form of a persisted job; for a job restored
-	// from the store it stands in for Result until first use materializes
-	// it (see Service.ResultOf).
+	// from the store it stands in for Result until first use reruns it
+	// (see Service.ResultOf).
 	manifest *jobManifest
 	// refs are the store objects this job retains; released when the job
 	// is evicted.
 	refs []storeRef
 	// pins counts in-flight readers (an open fetch-library stream, a
-	// materialization in progress). A pinned job is never evicted, so
+	// restore in progress). A pinned job is never evicted, so
 	// eviction cannot release store objects out from under a response.
 	pins int
 }
@@ -319,10 +317,11 @@ func notifyEvicted(jobs []*Job) {
 }
 
 // pruneJobsLocked evicts the oldest terminal jobs beyond MaxJobs — each
-// completed job pins its compacted library images, so retention must be
-// bounded. Queued, running, and pinned jobs are never evicted: a pin marks
-// an in-flight reader (an open fetch-library stream), and evicting under it
-// would release the store objects the response is still being served from.
+// completed job holds its debloated libraries and pins its records, so
+// retention must be bounded. Queued, running, and pinned jobs are never
+// evicted: a pin marks an in-flight reader (an open fetch-library stream),
+// and evicting under it would release the store objects the response is
+// still being served from.
 // Evicting a persisted job releases its store references and deletes its
 // manifest, so a future boot does not resurrect it. Callers hold s.mu, and
 // pass the result to notifyEvicted once they have released it.
@@ -526,24 +525,17 @@ func (s *Service) persistJob(job *Job, res *BatchResult, finished time.Time) (*j
 	t0 = time.Now()
 
 	var held []storeRef
-	// Pin each referenced object, re-spilling any the write-behind never
+	// Pin each referenced record, re-spilling any the write-behind never
 	// wrote or the store already evicted. Retain-then-spill keeps
 	// the window in which an unpinned object can vanish to the few
 	// instructions between the spill and the retry.
 	for i, ml := range m.Libs {
-		for _, ref := range ml.refs() {
-			if s.store.Retain(ref.Kind, ref.Key) {
-				held = append(held, ref)
-				continue
-			}
-			if err := spillResult(s.store, ml.Key, &negativa.LibDebloat{Report: res.Libs[i]}); err != nil {
+		if !s.store.Retain(kindRecord, ml.Key) {
+			if spillResult(s.store, ml.Key, &negativa.LibDebloat{Report: res.Libs[i]}) != nil || !s.store.Retain(kindRecord, ml.Key) {
 				return abandon(held)
 			}
-			if !s.store.Retain(ref.Kind, ref.Key) {
-				return abandon(held)
-			}
-			held = append(held, ref)
 		}
+		held = append(held, storeRef{kindRecord, ml.Key})
 	}
 	s.Timings.Observe("persist.retain", time.Since(t0))
 	data, err := json.Marshal(m)
@@ -593,8 +585,8 @@ func (s *Service) persistFailedJob(job *Job, jobErr error, finished time.Time) (
 }
 
 // restoreJobs loads persisted job manifests at boot, pinning each job's
-// objects and inserting the jobs in their terminal state (done jobs with
-// lazily-materialized results, failed jobs with their error). A manifest
+// objects and inserting the jobs in their terminal state (done jobs whose
+// results are rebuilt on first use, failed jobs with their error). A manifest
 // whose referenced objects did not all survive is dropped (and deleted)
 // rather than half-restored; its ID still advances the sequence so no
 // previously-issued ID is ever reused. Called from NewService before the
@@ -691,9 +683,8 @@ var (
 	ErrUnknownLib  = errors.New("dserve: job has no such library")
 )
 
-// ResultOf returns the job's batch result, materializing a restored job's
-// result from the store on first use. The job is pinned for the duration of
-// the materialization.
+// ResultOf returns the job's batch result, rebuilding a restored job's
+// result on first use (restore). The job is pinned while it is rebuilt.
 func (s *Service) ResultOf(id string) (*BatchResult, error) {
 	s.mu.Lock()
 	job, ok := s.jobs[id]
@@ -720,15 +711,19 @@ func (s *Service) ResultOf(id string) (*BatchResult, error) {
 	job.pins++
 	s.mu.Unlock()
 
-	res, err := s.materialize(m)
+	res, err := s.restore(m)
+	if err == nil {
+		s.awaitRecords(m.Libs)
+	}
 
 	s.mu.Lock()
 	job.pins--
 	if err == nil {
 		if job.Result == nil {
 			job.Result = res
+			job.refs = s.repinLocked(job.refs)
 		} else {
-			res = job.Result // another materialization won the race
+			res = job.Result // another restore won the race
 		}
 	}
 	evicted := s.pruneJobsLocked()
@@ -742,15 +737,56 @@ func (s *Service) ResultOf(id string) (*BatchResult, error) {
 	return res, nil
 }
 
-// materialize rebuilds a BatchResult from a job manifest: images come from
-// kindLib (parsed once per digest), each library's report and range set
-// from its kindRecord decoded against the parsed image. No locate/compact
-// runs — restored libraries are byte-identical reconstructions.
-func (s *Service) materialize(m *jobManifest) (*BatchResult, error) {
-	res := &BatchResult{
+// repinLocked pins refs afresh, then drops the old pins, so a restored job
+// holds what the store has once its rerun's writes landed: a record removed
+// as corrupt while pinned left an orphaned pin, which the release drains,
+// and the recomputed record takes its place. An object the store lacks
+// drops out of the returned refs. Callers hold s.mu.
+func (s *Service) repinLocked(refs []storeRef) []storeRef {
+	held := make([]storeRef, 0, len(refs))
+	for _, ref := range refs {
+		if s.store.Retain(ref.Kind, ref.Key) {
+			held = append(held, ref)
+		}
+	}
+	for _, ref := range refs {
+		s.store.Release(ref.Kind, ref.Key)
+	}
+	return held
+}
+
+// restore rebuilds a restored done job's result by rerunning its request
+// through runBatch, without its base and with verification skipped, since
+// the manifest keeps the outcomes. The batch resolves the install as any
+// batch does (resident or generated for a spec, re-read from ingest_dir for
+// an ingest request), reads the pinned records through the compact stage's
+// disk loader and recomputes any that is lost or corrupt. The rerun is
+// accepted only if its install fingerprint and every library's name and
+// record key are the manifest's, so a changed install or step cap fails
+// rather than serve other images; the manifest's outcome fields stay the
+// job's report.
+func (s *Service) restore(m *jobManifest) (*BatchResult, error) {
+	req := m.Req
+	req.Base, req.SkipVerify = "", true
+	run, err := s.runBatch(req, nil, nil)
+	if err != nil {
+		return nil, fmt.Errorf("dserve: restore %s: %w", m.ID, err)
+	}
+	if run.InstallFP != m.InstallFP || len(run.Libs) != len(m.Libs) {
+		return nil, fmt.Errorf("dserve: restore %s: the install is not the one the job ran against", m.ID)
+	}
+	for i, ml := range m.Libs {
+		if run.Libs[i].Name != ml.Name || run.libKeys[i] != ml.Key {
+			return nil, fmt.Errorf("dserve: restore %s: library %s no longer debloats to its recorded result", m.ID, ml.Name)
+		}
+	}
+	return &BatchResult{
 		InstallFP:     m.InstallFP,
-		Union:         &negativa.Profile{Workload: m.UnionWorkload},
-		Workloads:     append([]WorkloadOutcome(nil), m.Workloads...),
+		Union:         run.Union,
+		Workloads:     m.Workloads,
+		Libs:          run.Libs,
+		byName:        run.byName,
+		libKeys:       run.libKeys,
 		DetectTime:    time.Duration(m.DetectNS),
 		AnalysisTime:  time.Duration(m.AnalysisNS),
 		WallTime:      time.Duration(m.WallNS),
@@ -759,68 +795,7 @@ func (s *Service) materialize(m *jobManifest) (*BatchResult, error) {
 		ProfileReuses: m.ProfileReuses,
 		VerifySkipped: m.VerifySkipped,
 		Incremental:   m.Incremental,
-	}
-	res.byName = make(map[string]*negativa.LibraryReport, len(m.Libs))
-	for _, ml := range m.Libs {
-		lib, err := s.restoredLib(ml.LibDigest, ml.Name)
-		if err != nil {
-			return nil, fmt.Errorf("dserve: restore %s: %w", m.ID, err)
-		}
-		raw, ok := s.store.Get(kindRecord, ml.Key)
-		if !ok {
-			return nil, fmt.Errorf("dserve: restore %s: record %.12s… missing from store", m.ID, ml.Key)
-		}
-		ld, err := negativa.DecodeRecord(lib, raw)
-		if err != nil {
-			return nil, fmt.Errorf("dserve: restore %s: record %.12s…: %w", m.ID, ml.Key, err)
-		}
-		lr := ld.Report
-		lr.Name = ml.Name
-		res.Libs = append(res.Libs, lr)
-		res.libKeys = append(res.libKeys, ml.Key)
-		res.byName[lr.Name] = lr
-	}
-	return res, nil
-}
-
-// restoredLib loads and parses a library image from the store, memoized by
-// content digest (the newest 64 images, oldest evicted first) so restored
-// jobs sharing libraries parse each image once. Failures are returned but
-// never memoized: a missing object may reappear (recomputed and re-spilled
-// by a later batch), and the next call must see it. An object whose header
-// checksum is not digest is misfiled — its bytes are intact but another
-// image's — and is removed and counted store.corrupt: a miss, never a
-// memoized wrong image.
-//
-// The image is opened via castore.OpenMapped, so a restored library's bytes
-// are a pinned page-cache view, not a heap copy. The mapping's lifetime is
-// pin-scoped to the Library that aliases it: a finalizer closes it (unmap +
-// unpin) once the Library — and with it every SparseImage and in-flight
-// OpenLibStream response over it — becomes unreachable. Eviction can
-// therefore never yank pages out from under a live response.
-func (s *Service) restoredLib(digest, name string) (*elfx.Library, error) {
-	if lib, ok := s.restoredLibs.get(digest); ok {
-		return lib, nil
-	}
-	m, ok := s.store.OpenMapped(kindLib, digest)
-	if ok && m.Sum() != digest {
-		// Intact bytes of another image, filed under this digest: drop
-		// them, so a batch that computes the library stores it again.
-		s.store.Discard(kindLib, digest)
-		m.Close()
-		ok = false
-	}
-	if !ok {
-		return nil, fmt.Errorf("library image %.12s… missing from store", digest)
-	}
-	lib, err := elfx.Parse(name, m.Data())
-	if err != nil {
-		m.Close()
-		return nil, err
-	}
-	runtime.SetFinalizer(lib, func(*elfx.Library) { m.Close() })
-	s.restoredLibs.put(digest, lib)
-	return lib, nil
+	}, nil
 }
 
 // LibStream is an open handle on one debloated library of a completed job.

@@ -1,7 +1,6 @@
 package dserve
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"sync"
@@ -18,9 +17,8 @@ import (
 // fifoMap is dserve's one count-bounded map: it evicts oldest-inserted
 // first. It is the memory tier of the detect and verifyrun stages, keyed by
 // client-controlled identities, so the bound is what keeps a sweeping client
-// from growing a long-running service without limit; and the restored-image
-// memo, whose values pin mapped store objects. Stored values are immutable
-// and shared.
+// from growing a long-running service without limit. Stored values are
+// immutable and shared.
 type fifoMap[K comparable, V any] struct {
 	mu    sync.RWMutex
 	max   int
@@ -91,13 +89,9 @@ type memoStage struct {
 	// probe makes the write-behind stat-probe a peer before pushing; a
 	// verify record is smaller than the probe that would ask about it.
 	probe bool
-	// image, when set, is the library image a value's record decodes
-	// against, written ahead of the record.
-	image func(v any) *elfx.Library
-	// stored, when set, reads a stored record's stage hash and its library
-	// image's key ("" for none) for the repair walk; nil means the object
-	// key is the stage hash.
-	stored func(okey string, rec []byte) (hash, image string, ok bool)
+	// stored, when set, reads a stored record's stage hash for the repair
+	// walk; nil means the object key is the stage hash.
+	stored func(rec []byte) (hash string, ok bool)
 }
 
 // memoStages is the table, in the order the repair walk visits the kinds.
@@ -117,9 +111,9 @@ var memoStages = [...]memoStage{{
 	put:  func(m *StageMemo, hash string, v any) { m.profiles.put(hash, v.(*negativa.Profile)) },
 	hits: "registry.hits", misses: "registry.misses",
 	probe: true,
-	stored: func(_ string, rec []byte) (string, string, bool) {
+	stored: func(rec []byte) (string, bool) {
 		fp, wid, ok := negativa.ProfileRecordKey(rec)
-		return negativa.DetectKey(fp, wid).Hash, "", ok
+		return negativa.DetectKey(fp, wid).Hash, ok
 	},
 }, {
 	stage: negativa.StageCompact, kind: kindRecord,
@@ -135,14 +129,6 @@ var memoStages = [...]memoStage{{
 	get:   func(m *StageMemo, hash string) (any, bool) { return m.cache.Get(hash) },
 	put:   func(m *StageMemo, hash string, v any) { m.cache.Put(hash, v.(*negativa.LibDebloat)) },
 	probe: true,
-	image: func(v any) *elfx.Library { return v.(*negativa.LibDebloat).Report.Sparse.Lib() },
-	stored: func(okey string, rec []byte) (string, string, bool) {
-		d, ok := negativa.RecordLibDigest(rec)
-		if !ok {
-			return okey, "", true
-		}
-		return okey, hex.EncodeToString(d[:]), true
-	},
 }, {
 	stage: negativa.StageVerifyRun, kind: kindVerify,
 	objectKey: hashObjectKey,
@@ -185,7 +171,7 @@ func memoStageOf(stage string) *memoStage {
 //
 //	stage      castore kind  object key                   memory tier                                  write-behind
 //	detect     profile       sha256(fp ‖ NUL ‖ identity)  fifoMap of profiles, 1024, oldest first      probes
-//	compact    record        the stage hash               ResultCache, byte-bounded LRU                probes; image first
+//	compact    record        the stage hash               ResultCache, byte-bounded LRU                probes
 //	verifyrun  verify        the stage hash               fifoMap of run results, 1024, oldest first   unprobed
 //
 // castore's byte budget (castore.Options.MaxBytes, least recently used

@@ -1,7 +1,6 @@
 package dserve
 
 import (
-	"bytes"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
@@ -52,7 +51,7 @@ import (
 //
 //	stage      castore kind  object key                   memory tier                                  write-behind
 //	detect     profile       sha256(fp ‖ NUL ‖ identity)  fifoMap of profiles, 1024, oldest first      probes
-//	compact    record        the stage hash               ResultCache, byte-bounded LRU                probes; image first
+//	compact    record        the stage hash               ResultCache, byte-bounded LRU                probes
 //	verifyrun  verify        the stage hash               fifoMap of run results, 1024, oldest first   unprobed
 //
 // castore's byte budget (castore.Options.MaxBytes, least recently used
@@ -119,9 +118,9 @@ func installPath(fp, from, framework string, tailLibs int) string {
 }
 
 // peerBodyLimit bounds one pushed object or install (PUT
-// /v1/peer/objects/..., /v1/peer/install/...): write-back, repair and
-// installs stream whole library images, so the bound is far
-// above the client-facing maxRequestBytes. The JSON
+// /v1/peer/objects/..., /v1/peer/install/...): an install streams whole
+// library images, so the bound is far above the client-facing
+// maxRequestBytes. The JSON
 // routes carry no payloads and decode under limits sized from their key
 // bounds (peerLookupBatchLimit, peerStatLimit).
 const peerBodyLimit = 256 << 20
@@ -391,11 +390,10 @@ func (s *Service) handlePeerStat(w http.ResponseWriter, r *http.Request) {
 // repair / handoff ingest path. Import verifies the end-to-end checksum and
 // cleans up after truncated or corrupt streams, so a dying pusher leaves
 // no partial state here. Pushed kinds are restricted to the replication
-// set. A lib object is content-addressed, so its frame's checksum must be
-// its key: an image filed under another image's digest is refused before
-// anything is written, instead of shadowing the real image until
-// eviction. A pushed profile is an object like any other: the detect
-// stage's disk loader reads it through when a batch needs it.
+// set, the memoized stages' records: a library image ("lib", what an older
+// build pushed) is refused like any other kind. A pushed profile is an
+// object like any other: the detect stage's disk loader reads it through
+// when a batch needs it.
 func (s *Service) handlePeerObjectPut(w http.ResponseWriter, r *http.Request) {
 	st := s.Store()
 	if st == nil {
@@ -404,22 +402,13 @@ func (s *Service) handlePeerObjectPut(w http.ResponseWriter, r *http.Request) {
 	}
 	kind, key := r.PathValue("kind"), r.PathValue("key")
 	switch kind {
-	case kindLib, kindRecord, kindProfile, kindVerify:
+	case kindRecord, kindProfile, kindVerify:
 	default:
 		httpError(w, http.StatusBadRequest, fmt.Errorf("kind %q is not replicated", kind))
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, peerBodyLimit+castore.HeaderSize)
-	body := io.Reader(r.Body)
-	if kind == kindLib {
-		var hdr [castore.HeaderSize]byte
-		if _, err := io.ReadFull(r.Body, hdr[:]); err != nil || castore.FrameSum(hdr[:]) != key {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("lib/%s: frame checksum is not the key", key))
-			return
-		}
-		body = io.MultiReader(bytes.NewReader(hdr[:]), r.Body)
-	}
-	n, err := st.Import(kind, key, body)
+	n, err := st.Import(kind, key, r.Body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("import %s/%s: %w", kind, key, err))
 		return

@@ -210,9 +210,10 @@ func TestPeerRoutesRequireCluster(t *testing.T) {
 }
 
 // TestPeerObjectPutKinds: the object route takes the replicated kinds —
-// lib, record, profile, verify — and nothing else: a push of the two
-// objects a compact result was stored as before the record ("result" and
-// "sparse") answers 400 and lands nothing.
+// the memoized stages' records: record, profile, verify — and nothing
+// else. A push of a library image ("lib") or of the two objects a compact
+// result was stored as before the record ("result" and "sparse"), all
+// kinds an older build pushed, answers 400 and lands nothing.
 func TestPeerObjectPutKinds(t *testing.T) {
 	st, err := castore.Open(t.TempDir(), castore.Options{})
 	if err != nil {
@@ -225,13 +226,13 @@ func TestPeerObjectPutKinds(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
-	// The key is the payload's digest, so a lib push is content-addressed.
+	// The key is the payload's digest, as a lib push's was.
 	sum := sha256.Sum256([]byte("payload"))
 	key := hex.EncodeToString(sum[:])
 	put := func(kind string) int {
 		return putPeer(t, srv, "/v1/peer/objects/"+kind+"/"+key, castore.Frame([]byte("payload")))
 	}
-	for _, kind := range []string{"result", "sparse", kindJob} {
+	for _, kind := range []string{"lib", "result", "sparse", kindJob} {
 		if code := put(kind); code != http.StatusBadRequest {
 			t.Errorf("PUT of a %q object: status %d, want 400", kind, code)
 		}
@@ -239,55 +240,13 @@ func TestPeerObjectPutKinds(t *testing.T) {
 			t.Errorf("a refused %q push landed in the store", kind)
 		}
 	}
-	for _, kind := range []string{kindLib, kindRecord} {
+	for _, kind := range []string{kindRecord, kindProfile, kindVerify} {
 		if code := put(kind); code != http.StatusOK {
 			t.Errorf("PUT of a %q object: status %d, want 200", kind, code)
 		}
 		if !st.Has(kind, key) {
 			t.Errorf("an accepted %q push is not in the store", kind)
 		}
-	}
-}
-
-// TestPeerObjectPutRefusesMisaddressedLib: a lib object is addressed by the
-// digest of its bytes, so a pushed frame whose bytes hash to another key —
-// image Y filed under X's digest, in a frame whose own checksum is sound —
-// is 400 and lands nothing. The node's own later write of X under that key
-// then stores X, and a read of the key returns X.
-func TestPeerObjectPutRefusesMisaddressedLib(t *testing.T) {
-	st, err := castore.Open(t.TempDir(), castore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	svc := NewService(Config{Workers: 1, Store: st})
-	defer svc.Close()
-	soloCluster(svc)
-	srv := httptest.NewServer(NewHandler(svc))
-	defer srv.Close()
-
-	x, y := []byte("the real image"), []byte("another image")
-	sum := sha256.Sum256(x)
-	key := hex.EncodeToString(sum[:])
-	for name, body := range map[string][]byte{
-		"another image":  castore.Frame(y),
-		"a short header": castore.Frame(x)[:castore.HeaderSize-1],
-	} {
-		if code := putPeer(t, srv, "/v1/peer/objects/lib/"+key, body); code != http.StatusBadRequest {
-			t.Errorf("%s under the key: status %d, want 400", name, code)
-		}
-	}
-	if st.Has(kindLib, key) {
-		t.Fatal("a refused lib push landed in the store")
-	}
-	if err := st.Put(kindLib, key, x); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := st.Get(kindLib, key); !ok || !bytes.Equal(got, x) {
-		t.Fatalf("the key reads %q, want %q", got, x)
-	}
-	if code := putPeer(t, srv, "/v1/peer/objects/lib/"+key, castore.Frame(x)); code != http.StatusOK {
-		t.Fatalf("the image under its own digest: status %d, want 200", code)
 	}
 }
 

@@ -7,25 +7,25 @@ import (
 	"time"
 
 	"negativaml/internal/castore"
-	"negativaml/internal/elfx"
 	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
 )
 
-// Castore kinds used by the serving plane. Everything durable is keyed by
-// content digest except job manifests, which are keyed by job ID (the one
-// name-addressed namespace — a manifest is a root that references digest-
-// addressed objects).
+// Castore kinds used by the serving plane. Every stage artifact is keyed by
+// its stage hash except job manifests, which are keyed by job ID (a
+// manifest is a root that references stage-keyed records).
+//
+// No kind holds library images: a record decodes against the live library
+// its batch resolved, and a restored job reruns its request to get one
+// (Service.restore). Older stores hold a "lib" image per library, and
+// before the record a "result" (JSON) and a "sparse" object per result.
+// Nothing reads, writes or pins those kinds, and a peer push of one is
+// refused; they stay until castore's byte budget evicts them.
 const (
-	// kindLib holds original library images, keyed by the hex library
-	// content digest (elfx.Library.ContentDigest).
-	kindLib = "lib"
 	// kindRecord holds one locate+compact result per object in the binary
 	// record format (negativa.EncodeRecord: report, symbol lists and the v2
 	// range set, bound to the library digest), keyed by the compact-stage
-	// hash (negativa.CompactKey). Stores written before the record hold a
-	// "result" (JSON) and a "sparse" object per result instead; nothing
-	// reads those kinds, so such a store recomputes its compact stages.
+	// hash (negativa.CompactKey).
 	kindRecord = "record"
 	// kindProfile holds detection profiles as binary records
 	// (negativa.EncodeProfile), keyed by profileObjectKey of the detect
@@ -45,27 +45,16 @@ type storeRef struct {
 	Key  string `json:"key"`
 }
 
-func digestHex(lib *elfx.Library) string {
-	d := lib.ContentDigest()
-	return hex.EncodeToString(d[:])
-}
-
-// spillResult persists one locate+compact result synchronously, as its
-// two objects in resultObjects' order — persistJob's backstop for a
-// referenced result the write-behind never wrote. Re-spilling an
-// already-present key is cheap (castore Puts of existing objects are
-// no-ops).
+// spillResult persists one locate+compact result's record synchronously —
+// persistJob's backstop for a referenced result the write-behind never
+// wrote. Re-spilling an already-present key is cheap (castore Puts of
+// existing objects are no-ops).
 func spillResult(st *castore.Store, key string, ld *negativa.LibDebloat) error {
 	rec, err := negativa.EncodeRecord(ld)
 	if err != nil {
 		return fmt.Errorf("dserve: result %s: %w", key, err)
 	}
-	for _, o := range resultObjects(key, ld.Report.Sparse.Lib(), rec) {
-		if err := o.put(st); err != nil {
-			return err
-		}
-	}
-	return nil
+	return st.Put(kindRecord, key, rec)
 }
 
 // profileObjectKey derives the castore key of a profile record from its
@@ -87,9 +76,10 @@ type storedVerify struct {
 }
 
 // jobManifest is the durable root of one completed job: request, outcome
-// summary, and per-library references into the digest-addressed object
-// space. Restoring a job walks the references; the expensive artifacts are
-// shared with the result cache's disk tier.
+// summary, and each library's name and record key. A done job's durable
+// form is this and its pinned records, nothing else: restoring the job
+// reruns the request, which reads the records through the compact stage's
+// disk tier, and the manifest is what the rerun must match.
 type jobManifest struct {
 	ID string `json:"id"`
 	// State is the terminal state (JobDone or JobFailed; empty reads as
@@ -104,7 +94,6 @@ type jobManifest struct {
 	Req       JobRequest `json:"req"`
 
 	InstallFP     string            `json:"install_fp"`
-	UnionWorkload string            `json:"union_workload"`
 	Workloads     []WorkloadOutcome `json:"workloads"`
 	DetectNS      int64             `json:"detect_ns"`
 	AnalysisNS    int64             `json:"analysis_ns"`
@@ -124,8 +113,6 @@ type manifestLib struct {
 	Name string `json:"name"`
 	// Key addresses the kindRecord object.
 	Key string `json:"key"`
-	// LibDigest addresses the kindLib image.
-	LibDigest string `json:"lib_digest"`
 }
 
 // state returns the manifest's terminal state (legacy manifests without
@@ -137,7 +124,8 @@ func (m *jobManifest) state() string {
 	return m.State
 }
 
-// allVerified mirrors BatchResult.AllVerified for the lazily-restored path.
+// allVerified mirrors BatchResult.AllVerified for a restored job's status
+// before its first report or fetch.
 func (m *jobManifest) allVerified() bool {
 	if m.VerifySkipped {
 		return true
@@ -151,19 +139,14 @@ func (m *jobManifest) allVerified() bool {
 }
 
 // refs lists every object the manifest's job must pin: the manifest itself
-// plus each library's record and image.
+// plus each library's record.
 func (m *jobManifest) refs() []storeRef {
-	out := make([]storeRef, 0, 1+2*len(m.Libs))
+	out := make([]storeRef, 0, 1+len(m.Libs))
 	out = append(out, storeRef{kindJob, m.ID})
 	for _, l := range m.Libs {
-		out = append(out, l.refs()...)
+		out = append(out, storeRef{kindRecord, l.Key})
 	}
 	return out
-}
-
-// refs lists the library's two objects: its record, then its image.
-func (l manifestLib) refs() []storeRef {
-	return []storeRef{{kindRecord, l.Key}, {kindLib, l.LibDigest}}
 }
 
 func manifestOf(job *Job, res *BatchResult) (*jobManifest, error) {
@@ -179,7 +162,6 @@ func manifestOf(job *Job, res *BatchResult) (*jobManifest, error) {
 		Req:       job.Req,
 
 		InstallFP:     res.InstallFP,
-		UnionWorkload: res.Union.Workload,
 		Workloads:     res.Workloads,
 		DetectNS:      int64(res.DetectTime),
 		AnalysisNS:    int64(res.AnalysisTime),
@@ -191,14 +173,7 @@ func manifestOf(job *Job, res *BatchResult) (*jobManifest, error) {
 		Incremental:   res.Incremental,
 	}
 	for i, lr := range res.Libs {
-		if lr.Sparse == nil {
-			return nil, fmt.Errorf("dserve: job %s library %s has no sparse image", job.ID, lr.Name)
-		}
-		m.Libs = append(m.Libs, manifestLib{
-			Name:      lr.Name,
-			Key:       res.libKeys[i],
-			LibDigest: digestHex(lr.Sparse.Lib()),
-		})
+		m.Libs = append(m.Libs, manifestLib{Name: lr.Name, Key: res.libKeys[i]})
 	}
 	return m, nil
 }

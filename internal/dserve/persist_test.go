@@ -2,6 +2,7 @@ package dserve
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,12 +12,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"negativaml/internal/castore"
+	"negativaml/internal/elfx"
 	"negativaml/internal/mlframework"
 	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
@@ -108,15 +109,14 @@ func TestCacheDiskTier(t *testing.T) {
 // store on the write-behind, and persistJob waits for exactly the writes
 // its manifest references. While record renames are held the job cannot
 // read done; while only verify-record renames are held it completes, with
-// every referenced object in the store, each record written once and after
-// its library image; and Close returns only after the held writes have
-// landed.
+// every referenced object in the store and each record written once; and
+// Close returns only after the held writes have landed.
 func TestPersistWaitsForResultWritesOnly(t *testing.T) {
 	recordGate, verifyGate := make(chan struct{}), make(chan struct{})
 	recordHeld, verifyHeld := make(chan struct{}), make(chan struct{})
 	var recordOnce, verifyOnce sync.Once
 	var mu sync.Mutex
-	var renames []storeRef // in the order their Puts reached the rename
+	var renames []storeRef // each Put that reached the rename
 	st, err := castore.Open(t.TempDir(), castore.Options{
 		BeforeRename: func(kind, key string) error {
 			mu.Lock()
@@ -173,21 +173,14 @@ func TestPersistWaitsForResultWritesOnly(t *testing.T) {
 		t.Fatalf("%d verify records landed while their renames were held", n)
 	}
 	mu.Lock()
-	first, writes := map[storeRef]int{}, map[storeRef]int{}
-	for i, ref := range renames {
-		if _, seen := first[ref]; !seen {
-			first[ref] = i
-		}
+	writes := map[storeRef]int{}
+	for _, ref := range renames {
 		writes[ref]++
 	}
 	mu.Unlock()
 	for _, ml := range j.manifest.Libs {
-		rec, lib := storeRef{kindRecord, ml.Key}, storeRef{kindLib, ml.LibDigest}
-		if writes[rec] != 1 {
-			t.Fatalf("record of %s was written %d times, want once", ml.Name, writes[rec])
-		}
-		if li, ok := first[lib]; !ok || li > first[rec] {
-			t.Fatalf("record of %s was written before its library image", ml.Name)
+		if n := writes[storeRef{kindRecord, ml.Key}]; n != 1 {
+			t.Fatalf("record of %s was written %d times, want once", ml.Name, n)
 		}
 	}
 
@@ -217,8 +210,8 @@ func countKind(st *castore.Store, kind string) int {
 
 // TestShardedStoreRestoresWarm: a store written in the older
 // kind/<key[:2]>/key layout restores warm. The batch's store root holds
-// only kind directories of plain files, the temp directory, the lock and
-// the index;
+// only kind directories of plain files — profile, record and verify, no
+// library image — the temp directory, the lock and the index;
 // sharding it by hand and reopening must serve the same images with no
 // miss and no analysis, and leave the root flat again.
 func TestShardedStoreRestoresWarm(t *testing.T) {
@@ -233,8 +226,8 @@ func TestShardedStoreRestoresWarm(t *testing.T) {
 	svc1.Close()
 	st1.Close()
 	kinds := flatStoreKinds(t, dir)
-	if len(kinds) == 0 {
-		t.Fatal("the batch stored nothing")
+	if fmt.Sprint(kinds) != "[profile record verify]" {
+		t.Fatalf("the batch stored kinds %v, want its profiles, records and verify records only", kinds)
 	}
 
 	for _, kind := range kinds {
@@ -283,16 +276,6 @@ func TestShardedStoreRestoresWarm(t *testing.T) {
 // not trust.
 func TestTamperedStoreRestoresSameImages(t *testing.T) {
 	in, ws := persistTestInstall(t)
-	flipLast := func(t *testing.T, path string) {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw[len(raw)-1] ^= 0xff
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	first := func(t *testing.T, dir, kind string) string {
 		keys, err := os.ReadDir(filepath.Join(dir, kind))
 		if err != nil || len(keys) == 0 {
@@ -349,6 +332,19 @@ func TestTamperedStoreRestoresSameImages(t *testing.T) {
 				t.Fatalf("the restart profiled %d members, want %d", n, tc.detects)
 			}
 		})
+	}
+}
+
+// flipLast flips the last byte of the file at path.
+func flipLast(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -810,73 +806,249 @@ func TestMismatchedRecordIsRecomputedAndRewritten(t *testing.T) {
 	}
 }
 
-// TestMisfiledLibIsAMiss: a lib object is keyed by its image's digest, so
-// a self-consistent frame of another image under that key passes the
-// store's checksum and only its key gives it away. Restoring a job that
-// names it is a miss: the object is removed and counted corrupt, and no
-// parse of the wrong bytes is memoized. The next job that uses the library
-// stores the right image again, and the first job then restores
-// byte-identical images.
-func TestMisfiledLibIsAMiss(t *testing.T) {
-	dir := t.TempDir()
-	req := JobRequest{
-		Framework: "pytorch", TailLibs: 4, MaxSteps: 2,
-		Workloads: []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}},
-	}
+// runPersistedJob submits req to a service over a store in dir, waits for
+// it to finish done, and closes service and store. It returns the job's ID
+// and result.
+func runPersistedJob(t *testing.T, dir string, cfg Config, req JobRequest) (string, *BatchResult) {
+	t.Helper()
 	st := openStore(t, dir)
-	svc := NewService(Config{Workers: 2, MaxSteps: 2, Store: st})
+	cfg.Store = st
+	svc := NewService(cfg)
 	job, err := svc.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j, _ := waitJob(svc, job.ID, waitTimeout); j.State != JobDone {
-		t.Fatalf("job: %s", j.Err)
+	j, _ := waitJob(svc, job.ID, waitTimeout)
+	if j == nil || j.State != JobDone {
+		t.Fatalf("job did not finish done: %+v", j)
 	}
-	res, err := svc.ResultOf(job.ID)
-	if err != nil {
+	svc.Close()
+	st.Close()
+	return job.ID, j.Result
+}
+
+// TestRestoredJobRecomputesALostRecord: a restored done job whose record
+// went bad between boots is rebuilt, not lost. Its request reruns, the
+// bit-flipped record misses in the compact stage's disk loader and
+// recomputes, and the report and every library are served byte-identical
+// to the first boot's; the job pins the recomputed record.
+func TestRestoredJobRecomputesALostRecord(t *testing.T) {
+	dir := t.TempDir()
+	req := JobRequest{
+		Framework: "pytorch", TailLibs: 4, MaxSteps: 2,
+		Workloads: []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}, {Model: "Transformer", Batch: 8}},
+	}
+	id, first := runPersistedJob(t, dir, Config{Workers: 2, MaxSteps: 2}, req)
+	want := first.DebloatedLibs()
+	flipLast(t, filepath.Join(dir, kindRecord, first.libKeys[0]))
+
+	svc := NewService(Config{Workers: 2, MaxSteps: 2, Store: openStore(t, dir)})
+	defer svc.Close()
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	var report jobReport
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+id+"/report", &report); code != http.StatusOK {
+		t.Fatalf("report of the restored job: status %d", code)
+	}
+	if report.InstallFP != first.InstallFP || len(report.Libs) != len(want) {
+		t.Fatalf("restored report = %s with %d libraries, want %s with %d", report.InstallFP, len(report.Libs), first.InstallFP, len(want))
+	}
+	for name, img := range want {
+		if !bytes.Equal(fetchLib(t, ts, id, name), img) {
+			t.Fatalf("library %s differs from the first boot's", name)
+		}
+	}
+	if n := svc.Counters.Get("analysis.computed"); n < 1 {
+		t.Fatalf("analysis.computed = %d: the bit-flipped record was not recomputed", n)
+	}
+	if n := svc.Counters.Get("jobs.restore_failed"); n != 0 {
+		t.Fatalf("jobs.restore_failed = %d, want 0", n)
+	}
+	// The recomputed record is pinned in the corrupt one's place.
+	st := svc.Store()
+	if st.Delete(kindRecord, first.libKeys[0]); !st.Has(kindRecord, first.libKeys[0]) {
+		t.Fatal("the recomputed record is not pinned by its job")
+	}
+}
+
+// TestRestoredJobFailsOnAChangedInstall: a restored job is rebuilt only if
+// its rerun lands on the manifest's install fingerprint and record keys.
+// An ingest job whose tree was replaced between boots, or a spec job whose
+// manifest names records its rerun does not reach, fails its report and
+// every fetch, counted, and serves no image. A spec job whose step cap
+// came from a service default that changed reruns under other detect keys;
+// the synthetic workloads' coverage is complete at one step, so its record
+// keys, and its images, stay the manifest's.
+func TestRestoredJobFailsOnAChangedInstall(t *testing.T) {
+	ws := []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}, {Model: "Transformer", Batch: 8}}
+	spec := JobRequest{Framework: "pytorch", TailLibs: 4, Workloads: ws}
+	writeTree := func(t *testing.T, dir string, tailLibs int) {
+		in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: tailLibs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.WriteTo(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		req  JobRequest
+		// steps is the service's default step cap on the first and the
+		// second boot; change edits the ingest root or the store between
+		// them.
+		steps  [2]int
+		change func(t *testing.T, root, dir, id string)
+		fails  bool
+	}{
+		{"ingest tree replaced", JobRequest{IngestDir: "tree", Workloads: ws, MaxSteps: 2}, [2]int{2, 2},
+			func(t *testing.T, root, _, _ string) { writeTree(t, filepath.Join(root, "tree"), 5) }, true},
+		{"manifest names other records", spec, [2]int{2, 2}, swapManifestKeys, true},
+		{"max-steps default changed", spec, [2]int{1, 4}, nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root, dir := t.TempDir(), t.TempDir()
+			writeTree(t, filepath.Join(root, "tree"), 4)
+			id, first := runPersistedJob(t, dir, Config{Workers: 2, MaxSteps: tc.steps[0], IngestRoot: root}, tc.req)
+			if tc.change != nil {
+				tc.change(t, root, dir, id)
+			}
+
+			svc := NewService(Config{Workers: 2, MaxSteps: tc.steps[1], IngestRoot: root, Store: openStore(t, dir)})
+			defer svc.Close()
+			ts := httptest.NewServer(NewHandler(svc))
+			defer ts.Close()
+			if !tc.fails {
+				for _, lr := range first.Libs {
+					if !bytes.Equal(fetchLib(t, ts, id, lr.Name), lr.Debloated()) {
+						t.Fatalf("library %s differs from the first boot's", lr.Name)
+					}
+				}
+				return
+			}
+			if code := getJSON(t, ts.URL+"/v1/jobs/"+id+"/report", nil); code != http.StatusInternalServerError {
+				t.Fatalf("report of a job whose install changed: status %d, want 500", code)
+			}
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/libs/" + first.Libs[0].Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("fetch from a job whose install changed: status %d, want 500", resp.StatusCode)
+			}
+			if n := svc.Counters.Get("jobs.restore_failed"); n != 2 {
+				t.Fatalf("jobs.restore_failed = %d, want 2: one per call", n)
+			}
+			if j := svc.Job(id); j == nil || j.Result != nil {
+				t.Fatal("the job holds a result its manifest does not describe")
+			}
+		})
+	}
+}
+
+// swapManifestKeys rewrites job id's manifest in the store under dir with
+// its first two libraries' record keys swapped.
+func swapManifestKeys(t *testing.T, _, dir, id string) {
+	t.Helper()
+	st := openStore(t, dir)
+	defer st.Close()
+	raw, ok := st.Get(kindJob, id)
+	if !ok {
+		t.Fatal("no manifest persisted")
+	}
+	var m jobManifest
+	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
+	m.Libs[0].Key, m.Libs[1].Key = m.Libs[1].Key, m.Libs[0].Key
+	if raw, err := json.Marshal(m); err != nil {
+		t.Fatal(err)
+	} else {
+		st.Delete(kindJob, id)
+		if err := st.Put(kindJob, id, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLibImageStoreRestores: a store written while each library's image
+// was kept beside its record — a "lib" object per library and a manifest
+// naming each by "lib_digest" — reopens with its job restored. The job
+// serves byte-identical images from its records alone, and pins none of
+// the images: they are left to the byte budget.
+func TestLibImageStoreRestores(t *testing.T) {
+	dir := t.TempDir()
+	req := JobRequest{
+		Framework: "pytorch", TailLibs: 4, MaxSteps: 2,
+		Workloads: []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}, {Model: "Transformer", Batch: 8}},
+	}
+	id, res := runPersistedJob(t, dir, Config{Workers: 2, MaxSteps: 2}, req)
 	want := res.DebloatedLibs()
-	victim, other := digestHex(res.Libs[0].Sparse.Lib()), res.Libs[1].Sparse.Lib().Data
-	svc.Close()
+
+	// The older form, written by hand: an image per library, and the
+	// manifest's libraries each naming theirs.
+	st := openStore(t, dir)
+	raw, ok := st.Get(kindJob, id)
+	if !ok {
+		t.Fatal("no manifest persisted")
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	var images []string
+	for i, ml := range m["libs"].([]any) {
+		lib := res.Libs[i].Sparse.Lib()
+		d := libDigest(lib)
+		if err := st.Put("lib", d, lib.Data); err != nil {
+			t.Fatal(err)
+		}
+		ml.(map[string]any)["lib_digest"] = d
+		images = append(images, d)
+	}
+	if raw, err := json.Marshal(m); err != nil {
+		t.Fatal(err)
+	} else {
+		st.Delete(kindJob, id)
+		if err := st.Put(kindJob, id, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
 	st.Close()
 
 	st = openStore(t, dir)
-	st.Delete(kindLib, victim)
-	if err := st.Put(kindLib, victim, other); err != nil {
-		t.Fatal(err)
-	}
-	svc = NewService(Config{Workers: 2, MaxSteps: 2, Store: st})
+	svc := NewService(Config{Workers: 2, MaxSteps: 2, Store: st})
 	defer svc.Close()
-	if _, err := svc.ResultOf(job.ID); err == nil || !strings.Contains(err.Error(), "missing from store") {
-		t.Fatalf("restore over a misfiled image = %v, want a miss", err)
+	if n := svc.Counters.Get("jobs.restored"); n != 1 {
+		t.Fatalf("jobs.restored = %d, want 1", n)
 	}
-	if st.Has(kindLib, victim) {
-		t.Fatal("the misfiled image is still stored")
-	}
-	if n := st.Stats().Corrupt; n != 1 {
-		t.Fatalf("store corrupt = %d, want 1", n)
-	}
-	if _, ok := svc.restoredLibs.get(victim); ok {
-		t.Fatal("the wrong image's parse was memoized")
-	}
-
-	again, err := svc.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j, _ := waitJob(svc, again.ID, waitTimeout); j.State != JobDone {
-		t.Fatalf("second job: %s", j.Err)
-	}
-	got, err := svc.ResultOf(job.ID)
-	if err != nil {
-		t.Fatalf("restore after the image was stored again: %v", err)
-	}
-	for name, img := range got.DebloatedLibs() {
-		if !bytes.Equal(img, want[name]) {
+	for name, img := range want {
+		if !bytes.Equal(fetchDirect(t, svc, id, name), img) {
 			t.Fatalf("library %s differs from the run that filled the store", name)
 		}
 	}
+	if n := svc.Counters.Get("analysis.computed"); n != 0 {
+		t.Fatalf("analysis.computed = %d: the records were not read", n)
+	}
+	if n := svc.Counters.Get("jobs.restore_failed"); n != 0 {
+		t.Fatalf("jobs.restore_failed = %d, want 0", n)
+	}
+	for _, d := range images {
+		if st.Delete("lib", d); st.Has("lib", d) {
+			t.Fatalf("library image %.12s… is pinned", d)
+		}
+	}
+}
+
+// libDigest is the hex content digest of a library, the key the older
+// store form filed its image under.
+func libDigest(lib *elfx.Library) string {
+	d := lib.ContentDigest()
+	return hex.EncodeToString(d[:])
 }
 
 // TestParentFormatStoreRecomputes is ARCHITECTURE.md's promise across the
@@ -912,7 +1084,7 @@ func TestParentFormatStoreRecomputes(t *testing.T) {
 	for i, lr := range res.Libs {
 		key, lib := res.libKeys[i], lr.Sparse.Lib()
 		meta, err := json.Marshal(map[string]any{
-			"name": lr.Name, "lib_digest": digestHex(lib),
+			"name": lr.Name, "lib_digest": libDigest(lib),
 			"file_size": lr.FileSize, "file_effective": lr.FileEffective, "file_effective_after": lr.FileEffectiveAfter,
 			"cpu_size": lr.CPUSize, "cpu_size_after": lr.CPUSizeAfter, "func_count": lr.FuncCount, "func_kept": lr.FuncKept,
 			"gpu_size": lr.GPUSize, "gpu_size_after": lr.GPUSizeAfter, "elem_count": lr.ElemCount, "elem_kept": lr.ElemKept,
@@ -926,12 +1098,12 @@ func TestParentFormatStoreRecomputes(t *testing.T) {
 		for _, o := range []struct {
 			kind, key string
 			payload   []byte
-		}{{kindLib, digestHex(lib), lib.Data}, {"sparse", key, lr.Sparse.EncodeWire()}, {"result", key, meta}} {
+		}{{"lib", libDigest(lib), lib.Data}, {"sparse", key, lr.Sparse.EncodeWire()}, {"result", key, meta}} {
 			if err := st.Put(o.kind, o.key, o.payload); err != nil {
 				t.Fatal(err)
 			}
 		}
-		m.Libs = append(m.Libs, manifestLib{Name: lr.Name, Key: key, LibDigest: digestHex(lib)})
+		m.Libs = append(m.Libs, manifestLib{Name: lr.Name, Key: key})
 	}
 	raw, err := json.Marshal(m)
 	if err != nil {

@@ -5,10 +5,10 @@ package dserve
 //
 //   - The write-behind (writeBehind, fed by writeStage): the stage memo
 //     hands every new value of a memoized stage here, as the record its
-//     disk tier keeps (memoStages). The record — a compact result's library
-//     image first — goes to the local store, when there is one, and to the
-//     live remote owners, behind the batch: new artifacts converge without
-//     waiting for a repair sweep.
+//     disk tier keeps (memoStages). The record goes to the local store,
+//     when there is one, and to the live remote owners, behind the batch:
+//     new artifacts converge without waiting for a repair sweep. No library
+//     image travels with it; the install push carries library bytes.
 //   - Anti-entropy repair (RepairNow, driven by the RepairInterval loop):
 //     each sweep walks the locally held replicable objects, derives each
 //     group's ring key, stat-probes the remote owners in chunks, and
@@ -26,14 +26,11 @@ package dserve
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"time"
 
 	"negativaml/internal/castore"
-	"negativaml/internal/elfx"
 	"negativaml/internal/plan"
 )
 
@@ -41,53 +38,12 @@ import (
 // handler's maxStatObjects.
 const repairStatChunk = 256
 
-// replObject is one object of a write-behind.
-type replObject struct {
-	kind, key string
-	payload   []byte
-	// digest, set on a library image, is its content digest (key is its
-	// hex): castore writes it into the header instead of hashing the
-	// image a second time.
-	digest *[sha256.Size]byte
-}
-
-// put stores o in st, the image under its digest.
-func (o replObject) put(st *castore.Store) error {
-	if o.digest != nil {
-		return st.PutContent(o.kind, *o.digest, o.payload)
-	}
-	return st.Put(o.kind, o.key, o.payload)
-}
-
-// frame is o in castore's wire form, the image's header carrying its
-// digest.
-func (o replObject) frame() []byte {
-	if o.digest != nil {
-		return castore.FrameContent(*o.digest, o.payload)
-	}
-	return castore.Frame(o.payload)
-}
-
-// resultObjects lists a compact result's two objects in write order: the
-// library image (shared across results by digest), then the record, so a
-// record never lands without the image it decodes against.
-func resultObjects(hash string, lib *elfx.Library, rec []byte) []replObject {
-	d := lib.ContentDigest()
-	return []replObject{
-		{kind: kindLib, key: hex.EncodeToString(d[:]), payload: lib.Data, digest: &d},
-		{kind: kindRecord, key: hash, payload: rec},
-	}
-}
-
 // writeStage is the stage memo's one write-behind hook: a memoized stage's
 // value, as the record its disk tier keeps, into the local store and to the
 // named replica peers. rec, when non-nil, is the record the value arrived
 // as (a prefetched value is stored as received); otherwise it is encoded
-// here. A compact result's library image goes first, so a record never
-// lands without what it decodes against. A verify record is ordered against
-// nothing (no manifest names it, and a lost one costs a re-run), and is
-// smaller than the stat probe that would ask about it, so peers are sent it
-// unprobed.
+// here. A verify record is smaller than the stat probe that would ask
+// about it, so peers are sent it unprobed.
 func (s *Service) writeStage(st *memoStage, hash string, v any, rec []byte, peers []string) {
 	if s.store == nil && len(peers) == 0 {
 		return
@@ -98,12 +54,7 @@ func (s *Service) writeStage(st *memoStage, hash string, v any, rec []byte, peer
 			return
 		}
 	}
-	okey := st.objectKey(hash)
-	objects := []replObject{{kind: st.kind, key: okey, payload: rec}}
-	if st.image != nil {
-		objects = resultObjects(okey, st.image(v), rec)
-	}
-	s.writeBehind(objects, peers, st.probe)
+	s.writeBehind(peerObjectRef{Kind: st.kind, Key: st.objectKey(hash)}, rec, peers, st.probe)
 }
 
 // spillConcurrency bounds the write-behind's concurrent local writers. A
@@ -113,48 +64,44 @@ const spillConcurrency = 4
 
 // writeBehind is the one way a stage artifact leaves memory: never inside
 // the stage node, so a batch does not wait on its own bookkeeping. The
-// peer pushes start at once (sendObjects, probing first when probe is set);
-// beside them, the objects are Put to the local store in order, at most
+// peer pushes start at once (sendObject, probing first when probe is set);
+// beside them, the object is Put to the local store, at most
 // spillConcurrency writers at a time. A compact result's record is counted
 // in pendingRecords until its writer finishes, so persistJob waits for it
 // instead of writing it a second time; nothing else is waited on, since no
-// manifest names it. A failed local Put only costs durability — the memory tier holds the
-// value — so it is counted, not fatal. Close and WaitReplication cover
-// every goroutine started here.
-func (s *Service) writeBehind(objects []replObject, peers []string, probe bool) {
+// manifest names it. A failed local Put only costs durability — the memory
+// tier holds the value — so it is counted, not fatal. Close and
+// WaitReplication cover every goroutine started here.
+func (s *Service) writeBehind(o peerObjectRef, payload []byte, peers []string, probe bool) {
 	if len(peers) > 0 {
 		s.replWG.Add(1)
 		go func() {
 			defer s.replWG.Done()
-			s.sendObjects(peers, objects, probe)
+			s.sendObject(peers, o, payload, probe)
 		}()
 	}
 	if s.store == nil {
 		return
 	}
-	record := ""
-	if last := objects[len(objects)-1]; last.kind == kindRecord {
-		record = last.key
+	record := o.Kind == kindRecord
+	if record {
 		s.writeMu.Lock()
-		s.pendingRecords[record]++
+		s.pendingRecords[o.Key]++
 		s.writeMu.Unlock()
 	}
 	s.replWG.Add(1)
 	go func() {
 		defer s.replWG.Done()
 		s.writeSem <- struct{}{}
-		for _, o := range objects {
-			if err := o.put(s.store); err != nil {
-				s.Counters.Add("writebehind.errors", 1)
-				break // never a record without its image
-			}
+		if err := s.store.Put(o.Kind, o.Key, payload); err != nil {
+			s.Counters.Add("writebehind.errors", 1)
 		}
 		<-s.writeSem
-		if record != "" {
+		if record {
 			s.writeMu.Lock()
-			s.pendingRecords[record]--
-			if s.pendingRecords[record] == 0 {
-				delete(s.pendingRecords, record)
+			s.pendingRecords[o.Key]--
+			if s.pendingRecords[o.Key] == 0 {
+				delete(s.pendingRecords, o.Key)
 			}
 			s.writesDone.Broadcast()
 			s.writeMu.Unlock()
@@ -175,35 +122,21 @@ func (s *Service) awaitRecords(libs []manifestLib) {
 	}
 }
 
-// sendObjects streams the objects, in order, to each peer; with probe set
-// it first asks the peer which it already holds and skips those.
-func (s *Service) sendObjects(peers []string, objects []replObject, probe bool) {
-	if len(peers) == 0 {
-		return
-	}
-	framed := make([][]byte, len(objects))
-	refs := make([]peerObjectRef, len(objects))
-	for i, o := range objects {
-		framed[i] = o.frame()
-		refs[i] = peerObjectRef{Kind: o.kind, Key: o.key}
-	}
+// sendObject streams the object to each peer; with probe set it first asks
+// the peer whether it already holds it and skips the push if so. A failed
+// push is counted, and repair retries it later.
+func (s *Service) sendObject(peers []string, o peerObjectRef, payload []byte, probe bool) {
+	framed := castore.Frame(payload)
 	for _, peer := range peers {
-		skip := make([]bool, len(objects))
 		var resp peerStatResponse
-		if probe && s.cluster.PostJSON(peer, "/v1/peer/stat", peerStatRequest{Objects: refs}, &resp) == nil && len(resp.Present) == len(objects) {
-			copy(skip, resp.Present)
+		if probe && s.cluster.PostJSON(peer, "/v1/peer/stat", peerStatRequest{Objects: []peerObjectRef{o}}, &resp) == nil && len(resp.Present) == 1 && resp.Present[0] {
+			continue
 		}
-		for i, o := range objects {
-			if skip[i] {
-				continue
-			}
-			err := s.cluster.PutStream(peer, "/v1/peer/objects/"+o.kind+"/"+o.key, bytes.NewReader(framed[i]), int64(len(framed[i])))
-			if err != nil {
-				s.Counters.Add("peer.replica_write_errors", 1)
-				break // the peer is struggling; repair will retry later
-			}
-			s.Counters.Add("peer.replica_writes", 1)
+		if err := s.cluster.PutStream(peer, "/v1/peer/objects/"+o.Kind+"/"+o.Key, bytes.NewReader(framed), int64(len(framed))); err != nil {
+			s.Counters.Add("peer.replica_write_errors", 1)
+			continue
 		}
+		s.Counters.Add("peer.replica_writes", 1)
 	}
 }
 
@@ -213,29 +146,22 @@ func (s *Service) sendObjects(peers []string, objects []replObject, probe bool) 
 func (s *Service) WaitReplication() { s.replWG.Wait() }
 
 // forEachOwnedGroup walks the store's memoized-stage kinds (memoStages)
-// and hands each replication group — a ring key plus the locally present
-// objects that must live wherever that key's owners are — to fn: a record
-// under its stage key, behind the library image it decodes against when
-// the store holds one. A stage whose object key is not its hash reads the
+// and hands each locally present record, with the ring key whose owners
+// must hold it, to fn. A stage whose object key is not its hash reads the
 // hash from the record's head.
-func (s *Service) forEachOwnedGroup(fn func(ringKey string, refs []peerObjectRef)) {
+func (s *Service) forEachOwnedGroup(fn func(ringKey string, ref peerObjectRef)) {
 	st := s.store
 	for i := range memoStages {
 		ms := &memoStages[i]
 		st.Walk(ms.kind, func(okey string, _ int64) error {
-			hash, image, ok := okey, "", true
+			hash, ok := okey, true
 			if ms.stored != nil {
 				raw, _ := st.Get(ms.kind, okey)
-				hash, image, ok = ms.stored(okey, raw)
+				hash, ok = ms.stored(raw)
 			}
-			if !ok {
-				return nil
+			if ok {
+				fn(plan.Key{Stage: ms.stage, Hash: hash}.String(), peerObjectRef{Kind: ms.kind, Key: okey})
 			}
-			var refs []peerObjectRef
-			if image != "" && st.Has(kindLib, image) {
-				refs = append(refs, peerObjectRef{Kind: kindLib, Key: image})
-			}
-			fn(plan.Key{Stage: ms.stage, Hash: hash}.String(), append(refs, peerObjectRef{Kind: ms.kind, Key: okey}))
 			return nil
 		})
 	}
@@ -254,15 +180,13 @@ func newRepairPlan() *repairPlan {
 	return &repairPlan{byPeer: map[string][]peerObjectRef{}, seen: map[plannedPush]struct{}{}}
 }
 
-func (p *repairPlan) add(peer string, refs []peerObjectRef) {
-	for _, r := range refs {
-		id := plannedPush{peer, r.Kind, r.Key}
-		if _, dup := p.seen[id]; dup {
-			continue
-		}
-		p.seen[id] = struct{}{}
-		p.byPeer[peer] = append(p.byPeer[peer], r)
+func (p *repairPlan) add(peer string, r peerObjectRef) {
+	id := plannedPush{peer, r.Kind, r.Key}
+	if _, dup := p.seen[id]; dup {
+		return
 	}
+	p.seen[id] = struct{}{}
+	p.byPeer[peer] = append(p.byPeer[peer], r)
 }
 
 // RepairNow runs one synchronous anti-entropy sweep and returns the number
@@ -278,10 +202,10 @@ func (s *Service) RepairNow() int {
 	s.Counters.Add("repair.rounds", 1)
 	self := c.Self()
 	rp := newRepairPlan()
-	s.forEachOwnedGroup(func(ringKey string, refs []peerObjectRef) {
+	s.forEachOwnedGroup(func(ringKey string, ref peerObjectRef) {
 		for _, owner := range c.Owners(ringKey) {
 			if owner != self {
-				rp.add(owner, refs)
+				rp.add(owner, ref)
 			}
 		}
 	})
@@ -370,13 +294,13 @@ func (s *Service) LeaveCluster() {
 	if s.store != nil {
 		self := c.Self()
 		rp := newRepairPlan()
-		s.forEachOwnedGroup(func(ringKey string, refs []peerObjectRef) {
+		s.forEachOwnedGroup(func(ringKey string, ref peerObjectRef) {
 			owners := c.Owners(ringKey)
 			if len(owners) == 0 || owners[0] != self {
 				return
 			}
 			for _, o := range c.OwnersExcluding(self, ringKey) {
-				rp.add(o, refs)
+				rp.add(o, ref)
 			}
 		})
 		if n := s.executeRepairPlan(rp); n > 0 {

@@ -164,7 +164,7 @@ func newMux(s *Service) *http.ServeMux {
 			httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 			return
 		}
-		// ResultOf materializes restored jobs from the store on first use.
+		// ResultOf rebuilds a restored job's result on first use.
 		res, err := s.ResultOf(job.ID)
 		switch {
 		case errors.Is(err, ErrUnknownJob):
@@ -276,7 +276,7 @@ func statusOf(j *Job) jobStatus {
 		st.CacheHits = &j.Result.CacheHits
 		st.CacheMisses = &j.Result.CacheMisses
 	case j.manifest != nil && j.State == JobDone:
-		// Restored job not yet materialized: the manifest carries the
+		// Restored job not yet rebuilt: the manifest carries the
 		// summary, so status stays cheap (no store reads).
 		v := j.manifest.allVerified()
 		st.Verified = &v

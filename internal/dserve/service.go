@@ -11,7 +11,6 @@ import (
 
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
-	"negativaml/internal/elfx"
 	"negativaml/internal/ingest"
 	"negativaml/internal/metrics"
 	"negativaml/internal/mlframework"
@@ -97,7 +96,7 @@ type Config struct {
 	// the first steps, so small caps keep service latency low.
 	MaxSteps int
 	// MaxJobs bounds retained terminal (done/failed) jobs — each completed
-	// job holds its compacted library images (default 256). Running and
+	// job holds its debloated libraries (default 256). Running and
 	// queued jobs are never evicted.
 	MaxJobs int
 	// MaxInFlight bounds queued+running jobs; Submit returns ErrBusy
@@ -105,8 +104,8 @@ type Config struct {
 	MaxInFlight int
 	// Store, when non-nil, is the disk-backed content-addressed store the
 	// service persists through: the three memoized stages gain a disk
-	// tier, read through on a memory miss, and completed jobs spill their
-	// manifests and images so a restart serves them warm.
+	// tier, read through on a memory miss, and completed jobs persist their
+	// manifests and pin their records so a restart serves them warm.
 	Store *castore.Store
 	// RepairInterval, when positive on a store-backed clustered node, runs
 	// a background anti-entropy sweep (RepairNow) at that period: locally
@@ -160,11 +159,6 @@ type Service struct {
 	pendingRecords map[string]int
 	repairStop     chan struct{}
 	repairWG       sync.WaitGroup
-
-	// restoredLibs memoizes store-image parses per content digest, so
-	// restored jobs sharing libraries (the dependency tail) parse each
-	// image once.
-	restoredLibs *fifoMap[string, *elfx.Library]
 }
 
 type installSlot struct {
@@ -199,14 +193,13 @@ func NewService(cfg Config) *Service {
 	}
 	counters := metrics.NewCounterSet()
 	s := &Service{
-		cfg:          cfg,
-		Cache:        NewResultCache(cfg.CacheBytes, counters),
-		Counters:     counters,
-		Timings:      metrics.NewTimingSet(),
-		pool:         plan.NewPool(cfg.Workers),
-		jobs:         map[string]*Job{},
-		installs:     map[string]*installSlot{},
-		restoredLibs: newFifoMap[string, *elfx.Library](64),
+		cfg:      cfg,
+		Cache:    NewResultCache(cfg.CacheBytes, counters),
+		Counters: counters,
+		Timings:  metrics.NewTimingSet(),
+		pool:     plan.NewPool(cfg.Workers),
+		jobs:     map[string]*Job{},
+		installs: map[string]*installSlot{},
 
 		writeSem:       make(chan struct{}, spillConcurrency),
 		pendingRecords: map[string]int{},
@@ -219,8 +212,8 @@ func NewService(cfg Config) *Service {
 	s.observer = stageObserver{c: counters, t: s.Timings, names: &sync.Map{}}
 	if cfg.Store != nil {
 		// Warm-restart wiring: the three memoized stages gain their disk
-		// tier, and persisted job manifests come back as lazily-materialized
-		// done jobs.
+		// tier, and persisted job manifests come back as done jobs whose
+		// results are rebuilt on first use.
 		s.store = cfg.Store
 		s.stages.store = cfg.Store
 		s.restoreJobs()

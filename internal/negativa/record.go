@@ -30,10 +30,9 @@ import (
 //	usedKernels  same
 //	sparse     the v2 range-set frame (EncodeWire) to the end of the record
 //
-// The digest sits at a fixed offset, so RecordLibDigest finds the image a
-// record needs without decoding it. Integers are little-endian; every
-// uvarint is in canonical form, so an accepted record re-encodes to the
-// same bytes.
+// The digest binds the record to the library it decodes against. Integers
+// are little-endian; every uvarint is in canonical form, so an accepted
+// record re-encodes to the same bytes.
 const (
 	recordMagic   uint32 = 0x3143524e // "NRC1" little-endian
 	recordVersion uint16 = 1
@@ -85,16 +84,6 @@ func EncodeRecord(ld *LibDebloat) ([]byte, error) {
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
-}
-
-// RecordLibDigest returns the library digest a record was computed for,
-// read from its fixed header; ok is false for bytes that are not a record.
-func RecordLibDigest(data []byte) (d [sha256.Size]byte, ok bool) {
-	if recordHeaderCheck(data) != nil {
-		return d, false
-	}
-	copy(d[:], data[8:])
-	return d, true
 }
 
 func recordHeaderCheck(data []byte) error {

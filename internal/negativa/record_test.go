@@ -52,12 +52,6 @@ func TestRecordRoundTrip(t *testing.T) {
 	if !bytes.Equal(got.Report.Sparse.Materialize(), ld.Report.Sparse.Materialize()) {
 		t.Error("range set differs after a round trip")
 	}
-	if d, ok := RecordLibDigest(rec); !ok || d != lib.ContentDigest() {
-		t.Error("RecordLibDigest does not read the library digest")
-	}
-	if _, ok := RecordLibDigest(rec[:recordHeaderSize-1]); ok {
-		t.Error("RecordLibDigest accepted a truncated header")
-	}
 }
 
 // TestDecodeRecordRejects: each way a record can be corrupt or meant for
@@ -140,7 +134,6 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint32(nil, recordMagic))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		RecordLibDigest(data)
 		ld, err := DecodeRecord(lib, data)
 		if err != nil {
 			return
