@@ -87,7 +87,8 @@
 //	PUT  /v1/peer/install/{fingerprint}     a peer's generated install, for
 //	                                        an owner of its detect keys; asks
 //	                                        first, so a holder reads none of it
-//	PUT  /v1/peer/objects/{kind}/{key}      castore object push
+//	PUT  /v1/peer/objects                   castore objects push, many per
+//	                                        request (write-back, repair)
 //	POST /v1/peer/stat                      object presence probe (repair)
 //
 // Example job body:

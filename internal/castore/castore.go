@@ -30,11 +30,6 @@ const (
 	headerSize           = 48
 )
 
-// HeaderSize is the length of the integrity header prefixed to every
-// object, on disk and on the wire (Export/Import): an exported object
-// occupies its payload size plus HeaderSize bytes.
-const HeaderSize = headerSize
-
 // Options configure a store.
 type Options struct {
 	// MaxBytes bounds the store's total payload bytes; 0 means unbounded.

@@ -341,7 +341,7 @@ func TestIndexFallsBackWhenStale(t *testing.T) {
 		}},
 		{"extra object", func(t *testing.T, dir string, want map[string][]byte) {
 			extra := []byte("written behind the index's back")
-			if err := os.WriteFile(filepath.Join(dir, "lib", keyOf(extra)), Frame(extra), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, "lib", keyOf(extra)), Frame(nil, extra), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			want[keyOf(extra)] = extra
@@ -359,7 +359,7 @@ func TestIndexFallsBackWhenStale(t *testing.T) {
 			if err := os.MkdirAll(filepath.Join(dir, "lib", key[:2]), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, "lib", key[:2], key), Frame(moved), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, "lib", key[:2], key), Frame(nil, moved), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			want[key] = moved
@@ -508,7 +508,7 @@ func TestOpenMovesShardedObjects(t *testing.T) {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, mangle(Frame(payload)), 0o644); err != nil {
+		if err := os.WriteFile(path, mangle(Frame(nil, payload)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -15,6 +15,10 @@
 // Frame compute, and every read checks the payload against it: Get,
 // OpenMapped, Verify and Import.
 //
+// Objects cross between stores in that frame, many per stream as a
+// multi-object body (AppendEntry, ExportEntry, ImportEntries): each entry
+// imports on its own, so a cut body keeps the entries that arrived whole.
+//
 // On disk an object is one file, <dir>/<kind>/<key>; the root holds only
 // the kind directories, tmp/, the .lock file and the .index file. The
 // layout is flat because Open lists every directory. A reopened pytorch141

@@ -1,19 +1,17 @@
 package castore
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"errors"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"negativaml/internal/bufpool"
 )
-
-// ErrUnknownObject is returned by Export and Stat for a (kind, key) the
-// store does not hold.
-var ErrUnknownObject = errors.New("castore: unknown object")
 
 // maxImportBytes bounds one imported payload. Exported objects carry their
 // length in the header, which arrives from the network before any payload
@@ -21,26 +19,12 @@ var ErrUnknownObject = errors.New("castore: unknown object")
 // absurd buffer.
 const maxImportBytes = 1 << 30
 
-// Frame wraps a payload in the store's integrity wire format — the same
-// 48-byte header + payload layout Export streams — for callers that push
-// bytes they hold in memory over the object-transfer route rather than a
-// stored file.
-func Frame(payload []byte) []byte {
-	out := make([]byte, 0, headerSize+len(payload))
-	out = append(out, makeHeader(payload)...)
-	return append(out, payload...)
-}
-
-// Stat returns the payload size of a stored object without touching its
-// recency (the companion to Has for callers that need a Content-Length).
-func (s *Store) Stat(kind, key string) (int64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, ok := s.objects[objKey{kind, key}]
-	if !ok {
-		return 0, false
-	}
-	return o.size, true
+// Frame appends payload in the store's integrity wire format — the same
+// 48-byte header + payload layout Export streams — to dst, for callers
+// that push bytes they hold in memory rather than a stored file.
+func Frame(dst, payload []byte) []byte {
+	dst = append(dst, makeHeader(payload)...)
+	return append(dst, payload...)
 }
 
 // Export streams a stored object to w in its durable wire format — the
@@ -63,7 +47,7 @@ func (s *Store) Export(kind, key string, w io.Writer) (int64, error) {
 		s.misses++
 		s.count("store.misses", 1)
 		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: %s/%s", ErrUnknownObject, kind, key)
+		return 0, fmt.Errorf("castore: unknown object %s/%s", kind, key)
 	}
 	f, err := os.Open(s.objectPath(kind, key))
 	if err != nil {
@@ -159,4 +143,73 @@ func (s *Store) Import(kind, key string, r io.Reader) (int64, error) {
 		return 0, err
 	}
 	return hdr.length, nil
+}
+
+// A multi-object body carries many objects in one stream: entries back to
+// back, each the object's name — its length as two little-endian bytes,
+// then kind/key — and then its frame (Frame, Export).
+
+// AppendEntry appends payload to dst as one entry of a multi-object body,
+// named (kind, key).
+func AppendEntry(dst []byte, kind, key string, payload []byte) []byte {
+	return Frame(appendEntryName(dst, kind, key), payload)
+}
+
+func appendEntryName(dst []byte, kind, key string) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(kind)+1+len(key)))
+	dst = append(dst, kind...)
+	dst = append(dst, '/')
+	return append(dst, key...)
+}
+
+// ExportEntry writes the stored object (kind, key) to w as one entry of a
+// multi-object body: its name, then its Export frame.
+func (s *Store) ExportEntry(kind, key string, w io.Writer) error {
+	if _, err := w.Write(appendEntryName(nil, kind, key)); err != nil {
+		return err
+	}
+	_, err := s.Export(kind, key, w)
+	return err
+}
+
+// ImportEntries reads a multi-object body from r and Imports each entry on
+// its own when accept takes its kind; a refused entry is read past and
+// never stored. It returns, in body order, whether each entry is stored
+// (already present counts) — one that fails its checksum is not, and the
+// body goes on — and the error that ended the body early: an entry cut
+// short or malformed publishes nothing, and the entries before it stay.
+func (s *Store) ImportEntries(r io.Reader, accept func(kind string) bool) ([]bool, error) {
+	var stored []bool
+	for {
+		var n [2]byte
+		if _, err := io.ReadFull(r, n[:]); err == io.EOF {
+			return stored, nil
+		} else if err != nil {
+			return stored, fmt.Errorf("castore: entry %d: name: %w", len(stored), err)
+		}
+		head := make([]byte, int(binary.LittleEndian.Uint16(n[:]))+headerSize)
+		if _, err := io.ReadFull(r, head); err != nil {
+			return stored, fmt.Errorf("castore: entry %d: name and header: %w", len(stored), err)
+		}
+		name, raw := head[:len(head)-headerSize], head[len(head)-headerSize:]
+		kind, key, _ := strings.Cut(string(name), "/")
+		hdr, err := parseHeader(raw)
+		if err != nil {
+			return stored, fmt.Errorf("castore: entry %s/%s: %w", kind, key, err)
+		}
+		// Import reads the header again, then the payload; the payload is
+		// read to its end whatever Import did, so the next entry starts
+		// where it should, and what is missing then was cut off.
+		payload := &io.LimitedReader{R: r, N: hdr.length}
+		ok := accept(kind)
+		if ok {
+			_, err := s.Import(kind, key, io.MultiReader(bytes.NewReader(raw), payload))
+			ok = err == nil
+		}
+		io.Copy(io.Discard, payload)
+		if payload.N > 0 {
+			return stored, fmt.Errorf("castore: entry %s/%s: payload: %w", kind, key, io.ErrUnexpectedEOF)
+		}
+		stored = append(stored, ok)
+	}
 }

@@ -760,14 +760,15 @@ func (c *Cluster) PostJSONCtx(ctx context.Context, peer, path string, in, out an
 	return c.send(ctx, peer, http.MethodPost, path, "application/json", bytes.NewReader(body), int64(len(body)), out)
 }
 
-// PutStream PUTs a raw octet stream to a peer path — the replication,
-// repair and install push path. length sets Content-Length when known
+// PutStream PUTs a raw octet stream to a peer path — the replication
+// and install push path — and decodes a 2xx JSON answer into out (or
+// drains it when out is nil). length sets Content-Length when known
 // (>= 0). A body of unknown size (-1) streams chunked and asks first
 // (Expect: 100-continue): the peer may answer before reading any of it,
 // and then none of it is sent. A non-2xx status is returned as
 // *PeerError.
-func (c *Cluster) PutStream(peer, path string, body io.Reader, length int64) error {
-	return c.send(context.Background(), peer, http.MethodPut, path, "application/octet-stream", body, length, nil)
+func (c *Cluster) PutStream(peer, path string, body io.Reader, length int64, out any) error {
+	return c.send(context.Background(), peer, http.MethodPut, path, "application/octet-stream", body, length, out)
 }
 
 // send is the one peer exchange under PostJSONCtx and PutStream: it sends

@@ -379,13 +379,13 @@ func TestPutStream(t *testing.T) {
 	c := New("a", map[string]string{"b": srv.URL}, Options{})
 	defer c.Close()
 	payload := "framed-object-bytes"
-	if err := c.PutStream("b", "/obj", strings.NewReader(payload), int64(len(payload))); err != nil {
+	if err := c.PutStream("b", "/obj", strings.NewReader(payload), int64(len(payload)), nil); err != nil {
 		t.Fatal(err)
 	}
 	if gotBody != payload || gotLen != int64(len(payload)) {
 		t.Fatalf("peer saw body %q len %d", gotBody, gotLen)
 	}
-	err := c.PutStream("b", "/reject", strings.NewReader("x"), 1)
+	err := c.PutStream("b", "/reject", strings.NewReader("x"), 1, nil)
 	perr, ok := err.(*PeerError)
 	if !ok || perr.Status != http.StatusBadRequest || perr.Msg != "bad object" {
 		t.Fatalf("err = %v", err)
@@ -514,7 +514,7 @@ func TestHedgeIgnoresPushLatency(t *testing.T) {
 		Options{Counters: counters})
 	defer c.Close()
 	payload := strings.Repeat("x", 1<<20)
-	if err := c.PutStream("slow", "/obj", strings.NewReader(payload), int64(len(payload))); err != nil {
+	if err := c.PutStream("slow", "/obj", strings.NewReader(payload), int64(len(payload)), nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
 	"negativaml/internal/mlframework"
 	"negativaml/internal/negativa"
@@ -145,7 +146,7 @@ func TestAPIDocExamples(t *testing.T) {
 	if err := treeIn.WriteTo(filepath.Join(ingestRoot, "pytorch-tree")); err != nil {
 		t.Fatal(err)
 	}
-	nodes := startClusterCfg(t, func(id string, cfg *Config) { cfg.IngestRoot = ingestRoot }, "a", "b")
+	nodes := startClusterCfg(t, func(id string, cfg *Config) { cfg.IngestRoot = ingestRoot }, nil, "a", "b")
 	defer func() {
 		for _, n := range nodes {
 			n.close()
@@ -300,7 +301,13 @@ func TestAPIDocExamples(t *testing.T) {
 	actual["peer-leave request"] = leaveBody
 	actual["peer-leave response"] = httpJSON(http.MethodPost, "/v1/peer/leave", leaveBody, http.StatusOK)
 
-	statBody, err := json.Marshal(peerStatRequest{Objects: []peerObjectRef{{Kind: "lib", Key: "absent0"}}})
+	// A push of one record and one library image: the image's kind is not
+	// replicated, so the answer refuses it.
+	pushed := castore.AppendEntry(nil, kindRecord, "doc0", []byte("a record"))
+	pushed = castore.AppendEntry(pushed, "lib", "doc1", []byte("a library image"))
+	actual["peer-objects response"] = httpJSON(http.MethodPut, "/v1/peer/objects", pushed, http.StatusOK)
+
+	statBody, err := json.Marshal(peerStatRequest{Objects: []storeRef{{Kind: kindRecord, Key: "absent0"}}})
 	if err != nil {
 		t.Fatal(err)
 	}

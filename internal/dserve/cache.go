@@ -27,7 +27,7 @@ type CacheStats struct {
 // covers everything the cache alone can pin after the owning install is
 // evicted. It is the compact stage's memory tier: the stage memo's disk
 // loader plants results read from the store here, and a new result reaches
-// the store through the service's write-behind (Service.writeStage), never
+// the store through the service's write-behind (Service.writeBehind), never
 // through the cache. Stored values are immutable: hits hand out the
 // shared report and sparse image, which callers must treat as read-only.
 // Concurrent misses on the same key may compute the result twice; both

@@ -7,10 +7,8 @@ import (
 	"net/http/httptest"
 	"slices"
 	"testing"
-	"time"
 
 	"negativaml/internal/castore"
-	"negativaml/internal/cluster"
 	"negativaml/internal/mlframework"
 	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
@@ -37,29 +35,7 @@ func (n *testNode) close() {
 // so a killed node stays dead for the test's duration.
 func startCluster(t *testing.T, ids ...string) map[string]*testNode {
 	t.Helper()
-	nodes := map[string]*testNode{}
-	urls := map[string]string{}
-	for _, id := range ids {
-		st, err := castore.Open(t.TempDir(), castore.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc := NewService(Config{Workers: 4, MaxSteps: 2, Store: st})
-		srv := httptest.NewServer(NewHandler(svc))
-		nodes[id] = &testNode{id: id, svc: svc, srv: srv, store: st}
-		urls[id] = srv.URL
-	}
-	for _, n := range nodes {
-		c := cluster.New(n.id, urls, cluster.Options{
-			Counters:         n.svc.Counters,
-			Timings:          n.svc.Timings,
-			FailureThreshold: 1,
-			Probation:        time.Hour,
-			Timeout:          30 * time.Second,
-		})
-		n.svc.AttachCluster(c)
-	}
-	return nodes
+	return startClusterCfg(t, nil, nil, ids...)
 }
 
 func fetchPeerJobLib(t *testing.T, srv *httptest.Server, jobID, name string) []byte {

@@ -29,15 +29,10 @@
 //
 // The stage memo (StageMemo) resolves the three memoized stages through
 // up to three tiers — memory → disk → owning cluster peer — by the rules
-// of one table (memoStages):
-//
-//	stage      castore kind  object key                   memory tier                                  write-behind
-//	detect     profile       sha256(fp ‖ NUL ‖ identity)  fifoMap of profiles, 1024, oldest first      probes
-//	compact    record        the stage hash               ResultCache, byte-bounded LRU                probes
-//	verifyrun  verify        the stage hash               fifoMap of run results, 1024, oldest first   unprobed
-//
-// castore's byte budget (castore.Options.MaxBytes, least recently used
-// first) is the one disk bound, the same for every kind.
+// of one table (memoStages; StageMemo's doc lays it out: each stage's
+// castore kind, object key and memory tier). castore's byte budget
+// (castore.Options.MaxBytes, least recently used first) is the one disk
+// bound, the same for every kind.
 //
 // Each entry also holds its record codec (negativa.EncodeProfile,
 // negativa.EncodeRecord, the storedVerify JSON): the record is what the
@@ -131,12 +126,13 @@
 // Peer-served values are written into the local tiers — memory, and the
 // castore when attached — so hot artifacts replicate toward demand; every
 // locally computed value (compact result, detect profile or verify record)
-// is pushed to all live remote owners of its key in the background
-// (the write-behind, repair.go), and a periodic anti-entropy sweep
-// (Config.RepairInterval / RepairNow) stat-probes the remote owners of
-// every locally held artifact and streams what they are missing through
-// the castore's checksummed frames (PUT /v1/peer/objects/{kind}/{key},
-// POST /v1/peer/stat).
+// is queued for all live remote owners of its key and sent when its batch
+// ends, one request per owner (the write-behind, repair.go). A periodic
+// anti-entropy sweep (Config.RepairInterval / RepairNow) stat-probes the
+// remote owners of every locally held artifact (POST /v1/peer/stat) and
+// sends what they are missing, a probed chunk per request. Both senders
+// use one route, PUT /v1/peer/objects: a body of many objects, each in
+// the castore's checksummed frame, imported and checked one by one.
 //
 // Every peer failure degrades gracefully — transport errors shrink the
 // ring around the dead node and the stage computes locally; correctness
@@ -193,7 +189,7 @@
 // miss → disk hit → recompute; a boot reads no profile or result). New
 // profiles, results and verify records reach the store through one
 // write-behind (Service.writeBehind), one record each, at most
-// spillConcurrency writers at a time, beside the peer pushes. No library
+// spillConcurrency writers at a time, beside the peer queues. No library
 // image is stored: a record decodes against the live library its batch
 // resolved. A completing job waits only for the write-behind of the
 // records its manifest references, then pins them and publishes the

@@ -377,8 +377,9 @@ func TestPrefetchYieldsTheCallersSlot(t *testing.T) {
 }
 
 // startClusterCfg is startCluster with a per-node service config hook (the
-// ingestion tests give every node an ingest root).
-func startClusterCfg(t *testing.T, tweak func(id string, cfg *Config), ids ...string) map[string]*testNode {
+// ingestion tests give every node an ingest root) and, when wrap is
+// non-nil, a middleware around each node's handler.
+func startClusterCfg(t *testing.T, tweak func(id string, cfg *Config), wrap func(id string, h http.Handler) http.Handler, ids ...string) map[string]*testNode {
 	t.Helper()
 	nodes := map[string]*testNode{}
 	urls := map[string]string{}
@@ -392,7 +393,11 @@ func startClusterCfg(t *testing.T, tweak func(id string, cfg *Config), ids ...st
 			tweak(id, &cfg)
 		}
 		svc := NewService(cfg)
-		srv := httptest.NewServer(NewHandler(svc))
+		h := NewHandler(svc)
+		if wrap != nil {
+			h = wrap(id, h)
+		}
+		srv := httptest.NewServer(h)
 		nodes[id] = &testNode{id: id, svc: svc, srv: srv, store: st}
 		urls[id] = srv.URL
 	}

@@ -26,7 +26,7 @@ func TestIngestClusterE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nodes := startClusterCfg(t, func(id string, cfg *Config) { cfg.IngestRoot = root }, "a", "b", "c")
+	nodes := startClusterCfg(t, func(id string, cfg *Config) { cfg.IngestRoot = root }, nil, "a", "b", "c")
 	defer func() {
 		for _, n := range nodes {
 			n.close()

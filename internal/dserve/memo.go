@@ -86,9 +86,6 @@ type memoStage struct {
 	// hits and misses, when set, name the counters of the stage's local-tier
 	// hits and of its computes.
 	hits, misses string
-	// probe makes the write-behind stat-probe a peer before pushing; a
-	// verify record is smaller than the probe that would ask about it.
-	probe bool
 	// stored, when set, reads a stored record's stage hash for the repair
 	// walk; nil means the object key is the stage hash.
 	stored func(rec []byte) (hash string, ok bool)
@@ -110,7 +107,6 @@ var memoStages = [...]memoStage{{
 	get:  func(m *StageMemo, hash string) (any, bool) { return m.profiles.get(hash) },
 	put:  func(m *StageMemo, hash string, v any) { m.profiles.put(hash, v.(*negativa.Profile)) },
 	hits: "registry.hits", misses: "registry.misses",
-	probe: true,
 	stored: func(rec []byte) (string, bool) {
 		fp, wid, ok := negativa.ProfileRecordKey(rec)
 		return negativa.DetectKey(fp, wid).Hash, ok
@@ -125,10 +121,9 @@ var memoStages = [...]memoStage{{
 		lib, _ := hint.(*elfx.Library)
 		return negativa.DecodeRecord(lib, rec)
 	},
-	held:  func(m *StageMemo, hash string) bool { return m.cache.Contains(hash) },
-	get:   func(m *StageMemo, hash string) (any, bool) { return m.cache.Get(hash) },
-	put:   func(m *StageMemo, hash string, v any) { m.cache.Put(hash, v.(*negativa.LibDebloat)) },
-	probe: true,
+	held: func(m *StageMemo, hash string) bool { return m.cache.Contains(hash) },
+	get:  func(m *StageMemo, hash string) (any, bool) { return m.cache.Get(hash) },
+	put:  func(m *StageMemo, hash string, v any) { m.cache.Put(hash, v.(*negativa.LibDebloat)) },
 }, {
 	stage: negativa.StageVerifyRun, kind: kindVerify,
 	objectKey: hashObjectKey,
@@ -169,10 +164,10 @@ func memoStageOf(stage string) *memoStage {
 // through up to three tiers — local memory, local disk, the key's replica
 // set — by the rules of its memoStages entry:
 //
-//	stage      castore kind  object key                   memory tier                                  write-behind
-//	detect     profile       sha256(fp ‖ NUL ‖ identity)  fifoMap of profiles, 1024, oldest first      probes
-//	compact    record        the stage hash               ResultCache, byte-bounded LRU                probes
-//	verifyrun  verify        the stage hash               fifoMap of run results, 1024, oldest first   unprobed
+//	stage      castore kind  object key                   memory tier
+//	detect     profile       sha256(fp ‖ NUL ‖ identity)  fifoMap of profiles, 1024, oldest first
+//	compact    record        the stage hash               ResultCache, byte-bounded LRU
+//	verifyrun  verify        the stage hash               fifoMap of run results, 1024, oldest first
 //
 // castore's byte budget (castore.Options.MaxBytes, least recently used
 // first) is the one disk bound, the same for every kind.

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"strconv"
 
-	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
 	"negativaml/internal/mlframework"
 	"negativaml/internal/negativa"
@@ -27,8 +26,9 @@ import (
 //	                                     detect keys this node co-owns:
 //	                                     keep it resident; asks first, so
 //	                                     a holder reads none of it
-//	PUT  /v1/peer/objects/{kind}/{key}   push one castore object in its
-//	                                     integrity-framed wire format
+//	PUT  /v1/peer/objects                push castore objects: a multi-
+//	                                     object body, each object in its
+//	                                     integrity frame; answers per object
 //	POST /v1/peer/stat                   which of these objects do you hold
 //
 // The surface is node-to-node only: routes answer 404 unless a cluster is
@@ -47,15 +47,8 @@ import (
 // bytes the node's disk tier keeps for it (a value held only in memory
 // encodes to the same bytes). The requester decodes it with the disk tier's
 // own decode, under the key it asked for, and writes the received bytes
-// behind verbatim. The memoStages table holds the rules:
-//
-//	stage      castore kind  object key                   memory tier                                  write-behind
-//	detect     profile       sha256(fp ‖ NUL ‖ identity)  fifoMap of profiles, 1024, oldest first      probes
-//	compact    record        the stage hash               ResultCache, byte-bounded LRU                probes
-//	verifyrun  verify        the stage hash               fifoMap of run results, 1024, oldest first   unprobed
-//
-// castore's byte budget (castore.Options.MaxBytes, least recently used
-// first) is the one disk bound, the same for every kind.
+// behind verbatim. The memoStages table (memo.go) holds each stage's rules;
+// its three kinds are the only ones the objects route stores.
 //
 // A profile record names the (fingerprint, identity) it belongs to, a
 // compact record is bound to its library's digest, a verify record carries
@@ -117,10 +110,9 @@ func installPath(fp, from, framework string, tailLibs int) string {
 	}.Encode()
 }
 
-// peerBodyLimit bounds one pushed object or install (PUT
-// /v1/peer/objects/..., /v1/peer/install/...): an install streams whole
-// library images, so the bound is far above the client-facing
-// maxRequestBytes. The JSON
+// peerBodyLimit bounds one push body (PUT /v1/peer/objects,
+// /v1/peer/install/...): an install streams whole library images, so the
+// bound is far above the client-facing maxRequestBytes. The JSON
 // routes carry no payloads and decode under limits sized from their key
 // bounds (peerLookupBatchLimit, peerStatLimit).
 const peerBodyLimit = 256 << 20
@@ -132,7 +124,7 @@ const peerBodyLimit = 256 << 20
 func registerPeerRoutes(mux *http.ServeMux, s *Service) {
 	mux.HandleFunc("POST /v1/peer/lookup-batch", s.peerAuth(s.handlePeerLookupBatch))
 	mux.HandleFunc("PUT /v1/peer/install/{fingerprint}", s.peerAuth(s.handlePeerInstallPush))
-	mux.HandleFunc("PUT /v1/peer/objects/{kind}/{key}", s.peerAuth(s.handlePeerObjectPut))
+	mux.HandleFunc("PUT /v1/peer/objects", s.peerAuth(s.handlePeerObjects))
 	mux.HandleFunc("POST /v1/peer/stat", s.peerAuth(s.handlePeerStat))
 	mux.HandleFunc("POST "+cluster.PingPath, s.peerAuth(s.handlePeerPing))
 	mux.HandleFunc("POST "+cluster.JoinPath, s.peerAuth(s.handlePeerJoin))
@@ -282,17 +274,11 @@ func (s *Service) heartbeat(id string) {
 	_ = c.PostJSON(id, cluster.PingPath, cluster.HeartbeatRequest{From: c.Self(), Nodes: c.Membership()}, &resp)
 }
 
-// peerObjectRef names one castore object on the stat wire.
-type peerObjectRef struct {
-	Kind string `json:"kind"`
-	Key  string `json:"key"`
-}
-
 // peerStatRequest asks which of a batch of objects the peer holds — the
 // repair plane's probe. Batched so one round trip covers a whole repair
 // round's candidate set (or a chunk of it).
 type peerStatRequest struct {
-	Objects []peerObjectRef `json:"objects"`
+	Objects []storeRef `json:"objects"`
 }
 
 // peerStatResponse answers presence per requested object, index-aligned.
@@ -385,36 +371,46 @@ func (s *Service) handlePeerStat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, peerStatResponse{Present: present})
 }
 
-// handlePeerObjectPut receives one pushed object in its integrity-framed
-// wire format (castore.Export on the pushing side) — the replication /
-// repair / handoff ingest path. Import verifies the end-to-end checksum and
-// cleans up after truncated or corrupt streams, so a dying pusher leaves
-// no partial state here. Pushed kinds are restricted to the replication
-// set, the memoized stages' records: a library image ("lib", what an older
-// build pushed) is refused like any other kind. A pushed profile is an
-// object like any other: the detect stage's disk loader reads it through
-// when a batch needs it.
-func (s *Service) handlePeerObjectPut(w http.ResponseWriter, r *http.Request) {
+// peerObjectsResponse answers a push per object, in body order: whether
+// the object is stored (already present counts) or refused.
+type peerObjectsResponse struct {
+	Stored []bool `json:"stored"`
+}
+
+// countTrue counts the objects an answer reports stored.
+func countTrue(stored []bool) int {
+	n := 0
+	for _, ok := range stored {
+		if ok {
+			n++
+		}
+	}
+	return n
+}
+
+// handlePeerObjects receives a multi-object push — write-back, repair and
+// handoff all deliver here. Each entry imports on its own
+// (castore.Store.ImportEntries): a corrupt entry, or one of a kind other
+// than the memoized stages' records, is refused and the next still lands,
+// and a body cut short keeps the entries that arrived whole.
+func (s *Service) handlePeerObjects(w http.ResponseWriter, r *http.Request) {
 	st := s.Store()
 	if st == nil {
 		httpError(w, http.StatusNotFound, errors.New("no data dir configured"))
 		return
 	}
-	kind, key := r.PathValue("kind"), r.PathValue("key")
-	switch kind {
-	case kindRecord, kindProfile, kindVerify:
-	default:
-		httpError(w, http.StatusBadRequest, fmt.Errorf("kind %q is not replicated", kind))
-		return
+	r.Body = http.MaxBytesReader(w, r.Body, peerBodyLimit)
+	stored, err := st.ImportEntries(r.Body, func(kind string) bool {
+		return kind == kindRecord || kind == kindProfile || kind == kindVerify
+	})
+	if n := int64(countTrue(stored)); n > 0 {
+		s.Counters.Add("peer.objects_received", n)
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, peerBodyLimit+castore.HeaderSize)
-	n, err := st.Import(kind, key, r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("import %s/%s: %w", kind, key, err))
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.Counters.Add("peer.objects_received", 1)
-	writeJSON(w, http.StatusOK, map[string]int64{"bytes": n})
+	writeJSON(w, http.StatusOK, peerObjectsResponse{Stored: stored})
 }
 
 // ---- Requester side: the install push ----
@@ -471,7 +467,7 @@ func (s *Service) offerInstall(framework string, tailLibs int, res *BatchResult)
 func (s *Service) pushInstall(peer, path string, in *mlframework.Install) error {
 	pr, pw := io.Pipe()
 	go func() { pw.CloseWithError(in.WriteWire(pw)) }()
-	err := s.cluster.PutStream(peer, path, pr, -1)
+	err := s.cluster.PutStream(peer, path, pr, -1, nil)
 	pr.CloseWithError(err)
 	return err
 }

@@ -52,7 +52,7 @@ func installPusher(t *testing.T, ownURL string) (*Service, *mlframework.Install)
 func pushWire(t *testing.T, ownURL, fp string, body io.Reader) int {
 	t.Helper()
 	c := cluster.New("req", map[string]string{"own": ownURL}, cluster.Options{Timeout: 5 * time.Second})
-	err := c.PutStream("own", installPath(fp, "req", "pytorch", 2), body, -1)
+	err := c.PutStream("own", installPath(fp, "req", "pytorch", 2), body, -1, nil)
 	var perr *cluster.PeerError
 	switch {
 	case err == nil:

@@ -2,12 +2,11 @@ package dserve
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,9 +98,9 @@ func TestPeerJSONBodyLimits(t *testing.T) {
 		return req
 	}
 	statRefs := func(n int, key string) peerStatRequest {
-		req := peerStatRequest{Objects: make([]peerObjectRef, n)}
+		req := peerStatRequest{Objects: make([]storeRef, n)}
 		for i := range req.Objects {
-			req.Objects[i] = peerObjectRef{Kind: kindRecord, Key: key}
+			req.Objects[i] = storeRef{Kind: kindRecord, Key: key}
 		}
 		return req
 	}
@@ -195,7 +194,16 @@ func TestPeerRoutesRequireCluster(t *testing.T) {
 	if g, f := installCounts(svc); g != 0 || f != 0 {
 		t.Fatalf("a refused push generated %d installs and received %d", g, f)
 	}
-	req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/peer/objects/lib/deadbeef", strings.NewReader("x"))
+	if code := putPeer(t, srv, "/v1/peer/objects", castore.AppendEntry(nil, kindRecord, "deadbeef", []byte("x"))); code != http.StatusNotFound {
+		t.Fatalf("object push without a cluster: status %d, want 404", code)
+	}
+}
+
+// pushBody PUTs a multi-object body to the objects route and returns the
+// status and the per-object answer.
+func pushBody(t *testing.T, srv *httptest.Server, body []byte) (int, []bool) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/peer/objects", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,50 +211,84 @@ func TestPeerRoutesRequireCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("object push without a cluster: status %d, want 404", resp.StatusCode)
+	defer resp.Body.Close()
+	var out peerObjectsResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return resp.StatusCode, out.Stored
 }
 
-// TestPeerObjectPutKinds: the object route takes the replicated kinds —
-// the memoized stages' records: record, profile, verify — and nothing
-// else. A push of a library image ("lib") or of the two objects a compact
-// result was stored as before the record ("result" and "sparse"), all
-// kinds an older build pushed, answers 400 and lands nothing.
-func TestPeerObjectPutKinds(t *testing.T) {
+// storeNode is a clustered one-node service with a store, behind its
+// handler.
+func storeNode(t *testing.T) (*castore.Store, *httptest.Server) {
+	t.Helper()
 	st, err := castore.Open(t.TempDir(), castore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
+	t.Cleanup(func() { st.Close() })
 	svc := NewService(Config{Workers: 1, Store: st})
-	defer svc.Close()
+	t.Cleanup(svc.Close)
 	soloCluster(svc)
 	srv := httptest.NewServer(NewHandler(svc))
-	defer srv.Close()
+	t.Cleanup(srv.Close)
+	return st, srv
+}
 
-	// The key is the payload's digest, as a lib push's was.
-	sum := sha256.Sum256([]byte("payload"))
-	key := hex.EncodeToString(sum[:])
-	put := func(kind string) int {
-		return putPeer(t, srv, "/v1/peer/objects/"+kind+"/"+key, castore.Frame([]byte("payload")))
+// TestPeerObjectPutKinds: the objects route takes the replicated kinds —
+// the memoized stages' records: record, profile, verify — and nothing
+// else. One body mixes them with a library image ("lib"), the two objects
+// a compact result was stored as before the record ("result" and
+// "sparse") — all kinds an older build pushed — and a job manifest. Only
+// the replicated kinds land, and the answer is aligned with the body's
+// entries. The per-object route of older builds is no longer served.
+func TestPeerObjectPutKinds(t *testing.T) {
+	st, srv := storeNode(t)
+	kinds := []string{"lib", kindRecord, "result", kindProfile, "sparse", kindVerify, kindJob}
+	var body []byte
+	for _, kind := range kinds {
+		body = castore.AppendEntry(body, kind, "k-"+kind, []byte("payload of "+kind))
 	}
-	for _, kind := range []string{"lib", "result", "sparse", kindJob} {
-		if code := put(kind); code != http.StatusBadRequest {
-			t.Errorf("PUT of a %q object: status %d, want 400", kind, code)
-		}
-		if st.Has(kind, key) {
-			t.Errorf("a refused %q push landed in the store", kind)
+	code, stored := pushBody(t, srv, body)
+	if code != http.StatusOK {
+		t.Fatalf("mixed body: status %d, want 200", code)
+	}
+	want := []bool{false, true, false, true, false, true, false}
+	if !slices.Equal(stored, want) {
+		t.Fatalf("answer %v, want %v (one per entry, in body order)", stored, want)
+	}
+	for i, kind := range kinds {
+		if st.Has(kind, "k-"+kind) != want[i] {
+			t.Errorf("%q: in store = %v, want %v", kind, !want[i], want[i])
 		}
 	}
-	for _, kind := range []string{kindRecord, kindProfile, kindVerify} {
-		if code := put(kind); code != http.StatusOK {
-			t.Errorf("PUT of a %q object: status %d, want 200", kind, code)
-		}
-		if !st.Has(kind, key) {
-			t.Errorf("an accepted %q push is not in the store", kind)
-		}
+	if code := putPeer(t, srv, "/v1/peer/objects/"+kindRecord+"/k-old", castore.Frame(nil, []byte("payload"))); code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+		t.Fatalf("the per-object route answered %d", code)
+	}
+	if st.Has(kindRecord, "k-old") {
+		t.Fatal("a push to the per-object route landed")
+	}
+}
+
+// TestPeerObjectsRefusesCorruptEntry: an entry whose payload fails its
+// frame's sum is refused, never stored, and the answer says so; the
+// entries around it land.
+func TestPeerObjectsRefusesCorruptEntry(t *testing.T) {
+	st, srv := storeNode(t)
+	body := castore.AppendEntry(nil, kindRecord, "one", []byte("first"))
+	flip := len(body) + 2 + len(kindRecord+"/two") + len(castore.Frame(nil, nil))
+	body = castore.AppendEntry(body, kindRecord, "two", []byte("second"))
+	body = castore.AppendEntry(body, kindRecord, "three", []byte("third"))
+	body[flip] ^= 0x01
+	code, stored := pushBody(t, srv, body)
+	if code != http.StatusOK || !slices.Equal(stored, []bool{true, false, true}) {
+		t.Fatalf("status %d, answer %v; want 200 and [true false true]", code, stored)
+	}
+	if st.Has(kindRecord, "two") || !st.Has(kindRecord, "one") || !st.Has(kindRecord, "three") {
+		t.Fatal("only the corrupt entry may be missing")
 	}
 }
 

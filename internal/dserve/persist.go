@@ -39,7 +39,8 @@ const (
 	kindJob = "job"
 )
 
-// storeRef names one castore object a job holds a reference on.
+// storeRef names one castore object: one a job holds a reference on, or
+// one on the stat wire.
 type storeRef struct {
 	Kind string `json:"kind"`
 	Key  string `json:"key"`

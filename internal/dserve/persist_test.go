@@ -295,12 +295,12 @@ func TestTamperedStoreRestoresSameImages(t *testing.T) {
 		{"profile in JSON", 1, func(t *testing.T, dir string) {
 			path := first(t, dir, kindProfile)
 			payload := []byte(`{"install":"x","workload":"y","profile":{}}`)
-			if err := os.WriteFile(path, castore.Frame(payload), 0o644); err != nil {
+			if err := os.WriteFile(path, castore.Frame(nil, payload), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"stray object", 0, func(t *testing.T, dir string) {
-			if err := os.WriteFile(filepath.Join(dir, kindRecord, "stray"), castore.Frame([]byte("not a record")), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, kindRecord, "stray"), castore.Frame(nil, []byte("not a record")), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -397,7 +397,7 @@ func TestRegistryReplay(t *testing.T) {
 	svc1 := NewService(Config{Store: st1})
 	ms := memoStageOf(dk.Stage)
 	ms.put(svc1.stages, dk.Hash, p)
-	svc1.writeStage(ms, dk.Hash, p, nil, nil)
+	svc1.writeBehind(ms, dk.Hash, p, nil, nil)
 	svc1.Close()
 	st1.Close()
 

@@ -1,32 +1,24 @@
 package dserve
 
 // The replication plane: keeps every stage artifact present on all R
-// owners of its ring key. Two mechanisms cooperate:
+// owners of its ring key. Two mechanisms cooperate, and both reach a peer
+// only through pushObjects — one PUT /v1/peer/objects carrying many
+// objects, each checked against its castore frame's sum on the receiver:
 //
-//   - The write-behind (writeBehind, fed by writeStage): the stage memo
-//     hands every new value of a memoized stage here, as the record its
-//     disk tier keeps (memoStages). The record goes to the local store,
-//     when there is one, and to the live remote owners, behind the batch:
-//     new artifacts converge without waiting for a repair sweep. No library
-//     image travels with it; the install push carries library bytes.
-//   - Anti-entropy repair (RepairNow, driven by the RepairInterval loop):
-//     each sweep walks the locally held replicable objects, derives each
-//     group's ring key, stat-probes the remote owners in chunks, and
-//     streams whatever they are missing via checksummed Export/Import.
-//     This is what heals a replacement node that joined empty, or a
-//     replica that missed write-backs while it was down.
-//
-// Both paths ride the same peer object routes (POST /v1/peer/stat,
-// PUT /v1/peer/objects/{kind}/{key}); every transfer is verified by the
-// castore stream checksum on the receiving side, so a severed or corrupt
-// push publishes nothing there. LeaveCluster reuses the sweep machinery
-// for graceful departure: primary-owned objects are handed to the owners
-// the ring resolves to once this node is gone, then the node announces its
-// leave and stops its membership plane.
+//   - The write-behind (writeBehind) takes every new value of a memoized
+//     stage, as the record its disk tier keeps, into the local store and
+//     a queue per live remote owner, sent when the batch ends
+//     (flushWriteBack). No library image travels; the install push does.
+//   - Anti-entropy repair (RepairNow, driven by the RepairInterval loop)
+//     walks the locally held replicable objects, stat-probes their remote
+//     owners in chunks, and sends each chunk's absent objects in one
+//     request: it heals a node that joined empty, or a replica that missed
+//     write-backs while it was down. LeaveCluster runs the same sweep to
+//     hand primary-owned objects to the owners the ring resolves to once
+//     this node is gone.
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"time"
 
@@ -38,13 +30,27 @@ import (
 // handler's maxStatObjects.
 const repairStatChunk = 256
 
-// writeStage is the stage memo's one write-behind hook: a memoized stage's
-// value, as the record its disk tier keeps, into the local store and to the
-// named replica peers. rec, when non-nil, is the record the value arrived
-// as (a prefetched value is stored as received); otherwise it is encoded
-// here. A verify record is smaller than the stat probe that would ask
-// about it, so peers are sent it unprobed.
-func (s *Service) writeStage(st *memoStage, hash string, v any, rec []byte, peers []string) {
+// spillConcurrency bounds the write-behind's concurrent local writers. A
+// Put is a temp write and a rename (its fsyncs wait for SyncDirs); a few at
+// once overlap their file-system latency.
+const spillConcurrency = 4
+
+// pendingPush is one owner's write-back queue: a body and its entry count.
+type pendingPush struct {
+	body []byte
+	n    int
+}
+
+// writeBehind is the stage memo's one write hook, and the one way a stage
+// artifact leaves memory: never inside the stage node. The value's record
+// — rec as received, else encoded here — joins each named peer's queue and
+// is Put to the local store, at most spillConcurrency writers at a time. A
+// compact result's record is counted in pendingRecords until its writer
+// finishes, so persistJob waits for it instead of writing it a second
+// time; no manifest names anything else. A failed local Put only costs
+// durability, so it is counted, not fatal. Close and WaitReplication cover
+// every goroutine started here.
+func (s *Service) writeBehind(st *memoStage, hash string, v any, rec []byte, peers []string) {
 	if s.store == nil && len(peers) == 0 {
 		return
 	}
@@ -54,59 +60,82 @@ func (s *Service) writeStage(st *memoStage, hash string, v any, rec []byte, peer
 			return
 		}
 	}
-	s.writeBehind(peerObjectRef{Kind: st.kind, Key: st.objectKey(hash)}, rec, peers, st.probe)
-}
-
-// spillConcurrency bounds the write-behind's concurrent local writers. A
-// Put is a temp write and a rename (its fsyncs wait for SyncDirs); a few at
-// once overlap their file-system latency.
-const spillConcurrency = 4
-
-// writeBehind is the one way a stage artifact leaves memory: never inside
-// the stage node, so a batch does not wait on its own bookkeeping. The
-// peer pushes start at once (sendObject, probing first when probe is set);
-// beside them, the object is Put to the local store, at most
-// spillConcurrency writers at a time. A compact result's record is counted
-// in pendingRecords until its writer finishes, so persistJob waits for it
-// instead of writing it a second time; nothing else is waited on, since no
-// manifest names it. A failed local Put only costs durability — the memory
-// tier holds the value — so it is counted, not fatal. Close and
-// WaitReplication cover every goroutine started here.
-func (s *Service) writeBehind(o peerObjectRef, payload []byte, peers []string, probe bool) {
-	if len(peers) > 0 {
-		s.replWG.Add(1)
-		go func() {
-			defer s.replWG.Done()
-			s.sendObject(peers, o, payload, probe)
-		}()
+	key := st.objectKey(hash)
+	record := st.kind == kindRecord && s.store != nil
+	s.writeMu.Lock()
+	for _, peer := range peers {
+		q := s.writeBack[peer]
+		if q == nil {
+			q = &pendingPush{}
+			s.writeBack[peer] = q
+		}
+		q.body = castore.AppendEntry(q.body, st.kind, key, rec)
+		q.n++
 	}
+	if record {
+		s.pendingRecords[key]++
+	}
+	s.writeMu.Unlock()
 	if s.store == nil {
 		return
-	}
-	record := o.Kind == kindRecord
-	if record {
-		s.writeMu.Lock()
-		s.pendingRecords[o.Key]++
-		s.writeMu.Unlock()
 	}
 	s.replWG.Add(1)
 	go func() {
 		defer s.replWG.Done()
 		s.writeSem <- struct{}{}
-		if err := s.store.Put(o.Kind, o.Key, payload); err != nil {
+		if err := s.store.Put(st.kind, key, rec); err != nil {
 			s.Counters.Add("writebehind.errors", 1)
 		}
 		<-s.writeSem
 		if record {
 			s.writeMu.Lock()
-			s.pendingRecords[o.Key]--
-			if s.pendingRecords[o.Key] == 0 {
-				delete(s.pendingRecords, o.Key)
+			s.pendingRecords[key]--
+			if s.pendingRecords[key] == 0 {
+				delete(s.pendingRecords, key)
 			}
 			s.writesDone.Broadcast()
 			s.writeMu.Unlock()
 		}
 	}()
+}
+
+// flushWriteBack sends each write-back queue to its owner in one request,
+// behind the batch on a replWG goroutine; objects a concurrent batch
+// queued meanwhile ride along. An object the owner did not store is
+// counted, and repair sends it later.
+func (s *Service) flushWriteBack() {
+	s.writeMu.Lock()
+	queued := s.writeBack
+	if len(queued) > 0 {
+		s.writeBack = map[string]*pendingPush{}
+	}
+	s.writeMu.Unlock()
+	if len(queued) == 0 {
+		return
+	}
+	s.replWG.Add(1)
+	go func() {
+		defer s.replWG.Done()
+		for peer, q := range queued {
+			stored := s.pushObjects(peer, q.n, bytes.NewReader(q.body), int64(len(q.body)))
+			s.Counters.Add("peer.replica_writes", int64(stored))
+			if failed := q.n - stored; failed > 0 {
+				s.Counters.Add("peer.replica_write_errors", int64(failed))
+			}
+		}
+	}()
+}
+
+// pushObjects is the one replication push: a multi-object body of n
+// entries and length bytes (-1 when it streams) to peer in one request.
+// It returns how many objects the peer answered stored: none, for a
+// failed request or an answer that does not cover every entry.
+func (s *Service) pushObjects(peer string, n int, body io.Reader, length int64) int {
+	var resp peerObjectsResponse
+	if err := s.cluster.PutStream(peer, "/v1/peer/objects", body, length, &resp); err != nil || len(resp.Stored) != n {
+		return 0
+	}
+	return countTrue(resp.Stored)
 }
 
 // awaitRecords blocks until no write-behind of the libraries' records is in
@@ -122,34 +151,17 @@ func (s *Service) awaitRecords(libs []manifestLib) {
 	}
 }
 
-// sendObject streams the object to each peer; with probe set it first asks
-// the peer whether it already holds it and skips the push if so. A failed
-// push is counted, and repair retries it later.
-func (s *Service) sendObject(peers []string, o peerObjectRef, payload []byte, probe bool) {
-	framed := castore.Frame(payload)
-	for _, peer := range peers {
-		var resp peerStatResponse
-		if probe && s.cluster.PostJSON(peer, "/v1/peer/stat", peerStatRequest{Objects: []peerObjectRef{o}}, &resp) == nil && len(resp.Present) == 1 && resp.Present[0] {
-			continue
-		}
-		if err := s.cluster.PutStream(peer, "/v1/peer/objects/"+o.Kind+"/"+o.Key, bytes.NewReader(framed), int64(len(framed))); err != nil {
-			s.Counters.Add("peer.replica_write_errors", 1)
-			continue
-		}
-		s.Counters.Add("peer.replica_writes", 1)
-	}
-}
-
 // WaitReplication blocks until every write-behind started so far has
-// finished (succeeded or given up), locally and on every peer. Tests use it
-// to make the asynchronous write plane deterministic.
+// finished (succeeded or given up), locally and on every peer; a running
+// batch's write-back starts when the batch ends. Tests use it to make the
+// asynchronous write plane deterministic.
 func (s *Service) WaitReplication() { s.replWG.Wait() }
 
 // forEachOwnedGroup walks the store's memoized-stage kinds (memoStages)
 // and hands each locally present record, with the ring key whose owners
 // must hold it, to fn. A stage whose object key is not its hash reads the
 // hash from the record's head.
-func (s *Service) forEachOwnedGroup(fn func(ringKey string, ref peerObjectRef)) {
+func (s *Service) forEachOwnedGroup(fn func(ringKey string, ref storeRef)) {
 	st := s.store
 	for i := range memoStages {
 		ms := &memoStages[i]
@@ -160,33 +172,11 @@ func (s *Service) forEachOwnedGroup(fn func(ringKey string, ref peerObjectRef)) 
 				hash, ok = ms.stored(raw)
 			}
 			if ok {
-				fn(plan.Key{Stage: ms.stage, Hash: hash}.String(), peerObjectRef{Kind: ms.kind, Key: okey})
+				fn(plan.Key{Stage: ms.stage, Hash: hash}.String(), storeRef{Kind: ms.kind, Key: okey})
 			}
 			return nil
 		})
 	}
-}
-
-// repairPlan accumulates the per-peer deduplicated object sets one sweep
-// intends to probe and, where absent, push.
-type repairPlan struct {
-	byPeer map[string][]peerObjectRef
-	seen   map[plannedPush]struct{}
-}
-
-type plannedPush struct{ peer, kind, key string }
-
-func newRepairPlan() *repairPlan {
-	return &repairPlan{byPeer: map[string][]peerObjectRef{}, seen: map[plannedPush]struct{}{}}
-}
-
-func (p *repairPlan) add(peer string, r peerObjectRef) {
-	id := plannedPush{peer, r.Kind, r.Key}
-	if _, dup := p.seen[id]; dup {
-		return
-	}
-	p.seen[id] = struct{}{}
-	p.byPeer[peer] = append(p.byPeer[peer], r)
 }
 
 // RepairNow runs one synchronous anti-entropy sweep and returns the number
@@ -201,24 +191,24 @@ func (s *Service) RepairNow() int {
 	}
 	s.Counters.Add("repair.rounds", 1)
 	self := c.Self()
-	rp := newRepairPlan()
-	s.forEachOwnedGroup(func(ringKey string, ref peerObjectRef) {
-		for _, owner := range c.Owners(ringKey) {
-			if owner != self {
-				rp.add(owner, ref)
-			}
-		}
-	})
-	return s.executeRepairPlan(rp)
+	return s.sendMissing(func(ringKey string) []string { return without(c.Owners(ringKey), self) })
 }
 
-// executeRepairPlan stat-probes each peer's planned set in chunks and
-// streams the objects the peer reports absent. A failed probe skips the
-// rest of that peer for this sweep (the peer is likely down; the next
-// sweep retries).
-func (s *Service) executeRepairPlan(rp *repairPlan) int {
+// sendMissing plans, for every locally held replicable object, the peers
+// targets names for its ring key — the walk yields each object once, so a
+// plan holds no duplicates — then stat-probes each peer's objects in
+// chunks and sends each chunk's absent objects in one request (pushChunk).
+// A failed probe skips the rest of that peer for this sweep (the peer is
+// likely down; the next sweep retries). It returns the objects sent.
+func (s *Service) sendMissing(targets func(ringKey string) []string) int {
+	plan := map[string][]storeRef{}
+	s.forEachOwnedGroup(func(ringKey string, ref storeRef) {
+		for _, peer := range targets(ringKey) {
+			plan[peer] = append(plan[peer], ref)
+		}
+	})
 	streamed := 0
-	for peer, refs := range rp.byPeer {
+	for peer, refs := range plan {
 		for start := 0; start < len(refs); start += repairStatChunk {
 			chunk := refs[start:min(start+repairStatChunk, len(refs))]
 			var resp peerStatResponse
@@ -227,15 +217,16 @@ func (s *Service) executeRepairPlan(rp *repairPlan) int {
 				s.Counters.Add("repair.probe_errors", 1)
 				break
 			}
+			var absent []storeRef
 			for i, ref := range chunk {
-				if resp.Present[i] {
-					continue
+				if !resp.Present[i] {
+					absent = append(absent, ref)
 				}
-				if err := s.pushStoredObject(peer, ref.Kind, ref.Key); err != nil {
-					s.Counters.Add("repair.stream_errors", 1)
-					continue
-				}
-				streamed++
+			}
+			n := s.pushChunk(peer, absent)
+			streamed += n
+			if failed := len(absent) - n; failed > 0 {
+				s.Counters.Add("repair.stream_errors", int64(failed))
 			}
 		}
 	}
@@ -245,23 +236,41 @@ func (s *Service) executeRepairPlan(rp *repairPlan) int {
 	return streamed
 }
 
-// pushStoredObject streams one local castore object to a peer through the
-// checksummed Export frame, pinning it against eviction for the duration.
-func (s *Service) pushStoredObject(peer, kind, key string) error {
+// pushChunk streams the stored objects refs to peer in one request, each
+// pinned against eviction until the request ends; one the store no longer
+// holds is not sent. It returns how many the peer stored.
+func (s *Service) pushChunk(peer string, refs []storeRef) int {
 	st := s.store
-	size, ok := st.Stat(kind, key)
-	if !ok || !st.Retain(kind, key) {
-		return fmt.Errorf("dserve: repair push of absent object %s/%s", kind, key)
+	var held []storeRef
+	for _, r := range refs {
+		if st.Retain(r.Kind, r.Key) {
+			held = append(held, r)
+		}
 	}
-	defer st.Release(kind, key)
+	if len(held) == 0 {
+		return 0
+	}
+	defer func() {
+		for _, r := range held {
+			st.Release(r.Kind, r.Key)
+		}
+	}()
 	pr, pw := io.Pipe()
+	exported := make(chan struct{})
 	go func() {
-		_, err := st.Export(kind, key, pw)
+		defer close(exported)
+		var err error
+		for _, r := range held {
+			if err = st.ExportEntry(r.Kind, r.Key, pw); err != nil {
+				break
+			}
+		}
 		pw.CloseWithError(err)
 	}()
-	err := s.cluster.PutStream(peer, "/v1/peer/objects/"+kind+"/"+key, pr, size+castore.HeaderSize)
-	pr.CloseWithError(err)
-	return err
+	n := s.pushObjects(peer, len(held), pr, -1)
+	pr.Close() // a request that ended early stops the export
+	<-exported
+	return n
 }
 
 // repairLoop drives periodic anti-entropy sweeps until stop closes.
@@ -293,17 +302,13 @@ func (s *Service) LeaveCluster() {
 	}
 	if s.store != nil {
 		self := c.Self()
-		rp := newRepairPlan()
-		s.forEachOwnedGroup(func(ringKey string, ref peerObjectRef) {
-			owners := c.Owners(ringKey)
-			if len(owners) == 0 || owners[0] != self {
-				return
+		n := s.sendMissing(func(ringKey string) []string {
+			if owners := c.Owners(ringKey); len(owners) == 0 || owners[0] != self {
+				return nil
 			}
-			for _, o := range c.OwnersExcluding(self, ringKey) {
-				rp.add(o, ref)
-			}
+			return c.OwnersExcluding(self, ringKey)
 		})
-		if n := s.executeRepairPlan(rp); n > 0 {
+		if n > 0 {
 			s.Counters.Add("repair.handoff_streamed", int64(n))
 		}
 	}

@@ -507,3 +507,101 @@ func TestLocalDetectWritesBackToOwners(t *testing.T) {
 		t.Fatalf("write-back reported %d errors on a healthy ring", errs)
 	}
 }
+
+// TestWriteBackOneRequestPerOwnerPerBatch: two concurrent batches on one
+// node of a three-node ring send their write-back as one objects request
+// per remote owner per batch, with no stat probe. Once replication drains,
+// every owner holds every object it owns, and peer.replica_writes counts
+// each object once per remote owner. The batches overlap in one member,
+// so they share its detect key; only the requesting node computes, and
+// the prefetch never asks a peer for a key it holds, so every object in
+// its store is one it wrote back.
+func TestWriteBackOneRequestPerOwnerPerBatch(t *testing.T) {
+	var objectCalls, statCalls sync.Map // node ID → *atomic.Int64
+	count := func(m *sync.Map, id string) *atomic.Int64 {
+		n, _ := m.LoadOrStore(id, new(atomic.Int64))
+		return n.(*atomic.Int64)
+	}
+	nodes := startClusterCfg(t, nil, func(id string, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/v1/peer/objects":
+				count(&objectCalls, id).Add(1)
+			case "/v1/peer/stat":
+				count(&statCalls, id).Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	}, "a", "b", "c")
+	defer func() {
+		for _, n := range nodes {
+			n.close()
+		}
+	}()
+	a := nodes["a"]
+	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := [][]WorkloadSpec{
+		{{Model: "MobileNetV2", Batch: 1}, {Model: "Transformer", Batch: 32, Device: "A100"}},
+		{{Model: "Transformer", Batch: 32, Device: "A100"}, {Model: "MobileNetV2", Train: true, Batch: 16, Epochs: 1}},
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(batches))
+	for i, specs := range batches {
+		workloads := make([]mlruntime.Workload, len(specs))
+		for j, spec := range specs {
+			if workloads[j], err = spec.Workload(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = a.svc.DebloatBatch(in, workloads, BatchOptions{})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.svc.WaitReplication()
+
+	c := a.svc.Cluster()
+	objects, want := 0, int64(0)
+	a.svc.forEachOwnedGroup(func(ringKey string, ref storeRef) {
+		objects++
+		for _, owner := range without(c.Owners(ringKey), "a") {
+			want++
+			if !nodes[owner].store.Has(ref.Kind, ref.Key) {
+				t.Errorf("owner %s lacks %s/%s after write-back", owner, ref.Kind, ref.Key)
+			}
+		}
+	})
+	if objects == 0 {
+		t.Fatal("the batches stored nothing")
+	}
+	if hits := a.svc.Counters.Get("peer.hits"); hits != 0 {
+		t.Fatalf("the requester read %d values from peers; every object must be its own", hits)
+	}
+	if got := a.svc.Counters.Get("peer.replica_writes"); got != want {
+		t.Fatalf("peer.replica_writes = %d, want %d (%d objects, each once per remote owner)", got, want, objects)
+	}
+	if errs := a.svc.Counters.Get("peer.replica_write_errors") + a.svc.Counters.Get("writebehind.errors"); errs != 0 {
+		t.Fatalf("write-back reported %d errors on a healthy ring", errs)
+	}
+	for _, id := range []string{"b", "c"} {
+		if n := count(&objectCalls, id).Load(); n < 1 || n > int64(len(batches)) {
+			t.Errorf("node %s took %d objects requests, want 1..%d (at most one per batch)", id, n, len(batches))
+		}
+		if n := count(&statCalls, id).Load(); n != 0 {
+			t.Errorf("node %s took %d stat probes; write-back sends without asking", id, n)
+		}
+	}
+	if n := count(&objectCalls, "a").Load(); n != 0 {
+		t.Errorf("the requester took %d objects requests", n)
+	}
+}

@@ -149,14 +149,16 @@ type Service struct {
 	closed       bool
 	wg           sync.WaitGroup
 	// replWG tracks the write-behind's goroutines (repair.go): writeSem
-	// bounds its local writers, and pendingRecords (under writeMu, signalled
-	// by writesDone) counts each record's in-flight local writes for
-	// persistJob. repairStop/repairWG manage the anti-entropy loop.
+	// bounds its local writers. Under writeMu, pendingRecords (signalled by
+	// writesDone) counts each record's in-flight local writes for
+	// persistJob, and writeBack holds each remote owner's queue until a
+	// batch ends. repairStop/repairWG manage the anti-entropy loop.
 	replWG         sync.WaitGroup
 	writeSem       chan struct{}
 	writeMu        sync.Mutex
 	writesDone     *sync.Cond
 	pendingRecords map[string]int
+	writeBack      map[string]*pendingPush
 	repairStop     chan struct{}
 	repairWG       sync.WaitGroup
 }
@@ -203,12 +205,13 @@ func NewService(cfg Config) *Service {
 
 		writeSem:       make(chan struct{}, spillConcurrency),
 		pendingRecords: map[string]int{},
+		writeBack:      map[string]*pendingPush{},
 	}
 	s.writesDone = sync.NewCond(&s.writeMu)
 	// Every node writes behind through this hook: its disk tier and, on a
 	// ring, its replica owners.
 	s.stages = NewStageMemo(s.Cache, counters)
-	s.stages.writeStage = s.writeStage
+	s.stages.writeStage = s.writeBehind
 	s.observer = stageObserver{c: counters, t: s.Timings, names: &sync.Map{}}
 	if cfg.Store != nil {
 		// Warm-restart wiring: the three memoized stages gain their disk
@@ -507,6 +510,8 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	// final slice.
 	var markKeys []plan.Key
 	defer func() { s.stages.clearMarks(markKeys) }()
+	// The write-back goes out once the run returns, failed or not.
+	defer s.flushWriteBack()
 	b.Verify = make([]bool, len(workloads))
 	for i := range b.Verify {
 		b.Verify[i] = !opt.SkipVerify && !carried[i]
