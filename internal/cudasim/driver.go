@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"negativaml/internal/cubin"
 	"negativaml/internal/cupti"
 	"negativaml/internal/elfx"
 	"negativaml/internal/fatbin"
@@ -54,16 +53,17 @@ type Context struct {
 	modules []*Module
 }
 
-// Module is a shared library loaded into a context.
+// Module is a shared library loaded into a context. What depends only on
+// the library's bytes is its load facts; a module holds only its own state.
 type Module struct {
-	ctx  *Context
-	Lib  *elfx.Library
-	Mode LoadMode
+	ctx    *Context
+	Lib    *elfx.Library
+	Mode   LoadMode
+	cubins *elfx.ArchCubins
 
-	// cubins holds the arch-matching, parseable cubins by element index.
-	cubins map[int]*loadedCubin
-	// byKernel maps kernel name -> element index of its cubin.
-	byKernel map[string]int
+	// loaded flags, by position in cubins.Cubins, the cubins whose code is
+	// on the GPU.
+	loaded []bool
 	// handles caches function handles; cuModuleGetFunction fires only on
 	// first resolution, matching the driver behaviour the detector relies on.
 	handles map[string]*Function
@@ -72,18 +72,12 @@ type Module struct {
 	ResidentCPU int64
 }
 
-type loadedCubin struct {
-	cb     *cubin.Cubin
-	loaded bool
-}
-
 // Function is a kernel handle returned by GetFunction.
 type Function struct {
-	Module  *Module
-	Name    string
-	element int
-	kernel  int
-	lc      *loadedCubin
+	Module *Module
+	Name   string
+	cubin  int
+	kernel int
 	// children is the number of device-side kernels reachable from this
 	// kernel's call graph, precomputed at resolution time so launches stay
 	// allocation-free. childrenOK records whether all of their code is
@@ -132,12 +126,18 @@ func (d *Driver) apiCall(data *cupti.CallbackData) {
 // as the real driver skips removed elements.
 func (ctx *Context) LoadModule(lib *elfx.Library) (*Module, error) {
 	d := ctx.drv
+	f := lib.LoadFacts()
+	if f.FatbinErr != nil {
+		return nil, fmt.Errorf("cudasim: load %s: %w", lib.Name, f.FatbinErr)
+	}
+	cubins := f.Arch(ctx.Device.Arch)
 	m := &Module{
-		ctx:      ctx,
-		Lib:      lib,
-		Mode:     ctx.Mode,
-		cubins:   make(map[int]*loadedCubin),
-		byKernel: make(map[string]int),
+		ctx:     ctx,
+		Lib:     lib,
+		Mode:    ctx.Mode,
+		cubins:  cubins,
+		loaded:  make([]bool, len(cubins.Cubins)),
+		handles: make(map[string]*Function),
 	}
 
 	// ---- Host-side residency ----
@@ -145,60 +145,25 @@ func (ctx *Context) LoadModule(lib *elfx.Library) (*Module, error) {
 	// real 4 KiB page is ~4 simulated bytes, so counting non-zero bytes is
 	// the scale-correct model of "pages that are actually backed". Zeroed
 	// (compacted) ranges cost neither memory nor page-in time.
-	fbRange, hasFB := lib.FatbinRange()
-	var fb *fatbin.FatBin
-	if hasFB {
-		var err error
-		fb, _, err = lib.Fatbin()
-		if err != nil {
-			return nil, fmt.Errorf("cudasim: load %s: %w", lib.Name, err)
-		}
-	}
-	var resident int64
-	if ctx.Mode == EagerLoading || !hasFB {
-		resident = elfx.NonZeroBytes(lib.Data)
-	} else {
+	resident := f.NonZero
+	if fb := f.Fatbin; fb != nil && ctx.Mode == LazyLoading {
 		// Lazy: fatbin payloads are not paged in; only the region and
-		// element headers are touched while indexing the module.
-		resident = elfx.NonZeroBytes(lib.Data) - elfx.NonZeroBytesIn(lib.Data, fbRange)
-		resident += int64(len(fb.Regions))*24 + int64(fb.ElementCount())*48
-		if resident < 0 {
-			resident = 0
-		}
-		// Lazy can never page in more than eager would.
-		if eager := elfx.NonZeroBytes(lib.Data); resident > eager {
-			resident = eager
-		}
+		// element headers are touched while indexing the module. Lazy can
+		// never page in more than eager would.
+		lazy := f.NonZero - f.FatbinNonZero + int64(len(fb.Regions))*24 + int64(fb.ElementCount())*48
+		resident = min(max(lazy, 0), f.NonZero)
 	}
 	m.ResidentCPU = resident
 	d.CPU.Alloc(resident)
 	d.Clock.Advance(time.Duration(resident) * d.Cost.CPULoadPerByte)
 
-	// ---- Device-side indexing ----
-	if hasFB {
-		for _, e := range fb.Elements() {
-			if e.Kind != fatbin.KindCubin || e.Arch != ctx.Device.Arch {
-				continue
-			}
-			if !cubin.IsCubin(e.Payload) {
-				continue // zeroed by compaction
-			}
-			cb, err := cubin.Parse(e.Payload)
-			if err != nil {
-				continue // damaged payload is treated as removed
-			}
-			lc := &loadedCubin{cb: cb}
-			m.cubins[e.Index] = lc
-			for _, k := range cb.Kernels {
-				m.byKernel[k.Name] = e.Index
-			}
-			if ctx.Mode == EagerLoading {
-				m.loadCubin(lc)
-			}
+	// ---- Device-side loading ----
+	if ctx.Mode == EagerLoading {
+		for pos := range cubins.Cubins {
+			m.loadCubin(pos)
 		}
 	}
 
-	m.handles = make(map[string]*Function)
 	ctx.modules = append(ctx.modules, m)
 	d.apiCall(&cupti.CallbackData{
 		Domain: cupti.DomainDriverAPI,
@@ -209,20 +174,13 @@ func (ctx *Context) LoadModule(lib *elfx.Library) (*Module, error) {
 	return m, nil
 }
 
-func residentIn(data []byte, r fatbin.Range) int64 {
-	if r.Start < 0 || r.End > int64(len(data)) {
-		return 0
-	}
-	return elfx.ResidentBytes(data[r.Start:r.End])
-}
-
 // loadCubin copies a cubin's code to the GPU, charging memory and time.
-func (m *Module) loadCubin(lc *loadedCubin) {
-	if lc.loaded {
+func (m *Module) loadCubin(pos int) {
+	if m.loaded[pos] {
 		return
 	}
-	lc.loaded = true
-	size := int64(lc.cb.CodeSize())
+	m.loaded[pos] = true
+	size := int64(m.cubins.Cubins[pos].CodeSize())
 	m.ctx.GPU.Alloc(size)
 	m.ctx.drv.Clock.Advance(time.Duration(size) * m.ctx.drv.Cost.GPULoadPerByte)
 }
@@ -246,18 +204,18 @@ func (m *Module) GetFunction(name string) (*Function, error) {
 		Module: m.Lib.Name,
 		Kernel: name,
 	})
-	elemIdx, ok := m.byKernel[name]
+	pos, ok := m.cubins.CubinWith(name)
 	if !ok {
 		return nil, fmt.Errorf("cudasim: %s: no kernel %q for %s", m.Lib.Name, name, m.ctx.Device.Arch)
 	}
-	lc := m.cubins[elemIdx]
-	kIdx := lc.cb.FindKernel(name)
-	k := &lc.cb.Kernels[kIdx]
+	cb := m.cubins.Cubins[pos]
+	kIdx := cb.FindKernel(name)
+	k := &cb.Kernels[kIdx]
 	if !k.Entry() {
 		return nil, fmt.Errorf("cudasim: kernel %q is device-only and cannot be resolved from the host", name)
 	}
 	if m.Mode == LazyLoading {
-		m.loadCubin(lc)
+		m.loadCubin(pos)
 	}
 	// Validate the kernel and its device-side call graph: launching code
 	// that was zeroed out (over-aggressive debloating) traps on a real GPU,
@@ -266,10 +224,10 @@ func (m *Module) GetFunction(name string) (*Function, error) {
 	if !codeAlive(k.Code) {
 		return nil, fmt.Errorf("cudasim: kernel %q has zeroed code (corrupted by compaction)", name)
 	}
-	graph := lc.cb.CallGraphFrom(kIdx)
+	graph := cb.CallGraphFrom(kIdx)
 	childrenOK := true
 	for _, idx := range graph {
-		if idx != kIdx && !codeAlive(lc.cb.Kernels[idx].Code) {
+		if idx != kIdx && !codeAlive(cb.Kernels[idx].Code) {
 			childrenOK = false
 			break
 		}
@@ -277,9 +235,8 @@ func (m *Module) GetFunction(name string) (*Function, error) {
 	fn := &Function{
 		Module:     m,
 		Name:       name,
-		element:    elemIdx,
+		cubin:      pos,
 		kernel:     kIdx,
-		lc:         lc,
 		children:   len(graph) - 1,
 		childrenOK: childrenOK,
 	}
@@ -296,7 +253,7 @@ func codeAlive(code []byte) bool {
 // HasKernel reports whether the module exposes the kernel for this device
 // architecture (without resolving it).
 func (m *Module) HasKernel(name string) bool {
-	_, ok := m.byKernel[name]
+	_, ok := m.cubins.CubinWith(name)
 	return ok
 }
 
@@ -304,9 +261,9 @@ func (m *Module) HasKernel(name string) bool {
 // module.
 func (m *Module) LoadedGPUBytes() int64 {
 	var n int64
-	for _, lc := range m.cubins {
-		if lc.loaded {
-			n += int64(lc.cb.CodeSize())
+	for pos, cb := range m.cubins.Cubins {
+		if m.loaded[pos] {
+			n += int64(cb.CodeSize())
 		}
 	}
 	return n
@@ -316,7 +273,7 @@ func (m *Module) LoadedGPUBytes() int64 {
 // call graph: child launches cost time but never fire host-side hooks for
 // cuModuleGetFunction and are not distinguishable to the detector.
 func (d *Driver) Launch(fn *Function) error {
-	if fn.lc == nil || !fn.lc.loaded {
+	if !fn.Module.loaded[fn.cubin] {
 		return fmt.Errorf("cudasim: kernel %q launched before its cubin was loaded", fn.Name)
 	}
 	d.KernelLaunch++
@@ -369,10 +326,10 @@ func (ctx *Context) UnloadModule(m *Module) {
 		}
 	}
 	ctx.drv.CPU.Free(m.ResidentCPU)
-	for _, lc := range m.cubins {
-		if lc.loaded {
-			ctx.GPU.Free(int64(lc.cb.CodeSize()))
-			lc.loaded = false
+	for pos, cb := range m.cubins.Cubins {
+		if m.loaded[pos] {
+			ctx.GPU.Free(int64(cb.CodeSize()))
+			m.loaded[pos] = false
 		}
 	}
 }

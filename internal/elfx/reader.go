@@ -25,7 +25,8 @@ type Function struct {
 }
 
 // Library is a parsed ELF shared library held in memory. Data is immutable
-// after Parse — the analysis index and every downstream memo rely on it.
+// after Parse — the analysis index, the load facts and every downstream memo
+// rely on it.
 type Library struct {
 	Name     string
 	Data     []byte
@@ -39,8 +40,10 @@ type Library struct {
 	// Needed lists DT_NEEDED dependencies in dynamic-section order.
 	Needed []string
 
-	// idx caches the lazily built analysis index (see Index).
-	idx atomic.Pointer[LibIndex]
+	// idx caches the lazily built analysis index (see Index), facts the
+	// load facts (see LoadFacts).
+	idx   atomic.Pointer[LibIndex]
+	facts atomic.Pointer[LoadFacts]
 }
 
 // Parse decodes an ELF64 shared library built by this package (and any

@@ -96,24 +96,13 @@ func Run(w Workload, opt Options) (*Result, error) {
 
 	// ---- Library loading (framework import) ----
 	type libState struct {
-		lib   *elfx.Library
-		funcs map[string]*elfx.Function
-		alive map[string]bool
+		facts *elfx.LoadFacts
 		mods  []*cudasim.Module
 	}
 	libs := make(map[string]*libState, len(w.Install.LibNames))
 	for _, name := range w.Install.LibNames {
 		lib := w.Install.Library(name)
-		st := &libState{
-			lib:   lib,
-			funcs: make(map[string]*elfx.Function, len(lib.Funcs)),
-			alive: make(map[string]bool, len(lib.Funcs)),
-		}
-		for i := range lib.Funcs {
-			fn := &lib.Funcs[i]
-			st.funcs[fn.Name] = fn
-			st.alive[fn.Name] = lib.FunctionAlive(fn)
-		}
+		st := &libState{facts: lib.LoadFacts()}
 		for _, ctx := range ctxs {
 			m, err := ctx.LoadModule(lib)
 			if err != nil {
@@ -137,7 +126,7 @@ func Run(w Workload, opt Options) (*Result, error) {
 		if st == nil {
 			return fmt.Errorf("mlruntime: %s: missing library %s", w.Name, lf.Lib)
 		}
-		if !st.alive[lf.Func] {
+		if !st.facts.Alive(lf.Func) {
 			return fmt.Errorf("mlruntime: %s: function %s in %s is missing or zeroed (SIGSEGV)", w.Name, lf.Func, lf.Lib)
 		}
 		if opt.FuncHook != nil {

@@ -1,7 +1,9 @@
 package mlruntime
 
 import (
+	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -163,25 +165,93 @@ func TestZeroedBloatFunctionHarmless(t *testing.T) {
 	}
 }
 
+// TestZeroedUsedFunctionCrashes runs the original install first, so its
+// libraries' load facts are built, and then clones whose bytes differ under
+// the same library names: each clone must be judged by its own bytes.
 func TestZeroedUsedFunctionCrashes(t *testing.T) {
 	w := mobilenetTrain(t)
-	orig := w.Install.Library("libtorch_cuda.so")
-	mod := append([]byte(nil), orig.Data...)
-	lib, _ := elfx.Parse("x", mod)
-	for _, fn := range lib.Funcs {
-		if strings.Contains(fn.Name, "_init_") {
-			elfx.ZeroRange(mod, fn.Range)
-			break
+	if _, err := Run(w, Options{MaxSteps: 2}); err != nil {
+		t.Fatal(err)
+	}
+	op := &w.Graph.Ops[0]
+	kernelLib := w.Install.FamilyLib[op.Family]
+	kernel := op.KernelFor(gpuarch.T4.Arch, 0)
+	for _, tc := range []struct {
+		name, lib, want string
+		zero            func(orig *elfx.Library, mod []byte)
+	}{
+		{"function", "libtorch_cuda.so", "SIGSEGV", func(orig *elfx.Library, mod []byte) {
+			for _, fn := range orig.Funcs {
+				if strings.Contains(fn.Name, "_init_") {
+					elfx.ZeroRange(mod, fn.Range)
+					return
+				}
+			}
+		}},
+		{"cubin", kernelLib, "no kernel", func(orig *elfx.Library, mod []byte) {
+			x := orig.Index()
+			for _, pos := range x.ElementsWithEntry(kernel) {
+				if e := x.Elements[pos]; e.Arch == gpuarch.T4.Arch {
+					elfx.ZeroRange(mod, e.PayloadRange)
+				}
+			}
+		}},
+	} {
+		orig := w.Install.Library(tc.lib)
+		mod := append([]byte(nil), orig.Data...)
+		tc.zero(orig, mod)
+		if bytes.Equal(mod, orig.Data) {
+			t.Fatalf("%s: nothing zeroed in %s", tc.name, tc.lib)
+		}
+		clone, err := w.Install.CloneWithLibs(map[string][]byte{tc.lib: mod})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w2 := w
+		w2.Install = clone
+		if _, err := Run(w2, Options{MaxSteps: 2}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: zeroing used code in %s must fail the run with %q, got %v", tc.name, tc.lib, tc.want, err)
 		}
 	}
-	clone, err := w.Install.CloneWithLibs(map[string][]byte{"libtorch_cuda.so": mod})
+}
+
+// TestConcurrentRunsShareFacts runs workloads concurrently on a fresh
+// install, so the first builds of every library's load facts race, and
+// checks each against a serial run of the same workload.
+func TestConcurrentRunsShareFacts(t *testing.T) {
+	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2 := w
-	w2.Install = clone
-	if _, err := Run(w2, Options{MaxSteps: 2}); err == nil {
-		t.Fatal("zeroing a used init function must fail the run")
+	const runs = 4
+	ws := make([]Workload, runs)
+	got := make([]*Result, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range ws {
+		ws[i] = mobilenetTrain(t)
+		ws[i].Install = in
+		if i%2 == 1 {
+			ws[i].Mode = cudasim.LazyLoading
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = Run(ws[i], Options{MaxSteps: 3})
+		}(i)
+	}
+	wg.Wait()
+	for i, w := range ws {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		want, err := Run(w, Options{MaxSteps: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got[i] != *want {
+			t.Errorf("run %d (%v): concurrent %+v, serial %+v", i, w.Mode, *got[i], *want)
+		}
 	}
 }
 
