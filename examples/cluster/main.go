@@ -176,7 +176,7 @@ func main() {
 	a.svc.WaitReplication()
 	fmt.Printf("node a: cold batch %s in %v\n", idA, wallA.Round(time.Millisecond))
 	fmt.Printf("  local detects: %d, local locate+compact: %d, objects written back: %d, install offers: %d\n",
-		a.svc.Counters.Get("registry.misses"), a.svc.Counters.Get("analysis.computed"),
+		a.svc.Counters.Get("stage.detect.misses"), a.svc.Counters.Get("analysis.computed"),
 		a.svc.Counters.Get("peer.replica_writes"), a.svc.Counters.Get("peer.offers"))
 	for _, n := range []*node{b, c} {
 		fmt.Printf("  node %s as owner: received %d replicated objects and %d install offers\n",

@@ -118,7 +118,7 @@ func coldThenWarm(t *testing.T, nodes map[string]*testNode, req JobRequest, in *
 		if n == a {
 			want = int64(len(req.Workloads))
 		}
-		if got := n.svc.Counters.Get("registry.misses"); got != want {
+		if got := n.svc.Counters.Get("stage.detect.misses"); got != want {
 			t.Fatalf("node %s computed %d detects, want %d: a computes all of them", id, got, want)
 		}
 	}
@@ -187,7 +187,7 @@ func coldThenWarm(t *testing.T, nodes map[string]*testNode, req JobRequest, in *
 		if delta := n.svc.Counters.Get("analysis.computed") - before; delta != 0 {
 			t.Fatalf("node %s ran locate/compact %d times locally; the ring should have absorbed all of it", id, delta)
 		}
-		if got := n.svc.Counters.Get("registry.misses"); got != 0 {
+		if got := n.svc.Counters.Get("stage.detect.misses"); got != 0 {
 			t.Fatalf("node %s ran %d detects locally; the ring should have absorbed all of them", id, got)
 		}
 		// The scatter-gather bound. This is the only batch the node has
@@ -381,7 +381,7 @@ func TestConcurrentSpecBatchesOnTwoNodes(t *testing.T) {
 	}
 	var detects int64
 	for _, n := range nodes {
-		detects += n.svc.Counters.Get("registry.misses")
+		detects += n.svc.Counters.Get("stage.detect.misses")
 	}
 	w := int64(len(req.Workloads))
 	t.Logf("%d workloads submitted on two nodes at once: %d detections ran across the ring (bound %d)", w, detects, 2*w)

@@ -34,14 +34,18 @@
 // (castore.Options.MaxBytes, least recently used first) is the one disk
 // bound, the same for every kind.
 //
-// Each entry also holds its record codec (negativa.EncodeProfile,
-// negativa.EncodeRecord, the storedVerify JSON): the record is what the
-// disk tier keeps and the one form the value crosses the wire in. One disk
-// loader reads every stage (Has before Get, decode under the key, delete on
-// mismatch, plant in memory); a workload profiled once is never profiled
-// again on the same install, and identical libraries shared across
-// installs — the dependency tail, which dominates library counts — are
-// analyzed once, across jobs and restarts. A boot reads no record.
+// Each entry also holds its payload codec (negativa.EncodeProfile,
+// negativa.EncodeRecord, the run result's JSON), which knows no key. Every
+// stage hash is a SHA-256 digest, and every record is that hash's 32 bytes
+// then the payload: memoStage.seal writes it, and memoStage.open reads it
+// only under the hash it was sealed with. The record is what the disk tier
+// keeps, under the stage hash, and the one form the value crosses the wire
+// in. One disk loader reads every stage (Has before Get, open under the
+// key, delete on mismatch, plant in memory); a workload profiled once is
+// never profiled again on the same install, and identical libraries
+// shared across installs — the dependency tail, which dominates library
+// counts — are analyzed once, across jobs and restarts. A boot reads no
+// record.
 //
 // One flight table spans all three (StageMemo.resolve): concurrent batches
 // computing the same stage key run it once and share the value. A key of
@@ -82,9 +86,10 @@
 // What this gives up against re-running every time, precisely. Bytes
 // enter a node's memory only through checked boundaries — ingest and
 // install hashing (the fingerprint and every library's content digest),
-// castore frame checksums, and the record decoder, which binds a result
-// and its range set to its library's digest — and the key is computed from
-// the in-memory objects the result then streams from. So the one fault an unconditional
+// castore frame checksums, the seal, which binds every record to its stage
+// hash, and the record decoder, which binds a result and its range set to
+// its library's digest — and the key is computed from the in-memory
+// objects the result then streams from. So the one fault an unconditional
 // re-run could still catch and the key cannot is mutation of an immutable
 // object (a library image, a sparse image's ranges) after its digest was
 // taken — which the concurrency contract below already excludes. The peer

@@ -221,8 +221,7 @@ func (m *StageMemo) localProbe(k plan.Key) bool {
 	if st == nil || st.held(m, k.Hash) {
 		return true
 	}
-	_, ok := m.storedKey(st, k.Hash)
-	return ok
+	return m.stored(st, k.Hash)
 }
 
 // prefetchGroup runs one group's batch lookup: hedged across the group's
@@ -303,7 +302,7 @@ func (m *StageMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 		}
 		// Every answered key is a memoized stage's: only those were asked.
 		st := memoStageOf(it.key.Stage)
-		val, err := st.decode(it.key.Hash, it.hint, lr.Record)
+		val, err := st.open(it.key.Hash, it.hint, lr.Record)
 		if err != nil {
 			m.count("peer.fallbacks")
 			continue

@@ -80,8 +80,7 @@ func (f *lookupFixture) handler() http.Handler {
 		resp := peerBatchLookupResponse{Results: make([]peerLookupResponse, len(req.Keys))}
 		for i, k := range req.Keys {
 			f.serve(k.Hash)
-			fp, wid, _ := negativa.SplitDetectHash(k.Hash)
-			rec, _ := negativa.EncodeProfile(fp, wid, f.profile)
+			rec, _ := memoStageOf(negativa.StageDetect).seal(k.Hash, f.profile)
 			resp.Results[i] = peerLookupResponse{Found: true, Record: rec}
 		}
 		json.NewEncoder(w).Encode(resp)
@@ -98,10 +97,17 @@ func (f *lookupFixture) handler() http.Handler {
 func TestHedgedLookupSlowReplica(t *testing.T) {
 	profile := testDetectProfile(t)
 
-	// Both replicas hold every key; one answers ~100 ms late.
+	// Both replicas hold every key; one answers ~100 ms late. The answering
+	// replica holds its answer until the stalled one has received its
+	// request (bounded, so a request that never arrives fails the test
+	// rather than hangs it): otherwise, on a loaded machine, the hedge can
+	// win and cancel the stalled read before it reaches its server.
 	answer := (&lookupFixture{profile: profile}).handler()
 	var slowCancelled atomic.Bool
+	entered := make(chan struct{})
+	var enter sync.Once
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		enter.Do(func() { close(entered) })
 		// Drain the body so the server watches the connection and r.Context()
 		// observes the requester cancelling the stalled read.
 		body, _ := io.ReadAll(r.Body)
@@ -114,7 +120,13 @@ func TestHedgedLookupSlowReplica(t *testing.T) {
 		}
 	}))
 	defer slow.Close()
-	fast := httptest.NewServer(answer)
+	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-entered:
+		case <-time.After(2 * time.Second):
+		}
+		answer.ServeHTTP(w, r)
+	}))
 	defer fast.Close()
 
 	counters := metrics.NewCounterSet()

@@ -392,7 +392,6 @@ func TestSharedMemoAcrossPlanners(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hitsBefore := svc.Counters.Get("registry.hits")
 	b := negativa.NewBatch(in, []mlruntime.Workload{w}, 2)
 	b.Verify = []bool{true}
 	run, err := b.Run(plan.NewPool(2), svc.stages, nil, nil)
@@ -402,7 +401,7 @@ func TestSharedMemoAcrossPlanners(t *testing.T) {
 	if _, ok := run.Verify(0); !ok {
 		t.Fatal("shared-memo debloat must verify")
 	}
-	if svc.Counters.Get("registry.hits") == hitsBefore {
+	if _, hit := run.Profile(0); !hit {
 		t.Fatal("the batch must absorb the service's detect stage")
 	}
 	var analysis time.Duration

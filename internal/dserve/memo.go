@@ -1,8 +1,12 @@
 package dserve
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
 
 	"negativaml/internal/castore"
@@ -52,12 +56,6 @@ func (f *fifoMap[K, V]) get(k K) (V, bool) {
 	return v, ok
 }
 
-func (f *fifoMap[K, V]) size() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.m)
-}
-
 // tierEntries bounds the detect and verifyrun memory tiers.
 const tierEntries = 1024
 
@@ -68,85 +66,91 @@ const tierEntries = 1024
 // switching on the stage.
 type memoStage struct {
 	stage string
-	// kind is the castore kind of the disk tier; objectKey derives the
-	// object's key from the stage hash.
-	kind      string
-	objectKey func(hash string) string
-	// encode turns a value into the record the disk tier keeps, the one
-	// form it also crosses the wire in; decode reads a record back under
-	// the hash it was asked for, against hint (the compact stage's live
-	// library).
-	encode func(hash string, v any) ([]byte, error)
-	decode func(hash string, hint any, rec []byte) (any, error)
+	// kind is the castore kind of the disk tier, where a record is filed
+	// under its stage hash.
+	kind string
+	// encode and decode are the stage's codec: a value to the payload a
+	// record seals, and back against hint (the compact stage's live
+	// library). Neither knows the key; seal and open bind it.
+	encode func(v any) ([]byte, error)
+	decode func(hint any, payload []byte) (any, error)
 	// held, get and put are the memory tier: a quiet presence check, the
 	// read (the result cache counts its own hits and misses), the plant.
 	held func(m *StageMemo, hash string) bool
 	get  func(m *StageMemo, hash string) (any, bool)
 	put  func(m *StageMemo, hash string, v any)
-	// hits and misses, when set, name the counters of the stage's local-tier
-	// hits and of its computes.
-	hits, misses string
-	// stored, when set, reads a stored record's stage hash for the repair
-	// walk; nil means the object key is the stage hash.
-	stored func(rec []byte) (hash string, ok bool)
 }
 
 // memoStages is the table, in the order the repair walk visits the kinds.
 var memoStages = [...]memoStage{{
 	stage: negativa.StageDetect, kind: kindProfile,
-	objectKey: profileObjectKey,
-	encode: func(hash string, v any) ([]byte, error) {
-		fp, wid, _ := negativa.SplitDetectHash(hash)
-		return negativa.EncodeProfile(fp, wid, v.(*negativa.Profile))
-	},
-	decode: func(hash string, _ any, rec []byte) (any, error) {
-		fp, wid, _ := negativa.SplitDetectHash(hash)
-		return negativa.DecodeProfile(rec, fp, wid)
-	},
-	held: func(m *StageMemo, hash string) bool { _, ok := m.profiles.get(hash); return ok },
-	get:  func(m *StageMemo, hash string) (any, bool) { return m.profiles.get(hash) },
-	put:  func(m *StageMemo, hash string, v any) { m.profiles.put(hash, v.(*negativa.Profile)) },
-	hits: "registry.hits", misses: "registry.misses",
-	stored: func(rec []byte) (string, bool) {
-		fp, wid, ok := negativa.ProfileRecordKey(rec)
-		return negativa.DetectKey(fp, wid).Hash, ok
-	},
+	encode: func(v any) ([]byte, error) { return negativa.EncodeProfile(v.(*negativa.Profile)) },
+	decode: func(_ any, p []byte) (any, error) { return negativa.DecodeProfile(p) },
+	held:   func(m *StageMemo, hash string) bool { _, ok := m.profiles.get(hash); return ok },
+	get:    func(m *StageMemo, hash string) (any, bool) { return m.profiles.get(hash) },
+	put:    func(m *StageMemo, hash string, v any) { m.profiles.put(hash, v.(*negativa.Profile)) },
 }, {
 	stage: negativa.StageCompact, kind: kindRecord,
-	objectKey: hashObjectKey,
-	encode: func(_ string, v any) ([]byte, error) {
-		return negativa.EncodeRecord(v.(*negativa.LibDebloat))
-	},
-	decode: func(_ string, hint any, rec []byte) (any, error) {
+	encode: func(v any) ([]byte, error) { return negativa.EncodeRecord(v.(*negativa.LibDebloat)) },
+	decode: func(hint any, p []byte) (any, error) {
 		lib, _ := hint.(*elfx.Library)
-		return negativa.DecodeRecord(lib, rec)
+		return negativa.DecodeRecord(lib, p)
 	},
 	held: func(m *StageMemo, hash string) bool { return m.cache.Contains(hash) },
 	get:  func(m *StageMemo, hash string) (any, bool) { return m.cache.Get(hash) },
 	put:  func(m *StageMemo, hash string, v any) { m.cache.Put(hash, v.(*negativa.LibDebloat)) },
 }, {
 	stage: negativa.StageVerifyRun, kind: kindVerify,
-	objectKey: hashObjectKey,
-	encode: func(hash string, v any) ([]byte, error) {
-		return json.Marshal(storedVerify{Key: hash, Result: v.(*mlruntime.Result)})
-	},
-	decode: func(hash string, _ any, rec []byte) (any, error) {
-		var sv storedVerify
-		if err := json.Unmarshal(rec, &sv); err != nil {
-			return nil, err
+	encode: func(v any) ([]byte, error) { return json.Marshal(v.(*mlruntime.Result)) },
+	decode: func(_ any, p []byte) (any, error) {
+		var r *mlruntime.Result
+		if err := json.Unmarshal(p, &r); err != nil || r == nil {
+			return nil, errors.New("dserve: verify record holds no run result")
 		}
-		if sv.Key != hash || sv.Result == nil {
-			return nil, errors.New("dserve: verify record filed under another key")
-		}
-		return sv.Result, nil
+		return r, nil
 	},
 	held: func(m *StageMemo, hash string) bool { _, ok := m.verify.get(hash); return ok },
 	get:  func(m *StageMemo, hash string) (any, bool) { return m.verify.get(hash) },
 	put:  func(m *StageMemo, hash string, v any) { m.verify.put(hash, v.(*mlruntime.Result)) },
 }}
 
-// hashObjectKey stores a record under its stage hash, already a hex digest.
-func hashObjectKey(hash string) string { return hash }
+// A stage record is the raw 32-byte stage hash it answers, then its
+// stage's payload. seal writes and open reads every record, on disk and on
+// the wire, so the receiver of a record never takes a value filed under
+// another key of the same stage: open checks the hash before the stage's
+// decode runs. A record in an older format fails the check too.
+
+// seal encodes v as the record of hash, a SHA-256 hex digest.
+func (st *memoStage) seal(hash string, v any) ([]byte, error) {
+	sum, ok := rawHash(hash)
+	if !ok {
+		return nil, fmt.Errorf("dserve: %s hash %q is not a digest", st.stage, hash)
+	}
+	payload, err := st.encode(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(append(make([]byte, 0, len(sum)+len(payload)), sum[:]...), payload...), nil
+}
+
+// open decodes rec, against hint, as the record of hash.
+func (st *memoStage) open(hash string, hint any, rec []byte) (any, error) {
+	sum, ok := rawHash(hash)
+	if !ok || len(rec) < len(sum) || !bytes.Equal(rec[:len(sum)], sum[:]) {
+		return nil, fmt.Errorf("dserve: %s record is not sealed with its key", st.stage)
+	}
+	return st.decode(hint, rec[len(sum):])
+}
+
+// rawHash is a stage hash's 32 bytes; ok is false for a hash that is not
+// a SHA-256 hex digest.
+func rawHash(hash string) (sum [sha256.Size]byte, ok bool) {
+	if len(hash) != hex.EncodedLen(sha256.Size) {
+		return sum, false
+	}
+	_, err := hex.Decode(sum[:], []byte(hash))
+	return sum, err == nil
+}
 
 // memoStageOf returns the stage's table entry, nil for a stage that is not
 // memoized.
@@ -164,10 +168,13 @@ func memoStageOf(stage string) *memoStage {
 // through up to three tiers — local memory, local disk, the key's replica
 // set — by the rules of its memoStages entry:
 //
-//	stage      castore kind  object key                   memory tier
-//	detect     profile       sha256(fp ‖ NUL ‖ identity)  fifoMap of profiles, 1024, oldest first
-//	compact    record        the stage hash               ResultCache, byte-bounded LRU
-//	verifyrun  verify        the stage hash               fifoMap of run results, 1024, oldest first
+//	stage      castore kind  object key      memory tier
+//	detect     profile       the stage hash  fifoMap of profiles, 1024, oldest first
+//	compact    record        the stage hash  ResultCache, byte-bounded LRU
+//	verifyrun  verify        the stage hash  fifoMap of run results, 1024, oldest first
+//
+// Every stage hash is a SHA-256 hex digest, and every record is sealed
+// with its own (seal, open).
 //
 // castore's byte budget (castore.Options.MaxBytes, least recently used
 // first) is the one disk bound, the same for every kind.
@@ -224,8 +231,7 @@ type StageMemo struct {
 }
 
 // NewStageMemo wires the service's reuse layers into one stage memo.
-// counters, when non-nil, keeps the pre-stage-graph registry.hits /
-// registry.misses series alive alongside the scheduler's per-stage ones.
+// counters, when non-nil, takes the peer tier's peer.* series.
 func NewStageMemo(cache *ResultCache, counters *metrics.CounterSet) *StageMemo {
 	return &StageMemo{
 		profiles: newFifoMap[string, *negativa.Profile](tierEntries),
@@ -266,9 +272,6 @@ func (m *StageMemo) GetOrCompute(slot plan.Executor, key plan.Key, hint any, com
 			return nil, 0, false // quiet: the first probe counted the miss
 		}
 		v, ok := st.get(m, key.Hash)
-		if ok {
-			m.count(st.hits)
-		}
 		return v, plan.SourceMemory, ok
 	}, func() (any, plan.Source, error) {
 		return m.lead(st, key, hint, compute)
@@ -310,7 +313,6 @@ func (m *StageMemo) resolve(slot plan.Executor, key plan.Key, probe func(again b
 // compute leaves nothing, so the next batch computes again.
 func (m *StageMemo) lead(st *memoStage, key plan.Key, hint any, compute func() (any, error)) (any, plan.Source, error) {
 	if v, ok := m.loadStored(st, key.Hash, hint); ok {
-		m.count(st.hits)
 		return v, plan.SourceDisk, nil
 	}
 	v, err := compute()
@@ -318,7 +320,6 @@ func (m *StageMemo) lead(st *memoStage, key plan.Key, hint any, compute func() (
 		return nil, plan.SourceComputed, err
 	}
 	st.put(m, key.Hash, v)
-	m.count(st.misses)
 	if m.writeStage != nil {
 		var owners []string
 		if m.cluster != nil {
@@ -329,24 +330,23 @@ func (m *StageMemo) lead(st *memoStage, key plan.Key, hint any, compute func() (
 	return v, plan.SourceComputed, nil
 }
 
-// loadStored is the one disk loader. Has comes before Get (storedKey), so
-// a key the store lacks costs no store miss. The record decodes under the
-// hash asked for; one that does not — corrupt, filed under another key,
-// written in an older format, or bound to another library — is deleted
-// (unless a job pins it), so the recompute it forces can store it again. A
-// hit is planted in the memory tier.
+// loadStored is the one disk loader. Has comes before Get (stored), so a
+// key the store lacks costs no store miss. The record opens under the hash
+// asked for; one that does not — corrupt, sealed with another key, written
+// in an older format, or bound to another library — is deleted (unless a
+// job pins it), so the recompute it forces can store it again. A hit is
+// planted in the memory tier.
 func (m *StageMemo) loadStored(st *memoStage, hash string, hint any) (any, bool) {
-	okey, ok := m.storedKey(st, hash)
+	if !m.stored(st, hash) {
+		return nil, false
+	}
+	raw, ok := m.store.Get(st.kind, hash)
 	if !ok {
 		return nil, false
 	}
-	raw, ok := m.store.Get(st.kind, okey)
-	if !ok {
-		return nil, false
-	}
-	v, err := st.decode(hash, hint, raw)
+	v, err := st.open(hash, hint, raw)
 	if err != nil {
-		m.store.Delete(st.kind, okey)
+		m.store.Delete(st.kind, hash)
 		return nil, false
 	}
 	st.put(m, hash, v)
@@ -354,29 +354,24 @@ func (m *StageMemo) loadStored(st *memoStage, hash string, hint any) (any, bool)
 }
 
 // record is a lookup-batch answer: the record the disk tier keeps for the
-// key — a memory-tier value encoded to the same bytes, else the stored
-// bytes as they are (the requester's decode is the check).
+// key — a memory-tier value sealed to the same bytes, else the stored
+// bytes as they are (the requester's open is the check).
 func (m *StageMemo) record(st *memoStage, hash string) ([]byte, bool) {
 	if v, ok := st.get(m, hash); ok {
-		rec, err := st.encode(hash, v)
+		rec, err := st.seal(hash, v)
 		return rec, err == nil
 	}
-	okey, ok := m.storedKey(st, hash)
-	if !ok {
+	if !m.stored(st, hash) {
 		return nil, false
 	}
-	return m.store.Get(st.kind, okey)
+	return m.store.Get(st.kind, hash)
 }
 
-// storedKey returns the key's castore object key when the store holds it —
-// the presence probe every disk read asks first, so a key the store lacks
-// costs no store miss.
-func (m *StageMemo) storedKey(st *memoStage, hash string) (string, bool) {
-	if m.store == nil {
-		return "", false
-	}
-	okey := st.objectKey(hash)
-	return okey, m.store.Has(st.kind, okey)
+// stored reports whether the store holds the key's record — the presence
+// probe every disk read asks first, so a key the store lacks costs no
+// store miss.
+func (m *StageMemo) stored(st *memoStage, hash string) bool {
+	return m.store != nil && m.store.Has(st.kind, hash)
 }
 
 // probeVerify is the verify-probe node's one look at a verifyrun key before

@@ -45,16 +45,16 @@ import (
 //
 // lookup-batch moves one form per stage: a found key answers `record`, the
 // bytes the node's disk tier keeps for it (a value held only in memory
-// encodes to the same bytes). The requester decodes it with the disk tier's
-// own decode, under the key it asked for, and writes the received bytes
+// seals to the same bytes). The requester opens it with the disk tier's
+// own open, under the key it asked for, and writes the received bytes
 // behind verbatim. The memoStages table (memo.go) holds each stage's rules;
 // its three kinds are the only ones the objects route stores.
 //
-// A profile record names the (fingerprint, identity) it belongs to, a
-// compact record is bound to its library's digest, a verify record carries
-// its stage hash: a record that does not decode under the key asked for —
-// corrupt, or filed under another key — is a fallback to local compute,
-// never someone else's value.
+// One rule binds a record to its key: every record starts with the raw
+// 32 bytes of the stage hash it was sealed with (memoStage.seal), and
+// open takes it only under that hash. A record that does not open under
+// the key asked for — corrupt, older, or sealed with another key — is a
+// fallback to local compute, never someone else's value.
 //
 // A ring runs one protocol: a peer that answers any of these routes with a
 // non-2xx status is a failed peer for that call, and a failed peer means
@@ -94,8 +94,8 @@ type peerBatchLookupResponse struct {
 const maxBatchLookupKeys = 256
 
 // peerLookupBatchLimit bounds a lookup-batch request body: a full batch of
-// keys at a generous 1 KiB of JSON each (a compact key is ~100 bytes, a
-// detect key carries a workload identity of a few hundred).
+// keys at a generous 1 KiB of JSON each (a key, its 64-digit hash and
+// stage name, is about 100 bytes).
 const peerLookupBatchLimit = maxBatchLookupKeys << 10
 
 // installPath is node from's push route of the install with fingerprint

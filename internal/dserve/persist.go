@@ -1,19 +1,18 @@
 package dserve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"time"
 
 	"negativaml/internal/castore"
-	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
 )
 
-// Castore kinds used by the serving plane. Every stage artifact is keyed by
-// its stage hash except job manifests, which are keyed by job ID (a
-// manifest is a root that references stage-keyed records).
+// Castore kinds used by the serving plane. Every stage record is keyed by
+// its stage hash and sealed with it (memoStage.seal); job manifests are
+// keyed by job ID (a manifest is a root that references stage-keyed
+// records). A record an older build wrote is not sealed: it fails to open,
+// is deleted when read, and recomputes.
 //
 // No kind holds library images: a record decodes against the live library
 // its batch resolved, and a restored job reruns its request to get one
@@ -22,18 +21,18 @@ import (
 // Nothing reads, writes or pins those kinds, and a peer push of one is
 // refused; they stay until castore's byte budget evicts them.
 const (
-	// kindRecord holds one locate+compact result per object in the binary
-	// record format (negativa.EncodeRecord: report, symbol lists and the v2
-	// range set, bound to the library digest), keyed by the compact-stage
-	// hash (negativa.CompactKey).
+	// kindRecord holds one locate+compact result per object, its payload in
+	// the binary record format (negativa.EncodeRecord: report, symbol lists
+	// and the v2 range set, bound to the library digest), keyed by the
+	// compact-stage hash (negativa.CompactKey).
 	kindRecord = "record"
-	// kindProfile holds detection profiles as binary records
-	// (negativa.EncodeProfile), keyed by profileObjectKey of the detect
-	// hash. An older store's JSON profiles fail to decode, are deleted when
-	// read, and recompute.
+	// kindProfile holds detection profiles, their payload in the binary
+	// profile format (negativa.EncodeProfile), keyed by the detect-stage
+	// hash (negativa.DetectKey).
 	kindProfile = "profile"
-	// kindVerify holds verification-run records (storedVerify JSON),
-	// keyed by the verifyrun-stage hash (negativa.VerifyRunKey).
+	// kindVerify holds verification runs, their payload the run's
+	// mlruntime.Result as JSON, keyed by the verifyrun-stage hash
+	// (negativa.VerifyRunKey).
 	kindVerify = "verify"
 	// kindJob holds job manifests (JSON), keyed by job ID.
 	kindJob = "job"
@@ -51,29 +50,11 @@ type storeRef struct {
 // wrote. Re-spilling an already-present key is cheap (castore Puts of
 // existing objects are no-ops).
 func spillResult(st *castore.Store, key string, ld *negativa.LibDebloat) error {
-	rec, err := negativa.EncodeRecord(ld)
+	rec, err := memoStageOf(negativa.StageCompact).seal(key, ld)
 	if err != nil {
 		return fmt.Errorf("dserve: result %s: %w", key, err)
 	}
 	return st.Put(kindRecord, key, rec)
-}
-
-// profileObjectKey derives the castore key of a profile record from its
-// detect stage hash (install fingerprint ‖ NUL ‖ workload identity). Both
-// are free-form strings (workload identities embed model names and device
-// lists), so the hash is digested into the path-safe content-address space.
-func profileObjectKey(hash string) string {
-	sum := sha256.Sum256([]byte(hash))
-	return hex.EncodeToString(sum[:])
-}
-
-// storedVerify is the one form of a verify record, on disk and on the wire:
-// the run's result beside the stage hash it answers, so an object filed or
-// served under the wrong key reads as corruption rather than as someone
-// else's outcome.
-type storedVerify struct {
-	Key    string            `json:"key"`
-	Result *mlruntime.Result `json:"result"`
 }
 
 // jobManifest is the durable root of one completed job: request, outcome

@@ -2,6 +2,8 @@ package dserve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -328,7 +330,7 @@ func TestTamperedStoreRestoresSameImages(t *testing.T) {
 					t.Fatalf("library %s differs from the untampered run", lr.Name)
 				}
 			}
-			if n := svc2.Counters.Get("registry.misses"); n != tc.detects {
+			if n := svc2.Counters.Get("stage.detect.misses"); n != tc.detects {
 				t.Fatalf("the restart profiled %d members, want %d", n, tc.detects)
 			}
 		})
@@ -404,8 +406,8 @@ func TestRegistryReplay(t *testing.T) {
 	st2 := openStore(t, dir)
 	svc2 := NewService(Config{Store: st2})
 	defer svc2.Close()
-	if st := st2.Stats(); st.Hits != 0 || svc2.stages.profiles.size() != 0 {
-		t.Fatalf("boot read profiles: %d store hits, %d resident", st.Hits, svc2.stages.profiles.size())
+	if st := st2.Stats(); st.Hits != 0 || len(svc2.stages.profiles.m) != 0 {
+		t.Fatalf("boot read profiles: %d store hits, %d resident", st.Hits, len(svc2.stages.profiles.m))
 	}
 	// Eight lookups at once: the flight's leader reads the record, the
 	// others wait and hit memory.
@@ -482,7 +484,7 @@ func TestStoreBudgetEvictsProfiles(t *testing.T) {
 	}
 	var profiles []string
 	for _, w := range first.Workloads {
-		profiles = append(profiles, profileObjectKey(negativa.DetectKey(first.InstallFP, w.Identity).Hash))
+		profiles = append(profiles, negativa.DetectKey(first.InstallFP, w.Identity).Hash)
 	}
 	svc.WaitReplication()
 	if held(kindProfile, profiles) != len(profiles) || held(kindRecord, first.libKeys) != len(first.libKeys) {
@@ -508,7 +510,7 @@ func TestStoreBudgetEvictsProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := svc2.Counters.Get("registry.misses"); n != int64(len(ws)) {
+	if n := svc2.Counters.Get("stage.detect.misses"); n != int64(len(ws)) {
 		t.Fatalf("the resubmit profiled %d members, want %d: their profile objects are gone", n, len(ws))
 	}
 	for _, w := range again.Workloads {
@@ -612,8 +614,8 @@ func TestServerWarmRestartE2E(t *testing.T) {
 	if metrics.Counters["analysis.computed"] != 0 {
 		t.Fatalf("second boot ran locate/compact %d times", metrics.Counters["analysis.computed"])
 	}
-	if metrics.Counters["registry.misses"] != 0 {
-		t.Fatalf("second boot ran detection %d times", metrics.Counters["registry.misses"])
+	if metrics.Counters["stage.detect.misses"] != 0 {
+		t.Fatalf("second boot ran detection %d times", metrics.Counters["stage.detect.misses"])
 	}
 	if metrics.Store == nil || metrics.Store.Hits == 0 {
 		t.Fatalf("store.hits = %+v, want > 0 (warm restore must read the store)", metrics.Store)
@@ -801,7 +803,7 @@ func TestMismatchedRecordIsRecomputedAndRewritten(t *testing.T) {
 	if !ok {
 		t.Fatal("the recomputed result was not spilled back")
 	}
-	if _, err := negativa.DecodeRecord(res.Libs[0].Sparse.Lib(), raw); err != nil {
+	if _, err := memoStageOf(negativa.StageCompact).open(victim, res.Libs[0].Sparse.Lib(), raw); err != nil {
 		t.Fatalf("the store still holds the mismatched record: %v", err)
 	}
 }
@@ -1040,6 +1042,113 @@ func TestLibImageStoreRestores(t *testing.T) {
 	for _, d := range images {
 		if st.Delete("lib", d); st.Has("lib", d) {
 			t.Fatalf("library image %.12s… is pinned", d)
+		}
+	}
+}
+
+// TestUnsealedStoreRestores: a store written before records were sealed
+// with their stage hash — compact records bare, profile records (version
+// 1) naming their install fingerprint and workload identity, verify
+// records as {"key", "result"} JSON — reopens with its done job restored.
+// The job serves byte-identical images, and no record of the old form is
+// served: the restore recomputes every compact and detect stage, and a
+// resubmit reruns every verification; the profile and verify objects are
+// sealed afterwards.
+func TestUnsealedStoreRestores(t *testing.T) {
+	dir := t.TempDir()
+	req := JobRequest{
+		Framework: "pytorch", TailLibs: 4, MaxSteps: 2,
+		Workloads: []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}, {Model: "Transformer", Batch: 8}},
+	}
+	id, res := runPersistedJob(t, dir, Config{Workers: 2, MaxSteps: 2}, req)
+	want := res.DebloatedLibs()
+
+	// The older form, written by hand from this build's records.
+	st := openStore(t, dir)
+	detects := map[string]string{}
+	for _, w := range res.Workloads {
+		detects[negativa.DetectKey(res.InstallFP, w.Identity).Hash] = w.Identity
+	}
+	unseal := map[string]func(hash string, payload []byte) []byte{
+		kindRecord: func(_ string, payload []byte) []byte { return payload },
+		kindProfile: func(hash string, payload []byte) []byte {
+			old := binary.LittleEndian.AppendUint16(bytes.Clone(payload[:4]), 1)
+			old = append(old, payload[6:8]...)
+			for _, s := range []string{res.InstallFP, detects[hash]} {
+				old = append(binary.AppendUvarint(old, uint64(len(s))), s...)
+			}
+			return append(old, payload[8:]...)
+		},
+		kindVerify: func(hash string, payload []byte) []byte {
+			old, err := json.Marshal(map[string]any{"key": hash, "result": json.RawMessage(payload)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return old
+		},
+	}
+	written := map[string]int{}
+	for kind, rewrite := range unseal {
+		var keys []string
+		st.Walk(kind, func(key string, _ int64) error { keys = append(keys, key); return nil })
+		for _, key := range keys {
+			raw, ok := st.Get(kind, key)
+			if !ok {
+				t.Fatalf("%s/%s unreadable", kind, key)
+			}
+			st.Delete(kind, key)
+			if err := st.Put(kind, key, rewrite(key, raw[sha256.Size:])); err != nil {
+				t.Fatal(err)
+			}
+			written[kind]++
+		}
+	}
+	if written[kindRecord] != len(want) || written[kindProfile] != len(detects) || written[kindVerify] != len(detects) {
+		t.Fatalf("rewrote %v; want %d records and %d profiles and verify records", written, len(want), len(detects))
+	}
+	st.Close()
+
+	st = openStore(t, dir)
+	svc := NewService(Config{Workers: 2, MaxSteps: 2, Store: st})
+	defer svc.Close()
+	if n := svc.Counters.Get("jobs.restored"); n != 1 {
+		t.Fatalf("jobs.restored = %d, want 1", n)
+	}
+	for name, img := range want {
+		if !bytes.Equal(fetchDirect(t, svc, id, name), img) {
+			t.Fatalf("library %s differs from the run that filled the store", name)
+		}
+	}
+	for name, n := range map[string]int64{
+		"analysis.computed":       int64(len(want)),
+		"stage.detect.misses":     int64(len(detects)),
+		"stage.compact.disk_hits": 0,
+		"stage.detect.disk_hits":  0,
+		"jobs.restore_failed":     0,
+	} {
+		if got := svc.Counters.Get(name); got != n {
+			t.Errorf("%s = %d, want %d", name, got, n)
+		}
+	}
+
+	job, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, _ := waitJob(svc, job.ID, waitTimeout); j.State != JobDone || !j.Result.AllVerified() {
+		t.Fatalf("resubmit over the old verify records: %s", j.Err)
+	}
+	if n := svc.Counters.Get("stage.verifyrun.disk_hits"); n != 0 {
+		t.Fatalf("stage.verifyrun.disk_hits = %d: an unsealed verify record was served", n)
+	}
+	if n := svc.Counters.Get("stage.verifyrun.misses"); n != int64(len(detects)) {
+		t.Fatalf("stage.verifyrun.misses = %d, want %d", n, len(detects))
+	}
+	svc.WaitReplication()
+	for hash := range detects {
+		raw, _ := st.Get(kindProfile, hash)
+		if _, err := memoStageOf(negativa.StageDetect).open(hash, nil, raw); err != nil {
+			t.Fatalf("profile %.12s… was not resealed: %v", hash, err)
 		}
 	}
 }

@@ -77,7 +77,7 @@ func TestRegistryPutGetUnion(t *testing.T) {
 	st := memoStageOf(negativa.StageDetect)
 	st.put(m, negativa.DetectKey("fp", "a").Hash, a)
 	st.put(m, negativa.DetectKey("fp", "b").Hash, b)
-	if n := m.profiles.size(); n != 2 {
+	if n := len(m.profiles.m); n != 2 {
 		t.Fatalf("len = %d, want 2", n)
 	}
 	ga, ok := st.get(m, negativa.DetectKey("fp", "a").Hash)

@@ -43,7 +43,7 @@ type pendingPush struct {
 
 // writeBehind is the stage memo's one write hook, and the one way a stage
 // artifact leaves memory: never inside the stage node. The value's record
-// — rec as received, else encoded here — joins each named peer's queue and
+// — rec as received, else sealed here — joins each named peer's queue and
 // is Put to the local store, at most spillConcurrency writers at a time. A
 // compact result's record is counted in pendingRecords until its writer
 // finishes, so persistJob waits for it instead of writing it a second
@@ -56,11 +56,10 @@ func (s *Service) writeBehind(st *memoStage, hash string, v any, rec []byte, pee
 	}
 	if rec == nil {
 		var err error
-		if rec, err = st.encode(hash, v); err != nil {
+		if rec, err = st.seal(hash, v); err != nil {
 			return
 		}
 	}
-	key := st.objectKey(hash)
 	record := st.kind == kindRecord && s.store != nil
 	s.writeMu.Lock()
 	for _, peer := range peers {
@@ -69,11 +68,11 @@ func (s *Service) writeBehind(st *memoStage, hash string, v any, rec []byte, pee
 			q = &pendingPush{}
 			s.writeBack[peer] = q
 		}
-		q.body = castore.AppendEntry(q.body, st.kind, key, rec)
+		q.body = castore.AppendEntry(q.body, st.kind, hash, rec)
 		q.n++
 	}
 	if record {
-		s.pendingRecords[key]++
+		s.pendingRecords[hash]++
 	}
 	s.writeMu.Unlock()
 	if s.store == nil {
@@ -83,15 +82,15 @@ func (s *Service) writeBehind(st *memoStage, hash string, v any, rec []byte, pee
 	go func() {
 		defer s.replWG.Done()
 		s.writeSem <- struct{}{}
-		if err := s.store.Put(st.kind, key, rec); err != nil {
+		if err := s.store.Put(st.kind, hash, rec); err != nil {
 			s.Counters.Add("writebehind.errors", 1)
 		}
 		<-s.writeSem
 		if record {
 			s.writeMu.Lock()
-			s.pendingRecords[key]--
-			if s.pendingRecords[key] == 0 {
-				delete(s.pendingRecords, key)
+			s.pendingRecords[hash]--
+			if s.pendingRecords[hash] == 0 {
+				delete(s.pendingRecords, hash)
 			}
 			s.writesDone.Broadcast()
 			s.writeMu.Unlock()
@@ -159,21 +158,13 @@ func (s *Service) WaitReplication() { s.replWG.Wait() }
 
 // forEachOwnedGroup walks the store's memoized-stage kinds (memoStages)
 // and hands each locally present record, with the ring key whose owners
-// must hold it, to fn. A stage whose object key is not its hash reads the
-// hash from the record's head.
+// must hold it, to fn. An object's key is its stage hash, so the walk
+// reads no object.
 func (s *Service) forEachOwnedGroup(fn func(ringKey string, ref storeRef)) {
-	st := s.store
 	for i := range memoStages {
 		ms := &memoStages[i]
-		st.Walk(ms.kind, func(okey string, _ int64) error {
-			hash, ok := okey, true
-			if ms.stored != nil {
-				raw, _ := st.Get(ms.kind, okey)
-				hash, ok = ms.stored(raw)
-			}
-			if ok {
-				fn(plan.Key{Stage: ms.stage, Hash: hash}.String(), storeRef{Kind: ms.kind, Key: okey})
-			}
+		s.store.Walk(ms.kind, func(hash string, _ int64) error {
+			fn(plan.Key{Stage: ms.stage, Hash: hash}.String(), storeRef{Kind: ms.kind, Key: hash})
 			return nil
 		})
 	}

@@ -210,14 +210,14 @@ func TestReplicaReadSparseWireInterop(t *testing.T) {
 	firstSrv.Close()
 	first.Close()
 
-	// Every compact result is one record; DecodeRecord takes no range set
-	// but the v2 frame.
+	// Every compact result is one record, sealed with its key;
+	// DecodeRecord takes no range set but the v2 frame.
 	for i, key := range keys {
 		raw, ok := st.Get(kindRecord, key)
 		if !ok {
 			t.Fatalf("the first run persisted no record for %s", libs[i].Name)
 		}
-		if _, err := negativa.DecodeRecord(libs[i].Sparse.Lib(), raw); err != nil {
+		if _, err := memoStageOf(negativa.StageCompact).open(key, libs[i].Sparse.Lib(), raw); err != nil {
 			t.Fatalf("record of %s: %v", libs[i].Name, err)
 		}
 	}

@@ -451,7 +451,6 @@ func (s *Service) MetricsPayload() map[string]any {
 	out := map[string]any{
 		"counters": s.Counters.Snapshot(),
 		"cache":    s.Cache.Stats(),
-		"registry": map[string]int{"profiles": s.stages.profiles.size()},
 		"stages":   stageStats(s.Counters),
 		"timings":  s.Timings.Snapshot(),
 		"workers":  s.Workers(),

@@ -69,7 +69,7 @@ func TestDebloatBatchUnionVerifiesAndCaches(t *testing.T) {
 	if !res2.AllVerified() {
 		t.Error("warm batch must still verify every member")
 	}
-	if svc.Counters.Get("registry.hits") != 4 || svc.Counters.Get("cache.hits") < int64(len(in.LibNames)) {
+	if svc.Counters.Get("stage.detect.hits") != 4 || svc.Counters.Get("cache.hits") < int64(len(in.LibNames)) {
 		t.Errorf("service counters: %v", svc.Counters.Snapshot())
 	}
 

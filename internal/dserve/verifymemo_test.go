@@ -267,10 +267,12 @@ func TestVerifyMemoReRunsOnDifferentBytes(t *testing.T) {
 	if !ok {
 		t.Fatalf("no record for %s", lib.Name)
 	}
-	rec, err := negativa.DecodeRecord(lib, raw)
+	cs := memoStageOf(negativa.StageCompact)
+	v, err := cs.open(key, lib, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := v.(*negativa.LibDebloat)
 	stored := rec.Report.Sparse
 	ranges := append(extra, stored.ZeroedRanges()...)
 	tampered := negativa.NewSparseImage(lib, ranges)
@@ -278,7 +280,7 @@ func TestVerifyMemoReRunsOnDifferentBytes(t *testing.T) {
 		t.Fatal("the extra range changed nothing")
 	}
 	rec.Report.Sparse = tampered
-	if raw, err = negativa.EncodeRecord(rec); err != nil {
+	if raw, err = cs.seal(key, rec); err != nil {
 		t.Fatal(err)
 	}
 	st.Delete(kindRecord, key)
@@ -542,19 +544,21 @@ func BenchmarkDebloatedSetDigest(b *testing.B) {
 }
 
 // TestPeerVerifyRecordDecodedUnderItsKey: a verify record a peer answers is
-// decoded under the key that was asked for. A record filed under another
+// opened under the key that was asked for. A record sealed with another
 // hash counts as a fallback: nothing is planted, and the run happens here.
 func TestPeerVerifyRecordDecodedUnderItsKey(t *testing.T) {
-	key := plan.Key{Stage: negativa.StageVerifyRun, Hash: "asked"}
+	setKey := func(set string) plan.Key { return negativa.VerifyRunKey("fp", "w", 2, set) }
+	key := setKey("asked")
 	for _, tc := range []struct {
-		name, filed string
-		fromPeer    bool
+		name     string
+		filed    plan.Key
+		fromPeer bool
 	}{
-		{"under the key asked for", "asked", true},
-		{"under another key", "someone-else", false},
+		{"under the key asked for", key, true},
+		{"under another key", setKey("someone-else"), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rec, err := json.Marshal(storedVerify{Key: tc.filed, Result: &mlruntime.Result{Digest: 7}})
+			rec, err := memoStageOf(key.Stage).seal(tc.filed.Hash, &mlruntime.Result{Digest: 7})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,10 +15,8 @@ import (
 // the serving plane stores on disk, replicates and answers to peers.
 //
 //	magic      u32  ("NPF1")
-//	version    u16  (1)
+//	version    u16  (2)
 //	flags      u16  (reserved, zero)
-//	install    uvarint length, bytes: the install fingerprint
-//	workload   uvarint length, bytes: the workload identity
 //	ints       6 × i64: Digest, ExecTime, PeakCPUBytes, PeakGPUBytes,
 //	           Steps, Launches of the profiled run
 //	name       uvarint length, bytes: Profile.Workload
@@ -35,14 +33,13 @@ import (
 // long prefixes, so a record is about a third of its strings' bytes. The
 // declared text and string counts let the decoder allocate once.
 //
-// The key (install, workload) comes first, so ProfileRecordKey reads it
-// without decoding the rest. Integers are little-endian; every uvarint is
-// in canonical form, every shared prefix is the longest there is, and
-// library names strictly ascend, so an accepted record re-encodes to the
-// same bytes.
+// The record names no key: the serving plane seals it with the detect
+// stage's hash. Integers are little-endian; every uvarint is in canonical
+// form, every shared prefix is the longest there is, and library names
+// strictly ascend, so an accepted record re-encodes to the same bytes.
 const (
 	profileMagic   uint32 = 0x3146504e // "NPF1" little-endian
-	profileVersion uint16 = 1
+	profileVersion uint16 = 2
 	profileInts           = 6
 	// maxProfileText bounds what a record's front-coded strings decode to.
 	// A profile decodes to tens of KB; without a bound, a hostile record of
@@ -50,10 +47,9 @@ const (
 	maxProfileText = 16 << 20
 )
 
-// EncodeProfile serializes one detection profile, stored under the
-// (install fingerprint, workload identity) key, in the profile record
+// EncodeProfile serializes one detection profile in the profile record
 // format.
-func EncodeProfile(install, workload string, p *Profile) ([]byte, error) {
+func EncodeProfile(p *Profile) ([]byte, error) {
 	if p == nil || p.RunResult == nil {
 		return nil, errors.New("negativa: profile record: profile has no run result")
 	}
@@ -61,14 +57,12 @@ func EncodeProfile(install, workload string, p *Profile) ([]byte, error) {
 	var sz sectionSizes
 	sz.add(p.UsedKernels, kernels)
 	sz.add(p.UsedFuncs, funcs)
-	n := 8 + strSize(install) + strSize(workload) + 8*profileInts + strSize(p.Workload) +
+	n := 8 + 8*profileInts + strSize(p.Workload) +
 		uvarintSize(uint64(sz.text)) + uvarintSize(uint64(sz.strings)) + sz.encoded
 	buf := make([]byte, 8, n)
 	le := binary.LittleEndian
 	le.PutUint32(buf, profileMagic)
 	le.PutUint16(buf[4:], profileVersion)
-	buf = appendString(buf, install)
-	buf = appendString(buf, workload)
 	rr := p.RunResult
 	for _, v := range [profileInts]int64{int64(rr.Digest), int64(rr.ExecTime), rr.PeakCPUBytes, rr.PeakGPUBytes, int64(rr.Steps), rr.Launches} {
 		buf = le.AppendUint64(buf, uint64(v))
@@ -155,18 +149,6 @@ func appendSection(buf []byte, m map[string][]string, libs []string) []byte {
 	return buf
 }
 
-// ProfileRecordKey returns the (install fingerprint, workload identity) a
-// profile record is stored under, read from its head; ok is false for
-// bytes that do not start like a profile record.
-func ProfileRecordKey(data []byte) (install, workload string, ok bool) {
-	if profileHeaderCheck(data) != nil {
-		return "", "", false
-	}
-	r := recordReader{b: data[8:]}
-	ib, wb := r.bytes(), r.bytes()
-	return string(ib), string(wb), r.err == nil
-}
-
 func profileHeaderCheck(data []byte) error {
 	le := binary.LittleEndian
 	if len(data) < 8 {
@@ -184,24 +166,17 @@ func profileHeaderCheck(data []byte) error {
 	return nil
 }
 
-// DecodeProfile rebuilds the detection profile a record holds for the
-// given (install fingerprint, workload identity). Corrupt input — bad
-// magic or version, truncation, a length or count past the end, a shared
-// prefix longer than the previous string or shorter than the longest,
-// library names out of order, trailing bytes — and a record stored under
-// another key are errors, never a panic: the decoder is a fuzz target, and
-// stored and peer-sent bytes are untrusted.
-func DecodeProfile(data []byte, install, workload string) (*Profile, error) {
+// DecodeProfile rebuilds the detection profile a record holds. Corrupt
+// input — bad magic or version, truncation, a length or count past the
+// end, a shared prefix longer than the previous string or shorter than the
+// longest, library names out of order, trailing bytes — is an error, never
+// a panic: the decoder is a fuzz target, and stored and peer-sent bytes
+// are untrusted.
+func DecodeProfile(data []byte) (*Profile, error) {
 	if err := profileHeaderCheck(data); err != nil {
 		return nil, err
 	}
 	r := &recordReader{b: data[8:]}
-	if string(r.bytes()) != install || string(r.bytes()) != workload {
-		if r.err != nil {
-			return nil, r.err
-		}
-		return nil, errors.New("negativa: profile record: stored under another key")
-	}
 	var v [profileInts]int64
 	for i := range v {
 		v[i] = int64(r.u64())

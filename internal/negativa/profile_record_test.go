@@ -16,8 +16,7 @@ import (
 )
 
 // TestProfileRecordRoundTrip: a detected profile survives a record round
-// trip field for field, the encoder's buffer is sized exactly, and the key
-// is readable from the head alone.
+// trip field for field, and the encoder's buffer is sized exactly.
 func TestProfileRecordRoundTrip(t *testing.T) {
 	p, err := DetectUsage(mobilenetTrain(t), 5)
 	if err != nil {
@@ -26,30 +25,27 @@ func TestProfileRecordRoundTrip(t *testing.T) {
 	if len(p.UsedKernels) == 0 || len(p.UsedFuncs) == 0 {
 		t.Fatal("fixture profile uses no symbols")
 	}
-	rec, err := EncodeProfile("fp", "wid", p)
+	rec, err := EncodeProfile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rec) != cap(rec) {
 		t.Errorf("encoder sized %d bytes for a %d-byte record", cap(rec), len(rec))
 	}
-	got, err := DecodeProfile(rec, "fp", "wid")
+	got, err := DecodeProfile(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, p) {
 		t.Errorf("profile differs after a round trip:\n got %+v\nwant %+v", got, p)
 	}
-	if fp, wid, ok := ProfileRecordKey(rec); !ok || fp != "fp" || wid != "wid" {
-		t.Errorf("ProfileRecordKey = %q, %q, %v", fp, wid, ok)
-	}
-	if _, err := EncodeProfile("fp", "wid", &Profile{}); err == nil {
+	if _, err := EncodeProfile(&Profile{}); err == nil {
 		t.Error("a profile without a run result encoded")
 	}
 }
 
-// TestDecodeProfileRejects: a record asked for under another key, with a
-// byte appended or cut, or front-coded other than the one way the encoder
+// TestDecodeProfileRejects: a record of another version, with a byte
+// appended or cut, or front-coded other than the one way the encoder
 // writes is an error.
 func TestDecodeProfileRejects(t *testing.T) {
 	p := &Profile{
@@ -58,21 +54,20 @@ func TestDecodeProfileRejects(t *testing.T) {
 		UsedFuncs:   map[string][]string{"liba": {"f"}},
 		RunResult:   &mlruntime.Result{Digest: 42, ExecTime: time.Second, Steps: 3, Launches: 9},
 	}
-	rec, err := EncodeProfile("fp", "wid", p)
+	rec, err := EncodeProfile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeProfile(rec, "fp", "other"); err == nil {
-		t.Error("a record decoded under another workload identity")
+	v1 := bytes.Clone(rec)
+	binary.LittleEndian.PutUint16(v1[4:], 1)
+	if _, err := DecodeProfile(v1); err == nil {
+		t.Error("a version 1 record decoded")
 	}
-	if _, err := DecodeProfile(rec, "other", "wid"); err == nil {
-		t.Error("a record decoded under another install")
-	}
-	if _, err := DecodeProfile(append(bytes.Clone(rec), 0), "fp", "wid"); err == nil {
+	if _, err := DecodeProfile(append(bytes.Clone(rec), 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 	for n := 0; n < len(rec); n++ {
-		if _, err := DecodeProfile(rec[:n], "fp", "wid"); err == nil {
+		if _, err := DecodeProfile(rec[:n]); err == nil {
 			t.Fatalf("a record cut to %d of %d bytes decoded", n, len(rec))
 		}
 	}
@@ -89,12 +84,9 @@ func TestDecodeProfileRejects(t *testing.T) {
 		if bytes.Equal(bad, rec) {
 			t.Fatalf("%s: the mutation changed nothing", m.what)
 		}
-		if _, err := DecodeProfile(bad, "fp", "wid"); err == nil {
+		if _, err := DecodeProfile(bad); err == nil {
 			t.Errorf("%s accepted", m.what)
 		}
-	}
-	if _, _, ok := ProfileRecordKey(rec[:9]); ok {
-		t.Error("ProfileRecordKey accepted a truncated key")
 	}
 }
 
@@ -106,7 +98,7 @@ func FuzzDecodeProfile(f *testing.F) {
 			UsedFuncs: map[string][]string{"liba": {"f"}}, RunResult: &mlruntime.Result{Digest: 1 << 63, ExecTime: -1, Steps: 2}},
 		{RunResult: &mlruntime.Result{}},
 	} {
-		rec, err := EncodeProfile("fp", "wid", p)
+		rec, err := EncodeProfile(p)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -116,15 +108,11 @@ func FuzzDecodeProfile(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint32(nil, profileMagic))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fp, wid, ok := ProfileRecordKey(data)
-		p, err := DecodeProfile(data, fp, wid)
+		p, err := DecodeProfile(data)
 		if err != nil {
 			return
 		}
-		if !ok {
-			t.Fatal("a record decoded whose key ProfileRecordKey could not read")
-		}
-		again, err := EncodeProfile(fp, wid, p)
+		again, err := EncodeProfile(p)
 		if err != nil {
 			t.Fatalf("accepted record does not re-encode: %v", err)
 		}
@@ -158,7 +146,7 @@ func BenchmarkProfileDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rec, err := EncodeProfile("fp", "wid", p)
+		rec, err := EncodeProfile(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,7 +158,7 @@ func BenchmarkProfileDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, rec := range recs {
-			if _, err := DecodeProfile(rec, "fp", "wid"); err != nil {
+			if _, err := DecodeProfile(rec); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"negativaml/internal/elfx"
@@ -46,21 +45,20 @@ const (
 	StageVerifyRun = "verifyrun"
 )
 
-// detectHashSep separates the install fingerprint from the workload
-// identity inside a detect-stage hash. The composite stays unhashed so
-// memo tiers (the serving plane's profile registry) can recover the parts.
-const detectHashSep = "\x00"
-
 // DetectKey is the detect stage's content key. workloadID must come from
 // WorkloadIdentity, which embeds the detection step cap.
 func DetectKey(installFP, workloadID string) plan.Key {
-	return plan.Key{Stage: StageDetect, Hash: installFP + detectHashSep + workloadID}
+	return workloadKey(StageDetect, installFP, workloadID)
 }
 
-// SplitDetectHash recovers (install fingerprint, workload identity) from a
-// detect-stage hash.
-func SplitDetectHash(hash string) (installFP, workloadID string, ok bool) {
-	return strings.Cut(hash, detectHashSep)
+// workloadKey keys a stage that runs one workload on one install: SHA-256
+// over the install fingerprint, a NUL and the workload identity.
+func workloadKey(stage, installFP, workloadID string) plan.Key {
+	h := sha256.New()
+	h.Write([]byte(installFP))
+	h.Write([]byte{0})
+	h.Write([]byte(workloadID))
+	return plan.Key{Stage: stage, Hash: hex.EncodeToString(h.Sum(nil))}
 }
 
 // LocateKey derives the content address of one locate computation (and,
@@ -150,11 +148,7 @@ func CompactNode(g *plan.Graph, profile *plan.Node, name string, lib *elfx.Libra
 // VerifyRefKey is the capped reference run's content key. workloadID must
 // come from WorkloadIdentity at the verification step cap.
 func VerifyRefKey(installFP, workloadID string) plan.Key {
-	h := sha256.New()
-	h.Write([]byte(installFP))
-	h.Write([]byte{0})
-	h.Write([]byte(workloadID))
-	return plan.Key{Stage: StageVerifyRef, Hash: hex.EncodeToString(h.Sum(nil))}
+	return workloadKey(StageVerifyRef, installFP, workloadID)
 }
 
 // DebloatedSetDigest is the content address of a debloated library set as it
