@@ -3,12 +3,12 @@ package castore
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,6 +28,62 @@ func mustPut(t *testing.T, s *Store, kind string, payload []byte) string {
 		t.Fatalf("put %s/%s: %v", kind, key, err)
 	}
 	return key
+}
+
+// entryOf returns the segment file holding (kind, key)'s entry and the
+// offsets of its payload's first byte and of the entry's end.
+func entryOf(t *testing.T, s *Store, kind, key string) (path string, payload, end int64) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	o := s.objects[objKey{kind, key}]
+	if o == nil {
+		t.Fatalf("%s/%s is not stored", kind, key)
+	}
+	end = o.off + entryLen(o.id, o.size)
+	return s.segmentPath(o.seg.id), end - o.size, end
+}
+
+// patch XORs mask into the byte at off of the file at path.
+func patch(t *testing.T, path string, off int64, mask byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := []byte{0}
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= mask
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// debris is what the store's segments hold beyond its indexed entries:
+// bytes an aborted write appended, or dead entries.
+func debris(t *testing.T, s *Store) int64 {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for _, seg := range s.segs {
+		n += seg.size - seg.live
+	}
+	return n
+}
+
+// die drops the store as a killed process would: no flush, no index,
+// its files closed and its lock released by the exit.
+func die(s *Store) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, seg := range s.segs {
+		seg.f.Close()
+	}
+	s.unlockLocked()
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -175,14 +231,14 @@ func TestRetainBlocksEviction(t *testing.T) {
 	}
 }
 
-// TestCrashMidWrite kills the store between the durable temp write and the
-// atomic rename, then reopens: the store must see either the complete entry
-// or none, and a Verify scan must come back clean.
+// TestCrashMidWrite kills the store at the point an entry would become
+// visible, then reopens: the store must see either the complete entry or
+// none, and a Verify scan must come back clean.
 func TestCrashMidWrite(t *testing.T) {
 	dir := t.TempDir()
 	boom := errors.New("injected crash")
 	crash, err := Open(dir, Options{
-		BeforeRename: func(kind, key string) error { return boom },
+		BeforeAppend: func(kind, key string) error { return boom },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,10 +248,8 @@ func TestCrashMidWrite(t *testing.T) {
 	if err := crash.Put("lib", key, payload); !errors.Is(err, boom) {
 		t.Fatalf("put under failpoint = %v, want injected crash", err)
 	}
-	// The temp file is left behind — exactly the post-crash disk state.
-	tmps, err := os.ReadDir(filepath.Join(dir, "tmp"))
-	if err != nil || len(tmps) != 1 {
-		t.Fatalf("want 1 leftover temp file, got %d (%v)", len(tmps), err)
+	if n := debris(t, crash); n != 0 {
+		t.Fatalf("the aborted put appended %d bytes", n)
 	}
 
 	crash.Close() // the "crashed" process is gone; its dir lock with it
@@ -212,10 +266,6 @@ func TestCrashMidWrite(t *testing.T) {
 	}
 	if rep := re.Verify(); rep.Scanned != 0 || rep.Removed != 0 {
 		t.Fatalf("verify after crash: %+v, want clean empty scan", rep)
-	}
-	tmps, _ = os.ReadDir(filepath.Join(dir, "tmp"))
-	if len(tmps) != 0 {
-		t.Fatal("reopen did not clear interrupted temp files")
 	}
 	// The same Put now completes and round-trips.
 	if err := re.Put("lib", key, payload); err != nil {
@@ -235,15 +285,8 @@ func TestCorruptObjectDetected(t *testing.T) {
 	}
 	payload := []byte("soon to be flipped")
 	key := mustPut(t, s, "lib", payload)
-	path := s.objectPath("lib", key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path, _, end := entryOf(t, s, "lib", key)
+	patch(t, path, end-1, 0xff)
 
 	if _, ok := s.Get("lib", key); ok {
 		t.Fatal("corrupt object served")
@@ -257,10 +300,8 @@ func TestCorruptObjectDetected(t *testing.T) {
 
 	// Same flip, detected by Verify instead of Get.
 	key2 := mustPut(t, s, "lib", []byte("second victim"))
-	path2 := s.objectPath("lib", key2)
-	raw2, _ := os.ReadFile(path2)
-	raw2[headerSize] ^= 0x01
-	os.WriteFile(path2, raw2, 0o644)
+	path2, start2, _ := entryOf(t, s, "lib", key2)
+	patch(t, path2, start2, 0x01)
 	if rep := s.Verify(); rep.Scanned != 1 || rep.Removed != 1 {
 		t.Fatalf("verify = %+v, want 1 scanned / 1 removed", rep)
 	}
@@ -268,12 +309,12 @@ func TestCorruptObjectDetected(t *testing.T) {
 		t.Fatal("verify left the corrupt object indexed")
 	}
 
-	// A truncated object is dropped at Open time (structural check) when
-	// Open scans: here the index is corrupt.
+	// A truncated entry is cut off at Open time when Open scans: here the
+	// index is corrupt too.
 	key3 := mustPut(t, s, "lib", []byte("third victim, truncated"))
-	path3 := s.objectPath("lib", key3)
-	os.Truncate(path3, headerSize+4)
+	path3, start3, _ := entryOf(t, s, "lib", key3)
 	s.Close()
+	os.Truncate(path3, start3+4)
 	flipIndexByte(t, dir)
 	re, err := Open(dir, Options{})
 	if err != nil {
@@ -283,11 +324,13 @@ func TestCorruptObjectDetected(t *testing.T) {
 		t.Fatal("truncated object survived reopen")
 	}
 
-	// Under a valid index Open opens no object, so the truncation is found
-	// by the first Get: a miss, counted corrupt, and the object is gone.
-	key4 := mustPut(t, re, "lib", []byte("fourth victim, truncated under an index"))
+	// Under a valid index Open reads no entry, so a flipped payload byte is
+	// found by the first Get: a miss, counted corrupt, and the object is
+	// gone.
+	key4 := mustPut(t, re, "lib", []byte("fourth victim, flipped under an index"))
+	path4, start4, _ := entryOf(t, re, "lib", key4)
 	re.Close()
-	os.Truncate(re.objectPath("lib", key4), headerSize+4)
+	patch(t, path4, start4+4, 0x10)
 	counters := metrics.NewCounterSet()
 	re2, err := Open(dir, Options{Counters: counters})
 	if err != nil {
@@ -298,13 +341,13 @@ func TestCorruptObjectDetected(t *testing.T) {
 		t.Fatal("reopen did not trust a valid index")
 	}
 	if _, ok := re2.Get("lib", key4); ok {
-		t.Fatal("truncated object served under the index")
+		t.Fatal("flipped object served under the index")
 	}
 	if n := counters.Get("store.corrupt"); n != 1 {
 		t.Fatalf("store.corrupt = %d, want 1", n)
 	}
 	if re2.Has("lib", key4) {
-		t.Fatal("truncated object still indexed after its Get")
+		t.Fatal("flipped object still indexed after its Get")
 	}
 }
 
@@ -322,15 +365,14 @@ func flipIndexByte(t *testing.T, dir string) {
 	}
 }
 
-// TestIndexFallsBackWhenStale: Open trusts the index only when the kind
-// directories list exactly the indexed objects. A bit-flipped index, an
-// extra object, a missing object and a leftover shard directory each send
-// it back to the scan, whose view matches what is on disk.
+// TestIndexFallsBackWhenStale: Open trusts the index only when the segment
+// files are exactly the indexed ones at their indexed lengths. A
+// bit-flipped or truncated index, an extra object in the older layout, a
+// segment cut short (its last object missing) and a leftover shard
+// directory each send it back to reading the segments, whose view matches
+// what is on disk.
 func TestIndexFallsBackWhenStale(t *testing.T) {
-	payloads := map[string][]byte{}
-	for _, p := range []string{"alpha", "beta", "gamma"} {
-		payloads[keyOf([]byte(p))] = []byte(p)
-	}
+	names := []string{"alpha", "beta", "gamma"} // put in this order
 	for _, tc := range []struct {
 		name   string
 		tamper func(t *testing.T, dir string, want map[string][]byte)
@@ -341,17 +383,24 @@ func TestIndexFallsBackWhenStale(t *testing.T) {
 		}},
 		{"extra object", func(t *testing.T, dir string, want map[string][]byte) {
 			extra := []byte("written behind the index's back")
+			if err := os.MkdirAll(filepath.Join(dir, "lib"), 0o755); err != nil {
+				t.Fatal(err)
+			}
 			if err := os.WriteFile(filepath.Join(dir, "lib", keyOf(extra)), Frame(nil, extra), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			want[keyOf(extra)] = extra
 		}},
 		{"missing object", func(t *testing.T, dir string, want map[string][]byte) {
-			key := keyOf([]byte("beta"))
-			if err := os.Remove(filepath.Join(dir, "lib", key)); err != nil {
+			seg := filepath.Join(dir, "00000001.seg")
+			info, err := os.Stat(seg)
+			if err != nil {
 				t.Fatal(err)
 			}
-			delete(want, key)
+			if err := os.Truncate(seg, info.Size()-1); err != nil {
+				t.Fatal(err)
+			}
+			delete(want, keyOf([]byte("gamma")))
 		}},
 		{"shard directory", func(t *testing.T, dir string, want map[string][]byte) {
 			moved := []byte("an object of the older layout")
@@ -372,9 +421,8 @@ func TestIndexFallsBackWhenStale(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := map[string][]byte{}
-			for key, p := range payloads {
-				mustPut(t, s, "lib", p)
-				want[key] = p
+			for _, name := range names {
+				want[mustPut(t, s, "lib", []byte(name))] = []byte(name)
 			}
 			s.Close()
 			tc.tamper(t, dir, want)
@@ -400,7 +448,7 @@ func TestIndexFallsBackWhenStale(t *testing.T) {
 	}
 }
 
-// TestIndexLies: an index that passes the listing check but lies about an
+// TestIndexLies: an index that passes the segment check but lies about an
 // object — a wrong size, or an object whose bytes changed under a valid
 // index — costs a miss, never wrong bytes.
 func TestIndexLies(t *testing.T) {
@@ -412,20 +460,13 @@ func TestIndexLies(t *testing.T) {
 	resized := mustPut(t, s, "lib", []byte("indexed at the wrong size"))
 	flipped := mustPut(t, s, "lib", []byte("flipped under a valid index"))
 	kept := mustPut(t, s, "lib", []byte("untouched"))
+	path, _, end := entryOf(t, s, "lib", flipped)
 	s.mu.Lock()
 	s.objects[objKey{"lib", resized}].size += 3
 	s.indexFresh = false
 	s.mu.Unlock()
 	s.Close()
-	path := s.objectPath("lib", flipped)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	patch(t, path, end-1, 0xff)
 
 	re, err := Open(dir, Options{})
 	if err != nil {
@@ -486,7 +527,7 @@ func TestIndexWrittenOnlyWhenChanged(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("the index outlived a change to the store: %v", err)
 	}
-	crashed.unlock() // dies without Close
+	die(crashed)
 	re, err = Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -497,11 +538,12 @@ func TestIndexWrittenOnlyWhenChanged(t *testing.T) {
 	}
 }
 
-// TestOpenMovesShardedObjects: a store written in the older kind/xx/key
-// layout is still indexed. Open moves each object up to kind/key, where it
-// passes the same checks as any other: valid ones serve byte-identical
-// payloads, broken ones are removed and counted, and no shard directory is
-// left for a second Open to move.
+// TestOpenMovesShardedObjects: a store written in the older layouts, one
+// file per object at kind/xx/key or kind/key, is still indexed. Open moves
+// each object into a segment, where it passes the same checks as any
+// other: valid ones serve byte-identical payloads, broken ones are dropped
+// and counted, an object a migration cut short already appended is indexed
+// once, and no old directory is left for a second Open to move.
 func TestOpenMovesShardedObjects(t *testing.T) {
 	dir := t.TempDir()
 	write := func(path string, payload []byte, mangle func([]byte) []byte) {
@@ -532,6 +574,16 @@ func TestOpenMovesShardedObjects(t *testing.T) {
 	write(filepath.Join(dir, "record", keyOf(twice)), twice, keep)
 	badMagic := writeSharded("lib", []byte("bad magic"), func(raw []byte) []byte { raw[0] ^= 0xff; return raw })
 	truncated := writeSharded("record", []byte("cut short by a crash"), func(raw []byte) []byte { return raw[:headerSize+4] })
+	flat := []byte("a verify record in the kind/key layout")
+	write(filepath.Join(dir, "verify", keyOf(flat)), flat, keep)
+	good[objKey{"verify", keyOf(flat)}] = flat
+	goodBytes += int64(len(flat))
+	write(filepath.Join(dir, "tmp", "interrupted"), []byte("never renamed"), keep)
+	// A migration cut short appended one object before the crash; the
+	// next Open migrates again and indexes it once.
+	if err := os.WriteFile(filepath.Join(dir, "00000001.seg"), AppendEntry(nil, "lib", keyOf([]byte("an image")), []byte("an image")), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	counters := metrics.NewCounterSet()
 	s, err := Open(dir, Options{Counters: counters})
@@ -539,15 +591,12 @@ func TestOpenMovesShardedObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, payload := range good {
-		if !fileExists(s.objectPath(id.kind, id.key)) {
-			t.Errorf("%s/%s was not moved to kind/key", id.kind, id.key)
-		}
 		if got, ok := s.Get(id.kind, id.key); !ok || !bytes.Equal(got, payload) {
 			t.Errorf("moved %s/%s: get = %q, %v", id.kind, id.key, got, ok)
 		}
 	}
 	for _, id := range []objKey{badMagic, truncated} {
-		if s.Has(id.kind, id.key) || fileExists(s.objectPath(id.kind, id.key)) || fileExists(filepath.Join(dir, id.kind, id.key[:2], id.key)) {
+		if s.Has(id.kind, id.key) {
 			t.Errorf("broken %s/%s survived the move", id.kind, id.key)
 		}
 	}
@@ -556,12 +605,8 @@ func TestOpenMovesShardedObjects(t *testing.T) {
 	}
 	s.Close()
 	before := storeTree(t, dir)
-	for _, p := range before {
-		// Only kind/key files and root entries: nothing two levels down,
-		// and no directory inside a kind directory.
-		if name := strings.TrimSuffix(p, "/"); strings.Count(name, "/") > 1 || name != p && strings.Contains(name, "/") {
-			t.Fatalf("%s is nested inside a kind directory", p)
-		}
+	if fmt.Sprint(before) != "[.index .lock 00000001.seg]" {
+		t.Fatalf("the store root after the move holds %v, want the index, the lock and one segment", before)
 	}
 
 	re, err := Open(dir, Options{})
@@ -577,8 +622,8 @@ func TestOpenMovesShardedObjects(t *testing.T) {
 	}
 }
 
-// storeTree lists every entry under dir outside tmp, relative to it, with
-// a trailing slash on directories.
+// storeTree lists every entry under dir, relative to it, with a trailing
+// slash on directories.
 func storeTree(t *testing.T, dir string) []string {
 	t.Helper()
 	var entries []string
@@ -589,9 +634,6 @@ func storeTree(t *testing.T, dir string) []string {
 		rel, err := filepath.Rel(dir, path)
 		if err != nil {
 			return err
-		}
-		if rel == "tmp" {
-			return filepath.SkipDir
 		}
 		if rel = filepath.ToSlash(rel); d.IsDir() {
 			rel += "/"
@@ -605,8 +647,8 @@ func storeTree(t *testing.T, dir string) []string {
 	return entries
 }
 
-// TestGetRejectsResizedObject: Get reads an object with a buffer sized from
-// the index, so a file that shrank or grew on disk after it was indexed —
+// TestGetRejectsResizedObject: Get reads an entry sized from the index, so
+// an entry whose header claims another length — shorter, longer, or empty,
 // whatever its bytes — is corrupt: a miss, removed, never served.
 func TestGetRejectsResizedObject(t *testing.T) {
 	dir := t.TempDir()
@@ -617,21 +659,24 @@ func TestGetRejectsResizedObject(t *testing.T) {
 	defer s.Close()
 	for _, tc := range []struct {
 		name   string
-		resize func(raw []byte) []byte
+		resize func(n uint64) uint64
 	}{
-		{"shrunk", func(raw []byte) []byte { return raw[:len(raw)-1] }},
-		{"grown", func(raw []byte) []byte { return append(raw, 0) }},
-		{"header only", func(raw []byte) []byte { return raw[:headerSize] }},
+		{"shrunk", func(n uint64) uint64 { return n - 1 }},
+		{"grown", func(n uint64) uint64 { return n + 1 }},
+		{"header only", func(uint64) uint64 { return 0 }},
 	} {
-		key := mustPut(t, s, "lib", []byte("resized on disk: "+tc.name))
-		path := s.objectPath("lib", key)
-		raw, err := os.ReadFile(path)
+		payload := []byte("resized on disk: " + tc.name)
+		key := mustPut(t, s, "lib", payload)
+		path, start, _ := entryOf(t, s, "lib", key)
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, tc.resize(raw), 0o644); err != nil {
+		length := binary.LittleEndian.AppendUint64(nil, tc.resize(uint64(len(payload))))
+		if _, err := f.WriteAt(length, start-headerSize+8); err != nil {
 			t.Fatal(err)
 		}
+		f.Close()
 		if _, ok := s.Get("lib", key); ok {
 			t.Errorf("%s: a resized object was served", tc.name)
 		}
@@ -692,9 +737,9 @@ func TestDataDirExclusive(t *testing.T) {
 }
 
 // TestStaleReleaseAfterCorruptRemoval: removing a retained-but-corrupt
-// object orphans its refs; the original holder's Release must drain the
-// orphan count, not strip the pin of a fresh object re-stored under the
-// same key by a new owner.
+// object carries its refs to the key's next Put, so the original holder
+// still holds the re-stored copy; each holder's Release drops exactly its
+// own pin, and the copy becomes evictable only when both have released.
 func TestStaleReleaseAfterCorruptRemoval(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{MaxBytes: 16})
@@ -707,11 +752,9 @@ func TestStaleReleaseAfterCorruptRemoval(t *testing.T) {
 		t.Fatal("retain failed")
 	}
 	// Corrupt the object on disk: the next Get force-removes it despite
-	// the pin, orphaning A's reference.
-	path := s.objectPath("lib", key)
-	raw, _ := os.ReadFile(path)
-	raw[len(raw)-1] ^= 0xff
-	os.WriteFile(path, raw, 0o644)
+	// the pin, carrying A's reference.
+	path, _, end := entryOf(t, s, "lib", key)
+	patch(t, path, end-1, 0xff)
 	if _, ok := s.Get("lib", key); ok {
 		t.Fatal("corrupt object served")
 	}
@@ -723,13 +766,13 @@ func TestStaleReleaseAfterCorruptRemoval(t *testing.T) {
 	if !s.Retain("lib", key) {
 		t.Fatal("retain of fresh object failed")
 	}
-	// A's stale release lands: it must consume the orphaned ref.
+	// A's release lands: it drops A's carried pin and no more.
 	s.Release("lib", key)
 	// Budget pressure: B's pin must still hold.
 	mustPut(t, s, "lib", []byte("pressure1"))
 	mustPut(t, s, "lib", []byte("pressure2"))
 	if !s.Has("lib", key) {
-		t.Fatal("fresh object evicted — stale release stripped the new owner's pin")
+		t.Fatal("fresh object evicted — the old holder's release stripped the new owner's pin")
 	}
 	// B's own release makes it evictable for real.
 	s.Release("lib", key)
@@ -808,17 +851,26 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 // TestSyncDirsSnapshotsUnderSweepLock pins the group-commit barrier's
-// lock ordering: the dirty-set snapshot happens only while syncMu is
-// held. If a sweep (the background one, say) could snapshot-and-clear
-// before taking the sweep lock, a concurrent commit-point SyncDirs would
-// see an empty dirty set, win the lock, and return while that sweep's
-// fsyncs had not started — publishing a manifest over undurable objects.
+// lock ordering: a segment counts as flushed only after a sweep holding
+// syncMu flushed it. If a sweep (a reclaim's, say) could mark it flushed
+// first, a concurrent commit-point SyncDirs would find nothing to flush
+// and return while that sweep's fsync had not started — publishing a
+// manifest over undurable objects.
 func TestSyncDirsSnapshotsUnderSweepLock(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustPut(t, s, "lib", []byte("durable before the manifest"))
+	unsynced := func() int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		var n int64
+		for _, seg := range s.segs {
+			n += seg.size - seg.synced
+		}
+		return n
+	}
 
 	s.syncMu.Lock() // stand in for an in-flight sweep owning the barrier
 	done := make(chan struct{})
@@ -828,12 +880,9 @@ func TestSyncDirsSnapshotsUnderSweepLock(t *testing.T) {
 	}()
 	for i := 0; i < 20; i++ {
 		time.Sleep(time.Millisecond)
-		s.mu.Lock()
-		n := len(s.dirtyFiles)
-		s.mu.Unlock()
-		if n == 0 {
+		if unsynced() == 0 {
 			s.syncMu.Unlock()
-			t.Fatal("SyncDirs snapshotted the dirty set before holding the sweep lock")
+			t.Fatal("SyncDirs marked the segment flushed before holding the sweep lock")
 		}
 		select {
 		case <-done:
@@ -844,21 +893,18 @@ func TestSyncDirsSnapshotsUnderSweepLock(t *testing.T) {
 	}
 	s.syncMu.Unlock()
 	<-done
-	s.mu.Lock()
-	left := len(s.dirtyFiles) + len(s.dirtyDirs)
-	s.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("dirty entries left after SyncDirs: %d", left)
+	if n := unsynced(); n != 0 {
+		t.Fatalf("%d bytes left unflushed after SyncDirs", n)
 	}
 }
 
 // BenchmarkStoreOpen reopens a store holding what one persisted pytorch141
-// batch leaves behind: an image and a record per library, the four
-// workloads' profiles and one verification record, each under a SHA-256
-// hex key. Open's cost is per object and per directory, not per byte, so
-// the payloads are small. index reopens under the index Close wrote; scan
-// removes it first, so Open opens every object (the fallback). Only Open
-// is timed.
+// batch left behind while a library image was stored beside each record:
+// an image and a record per library, the four workloads' profiles and one
+// verification record, each under a SHA-256 hex key. Open's cost is per
+// object, not per byte, so the payloads are small. index reopens under the
+// index Close wrote; scan removes it first, so Open reads every entry's
+// name and header (the fallback). Only Open is timed.
 func BenchmarkStoreOpen(b *testing.B) {
 	dir := b.TempDir()
 	s, err := Open(dir, Options{})
@@ -910,28 +956,33 @@ func BenchmarkStoreOpen(b *testing.B) {
 	}
 }
 
-// BenchmarkStorePut puts a 1 MiB object to a new key, which Put hashes
-// for its header: /named is a name-addressed object, the only kind a
-// batch stores. Each op's key is deleted again outside the timer, so every
-// Put stages and publishes.
+// BenchmarkStorePut puts an object to a new key, which Put hashes for its
+// header: /named is a 1 MiB name-addressed object, /small a 519 B one, the
+// mean size of what a batch stores. Each op's key is deleted again outside
+// the timer, so every Put appends.
 func BenchmarkStorePut(b *testing.B) {
 	s, err := Open(b.TempDir(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	payload := bytes.Repeat([]byte("0123456789abcdef"), 1<<16)
-	key := keyOf(payload)
-	b.Run("named", func(b *testing.B) {
-		b.SetBytes(int64(len(payload)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := s.Put("record", key, payload); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		size int
+	}{{"named", 1 << 20}, {"small", 519}} {
+		payload := bytes.Repeat([]byte("0123456789abcdef"), c.size/16+1)[:c.size]
+		key := keyOf(payload)
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := s.Put("record", key, payload); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				s.Delete("record", key)
+				b.StartTimer()
 			}
-			b.StopTimer()
-			s.Delete("record", key)
-			b.StartTimer()
-		}
-	})
+		})
+	}
 }

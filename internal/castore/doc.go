@@ -4,47 +4,52 @@
 //
 // Objects are addressed by (kind, key) where kind namespaces the artifact
 // type and key is a name the caller derives from what produced the object
-// (a stage hash, a job ID), so one key names one payload. Every object is
-// written crash-safely — payload plus an integrity header go to a temp
-// file, which is atomically renamed into place and fsynced at the next
-// SyncDirs — so after a crash the store holds either the complete object
-// or nothing; Verify scans the whole store and removes anything that fails
-// its checksum.
+// (a stage hash, a job ID), so one key names one payload. Every object's
+// header carries the SHA-256 of its payload, which Put and Frame compute,
+// and every read checks the payload against it: Get, OpenMapped, Verify
+// and Import.
 //
-// Every object's header carries the SHA-256 of its payload, which Put and
-// Frame compute, and every read checks the payload against it: Get,
-// OpenMapped, Verify and Import.
+// Layout. Every object, manifests included, is one entry appended to a
+// segment file, <dir>/NNNNNNNN.seg: its name (u16 length, kind/key), the
+// 48-byte header, the payload. A segment takes appends up to 4 MiB; then
+// the next one opens. The root holds the segments, the .lock file and the
+// .index file, nothing else. An entry is also the multi-object body's
+// (AppendEntry, ExportEntry, ImportEntries), so Export and ExportEntry copy
+// a segment range verbatim and an Import of a verified frame is an append.
+// A Put costs a hash and one write to an open file, where a file per
+// object cost a create, a write, a close and a rename: BenchmarkStorePut
+// puts a 519-byte object in 2.7–6.5 µs against 24–31 µs that way (ext4,
+// 2 vCPUs). A store in that older layout, kind/key or kind/xx/key, is
+// moved into segments at its first Open (migrate.go).
 //
-// Objects cross between stores in that frame, many per stream as a
-// multi-object body (AppendEntry, ExportEntry, ImportEntries): each entry
-// imports on its own, so a cut body keeps the entries that arrived whole.
+// Index. Close writes .index: every segment's length, then every object's
+// kind, key, size, segment and offset, oldest first, under its own
+// SHA-256. Open trusts it when the segment files are exactly the indexed
+// ones at their lengths, and then reads no segment; otherwise it reads
+// each segment's names and headers in order, and the newest entry of a key
+// wins. The first change after Open removes the index, so a store that
+// dies before Close is read from its segments at the next Open. An index
+// that lies anyway costs a recompute, never wrong bytes: Get checks the
+// entry's name, its header's length and its payload's sum.
 //
-// On disk an object is one file, <dir>/<kind>/<key>; the root holds only
-// the kind directories, tmp/, the .lock file and the .index file. The
-// layout is flat because Open lists every directory. A reopened pytorch141
-// batch store sharded over up to 256 kind/xx/ directories per kind was
-// 234 directories, and Open cost 19–23 µs and 23 allocations per object
-// (BenchmarkStoreOpen, 2 vCPUs); listing one directory per kind and
-// opening each object for its header (the scan), it costs 9–11 µs and 8
-// allocations. A kind directory of a few hundred entries leaves Get's
-// cost unchanged (BenchmarkDiskHit). The scan moves the objects of a
-// sharded store up to kind/key, so an older store is indexed, not lost.
+// Crash model. Appends are flushed at SyncDirs, which fsyncs every segment
+// appended to since its last flush, and the directory when a segment was
+// created or removed. A caller that publishes a reference (a manifest)
+// calls SyncDirs first, so no manifest is durable before what it names. A
+// power cut can tear the entries after the last flush: Open cuts each
+// segment at its first entry that is not whole, so a torn entry is never
+// served and the next append starts on an entry boundary. A process crash
+// tears nothing. Deletes and evictions are not logged: they are durable
+// once Close writes the index or their segment is reclaimed, and a crash
+// before either can bring a removed object back — whole and checked, since
+// its key names one payload — for the budget or its owner to remove again.
 //
-// Close writes the index: every object's kind, key and size, oldest first,
-// under its own SHA-256. Open trusts it when the kind directories list
-// exactly the indexed objects, and then opens no object:
-// BenchmarkStoreOpen/index reads 1.45–1.76 µs per object against the
-// scan's 7.6–9.4 (2 vCPUs). Anything else — no index, a torn or bit-flipped one, an object
-// added or removed behind its back, a shard directory — falls back to the
-// scan, and the first change after Open removes the file, so a store that
-// dies before Close scans at its next Open. A size the index gets wrong is
-// still caught on read: Get and OpenMapped reject a file whose length or
-// header disagrees with it, and every read checks the payload's checksum.
-// A lying index costs a recompute, never wrong bytes.
-//
-// The store is byte-budgeted: beyond MaxBytes, the least-recently-used
-// unreferenced objects are deleted. Reference counts (Retain/Release) are an
-// in-memory overlay rebuilt by the owner on boot — the serving layer pins
-// the objects its restored jobs still need, and everything else is fair
-// game for eviction.
+// Budget. Beyond MaxBytes of live payload, the least-recently-used
+// unreferenced objects are removed; their entries go dead in place. A
+// sealed segment whose live entries fill half of it or less is reclaimed:
+// its live entries, pinned ones included, are copied to the active segment
+// and flushed, and only then is the segment unlinked. Reference counts
+// (Retain/Release) are an in-memory overlay rebuilt by the owner on boot;
+// Delete removes a pinned object too, and its pins pass to the key's next
+// Put, so a caller can replace an object its jobs still hold.
 package castore

@@ -9,32 +9,34 @@ import (
 )
 
 // The index: what Close knew about the store, so the next Open need not
-// open every object to learn it. It lists every object, oldest first, and
-// ends with its own SHA-256:
+// read the segments to learn it. It lists every segment with its length,
+// then every object, oldest first, with the segment and offset of its
+// entry, and ends with its own SHA-256:
 //
 //	magic   u32  ("NCX1")
 //	version u16
 //	flags   u16  (reserved, zero)
 //	count   uvarint
-//	count × (kind: uvarint length, bytes; key: same; size: uvarint)
+//	count × (segment ID: uvarint; length: uvarint)
+//	count   uvarint
+//	count × (kind: uvarint length, bytes; key: same; size, segment ID,
+//	         offset: uvarint each)
 //	sum     [32] SHA-256 of everything before it
 //
-// Open trusts the index only when listing the kind directories names
-// exactly the indexed objects; anything else (no index, a torn or
-// bit-flipped one, an extra or a missing object, a leftover kind/xx/ shard
-// directory) falls back to the scan. The file exists only while it
-// describes the object set: the first change after Open removes it, so a
-// process that dies before Close leaves no index to mislead the next Open,
-// even where an object was rewritten under the same name. A size the
-// index got wrong anyway is caught where it is used: Get and OpenMapped
-// reject a file whose length or header disagrees with the indexed size,
-// and every read checks the payload's checksum — a lying index costs a
-// recompute, never wrong bytes (Bitcask's hint files, Sheehy & Smith
-// 2010, make the same bargain).
+// Open trusts the index only when the segment files on disk are exactly
+// the indexed ones at their indexed lengths; anything else (no index, a
+// torn or bit-flipped one, one of the older version, a segment cut short,
+// grown or added) falls back to reading the segments. The file exists only
+// while it describes the store: the first change after Open removes it, so
+// a process that dies before Close leaves no index to mislead the next
+// Open. An offset or size the index got wrong anyway is caught where it is
+// used: Get checks the entry's name, its header's length and its payload's
+// checksum — a lying index costs a recompute, never wrong bytes (Bitcask's
+// hint files, Sheehy & Smith 2010, make the same bargain).
 const (
 	indexMagic   uint32 = 0x3158434e // "NCX1" little-endian
-	indexVersion uint16 = 1
-	indexName           = ".index" // a leading dot: never a kind
+	indexVersion uint16 = 2
+	indexName           = ".index" // a leading dot: never a segment
 )
 
 var errBadIndex = errors.New("castore: bad index")
@@ -42,43 +44,11 @@ var errBadIndex = errors.New("castore: bad index")
 func (s *Store) indexPath() string { return filepath.Join(s.dir, indexName) }
 
 // loadIndex rebuilds the in-memory index from the index file and reports
-// whether the kind directories' listing names exactly the objects it
-// holds. On false the caller discards what was loaded and scans.
+// whether it describes the open segments. On false the caller discards
+// what was loaded and scans.
 func (s *Store) loadIndex() bool {
 	raw, err := os.ReadFile(s.indexPath())
-	if err != nil || s.decodeIndex(raw) != nil {
-		return false
-	}
-	kinds, err := os.ReadDir(s.dir)
-	if err != nil {
-		return false
-	}
-	matched := 0
-	for _, k := range kinds {
-		kind := k.Name()
-		if !k.IsDir() || kind == "tmp" || !validName(kind) {
-			continue
-		}
-		d, err := os.Open(filepath.Join(s.dir, kind))
-		if err != nil {
-			return false
-		}
-		keys, err := d.Readdirnames(-1)
-		d.Close()
-		if err != nil {
-			return false
-		}
-		for _, key := range keys {
-			if !validName(key) {
-				continue // strays are not objects
-			}
-			if _, ok := s.objects[objKey{kind, key}]; !ok {
-				return false // an object (or a shard directory) the index missed
-			}
-			matched++
-		}
-	}
-	return matched == len(s.objects)
+	return err == nil && s.decodeIndex(raw) == nil
 }
 
 // decodeIndex fills objects, lru and bytes from the index file's bytes,
@@ -110,10 +80,23 @@ func (s *Store) decodeIndex(raw []byte) error {
 		off += int(n)
 		return str[off-int(n) : off], true
 	}
+	nsegs, ok := next()
+	if !ok || nsegs != uint64(len(s.segs)) {
+		return errBadIndex
+	}
+	seen := make(map[uint64]bool, nsegs)
+	for i := uint64(0); i < nsegs; i++ {
+		id, ok1 := next()
+		size, ok2 := next()
+		if seg := s.segs[int(id)]; !ok1 || !ok2 || id > 1<<31 || seen[id] || seg == nil || uint64(seg.size) != size {
+			return errBadIndex // a segment the index missed, or one changed since
+		}
+		seen[id] = true
+	}
 	count, ok := next()
-	// Each entry takes at least three bytes, so a hostile count cannot
+	// Each entry takes at least five bytes, so a hostile count cannot
 	// provision a huge slab.
-	if !ok || count > uint64(len(b)-off)/3 {
+	if !ok || count > uint64(len(b)-off)/5 {
 		return errBadIndex
 	}
 	slab := make([]object, count)
@@ -121,17 +104,20 @@ func (s *Store) decodeIndex(raw []byte) error {
 		kind, ok1 := name()
 		key, ok2 := name()
 		size, ok3 := next()
-		if !ok1 || !ok2 || !ok3 || size > 1<<62 {
+		id, ok4 := next()
+		at, ok5 := next()
+		o := &slab[i]
+		o.id, o.size, o.off = objKey{kind, key}, int64(size), int64(at)
+		if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 || size > 1<<62 || at > 1<<62 || id > 1<<31 {
 			return errBadIndex
 		}
-		o := &slab[i]
-		o.id, o.size = objKey{kind, key}, int64(size)
+		if o.seg = s.segs[int(id)]; o.seg == nil {
+			return errBadIndex
+		}
 		if _, dup := s.objects[o.id]; dup {
 			return errBadIndex
 		}
-		o.el = s.lru.PushFront(o)
-		s.objects[o.id] = o
-		s.bytes += o.size
+		s.linkLocked(o)
 	}
 	if off != len(b) {
 		return errBadIndex
@@ -139,20 +125,20 @@ func (s *Store) decodeIndex(raw []byte) error {
 	return nil
 }
 
-// writeIndexLocked writes the index of the current object set, oldest
-// first, through a temp file and a rename. It is not fsynced: a torn index
-// fails its checksum, and a failed write leaves none, so either way the
-// next Open scans. Callers hold s.mu.
+// writeIndexLocked writes the index of the current store, oldest object
+// first, through a temporary file and a rename. It is not fsynced: a torn
+// index fails its checksum, and a failed write leaves none, so either way
+// the next Open scans. Callers hold s.mu.
 func (s *Store) writeIndexLocked() {
-	n := 8 + uvarintLen(uint64(len(s.objects))) + sha256.Size
-	for el := s.lru.Back(); el != nil; el = el.Prev() {
-		o := el.Value.(*object)
-		n += uvarintLen(uint64(len(o.id.kind))) + len(o.id.kind) + uvarintLen(uint64(len(o.id.key))) + len(o.id.key) + uvarintLen(uint64(o.size))
-	}
-	buf := make([]byte, 8, n)
+	buf := make([]byte, 8, 64+len(s.objects)*96)
 	le := binary.LittleEndian
 	le.PutUint32(buf, indexMagic)
 	le.PutUint16(buf[4:], indexVersion)
+	buf = binary.AppendUvarint(buf, uint64(len(s.segs)))
+	for id, seg := range s.segs {
+		buf = binary.AppendUvarint(buf, uint64(id))
+		buf = binary.AppendUvarint(buf, uint64(seg.size))
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.objects)))
 	for el := s.lru.Back(); el != nil; el = el.Prev() {
 		o := el.Value.(*object)
@@ -161,40 +147,24 @@ func (s *Store) writeIndexLocked() {
 		buf = binary.AppendUvarint(buf, uint64(len(o.id.key)))
 		buf = append(buf, o.id.key...)
 		buf = binary.AppendUvarint(buf, uint64(o.size))
+		buf = binary.AppendUvarint(buf, uint64(o.seg.id))
+		buf = binary.AppendUvarint(buf, uint64(o.off))
 	}
 	sum := sha256.Sum256(buf)
 	buf = append(buf, sum[:]...)
-	tmp, err := os.CreateTemp(s.tmpDir(), indexName+".*")
-	if err != nil {
-		return
-	}
-	_, err = tmp.Write(buf)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), s.indexPath())
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
+	tmp := s.indexPath() + ".tmp"
+	if os.WriteFile(tmp, buf, 0o644) != nil || os.Rename(tmp, s.indexPath()) != nil {
+		os.Remove(tmp)
 		return
 	}
 	s.indexFresh = true
 }
 
-// changedLocked records that the object set no longer matches the index
-// file, removing the file the first time. Callers hold s.mu.
+// changedLocked records that the store no longer matches the index file,
+// removing the file the first time. Callers hold s.mu.
 func (s *Store) changedLocked() {
 	if s.indexFresh {
 		s.indexFresh = false
 		os.Remove(s.indexPath())
 	}
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for ; v >= 0x80; v >>= 7 {
-		n++
-	}
-	return n
 }

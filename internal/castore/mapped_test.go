@@ -3,7 +3,6 @@ package castore
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 )
@@ -96,15 +95,8 @@ func TestOpenMappedCorruptObjectRemoved(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a payload byte on disk.
-	path := s.objectPath("k", "bad1")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[headerSize] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path, start, _ := entryOf(t, s, "k", "bad1")
+	patch(t, path, start, 0xFF)
 	if _, ok := s.OpenMapped("k", "bad1"); ok {
 		t.Fatal("OpenMapped served a corrupt object")
 	}
@@ -158,33 +150,6 @@ func TestOpenMappedRejectsWrongIndexedSize(t *testing.T) {
 	if st := re.Stats(); re.Has("k", "sized") || st.Corrupt != 1 || st.Bytes != 0 {
 		t.Fatalf("after the rejected open: has %v, stats %+v; want gone, 1 corrupt, 0 bytes", re.Has("k", "sized"), st)
 	}
-}
-
-// TestOpenMappedBackingMatchesBuild pins which path a build serves views
-// from: page-cache mappings where mmapSupported, the heap fallback with the
-// identical contract otherwise (CI's castore_nommap step runs that side on
-// Linux).
-func TestOpenMappedBackingMatchesBuild(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	payload := []byte("fallback path payload")
-	if err := s.Put("k", "fb", payload); err != nil {
-		t.Fatal(err)
-	}
-	m, ok := s.OpenMapped("k", "fb")
-	if !ok {
-		t.Fatal("OpenMapped miss")
-	}
-	if mapped := m.raw != nil; mapped != mmapSupported {
-		t.Fatalf("view mmap-backed = %v on a build with mmapSupported = %v", mapped, mmapSupported)
-	}
-	if !bytes.Equal(m.data, payload) {
-		t.Fatal("payload mismatch")
-	}
-	m.Close()
 }
 
 // TestOpenMappedConcurrent hammers concurrent opens, reads, and closes of

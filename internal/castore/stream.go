@@ -1,13 +1,10 @@
 package castore
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"negativaml/internal/bufpool"
@@ -15,131 +12,118 @@ import (
 
 // maxImportBytes bounds one imported payload. Exported objects carry their
 // length in the header, which arrives from the network before any payload
-// byte — the cap keeps a corrupt or hostile header from provisioning an
-// absurd buffer.
+// byte — the cap keeps a corrupt or hostile header from claiming an absurd
+// object.
 const maxImportBytes = 1 << 30
 
 // Frame appends payload in the store's integrity wire format — the same
 // 48-byte header + payload layout Export streams — to dst, for callers
-// that push bytes they hold in memory rather than a stored file.
+// that push bytes they hold in memory rather than a stored object.
 func Frame(dst, payload []byte) []byte {
-	dst = append(dst, makeHeader(payload)...)
-	return append(dst, payload...)
+	return append(appendHeader(dst, payload), payload...)
 }
 
-// Export streams a stored object to w in its durable wire format — the
-// 48-byte integrity header followed by the payload, exactly the on-disk
-// layout — and returns the bytes written. The receiver verifies the
-// checksum on Import, so Export does not re-read the payload to validate
-// it first; a corrupt object is caught on the importing side and served
+// Export streams a stored object to w in its wire format — the 48-byte
+// integrity header followed by the payload, its segment entry without the
+// name, copied verbatim — and returns the bytes written. The receiver
+// verifies the checksum on Import, so Export does not check the payload
+// first; a corrupt object is caught on the importing side and served
 // locally as a miss on the next Get. Exporting refreshes the object's
 // recency and counts as a hit (it is a read serving real demand).
 func (s *Store) Export(kind, key string, w io.Writer) (int64, error) {
-	id := objKey{kind, key}
+	return s.export(objKey{kind, key}, w, false)
+}
+
+// export copies the object's entry from its segment to w, the name
+// included when withName is set.
+func (s *Store) export(id objKey, w io.Writer, withName bool) (int64, error) {
 	s.mu.Lock()
 	o, ok := s.objects[id]
-	if ok {
-		s.lru.MoveToFront(o.el)
-	}
-	s.mu.Unlock()
 	if !ok {
-		s.mu.Lock()
-		s.misses++
-		s.count("store.misses", 1)
+		s.missLocked()
 		s.mu.Unlock()
-		return 0, fmt.Errorf("castore: unknown object %s/%s", kind, key)
+		return 0, fmt.Errorf("castore: unknown object %s/%s", id.kind, id.key)
 	}
-	f, err := os.Open(s.objectPath(kind, key))
-	if err != nil {
-		return 0, fmt.Errorf("castore: export %s/%s: %w", kind, key, err)
+	s.lru.MoveToFront(o.el)
+	seg, off, n := o.seg, o.off, entryLen(id, o.size)
+	seg.rw.RLock()
+	s.mu.Unlock()
+	if !withName {
+		skip := int64(2 + len(id.kind) + 1 + len(id.key))
+		off, n = off+skip, n-skip
 	}
-	defer f.Close()
-	// Pooled copy chunk: io.Copy would allocate a fresh 32 KiB buffer per
-	// export, and peer object streaming exports in bursts. The wrapper
-	// hides *os.File's WriterTo so CopyBuffer actually uses our buffer —
-	// the WriterTo fast path only helps when the destination is a raw
-	// socket, which an HTTP response writer is not.
 	buf := bufpool.Get(64 << 10)
-	n, err := io.CopyBuffer(w, struct{ io.Reader }{f}, buf)
+	written, err := io.CopyBuffer(w, io.NewSectionReader(seg.f, off, n), buf)
 	bufpool.Put(buf)
+	seg.rw.RUnlock()
+	if err == nil && written != n {
+		err = io.ErrUnexpectedEOF
+	}
 	if err != nil {
-		return n, fmt.Errorf("castore: export %s/%s: %w", kind, key, err)
+		return written, fmt.Errorf("castore: export %s/%s: %w", id.kind, id.key, err)
 	}
 	s.mu.Lock()
 	s.hits++
 	s.count("store.hits", 1)
 	s.mu.Unlock()
-	return n, nil
+	return written, nil
 }
 
 // Import reads one exported object (header + payload) from r, verifies the
-// checksum against the header, and stores it under (kind, key) with Put's
-// full crash-safety. The wire format carrying its own integrity header
-// means a peer transfer is end-to-end verified: a payload corrupted in
-// flight — or served corrupt by the exporter — is rejected here and never
-// enters the store. Returns the payload size.
+// checksum against the header, and appends it under (kind, key) as Put
+// does. The wire format carrying its own integrity header means a peer
+// transfer is end-to-end verified: a payload corrupted in flight — or
+// served corrupt by the exporter — is rejected here and never enters the
+// store. Returns the payload size.
 //
-// The payload streams straight into a temp file (hashing as it goes)
-// rather than buffering in memory, so an import costs one 64 KiB chunk
-// regardless of object size. Any mid-stream failure — short read,
-// checksum mismatch, write error — removes the temp file before
-// returning: an aborted import leaves no partial state anywhere, which
-// the anti-entropy repair plane depends on (a repair push severed by a
-// dying peer must not leave debris that the next repair round, or Open's
-// boot sweep, has to reason about).
+// The payload is read whole before the store is touched, into pooled
+// 64 KiB chunks, each taken once the bytes before it have arrived, so a
+// header's claimed length is never allocated ahead of its bytes; no lock
+// is held while the peer is read. Any failure — short read, checksum
+// mismatch — returns before the append, so an aborted import leaves
+// nothing behind, which the anti-entropy repair plane depends on.
 func (s *Store) Import(kind, key string, r io.Reader) (int64, error) {
-	if !validName(kind) || !validName(key) {
-		return 0, fmt.Errorf("castore: invalid object name %s/%s", kind, key)
-	}
-	var hdrBuf [headerSize]byte
-	if _, err := io.ReadFull(r, hdrBuf[:]); err != nil {
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, fmt.Errorf("castore: import %s/%s: header: %w", kind, key, err)
 	}
-	hdr, err := parseHeader(hdrBuf[:])
+	return s.importFrame(objKey{kind, key}, hdr[:], r)
+}
+
+// importFrame reads the payload that follows a frame's header from r,
+// hashing it as it arrives, checks it and publishes the entry.
+func (s *Store) importFrame(id objKey, rawHdr []byte, r io.Reader) (int64, error) {
+	if !validName(id.kind) || !validName(id.key) {
+		return 0, fmt.Errorf("castore: invalid object name %s/%s", id.kind, id.key)
+	}
+	hdr, err := parseHeader(rawHdr)
 	if err != nil {
-		return 0, fmt.Errorf("castore: import %s/%s: %w", kind, key, err)
+		return 0, fmt.Errorf("castore: import %s/%s: %w", id.kind, id.key, err)
 	}
 	if hdr.length > maxImportBytes {
-		return 0, fmt.Errorf("castore: import %s/%s: object of %d bytes exceeds the import bound", kind, key, hdr.length)
+		return 0, fmt.Errorf("castore: import %s/%s: object of %d bytes exceeds the import bound", id.kind, id.key, hdr.length)
 	}
-	if err := s.ensureDir(filepath.Dir(s.objectPath(kind, key))); err != nil {
-		return 0, fmt.Errorf("castore: %w", err)
-	}
-	tmp, err := os.CreateTemp(s.tmpDir(), key+".*")
-	if err != nil {
-		return 0, fmt.Errorf("castore: %w", err)
-	}
-	fail := func(err error) (int64, error) {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	// The temp file holds the durable layout — header then payload — so a
-	// verified stage publishes with a bare rename. The header was already
-	// parsed; write it back verbatim.
-	if _, err := tmp.Write(hdrBuf[:]); err != nil {
-		return fail(fmt.Errorf("castore: import %s/%s: %w", kind, key, err))
-	}
+	parts := [][]byte{append(appendEntryName(nil, id.kind, id.key), rawHdr...)}
+	defer func() {
+		for _, p := range parts[1:] {
+			bufpool.Put(p)
+		}
+	}()
 	h := sha256.New()
-	buf := bufpool.Get(64 << 10)
-	n, cpErr := io.CopyBuffer(io.MultiWriter(tmp, h), io.LimitReader(r, hdr.length), buf)
-	bufpool.Put(buf)
-	if cpErr != nil {
-		return fail(fmt.Errorf("castore: import %s/%s: payload: %w", kind, key, cpErr))
+	for left := hdr.length; left > 0; left -= int64(len(parts[len(parts)-1])) {
+		parts = append(parts, bufpool.Get(64 << 10)[:min(left, 64<<10)])
+		if _, err := io.ReadFull(r, parts[len(parts)-1]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, fmt.Errorf("castore: import %s/%s: payload: %w", id.kind, id.key, err)
+		}
+		h.Write(parts[len(parts)-1])
 	}
-	if n != hdr.length {
-		return fail(fmt.Errorf("castore: import %s/%s: payload: %w", kind, key, io.ErrUnexpectedEOF))
+	if [sha256.Size]byte(h.Sum(nil)) != hdr.sum {
+		return 0, fmt.Errorf("castore: import %s/%s: checksum mismatch", id.kind, id.key)
 	}
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	if sum != hdr.sum {
-		return fail(fmt.Errorf("castore: import %s/%s: checksum mismatch", kind, key))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("castore: import %s/%s: %w", kind, key, err)
-	}
-	if err := s.publishTemp(kind, key, tmp.Name(), hdr.length); err != nil {
+	if err := s.publish(id, hdr.length, parts...); err != nil {
 		return 0, err
 	}
 	return hdr.length, nil
@@ -147,7 +131,8 @@ func (s *Store) Import(kind, key string, r io.Reader) (int64, error) {
 
 // A multi-object body carries many objects in one stream: entries back to
 // back, each the object's name — its length as two little-endian bytes,
-// then kind/key — and then its frame (Frame, Export).
+// then kind/key — and then its frame (Frame, Export). A segment file is
+// the same layout.
 
 // AppendEntry appends payload to dst as one entry of a multi-object body,
 // named (kind, key).
@@ -162,13 +147,35 @@ func appendEntryName(dst []byte, kind, key string) []byte {
 	return append(dst, key...)
 }
 
-// ExportEntry writes the stored object (kind, key) to w as one entry of a
-// multi-object body: its name, then its Export frame.
-func (s *Store) ExportEntry(kind, key string, w io.Writer) error {
-	if _, err := w.Write(appendEntryName(nil, kind, key)); err != nil {
-		return err
+// readHead reads one entry's name and header from r, reusing buf, and
+// returns the name split at its first '/', the parsed header and the raw
+// header bytes (in buf). io.EOF means r ended cleanly where an entry
+// would start.
+func readHead(r io.Reader, buf []byte) (objKey, header, []byte, error) {
+	var n [2]byte
+	if _, err := io.ReadFull(r, n[:]); err != nil {
+		return objKey{}, header{}, buf, err
 	}
-	_, err := s.Export(kind, key, w)
+	size := int(binary.LittleEndian.Uint16(n[:])) + headerSize
+	if cap(buf) < size {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return objKey{}, header{}, buf, err
+	}
+	kind, key, _ := strings.Cut(string(buf[:size-headerSize]), "/")
+	hdr, err := parseHeader(buf[size-headerSize:])
+	return objKey{kind, key}, hdr, buf, err
+}
+
+// ExportEntry writes the stored object (kind, key) to w as one entry of a
+// multi-object body: its segment entry, name and frame, verbatim.
+func (s *Store) ExportEntry(kind, key string, w io.Writer) error {
+	_, err := s.export(objKey{kind, key}, w, true)
 	return err
 }
 
@@ -180,35 +187,27 @@ func (s *Store) ExportEntry(kind, key string, w io.Writer) error {
 // short or malformed publishes nothing, and the entries before it stay.
 func (s *Store) ImportEntries(r io.Reader, accept func(kind string) bool) ([]bool, error) {
 	var stored []bool
+	var buf []byte
 	for {
-		var n [2]byte
-		if _, err := io.ReadFull(r, n[:]); err == io.EOF {
+		id, hdr, b, err := readHead(r, buf)
+		buf = b
+		if err == io.EOF {
 			return stored, nil
 		} else if err != nil {
-			return stored, fmt.Errorf("castore: entry %d: name: %w", len(stored), err)
+			return stored, fmt.Errorf("castore: entry %d: %w", len(stored), err)
 		}
-		head := make([]byte, int(binary.LittleEndian.Uint16(n[:]))+headerSize)
-		if _, err := io.ReadFull(r, head); err != nil {
-			return stored, fmt.Errorf("castore: entry %d: name and header: %w", len(stored), err)
-		}
-		name, raw := head[:len(head)-headerSize], head[len(head)-headerSize:]
-		kind, key, _ := strings.Cut(string(name), "/")
-		hdr, err := parseHeader(raw)
-		if err != nil {
-			return stored, fmt.Errorf("castore: entry %s/%s: %w", kind, key, err)
-		}
-		// Import reads the header again, then the payload; the payload is
-		// read to its end whatever Import did, so the next entry starts
-		// where it should, and what is missing then was cut off.
+		// The payload is read to its end whatever the import did, so the
+		// next entry starts where it should, and what is missing then was
+		// cut off.
 		payload := &io.LimitedReader{R: r, N: hdr.length}
-		ok := accept(kind)
+		ok := accept(id.kind)
 		if ok {
-			_, err := s.Import(kind, key, io.MultiReader(bytes.NewReader(raw), payload))
+			_, err := s.importFrame(id, buf[len(buf)-headerSize:], payload)
 			ok = err == nil
 		}
 		io.Copy(io.Discard, payload)
 		if payload.N > 0 {
-			return stored, fmt.Errorf("castore: entry %s/%s: payload: %w", kind, key, io.ErrUnexpectedEOF)
+			return stored, fmt.Errorf("castore: entry %s/%s: payload: %w", id.kind, id.key, io.ErrUnexpectedEOF)
 		}
 		stored = append(stored, ok)
 	}

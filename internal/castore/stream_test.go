@@ -2,7 +2,6 @@ package castore
 
 import (
 	"bytes"
-	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -98,25 +97,10 @@ func TestImportRejectsCorruption(t *testing.T) {
 	}
 }
 
-// tmpEntries lists what an aborted import may have left in the staging
-// directory.
-func tmpEntries(t *testing.T, s *Store) []string {
-	t.Helper()
-	ents, err := os.ReadDir(s.tmpDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	return names
-}
-
 // TestImportAbortLeavesNoPartialState is the repair-plane contract: an
 // import severed mid-stream — truncation, corruption, or a reader error —
-// must remove its temp file and publish nothing, and a clean retry of the
-// same object must then succeed.
+// must append nothing and publish nothing, and a clean retry of the same
+// object must then succeed.
 func TestImportAbortLeavesNoPartialState(t *testing.T) {
 	src, _ := Open(t.TempDir(), Options{})
 	defer src.Close()
@@ -140,8 +124,8 @@ func TestImportAbortLeavesNoPartialState(t *testing.T) {
 		if _, err := dst.Import("lib", "obj1", bytes.NewReader(good[:cut])); err == nil {
 			t.Fatalf("import of a stream cut at %d bytes succeeded", cut)
 		}
-		if left := tmpEntries(t, dst); len(left) != 0 {
-			t.Fatalf("truncated import (cut %d) left temp debris: %v", cut, left)
+		if left := debris(t, dst); left != 0 {
+			t.Fatalf("truncated import (cut %d) left %d bytes of debris", cut, left)
 		}
 		if dst.Has("lib", "obj1") {
 			t.Fatalf("truncated import (cut %d) published the object", cut)
@@ -154,13 +138,8 @@ func TestImportAbortLeavesNoPartialState(t *testing.T) {
 	if _, err := dst.Import("lib", "obj1", bytes.NewReader(bad)); err == nil {
 		t.Fatal("import accepted a corrupt stream")
 	}
-	if left := tmpEntries(t, dst); len(left) != 0 {
-		t.Fatalf("corrupt import left temp debris: %v", left)
-	}
-
-	// Nothing partial may have reached the object tree either.
-	if p := dst.objectPath("lib", "obj1"); fileExists(p) {
-		t.Fatal("aborted imports published a file")
+	if left := debris(t, dst); left != 0 {
+		t.Fatalf("corrupt import left %d bytes of debris", left)
 	}
 
 	// After all those aborts, a clean retry succeeds and round-trips.
@@ -171,18 +150,13 @@ func TestImportAbortLeavesNoPartialState(t *testing.T) {
 	if !ok || !bytes.Equal(back, payload) {
 		t.Fatal("retry after aborted imports does not round-trip")
 	}
-	if left := tmpEntries(t, dst); len(left) != 0 {
-		t.Fatalf("successful import left temp debris: %v", left)
+	if left := debris(t, dst); left != 0 {
+		t.Fatalf("successful import left %d bytes of debris", left)
 	}
 }
 
-func fileExists(p string) bool {
-	_, err := os.Stat(p)
-	return err == nil
-}
-
 // TestImportDuplicateDropsTemp: importing an object the store already
-// holds must consume the stream's temp state without disturbing the
+// holds must consume the stream and append nothing, without disturbing the
 // existing object.
 func TestImportDuplicateDropsTemp(t *testing.T) {
 	src, _ := Open(t.TempDir(), Options{})
@@ -203,8 +177,8 @@ func TestImportDuplicateDropsTemp(t *testing.T) {
 	if _, err := dst.Import("lib", "dup", &wire); err != nil {
 		t.Fatal(err)
 	}
-	if left := tmpEntries(t, dst); len(left) != 0 {
-		t.Fatalf("duplicate import left temp debris: %v", left)
+	if left := debris(t, dst); left != 0 {
+		t.Fatalf("duplicate import left %d bytes of debris", left)
 	}
 	if back, ok := dst.Get("lib", "dup"); !ok || !bytes.Equal(back, payload) {
 		t.Fatal("duplicate import disturbed the stored object")
@@ -267,7 +241,7 @@ func TestImportEntries(t *testing.T) {
 
 // TestImportEntriesSeveredAndCorrupt: a body cut inside the second entry's
 // payload publishes the first entry and nothing of the second or third,
-// and leaves no temp file; a body whose middle entry has a flipped payload
+// and appends nothing else; a body whose middle entry has a flipped payload
 // byte refuses that entry — never stored — and stores the others.
 func TestImportEntriesSeveredAndCorrupt(t *testing.T) {
 	src, _ := Open(t.TempDir(), Options{})
@@ -287,8 +261,8 @@ func TestImportEntriesSeveredAndCorrupt(t *testing.T) {
 	if !dst.Has("record", "one") || dst.Has("record", "two") || dst.Has("record", "three") {
 		t.Fatal("a severed body must publish its whole entries and nothing after the cut")
 	}
-	if left := tmpEntries(t, dst); len(left) != 0 {
-		t.Fatalf("severed body left temp debris: %v", left)
+	if left := debris(t, dst); left != 0 {
+		t.Fatalf("severed body left %d bytes of debris", left)
 	}
 
 	flipped := append([]byte(nil), body...)
@@ -302,18 +276,18 @@ func TestImportEntriesSeveredAndCorrupt(t *testing.T) {
 	if !slices.Equal(stored, []bool{true, false, true}) {
 		t.Fatalf("corrupt body: stored %v, want [true false true]", stored)
 	}
-	if dst2.Has("record", "two") || fileExists(dst2.objectPath("record", "two")) {
+	if dst2.Has("record", "two") {
 		t.Fatal("an entry that fails its checksum was stored")
 	}
-	if left := tmpEntries(t, dst2); len(left) != 0 {
-		t.Fatalf("corrupt body left temp debris: %v", left)
+	if left := debris(t, dst2); left != 0 {
+		t.Fatalf("corrupt body left %d bytes of debris", left)
 	}
 }
 
 // FuzzImportEntries feeds ImportEntries arbitrary bodies, the input a peer
-// controls. It must not panic or leave a temp file, and it must store no
-// more objects than it answers stored, each one whole: Get checks every
-// stored payload against its header's sum.
+// controls. It must not panic or append anything it does not index, and
+// it must store no more objects than it answers stored, each one whole:
+// Get checks every stored payload against its header's sum.
 func FuzzImportEntries(f *testing.F) {
 	good := AppendEntry(nil, "record", "one", []byte("first"))
 	good = AppendEntry(good, "job", "two", []byte("refused"))
@@ -337,8 +311,8 @@ func FuzzImportEntries(f *testing.F) {
 				answered++
 			}
 		}
-		if left := tmpEntries(t, s); len(left) != 0 {
-			t.Fatalf("temp debris: %v", left)
+		if left := debris(t, s); left != 0 {
+			t.Fatalf("%d bytes of debris", left)
 		}
 		if n := s.Stats().Objects; n > answered {
 			t.Fatalf("%d objects stored, %d answered stored", n, answered)

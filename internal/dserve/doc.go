@@ -199,7 +199,10 @@
 // resolved. A completing job waits only for the write-behind of the
 // records its manifest references, then pins them and publishes the
 // manifest (request, outcome summary, each library's name and record key)
-// after SyncDirs.
+// after SyncDirs has flushed the store segments holding them. A Put is one
+// entry appended to a segment, so a record a disk loader cannot open is
+// deleted, pinned or not, and the recompute's write replaces it; the pins
+// of the jobs holding it pass to the new record.
 //
 // A done job's durable form is that manifest and its pinned records. A
 // restarted service restores its jobs lazily: status reads the manifest,

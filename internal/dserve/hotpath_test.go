@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,6 +21,7 @@ import (
 	"negativaml/internal/mlframework"
 	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
+	"negativaml/internal/plan"
 )
 
 // testDetectProfile runs one real detection so peer-lookup fixtures can
@@ -196,25 +198,45 @@ func TestHedgedLookupSlowReplica(t *testing.T) {
 // TestHedgingRescuesStalledOwner is the ring-level guard that keeps hedged
 // reads. On a 3-node ring (R=2) whose node a ran the batch cold, node b
 // runs it warm: everything b does not own itself it reads from a and c
-// through lookup-batch. The first lookup-batch to reach either of them
-// stalls for 300 ms. The stall must reach the batch and a hedge must win
-// it: the batch finishes in under 150 ms, served without analysis and
-// byte-identical to the cold run.
+// through lookup-batch. One request stalls for 300 ms: the first that b
+// sent as the primary of a hedged read, told by the keys it carries —
+// keys whose two owners are a and c, this node first in b's read order —
+// not by the order requests arrive in, so neither a hedge nor an
+// unhedged single-owner read is ever the one stalled. The stall must
+// reach the batch and a hedge must win it: the batch finishes in under
+// 150 ms, served without analysis and byte-identical to the cold run.
 func TestHedgingRescuesStalledOwner(t *testing.T) {
 	const stall = 300 * time.Millisecond
 	in, ws := persistTestInstall(t)
 	var armed, stalled atomic.Bool
-	stallFirstLookup := func(h http.Handler) http.Handler {
+	var requester atomic.Pointer[cluster.Cluster] // node b's ring view
+	// primaryOf is the node b reads first among a key's two remote
+	// owners, or "" when b owns the key or only one owner is remote.
+	primaryOf := func(k peerLookupRequest) string {
+		c := requester.Load()
+		remotes := without(c.Owners(plan.Key{Stage: k.Stage, Hash: k.Hash}.String()), "b")
+		if len(remotes) != 2 {
+			return ""
+		}
+		sort.Strings(remotes)
+		c.SortByHealth(remotes)
+		return remotes[0]
+	}
+	stallPrimary := func(id string, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if armed.Load() && strings.HasSuffix(r.URL.Path, "/lookup-batch") && stalled.CompareAndSwap(false, true) {
-				// Drain the body so the server sees a hedge cancel the read.
+			if armed.Load() && strings.HasSuffix(r.URL.Path, "/lookup-batch") {
+				// Read the body first, so the server sees a hedge cancel
+				// the stalled read.
 				body, _ := io.ReadAll(r.Body)
-				select {
-				case <-time.After(stall):
-				case <-r.Context().Done():
-					return
-				}
 				r.Body = io.NopCloser(bytes.NewReader(body))
+				var req peerBatchLookupRequest
+				if json.Unmarshal(body, &req) == nil && len(req.Keys) > 0 && primaryOf(req.Keys[0]) == id && stalled.CompareAndSwap(false, true) {
+					select {
+					case <-time.After(stall):
+					case <-r.Context().Done():
+						return
+					}
+				}
 			}
 			h.ServeHTTP(w, r)
 		})
@@ -229,7 +251,7 @@ func TestHedgingRescuesStalledOwner(t *testing.T) {
 		svc := NewService(Config{Workers: 4, MaxSteps: 2, Store: st})
 		h := NewHandler(svc)
 		if id != "b" {
-			h = stallFirstLookup(h)
+			h = stallPrimary(id, h)
 		}
 		n := &testNode{id: id, svc: svc, srv: httptest.NewServer(h), store: st}
 		defer n.close()
@@ -250,6 +272,7 @@ func TestHedgingRescuesStalledOwner(t *testing.T) {
 		n.svc.WaitReplication()
 	}
 	b := nodes["b"]
+	requester.Store(b.svc.Cluster())
 	armed.Store(true)
 	start := time.Now()
 	warm, err := b.svc.DebloatBatch(in, ws, BatchOptions{})
@@ -259,7 +282,7 @@ func TestHedgingRescuesStalledOwner(t *testing.T) {
 	}
 	t.Logf("warm batch under a %v stall: %v", stall, wall)
 	if !stalled.Load() {
-		t.Fatal("node b's warm batch sent no lookup-batch to a or c")
+		t.Fatal("node b's warm batch sent no hedged lookup-batch to a or c")
 	}
 	if n := b.svc.Counters.Get("peer.hedge_won"); n < 1 {
 		t.Errorf("node b's peer.hedge_won = %d, want >= 1: no hedge rescued the stalled read", n)

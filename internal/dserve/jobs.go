@@ -542,10 +542,10 @@ func (s *Service) persistJob(job *Job, res *BatchResult, finished time.Time) (*j
 	if err != nil {
 		return abandon(held)
 	}
-	// Commit point: group-flush the directories holding every object
-	// rename above, THEN publish the manifest that references them, then
-	// flush the manifest's own rename. A crash between the two flushes
-	// loses the manifest, never a manifest pointing at vanished objects.
+	// Commit point: flush every store segment holding an object appended
+	// above, THEN append the manifest that references them, then flush the
+	// manifest. A crash between the two flushes loses the manifest, never a
+	// manifest pointing at vanished objects.
 	t0 = time.Now()
 	s.store.SyncDirs()
 	s.Timings.Observe("persist.sync", time.Since(t0))

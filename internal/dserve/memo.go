@@ -333,9 +333,9 @@ func (m *StageMemo) lead(st *memoStage, key plan.Key, hint any, compute func() (
 // loadStored is the one disk loader. Has comes before Get (stored), so a
 // key the store lacks costs no store miss. The record opens under the hash
 // asked for; one that does not — corrupt, sealed with another key, written
-// in an older format, or bound to another library — is deleted (unless a
-// job pins it), so the recompute it forces can store it again. A hit is
-// planted in the memory tier.
+// in an older format, or bound to another library — is deleted, pinned or
+// not, so the recompute it forces stores it again and the pins of the jobs
+// holding it pass to the new record. A hit is planted in the memory tier.
 func (m *StageMemo) loadStored(st *memoStage, hash string, hint any) (any, bool) {
 	if !m.stored(st, hash) {
 		return nil, false

@@ -109,8 +109,8 @@ func TestCacheDiskTier(t *testing.T) {
 
 // TestPersistWaitsForResultWritesOnly: a job's compact results reach the
 // store on the write-behind, and persistJob waits for exactly the writes
-// its manifest references. While record renames are held the job cannot
-// read done; while only verify-record renames are held it completes, with
+// its manifest references. While record appends are held the job cannot
+// read done; while only verify-record appends are held it completes, with
 // every referenced object in the store and each record written once; and
 // Close returns only after the held writes have landed.
 func TestPersistWaitsForResultWritesOnly(t *testing.T) {
@@ -118,11 +118,11 @@ func TestPersistWaitsForResultWritesOnly(t *testing.T) {
 	recordHeld, verifyHeld := make(chan struct{}), make(chan struct{})
 	var recordOnce, verifyOnce sync.Once
 	var mu sync.Mutex
-	var renames []storeRef // each Put that reached the rename
+	var appends []storeRef // each Put that reached its append
 	st, err := castore.Open(t.TempDir(), castore.Options{
-		BeforeRename: func(kind, key string) error {
+		BeforeAppend: func(kind, key string) error {
 			mu.Lock()
-			renames = append(renames, storeRef{kind, key})
+			appends = append(appends, storeRef{kind, key})
 			mu.Unlock()
 			switch kind {
 			case kindRecord:
@@ -172,11 +172,11 @@ func TestPersistWaitsForResultWritesOnly(t *testing.T) {
 		}
 	}
 	if n := countKind(st, kindVerify); n != 0 {
-		t.Fatalf("%d verify records landed while their renames were held", n)
+		t.Fatalf("%d verify records landed while their appends were held", n)
 	}
 	mu.Lock()
 	writes := map[storeRef]int{}
-	for _, ref := range renames {
+	for _, ref := range appends {
 		writes[ref]++
 	}
 	mu.Unlock()
@@ -211,11 +211,11 @@ func countKind(st *castore.Store, kind string) int {
 }
 
 // TestShardedStoreRestoresWarm: a store written in the older
-// kind/<key[:2]>/key layout restores warm. The batch's store root holds
-// only kind directories of plain files — profile, record and verify, no
-// library image — the temp directory, the lock and the index;
-// sharding it by hand and reopening must serve the same images with no
-// miss and no analysis, and leave the root flat again.
+// kind/<key[:2]>/key layout restores warm. The batch's store holds
+// profile, record and verify entries — no library image — in segment
+// files beside the lock and the index; rewriting it by hand as shard
+// directories of one file per object and reopening must serve the same
+// images with no miss and no analysis, and leave segments only.
 func TestShardedStoreRestoresWarm(t *testing.T) {
 	dir := t.TempDir()
 	in, ws := persistTestInstall(t)
@@ -227,27 +227,11 @@ func TestShardedStoreRestoresWarm(t *testing.T) {
 	}
 	svc1.Close()
 	st1.Close()
-	kinds := flatStoreKinds(t, dir)
+	kinds := storeKinds(t, dir)
 	if fmt.Sprint(kinds) != "[profile record verify]" {
 		t.Fatalf("the batch stored kinds %v, want its profiles, records and verify records only", kinds)
 	}
-
-	for _, kind := range kinds {
-		keys, err := os.ReadDir(filepath.Join(dir, kind))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range keys {
-			key := e.Name()
-			shard := filepath.Join(dir, kind, key[:2])
-			if err := os.MkdirAll(shard, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Rename(filepath.Join(dir, kind, key), filepath.Join(shard, key)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	writeOlderLayout(t, dir, true)
 
 	svc2 := NewService(Config{Workers: 2, MaxSteps: 2, Store: openStore(t, dir)})
 	defer svc2.Close()
@@ -266,8 +250,72 @@ func TestShardedStoreRestoresWarm(t *testing.T) {
 			t.Fatalf("library %s differs after the move", lr.Name)
 		}
 	}
-	if got := flatStoreKinds(t, dir); fmt.Sprint(got) != fmt.Sprint(kinds) {
+	svc2.Close()
+	svc2.Store().Close()
+	if got := storeKinds(t, dir); fmt.Sprint(got) != fmt.Sprint(kinds) {
 		t.Fatalf("kinds after the move = %v, want %v", got, kinds)
+	}
+}
+
+// TestParentLayoutStoreRestoresJob: a store of the one-file-per-object
+// layout, <kind>/<key> with a tmp/ directory, as the build before segments
+// wrote it, reopens with its done job restored, and the job's libraries
+// are served byte-identical from its records, with no analysis.
+func TestParentLayoutStoreRestoresJob(t *testing.T) {
+	dir := t.TempDir()
+	req := JobRequest{
+		Framework: "pytorch", TailLibs: 4, MaxSteps: 2,
+		Workloads: []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}, {Model: "Transformer", Batch: 8}},
+	}
+	id, res := runPersistedJob(t, dir, Config{Workers: 2, MaxSteps: 2}, req)
+	writeOlderLayout(t, dir, false)
+
+	svc := NewService(Config{Workers: 2, MaxSteps: 2, Store: openStore(t, dir)})
+	defer svc.Close()
+	if n := svc.Counters.Get("jobs.restored"); n != 1 {
+		t.Fatalf("jobs.restored = %d, want 1", n)
+	}
+	for name, img := range res.DebloatedLibs() {
+		if !bytes.Equal(fetchDirect(t, svc, id, name), img) {
+			t.Fatalf("library %s differs from the run that filled the store", name)
+		}
+	}
+	if n := svc.Counters.Get("analysis.computed"); n != 0 {
+		t.Fatalf("analysis.computed = %d, want 0: a record did not survive the move", n)
+	}
+}
+
+// writeOlderLayout rewrites the closed store at dir in the layout of one
+// file per object — <kind>/<key[:2]>/<key> when sharded, else
+// <kind>/<key> beside an empty tmp/ — and removes its segments and index.
+func writeOlderLayout(t *testing.T, dir string, sharded bool) {
+	t.Helper()
+	for _, e := range storedEntries(t, dir) {
+		raw, err := os.ReadFile(e.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, e.kind, e.key)
+		if sharded {
+			path = filepath.Join(dir, e.kind, e.key[:2], e.key)
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, castore.Frame(nil, raw[e.payload:e.payload+e.size]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+	for _, p := range append(segs, filepath.Join(dir, ".index")) {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sharded {
+		if err := os.Mkdir(filepath.Join(dir, "tmp"), 0o755); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -278,13 +326,6 @@ func TestShardedStoreRestoresWarm(t *testing.T) {
 // not trust.
 func TestTamperedStoreRestoresSameImages(t *testing.T) {
 	in, ws := persistTestInstall(t)
-	first := func(t *testing.T, dir, kind string) string {
-		keys, err := os.ReadDir(filepath.Join(dir, kind))
-		if err != nil || len(keys) == 0 {
-			t.Fatalf("no %s object to tamper with (%v)", kind, err)
-		}
-		return filepath.Join(dir, kind, keys[0].Name())
-	}
 	// detects is how many members the restart must profile again.
 	for _, tc := range []struct {
 		name    string
@@ -292,19 +333,18 @@ func TestTamperedStoreRestoresSameImages(t *testing.T) {
 		tamper  func(t *testing.T, dir string)
 	}{
 		{"index bit-flipped", 0, func(t *testing.T, dir string) { flipLast(t, filepath.Join(dir, ".index")) }},
-		{"record bit-flipped", 0, func(t *testing.T, dir string) { flipLast(t, first(t, dir, kindRecord)) }},
-		{"profile bit-flipped", 1, func(t *testing.T, dir string) { flipLast(t, first(t, dir, kindProfile)) }},
+		{"record bit-flipped", 0, func(t *testing.T, dir string) {
+			flipLastPayloadByte(t, storedEntryOf(t, dir, kindRecord, ""))
+		}},
+		{"profile bit-flipped", 1, func(t *testing.T, dir string) {
+			flipLastPayloadByte(t, storedEntryOf(t, dir, kindProfile, ""))
+		}},
 		{"profile in JSON", 1, func(t *testing.T, dir string) {
-			path := first(t, dir, kindProfile)
-			payload := []byte(`{"install":"x","workload":"y","profile":{}}`)
-			if err := os.WriteFile(path, castore.Frame(nil, payload), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			key := storedEntryOf(t, dir, kindProfile, "").key
+			appendStored(t, dir, kindProfile, key, []byte(`{"install":"x","workload":"y","profile":{}}`))
 		}},
 		{"stray object", 0, func(t *testing.T, dir string) {
-			if err := os.WriteFile(filepath.Join(dir, kindRecord, "stray"), castore.Frame(nil, []byte("not a record")), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			appendStored(t, dir, kindRecord, "stray", []byte("not a record"))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -348,38 +388,6 @@ func flipLast(t *testing.T, path string) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// flatStoreKinds checks the store layout under dir and returns its kinds:
-// the root holds the lock file, the index file, the temp directory and
-// one directory per kind, and a kind directory holds only plain object
-// files.
-func flatStoreKinds(t *testing.T, dir string) []string {
-	t.Helper()
-	root, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kinds []string
-	for _, e := range root {
-		switch {
-		case (e.Name() == ".lock" || e.Name() == ".index") && e.Type().IsRegular(), e.Name() == "tmp" && e.IsDir():
-		case e.IsDir():
-			objs, err := os.ReadDir(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, o := range objs {
-				if !o.Type().IsRegular() {
-					t.Fatalf("%s/%s is not a plain object file", e.Name(), o.Name())
-				}
-			}
-			kinds = append(kinds, e.Name())
-		default:
-			t.Fatalf("unexpected %s at the store root", e.Name())
-		}
-	}
-	return kinds
 }
 
 // TestRegistryReplay: a profile stored before Close is served after the
@@ -842,7 +850,7 @@ func TestRestoredJobRecomputesALostRecord(t *testing.T) {
 	}
 	id, first := runPersistedJob(t, dir, Config{Workers: 2, MaxSteps: 2}, req)
 	want := first.DebloatedLibs()
-	flipLast(t, filepath.Join(dir, kindRecord, first.libKeys[0]))
+	flipLastPayloadByte(t, storedEntryOf(t, dir, kindRecord, first.libKeys[0]))
 
 	svc := NewService(Config{Workers: 2, MaxSteps: 2, Store: openStore(t, dir)})
 	defer svc.Close()
@@ -866,10 +874,13 @@ func TestRestoredJobRecomputesALostRecord(t *testing.T) {
 	if n := svc.Counters.Get("jobs.restore_failed"); n != 0 {
 		t.Fatalf("jobs.restore_failed = %d, want 0", n)
 	}
-	// The recomputed record is pinned in the corrupt one's place.
-	st := svc.Store()
-	if st.Delete(kindRecord, first.libKeys[0]); !st.Has(kindRecord, first.libKeys[0]) {
-		t.Fatal("the recomputed record is not pinned by its job")
+	// The recomputed record is pinned in the corrupt one's place: the job
+	// holds each of its records and its manifest.
+	if !svc.Store().Has(kindRecord, first.libKeys[0]) {
+		t.Fatal("the recomputed record is not stored")
+	}
+	if n := svc.Store().Stats().Retained; n != len(first.libKeys)+1 {
+		t.Fatalf("%d objects pinned, want the job's %d records and its manifest", n, len(first.libKeys))
 	}
 }
 
@@ -1028,10 +1039,15 @@ func TestLibImageStoreRestores(t *testing.T) {
 	if n := svc.Counters.Get("jobs.restored"); n != 1 {
 		t.Fatalf("jobs.restored = %d, want 1", n)
 	}
+	pinned := st.Stats().Retained
 	for name, img := range want {
 		if !bytes.Equal(fetchDirect(t, svc, id, name), img) {
 			t.Fatalf("library %s differs from the run that filled the store", name)
 		}
+	}
+	svc.WaitReplication()
+	if n := st.Stats().Retained; n != pinned {
+		t.Fatalf("%d objects pinned after the restore replaced its records, %d at boot", n, pinned)
 	}
 	if n := svc.Counters.Get("analysis.computed"); n != 0 {
 		t.Fatalf("analysis.computed = %d: the records were not read", n)
@@ -1052,8 +1068,10 @@ func TestLibImageStoreRestores(t *testing.T) {
 // records as {"key", "result"} JSON — reopens with its done job restored.
 // The job serves byte-identical images, and no record of the old form is
 // served: the restore recomputes every compact and detect stage, and a
-// resubmit reruns every verification; the profile and verify objects are
-// sealed afterwards.
+// resubmit reruns every verification. Each recompute's write replaces the
+// old object, the restored job's pins carried over to it: afterwards
+// every record is sealed, the pinned count is the boot's, and a further
+// restart restores the job from disk with no analysis.
 func TestUnsealedStoreRestores(t *testing.T) {
 	dir := t.TempDir()
 	req := JobRequest{
@@ -1114,10 +1132,15 @@ func TestUnsealedStoreRestores(t *testing.T) {
 	if n := svc.Counters.Get("jobs.restored"); n != 1 {
 		t.Fatalf("jobs.restored = %d, want 1", n)
 	}
+	pinned := st.Stats().Retained
 	for name, img := range want {
 		if !bytes.Equal(fetchDirect(t, svc, id, name), img) {
 			t.Fatalf("library %s differs from the run that filled the store", name)
 		}
+	}
+	svc.WaitReplication()
+	if n := st.Stats().Retained; n != pinned {
+		t.Fatalf("%d objects pinned after the restore replaced its records, %d at boot", n, pinned)
 	}
 	for name, n := range map[string]int64{
 		"analysis.computed":       int64(len(want)),
@@ -1145,11 +1168,35 @@ func TestUnsealedStoreRestores(t *testing.T) {
 		t.Fatalf("stage.verifyrun.misses = %d, want %d", n, len(detects))
 	}
 	svc.WaitReplication()
-	for hash := range detects {
-		raw, _ := st.Get(kindProfile, hash)
-		if _, err := memoStageOf(negativa.StageDetect).open(hash, nil, raw); err != nil {
-			t.Fatalf("profile %.12s… was not resealed: %v", hash, err)
+	if n := st.Stats().Retained; n != pinned+1 {
+		t.Fatalf("%d objects pinned after the resubmit, want the restored job's %d and the new manifest", n, pinned)
+	}
+	resealed := 0
+	for kind := range unseal {
+		st.Walk(kind, func(hash string, _ int64) error {
+			raw, _ := st.Get(kind, hash)
+			if sum, _ := rawHash(hash); !bytes.HasPrefix(raw, sum[:]) {
+				t.Errorf("%s/%.12s… was not resealed", kind, hash)
+			}
+			resealed++
+			return nil
+		})
+	}
+	if total := written[kindRecord] + written[kindProfile] + written[kindVerify]; resealed != total {
+		t.Fatalf("%d records resealed, want %d", resealed, total)
+	}
+	svc.Close()
+	st.Close()
+
+	again := NewService(Config{Workers: 2, MaxSteps: 2, Store: openStore(t, dir)})
+	defer again.Close()
+	for name, img := range want {
+		if !bytes.Equal(fetchDirect(t, again, id, name), img) {
+			t.Fatalf("library %s differs after the second restart", name)
 		}
+	}
+	if n := again.Counters.Get("analysis.computed"); n != 0 {
+		t.Fatalf("the second restart computed %d stages, want every record read from disk", n)
 	}
 }
 

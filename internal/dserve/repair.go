@@ -31,8 +31,9 @@ import (
 const repairStatChunk = 256
 
 // spillConcurrency bounds the write-behind's concurrent local writers. A
-// Put is a temp write and a rename (its fsyncs wait for SyncDirs); a few at
-// once overlap their file-system latency.
+// Put hashes its record outside the store lock and then appends one entry
+// to a segment (its fsync waits for SyncDirs); a few at once overlap their
+// hashing.
 const spillConcurrency = 4
 
 // pendingPush is one owner's write-back queue: a body and its entry count.

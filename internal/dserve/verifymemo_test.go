@@ -1,11 +1,11 @@
 package dserve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -326,25 +326,19 @@ func TestVerifyRecordCorruptionDegradesToRerun(t *testing.T) {
 		corrupt func(t *testing.T, dir, hash string)
 	}{
 		{"truncated", func(t *testing.T, dir, hash string) {
-			p := verifyObjectPath(t, dir, hash)
-			fi, err := os.Stat(p)
+			// The entry's header claims 7 bytes fewer than the index holds.
+			e := storedEntryOf(t, dir, kindVerify, hash)
+			f, err := os.OpenFile(e.path, os.O_RDWR, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.Truncate(p, fi.Size()-7); err != nil {
+			defer f.Close()
+			if _, err := f.WriteAt(binary.LittleEndian.AppendUint64(nil, uint64(e.size-7)), e.payload-48+8); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"garbled", func(t *testing.T, dir, hash string) {
-			p := verifyObjectPath(t, dir, hash)
-			b, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b[len(b)-3] ^= 0xff
-			if err := os.WriteFile(p, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			flipLastPayloadByte(t, storedEntryOf(t, dir, kindVerify, hash))
 		}},
 		{"another key's record", func(t *testing.T, dir, hash string) {
 			st := openStore(t, dir)
@@ -380,23 +374,6 @@ func TestVerifyRecordCorruptionDegradesToRerun(t *testing.T) {
 			}
 		})
 	}
-}
-
-// verifyObjectPath finds the verify object's file under a closed store's
-// directory.
-func verifyObjectPath(t *testing.T, dir, hash string) string {
-	t.Helper()
-	var found string
-	filepath.WalkDir(filepath.Join(dir, kindVerify), func(p string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && d.Name() == hash {
-			found = p
-		}
-		return nil
-	})
-	if found == "" {
-		t.Fatalf("verify object %s not under %s", hash, dir)
-	}
-	return found
 }
 
 // TestClusterServesVerifyRecords: after node a's cold batch and its
