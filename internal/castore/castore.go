@@ -16,8 +16,8 @@ import (
 )
 
 // Entry layout: an object's name, a fixed header, then the payload. A
-// segment is entries back to back, and so is a multi-object body; Frame
-// and Export carry an entry without its name.
+// segment is entries back to back, and so is a multi-object body; Export
+// carries an entry without its name.
 //
 //	name    u16 length, then kind "/" key
 //	magic   u32  ("NCS1")

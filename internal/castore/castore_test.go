@@ -21,6 +21,10 @@ func keyOf(payload []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// frame is an entry without its name — the 48-byte header, then the
+// payload — as Export streams it and an older layout's object file held it.
+func frame(payload []byte) []byte { return append(appendHeader(nil, payload), payload...) }
+
 func mustPut(t *testing.T, s *Store, kind string, payload []byte) string {
 	t.Helper()
 	key := keyOf(payload)
@@ -386,7 +390,7 @@ func TestIndexFallsBackWhenStale(t *testing.T) {
 			if err := os.MkdirAll(filepath.Join(dir, "lib"), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, "lib", keyOf(extra)), Frame(nil, extra), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, "lib", keyOf(extra)), frame(extra), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			want[keyOf(extra)] = extra
@@ -408,7 +412,7 @@ func TestIndexFallsBackWhenStale(t *testing.T) {
 			if err := os.MkdirAll(filepath.Join(dir, "lib", key[:2]), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, "lib", key[:2], key), Frame(nil, moved), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, "lib", key[:2], key), frame(moved), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			want[key] = moved
@@ -550,7 +554,7 @@ func TestOpenMovesShardedObjects(t *testing.T) {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, mangle(Frame(nil, payload)), 0o644); err != nil {
+		if err := os.WriteFile(path, mangle(frame(payload)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

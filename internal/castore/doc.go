@@ -5,7 +5,7 @@
 // Objects are addressed by (kind, key) where kind namespaces the artifact
 // type and key is a name the caller derives from what produced the object
 // (a stage hash, a job ID), so one key names one payload. Every object's
-// header carries the SHA-256 of its payload, which Put and Frame compute,
+// header carries the SHA-256 of its payload, which Put and AppendEntry compute,
 // and every read checks the payload against it: Get, OpenMapped, Verify
 // and Import.
 //

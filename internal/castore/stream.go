@@ -16,13 +16,6 @@ import (
 // object.
 const maxImportBytes = 1 << 30
 
-// Frame appends payload in the store's integrity wire format — the same
-// 48-byte header + payload layout Export streams — to dst, for callers
-// that push bytes they hold in memory rather than a stored object.
-func Frame(dst, payload []byte) []byte {
-	return append(appendHeader(dst, payload), payload...)
-}
-
 // Export streams a stored object to w in its wire format — the 48-byte
 // integrity header followed by the payload, its segment entry without the
 // name, copied verbatim — and returns the bytes written. The receiver
@@ -131,13 +124,14 @@ func (s *Store) importFrame(id objKey, rawHdr []byte, r io.Reader) (int64, error
 
 // A multi-object body carries many objects in one stream: entries back to
 // back, each the object's name — its length as two little-endian bytes,
-// then kind/key — and then its frame (Frame, Export). A segment file is
-// the same layout.
+// then kind/key — and then its frame: the 48-byte integrity header and
+// the payload, what Export streams. A segment file is the same layout.
 
 // AppendEntry appends payload to dst as one entry of a multi-object body,
-// named (kind, key).
+// named (kind, key), for callers that push bytes they hold in memory
+// rather than a stored object.
 func AppendEntry(dst []byte, kind, key string, payload []byte) []byte {
-	return Frame(appendEntryName(dst, kind, key), payload)
+	return append(appendHeader(appendEntryName(dst, kind, key), payload), payload...)
 }
 
 func appendEntryName(dst []byte, kind, key string) []byte {

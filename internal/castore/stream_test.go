@@ -86,7 +86,7 @@ func TestImportRejectsCorruption(t *testing.T) {
 	}
 
 	// Oversized header length.
-	hdr := Frame(nil, []byte("x"))[:headerSize]
+	hdr := frame([]byte("x"))[:headerSize]
 	hdr[8] = 0xff
 	hdr[9] = 0xff
 	hdr[10] = 0xff

@@ -335,17 +335,6 @@ func (c *Cluster) rebuildRingLocked() {
 	c.exRings = nil
 }
 
-// Owner returns the live node owning the key — the primary of its replica
-// set. remote is true when the owner is a peer rather than this node — the
-// caller should route the stage there.
-func (c *Cluster) Owner(key string) (node string, remote bool) {
-	owners := c.Owners(key)
-	if len(owners) == 0 || owners[0] == c.self {
-		return c.self, false
-	}
-	return owners[0], true
-}
-
 // Owners returns the key's live replica set in ring order: up to
 // ReplicaSets distinct nodes, the primary first. Downed peers whose
 // probation has expired get a background probe kicked here (single-flight,

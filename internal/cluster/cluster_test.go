@@ -47,17 +47,13 @@ func TestOwnerSelfVsRemote(t *testing.T) {
 	c := New("a", map[string]string{"b": "http://h2"}, Options{})
 	sawSelf, sawRemote := false, false
 	for i := 0; i < 200 && !(sawSelf && sawRemote); i++ {
-		owner, remote := c.Owner(string(rune('a'+i%26)) + "key" + string(rune('0'+i%10)))
-		if remote {
-			if owner != "b" {
-				t.Fatalf("remote owner %q", owner)
-			}
-			sawRemote = true
-		} else {
-			if owner != "a" {
-				t.Fatalf("self owner %q", owner)
-			}
+		switch owner := c.Owners(string(rune('a'+i%26)) + "key" + string(rune('0'+i%10)))[0]; owner {
+		case "a":
 			sawSelf = true
+		case "b":
+			sawRemote = true
+		default:
+			t.Fatalf("owner %q", owner)
 		}
 	}
 	if !sawSelf || !sawRemote {
@@ -108,7 +104,7 @@ func TestPeerFailureShrinksRingAndProbationReadmits(t *testing.T) {
 	// probes keep failing.
 	deadline := time.Now().Add(150 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if owner, remote := c.Owner("anything"); remote || owner != "a" {
+		if owner := c.Owners("anything")[0]; owner != "a" {
 			t.Fatalf("dead peer readmitted to ring: owner %s", owner)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -135,7 +131,7 @@ func TestPeerFailureShrinksRingAndProbationReadmits(t *testing.T) {
 
 	deadline = time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		c.Owner("poke") // kicks a background probe once probation expires
+		c.Owners("poke") // kicks a background probe once probation expires
 		if len(c.Nodes()) == 2 {
 			break
 		}
@@ -234,9 +230,9 @@ func TestRingOwners(t *testing.T) {
 		if len(owners) != 2 || owners[0] == owners[1] {
 			t.Fatalf("Owners(%q, 2) = %v", key, owners)
 		}
-		primary, _ := r.Owner(key)
-		if owners[0] != primary {
-			t.Fatalf("Owners[0] %q != Owner %q", owners[0], primary)
+		// The primary heads every replica set of the key.
+		if primary := r.Owners(key, 1); primary[0] != owners[0] {
+			t.Fatalf("Owners(%q, 1) = %v, Owners(%q, 2) = %v", key, primary, key, owners)
 		}
 		// Asking for more owners than nodes returns every node once.
 		all := r.Owners(key, 5)

@@ -71,25 +71,12 @@ func hashString(s string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// Owner returns the node that owns the key — the first virtual point at or
-// clockwise-after the key's hash, wrapping at the top of the circle. ok is
-// false only for an empty ring.
-func (r *Ring) Owner(key string) (node string, ok bool) {
-	if len(r.points) == 0 {
-		return "", false
-	}
-	h := hashString(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].node, true
-}
-
-// Owners returns up to n distinct nodes owning the key, in ring order: the
-// first is the primary (what Owner returns), the rest are the successor
-// nodes clockwise from it — the replica set a key's artifacts live on. A
-// ring with fewer than n nodes returns them all.
+// Owners returns up to n distinct nodes owning the key, in ring order —
+// the replica set a key's artifacts live on. The first is the primary, the
+// node of the first virtual point at or clockwise-after the key's hash,
+// wrapping at the top of the circle; the rest are the successor nodes
+// clockwise from it. A ring with fewer than n nodes returns them all; an
+// empty ring, none.
 func (r *Ring) Owners(key string, n int) []string {
 	if len(r.points) == 0 || n < 1 {
 		return nil

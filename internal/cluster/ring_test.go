@@ -10,24 +10,24 @@ func TestRingOwnerDeterministic(t *testing.T) {
 	b := NewRing([]string{"c", "a", "b"}, 0) // order must not matter
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("compact/%04d", i)
-		oa, ok := a.Owner(key)
-		if !ok {
+		oa := a.Owners(key, 1)
+		if len(oa) != 1 {
 			t.Fatal("owner lookup failed on non-empty ring")
 		}
-		ob, _ := b.Owner(key)
-		if oa != ob {
+		ob := b.Owners(key, 1)
+		if oa[0] != ob[0] {
 			t.Fatalf("key %s: owner depends on insertion order: %s vs %s", key, oa, ob)
 		}
 	}
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	if _, ok := NewRing(nil, 0).Owner("k"); ok {
+	if o := NewRing(nil, 0).Owners("k", 1); len(o) != 0 {
 		t.Fatal("empty ring claimed an owner")
 	}
 	r := NewRing([]string{"solo"}, 0)
-	if o, ok := r.Owner("anything"); !ok || o != "solo" {
-		t.Fatalf("single-node ring: got %q, %v", o, ok)
+	if o := r.Owners("anything", 1); len(o) != 1 || o[0] != "solo" {
+		t.Fatalf("single-node ring: got %q", o)
 	}
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d", r.Len())
@@ -49,8 +49,7 @@ func TestRingDistribution(t *testing.T) {
 	counts := map[string]int{}
 	const n = 30000
 	for i := 0; i < n; i++ {
-		o, _ := r.Owner(fmt.Sprintf("key-%d", i))
-		counts[o]++
+		counts[r.Owners(fmt.Sprintf("key-%d", i), 1)[0]]++
 	}
 	fair := n / 3
 	for node, c := range counts {
@@ -70,8 +69,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 	const n = 10000
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		before, _ := full.Owner(key)
-		after, _ := small.Owner(key)
+		before, after := full.Owners(key, 1)[0], small.Owners(key, 1)[0]
 		if before == "c" {
 			continue // c's keys must move somewhere
 		}

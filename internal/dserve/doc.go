@@ -12,9 +12,9 @@
 // graph negativa.Debloat runs for one member. Each node carries an explicit
 // content-derived key, runs in dependency order over one service-wide
 // bounded worker pool and is memoized per stage. The service builds no
-// graph of its own: it passes its tiers in — the stage memo, its verify
-// probe, and when clustered the batch prefetch and the detect hints —
-// and assembles the BatchResult from the run. Keys:
+// graph of its own: it passes its tiers in — a batch memo over the stage
+// memo, its verify probe, and when clustered the batch prefetch and the
+// detect hints — and assembles the BatchResult from the run. Keys:
 //
 //	detect    (install fingerprint, workload identity)   identity embeds the step cap
 //	compact   library digest + union used-symbol sets + target archs;
@@ -47,9 +47,14 @@
 // counts — are analyzed once, across jobs and restarts. A boot reads no
 // record.
 //
-// One flight table spans all three (StageMemo.resolve): concurrent batches
-// computing the same stage key run it once and share the value. A key of
-// any other stage is not memoized.
+// One flight table spans all three (StageMemo.GetOrCompute): concurrent
+// batches computing the same stage key run it once and share the value. A
+// key of any other stage is not memoized. Each batch runs over its own
+// memo (batchMemo), which holds what the batch's look-ahead — the prefetch
+// and the verify probe — found, with the tier it came from, and hands each
+// value out once to the node that asks for its key; every other ask falls
+// through to the stage memo. A value the look-ahead found is never lost to
+// an eviction before its node runs, and never credited to another batch.
 //
 // # Verification
 //
@@ -72,8 +77,9 @@
 // always scheduled, inside the pool, and do nothing — no pooled scratch, no
 // materialize, no parse — when every fresh member is already answered; a
 // batch with any miss builds exactly one clone. A record the probe found
-// is carried to its member's node, so an eviction between probe and lookup
-// returns that record rather than needing a clone that was never built.
+// is kept in the batch's memo for its member's node, so an eviction between
+// probe and lookup cannot ask for a clone that was never built; a memo that
+// computes a key its probe reported found fails the batch.
 //
 // The memoized value is the run's *mlruntime.Result. Verified is still
 // computed at assembly, by comparing its digest with the profile's

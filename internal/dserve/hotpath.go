@@ -21,18 +21,19 @@ import (
 // the batch's ready keys, groups them by replica set, and issues one
 // POST /v1/peer/lookup-batch per group, hedged through
 // cluster.HedgedCall so a stalled replica costs a fixed 2 ms hedge delay,
-// not the transport timeout. Found values land in the memory tiers (profiles /
-// result cache / verify records) before the stage nodes consult the memo,
-// so the batch's wall clock is bounded by the slowest single round trip,
-// not the key count. The prefetch is the only remote read: a stage node
-// whose key it did not plant — a clean miss, or a replica set that could
-// not answer — goes straight to local compute, never back to the replicas
-// the prefetch just asked.
+// not the transport timeout. Found values are kept in the asking batch's
+// table (batchMemo), which hands each to its stage node as a peer read, and
+// planted in the shared memory tiers (profiles / result cache / verify
+// records) for concurrent batches, so the batch's wall clock is bounded by
+// the slowest single round trip, not the key count. The prefetch is the
+// only remote read: a stage node whose key it did not find — a clean miss,
+// or a replica set that could not answer — goes straight to local compute,
+// never back to the replicas the prefetch just asked.
 //
-// A singleflight table spans the prefetch and the stage nodes
-// (StageMemo.resolve): a key whose value stays in its memory tier never has
-// a remote read and a local compute, or two local computes, run for it,
-// whichever side asks first.
+// A singleflight table spans every batch's prefetch and the stage nodes
+// (StageMemo.GetOrCompute): a key whose value stays in its memory tier
+// never has a remote read and a local compute, or two local computes, run
+// for it, whichever side asks first.
 
 // prefetchItem is one stage key the batch will need, with the memo hint
 // its value must be decoded against (the compact stage's live library).
@@ -99,47 +100,6 @@ func (m *StageMemo) awaitFlight(slot plan.Executor, k plan.Key) {
 	<-ch
 }
 
-// ---- Planted-value marks ----
-
-// markPlanted records that the key's memory-tier value was put there from
-// another tier — src — by a batch lookup (SourcePeer) or a verify probe
-// (SourceDisk); the next local-tier hit reads back as src (consumeSource),
-// so tier attribution names the tier that actually served the batch.
-func (m *StageMemo) markPlanted(k plan.Key, src plan.Source) {
-	m.hotMu.Lock()
-	if m.planted == nil {
-		m.planted = map[plan.Key]plan.Source{}
-	}
-	m.planted[k] = src
-	m.hotMu.Unlock()
-}
-
-// consumeSource resolves a local-tier hit's attribution: a marked key reads
-// as the tier that planted it exactly once, everything else keeps the
-// tier's own source.
-func (m *StageMemo) consumeSource(k plan.Key, def plan.Source) plan.Source {
-	m.hotMu.Lock()
-	defer m.hotMu.Unlock()
-	if src, ok := m.planted[k]; ok {
-		delete(m.planted, k)
-		return src
-	}
-	return def
-}
-
-// clearMarks drops whatever marks remain for the given keys. Stage nodes
-// consume their marks on the normal path, but a batch that aborts between
-// plant and consumption (a key-fn or upstream node error) would otherwise
-// leave entries behind forever. DebloatBatch calls it on every exit,
-// scoping the marks to the batch that planted them.
-func (m *StageMemo) clearMarks(keys []plan.Key) {
-	m.hotMu.Lock()
-	for _, k := range keys {
-		delete(m.planted, k)
-	}
-	m.hotMu.Unlock()
-}
-
 // countRoundTrip tallies one read-path peer round trip — the numerator
 // the batching win is asserted with (peer.round_trips).
 func (m *StageMemo) countRoundTrip() { m.count("peer.round_trips") }
@@ -153,17 +113,18 @@ type lookupGroup struct {
 	items   []prefetchItem
 }
 
-// PrefetchLookups warms the local tiers for a batch's stage keys in as
-// few round trips as the ring has replica groups: keys are grouped by
-// remote replica set, each group goes out as one (hedged)
-// POST /v1/peer/lookup-batch, and found values are planted into the
-// local tiers under the singleflight table before the stage nodes consult
-// the memo. Keys already held locally (memory, or the castore for compacts
-// and verify records) are skipped — the prefetch never re-fetches what a
-// disk probe will serve faster. Safe to call concurrently with stage nodes
-// resolving the same keys. slot is the executor the calling node holds a
-// slot of, yielded for the round trips; nil means the caller holds none.
-func (m *StageMemo) PrefetchLookups(slot plan.Executor, items []prefetchItem) {
+// PrefetchLookups finds a batch's stage keys on the ring in as few round
+// trips as the ring has replica groups: keys are grouped by remote replica
+// set, each group goes out as one (hedged) POST /v1/peer/lookup-batch, and
+// found values are kept in the batch's table, as SourcePeer, and planted
+// into the shared memory tiers under the singleflight table before the
+// stage nodes consult the memo. Keys already held locally (memory, or the
+// castore for compacts and verify records) are skipped — the prefetch never
+// re-fetches what a disk probe will serve faster. Safe to call concurrently
+// with stage nodes resolving the same keys. slot is the executor the
+// calling node holds a slot of, yielded for the round trips; nil means the
+// caller holds none.
+func (m *batchMemo) PrefetchLookups(slot plan.Executor, items []prefetchItem) {
 	if m.cluster == nil || len(items) == 0 {
 		return
 	}
@@ -226,10 +187,10 @@ func (m *StageMemo) localProbe(k plan.Key) bool {
 
 // prefetchGroup runs one group's batch lookup: hedged across the group's
 // first two members in health order (by ID within a health class),
-// falling back through the rest, then plants every found value. Flights
-// end only after the plant, so a waiter that raced us re-probes into a
-// hit.
-func (m *StageMemo) prefetchGroup(g *lookupGroup) {
+// falling back through the rest, then keeps and plants every found value.
+// Flights end only after the plant, so a waiter that raced us re-probes
+// into a hit.
+func (m *batchMemo) prefetchGroup(g *lookupGroup) {
 	defer func() {
 		for _, it := range g.items {
 			m.endFlight(it.key)
@@ -245,7 +206,7 @@ func (m *StageMemo) prefetchGroup(g *lookupGroup) {
 	}
 }
 
-func (m *StageMemo) prefetchChunk(remotes []string, items []prefetchItem) {
+func (m *batchMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 	req := peerBatchLookupRequest{Keys: make([]peerLookupRequest, len(items))}
 	for i, it := range items {
 		req.Keys[i] = peerLookupRequest{Stage: it.key.Stage, Hash: it.key.Hash}
@@ -307,14 +268,16 @@ func (m *StageMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 			m.count("peer.fallbacks")
 			continue
 		}
-		// Replicate toward demand: memory, and behind the batch the record,
-		// as received, into this node's castore, so the next miss here is a
-		// disk hit, not another network hop. No peers: they already hold it.
-		st.put(m, it.key.Hash, val)
+		// The batch's own node reads it from the table. Replicate toward
+		// demand: memory, for concurrent batches, and behind the batch the
+		// record, as received, into this node's castore, so the next miss
+		// here is a disk hit, not another network hop. No peers: they
+		// already hold it.
+		m.keep(it.key, val, plan.SourcePeer)
+		st.put(m.StageMemo, it.key.Hash, val)
 		if m.writeStage != nil {
 			m.writeStage(st, it.key.Hash, val, lr.Record, nil)
 		}
-		m.markPlanted(it.key, plan.SourcePeer)
 		m.count("peer.hits")
 		if from != it.primary {
 			m.count("peer.replica_reads")

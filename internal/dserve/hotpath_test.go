@@ -162,7 +162,7 @@ func TestHedgedLookupSlowReplica(t *testing.T) {
 	}
 
 	start := time.Now()
-	m.PrefetchLookups(nil, items)
+	newBatchMemo(m).PrefetchLookups(nil, items)
 	wall := time.Since(start)
 	if wall > 80*time.Millisecond {
 		t.Fatalf("hedged read took %v; it should complete well under the 100ms injected delay", wall)
@@ -333,7 +333,7 @@ func TestPrefetchSingleflightNoDuplicateRoundTrips(t *testing.T) {
 		wg.Add(5)
 		go func() {
 			defer wg.Done()
-			m.PrefetchLookups(nil, []prefetchItem{{key: key}})
+			newBatchMemo(m).PrefetchLookups(nil, []prefetchItem{{key: key}})
 		}()
 		<-fixture.gate // the request is at the peer: the prefetch leads the flight
 		for g := 0; g < 4; g++ {
@@ -373,7 +373,7 @@ func TestPrefetchSingleflightNoDuplicateRoundTrips(t *testing.T) {
 			}
 		}()
 		<-computing
-		m.PrefetchLookups(nil, []prefetchItem{{key: key}})
+		newBatchMemo(m).PrefetchLookups(nil, []prefetchItem{{key: key}})
 		close(finish)
 		<-done
 		if got := fixture.count(key.Hash); got != 0 {
@@ -402,7 +402,7 @@ func TestPrefetchYieldsTheCallersSlot(t *testing.T) {
 
 	key := negativa.DetectKey("fp", "w")
 	var slot recordingExecutor
-	m.PrefetchLookups(&slot, []prefetchItem{{key: key}})
+	newBatchMemo(m).PrefetchLookups(&slot, []prefetchItem{{key: key}})
 	if got := strings.Join(slot.calls, ","); got != "release,acquire" {
 		t.Fatalf("the caller's executor saw %q, want release,acquire", got)
 	}
@@ -612,7 +612,7 @@ func TestShortLookupAnswerTriesNextReplica(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		items = append(items, prefetchItem{key: negativa.DetectKey("fp", fmt.Sprintf("w%d", i))})
 	}
-	m.PrefetchLookups(nil, items)
+	newBatchMemo(m).PrefetchLookups(nil, items)
 	t.Logf("hedges fired: %d", counters.Get("peer.hedge_fired"))
 	for _, it := range items {
 		if _, ok := m.profiles.get(it.key.Hash); !ok {
@@ -628,5 +628,100 @@ func TestShortLookupAnswerTriesNextReplica(t *testing.T) {
 		if got := counters.Get(name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// TestLookAheadAnswersOutliveEviction: what a batch's look-ahead finds is
+// the batch's own, not a memory-tier entry the next plant can evict. A
+// peer-warm batch on a node whose result cache holds nothing (CacheBytes
+// 1) and which has no disk tier computes nothing: every stage reads as a
+// peer hit, and the verify probe, answered by the prefetch, asks for no
+// clone.
+func TestLookAheadAnswersOutliveEviction(t *testing.T) {
+	nodes := startClusterCfg(t, func(id string, cfg *Config) {
+		if id == "c" {
+			cfg.CacheBytes, cfg.Store = 1, nil
+		}
+	}, nil, "a", "b", "c")
+	defer func() {
+		for _, n := range nodes {
+			n.close()
+		}
+	}()
+	req := JobRequest{
+		Framework: "pytorch", TailLibs: 6, MaxSteps: 2,
+		Workloads: []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}, {Model: "Transformer", Batch: 32}},
+	}
+	run := func(n *testNode) *BatchResult {
+		t.Helper()
+		job, err := n.svc.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, _ := waitJob(n.svc, job.ID, waitTimeout)
+		if j.State != JobDone || !j.Result.AllVerified() {
+			t.Fatalf("node %s: the batch did not complete verified (%s: %s)", n.id, j.State, j.Err)
+		}
+		n.svc.WaitReplication()
+		return j.Result
+	}
+	run(nodes["a"])
+
+	c := nodes["c"]
+	res := run(c)
+	members, libs := int64(len(req.Workloads)), int64(len(res.Libs))
+	for name, want := range map[string]int64{
+		"analysis.computed":         0,
+		"stage.detect.peer_hits":    members,
+		"stage.compact.peer_hits":   libs,
+		"stage.verifyrun.peer_hits": members,
+		"stage.verifyrun.misses":    0,
+		"verify.clones":             0,
+	} {
+		if got := c.svc.Counters.Get(name); got != want {
+			t.Errorf("node c: %s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestLookAheadAnswerStaysWithItsBatch: the value a batch's prefetch found
+// is credited to that batch. Other batches reading the same key first take
+// it from the shared memory tier the prefetch planted, as memory; the batch
+// that asked still reads it as a peer read, once, and its second node of
+// the same key reads the shared tier.
+func TestLookAheadAnswerStaysWithItsBatch(t *testing.T) {
+	fixture := &lookupFixture{profile: testDetectProfile(t)}
+	srv := httptest.NewServer(fixture.handler())
+	defer srv.Close()
+	m := NewStageMemo(NewResultCache(1<<20, nil), metrics.NewCounterSet())
+	c := cluster.New("self", map[string]string{"peer": srv.URL}, cluster.Options{ReplicaSets: 2, Timeout: 30 * time.Second})
+	defer c.Close()
+	m.AttachCluster(c)
+
+	key := negativa.DetectKey("fp", "w")
+	batch := newBatchMemo(m)
+	batch.PrefetchLookups(nil, []prefetchItem{{key: key}})
+	read := func(memo plan.Memo, want plan.Source) {
+		v, src, err := memo.GetOrCompute(nil, key, nil, func() (any, error) {
+			t.Error("a prefetched key computed")
+			return fixture.profile, nil
+		})
+		if err != nil || v.(*negativa.Profile) == nil || src != want {
+			t.Errorf("read from %v, err %v; want %v", src, err, want)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			read(m, plan.SourceMemory)
+		}()
+	}
+	wg.Wait()
+	read(batch, plan.SourcePeer)
+	read(batch, plan.SourceMemory)
+	if got := fixture.count(key.Hash); got != 1 {
+		t.Fatalf("key served %d times by the peer, want 1", got)
 	}
 }

@@ -712,16 +712,12 @@ func (s *Service) ResultOf(id string) (*BatchResult, error) {
 	s.mu.Unlock()
 
 	res, err := s.restore(m)
-	if err == nil {
-		s.awaitRecords(m.Libs)
-	}
 
 	s.mu.Lock()
 	job.pins--
 	if err == nil {
 		if job.Result == nil {
 			job.Result = res
-			job.refs = s.repinLocked(job.refs)
 		} else {
 			res = job.Result // another restore won the race
 		}
@@ -737,34 +733,18 @@ func (s *Service) ResultOf(id string) (*BatchResult, error) {
 	return res, nil
 }
 
-// repinLocked pins refs afresh, then drops the old pins, so a restored job
-// holds what the store has once its rerun's writes landed: a record removed
-// as corrupt while pinned left an orphaned pin, which the release drains,
-// and the recomputed record takes its place. An object the store lacks
-// drops out of the returned refs. Callers hold s.mu.
-func (s *Service) repinLocked(refs []storeRef) []storeRef {
-	held := make([]storeRef, 0, len(refs))
-	for _, ref := range refs {
-		if s.store.Retain(ref.Kind, ref.Key) {
-			held = append(held, ref)
-		}
-	}
-	for _, ref := range refs {
-		s.store.Release(ref.Kind, ref.Key)
-	}
-	return held
-}
-
 // restore rebuilds a restored done job's result by rerunning its request
 // through runBatch, without its base and with verification skipped, since
 // the manifest keeps the outcomes. The batch resolves the install as any
 // batch does (resident or generated for a spec, re-read from ingest_dir for
 // an ingest request), reads the pinned records through the compact stage's
-// disk loader and recomputes any that is lost or corrupt. The rerun is
-// accepted only if its install fingerprint and every library's name and
-// record key are the manifest's, so a changed install or step cap fails
-// rather than serve other images; the manifest's outcome fields stay the
-// job's report.
+// disk loader and recomputes any that is lost or corrupt. The store carries
+// the job's pins on a record it removed to the record the recompute writes,
+// so the job keeps holding its records without pinning them again. The
+// rerun is accepted only if its install fingerprint and every library's
+// name and record key are the manifest's, so a changed install or step cap
+// fails rather than serve other images; the manifest's outcome fields stay
+// the job's report.
 func (s *Service) restore(m *jobManifest) (*BatchResult, error) {
 	req := m.Req
 	req.Base, req.SkipVerify = "", true

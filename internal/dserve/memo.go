@@ -60,7 +60,7 @@ func (f *fifoMap[K, V]) get(k K) (V, bool) {
 const tierEntries = 1024
 
 // memoStage is one memoized stage's storage rules. Every path that holds,
-// stores or moves a stage value — the resolve loop and its leader, the disk
+// stores or moves a stage value — GetOrCompute and its leader, the disk
 // loader, the batch prefetch's probe and plant, the write-behind, the peer
 // lookup and the repair walk — reads its entry in memoStages instead of
 // switching on the stage.
@@ -179,16 +179,17 @@ func memoStageOf(stage string) *memoStage {
 // castore's byte budget (castore.Options.MaxBytes, least recently used
 // first) is the one disk bound, the same for every kind.
 //
-// A stage node's key resolves under one flight table (resolve): memory, then
-// — by the flight's leader only — the disk loader, then local compute. The
-// replica set is read once per batch, ahead of the stage nodes, by the batch
-// prefetch (hotpath.go), which plants what the owners hold into memory; a
-// key it did not plant computes here, where its inputs already are. A
-// computed value is planted in memory and handed to the write-behind, which
-// stores its record locally and pushes it to every live remote owner; a
-// prefetched one is stored locally as received. A compute that errors
-// memoizes nothing; a verify run that completes with a different digest
-// memoizes as that digest.
+// A stage node's key resolves under one flight table (GetOrCompute): memory,
+// then — by the flight's leader only — the disk loader, then local compute.
+// The replica set is read once per batch, ahead of the stage nodes, by the
+// batch prefetch (hotpath.go), which plants what the owners hold into memory
+// for every batch and keeps it, with its source, in the asking batch's own
+// table (batchMemo); a key it did not find computes here, where its inputs
+// already are. A computed value is planted in memory and handed to the
+// write-behind, which stores its record locally and pushes it to every live
+// remote owner; a prefetched one is stored locally as received. A compute
+// that errors memoizes nothing; a verify run that completes with a different
+// digest memoizes as that digest.
 //
 // A key of any other stage is not memoized: it computes every time (a
 // batch's capped reference runs — negativa.Debloat's VerifySteps — when run
@@ -198,9 +199,7 @@ func memoStageOf(stage string) *memoStage {
 // record) falls back to local compute: the cluster is an optimization over
 // a node that is fully capable alone, and correctness never depends on a
 // peer. While a key's value stays resident in its memory tier, the key
-// computes once however many callers ask at once. A value evicted between a
-// leader's plant and a waiter's re-probe computes again — the bound the
-// tiers keep, not a second flight.
+// computes once however many callers ask at once.
 type StageMemo struct {
 	// profiles, cache and verify are the memory tiers of detect, compact and
 	// verifyrun, keyed by stage hash; store, when non-nil, the disk tier of
@@ -220,14 +219,10 @@ type StageMemo struct {
 	// prefetched value arrived as.
 	writeStage func(st *memoStage, hash string, v any, rec []byte, peers []string)
 
-	// The batch-prefetch hot path (hotpath.go). flights is the singleflight
-	// table spanning the prefetch and the stage nodes' own resolution of one
-	// stage key; planted marks keys whose memory-tier value a batch lookup or
-	// a verify probe put there from another tier (read back as that tier).
+	// flights is the singleflight table (hotpath.go) spanning every
+	// batch's prefetch and the stage nodes' own resolution of one stage key.
 	flightMu sync.Mutex
 	flights  map[plan.Key]chan struct{}
-	hotMu    sync.Mutex
-	planted  map[plan.Key]plan.Source
 }
 
 // NewStageMemo wires the service's reuse layers into one stage memo.
@@ -259,38 +254,24 @@ func without(peers []string, id string) []string {
 
 // GetOrCompute implements plan.Memo, attributing each value to the tier
 // that produced it. A memoized stage's key resolves under the hot path's
-// singleflight table (resolve). slot is the calling node's executor slot:
-// every wait on this consultation yields and re-acquires through it.
+// singleflight table: probe the memory tier, and on a miss either wait out
+// the key's current flight and probe again, or win the flight, probe the
+// memory tier once more, and lead. The second probe is what makes the table
+// a singleflight rather than check-then-act: between this caller's miss and
+// its winning the flight, an earlier leader may have planted the value and
+// ended its own flight, and without the re-probe the key would compute
+// twice. It asks quietly first (held), since the first probe counted the
+// miss. slot is the calling node's executor slot: every wait on this
+// consultation yields and re-acquires through it.
 func (m *StageMemo) GetOrCompute(slot plan.Executor, key plan.Key, hint any, compute func() (any, error)) (any, plan.Source, error) {
 	st := memoStageOf(key.Stage)
 	if st == nil {
 		v, err := compute()
 		return v, plan.SourceComputed, err
 	}
-	return m.resolve(slot, key, func(again bool) (any, plan.Source, bool) {
-		if again && !st.held(m, key.Hash) {
-			return nil, 0, false // quiet: the first probe counted the miss
-		}
-		v, ok := st.get(m, key.Hash)
-		return v, plan.SourceMemory, ok
-	}, func() (any, plan.Source, error) {
-		return m.lead(st, key, hint, compute)
-	})
-}
-
-// resolve is the one loop every routed stage runs: probe the memory tier,
-// and on a miss either wait out the key's current flight and probe again,
-// or win the flight, probe the memory tier once more, and lead. The second
-// probe is what makes the table a singleflight rather than check-then-act:
-// between this caller's miss and its winning the flight, an earlier leader
-// may have planted the value and ended its own flight, and without the
-// re-probe the key would compute twice. probe(again) reports a memory-tier
-// value; again=true asks quietly first. A hit reads as the tier that
-// planted it when a prefetch or probe marked the key (consumeSource).
-func (m *StageMemo) resolve(slot plan.Executor, key plan.Key, probe func(again bool) (any, plan.Source, bool), lead func() (any, plan.Source, error)) (any, plan.Source, error) {
 	for {
-		if v, src, ok := probe(false); ok {
-			return v, m.consumeSource(key, src), nil
+		if v, ok := st.get(m, key.Hash); ok {
+			return v, plan.SourceMemory, nil
 		}
 		if m.beginFlight(key) {
 			break
@@ -298,10 +279,12 @@ func (m *StageMemo) resolve(slot plan.Executor, key plan.Key, probe func(again b
 		m.awaitFlight(slot, key)
 	}
 	defer m.endFlight(key)
-	if v, src, ok := probe(true); ok {
-		return v, m.consumeSource(key, src), nil
+	if st.held(m, key.Hash) {
+		if v, ok := st.get(m, key.Hash); ok {
+			return v, plan.SourceMemory, nil
+		}
 	}
-	return lead()
+	return m.lead(st, key, hint, compute)
 }
 
 // lead resolves a key whose flight it won and whose memory tier misses: the
@@ -374,20 +357,74 @@ func (m *StageMemo) stored(st *memoStage, hash string) bool {
 	return m.store != nil && m.store.Has(st.kind, hash)
 }
 
-// probeVerify is the verify-probe node's one look at a verifyrun key before
-// the batch decides whether to build a clone: memory, then the disk loader.
-// A record found on disk is marked, so the member's own node reads it from
-// memory and still reports SourceDisk.
-func (m *StageMemo) probeVerify(key plan.Key) (*mlruntime.Result, bool) {
-	st := memoStageOf(key.Stage)
-	v, ok := st.get(m, key.Hash)
-	if !ok {
-		if v, ok = m.loadStored(st, key.Hash, nil); ok {
-			m.markPlanted(key, plan.SourceDisk)
-		}
+// batchMemo is one batch's view of the stage memo: the plan.Memo
+// DebloatBatch runs its graph over. found is what this batch's look-ahead
+// — the prefetch (SourcePeer) and the verify probe (SourceMemory,
+// SourceDisk) — came by, each with the tier it came from. GetOrCompute
+// hands each entry out once, to the first node that asks for its key, and
+// every other ask resolves through the shared StageMemo. So a value the
+// look-ahead found is never lost to an eviction before its node runs, and
+// its source is credited to the batch that found it, not to a concurrent
+// batch reading the same key.
+type batchMemo struct {
+	*StageMemo
+	mu    sync.Mutex
+	found map[plan.Key]answer
+}
+
+// answer is a value the look-ahead found, and the tier that served it.
+type answer struct {
+	v   any
+	src plan.Source
+}
+
+// newBatchMemo returns a batch's memo over m, its table empty.
+func newBatchMemo(m *StageMemo) *batchMemo {
+	return &batchMemo{StageMemo: m, found: map[plan.Key]answer{}}
+}
+
+// keep files what the look-ahead found for k.
+func (m *batchMemo) keep(k plan.Key, v any, src plan.Source) {
+	m.mu.Lock()
+	m.found[k] = answer{v, src}
+	m.mu.Unlock()
+}
+
+// GetOrCompute implements plan.Memo: the look-ahead's answer for key, once,
+// else the shared StageMemo's.
+func (m *batchMemo) GetOrCompute(slot plan.Executor, key plan.Key, hint any, compute func() (any, error)) (any, plan.Source, error) {
+	m.mu.Lock()
+	a, ok := m.found[key]
+	delete(m.found, key)
+	m.mu.Unlock()
+	if ok {
+		return a.v, a.src, nil
 	}
-	r, _ := v.(*mlruntime.Result)
-	return r, ok
+	return m.StageMemo.GetOrCompute(slot, key, hint, compute)
+}
+
+// probeVerify is the verify-probe node's one look at a verifyrun key before
+// the batch decides whether to build a clone: this batch's table (a record
+// the prefetch found, or a duplicate member's key probed already), then
+// memory, then the disk loader. What it finds is kept for the member's
+// node, so true means this memo answers the key.
+func (m *batchMemo) probeVerify(key plan.Key) bool {
+	m.mu.Lock()
+	_, ok := m.found[key]
+	m.mu.Unlock()
+	if ok {
+		return true
+	}
+	st := memoStageOf(key.Stage)
+	if v, ok := st.get(m.StageMemo, key.Hash); ok {
+		m.keep(key, v, plan.SourceMemory)
+		return true
+	}
+	if v, ok := m.loadStored(st, key.Hash, nil); ok {
+		m.keep(key, v, plan.SourceDisk)
+		return true
+	}
+	return false
 }
 
 func (m *StageMemo) count(name string) {

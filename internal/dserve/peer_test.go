@@ -265,7 +265,9 @@ func TestPeerObjectPutKinds(t *testing.T) {
 			t.Errorf("%q: in store = %v, want %v", kind, !want[i], want[i])
 		}
 	}
-	if code := putPeer(t, srv, "/v1/peer/objects/"+kindRecord+"/k-old", castore.Frame(nil, []byte("payload"))); code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+	name := kindRecord + "/k-old"
+	frame := castore.AppendEntry(nil, kindRecord, "k-old", []byte("payload"))[2+len(name):]
+	if code := putPeer(t, srv, "/v1/peer/objects/"+name, frame); code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
 		t.Fatalf("the per-object route answered %d", code)
 	}
 	if st.Has(kindRecord, "k-old") {
@@ -279,7 +281,7 @@ func TestPeerObjectPutKinds(t *testing.T) {
 func TestPeerObjectsRefusesCorruptEntry(t *testing.T) {
 	st, srv := storeNode(t)
 	body := castore.AppendEntry(nil, kindRecord, "one", []byte("first"))
-	flip := len(body) + 2 + len(kindRecord+"/two") + len(castore.Frame(nil, nil))
+	flip := len(body) + 2 + len(kindRecord+"/two") + 48 // the header
 	body = castore.AppendEntry(body, kindRecord, "two", []byte("second"))
 	body = castore.AppendEntry(body, kindRecord, "three", []byte("third"))
 	body[flip] ^= 0x01

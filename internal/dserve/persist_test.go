@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -302,7 +303,8 @@ func writeOlderLayout(t *testing.T, dir string, sharded bool) {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, castore.Frame(nil, raw[e.payload:e.payload+e.size]), 0o644); err != nil {
+		// An object file is its entry without the name: header, payload.
+		if err := os.WriteFile(path, raw[e.payload-48:e.payload+e.size], 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -1062,24 +1064,13 @@ func TestLibImageStoreRestores(t *testing.T) {
 	}
 }
 
-// TestUnsealedStoreRestores: a store written before records were sealed
-// with their stage hash — compact records bare, profile records (version
-// 1) naming their install fingerprint and workload identity, verify
-// records as {"key", "result"} JSON — reopens with its done job restored.
-// The job serves byte-identical images, and no record of the old form is
-// served: the restore recomputes every compact and detect stage, and a
-// resubmit reruns every verification. Each recompute's write replaces the
-// old object, the restored job's pins carried over to it: afterwards
-// every record is sealed, the pinned count is the boot's, and a further
-// restart restores the job from disk with no analysis.
-func TestUnsealedStoreRestores(t *testing.T) {
-	dir := t.TempDir()
-	req := JobRequest{
-		Framework: "pytorch", TailLibs: 4, MaxSteps: 2,
-		Workloads: []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}, {Model: "Transformer", Batch: 8}},
-	}
+// unsealedStore runs req as a persisted job into a new store at dir, then rewrites
+// every record, profile and verify record the store holds in the form the
+// build before sealed records wrote. It returns the job's ID and result, and
+// how many objects of each kind it rewrote.
+func unsealedStore(t *testing.T, dir string, req JobRequest) (string, *BatchResult, map[string]int) {
+	t.Helper()
 	id, res := runPersistedJob(t, dir, Config{Workers: 2, MaxSteps: 2}, req)
-	want := res.DebloatedLibs()
 
 	// The older form, written by hand from this build's records.
 	st := openStore(t, dir)
@@ -1121,12 +1112,34 @@ func TestUnsealedStoreRestores(t *testing.T) {
 			written[kind]++
 		}
 	}
-	if written[kindRecord] != len(want) || written[kindProfile] != len(detects) || written[kindVerify] != len(detects) {
-		t.Fatalf("rewrote %v; want %d records and %d profiles and verify records", written, len(want), len(detects))
+	if written[kindRecord] != len(res.Libs) || written[kindProfile] != len(detects) || written[kindVerify] != len(detects) {
+		t.Fatalf("rewrote %v; want %d records and %d profiles and verify records", written, len(res.Libs), len(detects))
 	}
 	st.Close()
+	return id, res, written
+}
 
-	st = openStore(t, dir)
+// TestUnsealedStoreRestores: a store written before records were sealed
+// with their stage hash — compact records bare, profile records (version
+// 1) naming their install fingerprint and workload identity, verify
+// records as {"key", "result"} JSON — reopens with its done job restored.
+// The job serves byte-identical images, and no record of the old form is
+// served: the restore recomputes every compact and detect stage, and a
+// resubmit reruns every verification. Each recompute's write replaces the
+// old object, the restored job's pins carried over to it: afterwards
+// every record is sealed, the pinned count is the boot's, and a further
+// restart restores the job from disk with no analysis.
+func TestUnsealedStoreRestores(t *testing.T) {
+	dir := t.TempDir()
+	req := JobRequest{
+		Framework: "pytorch", TailLibs: 4, MaxSteps: 2,
+		Workloads: []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}, {Model: "Transformer", Batch: 8}},
+	}
+	id, res, written := unsealedStore(t, dir, req)
+	want := res.DebloatedLibs()
+	detects := int64(len(req.Workloads))
+
+	st := openStore(t, dir)
 	svc := NewService(Config{Workers: 2, MaxSteps: 2, Store: st})
 	defer svc.Close()
 	if n := svc.Counters.Get("jobs.restored"); n != 1 {
@@ -1144,7 +1157,7 @@ func TestUnsealedStoreRestores(t *testing.T) {
 	}
 	for name, n := range map[string]int64{
 		"analysis.computed":       int64(len(want)),
-		"stage.detect.misses":     int64(len(detects)),
+		"stage.detect.misses":     detects,
 		"stage.compact.disk_hits": 0,
 		"stage.detect.disk_hits":  0,
 		"jobs.restore_failed":     0,
@@ -1164,15 +1177,15 @@ func TestUnsealedStoreRestores(t *testing.T) {
 	if n := svc.Counters.Get("stage.verifyrun.disk_hits"); n != 0 {
 		t.Fatalf("stage.verifyrun.disk_hits = %d: an unsealed verify record was served", n)
 	}
-	if n := svc.Counters.Get("stage.verifyrun.misses"); n != int64(len(detects)) {
-		t.Fatalf("stage.verifyrun.misses = %d, want %d", n, len(detects))
+	if n := svc.Counters.Get("stage.verifyrun.misses"); n != detects {
+		t.Fatalf("stage.verifyrun.misses = %d, want %d", n, detects)
 	}
 	svc.WaitReplication()
 	if n := st.Stats().Retained; n != pinned+1 {
 		t.Fatalf("%d objects pinned after the resubmit, want the restored job's %d and the new manifest", n, pinned)
 	}
 	resealed := 0
-	for kind := range unseal {
+	for kind := range written {
 		st.Walk(kind, func(hash string, _ int64) error {
 			raw, _ := st.Get(kind, hash)
 			if sum, _ := rawHash(hash); !bytes.HasPrefix(raw, sum[:]) {
@@ -1197,6 +1210,79 @@ func TestUnsealedStoreRestores(t *testing.T) {
 	}
 	if n := again.Counters.Get("analysis.computed"); n != 0 {
 		t.Fatalf("the second restart computed %d stages, want every record read from disk", n)
+	}
+}
+
+// TestUnsealedStoreRestoreWriteFails: when the restore cannot write the
+// records it recomputed in place of the old ones, the store carries the
+// pins the restored job held on them. Evicting the job drains them: the
+// pinned count returns to what it is without the job, and a record written
+// later under one of those keys is pinned by nobody.
+func TestUnsealedStoreRestoreWriteFails(t *testing.T) {
+	dir := t.TempDir()
+	req := JobRequest{
+		Framework: "pytorch", TailLibs: 4, MaxSteps: 2,
+		Workloads: []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}, {Model: "Transformer", Batch: 8}},
+	}
+	id, res, _ := unsealedStore(t, dir, req)
+
+	var failRecords atomic.Bool
+	failRecords.Store(true)
+	st, err := castore.Open(dir, castore.Options{BeforeAppend: func(kind, _ string) error {
+		if kind == kindRecord && failRecords.Load() {
+			return errors.New("injected: record append fails")
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	unpinned := st.Stats().Retained
+	svc := NewService(Config{Workers: 2, MaxSteps: 2, MaxJobs: 1, Store: st})
+	defer svc.Close()
+	if n := st.Stats().Retained; n <= unpinned {
+		t.Fatalf("the restored job pinned nothing: %d objects pinned, %d before boot", n, unpinned)
+	}
+	for name, img := range res.DebloatedLibs() {
+		if !bytes.Equal(fetchDirect(t, svc, id, name), img) {
+			t.Fatalf("library %s differs from the run that filled the store", name)
+		}
+	}
+	svc.WaitReplication()
+	if n := svc.Counters.Get("analysis.computed"); n != int64(len(res.Libs)) {
+		t.Fatalf("analysis.computed = %d, want every one of %d records recomputed", n, len(res.Libs))
+	}
+	for _, key := range res.libKeys {
+		if st.Has(kindRecord, key) {
+			t.Fatalf("record %.12s… was written though every record append fails", key)
+		}
+	}
+
+	// A second job evicts the restored one (MaxJobs 1). Its own records
+	// cannot be written either, so it pins nothing.
+	other := req
+	other.Workloads = req.Workloads[:1]
+	job, err := svc.Submit(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, _ := waitJob(svc, job.ID, waitTimeout); j.State != JobDone {
+		t.Fatalf("second job: %s", j.Err)
+	}
+	svc.WaitReplication()
+	if n := svc.Counters.Get("jobs.evicted"); n != 1 {
+		t.Fatalf("jobs.evicted = %d, want the restored job evicted", n)
+	}
+	if n := st.Stats().Retained; n != unpinned {
+		t.Fatalf("%d objects pinned after the restored job was evicted, %d before boot", n, unpinned)
+	}
+	failRecords.Store(false)
+	if err := st.Put(kindRecord, res.libKeys[0], []byte("written later")); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Stats().Retained; n != unpinned {
+		t.Fatalf("a record written after the eviction is pinned: %d objects pinned, want %d", n, unpinned)
 	}
 }
 

@@ -105,6 +105,7 @@ func TestRecordSealedWithAnotherKeyIsNeverServed(t *testing.T) {
 					}
 					counters := metrics.NewCounterSet()
 					m := NewStageMemo(NewResultCache(1<<20, nil), counters)
+					batch := newBatchMemo(m)
 					if path == "disk" {
 						m.store = openStore(t, t.TempDir())
 						if err := m.store.Put(st.kind, tc.asked.Hash, rec); err != nil {
@@ -112,10 +113,10 @@ func TestRecordSealedWithAnotherKeyIsNeverServed(t *testing.T) {
 						}
 					} else {
 						attachAnsweringPeer(t, m, counters, rec)
-						m.PrefetchLookups(nil, []prefetchItem{{key: tc.asked, hint: tc.hint}})
+						batch.PrefetchLookups(nil, []prefetchItem{{key: tc.asked, hint: tc.hint}})
 					}
 					ran := false
-					_, src, err := m.GetOrCompute(nil, tc.asked, tc.hint, func() (any, error) {
+					_, src, err := batch.GetOrCompute(nil, tc.asked, tc.hint, func() (any, error) {
 						ran = true
 						return tc.fresh, nil
 					})

@@ -443,9 +443,9 @@ func (r *BatchResult) AllVerified() bool {
 // it as a negativa.Batch — per-member detect nodes feed a union node, the
 // union feeds one compact node per library, and the compacted set feeds a
 // verify probe, the clone it may ask for, and per-member verification nodes
-// — with the service's tiers passed in: the stage memo (profiles,
-// byte-bounded cache, verify records, content-addressed store), its verify
-// probe, and, when clustered, the batch prefetch. With opt.Base set the batch is
+// — with the service's tiers passed in: a batch memo over the stage memo
+// (profiles, byte-bounded cache, verify records, content-addressed store),
+// its verify probe, and, when clustered, the batch prefetch. With opt.Base set the batch is
 // incremental: base members' verifications carry over and only the union
 // delta recomputes. Every workload must reference in as its install.
 func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Workload, opt BatchOptions) (*BatchResult, error) {
@@ -501,25 +501,17 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 		}
 	}
 
-	// The tiers, passed in as hooks. markKeys scopes the marks the batch
-	// prefetch and the verify probe plant to this batch: stage nodes consume
-	// their marks on the happy path, but a batch aborting between plant and
-	// consumption must not leave stale entries in the service-wide memo. The
-	// hooks run inside nodes that depend on each other in turn, and Run waits
-	// for every node before returning, so the deferred clear observes the
-	// final slice.
-	var markKeys []plan.Key
-	defer func() { s.stages.clearMarks(markKeys) }()
+	// The tiers, passed in as hooks. The prefetch and the verify probe keep
+	// what they find in the batch's own memo, which hands it to the node
+	// that asks for it.
+	memo := newBatchMemo(s.stages)
 	// The write-back goes out once the run returns, failed or not.
 	defer s.flushWriteBack()
 	b.Verify = make([]bool, len(workloads))
 	for i := range b.Verify {
 		b.Verify[i] = !opt.SkipVerify && !carried[i]
 	}
-	b.ProbeVerify = func(k plan.Key) (*mlruntime.Result, bool) {
-		markKeys = append(markKeys, k)
-		return s.stages.probeVerify(k)
-	}
+	b.ProbeVerify = memo.probeVerify
 	if s.cluster != nil {
 		b.Prefetch = func(slot plan.Executor, keys []plan.Key, hints []any) {
 			items := make([]prefetchItem, len(keys))
@@ -529,11 +521,10 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 					items[i].hint = hints[i]
 				}
 			}
-			markKeys = append(markKeys, keys...)
-			s.stages.PrefetchLookups(slot, items)
+			memo.PrefetchLookups(slot, items)
 		}
 	}
-	run, err := b.Run(s.pool, s.stages, plan.MultiObserver(s.observer, opt.Observer), opt.OnPlanned)
+	run, err := b.Run(s.pool, memo, plan.MultiObserver(s.observer, opt.Observer), opt.OnPlanned)
 	if err != nil {
 		return nil, err
 	}

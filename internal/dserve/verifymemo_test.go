@@ -557,9 +557,10 @@ func TestPeerVerifyRecordDecodedUnderItsKey(t *testing.T) {
 			defer c.Close()
 			m.AttachCluster(c)
 
-			m.PrefetchLookups(nil, []prefetchItem{{key: key}})
+			batch := newBatchMemo(m)
+			batch.PrefetchLookups(nil, []prefetchItem{{key: key}})
 			ran := false
-			v, src, err := m.GetOrCompute(nil, key, nil, func() (any, error) {
+			v, src, err := batch.GetOrCompute(nil, key, nil, func() (any, error) {
 				ran = true
 				return &mlruntime.Result{Digest: 9}, nil
 			})

@@ -57,10 +57,12 @@ type Batch struct {
 	// one caller that sets it, sets no hooks). hints is nil where a level has
 	// none.
 	Prefetch func(slot plan.Executor, keys []plan.Key, hints []any)
-	// ProbeVerify answers a verifyrun key from the local tiers before the
-	// batch decides whether to build the verify clone. Nil builds the clone
-	// whenever a member verifies.
-	ProbeVerify func(plan.Key) (*mlruntime.Result, bool)
+	// ProbeVerify looks a verifyrun key up before the batch decides whether
+	// to build the verify clone: true means the memo Run is handed answers
+	// the key, so its member needs no clone. When every key is reported
+	// found no clone is built, and a memo that then computes one of them
+	// fails the batch. Nil builds the clone whenever a member verifies.
+	ProbeVerify func(plan.Key) bool
 }
 
 // NewBatch returns a batch of workloads over in, every one of which must
@@ -197,7 +199,7 @@ func (b *Batch) Run(pool *plan.Pool, memo plan.Memo, obs plan.Observer, onPlanne
 				images[i] = d.(*LibDebloat).Report.Sparse
 			}
 			set := DebloatedSetDigest(names, images)
-			vp := &verifyProbe{keys: make([]plan.Key, len(fresh)), found: make([]*mlruntime.Result, len(fresh))}
+			vp := &verifyProbe{keys: make([]plan.Key, len(fresh))}
 			for j, i := range fresh {
 				vp.keys[j] = VerifyRunKey(fp, b.IDs[i], steps, set)
 			}
@@ -215,12 +217,9 @@ func (b *Batch) Run(pool *plan.Pool, memo plan.Memo, obs plan.Observer, onPlanne
 			if b.Prefetch != nil && allHit {
 				b.Prefetch(pool, vp.keys, nil)
 			}
-			for j, key := range vp.keys {
-				ok := false
-				if b.ProbeVerify != nil {
-					vp.found[j], ok = b.ProbeVerify(key)
-				}
-				vp.needClone = vp.needClone || !ok
+			for _, key := range vp.keys {
+				found := b.ProbeVerify != nil && b.ProbeVerify(key)
+				vp.needClone = vp.needClone || !found
 			}
 			return vp, nil
 		})
@@ -244,10 +243,8 @@ func (b *Batch) Run(pool *plan.Pool, memo plan.Memo, obs plan.Observer, onPlanne
 			r.verifies[i] = g.Node(StageVerifyRun, []*plan.Node{r.probe, clone}, func(deps []any) (plan.Key, error) {
 				return deps[0].(*verifyProbe).keys[j], nil
 			}, func(deps []any) (any, error) {
-				if found := deps[0].(*verifyProbe).found[j]; found != nil {
-					// The probe found this record and skipped the clone on
-					// its strength; the memory tier evicted it since.
-					return found, nil
+				if !deps[0].(*verifyProbe).needClone {
+					return nil, fmt.Errorf("negativa: verify %s: the memo computes a record its probe reported found", w.Name)
 				}
 				vw := *w
 				vw.Install = deps[1].(*mlframework.Install)
@@ -318,15 +315,11 @@ func (r *BatchRun) Cloned() bool {
 	return r.probe != nil && r.probe.Value().(*verifyProbe).needClone
 }
 
-// verifyProbe is the verify-probe node's value: what the tiers already
-// answer for the batch's verified members, and therefore whether a clone is
-// needed at all. keys and found hold one entry per verified member, in
-// member order; found[j] is carried to that member's verifyrun node so an
-// eviction between probe and lookup returns the record instead of needing a
-// clone that was never built.
+// verifyProbe is the verify-probe node's value: each verified member's
+// verifyrun key, in member order, and whether any of them went unanswered,
+// so a clone is needed at all.
 type verifyProbe struct {
 	keys      []plan.Key
-	found     []*mlruntime.Result
 	needClone bool
 }
 

@@ -186,12 +186,12 @@ func TestBatchHooks(t *testing.T) {
 			}
 			calls = append(calls, prefetchCall{keys, hints})
 		}
-		b.ProbeVerify = func(k plan.Key) (*mlruntime.Result, bool) {
+		b.ProbeVerify = func(k plan.Key) bool {
 			if k.Stage != StageVerifyRun {
 				t.Errorf("%s: probed a %s key", pass, k.Stage)
 			}
 			probed++
-			return nil, false
+			return false
 		}
 		run, err := b.Run(plan.NewPool(2), memo, nil, nil)
 		if err != nil {
@@ -241,9 +241,11 @@ func TestBatchHooks(t *testing.T) {
 	}
 }
 
-// TestBatchVerifiesProbedRecords: records the verify probe answers skip the
-// clone, and each is judged against its member's reference digest like a
-// run — a record of a different output does not verify.
+// TestBatchVerifiesProbedRecords: records the verify probe reports found
+// skip the clone, and the memo answers each, judged against its member's
+// reference digest like a run — a record of a different output does not
+// verify. A memo that computes a key its probe reported found fails the
+// batch rather than run against a clone that was never built.
 func TestBatchVerifiesProbedRecords(t *testing.T) {
 	ws := goldenMembers(t, mlframework.TensorFlow)[:2]
 	in := ws[0].Install
@@ -253,26 +255,27 @@ func TestBatchVerifiesProbedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := make([]*mlruntime.Result, len(ws))
+	records := newMapMemo()
 	for i := range ws {
 		vr, ok := ran.Verify(i)
 		if !ok || !ran.Cloned() {
 			t.Fatalf("member %d of the first batch: verified %v, cloned %v", i, ok, ran.Cloned())
 		}
-		records[i] = vr
+		if i == 0 {
+			wrong := *vr
+			wrong.Digest++
+			vr = &wrong
+		}
+		records.vals[ran.verifies[i].ResolvedKey()] = vr
 	}
-	wrong := *records[0]
-	wrong.Digest++
-	records[0] = &wrong
 
 	b := NewBatch(in, ws, 2)
 	b.Verify = []bool{true, true}
-	next := 0
-	b.ProbeVerify = func(plan.Key) (*mlruntime.Result, bool) {
-		next++
-		return records[next-1], true
+	b.ProbeVerify = func(k plan.Key) bool {
+		_, ok := records.vals[k]
+		return ok
 	}
-	run, err := b.Run(plan.NewPool(2), newMapMemo(), nil, nil)
+	run, err := b.Run(plan.NewPool(2), records, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +287,13 @@ func TestBatchVerifiesProbedRecords(t *testing.T) {
 	}
 	if _, ok := run.Verify(1); !ok {
 		t.Error("the member's own record did not verify")
+	}
+
+	lying := NewBatch(in, ws, 2)
+	lying.Verify = []bool{true, true}
+	lying.ProbeVerify = func(plan.Key) bool { return true }
+	if _, err := lying.Run(plan.NewPool(2), newMapMemo(), nil, nil); err == nil || !strings.Contains(err.Error(), "probe reported found") {
+		t.Fatalf("a memo that computed a key its probe reported found: err %v", err)
 	}
 }
 
