@@ -6,8 +6,8 @@
 // type and key is a name the caller derives from what produced the object
 // (a stage hash, a job ID), so one key names one payload. Every object's
 // header carries the SHA-256 of its payload, which Put and AppendEntry compute,
-// and every read checks the payload against it: Get, OpenMapped, Verify
-// and Import.
+// and every read checks the payload against it: Get, OpenMapped, Verify,
+// Import and EntryReader.Payload.
 //
 // Layout. Every object, manifests included, is one entry appended to a
 // segment file, <dir>/NNNNNNNN.seg: its name (u16 length, kind/key), the
@@ -16,6 +16,10 @@
 // .index file, nothing else. An entry is also the multi-object body's
 // (AppendEntry, ExportEntry, ImportEntries), so Export and ExportEntry copy
 // a segment range verbatim and an Import of a verified frame is an append.
+// One reader parses every body that arrives: EntryReader, under a bound on
+// the whole body stated by its caller, which ImportEntries streams into
+// the store and a peer's lookup answer is read whole with (Payload, which
+// checks the sum).
 // A Put costs a hash and one write to an open file, where a file per
 // object cost a create, a write, a close and a rename: BenchmarkStorePut
 // puts a 519-byte object in 2.7–6.5 µs against 24–31 µs that way (ext4,

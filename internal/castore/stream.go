@@ -3,6 +3,7 @@ package castore
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -166,6 +167,102 @@ func readHead(r io.Reader, buf []byte) (objKey, header, []byte, error) {
 	return objKey{kind, key}, hdr, buf, err
 }
 
+// An EntryReader reads a multi-object body one entry at a time, under a
+// bound on the whole body: Next reads an entry's name and frame header,
+// and the entry's payload is read whole by Payload, or read past by the
+// next Next. The bound is checked before any byte is read past it: an
+// entry whose name, header or claimed payload would end beyond it is an
+// error, so a header that claims an absurd length costs nothing, and a
+// body that runs on past the bound is refused at its first byte there.
+// The body's bytes are never trusted: Payload checks the payload against
+// its header's sum, and ImportEntries does as it streams.
+type EntryReader struct {
+	// body is the body with one byte beyond the bound, so a body that
+	// ends exactly at the bound is told from one that runs on.
+	body    io.LimitedReader
+	buf     []byte
+	id      objKey
+	hdr     header
+	payload io.LimitedReader
+}
+
+// NewEntryReader reads the multi-object body r, of at most limit bytes.
+func NewEntryReader(r io.Reader, limit int64) *EntryReader {
+	e := &EntryReader{body: io.LimitedReader{R: r, N: limit + 1}}
+	e.payload.R = &e.body
+	return e
+}
+
+// errOverBound is the error of a body that would pass its bound.
+var errOverBound = errors.New("body exceeds its bound")
+
+// left is what the bound leaves of the body.
+func (e *EntryReader) left() int64 { return e.body.N - 1 }
+
+// Next reads past what is left of the current entry's payload, then the
+// next entry's name, split at its first '/', and its frame header. It
+// returns io.EOF where the body ends cleanly between entries; a body cut
+// short inside an entry, a malformed header, or a body that passes the
+// bound is an error, and the reader is then spent.
+func (e *EntryReader) Next() (kind, key string, err error) {
+	if err := e.skip(); err != nil {
+		return "", "", err
+	}
+	id, hdr, buf, err := readHead(&e.body, e.buf)
+	e.buf = buf
+	switch {
+	case err == io.EOF:
+		return "", "", io.EOF
+	case e.body.N == 0:
+		// readHead read the byte past the bound.
+		return "", "", errOverBound
+	case err != nil:
+		return "", "", err
+	case hdr.length > e.left():
+		return "", "", fmt.Errorf("entry %s/%s of %d bytes: %w", id.kind, id.key, hdr.length, errOverBound)
+	}
+	e.id, e.hdr, e.payload.N = id, hdr, hdr.length
+	return id.kind, id.key, nil
+}
+
+// skip reads past what is left of the current entry's payload; a body
+// that ends before it is cut short.
+func (e *EntryReader) skip() error {
+	if e.payload.N == 0 {
+		return nil
+	}
+	io.Copy(io.Discard, &e.payload)
+	if e.payload.N > 0 {
+		return fmt.Errorf("entry %s/%s: payload: %w", e.id.kind, e.id.key, io.ErrUnexpectedEOF)
+	}
+	return nil
+}
+
+// Payload reads the current entry's payload whole and checks it against
+// its header's sum. Memory follows the bytes that arrive, never the
+// length the header claims: a payload is read into 64 KiB, then into a
+// copy twice the size each time that fills, so a read allocates at most
+// twice the bytes it got, or 64 KiB.
+func (e *EntryReader) Payload() ([]byte, error) {
+	n := e.payload.N
+	p := make([]byte, min(n, 64<<10))
+	for got := 0; ; {
+		if _, err := io.ReadFull(&e.payload, p[got:]); err != nil {
+			return nil, fmt.Errorf("entry %s/%s: payload: %w", e.id.kind, e.id.key, io.ErrUnexpectedEOF)
+		}
+		if got = len(p); int64(got) == n {
+			break
+		}
+		grown := make([]byte, min(n, 2*int64(got)))
+		copy(grown, p)
+		p = grown
+	}
+	if sha256.Sum256(p) != e.hdr.sum {
+		return nil, fmt.Errorf("entry %s/%s: checksum mismatch", e.id.kind, e.id.key)
+	}
+	return p, nil
+}
+
 // ExportEntry writes the stored object (kind, key) to w as one entry of a
 // multi-object body: its segment entry, name and frame, verbatim.
 func (s *Store) ExportEntry(kind, key string, w io.Writer) error {
@@ -173,35 +270,33 @@ func (s *Store) ExportEntry(kind, key string, w io.Writer) error {
 	return err
 }
 
-// ImportEntries reads a multi-object body from r and Imports each entry on
-// its own when accept takes its kind; a refused entry is read past and
-// never stored. It returns, in body order, whether each entry is stored
-// (already present counts) — one that fails its checksum is not, and the
-// body goes on — and the error that ended the body early: an entry cut
-// short or malformed publishes nothing, and the entries before it stay.
-func (s *Store) ImportEntries(r io.Reader, accept func(kind string) bool) ([]bool, error) {
+// ImportEntries reads a multi-object body of at most limit bytes from r
+// (an EntryReader) and Imports each entry on its own when accept takes
+// its kind; a refused entry is read past and never stored. It returns, in
+// body order, whether each entry is stored (already present counts) — one
+// that fails its checksum is not, and the body goes on — and the error
+// that ended the body early: an entry cut short, malformed or past the
+// bound publishes nothing, and the entries before it stay.
+func (s *Store) ImportEntries(r io.Reader, limit int64, accept func(kind string) bool) ([]bool, error) {
 	var stored []bool
-	var buf []byte
+	e := NewEntryReader(r, limit)
 	for {
-		id, hdr, b, err := readHead(r, buf)
-		buf = b
+		kind, _, err := e.Next()
 		if err == io.EOF {
 			return stored, nil
 		} else if err != nil {
 			return stored, fmt.Errorf("castore: entry %d: %w", len(stored), err)
 		}
+		ok := accept(kind)
+		if ok {
+			_, err := s.importFrame(e.id, e.buf[len(e.buf)-headerSize:], &e.payload)
+			ok = err == nil
+		}
 		// The payload is read to its end whatever the import did, so the
 		// next entry starts where it should, and what is missing then was
 		// cut off.
-		payload := &io.LimitedReader{R: r, N: hdr.length}
-		ok := accept(id.kind)
-		if ok {
-			_, err := s.importFrame(id, buf[len(buf)-headerSize:], payload)
-			ok = err == nil
-		}
-		io.Copy(io.Discard, payload)
-		if payload.N > 0 {
-			return stored, fmt.Errorf("castore: entry %s/%s: payload: %w", id.kind, id.key, io.ErrUnexpectedEOF)
+		if err := e.skip(); err != nil {
+			return stored, fmt.Errorf("castore: %w", err)
 		}
 		stored = append(stored, ok)
 	}

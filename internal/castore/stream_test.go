@@ -2,6 +2,10 @@ package castore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -214,7 +218,7 @@ func TestImportEntries(t *testing.T) {
 	body = AppendEntry(body, "job", "four", []byte("refused"))
 	body = AppendEntry(body, "record", "five", []byte("after the refusal"))
 
-	stored, err := dst.ImportEntries(bytes.NewReader(body), func(kind string) bool { return kind == "record" })
+	stored, err := dst.ImportEntries(bytes.NewReader(body), 1<<20, func(kind string) bool { return kind == "record" })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +237,7 @@ func TestImportEntries(t *testing.T) {
 		t.Fatal("an exported entry does not round-trip")
 	}
 	// An entry already present counts as stored.
-	again, err := dst.ImportEntries(bytes.NewReader(body), func(string) bool { return true })
+	again, err := dst.ImportEntries(bytes.NewReader(body), 1<<20, func(string) bool { return true })
 	if err != nil || !slices.Equal(again, []bool{true, true, true, true, true}) {
 		t.Fatalf("second import: %v, %v", again, err)
 	}
@@ -251,7 +255,7 @@ func TestImportEntriesSeveredAndCorrupt(t *testing.T) {
 
 	dst, _ := Open(t.TempDir(), Options{})
 	defer dst.Close()
-	stored, err := dst.ImportEntries(bytes.NewReader(body[:second+100]), all)
+	stored, err := dst.ImportEntries(bytes.NewReader(body[:second+100]), 1<<20, all)
 	if err == nil {
 		t.Fatal("a severed body read as whole")
 	}
@@ -269,7 +273,7 @@ func TestImportEntriesSeveredAndCorrupt(t *testing.T) {
 	flipped[second+7] ^= 0x01
 	dst2, _ := Open(t.TempDir(), Options{})
 	defer dst2.Close()
-	stored, err = dst2.ImportEntries(bytes.NewReader(flipped), all)
+	stored, err = dst2.ImportEntries(bytes.NewReader(flipped), 1<<20, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,6 +285,91 @@ func TestImportEntriesSeveredAndCorrupt(t *testing.T) {
 	}
 	if left := debris(t, dst2); left != 0 {
 		t.Fatalf("corrupt body left %d bytes of debris", left)
+	}
+}
+
+// readAll reads every entry of body under limit with an EntryReader:
+// names and payloads in order, and the error that ended the body (nil at
+// a clean end).
+func readAll(body []byte, limit int64) (names []string, payloads [][]byte, err error) {
+	e := NewEntryReader(bytes.NewReader(body), limit)
+	for {
+		kind, key, err := e.Next()
+		if err == io.EOF {
+			return names, payloads, nil
+		} else if err != nil {
+			return names, payloads, err
+		}
+		p, err := e.Payload()
+		if err != nil {
+			return names, payloads, err
+		}
+		names, payloads = append(names, kind+"/"+key), append(payloads, p)
+	}
+}
+
+// TestEntryReader: a body read whole gives every entry in order; a body
+// that ends exactly at the bound reads whole, and one byte more is over
+// it; a header claiming more than the bound leaves is refused before its
+// payload is read; a payload cut short, a cut in a name, and a flipped
+// payload byte are errors.
+func TestEntryReader(t *testing.T) {
+	src, _ := Open(t.TempDir(), Options{})
+	defer src.Close()
+	body, second := threeEntryBody(t, src)
+	size := int64(len(body))
+
+	names, payloads, err := readAll(body, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"record/one", "record/two", "record/three"}; !slices.Equal(names, want) {
+		t.Fatalf("names %v, want %v", names, want)
+	}
+	if !bytes.Equal(payloads[1], bytes.Repeat([]byte("second"), 512)) {
+		t.Fatal("the exported entry's payload does not read back")
+	}
+	if _, _, err := readAll(append(body[:size:size], 0), size); !errors.Is(err, errOverBound) {
+		t.Fatalf("a body one byte past its bound: %v", err)
+	}
+	// The second entry's header claims 3 072 bytes; a bound that leaves
+	// fewer refuses it with its payload unread.
+	names, _, err = readAll(body, int64(second)+3000)
+	if !errors.Is(err, errOverBound) || len(names) != 1 {
+		t.Fatalf("claimed length past the bound: %v after %v", err, names)
+	}
+	for name, cut := range map[string][]byte{
+		"payload cut short": body[:second+100],
+		"name cut short":    body[:second-headerSize-4],
+	} {
+		if _, _, err := readAll(cut, size); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	flipped := append([]byte(nil), body...)
+	flipped[second+7] ^= 0x01
+	if names, _, err := readAll(flipped, size); err == nil || len(names) != 1 {
+		t.Fatalf("flipped payload byte: %v after %v", err, names)
+	}
+}
+
+// TestEntryReaderAllocatesWhatArrives: an entry whose header claims the
+// whole bound and whose body then ends costs what arrived, not what it
+// claimed.
+func TestEntryReaderAllocatesWhatArrives(t *testing.T) {
+	const limit = 64 << 20
+	claim := AppendEntry(nil, "record", "big", nil)
+	binary.LittleEndian.PutUint64(claim[2+len("record/big")+8:], limit-uint64(len(claim)))
+	body := append(claim, make([]byte, 1000)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readAll(body, limit)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a body cut short of its claim: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a claim of %d bytes with 1000 behind it allocated %d bytes", limit, grew)
 	}
 }
 
@@ -304,7 +393,7 @@ func FuzzImportEntries(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		stored, _ := s.ImportEntries(bytes.NewReader(body), func(kind string) bool { return kind == "record" })
+		stored, _ := s.ImportEntries(bytes.NewReader(body), 1<<20, func(kind string) bool { return kind == "record" })
 		answered := 0
 		for _, ok := range stored {
 			if ok {

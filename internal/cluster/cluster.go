@@ -724,29 +724,30 @@ func (c *Cluster) observe(id string, dur time.Duration, transportErr bool) {
 // response into out (which may be nil). A non-2xx status decodes the
 // peer's {"error": ...} body into a *PeerError; transport failures count
 // against the peer's health, application errors do not.
+func (c *Cluster) PostJSON(peer, path string, in, out any) error {
+	return c.Post(context.Background(), peer, path, in, decodeJSON(out))
+}
+
+// Post POSTs a JSON body to a peer's path under ctx and hands a 2xx
+// answer's body to read (nil drains it). A request whose context was
+// cancelled — the hedged-read path's cancellation channel — does not
+// touch the peer's health: losing a hedge race says nothing about the
+// peer, and charging it a transport failure would let hedging itself mark
+// healthy peers down.
 //
 // The request body is encoded once into a pooled buffer: Content-Length is
 // set from it (so the peer can preallocate), a transport-level retry
 // replays the same bytes instead of re-marshalling, and the buffer returns
 // to the pool when the exchange finishes — steady-state peer traffic
 // produces no per-call encoding garbage.
-func (c *Cluster) PostJSON(peer, path string, in, out any) error {
-	return c.PostJSONCtx(context.Background(), peer, path, in, out)
-}
-
-// PostJSONCtx is PostJSON under a caller context — the hedged-read path's
-// cancellation channel. A request whose context was cancelled does not
-// touch the peer's health: losing a hedge race says nothing about the
-// peer, and charging it a transport failure would let hedging itself mark
-// healthy peers down.
-func (c *Cluster) PostJSONCtx(ctx context.Context, peer, path string, in, out any) error {
+func (c *Cluster) Post(ctx context.Context, peer, path string, in any, read func(io.Reader) error) error {
 	buf := bufpool.GetBuffer()
 	defer bufpool.PutBuffer(buf)
 	if err := json.NewEncoder(buf).Encode(in); err != nil {
 		return fmt.Errorf("cluster: encode %s request: %w", path, err)
 	}
 	body := buf.Bytes()
-	return c.send(ctx, peer, http.MethodPost, path, "application/json", bytes.NewReader(body), int64(len(body)), out)
+	return c.send(ctx, peer, http.MethodPost, path, "application/json", bytes.NewReader(body), int64(len(body)), read)
 }
 
 // PutStream PUTs a raw octet stream to a peer path — the replication
@@ -757,16 +758,32 @@ func (c *Cluster) PostJSONCtx(ctx context.Context, peer, path string, in, out an
 // and then none of it is sent. A non-2xx status is returned as
 // *PeerError.
 func (c *Cluster) PutStream(peer, path string, body io.Reader, length int64, out any) error {
-	return c.send(context.Background(), peer, http.MethodPut, path, "application/octet-stream", body, length, out)
+	return c.send(context.Background(), peer, http.MethodPut, path, "application/octet-stream", body, length, decodeJSON(out))
 }
 
-// send is the one peer exchange under PostJSONCtx and PutStream: it sends
-// the request with the cluster's secret, decodes a 2xx answer into out
-// (or drains it when out is nil), and settles the peer's health once. A
-// transport failure or an unparsable 2xx body counts against the peer,
+// maxJSONAnswer bounds a JSON answer from a peer. Every JSON route
+// answers a membership view or a flag per object of a bounded request,
+// kilobytes at most; a body past the bound fails to decode.
+const maxJSONAnswer = 1 << 20
+
+// decodeJSON is the reader of a JSON answer: it decodes at most
+// maxJSONAnswer bytes into out, or, when out is nil, drains the answer.
+func decodeJSON(out any) func(io.Reader) error {
+	if out == nil {
+		return nil
+	}
+	return func(r io.Reader) error {
+		return json.NewDecoder(io.LimitReader(r, maxJSONAnswer)).Decode(out)
+	}
+}
+
+// send is the one peer exchange under Post and PutStream: it sends the
+// request with the cluster's secret, hands a 2xx answer's body to read
+// (or drains it when read is nil), and settles the peer's health once. A
+// transport failure or a 2xx body that read refuses counts against the peer,
 // unless ctx was cancelled; a non-2xx answer is a *PeerError and does
 // not. A length of -1 asks first (Expect: 100-continue).
-func (c *Cluster) send(ctx context.Context, peer, method, path, contentType string, body io.Reader, length int64, out any) error {
+func (c *Cluster) send(ctx context.Context, peer, method, path, contentType string, body io.Reader, length int64, read func(io.Reader) error) error {
 	url, err := c.peerURL(peer)
 	if err != nil {
 		return err
@@ -791,12 +808,13 @@ func (c *Cluster) send(ctx context.Context, peer, method, path, contentType stri
 		switch {
 		case resp.StatusCode/100 != 2:
 			perr = peerError(peer, resp)
-		case out != nil:
-			// An unparsable success body means the peer is misbehaving at
-			// the protocol level; it counts like a transport failure so a
-			// wedged peer eventually leaves the ring.
-			if derr := json.NewDecoder(resp.Body).Decode(out); derr != nil {
-				err = fmt.Errorf("decode %s response: %w", path, derr)
+		case read != nil:
+			// A success body the reader refuses means the peer is
+			// misbehaving at the protocol level; it counts like a
+			// transport failure so a wedged peer eventually leaves the
+			// ring.
+			if rerr := read(resp.Body); rerr != nil {
+				err = fmt.Errorf("read %s answer: %w", path, rerr)
 			}
 		default:
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
@@ -865,7 +883,7 @@ type hedgeResult struct {
 // defense: a stalled primary costs the hedge delay plus the replica's
 // round trip, not the full timeout.
 // The first attempt to return ok wins and the loser's context is
-// cancelled. attempt must honor ctx (route reads through PostJSONCtx) and
+// cancelled. attempt must honor ctx (route reads through Post) and
 // report ok=false for an application-level miss; a miss or error returns
 // without hedging further — replica iteration beyond the first two peers
 // stays the caller's loop. Metrics: peer.hedge_fired / peer.hedge_won /

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -219,6 +220,43 @@ func TestPostJSONRoundTripAndLatency(t *testing.T) {
 	}
 	if err := c.PostJSON("ghost", "/x", nil, nil); err == nil {
 		t.Fatal("unknown peer must error")
+	}
+}
+
+// TestJSONAnswerBounded: a peer that answers 2xx with a JSON body that
+// never ends costs its requester one failed read of maxJSONAnswer bytes,
+// not memory without bound, and the failure counts against the peer like
+// a transport error. The decoder's buffer doubles as it fills, so the
+// read allocates a few times the bound (about 4×, both ends of the
+// loopback counted); without the bound it allocates until the transport
+// times out.
+func TestJSONAnswerBounded(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"nodes":{"a":"`)
+		chunk := []byte(strings.Repeat("x", 32<<10))
+		for {
+			if _, err := w.Write(chunk); err != nil {
+				return // the requester hung up
+			}
+		}
+	}))
+	defer srv.Close()
+	c := New("a", map[string]string{"b": srv.URL}, Options{FailureThreshold: 3})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var resp HeartbeatResponse
+	err := c.PostJSON("b", PingPath, HeartbeatRequest{From: "a"}, &resp)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("an endless answer decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*maxJSONAnswer {
+		t.Fatalf("an endless answer allocated %d bytes; the bound is %d", grew, maxJSONAnswer)
+	}
+	if st := c.Stats(); st.Peers[0].TransportErrors != 1 {
+		t.Fatalf("peer stats %+v; want one failure", st.Peers[0])
 	}
 }
 

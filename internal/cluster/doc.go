@@ -26,8 +26,12 @@
 //   - Cluster: live membership over a Ring — self plus a peer set that can
 //     grow (join, gossip) and shrink (leave, failure) at runtime — with
 //     per-peer health tracking and the HTTP transport the serving plane's
-//     peer tier uses (PostJSON for stage lookups, PutStream for castore
-//     object and install pushes).
+//     peer tier uses: one exchange (send) under Post, which sends a JSON
+//     request and hands the answer's body to the caller's reader (stage
+//     lookups read castore's multi-object body), PostJSON, Post with a
+//     JSON reader (stat, the membership plane), and PutStream (castore
+//     object and install pushes). A JSON answer is read under a bound
+//     (maxJSONAnswer); a reader of any other answer states its own.
 //
 // # Failure model
 //

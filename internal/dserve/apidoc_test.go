@@ -2,6 +2,9 @@ package dserve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -128,9 +131,65 @@ func shapeDiff(path string, doc, live any, subset bool, probs *[]string) {
 	}
 }
 
+// answerLayout renders a lookup-batch answer as docs/API.md shows it,
+// parsing the bytes by the layout table there alone, not by castore's
+// reader: per entry its name, its header's magic, version, length and sum,
+// and the stage hash its record is sealed with. Bytes that do not fit the
+// table — a short entry, a wrong magic, version or flags, a sum that does
+// not match, a record sealed with another hash than its name's — fail
+// the test.
+func answerLayout(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	type entry struct {
+		Name       string `json:"name"`
+		Magic      string `json:"magic"`
+		Version    int    `json:"version"`
+		Length     int    `json:"length"`
+		Sum        string `json:"sum"`
+		SealedWith string `json:"sealed_with"`
+	}
+	entries := []entry{}
+	le := binary.LittleEndian
+	for len(raw) > 0 {
+		if len(raw) < 2 {
+			t.Fatalf("answer: %d bytes left where an entry starts", len(raw))
+		}
+		n := int(le.Uint16(raw))
+		if len(raw) < 2+n+48 {
+			t.Fatalf("answer: entry cut short in its name or header")
+		}
+		name, hdr := string(raw[2:2+n]), raw[2+n:2+n+48]
+		length := int(le.Uint64(hdr[8:16]))
+		rec := raw[2+n+48:]
+		if len(rec) < length || length < 32 {
+			t.Fatalf("answer: entry %s claims %d record bytes, %d follow", name, length, len(rec))
+		}
+		rec = rec[:length]
+		if string(hdr[:4]) != "NCS1" || le.Uint16(hdr[4:6]) != 1 || le.Uint16(hdr[6:8]) != 0 {
+			t.Fatalf("answer: entry %s header %x is not magic NCS1, version 1, flags 0", name, hdr[:8])
+		}
+		if sum := sha256.Sum256(rec); !bytes.Equal(sum[:], hdr[16:48]) {
+			t.Fatalf("answer: entry %s fails its sum", name)
+		}
+		sealed := hex.EncodeToString(rec[:32])
+		if _, hash, _ := strings.Cut(name, "/"); hash != sealed {
+			t.Fatalf("answer: entry %s holds a record sealed with %s", name, sealed)
+		}
+		entries = append(entries, entry{name, string(hdr[:4]), 1, length, hex.EncodeToString(hdr[16:48]), sealed})
+		raw = raw[2+n+48+length:]
+	}
+	out, err := json.Marshal(map[string]any{"entries": entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestAPIDocExamples keeps docs/API.md honest: every request example is
 // replayed verbatim against a live two-node service, every response
-// example is shape-compared against what the service actually returned,
+// example is shape-compared against what the service actually returned
+// (a lookup-batch answer, which is binary, as answerLayout parses it by
+// the documented layout),
 // and both directions of completeness are enforced — an undocumented
 // scenario fails, and so does a documented example the test does not
 // exercise.
@@ -249,7 +308,7 @@ func TestAPIDocExamples(t *testing.T) {
 		t.Fatal("docs/API.md lacks the peer-lookup-batch request example")
 	}
 	actual["peer-lookup-batch request"] = batchLookupReq.json
-	actual["peer-lookup-batch response"] = httpJSON(http.MethodPost, "/v1/peer/lookup-batch", batchLookupReq.json, http.StatusOK)
+	actual["peer-lookup-batch response"] = answerLayout(t, httpJSON(http.MethodPost, "/v1/peer/lookup-batch", batchLookupReq.json, http.StatusOK))
 
 	// A found compact lookup needs a real key: the first library of the
 	// doc-example job, which node a computed and still caches.
@@ -260,7 +319,11 @@ func TestAPIDocExamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	actual["peer-lookup-batch-found request"] = foundReq
-	actual["peer-lookup-batch-found response"] = httpJSON(http.MethodPost, "/v1/peer/lookup-batch", foundReq, http.StatusOK)
+	found := answerLayout(t, httpJSON(http.MethodPost, "/v1/peer/lookup-batch", foundReq, http.StatusOK))
+	if want := `"name":"` + kindRecord + "/" + a.svc.Job(st.ID).Result.libKeys[0] + `"`; !bytes.Contains(found, []byte(want)) {
+		t.Fatalf("found answer %s does not name the key asked", found)
+	}
+	actual["peer-lookup-batch-found response"] = found
 
 	// An install push needs a real fingerprint (the owner checks the
 	// install it resolves against it): b's push of the install the submit

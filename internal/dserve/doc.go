@@ -122,7 +122,8 @@
 // its local tiers miss are read through their remote owners in health
 // order (healthy, suspect, down; by ID within a class), batched per
 // replica set (POST /v1/peer/lookup-batch, the only remote read, hedged
-// after a fixed 2 ms). A ring runs one protocol: a replica set that
+// after a fixed 2 ms; its answer is castore's multi-object body, the
+// found keys' records verbatim). A ring runs one protocol: a replica set that
 // cannot answer the route is a failed peer tier, and its keys resolve as
 // misses. No stage executes remotely: every miss computes on the
 // requesting node, where its inputs already are — a detect stage against

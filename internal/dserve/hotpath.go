@@ -3,10 +3,12 @@ package dserve
 import (
 	"context"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
 
+	"negativaml/internal/castore"
 	"negativaml/internal/plan"
 )
 
@@ -21,7 +23,11 @@ import (
 // the batch's ready keys, groups them by replica set, and issues one
 // POST /v1/peer/lookup-batch per group, hedged through
 // cluster.HedgedCall so a stalled replica costs a fixed 2 ms hedge delay,
-// not the transport timeout. Found values are kept in the asking batch's
+// not the transport timeout. The answer is castore's multi-object body,
+// read by one castore.EntryReader under maxLookupAnswerBytes
+// (readLookupAnswer): each entry's sum is checked and the entry matched
+// to the key it answers; a record crosses as the bytes its disk tier
+// keeps, with no JSON or base64 around it. Found values are kept in the asking batch's
 // table (batchMemo), which hands each to its stage node as a peer read, and
 // planted in the shared memory tiers (profiles / result cache / verify
 // records) for concurrent batches, so the batch's wall clock is bounded by
@@ -206,6 +212,8 @@ func (m *batchMemo) prefetchGroup(g *lookupGroup) {
 	}
 }
 
+// prefetchChunk asks one replica set for up to maxBatchLookupKeys keys
+// and keeps, plants and writes behind every record the answer holds.
 func (m *batchMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 	req := peerBatchLookupRequest{Keys: make([]peerLookupRequest, len(items))}
 	for i, it := range items {
@@ -215,17 +223,18 @@ func (m *batchMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 	failed := map[string]bool{} // peers whose attempt failed un-cancelled
 	attempt := func(ctx context.Context, peer string) (any, bool, error) {
 		m.countRoundTrip()
-		var resp peerBatchLookupResponse
-		err := m.cluster.PostJSONCtx(ctx, peer, "/v1/peer/lookup-batch", req, &resp)
-		if err == nil && len(resp.Results) != len(items) {
-			err = fmt.Errorf("dserve: lookup-batch answered %d results for %d keys", len(resp.Results), len(items))
-		}
+		var recs [][]byte
+		err := m.cluster.Post(ctx, peer, "/v1/peer/lookup-batch", req, func(body io.Reader) error {
+			var err error
+			recs, err = readLookupAnswer(body, items)
+			return err
+		})
 		if err != nil {
 			if ctx.Err() == nil {
-				// Any non-2xx answer, transport error or misaligned answer
-				// is a peer-tier failure, counted as a fallback like every
-				// other failed peer read (the health plane already observed
-				// a transport fault itself).
+				// Any non-2xx answer, transport error or answer that does
+				// not read whole is a peer-tier failure, counted as a
+				// fallback like every other failed peer read (the health
+				// plane already observed a transport fault itself).
 				m.count("peer.fallbacks")
 				mu.Lock()
 				failed[peer] = true
@@ -233,7 +242,7 @@ func (m *batchMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 			}
 			return nil, false, err
 		}
-		return &resp, true, nil
+		return recs, true, nil
 	}
 	v, from, ok := m.cluster.HedgedCall(remotes, attempt)
 	if !ok {
@@ -255,15 +264,15 @@ func (m *batchMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 		m.count("peer.batch_failed")
 		return
 	}
-	for i, lr := range v.(*peerBatchLookupResponse).Results {
+	for i, rec := range v.([][]byte) {
 		it := items[i]
-		if !lr.Found {
+		if rec == nil {
 			m.count("peer.misses")
 			continue
 		}
 		// Every answered key is a memoized stage's: only those were asked.
 		st := memoStageOf(it.key.Stage)
-		val, err := st.open(it.key.Hash, it.hint, lr.Record)
+		val, err := st.open(it.key.Hash, it.hint, rec)
 		if err != nil {
 			m.count("peer.fallbacks")
 			continue
@@ -276,11 +285,43 @@ func (m *batchMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 		m.keep(it.key, val, plan.SourcePeer)
 		st.put(m.StageMemo, it.key.Hash, val)
 		if m.writeStage != nil {
-			m.writeStage(st, it.key.Hash, val, lr.Record, nil)
+			m.writeStage(st, it.key.Hash, val, rec, nil)
 		}
 		m.count("peer.hits")
 		if from != it.primary {
 			m.count("peer.replica_reads")
 		}
+	}
+}
+
+// readLookupAnswer reads a lookup-batch answer, of at most
+// maxLookupAnswerBytes, to the keys of items: entries in request order, each named for a key asked
+// and whole under its frame's sum. It returns the records index-aligned
+// with items, nil for a key the answer skips (a miss). An entry cut
+// short, past the bound, for a key not asked, repeated or out of order,
+// or failing its sum fails the whole answer: it is a peer that does not
+// speak the protocol, and no record of it is used.
+func readLookupAnswer(body io.Reader, items []prefetchItem) ([][]byte, error) {
+	recs := make([][]byte, len(items))
+	e := castore.NewEntryReader(body, maxLookupAnswerBytes)
+	next := 0
+	for {
+		kind, hash, err := e.Next()
+		if err == io.EOF {
+			return recs, nil
+		} else if err != nil {
+			return nil, err
+		}
+		i := next
+		for i < len(items) && (items[i].key.Hash != hash || memoStageOf(items[i].key.Stage).kind != kind) {
+			i++
+		}
+		if i == len(items) {
+			return nil, fmt.Errorf("dserve: lookup-batch answered %s/%.12s…, not a key asked after the last", kind, hash)
+		}
+		if recs[i], err = e.Payload(); err != nil {
+			return nil, err
+		}
+		next = i + 1
 	}
 }

@@ -79,15 +79,25 @@ func (f *lookupFixture) handler() http.Handler {
 			f.gate <- struct{}{}
 			f.gate <- struct{}{}
 		}
-		resp := peerBatchLookupResponse{Results: make([]peerLookupResponse, len(req.Keys))}
-		for i, k := range req.Keys {
+		w.Write(lookupAnswer(req.Keys, func(k peerLookupRequest) []byte {
 			f.serve(k.Hash)
 			rec, _ := memoStageOf(negativa.StageDetect).seal(k.Hash, f.profile)
-			resp.Results[i] = peerLookupResponse{Found: true, Record: rec}
-		}
-		json.NewEncoder(w).Encode(resp)
+			return rec
+		}))
 	})
 	return mux
+}
+
+// lookupAnswer frames a lookup-batch answer as a peer does: one entry per
+// key rec answers (a nil record is a miss), in request order.
+func lookupAnswer(keys []peerLookupRequest, rec func(peerLookupRequest) []byte) []byte {
+	var body []byte
+	for _, k := range keys {
+		if r := rec(k); r != nil {
+			body = castore.AppendEntry(body, memoStageOf(k.Stage).kind, k.Hash, r)
+		}
+	}
+	return body
 }
 
 // TestHedgedLookupSlowReplica injects a ~100 ms transport delay into one
@@ -451,7 +461,7 @@ func startClusterCfg(t *testing.T, tweak func(id string, cfg *Config), wrap func
 
 // TestBatchLookupFailureComputesLocally: a ring runs one protocol, so a
 // replica set that cannot answer lookup-batch — the route is absent, the
-// peer errors, or it answers a results array of the wrong length — is a
+// peer errors, or its answer is cut short — is a
 // failed peer tier, and a failed peer tier means local compute. The batch
 // must complete byte-identical to a standalone DebloatBatch, and the
 // requester must not fall back to any other read route.
@@ -477,9 +487,11 @@ func TestBatchLookupFailureComputesLocally(t *testing.T) {
 	want := ref.DebloatedLibs()
 
 	for name, answer := range map[string]func(w http.ResponseWriter){
-		"404":           func(w http.ResponseWriter) { http.Error(w, "no such route", http.StatusNotFound) },
-		"500":           func(w http.ResponseWriter) { http.Error(w, "boom", http.StatusInternalServerError) },
-		"short results": func(w http.ResponseWriter) { json.NewEncoder(w).Encode(peerBatchLookupResponse{}) },
+		"404": func(w http.ResponseWriter) { http.Error(w, "no such route", http.StatusNotFound) },
+		"500": func(w http.ResponseWriter) { http.Error(w, "boom", http.StatusInternalServerError) },
+		"cut short": func(w http.ResponseWriter) {
+			w.Write(castore.AppendEntry(nil, kindProfile, strings.Repeat("ab", 32), []byte("a profile"))[:40])
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			// Both stub peers fail lookup-batch as configured and refuse
@@ -543,7 +555,8 @@ func TestBatchLookupFailureComputesLocally(t *testing.T) {
 }
 
 // TestPeerLookupBatchRoute covers the serving side of the batch route:
-// index-aligned results around misses and unparsable keys, and the key cap.
+// a held key between a miss and an unparsable key answers as the one
+// entry, named for its key, and the key cap.
 func TestPeerLookupBatchRoute(t *testing.T) {
 	svc := NewService(Config{Workers: 2, MaxSteps: 2})
 	defer svc.Close()
@@ -557,15 +570,15 @@ func TestPeerLookupBatchRoute(t *testing.T) {
 		{Stage: negativa.StageDetect, Hash: negativa.DetectKey("fp", "w").Hash},
 		{Stage: negativa.StageDetect, Hash: "malformed-no-separator"},
 	}}
-	var resp peerBatchLookupResponse
-	if code := postPeer(t, srv, "/v1/peer/lookup-batch", req, &resp); code != http.StatusOK {
+	code, entries := postLookup(t, srv, req)
+	if code != http.StatusOK {
 		t.Fatalf("batch lookup status %d", code)
 	}
-	if len(resp.Results) != 3 || resp.Results[0].Found || resp.Results[2].Found {
-		t.Fatalf("batch results %+v; misses and bad keys must come back found=false in place", resp.Results)
+	if want := kindProfile + "/" + req.Keys[1].Hash; len(entries) != 1 || entries[0].name != want {
+		t.Fatalf("answer of %d entries; want the held key's alone, %s", len(entries), want)
 	}
-	if !resp.Results[1].Found || resp.Results[1].Record == nil {
-		t.Fatalf("held key between two misses answered %+v; results must stay index-aligned", resp.Results[1])
+	if _, err := memoStageOf(negativa.StageDetect).open(req.Keys[1].Hash, nil, entries[0].rec); err != nil {
+		t.Fatalf("the held key's record does not open under it: %v", err)
 	}
 
 	over := peerBatchLookupRequest{Keys: make([]peerLookupRequest, maxBatchLookupKeys+1)}
@@ -577,17 +590,18 @@ func TestPeerLookupBatchRoute(t *testing.T) {
 	}
 }
 
-// TestShortLookupAnswerTriesNextReplica: a lookup-batch answer with the
-// wrong number of results is a failed attempt like a transport error, not
-// an answer that wins the race: the requester counts a fallback and tries
-// the set's next replica, whose answer plants every key.
+// TestShortLookupAnswerTriesNextReplica: a lookup-batch answer cut short
+// is a failed attempt like a transport error, not an answer that wins the
+// race: the requester counts a fallback and tries the set's next replica,
+// whose answer plants every key.
 func TestShortLookupAnswerTriesNextReplica(t *testing.T) {
 	answer := (&lookupFixture{profile: testDetectProfile(t)}).handler()
 	var answeredShort atomic.Bool
 	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if answeredShort.CompareAndSwap(false, true) {
-			io.Copy(io.Discard, r.Body)
-			json.NewEncoder(w).Encode(peerBatchLookupResponse{})
+			whole := httptest.NewRecorder()
+			answer.ServeHTTP(whole, r)
+			w.Write(whole.Body.Bytes()[:whole.Body.Len()-7])
 			return
 		}
 		answer.ServeHTTP(w, r)

@@ -2,6 +2,7 @@ package dserve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -16,13 +17,23 @@ import (
 	"negativaml/internal/plan"
 )
 
-// BenchmarkPeerLookupBatch is one lookup-batch call per op on an in-process
+// BenchmarkPeerLookupBatch is one lookup-batch call on an in-process
 // 3-node ring (R=2): node a runs the pytorch20 batch (the four CV/NLP
 // members at 4 steps) cold, then each op asks a — which holds every value
-// in memory — for all of that batch's detect, compact and verifyrun keys
-// in one request, reads the answer and decodes its JSON. ns/op is the time
-// per call, resp_B/call the response body per call, keys/call the keys it
-// asks for.
+// in memory and on disk — for all of that batch's detect, compact and
+// verifyrun keys in one request. It times the call's two sides apart and
+// whole:
+//
+//   - handler: a's handler alone — the request's decode, every record
+//     exported from its segment, the answer framed and written;
+//   - decode: the requester's read of that answer — the entry reader,
+//     each frame's sum, and every record opened under its key, as the
+//     prefetch does;
+//   - call: node b's whole exchange through its cluster transport — the
+//     request's encode, the loopback round trip with a's handler, and the
+//     decode above.
+//
+// resp_B/call is the answer's body, keys/call the keys asked.
 func BenchmarkPeerLookupBatch(b *testing.B) {
 	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 20})
 	if err != nil {
@@ -53,48 +64,85 @@ func BenchmarkPeerLookupBatch(b *testing.B) {
 		n.svc.WaitReplication()
 	}
 
-	var keys []plan.Key
+	var items []prefetchItem
 	for _, o := range res.Workloads {
-		keys = append(keys, negativa.DetectKey(res.InstallFP, o.Identity))
+		items = append(items, prefetchItem{key: negativa.DetectKey(res.InstallFP, o.Identity)})
 	}
-	for _, k := range res.libKeys {
-		keys = append(keys, plan.Key{Stage: negativa.StageCompact, Hash: k})
+	for i, k := range res.libKeys {
+		items = append(items, prefetchItem{key: plan.Key{Stage: negativa.StageCompact, Hash: k}, hint: res.Libs[i].Sparse.Lib()})
 	}
-	keys = append(keys, verifyKeys(in, res, steps)...)
-	req := peerBatchLookupRequest{Keys: make([]peerLookupRequest, len(keys))}
-	for i, k := range keys {
-		req.Keys[i] = peerLookupRequest{Stage: k.Stage, Hash: k.Hash}
+	for _, k := range verifyKeys(in, res, steps) {
+		items = append(items, prefetchItem{key: k})
+	}
+	req := peerBatchLookupRequest{Keys: make([]peerLookupRequest, len(items))}
+	for i, it := range items {
+		req.Keys[i] = peerLookupRequest{Stage: it.key.Stage, Hash: it.key.Hash}
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		b.Fatal(err)
 	}
-
-	url := a.srv.URL + "/v1/peer/lookup-batch"
-	var respBytes int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := http.Post(url, "application/json", bytes.NewReader(body))
+	// decode opens every record of an answer, as the prefetch does.
+	decode := func(b *testing.B, answer io.Reader) {
+		recs, err := readLookupAnswer(answer, items)
 		if err != nil {
 			b.Fatal(err)
 		}
-		raw, err := io.ReadAll(r.Body)
-		r.Body.Close()
-		if err != nil || r.StatusCode != http.StatusOK {
-			b.Fatalf("lookup-batch: status %d, %v", r.StatusCode, err)
-		}
-		respBytes += int64(len(raw))
-		var resp peerBatchLookupResponse
-		if err := json.Unmarshal(raw, &resp); err != nil {
-			b.Fatal(err)
-		}
-		for j, lr := range resp.Results {
-			if !lr.Found {
-				b.Fatalf("key %v not found on the node that computed it", keys[j])
+		for j, rec := range recs {
+			it := items[j]
+			if rec == nil {
+				b.Fatalf("key %v not found on the node that computed it", it.key)
+			}
+			if _, err := memoStageOf(it.key.Stage).open(it.key.Hash, it.hint, rec); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
-	b.ReportMetric(float64(respBytes)/float64(b.N), "resp_B/call")
-	b.ReportMetric(float64(len(keys)), "keys/call")
+
+	var answer []byte
+	b.Run("handler", func(b *testing.B) {
+		w := &answerWriter{header: http.Header{}}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w.body.Reset()
+			a.svc.handlePeerLookupBatch(w, httptest.NewRequest(http.MethodPost, "/v1/peer/lookup-batch", bytes.NewReader(body)))
+			if w.status != http.StatusOK {
+				b.Fatalf("lookup-batch: status %d", w.status)
+			}
+		}
+		answer = append([]byte(nil), w.body.Bytes()...)
+		b.ReportMetric(float64(len(answer)), "resp_B/call")
+		b.ReportMetric(float64(len(items)), "keys/call")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			decode(b, bytes.NewReader(answer))
+		}
+	})
+	b.Run("call", func(b *testing.B) {
+		c := nodes["b"].svc.Cluster()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			err := c.Post(context.Background(), "a", "/v1/peer/lookup-batch", req, func(r io.Reader) error {
+				decode(b, r)
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
+
+// answerWriter is the handler benchmark's http.ResponseWriter: it keeps
+// the status and the body, reused across calls.
+type answerWriter struct {
+	header http.Header
+	status int
+	body   bytes.Buffer
+}
+
+func (w *answerWriter) Header() http.Header         { return w.header }
+func (w *answerWriter) WriteHeader(status int)      { w.status = status }
+func (w *answerWriter) Write(p []byte) (int, error) { return w.body.Write(p) }

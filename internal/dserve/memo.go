@@ -336,18 +336,30 @@ func (m *StageMemo) loadStored(st *memoStage, hash string, hint any) (any, bool)
 	return v, true
 }
 
-// record is a lookup-batch answer: the record the disk tier keeps for the
-// key — a memory-tier value sealed to the same bytes, else the stored
-// bytes as they are (the requester's open is the check).
-func (m *StageMemo) record(st *memoStage, hash string) ([]byte, bool) {
-	if v, ok := st.get(m, hash); ok {
-		rec, err := st.seal(hash, v)
-		return rec, err == nil
+// exportRecord appends the key's record to a lookup-batch answer as one
+// entry of a castore multi-object body, named <kind>/<hash>: a record the
+// store holds goes out verbatim from its segment (castore.ExportEntry),
+// neither sealed nor hashed again; a value held only in memory is sealed
+// once and framed. It reports whether either tier held the key; the
+// requester's checks — the frame's sum, then open — stand either way.
+func (m *StageMemo) exportRecord(st *memoStage, hash string, body *bytes.Buffer) bool {
+	if m.stored(st, hash) {
+		n := body.Len()
+		if m.store.ExportEntry(st.kind, hash, body) == nil {
+			return true
+		}
+		body.Truncate(n) // removed since the probe: try memory
 	}
-	if !m.stored(st, hash) {
-		return nil, false
+	v, ok := st.get(m, hash)
+	if !ok {
+		return false
 	}
-	return m.store.Get(st.kind, hash)
+	rec, err := st.seal(hash, v)
+	if err != nil {
+		return false
+	}
+	body.Write(castore.AppendEntry(body.AvailableBuffer(), st.kind, hash, rec))
+	return true
 }
 
 // stored reports whether the store holds the key's record — the presence

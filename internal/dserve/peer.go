@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strconv"
 
+	"negativaml/internal/bufpool"
 	"negativaml/internal/cluster"
 	"negativaml/internal/mlframework"
 	"negativaml/internal/negativa"
@@ -21,7 +22,8 @@ import (
 //
 //	POST /v1/peer/lookup-batch           read-through: return already-
 //	                                     memoized stage values by content key,
-//	                                     up to maxBatchLookupKeys per request
+//	                                     up to maxBatchLookupKeys per request,
+//	                                     as a multi-object body
 //	PUT  /v1/peer/install/{fingerprint}  a peer generated an install whose
 //	                                     detect keys this node co-owns:
 //	                                     keep it resident; asks first, so
@@ -43,12 +45,19 @@ import (
 // profiles were written to. Every artifact crosses the same way: pushed by
 // the node that holds it, never pulled.
 //
-// lookup-batch moves one form per stage: a found key answers `record`, the
-// bytes the node's disk tier keeps for it (a value held only in memory
-// seals to the same bytes). The requester opens it with the disk tier's
-// own open, under the key it asked for, and writes the received bytes
-// behind verbatim. The memoStages table (memo.go) holds each stage's rules;
-// its three kinds are the only ones the objects route stores.
+// lookup-batch asks in JSON and answers in castore's multi-object body,
+// the layout the objects route takes: one entry per found key, in request
+// order, named <kind>/<stage hash>, holding the record the node's disk
+// tier keeps for it — copied verbatim from its segment, or, for a value
+// held only in memory, sealed to the same bytes. A miss has no entry. The
+// requester reads the answer under maxLookupAnswerBytes, checks each
+// entry's sum and that it names the next key asked, opens the record with
+// the disk tier's own open, under that key, and writes the received bytes
+// behind verbatim. An answer that does not read whole — cut short, past
+// the bound, an entry failing its sum, for a key not asked, repeated or
+// out of order — is a failed peer. The memoStages table (memo.go) holds
+// each stage's rules; its three kinds are the only ones the objects route
+// stores.
 //
 // One rule binds a record to its key: every record starts with the raw
 // 32 bytes of the stage hash it was sealed with (memoStage.seal), and
@@ -67,25 +76,11 @@ type peerLookupRequest struct {
 	Hash  string `json:"hash"`
 }
 
-// peerLookupResponse carries the stage value when found: the record its
-// disk tier keeps (see memoStages).
-type peerLookupResponse struct {
-	Found  bool   `json:"found"`
-	Record []byte `json:"record,omitempty"`
-}
-
 // peerBatchLookupRequest asks a peer for many stage values in one round
 // trip — the scatter half of the batch-prefetch path. Keys are capped at
 // maxBatchLookupKeys per request; requesters chunk above that.
 type peerBatchLookupRequest struct {
 	Keys []peerLookupRequest `json:"keys"`
-}
-
-// peerBatchLookupResponse answers index-aligned with the request's keys.
-// A key the peer does not hold (or cannot parse) is found=false — a batch
-// lookup never fails because one key was bad.
-type peerBatchLookupResponse struct {
-	Results []peerLookupResponse `json:"results"`
 }
 
 // maxBatchLookupKeys bounds one batch lookup, so a single request cannot
@@ -97,6 +92,15 @@ const maxBatchLookupKeys = 256
 // keys at a generous 1 KiB of JSON each (a key, its 64-digit hash and
 // stage name, is about 100 bytes).
 const peerLookupBatchLimit = maxBatchLookupKeys << 10
+
+// maxLookupAnswerBytes bounds a lookup-batch answer as its requester
+// reads it: a full batch of keys at 64 KiB a record. A peer-warm batch's
+// records average about 1.4 KB and the largest record the generated
+// installs produce is a compact record of about 82 KB, a library of 6 700
+// functions; the bound is on the whole answer, so such a record fits, and
+// an answer that passes it fails like any failed peer, its keys computed
+// locally.
+const maxLookupAnswerBytes = maxBatchLookupKeys << 16
 
 // installPath is node from's push route of the install with fingerprint
 // fp. framework and tail_libs are the install's spec key: the owner keeps
@@ -172,30 +176,14 @@ func decodePeerBody(w http.ResponseWriter, r *http.Request, limit int64, into an
 	return true
 }
 
-// lookupStage resolves one read-through key against this node's local
-// tiers (memory, then castore), answering the record its disk tier keeps. A
-// clean miss, an unknown stage or a malformed hash (held under no key) is
-// found=false.
-func (s *Service) lookupStage(key peerLookupRequest) peerLookupResponse {
-	st := memoStageOf(key.Stage)
-	if st == nil {
-		return peerLookupResponse{}
-	}
-	rec, found := s.stages.record(st, key.Hash)
-	if !found {
-		return peerLookupResponse{}
-	}
-	s.Counters.Add("peer.served_hits", 1)
-	return peerLookupResponse{Found: true, Record: rec}
-}
-
 // handlePeerLookupBatch is the scatter-gather read-through route: many
-// keys in, index-aligned answers out, one round trip — the batch-prefetch
-// path that serves a peer-warm batch's stage values in one request per
-// replica group. A value this node already holds in memory or in its
-// castore answers in durable wire form; a miss or an unservable key answers
-// found=false in place, never an error — the requester decides what to do
-// about it (compute the stage itself).
+// keys in, the found ones' records out, one round trip — the
+// batch-prefetch path that serves a peer-warm batch's stage values in one
+// request per replica group. The answer is a castore multi-object body:
+// one entry per key this node holds, in request order, named
+// <kind>/<stage hash> (StageMemo.exportRecord). A miss, an unknown stage or
+// a malformed hash has no entry, never an error — the requester decides
+// what to do about it (compute the stage itself).
 func (s *Service) handlePeerLookupBatch(w http.ResponseWriter, r *http.Request) {
 	var req peerBatchLookupRequest
 	if !decodePeerBody(w, r, peerLookupBatchLimit, &req) {
@@ -207,11 +195,17 @@ func (s *Service) handlePeerLookupBatch(w http.ResponseWriter, r *http.Request) 
 	}
 	s.Counters.Add("peer.served_batches", 1)
 	s.Counters.Add("peer.served_lookups", int64(len(req.Keys)))
-	resp := peerBatchLookupResponse{Results: make([]peerLookupResponse, len(req.Keys))}
-	for i, key := range req.Keys {
-		resp.Results[i] = s.lookupStage(key)
+	body := bufpool.GetBuffer()
+	defer bufpool.PutBuffer(body)
+	for _, key := range req.Keys {
+		if st := memoStageOf(key.Stage); st != nil && s.stages.exportRecord(st, key.Hash, body) {
+			s.Counters.Add("peer.served_hits", 1)
+		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body.Bytes())
 }
 
 // handlePeerInstallPush takes an install a peer generated and pushes to the
@@ -399,8 +393,7 @@ func (s *Service) handlePeerObjects(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, errors.New("no data dir configured"))
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, peerBodyLimit)
-	stored, err := st.ImportEntries(r.Body, func(kind string) bool {
+	stored, err := st.ImportEntries(r.Body, peerBodyLimit, func(kind string) bool {
 		return kind == kindRecord || kind == kindProfile || kind == kindVerify
 	})
 	if n := int64(countTrue(stored)); n > 0 {

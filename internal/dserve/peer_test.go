@@ -2,8 +2,10 @@ package dserve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -42,8 +44,56 @@ func postPeer(t *testing.T, srv *httptest.Server, path string, in, out any) int 
 	return resp.StatusCode
 }
 
+// answerEntry is one entry of a lookup-batch answer: its name and record.
+type answerEntry struct {
+	name string
+	rec  []byte
+}
+
+// postLookup posts a lookup-batch request to srv and reads the answer's
+// entries in order, each checked against its frame's sum.
+func postLookup(t *testing.T, srv *httptest.Server, req peerBatchLookupRequest) (int, []answerEntry) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/peer/lookup-batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, nil
+	}
+	return resp.StatusCode, readAnswer(t, resp.Body)
+}
+
+// readAnswer reads a lookup-batch answer's entries in order, each checked
+// against its frame's sum. Safe off the test's goroutine: an answer that
+// does not read whole is reported with t.Errorf.
+func readAnswer(t *testing.T, body io.Reader) []answerEntry {
+	var entries []answerEntry
+	e := castore.NewEntryReader(body, maxLookupAnswerBytes)
+	for {
+		kind, key, err := e.Next()
+		if err == io.EOF {
+			return entries
+		} else if err != nil {
+			t.Errorf("lookup-batch answer: %v", err)
+			return entries
+		}
+		rec, err := e.Payload()
+		if err != nil {
+			t.Errorf("lookup-batch answer: %v", err)
+			return entries
+		}
+		entries = append(entries, answerEntry{kind + "/" + key, rec})
+	}
+}
+
 // TestPeerLookupMissesAndRejections: a miss, a malformed detect hash, and
-// a stage with no peer tier each answer found=false in place — one bad key
+// a stage with no peer tier each have no entry in the answer — one bad key
 // never fails the batch it rode in.
 func TestPeerLookupMissesAndRejections(t *testing.T) {
 	svc := NewService(Config{Workers: 2, MaxSteps: 2})
@@ -57,17 +107,12 @@ func TestPeerLookupMissesAndRejections(t *testing.T) {
 		{Stage: negativa.StageDetect, Hash: "no-separator"},
 		{Stage: "union", Hash: "x"},
 	}}
-	var resp peerBatchLookupResponse
-	if code := postPeer(t, srv, "/v1/peer/lookup-batch", req, &resp); code != http.StatusOK {
+	code, entries := postLookup(t, srv, req)
+	if code != http.StatusOK {
 		t.Fatalf("batch with unservable keys: status %d", code)
 	}
-	if len(resp.Results) != len(req.Keys) {
-		t.Fatalf("%d results for %d keys", len(resp.Results), len(req.Keys))
-	}
-	for i, lr := range resp.Results {
-		if lr.Found || lr.Record != nil {
-			t.Fatalf("key %+v: lookup invented a result: %+v", req.Keys[i], lr)
-		}
+	if len(entries) != 0 {
+		t.Fatalf("lookup invented %d entries for three unservable keys, the first %q", len(entries), entries[0].name)
 	}
 	if got := svc.Counters.Get("peer.served_hits"); got != 0 {
 		t.Fatalf("peer.served_hits = %d after three unservable keys", got)
@@ -342,15 +387,14 @@ func TestPeerSecretEnforced(t *testing.T) {
 	}
 
 	// The cluster client carries the secret on its own requests: a peer
-	// configured with the matching secret can call through PostJSON ...
+	// configured with the matching secret can call through Post ...
 	peerOK := cluster.New("b", map[string]string{"a": srv.URL}, cluster.Options{Secret: "ring-credential"})
-	var lr peerBatchLookupResponse
-	if err := peerOK.PostJSON("a", "/v1/peer/lookup-batch", probe, &lr); err != nil {
+	if err := peerOK.Post(context.Background(), "a", "/v1/peer/lookup-batch", probe, nil); err != nil {
 		t.Fatalf("peer with matching secret: %v", err)
 	}
 	// ... and one with no (or the wrong) secret is refused.
 	peerBad := cluster.New("b", map[string]string{"a": srv.URL}, cluster.Options{})
-	if err := peerBad.PostJSON("a", "/v1/peer/lookup-batch", probe, &lr); err == nil {
+	if err := peerBad.Post(context.Background(), "a", "/v1/peer/lookup-batch", probe, nil); err == nil {
 		t.Fatal("peer without the secret was accepted")
 	}
 }

@@ -238,12 +238,10 @@ func TestReplicaReadSparseWireInterop(t *testing.T) {
 	attachNode(b, urls, opt)
 
 	// The disk tier answers a peer with the stored bytes as they are.
-	var lr peerBatchLookupResponse
 	probe := peerBatchLookupRequest{Keys: []peerLookupRequest{{Stage: negativa.StageCompact, Hash: keys[0]}}}
-	if code := postPeer(t, a.srv, "/v1/peer/lookup-batch", probe, &lr); code != http.StatusOK || len(lr.Results) != 1 || !lr.Results[0].Found {
-		t.Fatalf("lookup-batch against the reopened store: status %d, results %+v", code, lr.Results)
-	}
-	if !bytes.Equal(lr.Results[0].Record, stored) {
+	if code, entries := postLookup(t, a.srv, probe); code != http.StatusOK || len(entries) != 1 || entries[0].name != kindRecord+"/"+keys[0] {
+		t.Fatalf("lookup-batch against the reopened store: status %d, %d entries", code, len(entries))
+	} else if !bytes.Equal(entries[0].rec, stored) {
 		t.Fatal("lookup-batch re-encoded the stored record instead of handing it out untouched")
 	}
 

@@ -149,17 +149,13 @@ func TestRecordSealedWithAnotherKeyIsNeverServed(t *testing.T) {
 }
 
 // attachAnsweringPeer gives m a two-node ring whose other node answers
-// every lookup-batch key found, with rec.
+// every lookup-batch key with rec.
 func attachAnsweringPeer(t *testing.T, m *StageMemo, counters *metrics.CounterSet, rec []byte) {
 	t.Helper()
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req peerBatchLookupRequest
 		json.NewDecoder(r.Body).Decode(&req)
-		resp := peerBatchLookupResponse{Results: make([]peerLookupResponse, len(req.Keys))}
-		for i := range resp.Results {
-			resp.Results[i] = peerLookupResponse{Found: true, Record: rec}
-		}
-		json.NewEncoder(w).Encode(resp)
+		w.Write(lookupAnswer(req.Keys, func(peerLookupRequest) []byte { return rec }))
 	}))
 	t.Cleanup(peer.Close)
 	c := cluster.New("self", map[string]string{"peer": peer.URL}, cluster.Options{

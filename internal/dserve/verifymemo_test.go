@@ -542,11 +542,7 @@ func TestPeerVerifyRecordDecodedUnderItsKey(t *testing.T) {
 			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				var req peerBatchLookupRequest
 				json.NewDecoder(r.Body).Decode(&req)
-				resp := peerBatchLookupResponse{Results: make([]peerLookupResponse, len(req.Keys))}
-				for i := range resp.Results {
-					resp.Results[i] = peerLookupResponse{Found: true, Record: rec}
-				}
-				json.NewEncoder(w).Encode(resp)
+				w.Write(lookupAnswer(req.Keys, func(peerLookupRequest) []byte { return rec }))
 			}))
 			defer peer.Close()
 			counters := metrics.NewCounterSet()
