@@ -489,7 +489,7 @@ func TestBatchLookupFailureComputesLocally(t *testing.T) {
 	for name, answer := range map[string]func(w http.ResponseWriter){
 		"404": func(w http.ResponseWriter) { http.Error(w, "no such route", http.StatusNotFound) },
 		"500": func(w http.ResponseWriter) { http.Error(w, "boom", http.StatusInternalServerError) },
-		"cut short": func(w http.ResponseWriter) {
+		"short results": func(w http.ResponseWriter) {
 			w.Write(castore.AppendEntry(nil, kindProfile, strings.Repeat("ab", 32), []byte("a profile"))[:40])
 		},
 	} {
