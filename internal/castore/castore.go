@@ -276,15 +276,34 @@ func parseHeader(buf []byte) (header, error) {
 	return h, nil
 }
 
-// appendHeader appends payload's header to dst.
-func appendHeader(dst, payload []byte) []byte {
+// A Frame is a payload and the SHA-256 its header carries. Only this
+// package makes one, so a frame's sum is always its payload's: NewFrame
+// hashes the payload, and EntryReader.Frame hands out a payload it has
+// checked against the sum it arrived with. PutFrame and AppendEntry write
+// a frame without hashing it again, so bytes framed once are hashed once
+// however many places they go.
+type Frame struct {
+	payload []byte
+	sum     [sha256.Size]byte
+}
+
+// NewFrame hashes payload into a frame. The frame holds payload, not a
+// copy: the caller must not change it afterwards.
+func NewFrame(payload []byte) Frame {
+	return Frame{payload: payload, sum: sha256.Sum256(payload)}
+}
+
+// Payload returns the frame's payload.
+func (f Frame) Payload() []byte { return f.payload }
+
+// appendHeader appends the frame's header to dst.
+func appendHeader(dst []byte, f *Frame) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint32(dst, objectMagic)
 	dst = le.AppendUint16(dst, objectVersion)
 	dst = le.AppendUint16(dst, 0)
-	dst = le.AppendUint64(dst, uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	return append(dst, sum[:]...)
+	dst = le.AppendUint64(dst, uint64(len(f.payload)))
+	return append(dst, f.sum[:]...)
 }
 
 // validName restricts kinds and keys to path-safe characters, so an entry
@@ -345,6 +364,18 @@ func (s *Store) Has(kind, key string) bool {
 // points at bytes that were not flushed. A process crash tears nothing:
 // the page cache survives the process.
 func (s *Store) Put(kind, key string, payload []byte) error {
+	return s.put(kind, key, Frame{payload: payload}, false)
+}
+
+// PutFrame stores a framed object as Put does, under the sum the frame
+// already holds: its payload is not hashed again.
+func (s *Store) PutFrame(kind, key string, f Frame) error {
+	return s.put(kind, key, f, true)
+}
+
+// put is Put and PutFrame: it hashes f's payload unless framed, and only
+// once the key is known to be absent.
+func (s *Store) put(kind, key string, f Frame, framed bool) error {
 	if !validName(kind) || !validName(key) {
 		return fmt.Errorf("castore: invalid object name %s/%s", kind, key)
 	}
@@ -352,10 +383,14 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 	if s.touch(id) {
 		return nil
 	}
+	if !framed {
+		f = NewFrame(f.payload)
+	}
+	payload := f.payload
 	// A small entry is written in one piece; a large payload is written
 	// from the caller's slice rather than copied behind its name.
 	buf := bufpool.Get(int(entryLen(id, int64(min(len(payload), largePayload)))))
-	entry := appendHeader(appendEntryName(buf[:0], kind, key), payload)
+	entry := appendHeader(appendEntryName(buf[:0], kind, key), &f)
 	parts := [][]byte{entry, payload}
 	if len(payload) < largePayload {
 		parts = [][]byte{append(entry, payload...)}

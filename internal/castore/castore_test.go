@@ -23,7 +23,10 @@ func keyOf(payload []byte) string {
 
 // frame is an entry without its name — the 48-byte header, then the
 // payload — as Export streams it and an older layout's object file held it.
-func frame(payload []byte) []byte { return append(appendHeader(nil, payload), payload...) }
+func frame(payload []byte) []byte {
+	f := NewFrame(payload)
+	return append(appendHeader(nil, &f), payload...)
+}
 
 func mustPut(t *testing.T, s *Store, kind string, payload []byte) string {
 	t.Helper()
@@ -585,7 +588,7 @@ func TestOpenMovesShardedObjects(t *testing.T) {
 	write(filepath.Join(dir, "tmp", "interrupted"), []byte("never renamed"), keep)
 	// A migration cut short appended one object before the crash; the
 	// next Open migrates again and indexes it once.
-	if err := os.WriteFile(filepath.Join(dir, "00000001.seg"), AppendEntry(nil, "lib", keyOf([]byte("an image")), []byte("an image")), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "00000001.seg"), AppendEntry(nil, "lib", keyOf([]byte("an image")), NewFrame([]byte("an image"))), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,9 +5,12 @@
 // Objects are addressed by (kind, key) where kind namespaces the artifact
 // type and key is a name the caller derives from what produced the object
 // (a stage hash, a job ID), so one key names one payload. Every object's
-// header carries the SHA-256 of its payload, which Put and AppendEntry compute,
-// and every read checks the payload against it: Get, OpenMapped, Verify,
-// Import and EntryReader.Payload.
+// header carries the SHA-256 of its payload, and every read checks the
+// payload against it: Get, OpenMapped, Verify, Import and
+// EntryReader.Frame. Put computes the sum; a Frame carries one, made by
+// NewFrame or checked by EntryReader.Frame, and PutFrame and AppendEntry
+// write it without hashing the payload again. No function takes a sum
+// from its caller.
 //
 // Layout. Every object, manifests included, is one entry appended to a
 // segment file, <dir>/NNNNNNNN.seg: its name (u16 length, kind/key), the
@@ -18,7 +21,7 @@
 // a segment range verbatim and an Import of a verified frame is an append.
 // One reader parses every body that arrives: EntryReader, under a bound on
 // the whole body stated by its caller, which ImportEntries streams into
-// the store and a peer's lookup answer is read whole with (Payload, which
+// the store and a peer's lookup answer is read whole with (Frame, which
 // checks the sum).
 // A Put costs a hash and one write to an open file, where a file per
 // object cost a create, a write, a close and a rename: BenchmarkStorePut

@@ -326,14 +326,14 @@ func TestDeleteReplacesPinnedObject(t *testing.T) {
 // whole entry whose header sum matches it; and the segment it leaves takes
 // a clean append.
 func FuzzOpenSegment(f *testing.F) {
-	good := AppendEntry(nil, "record", "one", []byte("first"))
-	good = AppendEntry(good, "record", "two", bytes.Repeat([]byte("second"), 30))
+	good := AppendEntry(nil, "record", "one", NewFrame([]byte("first")))
+	good = AppendEntry(good, "record", "two", NewFrame(bytes.Repeat([]byte("second"), 30)))
 	f.Add(good)
 	f.Add(good[:len(good)-3])
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)-1] ^= 0x01
 	f.Add(flipped)
-	f.Add(AppendEntry(append([]byte(nil), good...), "record", "one", []byte("replaced")))
+	f.Add(AppendEntry(append([]byte(nil), good...), "record", "one", NewFrame([]byte("replaced"))))
 	f.Add([]byte{0xff, 0xff, 'r'})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()
@@ -352,7 +352,7 @@ func FuzzOpenSegment(f *testing.F) {
 		}
 		s.mu.Unlock()
 		for _, id := range ids {
-			if p, ok := s.Get(id.kind, id.key); ok && !bytes.Contains(raw, AppendEntry(nil, id.kind, id.key, p)) {
+			if p, ok := s.Get(id.kind, id.key); ok && !bytes.Contains(raw, AppendEntry(nil, id.kind, id.key, NewFrame(p))) {
 				t.Fatalf("%s/%s served a payload that is not a whole entry of the segment", id.kind, id.key)
 			}
 		}

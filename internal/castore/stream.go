@@ -128,11 +128,11 @@ func (s *Store) importFrame(id objKey, rawHdr []byte, r io.Reader) (int64, error
 // then kind/key — and then its frame: the 48-byte integrity header and
 // the payload, what Export streams. A segment file is the same layout.
 
-// AppendEntry appends payload to dst as one entry of a multi-object body,
-// named (kind, key), for callers that push bytes they hold in memory
+// AppendEntry appends the frame to dst as one entry of a multi-object
+// body, named (kind, key), for callers that push bytes they hold in memory
 // rather than a stored object.
-func AppendEntry(dst []byte, kind, key string, payload []byte) []byte {
-	return append(appendHeader(appendEntryName(dst, kind, key), payload), payload...)
+func AppendEntry(dst []byte, kind, key string, f Frame) []byte {
+	return append(appendHeader(appendEntryName(dst, kind, key), &f), f.payload...)
 }
 
 func appendEntryName(dst []byte, kind, key string) []byte {
@@ -169,12 +169,12 @@ func readHead(r io.Reader, buf []byte) (objKey, header, []byte, error) {
 
 // An EntryReader reads a multi-object body one entry at a time, under a
 // bound on the whole body: Next reads an entry's name and frame header,
-// and the entry's payload is read whole by Payload, or read past by the
+// and the entry's payload is read whole by Frame, or read past by the
 // next Next. The bound is checked before any byte is read past it: an
 // entry whose name, header or claimed payload would end beyond it is an
 // error, so a header that claims an absurd length costs nothing, and a
 // body that runs on past the bound is refused at its first byte there.
-// The body's bytes are never trusted: Payload checks the payload against
+// The body's bytes are never trusted: Frame checks the payload against
 // its header's sum, and ImportEntries does as it streams.
 type EntryReader struct {
 	// body is the body with one byte beyond the bound, so a body that
@@ -238,17 +238,18 @@ func (e *EntryReader) skip() error {
 	return nil
 }
 
-// Payload reads the current entry's payload whole and checks it against
-// its header's sum. Memory follows the bytes that arrive, never the
+// Frame reads the current entry's payload whole and checks it against
+// its header's sum; the frame it returns carries that sum, so a PutFrame
+// of it hashes nothing. Memory follows the bytes that arrive, never the
 // length the header claims: a payload is read into 64 KiB, then into a
 // copy twice the size each time that fills, so a read allocates at most
 // twice the bytes it got, or 64 KiB.
-func (e *EntryReader) Payload() ([]byte, error) {
+func (e *EntryReader) Frame() (Frame, error) {
 	n := e.payload.N
 	p := make([]byte, min(n, 64<<10))
 	for got := 0; ; {
 		if _, err := io.ReadFull(&e.payload, p[got:]); err != nil {
-			return nil, fmt.Errorf("entry %s/%s: payload: %w", e.id.kind, e.id.key, io.ErrUnexpectedEOF)
+			return Frame{}, fmt.Errorf("entry %s/%s: payload: %w", e.id.kind, e.id.key, io.ErrUnexpectedEOF)
 		}
 		if got = len(p); int64(got) == n {
 			break
@@ -257,10 +258,11 @@ func (e *EntryReader) Payload() ([]byte, error) {
 		copy(grown, p)
 		p = grown
 	}
-	if sha256.Sum256(p) != e.hdr.sum {
-		return nil, fmt.Errorf("entry %s/%s: checksum mismatch", e.id.kind, e.id.key)
+	f := NewFrame(p)
+	if f.sum != e.hdr.sum {
+		return Frame{}, fmt.Errorf("entry %s/%s: checksum mismatch", e.id.kind, e.id.key)
 	}
-	return p, nil
+	return f, nil
 }
 
 // ExportEntry writes the stored object (kind, key) to w as one entry of a

@@ -197,13 +197,13 @@ func threeEntryBody(t *testing.T, src *Store) (body []byte, secondPayload int) {
 	if err := src.Put("record", "two", bytes.Repeat([]byte("second"), 512)); err != nil {
 		t.Fatal(err)
 	}
-	body = AppendEntry(nil, "record", "one", []byte("first payload"))
+	body = AppendEntry(nil, "record", "one", NewFrame([]byte("first payload")))
 	secondPayload = len(body) + 2 + len("record/two") + headerSize
 	w := bytes.NewBuffer(body)
 	if err := src.ExportEntry("record", "two", w); err != nil {
 		t.Fatal(err)
 	}
-	return AppendEntry(w.Bytes(), "record", "three", []byte("third payload")), secondPayload
+	return AppendEntry(w.Bytes(), "record", "three", NewFrame([]byte("third payload"))), secondPayload
 }
 
 // TestImportEntries: every entry of a whole body is stored, in body order;
@@ -215,8 +215,8 @@ func TestImportEntries(t *testing.T) {
 	dst, _ := Open(t.TempDir(), Options{})
 	defer dst.Close()
 	body, _ := threeEntryBody(t, src)
-	body = AppendEntry(body, "job", "four", []byte("refused"))
-	body = AppendEntry(body, "record", "five", []byte("after the refusal"))
+	body = AppendEntry(body, "job", "four", NewFrame([]byte("refused")))
+	body = AppendEntry(body, "record", "five", NewFrame([]byte("after the refusal")))
 
 	stored, err := dst.ImportEntries(bytes.NewReader(body), 1<<20, func(kind string) bool { return kind == "record" })
 	if err != nil {
@@ -300,11 +300,11 @@ func readAll(body []byte, limit int64) (names []string, payloads [][]byte, err e
 		} else if err != nil {
 			return names, payloads, err
 		}
-		p, err := e.Payload()
+		f, err := e.Frame()
 		if err != nil {
 			return names, payloads, err
 		}
-		names, payloads = append(names, kind+"/"+key), append(payloads, p)
+		names, payloads = append(names, kind+"/"+key), append(payloads, f.Payload())
 	}
 }
 
@@ -358,7 +358,7 @@ func TestEntryReader(t *testing.T) {
 // claimed.
 func TestEntryReaderAllocatesWhatArrives(t *testing.T) {
 	const limit = 64 << 20
-	claim := AppendEntry(nil, "record", "big", nil)
+	claim := AppendEntry(nil, "record", "big", NewFrame(nil))
 	binary.LittleEndian.PutUint64(claim[2+len("record/big")+8:], limit-uint64(len(claim)))
 	body := append(claim, make([]byte, 1000)...)
 	var before, after runtime.MemStats
@@ -378,9 +378,9 @@ func TestEntryReaderAllocatesWhatArrives(t *testing.T) {
 // it must store no more objects than it answers stored, each one whole:
 // Get checks every stored payload against its header's sum.
 func FuzzImportEntries(f *testing.F) {
-	good := AppendEntry(nil, "record", "one", []byte("first"))
-	good = AppendEntry(good, "job", "two", []byte("refused"))
-	good = AppendEntry(good, "record", "three", bytes.Repeat([]byte("third"), 40))
+	good := AppendEntry(nil, "record", "one", NewFrame([]byte("first")))
+	good = AppendEntry(good, "job", "two", NewFrame([]byte("refused")))
+	good = AppendEntry(good, "record", "three", NewFrame(bytes.Repeat([]byte("third"), 40)))
 	f.Add(good)
 	f.Add(good[:len(good)-7])
 	flipped := append([]byte(nil), good...)
@@ -413,4 +413,41 @@ func FuzzImportEntries(f *testing.F) {
 			return nil
 		})
 	})
+}
+
+// TestPutFrameStoresTheCheckedFrame: a frame an EntryReader checked is
+// stored under the sum it arrived with, small and large alike (a large
+// payload is written apart from its header), and reads back through Get,
+// which checks the payload against that sum, and through ExportEntry as
+// the entry it arrived as.
+func TestPutFrameStoresTheCheckedFrame(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for name, payload := range map[string][]byte{
+		"small": []byte("a record"),
+		"large": bytes.Repeat([]byte("a library "), largePayload/5),
+	} {
+		body := AppendEntry(nil, "record", name, NewFrame(payload))
+		e := NewEntryReader(bytes.NewReader(body), int64(len(body)))
+		if _, _, err := e.Next(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := e.Frame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutFrame("record", name, f); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Get("record", name); !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("%s: Get after PutFrame = %v", name, ok)
+		}
+		var out bytes.Buffer
+		if err := s.ExportEntry("record", name, &out); err != nil || !bytes.Equal(out.Bytes(), body) {
+			t.Fatalf("%s: the stored entry is not the one that arrived (%v)", name, err)
+		}
+	}
 }

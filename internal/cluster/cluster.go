@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -373,24 +374,25 @@ func (c *Cluster) OwnersExcluding(id, key string) []string {
 	return ring.Owners(key, r)
 }
 
-// SortByHealth orders peer IDs in place into the replica read-through
-// order: healthy peers first, then suspects (mid failure run), then downed
-// peers; within a class the caller's order stands. A suspect replica must
-// never be the first read target while a healthy one exists, or a single
-// stalled peer charges every read its full timeout before the fallback.
-// IDs not in the peer table (self) sort as healthy.
-func (c *Cluster) SortByHealth(ids []string) {
+// sortByHealth orders peer IDs in place into the replica read order:
+// healthy peers first, then suspects (mid failure run), then downed peers;
+// within a class the caller's order stands. A suspect replica must never
+// be the first read target while a healthy one exists, or a single stalled
+// peer charges every read its full timeout before the fallback. IDs not in
+// the peer table (self) sort as healthy.
+func (c *Cluster) sortByHealth(ids []string) {
 	c.mu.Lock()
-	class := make(map[string]int, len(ids)) // 0 healthy (or self), 1 suspect, 2 down
-	for _, id := range ids {
-		if p, ok := c.peers[id]; ok && p.down {
-			class[id] = 2
-		} else if ok && p.fails > 0 {
-			class[id] = 1
+	defer c.mu.Unlock()
+	class := func(id string) int { // 0 healthy (or self), 1 suspect, 2 down
+		switch p, ok := c.peers[id]; {
+		case ok && p.down:
+			return 2
+		case ok && p.fails > 0:
+			return 1
 		}
+		return 0
 	}
-	c.mu.Unlock()
-	sort.SliceStable(ids, func(i, j int) bool { return class[ids[i]] < class[ids[j]] })
+	slices.SortStableFunc(ids, func(a, b string) int { return class(a) - class(b) })
 }
 
 // Nodes returns the ring's current members (self plus live peers).
@@ -869,80 +871,69 @@ func (c *Cluster) hedgeAdmit() bool {
 	}
 }
 
-// hedgeResult carries one attempt's outcome back to HedgedCall.
-type hedgeResult struct {
-	v      any
-	ok     bool
-	err    error
-	peer   string
-	hedged bool
-}
-
-// HedgedCall runs attempt against peers[0] and, if no answer lands within
-// hedgeDelay, races a second attempt against peers[1] — the tail-at-scale
-// defense: a stalled primary costs the hedge delay plus the replica's
-// round trip, not the full timeout.
-// The first attempt to return ok wins and the loser's context is
-// cancelled. attempt must honor ctx (route reads through Post) and
-// report ok=false for an application-level miss; a miss or error returns
-// without hedging further — replica iteration beyond the first two peers
-// stays the caller's loop. Metrics: peer.hedge_fired / peer.hedge_won /
-// peer.hedge_cancelled. Returns the winning value and peer, or ok=false
-// when neither attempt satisfied.
-func (c *Cluster) HedgedCall(peers []string, attempt func(ctx context.Context, peer string) (any, bool, error)) (v any, peer string, ok bool) {
+// HedgedCall is the one replica walk: it reads from peers, trying each
+// at most once, until one answers — the tail-at-scale defense, so a
+// stalled replica costs the hedge delay, not the transport timeout. It
+// orders the set by health (sortByHealth) and starts the first replica.
+// It starts the next one at once when an attempt fails, and as a hedge
+// each hedgeDelay that passes with no answer while the hedge budget
+// (hedgeAdmit) has room: a hedge the budget refuses is asked for again at
+// the next tick, so a read waits out a busy budget, not a stalled replica.
+// The first attempt to succeed wins, and the attempts' shared context
+// then cancels every other; attempt must honor ctx (route reads through
+// Post). Metrics: peer.hedge_fired / peer.hedge_won /
+// peer.hedge_cancelled. It returns the winning value and peer, or
+// ok=false when every replica failed.
+func HedgedCall[T any](c *Cluster, peers []string, attempt func(ctx context.Context, peer string) (T, error)) (v T, peer string, ok bool) {
 	if len(peers) == 0 {
-		return nil, "", false
+		return v, "", false
 	}
+	peers = slices.Clone(peers)
+	c.sortByHealth(peers)
 	c.inflightReads.Add(1)
 	defer c.inflightReads.Add(-1)
 
-	results := make(chan hedgeResult, 2)
-	var cancels []context.CancelFunc
-	launch := func(p string, hedged bool) {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancels = append(cancels, cancel)
+	type result struct {
+		v      T
+		err    error
+		peer   string
+		hedged bool
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	results := make(chan result, len(peers))
+	next := 0
+	launch := func(hedged bool) {
+		p := peers[next]
+		next++
 		go func() {
-			v, ok, err := attempt(ctx, p)
+			v, err := attempt(ctx, p)
 			if hedged {
 				// Release the budget slot here, not in the reader: a hedge
-				// abandoned after the primary wins is never read.
+				// abandoned after another attempt wins is never read.
 				c.inflightHedges.Add(-1)
 			}
-			results <- hedgeResult{v: v, ok: ok, err: err, peer: p, hedged: hedged}
+			results <- result{v, err, p, hedged}
 		}()
 	}
-	// Cancel every launched context on the way out — the winner's (a no-op
-	// once its attempt returned) and the loser's, which aborts its in-flight
-	// request.
-	defer func() {
-		for _, cancel := range cancels {
-			cancel()
-		}
-	}()
-	launch(peers[0], false)
-
-	var fire <-chan time.Time
-	if len(peers) > 1 {
-		timer := time.NewTimer(hedgeDelay)
-		defer timer.Stop()
-		fire = timer.C
-	}
-
-	outstanding := 1
-	hedgeLaunched := false
-	for {
+	timer := time.NewTimer(hedgeDelay)
+	defer timer.Stop()
+	launch(false)
+	for outstanding := 1; outstanding > 0; {
 		select {
-		case <-fire:
-			fire = nil
+		case <-timer.C:
+			if next == len(peers) {
+				continue // every replica is asked: nothing left to hedge with
+			}
 			if c.hedgeAdmit() {
-				hedgeLaunched = true
 				c.count("peer.hedge_fired", 1)
-				launch(peers[1], true)
+				launch(true)
 				outstanding++
 			}
+			timer.Reset(hedgeDelay)
 		case r := <-results:
 			outstanding--
-			if r.ok {
+			if r.err == nil {
 				if outstanding > 0 {
 					c.count("peer.hedge_cancelled", 1)
 				}
@@ -951,14 +942,11 @@ func (c *Cluster) HedgedCall(peers []string, attempt func(ctx context.Context, p
 				}
 				return r.v, r.peer, true
 			}
-			if !hedgeLaunched {
-				// Primary answered (miss or error) before any hedge fired:
-				// return immediately, the caller's replica loop continues.
-				return nil, r.peer, false
-			}
-			if outstanding == 0 {
-				return nil, r.peer, false
+			if next < len(peers) {
+				launch(false) // a failure is replaced at once, not hedged
+				outstanding++
 			}
 		}
 	}
+	return v, "", false
 }

@@ -3,14 +3,17 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -302,12 +305,12 @@ func TestSortByHealth(t *testing.T) {
 	c.observe("b", 10*time.Millisecond, false)
 	c.observe("c", 1*time.Millisecond, false)
 	ids := []string{"b", "d", "c"}
-	c.SortByHealth(ids)
+	c.sortByHealth(ids)
 	if want := []string{"b", "d", "c"}; !slices.Equal(ids, want) {
 		t.Fatalf("healthy order %v, want the caller's %v", ids, want)
 	}
 	c.observe("b", time.Millisecond, true)
-	c.SortByHealth(ids)
+	c.sortByHealth(ids)
 	if want := []string{"d", "c", "b"}; !slices.Equal(ids, want) {
 		t.Fatalf("order %v, want %v", ids, want)
 	}
@@ -447,7 +450,7 @@ func TestSortByHealthSuspectLast(t *testing.T) {
 	}
 
 	ids := []string{"dead", "fastsuspect", "slowhealthy", "unmeasured"}
-	c.SortByHealth(ids)
+	c.sortByHealth(ids)
 	want := []string{"slowhealthy", "unmeasured", "fastsuspect", "dead"}
 	if !slices.Equal(ids, want) {
 		t.Fatalf("order %v, want %v", ids, want)
@@ -468,21 +471,21 @@ func TestHedgedCallRescuesStalledPrimary(t *testing.T) {
 	defer c.Close()
 
 	primaryCancelled := make(chan bool, 1)
-	attempt := func(ctx context.Context, peer string) (any, bool, error) {
+	attempt := func(ctx context.Context, peer string) (string, error) {
 		if peer == "fast" {
-			return "fast-value", true, nil
+			return "fast-value", nil
 		}
 		select {
 		case <-ctx.Done():
 			primaryCancelled <- true
-			return nil, false, ctx.Err()
+			return "", ctx.Err()
 		case <-time.After(2 * time.Second):
 			primaryCancelled <- false
-			return "slow-value", true, nil
+			return "slow-value", nil
 		}
 	}
 	start := time.Now()
-	v, peer, ok := c.HedgedCall([]string{"slow", "fast"}, attempt)
+	v, peer, ok := HedgedCall(c, []string{"slow", "fast"}, attempt)
 	if !ok || peer != "fast" || v != "fast-value" {
 		t.Fatalf("HedgedCall = %v, %q, %v", v, peer, ok)
 	}
@@ -508,31 +511,6 @@ func TestHedgedCallRescuesStalledPrimary(t *testing.T) {
 	}
 }
 
-// TestHedgedCallPrimaryMissReturnsWithoutHedging: an application-level
-// miss from the primary comes back before the hedge delay — the caller's
-// replica loop handles the next peer, no hedge fires.
-func TestHedgedCallPrimaryMissReturnsWithoutHedging(t *testing.T) {
-	counters := metrics.NewCounterSet()
-	c := New("self", map[string]string{"a": "http://h1", "b": "http://h2"},
-		Options{Counters: counters})
-	defer c.Close()
-
-	var calls atomic.Int64
-	_, _, ok := c.HedgedCall([]string{"a", "b"}, func(ctx context.Context, peer string) (any, bool, error) {
-		calls.Add(1)
-		return nil, false, nil
-	})
-	if ok {
-		t.Fatal("miss reported as a win")
-	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("primary miss launched %d attempts, want 1", n)
-	}
-	if got := counters.Get("peer.hedge_fired"); got != 0 {
-		t.Fatalf("hedge_fired = %d, want 0", got)
-	}
-}
-
 // TestHedgeIgnoresPushLatency: how long a peer took to take a pushed
 // object says nothing about how fast it answers a read. A 150 ms push to
 // the primary must not stretch the next read's hedge delay: when that read
@@ -552,15 +530,15 @@ func TestHedgeIgnoresPushLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v, peer, ok := c.HedgedCall([]string{"slow", "fast"}, func(ctx context.Context, peer string) (any, bool, error) {
+	v, peer, ok := HedgedCall(c, []string{"slow", "fast"}, func(ctx context.Context, peer string) (string, error) {
 		if peer == "fast" {
-			return "fast-value", true, nil
+			return "fast-value", nil
 		}
 		select {
 		case <-ctx.Done():
-			return nil, false, ctx.Err()
+			return "", ctx.Err()
 		case <-time.After(100 * time.Millisecond):
-			return "slow-value", true, nil
+			return "slow-value", nil
 		}
 	})
 	if !ok || peer != "fast" || v != "fast-value" {
@@ -568,5 +546,175 @@ func TestHedgeIgnoresPushLatency(t *testing.T) {
 	}
 	if got := counters.Get("peer.hedge_won"); got != 1 {
 		t.Fatalf("hedge_won = %d, want 1", got)
+	}
+}
+
+// stallUntilCancelled is an attempt against a stalled replica: it answers
+// nothing until its read is done with it, then reports on cancelled.
+func stallUntilCancelled(ctx context.Context, cancelled chan<- string, peer string) (string, error) {
+	<-ctx.Done()
+	cancelled <- peer
+	return "", ctx.Err()
+}
+
+// TestHedgedCallFailsOverAtOnce: a primary that fails hands the read to
+// the next replica at once, not as a hedge: with another read's hedge
+// holding the budget's one slot, so that no hedge can fire, every read
+// still ends, the fastest of them well under the hedge delay, and the
+// third replica is never asked.
+func TestHedgedCallFailsOverAtOnce(t *testing.T) {
+	counters := metrics.NewCounterSet()
+	c := New("self", map[string]string{"a": "http://h1", "b": "http://h2", "c": "http://h3"},
+		Options{Counters: counters})
+	defer c.Close()
+	c.inflightHedges.Add(1)
+	defer c.inflightHedges.Add(-1)
+
+	var askedC atomic.Bool
+	attempt := func(ctx context.Context, peer string) (string, error) {
+		switch peer {
+		case "a":
+			return "", errors.New("refused")
+		case "c":
+			askedC.Store(true)
+		}
+		return "value of " + peer, nil
+	}
+	fastest := time.Hour
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		v, peer, ok := HedgedCall(c, []string{"a", "b", "c"}, attempt)
+		fastest = min(fastest, time.Since(start))
+		if !ok || peer != "b" || v != "value of b" {
+			t.Fatalf("HedgedCall = %q, %q, %v; want b's value", v, peer, ok)
+		}
+	}
+	if fastest >= hedgeDelay/2 {
+		t.Fatalf("the fastest of five fail-overs took %v, not well under the %v hedge delay", fastest, hedgeDelay)
+	}
+	if askedC.Load() {
+		t.Fatal("the third replica was asked after the second answered")
+	}
+	if got := counters.Get("peer.hedge_fired"); got != 0 {
+		t.Fatalf("hedge_fired = %d, want 0: a failure is replaced, not hedged", got)
+	}
+}
+
+// TestHedgedCallAllReplicasFail: when every replica fails, each is asked
+// exactly once and the read reports not-ok.
+func TestHedgedCallAllReplicasFail(t *testing.T) {
+	c := New("self", map[string]string{"a": "http://h1", "b": "http://h2", "c": "http://h3"}, Options{})
+	defer c.Close()
+
+	var mu sync.Mutex
+	asked := map[string]int{}
+	_, _, ok := HedgedCall(c, []string{"a", "b", "c"}, func(ctx context.Context, peer string) (string, error) {
+		time.Sleep(hedgeDelay) // slow failures, so hedges fire too
+		mu.Lock()
+		asked[peer]++
+		mu.Unlock()
+		return "", errors.New("refused")
+	})
+	if ok {
+		t.Fatal("a read no replica answered reported ok")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := map[string]int{"a": 1, "b": 1, "c": 1}; !maps.Equal(asked, want) {
+		t.Fatalf("replicas asked %v, want each once: %v", asked, want)
+	}
+}
+
+// TestHedgedCallWinCancelsEveryOther: with room in the budget for two
+// hedges, a read whose first two replicas stall hedges to both others;
+// the third replica's answer wins, and both stalled attempts see their
+// context cancelled.
+func TestHedgedCallWinCancelsEveryOther(t *testing.T) {
+	counters := metrics.NewCounterSet()
+	c := New("self", map[string]string{"a": "http://h1", "b": "http://h2", "c": "http://h3"},
+		Options{Counters: counters})
+	defer c.Close()
+	// Seven other reads in flight: the budget admits two hedges.
+	c.inflightReads.Add(7)
+	defer c.inflightReads.Add(-7)
+
+	cancelled := make(chan string, 2)
+	v, peer, ok := HedgedCall(c, []string{"a", "b", "c"}, func(ctx context.Context, peer string) (string, error) {
+		if peer == "c" {
+			return "value of c", nil
+		}
+		return stallUntilCancelled(ctx, cancelled, peer)
+	})
+	if !ok || peer != "c" || v != "value of c" {
+		t.Fatalf("HedgedCall = %q, %q, %v; want c's value", v, peer, ok)
+	}
+	got := map[string]bool{}
+	for len(got) < 2 {
+		select {
+		case p := <-cancelled:
+			got[p] = true
+		case <-time.After(2 * time.Second):
+			t.Fatalf("cancelled attempts %v; want a and b", got)
+		}
+	}
+	for name, want := range map[string]int64{"peer.hedge_fired": 2, "peer.hedge_won": 1, "peer.hedge_cancelled": 1} {
+		if n := counters.Get(name); n != want {
+			t.Errorf("%s = %d, want %d", name, n, want)
+		}
+	}
+}
+
+// TestHedgeBudgetRetries: four concurrent reads whose primary stalls share
+// a budget of one hedge. A read the budget refuses asks again each hedge
+// delay, so every read is rescued in a few delays, not after the stall;
+// and no more hedges are ever in flight than the budget allows.
+func TestHedgeBudgetRetries(t *testing.T) {
+	const reads, stall = 4, 500 * time.Millisecond
+	counters := metrics.NewCounterSet()
+	c := New("self", map[string]string{"stalled": "http://h1", "fast": "http://h2"},
+		Options{Counters: counters})
+	defer c.Close()
+
+	var inFlight, maxInFlight atomic.Int64
+	attempt := func(ctx context.Context, peer string) (string, error) {
+		if peer == "stalled" {
+			select {
+			case <-ctx.Done():
+				return "", ctx.Err()
+			case <-time.After(stall):
+				return "late", nil
+			}
+		}
+		// Every attempt on the fast replica is a hedge. It takes a few
+		// milliseconds, so hedges the budget should have refused overlap.
+		n := inFlight.Add(1)
+		for m := maxInFlight.Load(); n > m && !maxInFlight.CompareAndSwap(m, n); m = maxInFlight.Load() {
+		}
+		time.Sleep(3 * time.Millisecond)
+		inFlight.Add(-1)
+		return "fast", nil
+	}
+	var wg sync.WaitGroup
+	walls := make([]time.Duration, reads)
+	for i := range walls {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start := time.Now()
+			if v, _, ok := HedgedCall(c, []string{"stalled", "fast"}, attempt); !ok || v != "fast" {
+				t.Errorf("read %d = %q, %v; want the hedge's answer", i, v, ok)
+			}
+			walls[i] = time.Since(start)
+		}(i)
+	}
+	wg.Wait()
+	t.Logf("reads took %v; hedges fired %d", walls, counters.Get("peer.hedge_fired"))
+	for i, w := range walls {
+		if w >= 100*time.Millisecond {
+			t.Errorf("read %d took %v: its refused hedge waited out the %v stall", i, w, stall)
+		}
+	}
+	if m := maxInFlight.Load(); m > 1 {
+		t.Errorf("%d hedges in flight at once; the budget of %d reads admits 1", m, reads)
 	}
 }

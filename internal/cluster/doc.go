@@ -32,6 +32,13 @@
 //     JSON reader (stat, the membership plane), and PutStream (castore
 //     object and install pushes). A JSON answer is read under a bound
 //     (maxJSONAnswer); a reader of any other answer states its own.
+//   - HedgedCall: the one walk over a replica set. It reads the set in
+//     health order (healthy, suspect, down; the caller's order within a
+//     class), tries each replica at most once, moves to the next at once
+//     when an attempt fails and as a hedge when a fixed 2 ms passes with no
+//     answer, and cancels every other attempt when one succeeds. A hedge
+//     budget (a quarter of the in-flight reads, at least one) bounds the
+//     extra load; a refused hedge asks again every 2 ms.
 //
 // # Failure model
 //

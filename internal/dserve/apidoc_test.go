@@ -366,8 +366,8 @@ func TestAPIDocExamples(t *testing.T) {
 
 	// A push of one record and one library image: the image's kind is not
 	// replicated, so the answer refuses it.
-	pushed := castore.AppendEntry(nil, kindRecord, "doc0", []byte("a record"))
-	pushed = castore.AppendEntry(pushed, "lib", "doc1", []byte("a library image"))
+	pushed := castore.AppendEntry(nil, kindRecord, "doc0", castore.NewFrame([]byte("a record")))
+	pushed = castore.AppendEntry(pushed, "lib", "doc1", castore.NewFrame([]byte("a library image")))
 	actual["peer-objects response"] = httpJSON(http.MethodPut, "/v1/peer/objects", pushed, http.StatusOK)
 
 	statBody, err := json.Marshal(peerStatRequest{Objects: []storeRef{{Kind: kindRecord, Key: "absent0"}}})

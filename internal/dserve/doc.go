@@ -119,11 +119,13 @@
 // unit: a consistent-hash ring (internal/cluster) assigns each detect,
 // compact and verifyrun key an R-way replica set of owning nodes (default
 // R=2), and the stage memo gains a third tier. Any node accepts any batch; the stages
-// its local tiers miss are read through their remote owners in health
-// order (healthy, suspect, down; by ID within a class), batched per
-// replica set (POST /v1/peer/lookup-batch, the only remote read, hedged
-// after a fixed 2 ms; its answer is castore's multi-object body, the
-// found keys' records verbatim). A ring runs one protocol: a replica set that
+// its local tiers miss are read through their remote owners, batched per
+// replica set (POST /v1/peer/lookup-batch, the only remote read; its
+// answer is castore's multi-object body, the found keys' records
+// verbatim). One walk, cluster.HedgedCall, reads a set: in health order
+// (healthy, suspect, down; by ID within a class), each owner at most once,
+// the next owner at once after a failure and as a hedge after a fixed
+// 2 ms without an answer. A ring runs one protocol: a replica set that
 // cannot answer the route is a failed peer tier, and its keys resolve as
 // misses. No stage executes remotely: every miss computes on the
 // requesting node, where its inputs already are — a detect stage against

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"negativaml/internal/castore"
+	"negativaml/internal/cluster"
 	"negativaml/internal/plan"
 )
 
@@ -21,13 +22,16 @@ import (
 // keys, the compact keys derived from the union, and, from the verify-probe
 // node, the verifyrun keys derived from the compacted set: each call takes
 // the batch's ready keys, groups them by replica set, and issues one
-// POST /v1/peer/lookup-batch per group, hedged through
-// cluster.HedgedCall so a stalled replica costs a fixed 2 ms hedge delay,
-// not the transport timeout. The answer is castore's multi-object body,
-// read by one castore.EntryReader under maxLookupAnswerBytes
-// (readLookupAnswer): each entry's sum is checked and the entry matched
-// to the key it answers; a record crosses as the bytes its disk tier
-// keeps, with no JSON or base64 around it. Found values are kept in the asking batch's
+// POST /v1/peer/lookup-batch per group. cluster.HedgedCall walks the
+// group's whole replica set: a failed replica hands over to the next at
+// once, and a stalled one costs a fixed 2 ms hedge delay, not the
+// transport timeout; this file keeps no replica loop of its own. The
+// answer is castore's multi-object body, read by one castore.EntryReader
+// under maxLookupAnswerBytes (readLookupAnswer): each entry's sum is
+// checked and the entry matched to the key it answers; a record crosses as
+// the bytes its disk tier keeps, with no JSON or base64 around it, and is
+// stored here under the sum already checked (castore.Frame), so each of
+// its bytes is hashed once on this node. Found values are kept in the asking batch's
 // table (batchMemo), which hands each to its stage node as a peer read, and
 // planted in the shared memory tiers (profiles / result cache / verify
 // records) for concurrent batches, so the batch's wall clock is bounded by
@@ -191,97 +195,67 @@ func (m *StageMemo) localProbe(k plan.Key) bool {
 	return m.stored(st, k.Hash)
 }
 
-// prefetchGroup runs one group's batch lookup: hedged across the group's
-// first two members in health order (by ID within a health class),
-// falling back through the rest, then keeps and plants every found value.
-// Flights end only after the plant, so a waiter that raced us re-probes
-// into a hit.
+// prefetchGroup runs one group's batch lookup, chunk by chunk, then
+// keeps and plants every found value. Flights end only after the plant, so
+// a waiter that raced us re-probes into a hit.
 func (m *batchMemo) prefetchGroup(g *lookupGroup) {
 	defer func() {
 		for _, it := range g.items {
 			m.endFlight(it.key)
 		}
 	}()
-	m.cluster.SortByHealth(g.remotes)
 	for off := 0; off < len(g.items); off += maxBatchLookupKeys {
-		end := off + maxBatchLookupKeys
-		if end > len(g.items) {
-			end = len(g.items)
-		}
-		m.prefetchChunk(g.remotes, g.items[off:end])
+		m.prefetchChunk(g.remotes, g.items[off:min(off+maxBatchLookupKeys, len(g.items))])
 	}
 }
 
-// prefetchChunk asks one replica set for up to maxBatchLookupKeys keys
-// and keeps, plants and writes behind every record the answer holds.
+// prefetchChunk asks the replica set for up to maxBatchLookupKeys keys —
+// one walk over the whole set (cluster.HedgedCall) — and keeps, plants and
+// writes behind every record the answer holds.
 func (m *batchMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 	req := peerBatchLookupRequest{Keys: make([]peerLookupRequest, len(items))}
 	for i, it := range items {
 		req.Keys[i] = peerLookupRequest{Stage: it.key.Stage, Hash: it.key.Hash}
 	}
-	var mu sync.Mutex
-	failed := map[string]bool{} // peers whose attempt failed un-cancelled
-	attempt := func(ctx context.Context, peer string) (any, bool, error) {
+	recs, from, ok := cluster.HedgedCall(m.cluster, remotes, func(ctx context.Context, peer string) ([]castore.Frame, error) {
 		m.countRoundTrip()
-		var recs [][]byte
+		var recs []castore.Frame
 		err := m.cluster.Post(ctx, peer, "/v1/peer/lookup-batch", req, func(body io.Reader) error {
 			var err error
 			recs, err = readLookupAnswer(body, items)
 			return err
 		})
-		if err != nil {
-			if ctx.Err() == nil {
-				// Any non-2xx answer, transport error or answer that does
-				// not read whole is a peer-tier failure, counted as a
-				// fallback like every other failed peer read (the health
-				// plane already observed a transport fault itself).
-				m.count("peer.fallbacks")
-				mu.Lock()
-				failed[peer] = true
-				mu.Unlock()
-			}
-			return nil, false, err
+		if err != nil && ctx.Err() == nil {
+			// Any non-2xx answer, transport error or answer that does not
+			// read whole is a peer-tier failure, counted as a fallback like
+			// every other failed peer read (the health plane already
+			// observed a transport fault itself).
+			m.count("peer.fallbacks")
 		}
-		return recs, true, nil
-	}
-	v, from, ok := m.cluster.HedgedCall(remotes, attempt)
-	if !ok {
-		// The race (primary, maybe a hedge) failed; try the rest plainly.
-		for _, r := range remotes[1:] {
-			mu.Lock()
-			tried := failed[r]
-			mu.Unlock()
-			if tried {
-				continue
-			}
-			if rv, rok, _ := attempt(context.Background(), r); rok {
-				v, from, ok = rv, r, true
-				break
-			}
-		}
-	}
+		return recs, err
+	})
 	if !ok {
 		m.count("peer.batch_failed")
 		return
 	}
-	for i, rec := range v.([][]byte) {
-		it := items[i]
-		if rec == nil {
+	for i := range recs {
+		it, rec := items[i], &recs[i]
+		if rec.Payload() == nil {
 			m.count("peer.misses")
 			continue
 		}
 		// Every answered key is a memoized stage's: only those were asked.
 		st := memoStageOf(it.key.Stage)
-		val, err := st.open(it.key.Hash, it.hint, rec)
+		val, err := st.open(it.key.Hash, it.hint, rec.Payload())
 		if err != nil {
 			m.count("peer.fallbacks")
 			continue
 		}
 		// The batch's own node reads it from the table. Replicate toward
 		// demand: memory, for concurrent batches, and behind the batch the
-		// record, as received, into this node's castore, so the next miss
-		// here is a disk hit, not another network hop. No peers: they
-		// already hold it.
+		// record, as received and under the sum already checked, into
+		// this node's castore, so the next miss here is a disk hit, not
+		// another network hop. No peers: they already hold it.
 		m.keep(it.key, val, plan.SourcePeer)
 		st.put(m.StageMemo, it.key.Hash, val)
 		if m.writeStage != nil {
@@ -295,14 +269,15 @@ func (m *batchMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 }
 
 // readLookupAnswer reads a lookup-batch answer, of at most
-// maxLookupAnswerBytes, to the keys of items: entries in request order, each named for a key asked
-// and whole under its frame's sum. It returns the records index-aligned
-// with items, nil for a key the answer skips (a miss). An entry cut
-// short, past the bound, for a key not asked, repeated or out of order,
-// or failing its sum fails the whole answer: it is a peer that does not
-// speak the protocol, and no record of it is used.
-func readLookupAnswer(body io.Reader, items []prefetchItem) ([][]byte, error) {
-	recs := make([][]byte, len(items))
+// maxLookupAnswerBytes, to the keys of items: entries in request order,
+// each named for a key asked and whole under its frame's sum. It returns
+// the records, framed, index-aligned with items, a zero frame for a key
+// the answer skips (a miss). An entry cut short, past the bound, for a key
+// not asked, repeated or out of order, or failing its sum fails the whole
+// answer: it is a peer that does not speak the protocol, and no record of
+// it is used.
+func readLookupAnswer(body io.Reader, items []prefetchItem) ([]castore.Frame, error) {
+	recs := make([]castore.Frame, len(items))
 	e := castore.NewEntryReader(body, maxLookupAnswerBytes)
 	next := 0
 	for {
@@ -319,7 +294,7 @@ func readLookupAnswer(body io.Reader, items []prefetchItem) ([][]byte, error) {
 		if i == len(items) {
 			return nil, fmt.Errorf("dserve: lookup-batch answered %s/%.12s…, not a key asked after the last", kind, hash)
 		}
-		if recs[i], err = e.Payload(); err != nil {
+		if recs[i], err = e.Frame(); err != nil {
 			return nil, err
 		}
 		next = i + 1

@@ -94,7 +94,7 @@ func lookupAnswer(keys []peerLookupRequest, rec func(peerLookupRequest) []byte) 
 	var body []byte
 	for _, k := range keys {
 		if r := rec(k); r != nil {
-			body = castore.AppendEntry(body, memoStageOf(k.Stage).kind, k.Hash, r)
+			body = castore.AppendEntry(body, memoStageOf(k.Stage).kind, k.Hash, castore.NewFrame(r))
 		}
 	}
 	return body
@@ -228,8 +228,8 @@ func TestHedgingRescuesStalledOwner(t *testing.T) {
 		if len(remotes) != 2 {
 			return ""
 		}
+		// Every node is healthy here, so the read order is ID order.
 		sort.Strings(remotes)
-		c.SortByHealth(remotes)
 		return remotes[0]
 	}
 	stallPrimary := func(id string, h http.Handler) http.Handler {
@@ -490,7 +490,7 @@ func TestBatchLookupFailureComputesLocally(t *testing.T) {
 		"404": func(w http.ResponseWriter) { http.Error(w, "no such route", http.StatusNotFound) },
 		"500": func(w http.ResponseWriter) { http.Error(w, "boom", http.StatusInternalServerError) },
 		"short results": func(w http.ResponseWriter) {
-			w.Write(castore.AppendEntry(nil, kindProfile, strings.Repeat("ab", 32), []byte("a profile"))[:40])
+			w.Write(castore.AppendEntry(nil, kindProfile, strings.Repeat("ab", 32), castore.NewFrame([]byte("a profile")))[:40])
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -214,7 +214,7 @@ type progressObserver struct {
 	job *Job
 }
 
-func (o progressObserver) StageDone(stage string, hit bool, _ time.Duration) {
+func (o progressObserver) StageSource(stage string, src plan.Source, _ time.Duration) {
 	// The event is appended while still holding s.mu so two concurrently
 	// completing stages cannot publish their counters out of order (the
 	// stream's documented invariant is that StagesDone never decreases).
@@ -223,7 +223,7 @@ func (o progressObserver) StageDone(stage string, hit bool, _ time.Duration) {
 	defer o.s.mu.Unlock()
 	o.job.StagesDone++
 	o.job.events.Append(JobEvent{
-		Type: EventStage, Stage: stage, Hit: hit,
+		Type: EventStage, Stage: stage, Hit: src.Hit(),
 		StagesDone: o.job.StagesDone, StagesTotal: o.job.StagesTotal,
 	})
 }
@@ -242,7 +242,7 @@ func (s *Service) run(job *Job) {
 		job.StagesTotal = total
 		s.mu.Unlock()
 	}
-	res, err := s.runBatch(job.Req, obs, onPlanned)
+	res, err := s.runBatch(job.Req, BatchOptions{Observer: obs, OnPlanned: onPlanned})
 
 	// Persist before publishing the terminal state (file I/O stays outside
 	// s.mu): once the job reads as done, its manifest and pinned objects
@@ -418,9 +418,10 @@ func (s *Service) effectiveSteps(v int) int {
 }
 
 // runBatch materializes the request (shared install, member workloads,
-// incremental base) and executes the batch. obs and onPlanned carry the
-// job's progress hooks into the batch options.
-func (s *Service) runBatch(req JobRequest, obs plan.Observer, onPlanned func(int)) (*BatchResult, error) {
+// incremental base) and executes the batch under opt, which carries the
+// job's progress hooks; the request's step cap and verification mode are
+// filled in here.
+func (s *Service) runBatch(req JobRequest, opt BatchOptions) (*BatchResult, error) {
 	var in *mlframework.Install
 	var fw string
 	var err error
@@ -441,12 +442,7 @@ func (s *Service) runBatch(req JobRequest, obs plan.Observer, onPlanned func(int
 			return nil, fmt.Errorf("dserve: workload %d: %w", i, err)
 		}
 	}
-	opt := BatchOptions{
-		MaxSteps:   req.MaxSteps,
-		SkipVerify: req.SkipVerify,
-		Observer:   obs,
-		OnPlanned:  onPlanned,
-	}
+	opt.MaxSteps, opt.SkipVerify = req.MaxSteps, req.SkipVerify
 	if req.Base != "" {
 		// The base has been pinned since Submit accepted the request, so
 		// eviction cannot have released it or the store objects its stage
@@ -748,7 +744,7 @@ func (s *Service) ResultOf(id string) (*BatchResult, error) {
 func (s *Service) restore(m *jobManifest) (*BatchResult, error) {
 	req := m.Req
 	req.Base, req.SkipVerify = "", true
-	run, err := s.runBatch(req, nil, nil)
+	run, err := s.runBatch(req, BatchOptions{rerun: true})
 	if err != nil {
 		return nil, fmt.Errorf("dserve: restore %s: %w", m.ID, err)
 	}

@@ -27,7 +27,7 @@ import (
 // (just under the bound), and then fails its sum. Nothing is planted.
 func TestLookupAnswerBounded(t *testing.T) {
 	key := negativa.DetectKey("fp", "w")
-	claim := castore.AppendEntry(nil, kindProfile, key.Hash, nil)
+	claim := castore.AppendEntry(nil, kindProfile, key.Hash, castore.NewFrame(nil))
 	binary.LittleEndian.PutUint64(claim[len(claim)-40:], uint64(maxLookupAnswerBytes-len(claim)))
 	var served atomic.Int64
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -92,7 +92,7 @@ func FuzzLookupBatchAnswer(f *testing.F) {
 		{key: plan.Key{Stage: negativa.StageVerifyRun, Hash: strings.Repeat("e1", 32)}},
 	}
 	entry := func(i int, rec string) []byte {
-		return castore.AppendEntry(nil, memoStageOf(items[i].key.Stage).kind, items[i].key.Hash, []byte(rec))
+		return castore.AppendEntry(nil, memoStageOf(items[i].key.Stage).kind, items[i].key.Hash, castore.NewFrame([]byte(rec)))
 	}
 	whole := append(append(entry(0, "a profile"), entry(1, "a record")...), entry(2, "a run")...)
 	f.Add(whole)
@@ -100,7 +100,7 @@ func FuzzLookupBatchAnswer(f *testing.F) {
 	f.Add(whole[:len(whole)-3])
 	f.Add(append(entry(2, "a run"), entry(0, "a profile")...))     // out of order
 	f.Add(append(entry(0, "a profile"), entry(0, "a profile")...)) // repeated
-	f.Add(castore.AppendEntry(nil, kindProfile, strings.Repeat("0", 64), []byte("unasked")))
+	f.Add(castore.AppendEntry(nil, kindProfile, strings.Repeat("0", 64), castore.NewFrame([]byte("unasked"))))
 	flipped := append([]byte(nil), whole...)
 	flipped[len(flipped)-1] ^= 1
 	f.Add(flipped)
@@ -122,7 +122,8 @@ func FuzzLookupBatchAnswer(f *testing.F) {
 			return
 		}
 		named := layoutEntries(body)
-		for i, rec := range recs {
+		for i, f := range recs {
+			rec := f.Payload()
 			if rec == nil {
 				continue
 			}
@@ -205,7 +206,7 @@ func TestTamperedReplicaAnswers(t *testing.T) {
 		var body []byte
 		for _, e := range entries {
 			kind, key, _ := strings.Cut(e.name, "/")
-			body = castore.AppendEntry(body, kind, key, e.rec)
+			body = castore.AppendEntry(body, kind, key, castore.NewFrame(e.rec))
 		}
 		return body
 	}

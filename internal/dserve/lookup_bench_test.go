@@ -88,8 +88,8 @@ func BenchmarkPeerLookupBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for j, rec := range recs {
-			it := items[j]
+		for j, f := range recs {
+			it, rec := items[j], f.Payload()
 			if rec == nil {
 				b.Fatalf("key %v not found on the node that computed it", it.key)
 			}

@@ -216,8 +216,8 @@ type StageMemo struct {
 	// the local store, when there is one, and to the named replica peers —
 	// so it reaches its disk tier and every live owner of its key without
 	// waiting for the repair loop. rec, when non-nil, is the record a
-	// prefetched value arrived as.
-	writeStage func(st *memoStage, hash string, v any, rec []byte, peers []string)
+	// prefetched value arrived as, framed under the sum its read checked.
+	writeStage func(st *memoStage, hash string, v any, rec *castore.Frame, peers []string)
 
 	// flights is the singleflight table (hotpath.go) spanning every
 	// batch's prefetch and the stage nodes' own resolution of one stage key.
@@ -358,7 +358,7 @@ func (m *StageMemo) exportRecord(st *memoStage, hash string, body *bytes.Buffer)
 	if err != nil {
 		return false
 	}
-	body.Write(castore.AppendEntry(body.AvailableBuffer(), st.kind, hash, rec))
+	body.Write(castore.AppendEntry(body.AvailableBuffer(), st.kind, hash, castore.NewFrame(rec)))
 	return true
 }
 

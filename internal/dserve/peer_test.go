@@ -83,12 +83,12 @@ func readAnswer(t *testing.T, body io.Reader) []answerEntry {
 			t.Errorf("lookup-batch answer: %v", err)
 			return entries
 		}
-		rec, err := e.Payload()
+		f, err := e.Frame()
 		if err != nil {
 			t.Errorf("lookup-batch answer: %v", err)
 			return entries
 		}
-		entries = append(entries, answerEntry{kind + "/" + key, rec})
+		entries = append(entries, answerEntry{kind + "/" + key, f.Payload()})
 	}
 }
 
@@ -239,7 +239,7 @@ func TestPeerRoutesRequireCluster(t *testing.T) {
 	if g, f := installCounts(svc); g != 0 || f != 0 {
 		t.Fatalf("a refused push generated %d installs and received %d", g, f)
 	}
-	if code := putPeer(t, srv, "/v1/peer/objects", castore.AppendEntry(nil, kindRecord, "deadbeef", []byte("x"))); code != http.StatusNotFound {
+	if code := putPeer(t, srv, "/v1/peer/objects", castore.AppendEntry(nil, kindRecord, "deadbeef", castore.NewFrame([]byte("x")))); code != http.StatusNotFound {
 		t.Fatalf("object push without a cluster: status %d, want 404", code)
 	}
 }
@@ -295,7 +295,7 @@ func TestPeerObjectPutKinds(t *testing.T) {
 	kinds := []string{"lib", kindRecord, "result", kindProfile, "sparse", kindVerify, kindJob}
 	var body []byte
 	for _, kind := range kinds {
-		body = castore.AppendEntry(body, kind, "k-"+kind, []byte("payload of "+kind))
+		body = castore.AppendEntry(body, kind, "k-"+kind, castore.NewFrame([]byte("payload of "+kind)))
 	}
 	code, stored := pushBody(t, srv, body)
 	if code != http.StatusOK {
@@ -311,7 +311,7 @@ func TestPeerObjectPutKinds(t *testing.T) {
 		}
 	}
 	name := kindRecord + "/k-old"
-	frame := castore.AppendEntry(nil, kindRecord, "k-old", []byte("payload"))[2+len(name):]
+	frame := castore.AppendEntry(nil, kindRecord, "k-old", castore.NewFrame([]byte("payload")))[2+len(name):]
 	if code := putPeer(t, srv, "/v1/peer/objects/"+name, frame); code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
 		t.Fatalf("the per-object route answered %d", code)
 	}
@@ -325,10 +325,10 @@ func TestPeerObjectPutKinds(t *testing.T) {
 // entries around it land.
 func TestPeerObjectsRefusesCorruptEntry(t *testing.T) {
 	st, srv := storeNode(t)
-	body := castore.AppendEntry(nil, kindRecord, "one", []byte("first"))
+	body := castore.AppendEntry(nil, kindRecord, "one", castore.NewFrame([]byte("first")))
 	flip := len(body) + 2 + len(kindRecord+"/two") + 48 // the header
-	body = castore.AppendEntry(body, kindRecord, "two", []byte("second"))
-	body = castore.AppendEntry(body, kindRecord, "three", []byte("third"))
+	body = castore.AppendEntry(body, kindRecord, "two", castore.NewFrame([]byte("second")))
+	body = castore.AppendEntry(body, kindRecord, "three", castore.NewFrame([]byte("third")))
 	body[flip] ^= 0x01
 	code, stored := pushBody(t, srv, body)
 	if code != http.StatusOK || !slices.Equal(stored, []bool{true, false, true}) {

@@ -886,6 +886,32 @@ func TestRestoredJobRecomputesALostRecord(t *testing.T) {
 	}
 }
 
+// TestRestoreIsNoClientBatch: fetching a restored done job reruns its
+// batch once, and that rerun is the service's own work, not a batch a
+// client sent: jobs.materialized moves by 1 and batches.completed by 0.
+func TestRestoreIsNoClientBatch(t *testing.T) {
+	dir := t.TempDir()
+	req := JobRequest{
+		Framework: "pytorch", TailLibs: 4, MaxSteps: 2,
+		Workloads: []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}},
+	}
+	id, first := runPersistedJob(t, dir, Config{Workers: 2, MaxSteps: 2}, req)
+
+	svc := NewService(Config{Workers: 2, MaxSteps: 2, Store: openStore(t, dir)})
+	defer svc.Close()
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	name := first.Libs[0].Name
+	if !bytes.Equal(fetchLib(t, ts, id, name), first.DebloatedLibs()[name]) {
+		t.Fatalf("library %s differs from the first boot's", name)
+	}
+	for counter, want := range map[string]int64{"jobs.materialized": 1, "batches.completed": 0, "jobs.submitted": 0} {
+		if got := svc.Counters.Get(counter); got != want {
+			t.Errorf("%s = %d after one fetch of a restored job, want %d", counter, got, want)
+		}
+	}
+}
+
 // TestRestoredJobFailsOnAChangedInstall: a restored job is rebuilt only if
 // its rerun lands on the manifest's install fingerprint and record keys.
 // An ingest job whose tree was replaced between boots, or a spec job whose

@@ -36,6 +36,10 @@ const repairStatChunk = 256
 // hashing.
 const spillConcurrency = 4
 
+// frameRecord frames a record the write-behind sealed: the one hash of its
+// bytes on this node. A variable so a test can count the calls.
+var frameRecord = castore.NewFrame
+
 // pendingPush is one owner's write-back queue: a body and its entry count.
 type pendingPush struct {
 	body []byte
@@ -44,22 +48,25 @@ type pendingPush struct {
 
 // writeBehind is the stage memo's one write hook, and the one way a stage
 // artifact leaves memory: never inside the stage node. The value's record
-// — rec as received, else sealed here — joins each named peer's queue and
-// is Put to the local store, at most spillConcurrency writers at a time. A
-// compact result's record is counted in pendingRecords until its writer
-// finishes, so persistJob waits for it instead of writing it a second
-// time; no manifest names anything else. A failed local Put only costs
-// durability, so it is counted, not fatal. Close and WaitReplication cover
-// every goroutine started here.
-func (s *Service) writeBehind(st *memoStage, hash string, v any, rec []byte, peers []string) {
+// — rec as received, else sealed and framed here, once — joins each named
+// peer's queue and is put to the local store, at most spillConcurrency
+// writers at a time, all under the one frame's sum. A compact result's
+// record is counted in pendingRecords until its writer finishes, so
+// persistJob waits for it instead of writing it a second time; no manifest
+// names anything else. A failed local put only costs durability, so it is
+// counted, not fatal. Close and WaitReplication cover every goroutine
+// started here.
+func (s *Service) writeBehind(st *memoStage, hash string, v any, rec *castore.Frame, peers []string) {
 	if s.store == nil && len(peers) == 0 {
 		return
 	}
 	if rec == nil {
-		var err error
-		if rec, err = st.seal(hash, v); err != nil {
+		raw, err := st.seal(hash, v)
+		if err != nil {
 			return
 		}
+		f := frameRecord(raw)
+		rec = &f
 	}
 	record := st.kind == kindRecord && s.store != nil
 	s.writeMu.Lock()
@@ -69,7 +76,7 @@ func (s *Service) writeBehind(st *memoStage, hash string, v any, rec []byte, pee
 			q = &pendingPush{}
 			s.writeBack[peer] = q
 		}
-		q.body = castore.AppendEntry(q.body, st.kind, hash, rec)
+		q.body = castore.AppendEntry(q.body, st.kind, hash, *rec)
 		q.n++
 	}
 	if record {
@@ -83,7 +90,7 @@ func (s *Service) writeBehind(st *memoStage, hash string, v any, rec []byte, pee
 	go func() {
 		defer s.replWG.Done()
 		s.writeSem <- struct{}{}
-		if err := s.store.Put(st.kind, hash, rec); err != nil {
+		if err := s.store.PutFrame(st.kind, hash, *rec); err != nil {
 			s.Counters.Add("writebehind.errors", 1)
 		}
 		<-s.writeSem

@@ -48,31 +48,27 @@ func (o stageObserver) namesOf(stage string) *stageMetricNames {
 	return n.(*stageMetricNames)
 }
 
-// StageDone implements plan.Observer.
-func (o stageObserver) StageDone(stage string, hit bool, wall time.Duration) {
+// StageSource implements plan.Observer: stage.<name>.hits or .misses and
+// the stage's timing, and hits are additionally attributed to the tier
+// that served them (stage.<name>.disk_hits for castore restores,
+// stage.<name>.peer_hits for values a cluster peer served) so /v1/metrics
+// can show where reuse actually comes from. A computed compact stage
+// counts as analysis.computed — the ground truth for "did this service
+// ever re-run locate/compact": the warm-restart tests assert it stays zero
+// when every result comes from memory, disk or a peer.
+func (o stageObserver) StageSource(stage string, src plan.Source, wall time.Duration) {
 	n := o.namesOf(stage)
-	if hit {
+	if src.Hit() {
 		o.c.Add(n.hits, 1)
 	} else {
 		o.c.Add(n.misses, 1)
 	}
 	o.t.Observe(n.timing, wall)
-}
-
-// StageSource implements plan.SourceObserver: hits are additionally
-// attributed to the tier that served them (stage.<name>.disk_hits for
-// castore restores, stage.<name>.peer_hits for values a cluster peer
-// served or executed) so /v1/metrics can show where reuse actually comes
-// from. A computed compact stage counts as analysis.computed — the ground
-// truth for "did this service ever re-run locate/compact": the
-// warm-restart tests assert it stays zero when every result comes from
-// memory, disk or a peer.
-func (o stageObserver) StageSource(stage string, src plan.Source, _ time.Duration) {
 	switch src {
 	case plan.SourceDisk:
-		o.c.Add(o.namesOf(stage).diskHits, 1)
+		o.c.Add(n.diskHits, 1)
 	case plan.SourcePeer:
-		o.c.Add(o.namesOf(stage).peerHits, 1)
+		o.c.Add(n.peerHits, 1)
 	case plan.SourceComputed:
 		if stage == negativa.StageCompact {
 			o.c.Add("analysis.computed", 1)
@@ -307,6 +303,9 @@ type BatchOptions struct {
 	// count after the graph is built and before any stage executes — the
 	// denominator for progress reporting.
 	OnPlanned func(totalStages int)
+	// rerun marks a restore's rerun of a done job (Service.restore): no
+	// client sent it, so batches.completed and batch.wall leave it out.
+	rerun bool
 }
 
 // IncrementalStats summarizes what an incremental batch absorbed from its
@@ -595,8 +594,10 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 	}
 
 	res.WallTime = time.Since(start)
-	s.Counters.Add("batches.completed", 1)
-	s.Timings.Observe("batch.wall", res.WallTime)
+	if !opt.rerun {
+		s.Counters.Add("batches.completed", 1)
+		s.Timings.Observe("batch.wall", res.WallTime)
+	}
 	return res, nil
 }
 

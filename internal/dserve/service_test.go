@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"negativaml/internal/mlruntime"
+	"negativaml/internal/plan"
 )
 
 func TestDebloatBatchUnionVerifiesAndCaches(t *testing.T) {
@@ -223,7 +224,7 @@ func TestSubmitJobLifecycle(t *testing.T) {
 // gateObserver holds a job at its first finished stage until release closes.
 type gateObserver struct{ release <-chan struct{} }
 
-func (g gateObserver) StageDone(string, bool, time.Duration) { <-g.release }
+func (g gateObserver) StageSource(string, plan.Source, time.Duration) { <-g.release }
 
 // waitJob blocks until the job reaches a terminal state or the timeout
 // elapses, returning the final snapshot — what an in-process caller does

@@ -97,7 +97,7 @@ func appendStored(t *testing.T, dir, kind, key string, payload []byte) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.Write(castore.AppendEntry(nil, kind, key, payload)); err != nil {
+	if _, err := f.Write(castore.AppendEntry(nil, kind, key, castore.NewFrame(payload))); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -26,8 +26,6 @@ type sourceLog struct {
 	src map[string][]plan.Source
 }
 
-func (l *sourceLog) StageDone(string, bool, time.Duration) {}
-
 func (l *sourceLog) StageSource(stage string, src plan.Source, _ time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -14,6 +14,7 @@ import (
 
 	"negativaml/internal/dserve"
 	"negativaml/internal/metrics"
+	"negativaml/internal/plan"
 )
 
 // Lane names. Interactive is the default.
@@ -428,9 +429,9 @@ func clampSeconds(s int) int {
 	return s
 }
 
-// StageDone (the unit is its job's Observer) bills each stage's wall time
-// to the leader's stage-seconds window, from backend goroutines.
-func (u *unit) StageDone(_ string, _ bool, wall time.Duration) {
+// StageSource (the unit is its job's Observer) bills each stage's wall
+// time to the leader's stage-seconds window, from backend goroutines.
+func (u *unit) StageSource(_ string, _ plan.Source, wall time.Duration) {
 	u.g.mu.Lock()
 	defer u.g.mu.Unlock()
 	ts := u.g.tenants[u.leader().tenant] // a released job keeps its riders

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"negativaml/internal/dserve"
+	"negativaml/internal/plan"
 )
 
 // fakeBackend is a hand-cranked Backend: submissions are held instantly,
@@ -119,7 +120,7 @@ func (f *fakeBackend) stage(id, name string, done, total int, wall time.Duration
 	f.mu.Unlock()
 	log.Append(dserve.JobEvent{Type: dserve.EventStage, Stage: name, StagesDone: done, StagesTotal: total})
 	if opts.Observer != nil {
-		opts.Observer.StageDone(name, false, wall)
+		opts.Observer.StageSource(name, plan.SourceComputed, wall)
 	}
 }
 

@@ -221,7 +221,7 @@ func (e *execution) exec(n *Node) {
 	if e.memo == nil || n.key.Zero() {
 		n.out, n.err = n.runFn(vals)
 		if n.err == nil && e.obs != nil {
-			notify(e.obs, n.stage, SourceComputed, time.Since(start))
+			e.obs.StageSource(n.stage, SourceComputed, time.Since(start))
 		}
 		return
 	}
@@ -232,6 +232,6 @@ func (e *execution) exec(n *Node) {
 	}
 	n.out, n.hit = v, src.Hit()
 	if e.obs != nil {
-		notify(e.obs, n.stage, src, time.Since(start))
+		e.obs.StageSource(n.stage, src, time.Since(start))
 	}
 }

@@ -96,40 +96,23 @@ type Executor interface {
 }
 
 // Observer receives per-stage outcomes during execution — one call per
-// successfully finished node, memoized or not (unmemoized nodes always
-// report hit=false). wall is the time spent resolving the key plus
-// computing (hits resolve but do not compute). Implementations must be
-// safe for concurrent use.
+// successfully finished node, memoized or not, with the tier that produced
+// its value (SourceComputed for unmemoized glue nodes and plain misses;
+// src.Hit() tells a reuse from a compute). wall is the time spent
+// resolving the key plus computing (hits resolve but do not compute).
+// Implementations must be safe for concurrent use.
 type Observer interface {
-	StageDone(stage string, hit bool, wall time.Duration)
-}
-
-// notify delivers a finished node's outcome: StageDone always, StageSource
-// additionally when the observer wants tier attribution.
-func notify(obs Observer, stage string, src Source, wall time.Duration) {
-	obs.StageDone(stage, src.Hit(), wall)
-	if so, ok := obs.(SourceObserver); ok {
-		so.StageSource(stage, src, wall)
-	}
+	StageSource(stage string, src Source, wall time.Duration)
 }
 
 // multiObserver fans one execution's outcomes out to several observers —
 // the serving plane's global metrics observer plus a per-job progress
-// observer, for example. Source attribution is forwarded to every member
-// that wants it.
+// observer, for example.
 type multiObserver []Observer
-
-func (m multiObserver) StageDone(stage string, hit bool, wall time.Duration) {
-	for _, o := range m {
-		o.StageDone(stage, hit, wall)
-	}
-}
 
 func (m multiObserver) StageSource(stage string, src Source, wall time.Duration) {
 	for _, o := range m {
-		if so, ok := o.(SourceObserver); ok {
-			so.StageSource(stage, src, wall)
-		}
+		o.StageSource(stage, src, wall)
 	}
 }
 

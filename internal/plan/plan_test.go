@@ -45,10 +45,10 @@ func (m *mapMemo) GetOrCompute(_ Executor, key Key, _ any, compute func() (any, 
 
 func newObs() *obs { return &obs{hits: map[string]int{}, misses: map[string]int{}} }
 
-func (o *obs) StageDone(stage string, hit bool, _ time.Duration) {
+func (o *obs) StageSource(stage string, src Source, _ time.Duration) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if hit {
+	if src.Hit() {
 		o.hits[stage]++
 	} else {
 		o.misses[stage]++

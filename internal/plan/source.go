@@ -1,7 +1,5 @@
 package plan
 
-import "time"
-
 // Source identifies which memo tier produced a stage value. Tiered memos
 // (the serving plane's memory → castore → owning-peer lookup) report it
 // from Memo.GetOrCompute so observers can tell a local recompute from a
@@ -37,12 +35,4 @@ func (s Source) String() string {
 	default:
 		return "computed"
 	}
-}
-
-// SourceObserver is an optional Observer extension: implementations also
-// receive each finished node's value source (SourceComputed for unmemoized
-// glue nodes and plain misses). It fires in addition to StageDone, never
-// instead of it.
-type SourceObserver interface {
-	StageSource(stage string, src Source, wall time.Duration)
 }
