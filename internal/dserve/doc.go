@@ -17,6 +17,7 @@
 // detect hints — and assembles the BatchResult from the run. Keys:
 //
 //	detect    (install fingerprint, workload identity)   identity embeds the step cap
+//	union     the members' detect keys, in member order
 //	compact   library digest + union used-symbol sets + target archs;
 //	          location is computed inside it on a miss, never on a hit
 //	verifyrun (install fingerprint, workload identity, step cap, digest of
@@ -25,14 +26,32 @@
 // Compact keys resolve late, after the union node has produced the merged
 // used-symbol sets; the plan then consults the stage memo before running
 // the node, so a key already computed by any prior batch — or any prior
-// boot — absorbs the work.
+// boot — absorbs the work. The union's value (negativa.Union) carries, per
+// library, the compact key derived from it, derived at most once by
+// whichever node asks first (the batch prefetch or the compact node), so a
+// batch whose union is memoized hashes no symbol list.
 //
-// The stage memo (StageMemo) resolves the three memoized stages through
-// up to three tiers — memory → disk → owning cluster peer — by the rules
+// The stage memo (StageMemo) resolves the four memoized stages by the rules
 // of one table (memoStages; StageMemo's doc lays it out: each stage's
-// castore kind, object key and memory tier). castore's byte budget
-// (castore.Options.MaxBytes, least recently used first) is the one disk
-// bound, the same for every kind.
+// castore kind, object key and memory tier). detect, compact and verifyrun
+// go through up to three tiers — memory → disk → owning cluster peer.
+// union has a memory tier only: no castore kind, no disk read, no peer
+// lookup, no write-behind. castore's byte budget (castore.Options.MaxBytes,
+// least recently used first) is the one disk bound, the same for every
+// kind. The memory tiers and their bounds:
+//
+//	stage      memory tier                       bound              worst case
+//	detect     fifoMap of profiles               1024 entries       not measured here
+//	compact    ResultCache                       Config.CacheBytes  Config.CacheBytes
+//	verifyrun  fifoMap of run results            1024 entries       not measured here
+//	union      fifoMap of negativa.Union values  16 entries         ≈ 16 MB (16 × 1.0 MB)
+//
+// The union row's 1.0 MB is the heap the largest union measured keeps
+// alive when it alone holds its profiles' lists: tensorflow388, the four
+// canonical members at 4 steps, profiles decoded from records, every
+// compact key derived; 0.998 MB after GC (Go 1.24). The other Table-1
+// shapes measured 0.18 MB (pytorch141), 0.19 MB (vllm155), 0.13 MB (hf85)
+// and 0.08 MB (pytorch20).
 //
 // Each entry also holds its payload codec (negativa.EncodeProfile,
 // negativa.EncodeRecord, the run result's JSON), which knows no key. Every
@@ -47,7 +66,7 @@
 // counts — are analyzed once, across jobs and restarts. A boot reads no
 // record.
 //
-// One flight table spans all three (StageMemo.GetOrCompute): concurrent
+// One flight table spans all four (StageMemo.GetOrCompute): concurrent
 // batches computing the same stage key run it once and share the value. A
 // key of any other stage is not memoized. Each batch runs over its own
 // memo (batchMemo), which holds what the batch's look-ahead — the prefetch

@@ -504,7 +504,7 @@ func (s *Service) persistJob(job *Job, res *BatchResult, finished time.Time) (*j
 	if err != nil {
 		return abandon(nil)
 	}
-	m.Finished = finished
+	m.Finished = manifestTime{finished}
 
 	// Wait for the write-behind of the records this manifest references:
 	// it has been overlapping its disk writes with the batch's compute, so
@@ -565,7 +565,7 @@ func (s *Service) persistJob(job *Job, res *BatchResult, finished time.Time) (*j
 func (s *Service) persistFailedJob(job *Job, jobErr error, finished time.Time) (*jobManifest, []storeRef) {
 	m := &jobManifest{
 		ID: job.ID, State: JobFailed, Error: jobErr.Error(),
-		Submitted: job.Submitted, Started: job.Started, Finished: finished,
+		Submitted: manifestTime{job.Submitted}, Started: manifestTime{job.Started}, Finished: manifestTime{finished},
 		Req: job.Req,
 	}
 	data, err := json.Marshal(m)
@@ -610,7 +610,7 @@ func (s *Service) restoreJobs() {
 		manifests = append(manifests, &m)
 		return nil
 	})
-	sort.Slice(manifests, func(i, j int) bool { return manifests[i].Submitted.Before(manifests[j].Submitted) })
+	sort.Slice(manifests, func(i, j int) bool { return manifests[i].Submitted.Before(manifests[j].Submitted.Time) })
 	// MaxJobs still bounds terminal retention across restarts: keep the
 	// newest, drop (and delete) the overflow.
 	if len(manifests) > s.cfg.MaxJobs {
@@ -644,7 +644,7 @@ func (s *Service) restoreJobs() {
 		}
 		job := &Job{
 			ID: m.ID, Req: m.Req, State: m.state(), Err: m.Error,
-			Submitted: m.Submitted, Started: m.Started, Finished: m.Finished,
+			Submitted: m.Submitted.Time, Started: m.Started.Time, Finished: m.Finished.Time,
 			manifest: m, refs: held,
 			events: NewEventLog(),
 		}

@@ -59,6 +59,13 @@ func (f *fifoMap[K, V]) get(k K) (V, bool) {
 // tierEntries bounds the detect and verifyrun memory tiers.
 const tierEntries = 1024
 
+// unionEntries bounds the union tier. A union is worth keeping while its
+// member set is resubmitted, and the busiest warm traffic measured serves
+// six member sets (bench's gateway_open), so this keeps those with room to
+// spare. The largest union measured retains about 1.0 MB (doc.go's tier
+// table), so the tier holds at most about 16 MB.
+const unionEntries = 16
+
 // memoStage is one memoized stage's storage rules. Every path that holds,
 // stores or moves a stage value — GetOrCompute and its leader, the disk
 // loader, the batch prefetch's probe and plant, the write-behind, the peer
@@ -67,11 +74,14 @@ const tierEntries = 1024
 type memoStage struct {
 	stage string
 	// kind is the castore kind of the disk tier, where a record is filed
-	// under its stage hash.
+	// under its stage hash; empty for a stage held in memory only, which
+	// has no record: nothing stores, writes behind, repairs or answers a
+	// peer lookup for it.
 	kind string
 	// encode and decode are the stage's codec: a value to the payload a
 	// record seals, and back against hint (the compact stage's live
-	// library). Neither knows the key; seal and open bind it.
+	// library). Neither knows the key; seal and open bind it. Nil for a
+	// stage held in memory only.
 	encode func(v any) ([]byte, error)
 	decode func(hint any, payload []byte) (any, error)
 	// held, get and put are the memory tier: a quiet presence check, the
@@ -112,7 +122,16 @@ var memoStages = [...]memoStage{{
 	held: func(m *StageMemo, hash string) bool { _, ok := m.verify.get(hash); return ok },
 	get:  func(m *StageMemo, hash string) (any, bool) { return m.verify.get(hash) },
 	put:  func(m *StageMemo, hash string, v any) { m.verify.put(hash, v.(*mlruntime.Result)) },
+}, {
+	stage: negativa.StageUnion,
+	held:  func(m *StageMemo, hash string) bool { _, ok := m.unions.get(hash); return ok },
+	get:   func(m *StageMemo, hash string) (any, bool) { return m.unions.get(hash) },
+	put:   func(m *StageMemo, hash string, v any) { m.unions.put(hash, v.(*negativa.Union)) },
 }}
+
+// durable reports whether the stage has records: a castore kind, a disk
+// tier, write-behind, repair and peer lookups.
+func (st *memoStage) durable() bool { return st.kind != "" }
 
 // A stage record is the raw 32-byte stage hash it answers, then its
 // stage's payload. seal writes and open reads every record, on disk and on
@@ -172,9 +191,11 @@ func memoStageOf(stage string) *memoStage {
 //	detect     profile       the stage hash  fifoMap of profiles, 1024, oldest first
 //	compact    record        the stage hash  ResultCache, byte-bounded LRU
 //	verifyrun  verify        the stage hash  fifoMap of run results, 1024, oldest first
+//	union      —             —               fifoMap of unions, 16, oldest first
 //
 // Every stage hash is a SHA-256 hex digest, and every record is sealed
-// with its own (seal, open).
+// with its own (seal, open). The union has no record: it is held in memory
+// only, and a miss costs one merge of profiles its batch already holds.
 //
 // castore's byte budget (castore.Options.MaxBytes, least recently used
 // first) is the one disk bound, the same for every kind.
@@ -201,12 +222,13 @@ func memoStageOf(stage string) *memoStage {
 // peer. While a key's value stays resident in its memory tier, the key
 // computes once however many callers ask at once.
 type StageMemo struct {
-	// profiles, cache and verify are the memory tiers of detect, compact and
-	// verifyrun, keyed by stage hash; store, when non-nil, the disk tier of
-	// all three.
+	// profiles, cache, verify and unions are the memory tiers of detect,
+	// compact, verifyrun and union, keyed by stage hash; store, when
+	// non-nil, the disk tier of the first three.
 	profiles *fifoMap[string, *negativa.Profile]
 	cache    *ResultCache
 	verify   *fifoMap[string, *mlruntime.Result]
+	unions   *fifoMap[string, *negativa.Union]
 	store    *castore.Store
 	counters *metrics.CounterSet
 	// cluster, when non-nil, adds the owning-peer tier to every routed
@@ -232,6 +254,7 @@ func NewStageMemo(cache *ResultCache, counters *metrics.CounterSet) *StageMemo {
 		profiles: newFifoMap[string, *negativa.Profile](tierEntries),
 		cache:    cache,
 		verify:   newFifoMap[string, *mlruntime.Result](tierEntries),
+		unions:   newFifoMap[string, *negativa.Union](unionEntries),
 		counters: counters,
 	}
 }
@@ -303,7 +326,7 @@ func (m *StageMemo) lead(st *memoStage, key plan.Key, hint any, compute func() (
 		return nil, plan.SourceComputed, err
 	}
 	st.put(m, key.Hash, v)
-	if m.writeStage != nil {
+	if m.writeStage != nil && st.durable() {
 		var owners []string
 		if m.cluster != nil {
 			owners = without(m.cluster.Owners(key.String()), m.cluster.Self())
@@ -343,6 +366,9 @@ func (m *StageMemo) loadStored(st *memoStage, hash string, hint any) (any, bool)
 // once and framed. It reports whether either tier held the key; the
 // requester's checks — the frame's sum, then open — stand either way.
 func (m *StageMemo) exportRecord(st *memoStage, hash string, body *bytes.Buffer) bool {
+	if !st.durable() {
+		return false
+	}
 	if m.stored(st, hash) {
 		n := body.Len()
 		if m.store.ExportEntry(st.kind, hash, body) == nil {
@@ -366,7 +392,7 @@ func (m *StageMemo) exportRecord(st *memoStage, hash string, body *bytes.Buffer)
 // probe every disk read asks first, so a key the store lacks costs no
 // store miss.
 func (m *StageMemo) stored(st *memoStage, hash string) bool {
-	return m.store != nil && m.store.Has(st.kind, hash)
+	return m.store != nil && st.durable() && m.store.Has(st.kind, hash)
 }
 
 // batchMemo is one batch's view of the stage memo: the plan.Memo

@@ -68,12 +68,12 @@ type jobManifest struct {
 	// done). Failed jobs persist too — their IDs must never be reissued
 	// after a restart, and clients polling them must keep seeing the
 	// failure, not a stranger's new job.
-	State     string     `json:"state,omitempty"`
-	Error     string     `json:"error,omitempty"`
-	Submitted time.Time  `json:"submitted"`
-	Started   time.Time  `json:"started"`
-	Finished  time.Time  `json:"finished"`
-	Req       JobRequest `json:"req"`
+	State     string       `json:"state,omitempty"`
+	Error     string       `json:"error,omitempty"`
+	Submitted manifestTime `json:"submitted"`
+	Started   manifestTime `json:"started"`
+	Finished  manifestTime `json:"finished"`
+	Req       JobRequest   `json:"req"`
 
 	InstallFP     string            `json:"install_fp"`
 	Workloads     []WorkloadOutcome `json:"workloads"`
@@ -89,6 +89,19 @@ type jobManifest struct {
 	Incremental *IncrementalStats `json:"incremental,omitempty"`
 
 	Libs []manifestLib `json:"libs"`
+}
+
+// manifestTime is a manifest's timestamp. It encodes at one fixed width —
+// UTC, nine fractional digits — so a manifest's size does not follow its
+// times (time.Time's RFC 3339 trims trailing zeros). It decodes any RFC
+// 3339 time (the embedded Time's UnmarshalJSON), so manifests written in
+// that form still restore.
+type manifestTime struct{ time.Time }
+
+const manifestTimeLayout = `"2006-01-02T15:04:05.000000000Z"`
+
+func (t manifestTime) MarshalJSON() ([]byte, error) {
+	return t.UTC().AppendFormat(nil, manifestTimeLayout), nil
 }
 
 type manifestLib struct {
@@ -138,9 +151,9 @@ func manifestOf(job *Job, res *BatchResult) (*jobManifest, error) {
 	m := &jobManifest{
 		ID:        job.ID,
 		State:     JobDone,
-		Submitted: job.Submitted,
-		Started:   job.Started,
-		Finished:  job.Finished,
+		Submitted: manifestTime{job.Submitted},
+		Started:   manifestTime{job.Started},
+		Finished:  manifestTime{job.Finished},
 		Req:       job.Req,
 
 		InstallFP:     res.InstallFP,

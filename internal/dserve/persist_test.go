@@ -765,6 +765,94 @@ func TestFailedJobSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestManifestTimesEncodeAtFixedWidth: a manifest's length does not follow
+// its timestamps. Times with and without trailing fractional zeros, in UTC
+// and in another zone, and the zero time all encode to one width, and each
+// decodes back to the same instant.
+func TestManifestTimesEncodeAtFixedWidth(t *testing.T) {
+	east := time.FixedZone("east", 5*3600+30*60)
+	stamps := []time.Time{
+		time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC),
+		time.Date(2026, 1, 2, 3, 4, 5, 120_000_000, east),
+		time.Date(2026, 12, 31, 23, 59, 59, 999_999_999, time.UTC),
+		{},
+	}
+	var width int
+	for i, ts := range stamps {
+		m := jobManifest{ID: "job-0001", Submitted: manifestTime{ts}, Started: manifestTime{ts.Add(time.Millisecond)}, Finished: manifestTime{ts.Add(1500 * time.Microsecond)}}
+		raw, err := json.Marshal(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			width = len(raw)
+		} else if len(raw) != width {
+			t.Fatalf("manifest %d encodes to %d bytes, manifest 0 to %d: %s", i, len(raw), width, raw)
+		}
+		var back jobManifest
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !back.Submitted.Equal(ts) || !back.Finished.Equal(m.Finished.Time) {
+			t.Fatalf("manifest %d decodes to %v / %v, want %v / %v", i, back.Submitted, back.Finished, ts, m.Finished)
+		}
+	}
+}
+
+// TestOldFormatManifestRestores: a manifest whose times were written as
+// RFC 3339 with trailing zeros trimmed and a local offset — the form before
+// the fixed width — restores with the same instants and serves its images.
+func TestOldFormatManifestRestores(t *testing.T) {
+	dir := t.TempDir()
+	req := JobRequest{
+		Framework: "pytorch", TailLibs: 2, MaxSteps: 2,
+		Workloads: []WorkloadSpec{{Model: "MobileNetV2", Batch: 1}},
+	}
+	id, res := runPersistedJob(t, dir, Config{Workers: 2, MaxSteps: 2}, req)
+	want := res.DebloatedLibs()
+
+	submitted := time.Date(2026, 3, 4, 5, 6, 7, 500_000_000, time.FixedZone("", -7*3600))
+	st := openStore(t, dir)
+	raw, ok := st.Get(kindJob, id)
+	if !ok {
+		t.Fatal("no manifest persisted")
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	for i, field := range []string{"submitted", "started", "finished"} {
+		m[field] = submitted.Add(time.Duration(i) * time.Second).Format(time.RFC3339Nano)
+	}
+	if m["submitted"] != "2026-03-04T05:06:07.5-07:00" {
+		t.Fatalf("the old form is %v", m["submitted"])
+	}
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Delete(kindJob, id)
+	if err := st.Put(kindJob, id, raw); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	svc := NewService(Config{Workers: 2, MaxSteps: 2, Store: openStore(t, dir)})
+	defer svc.Close()
+	j := svc.Job(id)
+	if j == nil || j.State != JobDone {
+		t.Fatalf("old-format manifest did not restore: %+v", j)
+	}
+	if !j.Submitted.Equal(submitted) || !j.Finished.Equal(submitted.Add(2*time.Second)) {
+		t.Fatalf("restored times %v / %v, want %v / %v", j.Submitted, j.Finished, submitted, submitted.Add(2*time.Second))
+	}
+	for name, img := range want {
+		if got := fetchDirect(t, svc, id, name); !bytes.Equal(got, img) {
+			t.Fatalf("%s: restored image differs", name)
+		}
+	}
+}
+
 // TestMismatchedRecordIsRecomputedAndRewritten: a record that passes the
 // store's checksum but does not decode against the live library — here
 // another library's record filed under this key — is a miss. The batch

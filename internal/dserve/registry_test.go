@@ -139,9 +139,10 @@ func TestMemoryTiersBounded(t *testing.T) {
 	}
 }
 
-// BenchmarkUnion is the microbenchmark of a warm batch's union node: the
-// merge of the four CV/NLP members' profiles at 4 steps, for the two
-// Table-1 shapes with the most libraries.
+// BenchmarkUnion is the microbenchmark of a union miss — a batch whose
+// member order the union tier does not hold, or a node that has not seen
+// it: the merge of the four CV/NLP members' profiles at 4 steps, for the
+// two Table-1 shapes with the most libraries.
 func BenchmarkUnion(b *testing.B) {
 	for _, shape := range []struct {
 		name      string
@@ -176,9 +177,9 @@ func BenchmarkUnion(b *testing.B) {
 
 // BenchmarkWarmBatch is a warm batch end to end on this layer: the four
 // CV/NLP members of pytorch141 at 4 steps, resubmitted to an in-memory
-// service that has served them once, so every detect, compact and verifyrun
-// node is a memory hit and what is timed is dispatch, memo probes, the
-// union and assembly. plan's BenchmarkNoopDAG cannot stand in for it: a
+// service that has served them once, so every detect, union, compact and
+// verifyrun node is a memory hit and what is timed is dispatch, memo probes
+// and assembly. plan's BenchmarkNoopDAG cannot stand in for it: a
 // no-op node never grows its goroutine's stack, and a compact node's key
 // path (LocateKey → ContentDigest → SHA-256) does, once per goroutine.
 func BenchmarkWarmBatch(b *testing.B) {

@@ -171,6 +171,9 @@ func (s *Service) WaitReplication() { s.replWG.Wait() }
 func (s *Service) forEachOwnedGroup(fn func(ringKey string, ref storeRef)) {
 	for i := range memoStages {
 		ms := &memoStages[i]
+		if !ms.durable() {
+			continue
+		}
 		s.store.Walk(ms.kind, func(hash string, _ int64) error {
 			fn(plan.Key{Stage: ms.stage, Hash: hash}.String(), storeRef{Kind: ms.kind, Key: hash})
 			return nil

@@ -16,7 +16,7 @@ import (
 
 // stageNames are the analysis plan's canonical stages, in pipeline order.
 var stageNames = []string{
-	negativa.StageDetect, negativa.StageCompact, negativa.StageVerifyRef, negativa.StageVerifyRun,
+	negativa.StageDetect, negativa.StageUnion, negativa.StageCompact, negativa.StageVerifyRef, negativa.StageVerifyRun,
 }
 
 // stageStats assembles the per-stage hit/miss view of /v1/metrics from the

@@ -114,20 +114,20 @@ func (b *Batch) Run(pool *plan.Pool, memo plan.Memo, obs plan.Observer, onPlanne
 
 	// Detection: one node per member. A prefetch glue node, when hooked,
 	// hands the tiers every detect key first.
+	detectKeys := make([]plan.Key, len(ws))
+	for i := range ws {
+		detectKeys[i] = DetectKey(fp, b.IDs[i])
+	}
 	var detectDeps []*plan.Node
 	if b.Prefetch != nil {
-		keys := make([]plan.Key, len(ws))
-		for i := range ws {
-			keys[i] = DetectKey(fp, b.IDs[i])
-		}
 		detectDeps = []*plan.Node{g.Node("prefetch", nil, nil, func([]any) (any, error) {
-			b.Prefetch(pool, keys, nil)
+			b.Prefetch(pool, detectKeys, nil)
 			return nil, nil
 		})}
 	}
 	for i := range ws {
 		w := &ws[i]
-		r.detects[i] = g.Node(StageDetect, detectDeps, plan.StaticKey(DetectKey(fp, b.IDs[i])), func([]any) (any, error) {
+		r.detects[i] = g.Node(StageDetect, detectDeps, plan.StaticKey(detectKeys[i]), func([]any) (any, error) {
 			p, err := DetectUsage(*w, b.maxSteps)
 			if err != nil {
 				return nil, fmt.Errorf("negativa: detect %s: %w", w.Name, err)
@@ -136,28 +136,33 @@ func (b *Batch) Run(pool *plan.Pool, memo plan.Memo, obs plan.Observer, onPlanne
 		})
 	}
 
-	// Union: unkeyed glue — merging sorted symbol lists is far cheaper than
-	// addressing the result. It covers every member by construction.
-	r.union = g.Node("union", r.detects, nil, func(deps []any) (any, error) {
+	// Union: keyed by the members' detect keys, so a resubmitted batch
+	// takes its merged profile, and the compact keys already derived from
+	// it, from the memo instead of merging every member's symbol lists and
+	// hashing them into keys again — on a warm batch those two are most of
+	// the work left. It covers every member by construction.
+	r.union = g.Node(StageUnion, r.detects, plan.StaticKey(UnionKey(detectKeys)), func(deps []any) (any, error) {
 		ps := make([]*Profile, len(deps))
 		for i := range deps {
 			ps[i] = deps[i].(*Profile)
 		}
-		return MergeProfiles(ps...), nil
+		return newUnion(MergeProfiles(ps...), len(names)), nil
 	})
 
 	// Compaction: one node per library, keyed late from the union. Compact
 	// keys are derivable from the union alone, so a hooked prefetch node
-	// hands them to the tiers before the compact nodes run.
+	// hands them to the tiers before the compact nodes run; either side
+	// derives a key at most once per union value (Union.compactKey), and
+	// without the hook each compact node derives its own, in parallel.
 	var after []*plan.Node
 	if b.Prefetch != nil {
 		after = []*plan.Node{g.Node("prefetch", []*plan.Node{r.union}, nil, func(deps []any) (any, error) {
-			u := deps[0].(*Profile)
+			u := deps[0].(*Union)
 			keys := make([]plan.Key, len(names))
 			hints := make([]any, len(names))
 			for i, name := range names {
 				lib := in.Library(name)
-				keys[i] = CompactKey(LocateKey(lib, u.UsedFuncs[name], u.UsedKernels[name], archs))
+				keys[i] = u.compactKey(i, name, lib, archs)
 				hints[i] = lib
 			}
 			b.Prefetch(pool, keys, hints)
@@ -165,7 +170,7 @@ func (b *Batch) Run(pool *plan.Pool, memo plan.Memo, obs plan.Observer, onPlanne
 		})}
 	}
 	for i, name := range names {
-		r.compacts[i] = CompactNode(g, r.union, name, in.Library(name), archs, after...)
+		r.compacts[i] = compactNode(g, r.union, i, name, in.Library(name), archs, after...)
 	}
 
 	// Verification: the union-debloated install must reproduce every
@@ -267,7 +272,7 @@ func (b *Batch) Run(pool *plan.Pool, memo plan.Memo, obs plan.Observer, onPlanne
 }
 
 // Union returns the merged profile the libraries were debloated against.
-func (r *BatchRun) Union() *Profile { return r.union.Value().(*Profile) }
+func (r *BatchRun) Union() *Profile { return r.union.Value().(*Union).Profile }
 
 // Profile returns member i's detection profile and whether the memo served
 // it.

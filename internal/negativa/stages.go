@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"negativaml/internal/elfx"
@@ -17,12 +18,16 @@ import (
 // node with an explicit content-derived key; internal/plan schedules them
 // and internal/dserve memoizes detect in its profile registry, compact in
 // its result cache and verifyrun in its verify-record memo (each memory →
-// disk → replica peers).
+// disk → replica peers), and union in memory only.
 const (
 	// StageDetect runs a workload once with the detectors attached. Keyed
 	// by (install fingerprint, workload identity) — the identity embeds the
 	// step cap.
 	StageDetect = "detect"
+	// StageUnion merges the members' profiles into the batch's union.
+	// Keyed by the members' detect keys in member order (UnionKey); its
+	// value is a *Union.
+	StageUnion = "union"
 	// StageLibIndex and StageLocate name no node: a library's index is built
 	// by InstallFingerprint before a plan exists, and location runs inside
 	// the compact stage. The constants stay because bench/ compiles against
@@ -49,6 +54,58 @@ const (
 // WorkloadIdentity, which embeds the detection step cap.
 func DetectKey(installFP, workloadID string) plan.Key {
 	return workloadKey(StageDetect, installFP, workloadID)
+}
+
+// UnionKey is the union stage's content key: one SHA-256 over the members'
+// detect keys in member order. Those keys bind the install fingerprint,
+// each member's identity (its devices, so the batch's architectures,
+// included) and the step cap, so the union and every compact key derived
+// from it are pure functions of this key. Reordering the members changes
+// the key, not the compact keys.
+func UnionKey(detects []plan.Key) plan.Key {
+	h := sha256.New()
+	for _, k := range detects {
+		h.Write([]byte(k.Hash))
+	}
+	return plan.Key{Stage: StageUnion, Hash: hex.EncodeToString(h.Sum(nil))}
+}
+
+// Union is the union stage's value: the merged profile, and one compact-key
+// slot per library of the install in load order. A slot is derived at most
+// once, by whichever node asks for it first — the batch prefetch or the
+// library's compact node — so a batch whose union is memoized hashes no
+// symbol list. Immutable once derived; shared by every batch of its key.
+type Union struct {
+	Profile *Profile
+	keys    []unionKey
+}
+
+type unionKey struct {
+	once sync.Once
+	key  plan.Key
+}
+
+// newUnion returns the union value of p over an install of libs libraries.
+func newUnion(p *Profile, libs int) *Union {
+	return &Union{Profile: p, keys: make([]unionKey, libs)}
+}
+
+// CompactKeyHook, when non-nil, is called with the library's name each
+// time a Union derives a compact key: tests count derivations with it. Set
+// it only while no batch runs.
+var CompactKeyHook func(lib string)
+
+// compactKey returns the compact key of library i (name, lib) for archs,
+// deriving it on the first call.
+func (u *Union) compactKey(i int, name string, lib *elfx.Library, archs []gpuarch.SM) plan.Key {
+	k := &u.keys[i]
+	k.once.Do(func() {
+		if CompactKeyHook != nil {
+			CompactKeyHook(name)
+		}
+		k.key = CompactKey(LocateKey(lib, u.Profile.UsedFuncs[name], u.Profile.UsedKernels[name], archs))
+	})
+	return k.key
 }
 
 // workloadKey keys a stage that runs one workload on one install: SHA-256
@@ -120,24 +177,18 @@ func CompactKey(locate plan.Key) plan.Key {
 	return plan.Key{Stage: StageCompact, Hash: locate.Hash}
 }
 
-// CompactNode adds a library's one node to a Batch's graph. profile is the
-// node whose value is the *Profile the library is debloated against (the
-// batch's union); name is the library's name in that profile; after lists
-// nodes that must merely finish first. The key resolves late from the
-// profile's used-symbol sets; location is computed inside the node on a
-// memo miss and never on a hit; the hint is the library, which memo tiers
-// decode a persisted range set against.
-func CompactNode(g *plan.Graph, profile *plan.Node, name string, lib *elfx.Library, archs []gpuarch.SM, after ...*plan.Node) *plan.Node {
-	used := func(deps []any) (funcs, kernels []string) {
-		p := deps[0].(*Profile)
-		return p.UsedFuncs[name], p.UsedKernels[name]
-	}
-	return g.Node(StageCompact, append([]*plan.Node{profile}, after...), func(deps []any) (plan.Key, error) {
-		uf, uk := used(deps)
-		return CompactKey(LocateKey(lib, uf, uk, archs)), nil
+// compactNode adds library i's one node to a Batch's graph. union is the
+// node whose value is the batch's *Union; name is the library's name in it;
+// after lists nodes that must merely finish first. The key resolves late,
+// from the union's slot for the library; location is computed inside the
+// node on a memo miss and never on a hit; the hint is the library, which
+// memo tiers decode a persisted range set against.
+func compactNode(g *plan.Graph, union *plan.Node, i int, name string, lib *elfx.Library, archs []gpuarch.SM, after ...*plan.Node) *plan.Node {
+	return g.Node(StageCompact, append([]*plan.Node{union}, after...), func(deps []any) (plan.Key, error) {
+		return deps[0].(*Union).compactKey(i, name, lib, archs), nil
 	}, func(deps []any) (any, error) {
-		uf, uk := used(deps)
-		ld, err := LocateAndCompactLib(lib, uf, uk, archs)
+		p := deps[0].(*Union).Profile
+		ld, err := LocateAndCompactLib(lib, p.UsedFuncs[name], p.UsedKernels[name], archs)
 		if err != nil {
 			return nil, fmt.Errorf("negativa: locate %s: %w", name, err)
 		}

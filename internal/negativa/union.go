@@ -40,8 +40,10 @@ func MergeProfiles(profiles ...*Profile) *Profile {
 // them, and sorted is their canonical form), so each library's union is one
 // k-way merge that drops duplicates as it goes. A list that is not strictly
 // ascending — a profile from a peer or a replay that broke the form — is
-// sorted on a copy first. A library only one member uses keeps that
-// member's slice: profiles are immutable once built.
+// sorted on a copy first. A library only one member uses, or whose list
+// every member agrees on, keeps that member's slice: profiles are immutable
+// once built. A merged list is made in scratch shared across libraries and
+// kept at its own length, since a memoized union outlives its batch.
 func mergeUsage(members []map[string][]string) map[string][]string {
 	size := 0
 	for _, m := range members {
@@ -49,6 +51,7 @@ func mergeUsage(members []map[string][]string) map[string][]string {
 	}
 	out := make(map[string][]string, size)
 	var lists [][]string
+	var scratch []string
 	for i, m := range members {
 		for lib, syms := range m {
 			if _, done := out[lib]; done {
@@ -56,16 +59,20 @@ func mergeUsage(members []map[string][]string) map[string][]string {
 			}
 			// No member before i uses lib, or it would be merged already.
 			lists = append(lists[:0], canonical(syms))
+			agree := true
 			for _, later := range members[i+1:] {
 				if s, ok := later[lib]; ok {
-					lists = append(lists, canonical(s))
+					s = canonical(s)
+					agree = agree && slices.Equal(s, lists[0])
+					lists = append(lists, s)
 				}
 			}
-			if len(lists) == 1 {
+			if agree {
 				out[lib] = lists[0]
-			} else {
-				out[lib] = mergeSorted(lists)
+				continue
 			}
+			scratch = mergeSorted(scratch, lists)
+			out[lib] = append(make([]string, 0, len(scratch)), scratch...)
 		}
 	}
 	return out
@@ -84,15 +91,12 @@ func canonical(syms []string) []string {
 	return syms
 }
 
-// mergeSorted merges ascending lists into one strictly ascending list. The
-// lists are few (one per member), so each step scans their heads for the
-// least instead of keeping a heap. It consumes lists.
-func mergeSorted(lists [][]string) []string {
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	out := make([]string, 0, n)
+// mergeSorted merges strictly ascending lists into one strictly ascending
+// list in buf's storage. The lists are few (one per member), so each step
+// scans their heads for the least instead of keeping a heap, and takes it
+// off every list it heads. It consumes lists.
+func mergeSorted(buf []string, lists [][]string) []string {
+	out := buf[:0]
 	for {
 		least := -1
 		for j, l := range lists {
@@ -104,9 +108,11 @@ func mergeSorted(lists [][]string) []string {
 			return out
 		}
 		s := lists[least][0]
-		if len(out) == 0 || out[len(out)-1] != s {
-			out = append(out, s)
+		out = append(out, s)
+		for j, l := range lists {
+			if len(l) > 0 && l[0] == s {
+				lists[j] = l[1:]
+			}
 		}
-		lists[least] = lists[least][1:]
 	}
 }

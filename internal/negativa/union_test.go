@@ -80,6 +80,55 @@ func mangled(rng *rand.Rand, p *Profile) *Profile {
 	return profileOf(p.Workload, mangle(p.UsedKernels), mangle(p.UsedFuncs))
 }
 
+// agree gives, for a random half of libs, every member that uses the
+// library a list equal to the first such member's: a copy, or the same
+// slice.
+func agree(rng *rand.Rand, members []*Profile, libs []string) {
+	for _, lib := range libs {
+		if rng.Intn(2) == 0 {
+			continue
+		}
+		for _, usage := range []func(*Profile) map[string][]string{
+			func(p *Profile) map[string][]string { return p.UsedKernels },
+			func(p *Profile) map[string][]string { return p.UsedFuncs },
+		} {
+			var first []string
+			for _, p := range members {
+				syms, ok := usage(p)[lib]
+				switch {
+				case !ok:
+				case first == nil:
+					first = syms
+				case rng.Intn(2) == 0:
+					usage(p)[lib] = first
+				default:
+					usage(p)[lib] = slices.Clone(first)
+				}
+			}
+		}
+	}
+}
+
+// kWayMerge is the union as a k-way merge of every member's lists per
+// library, with no shortcut for lists the members agree on.
+func kWayMerge(members []*Profile, usage func(*Profile) map[string][]string) map[string][]string {
+	lists := map[string][][]string{}
+	var order []string
+	for _, p := range members {
+		for lib, syms := range usage(p) {
+			if lists[lib] == nil {
+				order = append(order, lib)
+			}
+			lists[lib] = append(lists[lib], canonical(syms))
+		}
+	}
+	out := map[string][]string{}
+	for _, lib := range order {
+		out[lib] = mergeSorted(nil, lists[lib])
+	}
+	return out
+}
+
 // setUnion is the union the merge must produce, computed the slow way: a
 // set per library, flattened and sorted.
 func setUnion(members []*Profile, usage func(*Profile) map[string][]string) map[string][]string {
@@ -109,7 +158,10 @@ func setUnion(members []*Profile, usage func(*Profile) map[string][]string) map[
 // on the members' order, and the union of one profile is that profile's own
 // lists — which is what lets Debloat run as a one-member batch and still
 // match the monolith. Shuffling a member's lists or repeating symbols in
-// them changes neither the union nor the compact keys derived from it.
+// them changes neither the union nor the compact keys derived from it. In
+// half the trials the members agree on some libraries' lists and differ on
+// others; either way the union is the k-way merge's result, and a merged
+// list holds no room beyond its own length.
 func TestMergeProfilesProperties(t *testing.T) {
 	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 8})
 	if err != nil {
@@ -133,10 +185,32 @@ func TestMergeProfilesProperties(t *testing.T) {
 		for i := range members {
 			members[i] = profileOf(fmt.Sprintf("w%d", i), randomUsage(rng, libs, "k"), randomUsage(rng, libs, "f"))
 		}
+		if trial%2 == 1 {
+			agree(rng, members, libs)
+		}
 		u := MergeProfiles(members...)
-		if !reflect.DeepEqual(u.UsedKernels, setUnion(members, func(p *Profile) map[string][]string { return p.UsedKernels })) ||
-			!reflect.DeepEqual(u.UsedFuncs, setUnion(members, func(p *Profile) map[string][]string { return p.UsedFuncs })) {
+		kernels := func(p *Profile) map[string][]string { return p.UsedKernels }
+		funcs := func(p *Profile) map[string][]string { return p.UsedFuncs }
+		if !reflect.DeepEqual(u.UsedKernels, setUnion(members, kernels)) || !reflect.DeepEqual(u.UsedFuncs, setUnion(members, funcs)) {
 			t.Fatalf("trial %d: the union is not the per-library set union", trial)
+		}
+		if !reflect.DeepEqual(u.UsedKernels, kWayMerge(members, kernels)) || !reflect.DeepEqual(u.UsedFuncs, kWayMerge(members, funcs)) {
+			t.Fatalf("trial %d: the union is not the k-way merge's result", trial)
+		}
+		held := map[*string]bool{}
+		for _, p := range members {
+			for _, usage := range []map[string][]string{p.UsedKernels, p.UsedFuncs} {
+				for _, syms := range usage {
+					held[&syms[0]] = true
+				}
+			}
+		}
+		for _, usage := range []map[string][]string{u.UsedKernels, u.UsedFuncs} {
+			for lib, syms := range usage {
+				if !held[&syms[0]] && cap(syms) != len(syms) {
+					t.Fatalf("trial %d: %s's union list holds %d names in room for %d", trial, lib, len(syms), cap(syms))
+				}
+			}
 		}
 		for _, p := range members {
 			if !u.Covers(p) {

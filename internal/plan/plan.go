@@ -12,7 +12,7 @@ type Key struct {
 }
 
 // Zero reports whether the key is empty — nodes resolving a zero key are
-// executed unmemoized (cheap glue stages like profile unions or install
+// executed unmemoized (cheap glue stages like a verify probe or install
 // clones that are not worth an address).
 func (k Key) Zero() bool { return k == Key{} }
 
