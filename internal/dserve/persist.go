@@ -2,6 +2,8 @@ package dserve
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"negativaml/internal/castore"
@@ -79,7 +81,7 @@ type jobManifest struct {
 	Workloads     []WorkloadOutcome `json:"workloads"`
 	DetectNS      int64             `json:"detect_ns"`
 	AnalysisNS    int64             `json:"analysis_ns"`
-	WallNS        int64             `json:"wall_ns"`
+	WallNS        manifestNS        `json:"wall_ns"`
 	CacheHits     int               `json:"cache_hits"`
 	CacheMisses   int               `json:"cache_misses"`
 	ProfileReuses int               `json:"profile_reuses"`
@@ -102,6 +104,22 @@ const manifestTimeLayout = `"2006-01-02T15:04:05.000000000Z"`
 
 func (t manifestTime) MarshalJSON() ([]byte, error) {
 	return t.UTC().AppendFormat(nil, manifestTimeLayout), nil
+}
+
+// manifestNS is a manifest's measured wall time in nanoseconds. It encodes
+// as a string of 19 zero-padded digits, so a manifest's size does not follow
+// how long its batch took either, and decodes that form or the plain JSON
+// number older manifests hold.
+type manifestNS int64
+
+func (d manifestNS) MarshalJSON() ([]byte, error) {
+	return fmt.Appendf(nil, `"%019d"`, int64(d)), nil
+}
+
+func (d *manifestNS) UnmarshalJSON(b []byte) error {
+	n, err := strconv.ParseInt(strings.Trim(string(b), `"`), 10, 64)
+	*d = manifestNS(n)
+	return err
 }
 
 type manifestLib struct {
@@ -160,7 +178,7 @@ func manifestOf(job *Job, res *BatchResult) (*jobManifest, error) {
 		Workloads:     res.Workloads,
 		DetectNS:      int64(res.DetectTime),
 		AnalysisNS:    int64(res.AnalysisTime),
-		WallNS:        int64(res.WallTime),
+		WallNS:        manifestNS(res.WallTime),
 		CacheHits:     res.CacheHits,
 		CacheMisses:   res.CacheMisses,
 		ProfileReuses: res.ProfileReuses,

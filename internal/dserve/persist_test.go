@@ -766,9 +766,10 @@ func TestFailedJobSurvivesRestart(t *testing.T) {
 }
 
 // TestManifestTimesEncodeAtFixedWidth: a manifest's length does not follow
-// its timestamps. Times with and without trailing fractional zeros, in UTC
-// and in another zone, and the zero time all encode to one width, and each
-// decodes back to the same instant.
+// its times. Timestamps with and without trailing fractional zeros, in UTC
+// and in another zone, and the zero time, and wall times of different
+// digit counts, all encode to one width, and each decodes back to the same
+// instant and duration.
 func TestManifestTimesEncodeAtFixedWidth(t *testing.T) {
 	east := time.FixedZone("east", 5*3600+30*60)
 	stamps := []time.Time{
@@ -777,9 +778,10 @@ func TestManifestTimesEncodeAtFixedWidth(t *testing.T) {
 		time.Date(2026, 12, 31, 23, 59, 59, 999_999_999, time.UTC),
 		{},
 	}
+	walls := []manifestNS{0, 9_999_999, 10_000_000, manifestNS(3 * time.Second)}
 	var width int
 	for i, ts := range stamps {
-		m := jobManifest{ID: "job-0001", Submitted: manifestTime{ts}, Started: manifestTime{ts.Add(time.Millisecond)}, Finished: manifestTime{ts.Add(1500 * time.Microsecond)}}
+		m := jobManifest{ID: "job-0001", Submitted: manifestTime{ts}, Started: manifestTime{ts.Add(time.Millisecond)}, Finished: manifestTime{ts.Add(1500 * time.Microsecond)}, WallNS: walls[i]}
 		raw, err := json.Marshal(&m)
 		if err != nil {
 			t.Fatal(err)
@@ -793,15 +795,16 @@ func TestManifestTimesEncodeAtFixedWidth(t *testing.T) {
 		if err := json.Unmarshal(raw, &back); err != nil {
 			t.Fatal(err)
 		}
-		if !back.Submitted.Equal(ts) || !back.Finished.Equal(m.Finished.Time) {
-			t.Fatalf("manifest %d decodes to %v / %v, want %v / %v", i, back.Submitted, back.Finished, ts, m.Finished)
+		if !back.Submitted.Equal(ts) || !back.Finished.Equal(m.Finished.Time) || back.WallNS != m.WallNS {
+			t.Fatalf("manifest %d decodes to %v / %v / %d, want %v / %v / %d", i, back.Submitted, back.Finished, back.WallNS, ts, m.Finished, m.WallNS)
 		}
 	}
 }
 
 // TestOldFormatManifestRestores: a manifest whose times were written as
-// RFC 3339 with trailing zeros trimmed and a local offset — the form before
-// the fixed width — restores with the same instants and serves its images.
+// RFC 3339 with trailing zeros trimmed and a local offset, and its wall
+// time as a plain number — the form before the fixed width — restores with
+// the same instants and wall time and serves its images.
 func TestOldFormatManifestRestores(t *testing.T) {
 	dir := t.TempDir()
 	req := JobRequest{
@@ -827,6 +830,7 @@ func TestOldFormatManifestRestores(t *testing.T) {
 	if m["submitted"] != "2026-03-04T05:06:07.5-07:00" {
 		t.Fatalf("the old form is %v", m["submitted"])
 	}
+	m["wall_ns"] = 12_345_678
 	raw, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
@@ -845,6 +849,9 @@ func TestOldFormatManifestRestores(t *testing.T) {
 	}
 	if !j.Submitted.Equal(submitted) || !j.Finished.Equal(submitted.Add(2*time.Second)) {
 		t.Fatalf("restored times %v / %v, want %v / %v", j.Submitted, j.Finished, submitted, submitted.Add(2*time.Second))
+	}
+	if got, err := svc.ResultOf(id); err != nil || got.WallTime != 12_345_678 {
+		t.Fatalf("restored wall time: %v, %v", got, err)
 	}
 	for name, img := range want {
 		if got := fetchDirect(t, svc, id, name); !bytes.Equal(got, img) {
