@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"negativaml/internal/gpuarch"
 	"negativaml/internal/mlframework"
@@ -34,21 +33,6 @@ func countDerivations(t *testing.T) func() map[string]int {
 		counts = map[string]int{}
 		return out
 	}
-}
-
-// sourceRecorder is a plan.Observer keeping each stage's sources.
-type sourceRecorder struct {
-	mu  sync.Mutex
-	src map[string][]plan.Source
-}
-
-func (r *sourceRecorder) StageSource(stage string, src plan.Source, _ time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.src == nil {
-		r.src = map[string][]plan.Source{}
-	}
-	r.src[stage] = append(r.src[stage], src)
 }
 
 // TestUnionMemoMatchesScratch is the union tier's differential test. Over
@@ -88,28 +72,28 @@ func TestUnionMemoMatchesScratch(t *testing.T) {
 			set[i] = 1
 		}
 		key := negativa.UnionKey(detects)
-		obs := &sourceRecorder{}
+		obs := &sourceLog{}
 		res, err := svc.DebloatBatch(in, members, BatchOptions{SkipVerify: true, Observer: obs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := obs.src[negativa.StageUnion], []plan.Source{plan.SourceComputed}; seen[key] {
-			if want = []plan.Source{plan.SourceMemory}; !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: a member set seen before in this order: union sources %v, want %v", trial, got, want)
-			}
-		} else if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: a new member order: union sources %v, want %v", trial, got, want)
+		want := plan.SourceComputed
+		if seen[key] {
+			want = plan.SourceMemory
+		}
+		if !obs.all(negativa.StageUnion, 1, want) {
+			t.Fatalf("trial %d (members %v, seen before %v): union sources %v, want one %v", trial, order, seen[key], obs.src[negativa.StageUnion], want)
 		}
 		seen[key] = true
 
-		want := negativa.MergeProfiles(profiles...)
-		if !reflect.DeepEqual(res.Union.UsedFuncs, want.UsedFuncs) || !reflect.DeepEqual(res.Union.UsedKernels, want.UsedKernels) || res.Union.Workload != want.Workload {
+		u := negativa.MergeProfiles(profiles...)
+		if !reflect.DeepEqual(res.Union.UsedFuncs, u.UsedFuncs) || !reflect.DeepEqual(res.Union.UsedKernels, u.UsedKernels) || res.Union.Workload != u.Workload {
 			t.Fatalf("trial %d (members %v): the memoized union differs from MergeProfiles", trial, order)
 		}
 		archs := unionArchs(members)
 		keys := make([]string, len(in.LibNames))
 		for i, name := range in.LibNames {
-			keys[i] = negativa.CompactKey(negativa.LocateKey(in.Library(name), want.UsedFuncs[name], want.UsedKernels[name], archs)).Hash
+			keys[i] = negativa.CompactKey(negativa.LocateKey(in.Library(name), u.UsedFuncs[name], u.UsedKernels[name], archs)).Hash
 		}
 		if !reflect.DeepEqual(res.libKeys, keys) {
 			t.Fatalf("trial %d (members %v): the compact keys differ from LocateKey's", trial, order)
@@ -159,13 +143,13 @@ func TestWarmResubmitTakesUnionFromMemory(t *testing.T) {
 	if got := derived(); len(got) != len(in.LibNames) || !everyOnce(got) {
 		t.Fatalf("the cold batch derived %v, want each of %d libraries once", got, len(in.LibNames))
 	}
-	obs := &sourceRecorder{}
+	obs := &sourceLog{}
 	warm, err := svc.DebloatBatch(in, ws, BatchOptions{Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := obs.src[negativa.StageUnion]; !reflect.DeepEqual(got, []plan.Source{plan.SourceMemory}) {
-		t.Fatalf("warm union sources %v, want one memory hit", got)
+	if !obs.all(negativa.StageUnion, 1, plan.SourceMemory) {
+		t.Fatalf("warm union sources %v, want one memory hit", obs.src[negativa.StageUnion])
 	}
 	if got := derived(); len(got) != 0 {
 		t.Fatalf("the warm batch derived compact keys %v", got)
@@ -342,8 +326,10 @@ func TestUnionTierIsMemoryOnly(t *testing.T) {
 		t.Fatal("the batch's union is not in node a's memory")
 	}
 	for id, n := range nodes {
-		if n.svc.stages.stored(st, key.Hash) {
-			t.Fatalf("node %s stores the union", id)
+		for i := range memoStages {
+			if kind := memoStages[i].kind; kind != "" && n.store.Has(kind, key.Hash) {
+				t.Fatalf("node %s stores an object of kind %s under the union's key", id, kind)
+			}
 		}
 		var body bytes.Buffer
 		if n.svc.stages.exportRecord(st, key.Hash, &body) || body.Len() != 0 {
