@@ -14,9 +14,12 @@
 // previously submitted jobs are served (status, report, fetch-library) by
 // rerunning their requests over the stored records, without re-running
 // detection, location, or compaction. A restored ingest job needs its
-// ingest directory. -disk-mb bounds the store; least-recently-used objects
-// not referenced by a retained job are evicted beyond it (see
-// docs/ARCHITECTURE.md, "Durability").
+// ingest directory. -disk-mb bounds the store (0 leaves it unbounded);
+// least-recently-used objects not referenced by a retained job are evicted
+// beyond it (see docs/ARCHITECTURE.md, "Durability"). -cache-mb is the one
+// memory bound of the stages' reused values: detection profiles, unions,
+// locate/compact results and verification results share it, least
+// recently used first.
 //
 // With -peers and -node-id the node joins a sharded serving plane: a
 // consistent-hash ring over the peer set gives each detect and compact
@@ -119,6 +122,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -133,14 +137,33 @@ import (
 	"negativaml/internal/gateway"
 )
 
+// checkSizes rejects the sizing flags Config would silently coerce: it
+// applies defaults to values below 1, which would turn a typo'd
+// "-workers 0" into NumCPU workers, "-cache-mb 0" into 64 MiB and
+// "-steps 0" into 4. -disk-mb 0 is an unbounded store
+// (castore.Options.MaxBytes), so only a negative budget is refused.
+func checkSizes(workers int, cacheMB int64, steps int, diskMB int64) error {
+	switch {
+	case workers <= 0:
+		return fmt.Errorf("-workers must be positive (got %d)", workers)
+	case cacheMB <= 0:
+		return fmt.Errorf("-cache-mb must be positive (got %d)", cacheMB)
+	case steps <= 0:
+		return fmt.Errorf("-steps must be positive (got %d)", steps)
+	case diskMB < 0:
+		return fmt.Errorf("-disk-mb must not be negative (got %d)", diskMB)
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", runtime.NumCPU(), "concurrent tasks across all jobs")
-	cacheMB := flag.Int64("cache-mb", 64, "content-addressed result cache bound (retained MiB; entries are sparse range sets, not library copies)")
+	cacheMB := flag.Int64("cache-mb", 64, "memory bound of every memoized stage's values, in retained MiB: profiles, unions, run results and compact results (sparse range sets, each library image charged once)")
 	steps := flag.Int("steps", 4, "default detection/verification step cap for jobs")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown timeout")
 	dataDir := flag.String("data-dir", "", "persistent store directory; empty = in-memory only (no warm restart)")
-	diskMB := flag.Int64("disk-mb", 512, "persistent store byte budget in MiB (with -data-dir)")
+	diskMB := flag.Int64("disk-mb", 512, "persistent store byte budget in MiB (with -data-dir); 0 = unbounded")
 	nodeID := flag.String("node-id", "", "this node's name in the cluster (with -peers)")
 	peers := flag.String("peers", "", "cluster peers as id=base-url,... (the whole cluster's list; this node's own entry is ignored)")
 	peerSecret := flag.String("peer-secret", "", "shared cluster credential; peer requests carry and require it (with -peers)")
@@ -155,16 +178,9 @@ func main() {
 	flag.Parse()
 
 	// Reject misconfigurations loudly instead of silently coercing them to
-	// defaults (Config applies defaults to zero values, which would turn a
-	// typo'd "-workers 0" into NumCPU workers).
-	if *workers <= 0 {
-		log.Fatalf("negativa-served: -workers must be positive (got %d)", *workers)
-	}
-	if *cacheMB < 0 {
-		log.Fatalf("negativa-served: -cache-mb must not be negative (got %d)", *cacheMB)
-	}
-	if *diskMB < 0 {
-		log.Fatalf("negativa-served: -disk-mb must not be negative (got %d)", *diskMB)
+	// defaults.
+	if err := checkSizes(*workers, *cacheMB, *steps, *diskMB); err != nil {
+		log.Fatalf("negativa-served: %v", err)
 	}
 	diskSet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -307,7 +323,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("negativa-served: listening on %s (%d workers, %d MiB result cache)", *addr, svc.Workers(), *cacheMB)
+		log.Printf("negativa-served: listening on %s (%d workers, %d MiB memory tier)", *addr, svc.Workers(), *cacheMB)
 		errc <- srv.ListenAndServe()
 	}()
 

@@ -300,6 +300,21 @@ func TestAPIDocExamples(t *testing.T) {
 
 	// ---- metrics + store ----
 	actual["metrics response"] = httpJSON(http.MethodGet, "/v1/metrics", nil, http.StatusOK)
+	// The cache section is the compact stage's share of the memory tier,
+	// which its stages row repeats.
+	var metricsBody struct {
+		Cache  CacheStats                  `json:"cache"`
+		Stages map[string]map[string]int64 `json:"stages"`
+	}
+	if err := json.Unmarshal(actual["metrics response"], &metricsBody); err != nil {
+		t.Fatal(err)
+	}
+	if c := metricsBody.Stages["compact"]; c["memory_entries"] != int64(metricsBody.Cache.Entries) || c["memory_bytes"] != metricsBody.Cache.Bytes || c["memory_bytes"] == 0 {
+		t.Fatalf("stages.compact %v does not repeat the cache section %+v", c, metricsBody.Cache)
+	}
+	if d := metricsBody.Stages["detect"]; d["memory_entries"] == 0 || d["memory_bytes"] == 0 {
+		t.Fatalf("stages.detect %v: the doc-example jobs left no profile in memory", d)
+	}
 	actual["store response"] = httpJSON(http.MethodGet, "/v1/store", nil, http.StatusOK)
 
 	// ---- peer routes ----

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"negativaml/internal/metrics"
+	"negativaml/internal/mlruntime"
 	"negativaml/internal/negativa"
 )
 
@@ -18,194 +19,218 @@ type CacheStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// ResultCache is the content-addressed locate+compact cache with LRU
-// eviction bounded by retained bytes, not entry count: entries are sparse
-// (a range set plus the report), so their real heap cost varies by orders
-// of magnitude and a byte bound is the honest knob. A sparse entry keeps
-// its original library image alive, so the cache also charges each
-// distinct referenced image once (refcounted across entries) — the bound
-// covers everything the cache alone can pin after the owning install is
-// evicted. It is the compact stage's memory tier: the stage memo's disk
-// loader plants results read from the store here, and a new result reaches
-// the store through the service's write-behind (Service.writeBehind), never
-// through the cache. Stored values are immutable: hits hand out the
-// shared report and sparse image, which callers must treat as read-only.
-// Concurrent misses on the same key may compute the result twice; both
-// Puts store identical content, so the race is benign.
+// ResultCache is the memory tier of every memoized stage — detect, union,
+// compact and verifyrun — keyed by stage and hash: one least-recently-used
+// list under one mutex, bounded by retained bytes (Config.CacheBytes), not
+// entry count, since values vary in heap cost by orders of magnitude. An
+// entry is charged entrySize, and a compact result's library image once
+// across the entries that reference it, so the bound covers everything the
+// cache alone can pin (doc.go lays out each stage's charge). It never
+// writes to the store. Stored values are immutable and shared. Each
+// stage's figures are its own (StageStats); Bytes and the cache.* series
+// are the compact stage's.
 type ResultCache struct {
 	mu       sync.Mutex
 	maxBytes int64
-	bytes    int64
-	entries  map[string]*list.Element
+	bytes    int64 // every stage's charge, against maxBytes
+	entries  map[cacheKey]*list.Element
 	lru      list.List // front = most recently used
+	stages   map[string]*stageTier
 	// libRefs counts entries referencing each distinct library image;
 	// the image's bytes are charged while the count is non-zero.
 	libRefs  map[[sha256.Size]byte]int
-	hits     int64
-	misses   int64
-	evicted  int64
 	counters *metrics.CounterSet
 }
 
-type cacheEntry struct {
-	key  string
-	ld   *negativa.LibDebloat
-	size int64
-	// libDigest / libSize identify the original image the sparse report
-	// references (hasLib false for reports without one, e.g. in tests).
-	libDigest [sha256.Size]byte
-	libSize   int64
-	hasLib    bool
+type cacheKey struct{ stage, hash string }
+
+// stageTier is one stage's share of the cache; the cache.* series mirror
+// the compact stage's.
+type stageTier struct {
+	CacheStats
+	mirror bool
 }
 
-// entrySize charges an entry with the bytes its sparse report itself pins
-// (key string + report + range set); the referenced library image is
+type cacheEntry struct {
+	key  cacheKey
+	v    any
+	tier *stageTier
+	size int64
+	// libDigest / libSize identify the original image a compact result's
+	// sparse report references (libSize 0 for any other value).
+	libDigest [sha256.Size]byte
+	libSize   int64
+}
+
+// entrySize charges an entry with its key, 64 bytes for the entry itself
+// and what its value alone retains; a compact result's library image is
 // charged separately, once per distinct image, via libRefs.
-func entrySize(key string, ld *negativa.LibDebloat) int64 {
-	return int64(len(key)) + 64 + ld.Report.RetainedBytes()
+func entrySize(hash string, v any) int64 {
+	var n int64
+	switch v := v.(type) {
+	case *negativa.LibDebloat:
+		n = v.Report.RetainedBytes()
+	case *negativa.Profile:
+		n = v.RetainedBytes()
+	case *negativa.Union:
+		n = v.RetainedBytes()
+	case *mlruntime.Result:
+		n = v.RetainedBytes()
+	}
+	return int64(len(hash)) + 64 + n
 }
 
 // NewResultCache returns a cache bounded to maxBytes of retained entries
 // (values < 1 are treated as 1 byte, i.e. effectively a single-entry
-// scratch). counters, when non-nil, mirrors cache.hits / cache.misses /
-// cache.evictions, and tracks cache.bytes as a gauge, for the service
-// metrics endpoint.
+// scratch). counters, when non-nil, mirrors the compact stage's hits,
+// misses and evictions as cache.hits / cache.misses / cache.evictions, and
+// its bytes as the cache.bytes gauge, for the service metrics endpoint.
 func NewResultCache(maxBytes int64, counters *metrics.CounterSet) *ResultCache {
 	if maxBytes < 1 {
 		maxBytes = 1
 	}
 	return &ResultCache{
 		maxBytes: maxBytes,
-		entries:  map[string]*list.Element{},
+		entries:  map[cacheKey]*list.Element{},
+		stages:   map[string]*stageTier{},
 		libRefs:  map[[sha256.Size]byte]int{},
 		counters: counters,
 	}
 }
 
-func (c *ResultCache) count(name string, p *int64) {
+// tier returns the stage's share, made on first use. Callers hold c.mu.
+func (c *ResultCache) tier(stage string) *stageTier {
+	t := c.stages[stage]
+	if t == nil {
+		t = &stageTier{mirror: stage == negativa.StageCompact}
+		c.stages[stage] = t
+	}
+	return t
+}
+
+func (c *ResultCache) count(t *stageTier, name string, p *int64) {
 	*p++
-	if c.counters != nil {
+	if t.mirror && c.counters != nil {
 		c.counters.Add(name, 1)
 	}
 }
 
-// addBytes adjusts the retained-byte gauge.
-func (c *ResultCache) addBytes(delta int64) {
+// addBytes adjusts the bound's charge and the stage's.
+func (c *ResultCache) addBytes(t *stageTier, delta int64) {
 	c.bytes += delta
-	if c.counters != nil {
+	t.Bytes += delta
+	if t.mirror && c.counters != nil {
 		c.counters.Add("cache.bytes", delta)
 	}
 }
 
-// Get returns the cached result for the key, refreshing its recency.
-func (c *ResultCache) Get(key string) (*negativa.LibDebloat, bool) {
+// get returns the stage's value for the hash, refreshing its recency and
+// counting a hit or a miss.
+func (c *ResultCache) get(stage, hash string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	el, ok := c.entries[cacheKey{stage, hash}]
 	if !ok {
-		c.count("cache.misses", &c.misses)
+		t := c.tier(stage)
+		c.count(t, "cache.misses", &t.Misses)
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
-	c.count("cache.hits", &c.hits)
-	return el.Value.(*cacheEntry).ld, true
+	ent := el.Value.(*cacheEntry)
+	c.count(ent.tier, "cache.hits", &ent.tier.Hits)
+	return ent.v, true
 }
 
-// Contains reports whether the key is resident in the memory tier,
-// without touching recency or the hit/miss counters — the batch
-// prefetch's local-presence probe must not skew the cache's observed
-// behavior.
-func (c *ResultCache) Contains(key string) bool {
+// contains reports whether the stage's value for the hash is resident,
+// without touching recency or the hit/miss counts: the batch prefetch's
+// local-presence probe must not skew the cache's observed behavior.
+func (c *ResultCache) contains(stage, hash string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.entries[key]
+	_, ok := c.entries[cacheKey{stage, hash}]
 	return ok
 }
 
 // retainLib charges the entry's referenced library image on its first
 // reference; releaseLib refunds it on the last.
 func (c *ResultCache) retainLib(ent *cacheEntry) {
-	if !ent.hasLib {
+	if ent.libSize == 0 {
 		return
 	}
 	c.libRefs[ent.libDigest]++
 	if c.libRefs[ent.libDigest] == 1 {
-		c.addBytes(ent.libSize)
+		c.addBytes(ent.tier, ent.libSize)
 	}
 }
 
 func (c *ResultCache) releaseLib(ent *cacheEntry) {
-	if !ent.hasLib {
+	if ent.libSize == 0 {
 		return
 	}
 	c.libRefs[ent.libDigest]--
 	if c.libRefs[ent.libDigest] == 0 {
 		delete(c.libRefs, ent.libDigest)
-		c.addBytes(-ent.libSize)
+		c.addBytes(ent.tier, -ent.libSize)
 	}
 }
 
-// evictOver drops least-recently-used entries until the retained bytes fit
-// the bound; the most recent entry is never evicted, so one oversized
-// result still caches.
+// remove drops the entry and refunds its charge.
+func (c *ResultCache) remove(el *list.Element) *cacheEntry {
+	ent := el.Value.(*cacheEntry)
+	c.lru.Remove(el)
+	delete(c.entries, ent.key)
+	ent.tier.Entries--
+	c.addBytes(ent.tier, -ent.size)
+	c.releaseLib(ent)
+	return ent
+}
+
+// evictOver drops least-recently-used entries, of any stage, until the
+// retained bytes fit the bound; the most recent entry is never evicted, so
+// one oversized value still caches.
 func (c *ResultCache) evictOver() {
 	for c.bytes > c.maxBytes && len(c.entries) > 1 {
-		oldest := c.lru.Back()
-		ent := oldest.Value.(*cacheEntry)
-		c.lru.Remove(oldest)
-		delete(c.entries, ent.key)
-		c.addBytes(-ent.size)
-		c.releaseLib(ent)
-		c.count("cache.evictions", &c.evicted)
+		ent := c.remove(c.lru.Back())
+		c.count(ent.tier, "cache.evictions", &ent.tier.Evictions)
 	}
 }
 
-// Put stores a result in memory, evicting least-recently-used entries
-// until the retained bytes fit the bound. Re-putting an existing key
-// refreshes its recency (and re-checks the bound if the size changed).
-func (c *ResultCache) Put(key string, ld *negativa.LibDebloat) {
-	ent := &cacheEntry{key: key, ld: ld, size: entrySize(key, ld)}
-	if sp := ld.Report.Sparse; sp != nil {
-		lib := sp.Lib()
+// put stores the stage's value for the hash, as its most recent entry,
+// evicting least-recently-used entries until the retained bytes fit the
+// bound. A re-put replaces the key's entry.
+func (c *ResultCache) put(stage, hash string, v any) {
+	ent := &cacheEntry{key: cacheKey{stage, hash}, v: v, size: entrySize(hash, v)}
+	if ld, ok := v.(*negativa.LibDebloat); ok && ld.Report.Sparse != nil {
+		lib := ld.Report.Sparse.Lib()
 		ent.libDigest = lib.ContentDigest()
 		ent.libSize = lib.FileSize()
-		ent.hasLib = true
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		old := el.Value.(*cacheEntry)
-		c.addBytes(ent.size - old.size)
-		c.retainLib(ent)
-		c.releaseLib(old)
-		el.Value = ent
-		c.lru.MoveToFront(el)
-		c.evictOver()
-		return
+	if el, ok := c.entries[ent.key]; ok {
+		c.remove(el)
 	}
-	c.entries[key] = c.lru.PushFront(ent)
-	c.addBytes(ent.size)
+	ent.tier = c.tier(stage)
+	c.entries[ent.key] = c.lru.PushFront(ent)
+	ent.tier.Entries++
+	c.addBytes(ent.tier, ent.size)
 	c.retainLib(ent)
 	c.evictOver()
 }
 
-// Len returns the number of cached entries.
-func (c *ResultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Bytes returns the retained bytes currently charged to the cache.
+// Bytes returns the retained bytes charged to the compact stage, library
+// images included.
 func (c *ResultCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
+	return c.StageStats(negativa.StageCompact).Bytes
 }
 
-// Stats returns a snapshot of cache effectiveness.
-func (c *ResultCache) Stats() CacheStats {
+// StageStats returns a snapshot of the stage's share of the cache: its
+// entries and charged bytes, and its hits, misses and evictions.
+func (c *ResultCache) StageStats(stage string) CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Entries: len(c.entries), Bytes: c.bytes, Hits: c.hits, Misses: c.misses, Evictions: c.evicted}
+	if t := c.stages[stage]; t != nil {
+		return t.CacheStats
+	}
+	return CacheStats{}
 }

@@ -38,22 +38,20 @@
 // union has a memory tier only: no castore kind, no disk read, no peer
 // lookup, no write-behind. castore's byte budget (castore.Options.MaxBytes,
 // least recently used first) is the one disk bound, the same for every
-// kind. The memory tiers and their bounds:
+// kind. Every stage's values share one memory tier, ResultCache: one
+// least-recently-used list under one mutex and one byte bound,
+// Config.CacheBytes (-cache-mb). An entry is charged its key, 64 bytes and
+// its value's model; the heap it holds, against that, after a GC:
 //
-//	stage      memory tier                       bound              worst case
-//	detect     fifoMap of profiles               1024 entries       not measured here
-//	compact    ResultCache                       Config.CacheBytes  Config.CacheBytes
-//	verifyrun  fifoMap of run results            1024 entries       not measured here
-//	union      fifoMap of negativa.Union values  16 entries         ≈ 16 MB (16 × 1.0 MB)
+//	stage      value's model                   heap held
+//	detect     Profile.RetainedBytes           0.95 × the model
+//	compact    LibraryReport.RetainedBytes     0.90 × the model, plus each
+//	           (and each library image once)   library image once
+//	verifyrun  mlruntime.Result.RetainedBytes  ≈ 2.3 × the charge: a 48 B
+//	                                           result in a ≈ 230 B entry
+//	union      Union.RetainedBytes (members)   0.7 × the model
 //
-// The union row's 1.0 MB is the heap the largest union measured keeps
-// alive when it alone holds its profiles' lists: tensorflow388, the four
-// canonical members at 4 steps, profiles decoded from records, every
-// compact key derived; 0.998 MB after GC (Go 1.24). The other Table-1
-// shapes measured 0.18 MB (pytorch141), 0.19 MB (vllm155), 0.13 MB (hf85)
-// and 0.08 MB (pytorch20).
-//
-// Each entry also holds its payload codec (negativa.EncodeProfile,
+// Each memoStages entry also holds its payload codec (negativa.EncodeProfile,
 // negativa.EncodeRecord, the run result's JSON), which knows no key. Every
 // stage hash is a SHA-256 digest, and every record is that hash's 32 bytes
 // then the payload: memoStage.seal writes it, and memoStage.open reads it

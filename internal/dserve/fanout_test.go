@@ -82,10 +82,10 @@ func TestIngestedInstallIsNotPinnedByTheService(t *testing.T) {
 
 // TestWarmDiskBatchDoesNotPinLibraries: a batch served entirely from the
 // store computes nothing, so nothing it schedules may keep the freshly parsed
-// libraries it was handed. The result cache is sized to keep exactly one
-// entry — its most recent, whichever compact node finished last — so all
-// libraries but that one must be collectable once the batch has returned,
-// while the service lives on.
+// libraries it was handed. The memory tier is sized to keep exactly one
+// entry — its most recent, of whichever stage was planted last — so all
+// libraries but at most one must be collectable once the batch has
+// returned, while the service lives on.
 func TestWarmDiskBatchDoesNotPinLibraries(t *testing.T) {
 	root, dir := t.TempDir(), t.TempDir()
 	if err := testInstall(t).WriteTo(filepath.Join(root, "tree")); err != nil {

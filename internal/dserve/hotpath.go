@@ -33,8 +33,8 @@ import (
 // stored here under the sum already checked (castore.Frame), so each of
 // its bytes is hashed once on this node. Found values are kept in the asking batch's
 // table (batchMemo), which hands each to its stage node as a peer read, and
-// planted in the shared memory tiers (profiles / result cache / verify
-// records) for concurrent batches, so the batch's wall clock is bounded by
+// planted in the shared memory tier (the ResultCache) for concurrent
+// batches, so the batch's wall clock is bounded by
 // the slowest single round trip, not the key count. The prefetch is the
 // only remote read: a stage node whose key it did not find — a clean miss,
 // or a replica set that could not answer — goes straight to local compute,
@@ -189,7 +189,7 @@ func (m *batchMemo) PrefetchLookups(slot plan.Executor, items []prefetchItem) {
 // round trip). A key that is not memoized has nothing to prefetch.
 func (m *StageMemo) localProbe(k plan.Key) bool {
 	st := memoStageOf(k.Stage)
-	if st == nil || st.held(m, k.Hash) {
+	if st == nil || m.cache.contains(k.Stage, k.Hash) {
 		return true
 	}
 	return m.stored(st, k.Hash)
@@ -257,7 +257,7 @@ func (m *batchMemo) prefetchChunk(remotes []string, items []prefetchItem) {
 		// this node's castore, so the next miss here is a disk hit, not
 		// another network hop. No peers: they already hold it.
 		m.keep(it.key, val, plan.SourcePeer)
-		st.put(m.StageMemo, it.key.Hash, val)
+		m.cache.put(st.stage, it.key.Hash, val)
 		if m.writeStage != nil {
 			m.writeStage(st, it.key.Hash, val, rec, nil)
 		}

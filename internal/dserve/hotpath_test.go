@@ -178,7 +178,7 @@ func TestHedgedLookupSlowReplica(t *testing.T) {
 		t.Fatalf("hedged read took %v; it should complete well under the 100ms injected delay", wall)
 	}
 	for _, it := range items {
-		if _, ok := m.profiles.get(it.key.Hash); !ok {
+		if _, ok := m.cache.get(negativa.StageDetect, it.key.Hash); !ok {
 			t.Fatalf("key %q was not planted by the answering replica", it.key.Hash)
 		}
 	}
@@ -563,7 +563,7 @@ func TestPeerLookupBatchRoute(t *testing.T) {
 	soloCluster(svc)
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
-	svc.stages.profiles.put(negativa.DetectKey("fp", "w").Hash, testDetectProfile(t))
+	svc.Cache.put(negativa.StageDetect, negativa.DetectKey("fp", "w").Hash, testDetectProfile(t))
 
 	req := peerBatchLookupRequest{Keys: []peerLookupRequest{
 		{Stage: negativa.StageCompact, Hash: "absent"},
@@ -629,7 +629,7 @@ func TestShortLookupAnswerTriesNextReplica(t *testing.T) {
 	newBatchMemo(m).PrefetchLookups(nil, items)
 	t.Logf("hedges fired: %d", counters.Get("peer.hedge_fired"))
 	for _, it := range items {
-		if _, ok := m.profiles.get(it.key.Hash); !ok {
+		if _, ok := m.cache.get(negativa.StageDetect, it.key.Hash); !ok {
 			t.Fatalf("key %q was not planted from the second replica", it.key.Hash)
 		}
 	}

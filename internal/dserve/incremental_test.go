@@ -431,7 +431,7 @@ func TestStageMemoRoutesTiers(t *testing.T) {
 	if err != nil || src.Hit() || v.(*negativa.Profile) != p {
 		t.Fatalf("detect compute: v=%v src=%v err=%v", v, src, err)
 	}
-	if got, ok := svc.stages.profiles.get(key.Hash); !ok || got != p {
+	if got, ok := svc.Cache.get(negativa.StageDetect, key.Hash); !ok || got != p {
 		t.Fatal("detect result must land in the detect tier")
 	}
 	if _, src, _ = svc.stages.GetOrCompute(nil, key, nil, func() (any, error) { t.Fatal("must hit"); return nil, nil }); !src.Hit() {

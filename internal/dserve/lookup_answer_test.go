@@ -72,7 +72,7 @@ func TestLookupAnswerBounded(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if _, ok := m.profiles.get(key.Hash); ok {
+	if _, ok := m.cache.get(negativa.StageDetect, key.Hash); ok {
 		t.Fatal("a failed answer planted a value")
 	}
 }

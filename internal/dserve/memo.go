@@ -18,59 +18,11 @@ import (
 	"negativaml/internal/plan"
 )
 
-// fifoMap is dserve's one count-bounded map: it evicts oldest-inserted
-// first. It is the memory tier of the detect and verifyrun stages, keyed by
-// client-controlled identities, so the bound is what keeps a sweeping client
-// from growing a long-running service without limit. Stored values are
-// immutable and shared.
-type fifoMap[K comparable, V any] struct {
-	mu    sync.RWMutex
-	max   int
-	m     map[K]V
-	order []K
-}
-
-func newFifoMap[K comparable, V any](max int) *fifoMap[K, V] {
-	return &fifoMap[K, V]{max: max, m: map[K]V{}}
-}
-
-// put stores v under k (re-putting a key keeps its age), evicting the oldest
-// keys beyond the bound.
-func (f *fifoMap[K, V]) put(k K, v V) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, exists := f.m[k]; !exists {
-		f.order = append(f.order, k)
-	}
-	f.m[k] = v
-	for len(f.m) > f.max {
-		delete(f.m, f.order[0])
-		f.order = f.order[1:]
-	}
-}
-
-func (f *fifoMap[K, V]) get(k K) (V, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	v, ok := f.m[k]
-	return v, ok
-}
-
-// tierEntries bounds the detect and verifyrun memory tiers.
-const tierEntries = 1024
-
-// unionEntries bounds the union tier. A union is worth keeping while its
-// member set is resubmitted, and the busiest warm traffic measured serves
-// six member sets (bench's gateway_open), so this keeps those with room to
-// spare. The largest union measured retains about 1.0 MB (doc.go's tier
-// table), so the tier holds at most about 16 MB.
-const unionEntries = 16
-
-// memoStage is one memoized stage's storage rules. Every path that holds,
-// stores or moves a stage value — GetOrCompute and its leader, the disk
-// loader, the batch prefetch's probe and plant, the write-behind, the peer
-// lookup and the repair walk — reads its entry in memoStages instead of
-// switching on the stage.
+// memoStage is one memoized stage's storage rules. Every path that stores
+// or moves a stage value — GetOrCompute and its leader, the disk loader,
+// the batch prefetch's probe and plant, the write-behind, the peer lookup
+// and the repair walk — reads its entry in memoStages instead of switching
+// on the stage.
 type memoStage struct {
 	stage string
 	// kind is the castore kind of the disk tier, where a record is filed
@@ -84,11 +36,6 @@ type memoStage struct {
 	// stage held in memory only.
 	encode func(v any) ([]byte, error)
 	decode func(hint any, payload []byte) (any, error)
-	// held, get and put are the memory tier: a quiet presence check, the
-	// read (the result cache counts its own hits and misses), the plant.
-	held func(m *StageMemo, hash string) bool
-	get  func(m *StageMemo, hash string) (any, bool)
-	put  func(m *StageMemo, hash string, v any)
 }
 
 // memoStages is the table, in the order the repair walk visits the kinds.
@@ -96,9 +43,6 @@ var memoStages = [...]memoStage{{
 	stage: negativa.StageDetect, kind: kindProfile,
 	encode: func(v any) ([]byte, error) { return negativa.EncodeProfile(v.(*negativa.Profile)) },
 	decode: func(_ any, p []byte) (any, error) { return negativa.DecodeProfile(p) },
-	held:   func(m *StageMemo, hash string) bool { _, ok := m.profiles.get(hash); return ok },
-	get:    func(m *StageMemo, hash string) (any, bool) { return m.profiles.get(hash) },
-	put:    func(m *StageMemo, hash string, v any) { m.profiles.put(hash, v.(*negativa.Profile)) },
 }, {
 	stage: negativa.StageCompact, kind: kindRecord,
 	encode: func(v any) ([]byte, error) { return negativa.EncodeRecord(v.(*negativa.LibDebloat)) },
@@ -106,9 +50,6 @@ var memoStages = [...]memoStage{{
 		lib, _ := hint.(*elfx.Library)
 		return negativa.DecodeRecord(lib, p)
 	},
-	held: func(m *StageMemo, hash string) bool { return m.cache.Contains(hash) },
-	get:  func(m *StageMemo, hash string) (any, bool) { return m.cache.Get(hash) },
-	put:  func(m *StageMemo, hash string, v any) { m.cache.Put(hash, v.(*negativa.LibDebloat)) },
 }, {
 	stage: negativa.StageVerifyRun, kind: kindVerify,
 	encode: func(v any) ([]byte, error) { return json.Marshal(v.(*mlruntime.Result)) },
@@ -119,14 +60,8 @@ var memoStages = [...]memoStage{{
 		}
 		return r, nil
 	},
-	held: func(m *StageMemo, hash string) bool { _, ok := m.verify.get(hash); return ok },
-	get:  func(m *StageMemo, hash string) (any, bool) { return m.verify.get(hash) },
-	put:  func(m *StageMemo, hash string, v any) { m.verify.put(hash, v.(*mlruntime.Result)) },
 }, {
 	stage: negativa.StageUnion,
-	held:  func(m *StageMemo, hash string) bool { _, ok := m.unions.get(hash); return ok },
-	get:   func(m *StageMemo, hash string) (any, bool) { return m.unions.get(hash) },
-	put:   func(m *StageMemo, hash string, v any) { m.unions.put(hash, v.(*negativa.Union)) },
 }}
 
 // durable reports whether the stage has records: a castore kind, a disk
@@ -187,18 +122,20 @@ func memoStageOf(stage string) *memoStage {
 // through up to three tiers — local memory, local disk, the key's replica
 // set — by the rules of its memoStages entry:
 //
-//	stage      castore kind  object key      memory tier
-//	detect     profile       the stage hash  fifoMap of profiles, 1024, oldest first
-//	compact    record        the stage hash  ResultCache, byte-bounded LRU
-//	verifyrun  verify        the stage hash  fifoMap of run results, 1024, oldest first
-//	union      —             —               fifoMap of unions, 16, oldest first
+//	stage      castore kind  object key
+//	detect     profile       the stage hash
+//	compact    record        the stage hash
+//	verifyrun  verify        the stage hash
+//	union      —             —
 //
 // Every stage hash is a SHA-256 hex digest, and every record is sealed
 // with its own (seal, open). The union has no record: it is held in memory
 // only, and a miss costs one merge of profiles its batch already holds.
 //
-// castore's byte budget (castore.Options.MaxBytes, least recently used
-// first) is the one disk bound, the same for every kind.
+// Every stage's memory tier is the one ResultCache, keyed by stage and
+// hash, under one byte bound (Config.CacheBytes); castore's byte budget
+// (castore.Options.MaxBytes) is the one disk bound. Both evict least
+// recently used first, whatever the stage.
 //
 // A stage node's key resolves under one flight table (GetOrCompute): memory,
 // then — by the flight's leader only — the disk loader, then local compute.
@@ -222,13 +159,9 @@ func memoStageOf(stage string) *memoStage {
 // peer. While a key's value stays resident in its memory tier, the key
 // computes once however many callers ask at once.
 type StageMemo struct {
-	// profiles, cache, verify and unions are the memory tiers of detect,
-	// compact, verifyrun and union, keyed by stage hash; store, when
-	// non-nil, the disk tier of the first three.
-	profiles *fifoMap[string, *negativa.Profile]
+	// cache is every stage's memory tier; store, when non-nil, the disk
+	// tier of the durable ones.
 	cache    *ResultCache
-	verify   *fifoMap[string, *mlruntime.Result]
-	unions   *fifoMap[string, *negativa.Union]
 	store    *castore.Store
 	counters *metrics.CounterSet
 	// cluster, when non-nil, adds the owning-peer tier to every routed
@@ -251,10 +184,7 @@ type StageMemo struct {
 // counters, when non-nil, takes the peer tier's peer.* series.
 func NewStageMemo(cache *ResultCache, counters *metrics.CounterSet) *StageMemo {
 	return &StageMemo{
-		profiles: newFifoMap[string, *negativa.Profile](tierEntries),
 		cache:    cache,
-		verify:   newFifoMap[string, *mlruntime.Result](tierEntries),
-		unions:   newFifoMap[string, *negativa.Union](unionEntries),
 		counters: counters,
 	}
 }
@@ -283,7 +213,7 @@ func without(peers []string, id string) []string {
 // a singleflight rather than check-then-act: between this caller's miss and
 // its winning the flight, an earlier leader may have planted the value and
 // ended its own flight, and without the re-probe the key would compute
-// twice. It asks quietly first (held), since the first probe counted the
+// twice. It asks quietly first (contains), since the first probe counted the
 // miss. slot is the calling node's executor slot: every wait on this
 // consultation yields and re-acquires through it.
 func (m *StageMemo) GetOrCompute(slot plan.Executor, key plan.Key, hint any, compute func() (any, error)) (any, plan.Source, error) {
@@ -293,7 +223,7 @@ func (m *StageMemo) GetOrCompute(slot plan.Executor, key plan.Key, hint any, com
 		return v, plan.SourceComputed, err
 	}
 	for {
-		if v, ok := st.get(m, key.Hash); ok {
+		if v, ok := m.cache.get(key.Stage, key.Hash); ok {
 			return v, plan.SourceMemory, nil
 		}
 		if m.beginFlight(key) {
@@ -302,8 +232,8 @@ func (m *StageMemo) GetOrCompute(slot plan.Executor, key plan.Key, hint any, com
 		m.awaitFlight(slot, key)
 	}
 	defer m.endFlight(key)
-	if st.held(m, key.Hash) {
-		if v, ok := st.get(m, key.Hash); ok {
+	if m.cache.contains(key.Stage, key.Hash) {
+		if v, ok := m.cache.get(key.Stage, key.Hash); ok {
 			return v, plan.SourceMemory, nil
 		}
 	}
@@ -325,7 +255,7 @@ func (m *StageMemo) lead(st *memoStage, key plan.Key, hint any, compute func() (
 	if err != nil {
 		return nil, plan.SourceComputed, err
 	}
-	st.put(m, key.Hash, v)
+	m.cache.put(st.stage, key.Hash, v)
 	if m.writeStage != nil && st.durable() {
 		var owners []string
 		if m.cluster != nil {
@@ -355,7 +285,7 @@ func (m *StageMemo) loadStored(st *memoStage, hash string, hint any) (any, bool)
 		m.store.Delete(st.kind, hash)
 		return nil, false
 	}
-	st.put(m, hash, v)
+	m.cache.put(st.stage, hash, v)
 	return v, true
 }
 
@@ -376,7 +306,7 @@ func (m *StageMemo) exportRecord(st *memoStage, hash string, body *bytes.Buffer)
 		}
 		body.Truncate(n) // removed since the probe: try memory
 	}
-	v, ok := st.get(m, hash)
+	v, ok := m.cache.get(st.stage, hash)
 	if !ok {
 		return false
 	}
@@ -453,12 +383,11 @@ func (m *batchMemo) probeVerify(key plan.Key) bool {
 	if ok {
 		return true
 	}
-	st := memoStageOf(key.Stage)
-	if v, ok := st.get(m.StageMemo, key.Hash); ok {
+	if v, ok := m.cache.get(key.Stage, key.Hash); ok {
 		m.keep(key, v, plan.SourceMemory)
 		return true
 	}
-	if v, ok := m.loadStored(st, key.Hash, nil); ok {
+	if v, ok := m.loadStored(memoStageOf(key.Stage), key.Hash, nil); ok {
 		m.keep(key, v, plan.SourceDisk)
 		return true
 	}

@@ -408,7 +408,7 @@ func TestRegistryReplay(t *testing.T) {
 	st1 := openStore(t, dir)
 	svc1 := NewService(Config{Store: st1})
 	ms := memoStageOf(dk.Stage)
-	ms.put(svc1.stages, dk.Hash, p)
+	svc1.Cache.put(ms.stage, dk.Hash, p)
 	svc1.writeBehind(ms, dk.Hash, p, nil, nil)
 	svc1.Close()
 	st1.Close()
@@ -416,8 +416,8 @@ func TestRegistryReplay(t *testing.T) {
 	st2 := openStore(t, dir)
 	svc2 := NewService(Config{Store: st2})
 	defer svc2.Close()
-	if st := st2.Stats(); st.Hits != 0 || len(svc2.stages.profiles.m) != 0 {
-		t.Fatalf("boot read profiles: %d store hits, %d resident", st.Hits, len(svc2.stages.profiles.m))
+	if st := st2.Stats(); st.Hits != 0 || svc2.Cache.StageStats(negativa.StageDetect).Entries != 0 {
+		t.Fatalf("boot read profiles: %d store hits, %d resident", st.Hits, svc2.Cache.StageStats(negativa.StageDetect).Entries)
 	}
 	// Eight lookups at once: the flight's leader reads the record, the
 	// others wait and hit memory.

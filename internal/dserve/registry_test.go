@@ -1,7 +1,6 @@
 package dserve
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -75,67 +74,22 @@ func TestRegistryPutGetUnion(t *testing.T) {
 	a := &negativa.Profile{Workload: "a", UsedKernels: map[string][]string{"l": {"k1"}}, UsedFuncs: map[string][]string{"l": {"f1"}}}
 	b := &negativa.Profile{Workload: "b", UsedKernels: map[string][]string{"l": {"k2"}}, UsedFuncs: map[string][]string{"l": {"f2"}}}
 	st := memoStageOf(negativa.StageDetect)
-	st.put(m, negativa.DetectKey("fp", "a").Hash, a)
-	st.put(m, negativa.DetectKey("fp", "b").Hash, b)
-	if n := len(m.profiles.m); n != 2 {
+	m.cache.put(st.stage, negativa.DetectKey("fp", "a").Hash, a)
+	m.cache.put(st.stage, negativa.DetectKey("fp", "b").Hash, b)
+	if n := m.cache.StageStats(st.stage).Entries; n != 2 {
 		t.Fatalf("len = %d, want 2", n)
 	}
-	ga, ok := st.get(m, negativa.DetectKey("fp", "a").Hash)
+	ga, ok := m.cache.get(st.stage, negativa.DetectKey("fp", "a").Hash)
 	if !ok || ga != a {
 		t.Fatal("get must return the stored profile")
 	}
-	if st.held(m, negativa.DetectKey("other", "a").Hash) {
+	if m.cache.contains(st.stage, negativa.DetectKey("other", "a").Hash) {
 		t.Fatal("profiles are scoped to their install fingerprint")
 	}
 
-	gb, _ := m.profiles.get(negativa.DetectKey("fp", "b").Hash)
-	if u := negativa.MergeProfiles(ga.(*negativa.Profile), gb); !covers(u, a) || !covers(u, b) {
+	gb, _ := m.cache.get(st.stage, negativa.DetectKey("fp", "b").Hash)
+	if u := negativa.MergeProfiles(ga.(*negativa.Profile), gb.(*negativa.Profile)); !covers(u, a) || !covers(u, b) {
 		t.Error("union must cover every member")
-	}
-}
-
-// TestMemoryTiersBounded pins the count bound of the detect and verifyrun
-// memory tiers: each keeps the newest 1024 values, evicts oldest first, and
-// a re-put key keeps its age.
-func TestMemoryTiersBounded(t *testing.T) {
-	for _, tc := range []struct {
-		stage string
-		key   func(i int) string
-		value func(i int) any
-	}{
-		{negativa.StageDetect,
-			func(i int) string { return negativa.DetectKey("fp", fmt.Sprintf("w%d", i)).Hash },
-			func(i int) any { return &negativa.Profile{Workload: fmt.Sprint(i)} }},
-		{negativa.StageVerifyRun,
-			func(i int) string { return fmt.Sprintf("verify-%d", i) },
-			func(i int) any { return &mlruntime.Result{Digest: uint64(i)} }},
-	} {
-		t.Run(tc.stage, func(t *testing.T) {
-			const bound, extra = 1024, 10
-			m := NewStageMemo(NewResultCache(1<<20, nil), nil)
-			st := memoStageOf(tc.stage)
-			for i := 0; i < bound+extra; i++ {
-				st.put(m, tc.key(i), tc.value(i))
-			}
-			for i := 0; i < bound+extra; i++ {
-				if held := st.held(m, tc.key(i)); held != (i >= extra) {
-					t.Fatalf("value %d held=%v after %d puts; the newest %d stay", i, held, bound+extra, bound)
-				}
-			}
-
-			// Re-putting the oldest resident key keeps its age: it is the next
-			// one out, and its successor stays.
-			oldest, next := tc.key(extra), tc.key(extra+1)
-			again := tc.value(-1)
-			st.put(m, oldest, again)
-			if v, ok := st.get(m, oldest); !ok || v != again {
-				t.Fatal("a re-put must replace the value")
-			}
-			st.put(m, tc.key(bound+extra), tc.value(bound+extra))
-			if st.held(m, oldest) || !st.held(m, next) {
-				t.Fatalf("after one more put: re-put key held=%v, its successor held=%v; the re-put key must go first", st.held(m, oldest), st.held(m, next))
-			}
-		})
 	}
 }
 
@@ -235,16 +189,16 @@ func TestUnionDebloatServesEveryMember(t *testing.T) {
 		}
 		ids[i] = negativa.WorkloadIdentity(w, steps)
 		digests[i] = p.RunResult.Digest
-		m.profiles.put(negativa.DetectKey(fp, ids[i]).Hash, p)
+		m.cache.put(negativa.StageDetect, negativa.DetectKey(fp, ids[i]).Hash, p)
 	}
 
 	stored := make([]*negativa.Profile, len(ws))
 	for i := range ws {
-		p, ok := m.profiles.get(negativa.DetectKey(fp, ids[i]).Hash)
+		p, ok := m.cache.get(negativa.StageDetect, negativa.DetectKey(fp, ids[i]).Hash)
 		if !ok {
 			t.Fatalf("no stored profile for member %s", ws[i].Name)
 		}
-		stored[i] = p
+		stored[i] = p.(*negativa.Profile)
 	}
 	union := negativa.MergeProfiles(stored...)
 	for i, p := range stored {

@@ -19,18 +19,22 @@ var stageNames = []string{
 	negativa.StageDetect, negativa.StageUnion, negativa.StageCompact, negativa.StageVerifyRef, negativa.StageVerifyRun,
 }
 
-// stageStats assembles the per-stage hit/miss view of /v1/metrics from the
-// stage scheduler's observer counters (per-stage timings live in the
-// timings section under the same stage.<name> series). disk_hits and
-// peer_hits attribute the hits that did not come from local memory.
-func stageStats(c *metrics.CounterSet) map[string]map[string]int64 {
+// stageStats assembles the per-stage view of /v1/metrics: hits and misses
+// from the stage scheduler's observer counters (per-stage timings live in
+// the timings section under the same stage.<name> series), disk_hits and
+// peer_hits attributing the hits that did not come from local memory, and
+// the stage's share of the memory tier, in entries and charged bytes.
+func stageStats(c *metrics.CounterSet, cache *ResultCache) map[string]map[string]int64 {
 	out := make(map[string]map[string]int64, len(stageNames))
 	for _, st := range stageNames {
+		mem := cache.StageStats(st)
 		out[st] = map[string]int64{
-			"hits":      c.Get("stage." + st + ".hits"),
-			"misses":    c.Get("stage." + st + ".misses"),
-			"disk_hits": c.Get("stage." + st + ".disk_hits"),
-			"peer_hits": c.Get("stage." + st + ".peer_hits"),
+			"hits":           c.Get("stage." + st + ".hits"),
+			"misses":         c.Get("stage." + st + ".misses"),
+			"disk_hits":      c.Get("stage." + st + ".disk_hits"),
+			"peer_hits":      c.Get("stage." + st + ".peer_hits"),
+			"memory_entries": int64(mem.Entries),
+			"memory_bytes":   mem.Bytes,
 		}
 	}
 	return out
@@ -450,8 +454,8 @@ func (s *Service) retryAfterHint(j *Job) int {
 func (s *Service) MetricsPayload() map[string]any {
 	out := map[string]any{
 		"counters": s.Counters.Snapshot(),
-		"cache":    s.Cache.Stats(),
-		"stages":   stageStats(s.Counters),
+		"cache":    s.Cache.StageStats(negativa.StageCompact),
+		"stages":   stageStats(s.Counters, s.Cache),
 		"timings":  s.Timings.Snapshot(),
 		"workers":  s.Workers(),
 	}

@@ -81,11 +81,11 @@ type Config struct {
 	// Workers bounds concurrently executing tasks across all jobs
 	// (default runtime.NumCPU()).
 	Workers int
-	// CacheBytes bounds the content-addressed result cache by retained
-	// bytes (default 64 MiB). Entries are sparse — a zeroed-range set plus
-	// the report — and each distinct original library image they reference
-	// is charged once, so the bound covers everything the cache alone can
-	// keep alive.
+	// CacheBytes bounds the memory tier of every memoized stage by retained
+	// bytes (default 64 MiB). Compact results are sparse — a zeroed-range
+	// set plus the report — and each distinct original library image they
+	// reference is charged once, so the bound covers everything the cache
+	// alone can keep alive.
 	CacheBytes int64
 	// MaxSteps is the default detection/verification step cap applied when
 	// a batch does not set one (default 4). Usage coverage saturates within
@@ -130,8 +130,8 @@ type Service struct {
 	pool    *plan.Pool
 	store   *castore.Store
 	cluster *cluster.Cluster
-	// stages routes every plan node's content key to its memo tier
-	// (profiles, result cache, verify records); observer mirrors stage
+	// stages routes every plan node's content key to its memo tiers
+	// (memory, disk, peers); observer mirrors stage
 	// outcomes into the counter and timing sets.
 	stages   *StageMemo
 	observer plan.Observer
@@ -443,7 +443,7 @@ func (r *BatchResult) AllVerified() bool {
 // union feeds one compact node per library, and the compacted set feeds a
 // verify probe, the clone it may ask for, and per-member verification nodes
 // — with the service's tiers passed in: a batch memo over the stage memo
-// (profiles, byte-bounded cache, verify records, content-addressed store),
+// (the byte-bounded memory tier, the content-addressed store),
 // its verify probe, and, when clustered, the batch prefetch. With opt.Base set the batch is
 // incremental: base members' verifications carry over and only the union
 // delta recomputes. Every workload must reference in as its install.

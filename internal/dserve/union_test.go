@@ -322,7 +322,7 @@ func TestUnionTierIsMemoryOnly(t *testing.T) {
 	}
 	key := negativa.UnionKey(detects)
 	st := memoStageOf(negativa.StageUnion)
-	if !st.held(a.svc.stages, key.Hash) {
+	if !a.svc.Cache.contains(st.stage, key.Hash) {
 		t.Fatal("the batch's union is not in node a's memory")
 	}
 	for id, n := range nodes {
@@ -335,7 +335,7 @@ func TestUnionTierIsMemoryOnly(t *testing.T) {
 		if n.svc.stages.exportRecord(st, key.Hash, &body) || body.Len() != 0 {
 			t.Fatalf("node %s answers a lookup for the union", id)
 		}
-		if id != "a" && st.held(n.svc.stages, key.Hash) {
+		if id != "a" && n.svc.Cache.contains(st.stage, key.Hash) {
 			t.Fatalf("node %s was sent the union", id)
 		}
 	}

@@ -65,6 +65,9 @@ type Result struct {
 	Launches int64
 }
 
+// RetainedBytes models the heap a cached result pins: six 8-byte fields.
+func (r *Result) RetainedBytes() int64 { return 48 }
+
 // Cost constants local to the runtime layer.
 const (
 	funcCallCost      = 300 * time.Nanosecond

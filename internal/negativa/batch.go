@@ -146,7 +146,7 @@ func (b *Batch) Run(pool *plan.Pool, memo plan.Memo, obs plan.Observer, onPlanne
 		for i := range deps {
 			ps[i] = deps[i].(*Profile)
 		}
-		return newUnion(MergeProfiles(ps...), len(names)), nil
+		return newUnion(ps, len(names)), nil
 	})
 
 	// Compaction: one node per library, keyed late from the union. Compact

@@ -24,6 +24,26 @@ type Profile struct {
 	RunResult *mlruntime.Result
 }
 
+// RetainedBytes models the heap a cached profile pins, laid out as its
+// record decodes: the struct, name and run result, and per usage map a
+// header, per library a map slot, per string its header and bytes.
+func (p *Profile) RetainedBytes() int64 {
+	n := 48 + int64(len(p.Workload))
+	if p.RunResult != nil {
+		n += p.RunResult.RetainedBytes()
+	}
+	for _, usage := range []map[string][]string{p.UsedKernels, p.UsedFuncs} {
+		n += 48
+		for lib, syms := range usage {
+			n += 64 + 16 + int64(len(lib))
+			for _, s := range syms {
+				n += 16 + int64(len(s))
+			}
+		}
+	}
+	return n
+}
+
 // DetectUsage runs the workload once with the kernel detector and the CPU
 // profiler attached and returns its usage profile. maxSteps caps the run
 // (0 = full dataset); kernel and function coverage saturates within the

@@ -16,9 +16,9 @@ import (
 
 // Stage names of the analysis plan. Every scheduled stage is a stage-graph
 // node with an explicit content-derived key; internal/plan schedules them
-// and internal/dserve memoizes detect in its profile registry, compact in
-// its result cache and verifyrun in its verify-record memo (each memory →
-// disk → replica peers), and union in memory only.
+// and internal/dserve memoizes detect, union, compact and verifyrun in one
+// byte-bounded memory tier, and all but union also on disk and on replica
+// peers.
 const (
 	// StageDetect runs a workload once with the detectors attached. Keyed
 	// by (install fingerprint, workload identity) — the identity embeds the
@@ -78,6 +78,8 @@ func UnionKey(detects []plan.Key) plan.Key {
 type Union struct {
 	Profile *Profile
 	keys    []unionKey
+	// members is the members' profiles' RetainedBytes.
+	members int64
 }
 
 type unionKey struct {
@@ -85,9 +87,24 @@ type unionKey struct {
 	key  plan.Key
 }
 
-// newUnion returns the union value of p over an install of libs libraries.
-func newUnion(p *Profile, libs int) *Union {
-	return &Union{Profile: p, keys: make([]unionKey, libs)}
+// RetainedBytes models the heap a cached union pins: the struct, its
+// members' profiles whole, and per library a compact-key slot with its
+// hash. A union's strings are its members', and one string of a decoded
+// profile keeps the record's whole string buffer alive, so a union can pin
+// all of its members' strings; their maps and lists stand in for its own,
+// which are no larger. While the members are cached too, they are charged
+// twice: the conservative side.
+func (u *Union) RetainedBytes() int64 {
+	return 32 + u.members + int64(len(u.keys))*(48+64)
+}
+
+// newUnion returns the union of the members over an install of libs libraries.
+func newUnion(members []*Profile, libs int) *Union {
+	u := &Union{Profile: MergeProfiles(members...), keys: make([]unionKey, libs)}
+	for _, p := range members {
+		u.members += p.RetainedBytes()
+	}
+	return u
 }
 
 // CompactKeyHook, when non-nil, is called with the library's name each
